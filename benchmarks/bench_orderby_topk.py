@@ -5,7 +5,7 @@ The seed engine applied ORDER BY by boxing every buffer into Python objects
 when a ``LIMIT 10`` followed.  The columnar sort subsystem
 (:mod:`repro.core.sort`) replaces that with dtype-specialized NumPy kernels,
 a bounded streaming top-K when a LIMIT accompanies the sort, and per-morsel
-sorted runs merged k-way on the parallel tier.
+sorted runs merged k-way under a morsel fan-out.
 
 This benchmark gates the two specialization claims on binary-column data
 (1M rows by default):
@@ -15,8 +15,8 @@ This benchmark gates the two specialization claims on binary-column data
 * the ``topk`` kernel must beat its own full sort by >= 10x for
   ORDER BY + LIMIT 10,
 
-and checks the parallel tier end-to-end: per-morsel sort + k-way merge must
-produce **bit-identical** output to the serial tier at 1, 2 and 8 workers.
+and checks the morsel fan-out end-to-end: per-morsel sort + k-way merge must
+produce **bit-identical** output to an inline run at 1, 2 and 8 workers.
 
 Standalone script (like ``bench_vectorized_fallback.py``) so CI can smoke
 it::
@@ -171,10 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         configurations = [
             ("codegen", {}),
             ("vectorized", {"enable_codegen": False}),
-            ("vectorized-parallel w2", {"enable_codegen": False,
-                                        "parallel_workers": 2}),
-            ("vectorized-parallel w8", {"enable_codegen": False,
-                                        "parallel_workers": 8}),
+            ("vectorized w2", {"enable_codegen": False, "parallel_workers": 2}),
+            ("vectorized w8", {"enable_codegen": False, "parallel_workers": 8}),
         ]
         for label, config in configurations:
             engine = make_engine(path, **config)

@@ -30,6 +30,18 @@ FORMAT_BIAS = {
 }
 
 
+def column_type_name(column) -> str:
+    """The ``type_name`` label :meth:`CachingPolicy.should_cache_field`
+    expects for a scanned NumPy column (shared by every execution tier)."""
+    if column.dtype == object:
+        return "string"
+    if column.dtype.kind == "b":
+        return "bool"
+    if column.dtype.kind in "iu":
+        return "int"
+    return "float"
+
+
 @dataclass
 class CachingPolicy:
     """Tunable caching policy."""

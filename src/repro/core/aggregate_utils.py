@@ -57,7 +57,7 @@ class AggregateAccumulators:
     def merge(self, other: "AggregateAccumulators") -> None:
         """Fold another accumulator's partial state into this one.
 
-        This is the combine step of the morsel-driven parallel tier: each
+        This is the combine step of the batch executor's morsel fan-out: each
         morsel accumulates independently and the partials are merged in
         morsel order afterwards.  Merging is defined on the shared state, so
         partials from any ``update`` granularity combine correctly.

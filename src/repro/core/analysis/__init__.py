@@ -33,10 +33,7 @@ from repro.core.analysis.model import (
     TIER_OUTER_UNNEST_PREDICATE,
     TIER_PLAN_SHAPE,
     TIER_RUNTIME_DEMOTION,
-    TIER_SCAN_NOT_SPLITTABLE,
-    TIER_SINGLE_MORSEL,
     TIER_CODEGEN,
-    TIER_PARALLEL,
     TIER_VECTORIZED,
     TIER_VOLCANO,
     TierVerdict,
@@ -66,10 +63,7 @@ __all__ = [
     "TIER_OUTER_UNNEST_PREDICATE",
     "TIER_PLAN_SHAPE",
     "TIER_RUNTIME_DEMOTION",
-    "TIER_SCAN_NOT_SPLITTABLE",
-    "TIER_SINGLE_MORSEL",
     "TIER_CODEGEN",
-    "TIER_PARALLEL",
     "TIER_VECTORIZED",
     "TIER_VOLCANO",
     "TYP_BAD_AGGREGATE",

@@ -39,8 +39,7 @@ TYP_NOT_A_COLLECTION = "TYP005"
 
 # -- diagnostic codes: tier-capability verdicts -------------------------------
 
-#: The tier is switched off by engine configuration (ablation flags, serial
-#: worker count).
+#: The tier is switched off by engine configuration (ablation flags).
 TIER_DISABLED = "TIER001"
 #: The plan shape (root or an operator) is not covered by the tier.
 TIER_PLAN_SHAPE = "TIER002"
@@ -50,10 +49,10 @@ TIER_EXPRESSION = "TIER003"
 TIER_GROUP_COLUMN = "TIER004"
 #: Outer joins are served by the Volcano interpreter only.
 TIER_OUTER_JOIN = "TIER005"
-#: The driving scan cannot be range-partitioned into morsels.
-TIER_SCAN_NOT_SPLITTABLE = "TIER006"
-#: The input fits a single morsel; parallelism would not pay off.
-TIER_SINGLE_MORSEL = "TIER007"
+# TIER006 (driving scan not range-splittable) and TIER007 (input fits a
+# single morsel) are retired: whether a scan fans out over morsels is decided
+# inside the batch executor (``repro.core.parallel.plan_fanout``), not by a
+# tier verdict.  The numbers are not reused.
 #: An outer unnest with an element predicate (Volcano-only shape).
 TIER_OUTER_UNNEST_PREDICATE = "TIER008"
 #: The tier declined at run time (data-dependent demotion the static
@@ -63,12 +62,11 @@ TIER_RUNTIME_DEMOTION = "TIER009"
 # -- execution tiers, in cascade order ---------------------------------------
 
 TIER_CODEGEN = "codegen"
-TIER_PARALLEL = "vectorized-parallel"
 TIER_VECTORIZED = "vectorized"
 TIER_VOLCANO = "volcano"
 
-#: The engine's four-tier cascade, most- to least-specialized.
-CASCADE_TIERS = (TIER_CODEGEN, TIER_PARALLEL, TIER_VECTORIZED, TIER_VOLCANO)
+#: The engine's three-tier cascade, most- to least-specialized.
+CASCADE_TIERS = (TIER_CODEGEN, TIER_VECTORIZED, TIER_VOLCANO)
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,8 @@ EMPTY_HINTS = NullabilityHints()
 class SchemaAnalysis:
     """The engine-configuration-independent half of a plan analysis: the
     inferred output schema and the nullability hints.  Cached per plan
-    fingerprint by the engine (the tier verdicts are not cached: the
-    parallel-tier verdict depends on cache state at execution time)."""
+    fingerprint by the engine, next to the tier verdicts (a pure function of
+    the plan and the engine's ablation flags)."""
 
     columns: tuple[ColumnInfo, ...]
     hints: NullabilityHints

@@ -212,7 +212,7 @@ class CodeGenerator:
         if node.outer:
             raise CodegenError(
                 "outer unnest is served by the batch-native unnest of the "
-                "vectorized tiers"
+                "vectorized tier"
             )
         buffers = self._visit(node.child, ctx)
         source = self._binding_sources.get(node.binding)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key, join_side_cache_key, unnest_cache_key
+from repro.caching.policies import column_type_name
 from repro.core.executor import radix
 from repro.errors import ExecutionError
 from repro.plugins.base import FieldPath, InputPlugin, ScanBuffers, UnnestBuffers
@@ -44,13 +45,14 @@ class ExecutionProfile:
     batches_processed: int = 0
     used_generated_code: bool = True
     #: Which execution tier served the query: "codegen" (the specialized
-    #: per-query program), "vectorized-parallel" (the morsel-driven parallel
-    #: batch interpreter), "vectorized" (the serial batch interpreter) or
-    #: "volcano" (the tuple-at-a-time interpreter).
+    #: per-query program), "vectorized" (the batch interpreter, inline or
+    #: fanned out over morsels) or "volcano" (the tuple-at-a-time
+    #: interpreter).
     execution_tier: str = "codegen"
-    #: Worker count of the parallel tier (0 on the serial tiers).
+    #: Workers the batch executor fanned out across (0 when every scan of
+    #: the execution ran inline, and on the other tiers).
     parallel_workers: int = 0
-    #: Morsels executed / obtained by stealing on the parallel tier.
+    #: Morsels executed / obtained by stealing under a fan-out.
     morsels_dispatched: int = 0
     morsels_stolen: int = 0
     #: True when the codegen tier served this execution from an
@@ -129,9 +131,8 @@ class ExecutionProfile:
 #: a slower (more of a bottleneck) tier.
 _TIER_RANK = {
     "codegen": 0,
-    "vectorized-parallel": 1,
-    "vectorized": 2,
-    "volcano": 3,
+    "vectorized": 1,
+    "volcano": 2,
 }
 
 
@@ -215,7 +216,7 @@ class QueryRuntime:
             for path in missing:
                 column = fresh.column(path)
                 cached[path] = column
-                type_name = _column_type_name(column)
+                type_name = column_type_name(column)
                 if manager.policy.should_cache_field(plugin.format_name, type_name):
                     manager.store(
                         field_cache_key(dataset.name, path),
@@ -445,13 +446,3 @@ def _metered_scan(plugin: InputPlugin, accessor, *args):
     )
     plugin.record_scan(seconds, nbytes)
     return buffers
-
-
-def _column_type_name(column: np.ndarray) -> str:
-    if column.dtype == object:
-        return "string"
-    if column.dtype.kind == "b":
-        return "bool"
-    if column.dtype.kind in "iu":
-        return "int"
-    return "float"

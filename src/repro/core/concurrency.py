@@ -365,8 +365,8 @@ SHARED_CLASSES: dict[str, str] = {
         "thread calling engine.query() with one query text"
     ),
     "CacheManager": (
-        "shared by both batch tiers, the codegen runtime and the planner's "
-        "access-path selection; parallel workers populate it via ScanOperator"
+        "shared by the batch executor, the codegen runtime and the planner's "
+        "access-path selection; morsel workers populate it via ScanOperator"
     ),
     "CacheArena": (
         "the cache arena accounts blocks for every CacheManager mutation; "
@@ -377,7 +377,7 @@ SHARED_CLASSES: dict[str, str] = {
     ),
     "WorkerPool": (
         "spawns the morsel worker threads (proteus-worker-N); run() is the "
-        "thread entry point of the parallel tier"
+        "thread entry point of the batch executor's morsel fan-out"
     ),
     "AdmissionController": (
         "the admission gate is shared by every client thread entering "
@@ -414,6 +414,7 @@ GUARDED_BY: dict[str, str] = {
     "ProteusEngine._compiled": "_lock",
     "ProteusEngine._parsed": "_lock",
     "ProteusEngine._analyses": "_lock",
+    "ProteusEngine._verdict_cache": "_lock",
     "ProteusEngine._prepared_cache": "_lock",
     "ProteusEngine._catalog_epoch": "_lock",
     "PreparedQuery._state": "_lock",
@@ -434,7 +435,7 @@ GUARDED_BY: dict[str, str] = {
     "JsonPlugin._states": "_state_lock",
     "BinaryColumnPlugin._tables": "_table_lock",
     "BinaryRowPlugin._tables": "_table_lock",
-    # batch-tier scan cache recorder (shared by parallel workers)
+    # batch-tier scan cache recorder (shared by morsel workers)
     "ScanOperator._record": "_record_lock",
     # morsel scheduler
     "WorkStealingQueue.dispatched": "_lock",

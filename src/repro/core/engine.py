@@ -11,34 +11,34 @@ the paper describes:
    algebra, which the optimizer lowers to a physical plan (selection/
    projection pushdown, join ordering, access-path selection against the
    caches),
-3. the plan executes through a four-tier cascade:
+3. the plan executes through a three-tier cascade:
 
    * **codegen** — the code generator collapses the plan into one specialized
      program executed against the query runtime (§5.1, the engine-per-query),
-   * **vectorized-parallel** — when ``parallel_workers > 1``, shapes the
-     generator does not cover run through the morsel-driven parallel batch
-     interpreter: the driving scan splits into batch-aligned morsels that a
-     work-stealing worker pool executes concurrently, with partial per-morsel
-     aggregation and a deterministic morsel-ordered merge,
-   * **vectorized** — the serial batch interpreter serves the same shapes on
-     one core (and is the fallback when a scan cannot be split into morsels,
-     e.g. the binary row format's per-tuple shim, or when the input fits a
-     single morsel),
-   * **volcano** — shapes the batch interpreters cannot serve (record
+   * **vectorized** — shapes the generator does not cover run through the
+     batch interpreter.  The executor decides *internally*, per scan, whether
+     to run inline or to fan out: with ``parallel_workers > 1`` a
+     range-splittable scan spanning two or more morsels is split into
+     batch-aligned morsels that a work-stealing worker pool executes
+     concurrently, with partial per-morsel aggregation and a deterministic
+     morsel-ordered merge; everything else (one worker, the binary row
+     format's per-tuple shim, single-morsel inputs) runs on the calling
+     thread,
+   * **volcano** — shapes the batch interpreter cannot serve (record
      construction in output columns, outer joins, null group keys) fall back
      to the tuple-at-a-time Volcano interpreter, the paper's "static
      general-purpose engine" baseline.  Unnests — inner *and* outer, nested
      collections included — are batch-native: the plug-ins' offset-vector
      ``scan_unnest_batch`` API keeps them on the fast tiers.
 
-   The ablation flags ``enable_codegen``, ``enable_parallel`` and
-   ``enable_vectorized`` disable tiers individually (``enable_vectorized``
-   disables both batch tiers); ``ExecutionProfile.execution_tier`` records
-   which tier actually served each query, and :meth:`ProteusEngine.explain`
-   reports the whole cascade decision for a query without running it.
+   The ablation flags ``enable_codegen`` and ``enable_vectorized`` disable
+   tiers individually; ``ExecutionProfile.execution_tier`` records which tier
+   actually served each query (``parallel_workers`` / ``morsels_dispatched``
+   record whether it fanned out), and :meth:`ProteusEngine.explain` reports
+   the whole cascade decision and the planned fan-out for a query without
+   running it.
 4. caches are populated as a side effect and reused by later queries — by
-   the generated tier *and*, since the parallel subsystem landed, by both
-   batch interpreters.
+   the generated tier *and* by the batch interpreter.
 
 The v2 query API is built around **prepared statements**: the specialization
 the paper bets on pays for itself when a query *shape* recurs, so the shape is
@@ -56,18 +56,17 @@ Results are returned as a lazy columnar :class:`ResultSet`: the executor's
 columnar output *is* the backing store — ``column_array`` hands out NumPy
 buffers with no rows round-trip, ``rows``/iteration materialize Python tuples
 only on first access, and ``fetch_batches`` streams the result in bounded
-chunks.  :data:`QueryResult` remains as a deprecated alias.
+chunks.
 
 Parallelism tuning: ``parallel_workers`` defaults to 1 (serial).  Set it to
 the number of physical cores for scan-heavy workloads; morsels are 64Ki rows
 by default, so inputs of ~128Ki rows or more actually fan out, and smaller
-inputs transparently stay on the serial tier where they are faster anyway.
+inputs transparently run inline where they are faster anyway.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -99,7 +98,7 @@ from repro.core.executor.vectorized import (
     VectorizedExecutor,
 )
 from repro.core.executor.volcano import VolcanoExecutor
-from repro.core.parallel import ParallelVectorizedExecutor
+from repro.core.parallel import plan_fanout
 from repro.core.normalizer import normalize
 from repro.core.optimizer.planner import Planner
 from repro.core.optimizer.statistics import StatisticsManager
@@ -110,6 +109,7 @@ from repro.core.physical import (
     PhysSort,
     PhysUnnest,
     PhysicalPlan,
+    driving_scan,
     unwrap_sort,
 )
 from repro.core.sort import resolve_limit, sort_columns
@@ -166,57 +166,26 @@ class ResultSet:
     def __init__(
         self,
         columns: Sequence[str],
-        data: Mapping[str, Any] | None = None,
+        data: Mapping[str, Any],
         *,
+        tier: str,
         length: int | None = None,
         execution_seconds: float = 0.0,
-        tier: str | None = None,
         profile: ExecutionProfile | None = None,
-        rows: Sequence[tuple] | None = None,
-        used_codegen: bool | None = None,  # accepted for v1 compatibility
     ):
         self.columns = list(columns)
         self.execution_seconds = execution_seconds
-        if tier is None:
-            # v1-style construction: honor an explicit used_codegen flag so
-            # the deprecated property reads back what the caller stated.
-            tier = "codegen" if used_codegen is None or used_codegen else "volcano"
-        #: Which execution tier served the query: "codegen",
-        #: "vectorized-parallel", "vectorized" or "volcano".
+        #: Which execution tier served the query: "codegen", "vectorized" or
+        #: "volcano" (whether the vectorized tier fanned out over morsels is
+        #: in ``profile.parallel_workers`` / ``profile.morsels_dispatched``).
         self.tier = tier
         self.profile = profile
         self._rows: list[tuple] | None = None
         self._pylists: dict[str, list] = {}
-        if data is None:
-            # v1-style construction from materialized rows.
-            if rows is None:
-                raise ExecutionError(
-                    "ResultSet requires columnar data (or, for compatibility, rows)"
-                )
-            self._rows = [tuple(row) for row in rows]
-            data = {
-                name: [row[index] for row in self._rows]
-                for index, name in enumerate(self.columns)
-            }
-            length = len(self._rows)
         self._data = dict(data)
         if length is None:
             length = len(next(iter(self._data.values()))) if self._data else 0
         self._length = int(length)
-
-    # -- deprecated v1 surface ----------------------------------------------
-
-    @property
-    def used_codegen(self) -> bool:
-        """Deprecated: use ``.tier == "codegen"`` (or inspect ``.tier``
-        directly — it also distinguishes the two batch tiers)."""
-        warnings.warn(
-            "QueryResult.used_codegen is deprecated; use result.tier "
-            "(== 'codegen') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.tier == "codegen"
 
     # -- columnar access ----------------------------------------------------
 
@@ -302,10 +271,6 @@ class ResultSet:
     def to_dicts(self) -> list[dict[str, Any]]:
         """The result as a list of dicts (one per row)."""
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-#: Deprecated alias of :class:`ResultSet` (the v1 result class name).
-QueryResult = ResultSet
 
 
 class PreparedQuery:
@@ -518,7 +483,6 @@ class ProteusEngine:
         enable_caching: bool = True,
         enable_codegen: bool = True,
         enable_vectorized: bool = True,
-        enable_parallel: bool = True,
         parallel_workers: int | None = None,
         enable_join_reordering: bool = True,
         vectorized_batch_size: int = DEFAULT_BATCH_SIZE,
@@ -538,10 +502,8 @@ class ProteusEngine:
         self.catalog = Catalog()
         self.enable_codegen = enable_codegen
         self.enable_vectorized = enable_vectorized
-        #: ``parallel_workers`` is the degree of the morsel-driven parallel
-        #: tier; 1 (the default) keeps execution serial.  ``enable_parallel``
-        #: is the ablation switch for the tier as a whole.
-        self.enable_parallel = enable_parallel
+        #: Worker count of the batch executor's morsel fan-out; 1 (the
+        #: default) keeps every scan inline on the calling thread.
         self.parallel_workers = 1 if parallel_workers is None else max(int(parallel_workers), 1)
         self.vectorized_batch_size = vectorized_batch_size
         self.enable_caching = enable_caching
@@ -580,7 +542,7 @@ class ProteusEngine:
             enable_join_reordering=enable_join_reordering,
         )
         self.generator = CodeGenerator(self.catalog, self.plugins, self.cache_plugin)
-        #: Guards the four shape caches below and the catalog epoch: the
+        #: Guards the five shape caches below and the catalog epoch: the
         #: engine serves concurrent sessions, so every publish into (or bulk
         #: clear of) shared prepare-time state happens under this lock.
         #: Expensive work (parse, plan, codegen) runs *outside* it; winners
@@ -592,6 +554,9 @@ class ProteusEngine:
         #: Static-analysis cache keyed by plan fingerprint; entries are
         #: invalidated with the catalog epoch (schemas may change).
         self._analyses: dict[tuple, SchemaAnalysis] = {}
+        #: Tier verdicts keyed by (plan fingerprint, ablation flags) — a pure
+        #: function of both; dropped together with ``_analyses``.
+        self._verdict_cache: dict[tuple, tuple[TierVerdict, ...]] = {}
         #: Prepared-query cache backing the ``query()`` sugar (keyed by the
         #: stripped query text); outstanding entries survive catalog changes
         #: because every execution re-validates against ``_catalog_epoch``.
@@ -634,7 +599,7 @@ class ProteusEngine:
         #: before a :class:`~repro.errors.ScanIOError` surfaces.
         self.io_retry_budget = io_retry_budget
         #: Tuples between deadline/cancellation checks on the Volcano tier
-        #: (the batch tiers check per batch / per morsel instead).
+        #: (the vectorized tier checks per batch / per morsel instead).
         self.volcano_check_stride = volcano_check_stride
         #: Admission controller — built only when a concurrency or memory
         #: bound is configured, so unconfigured engines skip admission
@@ -809,6 +774,7 @@ class ProteusEngine:
             self._parsed.clear()
             self._prepared_cache.clear()
             self._analyses.clear()
+            self._verdict_cache.clear()
             # Any catalog change invalidates outstanding PreparedQuery objects
             # (their plans may bake stale Dataset objects or, for a brand-new
             # name, resolve unqualified columns differently); they
@@ -832,6 +798,7 @@ class ProteusEngine:
             self._parsed.clear()
             self._prepared_cache.clear()
             self._analyses.clear()
+            self._verdict_cache.clear()
             self._catalog_epoch += 1
 
     def analyze(self, name: str) -> None:
@@ -842,6 +809,7 @@ class ProteusEngine:
         # Fresh statistics can change join orders; let prepared plans refresh.
         with self._lock:
             self._analyses.clear()
+            self._verdict_cache.clear()
             self._catalog_epoch += 1
 
     # ------------------------------------------------------------------------
@@ -909,8 +877,9 @@ class ProteusEngine:
     def explain(
         self, text: str | Comprehension, *args, analyze: bool = False, **params
     ) -> str:
-        """The physical plan, generated code and tier-cascade decision of a
-        query, without executing it.
+        """The physical plan, generated code, tier-cascade decision and
+        planned morsel fan-out of a query, without executing it (no raw data
+        is read).
 
         With ``analyze=True`` the query *is* executed (under forced tracing;
         parameter values may be passed like :meth:`query`) and the plan tree
@@ -952,8 +921,9 @@ class ProteusEngine:
                     "== sort strategy ==",
                     f"{strategy}: {why}",
                     "(execution refines the choice per key dtype: object "
-                    "columns fall back to the boxed comparator, and the "
-                    "parallel tier merges per-morsel sorted runs)",
+                    "columns fall back to the boxed comparator, and a "
+                    "fanned-out vectorized execution merges per-morsel "
+                    "sorted runs)",
                 ]
             )
         codegen_verdict = verdicts[0]
@@ -991,9 +961,30 @@ class ProteusEngine:
                 )
         parts.append(
             "(note: run-time data conditions, e.g. null join or group keys, "
-            "can still demote a batch tier to volcano during execution)"
+            "can still demote the vectorized tier to volcano during execution)"
         )
+        parts.extend(["", "== vectorized fan-out ==", self._planned_fanout(physical)])
         return "\n".join(parts)
+
+    def _planned_fanout(self, physical: PhysicalPlan) -> str:
+        """How the vectorized tier would run this plan's driving scan, from
+        catalog facts only: the plug-in's splittability and the collected
+        row count (unknown without statistics — then the executor decides
+        when the scan opens).  Cache-resident columns are always splittable;
+        that, too, is only known at execution."""
+        scan = driving_scan(physical)
+        if scan is None:
+            return "serial: the plan has no driving scan"
+        dataset = self.catalog.get(scan.dataset)
+        plugin = self.plugins[dataset.format]
+        statistics = dataset.statistics
+        _, why = plan_fanout(
+            self.parallel_workers,
+            plugin.supports_scan_ranges,
+            int(statistics.cardinality) if statistics is not None else None,
+            self.vectorized_batch_size,
+        )
+        return f"{scan.dataset} ({plugin.format_name}): {why}"
 
     def _explain_analyze(
         self, text: str | Comprehension, args: tuple, params: dict
@@ -1093,18 +1084,20 @@ class ProteusEngine:
         return cached
 
     def _verdicts(self, physical: PhysicalPlan) -> tuple[TierVerdict, ...]:
-        """Static tier-capability verdicts under this engine's configuration."""
-        return tier_verdicts(
-            physical,
-            enable_codegen=self.enable_codegen,
-            enable_vectorized=self.enable_vectorized,
-            enable_parallel=self.enable_parallel,
-            parallel_workers=self.parallel_workers,
-            catalog=self.catalog,
-            plugins=self.plugins,
-            cache_manager=self.cache_manager,
-            batch_size=self.vectorized_batch_size,
-        )
+        """Static tier-capability verdicts under this engine's configuration,
+        cached per (fingerprint, ablation flags) — the flags are plain
+        attributes callers may flip between executions."""
+        key = (physical.fingerprint(), self.enable_codegen, self.enable_vectorized)
+        cached = self._verdict_cache.get(key)
+        if cached is None:
+            cached = tier_verdicts(
+                physical,
+                enable_codegen=self.enable_codegen,
+                enable_vectorized=self.enable_vectorized,
+            )
+            with self._lock:
+                cached = self._verdict_cache.setdefault(key, cached)
+        return cached
 
     def _plan(
         self, comprehension: Comprehension, parameters: ParamValues | None = None
@@ -1312,10 +1305,6 @@ class ProteusEngine:
                     executed = self._execute_generated(
                         physical, params, trace, context
                     )
-                elif verdict.tier == "vectorized-parallel":
-                    executed = self._execute_parallel(
-                        physical, params, analysis.hints, trace, context
-                    )
                 else:
                     executed = self._execute_vectorized(
                         physical, params, analysis.hints, trace, context
@@ -1353,7 +1342,7 @@ class ProteusEngine:
         length, data = _normalize_result_columns(names, columns)
         if sort_plan is not None and profile.sort_strategy is None:
             # The tier materialized the unsorted output (codegen / volcano /
-            # a batch tier that left the epilogue to the engine): run the
+            # a vectorized root that left the epilogue to the engine): run the
             # columnar sort kernels here, one permutation, no row boxing.
             rows_in = length
             sort_started = time.perf_counter()
@@ -1561,37 +1550,6 @@ class ProteusEngine:
         runtime.profile.compiled_from_cache = from_cache
         return names, output, runtime.profile
 
-    def _execute_parallel(
-        self,
-        physical: PhysicalPlan,
-        params: ParamValues | None = None,
-        hints: NullabilityHints | None = None,
-        trace: TraceBuilder | None = None,
-        context: QueryContext | None = None,
-    ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
-        executor = ParallelVectorizedExecutor(
-            self.catalog,
-            self.plugins,
-            batch_size=self.vectorized_batch_size,
-            num_workers=self.parallel_workers,
-            cache_manager=self.cache_manager,
-            params=params,
-            hints=hints,
-            trace=trace,
-            context=context,
-        )
-        names, columns = executor.execute(physical)
-        profile = ExecutionProfile(
-            used_generated_code=False, execution_tier="vectorized-parallel"
-        )
-        _copy_pipeline_counters(profile, executor.counters)
-        profile.sort_strategy = executor.sort_strategy
-        profile.parallel_workers = executor.num_workers
-        profile.morsels_dispatched = executor.morsels_dispatched
-        profile.morsels_stolen = executor.morsels_stolen
-        self.last_generated_source = None
-        return names, columns, profile
-
     def _execute_vectorized(
         self,
         physical: PhysicalPlan,
@@ -1604,6 +1562,7 @@ class ProteusEngine:
             self.catalog,
             self.plugins,
             batch_size=self.vectorized_batch_size,
+            num_workers=self.parallel_workers,
             cache_manager=self.cache_manager,
             params=params,
             hints=hints,
@@ -1616,6 +1575,11 @@ class ProteusEngine:
         )
         _copy_pipeline_counters(profile, executor.counters)
         profile.sort_strategy = executor.sort_strategy
+        fanout = executor.fanout
+        if fanout.morsels_dispatched:
+            profile.parallel_workers = fanout.num_workers
+            profile.morsels_dispatched = fanout.morsels_dispatched
+            profile.morsels_stolen = fanout.morsels_stolen
         self.last_generated_source = None
         return names, columns, profile
 
@@ -1634,7 +1598,7 @@ class ProteusEngine:
         # interpreter never sees the PhysSort root.
         names, columns = executor.execute(unwrap_sort(physical))
         profile = ExecutionProfile(used_generated_code=False, execution_tier="volcano")
-        # The interpreter counts the same things the batch tiers count (see
+        # The interpreter counts the same things the batch tier counts (see
         # the differential suite); ``tuples_processed`` keeps its historical
         # post-predicate semantics for the interpretation-overhead reports.
         profile.rows_scanned = executor.rows_scanned
@@ -1774,16 +1738,6 @@ def _normalize_result_columns(
     return length, buffers
 
 
-def _columns_to_rows(names: Sequence[str], columns: Mapping[str, Any]) -> list[tuple]:
-    """Assemble named output columns into result rows (eager v1 helper; the
-    engine itself now keeps results columnar inside :class:`ResultSet`)."""
-    length, buffers = _normalize_result_columns(names, columns)
-    if not names:
-        return []
-    lists = [_python_values(buffers[name]) for name in names]
-    return list(zip(*lists))
-
-
 def _python_values(buffer) -> list:
     """One columnar buffer as a list of normalized Python values: NumPy
     scalars unboxed and missing values (None, or NaN in float buffers — see
@@ -1795,17 +1749,3 @@ def _python_values(buffer) -> list:
 def _output_value(value: Any) -> Any:
     value = _python_value(value)
     return None if t.is_missing(value) else value
-
-
-def _apply_order_and_limit_columns(
-    names: Sequence[str],
-    length: int,
-    data: dict[str, Any],
-    order_by: Sequence[tuple[str, bool]],
-    limit: int | None,
-) -> tuple[int, dict[str, Any]]:
-    """Apply ORDER BY / LIMIT in columnar space (compatibility wrapper around
-    :func:`repro.core.sort.sort_columns` — the engine itself executes sorts
-    through the :class:`~repro.core.physical.PhysSort` plan root)."""
-    length, data, _ = sort_columns(names, length, data, order_by, limit)
-    return length, data

@@ -103,7 +103,7 @@ class RadixTable:
 
 def cluster_partition(keys: np.ndarray, positions: np.ndarray) -> RadixPartition:
     """Sort-cluster one build partition (the per-partition unit of work that
-    the parallel tier fans out across workers)."""
+    the batch executor's fan-out driver spreads across workers)."""
     partition_keys = keys[positions]
     try:
         order = np.argsort(partition_keys, kind="stable")

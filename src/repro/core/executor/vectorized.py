@@ -1,4 +1,4 @@
-"""Vectorized batch executor — the middle execution tier.
+"""Vectorized batch executor — the one batch tier of the cascade.
 
 The paper's §5 identifies per-tuple interpretation as the dominant overhead of
 static engines, and removes it by collapsing each plan into a specialized
@@ -27,10 +27,15 @@ of per-tuple dict environments.  The plan is first lowered by
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
 the per-call :class:`PipelineCounters`), so the same pipeline object can be
-executed over any batch range by any worker — this is what the morsel-driven
-parallel tier (:mod:`repro.core.parallel`) builds on: it compiles one
-pipeline, splits the driving scan into morsels and runs the pipeline
-concurrently over them.
+executed over any batch range by any worker.  The plan root is a *root task*
+(:class:`_RootTask`): a partial state per scan range plus an ordered merge.
+:class:`VectorizedExecutor` compiles the pipeline once, builds one root task
+and — decided by :func:`repro.core.parallel.plan_fanout` from the worker
+count, the driving scan's splittability and its morsel count — either runs
+it inline over the whole scan or hands batch-aligned morsels to the
+work-stealing fan-out driver (:mod:`repro.core.parallel`) and merges the
+per-morsel partials in morsel order.  Join build sides go through the same
+decision.
 
 The scan operator also consults the adaptive :class:`CacheManager` the way
 the generated tier does: cached field columns are served (and counted as
@@ -63,6 +68,7 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from repro.caching.matching import field_cache_key
+from repro.caching.policies import column_type_name
 from repro.core.analysis.model import EMPTY_HINTS, NullabilityHints
 from repro.core.concurrency import make_lock
 from repro.core.aggregate_utils import (
@@ -85,6 +91,7 @@ from repro.core.expressions import (
     iter_aggregates,
     parameter_env,
 )
+from repro.core.parallel import Morsel, ParallelVectorizedExecutor, plan_fanout
 from repro.core.physical import (
     PhysHashJoin,
     PhysNest,
@@ -97,9 +104,11 @@ from repro.core.physical import (
     PhysicalPlan,
 )
 from repro.core.sort import (
-    STRATEGY_TOPK,
+    STRATEGY_PARALLEL_MERGE,
     TopKAccumulator,
     concat_chunks,
+    merge_encodable,
+    merge_sorted_runs,
     resolve_limit,
     sort_columns,
 )
@@ -405,33 +414,31 @@ class ScanOperator:
     def iter_batches(
         self, counters: PipelineCounters, batch_size: int
     ) -> Iterator[Batch]:
-        """The full batch stream (serial execution)."""
-        if self.fully_cached:
-            yield from self._iter_cached(0, self.total_rows, counters, batch_size)
-            return
-        for buffers in self._metered(
+        """The full batch stream (inline execution)."""
+        if self.splittable:
+            return self.iter_range(0, self.total_rows, counters, batch_size)
+        return self._batches_of(
             self.plugin.scan_batches(
                 self.dataset, self._uncached, batch_size=batch_size
-            )
-        ):
-            batch = self._to_batch(buffers, counters)
-            if batch is not None:
-                if self.context is not None:
-                    self.context.note_batch(batch.count)
-                yield batch
+            ),
+            counters,
+        )
 
     def iter_range(
         self, start: int, stop: int, counters: PipelineCounters, batch_size: int
     ) -> Iterator[Batch]:
         """The batch stream of global rows ``[start, stop)`` (one morsel)."""
         if self.fully_cached:
-            yield from self._iter_cached(start, stop, counters, batch_size)
-            return
-        for buffers in self._metered(
+            return self._iter_cached(start, stop, counters, batch_size)
+        return self._batches_of(
             self.plugin.scan_batch_ranges(
                 self.dataset, self._uncached, start, stop, batch_size=batch_size
-            )
-        ):
+            ),
+            counters,
+        )
+
+    def _batches_of(self, stream, counters: PipelineCounters) -> Iterator[Batch]:
+        for buffers in self._metered(stream):
             batch = self._to_batch(buffers, counters)
             if batch is not None:
                 if self.context is not None:
@@ -527,7 +534,7 @@ class ScanOperator:
                 else np.concatenate([chunks[start] for start in starts])
             )
             if not manager.policy.should_cache_field(
-                self.plugin.format_name, _cache_type_name(column)
+                self.plugin.format_name, column_type_name(column)
             ):
                 continue
             manager.store(
@@ -538,18 +545,6 @@ class ScanOperator:
                 source_format=self.plugin.format_name,
                 description=f"{self.dataset.name}.{'.'.join(path)}",
             )
-
-
-def _cache_type_name(column: np.ndarray) -> str:
-    """Type label a column gets for the cache-admission policy (mirrors the
-    generated tier's classification)."""
-    if column.dtype == object:
-        return "string"
-    if column.dtype.kind == "b":
-        return "bool"
-    if column.dtype.kind in "iu":
-        return "int"
-    return "float"
 
 
 # ---------------------------------------------------------------------------
@@ -742,28 +737,13 @@ class CompiledPipeline:
         return batch
 
 
-def serial_materialize(
-    pipeline: CompiledPipeline, compiler: "PipelineCompiler"
-) -> Batch:
-    """Run a pipeline to completion on the calling thread and concatenate."""
-    if pipeline.always_empty:
-        return Batch(count=0)
-    collected: list[Batch] = []
-    for batch in pipeline.source.iter_batches(compiler.counters, compiler.batch_size):
-        out = pipeline.process(batch, compiler.counters)
-        if out is not None:
-            collected.append(out)
-    return concat_batches(collected)
-
-
 class PipelineCompiler:
     """Lower a physical plan subtree into a :class:`CompiledPipeline`.
 
     Join build sides are materialized *during* compilation (they are blocking
-    operators), through the injected ``materializer`` — the serial executor
-    runs them inline, the parallel executor fans their scans across the
-    worker pool and builds the radix table partition-parallel via
-    ``table_builder``.
+    operators) through the executor's ``materializer`` — which runs them
+    inline or fans their scans out, by the same decision as the plan root —
+    and their radix tables are built by ``table_builder``.
     """
 
     def __init__(
@@ -771,10 +751,10 @@ class PipelineCompiler:
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
         batch_size: int,
+        materializer: Callable[[CompiledPipeline], Batch],
+        table_builder: Callable[[np.ndarray], radix.RadixTable],
         cache_manager=None,
         counters: PipelineCounters | None = None,
-        materializer: Callable[[CompiledPipeline, "PipelineCompiler"], Batch] | None = None,
-        table_builder: Callable[[np.ndarray], radix.RadixTable] | None = None,
         params: Mapping[int | str, object] | None = None,
         trace: TraceBuilder | None = None,
         context=None,
@@ -784,8 +764,8 @@ class PipelineCompiler:
         self.batch_size = max(int(batch_size), 1)
         self.cache_manager = cache_manager
         self.counters = counters if counters is not None else PipelineCounters()
-        self.materializer = materializer or serial_materialize
-        self.table_builder = table_builder or radix.build_radix_table
+        self.materializer = materializer
+        self.table_builder = table_builder
         #: Bound query-parameter values, attached to every scan batch.
         self.params = params
         #: Per-query resilience context, handed to every scan operator and
@@ -830,7 +810,7 @@ class PipelineCompiler:
                 raise VectorizationError(
                     "outer join is served by the Volcano interpreter"
                 )
-            left = self.materializer(self.compile(plan.left), self)
+            left = self.materializer(self.compile(plan.left))
             pipeline = self.compile(plan.right)
             if left.count == 0 or pipeline.always_empty:
                 # An inner join with an empty build side produces nothing;
@@ -858,7 +838,7 @@ class PipelineCompiler:
                 raise VectorizationError(
                     "outer join is served by the Volcano interpreter"
                 )
-            left = self.materializer(self.compile(plan.left), self)
+            left = self.materializer(self.compile(plan.left))
             pipeline = self.compile(plan.right)
             if left.count == 0 or pipeline.always_empty:
                 pipeline.always_empty = True
@@ -910,7 +890,7 @@ class PipelineCompiler:
 
 
 # ---------------------------------------------------------------------------
-# Shared group-by plumbing (used by the serial and the parallel tier)
+# Group-by plumbing of the Nest root
 # ---------------------------------------------------------------------------
 
 
@@ -948,7 +928,7 @@ def collect_nest_aggregates(
 def finish_nest_columns(
     plan: PhysNest,
     group_key_fingerprints: dict[tuple, int],
-    grouping: radix.GroupingResult,
+    key_arrays: list[np.ndarray],
     aggregate_results: dict[tuple, np.ndarray],
     params: Mapping[int | str, object] | None = None,
 ) -> dict[str, Any]:
@@ -961,7 +941,8 @@ def finish_nest_columns(
     min(x) > 0``) on the batch path; ``params`` keeps query parameters in the
     heads (e.g. ``sum(x) * :rate``) evaluable.
     """
-    group_batch = Batch(count=grouping.num_groups, params=params)
+    num_groups = len(key_arrays[0])
+    group_batch = Batch(count=num_groups, params=params)
     results: dict[tuple, Expression] = {}
     for index, (fingerprint, values) in enumerate(aggregate_results.items()):
         reference = FieldRef(_AGG_BINDING, (f"agg_{index}",))
@@ -972,13 +953,453 @@ def finish_nest_columns(
         fingerprint = column.expression.fingerprint()
         if fingerprint in group_key_fingerprints:
             index = group_key_fingerprints[fingerprint]
-            columns[column.name] = grouping.key_arrays[index]
+            columns[column.name] = key_arrays[index]
             continue
         final = replace_aggregates(column.expression, results)
         columns[column.name] = materialize(
-            evaluate_batch(final, group_batch), grouping.num_groups
+            evaluate_batch(final, group_batch), num_groups
         )
     return columns
+
+
+# ---------------------------------------------------------------------------
+# Root tasks: partial states per scan range and their ordered merges
+# ---------------------------------------------------------------------------
+
+
+class _RootTask:
+    """Protocol of a plan root over a compiled pipeline.
+
+    ``new_state``/``update``/``finish_morsel`` run over one scan range each —
+    the whole scan when the executor runs inline, one morsel per worker call
+    under a fan-out; ``merge`` runs on the calling thread and consumes the
+    partial results in range order.
+    """
+
+    #: The sort kernel the root ran for a ``PhysSort`` above it; ``None``
+    #: leaves the sort to the engine's columnar epilogue.
+    sort_strategy: str | None = None
+
+    def new_state(self) -> Any:
+        raise NotImplementedError
+
+    def update(self, state: Any, batch: Batch, counters: PipelineCounters) -> None:
+        raise NotImplementedError
+
+    def saturated(self, state: Any) -> bool:
+        """Whether this range's contribution is complete — further batches
+        cannot change it, so the scan of the range may stop."""
+        return False
+
+    def finish_morsel(self, state: Any, counters: PipelineCounters) -> Any:
+        return state
+
+    def merge(self, partials: list, counters: PipelineCounters) -> Any:
+        raise NotImplementedError
+
+
+class _CollectRoot(_RootTask):
+    """Join build side: the pipeline's output batches, concatenated in range
+    order — so the materialized batch (and therefore every radix-table
+    position in it) is the same however the scan was split."""
+
+    def new_state(self) -> list[Batch]:
+        return []
+
+    def update(
+        self, state: list[Batch], batch: Batch, counters: PipelineCounters
+    ) -> None:
+        state.append(batch)
+
+    def merge(self, partials: list, counters: PipelineCounters) -> Batch:
+        return concat_batches([batch for batches in partials for batch in batches])
+
+
+def _make_root(
+    plan: PhysReduce | PhysNest,
+    sort_plan: PhysSort | None,
+    params: Mapping[int | str, object] | None,
+    hints: NullabilityHints,
+    fan_out: bool,
+) -> _RootTask:
+    if isinstance(plan, PhysNest):
+        return _NestRoot(plan, params)
+    if any(contains_aggregate(column.expression) for column in plan.columns):
+        return _GlobalAggregateRoot(plan, params, hints)
+    root = _ProjectionRoot(plan)
+    if sort_plan is None:
+        return root
+    # A projection under ORDER BY sorts each range where it is produced (and,
+    # under a LIMIT, bounds it to its top K), then merges the sorted runs —
+    # no final sort of the whole output.  Multi-key runs are statically
+    # unmergeable under a fan-out (the merge would re-sort the
+    # concatenation), so without a LIMIT to bound the morsel outputs the
+    # per-morsel sorts would be wasted work; that shape stays on the plain
+    # projection root and the engine's one-shot epilogue.  Pure LIMIT — and
+    # LIMIT 0, which produces nothing — instead bound each range's emitted
+    # prefix on the plain root.
+    limit = resolve_limit(sort_plan.limit, params)
+    if not sort_plan.keys or limit == 0:
+        root.limit = limit
+    elif not fan_out or len(sort_plan.keys) == 1 or limit is not None:
+        return _SortedProjectionRoot(
+            root, sort_plan.keys, limit, hints.non_null_columns, fan_out
+        )
+    return root
+
+
+class _ProjectionRoot(_RootTask):
+    """Reduce without aggregates: per-range column chunks, concatenated in
+    range order (a fan-out is bit-identical to an inline run).
+
+    ``limit`` (set for pure-LIMIT queries and for ``ORDER BY ... LIMIT 0``)
+    truncates each range's output to its first ``limit`` rows: any
+    range-order prefix of the result only needs a prefix of every range, so
+    the root never materializes more than ``ranges x limit`` rows while the
+    engine slices the exact prefix.
+    """
+
+    def __init__(self, plan: PhysReduce):
+        self.plan = plan
+        self.names = [column.name for column in plan.columns]
+        self.unique_columns = unique_output_columns(plan.columns)
+        self.limit: int | None = None
+
+    def new_state(self) -> dict:
+        return {"chunks": {name: [] for name in self.names}, "total": 0}
+
+    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        for column in self.unique_columns:
+            state["chunks"][column.name].append(
+                materialize(evaluate_batch(column.expression, batch), batch.count)
+            )
+        state["total"] += batch.count
+
+    def saturated(self, state: dict) -> bool:
+        # LIMIT 0 still takes one batch, so the truncated empty buffers
+        # keep their dtypes.
+        return self.limit is not None and state["total"] >= max(self.limit, 1)
+
+    def finish_morsel(self, state: dict, counters: PipelineCounters) -> dict:
+        if self.limit is not None and state["total"] > self.limit:
+            truncated = {
+                name: [concat_chunks(state["chunks"][name])[: self.limit]]
+                for name in self.names
+            }
+            state = {"chunks": truncated, "total": self.limit}
+        counters.output_rows += state["total"]
+        return state
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        if self.limit is not None:
+            # The engine slices the exact prefix after the merge; report the
+            # emitted row count, not the per-range prefixes' sum.
+            counters.output_rows = min(counters.output_rows, self.limit)
+        columns: dict[str, Any] = {}
+        for name in self.names:
+            parts = [
+                chunk
+                for partial in partials
+                for chunk in partial["chunks"][name]
+            ]
+            columns[name] = concat_chunks(parts)
+        return self.names, columns
+
+
+class _SortedProjectionRoot(_RootTask):
+    """Projection under ORDER BY (and optionally LIMIT): one sorted run per
+    range, merged deterministically at the root.
+
+    Every range's output is sorted where it is produced with the columnar
+    kernels — streamed through a bounded :class:`TopKAccumulator` when a
+    LIMIT applies, so at most K rows per range ever reach the root.  Inline
+    there is one run and it *is* the result; under a fan-out the root runs
+    the k-way merge of :func:`repro.core.sort.merge_sorted_runs`.  Ties
+    across runs resolve in morsel order, so the output is identical to a
+    stable sort of the morsel-ordered concatenation — bit-identical to an
+    inline run at any worker count.
+    """
+
+    def __init__(
+        self,
+        inner: "_ProjectionRoot",
+        keys: list[tuple[str, bool]],
+        limit: int | None,
+        non_null: frozenset[str],
+        fan_out: bool,
+    ):
+        self.inner = inner
+        self.names = inner.names
+        self.keys = list(keys)
+        self.limit = limit
+        self.non_null = frozenset(non_null)
+        #: Decides the ``sort_strategy`` label: the run's own kernel
+        #: ("lexsort" / "topk" / "object-fallback") inline, "parallel-merge"
+        #: (or the re-sort kernel for shapes the merge cannot serve) under a
+        #: fan-out.
+        self.fan_out = fan_out
+
+    def new_state(self) -> dict:
+        if self.limit is not None:
+            return {
+                "topk": TopKAccumulator(
+                    self.names, self.keys, self.limit, self.non_null
+                )
+            }
+        return self.inner.new_state()
+
+    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        accumulator = state.get("topk")
+        if accumulator is not None:
+            columns = {
+                column.name: materialize(
+                    evaluate_batch(column.expression, batch), batch.count
+                )
+                for column in self.inner.unique_columns
+            }
+            accumulator.push(columns, batch.count)
+            return
+        self.inner.update(state, batch, counters)
+
+    def finish_morsel(
+        self, state: dict, counters: PipelineCounters
+    ) -> tuple[int, dict[str, Any], str | None]:
+        # output_rows counts the rows the root emits into the result (top-K
+        # reports K, not the scanned total); it is counted once, in merge.
+        accumulator = state.get("topk")
+        if accumulator is not None:
+            length, columns, strategy = accumulator.finish()
+            counters.rows_sorted += accumulator.rows_sorted
+            return length, columns, strategy
+        length = state["total"]
+        columns = {
+            name: concat_chunks(state["chunks"][name]) for name in self.names
+        }
+        if self.fan_out and (
+            length == 0 or not merge_encodable(columns[self.keys[0][0]])
+        ):
+            # The root cannot k-way-merge runs on this key dtype (string /
+            # object factorization codes are run-local) and will re-sort the
+            # concatenation anyway; without a LIMIT to bound the run there
+            # is nothing for a local sort to save — hand the run over raw.
+            return length, columns, None
+        counters.rows_sorted += length
+        return sort_columns(
+            self.names, length, columns, self.keys, None, self.non_null
+        )
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        if not self.fan_out:
+            ((length, columns, strategy),) = partials
+        else:
+            runs = [(length, columns) for length, columns, _ in partials]
+            merged_rows = sum(length for length, _ in runs)
+            length, columns, strategy = merge_sorted_runs(
+                self.names, runs, self.keys, self.limit, self.non_null
+            )
+            if strategy is not None and strategy != STRATEGY_PARALLEL_MERGE:
+                # The merge re-sorted the concatenation (multi-key / string
+                # keys); account for the root-side sort.
+                counters.rows_sorted += merged_rows
+        counters.output_rows += length
+        self.sort_strategy = strategy
+        return self.names, columns
+
+
+class _GlobalAggregateRoot(_RootTask):
+    """Reduce with aggregates: one partial accumulator per range, merged in
+    range order and finalized once."""
+
+    def __init__(
+        self,
+        plan: PhysReduce,
+        params: Mapping[int | str, object] | None = None,
+        hints: NullabilityHints = EMPTY_HINTS,
+    ):
+        self.plan = plan
+        self.params = params
+        self.hints = hints
+        self.names = [column.name for column in plan.columns]
+
+    def new_state(self) -> "_BatchAggregates":
+        return _BatchAggregates(
+            self.plan.columns, self.hints.non_null_aggregate_args
+        )
+
+    def update(
+        self, state: "_BatchAggregates", batch: Batch, counters: PipelineCounters
+    ) -> None:
+        state.update(batch)
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        accumulators = _BatchAggregates(self.plan.columns)
+        for partial in partials:
+            accumulators.merge(partial)
+        values = accumulators.finalize()
+        counters.output_rows += 1
+        finish_env = parameter_env(self.params)
+        columns: dict[str, Any] = {}
+        for column in self.plan.columns:
+            final = replace_aggregates(column.expression, literal_results(values))
+            columns[column.name] = [_python_value(final.evaluate(finish_env))]
+        return self.names, columns
+
+
+@dataclass
+class _GroupPartial:
+    """Partially aggregated groups of one scan range."""
+
+    key_arrays: list[np.ndarray]
+    #: fingerprint → partial result column (aligned with ``key_arrays``);
+    #: ``avg`` decomposes into its ``{"sum": ..., "count": ...}`` parts.
+    aggregates: dict[tuple, Any]
+
+
+class _NestRoot(_RootTask):
+    """Group-by: per-range partial radix grouping + partial aggregates, then
+    a second-level grouped merge over the union of partial groups.
+
+    The merge functions are the aggregate monoids: partial counts are summed,
+    partial sums summed, partial extrema re-reduced, partial booleans
+    re-combined, and ``avg`` is carried as (sum, count) and divided once at
+    the end.  Group output order is the lexicographic key order
+    ``radix_group`` produces, however the scan was split.
+    """
+
+    def __init__(
+        self, plan: PhysNest, params: Mapping[int | str, object] | None = None
+    ):
+        self.plan = plan
+        self.params = params
+        self.names = [column.name for column in plan.columns]
+        self.group_key_fingerprints, self.aggregates = collect_nest_aggregates(plan)
+
+    def new_state(self) -> dict:
+        return {
+            "key_chunks": [[] for _ in self.plan.group_by],
+            "argument_chunks": {
+                aggregate.fingerprint(): []
+                for aggregate in self.aggregates
+                if aggregate.argument is not None
+            },
+            "total": 0,
+        }
+
+    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        for index, expression in enumerate(self.plan.group_by):
+            state["key_chunks"][index].append(
+                materialize(evaluate_batch(expression, batch), batch.count)
+            )
+        for aggregate in self.aggregates:
+            if aggregate.argument is None:
+                continue
+            state["argument_chunks"][aggregate.fingerprint()].append(
+                materialize(evaluate_batch(aggregate.argument, batch), batch.count)
+            )
+        state["total"] += batch.count
+
+    def finish_morsel(
+        self, state: dict, counters: PipelineCounters
+    ) -> _GroupPartial | None:
+        if state["total"] == 0:
+            return None  # an empty range contributes no partial groups
+        key_arrays = [np.concatenate(chunks) for chunks in state["key_chunks"]]
+        # radix_group raises VectorizationError for keys containing missing
+        # values, which the engine turns into a Volcano fallback (under a
+        # fan-out the pool re-raises it on the calling thread).
+        grouping = radix.radix_group(key_arrays)
+        partial_aggregates: dict[tuple, Any] = {}
+        for aggregate in self.aggregates:
+            fingerprint = aggregate.fingerprint()
+            values = (
+                np.concatenate(state["argument_chunks"][fingerprint])
+                if aggregate.argument is not None
+                else None
+            )
+            if aggregate.func == "avg":
+                partial_aggregates[fingerprint] = {
+                    "sum": radix.group_aggregate(
+                        "sum", grouping.group_ids, grouping.num_groups, values
+                    ),
+                    "count": radix.group_aggregate(
+                        "count", grouping.group_ids, grouping.num_groups, values
+                    ),
+                }
+            else:
+                partial_aggregates[fingerprint] = radix.group_aggregate(
+                    aggregate.func, grouping.group_ids, grouping.num_groups, values
+                )
+        return _GroupPartial(grouping.key_arrays, partial_aggregates)
+
+    #: How a partial aggregate column is re-reduced across ranges.
+    _MERGE_FUNCS = {
+        "count": "sum",
+        "sum": "sum",
+        "min": "min",
+        "max": "max",
+        "and": "and",
+        "or": "or",
+    }
+
+    def merge(self, partials: list, counters: PipelineCounters):
+        partials = [partial for partial in partials if partial is not None]
+        if not partials:
+            return self.names, {name: [] for name in self.names}
+        # One range (every inline run): its groups are already final.
+        regrouped = None
+        key_arrays = partials[0].key_arrays
+        if len(partials) > 1:
+            regrouped = radix.radix_group(
+                [
+                    np.concatenate([partial.key_arrays[index] for partial in partials])
+                    for index in range(len(self.plan.group_by))
+                ]
+            )
+            key_arrays = regrouped.key_arrays
+        num_groups = len(key_arrays[0])
+        counters.groups_built += num_groups
+        counters.output_rows += num_groups
+
+        def reduce(func: str, columns: list[np.ndarray]) -> np.ndarray:
+            if regrouped is None:
+                return columns[0]
+            return radix.group_aggregate(
+                func, regrouped.group_ids, num_groups, np.concatenate(columns)
+            )
+
+        aggregate_results: dict[tuple, np.ndarray] = {}
+        for aggregate in self.aggregates:
+            fingerprint = aggregate.fingerprint()
+            parts = [partial.aggregates[fingerprint] for partial in partials]
+            if aggregate.func == "avg":
+                aggregate_results[fingerprint] = _finish_avg(
+                    reduce("sum", [part["sum"] for part in parts]),
+                    reduce("sum", [part["count"] for part in parts]),
+                )
+            else:
+                aggregate_results[fingerprint] = reduce(
+                    self._MERGE_FUNCS[aggregate.func], parts
+                )
+        columns = finish_nest_columns(
+            self.plan, self.group_key_fingerprints, key_arrays, aggregate_results,
+            params=self.params,
+        )
+        return self.names, columns
+
+
+def _finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Combine merged (sum, count) partials into per-group averages, with the
+    same empty-group NaN semantics as the grouping kernel."""
+    counts = np.asarray(counts)
+    if sums.dtype == object:
+        return np.asarray(
+            [
+                total / count if count else float("nan")
+                for total, count in zip(sums.tolist(), counts.tolist())
+            ]
+        )
+    with np.errstate(invalid="ignore"):
+        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -987,13 +1408,17 @@ def finish_nest_columns(
 
 
 class VectorizedExecutor:
-    """Batch-vectorized interpreter over physical plans."""
+    """Batch-vectorized interpreter over physical plans — the only batch
+    entry the engine calls.  Scans run inline on the calling thread or fan
+    out over morsels, decided per scan by
+    :func:`repro.core.parallel.plan_fanout`."""
 
     def __init__(
         self,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
         batch_size: int = DEFAULT_BATCH_SIZE,
+        num_workers: int = 1,
         cache_manager=None,
         params: Mapping[int | str, object] | None = None,
         hints: NullabilityHints | None = None,
@@ -1005,22 +1430,27 @@ class VectorizedExecutor:
         self.batch_size = max(int(batch_size), 1)
         self.cache_manager = cache_manager
         self.params = params
-        #: Per-query resilience context (deadline/cancel), threaded into the
-        #: pipeline compiler so every batch observes it.
+        #: Per-query resilience context (deadline/cancel): checked per batch
+        #: inside pipelines and per morsel by the fan-out workers.
         self.context = context
         #: Static nullability hints from the plan analyzer: output columns /
         #: aggregate arguments proven non-nullable skip missing-mask work.
         self.hints = hints if hints is not None else EMPTY_HINTS
         #: Span trace of this execution (``None`` = untraced, zero overhead).
+        #: Traced stages are shared by every fan-out worker; their span
+        #: accumulators are locked, so per-morsel work aggregates into one
+        #: morsel-merged span per operator.
         self.trace = trace
         #: Counters mirrored into the engine's :class:`ExecutionProfile`.
         self.counters = PipelineCounters()
         #: Sort kernel this executor ran for a root ``PhysSort`` (``None``
-        #: when the engine's columnar epilogue should handle the sort — small
-        #: grouped/aggregated outputs are cheaper to sort once materialized).
+        #: when the engine's columnar epilogue should handle the sort —
+        #: grouped and aggregated outputs are small enough to sort once
+        #: merged).
         self.sort_strategy: str | None = None
-
-    # -- public API ----------------------------------------------------------
+        #: The morsel fan-out driver (threads start only when a scan fans
+        #: out); its dispatch counters reflect the fan-out decisions taken.
+        self.fanout = ParallelVectorizedExecutor(num_workers, context)
 
     def execute(self, plan: PhysicalPlan) -> tuple[list[str], dict[str, Any]]:
         """Execute a plan; returns (column names, column values)."""
@@ -1028,200 +1458,97 @@ class VectorizedExecutor:
         if isinstance(plan, PhysSort):
             sort_plan = plan
             plan = plan.child
-        if isinstance(plan, PhysReduce):
-            names, columns, compiler = self._execute_reduce(plan, sort_plan)
-        elif isinstance(plan, PhysNest):
-            names, columns, compiler = self._execute_nest(plan)
-        else:
+        if not isinstance(plan, (PhysReduce, PhysNest)):
             raise ExecutionError(
                 f"the plan root must be Reduce or Nest, got {plan.describe()}"
             )
-        compiler.store_scan_caches()
-        return names, columns
-
-    # -- batch pipelines -------------------------------------------------------
-
-    def _compile(self, child: PhysicalPlan) -> tuple[PipelineCompiler, CompiledPipeline]:
         compiler = PipelineCompiler(
             self.catalog,
             self.plugins,
             self.batch_size,
+            materializer=self._materialize,
+            table_builder=self.fanout.build_table,
             cache_manager=self.cache_manager,
             counters=self.counters,
             params=self.params,
             trace=self.trace,
             context=self.context,
         )
-        return compiler, compiler.compile(child)
-
-    def _pipeline_batches(self, pipeline: CompiledPipeline) -> Iterator[Batch]:
-        if pipeline.always_empty:
-            return
-        for batch in pipeline.source.iter_batches(self.counters, self.batch_size):
-            out = pipeline.process(batch, self.counters)
-            if out is not None:
-                yield out
-
-    # -- roots -----------------------------------------------------------------
-
-    def _execute_reduce(
-        self, plan: PhysReduce, sort_plan: PhysSort | None = None
-    ) -> tuple[list[str], dict[str, Any], PipelineCompiler]:
-        names = [column.name for column in plan.columns]
-        compiler, pipeline = self._compile(plan.child)
-        aggregated = any(contains_aggregate(column.expression) for column in plan.columns)
-        if not aggregated:
-            limit = (
-                resolve_limit(sort_plan.limit, self.params)
-                if sort_plan is not None
-                else None
-            )
-            if sort_plan is not None and sort_plan.keys and limit is not None:
-                return (
-                    *self._reduce_streaming_topk(plan, pipeline, sort_plan, limit),
-                    compiler,
-                )
-            unique_columns = unique_output_columns(plan.columns)
-            chunks: dict[str, list[np.ndarray]] = {name: [] for name in names}
-            total = 0
-            for batch in self._pipeline_batches(pipeline):
-                for column in unique_columns:
-                    chunks[column.name].append(
-                        materialize(
-                            evaluate_batch(column.expression, batch), batch.count
-                        )
-                    )
-                total += batch.count
-                if limit is not None and total >= limit:
-                    # Pure LIMIT (keys would have taken the streaming top-K
-                    # path): enough rows survived — stop scanning.  The
-                    # engine's epilogue slices the exact prefix.
-                    break
-            # output_rows counts the rows emitted into the result: a pure
-            # LIMIT stops scanning mid-batch, and the engine slices the
-            # exact prefix off the final (possibly overshooting) batch.
-            self.counters.output_rows += total if limit is None else min(total, limit)
-            columns = {name: concat_chunks(parts) for name, parts in chunks.items()}
-            if sort_plan is not None and sort_plan.keys:
-                self.counters.rows_sorted += total
-                length, columns, strategy = sort_columns(
-                    names, total, columns, sort_plan.keys, limit,
-                    self.hints.non_null_columns,
-                )
-                self.sort_strategy = strategy
-            return names, columns, compiler
-        accumulators = _BatchAggregates(
-            plan.columns, self.hints.non_null_aggregate_args
-        )
-        for batch in self._pipeline_batches(pipeline):
-            accumulators.update(batch)
-        values = accumulators.finalize()
-        self.counters.output_rows += 1
-        finish_env = parameter_env(self.params)
-        columns = {}
-        for column in plan.columns:
-            final = replace_aggregates(column.expression, literal_results(values))
-            columns[column.name] = [_python_value(final.evaluate(finish_env))]
-        return names, columns, compiler
-
-    def _reduce_streaming_topk(
-        self,
-        plan: PhysReduce,
-        pipeline: CompiledPipeline,
-        sort_plan: PhysSort,
-        limit: int,
-    ) -> tuple[list[str], dict[str, Any]]:
-        """ORDER BY + LIMIT over a projection: bounded streaming top-K.
-
-        Each batch is pruned to the K rows that can still reach the result
-        before the next batch streams in, so the full input is never
-        materialized — see :class:`repro.core.sort.TopKAccumulator`.
-        """
-        names = [column.name for column in plan.columns]
-        unique_columns = unique_output_columns(plan.columns)
-        if limit == 0:
-            # Evaluate (only) the first batch so the empty result keeps the
-            # columns' real dtypes, matching the other tiers' ``buffer[:0]``.
-            self.sort_strategy = STRATEGY_TOPK
-            for batch in self._pipeline_batches(pipeline):
-                return names, {
-                    column.name: materialize(
-                        evaluate_batch(column.expression, batch), batch.count
-                    )[:0]
-                    for column in unique_columns
-                }
-            return names, {name: np.zeros(0, dtype=np.float64) for name in names}
-        accumulator = TopKAccumulator(
-            names, sort_plan.keys, limit, self.hints.non_null_columns
-        )
-        for batch in self._pipeline_batches(pipeline):
-            columns = {
-                column.name: materialize(
-                    evaluate_batch(column.expression, batch), batch.count
-                )
-                for column in unique_columns
-            }
-            accumulator.push(columns, batch.count)
-        length, columns, strategy = accumulator.finish()
-        self.counters.rows_sorted += accumulator.rows_sorted
-        self.counters.output_rows += length
-        self.sort_strategy = strategy
+        pipeline = compiler.compile(plan.child)
+        morsels = self._plan_morsels(pipeline)
+        root = _make_root(plan, sort_plan, self.params, self.hints, bool(morsels))
+        names, columns = self._run(root, pipeline, morsels)
+        self.sort_strategy = root.sort_strategy
+        compiler.store_scan_caches()
         return names, columns
 
-    def _execute_nest(
-        self, plan: PhysNest
-    ) -> tuple[list[str], dict[str, Any], PipelineCompiler]:
-        names = [column.name for column in plan.columns]
-        group_key_fingerprints, aggregates = collect_nest_aggregates(plan)
-        compiler, pipeline = self._compile(plan.child)
+    # -- inline or fanned out --------------------------------------------------
 
-        key_chunks: list[list[np.ndarray]] = [[] for _ in plan.group_by]
-        argument_chunks: dict[tuple, list[np.ndarray]] = {
-            aggregate.fingerprint(): []
-            for aggregate in aggregates
-            if aggregate.argument is not None
-        }
-        total = 0
-        for batch in self._pipeline_batches(pipeline):
-            for index, expression in enumerate(plan.group_by):
-                key_chunks[index].append(
-                    materialize(evaluate_batch(expression, batch), batch.count)
-                )
-            for aggregate in aggregates:
-                if aggregate.argument is None:
-                    continue
-                argument_chunks[aggregate.fingerprint()].append(
-                    materialize(
-                        evaluate_batch(aggregate.argument, batch), batch.count
-                    )
-                )
-            total += batch.count
-        if total == 0:
-            return names, {name: [] for name in names}, compiler
-
-        key_arrays = [np.concatenate(chunks) for chunks in key_chunks]
-        # radix_group raises VectorizationError for keys containing missing
-        # values, which the engine turns into a Volcano fallback.
-        grouping = radix.radix_group(key_arrays)
-        self.counters.groups_built += grouping.num_groups
-        self.counters.output_rows += grouping.num_groups
-
-        aggregate_results: dict[tuple, np.ndarray] = {}
-        for aggregate in aggregates:
-            fingerprint = aggregate.fingerprint()
-            values = (
-                np.concatenate(argument_chunks[fingerprint])
-                if aggregate.argument is not None
-                else None
-            )
-            aggregate_results[fingerprint] = radix.group_aggregate(
-                aggregate.func, grouping.group_ids, grouping.num_groups, values
-            )
-        columns = finish_nest_columns(
-            plan, group_key_fingerprints, grouping, aggregate_results,
-            params=self.params,
+    def _plan_morsels(self, pipeline: CompiledPipeline) -> list[Morsel]:
+        """The morsels to fan ``pipeline``'s scan out over; empty = inline."""
+        if pipeline.always_empty:
+            return []
+        source = pipeline.source
+        morsels, _ = plan_fanout(
+            self.fanout.num_workers,
+            source.splittable,
+            source.total_rows,
+            self.batch_size,
         )
-        return names, columns, compiler
+        return morsels
+
+    def _materialize(self, pipeline: CompiledPipeline) -> Batch:
+        """Materialize a join build side, through the same fan-out decision
+        as the plan root."""
+        return self._run(_CollectRoot(), pipeline, self._plan_morsels(pipeline))
+
+    def _run(self, root: _RootTask, pipeline: CompiledPipeline, morsels: list[Morsel]):
+        if not morsels:
+            partials = [self._run_range(root, pipeline, None, self.counters)]
+            return root.merge(partials, self.counters)
+
+        def run_morsel(morsel: Morsel, worker_id: int):
+            if self.context is not None:
+                self.context.check()
+            counters = PipelineCounters()
+            partial = self._run_range(root, pipeline, morsel, counters)
+            if self.context is not None:
+                self.context.count("morsels")
+            return partial, counters
+
+        results = self.fanout.execute(morsels, run_morsel)
+        for _, counters in results:
+            self.counters.merge(counters)
+        return root.merge([partial for partial, _ in results], self.counters)
+
+    def _run_range(
+        self,
+        root: _RootTask,
+        pipeline: CompiledPipeline,
+        morsel: Morsel | None,
+        counters: PipelineCounters,
+    ):
+        """Fold one scan range (``None`` = the whole scan) into a partial."""
+        state = root.new_state()
+        if pipeline.always_empty:
+            return root.finish_morsel(state, counters)
+        source = pipeline.source
+        batches = (
+            source.iter_batches(counters, self.batch_size)
+            if morsel is None
+            else source.iter_range(
+                morsel.start, morsel.stop, counters, self.batch_size
+            )
+        )
+        for batch in batches:
+            out = pipeline.process(batch, counters)
+            if out is not None:
+                root.update(state, out, counters)
+                if root.saturated(state):
+                    # The range's contribution is complete (e.g. a pure
+                    # LIMIT prefix); stop scanning its remaining rows.
+                    break
+        return root.finish_morsel(state, counters)
 
 
 # ---------------------------------------------------------------------------

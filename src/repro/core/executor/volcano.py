@@ -80,7 +80,7 @@ class VolcanoExecutor:
         #: overhead proxies.
         self.tuples_processed = 0
         self.predicate_evaluations = 0
-        #: Profile counters with cross-tier semantics (the batch tiers and
+        #: Profile counters with cross-tier semantics (the batch tier and
         #: the codegen runtime count the same things the same way — see the
         #: differential suite in ``tests/test_obs.py``): records produced by
         #: scans plus flattened unnest elements, elements emitted by unnest
@@ -207,7 +207,7 @@ class VolcanoExecutor:
                 )
             matched = False
             for element in elements:
-                # Mirror the batch tiers' accounting: every flattened element
+                # Mirror the batch tier's accounting: every flattened element
                 # counts as a scanned row and an unnest output row *before*
                 # the predicate runs (UnnestStage counts whole flattened
                 # buffers the same way).
@@ -224,7 +224,7 @@ class VolcanoExecutor:
                 self.tuples_processed += 1
                 yield child_env
             if plan.outer and not matched:
-                # The batch tiers' outer unnest emits the null child row
+                # The batch tier's outer unnest emits the null child row
                 # inside the flattened buffers, so it lands in both counters
                 # there; keep parity.
                 self.rows_scanned += 1

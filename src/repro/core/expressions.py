@@ -174,7 +174,7 @@ class Parameter(Expression):
     of a literal value) — one compiled program serves every binding of the
     parameter.  Evaluation reads the value from the parameter environment the
     executing tier provides (:data:`PARAMS_BINDING` for the interpreted tiers,
-    ``rt.param`` in generated code, ``Batch.params`` in the batch tiers).
+    ``rt.param`` in generated code, ``Batch.params`` in the batch tier).
     """
 
     def __init__(self, key: int | str):

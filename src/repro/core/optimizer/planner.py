@@ -107,7 +107,7 @@ class Planner:
             # Nested-in-nested: when the parent of an unnest is itself an
             # unnest variable, the inner collection cannot be reached through
             # plug-in OIDs — the parent unnest must materialize it as an
-            # element column so the batch tiers can flatten it in memory.
+            # element column so the batch tier can flatten it in memory.
             unnest_vars = {
                 node.var for node in logical.walk() if isinstance(node, Unnest)
             }

@@ -1,18 +1,22 @@
-"""Morsel-driven parallel execution subsystem (the ``vectorized-parallel``
-tier).
+"""Morsel fan-out subsystem of the batch executor.
 
-Splits the driving scan of a compiled batch pipeline into batch-aligned
-morsels, dispatches them to a pool of worker threads through a work-stealing
-queue, and merges per-morsel partial results deterministically (in morsel
-order).  See :mod:`repro.core.parallel.executor` for the execution model and
-:mod:`repro.core.parallel.scheduler` for the scheduling model.
+:func:`plan_fanout` decides — from the worker count, the driving scan's
+splittability and its morsel count — whether a compiled batch pipeline runs
+inline or is split into batch-aligned morsels; the
+:class:`ParallelVectorizedExecutor` driver then dispatches the morsels to a
+pool of worker threads through a work-stealing queue and returns the
+per-morsel partial results in morsel order, so the executor's merges stay
+deterministic.  See :mod:`repro.core.parallel.executor` for the execution
+model and :mod:`repro.core.parallel.scheduler` for the scheduling model.
 """
 
-from repro.core.parallel.executor import (
-    ParallelVectorizedExecutor,
-    precheck_driving_scan,
+from repro.core.parallel.executor import ParallelVectorizedExecutor
+from repro.core.parallel.morsels import (
+    DEFAULT_MORSEL_ROWS,
+    Morsel,
+    plan_fanout,
+    plan_morsels,
 )
-from repro.core.parallel.morsels import DEFAULT_MORSEL_ROWS, Morsel, plan_morsels
 from repro.core.parallel.scheduler import WorkerPool, WorkStealingQueue
 
 __all__ = [
@@ -21,6 +25,6 @@ __all__ = [
     "ParallelVectorizedExecutor",
     "WorkStealingQueue",
     "WorkerPool",
+    "plan_fanout",
     "plan_morsels",
-    "precheck_driving_scan",
 ]

@@ -1,384 +1,71 @@
-"""Morsel-driven parallel executor — the parallel vectorized tier.
+"""Morsel fan-out driver of the batch executor.
 
-Executes the same compiled batch pipelines as the serial vectorized executor
-(:mod:`repro.core.executor.vectorized`), but across a work-stealing worker
-pool:
+:class:`repro.core.executor.vectorized.VectorizedExecutor` compiles one
+pipeline and builds one root task per query; when
+:func:`repro.core.parallel.morsels.plan_fanout` splits the driving scan (or a
+join build side's scan) into morsels, it hands them to this driver instead
+of running the scan inline:
 
-* the driving scan is split into batch-aligned :class:`Morsel` row ranges
-  through the splittable ``InputPlugin.scan_batch_ranges`` API,
-* every worker runs the **same** immutable pipeline object over whichever
-  morsels it obtains from the shared work-stealing queue — batch-native
-  unnest stages included: each worker flattens its own morsels' nested
-  collections through the plug-in's offset-vector ``scan_unnest_batch``
-  (inner and outer), and the morsel-ordered merge keeps the flattened row
-  order identical to the serial tier's,
-* join build sides are themselves materialized morsel-parallel, and their
-  radix tables are built partition-parallel (each of the ``2^bits``
-  partitions is sort-clustered by a worker),
-* the plan root merges *partial* per-morsel states: partial aggregation with
-  a final merge for Reduce, partial radix grouping with a second-level
-  grouped merge for Nest, and plain morsel-ordered concatenation for
-  projections.
-
-Determinism: every merge consumes partial results in **morsel index order**
-(the pool's order-preserving collector), never in completion or worker
-order — repeated runs return identical rows, and for integer data the rows
-are bit-identical to the serial tier's.  (Floating-point sums may differ from
-the serial tier in the last ulp because addition is reassociated across
-morsels; they remain deterministic run-to-run.)
-
-Whatever this tier cannot serve — an unsplittable driving scan (e.g. the
-binary row format's per-tuple shim), a single-morsel input, or any shape the
-vectorized model rejects — raises :class:`VectorizationError`, and the engine
-transparently falls back to the serial vectorized tier (and from there to
-Volcano).
+* every worker of the work-stealing pool runs the executor's per-morsel
+  function over whichever morsels it obtains — the **same** immutable
+  pipeline object and root task serve all of them, batch-native unnest
+  stages included,
+* partial results come back in **morsel index order** (the pool's
+  order-preserving collector), never in completion or worker order, so the
+  executor's merges are deterministic: repeated runs return identical rows,
+  and for integer data the rows are bit-identical to an inline run.
+  (Floating-point sums may differ from an inline run in the last ulp because
+  addition is reassociated across morsels; they remain deterministic
+  run-to-run.)
+* join radix tables are built partition-parallel (each of the ``2^bits``
+  partitions is sort-clustered by a worker).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.aggregate_utils import (
-    literal_results,
-    replace_aggregates,
-    unique_output_columns,
-)
-from repro.core.analysis.model import EMPTY_HINTS, NullabilityHints
 from repro.core.executor import radix
-from repro.core.executor.vectorized import (
-    Batch,
-    CompiledPipeline,
-    DEFAULT_BATCH_SIZE,
-    PipelineCompiler,
-    PipelineCounters,
-    _BatchAggregates,
-    collect_nest_aggregates,
-    concat_batches,
-    evaluate_batch,
-    finish_nest_columns,
-    materialize,
-    serial_materialize,
-)
-from repro.caching.matching import field_cache_key
-from repro.core.parallel.morsels import Morsel, plan_morsels
+from repro.core.parallel.morsels import Morsel
 from repro.core.parallel.scheduler import WorkerPool
-from repro.core.physical import (
-    PhysHashJoin,
-    PhysNest,
-    PhysNestedLoopJoin,
-    PhysReduce,
-    PhysScan,
-    PhysSelect,
-    PhysSort,
-    PhysUnnest,
-    PhysicalPlan,
-)
-from repro.core.sort import (
-    STRATEGY_PARALLEL_MERGE,
-    TopKAccumulator,
-    concat_chunks,
-    merge_encodable,
-    merge_sorted_runs,
-    resolve_limit,
-    sort_columns,
-)
-from repro.core.types import python_value as _python_value
-from repro.core.expressions import contains_aggregate, parameter_env
-from repro.errors import ExecutionError, VectorizationError
-from repro.obs.trace import TraceBuilder
-from repro.plugins.base import InputPlugin
-from repro.storage.catalog import Catalog
 
 #: Below this many build-side keys a partition-parallel table build costs
 #: more in scheduling than it saves in sorting.
 MIN_PARALLEL_BUILD_KEYS = 8192
 
 
-def precheck_driving_scan(
-    plan: PhysicalPlan,
-    catalog: Catalog,
-    plugins: Mapping[str, InputPlugin],
-    cache_manager,
-    batch_size: int,
-    num_workers: int,
-    morsel_rows: int | None = None,
-) -> None:
-    """Cheaply reject plans whose driving scan cannot fan out.
-
-    Walks to the pipeline's streaming leaf exactly as the compiler will
-    (selects/unnests stream their child, joins stream their probe side) and
-    checks splittability and morsel count without compiling — i.e. without
-    materializing any join build side.  Cache availability is probed with
-    ``peek`` so hit statistics are not disturbed.  Raises
-    :class:`VectorizationError` with the decline reason; also consulted by
-    ``ProteusEngine.explain`` for its tier-cascade report.
-    """
-    node = plan
-    while not isinstance(node, PhysScan):
-        if isinstance(node, (PhysSelect, PhysUnnest)):
-            node = node.child
-        elif isinstance(node, (PhysHashJoin, PhysNestedLoopJoin)):
-            node = node.right
-        else:
-            # An operator the compiler itself will reject; let compile
-            # raise its own, more precise error.
-            return
-    dataset = catalog.get(node.dataset)
-    plugin = plugins.get(dataset.format)
-    if plugin is None:
-        return  # compile raises ExecutionError with the right message
-    total_rows: int | None = None
-    if cache_manager is not None and plugin.format_name != "cache" and node.paths:
-        cached_lengths = []
-        for path in node.paths:
-            entry = cache_manager.peek(field_cache_key(dataset.name, tuple(path)))
-            if entry is None:
-                cached_lengths = None
-                break
-            cached_lengths.append(len(entry.data))
-        if cached_lengths:
-            total_rows = cached_lengths[0]
-    if total_rows is None:
-        if not plugin.supports_scan_ranges:
-            raise VectorizationError(
-                f"scan of {dataset.name!r} ({plugin.format_name}) is not "
-                "range-splittable; served by the serial vectorized tier"
-            )
-        total_rows = plugin.scan_row_count(dataset)
-        if total_rows is None:
-            raise VectorizationError(
-                f"row count of {dataset.name!r} is unknown; served by the "
-                "serial vectorized tier"
-            )
-    morsels = plan_morsels(total_rows, batch_size, num_workers, morsel_rows)
-    if len(morsels) <= 1:
-        raise VectorizationError(
-            "input fits a single morsel; served by the serial vectorized tier"
-        )
-
-
 class ParallelVectorizedExecutor:
-    """Morsel-driven parallel interpreter over physical plans."""
+    """Runs one batch-executor fan-out over a work-stealing worker pool."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        plugins: Mapping[str, InputPlugin],
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        num_workers: int = 2,
-        cache_manager=None,
-        morsel_rows: int | None = None,
-        params: Mapping[int | str, object] | None = None,
-        hints: NullabilityHints | None = None,
-        trace: TraceBuilder | None = None,
-        context=None,
-    ):
-        self.catalog = catalog
-        self.plugins = plugins
-        self.batch_size = max(int(batch_size), 1)
+    def __init__(self, num_workers: int, context=None):
         self.num_workers = max(int(num_workers), 1)
-        self.cache_manager = cache_manager
-        self.morsel_rows = morsel_rows
-        self.params = params
-        #: Per-query resilience context: checked per batch inside pipelines
-        #: and per morsel by the workers; the pool observes its token next to
+        #: Per-query resilience context: the pool observes its token next to
         #: the error-cancel event so teardown drains cleanly.
         self.context = context
-        #: Span trace of this execution (``None`` = untraced).  The compiled
-        #: pipeline's traced stages are shared by every worker; their span
-        #: accumulators are locked, so per-morsel work aggregates into one
-        #: morsel-merged span per operator.
-        self.trace = trace
-        #: Static nullability hints from the plan analyzer (see the serial
-        #: executor): skip missing-mask work where provably unnecessary.
-        self.hints = hints if hints is not None else EMPTY_HINTS
-        #: Counters mirrored into the engine's :class:`ExecutionProfile`.
-        self.counters = PipelineCounters()
         self.morsels_dispatched = 0
         self.morsels_stolen = 0
-        #: Sort kernel this executor ran for a root ``PhysSort`` (``None``
-        #: when the engine's columnar epilogue handles the sort — grouped and
-        #: aggregated outputs are small enough to sort once merged).
-        self.sort_strategy: str | None = None
         self._pool = WorkerPool(self.num_workers)
 
-    # -- public API ----------------------------------------------------------
-
-    def execute(self, plan: PhysicalPlan) -> tuple[list[str], dict[str, Any]]:
-        """Execute a plan; returns (column names, column values)."""
-        sort_plan: PhysSort | None = None
-        if isinstance(plan, PhysSort):
-            sort_plan = plan
-            plan = plan.child
-        if isinstance(plan, PhysReduce):
-            root = _make_reduce_root(plan, self.params, self.hints)
-        elif isinstance(plan, PhysNest):
-            root = _NestRoot(plan, self.params)
-        else:
-            raise ExecutionError(
-                f"the plan root must be Reduce or Nest, got {plan.describe()}"
-            )
-        if sort_plan is not None and isinstance(root, _ProjectionRoot):
-            # Per-morsel sort + k-way merge: each worker sorts (and, under a
-            # LIMIT, bounds) its own morsel's output, the root merges the
-            # sorted runs in morsel order — no serial final sort.  Multi-key
-            # runs are statically unmergeable (the root would re-sort the
-            # concatenation), so without a LIMIT to bound the morsel outputs
-            # the per-morsel sorts would be wasted work; those shapes stay
-            # on the plain projection root and the engine's one-shot
-            # epilogue.  Pure LIMIT — and LIMIT 0, which produces nothing —
-            # instead bound each morsel's emitted prefix on the plain root.
-            limit = resolve_limit(sort_plan.limit, self.params)
-            if sort_plan.keys and limit != 0 and (
-                len(sort_plan.keys) == 1 or limit is not None
-            ):
-                root = _SortedProjectionRoot(
-                    root, sort_plan.keys, limit, self.hints.non_null_columns
-                )
-            elif not sort_plan.keys or limit == 0:
-                root.limit = limit
-        # Refuse unsplittable / single-morsel driving scans *before*
-        # compiling: compilation materializes join build sides, and that work
-        # would be thrown away and redone by the serial fallback tier.
-        self._precheck_driving_scan(plan.child)
-        compiler = PipelineCompiler(
-            self.catalog,
-            self.plugins,
-            self.batch_size,
-            cache_manager=self.cache_manager,
-            counters=self.counters,
-            materializer=self._materialize,
-            table_builder=self._build_table,
-            params=self.params,
-            trace=self.trace,
-            context=self.context,
-        )
-        pipeline = compiler.compile(plan.child)
-        names, columns = self._run_root(root, pipeline)
-        self.sort_strategy = getattr(root, "sort_strategy", None)
-        prefix_limit = getattr(root, "limit", None)
-        if prefix_limit is not None:
-            # The engine slices the exact prefix after the merge; report the
-            # emitted row count the way the serial tier does.
-            self.counters.output_rows = min(self.counters.output_rows, prefix_limit)
-        compiler.store_scan_caches()
-        return names, columns
-
-    # -- morsel execution ------------------------------------------------------
-
-    def _run_root(self, root: "_RootTask", pipeline: CompiledPipeline):
-        if pipeline.always_empty:
-            return root.merge([], self.counters)
-        morsels = self._plan_scan_morsels(pipeline)
-
-        def run_morsel(morsel: Morsel, worker_id: int):
-            if self.context is not None:
-                self.context.check()
-            counters = PipelineCounters()
-            state = root.new_state()
-            for batch in pipeline.source.iter_range(
-                morsel.start, morsel.stop, counters, self.batch_size
-            ):
-                out = pipeline.process(batch, counters)
-                if out is not None:
-                    root.update(state, out, counters)
-                    if root.saturated(state):
-                        # The morsel's contribution is complete (e.g. a pure
-                        # LIMIT prefix); stop scanning its remaining rows.
-                        break
-            if self.context is not None:
-                self.context.count("morsels")
-            return root.finish_morsel(state, counters), counters
-
+    def execute(
+        self, morsels: Sequence[Morsel], run_morsel: Callable[[Morsel, int], Any]
+    ) -> list[Any]:
+        """Run ``run_morsel(morsel, worker_id)`` over every morsel on the
+        pool; results are returned in morsel order.  The first worker failure
+        (a :class:`~repro.errors.VectorizationError` demotion included)
+        cancels the remaining morsels and is re-raised here."""
         results = self._pool.run(morsels, run_morsel, context=self.context)
         self.morsels_dispatched += len(morsels)
         self.morsels_stolen += self._pool.last_stolen
-        for _, counters in results:
-            self.counters.merge(counters)
-        return root.merge([partial for partial, _ in results], self.counters)
+        return results
 
-    def _precheck_driving_scan(self, plan: PhysicalPlan) -> None:
-        precheck_driving_scan(
-            plan,
-            self.catalog,
-            self.plugins,
-            self.cache_manager,
-            self.batch_size,
-            self.num_workers,
-            self.morsel_rows,
-        )
-
-    def _plan_scan_morsels(self, pipeline: CompiledPipeline) -> list[Morsel]:
-        source = pipeline.source
-        if not source.splittable:
-            raise VectorizationError(
-                f"scan of {source.dataset.name!r} ({source.plugin.format_name}) "
-                "is not range-splittable; served by the serial vectorized tier"
-            )
-        morsels = plan_morsels(
-            source.total_rows, self.batch_size, self.num_workers, self.morsel_rows
-        )
-        if len(morsels) <= 1:
-            raise VectorizationError(
-                "input fits a single morsel; served by the serial vectorized tier"
-            )
-        return morsels
-
-    # -- parallel build-side hooks ---------------------------------------------
-
-    def _materialize(
-        self, pipeline: CompiledPipeline, compiler: PipelineCompiler
-    ) -> Batch:
-        """Materialize a join build side, morsel-parallel when splittable.
-
-        Results are concatenated in morsel order, so the materialized batch
-        (and therefore every radix-table position in it) is identical to the
-        serially-built one.
-        """
-        if pipeline.always_empty:
-            return Batch(count=0)
-        source = pipeline.source
-        if not source.splittable:
-            return serial_materialize(pipeline, compiler)
-        morsels = plan_morsels(
-            source.total_rows, self.batch_size, self.num_workers, self.morsel_rows
-        )
-        if len(morsels) <= 1:
-            return serial_materialize(pipeline, compiler)
-
-        def run_morsel(morsel: Morsel, worker_id: int):
-            if self.context is not None:
-                self.context.check()
-            counters = PipelineCounters()
-            collected: list[Batch] = []
-            for batch in source.iter_range(
-                morsel.start, morsel.stop, counters, self.batch_size
-            ):
-                out = pipeline.process(batch, counters)
-                if out is not None:
-                    collected.append(out)
-            if self.context is not None:
-                self.context.count("morsels")
-            return collected, counters
-
-        results = self._pool.run(morsels, run_morsel, context=self.context)
-        self.morsels_dispatched += len(morsels)
-        self.morsels_stolen += self._pool.last_stolen
-        for _, counters in results:
-            self.counters.merge(counters)
-        return concat_batches(
-            [batch for batches, _ in results for batch in batches]
-        )
-
-    def _build_table(self, keys: np.ndarray) -> radix.RadixTable:
+    def build_table(self, keys: np.ndarray) -> radix.RadixTable:
         """Partitioned radix-table build: the hash partitioning runs once,
         then the per-partition sort-clustering fans out across the workers.
         The resulting table is identical to a serial build."""
         keys = np.asarray(keys)
-        if len(keys) < MIN_PARALLEL_BUILD_KEYS:
+        if self.num_workers <= 1 or len(keys) < MIN_PARALLEL_BUILD_KEYS:
             return radix.build_radix_table(keys)
         radix.reject_missing_keys(keys, "join")
         num_partitions = 1 << radix.DEFAULT_RADIX_BITS
@@ -397,399 +84,3 @@ class ParallelVectorizedExecutor:
             num_partitions=num_partitions,
             build_size=len(keys),
         )
-
-
-# ---------------------------------------------------------------------------
-# Root tasks: per-morsel partial states and their ordered merges
-# ---------------------------------------------------------------------------
-
-
-class _RootTask:
-    """Protocol of a plan root under morsel execution.
-
-    ``new_state``/``update``/``finish_morsel`` run inside workers over one
-    morsel each; ``merge`` runs on the main thread and consumes the partial
-    results in morsel order.
-    """
-
-    def new_state(self) -> Any:
-        raise NotImplementedError
-
-    def update(self, state: Any, batch: Batch, counters: PipelineCounters) -> None:
-        raise NotImplementedError
-
-    def saturated(self, state: Any) -> bool:
-        """Whether this morsel's contribution is complete — further batches
-        cannot change it, so the worker may stop scanning the morsel."""
-        return False
-
-    def finish_morsel(self, state: Any, counters: PipelineCounters) -> Any:
-        return state
-
-    def merge(
-        self, partials: list, counters: PipelineCounters
-    ) -> tuple[list[str], dict[str, Any]]:
-        raise NotImplementedError
-
-
-def _make_reduce_root(
-    plan: PhysReduce,
-    params: Mapping[int | str, object] | None = None,
-    hints: NullabilityHints = EMPTY_HINTS,
-) -> "_RootTask":
-    aggregated = any(
-        contains_aggregate(column.expression) for column in plan.columns
-    )
-    if aggregated:
-        return _GlobalAggregateRoot(plan, params, hints)
-    return _ProjectionRoot(plan)
-
-
-class _ProjectionRoot(_RootTask):
-    """Reduce without aggregates: per-morsel column chunks, concatenated in
-    morsel order (bit-identical to the serial tier).
-
-    ``limit`` (set by the executor for pure-LIMIT queries and for
-    ``ORDER BY ... LIMIT 0``) truncates each morsel's output to its first
-    ``limit`` rows: any morsel-order prefix of the result only needs a
-    prefix of every morsel, so the root never materializes more than
-    ``morsels x limit`` rows while the engine slices the exact prefix.
-    """
-
-    def __init__(self, plan: PhysReduce):
-        self.plan = plan
-        self.names = [column.name for column in plan.columns]
-        self.unique_columns = unique_output_columns(plan.columns)
-        self.limit: int | None = None
-
-    def new_state(self) -> dict:
-        return {"chunks": {name: [] for name in self.names}, "total": 0}
-
-    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
-        for column in self.unique_columns:
-            state["chunks"][column.name].append(
-                materialize(evaluate_batch(column.expression, batch), batch.count)
-            )
-        state["total"] += batch.count
-
-    def saturated(self, state: dict) -> bool:
-        # LIMIT 0 still takes one batch, so the truncated empty buffers
-        # keep their dtypes.
-        return self.limit is not None and state["total"] >= max(self.limit, 1)
-
-    def finish_morsel(self, state: dict, counters: PipelineCounters) -> dict:
-        if self.limit is not None and state["total"] > self.limit:
-            truncated = {
-                name: [concat_chunks(state["chunks"][name])[: self.limit]]
-                for name in self.names
-            }
-            state = {"chunks": truncated, "total": self.limit}
-        counters.output_rows += state["total"]
-        return state
-
-    def merge(self, partials: list, counters: PipelineCounters):
-        columns: dict[str, Any] = {}
-        for name in self.names:
-            parts = [
-                chunk
-                for partial in partials
-                for chunk in partial["chunks"][name]
-            ]
-            columns[name] = concat_chunks(parts)
-        return self.names, columns
-
-
-class _SortedProjectionRoot(_RootTask):
-    """Projection under ORDER BY (and optionally LIMIT): per-morsel sorted
-    runs, merged deterministically at the root.
-
-    Every worker sorts its own morsel's output with the columnar kernels
-    (and truncates it to the top K when a LIMIT applies — at most K rows per
-    morsel ever reach the root), then the root runs the k-way merge of
-    :func:`repro.core.sort.merge_sorted_runs`.  Ties across runs resolve in
-    morsel order, so the output is identical to a stable sort of the
-    morsel-ordered concatenation — bit-identical to the serial tier at any
-    worker count.
-    """
-
-    def __init__(
-        self,
-        inner: "_ProjectionRoot",
-        keys: list[tuple[str, bool]],
-        limit: int | None,
-        non_null: frozenset[str] = frozenset(),
-    ):
-        self.inner = inner
-        self.names = inner.names
-        self.keys = list(keys)
-        self.limit = limit
-        self.non_null = frozenset(non_null)
-        #: The strategy the merge ran ("parallel-merge", or the re-sort
-        #: kernel's name for shapes the merge cannot serve).
-        self.sort_strategy: str | None = None
-
-    def new_state(self) -> dict:
-        if self.limit is not None:
-            # Bounded morsel: stream batches through the same top-K
-            # accumulator the serial tier uses, so a worker never holds more
-            # than the accumulator's candidate budget per morsel.
-            return {
-                "topk": TopKAccumulator(
-                    self.names, self.keys, self.limit, self.non_null
-                )
-            }
-        return self.inner.new_state()
-
-    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
-        accumulator = state.get("topk")
-        if accumulator is not None:
-            columns = {
-                column.name: materialize(
-                    evaluate_batch(column.expression, batch), batch.count
-                )
-                for column in self.inner.unique_columns
-            }
-            accumulator.push(columns, batch.count)
-            return
-        self.inner.update(state, batch, counters)
-
-    def finish_morsel(
-        self, state: dict, counters: PipelineCounters
-    ) -> tuple[int, dict[str, Any]]:
-        # output_rows counts the rows the root emits into the result (the
-        # serial top-K path reports K, not the scanned total); it is counted
-        # once, after the merge.
-        accumulator = state.get("topk")
-        if accumulator is not None:
-            length, columns, _ = accumulator.finish()
-            counters.rows_sorted += accumulator.rows_sorted
-            return length, columns
-        length = state["total"]
-        columns = {
-            name: concat_chunks(state["chunks"][name]) for name in self.names
-        }
-        if length == 0:
-            return 0, columns
-        if not merge_encodable(columns[self.keys[0][0]]):
-            # The root cannot k-way-merge runs on this key dtype (string /
-            # object factorization codes are run-local) and will re-sort the
-            # concatenation anyway; without a LIMIT to bound the run there
-            # is nothing for a local sort to save — hand the run over raw.
-            return length, columns
-        counters.rows_sorted += length
-        length, columns, _ = sort_columns(
-            self.names, length, columns, self.keys, None, self.non_null
-        )
-        return length, columns
-
-    def merge(self, partials: list, counters: PipelineCounters):
-        runs = [partial for partial in partials if partial is not None]
-        merged_rows = sum(length for length, _ in runs)
-        length, columns, strategy = merge_sorted_runs(
-            self.names, runs, self.keys, self.limit, self.non_null
-        )
-        if strategy is not None and strategy != STRATEGY_PARALLEL_MERGE:
-            # The merge re-sorted the concatenation (multi-key / string
-            # keys); account for the root-side sort.
-            counters.rows_sorted += merged_rows
-        counters.output_rows += length
-        self.sort_strategy = strategy
-        return self.names, columns
-
-
-class _GlobalAggregateRoot(_RootTask):
-    """Reduce with aggregates: one partial accumulator per morsel, merged in
-    morsel order and finalized exactly like the serial tier."""
-
-    def __init__(
-        self,
-        plan: PhysReduce,
-        params: Mapping[int | str, object] | None = None,
-        hints: NullabilityHints = EMPTY_HINTS,
-    ):
-        self.plan = plan
-        self.params = params
-        self.hints = hints
-        self.names = [column.name for column in plan.columns]
-
-    def new_state(self) -> _BatchAggregates:
-        return _BatchAggregates(
-            self.plan.columns, self.hints.non_null_aggregate_args
-        )
-
-    def update(
-        self, state: _BatchAggregates, batch: Batch, counters: PipelineCounters
-    ) -> None:
-        state.update(batch)
-
-    def merge(self, partials: list, counters: PipelineCounters):
-        accumulators = _BatchAggregates(self.plan.columns)
-        for partial in partials:
-            accumulators.merge(partial)
-        values = accumulators.finalize()
-        counters.output_rows += 1
-        finish_env = parameter_env(self.params)
-        columns: dict[str, Any] = {}
-        for column in self.plan.columns:
-            final = replace_aggregates(column.expression, literal_results(values))
-            columns[column.name] = [_python_value(final.evaluate(finish_env))]
-        return self.names, columns
-
-
-@dataclass
-class _GroupPartial:
-    """Partially aggregated groups of one morsel."""
-
-    key_arrays: list[np.ndarray]
-    #: fingerprint → partial result column (aligned with ``key_arrays``);
-    #: ``avg`` decomposes into its ``{"sum": ..., "count": ...}`` parts.
-    aggregates: dict[tuple, Any]
-
-
-class _NestRoot(_RootTask):
-    """Group-by: per-morsel partial radix grouping + partial aggregates, then
-    a second-level grouped merge over the union of partial groups.
-
-    The merge functions are the aggregate monoids: partial counts are summed,
-    partial sums summed, partial extrema re-reduced, partial booleans
-    re-combined, and ``avg`` is carried as (sum, count) and divided once at
-    the end.  Group output order is the lexicographic key order
-    ``radix_group`` produces, which is the same order the serial tier emits.
-    """
-
-    def __init__(
-        self, plan: PhysNest, params: Mapping[int | str, object] | None = None
-    ):
-        self.plan = plan
-        self.params = params
-        self.names = [column.name for column in plan.columns]
-        self.group_key_fingerprints, self.aggregates = collect_nest_aggregates(plan)
-
-    def new_state(self) -> dict:
-        return {
-            "key_chunks": [[] for _ in self.plan.group_by],
-            "argument_chunks": {
-                aggregate.fingerprint(): []
-                for aggregate in self.aggregates
-                if aggregate.argument is not None
-            },
-            "total": 0,
-        }
-
-    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
-        for index, expression in enumerate(self.plan.group_by):
-            state["key_chunks"][index].append(
-                materialize(evaluate_batch(expression, batch), batch.count)
-            )
-        for aggregate in self.aggregates:
-            if aggregate.argument is None:
-                continue
-            state["argument_chunks"][aggregate.fingerprint()].append(
-                materialize(evaluate_batch(aggregate.argument, batch), batch.count)
-            )
-        state["total"] += batch.count
-
-    def finish_morsel(
-        self, state: dict, counters: PipelineCounters
-    ) -> _GroupPartial | None:
-        if state["total"] == 0:
-            return None  # an empty morsel contributes no partial groups
-        key_arrays = [np.concatenate(chunks) for chunks in state["key_chunks"]]
-        # radix_group raises VectorizationError for keys containing missing
-        # values; the pool re-raises it and the engine falls back.
-        grouping = radix.radix_group(key_arrays)
-        partial_aggregates: dict[tuple, Any] = {}
-        for aggregate in self.aggregates:
-            fingerprint = aggregate.fingerprint()
-            values = (
-                np.concatenate(state["argument_chunks"][fingerprint])
-                if aggregate.argument is not None
-                else None
-            )
-            if aggregate.func == "avg":
-                partial_aggregates[fingerprint] = {
-                    "sum": radix.group_aggregate(
-                        "sum", grouping.group_ids, grouping.num_groups, values
-                    ),
-                    "count": radix.group_aggregate(
-                        "count", grouping.group_ids, grouping.num_groups, values
-                    ),
-                }
-            else:
-                partial_aggregates[fingerprint] = radix.group_aggregate(
-                    aggregate.func, grouping.group_ids, grouping.num_groups, values
-                )
-        return _GroupPartial(grouping.key_arrays, partial_aggregates)
-
-    #: How a partial aggregate column is re-reduced across morsels.
-    _MERGE_FUNCS = {
-        "count": "sum",
-        "sum": "sum",
-        "min": "min",
-        "max": "max",
-        "and": "and",
-        "or": "or",
-    }
-
-    def merge(self, partials: list, counters: PipelineCounters):
-        partials = [partial for partial in partials if partial is not None]
-        if not partials:
-            return self.names, {name: [] for name in self.names}
-        merged_keys = [
-            np.concatenate([partial.key_arrays[index] for partial in partials])
-            for index in range(len(self.plan.group_by))
-        ]
-        grouping = radix.radix_group(merged_keys)
-        counters.groups_built += grouping.num_groups
-        counters.output_rows += grouping.num_groups
-        aggregate_results: dict[tuple, np.ndarray] = {}
-        for aggregate in self.aggregates:
-            fingerprint = aggregate.fingerprint()
-            if aggregate.func == "avg":
-                sums = radix.group_aggregate(
-                    "sum",
-                    grouping.group_ids,
-                    grouping.num_groups,
-                    np.concatenate(
-                        [partial.aggregates[fingerprint]["sum"] for partial in partials]
-                    ),
-                )
-                valid_counts = radix.group_aggregate(
-                    "sum",
-                    grouping.group_ids,
-                    grouping.num_groups,
-                    np.concatenate(
-                        [partial.aggregates[fingerprint]["count"] for partial in partials]
-                    ),
-                )
-                aggregate_results[fingerprint] = _finish_avg(sums, valid_counts)
-                continue
-            stacked = np.concatenate(
-                [partial.aggregates[fingerprint] for partial in partials]
-            )
-            aggregate_results[fingerprint] = radix.group_aggregate(
-                self._MERGE_FUNCS[aggregate.func],
-                grouping.group_ids,
-                grouping.num_groups,
-                stacked,
-            )
-        columns = finish_nest_columns(
-            self.plan, self.group_key_fingerprints, grouping, aggregate_results,
-            params=self.params,
-        )
-        return self.names, columns
-
-
-def _finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Combine merged (sum, count) partials into per-group averages, with the
-    same empty-group NaN semantics as the grouping kernel."""
-    counts = np.asarray(counts)
-    if sums.dtype == object:
-        return np.asarray(
-            [
-                total / count if count else float("nan")
-                for total, count in zip(sums.tolist(), counts.tolist())
-            ]
-        )
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)

@@ -1,4 +1,4 @@
-"""Work-stealing scheduler for the parallel vectorized tier.
+"""Work-stealing scheduler of the batch executor's morsel fan-out.
 
 The executor enqueues its work items (morsels, build-side morsels, radix
 partitions) into a :class:`WorkStealingQueue`: every worker owns a deque that
@@ -78,10 +78,10 @@ class WorkerPool:
     """Execute a task function over items with work-stealing worker threads.
 
     ``run`` returns results **in item order** (the order-preserving collector
-    of the parallel tier); the first exception raised by any worker cancels
+    of the morsel fan-out); the first exception raised by any worker cancels
     the remaining work and is re-raised on the calling thread, so executor
-    fallbacks (:class:`VectorizationError`) propagate exactly as they do on
-    the serial tiers.  When several workers fail concurrently the first
+    fallbacks (:class:`VectorizationError`) propagate exactly as they do from
+    an inline run.  When several workers fail concurrently the first
     exception is the one raised, with the complete list attached as its
     ``errors`` attribute so no failure vanishes.
 

@@ -145,7 +145,7 @@ class PhysUnnest(PhysicalPlan):
         )
 
     def planned_mode(self) -> tuple[str, str]:
-        """(mode, why) for the batch tiers' batch-native unnest execution.
+        """(mode, why) for the vectorized tier's batch-native unnest execution.
 
         ``offset-vector`` — the parent binding is scan-backed, so the plug-in
         flattens through ``scan_unnest_batch`` (per-parent repeat counts, one
@@ -300,7 +300,7 @@ class PhysSort(PhysicalPlan):
     Execution is strategy-specialized per tier (see
     :mod:`repro.core.sort`): dtype-specialized ``np.lexsort`` kernels, a
     bounded streaming top-K when a LIMIT accompanies the sort, per-morsel
-    sorted runs merged k-way on the parallel tier, and a boxed-comparator
+    sorted runs merged k-way under a morsel fan-out, and a boxed-comparator
     fallback for object columns the encoders cannot represent.
     """
 
@@ -328,8 +328,8 @@ class PhysSort(PhysicalPlan):
         """(strategy, why) as planned — the data-independent choice.
 
         Execution refines it per key dtype: object columns demote to the
-        comparator fallback, and the parallel tier upgrades single-key sorts
-        to per-morsel runs plus a k-way merge.
+        comparator fallback, and a fanned-out vectorized execution upgrades
+        single-key sorts to per-morsel runs plus a k-way merge.
         """
         if self.keys and self.limit is not None:
             return (
@@ -357,6 +357,19 @@ class PhysSort(PhysicalPlan):
 def unwrap_sort(plan: PhysicalPlan) -> PhysicalPlan:
     """The plan beneath a root :class:`PhysSort` (identity otherwise)."""
     return plan.child if isinstance(plan, PhysSort) else plan
+
+
+def driving_scan(plan: PhysicalPlan) -> "PhysScan | None":
+    """The scan a batch pipeline over ``plan`` streams from: unary operators
+    stream their child, joins stream their probe (right) side."""
+    while not isinstance(plan, PhysScan):
+        if isinstance(plan, (PhysHashJoin, PhysNestedLoopJoin)):
+            plan = plan.right
+        elif len(plan.children()) == 1:
+            plan = plan.children()[0]
+        else:
+            return None
+    return plan
 
 
 class PhysNest(PhysicalPlan):

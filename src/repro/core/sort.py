@@ -17,15 +17,15 @@ column at execution time:
 * **topk** — when a LIMIT accompanies ORDER BY, :func:`numpy.partition`
   selects the candidate rows whose primary key can reach the top K, and only
   those are lexsorted.  :class:`TopKAccumulator` is the streaming variant the
-  batch tiers use: at most K rows survive each pushed batch, so a 1M-row
+  batch tier uses: at most K rows survive each pushed batch, so a 1M-row
   ``ORDER BY x LIMIT 10`` never materializes more than a few thousand
   candidate rows.
 * **object-fallback** — object columns holding values the encoders cannot
   represent exactly (mixed types, huge Python ints, records) keep the old
   comparator semantics, with uncomparable mixed types surfaced as a clear
   :class:`~repro.errors.ExecutionError` instead of a raw ``TypeError``.
-* **parallel-merge** — the morsel-driven tier sorts each morsel's partial
-  result locally (inside the workers) and the root merges the sorted runs
+* **parallel-merge** — a fanned-out batch execution sorts each morsel's
+  partial result locally (inside the workers) and the root merges the sorted runs
   with a deterministic k-way merge (:func:`merge_sorted_runs`) instead of
   re-sorting everything serially.
 
@@ -411,7 +411,7 @@ def sort_columns(
 
 
 # ---------------------------------------------------------------------------
-# Streaming top-K (the batch tiers' bounded sort)
+# Streaming top-K (the batch tier's bounded sort)
 # ---------------------------------------------------------------------------
 
 
@@ -500,7 +500,7 @@ class TopKAccumulator:
 def concat_chunks(chunks: list) -> Any:
     """Concatenate columnar chunks into one buffer, tolerating list-backed
     buffers; an empty chunk list degenerates to an empty float64 column (the
-    batch tiers' convention for "no rows at all")."""
+    batch tier's convention for "no rows at all")."""
     if not chunks:
         return np.zeros(0, dtype=np.float64)
     if len(chunks) == 1:
@@ -514,7 +514,7 @@ def concat_chunks(chunks: list) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Sorted runs and the deterministic k-way merge (parallel tier)
+# Sorted runs and the deterministic k-way merge (morsel fan-out)
 # ---------------------------------------------------------------------------
 
 
@@ -610,7 +610,7 @@ def merge_sorted_runs(
     multi-key, string/object keys — need not be pre-sorted, since the
     concatenation is re-sorted with the regular kernels.  Ties across runs
     resolve in run order, so the output is identical to a stable sort of the
-    morsel-ordered concatenation — bit-identical to the serial tier, at any
+    morsel-ordered concatenation — bit-identical to an inline run, at any
     worker count.
 
     Single numeric/boolean keys are merged with a vectorized k-way merge

@@ -1,7 +1,7 @@
 """Instrumentation shims that attach span accumulators to the executors.
 
 Every helper here is a no-op pass-through when the trace builder is ``None``
-— the batch tiers then run the exact stage/scan objects they always ran, and
+— the batch tier then runs the exact stage/scan objects it always ran, and
 the codegen runtime keeps its original bound methods.  With tracing on:
 
 * :class:`TracedStage` wraps one pipeline stage (Select/Unnest/Join), timing
@@ -9,7 +9,7 @@ the codegen runtime keeps its original bound methods.  With tracing on:
   batch counts,
 * :class:`TracedScan` wraps the pipeline's ``ScanOperator``, timing the time
   spent *inside* the plug-in's batch stream and summing produced bytes —
-  the parallel tier's workers stream disjoint morsel ranges through the same
+  morsel fan-out workers stream disjoint morsel ranges through the same
   wrapper, so their per-morsel flushes aggregate into one morsel-merged span,
 * :func:`instrument_runtime` rebinds the codegen ``QueryRuntime`` kernels
   (``scan``/``unnest``/``radix_join``/…) with span-recording closures.
@@ -39,16 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``tools/tier_lint.py``: a ``Phys*`` class missing from both this table and
 #: ``SPAN_EXEMPT_OPERATORS`` fails the lint.
 SPAN_INSTRUMENTED_OPERATORS: dict[str, str] = {
-    "PhysScan": "TracedScan wraps ScanOperator (batch tiers); rt.scan/"
+    "PhysScan": "TracedScan wraps ScanOperator (batch tier); rt.scan/"
                 "rt.scan_selected closures (codegen); iterator wrapper (volcano)",
-    "PhysSelect": "TracedStage(SelectStage) (batch tiers); rt.mask closure "
+    "PhysSelect": "TracedStage(SelectStage) (batch tier); rt.mask closure "
                   "(codegen, mask coercion only — the comparison itself is "
                   "inlined in the generated program); iterator wrapper (volcano)",
-    "PhysUnnest": "TracedStage(UnnestStage) (batch tiers); rt.unnest closure "
+    "PhysUnnest": "TracedStage(UnnestStage) (batch tier); rt.unnest closure "
                   "(codegen); iterator wrapper (volcano)",
-    "PhysHashJoin": "TracedStage(HashJoinStage) (batch tiers); rt.radix_join "
+    "PhysHashJoin": "TracedStage(HashJoinStage) (batch tier); rt.radix_join "
                     "closure (codegen); iterator wrapper (volcano)",
-    "PhysNestedLoopJoin": "TracedStage(NestedLoopJoinStage) (batch tiers); "
+    "PhysNestedLoopJoin": "TracedStage(NestedLoopJoinStage) (batch tier); "
                           "rt.cross_product closure (codegen); iterator "
                           "wrapper (volcano)",
     "PhysReduce": "engine-side root span around the tier's reduce "
@@ -106,8 +106,8 @@ class TracedScan:
 
     Only the time spent *inside* the underlying batch generator is charged
     to the span (pipeline stages downstream are timed by their own
-    wrappers).  One flush happens per exhausted stream, so the parallel
-    tier pays one locked add per morsel, not per batch.
+    wrappers).  One flush happens per exhausted stream, so a morsel
+    fan-out pays one locked add per morsel, not per batch.
     """
 
     __slots__ = ("inner", "accumulator")

@@ -147,9 +147,9 @@ class InputPlugin(ABC):
     field_access_cost: float = 1.0
 
     #: Whether :meth:`scan_batch_ranges` has a genuinely splittable
-    #: implementation.  The morsel-driven parallel tier only splits scans of
-    #: plug-ins that set this to ``True``; everything else transparently runs
-    #: on the serial tiers.
+    #: implementation.  The batch executor only fans scans of plug-ins that
+    #: set this to ``True`` out across morsel workers; everything else runs
+    #: inline on the calling thread.
     supports_scan_ranges: bool = False
 
     def __init__(self, memory: MemoryManager):
@@ -160,7 +160,7 @@ class InputPlugin(ABC):
         #: the number of scan streams / kernel calls served.  Updated through
         #: :meth:`record_scan` from the engine-side call sites (the batch
         #: tiers' scan streams and the codegen runtime), one flush per
-        #: stream, under a lock (the parallel tier records from workers).
+        #: stream, under a lock (morsel workers record concurrently).
         self.scan_seconds = 0.0
         self.scan_bytes = 0
         self.scan_calls = 0
@@ -325,12 +325,17 @@ class InputPlugin(ABC):
         one dict per tuple (``iterate_rows``) or one monolithic buffer per
         column (``scan_columns``), the scan produces :class:`ScanBuffers` of at
         most ``batch_size`` rows each, with OIDs carrying the global row
-        positions.  The default implementation is a per-tuple shim over
-        ``iterate_rows`` — correct for every plug-in but paying the per-tuple
-        cost once; formats with structural indexes or native columns override
-        it with genuinely batched extraction.  Empty datasets yield no batches.
+        positions.  Range-splittable plug-ins serve it as the full range of
+        their native :meth:`scan_batch_ranges`; the rest get a per-tuple shim
+        over ``iterate_rows`` — correct for every plug-in but paying the
+        per-tuple cost once.  Empty datasets yield no batches.
         """
         paths = [tuple(path) for path in paths]
+        if self.supports_scan_ranges:
+            yield from self.scan_batch_ranges(
+                dataset, paths, 0, self.scan_row_count(dataset), batch_size=batch_size
+            )
+            return
         pending: list[dict] = []
         start = 0
         for record in self.iterate_rows(dataset, paths):
@@ -348,8 +353,8 @@ class InputPlugin(ABC):
         """Total number of scannable rows, or ``None`` when counting would
         require a full pass over the source.
 
-        A known row count is what lets the morsel-driven parallel tier split
-        a scan into independent row ranges up front; plug-ins backed by a
+        A known row count is what lets the batch executor split a scan into
+        independent morsel row ranges up front; plug-ins backed by a
         structural index or binary layout know it for free.
         """
         return None
@@ -365,12 +370,12 @@ class InputPlugin(ABC):
         """Yield the requested fields for global rows ``[start, stop)`` as
         columnar batches (OIDs carry the global row positions).
 
-        This is the *splittable* access path of the morsel-driven parallel
-        tier: disjoint ranges must be servable concurrently from different
+        This is the *splittable* access path of the batch executor's morsel
+        fan-out: disjoint ranges must be servable concurrently from different
         threads without touching shared mutable plug-in state.  Plug-ins
         that implement it natively set :attr:`supports_scan_ranges`; the
-        default refuses, which makes the parallel tier fall back to the
-        serial vectorized executor.
+        default refuses, and the executor runs such scans inline through
+        :meth:`scan_batches`.
         """
         raise PluginError(
             f"format {self.format_name!r} does not support range-partitioned "

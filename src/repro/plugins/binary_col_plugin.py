@@ -92,29 +92,6 @@ class BinaryColumnPlugin(InputPlugin):
             buffers.columns[path] = np.asarray(table.column(name))
         return buffers
 
-    def scan_batches(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        batch_size: int = 4096,
-    ):
-        """Native batched scan: each batch is a zero-copy slice of the
-        memory-mapped column arrays."""
-        table = self._table(dataset)
-        paths = [tuple(path) for path in paths]
-        arrays = {
-            path: np.asarray(table.column(require_flat_path(path))) for path in paths
-        }
-        for start in range(0, table.row_count, batch_size):
-            self.io_checkpoint("scan-batch", dataset.name)
-            stop = min(start + batch_size, table.row_count)
-            buffers = ScanBuffers(
-                count=stop - start, oids=np.arange(start, stop, dtype=np.int64)
-            )
-            for path in paths:
-                buffers.columns[path] = arrays[path][start:stop]
-            yield buffers
-
     def scan_row_count(self, dataset: Dataset) -> int:
         return self._table(dataset).row_count
 
@@ -126,9 +103,9 @@ class BinaryColumnPlugin(InputPlugin):
         stop: int,
         batch_size: int = 4096,
     ):
-        """Range-partitioned scan for the morsel-driven parallel tier: each
-        batch is a zero-copy slice of the memory-mapped column arrays, so
-        disjoint ranges are trivially safe to serve concurrently."""
+        """Native batched scan of any row range: each batch is a zero-copy
+        slice of the memory-mapped column arrays, so disjoint ranges are
+        trivially safe to serve concurrently (morsel fan-out)."""
         table = self._table(dataset)
         stop = min(stop, table.row_count)
         paths = [tuple(path) for path in paths]

@@ -41,8 +41,8 @@ class BinaryRowPlugin(InputPlugin):
     def _table(self, dataset: Dataset) -> RowTable:
         # Double-checked locking: load the table exactly once even under
         # concurrent first access.  The per-tuple batch shim stays the scan
-        # path (supports_scan_ranges is False), so the parallel tier
-        # transparently leaves this format to the serial executors.
+        # path (supports_scan_ranges is False), so the batch executor never
+        # fans this format's scans out across morsel workers.
         table = self._tables.get(dataset.name)
         if table is not None:
             return table

@@ -222,29 +222,6 @@ class CsvPlugin(InputPlugin):
             buffers.columns[path] = self._convert_rows(dataset, state, path, range(num_rows))
         return buffers
 
-    def scan_batches(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        batch_size: int = 4096,
-    ):
-        """Native batched scan: slice and convert one row range at a time using
-        the positional structural index (no per-tuple dict assembly)."""
-        state = self._state(dataset)
-        num_rows = state.index.num_rows
-        paths = [tuple(path) for path in paths]
-        for start in range(0, num_rows, batch_size):
-            self.io_checkpoint("scan-batch", dataset.name)
-            stop = min(start + batch_size, num_rows)
-            buffers = ScanBuffers(
-                count=stop - start, oids=np.arange(start, stop, dtype=np.int64)
-            )
-            for path in paths:
-                buffers.columns[path] = self._convert_rows(
-                    dataset, state, path, range(start, stop)
-                )
-            yield buffers
-
     def scan_row_count(self, dataset: Dataset) -> int:
         return self._state(dataset).index.num_rows
 
@@ -256,9 +233,10 @@ class CsvPlugin(InputPlugin):
         stop: int,
         batch_size: int = 4096,
     ):
-        """Range-partitioned scan for the morsel-driven parallel tier: the
-        positional structural index makes any row range directly addressable,
-        so disjoint ranges convert concurrently without shared state."""
+        """Native batched scan of any row range: the positional structural
+        index makes every range directly addressable (no per-row dicts), so
+        disjoint ranges convert concurrently without shared state (morsel
+        fan-out)."""
         state = self._state(dataset)
         stop = min(stop, state.index.num_rows)
         paths = [tuple(path) for path in paths]

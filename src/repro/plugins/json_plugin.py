@@ -166,28 +166,6 @@ class JsonPlugin(InputPlugin):
             buffers.columns[path] = self._extract_column(dataset, state, path)
         return buffers
 
-    def scan_batches(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        batch_size: int = 4096,
-    ):
-        """Native batched scan: extract each column for one object range at a
-        time through the structural index (missing numeric fields surface as
-        NaN, exactly as in :meth:`scan_columns`)."""
-        state = self._state(dataset)
-        count = state.index.num_objects
-        for start in range(0, count, batch_size):
-            self.io_checkpoint("scan-batch", dataset.name)
-            stop = min(start + batch_size, count)
-            positions = np.arange(start, stop, dtype=np.int64)
-            buffers = ScanBuffers(count=stop - start, oids=positions)
-            for path in paths:
-                buffers.columns[tuple(path)] = self._extract_column(
-                    dataset, state, tuple(path), positions=positions
-                )
-            yield buffers
-
     def scan_row_count(self, dataset: Dataset) -> int:
         return self._state(dataset).index.num_objects
 
@@ -199,9 +177,10 @@ class JsonPlugin(InputPlugin):
         stop: int,
         batch_size: int = 4096,
     ):
-        """Range-partitioned scan for the morsel-driven parallel tier: the
-        structural index addresses any object range directly, so disjoint
-        ranges extract concurrently without shared state."""
+        """Native batched scan of any object range through the structural
+        index (missing numeric fields surface as NaN, exactly as in
+        :meth:`scan_columns`); disjoint ranges extract concurrently without
+        shared state (morsel fan-out)."""
         state = self._state(dataset)
         stop = min(stop, state.index.num_objects)
         for begin in range(start, stop, batch_size):
@@ -404,7 +383,7 @@ class JsonPlugin(InputPlugin):
 
     #: Parents flattened per ``scan_unnest_batch`` call when ``scan_unnest``
     #: covers a whole dataset: bounds peak memory (joined spans + parsed
-    #: element dicts are alive per chunk only, like the batch tiers' 4096-
+    #: element dicts are alive per chunk only, like the batch tier's 4096-
     #: parent batches) while keeping the per-call overhead amortized.
     _UNNEST_CHUNK_PARENTS = 65536
 

@@ -23,8 +23,11 @@ Responses
 
 Results are **columnar**, mirroring :class:`~repro.core.engine.ResultSet`:
 ``columns`` is the output order, ``data`` maps each column name to its value
-list (missing values as ``null``), and ``tier`` / ``profile`` carry the
-execution metadata the engine already tracks — the server adds nothing.
+list (missing values as ``null``), and ``tier`` (``codegen`` /
+``vectorized`` / ``volcano``) / ``profile`` carry the execution metadata the
+engine already tracks — the server adds nothing.  Whether the vectorized
+tier fanned out over morsels reads off ``profile.parallel_workers`` (0 when
+it ran inline).
 
 Malformed requests raise :class:`BadRequestError` (surfaced as HTTP 400 with
 protocol code ``SRV001``); the server never guesses at intent.

@@ -44,7 +44,7 @@ class MemoryManager:
     def map_file(self, path: str) -> MappedFile:
         """Memory-map ``path`` read-only (empty files fall back to ``b""``).
 
-        Thread-safe: concurrent parallel-tier workers faulting in the same
+        Thread-safe: concurrent morsel workers faulting in the same
         cold file map it exactly once.
         """
         real = os.path.abspath(path)

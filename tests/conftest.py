@@ -160,6 +160,13 @@ def make_engine(paths: dict[str, str], **kwargs) -> ProteusEngine:
     return engine
 
 
+def tier_of(label: str) -> str:
+    """The tier serving an engine-configuration label: ``vectorized-fanout``
+    (the vectorized tier with its morsel fan-out engaged) and ``vectorized``
+    (the same tier running inline) are both tier ``vectorized``."""
+    return label.partition("-")[0]
+
+
 @pytest.fixture
 def engine(paths) -> ProteusEngine:
     return make_engine(paths)

@@ -133,7 +133,6 @@ CONFIGS = [
     {"enable_codegen": False, "parallel_workers": 2, "vectorized_batch_size": 16},
     {"enable_codegen": False, "parallel_workers": 8, "vectorized_batch_size": 16},
     {"enable_codegen": False, "parallel_workers": 2},  # single morsel
-    {"enable_codegen": False, "enable_parallel": False, "parallel_workers": 4},
 ]
 
 
@@ -153,9 +152,11 @@ def test_parameterized_query_verdicts(paths):
         paths, enable_codegen=False, parallel_workers=2, vectorized_batch_size=16
     )
     prepared = engine.prepare("SELECT id FROM items_csv WHERE price > ?")
-    assert prepared.analysis.predicted_tier == "vectorized-parallel"
+    assert prepared.analysis.predicted_tier == "vectorized"
     for value in (1.0, 3.0, 100.0):
-        assert prepared.execute(value).tier == "vectorized-parallel"
+        result = prepared.execute(value)
+        assert result.tier == "vectorized"
+        assert result.profile.parallel_workers == 2  # fanned out
 
 
 def test_verdict_codes_for_declines(paths):
@@ -166,7 +167,7 @@ def test_verdict_codes_for_declines(paths):
     ).analysis
     declines = analysis.decline_reasons()
     assert declines["codegen"].startswith("[TIER002]")
-    assert analysis.predicted_tier == "vectorized-parallel"
+    assert analysis.predicted_tier == "vectorized"
 
     # Disabled tiers carry TIER001 with the exact configuration wording.
     serial = make_engine(paths, enable_codegen=False, enable_vectorized=False)
@@ -176,26 +177,51 @@ def test_verdict_codes_for_declines(paths):
     assert declines["vectorized"] == "[TIER001] disabled (enable_vectorized=False)"
 
 
-def test_unsplittable_scan_and_single_morsel_codes(paths):
-    # Binary row tables cannot be range-split: TIER006.
+def test_unsplittable_scan_and_single_morsel_are_not_verdicts(paths):
+    """The retired TIER006/TIER007: whether a scan fans out is the executor's
+    decision — the verdicts are identical, only the profile differs."""
     engine = make_engine(
         paths, enable_codegen=False, parallel_workers=2, vectorized_batch_size=16
     )
+    # Binary row tables cannot be range-split: served inline.
     analysis = engine.prepare("SELECT id FROM items_rowbin WHERE qty > 1").analysis
-    declines = analysis.decline_reasons()
-    assert declines["vectorized-parallel"].startswith("[TIER006]")
-    assert "not range-splittable" in declines["vectorized-parallel"]
-    assert analysis.predicted_tier == "vectorized"
-    assert engine.query("SELECT id FROM items_rowbin WHERE qty > 1").tier == "vectorized"
+    assert analysis.decline_reasons() == {
+        "codegen": "[TIER001] disabled (enable_codegen=False)"
+    }
+    result = engine.query("SELECT id FROM items_rowbin WHERE qty > 1")
+    assert result.tier == "vectorized"
+    assert result.profile.parallel_workers == 0
+    assert result.profile.morsels_dispatched == 0
 
-    # Default batch size over 120 rows fits one morsel: TIER007.
+    # Default batch size over 120 rows fits one morsel: served inline.
     single = make_engine(paths, enable_codegen=False, parallel_workers=2)
-    analysis = single.prepare("SELECT id FROM items_csv WHERE qty > 1").analysis
-    assert analysis.decline_reasons()["vectorized-parallel"].startswith("[TIER007]")
-    assert analysis.predicted_tier == "vectorized"
+    prepared = single.prepare("SELECT id FROM items_csv WHERE qty > 1")
+    assert prepared.analysis.verdicts == analysis.verdicts
+    assert prepared.execute().profile.morsels_dispatched == 0
+
+    # The same query over a splittable, multi-morsel scan fans out.
+    result = engine.query("SELECT id FROM items_csv WHERE qty > 1")
+    assert result.tier == "vectorized"
+    assert result.profile.parallel_workers == 2
+    assert result.profile.morsels_dispatched > 1
 
 
-def test_outer_join_declines_all_batch_tiers(paths):
+def test_plan_fanout_is_the_one_decision():
+    from repro.core.parallel import plan_fanout
+
+    assert plan_fanout(1, True, 10_000, 16) == ([], "serial: parallel_workers=1")
+    morsels, why = plan_fanout(4, False, 10_000, 16)
+    assert morsels == [] and "not range-splittable" in why
+    morsels, why = plan_fanout(4, True, None, 16)
+    assert morsels == [] and "decided when the scan opens" in why
+    morsels, why = plan_fanout(4, True, 10, 16)
+    assert morsels == [] and "single morsel" in why
+    morsels, why = plan_fanout(4, True, 10_000, 16)
+    assert len(morsels) >= 8 and morsels[-1].stop == 10_000
+    assert why == f"fan-out: {len(morsels)} morsels across 4 workers"
+
+
+def test_outer_join_declines_every_fast_tier(paths):
     """TIER005: outer joins are Volcano-only, predicted and observed."""
     from repro.core.physical import PhysHashJoin
 
@@ -209,7 +235,7 @@ def test_outer_join_declines_all_batch_tiers(paths):
     joins[0].outer = True
     verdicts = engine._verdicts(plan)
     by_tier = {v.tier: v for v in verdicts}
-    for tier in ("codegen", "vectorized-parallel", "vectorized"):
+    for tier in ("codegen", "vectorized"):
         assert not by_tier[tier].serves
         assert by_tier[tier].code == "TIER005"
     assert by_tier["volcano"].serves
@@ -235,7 +261,7 @@ def null_group_engine(paths, tmp_path):
 
 
 def test_runtime_demotion_recorded_in_profile(null_group_engine):
-    """Null group keys demote the batch tiers at run time; the profile must
+    """Null group keys demote the fast tiers at run time; the profile must
     say so instead of silently swallowing the CodegenError."""
     result = null_group_engine.query(
         "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
@@ -246,6 +272,28 @@ def test_runtime_demotion_recorded_in_profile(null_group_engine):
     assert reasons["codegen"].startswith("[TIER009] runtime demotion:")
     assert "missing values" in reasons["codegen"]
     assert reasons["vectorized"].startswith("[TIER009]")
+
+
+def test_runtime_demotion_is_attempted_once_under_fanout(paths, null_group_engine):
+    """One batch tier: a null-group-key query on a fanned-out engine records
+    exactly one TIER009 (keyed ``vectorized``) before Volcano serves it."""
+    reference = null_group_engine.query(
+        "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
+    )
+    engine = make_engine(
+        paths, enable_codegen=False, parallel_workers=4, vectorized_batch_size=8
+    )
+    dataset = null_group_engine.catalog.get("nullg")
+    engine.register_json("nullg", dataset.path, schema=dataset.schema)
+    result = engine.query("SELECT g, SUM(v) AS s FROM nullg GROUP BY g")
+    assert result.tier == "volcano"
+    demotions = {
+        tier: reason
+        for tier, reason in result.profile.tier_decline_reasons.items()
+        if "TIER009" in reason
+    }
+    assert list(demotions) == ["vectorized"]
+    assert sorted(result.rows, key=repr) == sorted(reference.rows, key=repr)
 
 
 def test_static_declines_recorded_in_profile(paths):
@@ -268,7 +316,8 @@ def test_explain_shows_schema_and_codes(paths):
     assert "category: string" in text
     assert "n: int" in text
     assert "codegen: serves this plan  <- selected" in text
-    assert "[TIER001]" in text  # the serial parallel tier's decline code
+    disabled = make_engine(paths, enable_codegen=False)
+    assert "[TIER001]" in disabled.explain("SELECT id FROM items_csv")
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +397,76 @@ def test_prepared_analysis_exposes_verdicts(paths):
     engine = make_engine(paths)
     analysis = engine.prepare("SELECT id FROM items_csv WHERE qty > 2").analysis
     tiers = [verdict.tier for verdict in analysis.verdicts]
-    assert tiers == ["codegen", "vectorized-parallel", "vectorized", "volcano"]
+    assert tiers == ["codegen", "vectorized", "volcano"]
     assert analysis.verdict("codegen").serves
     assert analysis.verdict("volcano").serves
+
+
+def test_verdicts_and_schema_are_computed_once_per_shape(paths, monkeypatch):
+    """Verdicts are a pure function of (plan, ablation flags): the execute
+    path looks them up, and only a catalog-epoch bump recomputes them."""
+    from repro.core import engine as engine_module
+
+    calls = {"tier_verdicts": 0, "analyze_schema": 0}
+
+    def counting(name):
+        original = getattr(engine_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine_module, name, counting(name))
+    engine = make_engine(paths)
+    prepared = engine.prepare("SELECT COUNT(*) FROM items_csv WHERE qty > 2")
+    for _ in range(100):
+        prepared.execute()
+    assert calls == {"tier_verdicts": 1, "analyze_schema": 1}
+    engine.analyze("items_csv")  # bumps the catalog epoch
+    prepared.execute()
+    prepared.execute()
+    assert calls == {"tier_verdicts": 2, "analyze_schema": 2}
+    # Flipping an ablation flag is a different cache key, not a stale hit.
+    engine.enable_codegen = False
+    assert prepared.execute().tier == "vectorized"
+    assert calls["tier_verdicts"] == 3
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_prepare_analysis_and_explain_read_no_raw_data(paths, monkeypatch, workers):
+    """prepare(), PreparedQuery.analysis and explain() are static: no
+    structural index of a raw file is built at any worker count (the retired
+    parallel precheck built one as soon as ``parallel_workers > 1``)."""
+    from repro.plugins import csv_plugin, json_plugin
+
+    builds = []
+    for module, name in (
+        (json_plugin, "build_json_index"),
+        (csv_plugin, "build_csv_index"),
+    ):
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            builds.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    engine = make_engine(paths, enable_codegen=False, parallel_workers=workers)
+    for query in (
+        "SELECT id FROM items_json WHERE qty > 2 ORDER BY id LIMIT 3",
+        "SELECT category, COUNT(*) FROM items_csv GROUP BY category",
+        "for { o <- orders, l <- o.lines } yield bag (o.okey, l.item)",
+    ):
+        prepared = engine.prepare(query)
+        assert prepared.analysis.verdicts
+        assert "== tier cascade ==" in engine.explain(query)
+    assert builds == []
+    # The spy does observe execution-time index builds.
+    engine.query("SELECT id FROM items_json WHERE qty > 2")
+    assert builds == ["build_json_index"]
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +478,12 @@ def test_tier_lint_passes_on_repo():
     assert tier_lint.run(REPO_ROOT) == []
 
 
-def test_tier_lint_flags_unhandled_operator(tmp_path):
+def _copy_linted_modules(tmp_path) -> Path:
+    """A scratch repo root holding copies of every module tier_lint reads."""
     root = tmp_path / "repo"
     for relative in [
         tier_lint.PHYSICAL_MODULE,
+        tier_lint.MODEL_MODULE,
         tier_lint.CAPABILITIES_MODULE,
         *tier_lint.EXECUTOR_MODULES.values(),
     ]:
@@ -373,6 +491,11 @@ def test_tier_lint_flags_unhandled_operator(tmp_path):
         target = root / relative
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(source, target)
+    return root
+
+
+def test_tier_lint_flags_unhandled_operator(tmp_path):
+    root = _copy_linted_modules(tmp_path)
     physical = root / tier_lint.PHYSICAL_MODULE
     physical.write_text(
         physical.read_text(encoding="utf-8")
@@ -384,17 +507,23 @@ def test_tier_lint_flags_unhandled_operator(tmp_path):
     assert all("PhysBogus" in violation for violation in violations)
 
 
+def test_tier_lint_flags_disagreeing_tier_lists(tmp_path):
+    root = _copy_linted_modules(tmp_path)
+    model = root / tier_lint.MODEL_MODULE
+    model.write_text(
+        model.read_text(encoding="utf-8").replace(
+            "CASCADE_TIERS = (TIER_CODEGEN, TIER_VECTORIZED, TIER_VOLCANO)",
+            "CASCADE_TIERS = (TIER_CODEGEN, TIER_GPU, TIER_VOLCANO)",
+        ),
+        encoding="utf-8",
+    )
+    violations = tier_lint.check_tier_parity(root)
+    assert sum("TIER_GPU is missing from" in v for v in violations) == 2
+    assert sum("TIER_VECTORIZED is not in CASCADE_TIERS" in v for v in violations) == 2
+
+
 def test_tier_lint_flags_stale_capability_entry(tmp_path):
-    root = tmp_path / "repo"
-    for relative in [
-        tier_lint.PHYSICAL_MODULE,
-        tier_lint.CAPABILITIES_MODULE,
-        *tier_lint.EXECUTOR_MODULES.values(),
-    ]:
-        source = REPO_ROOT / relative
-        target = root / relative
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy(source, target)
+    root = _copy_linted_modules(tmp_path)
     capabilities = root / tier_lint.CAPABILITIES_MODULE
     text = capabilities.read_text(encoding="utf-8")
     capabilities.write_text(

@@ -25,10 +25,11 @@ DATASET_FORMATS = {
     "items_rowbin": DataFormat.BINARY_ROW,
 }
 
-#: Engine configurations pinning each tier (mirrors test_resilience.py).
+#: Engine configurations pinning each tier — the vectorized tier both
+#: inline and fanned out over morsels (mirrors test_resilience.py).
 TIER_CONFIGS = {
     "codegen": {},
-    "vectorized-parallel": {
+    "vectorized-fanout": {
         "enable_codegen": False,
         "parallel_workers": 2,
         "vectorized_batch_size": 16,

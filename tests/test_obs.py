@@ -15,22 +15,22 @@ from repro.core.codegen.runtime import ExecutionProfile
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import PHASES, TraceBuilder
 
-from tests.conftest import make_engine
+from tests.conftest import make_engine, tier_of
 
 # -- differential counter consistency -----------------------------------------
 
-#: Tier name -> engine kwargs forcing that tier to serve.  Small batches and
-#: two workers make the parallel tier actually split work into morsels.
+#: Configuration label -> engine kwargs; ``tier_of(label)`` is the tier that
+#: serves.  Small batches and two workers make ``vectorized-fanout`` actually
+#: split work into morsels.
 TIER_CONFIGS = {
     "codegen": {},
-    "vectorized-parallel": {
+    "vectorized-fanout": {
         "enable_codegen": False,
         "parallel_workers": 2,
         "vectorized_batch_size": 16,
     },
     "vectorized": {
         "enable_codegen": False,
-        "enable_parallel": False,
         "vectorized_batch_size": 16,
     },
     "volcano": {"enable_codegen": False, "enable_vectorized": False},
@@ -78,8 +78,11 @@ def test_profile_counters_identical_across_tiers(tier_engines, query):
     for tier, engine in tier_engines.items():
         result = engine.query(query)
         assert result.profile is not None
-        assert result.profile.execution_tier == tier, (
+        assert result.profile.execution_tier == tier_of(tier), (
             f"{tier} engine was served by {result.profile.execution_tier}"
+        )
+        assert (result.profile.morsels_dispatched > 0) == (
+            tier == "vectorized-fanout"
         )
         profiles[tier] = result.profile
         rows[tier] = sorted(map(repr, result.rows))
@@ -179,9 +182,9 @@ def test_tracer_spans_cover_every_tier(paths):
         result = engine.query(
             "SELECT SUM(price) AS s FROM items_json WHERE qty < 7"
         )
-        assert result.profile.execution_tier == tier
+        assert result.profile.execution_tier == tier_of(tier)
         trace = engine.tracer.last()
-        assert trace is not None and trace.tier == tier
+        assert trace is not None and trace.tier == tier_of(tier)
         assert trace.operators, f"{tier} recorded no operator spans"
         total_rows = sum(span.rows_out for span in trace.operators)
         assert total_rows > 0, f"{tier} spans carry no row counts"
@@ -230,9 +233,7 @@ def test_metrics_count_queries_by_tier(paths):
 
 
 def test_metrics_record_tier_declines_with_codes(paths):
-    engine = make_engine(
-        paths, enable_caching=False, enable_codegen=False, enable_parallel=False
-    )
+    engine = make_engine(paths, enable_caching=False, enable_codegen=False)
     engine.query("SELECT COUNT(*) FROM items_csv")
     declines = engine.metrics.counter("proteus_tier_declines_total")
     samples = declines.samples()
@@ -325,7 +326,7 @@ def test_explain_analyze_reports_every_tier(paths, tier):
         "SELECT SUM(price) AS s FROM items_json WHERE qty < 5", analyze=True
     )
     assert "== explain analyze ==" in report
-    assert f"tier: {tier}" in report
+    assert f"tier: {tier_of(tier)} " in report
     assert "== plan: estimated vs actual ==" in report
     assert "est" in report and "actual" in report
     assert "== phases ==" in report

@@ -1,16 +1,20 @@
-"""Tests for the morsel-driven parallel execution subsystem.
+"""Tests for the batch executor's morsel fan-out.
 
 Covers:
 
-* a differential suite asserting the volcano, serial-vectorized and
-  vectorized-parallel tiers return identical rows (nulls, NaN, big ints,
-  ORDER BY, LIMIT, joins, group-bys, unnest, empty morsels) across worker
-  counts 1 / 2 / 8,
-* determinism: repeated parallel runs return identical row orderings, and
-  integer results are bit-identical to the serial tier,
-* transparent fallback (parallel → serial vectorized → Volcano) for
-  unsplittable scans, single-morsel inputs and non-vectorizable shapes,
-* the vectorized tiers' use of the adaptive cache (hits and
+* a differential suite asserting Volcano, the vectorized tier run inline and
+  the vectorized tier fanned out over morsels return identical rows (nulls,
+  NaN, big ints, ORDER BY, LIMIT, joins, group-bys, unnest, empty morsels)
+  across worker counts 1 / 2 / 8,
+* the merged-tier matrix: every plan-root shape x worker count x input kind
+  (splittable / unsplittable binary rows / single morsel) is served by tier
+  ``vectorized`` with the profile reflecting the executor's fan-out decision
+  and the sort-strategy labels each shape always had,
+* determinism: repeated fanned-out runs return identical row orderings, and
+  integer results are bit-identical to an inline run,
+* the fan-out decision for unsplittable scans and single-morsel inputs, and
+  the Volcano fallback for non-vectorizable shapes,
+* the vectorized tier's use of the adaptive cache (hits and
   materializations),
 * unit coverage of morsel planning, the work-stealing scheduler, the
   partition-parallel radix-table build and the plug-in
@@ -19,6 +23,7 @@ Covers:
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -30,7 +35,7 @@ from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.executor import radix
 from repro.core.parallel import Morsel, WorkerPool, WorkStealingQueue, plan_morsels
-from repro.core.parallel.executor import ParallelVectorizedExecutor
+from repro.core.parallel import ParallelVectorizedExecutor
 from repro.storage.binary_format import write_column_table, write_row_table
 
 SAILOR_COUNT = 600
@@ -46,7 +51,7 @@ ORDERS_SCHEMA = t.make_schema(
         "okey": "int",
         "total": "float",
         "origin": {"country": "string"},
-        "lines": [{"item": "int", "qty": "int"}],
+        "lines": [{"item": "int", "qty": "int", "subs": [{"s": "int"}]}],
     }
 )
 
@@ -104,7 +109,12 @@ def workload_dir(tmp_path_factory) -> str:
                 "total": round(i * 2.5, 2),
                 "origin": {"country": "CH" if i % 2 else "US"},
                 "lines": [
-                    {"item": j, "qty": j + 1} for j in range(i % 4)
+                    {
+                        "item": j,
+                        "qty": j + 1,
+                        "subs": [{"s": i + k} for k in range((i + j) % 3)],
+                    }
+                    for j in range(i % 4)
                 ],
             }
             handle.write(json.dumps(record) + "\n")
@@ -115,6 +125,19 @@ def workload_dir(tmp_path_factory) -> str:
         t.make_schema({"rid": "int"}),
     )
 
+    # The sailors' numeric columns once more, as an (unsplittable) row table.
+    sids = np.arange(SAILOR_COUNT, dtype=np.int64)
+    write_row_table(
+        str(directory / "sailors_rows.bin"),
+        {"sid": sids, "rating": sids % 10, "age": 18.0 + (sids * 3) % 40},
+        t.make_schema({"sid": "int", "rating": "int", "age": "float"}),
+    )
+
+    # Integers beyond int64: an object column only the comparator can sort.
+    with open(directory / "huge.json", "w", encoding="utf-8") as handle:
+        for i in range(90):
+            handle.write(json.dumps({"id": i, "big": 2**70 + (i * 37) % 50}) + "\n")
+
     with open(directory / "empty.csv", "w", encoding="utf-8") as handle:
         handle.write("id,v\n")
 
@@ -122,12 +145,8 @@ def workload_dir(tmp_path_factory) -> str:
 
 
 def _make_engine(workload_dir: str, **kwargs) -> ProteusEngine:
-    engine = ProteusEngine(
-        enable_caching=False,
-        enable_codegen=False,
-        vectorized_batch_size=BATCH_SIZE,
-        **kwargs,
-    )
+    kwargs.setdefault("vectorized_batch_size", BATCH_SIZE)
+    engine = ProteusEngine(enable_caching=False, enable_codegen=False, **kwargs)
     engine.register_csv(
         "sailors", os.path.join(workload_dir, "sailors.csv"), schema=SAILORS_SCHEMA
     )
@@ -151,6 +170,10 @@ def _make_engine(workload_dir: str, **kwargs) -> ProteusEngine:
         "orders", os.path.join(workload_dir, "orders.json"), schema=ORDERS_SCHEMA
     )
     engine.register_binary_rows("rowtable", os.path.join(workload_dir, "rows.bin"))
+    engine.register_binary_rows(
+        "sailors_rows", os.path.join(workload_dir, "sailors_rows.bin")
+    )
+    engine.register_json("huge", os.path.join(workload_dir, "huge.json"))
     engine.register_csv(
         "empty",
         os.path.join(workload_dir, "empty.csv"),
@@ -176,10 +199,10 @@ def parallel_engine(workload_dir):
 
 def _assert_rows_match(actual, expected, query="", ordered=True):
     """Row equality, with float cells compared to 1e-12 relative tolerance
-    (the parallel merge reassociates float additions across morsels);
+    (the morsel merge reassociates float additions across morsels);
     everything else must be identical.  ``ordered=False`` compares as
     multisets — the Volcano interpreter's row order legitimately differs
-    from the batch tiers' (first-seen vs lexicographic group order).
+    from the batch tier's (first-seen vs lexicographic group order).
     """
     assert len(actual) == len(expected), (query, len(actual), len(expected))
     if not ordered:
@@ -253,18 +276,19 @@ DIFFERENTIAL_QUERIES = [
 
 
 @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
-def test_three_tiers_return_identical_rows(
+def test_volcano_inline_and_fanout_return_identical_rows(
     volcano_engine, serial_engine, parallel_engine, query
 ):
     reference = volcano_engine.query(query)
     assert reference.tier == "volcano"
     serial = serial_engine.query(query)
     assert serial.tier in ("vectorized", "volcano")
+    assert serial.profile.morsels_dispatched == 0
     parallel = parallel_engine.query(query)
-    assert parallel.tier in ("vectorized-parallel", "vectorized", "volcano")
-    # Volcano orders rows first-seen; the batch tiers may differ — multiset.
+    assert parallel.tier == serial.tier
+    # Volcano orders rows first-seen; the batch tier may differ — multiset.
     _assert_rows_match(serial.rows, reference.rows, query, ordered=False)
-    # The parallel tier must reproduce the serial tier's order exactly.
+    # A fanned-out run must reproduce the inline run's order exactly.
     _assert_rows_match(parallel.rows, serial.rows, query)
 
 
@@ -288,7 +312,8 @@ def test_integer_results_are_bit_identical_to_serial(workload_dir, serial_engine
         "SELECT g, MAX(k), SUM(k) FROM bigints GROUP BY g",
     ):
         actual = engine.query(query)
-        assert actual.tier == "vectorized-parallel", query
+        assert actual.tier == "vectorized", query
+        assert actual.profile.morsels_dispatched > 1, query
         assert actual.rows == serial_engine.query(query).rows, query
 
 
@@ -305,31 +330,48 @@ def test_repeated_parallel_runs_are_deterministic(workload_dir):
         assert runs[0] == runs[1] == runs[2] == runs[3], query
 
 
-def test_parallel_tier_attribution_and_profile(parallel_engine):
+def test_fanout_attribution_and_profile(parallel_engine):
     result = parallel_engine.query("SELECT COUNT(*) FROM sailors WHERE rating > 4")
-    assert result.tier == "vectorized-parallel"
+    assert result.tier == "vectorized"
     profile = result.profile
-    assert profile.execution_tier == "vectorized-parallel"
+    assert profile.execution_tier == "vectorized"
     assert profile.parallel_workers == 4
     assert profile.morsels_dispatched > 1
     assert profile.rows_scanned == SAILOR_COUNT
     assert profile.batches_processed >= profile.morsels_dispatched
 
 
-def test_unsplittable_scan_falls_back_to_serial_vectorized(parallel_engine):
+def test_unsplittable_scan_runs_inline(parallel_engine):
     # The binary row plug-in only has the per-tuple batch shim, so the
-    # parallel tier refuses its scans and the serial tier serves them.
+    # executor never fans its scans out.
     result = parallel_engine.query("SELECT COUNT(*) FROM rowtable WHERE rid < 50")
     assert result.tier == "vectorized"
+    assert result.profile.parallel_workers == 0
+    assert result.profile.morsels_dispatched == 0
     assert result.rows == [(50,)]
 
 
-def test_single_morsel_input_falls_back_to_serial(workload_dir):
+def test_single_morsel_input_runs_inline(workload_dir):
     engine = _make_engine(workload_dir, parallel_workers=4)
     engine.vectorized_batch_size = 4096  # one morsel covers all 600 rows
     result = engine.query("SELECT COUNT(*) FROM sailors")
     assert result.tier == "vectorized"
+    assert result.profile.morsels_dispatched == 0
     assert result.rows == [(SAILOR_COUNT,)]
+
+
+def test_unsplittable_probe_still_fans_out_its_build_side(workload_dir):
+    # One decision per scan: the row-table probe side streams inline while
+    # the splittable build side (or vice versa) is materialized by morsels.
+    engine = _make_engine(workload_dir, parallel_workers=4)
+    query = (
+        "SELECT COUNT(*) FROM sailors_rows r JOIN ships h ON r.sid = h.owner"
+    )
+    result = engine.query(query)
+    assert result.tier == "vectorized"
+    assert result.profile.parallel_workers == 4
+    assert 1 < result.profile.morsels_dispatched <= -(-SHIP_COUNT // BATCH_SIZE)
+    assert result.rows == _make_engine(workload_dir).query(query).rows
 
 
 def test_null_group_keys_fall_back_to_volcano(volcano_engine, parallel_engine):
@@ -343,13 +385,148 @@ def test_null_group_keys_fall_back_to_volcano(volcano_engine, parallel_engine):
 def test_parallel_workers_flag_defaults_to_serial(workload_dir):
     engine = _make_engine(workload_dir)  # no parallel_workers argument
     assert engine.parallel_workers == 1
-    assert engine.query("SELECT COUNT(*) FROM sailors").tier == "vectorized"
-    disabled = _make_engine(workload_dir, parallel_workers=4, enable_parallel=False)
-    assert disabled.query("SELECT COUNT(*) FROM sailors").tier == "vectorized"
+    result = engine.query("SELECT COUNT(*) FROM sailors")
+    assert result.tier == "vectorized"
+    assert result.profile.morsels_dispatched == 0
+    # ``parallel_workers=1`` is the one way to keep execution serial: the
+    # redundant ``enable_parallel`` knob is gone and nothing replaced it.
+    parameters = inspect.signature(ProteusEngine.__init__).parameters
+    assert "enable_parallel" not in parameters
+    assert len(parameters) - 1 == 18  # minus ``self``
 
 
 # ---------------------------------------------------------------------------
-# Adaptive caching from the batch tiers
+# The merged tier: root shape x worker count x input kind
+# ---------------------------------------------------------------------------
+
+#: (table, batch size) per input kind.  ``{t}`` in the shape queries is the
+#: table; the batch size decides how many morsels its 600 rows span.
+INPUT_KINDS = {
+    "splittable": ("sailors", BATCH_SIZE),
+    "unsplittable": ("sailors_rows", BATCH_SIZE),
+    "single-morsel": ("sailors", 4096),
+}
+
+#: shape -> (query, ordered?, sort strategy inline, sort strategy fanned out).
+#: A label names the kernel that ran, so it depends on shape and fan-out only.
+ROOT_SHAPES = {
+    "projection": ("SELECT sid, rating FROM {t} WHERE rating >= 5", True, None, None),
+    "pure-limit": ("SELECT sid FROM {t} LIMIT 7", True, None, None),
+    "order-by-1": (
+        "SELECT sid, age FROM {t} ORDER BY age DESC",
+        True, "lexsort", "parallel-merge",
+    ),
+    "order-by-1-limit": (
+        "SELECT sid, age FROM {t} ORDER BY age LIMIT 9",
+        True, "topk", "parallel-merge",
+    ),
+    "order-by-2": (
+        "SELECT sid, rating FROM {t} ORDER BY rating, sid DESC",
+        True, "lexsort", "lexsort",
+    ),
+    "order-by-2-limit": (
+        "SELECT sid, rating FROM {t} ORDER BY rating DESC, sid LIMIT 11",
+        True, "topk", "topk",
+    ),
+    "limit-0": ("SELECT sid, age FROM {t} ORDER BY sid LIMIT 0", True, "topk", "topk"),
+    "global-aggregate": (
+        "SELECT COUNT(*), SUM(rating), MAX(age) FROM {t} WHERE rating > 2",
+        True, None, None,
+    ),
+    "group-by": (
+        "SELECT rating, COUNT(*), MAX(sid) FROM {t} GROUP BY rating",
+        False, None, None,
+    ),
+    "hash-join": (
+        "SELECT s.sid, h.rating FROM {t} s JOIN {t} h ON s.sid = h.sid "
+        "WHERE h.rating > 6",
+        False, None, None,
+    ),
+}
+
+#: Nested and non-encodable data only exists as (splittable) JSON.
+JSON_SHAPES = {
+    "inner-unnest": (
+        "for { o <- orders, l <- o.lines } yield bag (o.okey, l.item)",
+        False, None, None,
+    ),
+    "outer-unnest": (
+        "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)",
+        False, None, None,
+    ),
+    "nested-unnest": (
+        "for { o <- orders, l <- o.lines, s <- l.subs } yield bag (o.okey, s.s)",
+        False, None, None,
+    ),
+    "order-by-object": (
+        "SELECT id, big FROM huge ORDER BY big DESC",
+        True, "object-fallback", "object-fallback",
+    ),
+}
+
+MERGED_TIER_CASES = [
+    (shape, kind) for shape in ROOT_SHAPES for kind in INPUT_KINDS
+] + [
+    (shape, kind)
+    for shape in JSON_SHAPES
+    for kind in ("splittable", "single-morsel")
+]
+
+
+@pytest.fixture(scope="module")
+def engine_for(workload_dir):
+    """Engines by (fast tier workers or None for Volcano, batch size)."""
+    engines: dict[tuple, ProteusEngine] = {}
+
+    def get(workers: int | None, batch_size: int) -> ProteusEngine:
+        key = (workers, batch_size)
+        if key not in engines:
+            config = (
+                {"enable_vectorized": False}
+                if workers is None
+                else {"parallel_workers": workers}
+            )
+            engines[key] = _make_engine(
+                workload_dir, vectorized_batch_size=batch_size, **config
+            )
+        return engines[key]
+
+    return get
+
+
+@pytest.mark.parametrize("shape,kind", MERGED_TIER_CASES)
+def test_merged_tier_matrix(engine_for, shape, kind):
+    query, ordered, inline_strategy, fanout_strategy = {
+        **ROOT_SHAPES, **JSON_SHAPES
+    }[shape]
+    table, batch_size = INPUT_KINDS[kind]
+    query = query.replace("{t}", table)
+    reference = engine_for(None, batch_size).query(query)
+    assert reference.tier == "volcano"
+    rows_by_workers = {}
+    for workers in (1, 2, 8):
+        result = engine_for(workers, batch_size).query(query)
+        label = (shape, kind, workers)
+        assert result.tier == "vectorized", label
+        _assert_rows_match(result.rows, reference.rows, query, ordered=ordered)
+        profile = result.profile
+        if workers > 1 and kind == "splittable":
+            assert profile.parallel_workers == workers, label
+            assert profile.morsels_dispatched > 1, label
+            assert profile.sort_strategy == fanout_strategy, label
+        else:
+            assert profile.parallel_workers == 0, label
+            assert profile.morsels_dispatched == 0, label
+            assert profile.morsels_stolen == 0, label
+            assert profile.sort_strategy == inline_strategy, label
+        rows_by_workers[workers] = result.rows
+    # No float sums among the shapes: bit-identical at every worker count,
+    # row order included.
+    assert rows_by_workers[1] == rows_by_workers[2] == rows_by_workers[8]
+
+
+# ---------------------------------------------------------------------------
+# Adaptive caching from the batch tier
 # ---------------------------------------------------------------------------
 
 
@@ -367,7 +544,7 @@ def _caching_engine(workload_dir: str, **kwargs) -> ProteusEngine:
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_vectorized_tiers_populate_and_hit_the_cache(workload_dir, workers):
+def test_vectorized_tier_populates_and_hits_the_cache(workload_dir, workers):
     engine = _caching_engine(workload_dir, parallel_workers=workers)
     query = "SELECT SUM(sid) FROM sailors WHERE rating > 2"
     first = engine.query(query)
@@ -458,14 +635,11 @@ def test_worker_pool_propagates_errors():
         pool.run(list(range(40)), explode)
 
 
-def test_partition_parallel_table_build_matches_serial(workload_dir):
-    engine = _make_engine(workload_dir, parallel_workers=4)
-    executor = ParallelVectorizedExecutor(
-        engine.catalog, engine.plugins, num_workers=4
-    )
+def test_partition_parallel_table_build_matches_serial():
+    driver = ParallelVectorizedExecutor(num_workers=4)
     rng = np.random.RandomState(11)
     keys = rng.randint(0, 5000, size=20000).astype(np.int64)
-    parallel_table = executor._build_table(keys)
+    parallel_table = driver.build_table(keys)
     serial_table = radix.build_radix_table(keys)
     assert parallel_table.build_size == serial_table.build_size
     assert parallel_table.num_partitions == serial_table.num_partitions

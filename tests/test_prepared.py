@@ -4,7 +4,8 @@ Covers:
 
 * parsing of ``?`` positional and ``:name`` named placeholders in both
   frontends (including ``LIMIT ?``),
-* prepared executions matching literal queries on all four execution tiers,
+* prepared executions matching literal queries on all three execution tiers
+  (the vectorized tier both inline and fanned out over morsels),
   with exactly one code generation across different parameter values,
 * the lazy columnar :class:`ResultSet` (``column_array`` with no rows
   round-trip, incremental ``fetch_batches``, lazy ``rows``),
@@ -12,7 +13,7 @@ Covers:
   build-side cache,
 * invalidation of outstanding :class:`PreparedQuery` objects by
   re-registration / unregistration,
-* the NULLS LAST ordering fix and the ``used_codegen`` deprecation,
+* the NULLS LAST ordering fix,
 * ``explain()``'s tier-cascade report.
 """
 
@@ -20,16 +21,16 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 
 import numpy as np
 import pytest
 
-from repro import ProteusEngine, QueryResult
+from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.comprehension_parser import parse_comprehension
-from repro.core.engine import ResultSet, _apply_order_and_limit_columns
+from repro.core.engine import ResultSet
 from repro.core.expressions import Parameter
+from repro.core.sort import sort_columns
 from repro.core.sql_parser import parse_sql
 from repro.errors import ExecutionError, ProteusError
 from tests.conftest import ITEM_COUNT, expected_items, make_engine
@@ -68,17 +69,22 @@ def test_parameter_fingerprint_abstracts_value():
 
 
 TIER_CONFIGS = [
-    ("codegen", {}),
-    (
-        "vectorized-parallel",
+    pytest.param("codegen", {}, id="codegen"),
+    pytest.param(
+        "vectorized",
         {
             "enable_codegen": False,
             "parallel_workers": 4,
             "vectorized_batch_size": 8,
         },
+        id="vectorized-fanout",
     ),
-    ("vectorized", {"enable_codegen": False}),
-    ("volcano", {"enable_codegen": False, "enable_vectorized": False}),
+    pytest.param("vectorized", {"enable_codegen": False}, id="vectorized"),
+    pytest.param(
+        "volcano",
+        {"enable_codegen": False, "enable_vectorized": False},
+        id="volcano",
+    ),
 ]
 
 
@@ -164,13 +170,6 @@ def test_column_array_is_read_only_view(tmp_path):
     with pytest.raises(ValueError):
         arr[0] = 9999.0
     assert engine.query("SELECT v FROM vals").column("v")[0] == 0.0
-
-
-def test_v1_constructor_honors_used_codegen():
-    legacy = QueryResult(columns=["a"], rows=[(1,)], used_codegen=False)
-    with pytest.warns(DeprecationWarning):
-        assert legacy.used_codegen is False
-    assert legacy.rows == [(1,)]
 
 
 def test_unnest_with_parameter(engine):
@@ -274,9 +273,8 @@ def test_fetch_batches_is_incremental(engine):
         next(result.fetch_batches(0))
 
 
-def test_result_set_v1_surface(engine):
+def test_result_set_row_surface(engine):
     result = engine.query("SELECT id, qty FROM items_bin WHERE id < 3")
-    assert isinstance(result, QueryResult)  # deprecated alias of ResultSet
     assert isinstance(result, ResultSet)
     assert len(result) == 3
     assert result.column("qty") == [0, 1, 2]
@@ -284,27 +282,14 @@ def test_result_set_v1_surface(engine):
     assert list(iter(result)) == result.rows
 
 
-def test_used_codegen_deprecation(engine):
-    result = engine.query("SELECT COUNT(*) FROM items_bin")
-    with pytest.warns(DeprecationWarning, match="used_codegen"):
-        assert result.used_codegen is True
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert result.tier == "codegen"  # the replacement does not warn
-
-
 # -- NULLS LAST ordering fix ---------------------------------------------------
 
 
 def test_order_by_descending_nulls_last_unit():
     data = {"v": [3.0, None, 1.0, None, 2.0]}
-    length, ordered = _apply_order_and_limit_columns(
-        ["v"], 5, dict(data), [("v", False)], None
-    )
+    length, ordered, _ = sort_columns(["v"], 5, dict(data), [("v", False)], None)
     assert ordered["v"] == [3.0, 2.0, 1.0, None, None]
-    length, ordered = _apply_order_and_limit_columns(
-        ["v"], 5, dict(data), [("v", True)], None
-    )
+    length, ordered, _ = sort_columns(["v"], 5, dict(data), [("v", True)], None)
     assert ordered["v"] == [1.0, 2.0, 3.0, None, None]
 
 
@@ -370,8 +355,11 @@ def test_explain_reports_tier_cascade(engine):
     text = engine.explain("SELECT COUNT(*) FROM items_bin WHERE qty < ?")
     assert "== tier cascade ==" in text
     assert "codegen: serves this plan  <- selected" in text
-    assert "vectorized-parallel: declines" in text  # serial configuration
+    assert "vectorized: would serve" in text
+    assert "vectorized-parallel" not in text  # one batch tier
     assert "volcano: would serve" in text
+    assert "== vectorized fan-out ==" in text
+    assert "serial: parallel_workers=1" in text
 
 
 def test_explain_cascade_for_volcano_only_shape(engine):
@@ -385,11 +373,20 @@ def test_explain_cascade_for_volcano_only_shape(engine):
     assert "volcano: serves this plan  <- selected" in text
 
 
-def test_explain_cascade_reports_unsplittable_parallel_scan(paths):
+def test_explain_reports_planned_fanout(paths):
     engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=4, enable_caching=False
+        paths, enable_codegen=False, parallel_workers=4, enable_caching=False,
+        vectorized_batch_size=8,
     )
     text = engine.explain("SELECT COUNT(*) FROM items_rowbin WHERE qty < 5")
-    assert "vectorized-parallel: declines" in text
-    assert "not range-splittable" in text
     assert "vectorized: serves this plan  <- selected" in text
+    assert "items_rowbin (binary_row): serial" in text
+    assert "not range-splittable" in text
+    # Binary column tables are analyzed at registration: the morsel count is
+    # known statically.
+    text = engine.explain("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
+    assert "items_bin (binary_column): fan-out:" in text
+    assert "across 4 workers" in text
+    # Raw files without collected statistics: decided when the scan opens.
+    text = engine.explain("SELECT COUNT(*) FROM items_csv WHERE qty < 5")
+    assert "items_csv (csv): decided when the scan opens" in text

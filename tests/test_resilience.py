@@ -32,10 +32,11 @@ from repro.resilience import (
 )
 from repro.storage.catalog import DataFormat
 
-#: Engine configurations that pin each of the four execution tiers.
+#: Engine configurations that pin each of the three execution tiers (the
+#: vectorized tier both inline and fanned out over morsels).
 TIER_CONFIGS = {
     "codegen": {},
-    "vectorized-parallel": {
+    "vectorized-fanout": {
         "enable_codegen": False,
         "parallel_workers": 2,
         "vectorized_batch_size": 16,
@@ -57,8 +58,8 @@ TIER_CONFIGS = {
 @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
 def test_zero_timeout_aborts_every_tier(paths, tier):
     """``timeout=0`` expires at the first cooperative check of every tier:
-    per kernel call (codegen), per morsel (parallel), per batch (vectorized),
-    per stride (volcano)."""
+    per kernel call (codegen), per morsel and per batch (vectorized, fanned
+    out and inline), per stride (volcano)."""
     engine = make_engine(paths, enable_caching=False, **TIER_CONFIGS[tier])
     with pytest.raises(QueryTimeoutError) as info:
         engine.query("select sum(price) from items_csv where qty > 1", timeout=0)

@@ -76,17 +76,22 @@ def serving(engine):
 
 
 TIER_CONFIGS = [
-    ({}, "codegen"),
-    (
+    pytest.param({}, "codegen", id="codegen"),
+    pytest.param(
         {
             "enable_codegen": False,
             "parallel_workers": 2,
             "vectorized_batch_size": 16,
         },
-        "vectorized-parallel",
+        "vectorized",
+        id="vectorized-fanout",
     ),
-    ({"enable_codegen": False}, "vectorized"),
-    ({"enable_codegen": False, "enable_vectorized": False}, "volcano"),
+    pytest.param({"enable_codegen": False}, "vectorized", id="vectorized"),
+    pytest.param(
+        {"enable_codegen": False, "enable_vectorized": False},
+        "volcano",
+        id="volcano",
+    ),
 ]
 
 PROJECTION_QUERY = "select id, qty, price from items_csv where qty < 5 order by id"
@@ -101,9 +106,7 @@ AGGREGATE_QUERY = (
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "config,expected_tier", TIER_CONFIGS, ids=[t for _, t in TIER_CONFIGS]
-)
+@pytest.mark.parametrize("config,expected_tier", TIER_CONFIGS)
 def test_http_and_direct_execution_identical(paths, config, expected_tier):
     """The same query through HTTP and engine.query() returns identical rows
     (and reports the same serving tier) on every execution tier."""

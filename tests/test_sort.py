@@ -4,8 +4,8 @@ Covers:
 
 * the :class:`~repro.core.physical.PhysSort` plan root (placement,
   fingerprints, ``explain()`` strategy report),
-* a differential ORDER BY / LIMIT suite across all four execution tiers
-  (codegen / vectorized-parallel / vectorized / volcano): NaN, None, strings,
+* a differential ORDER BY / LIMIT suite across all three execution tiers
+  (codegen / vectorized, inline and fanned out / volcano): NaN, None, strings,
   multi-key ascending/descending mixes, ties (stability), ``LIMIT 0`` and
   ``LIMIT`` beyond the row count — results must be identical tier-to-tier,
 * parallel per-morsel sort + k-way merge determinism at 1/2/8 workers,
@@ -28,13 +28,14 @@ from repro.core import sort as sortlib
 from repro.core.physical import PhysSort
 from repro.errors import ExecutionError, ProteusError
 
-from tests.conftest import make_engine
+from tests.conftest import make_engine, tier_of
 
-#: One engine configuration per execution tier (mirrors tests/test_prepared).
+#: (configuration label, engine kwargs); ``tier_of(label)`` is the serving
+#: tier — ``vectorized-fanout`` engages the vectorized tier's morsel fan-out.
 TIER_CONFIGS = [
     ("codegen", {}),
     (
-        "vectorized-parallel",
+        "vectorized-fanout",
         {
             "enable_codegen": False,
             "parallel_workers": 4,
@@ -155,7 +156,7 @@ DIFFERENTIAL_QUERIES = [
     # Sorting grouped output.
     "SELECT grp, COUNT(*) AS n FROM messy GROUP BY grp ORDER BY grp DESC",
     # MAX (not SUM): partial float sums legitimately differ in the last ulp
-    # on the parallel tier, which is about aggregation, not ordering.
+    # under a morsel fan-out, which is about aggregation, not ordering.
     "SELECT tag, MAX(val) AS m FROM messy GROUP BY tag ORDER BY tag LIMIT 4",
 ]
 
@@ -199,15 +200,15 @@ def test_stability_on_ties(messy_path):
 def test_sort_strategy_recorded(messy_path, tier, config):
     engine = messy_engine(messy_path, **config)
     full = engine.query("SELECT id, val FROM messy ORDER BY val DESC")
-    assert full.tier == tier
+    assert full.tier == tier_of(tier)
     expected_full = {
-        "vectorized-parallel": sortlib.STRATEGY_PARALLEL_MERGE,
+        "vectorized-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
     }.get(tier, sortlib.STRATEGY_LEXSORT)
     assert full.profile.sort_strategy == expected_full
     assert full.profile.rows_sorted >= MESSY_COUNT
     topk = engine.query("SELECT id, val FROM messy ORDER BY val LIMIT 3")
     expected_topk = {
-        "vectorized-parallel": sortlib.STRATEGY_PARALLEL_MERGE,
+        "vectorized-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
     }.get(tier, sortlib.STRATEGY_TOPK)
     assert topk.profile.sort_strategy == expected_topk
     unsorted = engine.query("SELECT id FROM messy")
@@ -241,8 +242,8 @@ def test_parallel_sort_identical_at_any_worker_count(messy_path, query):
             vectorized_batch_size=8,
         )
         result = engine.query(query)
-        expected_tier = "vectorized" if workers == 1 else "vectorized-parallel"
-        assert result.tier == expected_tier, (workers, query)
+        assert result.tier == "vectorized", (workers, query)
+        assert (result.profile.morsels_dispatched > 0) == (workers > 1)
         assert result.rows == reference.rows, (workers, query)
         for name in reference.columns:
             np.testing.assert_array_equal(
@@ -319,7 +320,7 @@ def test_zero_limit_keeps_column_dtypes(paths, tier, config):
     result = engine.query(
         "SELECT id, category FROM items_bin ORDER BY id LIMIT 0"
     )
-    assert result.tier == tier
+    assert result.tier == tier_of(tier)
     assert len(result) == 0
     if tier != "volcano":
         assert result.column_array("id").dtype.kind == "i"
@@ -399,7 +400,7 @@ def test_parallel_string_sort_with_single_surviving_morsel(messy_path):
         parallel_workers=4,
         vectorized_batch_size=8,
     ).query("SELECT tag, id FROM messy WHERE id < 10 ORDER BY tag")
-    assert parallel.tier == "vectorized-parallel"
+    assert parallel.profile.morsels_dispatched > 1
     assert parallel.rows == serial.rows
     tags = [tag for tag, _ in parallel.rows]
     assert tags == sorted(tags)
@@ -435,11 +436,11 @@ def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
             )
             parallel.register_json("mixed_runs", str(path))
             result = parallel.query(query)
-            assert result.tier == "vectorized-parallel"
+            assert result.profile.morsels_dispatched > 1
             assert result.rows == expected, (query, workers)
 
 
-def test_pure_limit_output_rows_consistent_across_batch_tiers(messy_path):
+def test_pure_limit_output_rows_consistent_inline_and_fanned_out(messy_path):
     serial = messy_engine(
         messy_path, enable_codegen=False, vectorized_batch_size=8
     ).query("SELECT id FROM messy LIMIT 5")
@@ -449,10 +450,10 @@ def test_pure_limit_output_rows_consistent_across_batch_tiers(messy_path):
         parallel_workers=4,
         vectorized_batch_size=8,
     ).query("SELECT id FROM messy LIMIT 5")
-    assert parallel.tier == "vectorized-parallel"
+    assert parallel.profile.morsels_dispatched > 1
     assert serial.profile.output_rows == 5
     assert parallel.profile.output_rows == 5
-    # ORDER BY ... LIMIT 0 also reports zero emitted rows on both tiers.
+    # ORDER BY ... LIMIT 0 also reports zero emitted rows either way.
     for engine_result in (
         messy_engine(
             messy_path, enable_codegen=False, vectorized_batch_size=8

@@ -2,15 +2,15 @@
 
 Covers:
 
-* inner and outer unnest over the JSON plug-in across all four execution
-  tiers (codegen, vectorized-parallel, vectorized, volcano), asserting
-  identical results and the expected tier attribution,
+* inner and outer unnest over the JSON plug-in across all three execution
+  tiers (codegen, vectorized — inline and fanned out over morsels — and
+  volcano), asserting identical results and the expected tier attribution,
 * empty and explicitly-null nested collections,
 * nested-in-nested unnest (a collection inside an already-unnested element,
-  flattened column-backed by the batch tiers),
+  flattened column-backed by the batch tier),
 * unnest under joins and under global / grouped aggregates,
-* worker counts 1/2/8: the parallel tier's morsel-ordered assembly must
-  reproduce the serial tier's row order exactly,
+* worker counts 1/2/8: the fan-out's morsel-ordered assembly must
+  reproduce an inline run's row order exactly,
 * unit coverage of the ``scan_unnest_batch`` plug-in API (native JSON
   offset-vector implementation and the generic per-parent fallback) and of
   the nullable-bool materialization fix.
@@ -163,7 +163,7 @@ INNER_QUERIES = [
     # Unnest under global aggregates.
     "for { o <- orders, l <- o.lines } yield count",
     "for { o <- orders, l <- o.lines, l.qty > 1 } yield sum (l.price)",
-    # Nested-in-nested (column-backed in the batch tiers).
+    # Nested-in-nested (column-backed in the batch tier).
     "for { o <- orders, l <- o.lines, s <- l.subs } yield bag (o.okey, s.s)",
     "for { o <- orders, l <- o.lines, s <- l.subs, s.s > 10 } yield count",
 ]
@@ -221,7 +221,7 @@ def grouped_queries():
 
 
 @pytest.mark.parametrize("query", INNER_QUERIES + OUTER_QUERIES)
-def test_four_tiers_agree(
+def test_every_tier_agrees(
     volcano_engine, vectorized_engine, parallel_engine, codegen_engine, query
 ):
     reference = volcano_engine.query(query)
@@ -229,14 +229,15 @@ def test_four_tiers_agree(
     vectorized = vectorized_engine.query(query)
     assert vectorized.tier == "vectorized", query
     parallel = parallel_engine.query(query)
-    assert parallel.tier == "vectorized-parallel", query
+    assert parallel.tier == "vectorized", query
+    assert parallel.profile.morsels_dispatched > 1, query
     codegen = codegen_engine.query(query)
-    # Outer unnest (and nested-in-nested) decline codegen and land on a
+    # Outer unnest (and nested-in-nested) decline codegen and land on the
     # batch tier; everything else compiles.
     assert codegen.tier in ("codegen", "vectorized"), query
     _assert_rows_match(vectorized.rows, reference.rows, query, ordered=False)
     _assert_rows_match(codegen.rows, reference.rows, query, ordered=False)
-    # The parallel tier must reproduce the serial batch tier's order exactly.
+    # A fanned-out run must reproduce the inline run's order exactly.
     _assert_rows_match(parallel.rows, vectorized.rows, query)
 
 
@@ -248,10 +249,10 @@ def test_unnest_under_joins(
     vectorized = vectorized_engine.query(query)
     assert vectorized.tier == "vectorized", query
     parallel = parallel_engine.query(query)
-    # The optimizer may flip the probe side onto the tiny joined table, in
-    # which case the driving scan legitimately fits one morsel and the
-    # cascade serves the query serially.
-    assert parallel.tier in ("vectorized-parallel", "vectorized"), query
+    # (The optimizer may flip the probe side onto the tiny joined table, in
+    # which case the driving scan legitimately fits one morsel and only the
+    # build side fans out.)
+    assert parallel.tier == "vectorized", query
     codegen = codegen_engine.query(query)
     assert codegen.tier in ("codegen", "vectorized"), query
     _assert_rows_match(vectorized.rows, reference.rows, query, ordered=False)
@@ -271,7 +272,8 @@ def test_unnest_under_grouped_aggregates(
     vectorized = vectorized_engine.query(comprehension)
     assert vectorized.tier == "vectorized", label
     parallel = parallel_engine.query(comprehension)
-    assert parallel.tier == "vectorized-parallel", label
+    assert parallel.tier == "vectorized", label
+    assert parallel.profile.morsels_dispatched > 1, label
     codegen = codegen_engine.query(comprehension)
     assert codegen.tier == "codegen", label
     _assert_rows_match(vectorized.rows, reference.rows, label, ordered=False)

@@ -21,7 +21,7 @@ import pytest
 
 from repro import ProteusEngine
 from repro.core import types as t
-from repro.core.engine import _columns_to_rows
+from repro.core.engine import ResultSet, _normalize_result_columns
 from repro.errors import ExecutionError
 from repro.storage.binary_format import write_column_table
 
@@ -186,28 +186,34 @@ def test_reregister_invalidates_caches(tmp_path):
     assert engine.query("SELECT SUM(v) FROM swap").scalar() == sum(range(10)) + 70
 
 
-def test_columns_to_rows_missing_column_raises():
+def _result_rows(names, columns):
+    """Rows of a ResultSet assembled from raw executor output columns."""
+    length, data = _normalize_result_columns(names, columns)
+    return ResultSet(names, data, tier="vectorized", length=length).rows
+
+
+def test_normalize_result_columns_missing_column_raises():
     with pytest.raises(ExecutionError, match="missing"):
-        _columns_to_rows(["present", "missing"], {"present": [1, 2]})
+        _normalize_result_columns(["present", "missing"], {"present": [1, 2]})
 
 
-def test_columns_to_rows_mismatched_lengths_raise():
+def test_normalize_result_columns_mismatched_lengths_raise():
     with pytest.raises(ExecutionError, match="mismatched"):
-        _columns_to_rows(["a", "b"], {"a": [1, 2, 3], "b": [1]})
+        _normalize_result_columns(["a", "b"], {"a": [1, 2, 3], "b": [1]})
     with pytest.raises(ExecutionError, match="mismatched"):
-        _columns_to_rows(
+        _normalize_result_columns(
             ["a", "b"], {"a": np.arange(3), "b": np.arange(2)}
         )
 
 
-def test_columns_to_rows_broadcasts_genuine_scalars():
+def test_normalize_result_columns_broadcasts_genuine_scalars():
     # Scalar aggregates / literals broadcast across the row count ...
-    rows = _columns_to_rows(["n", "x"], {"n": 7, "x": [10, 20, 30]})
+    rows = _result_rows(["n", "x"], {"n": 7, "x": [10, 20, 30]})
     assert rows == [(7, 10), (7, 20), (7, 30)]
-    rows = _columns_to_rows(["n", "x"], {"n": np.asarray(7), "x": np.arange(2)})
+    rows = _result_rows(["n", "x"], {"n": np.asarray(7), "x": np.arange(2)})
     assert rows == [(7, 0), (7, 1)]
     # ... and an all-scalar result is a single row.
-    assert _columns_to_rows(["a", "b"], {"a": 1, "b": 2.5}) == [(1, 2.5)]
+    assert _result_rows(["a", "b"], {"a": 1, "b": 2.5}) == [(1, 2.5)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 
 Two rules, both enforced over the AST (no imports of the checked modules):
 
-**Tier parity.**  Every ``Phys*`` operator class defined in
+**Tier parity.**  The tier set is ``CASCADE_TIERS`` in
+``src/repro/core/analysis/model.py``; the rows of ``OPERATOR_CAPABILITIES``
+and the keys of ``EXECUTOR_MODULES`` below must name exactly those tiers
+(adding or removing a tier in one place but not the others fails the
+build).  Every ``Phys*`` operator class defined in
 ``src/repro/core/physical.py`` must, for each execution tier, either be
 referenced by name in that tier's executor module (it has a handler) or
 appear as an explicit key in that tier's row of ``OPERATOR_CAPABILITIES``
@@ -40,15 +44,15 @@ import ast
 import sys
 from pathlib import Path
 
-#: Executor module (repo-relative) per capability-table tier key.
+#: Executor module (repo-relative) per ``CASCADE_TIERS`` member.
 EXECUTOR_MODULES: dict[str, str] = {
     "TIER_CODEGEN": "src/repro/core/codegen/generator.py",
-    "TIER_PARALLEL": "src/repro/core/parallel/executor.py",
     "TIER_VECTORIZED": "src/repro/core/executor/vectorized.py",
     "TIER_VOLCANO": "src/repro/core/executor/volcano.py",
 }
 
 PHYSICAL_MODULE = "src/repro/core/physical.py"
+MODEL_MODULE = "src/repro/core/analysis/model.py"
 CAPABILITIES_MODULE = "src/repro/core/analysis/capabilities.py"
 INSTRUMENT_MODULE = "src/repro/obs/instrument.py"
 
@@ -116,12 +120,42 @@ def collect_capability_entries(capabilities_path: Path) -> dict[str, set[str]]:
     )
 
 
+def collect_cascade_tiers(model_path: Path) -> list[str]:
+    """The ``TIER_*`` constant names listed in ``CASCADE_TIERS``."""
+    for node in _parse(model_path).body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == "CASCADE_TIERS"
+                for target in node.targets
+            )
+            and isinstance(node.value, ast.Tuple)
+        ):
+            return [
+                element.id
+                for element in node.value.elts
+                if isinstance(element, ast.Name)
+            ]
+    raise SystemExit(f"tier_lint: no CASCADE_TIERS tuple in {model_path}")
+
+
 def check_tier_parity(root: Path) -> list[str]:
     """Tier-parity violations (empty when the contract holds)."""
     operators = collect_phys_operators(root / PHYSICAL_MODULE)
     table = collect_capability_entries(root / CAPABILITIES_MODULE)
+    tiers = collect_cascade_tiers(root / MODEL_MODULE)
     violations: list[str] = []
-    for tier, module in sorted(EXECUTOR_MODULES.items()):
+    for listing, names in (
+        (f"{CAPABILITIES_MODULE}: OPERATOR_CAPABILITIES rows", set(table)),
+        ("tools/tier_lint.py: EXECUTOR_MODULES", set(EXECUTOR_MODULES)),
+    ):
+        for tier in sorted(set(tiers) ^ names):
+            where = "missing from" if tier in tiers else "not in CASCADE_TIERS but in"
+            violations.append(f"{MODEL_MODULE}: tier {tier} is {where} {listing}")
+    for tier in tiers:
+        module = EXECUTOR_MODULES.get(tier)
+        if module is None:
+            continue
         handled = collect_referenced_names(root / module)
         declared = table.get(tier, set())
         for operator in sorted(operators):
