@@ -1,8 +1,8 @@
 """Concurrent serving throughput: sustained QPS at 1 vs 8 clients, one engine.
 
 The serving model (ROADMAP item 1) is many clients sharing ONE engine: the
-HTTP layer in ``repro.serve`` runs one handler thread per connection and
-every handler calls straight into the shared ``ProteusEngine``.  This
+HTTP layer in ``repro.serve`` serves requests from a fixed pool of worker
+threads and every worker calls straight into the shared ``ProteusEngine``.  This
 benchmark measures what that buys — aggregate queries/second over a fixed
 wall-clock window with 1 client vs 8 concurrent clients, each looping a
 warm analytical query through one shared :class:`PreparedQuery` (exactly
@@ -18,6 +18,17 @@ demonstrate serving *correctness* under concurrency, not speedup::
 
     PYTHONPATH=src python benchmarks/bench_concurrent_qps.py --quick
 
+A second phase measures the HTTP front end the way dashboards use it
+(ROADMAP item 2's gate): ``--http-clients`` (64) closed-loop clients, each
+holding ONE keep-alive connection to a ``ProteusServer`` in a subprocess,
+send a parameterised query whose parameter is Zipf-distributed, so most
+requests repeat an earlier ``(shape, parameter)`` and are answered by the
+cross-client result cache.  It records aggregate QPS, p50/p99 latency, the
+result-cache hit rate and the connections used, and fails when an answer is
+wrong, a request is refused, a client needed more than one connection or the
+cache never hits; the latencies are recorded, not gated (one process
+generates the load, so below ~4 cores they mostly measure the generator).
+
 Exit status: non-zero when any client saw a wrong result or (on a gated
 machine) the 8-client scaling missed the bar; zero otherwise.
 """
@@ -25,8 +36,11 @@ machine) the 8-client scaling missed the bar; zero otherwise.
 from __future__ import annotations
 
 import argparse
+import http.client
+import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -71,7 +85,7 @@ def make_engine(path: str, *, batch_size: int):
 
     # Serial vectorized execution per query: concurrency in this benchmark
     # comes from the *clients*, exactly like the HTTP serving layer — each
-    # handler thread runs its query serially against the shared engine.
+    # worker thread runs its query serially against the shared engine.
     engine = ProteusEngine(
         enable_caching=False,
         enable_codegen=False,
@@ -133,6 +147,118 @@ def measure(prepared, reference_rows, clients: int, seconds: float):
     return (total / window if window else 0.0), total, failures
 
 
+HTTP_QUERY = "SELECT COUNT(*) AS n, SUM(price) AS total FROM lineitem WHERE qty < ?"
+#: Distinct parameter values of the HTTP phase, drawn Zipf(1.1).
+HTTP_PARAMETERS = 64
+
+
+def serve(path: str) -> int:
+    """Subprocess entry (``--serve PATH``): a default engine — caching on, so
+    the result cache is on — behind a ``ProteusServer``, until stdin closes."""
+    from repro import ProteusEngine, ProteusServer
+
+    engine = ProteusEngine()
+    engine.register_binary_columns("lineitem", path)
+    with ProteusServer(engine) as server:
+        print(server.port, flush=True)
+        sys.stdin.readline()
+    return 0
+
+
+def measure_http(path: str, reference, clients: int, seconds: float) -> dict:
+    """``clients`` closed-loop keep-alive clients against a server subprocess;
+    ``reference(parameter)`` is the expected single row."""
+    import numpy as np
+
+    weights = 1.0 / np.arange(1, HTTP_PARAMETERS + 1) ** 1.1
+    weights /= weights.sum()
+    process = subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--serve", path],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    failures: list[str] = []
+    latencies: list[list[float]] = [[] for _ in range(clients)]
+    cached = [0] * clients
+    connections = [0] * clients
+    try:
+        port = int(process.stdout.readline())
+        barrier = threading.Barrier(clients + 1)
+
+        def client(index: int) -> None:
+            draws = np.random.RandomState(index).choice(
+                HTTP_PARAMETERS, size=4096, p=weights
+            ).tolist()
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            connection.connect()
+            connections[index] = 1
+            barrier.wait()
+            deadline = time.monotonic() + seconds
+            step = 0
+            try:
+                while time.monotonic() < deadline:
+                    parameter = draws[step % len(draws)]
+                    step += 1
+                    body = json.dumps({"query": HTTP_QUERY, "args": [parameter]})
+                    started = time.perf_counter()
+                    if connection.sock is None:
+                        connections[index] += 1
+                    connection.request("POST", "/v1/query", body.encode())
+                    response = connection.getresponse()
+                    payload = json.loads(response.read())
+                    latencies[index].append(time.perf_counter() - started)
+                    if response.status != 200:
+                        failures.append(f"client {index}: HTTP {response.status}")
+                        return
+                    row = (payload["data"]["n"][0], payload["data"]["total"][0])
+                    if not rows_match([row], [reference(parameter)]):
+                        failures.append(f"client {index} saw wrong rows for {parameter}")
+                        return
+                    cached[index] += bool(payload.get("cached"))
+            except (OSError, http.client.HTTPException) as exc:
+                failures.append(f"client {index}: {type(exc).__name__}: {exc}")
+            finally:
+                connection.close()
+
+        threads = [
+            threading.Thread(target=client, args=(i,), name=f"qps-http-{i}")
+            for i in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        barrier.wait()
+        started = time.monotonic()
+        for thread in threads:
+            thread.join()
+        window = time.monotonic() - started
+    finally:
+        process.stdin.close()
+        process.wait(timeout=60)
+        process.stdout.close()
+    merged = sorted(latency for per_client in latencies for latency in per_client)
+    requests = len(merged)
+    hit_rate = sum(cached) / requests if requests else 0.0
+    if not failures and max(connections) > 1:
+        failures.append(
+            f"a keep-alive client needed {max(connections)} connections"
+        )
+    if not failures and hit_rate <= 0.5:
+        failures.append(f"result-cache hit rate {hit_rate:.2f} — the cache is not serving")
+
+    def percentile_ms(q: float) -> float:
+        return merged[min(int(len(merged) * q), len(merged) - 1)] * 1000.0 if merged else 0.0
+
+    return {
+        "clients": clients,
+        "requests": requests,
+        "aggregate_qps": requests / window if window else 0.0,
+        "p50_ms": percentile_ms(0.50),
+        "p99_ms": percentile_ms(0.99),
+        "result_cache_hit_rate": hit_rate,
+        "connections": sum(connections),
+        "failures": failures,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=400_000,
@@ -151,9 +277,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: 150k rows, 1s windows, relaxed "
                              "scaling bar")
+    parser.add_argument("--http-clients", type=int, default=64,
+                        help="keep-alive HTTP clients of the serving phase "
+                             "(default 64; 0 skips the phase)")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write a perf-trajectory JSON record to PATH")
+    parser.add_argument("--serve", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.serve:
+        return serve(args.serve)
     if args.quick:
         args.rows = min(args.rows, 150_000)
         args.seconds = min(args.seconds, 1.0)
@@ -210,9 +342,24 @@ def main(argv: list[str] | None = None) -> int:
                 f"{achieved:.2f}x aggregate QPS at {top_clients} clients is "
                 f"below the required {min_scaling:.1f}x"
             )
-        if args.json_path:
-            import json
+        served = None
+        if args.http_clients > 0:
+            references: dict[int, tuple] = {}
 
+            def reference_row(parameter: int) -> tuple:
+                if parameter not in references:
+                    references[parameter] = engine.query(HTTP_QUERY, parameter).rows[0]
+                return references[parameter]
+
+            served = measure_http(path, reference_row, args.http_clients, args.seconds)
+            failures.extend(served["failures"])
+            print(f"\nHTTP keep-alive, {served['clients']} clients: "
+                  f"{served['aggregate_qps']:.0f} qps, "
+                  f"p50 {served['p50_ms']:.2f} ms, p99 {served['p99_ms']:.2f} ms, "
+                  f"result-cache hit rate {served['result_cache_hit_rate']:.3f}, "
+                  f"{served['connections']} connections for "
+                  f"{served['requests']} requests")
+        if args.json_path:
             record = {
                 "name": "bench_concurrent_qps",
                 "rows": args.rows,
@@ -228,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
                 },
                 "scaling_at_top_clients": achieved,
                 "scaling_gate": min_scaling if gated else None,
+                "http_keep_alive": served,
                 "ok": not failures,
                 "failures": failures,
             }

@@ -402,11 +402,14 @@ def main() -> None:
           f"(also counted in proteus_io_retries_total)")
 
     print("\n== Serving: the engine as a concurrent HTTP query service ==")
-    # ProteusServer mounts ONE shared engine behind a threaded JSON-over-HTTP
-    # API (stdlib only).  POST /v1/query takes {query, args, params,
-    # timeout_ms, query_id} and returns columns + data + tier + profile;
-    # query texts go through the engine's per-text prepared cache, so every
-    # client sending the same text shares one plan.  Coded engine errors map
+    # ProteusServer mounts ONE shared engine behind an HTTP/1.1 keep-alive
+    # JSON API (stdlib only; idle connections cost a socket, not a thread).
+    # POST /v1/query takes {query, args, params, timeout_ms, query_id} and
+    # returns columns + data + tier + profile; query texts go through the
+    # engine's per-text prepared cache, so every client sending the same
+    # text shares one plan, and on a caching engine a repeated (shape,
+    # parameters) is answered from the result cache ("cached": true) until
+    # the catalog changes.  Coded engine errors map
     # onto HTTP statuses (RES003->429, RES001->408, RES002->499, TYP->400 —
     # table in repro/errors.py), DELETE /v1/query/<id> cancels an in-flight
     # query from another connection, and GET /metrics serves the Prometheus
@@ -423,8 +426,8 @@ def main() -> None:
             return json.loads(response.read())
 
     with ProteusServer(shared) as server:   # the engine threads shared above
-        print(f"  listening on {server.url} (ephemeral port, handler "
-              f"thread per connection)")
+        print(f"  listening on {server.url} (ephemeral port, "
+              f"{server.pool_size} worker threads)")
         bodies = run_concurrently(
             lambda i: http_json(
                 server.url + "/v1/query",
@@ -444,7 +447,7 @@ def main() -> None:
             )
         print(f"  /metrics ({content_type}):")
         print(f"    {http_hits}")
-    print("  server stopped; no handler or worker threads survive stop()")
+    print("  server stopped; no server or worker threads survive stop()")
 
 
 if __name__ == "__main__":

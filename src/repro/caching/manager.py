@@ -170,13 +170,15 @@ class CacheManager:
             self._evict_locked(victim.key)
 
     def _pick_victim(self, incoming_bias: float) -> CacheEntry | None:
-        candidates = list(self._entries.values())
-        if not candidates:
-            return None
-        # Format-biased LRU: score = bias * recency rank; lowest score goes.
-        ordered = sorted(candidates, key=lambda e: (e.bias, e.last_used))
-        victim = ordered[0]
-        return victim
+        # Format-biased LRU: the cheapest-to-rebuild format goes first, the
+        # least recently used entry within it.  One pass — with thousands of
+        # small result entries a sort per eviction, under the lock, is the
+        # cost of the store.
+        return min(
+            self._entries.values(),
+            key=lambda e: (e.bias, e.last_used),
+            default=None,
+        )
 
     # -- eviction / invalidation ----------------------------------------------------
 
@@ -188,7 +190,7 @@ class CacheManager:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
-        self.arena.unregister(_arena_name(key))
+        self.arena.unregister(_arena_name(entry.key))
         self.stats.evictions += 1
 
     def invalidate_dataset(self, dataset: str) -> int:

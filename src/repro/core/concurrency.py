@@ -391,16 +391,22 @@ SHARED_CLASSES: dict[str, str] = {
     ),
     "StatementRegistry": (
         "server-side prepared-statement handles are created/resolved/closed "
-        "by concurrent HTTP handler threads"
+        "by concurrent HTTP worker threads"
     ),
     "ActiveQueryRegistry": (
-        "cancellation tokens are registered by the executing handler thread "
+        "cancellation tokens are registered by the executing worker thread "
         "and tripped by a different thread serving DELETE /v1/query/<id>"
     ),
     "ProteusServer": (
-        "owns the accept-loop thread (proteus-http-serve) and is started/"
-        "stopped from the owning application thread while handler threads "
-        "read its engine and registries"
+        "owns the event-loop thread (proteus-http-serve-<port>) and the "
+        "worker pool (proteus-http-<n>); started/stopped from the owning "
+        "application thread while the workers read its engine and registries "
+        "and open/close connections"
+    ),
+    "Connection": (
+        "a client socket and its receive buffer travel loop -> worker -> loop "
+        "through the server's SimpleQueues; exactly one thread owns a "
+        "Connection at any time"
     ),
 }
 
@@ -465,11 +471,13 @@ GUARDED_BY: dict[str, str] = {
     "FaultInjector._calls": "_lock",
     "FaultInjector._fired": "_lock",
     "FaultInjector._injected": "_lock",
-    # HTTP serving layer (handles + cancellation shared across handler threads)
+    # HTTP serving layer (handles + cancellation shared across worker threads)
     "StatementRegistry._statements": "_lock",
     "StatementRegistry._counter": "_lock",
     "ActiveQueryRegistry._tokens": "_lock",
-    "ProteusServer._thread": "_lock",
+    "ProteusServer._threads": "_lock",
+    "ProteusServer._stopping": "_lock",
+    "ProteusServer._connections": "_lock",
     # this module's own graph
     "LockOrderGraph._edges": "_lock",
     "LockOrderGraph._cycles": "_lock",
@@ -481,6 +489,11 @@ THREAD_LOCAL: dict[str, str] = {
     "DebugLock.name": (
         "assigned in __init__ only; listed because the held-stack bookkeeping "
         "reads it from the owning thread's local stack"
+    ),
+    "Connection._buffer": (
+        "filled and consumed only by the thread that currently owns the "
+        "connection (hand-over happens through a SimpleQueue, which orders "
+        "the accesses)"
     ),
 }
 

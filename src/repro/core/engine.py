@@ -67,6 +67,7 @@ inputs transparently run inline where they are faster anyway.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -144,6 +145,17 @@ from repro.storage.memory import MemoryManager
 #: Parameter-value environment: positional keys are 0-based ints, named keys
 #: are strings.
 ParamValues = Mapping[int | str, object]
+
+#: Query texts each of the engine's two text-keyed caches (parsed
+#: comprehensions, prepared queries) keeps, least recently used evicted
+#: first: clients that inline literals send an unbounded stream of distinct
+#: texts and must not grow a server forever.
+SHAPE_CACHE_CAPACITY = 1024
+
+#: Parameter value types that may take part in a result-cache key: the JSON
+#: scalars.  The type is part of the key (``1``, ``1.0`` and ``True`` hash
+#: alike but do not bind alike).
+_KEYABLE_TYPES = (type(None), bool, int, float, str)
 
 
 class ResultSet:
@@ -398,6 +410,32 @@ class PreparedQuery:
             hints=schema.hints,
         )
 
+    def result_key(
+        self, args: Sequence[object], named: Mapping[str, object]
+    ) -> tuple | None:
+        """The key under which a cross-client result cache may keep the
+        answer to ``execute(*args, **named)``:
+        ``("result", plan fingerprint, bound values, catalog epoch)``.
+
+        Two prepared queries of one shape — the same text through
+        ``engine.query()`` and through ``prepare()`` — share keys; a catalog
+        change moves the epoch, which makes every older key unreachable.
+        ``None`` when a bound value is not a hashable scalar (or is NaN,
+        which never equals itself): such executions are not cacheable.
+        Binding errors raise exactly as :meth:`execute` would."""
+        params = self._bind(tuple(args), named)
+        for value in params.values():
+            if type(value) not in _KEYABLE_TYPES or value != value:
+                return None
+        self._current_plan(params)
+        epoch, plan, _ = self._state
+        if plan is None:  # pragma: no cover - _current_plan always plans
+            return None
+        bound = frozenset(
+            (key, type(value), value) for key, value in params.items()
+        )
+        return ("result", plan.fingerprint(), bound, epoch)
+
     def execute(
         self, *args, timeout: float | None = None, cancel=None, **named
     ) -> ResultSet:
@@ -550,7 +588,7 @@ class ProteusEngine:
         #: pattern, checked by ``tools/concurrency_lint.py``.
         self._lock = make_lock("ProteusEngine._lock")
         self._compiled: dict[tuple, Any] = {}
-        self._parsed: dict[str, Comprehension] = {}
+        self._parsed: OrderedDict[str, Comprehension] = OrderedDict()
         #: Static-analysis cache keyed by plan fingerprint; entries are
         #: invalidated with the catalog epoch (schemas may change).
         self._analyses: dict[tuple, SchemaAnalysis] = {}
@@ -560,7 +598,9 @@ class ProteusEngine:
         #: Prepared-query cache backing the ``query()`` sugar (keyed by the
         #: stripped query text); outstanding entries survive catalog changes
         #: because every execution re-validates against ``_catalog_epoch``.
-        self._prepared_cache: dict[str, PreparedQuery] = {}
+        #: Like ``_parsed`` an LRU of ``SHAPE_CACHE_CAPACITY`` texts; an
+        #: evicted PreparedQuery stays valid for whoever still holds it.
+        self._prepared_cache: OrderedDict[str, PreparedQuery] = OrderedDict()
         #: Monotonic counter bumped on every catalog mutation (register,
         #: re-register, unregister, analyze).  PreparedQuery executions
         #: compare against it and transparently re-prepare on mismatch.
@@ -1011,15 +1051,34 @@ class ProteusEngine:
         if isinstance(text, Comprehension):
             return self.prepare(text)
         key = text.strip()
-        prepared = self._prepared_cache.get(key)
+        prepared = self._lru_lookup(self._prepared_cache, key)
         if prepared is None:
             # Prepare outside the lock (parse + plan are the expensive part);
             # concurrent first callers race to prepare, one publication wins
             # and every thread shares the winner.
-            prepared = self.prepare(text)
-            with self._lock:
-                prepared = self._prepared_cache.setdefault(key, prepared)
+            prepared = self._lru_publish(
+                self._prepared_cache, key, self.prepare(text)
+            )
         return prepared
+
+    def _lru_lookup(self, cache: OrderedDict, key: str):
+        """``cache[key]`` marked most recently used, or ``None``."""
+        with self._lock:
+            value = cache.get(key)
+            if value is not None:
+                cache.move_to_end(key)
+        return value
+
+    def _lru_publish(self, cache: OrderedDict, key: str, value):
+        """Double-checked publish into a text-keyed LRU: the first value
+        published under ``key`` wins and is returned; texts beyond
+        ``SHAPE_CACHE_CAPACITY`` drop off the cold end."""
+        with self._lock:
+            value = cache.setdefault(key, value)
+            cache.move_to_end(key)
+            while len(cache) > SHAPE_CACHE_CAPACITY:
+                cache.popitem(last=False)
+        return value
 
     def _to_comprehension(self, text: str | Comprehension) -> Comprehension:
         started = time.perf_counter()
@@ -1033,7 +1092,7 @@ class ProteusEngine:
             comprehension = text
         else:
             stripped = text.strip()
-            cached = self._parsed.get(stripped)
+            cached = self._lru_lookup(self._parsed, stripped)
             if cached is not None:
                 return cached
             if stripped.lower().startswith("select"):
@@ -1045,9 +1104,7 @@ class ProteusEngine:
                     "queries must start with SELECT (SQL) or FOR (comprehension syntax)"
                 )
             bound = normalize(bind_comprehension(comprehension, self.catalog.element_types()))
-            with self._lock:
-                bound = self._parsed.setdefault(stripped, bound)
-            return bound
+            return self._lru_publish(self._parsed, stripped, bound)
         return normalize(bind_comprehension(comprehension, self.catalog.element_types()))
 
     def _plan_logical(

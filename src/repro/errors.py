@@ -196,7 +196,15 @@ class CorruptDataError(ResilienceError):
 # (other)   400     parse/plan/schema rejections of the request itself
 #           404     unknown dataset (CatalogError)
 #           500     any other engine failure
+# SRV001    400     malformed request (framing, bad JSON, mistyped field)
+# SRV002    404     unknown endpoint or resource (path, query_id)
+# SRV003    404     unknown statement handle
+# SRV004    409     duplicate ``query_id`` still executing
+# SRV005    413     declared request body exceeds the server's limit
 # ========  ======  ====================================================
+#
+# The ``SRV00x`` rows are protocol-level failures that never reach the
+# engine; ``repro.serve.mapping`` describes them.
 
 #: Machine-readable error code -> HTTP status (exact-code entries).
 HTTP_STATUS_BY_CODE: dict[str, int] = {
@@ -206,6 +214,11 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     "RES004": 503,
     "RES005": 503,
     "RES006": 500,
+    "SRV001": 400,
+    "SRV002": 404,
+    "SRV003": 404,
+    "SRV004": 409,
+    "SRV005": 413,
 }
 
 #: Statuses for coded families and uncoded error classes (see table above).

@@ -11,14 +11,26 @@ SRV001    400     malformed request (bad JSON, missing/mistyped field)
 SRV002    404     unknown endpoint or resource (path, query_id)
 SRV003    404     unknown statement handle
 SRV004    409     duplicate ``query_id`` still executing
+SRV005    413     declared request body exceeds the server's limit
 ========  ======  ==================================================
+
+``SRV001`` also covers requests that cannot be framed on a persistent
+connection (malformed request line, missing or non-numeric
+``Content-Length`` on a ``POST``, chunked bodies); those, and ``SRV005``,
+are answered with ``Connection: close``.  The statuses live in
+:data:`repro.errors.HTTP_STATUS_BY_CODE` with the engine codes.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import error_code, http_status_for
+from repro.errors import (
+    HTTP_STATUS_BY_CODE,
+    HTTP_STATUS_DEFAULT,
+    error_code,
+    http_status_for,
+)
 from repro.serve.protocol import profile_summary
 
 
@@ -45,8 +57,8 @@ def engine_error_response(exc: BaseException) -> tuple[int, dict]:
     return http_status_for(exc), body
 
 
-def protocol_error_response(
-    status: int, code: str, message: str
-) -> tuple[int, dict]:
-    """(status, JSON body) for a protocol-level (SRV) failure."""
+def protocol_error_response(code: str, message: str) -> tuple[int, dict]:
+    """(status, JSON body) for a protocol-level (``SRV``) failure; a code
+    outside the table (``"internal"``) is a 500."""
+    status = HTTP_STATUS_BY_CODE.get(code, HTTP_STATUS_DEFAULT)
     return status, {"error": {"code": code, "message": message}}

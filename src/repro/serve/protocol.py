@@ -25,9 +25,20 @@ Results are **columnar**, mirroring :class:`~repro.core.engine.ResultSet`:
 ``columns`` is the output order, ``data`` maps each column name to its value
 list (missing values as ``null``), and ``tier`` (``codegen`` /
 ``vectorized`` / ``volcano``) / ``profile`` carry the execution metadata the
-engine already tracks — the server adds nothing.  Whether the vectorized
-tier fanned out over morsels reads off ``profile.parallel_workers`` (0 when
-it ran inline).
+engine already tracks.  Whether the vectorized tier fanned out over morsels
+reads off ``profile.parallel_workers`` (0 when it ran inline).
+
+A 200 body is encoded in two parts so the serving layer's result cache can
+keep the expensive one: :func:`encode_result_head` renders everything that
+depends only on the rows and the execution that produced them (``columns``,
+``data``, ``row_count``, ``tier``, ``profile``), and
+:func:`finish_result_body` appends what belongs to *this* request —
+``execution_seconds`` and, when the head was replayed from the cache instead
+of executed, ``"cached": true``.
+
+The transport is HTTP/1.1 with persistent connections
+(:mod:`repro.serve.http11`): clients should reuse one connection for many
+requests; ``Connection: close`` and HTTP/1.0 requests are answered and closed.
 
 Malformed requests raise :class:`BadRequestError` (surfaced as HTTP 400 with
 protocol code ``SRV001``); the server never guesses at intent.
@@ -35,6 +46,7 @@ protocol code ``SRV001``); the server never guesses at intent.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -74,11 +86,15 @@ class QueryRequest:
     query_id: str | None
 
 
-def parse_body(raw: Any) -> dict:
-    """Require a JSON object at the top level."""
-    if not isinstance(raw, dict):
+def parse_body(raw: bytes) -> dict:
+    """Decode a request body; requires a JSON object at the top level."""
+    try:
+        decoded = json.loads(raw.decode("utf-8") or "null")
+    except (ValueError, UnicodeDecodeError):
+        raise BadRequestError("request body is not valid JSON") from None
+    if not isinstance(decoded, dict):
         raise BadRequestError("request body must be a JSON object")
-    return raw
+    return decoded
 
 
 def parse_query_request(body: Mapping[str, Any], *, require: str) -> QueryRequest:
@@ -121,19 +137,31 @@ def _parse_timeout_ms(value: Any) -> float | None:
     return float(value) / 1000.0
 
 
-def encode_result(result: ResultSet) -> dict:
-    """Columnar JSON encoding of a :class:`ResultSet` (+ tier/profile)."""
+def encode_json(payload: Any) -> bytes:
+    """A JSON body as wire bytes (NumPy scalars unboxed)."""
+    return json.dumps(payload, default=json_default).encode("utf-8")
+
+
+def encode_result_head(result: ResultSet) -> bytes:
+    """The replayable part of a 200 body: the columnar encoding of a
+    :class:`ResultSet` (+ tier/profile) as an *unclosed* JSON object, to be
+    completed by :func:`finish_result_body`."""
     payload: dict[str, Any] = {
         "columns": list(result.columns),
         "data": {name: result.column(name) for name in result.columns},
         "row_count": len(result),
         "tier": result.tier,
-        "execution_seconds": result.execution_seconds,
     }
     profile = result.profile
     if profile is not None:
         payload["profile"] = profile_summary(profile)
-    return payload
+    return encode_json(payload)[:-1]
+
+
+def finish_result_body(head: bytes, execution_seconds: float, cached: bool) -> bytes:
+    """Close a result head with this request's own fields."""
+    tail = b', "cached": true}' if cached else b"}"
+    return b'%s, "execution_seconds": %r%s' % (head, float(execution_seconds), tail)
 
 
 def profile_summary(profile: Any) -> dict:

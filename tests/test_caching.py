@@ -189,3 +189,38 @@ def test_caching_disabled_engine_has_no_entries(paths):
     engine.query("SELECT COUNT(*) FROM items_json WHERE qty < 5")
     assert engine.cache_entries() == []
     assert engine.cache_stats is None
+
+
+def test_victim_is_the_first_of_the_bias_then_recency_order():
+    """The single-pass victim pick evicts exactly what sorting every entry by
+    (bias, last_used) would: same victims, same order, ties included."""
+    rng = np.random.RandomState(7)
+    formats = ["json", "csv", "binary_column"]
+    array = np.arange(8, dtype=np.int64)  # 64 bytes
+    manager = CacheManager(CacheArena(64 * 12))
+    reference: dict[tuple, tuple[float, int]] = {}
+    evicted_expected: list[tuple] = []
+    evicted_seen: list[tuple] = []
+    evict = manager._evict_locked
+
+    def recording_evict(key):
+        evicted_seen.append(key)
+        evict(key)
+
+    manager._evict_locked = recording_evict
+    for step in range(200):
+        key = field_cache_key(f"d{step}", ("x",))
+        source_format = formats[rng.randint(len(formats))]
+        for live in rng.choice(len(reference), size=min(3, len(reference)), replace=False):
+            touched = list(reference)[live]
+            assert manager.lookup(touched) is not None
+            reference[touched] = (reference[touched][0], manager._clock)
+        if len(reference) == 12:
+            victim = sorted(reference, key=lambda k: reference[k])[0]
+            evicted_expected.append(victim)
+            del reference[victim]
+        manager.store(key, array, kind="field", dataset=f"d{step}",
+                      source_format=source_format)
+        reference[key] = (manager.policy.format_bias(source_format), manager._clock)
+    assert evicted_seen == evicted_expected
+    assert manager.stats.evictions == len(evicted_expected) == 188

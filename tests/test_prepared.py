@@ -390,3 +390,33 @@ def test_explain_reports_planned_fanout(paths):
     # Raw files without collected statistics: decided when the scan opens.
     text = engine.explain("SELECT COUNT(*) FROM items_csv WHERE qty < 5")
     assert "items_csv (csv): decided when the scan opens" in text
+
+
+# -- bounded text-keyed caches --------------------------------------------------
+
+
+def test_text_keyed_caches_are_bounded_lrus(engine, monkeypatch):
+    """Clients that inline literals send an endless stream of distinct texts:
+    the prepared and parsed caches stay at capacity, texts in use stay hot,
+    and an evicted PreparedQuery keeps working for whoever holds it."""
+    from repro.core import engine as engine_module
+
+    capacity = 8
+    monkeypatch.setattr(engine_module, "SHAPE_CACHE_CAPACITY", capacity)
+    hot = "select count(*) from items_csv where qty < 5"
+    hot_prepared = engine._prepare_cached(hot)
+    first_cold = engine._prepare_cached("select count(*) from items_csv where qty < 100")
+    for literal in range(5 * capacity):
+        text = f"select count(*) from items_csv where id < {literal}"
+        assert engine.query(text).scalar() == min(literal, ITEM_COUNT)
+        # A dashboard keeps asking the hot text between the one-off ones.
+        assert engine._prepare_cached(hot) is hot_prepared
+        assert len(engine._prepared_cache) <= capacity
+        assert len(engine._parsed) <= capacity
+    assert len(engine._prepared_cache) == len(engine._parsed) == capacity
+    # (The hot text's parse is only consulted on a re-prepare, so it ages out
+    # of ``_parsed`` like any text nobody parses again.)
+    assert hot in engine._prepared_cache
+    # Evicted long ago, still a valid statement for its holder.
+    assert first_cold._source not in engine._prepared_cache
+    assert first_cold.execute().scalar() == ITEM_COUNT

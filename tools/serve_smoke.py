@@ -10,14 +10,18 @@ framework, no white-box access:
    surfaces as 499 with ``RES002`` in the body,
 3. ``GET /metrics`` returns 200 with the exact Prometheus v0.0.4 content
    type, a single trailing newline and the serving counters present,
-4. after ``stop()``, no ``proteus-worker-*`` / ``proteus-http-*`` thread
-   survives.
+4. two queries over ONE keep-alive connection to a caching engine: both
+   answer 200 on the same socket and the second is served by the result
+   cache (``"cached": true``); the connection is left open, parked,
+5. after ``stop()`` — with that parked connection still open — no
+   ``proteus-worker-*`` / ``proteus-http-*`` thread survives.
 
 Any deviation exits non-zero, printing what failed.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import tempfile
@@ -157,7 +161,54 @@ def main() -> int:
     finally:
         server.stop()
 
-    # 4. Leak check: nothing the server or the engine spawned survives.
+    # 4. Keep-alive + result cache, against an engine with caching on (the
+    # engine above runs uncached so the cancel step always finds a raw scan).
+    cached_engine = ProteusEngine()
+    cached_engine.register_csv("items", csv_path)
+    cached_server = ProteusServer(cached_engine).start()
+    connection = http.client.HTTPConnection(
+        cached_server.host, cached_server.port, timeout=30
+    )
+    try:
+        answers = []
+        for _ in range(2):
+            connection.request(
+                "POST",
+                "/v1/query",
+                json.dumps(
+                    {"query": "select count(*) as n from items where qty < ?",
+                     "args": [3]}
+                ),
+                {"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            answers.append((response.status, json.loads(response.read())))
+            check(
+                connection.sock is not None and not response.will_close,
+                "connection kept alive after the response",
+            )
+        check(
+            [status for status, _ in answers] == [200, 200],
+            f"two queries over one connection -> {[s for s, _ in answers]}",
+        )
+        check(
+            answers[0][1].get("data") == answers[1][1].get("data") == {"n": [104]},
+            f"keep-alive rows: {answers[1][1].get('data')}",
+        )
+        check(
+            "cached" not in answers[0][1] and answers[1][1].get("cached") is True,
+            "second query answered by the result cache",
+        )
+        check(
+            cached_server.open_connections() == 1,
+            f"one open connection for both ({cached_server.open_connections()})",
+        )
+    finally:
+        # The connection is still open (parked) here, on purpose.
+        cached_server.stop()
+        connection.close()
+
+    # 5. Leak check: nothing the servers or the engines spawned survives.
     deadline = time.monotonic() + 5.0
     prefixes = ("proteus-worker", "proteus-http")
     while time.monotonic() < deadline:
