@@ -168,11 +168,14 @@ def main(argv: list[str] | None = None) -> int:
         print("end-to-end (query time, one run):")
         reference_full = None
         reference_topk = None
+        # A morsel is one batch: 4096-row batches make the input span far
+        # more morsels than a linear (sorting) root needs to fan out.
+        fanned = {"enable_codegen": False, "vectorized_batch_size": 4096}
         configurations = [
             ("codegen", {}),
             ("vectorized", {"enable_codegen": False}),
-            ("vectorized w2", {"enable_codegen": False, "parallel_workers": 2}),
-            ("vectorized w8", {"enable_codegen": False, "parallel_workers": 8}),
+            ("vectorized w2", {**fanned, "parallel_workers": 2}),
+            ("vectorized w8", {**fanned, "parallel_workers": 8}),
         ]
         for label, config in configurations:
             engine = make_engine(path, **config)
@@ -188,6 +191,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"[{result_full.profile.sort_strategy}]   "
                   f"top-{TOPK_LIMIT} {topk_seconds * 1e3:7.1f} ms "
                   f"[{result_topk.profile.sort_strategy}]")
+            if ("parallel_workers" in config) != bool(
+                result_full.profile.morsels_dispatched
+                and result_topk.profile.morsels_dispatched
+            ):
+                failures.append(f"{label}: unexpected fan-out decision")
             # Bit-identical output across tiers and worker counts: compare
             # the backing buffers, not boxed rows.
             if reference_full is None:

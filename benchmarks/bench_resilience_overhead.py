@@ -1,9 +1,9 @@
 """Resilience overhead benchmark: deadline checks must be ~free.
 
 The resilience subsystem puts a cooperative check on every tier's hot path —
-per batch in the vectorized pipeline, per morsel in the parallel scheduler,
-every ``volcano_check_stride`` tuples in the interpreter, per rebound kernel
-call under codegen.  The design promise is that a *configured* deadline costs
+per batch in the batch pipeline (both NumPy labels), per morsel in the
+parallel scheduler, every ``volcano_check_stride`` tuples in the
+interpreter.  The design promise is that a *configured* deadline costs
 noise-level overhead (the check is a token test plus one ``time.monotonic()``
 per batch) and an *unconfigured* engine pays even less (two attribute loads).
 
@@ -13,10 +13,11 @@ the clock — and gates the ratio:
 
 * deadline-checked / bare  < 1.03   (noise-level overhead)
 
-The workload runs the vectorized tier with the default 4096-row batches so
-the per-batch ``note_batch`` hook fires hundreds of times per execution,
-matching how a realistic scan exercises it.  A sanity probe asserts the
-checks are real: the same engine with ``timeout=0`` must abort with RES001.
+The workload runs the one batch pipeline as a default engine runs it: under
+the codegen label (the per-batch ``note_batch`` check is the only deadline
+hook either label has) at the default batch size.  A sanity probe asserts
+the checks are real: the same engine with ``timeout=0`` must abort with
+RES001.
 
 Standalone script (like ``bench_obs_overhead.py``) so CI can smoke it::
 
@@ -59,11 +60,9 @@ def build_dataset(directory: str, rows: int) -> str:
 def make_engine(path: str, **kwargs):
     from repro import ProteusEngine
 
-    # The vectorized tier exercises the per-batch deadline hook; caching is
-    # off so every execution re-scans (the path carrying the checks).
-    engine = ProteusEngine(
-        enable_caching=False, enable_codegen=False, parallel_workers=1, **kwargs
-    )
+    # Caching is off so every execution re-scans (the path carrying the
+    # per-batch checks).
+    engine = ProteusEngine(enable_caching=False, parallel_workers=1, **kwargs)
     engine.register_binary_columns("events", path)
     return engine
 
@@ -143,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         [c / b for c, b in zip(samples["deadline"], samples["bare"])]
     )
 
-    batches = args.rows // 4096 + 1
+    batches = -(-args.rows // bare.vectorized_batch_size)
     print(f"resilience overhead over {args.rows:,} rows "
           f"(~{batches} deadline checks/execution, median ratio over "
           f"{args.repeats} paired rounds)")

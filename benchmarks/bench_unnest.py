@@ -182,11 +182,14 @@ def main(argv: list[str] | None = None) -> int:
             "outer": "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)",
             "inner-agg": "for { o <- orders, l <- o.lines, l.qty > 1 } yield sum (l.qty)",
         }
+        # A morsel is one batch: 1024-parent batches make the input span far
+        # more morsels than a linear (collecting) root needs to fan out.
+        fanned = {"enable_codegen": False, "vectorized_batch_size": 1024}
         configurations = [
             ("volcano", {"enable_codegen": False, "enable_vectorized": False}),
             ("vectorized", {"enable_codegen": False}),
-            ("vectorized w2", {"enable_codegen": False, "parallel_workers": 2}),
-            ("vectorized w8", {"enable_codegen": False, "parallel_workers": 8}),
+            ("vectorized w2", {**fanned, "parallel_workers": 2}),
+            ("vectorized w8", {**fanned, "parallel_workers": 8}),
         ]
         record["queries"] = {}
         print("end-to-end (best-of query time):")
@@ -205,6 +208,10 @@ def main(argv: list[str] | None = None) -> int:
                     failures.append(
                         f"{name}: {label} ran on tier {result.tier!r}"
                     )
+                if ("parallel_workers" in config) != bool(
+                    result.profile.morsels_dispatched
+                ):
+                    failures.append(f"{name}: {label}: unexpected fan-out decision")
                 entry[label] = {
                     "seconds": seconds,
                     "tier": result.tier,

@@ -38,13 +38,15 @@ def field_cache_key(dataset: str, path: FieldPath) -> tuple:
 
 
 def unnest_cache_key(dataset: str, collection_path: FieldPath,
-                     element_paths: Sequence[FieldPath]) -> tuple:
-    """Cache key of the flattened output of an Unnest over a raw dataset."""
+                     element_paths: Sequence[FieldPath], outer: bool = False) -> tuple:
+    """Cache key of the flattened output of an Unnest over a raw dataset
+    (an outer unnest's null child rows make it a different flattening)."""
     return (
         "unnest",
         dataset,
         tuple(collection_path),
         tuple(tuple(path) for path in element_paths),
+        outer,
     )
 
 

@@ -1,16 +1,20 @@
 """Declarative tier-capability table and verdict computation.
 
-One table — :data:`OPERATOR_CAPABILITIES` — declares, per execution tier and
-per physical operator class, whether the tier covers the operator and under
-which conditions it declines.  :func:`tier_verdicts` folds the table, the
-root-shape rules, the expression-support rules and the engine configuration
-into one :class:`TierVerdict` per tier in cascade order; the first serving
-verdict is the tier the engine's cascade will select.
+One table — :data:`OPERATOR_CAPABILITIES` — declares, per cascade label and
+per physical operator class, whether the executor behind the label covers
+the operator and under which conditions it declines.  The ``codegen`` and
+``vectorized`` labels share one executor — the batch pipeline — and
+therefore one row: they differ only in how expressions evaluate (generated
+functions vs the per-batch interpreter), and both cover the same expression
+shapes.  :func:`tier_verdicts` folds the table, the root-shape rules, the
+expression-support rules and the engine configuration into one
+:class:`TierVerdict` per label in cascade order; the first serving verdict
+is the one the engine's cascade will select.
 
 The decline reasons deliberately reuse the executors' own wording (the
-strings ``CodegenError`` / ``VectorizationError`` carried before this module
-existed), so ``explain()`` output stays familiar; each now also carries a
-machine-readable ``TIER0xx`` code.
+strings ``VectorizationError`` carried before this module existed), so
+``explain()`` output stays familiar; each also carries a machine-readable
+``TIER0xx`` code.
 
 ``tools/tier_lint.py`` enforces the other direction of the contract: every
 ``Phys*`` operator class must either be handled by an executor module or have
@@ -54,42 +58,14 @@ from repro.core.analysis.model import (
 #: ``(diagnostic code, human-readable reason)``.
 Decline = tuple[str, str] | None
 
-#: A per-operator condition: receives the node and the set of bindings that
-#: are backed by a scan (as opposed to introduced by an unnest).
-Check = Callable[[PhysicalPlan, frozenset[str]], Decline]
-
-
-def _scan_bindings(plan: PhysicalPlan) -> frozenset[str]:
-    return frozenset(
-        node.binding for node in plan.walk() if isinstance(node, PhysScan)
-    )
+#: A per-operator condition over one plan node.
+Check = Callable[[PhysicalPlan], Decline]
 
 
 # -- per-operator conditions --------------------------------------------------
 
 
-def _codegen_unnest(node: PhysicalPlan, scans: frozenset[str]) -> Decline:
-    assert isinstance(node, PhysUnnest)
-    if node.outer:
-        return (
-            TIER_PLAN_SHAPE,
-            "outer unnest is served by the batch-native unnest of the "
-            "vectorized tier",
-        )
-    if node.binding not in scans:
-        # A nested-in-nested unnest: the parent binding is itself an unnest
-        # variable, so the generator has no OID buffer to drive the plug-in's
-        # offset-vector API.  The batch tier serves it through the
-        # column-backed path.
-        return (
-            TIER_PLAN_SHAPE,
-            f"no OID buffer for binding {node.binding!r}; the vectorized "
-            "tier flattens the materialized collection column",
-        )
-    return None
-
-
-def _batch_unnest(node: PhysicalPlan, scans: frozenset[str]) -> Decline:
+def _batch_unnest(node: PhysicalPlan) -> Decline:
     assert isinstance(node, PhysUnnest)
     if node.outer and node.predicate is not None:
         return (
@@ -100,16 +76,17 @@ def _batch_unnest(node: PhysicalPlan, scans: frozenset[str]) -> Decline:
     return None
 
 
-def _no_outer_join(node: PhysicalPlan, scans: frozenset[str]) -> Decline:
+def _no_outer_join(node: PhysicalPlan) -> Decline:
     assert isinstance(node, (PhysHashJoin, PhysNestedLoopJoin))
     if node.outer:
         return (TIER_OUTER_JOIN, "outer join is served by the Volcano interpreter")
     return None
 
 
-def _nest_columns_decline(node: PhysNest, volcano_wording: bool) -> Decline:
+def _batch_nest(node: PhysicalPlan) -> Decline:
     """A ``GROUP BY`` output column must be a group key or contain an
     aggregate; anything else only the Volcano interpreter serves."""
+    assert isinstance(node, PhysNest)
     group_key_fingerprints = {
         expression.fingerprint() for expression in node.group_by
     }
@@ -117,55 +94,39 @@ def _nest_columns_decline(node: PhysNest, volcano_wording: bool) -> Decline:
         if column.expression.fingerprint() in group_key_fingerprints:
             continue
         if not contains_aggregate(column.expression):
-            suffix = "; served by the Volcano interpreter" if volcano_wording else ""
             return (
                 TIER_GROUP_COLUMN,
                 f"group-by output column {column.name!r} is neither a group "
-                f"key nor an aggregate{suffix}",
+                "key nor an aggregate; served by the Volcano interpreter",
             )
     return None
 
 
-def _codegen_nest(node: PhysicalPlan, scans: frozenset[str]) -> Decline:
-    assert isinstance(node, PhysNest)
-    return _nest_columns_decline(node, volcano_wording=False)
+#: The batch pipeline's operator coverage — the row both NumPy labels share.
+_BATCH_PIPELINE: dict[type, Check | None] = {
+    PhysScan: None,
+    PhysSelect: None,
+    PhysUnnest: _batch_unnest,
+    PhysHashJoin: _no_outer_join,
+    PhysNestedLoopJoin: _no_outer_join,
+    PhysReduce: None,
+    PhysNest: _batch_nest,
+    PhysSort: None,
+}
 
-
-def _batch_nest(node: PhysicalPlan, scans: frozenset[str]) -> Decline:
-    assert isinstance(node, PhysNest)
-    return _nest_columns_decline(node, volcano_wording=True)
-
-
-#: The capability table: tier -> operator class -> coverage condition.
+#: The capability table: cascade label -> operator class -> coverage
+#: condition of the executor behind the label.
 #:
 #: ``None`` means unconditionally covered.  Every ``Phys*`` class must appear
-#: in every tier's row — ``tools/tier_lint.py`` fails the build otherwise.
+#: in every row — ``tools/tier_lint.py`` fails the build otherwise.
 #: ``PhysSort`` is covered everywhere because a root ``ORDER BY`` / ``LIMIT``
-#: runs in the engine's columnar sort epilogue (or the tier's own top-K /
-#: merge path), never inside the tier's operator interpreter; ``PhysReduce``
-#: and ``PhysNest`` conditions apply at the plan root — the planner never
-#: nests them deeper.
+#: runs in the engine's columnar sort epilogue (or the pipeline's own top-K /
+#: merge path), never inside an operator interpreter; ``PhysReduce`` and
+#: ``PhysNest`` conditions apply at the plan root — the planner never nests
+#: them deeper.
 OPERATOR_CAPABILITIES: dict[str, dict[type, Check | None]] = {
-    TIER_CODEGEN: {
-        PhysScan: None,
-        PhysSelect: None,
-        PhysUnnest: _codegen_unnest,
-        PhysHashJoin: _no_outer_join,
-        PhysNestedLoopJoin: _no_outer_join,
-        PhysReduce: None,
-        PhysNest: _codegen_nest,
-        PhysSort: None,
-    },
-    TIER_VECTORIZED: {
-        PhysScan: None,
-        PhysSelect: None,
-        PhysUnnest: _batch_unnest,
-        PhysHashJoin: _no_outer_join,
-        PhysNestedLoopJoin: _no_outer_join,
-        PhysReduce: None,
-        PhysNest: _batch_nest,
-        PhysSort: None,
-    },
+    TIER_CODEGEN: _BATCH_PIPELINE,
+    TIER_VECTORIZED: _BATCH_PIPELINE,
     # The Volcano interpreter is the total fallback: it covers every operator
     # unconditionally (PhysSort through the engine's sort epilogue).
     TIER_VOLCANO: {
@@ -180,8 +141,6 @@ OPERATOR_CAPABILITIES: dict[str, dict[type, Check | None]] = {
     },
 }
 
-#: Tiers whose operator interpreters only accept Reduce / Nest plan roots.
-_ROOTED_TIERS = frozenset({TIER_CODEGEN, TIER_VECTORIZED})
 
 
 def plan_verdict(tier: str, plan: PhysicalPlan) -> Decline:
@@ -193,25 +152,21 @@ def plan_verdict(tier: str, plan: PhysicalPlan) -> Decline:
     """
     table = OPERATOR_CAPABILITIES[tier]
     root = unwrap_sort(plan)
-    if tier in _ROOTED_TIERS and not isinstance(root, (PhysReduce, PhysNest)):
-        if tier == TIER_CODEGEN:
-            reason = f"plan root must be Reduce or Nest, got {root.describe()}"
-        else:
-            reason = (
-                f"plan root {root.describe()} is served by the Volcano "
-                "interpreter"
-            )
-        return (TIER_PLAN_SHAPE, reason)
-    scans = _scan_bindings(plan)
+    if tier != TIER_VOLCANO and not isinstance(root, (PhysReduce, PhysNest)):
+        # The batch pipeline only accepts Reduce / Nest plan roots.
+        return (
+            TIER_PLAN_SHAPE,
+            f"plan root {root.describe()} is served by the Volcano interpreter",
+        )
     for node in plan.walk():
         check = table.get(type(node))
         if check is not None:
-            decline = check(node, scans)
+            decline = check(node)
             if decline is not None:
                 return decline
     if tier == TIER_VOLCANO:
         return None
-    # The generated operators and the batch evaluator cover the same scalar
+    # The expression generator and the batch evaluator cover the same scalar
     # expression shapes (record construction is the Volcano-only outlier).
     for node in plan.walk():
         for expression in expressions_of(node):
@@ -234,8 +189,10 @@ def tier_verdicts(
 
     A pure function of the plan and the engine's ablation flags — no catalog,
     plug-in or cache state is consulted, so the engine caches the result per
-    plan fingerprint.  (Whether the vectorized tier fans a scan out over
-    morsels is decided inside the executor, not here.)
+    plan fingerprint.  The ``codegen`` verdict is the pipeline's verdict and
+    ``enable_codegen``; ``vectorized`` is the same pipeline interpreting its
+    expressions.  (Whether the pipeline fans a scan out over morsels is
+    decided inside the executor, not here.)
     """
     enabled = {TIER_CODEGEN: enable_codegen, TIER_VECTORIZED: enable_vectorized}
     verdicts: list[TierVerdict] = []

@@ -65,7 +65,9 @@ TIER_CODEGEN = "codegen"
 TIER_VECTORIZED = "vectorized"
 TIER_VOLCANO = "volcano"
 
-#: The engine's three-tier cascade, most- to least-specialized.
+#: The engine's cascade labels, most- to least-specialized.  ``codegen`` and
+#: ``vectorized`` are one executor — the batch pipeline — running on generated
+#: vs interpreted expressions; ``volcano`` is the tuple-at-a-time interpreter.
 CASCADE_TIERS = (TIER_CODEGEN, TIER_VECTORIZED, TIER_VOLCANO)
 
 

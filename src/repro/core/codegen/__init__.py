@@ -2,6 +2,5 @@
 
 from repro.core.codegen.compiler import GeneratedQuery, compile_query
 from repro.core.codegen.generator import CodeGenerator
-from repro.core.codegen.runtime import QueryRuntime
 
-__all__ = ["CodeGenerator", "GeneratedQuery", "QueryRuntime", "compile_query"]
+__all__ = ["CodeGenerator", "GeneratedQuery", "compile_query"]

@@ -1,55 +1,78 @@
-"""Compilation of generated query programs.
+"""Compilation of generated query modules.
 
 The paper compiles the stitched-together LLVM IR of a query into machine code
 within milliseconds and calls the resulting library.  The reproduction
-compiles the generated Python source with :func:`compile` and executes it into
-a namespace containing NumPy and the constants (plug-in instances, dataset
-descriptors, cache keys) registered during generation.  Compiled queries are
-cached by plan fingerprint by the engine, mirroring query-plan caching.
+compiles the generated Python source with :func:`compile` and executes it
+into a namespace holding NumPy, the null-aware kernels and any registered
+constants.  Compiled queries are cached by plan fingerprint by the engine,
+mirroring query-plan caching.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.core.codegen.context import CodegenContext
+from repro.core.executor import radix
+from repro.core.executor.vectorized import as_bool_array, bound_parameter, materialize
+from repro.core.expressions import Expression
 from repro.errors import CodegenError
-
-FUNCTION_NAME = "__query__"
 
 
 @dataclass
 class GeneratedQuery:
-    """The specialized program generated for one query."""
+    """The fused expression functions generated for one plan."""
 
     source: str
-    function: Callable[..., dict[str, Any]]
-    constants: dict[str, Any]
+    #: Expression fingerprint -> compiled ``f(batch) -> column or scalar``.
+    functions: dict[tuple, Callable[[Any], Any]]
     compile_seconds: float
 
-    def __call__(self, runtime) -> dict[str, Any]:
-        return self.function(runtime)
+    def function_for(self, expression: Expression) -> Callable[[Any], Any]:
+        """The fused function of one plan expression (the pipeline's
+        stand-in for interpreting it per batch)."""
+        try:
+            return self.functions[expression.fingerprint()]
+        except KeyError as exc:  # pragma: no cover - indicates a generator bug
+            raise CodegenError(
+                f"no generated function evaluates {expression!r}"
+            ) from exc
+
+    def __call__(self, executor, plan) -> tuple[list[str], dict[str, Any]]:
+        """Run ``plan`` through the batch pipeline on these functions — the
+        once-per-execution entry of the ``codegen`` label."""
+        return executor.execute(plan, self)
 
 
-def compile_query(ctx: CodegenContext) -> GeneratedQuery:
-    """Compile the accumulated source of a codegen context."""
-    source = ctx.source(FUNCTION_NAME)
+def compile_query(
+    ctx: CodegenContext, function_names: Mapping[tuple, str]
+) -> GeneratedQuery:
+    """Compile the accumulated module source; ``function_names`` maps each
+    expression fingerprint to the generated function evaluating it."""
+    source = ctx.source()
     started = time.perf_counter()
     try:
         code = compile(source, "<proteus-generated-query>", "exec")
     except SyntaxError as exc:  # pragma: no cover - indicates a generator bug
         raise CodegenError(f"generated code does not compile: {exc}\n{source}") from exc
-    namespace: dict[str, Any] = {"np": np}
+    namespace: dict[str, Any] = {
+        "np": np,
+        "radix": radix,
+        "mask": as_bool_array,
+        "column": materialize,
+        "param": bound_parameter,
+    }
     namespace.update(ctx.constants)
     exec(code, namespace)
-    function = namespace[FUNCTION_NAME]
     return GeneratedQuery(
         source=source,
-        function=function,
-        constants=dict(ctx.constants),
+        functions={
+            fingerprint: namespace[name]
+            for fingerprint, name in function_names.items()
+        },
         compile_seconds=time.perf_counter() - started,
     )

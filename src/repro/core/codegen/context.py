@@ -1,10 +1,9 @@
 """Code-generation context.
 
-The context accumulates the source lines of the specialized query program and
-the table of constants (plug-in instances, dataset descriptors) the program
-references.  It is the Python analogue of the paper's LLVM IR builder: each
-operator and plug-in appends code to it during the single post-order traversal
-of the physical plan, and the result is compiled into one function.
+The context accumulates the source lines of one query's generated module and
+the table of constants the module references by name.  It is the Python
+analogue of the paper's LLVM IR builder: the generator appends one function
+per plan expression to it, and the result is compiled into one module.
 """
 
 from __future__ import annotations
@@ -19,34 +18,15 @@ class CodegenContext:
 
     lines: list[str] = field(default_factory=list)
     constants: dict[str, Any] = field(default_factory=dict)
-    indent: int = 1
     _counter: int = 0
     _constant_ids: dict[int, str] = field(default_factory=dict)
 
-    # -- source accumulation -----------------------------------------------------
-
-    def emit(self, line: str) -> None:
-        """Append one line of code at the current indentation."""
-        self.lines.append("    " * self.indent + line)
-
-    def emit_blank(self) -> None:
-        self.lines.append("")
-
-    def comment(self, text: str) -> None:
-        self.emit(f"# {text}")
-
-    def push(self) -> None:
-        self.indent += 1
-
-    def pop(self) -> None:
-        if self.indent <= 1:
-            raise ValueError("cannot dedent past the function body")
-        self.indent -= 1
-
-    # -- names --------------------------------------------------------------------
+    def emit(self, line: str = "") -> None:
+        """Append one line of module source."""
+        self.lines.append(line)
 
     def fresh(self, prefix: str) -> str:
-        """Return a fresh variable name with the given prefix."""
+        """Return a fresh identifier with the given prefix."""
         self._counter += 1
         sanitized = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in prefix)
         return f"{sanitized}_{self._counter}"
@@ -62,10 +42,6 @@ class CodegenContext:
         self._constant_ids[identity] = name
         return name
 
-    # -- assembly -------------------------------------------------------------------
-
-    def source(self, function_name: str = "__query__") -> str:
-        """Assemble the final function source."""
-        header = [f"def {function_name}(rt):"]
-        body = self.lines if self.lines else ["    pass"]
-        return "\n".join(header + body) + "\n"
+    def source(self) -> str:
+        """Assemble the module source."""
+        return "\n".join(self.lines) + "\n"

@@ -1,18 +1,22 @@
 """Expression generators (§5.2, "Expression Generation").
 
-An expression generator turns an algebraic expression into a fragment of the
-generated program.  The operators that request it are agnostic to where the
-referenced values live: the generator resolves every field reference against
-the *virtual buffer* table — the mapping from ``(binding, path)`` to the
-NumPy buffer variable the corresponding plug-in populated — and emits a
-vectorized NumPy expression over those buffers.
+An expression generator turns an algebraic expression into the body of one
+generated function over a columnar batch.  Field references become lookups
+in the batch's virtual-buffer table (``c`` — the mapping from
+``(binding, path)`` to the NumPy buffer the plug-in populated), literals are
+inlined, parameters are looked up in the execution's bound values, and every
+operator becomes a direct call of the null-aware kernel the batch
+interpreter would have dispatched to — same semantics, no tree walk.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import math
 
+from repro.core.codegen.context import CodegenContext
 from repro.core.expressions import (
+    ARITHMETIC_OPS,
+    COMPARISON_OPS,
     AggregateCall,
     BinaryOp,
     Expression,
@@ -25,73 +29,49 @@ from repro.core.expressions import (
 )
 from repro.errors import CodegenError
 
-BufferMap = Mapping[tuple[str, tuple[str, ...]], str]
 
-_COMPARISON_TRANSLATION = {
-    "=": "==",
-    "!=": "!=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-}
-
-_ARITHMETIC = ("+", "-", "*", "/", "%")
-
-
-def generate_expression(expression: Expression, buffers: BufferMap) -> str:
-    """Return a Python/NumPy source expression evaluating ``expression`` over
-    the virtual buffers."""
+def generate_expression(expression: Expression, ctx: CodegenContext) -> str:
+    """Return Python/NumPy source evaluating ``expression`` inside a
+    generated ``def f(batch)`` whose prologue bound ``c = batch.columns``."""
     if isinstance(expression, Literal):
-        return repr(expression.value)
+        return _literal_source(expression.value, ctx)
     if isinstance(expression, Parameter):
-        # Parameters stay runtime lookups instead of inlined constants, so
-        # one compiled program serves every parameter binding (the plan
+        # Parameters stay lookups instead of inlined constants, so one
+        # compiled module serves every parameter binding (the plan
         # fingerprint abstracts the value the same way).
-        return f"rt.param({expression.key!r})"
+        return f"param(batch.params, {expression.key!r})"
     if isinstance(expression, FieldRef):
-        key = (expression.binding, tuple(expression.path))
-        variable = buffers.get(key)
-        if variable is None:
-            raise CodegenError(
-                f"no buffer holds {expression!r}; available buffers: "
-                f"{sorted(buffers)}"
-            )
-        return variable
+        return f"c[{(expression.binding, tuple(expression.path))!r}]"
     if isinstance(expression, BinaryOp):
-        left = generate_expression(expression.left, buffers)
-        right = generate_expression(expression.right, buffers)
-        if expression.op in _ARITHMETIC:
-            # Null-aware helper: None operands (e.g. all-missing group
-            # extrema) propagate instead of raising; numeric buffers take the
-            # plain NumPy operator inside.
-            return f"rt.arith({expression.op!r}, {left}, {right})"
-        if expression.op in _COMPARISON_TRANSLATION:
-            # Null-aware helper: missing operands (None aggregate results,
-            # NaN-encoded nulls) compare false, matching the interpreted
-            # tiers — plain operators would raise on None or qualify NaN
-            # under !=.
-            return f"rt.cmp({expression.op!r}, {left}, {right})"
-        # Operands go through rt.mask so bare (non-boolean) operands coerce
-        # elementwise and missing values are false, as in the other tiers.
+        left = generate_expression(expression.left, ctx)
+        right = generate_expression(expression.right, ctx)
+        if expression.op in ARITHMETIC_OPS:
+            return f"radix.null_safe_arith({expression.op!r}, {left}, {right})"
+        if expression.op in COMPARISON_OPS:
+            return f"radix.null_safe_compare({expression.op!r}, {left}, {right})"
+        # Operands go through mask() so bare (non-boolean) operands coerce
+        # elementwise and missing values are false.
         if expression.op == "and":
-            return f"(rt.mask({left}) & rt.mask({right}))"
+            return f"(mask({left}, batch.count) & mask({right}, batch.count))"
         if expression.op == "or":
-            return f"(rt.mask({left}) | rt.mask({right}))"
+            return f"(mask({left}, batch.count) | mask({right}, batch.count))"
         raise CodegenError(f"unsupported binary operator {expression.op!r}")
     if isinstance(expression, UnaryOp):
-        operand = generate_expression(expression.operand, buffers)
+        operand = generate_expression(expression.operand, ctx)
         if expression.op == "-":
-            return f"rt.neg({operand})"
-        return f"(~rt.mask({operand}))"
+            return f"radix.null_safe_neg({operand})"
+        return f"(~mask({operand}, batch.count))"
     if isinstance(expression, IfThenElse):
-        condition = generate_expression(expression.condition, buffers)
-        then = generate_expression(expression.then, buffers)
-        otherwise = generate_expression(expression.otherwise, buffers)
-        return f"np.where(rt.mask({condition}), {then}, {otherwise})"
+        condition = generate_expression(expression.condition, ctx)
+        then = generate_expression(expression.then, ctx)
+        otherwise = generate_expression(expression.otherwise, ctx)
+        return (
+            f"np.where(mask({condition}, batch.count), "
+            f"column({then}, batch.count), column({otherwise}, batch.count))"
+        )
     if isinstance(expression, AggregateCall):
         raise CodegenError(
-            "aggregate calls are handled by the Reduce/Nest generators, not by "
+            "aggregate calls are folded by the pipeline's root tasks, not by "
             "the expression generator"
         )
     if isinstance(expression, RecordConstruct):
@@ -102,8 +82,19 @@ def generate_expression(expression: Expression, buffers: BufferMap) -> str:
     raise CodegenError(f"cannot generate code for expression {expression!r}")
 
 
+def _literal_source(value: object, ctx: CodegenContext) -> str:
+    """Inline a literal; values whose ``repr`` is not source (NaN, infinities,
+    non-scalar objects) travel as registered module constants instead."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return repr(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return repr(value)
+    return ctx.register_constant("literal", value)
+
+
 def supported_by_codegen(expression: Expression) -> bool:
-    """Whether the vectorized generator can evaluate ``expression``."""
+    """Whether the expression generator (and the batch evaluator, which
+    covers the same shapes) can evaluate ``expression``."""
     if isinstance(expression, (Literal, FieldRef, Parameter)):
         return True
     if isinstance(expression, (BinaryOp, UnaryOp, IfThenElse)):

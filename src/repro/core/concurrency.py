@@ -365,8 +365,8 @@ SHARED_CLASSES: dict[str, str] = {
         "thread calling engine.query() with one query text"
     ),
     "CacheManager": (
-        "shared by the batch executor, the codegen runtime and the planner's "
-        "access-path selection; morsel workers populate it via ScanOperator"
+        "shared by the batch pipeline and the planner's access-path "
+        "selection; morsel workers populate it via ScanOperator"
     ),
     "CacheArena": (
         "the cache arena accounts blocks for every CacheManager mutation; "
@@ -441,8 +441,8 @@ GUARDED_BY: dict[str, str] = {
     "JsonPlugin._states": "_state_lock",
     "BinaryColumnPlugin._tables": "_table_lock",
     "BinaryRowPlugin._tables": "_table_lock",
-    # batch-tier scan cache recorder (shared by morsel workers)
-    "ScanOperator._record": "_record_lock",
+    # batch-pipeline cache recorders (shared by morsel workers)
+    "_CoverageRecorder._chunks": "_lock",
     # morsel scheduler
     "WorkStealingQueue.dispatched": "_lock",
     "WorkStealingQueue.stolen": "_lock",
@@ -551,6 +551,10 @@ EXTERNALLY_GUARDED: dict[str, str] = {
         "the binding is immutable after __init__; mutating calls "
         "(clear_caches -> CacheManager.clear) are serialized by "
         "CacheManager._lock inside the manager itself"
+    ),
+    "ScanOperator._recorder": (
+        "the binding is immutable after __init__; add() serializes on the "
+        "_CoverageRecorder's own lock"
     ),
     "CacheArena._blocks": (
         "register()/unregister() are called only by CacheManager mutators, "

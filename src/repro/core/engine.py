@@ -11,34 +11,34 @@ the paper describes:
    algebra, which the optimizer lowers to a physical plan (selection/
    projection pushdown, join ordering, access-path selection against the
    caches),
-3. the plan executes through a three-tier cascade:
+3. the plan executes through a three-label cascade over two executors:
 
-   * **codegen** — the code generator collapses the plan into one specialized
-     program executed against the query runtime (§5.1, the engine-per-query),
-   * **vectorized** — shapes the generator does not cover run through the
-     batch interpreter.  The executor decides *internally*, per scan, whether
-     to run inline or to fan out: with ``parallel_workers > 1`` a
-     range-splittable scan spanning two or more morsels is split into
-     batch-aligned morsels that a work-stealing worker pool executes
-     concurrently, with partial per-morsel aggregation and a deterministic
-     morsel-ordered merge; everything else (one worker, the binary row
-     format's per-tuple shim, single-morsel inputs) runs on the calling
-     thread,
-   * **volcano** — shapes the batch interpreter cannot serve (record
-     construction in output columns, outer joins, null group keys) fall back
-     to the tuple-at-a-time Volcano interpreter, the paper's "static
+   * **codegen** and **vectorized** are ONE runtime — the batch pipeline
+     (:mod:`repro.core.executor.vectorized`: plug-in scan -> per-batch stages
+     -> root task).  Under ``codegen`` the code generator emits one fused
+     NumPy function per expression of the plan (§5.1/§5.2, the
+     engine-per-query) and the pipeline calls those; under ``vectorized``
+     (``enable_codegen=False``) the same pipeline interprets the expressions
+     per batch.  The executor decides *internally*, per scan, whether to run
+     inline or to fan out: with ``parallel_workers > 1`` a range-splittable
+     scan spanning enough whole morsels for its kind of root is split into
+     morsels that a work-stealing worker pool executes concurrently, with
+     partial per-morsel aggregation and a deterministic morsel-ordered merge;
+     everything else runs on the calling thread,
+   * **volcano** — shapes the pipeline cannot serve (record construction in
+     output columns, outer joins, null group keys) fall back to the
+     tuple-at-a-time Volcano interpreter, the paper's "static
      general-purpose engine" baseline.  Unnests — inner *and* outer, nested
      collections included — are batch-native: the plug-ins' offset-vector
-     ``scan_unnest_batch`` API keeps them on the fast tiers.
+     ``scan_unnest_batch`` API keeps them on the pipeline.
 
    The ablation flags ``enable_codegen`` and ``enable_vectorized`` disable
-   tiers individually; ``ExecutionProfile.execution_tier`` records which tier
+   labels individually; ``ExecutionProfile.execution_tier`` records which one
    actually served each query (``parallel_workers`` / ``morsels_dispatched``
    record whether it fanned out), and :meth:`ProteusEngine.explain` reports
    the whole cascade decision and the planned fan-out for a query without
    running it.
-4. caches are populated as a side effect and reused by later queries — by
-   the generated tier *and* by the batch interpreter.
+4. caches are populated as a side effect and reused by later queries.
 
 The v2 query API is built around **prepared statements**: the specialization
 the paper bets on pays for itself when a query *shape* recurs, so the shape is
@@ -59,9 +59,10 @@ only on first access, and ``fetch_batches`` streams the result in bounded
 chunks.
 
 Parallelism tuning: ``parallel_workers`` defaults to 1 (serial).  Set it to
-the number of physical cores for scan-heavy workloads; morsels are 64Ki rows
-by default, so inputs of ~128Ki rows or more actually fan out, and smaller
-inputs transparently run inline where they are faster anyway.
+the number of physical cores; a morsel is one batch (64Ki rows by default),
+group-bys fan out from two morsels, every other root from sixteen (see
+:func:`repro.core.parallel.plan_fanout`), and smaller inputs transparently
+run inline where they are faster anyway.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from repro.core.analysis import (
     NullabilityHints,
     PlanAnalysis,
     SchemaAnalysis,
+    TIER_CODEGEN,
     TIER_RUNTIME_DEMOTION,
     TIER_VOLCANO,
     TierVerdict,
@@ -91,7 +93,6 @@ from repro.core.analysis import (
 from repro.core.binder import bind_comprehension
 from repro.core.calculus import Comprehension
 from repro.core.codegen.generator import CodeGenerator
-from repro.core.codegen.runtime import ExecutionProfile, QueryRuntime
 from repro.core.comprehension_parser import parse_comprehension
 from repro.core.concurrency import make_lock
 from repro.core.executor.vectorized import (
@@ -103,6 +104,7 @@ from repro.core.parallel import plan_fanout
 from repro.core.normalizer import normalize
 from repro.core.optimizer.planner import Planner
 from repro.core.optimizer.statistics import StatisticsManager
+from repro.core.profile import ExecutionProfile
 from repro.core.physical import (
     PhysNest,
     PhysReduce,
@@ -214,9 +216,9 @@ class ResultSet:
 
         No row tuples are materialized; float columns keep NaN as their
         missing-value encoding (see :func:`repro.core.types.is_missing`).
-        The array is a read-only view: on the codegen tier the buffer may
-        alias the engine's adaptive cache, so mutating it would corrupt the
-        results of later queries — call ``.copy()`` for a writable array."""
+        The array is a read-only view: a batch-pipeline buffer may alias the
+        engine's adaptive cache, so mutating it would corrupt the results of
+        later queries — call ``.copy()`` for a writable array."""
         view = np.asarray(self._buffer(name)).view()
         view.flags.writeable = False
         return view
@@ -558,7 +560,7 @@ class ProteusEngine:
             DataFormat.BINARY_COLUMN: BinaryColumnPlugin(self.memory),
         }
         self.cache_plugin: CachePlugin | None = (
-            CachePlugin(self.memory, self.cache_manager, source_plugins=self.plugins)
+            CachePlugin(self.memory, self.cache_manager)
             if self.cache_manager is not None
             else None
         )
@@ -579,7 +581,7 @@ class ProteusEngine:
             cache_plugin=self.cache_plugin,
             enable_join_reordering=enable_join_reordering,
         )
-        self.generator = CodeGenerator(self.catalog, self.plugins, self.cache_plugin)
+        self.generator = CodeGenerator()
         #: Guards the five shape caches below and the catalog epoch: the
         #: engine serves concurrent sessions, so every publish into (or bulk
         #: clear of) shared prepare-time state happens under this lock.
@@ -917,9 +919,9 @@ class ProteusEngine:
     def explain(
         self, text: str | Comprehension, *args, analyze: bool = False, **params
     ) -> str:
-        """The physical plan, generated code, tier-cascade decision and
-        planned morsel fan-out of a query, without executing it (no raw data
-        is read).
+        """The physical plan, generated expression functions, tier-cascade
+        decision and planned morsel fan-out of a query, without executing it
+        (no raw data is read).
 
         With ``analyze=True`` the query *is* executed (under forced tracing;
         parameter values may be passed like :meth:`query`) and the plan tree
@@ -962,8 +964,7 @@ class ProteusEngine:
                     f"{strategy}: {why}",
                     "(execution refines the choice per key dtype: object "
                     "columns fall back to the boxed comparator, and a "
-                    "fanned-out vectorized execution merges per-morsel "
-                    "sorted runs)",
+                    "fanned-out execution merges per-morsel sorted runs)",
                 ]
             )
         codegen_verdict = verdicts[0]
@@ -1001,17 +1002,17 @@ class ProteusEngine:
                 )
         parts.append(
             "(note: run-time data conditions, e.g. null join or group keys, "
-            "can still demote the vectorized tier to volcano during execution)"
+            "can still demote the batch pipeline to volcano during execution)"
         )
         parts.extend(["", "== vectorized fan-out ==", self._planned_fanout(physical)])
         return "\n".join(parts)
 
     def _planned_fanout(self, physical: PhysicalPlan) -> str:
-        """How the vectorized tier would run this plan's driving scan, from
-        catalog facts only: the plug-in's splittability and the collected
-        row count (unknown without statistics — then the executor decides
-        when the scan opens).  Cache-resident columns are always splittable;
-        that, too, is only known at execution."""
+        """How the batch pipeline would run this plan's driving scan, from
+        catalog facts only: the plug-in's splittability, the collected row
+        count (unknown without statistics — then the executor decides when
+        the scan opens) and whether the root groups.  Cache-resident columns
+        are always splittable; that, too, is only known at execution."""
         scan = driving_scan(physical)
         if scan is None:
             return "serial: the plan has no driving scan"
@@ -1023,6 +1024,7 @@ class ProteusEngine:
             plugin.supports_scan_ranges,
             int(statistics.cardinality) if statistics is not None else None,
             self.vectorized_batch_size,
+            isinstance(unwrap_sort(physical), PhysNest),
         )
         return f"{scan.dataset} ({plugin.format_name}): {why}"
 
@@ -1224,9 +1226,9 @@ class ProteusEngine:
             if self._scan_coalescer is not None:
                 leases = self._coalesce_cold_scans(physical, context)
             # The context is published thread-locally so code that cannot
-            # take a parameter (plug-in I/O deep inside a generated program)
-            # still finds the retry budget and deadline; the worker pool
-            # re-publishes it on its own threads.
+            # take a parameter (plug-in I/O beneath a scan) still finds the
+            # retry budget and deadline; the worker pool re-publishes it on
+            # its own threads.
             with activate_context(context):
                 return self._execute_with_context(
                     physical, params, query_text, started, context, trace
@@ -1358,23 +1360,20 @@ class ProteusEngine:
             if verdict.tier == TIER_VOLCANO:
                 break
             try:
-                if verdict.tier == "codegen":
-                    executed = self._execute_generated(
-                        physical, params, trace, context
-                    )
-                else:
-                    executed = self._execute_vectorized(
-                        physical, params, analysis.hints, trace, context
-                    )
-                break
+                executed = self._execute_pipeline(
+                    physical, params, analysis.hints, trace, context, verdict.tier
+                )
             except (CodegenError, VectorizationError) as exc:
                 # A data-dependent demotion the static analysis cannot rule
                 # out — e.g. null group/join keys, or NaN probe keys against
-                # an integer build side.  Record it so explain()/profile
-                # users see why the observed tier differs from the verdict.
+                # an integer build side.  Both NumPy labels are one pipeline,
+                # so it demotes once, straight to Volcano; record it under
+                # the label that ran so explain()/profile users see why the
+                # observed tier differs from the verdict.
                 decline_reasons[verdict.tier] = (
                     f"[{TIER_RUNTIME_DEMOTION}] runtime demotion: {exc}"
                 )
+            break
         if executed is None:
             executed = self._execute_volcano(physical, params, trace, context)
         execute_seconds = time.perf_counter() - execute_started
@@ -1384,22 +1383,20 @@ class ProteusEngine:
         profile.io_retries = context.io_retries
         if trace is not None:
             trace.add_phase("execute", execute_seconds)
-            if profile.execution_tier != "codegen":
-                # Reduce/Nest run inside the executor sinks without a stage
-                # of their own; attribute the executor call to the plan root.
-                # The codegen tier records its own root kernel spans.
-                root = unwrap_sort(physical)
-                trace.operator(
-                    type(root).__name__.removeprefix("Phys").lower(),
-                    node=root,
-                    inclusive=True,
-                    detail="engine-side root span; time covers the executor call",
-                ).add(seconds=execute_seconds, rows_out=profile.output_rows)
+            # Reduce/Nest run inside the executor sinks without a stage of
+            # their own; attribute the executor call to the plan root.
+            root = unwrap_sort(physical)
+            trace.operator(
+                type(root).__name__.removeprefix("Phys").lower(),
+                node=root,
+                inclusive=True,
+                detail="engine-side root span; time covers the executor call",
+            ).add(seconds=execute_seconds, rows_out=profile.output_rows)
         materialize_started = time.perf_counter()
         length, data = _normalize_result_columns(names, columns)
         if sort_plan is not None and profile.sort_strategy is None:
-            # The tier materialized the unsorted output (codegen / volcano /
-            # a vectorized root that left the epilogue to the engine): run the
+            # The tier materialized the unsorted output (volcano, or a
+            # pipeline root that left the epilogue to the engine): run the
             # columnar sort kernels here, one permutation, no row boxing.
             rows_in = length
             sort_started = time.perf_counter()
@@ -1570,51 +1567,42 @@ class ProteusEngine:
             total += int(statistics.cardinality) * columns * 8
         return total
 
-    def _execute_generated(
+    def _execute_pipeline(
         self,
         physical: PhysicalPlan,
-        params: ParamValues | None = None,
-        trace: TraceBuilder | None = None,
-        context: QueryContext | None = None,
+        params: ParamValues | None,
+        hints: NullabilityHints | None,
+        trace: TraceBuilder | None,
+        context: QueryContext | None,
+        label: str,
     ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
-        # A root PhysSort is executed by the engine's columnar sort kernels on
-        # the program's output; the program itself covers the child plan, so
-        # one compiled artifact serves every ORDER BY / LIMIT variation of the
-        # same shape (the cache is keyed by the generated plan's fingerprint).
-        target = unwrap_sort(physical)
-        fingerprint = target.fingerprint()
-        generated = self._compiled.get(fingerprint)
-        from_cache = generated is not None
-        if generated is None:
-            codegen_started = time.perf_counter()
-            generated = self.generator.generate(target)
-            self.tracer.record_phase(
-                "codegen", time.perf_counter() - codegen_started
-            )
-            # Concurrent cold executions of one shape race to generate; the
-            # first publication wins so every thread runs the same program.
-            with self._lock:
-                generated = self._compiled.setdefault(fingerprint, generated)
-        self.last_generated_source = generated.source
-        runtime = QueryRuntime(
-            self.catalog, self.plugins, self.cache_manager, params=params,
-            trace=trace, context=context,
+        """THE batch-pipeline entry: both NumPy labels run here.  ``codegen``
+        hands the executor this plan's generated expression functions;
+        ``vectorized`` lets it interpret the expressions per batch."""
+        generated = None
+        from_cache = False
+        if label == TIER_CODEGEN:
+            # The functions cover the plan beneath a root PhysSort, so one
+            # compiled module serves every ORDER BY / LIMIT variation of the
+            # same shape (the cache is keyed by that plan's fingerprint).
+            target = unwrap_sort(physical)
+            fingerprint = target.fingerprint()
+            generated = self._compiled.get(fingerprint)
+            from_cache = generated is not None
+            if generated is None:
+                codegen_started = time.perf_counter()
+                generated = self.generator.generate(target)
+                self.tracer.record_phase(
+                    "codegen", time.perf_counter() - codegen_started
+                )
+                # Concurrent cold executions of one shape race to generate;
+                # the first publication wins so every thread runs the same
+                # functions.
+                with self._lock:
+                    generated = self._compiled.setdefault(fingerprint, generated)
+        self.last_generated_source = (
+            generated.source if generated is not None else None
         )
-        output = generated(runtime)
-        names = _output_names(target)
-        runtime.profile.used_generated_code = True
-        runtime.profile.execution_tier = "codegen"
-        runtime.profile.compiled_from_cache = from_cache
-        return names, output, runtime.profile
-
-    def _execute_vectorized(
-        self,
-        physical: PhysicalPlan,
-        params: ParamValues | None = None,
-        hints: NullabilityHints | None = None,
-        trace: TraceBuilder | None = None,
-        context: QueryContext | None = None,
-    ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
         executor = VectorizedExecutor(
             self.catalog,
             self.plugins,
@@ -1626,18 +1614,22 @@ class ProteusEngine:
             trace=trace,
             context=context,
         )
-        names, columns = executor.execute(physical)
+        if generated is not None:
+            names, columns = generated(executor, physical)
+        else:
+            names, columns = executor.execute(physical)
         profile = ExecutionProfile(
-            used_generated_code=False, execution_tier="vectorized"
+            used_generated_code=generated is not None,
+            execution_tier=label,
+            compiled_from_cache=from_cache,
+            sort_strategy=executor.sort_strategy,
+            **vars(executor.counters),  # the pipeline counters, by name
         )
-        _copy_pipeline_counters(profile, executor.counters)
-        profile.sort_strategy = executor.sort_strategy
         fanout = executor.fanout
         if fanout.morsels_dispatched:
             profile.parallel_workers = fanout.num_workers
             profile.morsels_dispatched = fanout.morsels_dispatched
             profile.morsels_stolen = fanout.morsels_stolen
-        self.last_generated_source = None
         return names, columns, profile
 
     def _execute_volcano(
@@ -1698,27 +1690,6 @@ def _failure_code(exc: BaseException) -> str:
     uncoded exceptions are grouped under ``internal``."""
     code = getattr(exc, "code", None)
     return code if isinstance(code, str) and code else "internal"
-
-
-def _copy_pipeline_counters(profile: ExecutionProfile, counters) -> None:
-    """Mirror a batch executor's pipeline counters into a profile."""
-    profile.rows_scanned = counters.rows_scanned
-    profile.batches_processed = counters.batches_processed
-    profile.values_extracted = counters.values_extracted
-    profile.values_from_cache = counters.values_from_cache
-    profile.join_build_rows = counters.join_build_rows
-    profile.join_output_rows = counters.join_output_rows
-    profile.groups_built = counters.groups_built
-    profile.output_rows = counters.output_rows
-    profile.rows_sorted = counters.rows_sorted
-    profile.unnest_output_rows = counters.unnest_output_rows
-
-
-def _output_names(physical: PhysicalPlan) -> list[str]:
-    physical = unwrap_sort(physical)
-    if isinstance(physical, (PhysReduce, PhysNest)):
-        return [column.name for column in physical.columns]
-    raise ExecutionError("plan root must be Reduce or Nest")
 
 
 def _validate_output_columns(physical: PhysicalPlan) -> None:

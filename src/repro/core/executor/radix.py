@@ -3,10 +3,10 @@
 The paper keeps the heavy join/grouping machinery outside the generated code:
 "Proteus uses hash-based algorithms for the join and grouping operators,
 namely variations of the radix hash join algorithm ... wrapped in a C++
-function" (§5.1).  The reproduction mirrors that split: the per-query
-generated code calls these library kernels, which partition their inputs by a
-radix of the key hash and match within each partition using vectorized
-sort/search operations.
+function" (§5.1).  The reproduction mirrors that split: the batch pipeline
+(and the expression functions generated per query) call these library
+kernels, which partition their inputs by a radix of the key hash and match
+within each partition using vectorized sort/search operations.
 
 The materialized build side (:class:`RadixTable`) is exactly the structure the
 caching manager reuses for partial plan matches (§6: the hash table built for
@@ -43,9 +43,8 @@ DEFAULT_RADIX_BITS = 4
 def reject_missing_keys(keys: np.ndarray, operation: str) -> None:
     """The columnar kernels cannot key on missing values: np.unique/argsort
     cannot sort ``None`` and a NaN key would surface as ``nan`` where the
-    tuple-at-a-time interpreter produces ``None``.  Raising here makes every
-    columnar tier (generated code and batch interpreter alike) fall back to
-    the Volcano interpreter for such data."""
+    tuple-at-a-time interpreter produces ``None``.  Raising here makes the
+    batch pipeline fall back to the Volcano interpreter for such data."""
     if missing_mask(keys) is not None:
         raise VectorizationError(
             f"{operation} on keys containing missing values is served by the "
@@ -276,8 +275,8 @@ def _drop_missing(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 def bool_mask(values) -> np.ndarray:
     """Coerce a predicate result to a boolean mask.  Missing inputs are
     false, matching ``bool(None)`` in the tuple-at-a-time interpreter.  Used
-    by both the generated code (``rt.mask``) and the vectorized executor so
-    the tiers cannot drift apart."""
+    by the generated expression functions and the batch interpreter alike,
+    so the two labels cannot drift apart."""
     array = np.asarray(values)
     if array.ndim == 0:
         value = array.item()
@@ -467,40 +466,3 @@ def group_aggregate(
         np.logical_or.at(out, group_ids, values.astype(bool))
         return out
     raise ExecutionError(f"unknown aggregate {func!r}")
-
-
-def scalar_aggregate(func: str, values: np.ndarray | None, count: int) -> float | int | bool:
-    """Compute a global (ungrouped) aggregate (missing inputs are skipped)."""
-    if func == "count" and values is None:
-        return int(count)
-    if values is None:
-        raise ExecutionError(f"aggregate {func!r} requires input values")
-    values = np.asarray(values)
-    values, _ = _drop_missing(values)
-    if func == "count":
-        return int(len(values))
-    if len(values) == 0:
-        # Matches the accumulators of the interpreted tiers: no non-missing
-        # input means there is no extremum (None), an empty sum is integer 0.
-        return {"sum": 0, "avg": float("nan"), "max": None,
-                "min": None, "and": True, "or": False}[func]
-    if func == "sum":
-        if values.dtype.kind in "iu" and _int_sum_may_overflow(values):
-            result = sum(values.tolist())  # exact Python-int accumulation
-        else:
-            result = values.sum()
-    elif func == "avg":
-        result = values.mean()
-    elif func == "max":
-        result = values.max()
-    elif func == "min":
-        result = values.min()
-    elif func == "and":
-        result = bool(np.all(values))
-    elif func == "or":
-        result = bool(np.any(values))
-    else:
-        raise ExecutionError(f"unknown aggregate {func!r}")
-    if isinstance(result, np.generic):
-        return result.item()
-    return result

@@ -1,50 +1,58 @@
-"""Vectorized batch executor — the one batch tier of the cascade.
+"""The batch pipeline — the one NumPy execution core of the cascade.
 
-The paper's §5 identifies per-tuple interpretation as the dominant overhead of
-static engines, and removes it by collapsing each plan into a specialized
-program.  The Volcano interpreter exists as the ablation baseline for that
-claim, but it also serves every query shape the code generator does not cover
-— so those shapes, and every ablation with code generation disabled, pay the
-exact overhead the paper measures.
+The paper's §5 identifies per-tuple interpretation as the dominant overhead
+of static engines and removes it by customizing one engine per query.  This
+module is that engine: every plan the cascade serves on NumPy — under the
+``codegen`` label and under the ``vectorized`` label alike — runs here, over
+columnar *batches* instead of per-tuple dict environments.  The two labels
+differ only in how plan expressions evaluate per batch:
 
-This executor closes that gap without generating code: it interprets the same
-physical plans, but over NumPy columnar *batches* (default 4096 rows) instead
-of per-tuple dict environments.  The plan is first lowered by
-:class:`PipelineCompiler` into a :class:`CompiledPipeline` — one
-:class:`ScanOperator` batch source plus a list of per-batch stages:
+* ``codegen`` — :class:`repro.core.codegen.CodeGenerator` emitted one fused
+  NumPy function per select/join/unnest predicate, join key, group key,
+  aggregate argument and output head of this plan (literals inlined,
+  parameters looked up); stages and root tasks call those functions,
+* ``vectorized`` — the same stages and roots walk the expression tree per
+  batch through :func:`evaluate_batch` (``enable_codegen=False``).
+
+A plan is lowered by :class:`PipelineCompiler` into a
+:class:`CompiledPipeline` — one :class:`ScanOperator` batch source plus a
+list of per-batch stages:
 
 * :class:`SelectStage` evaluates the predicate once per batch into a boolean
-  mask,
+  mask; sitting directly on a CSV/JSON scan it makes the scan *lazy* (§5.2):
+  only the predicate's fields are converted for every row, the remaining
+  ones for the surviving OIDs only (``scan_columns_at``),
 * :class:`HashJoinStage` holds the materialized build side and one radix
-  table and probes it batch-at-a-time,
+  table — looked up in / admitted to the adaptive cache, keyed by the build
+  side's plan, key and bound parameter values — and probes it
+  batch-at-a-time,
 * :class:`UnnestStage` flattens nested collections batch-natively through the
   plug-in's ``scan_unnest_batch`` offset-vector API (one ``np.repeat``
   broadcast of the parent columns per batch; outer unnest emits null child
-  rows for empty collections, and nested-in-nested flattens materialized
-  collection columns in memory),
+  rows for empty collections, nested-in-nested flattens materialized
+  collection columns in memory); an unnest directly over a scan serves its
+  flattened output from — and admits it to — the adaptive cache,
 * grouping concatenates key/argument columns and reduces them with the radix
   grouping kernel (``np.unique`` + segmented reductions).
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
-the per-call :class:`PipelineCounters`), so the same pipeline object can be
-executed over any batch range by any worker.  The plan root is a *root task*
-(:class:`_RootTask`): a partial state per scan range plus an ordered merge.
-:class:`VectorizedExecutor` compiles the pipeline once, builds one root task
-and — decided by :func:`repro.core.parallel.plan_fanout` from the worker
-count, the driving scan's splittability and its morsel count — either runs
-it inline over the whole scan or hands batch-aligned morsels to the
+the per-call :class:`PipelineCounters` and the lock-guarded cache recorders),
+so the same pipeline object can be executed over any batch range by any
+worker.  The plan root is a *root task* (:class:`_RootTask`): a partial state
+per scan range plus an ordered merge.  :class:`VectorizedExecutor` compiles
+the pipeline once, builds one root task and — decided by
+:func:`repro.core.parallel.plan_fanout` from the worker count, the driving
+scan's splittability, its row count in whole morsels and whether the root
+groups — either runs it inline over the whole scan or hands morsels to the
 work-stealing fan-out driver (:mod:`repro.core.parallel`) and merges the
 per-morsel partials in morsel order.  Join build sides go through the same
 decision.
 
-The scan operator also consults the adaptive :class:`CacheManager` the way
-the generated tier does: cached field columns are served (and counted as
-cache hits) instead of re-converting raw bytes, and fully-scanned columns are
-admitted to the cache as a side effect of execution (§6).
-
-Interpretation decisions still happen at run time (unlike the generated
-tier), but once per *batch* rather than once per tuple — the classic
-vectorized-execution trade-off.
+The scan operator is the single cache path of the engine: cached field
+columns are served (and counted as cache hits) instead of re-converting raw
+bytes, whatever access path the planner pinned at prepare time, and
+fully-scanned columns are admitted to the cache as a side effect of
+execution (§6).
 
 Null semantics mirror the Volcano interpreter: comparisons with a missing
 value are false, arithmetic over a missing value is missing and aggregates
@@ -52,22 +60,28 @@ skip missing inputs.  In columnar buffers "missing" is ``None`` inside object
 columns or NaN inside float columns (the JSON plug-in's encoding of absent
 numeric fields).
 
-Shapes this tier does not cover (record construction in output columns, outer
-joins, grouping on keys containing nulls, group-by output columns that are
-neither keys nor aggregates) raise :class:`VectorizationError`, and the
+Shapes the pipeline does not cover (record construction in output columns,
+outer joins, grouping on keys containing nulls, group-by output columns that
+are neither keys nor aggregates) raise :class:`VectorizationError`, and the
 engine falls back to the Volcano interpreter.  Unnests — inner and outer —
 are covered batch-natively.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.caching.matching import field_cache_key
+from repro.caching.manager import estimate_size
+from repro.caching.matching import (
+    field_cache_key,
+    join_side_cache_key,
+    unnest_cache_key,
+)
 from repro.caching.policies import column_type_name
 from repro.core.analysis.model import EMPTY_HINTS, NullabilityHints
 from repro.core.concurrency import make_lock
@@ -89,6 +103,7 @@ from repro.core.expressions import (
     UnaryOp,
     contains_aggregate,
     iter_aggregates,
+    iter_parameters,
     parameter_env,
 )
 from repro.core.parallel import Morsel, ParallelVectorizedExecutor, plan_fanout
@@ -102,6 +117,7 @@ from repro.core.physical import (
     PhysSort,
     PhysUnnest,
     PhysicalPlan,
+    parameters_of,
 )
 from repro.core.sort import (
     STRATEGY_PARALLEL_MERGE,
@@ -116,14 +132,31 @@ from repro.core.types import python_value as _python_value
 from repro.errors import ExecutionError, PluginError, VectorizationError
 from repro.obs.instrument import traced_scan, traced_stage
 from repro.obs.trace import TraceBuilder
-from repro.plugins.base import FieldPath, InputPlugin, flatten_collections
+from repro.plugins.base import (
+    FieldPath,
+    InputPlugin,
+    UnnestBatch,
+    flatten_collections,
+)
 from repro.storage.catalog import Catalog, Dataset
 
-DEFAULT_BATCH_SIZE = 4096
+#: Rows per batch — and per morsel: a fan-out hands out whole batches.  One
+#: granularity for every source, chosen by measurement on the warm OLAP
+#: classes (per-class table in ROADMAP "Measured state"): per-call costs —
+#: the radix probe is O(partitions) per call, the streaming top-K re-sorts
+#: per batch — put 4096-row batches 1.3x (join, at the parent) to 1.7x
+#: (top-K) behind, 1Mi-row batches lose the cache locality the select/gather
+#: passes live on, and at 64Ki a 600 k-row scan is 10 morsels: enough for a
+#: group-by to fan out, few enough that linear roots stay inline.
+DEFAULT_BATCH_SIZE = 65536
 
 #: Synthetic binding under which computed per-group aggregate results are
-#: exposed when finishing group-by output columns (mirrors the codegen tier).
+#: exposed when finishing group-by output columns.
 _AGG_BINDING = "__agg__"
+
+#: An expression ready to evaluate per batch: ``f(batch) -> column or
+#: scalar`` — a generated function, or :func:`interpreted`.
+Evaluator = Callable[["Batch"], Any]
 
 #: Virtual-buffer key: (binding, field path).
 ColumnKey = tuple[str, tuple[str, ...]]
@@ -143,15 +176,15 @@ class Batch:
 
     def take(self, selector: np.ndarray) -> "Batch":
         """Gather rows by boolean mask or integer positions."""
-        taken = Batch(count=0, params=self.params)
+        if selector.dtype == np.bool_:
+            # One pass over the mask, then position gathers: indexing every
+            # column by the mask itself would re-scan it per column.
+            selector = np.flatnonzero(selector)
+        taken = Batch(count=len(selector), params=self.params)
         for key, column in self.columns.items():
             taken.columns[key] = column[selector]
         for binding, oids in self.oids.items():
             taken.oids[binding] = oids[selector]
-        if selector.dtype == np.bool_:
-            taken.count = int(selector.sum())
-        else:
-            taken.count = len(selector)
         return taken
 
 
@@ -186,17 +219,25 @@ def as_bool_array(value: Any, count: int) -> np.ndarray:
     return radix.bool_mask(materialize(value, count))
 
 
+def bound_parameter(params: Mapping[int | str, object] | None, key: int | str):
+    """The bound value of one query parameter."""
+    if params is None or key not in params:
+        display = f"?{key}" if isinstance(key, int) else f":{key}"
+        raise ExecutionError(f"query parameter {display} is not bound")
+    return params[key]
+
+
+def interpreted(expression: Expression) -> Evaluator:
+    """The ``vectorized`` label's evaluator: walk the tree per batch."""
+    return functools.partial(evaluate_batch, expression)
+
+
 def evaluate_batch(expression: Expression, batch: Batch) -> Any:
     """Evaluate an expression over a batch; returns a column or a scalar."""
     if isinstance(expression, Literal):
         return expression.value
     if isinstance(expression, Parameter):
-        params = batch.params
-        if params is None or expression.key not in params:
-            raise ExecutionError(
-                f"query parameter {expression.display} is not bound"
-            )
-        return params[expression.key]
+        return bound_parameter(batch.params, expression.key)
     if isinstance(expression, FieldRef):
         key = (expression.binding, tuple(expression.path))
         column = batch.columns.get(key)
@@ -249,9 +290,9 @@ def _valid_mask(values: np.ndarray) -> np.ndarray | None:
     return None if mask is None else ~mask
 
 
-def _apply_predicate(batch: Batch, predicate: Expression) -> Batch | None:
+def _apply_predicate(batch: Batch, predicate: Evaluator) -> Batch | None:
     """Filter a batch by a predicate; ``None`` when nothing survives."""
-    mask = as_bool_array(evaluate_batch(predicate, batch), batch.count)
+    mask = as_bool_array(predicate(batch), batch.count)
     if not mask.any():
         return None
     if mask.all():
@@ -324,16 +365,12 @@ class PipelineCounters:
     unnest_output_rows: int = 0
 
     def merge(self, other: "PipelineCounters") -> None:
-        self.rows_scanned += other.rows_scanned
-        self.batches_processed += other.batches_processed
-        self.values_extracted += other.values_extracted
-        self.values_from_cache += other.values_from_cache
-        self.join_build_rows += other.join_build_rows
-        self.join_output_rows += other.join_output_rows
-        self.groups_built += other.groups_built
-        self.output_rows += other.output_rows
-        self.rows_sorted += other.rows_sorted
-        self.unnest_output_rows += other.unnest_output_rows
+        for counter in fields(self):
+            setattr(
+                self,
+                counter.name,
+                getattr(self, counter.name) + getattr(other, counter.name),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +378,55 @@ class PipelineCounters:
 # ---------------------------------------------------------------------------
 
 
+def _nbytes(columns: Mapping[Any, np.ndarray]) -> int:
+    return sum(getattr(column, "nbytes", 0) for column in columns.values())
+
+
+class _CoverageRecorder:
+    """Chunks produced as a side effect of execution, kept for admission to
+    the adaptive cache once they tile the whole dataset.  Shared by the
+    morsel workers of one execution."""
+
+    def __init__(self) -> None:
+        self._chunks: dict[int, tuple[int, Any]] = {}
+        self._lock = make_lock("_CoverageRecorder._lock")
+
+    def add(self, start: int, rows: int, chunk: Any) -> None:
+        """Record the chunk covering global rows ``[start, start + rows)``."""
+        with self._lock:
+            self._chunks[start] = (rows, chunk)
+
+    def drain(self, total_rows: int | None) -> list | None:
+        """The recorded chunks in row order when they cover ``[0,
+        total_rows)`` without gaps, else ``None`` (an abandoned stream, a
+        failed morsel: caching is best-effort).  Empties the recorder."""
+        with self._lock:
+            chunks, self._chunks = self._chunks, {}
+        covered = 0
+        ordered = []
+        for start in sorted(chunks):
+            rows, chunk = chunks[start]
+            if start != covered:
+                return None
+            covered += rows
+            ordered.append(chunk)
+        return ordered if ordered and covered == total_rows else None
+
+
 class ScanOperator:
     """Produces the batch stream of one :class:`PhysScan`.
 
-    The operator consults the adaptive cache the way the generated tier's
-    ``rt.scan`` does: field columns held by the caching manager are served
-    (and counted as hits) instead of re-extracted, remaining fields are
-    scanned through the plug-in, and columns extracted by a *complete* scan
-    are admitted to the cache afterwards (:meth:`store_materialized`).
+    The operator is the engine's single cache path: field columns held by
+    the caching manager are served (and counted as hits) instead of
+    re-extracted — whichever access path the planner pinned — remaining
+    fields are scanned through the dataset's own plug-in, and columns
+    extracted by a *complete* scan are admitted to the cache afterwards
+    (:meth:`store_materialized`).
+
+    ``deferred`` names the fields a selection directly above the scan does
+    not need to evaluate its predicate: those that are not cached are left
+    out of the stream and converted by :meth:`fetch_deferred` for the
+    surviving OIDs only (§5.2, lazy plug-in behaviour).
 
     Batch production is side-effect-free apart from the counters argument and
     the (lock-guarded) materialization recorder, so multiple workers may pull
@@ -363,6 +441,7 @@ class ScanOperator:
         cache_manager=None,
         params: Mapping[int | str, object] | None = None,
         context=None,
+        deferred: frozenset[FieldPath] = frozenset(),
     ):
         self.plan = plan
         self.binding = plan.binding
@@ -374,23 +453,23 @@ class ScanOperator:
         self.context = context
         self.paths = [tuple(path) for path in plan.paths]
         self._cached: dict[FieldPath, np.ndarray] = {}
-        if cache_manager is not None and plugin.format_name != "cache":
+        if cache_manager is not None:
             for path in self.paths:
                 entry = cache_manager.lookup(field_cache_key(dataset.name, path))
                 if entry is not None:
                     self._cached[path] = entry.data
-        self._uncached = [path for path in self.paths if path not in self._cached]
+        uncached = [path for path in self.paths if path not in self._cached]
+        self._uncached = [path for path in uncached if path not in deferred]
+        self._deferred = [path for path in uncached if path in deferred]
         if self._cached and not self._uncached:
             self.total_rows: int | None = len(next(iter(self._cached.values())))
         else:
             self.total_rows = plugin.scan_row_count(dataset)
         # Chunk recorder for cache materialization: worth the references only
         # when the manager could admit at least one column of this format.
-        self._record: dict[FieldPath, dict[int, np.ndarray]] = {}
-        self._record_lock = make_lock("ScanOperator._record_lock")
+        self._recorder: _CoverageRecorder | None = None
         if (
             cache_manager is not None
-            and plugin.format_name != "cache"
             and self._uncached
             and self.total_rows is not None
             and (
@@ -398,7 +477,7 @@ class ScanOperator:
                 or cache_manager.policy.should_cache_field(plugin.format_name, "string")
             )
         ):
-            self._record = {path: {} for path in self._uncached}
+            self._recorder = _CoverageRecorder()
 
     @property
     def fully_cached(self) -> bool:
@@ -411,12 +490,17 @@ class ScanOperator:
             return True
         return self.total_rows is not None and self.plugin.supports_scan_ranges
 
+    @property
+    def lazy(self) -> bool:
+        """Does the selection above have fields to fetch after filtering?"""
+        return bool(self._deferred)
+
     def iter_batches(
         self, counters: PipelineCounters, batch_size: int
     ) -> Iterator[Batch]:
         """The full batch stream (inline execution)."""
-        if self.splittable:
-            return self.iter_range(0, self.total_rows, counters, batch_size)
+        if self.fully_cached:
+            return self._iter_cached(0, self.total_rows, counters, batch_size)
         return self._batches_of(
             self.plugin.scan_batches(
                 self.dataset, self._uncached, batch_size=batch_size
@@ -460,8 +544,7 @@ class ScanOperator:
                     seconds += time.perf_counter() - started
                     return
                 seconds += time.perf_counter() - started
-                for column in buffers.columns.values():
-                    nbytes += getattr(column, "nbytes", 0)
+                nbytes += _nbytes(buffers.columns)
                 yield buffers
         finally:
             self.plugin.record_scan(seconds, nbytes)
@@ -487,14 +570,11 @@ class ScanOperator:
         batch = Batch(count=buffers.count, params=self.params)
         oids = np.asarray(buffers.oids, dtype=np.int64)
         batch.oids[self.binding] = oids
-        start = int(oids[0]) if len(oids) else 0
-        contiguous = len(oids) == 0 or int(oids[-1]) - start == buffers.count - 1
         for path in self._uncached:
-            column = buffers.column(path)
-            batch.columns[(self.binding, path)] = column
-            if path in self._record and contiguous:
-                with self._record_lock:
-                    self._record[path][start] = column
+            batch.columns[(self.binding, path)] = buffers.column(path)
+        start = int(oids[0])
+        if self._recorder is not None and int(oids[-1]) - start == buffers.count - 1:
+            self._recorder.add(start, buffers.count, buffers)
         if self._cached:
             for path, full in self._cached.items():
                 batch.columns[(self.binding, path)] = full[oids]
@@ -504,35 +584,31 @@ class ScanOperator:
         counters.batches_processed += 1
         return batch
 
-    def store_materialized(self) -> None:
-        """Admit columns covered by a complete scan to the adaptive cache.
+    def fetch_deferred(self, batch: Batch, counters: PipelineCounters) -> None:
+        """Convert the deferred fields for the rows of ``batch`` — the
+        survivors of the selection above — and attach them to it.  Selective
+        extractions never enter the cache (they do not cover the dataset)."""
+        oids = batch.oids[self.binding]
+        started = time.perf_counter()
+        buffers = self.plugin.scan_columns_at(self.dataset, self._deferred, oids)
+        self.plugin.record_scan(
+            time.perf_counter() - started, _nbytes(buffers.columns)
+        )
+        for path in self._deferred:
+            batch.columns[(self.binding, path)] = buffers.column(path)
+        counters.values_extracted += len(oids) * len(self._deferred)
 
-        Called on the main thread after execution finished; chunks that do not
-        cover the dataset contiguously (an abandoned stream, a failed morsel)
-        are silently dropped — caching is best-effort.
-        """
-        manager = self.cache_manager
-        if manager is None or not self._record:
+    def store_materialized(self) -> None:
+        """Admit columns covered by a complete scan to the adaptive cache
+        (main thread, after execution finished)."""
+        if self._recorder is None:
             return
-        with self._record_lock:
-            record, self._record = self._record, {}
-        for path, chunks in record.items():
-            if not chunks:
-                continue
-            starts = sorted(chunks)
-            covered = 0
-            for start in starts:
-                if start != covered:
-                    covered = -1
-                    break
-                covered += len(chunks[start])
-            if covered != self.total_rows:
-                continue
-            column = (
-                chunks[starts[0]]
-                if len(starts) == 1
-                else np.concatenate([chunks[start] for start in starts])
-            )
+        chunks = self._recorder.drain(self.total_rows)
+        if chunks is None:
+            return
+        manager = self.cache_manager
+        for path in self._uncached:
+            column = concat_chunks([chunk.column(path) for chunk in chunks])
             if not manager.policy.should_cache_field(
                 self.plugin.format_name, column_type_name(column)
             ):
@@ -553,13 +629,48 @@ class ScanOperator:
 
 
 class SelectStage:
-    """Filter each batch by a predicate."""
+    """Filter each batch by a predicate; over a lazy scan, fetch the deferred
+    fields of the surviving rows afterwards."""
 
-    def __init__(self, predicate: Expression):
+    def __init__(self, predicate: Evaluator, lazy_scan: ScanOperator | None = None):
         self.predicate = predicate
+        self.lazy_scan = lazy_scan
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
-        return _apply_predicate(batch, self.predicate)
+        selected = _apply_predicate(batch, self.predicate)
+        if selected is not None and self.lazy_scan is not None:
+            self.lazy_scan.fetch_deferred(selected, counters)
+        return selected
+
+
+@dataclass
+class _CachedUnnest:
+    """The flattened output of a full-scan unnest as the cache keeps it."""
+
+    #: Element path -> flattened column, in parent order.
+    columns: dict[FieldPath, np.ndarray]
+    #: Element offset of every parent (one more entry than parents).
+    offsets: np.ndarray
+    #: Global parent position of every element.
+    positions: np.ndarray
+
+    @property
+    def size_bytes(self) -> int:
+        return (
+            estimate_size(self.columns)
+            + self.offsets.nbytes
+            + self.positions.nbytes
+        )
+
+    def slice(self, first: int, count: int) -> tuple[dict, np.ndarray]:
+        """Element columns and batch-relative parent positions of the
+        contiguous parents ``[first, first + count)``."""
+        low, high = self.offsets[first], self.offsets[first + count]
+        positions = self.positions[low:high]
+        return (
+            {path: column[low:high] for path, column in self.columns.items()},
+            positions - first if first else positions,
+        )
 
 
 class UnnestStage:
@@ -573,6 +684,9 @@ class UnnestStage:
     * **scan-backed** (``plugin`` is set) — the parent binding's OIDs address
       the raw source directly; the plug-in flattens with its native
       offset-vector implementation (or the generic per-parent fallback).
+      When the stage sits directly on the scan (``full_scan``) every parent
+      passes through in order, so the flattened output is served from the
+      adaptive cache when present and admitted to it after a complete run.
     * **column-backed** (``plugin`` is ``None``) — the parent binding is
       itself an unnest variable (nested-in-nested); the collection was
       materialized as an object column by the parent stage and is flattened
@@ -589,66 +703,122 @@ class UnnestStage:
         plan: PhysUnnest,
         dataset: Dataset | None,
         plugin: InputPlugin | None,
+        predicate: Evaluator | None,
+        cache_manager=None,
+        total_rows: int | None = None,
     ):
         self.binding = plan.binding
         self.path = plan.path
         self.var = plan.var
         self.element_paths = [tuple(path) for path in plan.element_paths]
-        self.predicate = plan.predicate
+        self.predicate = predicate
         self.outer = plan.outer
         self.dataset = dataset
         self.plugin = plugin
-        if self.outer and self.predicate is not None:
+        if self.outer and predicate is not None:
             raise VectorizationError(
                 "outer unnest with an element predicate is served by the "
                 "Volcano interpreter"
             )
+        #: Values one flattened row accounts for in the extraction counters.
+        self._width = max(len(self.element_paths), 1)
+        self.cache_manager = cache_manager
+        self.total_rows = total_rows
+        self._cached: _CachedUnnest | None = None
+        self._recorder: _CoverageRecorder | None = None
+        if cache_manager is not None and plugin is not None:
+            self._cache_key = unnest_cache_key(
+                dataset.name, self.path, self.element_paths, self.outer
+            )
+            entry = cache_manager.lookup(self._cache_key)
+            if entry is not None:
+                self._cached = entry.data
+            elif (
+                cache_manager.policy.cache_unnest_output
+                and cache_manager.policy.should_cache_field(
+                    plugin.format_name, "float"
+                )
+            ):
+                self._recorder = _CoverageRecorder()
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
-        try:
-            if self.plugin is not None:
-                parent_oids = batch.oids.get(self.binding)
-                if parent_oids is None:
-                    raise VectorizationError(
-                        f"no OID column for unnest binding {self.binding!r}"
-                    )
-                started = time.perf_counter()
-                buffers = self.plugin.scan_unnest_batch(
-                    self.dataset,
-                    self.path,
-                    self.element_paths,
-                    parent_oids,
-                    outer=self.outer,
-                )
-                self.plugin.record_scan(
-                    time.perf_counter() - started,
-                    sum(
-                        getattr(column, "nbytes", 0)
-                        for column in buffers.columns.values()
-                    ),
-                )
-            else:
-                collection = batch.columns.get((self.binding, self.path))
-                if collection is None:
-                    raise VectorizationError(
-                        f"no materialized collection column for "
-                        f"{self.binding!r}.{'.'.join(self.path)}"
-                    )
-                buffers = flatten_collections(
-                    collection, self.element_paths, outer=self.outer
-                )
-        except PluginError as exc:
-            raise VectorizationError(str(exc)) from exc
-        if buffers.count == 0:
+        if self._cached is not None:
+            columns, positions = self._cached.slice(
+                int(batch.oids[self.binding][0]), batch.count
+            )
+            counters.values_from_cache += len(positions) * self._width
+        else:
+            try:
+                buffers = self._flatten(batch, counters)
+            except PluginError as exc:
+                raise VectorizationError(str(exc)) from exc
+            columns, positions = buffers.columns, buffers.parent_positions()
+        if len(positions) == 0:
             return None
-        flattened = batch.take(buffers.parent_positions())
+        flattened = batch.take(positions)
         for path in self.element_paths:
-            flattened.columns[(self.var, path)] = buffers.column(path)
-        counters.rows_scanned += buffers.count
-        counters.unnest_output_rows += buffers.count
+            flattened.columns[(self.var, path)] = columns[path]
+        counters.unnest_output_rows += flattened.count
         if self.predicate is not None:
             return _apply_predicate(flattened, self.predicate)
         return flattened
+
+    def _flatten(self, batch: Batch, counters: PipelineCounters) -> UnnestBatch:
+        if self.plugin is None:
+            collection = batch.columns.get((self.binding, self.path))
+            if collection is None:
+                raise VectorizationError(
+                    f"no materialized collection column for "
+                    f"{self.binding!r}.{'.'.join(self.path)}"
+                )
+            buffers = flatten_collections(
+                collection, self.element_paths, outer=self.outer
+            )
+            counters.rows_scanned += buffers.count
+            return buffers
+        parent_oids = batch.oids.get(self.binding)
+        if parent_oids is None:
+            raise VectorizationError(
+                f"no OID column for unnest binding {self.binding!r}"
+            )
+        started = time.perf_counter()
+        buffers = self.plugin.scan_unnest_batch(
+            self.dataset, self.path, self.element_paths, parent_oids,
+            outer=self.outer,
+        )
+        self.plugin.record_scan(
+            time.perf_counter() - started, _nbytes(buffers.columns)
+        )
+        if self._recorder is not None:
+            self._recorder.add(int(parent_oids[0]), batch.count, buffers)
+        counters.rows_scanned += buffers.count
+        counters.values_extracted += buffers.count * self._width
+        return buffers
+
+    def store_materialized(self) -> None:
+        """Admit the flattened output of a complete scan to the cache."""
+        if self._recorder is None:
+            return
+        chunks = self._recorder.drain(self.total_rows)
+        if chunks is None:
+            return
+        repeats = np.concatenate([chunk.repeats for chunk in chunks])
+        flattened = _CachedUnnest(
+            columns={
+                path: concat_chunks([chunk.column(path) for chunk in chunks])
+                for path in self.element_paths
+            },
+            offsets=np.concatenate(([0], np.cumsum(repeats))),
+            positions=np.repeat(np.arange(len(repeats), dtype=np.int64), repeats),
+        )
+        self.cache_manager.store(
+            self._cache_key,
+            flattened,
+            kind="unnest",
+            dataset=self.dataset.name,
+            source_format=self.plugin.format_name,
+            description=f"unnest {self.dataset.name}.{'.'.join(self.path)}",
+        )
 
 
 class HashJoinStage:
@@ -664,8 +834,8 @@ class HashJoinStage:
         build: Batch,
         table: radix.RadixTable,
         build_kind: str,
-        right_key: Expression,
-        residual: Expression | None,
+        right_key: Evaluator,
+        residual: Evaluator | None,
     ):
         self.build = build
         self.table = table
@@ -674,7 +844,7 @@ class HashJoinStage:
         self.residual = residual
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
-        right_keys = _join_keys(evaluate_batch(self.right_key, batch), batch.count)
+        right_keys = _join_keys(self.right_key(batch), batch.count)
         probe_keys, kept = _align_probe_keys(self.build_kind, right_keys)
         left_positions, right_positions = radix.probe_radix_table(
             self.table, probe_keys
@@ -693,7 +863,7 @@ class HashJoinStage:
 class NestedLoopJoinStage:
     """Cross-product each batch against a materialized build side."""
 
-    def __init__(self, build: Batch, predicate: Expression | None):
+    def __init__(self, build: Batch, predicate: Evaluator | None):
         self.build = build
         self.predicate = predicate
 
@@ -743,7 +913,8 @@ class PipelineCompiler:
     Join build sides are materialized *during* compilation (they are blocking
     operators) through the executor's ``materializer`` — which runs them
     inline or fans their scans out, by the same decision as the plan root —
-    and their radix tables are built by ``table_builder``.
+    and their radix tables are built by ``table_builder`` unless the adaptive
+    cache already holds the table of the same build side.
     """
 
     def __init__(
@@ -753,6 +924,7 @@ class PipelineCompiler:
         batch_size: int,
         materializer: Callable[[CompiledPipeline], Batch],
         table_builder: Callable[[np.ndarray], radix.RadixTable],
+        evaluator: Callable[[Expression], Evaluator] = interpreted,
         cache_manager=None,
         counters: PipelineCounters | None = None,
         params: Mapping[int | str, object] | None = None,
@@ -766,6 +938,9 @@ class PipelineCompiler:
         self.counters = counters if counters is not None else PipelineCounters()
         self.materializer = materializer
         self.table_builder = table_builder
+        #: Expression -> per-batch evaluator: :func:`interpreted`, or the
+        #: generated program's ``function_for``.
+        self.evaluator = evaluator
         #: Bound query-parameter values, attached to every scan batch.
         self.params = params
         #: Per-query resilience context, handed to every scan operator and
@@ -774,22 +949,28 @@ class PipelineCompiler:
         #: Span trace of the current execution; ``None`` (the default) keeps
         #: every compiled stage unwrapped — tracing costs nothing when off.
         self.trace = trace
-        #: Every scan operator created while compiling (driving scan and all
-        #: build-side scans) — the executor flushes their cache
-        #: materializations after a successful run.
-        self.scan_operators: list[ScanOperator] = []
+        #: Every scan operator and full-scan unnest stage created while
+        #: compiling — the executor flushes their cache materializations
+        #: after a successful run.
+        self.cache_writers: list = []
 
     def compile(self, plan: PhysicalPlan) -> CompiledPipeline:
         if isinstance(plan, PhysScan):
-            return CompiledPipeline(
-                traced_scan(self.trace, plan, self._scan_operator(plan)),
-                [],
-                context=self.context,
-            )
+            return self._scan_pipeline(plan)
         if isinstance(plan, PhysSelect):
-            pipeline = self.compile(plan.child)
+            lazy_scan = None
+            if isinstance(plan.child, PhysScan):
+                pipeline = self._scan_pipeline(plan.child, plan.predicate)
+                if pipeline.source.lazy:
+                    lazy_scan = pipeline.source
+            else:
+                pipeline = self.compile(plan.child)
             pipeline.stages.append(
-                traced_stage(self.trace, plan, SelectStage(plan.predicate))
+                traced_stage(
+                    self.trace,
+                    plan,
+                    SelectStage(self.evaluator(plan.predicate), lazy_scan),
+                )
             )
             return pipeline
         if isinstance(plan, PhysUnnest):
@@ -801,9 +982,19 @@ class PipelineCompiler:
                 # materialized object column instead of plug-in OIDs.
                 dataset = plugin = None
             pipeline = self.compile(plan.child)
-            pipeline.stages.append(
-                traced_stage(self.trace, plan, UnnestStage(plan, dataset, plugin))
+            # Directly over its scan the stage sees every parent, in order:
+            # only then may the flattened output come from / go to the cache.
+            full_scan = isinstance(plan.child, PhysScan)
+            stage = UnnestStage(
+                plan,
+                dataset,
+                plugin,
+                self._optional(plan.predicate),
+                cache_manager=self.cache_manager if full_scan else None,
+                total_rows=pipeline.source.total_rows,
             )
+            self.cache_writers.append(stage)
+            pipeline.stages.append(traced_stage(self.trace, plan, stage))
             return pipeline
         if isinstance(plan, PhysHashJoin):
             if plan.outer:
@@ -819,16 +1010,17 @@ class PipelineCompiler:
                 # Volcano tier).
                 pipeline.always_empty = True
                 return pipeline
-            left_keys = _join_keys(evaluate_batch(plan.left_key, left), left.count)
-            table = self.table_builder(left_keys)
-            self.counters.join_build_rows += left.count
+            left_keys = _join_keys(self.evaluator(plan.left_key)(left), left.count)
             pipeline.stages.append(
                 traced_stage(
                     self.trace,
                     plan,
                     HashJoinStage(
-                        left, table, left_keys.dtype.kind, plan.right_key,
-                        plan.residual,
+                        left,
+                        self._build_table(plan, left_keys),
+                        left_keys.dtype.kind,
+                        self.evaluator(plan.right_key),
+                        self._optional(plan.residual),
                     ),
                 )
             )
@@ -845,7 +1037,9 @@ class PipelineCompiler:
                 return pipeline
             pipeline.stages.append(
                 traced_stage(
-                    self.trace, plan, NestedLoopJoinStage(left, plan.predicate)
+                    self.trace,
+                    plan,
+                    NestedLoopJoinStage(left, self._optional(plan.predicate)),
                 )
             )
             return pipeline
@@ -854,23 +1048,88 @@ class PipelineCompiler:
         )
 
     def store_scan_caches(self) -> None:
-        """Flush the scan operators' cache materializations (main thread)."""
-        for operator in self.scan_operators:
-            operator.store_materialized()
+        """Flush the recorded cache materializations (main thread)."""
+        for writer in self.cache_writers:
+            writer.store_materialized()
 
     # -- helpers -------------------------------------------------------------
 
-    def _scan_operator(self, plan: PhysScan) -> ScanOperator:
-        dataset = self.catalog.get(plan.dataset)
-        plugin = self.plugins.get(dataset.format)
-        if plugin is None:
-            raise ExecutionError(f"no plug-in registered for format {dataset.format!r}")
+    def _optional(self, expression: Expression | None) -> Evaluator | None:
+        return None if expression is None else self.evaluator(expression)
+
+    def _scan_pipeline(
+        self, plan: PhysScan, predicate: Expression | None = None
+    ) -> CompiledPipeline:
+        """The pipeline of one scan.  ``predicate`` is the selection sitting
+        directly on it: over the verbose formats the fields it does not read
+        are deferred until after the filter (lazy materialization, §5.2)."""
+        dataset, plugin = self._scan_source(plan, plan.binding)
+        deferred: frozenset[FieldPath] = frozenset()
+        if predicate is not None and dataset.format in ("csv", "json"):
+            needed = {
+                tuple(path)
+                for binding, path in predicate.referenced_fields()
+                if binding == plan.binding
+            }
+            deferred = frozenset(tuple(path) for path in plan.paths) - needed
         operator = ScanOperator(
             plan, dataset, plugin, self.cache_manager, params=self.params,
-            context=self.context,
+            context=self.context, deferred=deferred,
         )
-        self.scan_operators.append(operator)
-        return operator
+        self.cache_writers.append(operator)
+        return CompiledPipeline(
+            traced_scan(self.trace, plan, operator), [], context=self.context
+        )
+
+    def _build_table(
+        self, plan: PhysHashJoin, left_keys: np.ndarray
+    ) -> radix.RadixTable:
+        """The radix table of a join's build side — the cached one when the
+        adaptive cache holds the table of the same build plan, join key and
+        bound build-side parameter values (§6: ``A ⋈ B`` then ``A ⋈ C``)."""
+        manager = self.cache_manager
+        key = None
+        if manager is not None:
+            key = join_side_cache_key(
+                plan.left.fingerprint(), plan.left_key.fingerprint()
+            )
+            # The fingerprints abstract parameter values; fold the bound
+            # values of the build side's parameters back in so builds with
+            # different constants (and coincidentally equal cardinalities)
+            # never share a table.
+            parameters = dict.fromkeys(parameters_of(plan.left))
+            parameters.update(
+                (parameter.key, None) for parameter in iter_parameters(plan.left_key)
+            )
+            if parameters:
+                bound = self.params or {}
+                key += tuple((name, bound.get(name)) for name in parameters)
+                try:
+                    hash(key)
+                except TypeError:
+                    key = None  # unhashable values: no build-side caching
+        if key is not None:
+            entry = manager.lookup(key)
+            if entry is not None and entry.data.build_size == len(left_keys):
+                return entry.data
+            if entry is not None:
+                manager.evict(key)  # a stale build of another cardinality
+        table = self.table_builder(left_keys)
+        self.counters.join_build_rows += len(left_keys)
+        source = next(
+            node for node in plan.left.walk() if isinstance(node, PhysScan)
+        )
+        source_format = self.catalog.get(source.dataset).format
+        if key is not None and manager.policy.should_cache_join_side({source_format}):
+            manager.store(
+                key,
+                table,
+                kind="join_side",
+                dataset=source.dataset,
+                source_format=source_format,
+                description="radix join build side",
+            )
+        return table
 
     def _scan_source(
         self, plan: PhysicalPlan, binding: str
@@ -925,41 +1184,34 @@ def collect_nest_aggregates(
     return group_key_fingerprints, aggregates
 
 
-def finish_nest_columns(
+def nest_heads(
     plan: PhysNest,
-    group_key_fingerprints: dict[tuple, int],
-    key_arrays: list[np.ndarray],
-    aggregate_results: dict[tuple, np.ndarray],
-    params: Mapping[int | str, object] | None = None,
-) -> dict[str, Any]:
-    """Assemble a Nest's output columns from grouped keys and per-group
-    aggregate result columns.
+    group_key_fingerprints: Mapping[tuple, int],
+    aggregates: list[AggregateCall],
+) -> list[tuple[str, int | Expression]]:
+    """Per output column of a Nest: the index of the group key it copies, or
+    its head expression over the per-group aggregate result columns.
 
-    Each aggregate's result column is exposed under a synthetic binding, then
-    the heads are finished with the vectorized evaluator — this keeps
-    arithmetic/logical combinations of aggregates (e.g. ``max(x) > 5 and
-    min(x) > 0``) on the batch path; ``params`` keeps query parameters in the
-    heads (e.g. ``sum(x) * :rate``) evaluable.
+    Each aggregate's result column is exposed under a synthetic binding
+    (``__agg__.agg_<n>``, in ``aggregates`` order), so arithmetic/logical
+    combinations of aggregates (e.g. ``max(x) > 5 and min(x) > 0``) and query
+    parameters in the heads (``sum(x) * :rate``) finish on the batch path —
+    and the code generator can fuse them like any other expression.
     """
-    num_groups = len(key_arrays[0])
-    group_batch = Batch(count=num_groups, params=params)
-    results: dict[tuple, Expression] = {}
-    for index, (fingerprint, values) in enumerate(aggregate_results.items()):
-        reference = FieldRef(_AGG_BINDING, (f"agg_{index}",))
-        group_batch.columns[(_AGG_BINDING, reference.path)] = np.asarray(values)
-        results[fingerprint] = reference
-    columns: dict[str, Any] = {}
+    references: dict[tuple, Expression] = {
+        aggregate.fingerprint(): FieldRef(_AGG_BINDING, (f"agg_{index}",))
+        for index, aggregate in enumerate(aggregates)
+    }
+    heads: list[tuple[str, int | Expression]] = []
     for column in plan.columns:
-        fingerprint = column.expression.fingerprint()
-        if fingerprint in group_key_fingerprints:
-            index = group_key_fingerprints[fingerprint]
-            columns[column.name] = key_arrays[index]
-            continue
-        final = replace_aggregates(column.expression, results)
-        columns[column.name] = materialize(
-            evaluate_batch(final, group_batch), num_groups
-        )
-    return columns
+        key_index = group_key_fingerprints.get(column.expression.fingerprint())
+        if key_index is not None:
+            heads.append((column.name, key_index))
+        else:
+            heads.append(
+                (column.name, replace_aggregates(column.expression, references))
+            )
+    return heads
 
 
 # ---------------------------------------------------------------------------
@@ -1021,12 +1273,13 @@ def _make_root(
     params: Mapping[int | str, object] | None,
     hints: NullabilityHints,
     fan_out: bool,
+    evaluator: Callable[[Expression], Evaluator],
 ) -> _RootTask:
     if isinstance(plan, PhysNest):
-        return _NestRoot(plan, params)
+        return _NestRoot(plan, params, evaluator)
     if any(contains_aggregate(column.expression) for column in plan.columns):
-        return _GlobalAggregateRoot(plan, params, hints)
-    root = _ProjectionRoot(plan)
+        return _GlobalAggregateRoot(plan, params, hints, evaluator)
+    root = _ProjectionRoot(plan, evaluator)
     if sort_plan is None:
         return root
     # A projection under ORDER BY sorts each range where it is produced (and,
@@ -1059,20 +1312,24 @@ class _ProjectionRoot(_RootTask):
     engine slices the exact prefix.
     """
 
-    def __init__(self, plan: PhysReduce):
+    def __init__(
+        self, plan: PhysReduce, evaluator: Callable[[Expression], Evaluator]
+    ):
         self.plan = plan
         self.names = [column.name for column in plan.columns]
-        self.unique_columns = unique_output_columns(plan.columns)
+        #: (output name, evaluator of its head), first occurrence per name.
+        self.heads = [
+            (column.name, evaluator(column.expression))
+            for column in unique_output_columns(plan.columns)
+        ]
         self.limit: int | None = None
 
     def new_state(self) -> dict:
         return {"chunks": {name: [] for name in self.names}, "total": 0}
 
     def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
-        for column in self.unique_columns:
-            state["chunks"][column.name].append(
-                materialize(evaluate_batch(column.expression, batch), batch.count)
-            )
+        for name, head in self.heads:
+            state["chunks"][name].append(materialize(head(batch), batch.count))
         state["total"] += batch.count
 
     def saturated(self, state: dict) -> bool:
@@ -1152,10 +1409,8 @@ class _SortedProjectionRoot(_RootTask):
         accumulator = state.get("topk")
         if accumulator is not None:
             columns = {
-                column.name: materialize(
-                    evaluate_batch(column.expression, batch), batch.count
-                )
-                for column in self.inner.unique_columns
+                name: materialize(head(batch), batch.count)
+                for name, head in self.inner.heads
             }
             accumulator.push(columns, batch.count)
             return
@@ -1213,17 +1468,25 @@ class _GlobalAggregateRoot(_RootTask):
     def __init__(
         self,
         plan: PhysReduce,
-        params: Mapping[int | str, object] | None = None,
-        hints: NullabilityHints = EMPTY_HINTS,
+        params: Mapping[int | str, object] | None,
+        hints: NullabilityHints,
+        evaluator: Callable[[Expression], Evaluator],
     ):
         self.plan = plan
         self.params = params
         self.hints = hints
         self.names = [column.name for column in plan.columns]
+        #: Aggregate fingerprint -> evaluator of its argument.
+        self.arguments = {
+            aggregate.fingerprint(): evaluator(aggregate.argument)
+            for column in plan.columns
+            for aggregate in iter_aggregates(column.expression)
+            if aggregate.argument is not None
+        }
 
     def new_state(self) -> "_BatchAggregates":
         return _BatchAggregates(
-            self.plan.columns, self.hints.non_null_aggregate_args
+            self.plan.columns, self.arguments, self.hints.non_null_aggregate_args
         )
 
     def update(
@@ -1232,8 +1495,8 @@ class _GlobalAggregateRoot(_RootTask):
         state.update(batch)
 
     def merge(self, partials: list, counters: PipelineCounters):
-        accumulators = _BatchAggregates(self.plan.columns)
-        for partial in partials:
+        accumulators, *others = partials
+        for partial in others:
             accumulators.merge(partial)
         values = accumulators.finalize()
         counters.output_rows += 1
@@ -1267,34 +1530,44 @@ class _NestRoot(_RootTask):
     """
 
     def __init__(
-        self, plan: PhysNest, params: Mapping[int | str, object] | None = None
+        self,
+        plan: PhysNest,
+        params: Mapping[int | str, object] | None,
+        evaluator: Callable[[Expression], Evaluator],
     ):
         self.plan = plan
         self.params = params
         self.names = [column.name for column in plan.columns]
-        self.group_key_fingerprints, self.aggregates = collect_nest_aggregates(plan)
+        group_key_fingerprints, self.aggregates = collect_nest_aggregates(plan)
+        self.keys = [evaluator(expression) for expression in plan.group_by]
+        #: Aggregate fingerprint -> evaluator of its argument.
+        self.arguments = {
+            aggregate.fingerprint(): evaluator(aggregate.argument)
+            for aggregate in self.aggregates
+            if aggregate.argument is not None
+        }
+        #: (output name, group-key index | evaluator of the head over the
+        #: per-group aggregate columns) per output column.
+        self.heads = [
+            (name, head if isinstance(head, int) else evaluator(head))
+            for name, head in nest_heads(
+                plan, group_key_fingerprints, self.aggregates
+            )
+        ]
 
     def new_state(self) -> dict:
         return {
             "key_chunks": [[] for _ in self.plan.group_by],
-            "argument_chunks": {
-                aggregate.fingerprint(): []
-                for aggregate in self.aggregates
-                if aggregate.argument is not None
-            },
+            "argument_chunks": {fingerprint: [] for fingerprint in self.arguments},
             "total": 0,
         }
 
     def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
-        for index, expression in enumerate(self.plan.group_by):
-            state["key_chunks"][index].append(
-                materialize(evaluate_batch(expression, batch), batch.count)
-            )
-        for aggregate in self.aggregates:
-            if aggregate.argument is None:
-                continue
-            state["argument_chunks"][aggregate.fingerprint()].append(
-                materialize(evaluate_batch(aggregate.argument, batch), batch.count)
+        for chunks, key in zip(state["key_chunks"], self.keys):
+            chunks.append(materialize(key(batch), batch.count))
+        for fingerprint, argument in self.arguments.items():
+            state["argument_chunks"][fingerprint].append(
+                materialize(argument(batch), batch.count)
             )
         state["total"] += batch.count
 
@@ -1380,10 +1653,16 @@ class _NestRoot(_RootTask):
                 aggregate_results[fingerprint] = reduce(
                     self._MERGE_FUNCS[aggregate.func], parts
                 )
-        columns = finish_nest_columns(
-            self.plan, self.group_key_fingerprints, key_arrays, aggregate_results,
-            params=self.params,
-        )
+        group_batch = Batch(count=num_groups, params=self.params)
+        for index, values in enumerate(aggregate_results.values()):
+            group_batch.columns[(_AGG_BINDING, (f"agg_{index}",))] = np.asarray(values)
+        columns: dict[str, Any] = {}
+        for name, head in self.heads:
+            columns[name] = (
+                key_arrays[head]
+                if isinstance(head, int)
+                else materialize(head(group_batch), num_groups)
+            )
         return self.names, columns
 
 
@@ -1408,9 +1687,9 @@ def _finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class VectorizedExecutor:
-    """Batch-vectorized interpreter over physical plans — the only batch
-    entry the engine calls.  Scans run inline on the calling thread or fan
-    out over morsels, decided per scan by
+    """The batch pipeline's executor — the only NumPy entry the engine calls,
+    for the ``codegen`` and the ``vectorized`` label alike.  Scans run inline
+    on the calling thread or fan out over morsels, decided per scan by
     :func:`repro.core.parallel.plan_fanout`."""
 
     def __init__(
@@ -1452,8 +1731,15 @@ class VectorizedExecutor:
         #: out); its dispatch counters reflect the fan-out decisions taken.
         self.fanout = ParallelVectorizedExecutor(num_workers, context)
 
-    def execute(self, plan: PhysicalPlan) -> tuple[list[str], dict[str, Any]]:
-        """Execute a plan; returns (column names, column values)."""
+    def execute(
+        self, plan: PhysicalPlan, program=None
+    ) -> tuple[list[str], dict[str, Any]]:
+        """Execute a plan; returns (column names, column values).
+
+        ``program`` is the plan's :class:`~repro.core.codegen.GeneratedQuery`
+        (the ``codegen`` label: every plan expression evaluates through its
+        fused function); ``None`` interprets the expressions per batch."""
+        evaluator = interpreted if program is None else program.function_for
         sort_plan: PhysSort | None = None
         if isinstance(plan, PhysSort):
             sort_plan = plan
@@ -1468,6 +1754,7 @@ class VectorizedExecutor:
             self.batch_size,
             materializer=self._materialize,
             table_builder=self.fanout.build_table,
+            evaluator=evaluator,
             cache_manager=self.cache_manager,
             counters=self.counters,
             params=self.params,
@@ -1475,8 +1762,10 @@ class VectorizedExecutor:
             context=self.context,
         )
         pipeline = compiler.compile(plan.child)
-        morsels = self._plan_morsels(pipeline)
-        root = _make_root(plan, sort_plan, self.params, self.hints, bool(morsels))
+        morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
+        root = _make_root(
+            plan, sort_plan, self.params, self.hints, bool(morsels), evaluator
+        )
         names, columns = self._run(root, pipeline, morsels)
         self.sort_strategy = root.sort_strategy
         compiler.store_scan_caches()
@@ -1484,7 +1773,9 @@ class VectorizedExecutor:
 
     # -- inline or fanned out --------------------------------------------------
 
-    def _plan_morsels(self, pipeline: CompiledPipeline) -> list[Morsel]:
+    def _plan_morsels(
+        self, pipeline: CompiledPipeline, grouping: bool
+    ) -> list[Morsel]:
         """The morsels to fan ``pipeline``'s scan out over; empty = inline."""
         if pipeline.always_empty:
             return []
@@ -1494,13 +1785,16 @@ class VectorizedExecutor:
             source.splittable,
             source.total_rows,
             self.batch_size,
+            grouping,
         )
         return morsels
 
     def _materialize(self, pipeline: CompiledPipeline) -> Batch:
         """Materialize a join build side, through the same fan-out decision
         as the plan root."""
-        return self._run(_CollectRoot(), pipeline, self._plan_morsels(pipeline))
+        return self._run(
+            _CollectRoot(), pipeline, self._plan_morsels(pipeline, grouping=False)
+        )
 
     def _run(self, root: _RootTask, pipeline: CompiledPipeline, morsels: list[Morsel]):
         if not morsels:
@@ -1567,8 +1861,15 @@ class _BatchAggregates(AggregateAccumulators):
     per-element probe over object columns) is skipped entirely.
     """
 
-    def __init__(self, columns, non_null_args: frozenset[tuple] = frozenset()):
+    def __init__(
+        self,
+        columns,
+        arguments: Mapping[tuple, Evaluator],
+        non_null_args: frozenset[tuple] = frozenset(),
+    ):
         super().__init__(columns)
+        #: Aggregate fingerprint -> evaluator of its argument.
+        self.arguments = arguments
         self.non_null_args = frozenset(non_null_args)
 
     def update(self, batch: Batch) -> None:
@@ -1577,9 +1878,7 @@ class _BatchAggregates(AggregateAccumulators):
             if aggregate.func == "count" and aggregate.argument is None:
                 continue
             fingerprint = aggregate.fingerprint()
-            values = materialize(
-                evaluate_batch(aggregate.argument, batch), batch.count
-            )
+            values = materialize(self.arguments[fingerprint](batch), batch.count)
             valid = (
                 None
                 if fingerprint in self.non_null_args
@@ -1624,7 +1923,7 @@ class _BatchAggregates(AggregateAccumulators):
 def _join_keys(value: Any, count: int) -> np.ndarray:
     """Normalize a join key column: fixed-width strings to objects, bools to
     ints.  Keys containing missing values are rejected by the radix kernels
-    themselves (shared with the codegen tier)."""
+    themselves."""
     keys = materialize(value, count)
     if keys.dtype.kind in "US":
         keys = keys.astype(object)

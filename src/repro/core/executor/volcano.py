@@ -80,9 +80,9 @@ class VolcanoExecutor:
         #: overhead proxies.
         self.tuples_processed = 0
         self.predicate_evaluations = 0
-        #: Profile counters with cross-tier semantics (the batch tier and
-        #: the codegen runtime count the same things the same way — see the
-        #: differential suite in ``tests/test_obs.py``): records produced by
+        #: Profile counters with cross-tier semantics (the batch pipeline
+        #: counts the same things the same way — see the differential suite
+        #: in ``tests/test_obs.py``): records produced by
         #: scans plus flattened unnest elements, elements emitted by unnest
         #: operators pre-predicate (incl. outer null rows), and rows emitted
         #: into the result.  ``tuples_processed`` is intentionally left with

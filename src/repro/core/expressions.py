@@ -12,8 +12,8 @@ Every expression supports three independent consumers:
   executor and by the baseline engines,
 * ``fingerprint()`` — a structural key used by the caching manager when
   matching plans against materialized caches,
-* the vectorized code generator (``repro.core.codegen.expr_gen``) walks the
-  same AST to emit NumPy source for the per-query specialized engine.
+* the expression generator (``repro.core.codegen.expr_gen``) walks the same
+  AST to emit the NumPy function the batch pipeline calls per batch.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ class Parameter(Expression):
     plan's fingerprint abstracts over the constant (``("param", key)`` instead
     of a literal value) — one compiled program serves every binding of the
     parameter.  Evaluation reads the value from the parameter environment the
-    executing tier provides (:data:`PARAMS_BINDING` for the interpreted tiers,
-    ``rt.param`` in generated code, ``Batch.params`` in the batch tier).
+    executing tier provides (:data:`PARAMS_BINDING` for tuple-at-a-time
+    evaluation, ``Batch.params`` in the batch pipeline — interpreted and
+    generated expressions alike).
     """
 
     def __init__(self, key: int | str):

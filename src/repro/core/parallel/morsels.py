@@ -2,21 +2,35 @@
 
 A *morsel* is a contiguous range of global scan rows — the unit of work the
 scheduler hands to workers (the batch analogue of HyPer-style morsel-driven
-parallelism).  Morsel boundaries are always multiples of the executor's batch
-size, so a pipeline running over morsels sees exactly the batch boundaries
-an inline run would: per-batch operator output (join probe order
-included) is bit-for-bit the same, and collecting morsel results in index
-order reproduces the inline row order.
+parallelism).  A morsel is one batch of the executor, so a pipeline running
+over morsels sees exactly the batch boundaries an inline run would:
+per-batch operator output (join probe order included) is bit-for-bit the
+same, and collecting morsel results in index order reproduces the inline row
+order.  Morsels are never shrunk to manufacture parallelism: an input that
+fits one batch is one morsel and runs inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Default upper bound on morsel size.  Large enough that per-morsel
-#: scheduling overhead is noise, small enough that work stealing can
-#: rebalance skewed pipelines (e.g. selective predicates).
-DEFAULT_MORSEL_ROWS = 65536
+#: Whole morsels a scan must span before a *linear* root (projection, sorted
+#: projection, global aggregate, join build side) fans out.  Such roots gain
+#: nothing algorithmically from splitting: their per-morsel work only
+#: overlaps where NumPy releases the interpreter lock, and the merge of a
+#: collecting root re-touches every output row.  Measured on the two-core
+#: reference box, two workers against one (ROADMAP "Measured state"): at 10
+#: morsels the linear OLAP classes tie or lose (``topk`` 7.8 -> 9.4 ms,
+#: ``join`` 191 -> 200, ``project`` 142 -> 143), at 37-47 they tie or win
+#: (``join`` 844 -> 509) — the bar sits between the two.
+LINEAR_ROOT_MORSELS = 16
+
+#: A grouping root fans out as soon as there is something to split: grouping
+#: is sort-based (super-linear), so per-morsel partial groups plus a merge
+#: over the few partial groups is less work than one grouping of the whole
+#: input — ``groupby`` 156 -> 118 ms and ``groupby_small`` 83 -> 52 ms at 10
+#: morsels on the same box.
+GROUPING_ROOT_MORSELS = 2
 
 
 @dataclass(frozen=True)
@@ -32,32 +46,13 @@ class Morsel:
         return self.stop - self.start
 
 
-def plan_morsels(
-    total_rows: int,
-    batch_size: int,
-    num_workers: int,
-    morsel_rows: int | None = None,
-) -> list[Morsel]:
-    """Split ``total_rows`` into batch-aligned morsels.
-
-    When no explicit ``morsel_rows`` is given, the size adapts so that every
-    worker gets at least two morsels (leaving room for stealing) without
-    dropping below one batch per morsel or exceeding
-    :data:`DEFAULT_MORSEL_ROWS`.
-    """
-    if total_rows <= 0:
-        return []
+def plan_morsels(total_rows: int, batch_size: int) -> list[Morsel]:
+    """Split ``total_rows`` into morsels of one batch each."""
     batch_size = max(int(batch_size), 1)
-    if morsel_rows is None:
-        per_worker_target = -(-total_rows // max(num_workers * 2, 1))  # ceil
-        morsel_rows = min(DEFAULT_MORSEL_ROWS, max(per_worker_target, 1))
-    # Align up to a batch multiple so morsels reproduce serial batch
-    # boundaries exactly.
-    morsel_rows = max(batch_size, -(-morsel_rows // batch_size) * batch_size)
-    morsels: list[Morsel] = []
-    for index, start in enumerate(range(0, total_rows, morsel_rows)):
-        morsels.append(Morsel(index, start, min(start + morsel_rows, total_rows)))
-    return morsels
+    return [
+        Morsel(index, start, min(start + batch_size, total_rows))
+        for index, start in enumerate(range(0, max(total_rows, 0), batch_size))
+    ]
 
 
 def plan_fanout(
@@ -65,13 +60,17 @@ def plan_fanout(
     splittable: bool,
     total_rows: int | None,
     batch_size: int,
+    grouping: bool,
 ) -> tuple[list[Morsel], str]:
     """THE fan-out decision of the batch executor: ``(morsels, why)``.
 
-    A scan fans out across the worker pool when the engine has more than one
-    worker, the scan serves arbitrary row ranges and the input splits into at
-    least two morsels; otherwise ``morsels`` is empty and the scan runs
-    inline on the calling thread.  ``why`` words the outcome for
+    Every input is a fact the caller observes, none is a setting: the
+    engine's worker count, whether the scan serves arbitrary row ranges, its
+    row count, the batch (= morsel) size and whether the pipeline's root is
+    a group-by.  A scan fans out across the worker pool when it spans enough
+    whole morsels for its kind of root (:data:`GROUPING_ROOT_MORSELS` /
+    :data:`LINEAR_ROOT_MORSELS`); otherwise ``morsels`` is empty and the
+    scan runs inline on the calling thread.  ``why`` words the outcome for
     ``explain()``.  The executor (root pipelines and join build sides alike)
     calls this with the opened scan's facts; ``explain()`` calls it with
     what the catalog knows (``total_rows=None`` without collected
@@ -81,15 +80,21 @@ def plan_fanout(
         return [], "serial: parallel_workers=1"
     if not splittable:
         return [], "serial: the driving scan is not range-splittable"
+    kind = "grouping" if grouping else "linear"
+    needed = GROUPING_ROOT_MORSELS if grouping else LINEAR_ROOT_MORSELS
     if total_rows is None:
         return [], (
             "decided when the scan opens: the row count is unknown until then "
-            f"(fans out across {num_workers} workers if it spans 2+ morsels)"
+            f"(a {kind} root fans out across {num_workers} workers from "
+            f"{needed} morsels of {batch_size} rows)"
         )
-    morsels = plan_morsels(total_rows, batch_size, num_workers)
-    if len(morsels) <= 1:
-        return [], "serial: the input fits a single morsel"
+    morsels = plan_morsels(total_rows, batch_size)
+    if len(morsels) < needed:
+        return [], (
+            f"serial: {total_rows} rows are {len(morsels)} morsel(s) of "
+            f"{batch_size}; a {kind} root fans out from {needed}"
+        )
     return morsels, (
         f"fan-out: {len(morsels)} morsels across "
-        f"{min(num_workers, len(morsels))} workers"
+        f"{min(num_workers, len(morsels))} workers ({kind} root)"
     )

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.obs.trace import QueryTrace, Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.codegen.runtime import ExecutionProfile
+    from repro.core.profile import ExecutionProfile
     from repro.core.optimizer.statistics import StatisticsManager
     from repro.core.physical import PhysicalPlan
 
@@ -96,42 +96,18 @@ def _contains_aggregate(expression: Any) -> bool:
     return bool(contains_aggregate(expression))
 
 
-def assign_spans(
-    plan: "PhysicalPlan", spans: list[Span]
-) -> tuple[dict[int, list[Span]], list[Span]]:
-    """Attach operator spans to plan nodes.
-
-    Spans carrying a walk ordinal attach directly.  Floating spans (codegen
-    kernels, recorded against generated code) are claimed by the first
-    span-less node of the matching operator kind, in walk order — scans
-    additionally require the span's dataset label to match.  Whatever
-    cannot be attributed is returned separately and rendered at the end,
-    never dropped.
-    """
-    nodes = list(plan.walk())
+def assign_spans(spans: list[Span]) -> tuple[dict[int, list[Span]], list[Span]]:
+    """Group operator spans by the walk ordinal of the plan node they
+    measured.  Every instrumentation site records against a plan node; a
+    span that somehow was not is returned separately and rendered at the
+    end, never dropped."""
     by_node: dict[int, list[Span]] = {}
-    floating: list[Span] = []
+    leftovers: list[Span] = []
     for span in spans:
         if span.node_id is not None:
             by_node.setdefault(span.node_id, []).append(span)
         else:
-            floating.append(span)
-    claimed: set[int] = set()
-    for ordinal, node in enumerate(nodes):
-        if ordinal in by_node:
-            continue
-        kind = type(node).__name__
-        for index, span in enumerate(floating):
-            if index in claimed or span.operator != kind:
-                continue
-            if kind == "PhysScan" and span.name != f"scan:{node.dataset}":
-                continue
-            claimed.add(index)
-            by_node.setdefault(ordinal, []).append(span)
-            break
-    leftovers = [
-        span for index, span in enumerate(floating) if index not in claimed
-    ]
+            leftovers.append(span)
     return by_node, leftovers
 
 
@@ -170,7 +146,7 @@ def render_explain_analyze(
     """The EXPLAIN ANALYZE report for one executed, traced query."""
     estimates = estimate_cardinalities(plan, statistics)
     spans = trace.operators if trace is not None else []
-    by_node, leftovers = assign_spans(plan, spans)
+    by_node, leftovers = assign_spans(spans)
     root_ordinal = len(list(plan.walk())) - 1
 
     parts: list[str] = ["== explain analyze =="]

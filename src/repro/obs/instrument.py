@@ -1,8 +1,9 @@
-"""Instrumentation shims that attach span accumulators to the executors.
+"""Instrumentation shims that attach span accumulators to the batch pipeline.
 
 Every helper here is a no-op pass-through when the trace builder is ``None``
-— the batch tier then runs the exact stage/scan objects it always ran, and
-the codegen runtime keeps its original bound methods.  With tracing on:
+— the pipeline then runs the exact stage/scan objects it always ran, under
+the ``codegen`` and the ``vectorized`` label alike (the Volcano interpreter
+wraps its own iterators).  With tracing on:
 
 * :class:`TracedStage` wraps one pipeline stage (Select/Unnest/Join), timing
   each ``apply`` exclusively (its own work only) with rows-in/rows-out and
@@ -10,13 +11,7 @@ the codegen runtime keeps its original bound methods.  With tracing on:
 * :class:`TracedScan` wraps the pipeline's ``ScanOperator``, timing the time
   spent *inside* the plug-in's batch stream and summing produced bytes —
   morsel fan-out workers stream disjoint morsel ranges through the same
-  wrapper, so their per-morsel flushes aggregate into one morsel-merged span,
-* :func:`instrument_runtime` rebinds the codegen ``QueryRuntime`` kernels
-  (``scan``/``unnest``/``radix_join``/…) with span-recording closures.
-  Generated programs may execute against synthesized sub-plans (lazy field
-  materialization splits a scan in two), so codegen spans are keyed by
-  kernel kind + label and matched back to plan nodes by operator kind at
-  render time.
+  wrapper, so their per-morsel flushes aggregate into one morsel-merged span.
 
 ``SPAN_INSTRUMENTED_OPERATORS`` / ``SPAN_EXEMPT_OPERATORS`` are the
 declarative coverage tables ``tools/tier_lint.py`` checks: every ``Phys*``
@@ -32,32 +27,28 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.obs.trace import SpanAccumulator, TraceBuilder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.codegen.runtime import QueryRuntime
     from repro.core.executor.vectorized import Batch, PipelineCounters
 
-#: Where each physical operator's span comes from, per tier.  Checked by
+#: Where each physical operator's span comes from, per executor.  Checked by
 #: ``tools/tier_lint.py``: a ``Phys*`` class missing from both this table and
 #: ``SPAN_EXEMPT_OPERATORS`` fails the lint.
 SPAN_INSTRUMENTED_OPERATORS: dict[str, str] = {
-    "PhysScan": "TracedScan wraps ScanOperator (batch tier); rt.scan/"
-                "rt.scan_selected closures (codegen); iterator wrapper (volcano)",
-    "PhysSelect": "TracedStage(SelectStage) (batch tier); rt.mask closure "
-                  "(codegen, mask coercion only — the comparison itself is "
-                  "inlined in the generated program); iterator wrapper (volcano)",
-    "PhysUnnest": "TracedStage(UnnestStage) (batch tier); rt.unnest closure "
-                  "(codegen); iterator wrapper (volcano)",
-    "PhysHashJoin": "TracedStage(HashJoinStage) (batch tier); rt.radix_join "
-                    "closure (codegen); iterator wrapper (volcano)",
-    "PhysNestedLoopJoin": "TracedStage(NestedLoopJoinStage) (batch tier); "
-                          "rt.cross_product closure (codegen); iterator "
-                          "wrapper (volcano)",
-    "PhysReduce": "engine-side root span around the tier's reduce "
-                  "(all tiers); rt.scalar_agg/rt.record_output closures (codegen)",
-    "PhysNest": "engine-side root span around the tier's grouping "
-                "(all tiers); rt.radix_group/rt.group_agg closures (codegen)",
-    "PhysSort": "engine-side sort span around the columnar epilogue; in-tier "
-                "sorts (streaming top-K, parallel merge) are covered by the "
-                "root span and attributed via profile.sort_strategy",
+    "PhysScan": "TracedScan wraps ScanOperator (batch pipeline); iterator "
+                "wrapper (volcano)",
+    "PhysSelect": "TracedStage(SelectStage), lazy field fetches included "
+                  "(batch pipeline); iterator wrapper (volcano)",
+    "PhysUnnest": "TracedStage(UnnestStage) (batch pipeline); iterator "
+                  "wrapper (volcano)",
+    "PhysHashJoin": "TracedStage(HashJoinStage) (batch pipeline); iterator "
+                    "wrapper (volcano)",
+    "PhysNestedLoopJoin": "TracedStage(NestedLoopJoinStage) (batch "
+                          "pipeline); iterator wrapper (volcano)",
+    "PhysReduce": "engine-side root span around the executor's reduce",
+    "PhysNest": "engine-side root span around the executor's grouping",
+    "PhysSort": "engine-side sort span around the columnar epilogue; "
+                "in-pipeline sorts (streaming top-K, parallel merge) are "
+                "covered by the root span and attributed via "
+                "profile.sort_strategy",
 }
 
 #: Operators deliberately left without spans, with the reason why.
@@ -69,13 +60,6 @@ def _batch_nbytes(batch: "Batch") -> int:
     for column in batch.columns.values():
         total += getattr(column, "nbytes", 0)
     return total
-
-
-def _buffers_nbytes(buffers: Any) -> int:
-    columns = getattr(buffers, "columns", None)
-    if not columns:
-        return 0
-    return sum(getattr(column, "nbytes", 0) for column in columns.values())
 
 
 class TracedStage:
@@ -181,193 +165,3 @@ def traced_scan(trace: TraceBuilder | None, node: object, operator: Any) -> Any:
         detail=getattr(getattr(operator, "plugin", None), "format_name", ""),
     )
     return TracedScan(operator, accumulator)
-
-
-def instrument_runtime(runtime: "QueryRuntime", trace: TraceBuilder) -> None:
-    """Rebind a codegen ``QueryRuntime``'s kernels with span recording.
-
-    The closures shadow the class methods on this one instance only; an
-    untraced runtime keeps the original bound methods and pays nothing.
-    """
-    perf = time.perf_counter
-    join_count = [0]
-    cross_count = [0]
-
-    inner_scan = runtime.scan
-
-    def scan(plugin: Any, dataset: Any, paths: Any) -> Any:
-        accumulator = trace.operator(
-            f"scan:{dataset.name}", operator="PhysScan", detail=plugin.format_name
-        )
-        started = perf()
-        buffers = inner_scan(plugin, dataset, paths)
-        accumulator.add(
-            seconds=perf() - started,
-            rows_out=buffers.count,
-            nbytes=_buffers_nbytes(buffers),
-            batches=1,
-        )
-        return buffers
-
-    inner_scan_selected = runtime.scan_selected
-
-    def scan_selected(plugin: Any, dataset: Any, paths: Any, oids: Any) -> Any:
-        accumulator = trace.operator(
-            f"scan:{dataset.name}",
-            operator="PhysScan",
-            detail=f"{plugin.format_name} (+lazy fields)",
-        )
-        started = perf()
-        buffers = inner_scan_selected(plugin, dataset, paths, oids)
-        accumulator.add(
-            seconds=perf() - started,
-            rows_out=0,  # lazy fields add columns, not rows
-            nbytes=_buffers_nbytes(buffers),
-            batches=1,
-        )
-        return buffers
-
-    inner_unnest = runtime.unnest
-
-    def unnest(
-        plugin: Any,
-        dataset: Any,
-        collection_path: Any,
-        element_paths: Any,
-        parent_oids: Any,
-        full_scan: bool = False,
-    ) -> Any:
-        path = ".".join(collection_path)
-        accumulator = trace.operator(
-            f"unnest:{dataset.name}.{path}",
-            operator="PhysUnnest",
-            detail=plugin.format_name,
-        )
-        started = perf()
-        buffers = inner_unnest(
-            plugin, dataset, collection_path, element_paths, parent_oids,
-            full_scan=full_scan,
-        )
-        accumulator.add(
-            seconds=perf() - started,
-            rows_in=len(parent_oids) if parent_oids is not None else 0,
-            rows_out=buffers.count,
-            nbytes=_buffers_nbytes(buffers),
-            batches=1,
-        )
-        return buffers
-
-    inner_radix_join = runtime.radix_join
-
-    def radix_join(left_keys: Any, right_keys: Any, *args: Any, **kwargs: Any) -> Any:
-        join_count[0] += 1
-        accumulator = trace.operator(
-            f"join:{join_count[0]}", operator="PhysHashJoin", detail="radix join"
-        )
-        started = perf()
-        left_positions, right_positions = inner_radix_join(
-            left_keys, right_keys, *args, **kwargs
-        )
-        accumulator.add(
-            seconds=perf() - started,
-            rows_in=len(right_keys),
-            rows_out=len(left_positions),
-            batches=1,
-        )
-        return left_positions, right_positions
-
-    inner_cross = runtime.cross_product
-
-    def cross_product(left_count: int, right_count: int) -> Any:
-        cross_count[0] += 1
-        accumulator = trace.operator(
-            f"nested-loop:{cross_count[0]}",
-            operator="PhysNestedLoopJoin",
-            detail="cartesian index pairs; the residual predicate is inlined",
-        )
-        started = perf()
-        left, right = inner_cross(left_count, right_count)
-        accumulator.add(
-            seconds=perf() - started,
-            rows_in=left_count,
-            rows_out=len(left),
-            batches=1,
-        )
-        return left, right
-
-    inner_mask = runtime.mask
-
-    def mask(values: Any) -> Any:
-        accumulator = trace.operator(
-            "select",
-            operator="PhysSelect",
-            detail="mask coercion only; predicate arithmetic is inlined "
-                   "in the generated program",
-        )
-        started = perf()
-        result = inner_mask(values)
-        accumulator.add(
-            seconds=perf() - started,
-            rows_in=len(result),
-            rows_out=int(result.sum()),
-            batches=1,
-        )
-        return result
-
-    inner_radix_group = runtime.radix_group
-
-    def radix_group(key_arrays: Any) -> Any:
-        accumulator = trace.operator(
-            "group-by", operator="PhysNest", detail="radix grouping + aggregates"
-        )
-        started = perf()
-        result = inner_radix_group(key_arrays)
-        accumulator.add(
-            seconds=perf() - started,
-            rows_in=len(key_arrays[0]) if len(key_arrays) else 0,
-            rows_out=result.num_groups,
-            batches=1,
-        )
-        return result
-
-    inner_group_agg = runtime.group_agg
-
-    def group_agg(func: str, group_ids: Any, num_groups: int, values: Any = None) -> Any:
-        accumulator = trace.operator(
-            "group-by", operator="PhysNest", detail="radix grouping + aggregates"
-        )
-        started = perf()
-        result = inner_group_agg(func, group_ids, num_groups, values)
-        accumulator.add(seconds=perf() - started, batches=1)
-        return result
-
-    inner_scalar_agg = runtime.scalar_agg
-
-    def scalar_agg(func: str, values: Any, count: int) -> Any:
-        accumulator = trace.operator(
-            "reduce", operator="PhysReduce", detail="scalar aggregates"
-        )
-        started = perf()
-        result = inner_scalar_agg(func, values, count)
-        accumulator.add(seconds=perf() - started, rows_in=count, batches=1)
-        return result
-
-    inner_record_output = runtime.record_output
-
-    def record_output(count: int) -> None:
-        accumulator = trace.operator(
-            "reduce", operator="PhysReduce", detail="projected output"
-        )
-        accumulator.add(rows_out=int(count), invocations=0)
-        inner_record_output(count)
-
-    runtime.scan = scan  # type: ignore[method-assign]
-    runtime.scan_selected = scan_selected  # type: ignore[method-assign]
-    runtime.unnest = unnest  # type: ignore[method-assign]
-    runtime.radix_join = radix_join  # type: ignore[method-assign]
-    runtime.cross_product = cross_product  # type: ignore[method-assign]
-    runtime.mask = mask  # type: ignore[method-assign]
-    runtime.radix_group = radix_group  # type: ignore[method-assign]
-    runtime.group_agg = group_agg  # type: ignore[method-assign]
-    runtime.scalar_agg = scalar_agg  # type: ignore[method-assign]
-    runtime.record_output = record_output  # type: ignore[method-assign]

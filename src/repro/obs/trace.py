@@ -13,9 +13,8 @@ unwrapped stage objects as an untraced engine.  When enabled, one
   batch and byte attributes.  Operator spans are *accumulators*: the batch
   tier adds to them once per batch, its morsel fan-out workers add to the
   same accumulator from many threads (a lock makes that safe — contention is
-  per batch, not per row), the Volcano tier flushes one locally-accumulated
-  total per iterator, and the codegen runtime records one entry per kernel
-  call.
+  per batch, not per row) and the Volcano tier flushes one
+  locally-accumulated total per iterator.
 
 Finished traces are immutable :class:`QueryTrace` values held in a bounded
 ring buffer on the engine (``engine.tracer.traces()``) with a structured
@@ -34,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.core.concurrency import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.codegen.runtime import ExecutionProfile
+    from repro.core.profile import ExecutionProfile
     from repro.core.physical import PhysicalPlan
 
 #: Default ring-buffer capacity of ``Tracer``.
@@ -58,8 +57,9 @@ class Span:
 
     ``kind`` is ``"phase"`` for engine control-flow sections and
     ``"operator"`` for physical-operator work.  ``node_id`` is the operator's
-    ordinal in the plan's post-order walk (``None`` when the span could not
-    be tied to one plan node, e.g. a codegen kernel call).  ``inclusive``
+    ordinal in the plan's post-order walk (``None`` when the span was
+    recorded against something that is not a node of the traced plan).
+    ``inclusive``
     marks spans whose time includes their children's time (Volcano iterator
     wrappers and root spans); exclusive spans (batch pipeline stages) time
     only their own work.
@@ -103,8 +103,8 @@ class Span:
 class SpanAccumulator:
     """Thread-safe mutable accumulator behind one operator span.
 
-    Instrumentation wrappers call :meth:`add` (batch tier: once per batch;
-    Volcano: once per exhausted iterator; codegen: once per kernel call).
+    Instrumentation wrappers call :meth:`add` (batch pipeline: once per
+    batch; Volcano: once per exhausted iterator).
     The lock is uncontended on a single thread and per-batch under a morsel
     fan-out, so its cost disappears into the batch work it measures.
     """
@@ -255,10 +255,7 @@ class TraceBuilder:
     Operator spans are keyed by ``(node ordinal, span name)`` — the ordinal
     is the operator's position in the plan's post-order ``walk()``, which is
     deterministic per plan shape, so every tier attributes work to the same
-    key.  Spans the instrumentation cannot tie to a plan node (codegen
-    kernel calls, which run against generated code that may reference
-    synthesized sub-plans) carry ``node_id=None`` and are matched back to
-    nodes by operator kind at render time.
+    key.
     """
 
     def __init__(self, query_text: str, plan: "PhysicalPlan | None") -> None:
@@ -295,7 +292,6 @@ class TraceBuilder:
         self,
         name: str,
         node: object = None,
-        operator: str | None = None,
         detail: str = "",
         inclusive: bool = False,
     ) -> SpanAccumulator:
@@ -306,8 +302,7 @@ class TraceBuilder:
         (or when ``None``) the span is keyed by name alone.
         """
         node_id = self.node_ordinal(node) if node is not None else None
-        if operator is None and node is not None:
-            operator = type(node).__name__
+        operator = type(node).__name__ if node is not None else None
         key = (node_id, name)
         with self._lock:
             accumulator = self._operators.get(key)

@@ -11,9 +11,11 @@ The API mirrors Table 2:
 ==================  =========================================================
 Paper call          Reproduction method
 ==================  =========================================================
-``generate()``      :meth:`InputPlugin.generate_scan` — emit scan code into a
-                    codegen context and return the buffer variables holding
-                    the requested fields.
+``generate()``      :meth:`InputPlugin.scan_batch_ranges` /
+                    :meth:`InputPlugin.scan_batches` — populate the virtual
+                    buffers (columnar batches) of the requested fields; the
+                    per-query generated code is the expressions evaluated
+                    over those buffers (:mod:`repro.core.codegen`).
 ``readValue()``     :meth:`InputPlugin.read_value` — fetch one field of one
                     object identified by its OID.
 ``readPath()``      :meth:`InputPlugin.read_path` — fetch a nested object /
@@ -27,9 +29,10 @@ Paper call          Reproduction method
 
 In addition, plug-ins provide statistics and cost formulas to the optimizer
 (§5.2, "Enabling Cost-based Optimizations") and bulk, vectorized accessors
-(:meth:`scan_columns`, :meth:`scan_unnest`) that the generated per-query code
-calls at run time — the Python analogue of the data-access code the paper's
-plug-ins generate as LLVM IR.
+(:meth:`scan_batch_ranges`, :meth:`scan_columns_at`,
+:meth:`scan_unnest_batch`) that the batch pipeline calls at run time — the
+Python analogue of the data-access code the paper's plug-ins generate as
+LLVM IR.
 """
 
 from __future__ import annotations
@@ -158,9 +161,9 @@ class InputPlugin(ABC):
         #: as per-plugin gauges): wall-clock seconds spent inside this
         #: plug-in's scan/parse paths, bytes of columnar data produced, and
         #: the number of scan streams / kernel calls served.  Updated through
-        #: :meth:`record_scan` from the engine-side call sites (the batch
-        #: tiers' scan streams and the codegen runtime), one flush per
-        #: stream, under a lock (morsel workers record concurrently).
+        #: :meth:`record_scan` from the batch pipeline's call sites (scan
+        #: streams, lazy field fetches, unnest batches), one flush per
+        #: stream or call, under a lock (morsel workers record concurrently).
         self.scan_seconds = 0.0
         self.scan_bytes = 0
         self.scan_calls = 0
@@ -228,7 +231,7 @@ class InputPlugin(ABC):
     def collect_statistics(self, dataset: Dataset) -> DatasetStatistics:
         """Gather cardinality and min/max statistics for the dataset."""
 
-    # -- bulk (vectorized) access used by generated code ---------------------
+    # -- bulk (vectorized) access used by the batch pipeline -----------------
 
     @abstractmethod
     def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
@@ -443,36 +446,6 @@ class InputPlugin(ABC):
         if isinstance(value, float):
             return f"{value:.6g}"
         return str(value)
-
-    # -- code generation ------------------------------------------------------
-
-    def generate_scan(
-        self, ctx, dataset: Dataset, paths: Sequence[FieldPath]
-    ) -> dict[FieldPath, str]:
-        """Emit scan code into a codegen context.
-
-        The default implementation registers this plug-in in the generated
-        program's runtime table and emits a call to :meth:`scan_columns`,
-        followed by one buffer variable per requested field.  Plug-ins may
-        override this to specialize further (e.g. the binary column plug-in
-        emits direct array references).
-        """
-        dataset_var = ctx.register_constant(f"ds_{dataset.name}", dataset)
-        plugin_var = ctx.register_constant(f"plugin_{self.format_name}", self)
-        buffers_var = ctx.fresh("buffers")
-        path_literal = ", ".join(repr(tuple(path)) for path in paths)
-        ctx.emit(
-            f"{buffers_var} = rt.scan({plugin_var}, {dataset_var}, ({path_literal}{',' if paths else ''}))"
-        )
-        variables: dict[FieldPath, str] = {}
-        for path in paths:
-            var = ctx.fresh("col_" + "_".join(path) if path else "col_value")
-            ctx.emit(f"{var} = {buffers_var}.column({tuple(path)!r})")
-            variables[path] = var
-        oid_var = ctx.fresh("oids")
-        ctx.emit(f"{oid_var} = {buffers_var}.oids")
-        variables[("__oid__",)] = oid_var
-        return variables
 
     # -- costing --------------------------------------------------------------
 

@@ -25,27 +25,20 @@ class CachePlugin(InputPlugin):
 
     The ``dataset`` handed to this plug-in names the *source* dataset whose
     converted fields live in the cache; the plug-in serves exactly the fields
-    that have been cached and refuses the rest, so the planner only routes a
-    scan here when every required field is available.
+    that have been cached and refuses the rest.  The planner asks it
+    (:meth:`can_serve`) whether a scan can be costed as ``access_path=
+    "cache"``; execution does not route through it — the batch pipeline's
+    ``ScanOperator`` consults the caching manager itself, per field, at scan
+    time, so a plan pinned to the cache still answers (from the raw source)
+    after its entries were evicted.
     """
 
     format_name = "cache"
     field_access_cost = 0.05
 
-    def __init__(
-        self,
-        memory,
-        manager: CacheManager,
-        source_plugins: dict[str, InputPlugin] | None = None,
-    ):
+    def __init__(self, memory, manager: CacheManager):
         super().__init__(memory)
         self.manager = manager
-        #: format -> plug-in map for re-routing a scan back to the source
-        #: dataset.  The planner pins ``access_path="cache"`` at plan time;
-        #: a concurrent invalidation or eviction can remove the entry before
-        #: the scan executes, and without the re-route that window surfaces
-        #: as a spurious ``PluginError`` to the client.
-        self.source_plugins: dict[str, InputPlugin] = source_plugins or {}
 
     # -- availability -----------------------------------------------------------
 
@@ -99,14 +92,9 @@ class CachePlugin(InputPlugin):
         for path in paths:
             entry = self.manager.lookup(field_cache_key(dataset.name, tuple(path)))
             if entry is None:
-                source = self.source_plugins.get(dataset.format)
-                if source is None:
-                    raise PluginError(
-                        f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
-                    )
-                # Entry vanished after planning (invalidation / eviction race):
-                # serve the whole scan from the raw source instead.
-                return source.scan_columns(dataset, paths)
+                raise PluginError(
+                    f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
+                )
             columns[tuple(path)] = entry.data
             count = len(entry.data)
         buffers = ScanBuffers(count=count, oids=np.arange(count, dtype=np.int64))
@@ -129,12 +117,9 @@ class CachePlugin(InputPlugin):
     def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
         entry = self.manager.lookup(field_cache_key(dataset.name, tuple(path)))
         if entry is None:
-            source = self.source_plugins.get(dataset.format)
-            if source is None:
-                raise PluginError(
-                    f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
-                )
-            return source.read_value(dataset, oid, path)
+            raise PluginError(
+                f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
+            )
         return _python_value(entry.data[int(oid)])
 
 

@@ -55,6 +55,10 @@ def _concurrency_stress(request):
 ITEM_COUNT = 120
 #: Number of orders in the nested "orders" dataset.
 ORDER_COUNT = 60
+#: ``vectorized_batch_size`` at which every dataset above spans enough
+#: morsels (a morsel is one batch) for *any* root to fan out — linear roots
+#: need ``repro.core.parallel.morsels.LINEAR_ROOT_MORSELS`` of them.
+FANOUT_BATCH_SIZE = 2
 
 
 def expected_items() -> list[dict]:

@@ -12,7 +12,7 @@ import pytest
 from repro.core import types as t
 from repro.errors import AnalysisError, ProteusError, SchemaError
 
-from tests.conftest import make_engine
+from tests.conftest import FANOUT_BATCH_SIZE, make_engine
 
 import sys
 
@@ -129,9 +129,11 @@ CONFIGS = [
     {},
     {"enable_codegen": False},
     {"enable_codegen": False, "enable_vectorized": False},
-    {"parallel_workers": 2, "vectorized_batch_size": 16},
-    {"enable_codegen": False, "parallel_workers": 2, "vectorized_batch_size": 16},
-    {"enable_codegen": False, "parallel_workers": 8, "vectorized_batch_size": 16},
+    {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+    {"enable_codegen": False, "parallel_workers": 2,
+     "vectorized_batch_size": FANOUT_BATCH_SIZE},
+    {"enable_codegen": False, "parallel_workers": 8,
+     "vectorized_batch_size": FANOUT_BATCH_SIZE},
     {"enable_codegen": False, "parallel_workers": 2},  # single morsel
 ]
 
@@ -149,7 +151,8 @@ def test_predicted_tier_matches_observed(paths, config):
 
 def test_parameterized_query_verdicts(paths):
     engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=2, vectorized_batch_size=16
+        paths, enable_codegen=False, parallel_workers=2,
+        vectorized_batch_size=FANOUT_BATCH_SIZE,
     )
     prepared = engine.prepare("SELECT id FROM items_csv WHERE price > ?")
     assert prepared.analysis.predicted_tier == "vectorized"
@@ -160,14 +163,15 @@ def test_parameterized_query_verdicts(paths):
 
 
 def test_verdict_codes_for_declines(paths):
-    engine = make_engine(paths, parallel_workers=2, vectorized_batch_size=16)
-    # Outer unnest: codegen declines with a plan-shape code, batch serves.
+    engine = make_engine(paths)
+    # Outer unnest: one pipeline behind both NumPy labels, so whatever the
+    # batch pipeline serves the codegen label serves (it used to decline
+    # outer unnest with TIER002).
     analysis = engine.prepare(
         "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)"
     ).analysis
-    declines = analysis.decline_reasons()
-    assert declines["codegen"].startswith("[TIER002]")
-    assert analysis.predicted_tier == "vectorized"
+    assert analysis.decline_reasons() == {}
+    assert analysis.predicted_tier == "codegen"
 
     # Disabled tiers carry TIER001 with the exact configuration wording.
     serial = make_engine(paths, enable_codegen=False, enable_vectorized=False)
@@ -181,7 +185,8 @@ def test_unsplittable_scan_and_single_morsel_are_not_verdicts(paths):
     """The retired TIER006/TIER007: whether a scan fans out is the executor's
     decision — the verdicts are identical, only the profile differs."""
     engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=2, vectorized_batch_size=16
+        paths, enable_codegen=False, parallel_workers=2,
+        vectorized_batch_size=FANOUT_BATCH_SIZE,
     )
     # Binary row tables cannot be range-split: served inline.
     analysis = engine.prepare("SELECT id FROM items_rowbin WHERE qty > 1").analysis
@@ -209,23 +214,43 @@ def test_unsplittable_scan_and_single_morsel_are_not_verdicts(paths):
 def test_plan_fanout_is_the_one_decision():
     from repro.core.parallel import plan_fanout
 
-    assert plan_fanout(1, True, 10_000, 16) == ([], "serial: parallel_workers=1")
-    morsels, why = plan_fanout(4, False, 10_000, 16)
+    from repro.core.parallel.morsels import (
+        GROUPING_ROOT_MORSELS,
+        LINEAR_ROOT_MORSELS,
+    )
+
+    assert plan_fanout(1, True, 10_000, 16, True) == (
+        [], "serial: parallel_workers=1"
+    )
+    morsels, why = plan_fanout(4, False, 10_000, 16, True)
     assert morsels == [] and "not range-splittable" in why
-    morsels, why = plan_fanout(4, True, None, 16)
+    morsels, why = plan_fanout(4, True, None, 16, False)
     assert morsels == [] and "decided when the scan opens" in why
-    morsels, why = plan_fanout(4, True, 10, 16)
-    assert morsels == [] and "single morsel" in why
-    morsels, why = plan_fanout(4, True, 10_000, 16)
-    assert len(morsels) >= 8 and morsels[-1].stop == 10_000
-    assert why == f"fan-out: {len(morsels)} morsels across 4 workers"
+    # Morsels are whole batches, never shrunk to manufacture parallelism.
+    morsels, why = plan_fanout(4, True, 10, 16, True)
+    assert morsels == [] and "1 morsel(s) of 16" in why
+    # The root kind sets the bar: the same scan fans out under a group-by
+    # and runs inline under a linear root until it spans enough morsels.
+    rows = 16 * (LINEAR_ROOT_MORSELS - 1)
+    assert GROUPING_ROOT_MORSELS <= LINEAR_ROOT_MORSELS - 1
+    morsels, why = plan_fanout(4, True, rows, 16, True)
+    assert len(morsels) == LINEAR_ROOT_MORSELS - 1 and morsels[-1].stop == rows
+    assert why == f"fan-out: {len(morsels)} morsels across 4 workers (grouping root)"
+    morsels, why = plan_fanout(4, True, rows, 16, False)
+    assert morsels == []
+    assert f"a linear root fans out from {LINEAR_ROOT_MORSELS}" in why
+    morsels, why = plan_fanout(4, True, rows + 16, 16, False)
+    assert len(morsels) == LINEAR_ROOT_MORSELS
+    assert why.endswith("(linear root)")
 
 
 def test_outer_join_declines_every_fast_tier(paths):
     """TIER005: outer joins are Volcano-only, predicted and observed."""
     from repro.core.physical import PhysHashJoin
 
-    engine = make_engine(paths, parallel_workers=2, vectorized_batch_size=16)
+    engine = make_engine(
+        paths, parallel_workers=2, vectorized_batch_size=FANOUT_BATCH_SIZE
+    )
     prepared = engine.prepare(
         "SELECT a.id, b.qty FROM items_csv a JOIN items_json b ON a.id = b.id"
     )
@@ -261,8 +286,9 @@ def null_group_engine(paths, tmp_path):
 
 
 def test_runtime_demotion_recorded_in_profile(null_group_engine):
-    """Null group keys demote the fast tiers at run time; the profile must
-    say so instead of silently swallowing the CodegenError."""
+    """Null group keys demote the batch pipeline at run time — once,
+    straight to Volcano, keyed by the label that ran; the profile must say
+    so instead of silently swallowing the error."""
     result = null_group_engine.query(
         "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
     )
@@ -271,7 +297,8 @@ def test_runtime_demotion_recorded_in_profile(null_group_engine):
     reasons = result.profile.tier_decline_reasons
     assert reasons["codegen"].startswith("[TIER009] runtime demotion:")
     assert "missing values" in reasons["codegen"]
-    assert reasons["vectorized"].startswith("[TIER009]")
+    # The vectorized label is the same pipeline: it is not attempted.
+    assert "vectorized" not in reasons
 
 
 def test_runtime_demotion_is_attempted_once_under_fanout(paths, null_group_engine):
@@ -297,14 +324,14 @@ def test_runtime_demotion_is_attempted_once_under_fanout(paths, null_group_engin
 
 
 def test_static_declines_recorded_in_profile(paths):
-    engine = make_engine(paths)
+    engine = make_engine(paths, enable_codegen=False)
     result = engine.query(
         "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)"
     )
     assert result.tier == "vectorized"
-    reasons = result.profile.tier_decline_reasons
-    assert reasons["codegen"].startswith("[TIER002]")
-    assert "outer unnest" in reasons["codegen"]
+    assert result.profile.tier_decline_reasons == {
+        "codegen": "[TIER001] disabled (enable_codegen=False)"
+    }
 
 
 def test_explain_shows_schema_and_codes(paths):
@@ -503,7 +530,9 @@ def test_tier_lint_flags_unhandled_operator(tmp_path):
         encoding="utf-8",
     )
     violations = tier_lint.check_tier_parity(root)
-    assert len(violations) == len(tier_lint.EXECUTOR_MODULES)
+    # One violation per cascade label (two of them share an executor module).
+    assert len(violations) == len(tier_lint.EXECUTOR_MODULES) == 3
+    assert len(set(tier_lint.EXECUTOR_MODULES.values())) == 2
     assert all("PhysBogus" in violation for violation in violations)
 
 

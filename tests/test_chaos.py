@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import make_engine
+from tests.conftest import FANOUT_BATCH_SIZE, make_engine
 from repro.errors import CorruptDataError, ProteusError, ScanIOError
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.storage.catalog import DataFormat
@@ -32,7 +32,7 @@ TIER_CONFIGS = {
     "vectorized-fanout": {
         "enable_codegen": False,
         "parallel_workers": 2,
-        "vectorized_batch_size": 16,
+        "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
     "vectorized": {"enable_codegen": False},
     "volcano": {"enable_codegen": False, "enable_vectorized": False},
@@ -224,8 +224,9 @@ def test_every_tier_recovers_after_fault(paths, tier):
 
 def test_warm_state_scan_still_crosses_the_guarded_layer(tmp_path):
     """When schema inference at registration pre-builds the plug-in state,
-    the full-materialization scan path (the codegen tier's ``scan_columns``)
-    must still pass through a guarded I/O step — an injector installed
+    the default label's scan path (the pipeline's ``scan_batch_ranges`` and
+    lazy ``scan_columns_at``) must still pass through a guarded I/O step — an
+    injector installed
     *after* registration fires and the retry layer absorbs it."""
     path = tmp_path / "warm.csv"
     with open(path, "w", encoding="utf-8") as handle:
@@ -248,9 +249,10 @@ def test_warm_state_scan_still_crosses_the_guarded_layer(tmp_path):
 def test_cache_eviction_between_plan_and_scan_falls_back_to_source(paths):
     """The planner pins ``access_path="cache"`` at plan time; an eviction (or
     concurrent invalidation) can remove the entry before the scan runs.  The
-    cache plug-in must re-route that scan to the source plug-in instead of
-    surfacing a spurious ``PluginError`` — the race the churn stress test
-    hits nondeterministically, reproduced here deterministically."""
+    scan operator looks the cache up itself at scan time and must read the
+    raw source instead of surfacing a spurious ``PluginError`` — the race the
+    churn stress test hits nondeterministically, reproduced here
+    deterministically."""
     engine = make_engine(paths, enable_caching=True)
     expected = sum(i * 1.5 for i in range(120))
     # An unfiltered scan: the full price column is materialized and cached.
@@ -270,8 +272,7 @@ def test_cache_eviction_between_plan_and_scan_falls_back_to_source(paths):
     # Simulate the race: the compiled-program cache was flushed (catalog
     # churn does this) and every cached entry vanishes after planning.
     # Plain eviction does not bump the catalog epoch, so the prepared plan
-    # still routes its scan to the cache plug-in, and the fresh codegen
-    # compiles against it.
+    # stays pinned to the cache access path.
     engine._compiled.clear()
     for entry in engine.cache_manager.entries():
         engine.cache_manager.evict(entry.key)

@@ -1,49 +1,76 @@
-"""Unit tests for the code-generation machinery: context, expression
-generators, compiler, runtime helpers and profiles."""
+"""Unit tests for the code-generation machinery — context, expression
+generators, compiler, the fused functions a plan compiles to — and for the
+mechanisms that moved from the deleted ``QueryRuntime`` into the one batch
+pipeline (lazy field materialization, the unnest-output cache, the join
+build-side cache), proven active under both labels and under a fan-out.
+
+Removed with ``QueryRuntime`` (PR 16), and the tests that covered them:
+``CodegenContext.push/pop`` (dead indentation API), the generation-time "no
+buffer holds <field>" error (generated functions index the batch's column
+table directly; unknown fields are rejected by the static analyzer at
+prepare time), and ``rt.scan`` / ``rt.scan_selected`` / ``rt.radix_join`` /
+``rt.radix_group`` as callable kernels — their behaviour is asserted below
+at the pipeline level instead.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.aggregate_utils import literal_results, replace_aggregates
+from repro.core.codegen import CodeGenerator
 from repro.core.codegen.compiler import compile_query
 from repro.core.codegen.context import CodegenContext
 from repro.core.codegen.expr_gen import generate_expression, supported_by_codegen
-from repro.core.codegen.runtime import ExecutionProfile, QueryRuntime
+from repro.core.executor.vectorized import Batch, evaluate_batch, materialize
 from repro.core.expressions import (
     AggregateCall,
     BinaryOp,
     FieldRef,
     IfThenElse,
     Literal,
+    Parameter,
     RecordConstruct,
     UnaryOp,
 )
-from repro.errors import CodegenError
-from repro.caching.manager import CacheManager
-from repro.caching.matching import field_cache_key
-from repro.core import types as t
-from repro.plugins.json_plugin import JsonPlugin
-from repro.storage.catalog import Catalog, DataFormat, Dataset
-from repro.storage.memory import MemoryManager
+from repro.core.physical import PhysScan
+from repro.core.profile import ExecutionProfile
+from repro.errors import CodegenError, ExecutionError
+from repro.storage.catalog import DataFormat
 
-from tests.conftest import ORDERS_SCHEMA, ITEM_COUNT, ITEMS_SCHEMA
+from tests.conftest import FANOUT_BATCH_SIZE, expected_items, expected_orders, make_engine
+
+#: Pipeline configurations every moved mechanism must be active under.
+PIPELINE_CONFIGS = [
+    pytest.param({}, "codegen", id="codegen"),
+    pytest.param({"enable_codegen": False}, "vectorized", id="vectorized"),
+    pytest.param(
+        {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+        "codegen",
+        id="codegen-fanout",
+    ),
+    pytest.param(
+        {
+            "enable_codegen": False,
+            "parallel_workers": 2,
+            "vectorized_batch_size": FANOUT_BATCH_SIZE,
+        },
+        "vectorized",
+        id="vectorized-fanout",
+    ),
+]
 
 
 # -- codegen context ------------------------------------------------------------
 
 
-def test_context_emits_and_indents():
+def test_context_accumulates_module_source():
     ctx = CodegenContext()
     ctx.emit("x = 1")
-    ctx.push()
+    ctx.emit()
     ctx.emit("y = 2")
-    ctx.pop()
-    source = ctx.source()
-    assert "def __query__(rt):" in source
-    assert "    x = 1" in source
-    assert "        y = 2" in source
-    with pytest.raises(ValueError):
-        ctx.pop()
+    assert ctx.source() == "x = 1\n\ny = 2\n"
 
 
 def test_context_fresh_names_and_constants():
@@ -58,67 +85,87 @@ def test_context_fresh_names_and_constants():
     assert ctx.constants[name_one] is payload
 
 
-def test_context_empty_body_compiles():
-    ctx = CodegenContext()
-    generated = compile_query(ctx)
-    assert generated(None) is None
+def test_empty_module_compiles_to_no_functions():
+    generated = compile_query(CodegenContext(), {})
+    assert generated.functions == {}
+    with pytest.raises(CodegenError):
+        generated.function_for(Literal(1))
 
 
 # -- expression generation ----------------------------------------------------------
 
 
-BUFFERS = {("l", ("a",)): "col_a", ("l", ("b",)): "col_b"}
+def _fused(expression):
+    """Compile one expression into its generated function."""
+    ctx = CodegenContext()
+    ctx.emit("def f(batch):")
+    ctx.emit("    c = batch.columns")
+    ctx.emit(f"    return {generate_expression(expression, ctx)}")
+    return compile_query(ctx, {expression.fingerprint(): "f"}).function_for(expression)
 
 
-def test_generate_expression_arithmetic_and_comparison():
-    from types import SimpleNamespace
+def _batch(params=None, **columns):
+    arrays = {("l", (name,)): np.asarray(values) for name, values in columns.items()}
+    count = len(next(iter(arrays.values())))
+    return Batch(count=count, columns=arrays, params=params)
 
-    from repro.core.executor import radix
 
-    expr = BinaryOp("<", BinaryOp("+", FieldRef("l", ("a",)), Literal(1)),
-                    FieldRef("l", ("b",)))
-    text = generate_expression(expr, BUFFERS)
-    assert "col_a" in text and "col_b" in text
-    runtime_stub = SimpleNamespace(
-        mask=radix.bool_mask, cmp=radix.null_safe_compare,
-        arith=radix.null_safe_arith, neg=radix.null_safe_neg,
+EXPRESSIONS = [
+    BinaryOp("<", BinaryOp("+", FieldRef("l", ("a",)), Literal(1)), FieldRef("l", ("b",))),
+    BinaryOp(
+        "and",
+        BinaryOp(">", FieldRef("l", ("a",)), Literal(0)),
+        UnaryOp("not", BinaryOp("=", FieldRef("l", ("b",)), Literal(3))),
+    ),
+    BinaryOp("or", FieldRef("l", ("a",)), BinaryOp("!=", FieldRef("l", ("b",)), Literal(3.0))),
+    IfThenElse(BinaryOp(">", FieldRef("l", ("a",)), Literal(1)), Literal("hi"), Literal("lo")),
+    UnaryOp("-", BinaryOp("*", FieldRef("l", ("a",)), Parameter("rate"))),
+    BinaryOp("/", FieldRef("l", ("b",)), Parameter(0)),
+    BinaryOp(">", Literal(2), Literal(1)),  # constant: a scalar, broadcast by the caller
+]
+
+
+@pytest.mark.parametrize("expression", EXPRESSIONS, ids=repr)
+def test_generated_function_agrees_with_the_interpreter(expression):
+    """The fused function is a drop-in for ``evaluate_batch``: same values,
+    including missing-value semantics, for every operator shape."""
+    batch = _batch(
+        params={"rate": 2.5, 0: 4},
+        a=[1.0, float("nan"), 0.0, 5.0],
+        b=[3, 4, 3, 7],
     )
-    namespace = {"col_a": np.asarray([1, 5]), "col_b": np.asarray([3, 3]),
-                 "np": np, "rt": runtime_stub}
-    result = eval(text, namespace)  # noqa: S307 - controlled test input
-    assert list(result) == [True, False]
+    generated = materialize(_fused(expression)(batch), batch.count)
+    interpreted = materialize(evaluate_batch(expression, batch), batch.count)
+    assert generated.tolist() == pytest.approx(interpreted.tolist(), nan_ok=True)
 
 
-def test_generate_expression_logic_and_where():
-    from types import SimpleNamespace
-
-    from repro.core.executor import radix
-
-    expr = BinaryOp("and",
-                    BinaryOp(">", FieldRef("l", ("a",)), Literal(0)),
-                    UnaryOp("not", BinaryOp("=", FieldRef("l", ("b",)), Literal(3))))
-    text = generate_expression(expr, BUFFERS)
-    # Generated fragments reference the runtime's missing-aware helpers.
-    runtime_stub = SimpleNamespace(
-        mask=radix.bool_mask, cmp=radix.null_safe_compare,
-        arith=radix.null_safe_arith, neg=radix.null_safe_neg,
+def test_generated_function_inlines_literals_and_looks_parameters_up():
+    ctx = CodegenContext()
+    source = generate_expression(
+        BinaryOp("<", FieldRef("l", ("a",)), BinaryOp("+", Literal(5), Parameter("k"))), ctx
     )
-    namespace = {"col_a": np.asarray([1, 2]), "col_b": np.asarray([3, 4]),
-                 "np": np, "rt": runtime_stub}
-    assert list(eval(text, namespace)) == [False, True]  # noqa: S307
-    conditional = IfThenElse(BinaryOp(">", FieldRef("l", ("a",)), Literal(1)),
-                             Literal(10), Literal(20))
-    text = generate_expression(conditional, BUFFERS)
-    assert list(eval(text, namespace)) == [20, 10]  # noqa: S307
+    assert source == (
+        "radix.null_safe_compare('<', c[('l', ('a',))], "
+        "radix.null_safe_arith('+', 5, param(batch.params, 'k')))"
+    )
+    assert ctx.constants == {}  # nothing but inlined literals
+    # A literal whose repr is not source travels as a module constant.
+    source = generate_expression(Literal(float("nan")), ctx)
+    assert math.isnan(ctx.constants[source])
+
+
+def test_unbound_parameter_is_a_coded_execution_error():
+    function = _fused(BinaryOp("<", FieldRef("l", ("a",)), Parameter(0)))
+    with pytest.raises(ExecutionError, match=r"\?0 is not bound"):
+        function(_batch(a=[1, 2]))
 
 
 def test_generate_expression_errors():
+    ctx = CodegenContext()
     with pytest.raises(CodegenError):
-        generate_expression(FieldRef("x", ("missing",)), BUFFERS)
+        generate_expression(AggregateCall("count"), ctx)
     with pytest.raises(CodegenError):
-        generate_expression(AggregateCall("count"), BUFFERS)
-    with pytest.raises(CodegenError):
-        generate_expression(RecordConstruct({"a": Literal(1)}), BUFFERS)
+        generate_expression(RecordConstruct({"a": Literal(1)}), ctx)
 
 
 def test_supported_by_codegen():
@@ -141,60 +188,6 @@ def test_replace_aggregates():
         replace_aggregates(expr, {})
 
 
-# -- runtime ------------------------------------------------------------------------------
-
-
-def _runtime_with_json(paths):
-    memory = MemoryManager()
-    catalog = Catalog()
-    dataset = Dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
-    catalog.register(dataset)
-    plugin = JsonPlugin(memory)
-    manager = CacheManager(memory.arena)
-    runtime = QueryRuntime(catalog, {DataFormat.JSON: plugin}, manager)
-    return runtime, plugin, dataset, manager
-
-
-def test_runtime_scan_populates_and_reuses_cache(paths):
-    runtime, plugin, dataset, manager = _runtime_with_json(paths)
-    buffers = runtime.scan(plugin, dataset, [("okey",), ("total",)])
-    assert buffers.count > 0
-    assert manager.peek(field_cache_key("orders", ("okey",))) is not None
-    extracted_before = runtime.profile.values_extracted
-    again = runtime.scan(plugin, dataset, [("okey",)])
-    assert np.array_equal(again.column(("okey",)), buffers.column(("okey",)))
-    assert runtime.profile.values_extracted == extracted_before  # served from cache
-    assert runtime.profile.values_from_cache > 0
-
-
-def test_runtime_scan_selected_prefers_cache_and_never_stores(paths):
-    runtime, plugin, dataset, manager = _runtime_with_json(paths)
-    runtime.scan(plugin, dataset, [("okey",)])
-    stores_before = manager.stats.stores
-    selected = runtime.scan_selected(plugin, dataset, [("okey",), ("total",)],
-                                     np.asarray([1, 3, 5]))
-    assert list(selected.column(("okey",))) == [1, 3, 5]
-    assert len(selected.column(("total",))) == 3
-    # Selective extractions are not admitted to the cache.
-    assert manager.peek(field_cache_key("orders", ("total",))) is None
-    assert manager.stats.stores == stores_before
-
-
-def test_runtime_join_group_helpers():
-    runtime = QueryRuntime(Catalog(), {})
-    left = np.asarray([1, 2, 3, 3])
-    right = np.asarray([3, 1, 5])
-    li, ri = runtime.radix_join(left, right)
-    assert sorted(zip(li.tolist(), ri.tolist())) == [(0, 1), (2, 0), (3, 0)]
-    cross_left, cross_right = runtime.cross_product(2, 3)
-    assert len(cross_left) == 6 and len(cross_right) == 6
-    grouping = runtime.radix_group([np.asarray([1, 1, 2])])
-    counts = runtime.group_agg("count", grouping.group_ids, grouping.num_groups)
-    assert sorted(counts.tolist()) == [1, 2]
-    assert runtime.scalar_agg("max", np.asarray([1.0, 9.0]), 2) == 9.0
-    assert runtime.profile.join_output_rows == 3
-
-
 def test_execution_profile_merge():
     a = ExecutionProfile(rows_scanned=5, values_extracted=10)
     b = ExecutionProfile(rows_scanned=2, values_from_cache=7)
@@ -207,18 +200,211 @@ def test_execution_profile_merge():
 # -- generated program inspection -------------------------------------------------------------
 
 
-def test_generated_program_uses_lazy_materialization(engine):
-    engine.query("SELECT MAX(price) FROM items_json WHERE qty < 3")
+def test_generated_module_is_expression_functions_only(engine):
+    """What is generated per query is the plan's expressions — data access,
+    joins, grouping and caching belong to the one pipeline."""
+    engine.query(
+        "SELECT category, SUM(price) / COUNT(*) AS mean FROM items_json "
+        "WHERE qty < 3 GROUP BY category"
+    )
     source = engine.last_generated_source
     assert source is not None
-    assert "scan_selected" in source  # price is deferred until after the filter
-    assert "lazy" in source
+    for name in ("def select_", "def group_key_", "def sum_argument_", "def out_mean_"):
+        assert name in source
+    assert "c[('items_json', ('qty',))], 3)" in source  # literal inlined
+    assert "c[('__agg__', ('agg_0',))]" in source  # head over aggregate columns
+    for gone in ("rt.", "scan(", "radix_join", "unnest(", "scan_selected"):
+        assert gone not in source
+
+
+def test_generated_functions_cover_every_plan_expression(engine):
+    prepared = engine.prepare(
+        "SELECT j.id, c.price * :rate AS scaled FROM items_json j "
+        "JOIN items_csv c ON j.id = c.id WHERE j.qty < :q AND c.price > 1"
+    )
+    generated = CodeGenerator().generate(prepared.plan)
+    assert "param(batch.params, 'rate')" in generated.source
+    assert "param(batch.params, 'q')" in generated.source
+    from repro.core.physical import expressions_of
+
+    for node in prepared.plan.child.walk():
+        for expression in expressions_of(node):
+            assert callable(generated.function_for(expression))
 
 
 def test_compiled_queries_are_cached_by_plan(engine):
     engine.query("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
     compiled_before = len(engine._compiled)
-    engine.query("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
+    again = engine.query("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
     assert len(engine._compiled) == compiled_before
-    engine.query("SELECT COUNT(*) FROM items_bin WHERE qty < 7")
+    assert again.profile.compiled_from_cache
+    other = engine.query("SELECT COUNT(*) FROM items_bin WHERE qty < 7")
     assert len(engine._compiled) == compiled_before + 1
+    assert not other.profile.compiled_from_cache
+
+
+def test_one_program_serves_every_limit_and_parameter_binding(engine):
+    prepared = engine.prepare(
+        "SELECT id, price FROM items_bin WHERE qty < ? ORDER BY price DESC LIMIT ?"
+    )
+    first = prepared.execute(5, 3)
+    compiled = len(engine._compiled)
+    second = prepared.execute(8, 7)
+    third = engine.query("SELECT id, price FROM items_bin WHERE qty < ? ORDER BY id", 2)
+    assert len(engine._compiled) == compiled  # ORDER BY / LIMIT variants share it
+    assert not first.profile.compiled_from_cache
+    assert second.profile.compiled_from_cache and third.profile.compiled_from_cache
+    assert (len(first), len(second)) == (3, 7)
+    assert first.tier == second.tier == third.tier == "codegen"
+
+
+def test_enable_codegen_false_interprets_on_the_same_pipeline(paths):
+    engine = make_engine(paths, enable_codegen=False)
+    result = engine.query("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
+    assert result.tier == "vectorized"
+    assert not result.profile.used_generated_code
+    assert engine.last_generated_source is None
+    assert engine._compiled == {}
+
+
+# -- moved mechanism 1: lazy field materialization (§5.2) ---------------------------------
+
+
+@pytest.mark.parametrize("config,label", PIPELINE_CONFIGS)
+@pytest.mark.parametrize("dataset,data_format", [
+    ("items_csv", DataFormat.CSV), ("items_json", DataFormat.JSON),
+])
+def test_select_over_raw_scan_fetches_deferred_fields_for_survivors_only(
+    paths, monkeypatch, config, label, dataset, data_format
+):
+    engine = make_engine(paths, **config)
+    plugin = engine.plugins[data_format]
+    fetched = []
+    original = plugin.scan_columns_at
+
+    def spy(dataset_, paths_, oids):
+        fetched.append(([tuple(path) for path in paths_], np.asarray(oids).tolist()))
+        return original(dataset_, paths_, oids)
+
+    monkeypatch.setattr(plugin, "scan_columns_at", spy)
+    result = engine.query(f"SELECT SUM(price), MAX(category) FROM {dataset} WHERE qty = 3")
+    assert result.tier == label
+    survivors = [row["id"] for row in expected_items() if row["qty"] == 3]
+    assert result.rows == [
+        (sum(row["price"] for row in expected_items() if row["qty"] == 3), "cat3")
+    ]
+    assert fetched, "the deferred fields were never fetched lazily"
+    assert all(sorted(paths_) == [("category",), ("price",)] for paths_, _ in fetched)
+    assert sorted(oid for _, oids in fetched for oid in oids) == survivors
+    # Only the predicate's field was converted for every row (and cached).
+    assert result.profile.values_extracted == 120 + 2 * len(survivors)
+    cached = {entry.description for entry in engine.cache_entries()}
+    assert cached == {f"{dataset}.qty"}
+
+
+# -- moved mechanisms 2 + 3: unnest-output and join build-side caches (§6) -----------------
+
+
+@pytest.mark.parametrize("config,label", PIPELINE_CONFIGS)
+def test_unnest_and_join_side_caches_fill_and_serve(paths, config, label):
+    engine = make_engine(paths, **config)
+    unnest = "for { o <- orders, l <- o.lines } yield sum (l.price)"
+    join = (
+        "SELECT COUNT(*), SUM(c.price) FROM items_json j "
+        "JOIN items_csv c ON j.id = c.id"
+    )
+    first = [engine.query(unnest), engine.query(join)]
+    kinds = {entry.kind for entry in engine.cache_entries()}
+    assert {"unnest", "join_side", "field"} <= kinds
+    assert first[1].profile.join_build_rows == 120
+    assert all(result.profile.values_extracted > 0 for result in first)
+    second = [engine.query(unnest), engine.query(join)]
+    for cold, warm in zip(first, second):
+        assert warm.tier == cold.tier == label
+        assert warm.rows == cold.rows
+        assert warm.profile.values_extracted == 0
+        assert warm.profile.values_from_cache > 0
+    assert second[1].profile.join_build_rows == 0  # the table came from the cache
+    flattened = sum(len(order["lines"]) for order in expected_orders())
+    assert second[0].profile.unnest_output_rows == flattened
+
+
+def test_outer_and_inner_unnest_never_share_a_cached_flattening(paths):
+    engine = make_engine(paths)
+    inner = engine.query("for { o <- orders, l <- o.lines } yield count")
+    outer = engine.query("for { o <- orders, l <- outer o.lines } yield count")
+    empties = sum(1 for order in expected_orders() if not order["lines"])
+    assert outer.scalar() == inner.scalar() + empties
+    assert engine.query("for { o <- orders, l <- outer o.lines } yield count").rows == outer.rows
+    unnest_entries = [e for e in engine.cache_entries() if e.kind == "unnest"]
+    assert len(unnest_entries) == 2
+
+
+@pytest.mark.parametrize("config,label", PIPELINE_CONFIGS)
+def test_cached_build_sides_are_keyed_by_bound_parameter_values(paths, config, label):
+    """The plan fingerprint abstracts parameter values, and every ``qty``
+    value selects 12 build rows: without the bound values in the cache key
+    the second execution would probe the first one's (stale) table."""
+    engine = make_engine(paths, **config)
+    prepared = engine.prepare(
+        "SELECT COUNT(*), SUM(c.price) FROM items_json j JOIN items_csv c "
+        "ON j.id = c.id WHERE j.qty = :q AND c.qty = :q"
+    )
+    for value in (3, 4, 3):
+        result = prepared.execute(q=value)
+        assert result.tier == label
+        matching = [row["price"] for row in expected_items() if row["qty"] == value]
+        assert result.rows == [(len(matching), sum(matching))]
+    tables = [entry for entry in engine.cache_entries() if entry.kind == "join_side"]
+    assert len(tables) == 2
+    assert {entry.data.build_size for entry in tables} == {12}
+
+
+# -- one scan path: a plan pinned to the cache survives eviction ------------------------------
+
+
+def _pinned_plan_accounting(paths, config):
+    """Run a prepared plan whose scan the planner pinned to ``access_path=
+    "cache"``: warm (cache-resident), then again after the entries were
+    evicted underneath it.  Returns the rows plus the cache-vs-raw accounting
+    of both runs."""
+    engine = make_engine(paths, **config)
+    query = "SELECT SUM(price) FROM items_json WHERE qty < 5 AND price >= 0"
+    engine.query(query)  # converts and caches qty + price
+    prepared = engine.prepare(query)
+    scans = [node for node in prepared.plan.walk() if isinstance(node, PhysScan)]
+    assert [scan.access_path for scan in scans] == ["cache"]
+    raw = engine.plugins[DataFormat.JSON]
+    cache = engine.plugins[DataFormat.CACHE]
+    accounting = []
+    for evict in (False, True):
+        if evict:
+            assert engine.cache_manager.invalidate_dataset("items_json") == 2
+        calls = (raw.scan_calls, cache.scan_calls)
+        result = prepared.execute()
+        profile = result.profile
+        accounting.append((
+            result.rows,
+            profile.rows_scanned,
+            profile.values_extracted,
+            profile.values_from_cache,
+            raw.scan_calls - calls[0],
+            cache.scan_calls - calls[1],
+        ))
+    return result.tier, accounting
+
+
+def test_cache_pinned_plan_reads_through_one_scan_path_on_both_labels(paths):
+    expected = [(sum(row["price"] for row in expected_items() if row["qty"] < 5),)]
+    tier, generated = _pinned_plan_accounting(paths, {})
+    assert tier == "codegen"
+    tier, interpreted = _pinned_plan_accounting(paths, {"enable_codegen": False})
+    assert tier == "vectorized"
+    # Identical cache-vs-raw accounting whichever label ran.
+    assert generated == interpreted
+    warm, evicted = generated
+    # Warm: both columns served from the cache, the raw plug-in untouched.
+    assert warm == (expected, 0, 0, 240, 0, 0)
+    # Evicted underneath the pinned plan: the same plan answers from the raw
+    # source (one scan stream), not through the cache plug-in.
+    assert evicted == (expected, 120, 240, 0, 1, 0)

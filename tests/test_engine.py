@@ -103,7 +103,8 @@ def test_explain_shows_plan_and_generated_code(engine):
     text = engine.explain("SELECT COUNT(*) FROM items_csv WHERE qty < 5")
     assert "physical plan" in text
     assert "Scan(items_csv" in text
-    assert "def __query__" in text
+    assert "== generated code ==" in text
+    assert "def select_" in text  # the predicate's fused function
 
 
 def test_query_result_helpers(engine):
@@ -172,3 +173,22 @@ def test_profile_counters_populated(engine):
     assert result.profile is not None
     assert result.profile.rows_scanned >= ITEM_COUNT
     assert result.execution_seconds > 0
+
+
+def test_quickstart_example_runs():
+    """``examples/quickstart.py`` is the first thing a new user runs: keep it
+    running, end to end, as its own process."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    environment = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    completed = subprocess.run(
+        [sys.executable, os.path.join(root, "examples", "quickstart.py")],
+        capture_output=True, text=True, timeout=120, env=environment,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "served by tier: codegen" in completed.stdout
+    assert "compiled_from_cache=True" in completed.stdout
+    assert "-> tier volcano" in completed.stdout

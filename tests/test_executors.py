@@ -86,17 +86,9 @@ def test_radix_group_requires_keys_and_equal_lengths():
         radix.radix_group([np.asarray([1, 2]), np.asarray([1])])
 
 
-def test_scalar_aggregates():
-    values = np.asarray([1.0, 4.0, 2.0])
-    assert radix.scalar_aggregate("count", None, 3) == 3
-    assert radix.scalar_aggregate("sum", values, 3) == 7.0
-    assert radix.scalar_aggregate("max", values, 3) == 4.0
-    assert radix.scalar_aggregate("min", values, 3) == 1.0
-    assert radix.scalar_aggregate("avg", values, 3) == pytest.approx(7.0 / 3)
-    with pytest.raises(ExecutionError):
-        radix.scalar_aggregate("sum", None, 3)
-    with pytest.raises(ExecutionError):
-        radix.scalar_aggregate("median", values, 3)
+# ``radix.scalar_aggregate`` (whole-column global aggregates) went with the
+# generated runtime that was its only caller (PR 16); the pipeline's global
+# aggregates fold per batch and are covered by the cross-tier suites.
 
 
 def test_group_aggregate_unknown_function():
@@ -237,7 +229,8 @@ def test_generated_source_is_exposed_and_specialized(engine):
     engine.query("SELECT COUNT(*) FROM items_csv WHERE qty < 5")
     source = engine.last_generated_source
     assert source is not None
-    assert "def __query__(rt):" in source
-    assert "qty" in source
-    # Only the predicate column is scanned eagerly; no other fields appear.
+    # One fused function per plan expression; the literal is inlined.
+    assert "def select_" in source and "(batch):" in source
+    assert "c[('items_csv', ('qty',))], 5)" in source
+    # Only expressions the plan evaluates are generated; no other fields appear.
     assert "price" not in source

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.codegen.runtime import ExecutionProfile
+from repro.core.profile import ExecutionProfile
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import PHASES, TraceBuilder
 
-from tests.conftest import make_engine, tier_of
+from tests.conftest import FANOUT_BATCH_SIZE, make_engine, tier_of
 
 # -- differential counter consistency -----------------------------------------
 
@@ -27,11 +27,11 @@ TIER_CONFIGS = {
     "vectorized-fanout": {
         "enable_codegen": False,
         "parallel_workers": 2,
-        "vectorized_batch_size": 16,
+        "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
     "vectorized": {
         "enable_codegen": False,
-        "vectorized_batch_size": 16,
+        "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
     "volcano": {"enable_codegen": False, "enable_vectorized": False},
 }

@@ -55,8 +55,10 @@ ORDERS_SCHEMA = t.make_schema(
     }
 )
 
-#: Small batches so the small test datasets split into many morsels.
-BATCH_SIZE = 32
+#: A morsel is one batch: batches this small make even the 90-row dataset
+#: span the ``LINEAR_ROOT_MORSELS`` a projection / aggregate / build-side
+#: root needs before it fans out (group-bys need two).
+BATCH_SIZE = 4
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +148,8 @@ def workload_dir(tmp_path_factory) -> str:
 
 def _make_engine(workload_dir: str, **kwargs) -> ProteusEngine:
     kwargs.setdefault("vectorized_batch_size", BATCH_SIZE)
-    engine = ProteusEngine(enable_caching=False, enable_codegen=False, **kwargs)
+    kwargs.setdefault("enable_codegen", False)
+    engine = ProteusEngine(enable_caching=False, **kwargs)
     engine.register_csv(
         "sailors", os.path.join(workload_dir, "sailors.csv"), schema=SAILORS_SCHEMA
     )
@@ -475,16 +478,19 @@ MERGED_TIER_CASES = [
 
 @pytest.fixture(scope="module")
 def engine_for(workload_dir):
-    """Engines by (fast tier workers or None for Volcano, batch size)."""
+    """Engines by (pipeline workers or None for Volcano, batch size,
+    expressions generated?)."""
     engines: dict[tuple, ProteusEngine] = {}
 
-    def get(workers: int | None, batch_size: int) -> ProteusEngine:
-        key = (workers, batch_size)
+    def get(
+        workers: int | None, batch_size: int, codegen: bool = False
+    ) -> ProteusEngine:
+        key = (workers, batch_size, codegen)
         if key not in engines:
             config = (
                 {"enable_vectorized": False}
                 if workers is None
-                else {"parallel_workers": workers}
+                else {"parallel_workers": workers, "enable_codegen": codegen}
             )
             engines[key] = _make_engine(
                 workload_dir, vectorized_batch_size=batch_size, **config
@@ -523,6 +529,13 @@ def test_merged_tier_matrix(engine_for, shape, kind):
     # No float sums among the shapes: bit-identical at every worker count,
     # row order included.
     assert rows_by_workers[1] == rows_by_workers[2] == rows_by_workers[8]
+    # The codegen label is the same pipeline on generated expression
+    # functions: the same fan-out decision, the same rows.
+    generated = engine_for(2, batch_size, codegen=True).query(query)
+    assert generated.tier == "codegen", (shape, kind)
+    assert generated.profile.morsels_dispatched == profile.morsels_dispatched
+    assert generated.profile.sort_strategy == profile.sort_strategy
+    assert generated.rows == rows_by_workers[2]
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +561,12 @@ def test_vectorized_tier_populates_and_hits_the_cache(workload_dir, workers):
     engine = _caching_engine(workload_dir, parallel_workers=workers)
     query = "SELECT SUM(sid) FROM sailors WHERE rating > 2"
     first = engine.query(query)
-    # The scan materialized its numeric columns into the adaptive cache.
+    # The scan materialized the predicate's column into the adaptive cache;
+    # ``sid`` was converted lazily, for the surviving rows only, and a
+    # selective extraction never enters the cache.
     descriptions = {entry.description for entry in engine.cache_entries()}
-    assert {"sailors.sid", "sailors.rating"} <= descriptions
+    assert "sailors.rating" in descriptions
+    assert "sailors.sid" not in descriptions
     hits_before = engine.cache_stats.hits
     second = engine.query(query)
     assert engine.cache_stats.hits > hits_before
@@ -575,7 +591,8 @@ def test_incomplete_scans_are_not_cached(workload_dir):
         "WHERE h.rating > 1000 AND s.age > 0"
     )
     for entry in engine.cache_entries():
-        assert len(entry.data) == SAILOR_COUNT, entry.description
+        if entry.kind == "field":
+            assert len(entry.data) == SAILOR_COUNT, entry.description
 
 
 # ---------------------------------------------------------------------------
@@ -583,23 +600,19 @@ def test_incomplete_scans_are_not_cached(workload_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_plan_morsels_aligns_to_batches():
-    morsels = plan_morsels(total_rows=1000, batch_size=64, num_workers=4)
-    assert all(morsel.start % 64 == 0 for morsel in morsels)
+def test_plan_morsels_are_whole_batches():
+    morsels = plan_morsels(total_rows=1000, batch_size=64)
+    assert [morsel.rows for morsel in morsels] == [64] * 15 + [40]
     assert morsels[0].start == 0
     assert morsels[-1].stop == 1000
     for previous, current in zip(morsels, morsels[1:]):
         assert current.start == previous.stop
-    assert len(morsels) >= 4
 
 
 def test_plan_morsels_edge_cases():
-    assert plan_morsels(0, 4096, 4) == []
-    assert plan_morsels(10, 4096, 4) == [Morsel(0, 0, 10)]
-    explicit = plan_morsels(100, 10, 2, morsel_rows=25)  # aligns up to 30
-    assert [(m.start, m.stop) for m in explicit] == [
-        (0, 30), (30, 60), (60, 90), (90, 100)
-    ]
+    assert plan_morsels(0, 4096) == []
+    # Never shrunk to manufacture parallelism: one batch is one morsel.
+    assert plan_morsels(10, 4096) == [Morsel(0, 0, 10)]
 
 
 def test_work_stealing_queue_dispatches_everything_once():

@@ -33,7 +33,12 @@ from repro.core.expressions import Parameter
 from repro.core.sort import sort_columns
 from repro.core.sql_parser import parse_sql
 from repro.errors import ExecutionError, ProteusError
-from tests.conftest import ITEM_COUNT, expected_items, make_engine
+from tests.conftest import (
+    FANOUT_BATCH_SIZE,
+    ITEM_COUNT,
+    expected_items,
+    make_engine,
+)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -75,7 +80,7 @@ TIER_CONFIGS = [
         {
             "enable_codegen": False,
             "parallel_workers": 4,
-            "vectorized_batch_size": 8,
+            "vectorized_batch_size": FANOUT_BATCH_SIZE,
         },
         id="vectorized-fanout",
     ),
@@ -383,10 +388,15 @@ def test_explain_reports_planned_fanout(paths):
     assert "items_rowbin (binary_row): serial" in text
     assert "not range-splittable" in text
     # Binary column tables are analyzed at registration: the morsel count is
-    # known statically.
+    # known statically, and the root kind sets how many a fan-out needs.
     text = engine.explain("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
-    assert "items_bin (binary_column): fan-out:" in text
-    assert "across 4 workers" in text
+    assert (
+        "items_bin (binary_column): serial: 120 rows are 15 morsel(s) of 8; "
+        "a linear root fans out from 16"
+    ) in text
+    text = engine.explain("SELECT qty, COUNT(*) FROM items_bin GROUP BY qty")
+    assert "items_bin (binary_column): fan-out: 15 morsels" in text
+    assert "across 4 workers (grouping root)" in text
     # Raw files without collected statistics: decided when the scan opens.
     text = engine.explain("SELECT COUNT(*) FROM items_csv WHERE qty < 5")
     assert "items_csv (csv): decided when the scan opens" in text

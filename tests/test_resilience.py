@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from tests.conftest import make_engine
+from tests.conftest import FANOUT_BATCH_SIZE, make_engine
 from repro.errors import (
     AdmissionRejectedError,
     MemoryBudgetError,
@@ -39,7 +39,7 @@ TIER_CONFIGS = {
     "vectorized-fanout": {
         "enable_codegen": False,
         "parallel_workers": 2,
-        "vectorized_batch_size": 16,
+        "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
     "vectorized": {"enable_codegen": False},
     "volcano": {
@@ -99,7 +99,7 @@ def test_parallel_timeout_differential(paths, workers):
         enable_codegen=False,
         enable_caching=False,
         parallel_workers=workers,
-        vectorized_batch_size=16,
+        vectorized_batch_size=FANOUT_BATCH_SIZE,
     )
     with pytest.raises(QueryTimeoutError):
         engine.query("select sum(price) from items_bin where qty > 1", timeout=0)
@@ -116,7 +116,7 @@ def test_no_leaked_worker_threads_after_abort(paths):
         enable_codegen=False,
         enable_caching=False,
         parallel_workers=4,
-        vectorized_batch_size=16,
+        vectorized_batch_size=FANOUT_BATCH_SIZE,
     )
     with pytest.raises(QueryTimeoutError):
         engine.query("select sum(price) from items_bin", timeout=0)

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from tests.conftest import ITEMS_SCHEMA, make_engine
+from tests.conftest import FANOUT_BATCH_SIZE, ITEMS_SCHEMA, make_engine
 from repro.core.concurrency import run_concurrently
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
@@ -84,7 +84,7 @@ TIER_CONFIGS = [
         {
             "enable_codegen": False,
             "parallel_workers": 2,
-            "vectorized_batch_size": 16,
+            "vectorized_batch_size": FANOUT_BATCH_SIZE,
         },
         "vectorized",
         id="vectorized-fanout",
@@ -221,7 +221,10 @@ def test_scan_coalescing_n_clients_one_cold_parse(paths):
     )
     plugin.install_fault_injector(injector)
     base_calls = plugin.scan_calls
-    query = "select sum(price) as total from items_csv where qty < 5"
+    # Both fields sit in the predicate, so the scan converts (and caches)
+    # them for every row; a field only the head reads would be fetched
+    # lazily for the survivors, per client, and never enter the cache.
+    query = "select sum(price) as total from items_csv where qty < 5 and price >= 0"
     with serving(engine) as server:
         results = run_concurrently(
             lambda i: _post(server, "/v1/query", {"query": query}), 8

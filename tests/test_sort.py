@@ -39,7 +39,7 @@ TIER_CONFIGS = [
         {
             "enable_codegen": False,
             "parallel_workers": 4,
-            "vectorized_batch_size": 8,
+            "vectorized_batch_size": 4,
         },
     ),
     ("vectorized", {"enable_codegen": False}),
@@ -231,7 +231,7 @@ PARALLEL_QUERIES = [
 @pytest.mark.parametrize("query", PARALLEL_QUERIES)
 def test_parallel_sort_identical_at_any_worker_count(messy_path, query):
     reference = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=8
+        messy_path, enable_codegen=False, vectorized_batch_size=4
     ).query(query)
     assert reference.tier == "vectorized"
     for workers in (1, 2, 8):
@@ -239,7 +239,7 @@ def test_parallel_sort_identical_at_any_worker_count(messy_path, query):
             messy_path,
             enable_codegen=False,
             parallel_workers=workers,
-            vectorized_batch_size=8,
+            vectorized_batch_size=4,
         )
         result = engine.query(query)
         assert result.tier == "vectorized", (workers, query)
@@ -392,14 +392,14 @@ def test_parallel_string_sort_with_single_surviving_morsel(messy_path):
     # codes are run-local, so the root re-sorts anyway); the re-sort must
     # happen even when only ONE morsel produces rows.
     serial = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=8
-    ).query("SELECT tag, id FROM messy WHERE id < 10 ORDER BY tag")
+        messy_path, enable_codegen=False, vectorized_batch_size=4
+    ).query("SELECT tag, id FROM messy WHERE id < 4 ORDER BY tag")
     parallel = messy_engine(
         messy_path,
         enable_codegen=False,
         parallel_workers=4,
-        vectorized_batch_size=8,
-    ).query("SELECT tag, id FROM messy WHERE id < 10 ORDER BY tag")
+        vectorized_batch_size=4,
+    ).query("SELECT tag, id FROM messy WHERE id < 4 ORDER BY tag")
     assert parallel.profile.morsels_dispatched > 1
     assert parallel.rows == serial.rows
     tags = [tag for tag, _ in parallel.rows]
@@ -432,7 +432,7 @@ def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
                 enable_caching=False,
                 enable_codegen=False,
                 parallel_workers=workers,
-                vectorized_batch_size=32,
+                vectorized_batch_size=16,
             )
             parallel.register_json("mixed_runs", str(path))
             result = parallel.query(query)
@@ -442,13 +442,13 @@ def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
 
 def test_pure_limit_output_rows_consistent_inline_and_fanned_out(messy_path):
     serial = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=8
+        messy_path, enable_codegen=False, vectorized_batch_size=4
     ).query("SELECT id FROM messy LIMIT 5")
     parallel = messy_engine(
         messy_path,
         enable_codegen=False,
         parallel_workers=4,
-        vectorized_batch_size=8,
+        vectorized_batch_size=4,
     ).query("SELECT id FROM messy LIMIT 5")
     assert parallel.profile.morsels_dispatched > 1
     assert serial.profile.output_rows == 5
@@ -456,13 +456,13 @@ def test_pure_limit_output_rows_consistent_inline_and_fanned_out(messy_path):
     # ORDER BY ... LIMIT 0 also reports zero emitted rows either way.
     for engine_result in (
         messy_engine(
-            messy_path, enable_codegen=False, vectorized_batch_size=8
+            messy_path, enable_codegen=False, vectorized_batch_size=4
         ).query("SELECT id, val FROM messy ORDER BY val LIMIT 0"),
         messy_engine(
             messy_path,
             enable_codegen=False,
             parallel_workers=4,
-            vectorized_batch_size=8,
+            vectorized_batch_size=4,
         ).query("SELECT id, val FROM messy ORDER BY val LIMIT 0"),
     ):
         assert len(engine_result) == 0
@@ -471,7 +471,7 @@ def test_pure_limit_output_rows_consistent_inline_and_fanned_out(messy_path):
 
 def test_streaming_topk_used_by_vectorized_tier(messy_path):
     engine = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=8
+        messy_path, enable_codegen=False, vectorized_batch_size=4
     )
     result = engine.query("SELECT id, val FROM messy ORDER BY val LIMIT 5")
     assert result.tier == "vectorized"
@@ -483,8 +483,8 @@ def test_streaming_topk_used_by_vectorized_tier(messy_path):
 
 def test_limit_only_stops_scanning_early(paths):
     engine = make_engine(paths, enable_caching=False, enable_codegen=False,
-                         vectorized_batch_size=8)
+                         vectorized_batch_size=4)
     result = engine.query("SELECT id FROM items_bin LIMIT 8")
     assert len(result) == 8
-    # 120 input rows, batches of 8: the scan must stop after the first batch.
+    # 120 input rows, batches of 4: the scan must stop after the first batch.
     assert result.profile.rows_scanned <= 16

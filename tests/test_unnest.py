@@ -55,7 +55,7 @@ ITEMS_SCHEMA = t.make_schema({"id": "int", "label": "string"})
 FLAGS_SCHEMA = t.make_schema({"id": "int", "active": "bool"})
 
 #: Small batches so the small datasets exercise many batches and morsels.
-BATCH_SIZE = 32
+BATCH_SIZE = 8
 
 
 def expected_orders() -> list[dict]:
@@ -232,9 +232,9 @@ def test_every_tier_agrees(
     assert parallel.tier == "vectorized", query
     assert parallel.profile.morsels_dispatched > 1, query
     codegen = codegen_engine.query(query)
-    # Outer unnest (and nested-in-nested) decline codegen and land on the
-    # batch tier; everything else compiles.
-    assert codegen.tier in ("codegen", "vectorized"), query
+    # One pipeline: outer and nested-in-nested unnest run on generated
+    # expression functions like everything else.
+    assert codegen.tier == "codegen", query
     _assert_rows_match(vectorized.rows, reference.rows, query, ordered=False)
     _assert_rows_match(codegen.rows, reference.rows, query, ordered=False)
     # A fanned-out run must reproduce the inline run's order exactly.
@@ -254,7 +254,7 @@ def test_unnest_under_joins(
     # build side fans out.)
     assert parallel.tier == "vectorized", query
     codegen = codegen_engine.query(query)
-    assert codegen.tier in ("codegen", "vectorized"), query
+    assert codegen.tier == "codegen", query
     _assert_rows_match(vectorized.rows, reference.rows, query, ordered=False)
     _assert_rows_match(codegen.rows, reference.rows, query, ordered=False)
     _assert_rows_match(parallel.rows, vectorized.rows, query)
@@ -281,11 +281,11 @@ def test_unnest_under_grouped_aggregates(
     _assert_rows_match(parallel.rows, vectorized.rows, label)
 
 
-def test_outer_unnest_declines_codegen_serves_batch(codegen_engine):
+def test_outer_unnest_is_served_by_the_codegen_label(codegen_engine):
     result = codegen_engine.query(
         "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)"
     )
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     # Parents with empty/null collections surface a null child row.
     null_rows = [row for row in result.rows if row[1] is None]
     empties = sum(
@@ -420,7 +420,7 @@ def test_flatten_collections_kernel():
     assert outer.column(("x",)).tolist() == [1, 2, None, None, 3]
 
 
-def test_scan_unnest_still_serves_codegen_runtime(json_plugin_and_dataset):
+def test_scan_unnest_whole_dataset_api(json_plugin_and_dataset):
     plugin, dataset = json_plugin_and_dataset
     buffers = plugin.scan_unnest(dataset, ("lines",), [("qty",)])
     orders = expected_orders()

@@ -474,9 +474,10 @@ def test_empty_sum_is_integer_zero_on_every_tier(tier_engines):
         assert isinstance(result.rows[0][0], int), result.tier
 
 
-def test_nan_probe_keys_keep_vectorized_tier(tmp_path):
-    """Codegen rejects NaN probe keys at the kernel; the vectorized tier
-    pre-filters them and must still get its attempt (not a Volcano demotion)."""
+def test_nan_probe_keys_stay_on_the_pipeline(tmp_path):
+    """NaN probe keys against an integer build side are pre-filtered by the
+    pipeline's join stage under either label — not a Volcano demotion (the
+    separate generated runtime used to reject them at the kernel)."""
     build = tmp_path / "b.csv"
     build.write_text("bid,x\n1,10\n2,20\n")
     probe = tmp_path / "r.json"
@@ -488,7 +489,8 @@ def test_nan_probe_keys_keep_vectorized_tier(tmp_path):
     engine.register_csv("b", str(build), schema=t.make_schema({"bid": "int", "x": "int"}))
     engine.register_json("r", str(probe), schema=t.make_schema({"rid": "int", "ref": "float"}))
     result = engine.query("SELECT r.rid, b.x FROM b JOIN r ON b.bid = r.ref")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
+    assert result.profile.tier_decline_reasons == {}
     assert result.rows == [(1, 10)]
 
 

@@ -3,14 +3,16 @@
 
 Two rules, both enforced over the AST (no imports of the checked modules):
 
-**Tier parity.**  The tier set is ``CASCADE_TIERS`` in
+**Tier parity.**  The label set is ``CASCADE_TIERS`` in
 ``src/repro/core/analysis/model.py``; the rows of ``OPERATOR_CAPABILITIES``
-and the keys of ``EXECUTOR_MODULES`` below must name exactly those tiers
-(adding or removing a tier in one place but not the others fails the
-build).  Every ``Phys*`` operator class defined in
-``src/repro/core/physical.py`` must, for each execution tier, either be
-referenced by name in that tier's executor module (it has a handler) or
-appear as an explicit key in that tier's row of ``OPERATOR_CAPABILITIES``
+and the keys of ``EXECUTOR_MODULES`` below must name exactly those labels
+(adding or removing one in one place but not the others fails the build).
+Labels may share an executor — ``codegen`` and ``vectorized`` are both the
+batch pipeline, so they name the same module and the same capability row;
+the rules below apply to every label alike.  Every ``Phys*`` operator class
+defined in ``src/repro/core/physical.py`` must, for each label, either be
+referenced by name in that label's executor module (it has a handler) or
+appear as an explicit key in that label's row of ``OPERATOR_CAPABILITIES``
 in ``src/repro/core/analysis/capabilities.py`` (its coverage is declared,
 possibly as a conditional decline).  A new operator therefore cannot
 silently fall through a tier to a raw "unhandled node" crash: the build
@@ -46,7 +48,7 @@ from pathlib import Path
 
 #: Executor module (repo-relative) per ``CASCADE_TIERS`` member.
 EXECUTOR_MODULES: dict[str, str] = {
-    "TIER_CODEGEN": "src/repro/core/codegen/generator.py",
+    "TIER_CODEGEN": "src/repro/core/executor/vectorized.py",
     "TIER_VECTORIZED": "src/repro/core/executor/vectorized.py",
     "TIER_VOLCANO": "src/repro/core/executor/volcano.py",
 }
@@ -87,37 +89,43 @@ def collect_referenced_names(module_path: Path) -> set[str]:
     return names
 
 
-def collect_capability_entries(capabilities_path: Path) -> dict[str, set[str]]:
-    """Operator-class keys per tier row of ``OPERATOR_CAPABILITIES``."""
-    tree = _parse(capabilities_path)
-    for node in ast.walk(tree):
-        targets: list[ast.expr] = []
+def _module_dict_literals(tree: ast.Module) -> dict[str, ast.Dict]:
+    """Module-level ``NAME = {...}`` / ``NAME: T = {...}`` dict literals."""
+    literals: dict[str, ast.Dict] = {}
+    for node in tree.body:
         if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
+            targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
+            targets, value = [node.target], node.value
         else:
             continue
-        if not any(
-            isinstance(target, ast.Name) and target.id == "OPERATOR_CAPABILITIES"
-            for target in targets
-        ):
+        if isinstance(value, ast.Dict):
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    literals[target.id] = value
+    return literals
+
+
+def collect_capability_entries(capabilities_path: Path) -> dict[str, set[str]]:
+    """Operator-class keys per label row of ``OPERATOR_CAPABILITIES``.  A row
+    is a dict literal, or the name of a module-level one (labels that share
+    an executor share a row)."""
+    literals = _module_dict_literals(_parse(capabilities_path))
+    table = literals.get("OPERATOR_CAPABILITIES")
+    if table is None:
+        raise SystemExit(
+            f"tier_lint: no OPERATOR_CAPABILITIES dict literal in {capabilities_path}"
+        )
+    entries: dict[str, set[str]] = {}
+    for tier_key, row in zip(table.keys, table.values):
+        if isinstance(row, ast.Name):
+            row = literals.get(row.id)
+        if not isinstance(tier_key, ast.Name) or not isinstance(row, ast.Dict):
             continue
-        if not isinstance(value, ast.Dict):
-            break
-        entries: dict[str, set[str]] = {}
-        for tier_key, row in zip(value.keys, value.values):
-            if not isinstance(tier_key, ast.Name) or not isinstance(row, ast.Dict):
-                continue
-            entries[tier_key.id] = {
-                key.id for key in row.keys if isinstance(key, ast.Name)
-            }
-        return entries
-    raise SystemExit(
-        f"tier_lint: no OPERATOR_CAPABILITIES dict literal in {capabilities_path}"
-    )
+        entries[tier_key.id] = {
+            key.id for key in row.keys if isinstance(key, ast.Name)
+        }
+    return entries
 
 
 def collect_cascade_tiers(model_path: Path) -> list[str]:
@@ -174,30 +182,14 @@ def check_tier_parity(root: Path) -> list[str]:
 
 def collect_string_keyed_dict(module_path: Path, name: str) -> set[str]:
     """String keys of a module-level dict literal assigned to ``name``."""
-    tree = _parse(module_path)
-    for node in ast.walk(tree):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        if not any(
-            isinstance(target, ast.Name) and target.id == name
-            for target in targets
-        ):
-            continue
-        if not isinstance(value, ast.Dict):
-            break
-        return {
-            key.value
-            for key in value.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        }
-    raise SystemExit(f"tier_lint: no {name} dict literal in {module_path}")
+    literal = _module_dict_literals(_parse(module_path)).get(name)
+    if literal is None:
+        raise SystemExit(f"tier_lint: no {name} dict literal in {module_path}")
+    return {
+        key.value
+        for key in literal.keys
+        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+    }
 
 
 def check_span_coverage(root: Path) -> list[str]:
