@@ -1,14 +1,17 @@
 """Cache/plan matching (§6, "Cache Matching").
 
 Every cache entry is keyed by the fingerprint of the plan fragment that
-produced it.  Before generating code for a new query, the engine walks the
-physical plan bottom-up and probes the caching manager for fragments that can
-be replaced:
+produced it.  The batch pipeline probes the caching manager where it opens
+the operator that would produce a fragment — the scan for field columns, the
+unnest stage for flattened output, the join stage for its build side's
+table:
 
-* **full matches** — an identical sub-plan (same operation, same arguments,
-  matching children) whose materialized output can be reused as-is,
-* **partial matches** — the already-materialized build side of a radix join
-  can be reused by a different join over the same input and join key,
+* **full matches** — an identical plan (same operation, same arguments,
+  matching children) whose materialized output can be reused as-is (the
+  serving layer's result cache),
+* **partial matches** — the join table already built over a hash join's
+  build side can be reused by a different join over the same input and
+  join key,
 * **field matches** — the narrowest and most common case: a converted field
   column of a raw dataset (a ``Scan`` + field projection), reusable by any
   query touching that field.
@@ -51,7 +54,8 @@ def unnest_cache_key(dataset: str, collection_path: FieldPath,
 
 
 def join_side_cache_key(side_fingerprint: tuple, key_fingerprint: tuple) -> tuple:
-    """Cache key of a materialized radix-join side.
+    """Cache key of the join table of a hash join's build side (a
+    :class:`~repro.core.executor.radix.JoinTable`, dense or sorted).
 
     ``side_fingerprint`` identifies the plan fragment that produced the side's
     input; ``key_fingerprint`` identifies the join-key expression.  A later
@@ -69,13 +73,3 @@ def plan_fingerprint(plan) -> tuple:
     exists so cache keys remain stable if internal representations change.
     """
     return plan.fingerprint()
-
-
-def match_entries(keys: Sequence[tuple], manager) -> dict[tuple, object]:
-    """Probe the caching manager for each key; return the subset that hit."""
-    matches: dict[tuple, object] = {}
-    for key in keys:
-        entry = manager.lookup(key)
-        if entry is not None:
-            matches[key] = entry
-    return matches

@@ -9,8 +9,8 @@ paper's default policy, reproduced here, is:
 * do **not** cache variable-length string fields from CSV/JSON files, which
   are verbose and would pollute the cache arena,
 * do not cache fields read from binary sources (they are already cheap),
-* cache the materialized sides of radix joins (implicit caching: the join is
-  a blocking operator, so its materialization comes for free),
+* cache the join tables built over hash-join build sides (implicit caching:
+  the join is a blocking operator, so its materialization comes for free),
 * bias eviction so that caches built from costlier sources survive longer
   (JSON ≻ CSV ≻ binary).
 """

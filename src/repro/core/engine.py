@@ -1623,6 +1623,8 @@ class ProteusEngine:
             execution_tier=label,
             compiled_from_cache=from_cache,
             sort_strategy=executor.sort_strategy,
+            join_kernels=executor.join_kernels,
+            group_kernel=executor.group_kernel,
             **vars(executor.counters),  # the pipeline counters, by name
         )
         fanout = executor.fanout
@@ -1769,7 +1771,19 @@ def _normalize_result_columns(
 def _python_values(buffer) -> list:
     """One columnar buffer as a list of normalized Python values: NumPy
     scalars unboxed and missing values (None, or NaN in float buffers — see
-    ``types.is_missing``) surfaced as ``None``."""
+    ``types.is_missing``) surfaced as ``None``.
+
+    The one row-pull path of :class:`ResultSet` (rows, columns, batches,
+    scalars and the HTTP encoder): a typed buffer is one ``tolist()`` — which
+    already yields plain Python scalars — with ``None`` patched in at the
+    NaN positions of a float buffer; only object buffers and Python lists
+    are normalized cell by cell."""
+    if isinstance(buffer, np.ndarray) and buffer.dtype != object:
+        values = buffer.tolist()
+        if buffer.dtype.kind == "f":
+            for position in np.flatnonzero(np.isnan(buffer)).tolist():
+                values[position] = None
+        return values
     values = buffer.tolist() if isinstance(buffer, np.ndarray) else list(buffer)
     return [_output_value(value) for value in values]
 

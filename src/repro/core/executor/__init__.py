@@ -1,2 +1,3 @@
-"""Execution back-ends: radix join/grouping kernels, the vectorized batch
-interpreter and the Volcano tuple-at-a-time interpreter."""
+"""Execution back-ends: the join/grouping kernels (dense or sorted, picked
+from the key range), the vectorized batch pipeline and the Volcano
+tuple-at-a-time interpreter."""

@@ -22,18 +22,23 @@ list of per-batch stages:
   mask; sitting directly on a CSV/JSON scan it makes the scan *lazy* (§5.2):
   only the predicate's fields are converted for every row, the remaining
   ones for the surviving OIDs only (``scan_columns_at``),
-* :class:`HashJoinStage` holds the materialized build side and one radix
-  table — looked up in / admitted to the adaptive cache, keyed by the build
-  side's plan, key and bound parameter values — and probes it
-  batch-at-a-time,
+* :class:`HashJoinStage` holds the materialized build side and one
+  :class:`~repro.core.executor.radix.JoinTable` — direct-addressed over a
+  dense integer key range, sorted otherwise; looked up in / admitted to the
+  adaptive cache, keyed by the build side's plan, key and bound parameter
+  values — and probes it batch-at-a-time, emitting matches in probe order
+  (build order within a key), the Volcano interpreter's order,
 * :class:`UnnestStage` flattens nested collections batch-natively through the
   plug-in's ``scan_unnest_batch`` offset-vector API (one ``np.repeat``
   broadcast of the parent columns per batch; outer unnest emits null child
   rows for empty collections, nested-in-nested flattens materialized
   collection columns in memory); an unnest directly over a scan serves its
   flattened output from — and admits it to — the adaptive cache,
-* grouping concatenates key/argument columns and reduces them with the radix
-  grouping kernel (``np.unique`` + segmented reductions).
+* grouping concatenates key/argument columns and reduces them with the
+  grouping kernel (``bincount`` over a mixed-radix code of ``key - lo`` when
+  the integer key ranges are dense, ``np.unique`` factorization otherwise).
+  The kernel each join and group-by ran is recorded in the profile
+  (``join_kernels`` / ``group_kernel``).
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
 the per-call :class:`PipelineCounters` and the lock-guarded cache recorders),
@@ -143,9 +148,8 @@ from repro.storage.catalog import Catalog, Dataset
 #: Rows per batch — and per morsel: a fan-out hands out whole batches.  One
 #: granularity for every source, chosen by measurement on the warm OLAP
 #: classes (per-class table in ROADMAP "Measured state"): per-call costs —
-#: the radix probe is O(partitions) per call, the streaming top-K re-sorts
-#: per batch — put 4096-row batches 1.3x (join, at the parent) to 1.7x
-#: (top-K) behind, 1Mi-row batches lose the cache locality the select/gather
+#: the streaming top-K re-sorts per batch — put 4096-row batches up to 1.7x
+#: behind, 1Mi-row batches lose the cache locality the select/gather
 #: passes live on, and at 64Ki a 600 k-row scan is 10 morsels: enough for a
 #: group-by to fan out, few enough that linear roots stay inline.
 DEFAULT_BATCH_SIZE = 65536
@@ -193,9 +197,6 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
-
-def _is_object_array(value: Any) -> bool:
-    return isinstance(value, np.ndarray) and value.dtype == object
 
 
 def materialize(value: Any, count: int) -> np.ndarray:
@@ -822,17 +823,17 @@ class UnnestStage:
 
 
 class HashJoinStage:
-    """Probe an already-built radix table with each batch.
+    """Probe an already-built join table with each batch.
 
-    The build side (a materialized :class:`Batch` plus its radix table) is
-    immutable once constructed, so any number of workers can probe it
-    concurrently.
+    The build side (a materialized :class:`Batch` plus its
+    :class:`~repro.core.executor.radix.JoinTable`) is immutable once
+    constructed, so any number of workers can probe it concurrently.
     """
 
     def __init__(
         self,
         build: Batch,
-        table: radix.RadixTable,
+        table: radix.JoinTable,
         build_kind: str,
         right_key: Evaluator,
         residual: Evaluator | None,
@@ -846,7 +847,7 @@ class HashJoinStage:
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
         right_keys = _join_keys(self.right_key(batch), batch.count)
         probe_keys, kept = _align_probe_keys(self.build_kind, right_keys)
-        left_positions, right_positions = radix.probe_radix_table(
+        left_positions, right_positions = radix.probe_join_table(
             self.table, probe_keys
         )
         if len(left_positions) == 0:
@@ -861,7 +862,8 @@ class HashJoinStage:
 
 
 class NestedLoopJoinStage:
-    """Cross-product each batch against a materialized build side."""
+    """Cross-product each batch against a materialized build side, in probe
+    order then build order (the Volcano interpreter's order)."""
 
     def __init__(self, build: Batch, predicate: Evaluator | None):
         self.build = build
@@ -869,10 +871,10 @@ class NestedLoopJoinStage:
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
         left = self.build
-        left_positions = np.repeat(
+        left_positions = np.tile(
             np.arange(left.count, dtype=np.int64), batch.count
         )
-        right_positions = np.tile(
+        right_positions = np.repeat(
             np.arange(batch.count, dtype=np.int64), left.count
         )
         joined = _gather_joined(left, batch, left_positions, right_positions)
@@ -913,8 +915,8 @@ class PipelineCompiler:
     Join build sides are materialized *during* compilation (they are blocking
     operators) through the executor's ``materializer`` — which runs them
     inline or fans their scans out, by the same decision as the plan root —
-    and their radix tables are built by ``table_builder`` unless the adaptive
-    cache already holds the table of the same build side.
+    and their join tables are built in one pass unless the adaptive cache
+    already holds the table of the same build side.
     """
 
     def __init__(
@@ -923,7 +925,6 @@ class PipelineCompiler:
         plugins: Mapping[str, InputPlugin],
         batch_size: int,
         materializer: Callable[[CompiledPipeline], Batch],
-        table_builder: Callable[[np.ndarray], radix.RadixTable],
         evaluator: Callable[[Expression], Evaluator] = interpreted,
         cache_manager=None,
         counters: PipelineCounters | None = None,
@@ -937,7 +938,6 @@ class PipelineCompiler:
         self.cache_manager = cache_manager
         self.counters = counters if counters is not None else PipelineCounters()
         self.materializer = materializer
-        self.table_builder = table_builder
         #: Expression -> per-batch evaluator: :func:`interpreted`, or the
         #: generated program's ``function_for``.
         self.evaluator = evaluator
@@ -953,6 +953,8 @@ class PipelineCompiler:
         #: compiling — the executor flushes their cache materializations
         #: after a successful run.
         self.cache_writers: list = []
+        #: The kernel of every hash join compiled, in plan walk order.
+        self.join_kernels: list[str] = []
 
     def compile(self, plan: PhysicalPlan) -> CompiledPipeline:
         if isinstance(plan, PhysScan):
@@ -1011,13 +1013,15 @@ class PipelineCompiler:
                 pipeline.always_empty = True
                 return pipeline
             left_keys = _join_keys(self.evaluator(plan.left_key)(left), left.count)
+            table = self._build_table(plan, left_keys)
+            self.join_kernels.append(table.kernel)
             pipeline.stages.append(
                 traced_stage(
                     self.trace,
                     plan,
                     HashJoinStage(
                         left,
-                        self._build_table(plan, left_keys),
+                        table,
                         left_keys.dtype.kind,
                         self.evaluator(plan.right_key),
                         self._optional(plan.residual),
@@ -1083,8 +1087,8 @@ class PipelineCompiler:
 
     def _build_table(
         self, plan: PhysHashJoin, left_keys: np.ndarray
-    ) -> radix.RadixTable:
-        """The radix table of a join's build side — the cached one when the
+    ) -> radix.JoinTable:
+        """The join table of a join's build side — the cached one when the
         adaptive cache holds the table of the same build plan, join key and
         bound build-side parameter values (§6: ``A ⋈ B`` then ``A ⋈ C``)."""
         manager = self.cache_manager
@@ -1114,7 +1118,7 @@ class PipelineCompiler:
                 return entry.data
             if entry is not None:
                 manager.evict(key)  # a stale build of another cardinality
-        table = self.table_builder(left_keys)
+        table = radix.build_join_table(left_keys)
         self.counters.join_build_rows += len(left_keys)
         source = next(
             node for node in plan.left.walk() if isinstance(node, PhysScan)
@@ -1127,7 +1131,7 @@ class PipelineCompiler:
                 kind="join_side",
                 dataset=source.dataset,
                 source_format=source_format,
-                description="radix join build side",
+                description=f"join build side ({table.kernel})",
             )
         return table
 
@@ -1231,6 +1235,8 @@ class _RootTask:
     #: The sort kernel the root ran for a ``PhysSort`` above it; ``None``
     #: leaves the sort to the engine's columnar epilogue.
     sort_strategy: str | None = None
+    #: The grouping kernel(s) a group-by root ran (``None`` for other roots).
+    group_kernel: str | None = None
 
     def new_state(self) -> Any:
         raise NotImplementedError
@@ -1252,7 +1258,7 @@ class _RootTask:
 
 class _CollectRoot(_RootTask):
     """Join build side: the pipeline's output batches, concatenated in range
-    order — so the materialized batch (and therefore every radix-table
+    order — so the materialized batch (and therefore every join-table
     position in it) is the same however the scan was split."""
 
     def new_state(self) -> list[Batch]:
@@ -1516,17 +1522,22 @@ class _GroupPartial:
     #: fingerprint → partial result column (aligned with ``key_arrays``);
     #: ``avg`` decomposes into its ``{"sum": ..., "count": ...}`` parts.
     aggregates: dict[tuple, Any]
+    #: The grouping kernel that built these groups.
+    kernel: str
 
 
 class _NestRoot(_RootTask):
-    """Group-by: per-range partial radix grouping + partial aggregates, then
-    a second-level grouped merge over the union of partial groups.
+    """Group-by: per-range partial grouping + partial aggregates, then a
+    second-level grouped merge over the union of partial groups.
 
     The merge functions are the aggregate monoids: partial counts are summed,
     partial sums summed, partial extrema re-reduced, partial booleans
     re-combined, and ``avg`` is carried as (sum, count) and divided once at
     the end.  Group output order is the lexicographic key order
-    ``radix_group`` produces, however the scan was split.
+    ``radix_group`` produces, however the scan was split.  Each grouping
+    pass picks its kernel from the key ranges it sees; ``group_kernel``
+    names the kernels that ran (``"dense"``, ``"sorted"`` or both, joined
+    by ``+``).
     """
 
     def __init__(
@@ -1602,7 +1613,7 @@ class _NestRoot(_RootTask):
                 partial_aggregates[fingerprint] = radix.group_aggregate(
                     aggregate.func, grouping.group_ids, grouping.num_groups, values
                 )
-        return _GroupPartial(grouping.key_arrays, partial_aggregates)
+        return _GroupPartial(grouping.key_arrays, partial_aggregates, grouping.kernel)
 
     #: How a partial aggregate column is re-reduced across ranges.
     _MERGE_FUNCS = {
@@ -1621,6 +1632,7 @@ class _NestRoot(_RootTask):
         # One range (every inline run): its groups are already final.
         regrouped = None
         key_arrays = partials[0].key_arrays
+        kernels = {partial.kernel for partial in partials}
         if len(partials) > 1:
             regrouped = radix.radix_group(
                 [
@@ -1629,6 +1641,8 @@ class _NestRoot(_RootTask):
                 ]
             )
             key_arrays = regrouped.key_arrays
+            kernels.add(regrouped.kernel)
+        self.group_kernel = "+".join(sorted(kernels))
         num_groups = len(key_arrays[0])
         counters.groups_built += num_groups
         counters.output_rows += num_groups
@@ -1645,7 +1659,7 @@ class _NestRoot(_RootTask):
             fingerprint = aggregate.fingerprint()
             parts = [partial.aggregates[fingerprint] for partial in partials]
             if aggregate.func == "avg":
-                aggregate_results[fingerprint] = _finish_avg(
+                aggregate_results[fingerprint] = radix.finish_avg(
                     reduce("sum", [part["sum"] for part in parts]),
                     reduce("sum", [part["count"] for part in parts]),
                 )
@@ -1664,21 +1678,6 @@ class _NestRoot(_RootTask):
                 else materialize(head(group_batch), num_groups)
             )
         return self.names, columns
-
-
-def _finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Combine merged (sum, count) partials into per-group averages, with the
-    same empty-group NaN semantics as the grouping kernel."""
-    counts = np.asarray(counts)
-    if sums.dtype == object:
-        return np.asarray(
-            [
-                total / count if count else float("nan")
-                for total, count in zip(sums.tolist(), counts.tolist())
-            ]
-        )
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -1727,6 +1726,10 @@ class VectorizedExecutor:
         #: grouped and aggregated outputs are small enough to sort once
         #: merged).
         self.sort_strategy: str | None = None
+        #: The kernel every hash join ran, in plan walk order, and the
+        #: grouping kernel(s) of a group-by root — ``"dense"`` or ``"sorted"``.
+        self.join_kernels: list[str] = []
+        self.group_kernel: str | None = None
         #: The morsel fan-out driver (threads start only when a scan fans
         #: out); its dispatch counters reflect the fan-out decisions taken.
         self.fanout = ParallelVectorizedExecutor(num_workers, context)
@@ -1753,7 +1756,6 @@ class VectorizedExecutor:
             self.plugins,
             self.batch_size,
             materializer=self._materialize,
-            table_builder=self.fanout.build_table,
             evaluator=evaluator,
             cache_manager=self.cache_manager,
             counters=self.counters,
@@ -1762,12 +1764,14 @@ class VectorizedExecutor:
             context=self.context,
         )
         pipeline = compiler.compile(plan.child)
+        self.join_kernels = compiler.join_kernels
         morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
         root = _make_root(
             plan, sort_plan, self.params, self.hints, bool(morsels), evaluator
         )
         names, columns = self._run(root, pipeline, morsels)
         self.sort_strategy = root.sort_strategy
+        self.group_kernel = root.group_kernel
         compiler.store_scan_caches()
         return names, columns
 
@@ -1922,7 +1926,7 @@ class _BatchAggregates(AggregateAccumulators):
 
 def _join_keys(value: Any, count: int) -> np.ndarray:
     """Normalize a join key column: fixed-width strings to objects, bools to
-    ints.  Keys containing missing values are rejected by the radix kernels
+    ints.  Keys containing missing values are rejected by the join kernels
     themselves."""
     keys = materialize(value, count)
     if keys.dtype.kind in "US":

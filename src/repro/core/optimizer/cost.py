@@ -4,7 +4,7 @@ Costing of data accesses is delegated to the input plug-ins (§5.2): each
 plug-in exposes a per-value extraction cost and a ``scan_cost`` formula, which
 the optimizer instantiates with the statistics held in the catalog.  On top of
 the plug-in costs, the model adds textbook formulas for the engine's physical
-operators (radix join materializes both sides, grouping materializes its
+operators (a hash join materializes both sides, grouping materializes its
 input, selections and reductions stream).
 """
 

@@ -3,7 +3,7 @@
 The optimizer follows a bottom-up strategy (§4): starting from the filtered
 base inputs, it greedily joins the pair with the smallest estimated result,
 preferring equi-join edges over cartesian products, and always materializes
-the smaller input as the radix-join build side.  For the query shapes of the
+the smaller input as the hash-join build side.  For the query shapes of the
 paper's evaluation (two- and three-way joins) the greedy order coincides with
 the optimal one; the module is written so a DP enumerator could replace the
 greedy loop without touching the planner.
@@ -132,7 +132,7 @@ def choose_build_side(
     left_rows: float, right_rows: float
 ) -> bool:
     """Return ``True`` when the sides should be swapped so that the smaller
-    input becomes the radix-join build side."""
+    input becomes the hash-join build side."""
     return right_rows < left_rows
 
 

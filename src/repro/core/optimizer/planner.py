@@ -5,8 +5,12 @@ The planner turns an optimized logical plan into a physical plan:
 1. rule-based rewrites (selection pushdown, selection merging),
 2. cost-based join reordering over inner-join regions (greedy bottom-up,
    driven by plug-in statistics),
-3. physical operator selection — radix hash join for equi-joins (build side =
-   smaller input), nested-loop join otherwise, radix grouping for Nest,
+3. physical operator selection — hash join for equi-joins (build side =
+   smaller input), nested-loop join otherwise, Nest for grouping; the join
+   and grouping *kernels* are not planned but picked at execution from the
+   key range the executor observes (dense integer ranges are addressed
+   directly, everything else is sorted — see
+   :mod:`repro.core.executor.radix`),
 4. projection pushdown into the scans (every scan lists exactly the field
    paths the query needs) and access-path selection — a scan whose required
    fields are all served by the caching manager is routed to the cache

@@ -10,7 +10,7 @@ of running the scan inline:
 * every worker of the work-stealing pool runs the executor's per-morsel
   function over whichever morsels it obtains — the **same** immutable
   pipeline object and root task serve all of them, batch-native unnest
-  stages included,
+  stages and join probes included,
 * partial results come back in **morsel index order** (the pool's
   order-preserving collector), never in completion or worker order, so the
   executor's merges are deterministic: repeated runs return identical rows,
@@ -18,23 +18,18 @@ of running the scan inline:
   (Floating-point sums may differ from an inline run in the last ulp because
   addition is reassociated across morsels; they remain deterministic
   run-to-run.)
-* join radix tables are built partition-parallel (each of the ``2^bits``
-  partitions is sort-clustered by a worker).
+
+A join's table is built on the calling thread in one O(N) pass over the
+materialized build side (a ``bincount`` over a dense key range, one stable
+sort otherwise); only the scan feeding the build side fans out.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from repro.core.executor import radix
 from repro.core.parallel.morsels import Morsel
 from repro.core.parallel.scheduler import WorkerPool
-
-#: Below this many build-side keys a partition-parallel table build costs
-#: more in scheduling than it saves in sorting.
-MIN_PARALLEL_BUILD_KEYS = 8192
 
 
 class ParallelVectorizedExecutor:
@@ -60,28 +55,3 @@ class ParallelVectorizedExecutor:
         self.morsels_dispatched += len(morsels)
         self.morsels_stolen += self._pool.last_stolen
         return results
-
-    def build_table(self, keys: np.ndarray) -> radix.RadixTable:
-        """Partitioned radix-table build: the hash partitioning runs once,
-        then the per-partition sort-clustering fans out across the workers.
-        The resulting table is identical to a serial build."""
-        keys = np.asarray(keys)
-        if self.num_workers <= 1 or len(keys) < MIN_PARALLEL_BUILD_KEYS:
-            return radix.build_radix_table(keys)
-        radix.reject_missing_keys(keys, "join")
-        num_partitions = 1 << radix.DEFAULT_RADIX_BITS
-        assignment = radix.partition_assignment(keys, num_partitions)
-        position_lists = [
-            np.nonzero(assignment == partition_id)[0]
-            for partition_id in range(num_partitions)
-        ]
-        partitions = self._pool.run(
-            position_lists,
-            lambda positions, worker_id: radix.cluster_partition(keys, positions),
-            context=self.context,
-        )
-        return radix.RadixTable(
-            partitions=partitions,
-            num_partitions=num_partitions,
-            build_size=len(keys),
-        )

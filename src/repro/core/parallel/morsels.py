@@ -25,11 +25,12 @@ from dataclasses import dataclass
 #: (``join`` 844 -> 509) — the bar sits between the two.
 LINEAR_ROOT_MORSELS = 16
 
-#: A grouping root fans out as soon as there is something to split: grouping
-#: is sort-based (super-linear), so per-morsel partial groups plus a merge
-#: over the few partial groups is less work than one grouping of the whole
-#: input — ``groupby`` 156 -> 118 ms and ``groupby_small`` 83 -> 52 ms at 10
-#: morsels on the same box.
+#: A grouping root fans out as soon as there is something to split.  Its
+#: partials are the few groups of each morsel, so the merge is small, while
+#: the per-morsel select + ``bincount`` passes overlap across workers.
+#: Re-measured with the dense grouping kernel on the same box, two workers
+#: against one: ``groupby_small`` 17.8 -> 9.2 ms and ``groupby`` 19.1 -> 15.9
+#: at 10 morsels, 51 -> 34 and 53 -> 45 at 37 morsels.
 GROUPING_ROOT_MORSELS = 2
 
 

@@ -1,7 +1,7 @@
 """Work-stealing scheduler of the batch executor's morsel fan-out.
 
-The executor enqueues its work items (morsels, build-side morsels, radix
-partitions) into a :class:`WorkStealingQueue`: every worker owns a deque that
+The executor enqueues its work items (morsels of a root pipeline or of a
+join build side) into a :class:`WorkStealingQueue`: every worker owns a deque that
 is preloaded with a contiguous block of items (sequential ranges keep scans
 cache- and readahead-friendly), consumes it front-to-back, and — once its own
 deque runs dry — steals from the *back* of the most loaded peer.  Stealing is
@@ -10,7 +10,7 @@ cheaper than others.
 
 :class:`WorkerPool` wraps the queue with a thread-per-worker execution model.
 Threads (rather than processes) are the right fit here: the heavy lifting —
-NumPy slicing, predicate kernels, radix partition sorts — releases the GIL,
+NumPy slicing, predicate kernels, join probes and sorts — releases the GIL,
 and threads share the memory-mapped inputs, the structural indexes and the
 materialized join build sides without any serialization.  Results are
 returned **in submission order**, which is what makes parallel execution

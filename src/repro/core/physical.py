@@ -6,16 +6,18 @@ generation:
 
 * scans know which field paths they must place into virtual buffers
   (projection pushdown) and which plug-in/access path serves them,
-* joins are resolved to radix hash joins with explicit key expressions (plus
-  an optional residual predicate) or to nested-loop joins when no equi-join
+* joins are resolved to hash joins with explicit key expressions (plus an
+  optional residual predicate) or to nested-loop joins when no equi-join
   key exists,
 * unnests know which element fields they must flatten,
 * the root is a Reduce (projection / global aggregation) or a Nest (grouping).
 
-Both executors consume this representation: the code generator collapses it
-into a single specialized program (§5.1), and the Volcano interpreter walks it
-operator-at-a-tuple (the "static general-purpose engine" the paper contrasts
-against).
+Both executors consume this representation: the batch pipeline runs it over
+columnar batches (on per-query generated expression functions, §5.1), and
+the Volcano interpreter walks it operator-at-a-tuple (the "static
+general-purpose engine" the paper contrasts against).  The plan names
+operators, not kernels: which join/grouping kernel runs is decided at
+execution from the key range (:mod:`repro.core.executor.radix`).
 """
 
 from __future__ import annotations
@@ -180,11 +182,13 @@ class PhysUnnest(PhysicalPlan):
 
 
 class PhysHashJoin(PhysicalPlan):
-    """Radix hash join on equi-join keys, with an optional residual predicate.
+    """Hash join on equi-join keys, with an optional residual predicate.
 
     The left side is the build side (materialized first), the right side is
-    probed; this mirrors the paper's radix hash join whose materialized sides
-    double as implicit caches.
+    probed; the build side's join table doubles as an implicit cache, as in
+    the paper.  Matches come in probe order, then build order within a key,
+    whichever kernel the build side's key range selects (direct-addressed
+    over a dense integer range, sorted otherwise).
     """
 
     def __init__(
@@ -219,7 +223,7 @@ class PhysHashJoin(PhysicalPlan):
         )
 
     def describe(self) -> str:
-        name = "OuterHashJoin" if self.outer else "RadixHashJoin"
+        name = "OuterHashJoin" if self.outer else "HashJoin"
         text = f"{name}({to_string(self.left_key)} = {to_string(self.right_key)})"
         if self.residual is not None:
             text += f" residual: {to_string(self.residual)}"
@@ -373,7 +377,9 @@ def driving_scan(plan: PhysicalPlan) -> "PhysScan | None":
 
 
 class PhysNest(PhysicalPlan):
-    """Radix-hash grouping with per-group aggregates."""
+    """Grouping with per-group aggregates; groups come out in ascending key
+    order (``bincount`` over a dense integer key range, ``np.unique``
+    factorization otherwise)."""
 
     def __init__(
         self,
@@ -401,17 +407,12 @@ class PhysNest(PhysicalPlan):
             f"{column.name}={to_string(column.expression)}" for column in self.columns
         )
         keys = ", ".join(to_string(expression) for expression in self.group_by)
-        return f"RadixNest(group by {keys}; {columns})"
+        return f"Nest(group by {keys}; {columns})"
 
 
 def scans_of(plan: PhysicalPlan) -> list[PhysScan]:
     """All scan leaves of a physical plan, in traversal order."""
     return [node for node in plan.walk() if isinstance(node, PhysScan)]
-
-
-def datasets_of(plan: PhysicalPlan) -> set[str]:
-    """Names of all datasets touched by the plan."""
-    return {scan.dataset for scan in scans_of(plan)}
 
 
 def expressions_of(node: PhysicalPlan) -> list[Expression]:

@@ -42,6 +42,15 @@ class ExecutionProfile:
     #: k-way at the root), "object-fallback" (boxed comparator for object
     #: columns) — or None when the query has no ORDER BY.
     sort_strategy: str | None = None
+    #: Which join kernel each hash join of the batch pipeline ran, in plan
+    #: walk order: "dense" (direct-addressed over the build side's integer
+    #: key range) or "sorted" (one stable sort, two searchsorted per batch).
+    join_kernels: list[str] = field(default_factory=list)
+    #: Which grouping kernel(s) a batch-pipeline group-by ran: "dense"
+    #: (``bincount`` over the mixed-radix code of ``key - lo``), "sorted"
+    #: (``np.unique`` factorization) or "dense+sorted" when the per-morsel
+    #: and merge passes chose differently; ``None`` without a group-by.
+    group_kernel: str | None = None
     #: Rows that entered a sort kernel (for streaming top-K this counts every
     #: pruned batch, so it can exceed the result size).
     rows_sorted: int = 0
@@ -81,6 +90,8 @@ class ExecutionProfile:
         self.morsels_dispatched += other.morsels_dispatched
         self.morsels_stolen += other.morsels_stolen
         self.sort_strategy = self.sort_strategy or other.sort_strategy
+        self.join_kernels = self.join_kernels + other.join_kernels
+        self.group_kernel = self.group_kernel or other.group_kernel
         self.rows_sorted += other.rows_sorted
         self.unnest_output_rows += other.unnest_output_rows
         self.io_retries += other.io_retries

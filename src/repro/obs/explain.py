@@ -162,6 +162,10 @@ def render_explain_analyze(
     )
     if profile.sort_strategy:
         parts.append(f"sort strategy: {profile.sort_strategy}")
+    if profile.join_kernels:
+        parts.append(f"join kernels: {', '.join(profile.join_kernels)}")
+    if profile.group_kernel:
+        parts.append(f"group kernel: {profile.group_kernel}")
 
     if trace is not None and trace.phases:
         parts.extend(["", "== phases =="])

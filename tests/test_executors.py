@@ -1,5 +1,5 @@
-"""Unit tests for the radix kernels, the Volcano interpreter, the optimizer
-stages and the code generator (cross-checked against each other)."""
+"""Unit tests for the join/grouping kernels, the Volcano interpreter, the
+optimizer stages and the code generator (cross-checked against each other)."""
 
 import numpy as np
 import pytest
@@ -13,61 +13,150 @@ from repro.core.physical import PhysHashJoin, PhysScan, PhysSelect, scans_of
 from repro.errors import ExecutionError
 
 
-# -- radix kernels -----------------------------------------------------------------
+# -- join / grouping kernels ------------------------------------------------------
 
 
 def _naive_join(left, right):
-    pairs = set()
-    for i, lv in enumerate(left):
-        for j, rv in enumerate(right):
-            if lv == rv:
-                pairs.add((i, j))
-    return pairs
+    """Every matching (left, right) position pair, in the Volcano
+    interpreter's order: right (probe) order, then left (build) order."""
+    return [
+        (i, j)
+        for j, rv in enumerate(right)
+        for i, lv in enumerate(left)
+        if lv == rv
+    ]
 
 
-def test_radix_join_matches_naive_int():
+def _join(left, right):
+    return radix.probe_join_table(
+        radix.build_join_table(np.asarray(left)), np.asarray(right)
+    )
+
+
+def _joined(left, right):
+    li, ri = _join(left, right)
+    return list(zip(li.tolist(), ri.tolist()))
+
+
+@pytest.mark.parametrize(
+    "kernel,spread", [(radix.KERNEL_DENSE, 1), (radix.KERNEL_SORTED, 10**12)]
+)
+def test_radix_join_matches_naive_int(kernel, spread):
     rng = np.random.RandomState(0)
-    left = rng.randint(0, 40, size=200)
-    right = rng.randint(0, 40, size=150)
-    li, ri = radix.radix_join(left, right)
-    assert set(zip(li.tolist(), ri.tolist())) == _naive_join(left, right)
+    left = rng.randint(0, 40, size=200) * spread
+    right = rng.randint(0, 40, size=150) * spread
+    assert radix.build_join_table(left).kernel == kernel
+    assert _joined(left, right) == _naive_join(left, right)
 
 
 def test_radix_join_matches_naive_strings():
     left = np.asarray(["a", "b", "c", "a"], dtype=object)
     right = np.asarray(["c", "a", "d"], dtype=object)
-    li, ri = radix.radix_join(left, right)
-    assert set(zip(li.tolist(), ri.tolist())) == _naive_join(left, right)
+    assert radix.build_join_table(left).kernel == radix.KERNEL_SORTED
+    assert _joined(left, right) == _naive_join(left, right)
 
 
 def test_radix_join_empty_and_disjoint():
-    li, ri = radix.radix_join(np.asarray([1, 2, 3]), np.asarray([7, 8]))
+    li, ri = _join(np.asarray([1, 2, 3]), np.asarray([7, 8]))
     assert len(li) == 0 and len(ri) == 0
-    li, ri = radix.radix_join(np.asarray([], dtype=np.int64), np.asarray([1, 2]))
+    li, ri = _join(np.asarray([], dtype=np.int64), np.asarray([1, 2]))
     assert len(li) == 0
+    li, ri = _join(np.asarray([1, 2]), np.asarray([], dtype=np.int64))
+    assert len(li) == 0 and len(ri) == 0
 
 
-def test_radix_table_reuse():
-    left = np.asarray([1, 2, 2, 3])
-    table = radix.build_radix_table(left)
+@pytest.mark.parametrize(
+    "left,kernel",
+    [
+        ([1, 2, 2, 3], radix.KERNEL_DENSE),
+        ([10**15, 2, 2, -(10**15)], radix.KERNEL_SORTED),
+    ],
+)
+def test_join_table_reuse(left, kernel):
+    table = radix.build_join_table(np.asarray(left))
+    assert table.kernel == kernel
     assert table.build_size == 4
-    assert table.size_bytes > 0
-    li, ri = radix.probe_radix_table(table, np.asarray([2, 5]))
-    assert sorted(li.tolist()) == [1, 2]
-    assert set(ri.tolist()) == {0}
+    assert table.size_bytes == table.positions.nbytes + table.index.nbytes > 0
+    li, ri = radix.probe_join_table(table, np.asarray([2, 5]))
+    # Duplicate build keys come back in build order.
+    assert li.tolist() == [1, 2]
+    assert ri.tolist() == [0, 0]
+    li, ri = radix.probe_join_table(table, np.asarray([2, 2, left[0]]))
+    assert li.tolist() == [1, 2, 1, 2, 0]
+    assert ri.tolist() == [0, 0, 1, 1, 2]
 
 
-def test_radix_group_and_aggregates():
-    keys = np.asarray([3, 1, 3, 2, 1, 3])
+def test_dense_join_duplicate_build_keys():
+    left = np.asarray([7, 5, 7, 6, 7, 5], dtype=np.int64)
+    assert radix.build_join_table(left).kernel == radix.KERNEL_DENSE
+    right = np.asarray([5, 8, 7, 4, 6, 7], dtype=np.int64)
+    assert _joined(left, right) == _naive_join(left, right)
+    # Unique build keys take the single-match path, same answer.
+    unique = np.asarray([3, 9, 4, 6], dtype=np.int64)
+    assert _joined(unique, right) == _naive_join(unique, right)
+
+
+def test_dense_join_probe_keys_outside_range_near_int64_limits():
+    imin, imax = -(2**63), 2**63 - 1
+    for left in ([imin, imin + 1, imin + 3], [imax - 2, imax, imax - 2]):
+        build = np.asarray(left, dtype=np.int64)
+        table = radix.build_join_table(build)
+        assert table.kernel == radix.KERNEL_DENSE
+        probe = np.asarray([imin, imax, 0, -1, 1, imin + 1, imax - 2], dtype=np.int64)
+        li, ri = radix.probe_join_table(table, probe)
+        assert list(zip(li.tolist(), ri.tolist())) == _naive_join(
+            build.tolist(), probe.tolist()
+        )
+    # uint64 probe keys above the int64 range never wrap onto build keys.
+    table = radix.build_join_table(np.asarray([-1, 0, 1], dtype=np.int64))
+    li, ri = radix.probe_join_table(
+        table, np.asarray([2**64 - 1, 2**63, 1, 0], dtype=np.uint64)
+    )
+    assert li.tolist() == [2, 1] and ri.tolist() == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ([1, 2, 2, 3], [2.0, 3.5, 1.0, float(2**63)]),
+        ([1.0, 2.0, 2.0, 2.5], [2, 1, 2**53 + 1]),
+    ],
+)
+def test_radix_join_int_float_alignment(left, right):
+    """Probe keys are aligned with the build side's dtype the way the
+    pipeline's join stage does it, then matched in Volcano order."""
+    from repro.core.executor.vectorized import _align_probe_keys
+
+    build = np.asarray(left)
+    table = radix.build_join_table(build)
+    probe, kept = _align_probe_keys(build.dtype.kind, np.asarray(right))
+    li, ri = radix.probe_join_table(table, probe)
+    if kept is not None:
+        ri = kept[ri]
+    assert list(zip(li.tolist(), ri.tolist())) == _naive_join(left, right)
+
+
+@pytest.mark.parametrize(
+    "keys,kernel",
+    [
+        ([3, 1, 3, 2, 1, 3], radix.KERNEL_DENSE),
+        ([3 * 10**12, 1, 3 * 10**12, 2, 1, 3 * 10**12], radix.KERNEL_SORTED),
+    ],
+)
+def test_radix_group_and_aggregates(keys, kernel):
+    keys = np.asarray(keys)
     values = np.asarray([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     grouping = radix.radix_group([keys])
+    assert grouping.kernel == kernel
     assert grouping.num_groups == 3
+    assert grouping.key_arrays[0].tolist() == sorted(set(keys.tolist()))
+    assert grouping.key_arrays[0].dtype == keys.dtype
     counts = radix.group_aggregate("count", grouping.group_ids, grouping.num_groups)
     sums = radix.group_aggregate("sum", grouping.group_ids, grouping.num_groups, values)
     maxima = radix.group_aggregate("max", grouping.group_ids, grouping.num_groups, values)
     by_key = {int(k): (int(c), float(s), float(m))
               for k, c, s, m in zip(grouping.key_arrays[0], counts, sums, maxima)}
-    assert by_key[3] == (3, 10.0, 6.0)
+    assert by_key[int(keys[0])] == (3, 10.0, 6.0)
     assert by_key[1] == (2, 7.0, 5.0)
     assert by_key[2] == (1, 4.0, 4.0)
 
@@ -76,7 +165,38 @@ def test_radix_group_multiple_keys():
     a = np.asarray([1, 1, 2, 2, 1])
     b = np.asarray(["x", "y", "x", "x", "x"], dtype=object)
     grouping = radix.radix_group([a, b])
+    assert grouping.kernel == radix.KERNEL_SORTED
     assert grouping.num_groups == 3
+
+
+def test_dense_grouping_multiple_keys():
+    """Integer, narrow-integer and bool keys share one mixed-radix code;
+    groups come out in lexicographic key order with their own dtypes."""
+    rng = np.random.RandomState(3)
+    a = rng.randint(-3, 3, size=400).astype(np.int64)
+    b = rng.randint(-128, 128, size=400).astype(np.int8)
+    c = rng.randint(0, 2, size=400).astype(bool)
+    grouping = radix.radix_group([a, b, c])
+    assert grouping.kernel == radix.KERNEL_DENSE
+    combos = sorted(set(zip(a.tolist(), b.tolist(), c.tolist())))
+    assert [arr.dtype for arr in grouping.key_arrays] == [a.dtype, b.dtype, c.dtype]
+    assert list(zip(*(arr.tolist() for arr in grouping.key_arrays))) == combos
+    assert [combos[g] for g in grouping.group_ids.tolist()] == list(
+        zip(a.tolist(), b.tolist(), c.tolist())
+    )
+    # Keys at the int64 limits decode back exactly; uint64 keys (whose
+    # ``key - lo`` may not fit int64) group through the sorted kernel.
+    edge = np.asarray([-(2**63), -(2**63) + 2, -(2**63)], dtype=np.int64)
+    top = np.asarray([2**63 - 1, 2**63 - 3, 2**63 - 1], dtype=np.int64)
+    big = np.asarray([2**64 - 1, 2**64 - 3, 2**64 - 1], dtype=np.uint64)
+    for keys, kernel in (([edge, top], "dense"), ([edge, big], "sorted")):
+        grouping = radix.radix_group(keys)
+        assert grouping.kernel == kernel
+        assert [k.tolist() for k in grouping.key_arrays] == [
+            [k[0], k[1]] for k in (keys[0].tolist(), keys[1].tolist())
+        ]
+        assert grouping.key_arrays[1].dtype == keys[1].dtype
+        assert grouping.group_ids.tolist() == [0, 1, 0]
 
 
 def test_radix_group_requires_keys_and_equal_lengths():

@@ -357,3 +357,108 @@ def test_explain_without_analyze_does_not_execute(paths):
     assert "== explain analyze ==" not in report
     counter = engine.metrics.counter("proteus_queries_total")
     assert counter.samples() == []
+
+
+# -- join / grouping kernel choice ---------------------------------------------
+
+#: The seven warm OLAP query shapes of the end-to-end benchmark (TPC-H-shaped
+#: binary columns) -> (join kernels, group kernel) the batch pipeline runs.
+OLAP_SHAPES = {
+    "SELECT COUNT(*), SUM(l_extendedprice), MAX(l_quantity) FROM lineitem "
+    "WHERE l_discount < 0.05": ([], None),
+    "SELECT l_linenumber, COUNT(*), SUM(l_extendedprice) FROM lineitem "
+    "WHERE l_quantity < 40 GROUP BY l_linenumber": ([], "dense"),
+    "SELECT l_suppkey, COUNT(*), SUM(l_extendedprice) FROM lineitem "
+    "WHERE l_quantity < 40 GROUP BY l_suppkey": ([], "dense"),
+    "SELECT COUNT(*), SUM(l_extendedprice), MAX(o_totalprice) FROM lineitem l "
+    "JOIN orders o ON l.l_orderkey = o.o_orderkey WHERE o.o_orderpriority < 3":
+        (["dense"], None),
+    "SELECT l_extendedprice, l_orderkey FROM lineitem WHERE l_discount < 0.05 "
+    "ORDER BY l_extendedprice DESC, l_orderkey LIMIT 100": ([], None),
+    "SELECT o_custkey, o_totalprice FROM orders WHERE o_orderpriority < 3 "
+    "ORDER BY o_custkey, o_totalprice DESC": ([], None),
+    "SELECT l_orderkey, l_quantity, l_extendedprice FROM lineitem "
+    "WHERE l_orderkey < 500": ([], None),
+}
+
+
+@pytest.fixture(scope="module")
+def olap_engine(tmp_path_factory):
+    from repro import ProteusEngine
+    from repro.workloads import tpch
+
+    directory = tmp_path_factory.mktemp("olap")
+    # 120 k lineitems: two morsels of the default batch, so the group-bys
+    # fan out over two workers exactly as they do at benchmark scale.
+    tables = tpch.generate(scale=20, seed=7)
+    engine = ProteusEngine(parallel_workers=2)
+    engine.register_binary_columns("lineitem", tpch.write_binary_columns(
+        str(directory / "lineitem"), tables.lineitem, tpch.LINEITEM_SCHEMA))
+    engine.register_binary_columns("orders", tpch.write_binary_columns(
+        str(directory / "orders"), tables.orders, tpch.ORDERS_SCHEMA))
+    return engine
+
+
+@pytest.mark.parametrize("query", list(OLAP_SHAPES))
+def test_olap_shapes_take_the_dense_kernels(olap_engine, query):
+    join_kernels, group_kernel = OLAP_SHAPES[query]
+    profile = olap_engine.query(query).profile
+    assert profile.execution_tier == "codegen"
+    assert profile.join_kernels == join_kernels
+    assert profile.group_kernel == group_kernel
+    if group_kernel is not None:
+        assert profile.morsels_dispatched == 2
+
+
+def test_symantec_mail_id_joins_take_the_dense_kernel(tmp_path):
+    from repro import ProteusEngine
+    from repro.workloads import symantec
+
+    files = symantec.materialize(
+        str(tmp_path), num_json=800, num_csv=3200, num_binary=4000, seed=7
+    )
+    engine = ProteusEngine(enable_caching=False)
+    engine.register_json("spam_mails", files.json_path)
+    engine.register_csv("classification", files.csv_path)
+    engine.register_binary_columns("mail_log", files.binary_dir)
+    joins = [q for q in symantec.symantec_workload(files) if q.spec.joins]
+    assert len(joins) == 25
+    for query in joins:
+        profile = engine.query(query.spec.to_text()).profile
+        assert profile.join_kernels == ["dense"] * len(query.spec.joins), (
+            query.spec.name
+        )
+
+
+def test_string_keyed_join_takes_the_sorted_kernel(paths):
+    engine = make_engine(paths, enable_caching=False)
+    query = (
+        "SELECT a.category, COUNT(*) FROM items_csv a JOIN items_bin b "
+        "ON a.category = b.category GROUP BY a.category"
+    )
+    profile = engine.query(query).profile
+    assert profile.join_kernels == ["sorted"]
+    assert profile.group_kernel == "sorted"
+    report = engine.explain(query, analyze=True)
+    assert "join kernels: sorted" in report
+    assert "group kernel: sorted" in report
+
+
+def test_explain_analyze_reports_dense_kernels(paths):
+    engine = make_engine(paths, enable_caching=False)
+    report = engine.explain(
+        "SELECT b.qty, COUNT(*) FROM items_csv a JOIN items_bin b ON a.id = b.id "
+        "GROUP BY b.qty",
+        analyze=True,
+    )
+    assert "join kernels: dense" in report
+    assert "group kernel: dense" in report
+    report = engine.explain("SELECT COUNT(*) FROM items_bin", analyze=True)
+    assert "join kernels" not in report and "group kernel" not in report
+
+
+def test_merge_concatenates_join_kernels():
+    merged = ExecutionProfile(join_kernels=["dense"])
+    merged.merge(ExecutionProfile(join_kernels=["sorted"], group_kernel="dense"))
+    assert merged.join_kernels == ["dense", "sorted"]
+    assert merged.group_kernel == "dense"

@@ -16,9 +16,9 @@ Covers:
   the Volcano fallback for non-vectorizable shapes,
 * the vectorized tier's use of the adaptive cache (hits and
   materializations),
-* unit coverage of morsel planning, the work-stealing scheduler, the
-  partition-parallel radix-table build and the plug-in
-  ``scan_batch_ranges`` API.
+* unit coverage of morsel planning, the work-stealing scheduler, the join
+  table of a fanned-out build side and the plug-in ``scan_batch_ranges``
+  API.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.executor import radix
 from repro.core.parallel import Morsel, WorkerPool, WorkStealingQueue, plan_morsels
-from repro.core.parallel import ParallelVectorizedExecutor
 from repro.storage.binary_format import write_column_table, write_row_table
 
 SAILOR_COUNT = 600
@@ -648,17 +647,37 @@ def test_worker_pool_propagates_errors():
         pool.run(list(range(40)), explode)
 
 
-def test_partition_parallel_table_build_matches_serial():
-    driver = ParallelVectorizedExecutor(num_workers=4)
-    rng = np.random.RandomState(11)
-    keys = rng.randint(0, 5000, size=20000).astype(np.int64)
-    parallel_table = driver.build_table(keys)
-    serial_table = radix.build_radix_table(keys)
-    assert parallel_table.build_size == serial_table.build_size
-    assert parallel_table.num_partitions == serial_table.num_partitions
-    for ours, theirs in zip(parallel_table.partitions, serial_table.partitions):
-        assert np.array_equal(ours.sorted_keys, theirs.sorted_keys)
-        assert np.array_equal(ours.original_positions, theirs.original_positions)
+@pytest.mark.parametrize(
+    "query,kernel",
+    [
+        (
+            "SELECT COUNT(*) FROM sailors s JOIN sailors h ON s.sid = h.rating",
+            radix.KERNEL_DENSE,
+        ),
+        (
+            "SELECT COUNT(*) FROM sailors s JOIN sailors h ON s.sname = h.sname "
+            "WHERE h.sid < 40",
+            radix.KERNEL_SORTED,
+        ),
+    ],
+)
+def test_fanned_out_build_side_table_matches_serial(workload_dir, query, kernel):
+    """A build side materialized by morsels yields exactly the join table of
+    an inline build: the morsels concatenate in order and the table itself
+    is one pass on the calling thread."""
+    tables = []
+    for workers in (1, 4):
+        engine = _caching_engine(workload_dir, parallel_workers=workers)
+        result = engine.query(query)
+        assert result.profile.join_kernels == [kernel]
+        assert (result.profile.morsels_dispatched > 0) == (workers > 1)
+        (entry,) = [e for e in engine.cache_entries() if e.kind == "join_side"]
+        tables.append(entry.data)
+    serial, fanned = tables
+    assert serial.kernel == fanned.kernel == kernel
+    assert (serial.build_size, serial.lo) == (fanned.build_size, fanned.lo)
+    assert np.array_equal(serial.positions, fanned.positions)
+    assert np.array_equal(serial.index, fanned.index)
 
 
 # ---------------------------------------------------------------------------

@@ -23,47 +23,65 @@ SETTINGS = settings(
 )
 
 # ---------------------------------------------------------------------------
-# Radix join / grouping vs naive reference
+# Join / grouping kernels vs naive reference
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def _key_pool(draw):
+    """A few distinct int64 keys from one range, anywhere in int64: narrow
+    ranges take the dense kernels, wide ones the sorted kernels."""
+    width = draw(st.sampled_from([0, 3, 40, 2**20, 2**62]))
+    low = draw(st.integers(min_value=-(2**63), max_value=2**63 - 1 - width))
+    keys = st.integers(min_value=low, max_value=low + width)
+    return draw(st.lists(keys, min_size=1, max_size=10, unique=True))
+
+
 @SETTINGS
-@given(
-    left=st.lists(st.integers(min_value=-20, max_value=20), max_size=60),
-    right=st.lists(st.integers(min_value=-20, max_value=20), max_size=60),
-)
-def test_radix_join_equivalent_to_naive(left, right):
+@given(data=st.data(), pool=_key_pool())
+def test_radix_join_equivalent_to_naive(data, pool):
+    left = data.draw(st.lists(st.sampled_from(pool), max_size=60))
+    right = data.draw(st.lists(st.sampled_from(pool + [0, -1]), max_size=60))
     left_array = np.asarray(left, dtype=np.int64)
     right_array = np.asarray(right, dtype=np.int64)
-    li, ri = radix.radix_join(left_array, right_array)
-    got = set(zip(li.tolist(), ri.tolist()))
-    expected = {
+    table = radix.build_join_table(left_array)
+    li, ri = radix.probe_join_table(table, right_array)
+    # Probe (right) order, then build (left) order: the Volcano order.
+    expected = [
         (i, j)
-        for i, lv in enumerate(left)
         for j, rv in enumerate(right)
+        for i, lv in enumerate(left)
         if lv == rv
-    }
-    assert got == expected
+    ]
+    assert list(zip(li.tolist(), ri.tolist())) == expected
 
 
 @SETTINGS
-@given(
-    keys=st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=80),
-)
-def test_radix_group_counts_and_sums(keys):
-    values = np.arange(len(keys), dtype=np.float64)
-    grouping = radix.radix_group([np.asarray(keys)])
+@given(data=st.data(), pools=st.lists(_key_pool(), min_size=1, max_size=2))
+def test_radix_group_counts_and_sums(data, pools):
+    length = data.draw(st.integers(min_value=1, max_value=80))
+    key_lists = [
+        data.draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+        for pool in pools
+    ]
+    keys = list(zip(*key_lists))
+    values = np.asarray(
+        data.draw(st.lists(st.floats(-1e6, 1e6), min_size=length, max_size=length))
+    )
+    grouping = radix.radix_group([np.asarray(k, dtype=np.int64) for k in key_lists])
     counts = radix.group_aggregate("count", grouping.group_ids, grouping.num_groups)
     sums = radix.group_aggregate("sum", grouping.group_ids, grouping.num_groups, values)
-    reference_counts: dict[int, int] = {}
-    reference_sums: dict[int, float] = {}
-    for key, value in zip(keys, values):
+    reference_counts: dict[tuple, int] = {}
+    reference_sums: dict[tuple, float] = {}
+    for key, value in zip(keys, values.tolist()):
         reference_counts[key] = reference_counts.get(key, 0) + 1
         reference_sums[key] = reference_sums.get(key, 0.0) + value
-    assert grouping.num_groups == len(reference_counts)
-    for key, count, total in zip(grouping.key_arrays[0], counts, sums):
-        assert reference_counts[int(key)] == int(count)
-        assert reference_sums[int(key)] == pytest.approx(float(total))
+    # Groups ascend in key order; each sum accumulates in input order, so
+    # it is bit-identical to the sequential reference.
+    grouped_keys = list(zip(*(array.tolist() for array in grouping.key_arrays)))
+    assert grouped_keys == sorted(reference_counts)
+    assert counts.tolist() == [reference_counts[key] for key in grouped_keys]
+    assert sums.tolist() == [reference_sums[key] for key in grouped_keys]
 
 
 # ---------------------------------------------------------------------------

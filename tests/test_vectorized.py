@@ -573,18 +573,23 @@ def test_empty_join_build_side_stays_vectorized(tier_engines):
     assert result.rows == volcano_engine.query(query).rows == []
 
 
-def test_large_int_join_keys_do_not_collide():
+@pytest.mark.parametrize(
+    "build_keys,kernel",
+    [([2**53, 2**53 + 1], "dense"), ([2**53, 2**53 + 1, 0], "sorted")],
+)
+def test_large_int_join_keys_do_not_collide(build_keys, kernel):
     """Join keys above 2**53 must not be collapsed through a float64 cast."""
     from repro.core.executor import radix
     from repro.core.executor.vectorized import _align_probe_keys, _join_keys
 
-    build = _join_keys(np.asarray([2**53, 2**53 + 1], dtype=np.int64), 2)
-    table = radix.build_radix_table(build)
+    build = _join_keys(np.asarray(build_keys, dtype=np.int64), len(build_keys))
+    table = radix.build_join_table(build)
+    assert table.kernel == kernel
     probe, kept = _align_probe_keys(
         build.dtype.kind, _join_keys(np.asarray([2**53 + 1], dtype=np.int64), 1)
     )
     assert kept is None
-    left_positions, _ = radix.probe_radix_table(table, probe)
+    left_positions, _ = radix.probe_join_table(table, probe)
     assert left_positions.tolist() == [1]
 
 
@@ -594,11 +599,11 @@ def test_int_probe_keys_against_float_build_side():
     from repro.core.executor import radix
     from repro.core.executor.vectorized import _align_probe_keys
 
-    table = radix.build_radix_table(np.asarray([float(2**53), 3.0]))
+    table = radix.build_join_table(np.asarray([float(2**53), 3.0]))
     probe, kept = _align_probe_keys(
         "f", np.asarray([2**53 + 1, 3], dtype=np.int64)
     )
-    left_positions, right_positions = radix.probe_radix_table(table, probe)
+    left_positions, right_positions = radix.probe_join_table(table, probe)
     if kept is not None:
         right_positions = kept[right_positions]
     # 2**53 + 1 would round onto the 2**53 build key under a blanket cast.
@@ -613,13 +618,23 @@ def test_int64_min_join_keys_match_in_both_directions():
     from repro.core.executor.vectorized import _align_probe_keys
 
     imin = -(2**63)
-    table = radix.build_radix_table(np.asarray([imin, 5], dtype=np.int64))
-    probe, kept = _align_probe_keys("i", np.asarray([float(imin), 5.0]))
-    left_positions, _ = radix.probe_radix_table(table, probe)
-    assert sorted(left_positions.tolist()) == [0, 1]
-    table = radix.build_radix_table(np.asarray([float(imin), 5.0]))
+    # A sparse range (sorted kernel) and a dense one at the int64 limit;
+    # 2**63 is integral but outside int64 and must not wrap onto INT64_MIN.
+    for build, kernel, matches in (
+        ([imin, 5], "sorted", [0, 1]),
+        ([imin, imin + 1], "dense", [0]),
+    ):
+        table = radix.build_join_table(np.asarray(build, dtype=np.int64))
+        assert table.kernel == kernel
+        probe, kept = _align_probe_keys("i", np.asarray([float(imin), 5.0, 2.0**63]))
+        left_positions, right_positions = radix.probe_join_table(table, probe)
+        if kept is not None:
+            right_positions = kept[right_positions]
+        assert left_positions.tolist() == matches
+        assert right_positions.tolist() == matches
+    table = radix.build_join_table(np.asarray([float(imin), 5.0]))
     probe, kept = _align_probe_keys("f", np.asarray([imin, 5], dtype=np.int64))
-    left_positions, _ = radix.probe_radix_table(table, probe)
+    left_positions, _ = radix.probe_join_table(table, probe)
     assert sorted(left_positions.tolist()) == [0, 1]
 
 
@@ -632,17 +647,25 @@ def test_group_code_capacity_guard():
     keys = [np.arange(2**20, dtype=np.int64)] * 4  # capacity 2**80
     with pytest.raises(VectorizationError, match="key-combination"):
         radix.radix_group(keys)
+    # Each key alone is dense; the product of the ranges is not, so the
+    # grouping takes the factorizing kernel.
+    assert radix.radix_group(keys[:1]).kernel == "dense"
+    assert radix.radix_group(keys[:2]).kernel == "sorted"
 
 
-def test_float_probe_keys_against_int_build_side():
+@pytest.mark.parametrize(
+    "build_keys,kernel", [([3, 4], "dense"), ([3, 4, 10**15], "sorted")]
+)
+def test_float_probe_keys_against_int_build_side(build_keys, kernel):
     """Non-integral (and NaN) float probe keys cannot match integer build
     keys; integral ones must, with positions mapped back correctly."""
     from repro.core.executor import radix
     from repro.core.executor.vectorized import _align_probe_keys
 
-    table = radix.build_radix_table(np.asarray([3, 4], dtype=np.int64))
+    table = radix.build_join_table(np.asarray(build_keys, dtype=np.int64))
+    assert table.kernel == kernel
     probe, kept = _align_probe_keys("i", np.asarray([3.5, np.nan, 3.0]))
-    left_positions, right_positions = radix.probe_radix_table(table, probe)
+    left_positions, right_positions = radix.probe_join_table(table, probe)
     if kept is not None:
         right_positions = kept[right_positions]
     assert left_positions.tolist() == [0]
