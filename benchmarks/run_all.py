@@ -1,22 +1,23 @@
-"""Run every CI-gated benchmark and record the perf trajectory.
+"""The CI-gated micro-benchmarks: six ratio gates in one module.
 
-Each gated benchmark is executed as a subprocess (argparse and module state
-stay isolated) with ``--quick`` and a per-benchmark ``--json`` record; the
-records are aggregated into one ``BENCH_results.json`` document::
+Each gate shows that one mechanism works at all: it times the mechanism
+against the path it replaced, or the engine against itself without the
+feature, and checks the ratio against a fixed bar.  Both sides of a ratio
+run back to back in every round and a gate reads the median of the
+per-round ratios, so drift on a shared host hits both sides alike and no
+host-speed scaling is needed.  Whether answers are right is the tier-1
+suite's job (``tests/``); how fast the engine is end to end is the job of
+``benchmarks/e2e/``.
 
-    PYTHONPATH=src python benchmarks/run_all.py --quick --json
+    PYTHONPATH=src python benchmarks/run_all.py --quick --json BENCH_results.json
 
-The aggregate document carries, per benchmark: the gate outcome, wall-clock
-seconds, the benchmark's own metrics (speedups, rows/sec, tier attribution)
-and, at the top level, the commit / Python / NumPy / platform / CPU-count
-provenance that makes the records comparable across CI runs, plus a
-metrics-registry snapshot from one in-process smoke query (the shape of the
-engine's observability export, recorded alongside the numbers).  The CI workflow uploads the document
-as an artifact on every push, so the repository's performance trajectory is
-recorded run over run.
-
-Exits non-zero when any gated benchmark fails, after running all of them
-(the artifact still records every outcome).
+``--quick`` shrinks the inputs and relaxes the two scaling bars for shared
+CI runners; ``--only`` runs a subset of the gates; ``--json`` (default path
+``BENCH_results.json``) writes one record per gate plus commit / Python /
+NumPy / platform / core-count provenance and a metrics-registry snapshot,
+the perf-trajectory artifact CI uploads.  The scaling gates only apply on a
+machine with enough usable cores; elsewhere their ratios are recorded, not
+gated.  Exits 1 when any gate fails, after running all of them.
 """
 
 from __future__ import annotations
@@ -25,149 +26,422 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro import ProteusEngine
+from repro.core import sort as sortlib
+from repro.core import types as t
+from repro.errors import QueryTimeoutError
+from repro.storage.binary_format import write_column_table
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-#: Every CI-gated benchmark, in workflow order.
-GATED_BENCHMARKS = [
-    "bench_vectorized_fallback",
-    "bench_parallel_scaling",
-    "bench_prepared_reuse",
-    "bench_orderby_topk",
-    "bench_unnest",
-    "bench_static_analysis",
-    "bench_obs_overhead",
-    "bench_resilience_overhead",
-    "bench_concurrent_qps",
-]
+# Sizes and bars.  A ``(full, quick)`` pair is indexed by the --quick flag.
+
+#: Fan-out scaling: a group-by over FANOUT_WORKERS morsel workers vs inline.
+FANOUT_ROWS = (1_000_000, 300_000)
+FANOUT_WORKERS = 4
+FANOUT_BATCH_SIZE = 16_384  # a morsel is one batch: 300k rows are 19 morsels
+FANOUT_GATE = (2.0, 1.3)
+FANOUT_QUERY = (
+    "SELECT qty, COUNT(*), SUM(v), MAX(v) FROM t WHERE w < 800000.0 GROUP BY qty"
+)
+
+#: Sort kernels: lexsort vs the boxed ``list.sort`` of the seed engine, and
+#: streaming top-K vs the full sort.
+SORT_ROWS = (1_000_000, 300_000)
+LEXSORT_GATE = 5.0
+TOPK_GATE = 10.0
+TOPK_LIMIT = 10
+
+#: Unnest kernel: the offset-vector ``scan_unnest_batch`` vs one
+#: ``scan_unnest`` round trip per parent (too slow for a large input).
+UNNEST_PARENTS = 8_000
+UNNEST_GATE = 5.0
+
+#: Nullability hints: statistics-proven non-null columns skip the missing
+#: scans of the batch aggregates and of the sort kernels (object keys).
+HINT_ROWS = (2_000_000, 600_000)
+HINT_SORT_ROWS = (1_000_000, 300_000)
+HINT_GATE = 1.2
+HINT_QUERY = "SELECT SUM(v) AS s, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS av FROM t"
+
+#: Client scaling: CLIENTS threads sharing one PreparedQuery vs one thread,
+#: aggregate queries per second.  NumPy kernels release the GIL, but below
+#: CLIENT_MIN_CORES cores they cannot overlap enough to show it.
+CLIENT_ROWS = (400_000, 150_000)
+CLIENTS = 8
+CLIENT_QUERIES = 10  # per client per round
+CLIENT_GATE = (2.0, 1.5)
+CLIENT_MIN_CORES = 4
+CLIENT_QUERY = "SELECT COUNT(*), SUM(v), MAX(v) FROM t WHERE w < 800000.0"
+
+#: Overhead: tracing on, metrics recording on (the default) and a configured
+#: deadline, each against a bare engine.  Not fewer rows or rounds under
+#: --quick: a traced execution pays ~0.15 ms once per query on top of the
+#: per-batch wrappers, and a shorter query or fewer rounds cannot resolve
+#: that against the 5 % bar (one round is four ~5 ms executions).
+OVERHEAD_ROWS = 1_000_000
+OVERHEAD_ROUNDS = 60
+TRACED_GATE = 1.05
+METRICS_GATE = 1.03
+DEADLINE_GATE = 1.03
+OVERHEAD_QUERY = (
+    "SELECT SUM(v) AS s, MIN(w) AS mn, MAX(v) AS mx, AVG(w) AS av, "
+    "COUNT(*) AS n FROM t WHERE v > 250000.0 AND w < 750000.0"
+)
+
+#: Timed rounds of the gates without a round count of their own.
+ROUNDS = (5, 3)
 
 
-def metrics_snapshot() -> dict | None:
-    """In-process engine metrics snapshot stamped into the trajectory record.
+class GateError(Exception):
+    """The measured mechanism did not run, so no ratio can vouch for it."""
 
-    Runs one smoke query against a throwaway engine so the registry carries a
-    real tier count and latency histogram — the snapshot documents the
-    metrics *shape* CI consumers can rely on, alongside the gate outcomes.
-    """
+
+@dataclass
+class Ratio:
+    name: str
+    value: float
+    #: ``None``: recorded, not gated (too few cores to show scaling).
+    bound: float | None
+    #: The bar is ``value >= bound`` (a speedup) or ``value < bound`` (an
+    #: overhead).
+    at_least: bool = True
+
+    @property
+    def holds(self) -> bool:
+        if self.bound is None:
+            return True
+        return self.value >= self.bound if self.at_least else self.value < self.bound
+
+    def __str__(self) -> str:
+        if self.bound is None:
+            gate = "not gated"
+        else:
+            gate = f"gate {'>=' if self.at_least else '<'} {self.bound:g}x"
+        return f"{self.name} {self.value:.3f}x ({gate})"
+
+
+def usable_cores() -> int:
     try:
-        import json as json_module
-        import tempfile
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
 
-        from repro import ProteusEngine
 
-        with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "smoke.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                for value in range(16):
-                    handle.write(json_module.dumps({"v": value}) + "\n")
-            engine = ProteusEngine()
-            engine.register_json("smoke", path)
-            engine.query("SELECT COUNT(*) AS n FROM smoke WHERE v > 3")
-            return engine.metrics.to_dict()
-    except Exception:
-        return None
+def build_table(directory: str, rows: int) -> tuple[str, dict[str, np.ndarray]]:
+    """The binary-column table every engine gate scans: ``id``, ``qty``
+    (0..99) and two uniform floats ``v``, ``w`` in [0, 1e6)."""
+    rng = np.random.RandomState(7)
+    columns = {
+        "id": np.arange(rows, dtype=np.int64),
+        "qty": rng.randint(0, 100, size=rows).astype(np.int64),
+        "v": rng.uniform(0.0, 1_000_000.0, size=rows),
+        "w": rng.uniform(0.0, 1_000_000.0, size=rows),
+    }
+    path = os.path.join(directory, f"t{rows}")
+    schema = t.make_schema({"id": "int", "qty": "int", "v": "float", "w": "float"})
+    write_column_table(path, columns, schema)
+    return path, columns
+
+
+def make_engine(path: str, analyze: bool = True, **options) -> ProteusEngine:
+    """An engine over the table at ``path``, registered as ``t``.  Caching is
+    off so every execution runs the mechanism under test."""
+    engine = ProteusEngine(enable_caching=False, **options)
+    engine.register_binary_columns("t", path, analyze=analyze)
+    return engine
+
+
+def paired_rounds(rounds: int, **functions) -> dict[str, list[float]]:
+    """Wall seconds of every function, called once per round, back to back.
+    One extra first round warms file maps, indexes and generated code and is
+    discarded."""
+    samples: dict[str, list[float]] = {name: [] for name in functions}
+    for round_number in range(rounds + 1):
+        for name, function in functions.items():
+            started = time.perf_counter()
+            function()
+            if round_number:
+                samples[name].append(time.perf_counter() - started)
+    return samples
+
+
+def ratio(samples: dict[str, list[float]], numerator: str, denominator: str) -> float:
+    """Median over the rounds of ``numerator`` time / ``denominator`` time."""
+    return statistics.median(
+        a / b for a, b in zip(samples[numerator], samples[denominator])
+    )
+
+
+# -- the gates -----------------------------------------------------------------
+
+
+def fanout_scaling(directory: str, quick: bool) -> list[Ratio]:
+    path, _ = build_table(directory, FANOUT_ROWS[quick])
+    inline, fanned = (
+        make_engine(path, parallel_workers=workers, vectorized_batch_size=FANOUT_BATCH_SIZE)
+        .prepare(FANOUT_QUERY)
+        for workers in (1, FANOUT_WORKERS)
+    )
+    if not fanned.execute().profile.morsels_dispatched:
+        raise GateError("the group-by did not fan out over morsels")
+    samples = paired_rounds(ROUNDS[quick], inline=inline.execute, fanned=fanned.execute)
+    gated = usable_cores() >= FANOUT_WORKERS
+    return [
+        Ratio(
+            f"inline / {FANOUT_WORKERS} workers",
+            ratio(samples, "inline", "fanned"),
+            FANOUT_GATE[quick] if gated else None,
+        )
+    ]
+
+
+def _boxed_seed_sort(data: dict[str, np.ndarray], key: str) -> dict[str, np.ndarray]:
+    """The seed engine's ORDER BY epilogue: box the key buffer into Python
+    objects and ``list.sort`` positions with a lambda key."""
+    values = [None if v != v else v for v in data[key].tolist()]
+    positions = sorted(range(len(values)), key=lambda i: (values[i] is None, values[i]))
+    taken = np.asarray(positions, dtype=np.int64)
+    return {name: buffer[taken] for name, buffer in data.items()}
+
+
+def sort_kernels(directory: str, quick: bool) -> list[Ratio]:
+    rows = SORT_ROWS[quick]
+    _, columns = build_table(directory, rows)
+    data = {"id": columns["id"], "v": columns["v"]}
+    names = list(data)
+
+    def kernel(limit):
+        return sortlib.sort_columns(names, rows, data, [("v", True)], limit)
+
+    strategies = (kernel(None)[2], kernel(TOPK_LIMIT)[2])
+    if strategies != (sortlib.STRATEGY_LEXSORT, sortlib.STRATEGY_TOPK):
+        raise GateError(f"sort kernels ran {strategies}, expected lexsort and topk")
+    samples = paired_rounds(
+        ROUNDS[quick],
+        seed=lambda: _boxed_seed_sort(data, "v"),
+        lexsort=lambda: kernel(None),
+        topk=lambda: kernel(TOPK_LIMIT),
+    )
+    return [
+        Ratio("seed sort / lexsort", ratio(samples, "seed", "lexsort"), LEXSORT_GATE),
+        Ratio("lexsort / top-K", ratio(samples, "lexsort", "topk"), TOPK_GATE),
+    ]
+
+
+def unnest_kernel(directory: str, quick: bool) -> list[Ratio]:
+    path = os.path.join(directory, "orders.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(UNNEST_PARENTS):
+            # Small, skewed nested arrays; every 7th parent is empty.
+            lines = [{"item": j, "qty": j + 1} for j in range(i % 4)] if i % 7 else []
+            handle.write(json.dumps({"okey": i, "lines": lines}) + "\n")
+    engine = ProteusEngine(enable_caching=False)
+    engine.register_json(
+        "orders", path,
+        schema=t.make_schema({"okey": "int", "lines": [{"item": "int", "qty": "int"}]}),
+    )
+    plugin = engine.plugins["json"]
+    dataset = engine.catalog.get("orders")
+    elements = [("item",), ("qty",)]
+    parents = np.arange(UNNEST_PARENTS, dtype=np.int64)
+
+    def per_parent():
+        for oid in range(UNNEST_PARENTS):
+            plugin.scan_unnest(dataset, ("lines",), elements, parents[oid : oid + 1])
+
+    samples = paired_rounds(
+        ROUNDS[quick],
+        per_parent=per_parent,
+        native=lambda: plugin.scan_unnest_batch(dataset, ("lines",), elements, parents),
+    )
+    return [Ratio("per-parent / batch-native", ratio(samples, "per_parent", "native"), UNNEST_GATE)]
+
+
+def nullability_hints(directory: str, quick: bool) -> list[Ratio]:
+    path, _ = build_table(directory, HINT_ROWS[quick])
+    masked, hinted = (
+        make_engine(path, analyze=analyze, enable_codegen=False).prepare(HINT_QUERY)
+        for analyze in (False, True)
+    )
+    if masked.analysis.hints.non_null_aggregate_args:
+        raise GateError("an unanalyzed table produced aggregate hints")
+    if len(hinted.analysis.hints.non_null_aggregate_args) != 4:
+        raise GateError("analyze() did not prove all four aggregate arguments")
+    rows = HINT_SORT_ROWS[quick]
+    rng = np.random.RandomState(23)
+    data = {
+        "tag": np.array([f"tag{value:06d}" for value in rng.randint(0, 50_000, rows)], dtype=object),
+        "id": np.arange(rows, dtype=np.int64),
+    }
+
+    def sort(non_null):
+        sortlib.sort_columns(["tag", "id"], rows, data, [("tag", True)], None, non_null)
+
+    samples = paired_rounds(
+        ROUNDS[quick],
+        masked=masked.execute,
+        hinted=hinted.execute,
+        masked_sort=lambda: sort(frozenset()),
+        hinted_sort=lambda: sort(frozenset({"tag"})),
+    )
+    return [
+        Ratio("aggregates, masked / hinted", ratio(samples, "masked", "hinted"), HINT_GATE),
+        Ratio("object-key sort, masked / hinted", ratio(samples, "masked_sort", "hinted_sort"), HINT_GATE),
+    ]
+
+
+def client_scaling(directory: str, quick: bool) -> list[Ratio]:
+    path, _ = build_table(directory, CLIENT_ROWS[quick])
+    # One PreparedQuery shared by every client, as the HTTP layer's per-text
+    # prepared cache shares it; each query runs inline on its client thread.
+    prepared = make_engine(path, enable_codegen=False).prepare(CLIENT_QUERY)
+
+    def client():
+        for _ in range(CLIENT_QUERIES):
+            prepared.execute()
+
+    def clients():
+        threads = [threading.Thread(target=client) for _ in range(CLIENTS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+    samples = paired_rounds(ROUNDS[quick], one=client, many=clients)
+    gated = usable_cores() >= CLIENT_MIN_CORES
+    return [
+        Ratio(
+            f"{CLIENTS} clients / 1, aggregate QPS",
+            CLIENTS * ratio(samples, "one", "many"),
+            CLIENT_GATE[quick] if gated else None,
+        )
+    ]
+
+
+def overhead(directory: str, quick: bool) -> list[Ratio]:
+    path, _ = build_table(directory, OVERHEAD_ROWS)
+    engines = {
+        "bare": make_engine(path, enable_metrics=False),
+        "metrics": make_engine(path),
+        "traced": make_engine(path, enable_tracing=True),
+        # A far-future deadline: every per-batch check reads the clock and
+        # none fires — the steady-state cost of a configured deadline.
+        "deadline": make_engine(path, enable_metrics=False, query_timeout_seconds=3600.0),
+    }
+    prepared = {name: engine.prepare(OVERHEAD_QUERY) for name, engine in engines.items()}
+    samples = paired_rounds(
+        OVERHEAD_ROUNDS,
+        **{name: statement.execute for name, statement in prepared.items()},
+    )
+    trace = engines["traced"].tracer.last()
+    if trace is None or not trace.operators:
+        raise GateError("the traced engine recorded no operator spans")
+    try:
+        prepared["deadline"].execute(timeout=0)
+    except QueryTimeoutError:
+        pass
+    else:
+        raise GateError("timeout=0 did not abort: the deadline checks are not wired")
+    return [
+        Ratio(f"{name} / bare", ratio(samples, name, "bare"), bound, at_least=False)
+        for name, bound in (
+            ("traced", TRACED_GATE),
+            ("metrics", METRICS_GATE),
+            ("deadline", DEADLINE_GATE),
+        )
+    ]
+
+
+GATES = {
+    "fanout_scaling": fanout_scaling,
+    "sort_kernels": sort_kernels,
+    "unnest_kernel": unnest_kernel,
+    "nullability_hints": nullability_hints,
+    "client_scaling": client_scaling,
+    "overhead": overhead,
+}
+
+
+def run_gate(name: str, quick: bool) -> dict:
+    """Run one gate, print its ratios and return its trajectory record."""
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            ratios = GATES[name](directory, quick)
+            failures = [f"missed: {r}" for r in ratios if not r.holds]
+        except GateError as exc:
+            ratios, failures = [], [str(exc)]
+    seconds = time.perf_counter() - started
+    print(f"== {name}: {'FAIL' if failures else 'ok'} in {seconds:.1f}s")
+    for line in [str(r) for r in ratios] + failures:
+        print(f"   {line}")
+    return {
+        "name": name,
+        "ok": not failures,
+        "wall_seconds": seconds,
+        "ratios": {r.name: {"value": r.value, "gate": r.bound} for r in ratios},
+        "failures": failures,
+    }
+
+
+def metrics_snapshot() -> dict:
+    """The metrics registry after one query: the export shape CI consumers
+    can rely on, recorded next to the gate outcomes."""
+    with tempfile.TemporaryDirectory() as directory:
+        engine = make_engine(build_table(directory, 16)[0])
+        engine.query("SELECT COUNT(*) AS n FROM t WHERE qty > 3")
+        return engine.metrics.to_dict()
 
 
 def git_commit() -> str | None:
     try:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=HERE,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
+            ["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
+            text=True, timeout=10, check=True,
         ).stdout.strip()
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         return None
-
-
-def run_benchmark(name: str, quick: bool) -> dict:
-    """Run one benchmark subprocess; returns its trajectory record."""
-    script = os.path.join(HERE, f"{name}.py")
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        json_path = handle.name
-    command = [sys.executable, script, "--json", json_path]
-    if quick:
-        command.append("--quick")
-    env = dict(os.environ)
-    src = os.path.abspath(os.path.join(HERE, os.pardir, "src"))
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    started = time.perf_counter()
-    completed = subprocess.run(
-        command, capture_output=True, text=True, env=env
-    )
-    elapsed = time.perf_counter() - started
-    record: dict = {
-        "name": name,
-        "ok": completed.returncode == 0,
-        "exit_code": completed.returncode,
-        "wall_seconds": elapsed,
-    }
-    try:
-        with open(json_path, "r", encoding="utf-8") as handle:
-            record["metrics"] = json.load(handle)
-    except (OSError, ValueError):
-        record["metrics"] = None
-    finally:
-        try:
-            os.unlink(json_path)
-        except OSError:
-            pass
-    # Keep the tail of the output: on failure it names the violated gate.
-    tail = (completed.stdout + completed.stderr).strip().splitlines()
-    record["output_tail"] = tail[-8:]
-    return record
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="pass --quick through to every benchmark")
+                        help="smaller inputs, relaxed scaling bars")
     parser.add_argument("--json", dest="json_out", nargs="?",
                         const="BENCH_results.json", default=None,
-                        help="write the aggregate trajectory record "
-                             "(default path: BENCH_results.json)")
-    parser.add_argument("--only", nargs="+", choices=GATED_BENCHMARKS,
-                        help="run a subset of the gated benchmarks")
+                        help="write the trajectory record (default path: "
+                             "BENCH_results.json)")
+    parser.add_argument("--only", nargs="+", choices=list(GATES),
+                        help="run a subset of the gates")
     args = parser.parse_args(argv)
 
-    names = args.only or GATED_BENCHMARKS
-    records = []
-    for name in names:
-        print(f"== {name} {'(--quick)' if args.quick else ''}")
-        record = run_benchmark(name, args.quick)
-        status = "ok" if record["ok"] else f"FAIL (exit {record['exit_code']})"
-        print(f"   {status} in {record['wall_seconds']:.1f}s")
-        if not record["ok"]:
-            for line in record["output_tail"]:
-                print(f"   | {line}")
-        records.append(record)
+    records = [run_gate(name, args.quick) for name in args.only or GATES]
 
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except Exception:
-        numpy_version = None
-    document = {
-        "schema": "proteus-bench-trajectory/1",
-        "commit": git_commit(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
-        "quick": args.quick,
-        "ok": all(record["ok"] for record in records),
-        "benchmarks": records,
-        "metrics_snapshot": metrics_snapshot(),
-    }
     if args.json_out:
+        document = {
+            "schema": "proteus-bench-trajectory/2",
+            "commit": git_commit(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+            "usable_cores": usable_cores(),
+            "quick": args.quick,
+            "ok": all(record["ok"] for record in records),
+            "gates": records,
+            "metrics_snapshot": metrics_snapshot(),
+        }
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2)
         print(f"\nwrote {args.json_out}")
@@ -176,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     if failed:
         print(f"\nFAIL: {', '.join(failed)}", file=sys.stderr)
         return 1
-    print(f"\nok: all {len(records)} gated benchmarks hold")
+    print(f"\nok: all {len(records)} gates hold")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Adaptive caching: materialized binary caches built as a side effect of query execution."""
 
 from repro.caching.manager import CacheEntry, CacheManager, CacheStatistics
-from repro.caching.policies import CachingPolicy, DefaultCachingPolicy
+from repro.caching.policies import CachingPolicy
 from repro.caching.matching import plan_fingerprint
 
 __all__ = [
@@ -9,6 +9,5 @@ __all__ = [
     "CacheManager",
     "CacheStatistics",
     "CachingPolicy",
-    "DefaultCachingPolicy",
     "plan_fingerprint",
 ]

@@ -26,7 +26,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.caching.policies import CachingPolicy, DefaultCachingPolicy
+from repro.caching.policies import CachingPolicy
 from repro.core.concurrency import make_lock
 from repro.errors import CacheError
 from repro.storage.memory import CacheArena
@@ -74,13 +74,9 @@ class CacheStatistics:
 class CacheManager:
     """Registry, admission control and eviction for adaptive caches."""
 
-    def __init__(
-        self,
-        arena: CacheArena,
-        policy: CachingPolicy | None = None,
-    ):
+    def __init__(self, arena: CacheArena):
         self.arena = arena
-        self.policy = policy if policy is not None else DefaultCachingPolicy()
+        self.policy = CachingPolicy()
         self.stats = CacheStatistics()
         self._entries: dict[tuple, CacheEntry] = {}
         self._clock = 0

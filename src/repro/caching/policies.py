@@ -1,7 +1,7 @@
-"""Caching policies (§6, "Cache Policies").
+"""The caching policy (§6, "Cache Policies").
 
 The policy decides *what* gets cached as a side effect of execution.  The
-paper's default policy, reproduced here, is:
+paper describes one policy, and it has no settings:
 
 * eagerly cache primitive values read from verbose sources (JSON, CSV) —
   especially fields used in filtering predicates — because re-accessing and
@@ -9,15 +9,16 @@ paper's default policy, reproduced here, is:
 * do **not** cache variable-length string fields from CSV/JSON files, which
   are verbose and would pollute the cache arena,
 * do not cache fields read from binary sources (they are already cheap),
-* cache the join tables built over hash-join build sides (implicit caching:
-  the join is a blocking operator, so its materialization comes for free),
+* always cache the join tables built over hash-join build sides (implicit
+  caching: the join is a blocking operator, so its materialization comes for
+  free) and the flattened output of unnests over verbose sources,
 * bias eviction so that caches built from costlier sources survive longer
   (JSON ≻ CSV ≻ binary).
+
+``enable_caching=False`` on the engine is the only way to cache nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 #: Relative re-access cost per source format; higher values make a cache
 #: entry more valuable and therefore less likely to be evicted.
@@ -28,6 +29,9 @@ FORMAT_BIAS = {
     "binary_column": 1.0,
     "cache": 1.0,
 }
+
+#: Source formats whose field columns are worth caching.
+VERBOSE_FORMATS = frozenset({"json", "csv"})
 
 
 def column_type_name(column) -> str:
@@ -42,70 +46,14 @@ def column_type_name(column) -> str:
     return "float"
 
 
-@dataclass
 class CachingPolicy:
-    """Tunable caching policy."""
-
-    cache_numeric_fields: bool = True
-    cache_string_fields: bool = False
-    cache_binary_sources: bool = False
-    cache_join_sides: bool = True
-    cache_unnest_output: bool = True
+    """The §6 rules the caching manager and the batch pipeline consult."""
 
     def should_cache_field(self, source_format: str, type_name: str) -> bool:
         """Should a scanned/converted field column from ``source_format`` with
         values of ``type_name`` be added to the cache?"""
-        if source_format in ("binary_row", "binary_column", "cache") and \
-                not self.cache_binary_sources:
-            return False
-        if type_name == "string":
-            return self.cache_string_fields
-        return self.cache_numeric_fields
-
-    def should_cache_join_side(self, source_formats: set[str]) -> bool:
-        """Should the materialized build side of a join be kept for reuse?"""
-        return self.cache_join_sides
+        return source_format in VERBOSE_FORMATS and type_name != "string"
 
     def format_bias(self, source_format: str) -> float:
         """Eviction bias of a cache entry built from ``source_format``."""
         return FORMAT_BIAS.get(source_format, 1.0)
-
-
-class DefaultCachingPolicy(CachingPolicy):
-    """The paper's default policy (alias of :class:`CachingPolicy` defaults)."""
-
-
-class AggressiveCachingPolicy(CachingPolicy):
-    """Cache everything, including strings and binary sources.
-
-    Used by the ablation benchmarks to show why the default policy avoids
-    string fields (cache pollution).
-    """
-
-    def __init__(self) -> None:
-        super().__init__(
-            cache_numeric_fields=True,
-            cache_string_fields=True,
-            cache_binary_sources=True,
-            cache_join_sides=True,
-            cache_unnest_output=True,
-        )
-
-
-class NoCachingPolicy(CachingPolicy):
-    """Disable caching entirely (baseline configuration of §7.1)."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            cache_numeric_fields=False,
-            cache_string_fields=False,
-            cache_binary_sources=False,
-            cache_join_sides=False,
-            cache_unnest_output=False,
-        )
-
-    def should_cache_field(self, source_format: str, type_name: str) -> bool:
-        return False
-
-    def should_cache_join_side(self, source_formats: set[str]) -> bool:
-        return False

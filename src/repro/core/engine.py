@@ -63,6 +63,16 @@ the number of physical cores; a morsel is one batch (64Ki rows by default),
 group-bys fan out from two morsels, every other root from sixteen (see
 :func:`repro.core.parallel.plan_fanout`), and smaller inputs transparently
 run inline where they are faster anyway.
+
+The constructor takes only what a caller decides: the cache budget, the
+ablation switches of the paper's figures (caching, codegen, vectorized),
+the fan-out width and batch size, observability (tracing, metrics, the
+slow-query threshold) and the limits of a served engine (default deadline,
+admission bounds, I/O retry budget).  The rest follows from the query and
+the data: joins are always reordered by cost, the §6 caching policy is
+fixed (:class:`repro.caching.policies.CachingPolicy`), the trace ring
+buffer, the Volcano check stride and the admission queue cap are module
+constants, and a query queues for admission no longer than its deadline.
 """
 
 from __future__ import annotations
@@ -76,7 +86,6 @@ import numpy as np
 from repro.caching.coalesce import ScanCoalescer, ScanLease
 from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
-from repro.caching.policies import CachingPolicy, DefaultCachingPolicy, NoCachingPolicy
 from repro.core import types as t
 from repro.core.types import python_value as _python_value
 from repro.core.analysis import (
@@ -128,7 +137,7 @@ from repro.errors import (
 )
 from repro.obs.explain import render_explain_analyze
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import DEFAULT_TRACE_CAPACITY, TraceBuilder, Tracer
+from repro.obs.trace import TraceBuilder, Tracer
 from repro.plugins.base import InputPlugin
 from repro.resilience import (
     AdmissionController,
@@ -524,19 +533,14 @@ class ProteusEngine:
         enable_codegen: bool = True,
         enable_vectorized: bool = True,
         parallel_workers: int | None = None,
-        enable_join_reordering: bool = True,
         vectorized_batch_size: int = DEFAULT_BATCH_SIZE,
-        caching_policy: CachingPolicy | None = None,
         enable_tracing: bool = False,
         enable_metrics: bool = True,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         slow_query_seconds: float | None = 1.0,
         query_timeout_seconds: float | None = None,
         max_concurrent_queries: int | None = None,
-        admission_queue_seconds: float = 5.0,
         query_memory_budget_bytes: int | None = None,
         io_retry_budget: int = 16,
-        volcano_check_stride: int = 1024,
     ):
         self.memory = MemoryManager(cache_budget_bytes=cache_budget_bytes)
         self.catalog = Catalog()
@@ -547,11 +551,8 @@ class ProteusEngine:
         self.parallel_workers = 1 if parallel_workers is None else max(int(parallel_workers), 1)
         self.vectorized_batch_size = vectorized_batch_size
         self.enable_caching = enable_caching
-        policy = caching_policy
-        if policy is None:
-            policy = DefaultCachingPolicy() if enable_caching else NoCachingPolicy()
         self.cache_manager: CacheManager | None = (
-            CacheManager(self.memory.arena, policy) if enable_caching else None
+            CacheManager(self.memory.arena) if enable_caching else None
         )
         self.plugins: dict[str, InputPlugin] = {
             DataFormat.CSV: CsvPlugin(self.memory),
@@ -576,10 +577,7 @@ class ProteusEngine:
         )
         self.statistics = StatisticsManager(self.catalog)
         self.planner = Planner(
-            self.catalog,
-            self.statistics,
-            cache_plugin=self.cache_plugin,
-            enable_join_reordering=enable_join_reordering,
+            self.catalog, self.statistics, cache_plugin=self.cache_plugin
         )
         self.generator = CodeGenerator()
         #: Guards the five shape caches below and the catalog epoch: the
@@ -630,7 +628,7 @@ class ProteusEngine:
         )
         #: Span tracer; disabled by default (pay-for-what-you-use — every
         #: instrumentation site reduces to an ``is None`` check).
-        self.tracer = Tracer(capacity=trace_capacity, enabled=enable_tracing)
+        self.tracer = Tracer(enabled=enable_tracing)
         #: Executions at or above this wall-clock duration land in the
         #: metrics registry's slow-query log; ``None`` disables the log.
         self.slow_query_seconds = slow_query_seconds
@@ -640,9 +638,6 @@ class ProteusEngine:
         #: Transient-I/O retries one query may spend across all its scans
         #: before a :class:`~repro.errors.ScanIOError` surfaces.
         self.io_retry_budget = io_retry_budget
-        #: Tuples between deadline/cancellation checks on the Volcano tier
-        #: (the vectorized tier checks per batch / per morsel instead).
-        self.volcano_check_stride = volcano_check_stride
         #: Admission controller — built only when a concurrency or memory
         #: bound is configured, so unconfigured engines skip admission
         #: entirely (no lock acquisition on the query path).
@@ -651,7 +646,6 @@ class ProteusEngine:
             self.admission = AdmissionController(
                 max_concurrent=max_concurrent_queries,
                 memory_budget_bytes=query_memory_budget_bytes,
-                queue_timeout_seconds=admission_queue_seconds,
             )
         self._register_callback_gauges()
 
@@ -1203,17 +1197,22 @@ class ProteusEngine:
             timeout_seconds=effective_timeout,
             token=cancel,
             retry_budget=self.io_retry_budget,
-            volcano_stride=self.volcano_check_stride,
         )
         slot = None
         if self.admission is not None:
+            # Queue for a slot only as long as the deadline just started
+            # allows: a short query behind a full controller fails fast.
             try:
                 slot = self.admission.admit(
-                    self._estimate_query_bytes(physical), query_text=query_text
+                    self._estimate_query_bytes(physical), deadline=context.deadline
                 )
             except ResilienceError as exc:
-                self._record_query_failure(
-                    query_text, exc, time.perf_counter() - started, None
+                self._record_query_metrics(
+                    query_text,
+                    ExecutionProfile(execution_tier="aborted"),
+                    time.perf_counter() - started,
+                    None,
+                    error=exc,
                 )
                 raise
         trace = self.tracer.begin(query_text or "<plan>", physical)
@@ -1241,9 +1240,7 @@ class ProteusEngine:
             # and the trace see how far the query got.
             elapsed = time.perf_counter() - started
             code = _failure_code(exc)
-            profile = ExecutionProfile(
-                used_generated_code=False, execution_tier="aborted"
-            )
+            profile = ExecutionProfile(execution_tier="aborted")
             profile.aborted = code
             profile.io_retries = context.io_retries
             profile.partial_progress = context.progress_snapshot()
@@ -1257,7 +1254,9 @@ class ProteusEngine:
                 if trace is not None
                 else None
             )
-            self._record_query_failure(query_text, exc, elapsed, finished_trace)
+            self._record_query_metrics(
+                query_text, profile, elapsed, finished_trace, error=exc
+            )
             raise
         finally:
             # Leases first: the leader's materializations are already
@@ -1436,7 +1435,7 @@ class ProteusEngine:
             else None
         )
         self._record_query_metrics(
-            query_text, profile, decline_reasons, elapsed, length, finished_trace
+            query_text, profile, elapsed, finished_trace, result_rows=length
         )
         return ResultSet(
             columns=names,
@@ -1451,20 +1450,41 @@ class ProteusEngine:
         self,
         query_text: str | None,
         profile: ExecutionProfile,
-        decline_reasons: Mapping[str, str],
         elapsed: float,
-        result_rows: int,
         trace,
+        result_rows: int = 0,
+        error: BaseException | None = None,
     ) -> None:
+        """Metrics for one execution: the shared latency histogram and
+        slow-query log, then either the failure counter keyed by ``error``'s
+        code (a failed query spent wall-clock too — one that burned its whole
+        deadline must show up in the tail) or the completed query's
+        counters."""
         metrics = self.metrics
         if not metrics.enabled:
+            return
+        metrics.histogram(
+            "proteus_query_seconds", "End-to-end query latency."
+        ).observe(elapsed)
+        threshold = self.slow_query_seconds
+        if threshold is not None and elapsed >= threshold:
+            entry: dict[str, Any] = {
+                "query": query_text or "<plan>",
+                "tier": profile.execution_tier,
+                "seconds": elapsed,
+                "rows": result_rows,
+            }
+            if error is not None:
+                entry["error"] = str(error)
+            if trace is not None:
+                entry["trace"] = trace.to_dict()
+            metrics.record_slow_query(entry)
+        if error is not None:
+            self._count_query_failure(error)
             return
         metrics.counter(
             "proteus_queries_total", "Queries executed, by serving tier."
         ).inc(tier=profile.execution_tier)
-        metrics.histogram(
-            "proteus_query_seconds", "End-to-end query latency."
-        ).observe(elapsed)
         metrics.counter(
             "proteus_rows_returned_total", "Result rows returned to callers."
         ).inc(result_rows)
@@ -1472,9 +1492,9 @@ class ProteusEngine:
             "proteus_tier_declines_total",
             "Tier declines, by tier and verdict code.",
         )
-        for tier, reason in decline_reasons.items():
+        for declined, reason in profile.tier_decline_reasons.items():
             code = reason.partition("]")[0].lstrip("[") or "unknown"
-            declines.inc(tier=tier, code=code)
+            declines.inc(tier=declined, code=code)
         if profile.execution_tier == "codegen":
             metrics.counter(
                 "proteus_codegen_compilations_total",
@@ -1494,17 +1514,6 @@ class ProteusEngine:
                 "proteus_morsels_stolen_total",
                 "Morsels served off another worker's queue.",
             ).inc(profile.morsels_stolen)
-        threshold = self.slow_query_seconds
-        if threshold is not None and elapsed >= threshold:
-            entry: dict[str, Any] = {
-                "query": query_text or "<plan>",
-                "tier": profile.execution_tier,
-                "seconds": elapsed,
-                "rows": result_rows,
-            }
-            if trace is not None:
-                entry["trace"] = trace.to_dict()
-            metrics.record_slow_query(entry)
 
     def _count_query_failure(self, exc: BaseException) -> None:
         if not self.metrics.enabled:
@@ -1513,37 +1522,6 @@ class ProteusEngine:
             "proteus_queries_failed_total",
             "Failed queries, by error code (TYP/TIER/RES/internal).",
         ).inc(code=_failure_code(exc))
-
-    def _record_query_failure(
-        self,
-        query_text: str | None,
-        exc: BaseException,
-        elapsed: float,
-        trace,
-    ) -> None:
-        """Metrics for a failed execution: the failure counter keyed by error
-        code, the shared latency histogram (failed queries spent wall-clock
-        too — a query that burned its whole deadline must show up in the
-        tail) and the slow-query log."""
-        metrics = self.metrics
-        if not metrics.enabled:
-            return
-        self._count_query_failure(exc)
-        metrics.histogram(
-            "proteus_query_seconds", "End-to-end query latency."
-        ).observe(elapsed)
-        threshold = self.slow_query_seconds
-        if threshold is not None and elapsed >= threshold:
-            entry: dict[str, Any] = {
-                "query": query_text or "<plan>",
-                "tier": "aborted",
-                "seconds": elapsed,
-                "rows": 0,
-                "error": str(exc),
-            }
-            if trace is not None:
-                entry["trace"] = trace.to_dict()
-            metrics.record_slow_query(entry)
 
     def _estimate_query_bytes(self, physical: PhysicalPlan) -> int:
         """Admission-control memory estimate: for each scanned dataset,
@@ -1619,7 +1597,6 @@ class ProteusEngine:
         else:
             names, columns = executor.execute(physical)
         profile = ExecutionProfile(
-            used_generated_code=generated is not None,
             execution_tier=label,
             compiled_from_cache=from_cache,
             sort_strategy=executor.sort_strategy,
@@ -1648,7 +1625,7 @@ class ProteusEngine:
         # The engine's sort kernels run on the materialized output; the
         # interpreter never sees the PhysSort root.
         names, columns = executor.execute(unwrap_sort(physical))
-        profile = ExecutionProfile(used_generated_code=False, execution_tier="volcano")
+        profile = ExecutionProfile(execution_tier="volcano")
         # The interpreter counts the same things the batch tier counts (see
         # the differential suite); ``tuples_processed`` keeps its historical
         # post-predicate semantics for the interpretation-overhead reports.

@@ -473,10 +473,7 @@ class ScanOperator:
             cache_manager is not None
             and self._uncached
             and self.total_rows is not None
-            and (
-                cache_manager.policy.should_cache_field(plugin.format_name, "float")
-                or cache_manager.policy.should_cache_field(plugin.format_name, "string")
-            )
+            and cache_manager.policy.should_cache_field(plugin.format_name, "float")
         ):
             self._recorder = _CoverageRecorder()
 
@@ -734,12 +731,7 @@ class UnnestStage:
             entry = cache_manager.lookup(self._cache_key)
             if entry is not None:
                 self._cached = entry.data
-            elif (
-                cache_manager.policy.cache_unnest_output
-                and cache_manager.policy.should_cache_field(
-                    plugin.format_name, "float"
-                )
-            ):
+            elif cache_manager.policy.should_cache_field(plugin.format_name, "float"):
                 self._recorder = _CoverageRecorder()
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
@@ -1124,7 +1116,7 @@ class PipelineCompiler:
             node for node in plan.left.walk() if isinstance(node, PhysScan)
         )
         source_format = self.catalog.get(source.dataset).format
-        if key is not None and manager.policy.should_cache_join_side({source_format}):
+        if key is not None:
             manager.store(
                 key,
                 table,

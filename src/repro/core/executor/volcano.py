@@ -48,6 +48,7 @@ from repro.core.physical import (
 from repro.errors import ExecutionError
 from repro.obs.trace import TraceBuilder
 from repro.plugins.base import InputPlugin, dig_path as _dig
+from repro.resilience import context as resilience_context
 from repro.storage.catalog import Catalog
 
 
@@ -64,10 +65,11 @@ class VolcanoExecutor:
     ):
         self.catalog = catalog
         self.plugins = plugins
-        #: Per-query resilience context, checked every ``volcano_stride``
-        #: scanned tuples (the tuple-at-a-time analogue of per-batch checks).
+        #: Per-query resilience context, checked every
+        #: :data:`~repro.resilience.context.VOLCANO_STRIDE` scanned tuples
+        #: (the tuple-at-a-time analogue of per-batch checks).
         self.context = context
-        self._stride = context.volcano_stride if context is not None else 0
+        self._stride = resilience_context.VOLCANO_STRIDE
         self._ticks = 0
         #: Bound query-parameter values; placed into every scan environment
         #: under :data:`PARAMS_BINDING` so ``Parameter`` nodes evaluate.

@@ -65,12 +65,10 @@ class Planner:
         catalog: Catalog,
         statistics: StatisticsManager,
         cache_plugin: CachePlugin | None = None,
-        enable_join_reordering: bool = True,
     ):
         self.catalog = catalog
         self.statistics = statistics
         self.cache_plugin = cache_plugin
-        self.enable_join_reordering = enable_join_reordering
         #: Per-plan() state: unnest variable -> nested collection paths its
         #: unnest must materialize as element columns (nested-in-nested).
         self._nested_collection_paths: dict[str, set[FieldPath]] = {}
@@ -102,8 +100,7 @@ class Planner:
         try:
             logical = rules.pushdown_selections(logical)
             binding_datasets = self.binding_datasets(logical)
-            if self.enable_join_reordering:
-                logical = self._reorder_joins(logical, binding_datasets)
+            logical = self._reorder_joins(logical, binding_datasets)
             required = rules.required_paths(logical)
             self._unnested_bindings = {
                 node.binding for node in logical.walk() if isinstance(node, Unnest)

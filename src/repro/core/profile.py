@@ -20,7 +20,6 @@ class ExecutionProfile:
     groups_built: int = 0
     output_rows: int = 0
     batches_processed: int = 0
-    used_generated_code: bool = True
     #: Which label served the query: "codegen" (the batch pipeline calling
     #: this plan's generated expression functions), "vectorized" (the same
     #: pipeline interpreting the expressions) or "volcano" (the
@@ -100,17 +99,13 @@ class ExecutionProfile:
         self.tier_decline_reasons.update(other.tier_decline_reasons)
         # Tier attribution is conservative: the merged profile reports the
         # *slowest* tier any fragment executed on (that tier bounds the
-        # merged execution), generated code only if every fragment ran it,
-        # and a cached compilation only if every fragment's program came
-        # from the cache.  Before this folding the three fields silently
-        # reset to their defaults when per-fragment profiles were merged.
+        # merged execution; generated code ran only if it is "codegen"), and
+        # a cached compilation only if every fragment's program came from
+        # the cache.
         if _TIER_RANK.get(other.execution_tier, -1) > _TIER_RANK.get(
             self.execution_tier, -1
         ):
             self.execution_tier = other.execution_tier
-        self.used_generated_code = (
-            self.used_generated_code and other.used_generated_code
-        )
         self.compiled_from_cache = (
             self.compiled_from_cache and other.compiled_from_cache
         )

@@ -289,8 +289,8 @@ class InputPlugin(ABC):
         per-parent (and per-element) interpretation cost the paper's §5
         measures.  Formats with structural indexes override it with a native
         offset-vector implementation (see ``JsonPlugin.scan_unnest_batch``);
-        ``benchmarks/bench_unnest.py`` gates the native path >= 5x over this
-        fallback.
+        the unnest-kernel gate of ``benchmarks/run_all.py`` holds the native
+        path >= 5x over one ``scan_unnest`` round trip per parent.
         """
         self.io_checkpoint("scan-unnest", dataset.name)
         element_paths = [tuple(path) for path in element_paths]

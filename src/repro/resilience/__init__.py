@@ -7,10 +7,10 @@ ROADMAP item 1 requires before a multi-client service can exist:
 
 * :class:`QueryContext` — a cooperative deadline + cancellation token +
   progress ledger created once per query in ``engine._execute`` and observed
-  per batch (vectorized), per morsel (parallel), on a tuple stride (Volcano)
-  and per kernel call (codegen),
+  per batch (batch pipeline), per morsel (fan-out) and on a tuple stride
+  (Volcano),
 * :class:`AdmissionController` — bounds concurrent queries and reserved
-  bytes, queueing with a timeout before a coded rejection,
+  bytes, queueing within the query's deadline before a coded rejection,
 * :func:`retry_io` — exponential-backoff retry for transient raw-data I/O,
   charged against a per-query retry budget,
 * :class:`FaultInjector` / :class:`FaultPlan` — a deterministic fault

@@ -4,11 +4,12 @@ Motivated by the workload-isolation half of the serving story (ROADMAP item
 1): a query is *admitted* before execution, reserving a slot and an
 estimated number of bytes against the engine's memory budget, and releases
 both in a ``finally`` when it completes or fails.  When the controller is
-full, new arrivals queue on a condition variable up to
-``queue_timeout_seconds``; past that they are rejected with a coded
-:class:`~repro.errors.AdmissionRejectedError` (RES003).  An estimate that
-could *never* fit the byte budget is rejected immediately with
-:class:`~repro.errors.MemoryBudgetError` (RES004) — waiting would not help.
+full, new arrivals queue on a condition variable until the query's own
+deadline or :data:`MAX_QUEUE_SECONDS`, whichever comes first; past that they
+are rejected with a coded :class:`~repro.errors.AdmissionRejectedError`
+(RES003).  An estimate that could *never* fit the byte budget is rejected
+immediately with :class:`~repro.errors.MemoryBudgetError` (RES004) — waiting
+would not help.
 
 Synchronisation: every mutable field is touched only while holding
 ``_condition`` (a :class:`threading.Condition`), declared EXTERNALLY_GUARDED
@@ -22,6 +23,10 @@ import threading
 import time
 
 from repro.errors import AdmissionRejectedError, MemoryBudgetError
+
+#: Longest a query waits for a slot, even when its deadline is further away
+#: (or it has none).
+MAX_QUEUE_SECONDS = 5.0
 
 
 class AdmissionSlot:
@@ -50,11 +55,9 @@ class AdmissionController:
         *,
         max_concurrent: int | None = None,
         memory_budget_bytes: int | None = None,
-        queue_timeout_seconds: float = 5.0,
     ):
         self.max_concurrent = max_concurrent
         self.memory_budget_bytes = memory_budget_bytes
-        self.queue_timeout_seconds = max(float(queue_timeout_seconds), 0.0)
         self._condition = threading.Condition()
         self._active = 0
         self._reserved_bytes = 0
@@ -64,9 +67,11 @@ class AdmissionController:
     # ---------------------------------------------------------------- admit
 
     def admit(
-        self, estimated_bytes: int = 0, query_text: str | None = None
+        self, estimated_bytes: int = 0, deadline: float | None = None
     ) -> AdmissionSlot:
-        """Grant a slot, queueing up to the timeout; raise RES003/RES004."""
+        """Grant a slot, queueing until ``deadline`` (a ``time.monotonic()``
+        instant, the query's own) or :data:`MAX_QUEUE_SECONDS` from now,
+        whichever comes first; raise RES003/RES004."""
         estimated = max(int(estimated_bytes), 0)
         budget = self.memory_budget_bytes
         if budget is not None and estimated > budget:
@@ -76,15 +81,18 @@ class AdmissionController:
                 f"query needs an estimated {estimated} bytes but the "
                 f"admission byte budget is {budget}"
             )
-        deadline = time.monotonic() + self.queue_timeout_seconds
+        started = time.monotonic()
+        give_up = started + MAX_QUEUE_SECONDS
+        if deadline is not None:
+            give_up = min(give_up, deadline)
         with self._condition:
             while not self._fits(estimated):
-                remaining = deadline - time.monotonic()
+                remaining = give_up - time.monotonic()
                 if remaining <= 0:
                     self._rejected_total += 1
                     raise AdmissionRejectedError(
                         "admission queue timed out after "
-                        f"{self.queue_timeout_seconds}s "
+                        f"{max(give_up - started, 0.0):.3g}s "
                         f"({self._active} active, "
                         f"{self._reserved_bytes} bytes reserved)"
                     )

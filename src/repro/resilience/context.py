@@ -3,17 +3,17 @@
 A :class:`QueryContext` is created once per query in ``engine._execute`` and
 threaded through every execution tier.  Cancellation is *cooperative*: no
 thread is ever killed.  Instead each tier calls :meth:`QueryContext.check` at
-a natural unit of work — per batch in the vectorized pipeline, per morsel in
-the parallel scheduler (where workers also observe :meth:`should_stop`
-alongside the error-cancel event so pool teardown drains cleanly), every
-``volcano_stride`` tuples in the Volcano interpreter, and per rebound kernel
-call in generated programs — and the check raises a coded
+a natural unit of work — per batch in the batch pipeline (both NumPy labels),
+per morsel in the fan-out scheduler (where workers also observe
+:meth:`should_stop` alongside the error-cancel event so pool teardown drains
+cleanly) and every :data:`VOLCANO_STRIDE` tuples in the Volcano
+interpreter — and the check raises a coded
 :class:`~repro.errors.QueryTimeoutError` / :class:`~repro.errors.QueryCancelledError`
 on the worker where the work is happening.
 
 The context also carries the per-query I/O retry budget consumed by
 :func:`repro.resilience.retry.retry_io` and a progress ledger (batches, rows,
-morsels, kernel calls) that the engine copies into the profile when a query
+morsels, Volcano tuples) that the engine copies into the profile when a query
 is aborted, so callers can see how far it got.
 
 Because plugins are reached from every tier and from pool worker threads,
@@ -35,8 +35,9 @@ from repro.errors import QueryCancelledError, QueryTimeoutError
 if TYPE_CHECKING:
     from repro.resilience.retry import RetryPolicy
 
-#: Tuples between deadline checks in the Volcano interpreter.
-DEFAULT_VOLCANO_STRIDE = 1024
+#: Tuples between deadline checks in the Volcano interpreter (read by each
+#: ``VolcanoExecutor`` when it is constructed).
+VOLCANO_STRIDE = 1024
 #: Transient-I/O retries a single query may consume across all its scans.
 DEFAULT_RETRY_BUDGET = 16
 
@@ -69,8 +70,8 @@ class QueryContext:
     only the progress ledger and retry counter mutate, always under
     ``_lock``.  :meth:`check` is the hot path — two attribute tests when the
     context is passive — so a default-configured engine pays nothing
-    measurable for always-on resilience (gated by
-    ``benchmarks/bench_resilience_overhead.py``).
+    measurable for always-on resilience (the overhead gate of
+    ``benchmarks/run_all.py`` bounds a configured deadline too).
     """
 
     def __init__(
@@ -80,7 +81,6 @@ class QueryContext:
         token: CancellationToken | None = None,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
         retry_policy: "RetryPolicy | None" = None,
-        volcano_stride: int = DEFAULT_VOLCANO_STRIDE,
     ) -> None:
         self.timeout_seconds = timeout_seconds
         self.deadline = (
@@ -89,7 +89,6 @@ class QueryContext:
         self.token = token
         self.retry_budget = max(int(retry_budget), 0)
         self.retry_policy = retry_policy
-        self.volcano_stride = max(int(volcano_stride), 1)
         self._lock = make_lock("QueryContext._lock")
         self._io_retries = 0
         self._progress: dict[str, int] = {}

@@ -6,11 +6,7 @@ import pytest
 
 from repro.caching.manager import CacheManager, estimate_size
 from repro.caching.matching import field_cache_key, join_side_cache_key, unnest_cache_key
-from repro.caching.policies import (
-    AggressiveCachingPolicy,
-    DefaultCachingPolicy,
-    NoCachingPolicy,
-)
+from repro.caching.policies import CachingPolicy
 from repro.storage.memory import CacheArena
 
 from tests.conftest import expected_items, make_engine
@@ -19,30 +15,22 @@ from tests.conftest import expected_items, make_engine
 # -- policies ------------------------------------------------------------------
 
 
-def test_default_policy_caches_numeric_raw_fields_only():
-    policy = DefaultCachingPolicy()
+def test_policy_caches_numeric_raw_fields_only():
+    """The one §6 rule set: numeric fields of verbose sources, never strings,
+    never binary sources (join sides and unnest output are always kept)."""
+    policy = CachingPolicy()
     assert policy.should_cache_field("json", "float")
     assert policy.should_cache_field("csv", "int")
+    assert policy.should_cache_field("csv", "bool")
     assert not policy.should_cache_field("json", "string")
-    assert not policy.should_cache_field("binary_column", "int")
-    assert policy.should_cache_join_side({"json"})
+    assert not policy.should_cache_field("csv", "string")
+    for source_format in ("binary_column", "binary_row", "cache"):
+        assert not policy.should_cache_field(source_format, "int")
 
 
 def test_policy_format_bias_ordering():
-    policy = DefaultCachingPolicy()
+    policy = CachingPolicy()
     assert policy.format_bias("json") > policy.format_bias("csv") > policy.format_bias("binary_column")
-
-
-def test_no_caching_policy():
-    policy = NoCachingPolicy()
-    assert not policy.should_cache_field("json", "float")
-    assert not policy.should_cache_join_side({"json"})
-
-
-def test_aggressive_policy():
-    policy = AggressiveCachingPolicy()
-    assert policy.should_cache_field("json", "string")
-    assert policy.should_cache_field("binary_column", "int")
 
 
 # -- manager --------------------------------------------------------------------

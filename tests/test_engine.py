@@ -1,5 +1,7 @@
 """End-to-end tests of the public engine API over every supported format."""
 
+import inspect
+
 import pytest
 
 from repro import ProteusEngine
@@ -192,3 +194,24 @@ def test_quickstart_example_runs():
     assert "served by tier: codegen" in completed.stdout
     assert "compiled_from_cache=True" in completed.stdout
     assert "-> tier volcano" in completed.stdout
+
+
+def test_constructor_takes_only_the_knobs_callers_set():
+    """The constructor's parameters are pinned — the ablation flags the
+    paper's figures use and the deployment limits of a served engine — so a
+    knob cannot come back without changing this list on purpose."""
+    assert list(inspect.signature(ProteusEngine.__init__).parameters)[1:] == [
+        "cache_budget_bytes",
+        "enable_caching",
+        "enable_codegen",
+        "enable_vectorized",
+        "parallel_workers",
+        "vectorized_batch_size",
+        "enable_tracing",
+        "enable_metrics",
+        "slow_query_seconds",
+        "query_timeout_seconds",
+        "max_concurrent_queries",
+        "query_memory_budget_bytes",
+        "io_retry_budget",
+    ]

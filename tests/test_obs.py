@@ -109,17 +109,13 @@ def test_merge_adopts_slowest_tier():
 
 
 def test_merge_generated_code_flags_and_when_any_fragment_interpreted():
-    merged = ExecutionProfile(used_generated_code=True, compiled_from_cache=True)
+    merged = ExecutionProfile(execution_tier="codegen", compiled_from_cache=True)
     merged.merge(
-        ExecutionProfile(
-            execution_tier="volcano",
-            used_generated_code=False,
-            compiled_from_cache=False,
-        )
+        ExecutionProfile(execution_tier="volcano", compiled_from_cache=False)
     )
-    assert merged.used_generated_code is False
-    assert merged.compiled_from_cache is False
+    # Generated code ran only if the merged tier is still "codegen".
     assert merged.execution_tier == "volcano"
+    assert merged.compiled_from_cache is False
 
 
 def test_merge_keeps_additive_counters_additive():
@@ -155,9 +151,8 @@ def test_traced_engine_records_phases_and_operator_spans(paths):
 
 
 def test_trace_ring_buffer_is_bounded(paths):
-    engine = make_engine(
-        paths, enable_tracing=True, enable_caching=False, trace_capacity=2
-    )
+    engine = make_engine(paths, enable_caching=False)
+    engine.tracer = Tracer(capacity=2, enabled=True)
     for bound in (2, 4, 6):
         engine.query(f"SELECT COUNT(*) FROM items_csv WHERE qty < {bound}")
     traces = engine.tracer.traces()

@@ -30,6 +30,8 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
 )
+from repro.resilience import admission as admission_module
+from repro.resilience import context as context_module
 from repro.storage.catalog import DataFormat
 
 #: Engine configurations that pin each of the three execution tiers (the
@@ -42,11 +44,7 @@ TIER_CONFIGS = {
         "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
     "vectorized": {"enable_codegen": False},
-    "volcano": {
-        "enable_codegen": False,
-        "enable_vectorized": False,
-        "volcano_check_stride": 1,
-    },
+    "volcano": {"enable_codegen": False, "enable_vectorized": False},
 }
 
 
@@ -56,10 +54,11 @@ TIER_CONFIGS = {
 
 
 @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
-def test_zero_timeout_aborts_every_tier(paths, tier):
+def test_zero_timeout_aborts_every_tier(paths, tier, monkeypatch):
     """``timeout=0`` expires at the first cooperative check of every tier:
-    per kernel call (codegen), per morsel and per batch (vectorized, fanned
-    out and inline), per stride (volcano)."""
+    per morsel and per batch (the batch pipeline, fanned out and inline), per
+    stride (volcano, checking every tuple here)."""
+    monkeypatch.setattr(context_module, "VOLCANO_STRIDE", 1)
     engine = make_engine(paths, enable_caching=False, **TIER_CONFIGS[tier])
     with pytest.raises(QueryTimeoutError) as info:
         engine.query("select sum(price) from items_csv where qty > 1", timeout=0)
@@ -135,15 +134,12 @@ def test_no_leaked_worker_threads_after_abort(paths):
     assert leaked == []
 
 
-def test_volcano_stride_bounds_check_latency(paths):
-    """The Volcano tier checks every ``volcano_check_stride`` tuples, so an
+def test_volcano_stride_bounds_check_latency(paths, monkeypatch):
+    """The Volcano tier checks every ``VOLCANO_STRIDE`` tuples, so an
     expired deadline is noticed within one stride of scan progress."""
+    monkeypatch.setattr(context_module, "VOLCANO_STRIDE", 10)
     engine = make_engine(
-        paths,
-        enable_codegen=False,
-        enable_vectorized=False,
-        enable_caching=False,
-        volcano_check_stride=10,
+        paths, enable_codegen=False, enable_vectorized=False, enable_caching=False
     )
     with pytest.raises(QueryTimeoutError):
         engine.query("select id from items_csv", timeout=0)
@@ -233,26 +229,29 @@ def test_cancellation_from_another_thread(paths):
 # ---------------------------------------------------------------------------
 
 
-def test_admission_controller_concurrency_bound():
-    controller = AdmissionController(max_concurrent=1, queue_timeout_seconds=0.05)
+def test_admission_controller_concurrency_bound(monkeypatch):
+    controller = AdmissionController(max_concurrent=1)
     slot = controller.admit()
     assert controller.active == 1
+    # The caller's deadline bounds the queue wait ...
     with pytest.raises(AdmissionRejectedError) as info:
-        controller.admit()
+        controller.admit(deadline=time.monotonic() + 0.05)
     assert "[RES003]" in str(info.value)
+    # ... and so does the cap, for a caller without one.
+    monkeypatch.setattr(admission_module, "MAX_QUEUE_SECONDS", 0.05)
+    with pytest.raises(AdmissionRejectedError):
+        controller.admit()
     slot.release()
     slot.release()  # idempotent
     second = controller.admit()
     second.release()
     assert controller.active == 0
     assert controller.admitted_total == 2
-    assert controller.rejected_total == 1
+    assert controller.rejected_total == 2
 
 
 def test_admission_controller_memory_budget():
-    controller = AdmissionController(
-        memory_budget_bytes=1024, queue_timeout_seconds=0.01
-    )
+    controller = AdmissionController(memory_budget_bytes=1024)
     # Larger than the whole budget: queueing can never help, reject at once.
     with pytest.raises(MemoryBudgetError) as info:
         controller.admit(estimated_bytes=4096)
@@ -261,14 +260,14 @@ def test_admission_controller_memory_budget():
     assert controller.reserved_bytes == 800
     # Fits the budget but not the current headroom: queue, then reject.
     with pytest.raises(AdmissionRejectedError):
-        controller.admit(estimated_bytes=800)
+        controller.admit(estimated_bytes=800, deadline=time.monotonic() + 0.01)
     slot.release()
     assert controller.reserved_bytes == 0
     controller.admit(estimated_bytes=800).release()
 
 
 def test_admission_queueing_admits_when_slot_frees():
-    controller = AdmissionController(max_concurrent=1, queue_timeout_seconds=5.0)
+    controller = AdmissionController(max_concurrent=1)
     slot = controller.admit()
     admitted = []
 
@@ -291,11 +290,7 @@ def test_engine_admission_rejects_when_full(paths):
     (parked inside a scripted slow fault), a second query is rejected with
     RES003 — and admission recovers once the first query finishes."""
     engine = make_engine(
-        paths,
-        max_concurrent_queries=1,
-        admission_queue_seconds=0.05,
-        enable_codegen=False,
-        enable_caching=False,
+        paths, max_concurrent_queries=1, enable_codegen=False, enable_caching=False
     )
     entered = threading.Event()
     release = threading.Event()
@@ -322,7 +317,7 @@ def test_engine_admission_rejects_when_full(paths):
     try:
         assert entered.wait(10.0)
         with pytest.raises(AdmissionRejectedError):
-            engine.query("select count(*) from items_csv")
+            engine.query("select count(*) from items_csv", timeout=0.05)
         assert engine.admission.rejected_total == 1
     finally:
         release.set()
@@ -330,6 +325,23 @@ def test_engine_admission_rejects_when_full(paths):
     assert failures == []
     # The holder's slot was released in the engine's finally: admitted again.
     assert engine.query("select count(*) from items_csv").rows == [(120,)]
+
+
+def test_admission_queue_honours_the_query_deadline(paths):
+    """A query queues for a slot no longer than its own deadline: with the
+    only slot held, a 0.05 s query is refused with RES003 well before the
+    queue cap runs out."""
+    engine = make_engine(paths, max_concurrent_queries=1, enable_caching=False)
+    slot = engine.admission.admit()
+    try:
+        started = time.monotonic()
+        with pytest.raises(AdmissionRejectedError) as info:
+            engine.query("select count(*) from items_csv", timeout=0.05)
+        elapsed = time.monotonic() - started
+    finally:
+        slot.release()
+    assert "[RES003]" in str(info.value)
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -247,14 +247,15 @@ def test_scan_coalescing_n_clients_one_cold_parse(paths):
 
 
 def test_admission_queue_full_maps_to_429(paths):
-    engine = make_engine(
-        paths, max_concurrent_queries=1, admission_queue_seconds=0.05
-    )
+    engine = make_engine(paths, max_concurrent_queries=1)
     with serving(engine) as server:
         slot = engine.admission.admit(0)
         try:
+            # The request's deadline bounds its wait in the admission queue.
             status, body = _post(
-                server, "/v1/query", {"query": "select count(*) from items_csv"}
+                server,
+                "/v1/query",
+                {"query": "select count(*) from items_csv", "timeout_ms": 50},
             )
         finally:
             slot.release()
@@ -960,7 +961,6 @@ def test_error_responses_are_never_cached(paths):
         enable_codegen=False,
         vectorized_batch_size=16,
         max_concurrent_queries=1,
-        admission_queue_seconds=0.05,
     )
     query = "select sum(price) as total from items_csv where qty < ?"
     scanning = threading.Event()
@@ -988,7 +988,7 @@ def test_error_responses_are_never_cached(paths):
         assert status == 400
         slot = engine.admission.admit(0)
         try:
-            assert _post(server, "/v1/query", payload)[0] == 429
+            assert _post(server, "/v1/query", {**payload, "timeout_ms": 50})[0] == 429
         finally:
             slot.release()
         plugin.install_fault_injector(slow_faults(0.3))
