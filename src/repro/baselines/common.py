@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.errors import ExecutionError, UnsupportedFeatureError
+from repro.errors import ExecutionError
 from repro.workloads.query_spec import (
     FilterSpec,
-    GroupBySpec,
-    ProjectionSpec,
     QuerySpec,
 )
 

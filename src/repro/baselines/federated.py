@@ -22,9 +22,7 @@ from typing import Iterable
 from repro.baselines.columnstore_c import DbmsCLikeEngine
 from repro.baselines.common import Aggregator, BaselineEngine, LoadReport
 from repro.baselines.docstore import MongoLikeEngine
-from repro.errors import ExecutionError
 from repro.workloads.query_spec import (
-    FilterSpec,
     ProjectionSpec,
     QuerySpec,
     TableRef,

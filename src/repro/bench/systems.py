@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.baselines.common import BaselineEngine
 from repro.core.engine import ProteusEngine
-from repro.errors import ProteusError, UnsupportedFeatureError
+from repro.errors import UnsupportedFeatureError
 from repro.storage.binary_format import read_column_table
 from repro.workloads.query_spec import QuerySpec
 

@@ -21,14 +21,13 @@ those locked paths (``EXTERNALLY_GUARDED`` in ``core/concurrency.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.caching.policies import CachingPolicy
 from repro.core.concurrency import make_lock
-from repro.errors import CacheError
 from repro.storage.memory import CacheArena
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core import types as t
-from repro.core.calculus import Comprehension, DatasetSource, Filter, Generator, PathSource
+from repro.core.calculus import Comprehension, DatasetSource, Filter, PathSource
 from repro.core.expressions import (
     AggregateCall,
     BinaryOp,

@@ -25,8 +25,6 @@ import time
 from collections import defaultdict
 from typing import Any, Iterator, Mapping
 
-import numpy as np
-
 from repro.core.aggregate_utils import (
     AggregateAccumulators,
     literal_results,

@@ -21,7 +21,6 @@ from repro.core.algebra import (
     LogicalPlan,
     Nest,
     Reduce,
-    Scan,
     Select,
     Unnest,
 )

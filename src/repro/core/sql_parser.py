@@ -35,7 +35,6 @@ from repro.core.expressions import (
     UnaryOp,
 )
 from repro.core.lexer import IDENT, NUMBER, STRING, SYMBOL, TokenStream
-from repro.errors import ParseError
 
 #: Placeholder binding used for unqualified column references until binding.
 UNRESOLVED = "?"

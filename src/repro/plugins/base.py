@@ -38,8 +38,9 @@ LLVM IR.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from repro.core import types as t
 from repro.core.concurrency import make_lock
 # Canonical nested-access rule, re-exported for plug-in authors.
 from repro.core.types import dig_path  # noqa: F401
-from repro.errors import PluginError
+from repro.errors import CorruptDataError, PluginError, StorageError
 from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.memory import MemoryManager
 
@@ -472,6 +473,67 @@ def count_missing(values: np.ndarray) -> int:
 
     mask = missing_mask(np.asarray(values))
     return 0 if mask is None else int(mask.sum())
+
+
+@contextmanager
+def malformed_as_corrupt(dataset: Dataset) -> Iterator[None]:
+    """Bytes a structural index or a span lookup rejects are corrupt raw
+    data: re-raise the :class:`StorageError` as RES006 naming the dataset."""
+    try:
+        yield
+    except StorageError as exc:
+        raise CorruptDataError(
+            f"malformed raw data in {dataset.name!r}: {exc}", dataset=dataset.name
+        ) from exc
+
+
+def span_bytes(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[bytes]:
+    """``data[start:end]`` for every span, sliced C-side."""
+    return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+
+
+#: Exact powers of ten for :func:`parse_decimals`.
+_POWERS_OF_TEN = np.asarray([float(10**k) for k in range(16)])
+
+
+def parse_decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The numbers ``data[start:end]`` as float64 without one Python object
+    per value, or ``None`` unless every span is a plain decimal
+    ``[-]digits[.digits]`` of at most 15 digits.
+
+    Those parse exactly: the digits form an integer below 2**53 and one
+    division by an exactly representable power of ten rounds correctly, so
+    the result equals ``float(text)``.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if not len(starts) or not len(buf):
+        return None
+    negative = buf[np.minimum(starts, len(buf) - 1)] == ord("-")
+    begins = starts + negative
+    lengths = ends - begins
+    if lengths.min() < 1 or lengths.max() > 16:
+        return None
+    mantissa = np.zeros(len(starts), dtype=np.int64)
+    digits = np.zeros(len(starts), dtype=np.int64)
+    scale = np.zeros(len(starts), dtype=np.int64)
+    point = np.zeros(len(starts), dtype=bool)
+    for offset in range(int(lengths.max())):
+        active = offset < lengths
+        byte = buf[np.minimum(begins + offset, len(buf) - 1)]
+        value = byte.astype(np.int64) - ord("0")
+        digit = active & (value >= 0) & (value <= 9)
+        dot = active & (byte == ord(".")) & ~point
+        if not np.array_equal(digit | dot, active):
+            return None
+        mantissa = np.where(digit, mantissa * 10 + value, mantissa)
+        digits += digit
+        scale += digit & point
+        point |= dot
+    if digits.min() < 1 or digits.max() > 15:
+        return None
+    values = mantissa / _POWERS_OF_TEN[scale]
+    values[negative] *= -1.0
+    return values
 
 
 def require_flat_path(path: FieldPath) -> str:

@@ -16,7 +16,7 @@ from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.errors import PluginError
-from repro.plugins.base import FieldPath, InputPlugin, ScanBuffers, require_flat_path
+from repro.plugins.base import FieldPath, InputPlugin, ScanBuffers
 from repro.storage.catalog import Dataset, DatasetStatistics
 
 

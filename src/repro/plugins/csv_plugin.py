@@ -25,7 +25,10 @@ from repro.plugins.base import (
     InputPlugin,
     ScanBuffers,
     count_missing,
+    malformed_as_corrupt,
+    parse_decimals,
     require_flat_path,
+    span_bytes,
 )
 from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.structural_index import CsvStructuralIndex, build_csv_index
@@ -131,9 +134,10 @@ class CsvPlugin(InputPlugin):
                 # exhausted), parse failures surface as corrupt data (RES006).
                 mapped = self.memory.map_file(dataset.path)
                 data = bytes(mapped.data) if mapped.mapped else mapped.data
-                index = build_csv_index(
-                    data, delimiter=delimiter, has_header=has_header, stride=stride
-                )
+                with malformed_as_corrupt(dataset):
+                    index = build_csv_index(
+                        data, delimiter=delimiter, has_header=has_header, stride=stride
+                    )
                 return data, index
 
             data, index = self.io_guard("index-build", dataset.name, build)
@@ -186,10 +190,9 @@ class CsvPlugin(InputPlugin):
         fields: list[t.Field] = []
         for column, name in enumerate(state.header):
             inferred = "int"
-            for row in range(sample):
-                start, end = state.index.field_span(state.data, row, column)
-                text = state.data[start:end].decode("utf-8").strip()
-                inferred = _widen(inferred, text)
+            starts, ends = self._field_bytes(dataset, state, range(sample), column)
+            for text in span_bytes(state.data, starts, ends):
+                inferred = _widen(inferred, text.decode("utf-8").strip())
             fields.append(t.Field(name, t.primitive_type(inferred)))
         return t.RecordType(fields)
 
@@ -252,29 +255,32 @@ class CsvPlugin(InputPlugin):
                 )
             yield buffers
 
+    def _field_bytes(
+        self, dataset: Dataset, state: _CsvState, rows: "range | np.ndarray", column: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Byte spans of one field for the given rows; a row too short to
+        hold the field is corrupt data (RES006)."""
+        with malformed_as_corrupt(dataset):
+            return state.index.field_spans(state.data, rows, column)
+
     def _convert_rows(
-        self, dataset: Dataset, state: _CsvState, path: FieldPath, rows: range
+        self, dataset: Dataset, state: _CsvState, path: FieldPath, rows: "range | np.ndarray"
     ) -> np.ndarray:
-        """Slice and convert one field for the given row range."""
-        data = state.data
-        index = state.index
+        """Slice and convert one field for the given rows (a range or OIDs)."""
         name = require_flat_path(path)
         column = self._column_index(state, name)
         type_name = self._field_type_name(dataset, name)
+        starts, ends = self._field_bytes(dataset, state, rows, column)
+        data = state.data
         if type_name in ("int", "float"):
-            # Bulk conversion of the sliced field values (the Python
-            # analogue of the generated per-field conversion code).
-            slices = [
-                data[span[0]:span[1]]
-                for span in (index.field_span(data, row, column) for row in rows)
-            ]
-            try:
-                floats = (
-                    np.asarray(slices).astype(np.float64)
-                    if slices else np.zeros(0, dtype=np.float64)
-                )
-            except ValueError:
-                floats = None
+            # Bulk conversion of the field spans (the Python analogue of the
+            # generated per-field conversion code).
+            floats = parse_decimals(data, starts, ends)
+            if floats is None:
+                try:
+                    floats = np.asarray(span_bytes(data, starts, ends)).astype(np.float64)
+                except ValueError:
+                    floats = None
             if floats is not None:
                 if type_name == "int" and len(floats) and \
                         np.all(floats == np.floor(floats)):
@@ -284,12 +290,10 @@ class CsvPlugin(InputPlugin):
                     # float64; fall through to the exact per-value converter.
                 else:
                     return floats
-        converter = _CONVERTERS[type_name]
-        values = [
-            converter(data[span[0]:span[1]].decode("utf-8"))
-            for span in (index.field_span(data, row, column) for row in rows)
-        ]
-        return _typed_array(values, type_name)
+        texts = list(map(bytes.decode, span_bytes(data, starts, ends)))
+        if type_name == "string":
+            return _typed_array(texts, type_name)
+        return _typed_array(list(map(_CONVERTERS[type_name], texts)), type_name)
 
     def scan_columns_at(
         self, dataset: Dataset, paths: Sequence[FieldPath], oids: np.ndarray
@@ -297,20 +301,10 @@ class CsvPlugin(InputPlugin):
         """Selective (lazy) extraction: parse and convert only the given rows."""
         state = self._state(dataset)
         self.io_checkpoint("scan-columns", dataset.name)
-        data = state.data
-        index = state.index
         rows = np.asarray(oids, dtype=np.int64)
         buffers = ScanBuffers(count=len(rows), oids=rows)
         for path in paths:
-            name = require_flat_path(path)
-            column = self._column_index(state, name)
-            type_name = self._field_type_name(dataset, name)
-            converter = _CONVERTERS[type_name]
-            values = [
-                converter(data[span[0]:span[1]].decode("utf-8"))
-                for span in (index.field_span(data, int(row), column) for row in rows)
-            ]
-            buffers.columns[path] = _typed_array(values, type_name)
+            buffers.columns[path] = self._convert_rows(dataset, state, path, rows)
         return buffers
 
     # -- tuple-at-a-time access --------------------------------------------------
@@ -330,18 +324,20 @@ class CsvPlugin(InputPlugin):
         ]
         data = state.data
         index = state.index
-        for row in range(index.num_rows):
-            record: dict[str, Any] = {}
-            for name, column, converter in zip(names, columns, converters):
-                start, end = index.field_span(data, row, column)
-                record[name] = converter(data[start:end].decode("utf-8"))
-            yield record
+        with malformed_as_corrupt(dataset):
+            for row in range(index.num_rows):
+                record: dict[str, Any] = {}
+                for name, column, converter in zip(names, columns, converters):
+                    start, end = index.field_span(data, row, column)
+                    record[name] = converter(data[start:end].decode("utf-8"))
+                yield record
 
     def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
         state = self._state(dataset)
         name = require_flat_path(path)
         column = self._column_index(state, name)
-        start, end = state.index.field_span(state.data, int(oid), column)
+        with malformed_as_corrupt(dataset):
+            start, end = state.index.field_span(state.data, int(oid), column)
         converter = _CONVERTERS[self._field_type_name(dataset, name)]
         return converter(state.data[start:end].decode("utf-8"))
 

@@ -2,16 +2,16 @@
 
 The JSON plug-in queries raw JSON object streams (one object per line, or
 whitespace-separated) in place.  On the first access it validates the file and
-builds the two-level structural index of §5.2: Level 1 stores the byte span
-and type of every token per object, Level 0 maps field paths to Level-1
-entries so that schema flexibility (arbitrary field order, optional fields)
-does not force a sequential token scan.  When every object carries the same
-fields in the same order, Level 0 is dropped (fixed-schema specialization).
+builds the structural index of §5.2 in whole-block bitmap passes: per field
+path, a column over all objects of the value's position, length and type.
+The paper's Level 0 (path -> entry per object, for schema flexibility) and
+its fixed-schema specialization are both subsumed — any field order is one
+column lookup.
 
-Scans slice only the spans of the fields a query needs — nested paths included
-— and convert them to binary values on the fly; nested arrays are handled by
-the Unnest operator through :meth:`JsonPlugin.scan_unnest`, which parses only
-the array spans.
+Scans gather the spans of the fields a query needs — nested paths included —
+from those columns and convert them to binary values in bulk per type;
+nested arrays are handled by the Unnest operator through
+:meth:`JsonPlugin.scan_unnest`, which parses only the array spans.
 """
 
 from __future__ import annotations
@@ -36,15 +36,18 @@ from repro.plugins.base import (
     UnnestBuffers,
     count_missing,
     dig_path as _dig,
+    malformed_as_corrupt,
+    parse_decimals,
+    span_bytes,
 )
 from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.structural_index import (
     JsonStructuralIndex,
     TYPE_ARRAY,
     TYPE_BOOL,
+    TYPE_MISSING,
     TYPE_NULL,
     TYPE_NUMBER,
-    TYPE_OBJECT,
     TYPE_STRING,
     build_json_index,
 )
@@ -89,12 +92,13 @@ class JsonPlugin(InputPlugin):
             def build() -> tuple:
                 # One guarded raw-I/O step: the mmap (where a transient
                 # OSError can surface) plus the structural-index parse
-                # (where corrupt bytes surface as ValueError -> RES006).
+                # (where malformed bytes surface as RES006).
                 mapped = self.memory.map_file(dataset.path)
                 data = bytes(mapped.data) if mapped.mapped else mapped.data
-                index = build_json_index(
-                    data, max_depth=dataset.options.get("max_depth", 8)
-                )
+                with malformed_as_corrupt(dataset):
+                    index = build_json_index(
+                        data, max_depth=dataset.options.get("max_depth", 8)
+                    )
                 return data, index
 
             data, index = self.io_guard("index-build", dataset.name, build)
@@ -215,85 +219,15 @@ class JsonPlugin(InputPlugin):
         path: FieldPath,
         positions: np.ndarray | None = None,
     ) -> np.ndarray:
-        key = ".".join(path)
-        data = state.data
-        index = state.index
+        """One field for every object (or the objects at ``positions``): the
+        spans come from one column lookup and convert in bulk per type."""
+        starts, ends, types = state.index.column_spans(".".join(path), positions)
         dtype_name = self._field_type_name(dataset, path)
-        objects: list[int] = (
-            list(range(index.num_objects))
-            if positions is None
-            else [int(p) for p in positions]
-        )
         if dtype_name in ("int", "float", "date"):
-            column = self._extract_numeric_column(state, key, dtype_name, objects)
+            column = _numeric_column(state.data, starts, ends, types, dtype_name)
             if column is not None:
                 return column
-        values: list[Any] = []
-        for position in objects:
-            span = index.field_span(position, key)
-            if span is None:
-                values.append(None)
-                continue
-            start, end, type_code = span
-            values.append(_convert_span(data, start, end, type_code))
-        return _to_array(values, dtype_name)
-
-    @staticmethod
-    def _extract_numeric_column(
-        state: _JsonState, key: str, dtype_name: str, objects: list[int]
-    ) -> np.ndarray | None:
-        """Fast path for numeric fields: slice the value spans and convert them
-        in bulk (the Python analogue of the generated conversion code).
-        Returns ``None`` when a non-numeric token is encountered."""
-        data = state.data
-        index = state.index
-        slices: list[bytes] = []
-        missing = False
-        vectorized = index.column_spans(key, objects if objects is not None else None)
-        if vectorized is not None:
-            starts, ends, types = vectorized
-            if not np.all((types == TYPE_NUMBER) | (types == TYPE_NULL) | (starts < 0)):
-                return None
-            start_list = starts.tolist()
-            end_list = ends.tolist()
-            type_list = types.tolist()
-            for start, end, type_code in zip(start_list, end_list, type_list):
-                if start < 0 or type_code == TYPE_NULL:
-                    slices.append(b"nan")
-                    missing = True
-                else:
-                    slices.append(data[start:end])
-        else:
-            for position in objects:
-                span = index.field_span(position, key)
-                if span is None:
-                    slices.append(b"nan")
-                    missing = True
-                    continue
-                start, end, type_code = span
-                if type_code == TYPE_NUMBER:
-                    slices.append(data[start:end])
-                elif type_code == TYPE_NULL:
-                    slices.append(b"nan")
-                    missing = True
-                else:
-                    return None
-        if not slices:
-            return np.zeros(0, dtype=np.float64)
-        try:
-            floats = np.asarray(slices).astype(np.float64)
-        except ValueError:
-            return None
-        if dtype_name in ("int", "date"):
-            finite = floats[np.isfinite(floats)]
-            if len(finite) and np.any(np.abs(finite) >= 2.0**53):
-                # Integers beyond 2**53 are not exactly representable in
-                # float64; fall back to the exact per-span conversion path
-                # (whether or not some values are missing).
-                return None
-            if not missing and np.all(floats == np.floor(floats)):
-                return floats.astype(np.int64)
-        return floats
+        return _to_array(_convert_spans(state.data, starts, ends, types), dtype_name)
 
     def scan_unnest_batch(
         self,
@@ -306,8 +240,8 @@ class JsonPlugin(InputPlugin):
         """Batch-native unnest: one offset-vector pass over the parent batch.
 
         The structural index resolves every requested parent's array span in
-        one vectorized lookup (``column_spans``) where the schema is fixed;
-        only the array spans themselves are parsed.  Flattened element values
+        one column lookup (``column_spans``); only the array spans themselves
+        are parsed.  Flattened element values
         are collected once per element path and converted in one bulk
         ``_to_array`` call — no per-parent buffers, no per-element Python
         round-trips through the Table-2 iterator protocol.
@@ -319,35 +253,15 @@ class JsonPlugin(InputPlugin):
         key = ".".join(collection_path)
         element_paths = [tuple(path) for path in element_paths]
         num_parents = len(parent_oids)
-        spans = index.column_spans(key, np.asarray(parent_oids, dtype=np.int64))
-        if spans is not None:
-            # Fixed-schema fast path: the span triple of every parent comes
-            # from three dense array gathers; present/absent/null collections
-            # are classified with vectorized masks.
-            starts, ends, types = spans
-            present = (starts >= 0) & (types != TYPE_NULL)
-            if not np.all(types[present] == TYPE_ARRAY):
-                raise PluginError(f"field {key!r} is not a nested collection")
-            present_slots = np.nonzero(present)[0]
-            start_list = starts[present_slots].tolist()
-            end_list = ends[present_slots].tolist()
-        else:
-            present_slots_list: list[int] = []
-            start_list = []
-            end_list = []
-            for slot, position in enumerate(parent_oids):
-                span = index.field_span(int(position), key)
-                if span is None:
-                    continue
-                start, end, type_code = span
-                if type_code == TYPE_NULL:
-                    continue
-                if type_code != TYPE_ARRAY:
-                    raise PluginError(f"field {key!r} is not a nested collection")
-                present_slots_list.append(slot)
-                start_list.append(start)
-                end_list.append(end)
-            present_slots = np.asarray(present_slots_list, dtype=np.int64)
+        starts, ends, types = index.column_spans(
+            key, np.asarray(parent_oids, dtype=np.int64)
+        )
+        present = (types != TYPE_MISSING) & (types != TYPE_NULL)
+        if not np.all(types[present] == TYPE_ARRAY):
+            raise PluginError(f"field {key!r} is not a nested collection")
+        present_slots = np.flatnonzero(present)
+        start_list = starts[present_slots].tolist()
+        end_list = ends[present_slots].tolist()
         # Slice every present array span (C-level slice objects) and parse
         # them all with ONE ``json.loads`` of the joined spans: the
         # per-parent decoder round-trip is the dominant cost of the
@@ -557,6 +471,78 @@ def _extract_element_values(flat: list, path: FieldPath) -> list:
         except (KeyError, TypeError, IndexError):
             pass
     return [_dig(element, path) for element in flat]
+
+
+def _numeric_column(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, types: np.ndarray, dtype_name: str
+) -> np.ndarray | None:
+    """Numeric fields: slice the number spans and convert them in one bulk
+    call (the Python analogue of the generated conversion code); missing and
+    null values are NaN.  Returns ``None`` when a non-numeric token or an
+    integer beyond 2**53 needs the exact per-value path."""
+    numbers = types == TYPE_NUMBER
+    if not np.all(numbers | (types == TYPE_NULL) | (types == TYPE_MISSING)):
+        return None
+    floats = np.full(len(types), np.nan)
+    if numbers.any():
+        starts, ends = starts[numbers], ends[numbers]
+        parsed = parse_decimals(data, starts, ends)
+        if parsed is None:
+            try:
+                parsed = np.asarray(span_bytes(data, starts, ends)).astype(np.float64)
+            except ValueError:
+                return None
+        floats[numbers] = parsed
+    if dtype_name in ("int", "date"):
+        finite = floats[np.isfinite(floats)]
+        if len(finite) and np.any(np.abs(finite) >= 2.0**53):
+            # Integers beyond 2**53 are not exactly representable in
+            # float64; fall back to the exact per-span conversion path
+            # (whether or not some values are missing).
+            return None
+        if len(floats) and numbers.all() and np.all(floats == np.floor(floats)):
+            return floats.astype(np.int64)
+    return floats
+
+
+def _convert_spans(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, types: np.ndarray
+) -> list:
+    """Python values of many spans, converted in bulk per type code
+    (missing fields are ``None``)."""
+    values: list = [None] * len(types)
+    for type_code in np.unique(types).tolist():
+        chosen = np.flatnonzero(types == type_code)
+        if type_code == TYPE_STRING:
+            converted = _decode_strings(data, starts[chosen], ends[chosen])
+        elif type_code == TYPE_BOOL:
+            converted = (np.frombuffer(data, np.uint8)[starts[chosen]] == ord("t")).tolist()
+        elif type_code in (TYPE_NULL, TYPE_MISSING):
+            continue
+        else:
+            converted = [
+                _convert_span(data, start, end, type_code)
+                for start, end in zip(starts[chosen].tolist(), ends[chosen].tolist())
+            ]
+        if len(chosen) == len(values):
+            values = converted
+            continue
+        for position, value in zip(chosen.tolist(), converted):
+            values[position] = value
+    return values
+
+
+def _decode_strings(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """JSON string spans (quotes included) to ``str``: contents without a
+    backslash decode straight from their bytes; only escaped ones go through
+    ``json.loads``."""
+    contents = span_bytes(data, starts + 1, ends - 1)
+    if b"\\" not in b"".join(contents):
+        return list(map(bytes.decode, contents))
+    return [
+        json.loads(b'"' + content + b'"') if b"\\" in content else content.decode()
+        for content in contents
+    ]
 
 
 def _convert_span(data: bytes, start: int, end: int, type_code: int) -> Any:

@@ -10,7 +10,7 @@ and consulted by the optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro.core import types as t
 from repro.errors import CatalogError

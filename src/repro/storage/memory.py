@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import mmap
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.concurrency import make_lock
 from repro.errors import StorageError

@@ -2,52 +2,75 @@
 
 Structural indexes store *positional* information about fields in verbose
 text formats instead of data values, so that the engine can navigate straight
-to the bytes it needs rather than re-parsing whole records:
+to the bytes it needs rather than re-parsing whole records.  Both indexes are
+built by whole-block bitmap passes over the raw buffer (the Mison / simdjson
+technique): a block is classified byte by byte in one table lookup, and every
+later step works on the positions of the few bytes that matter.
 
-* :class:`CsvStructuralIndex` stores the byte offset of every row and of every
-  Nth field within each row (the paper stores the positions of the 1st, 11th,
-  21st ... fields when N=10).  Locating a field starts from the closest
-  anchored position and seeks forward.
-* :class:`JsonStructuralIndex` is built during the first (validating) access
-  to a JSON dataset.  "Level 1" keeps, per object, the byte span and type of
-  every token (top-level fields, nested record fields flattened into dotted
-  paths, and arrays as opaque spans).  "Level 0" is an associative array from
-  field path to the Level-1 entry, which removes the sequential scan over the
-  object's tokens that schema flexibility would otherwise force.  When every
-  object carries the same fields in the same order the index detects the
-  *fixed schema* case and drops Level 0, keeping a single shared field list.
+* :class:`CsvStructuralIndex` stores where every row starts and ends and,
+  row-relative, where every Nth field starts (the paper stores the 1st, 11th,
+  21st ... fields when N=10).  A field span is found from the closest anchor:
+  for many rows at once by one delimiter search over those rows' bytes.
+* :class:`JsonStructuralIndex` is built during the first (validating) pass
+  over a JSON object stream.  It keeps one column per field path — top-level
+  fields, nested record fields flattened into dotted paths, arrays as opaque
+  spans — over all objects: the value's object-relative start, its length and
+  its type, with :data:`TYPE_MISSING` where an object lacks the path.  A path
+  lookup is a column lookup whatever the field order of each object, so the
+  paper's Level 0 (path -> entry per object) and its fixed-schema
+  specialization are both subsumed; ``fixed_schema`` remains as a reported
+  fact about the file.
 
-Array contents are deliberately *not* registered in Level 0: nested
-collections are handled by the explicit Unnest operator, whose code path
-applies the same action to every element and is therefore insensitive to
-schema flexibility.
+Array contents are deliberately *not* indexed: nested collections are handled
+by the explicit Unnest operator, whose code path applies the same action to
+every element and is therefore insensitive to schema flexibility.
+
+Transient memory is bounded by :data:`BLOCK_BYTES`, not by the file: blocks
+are cut at a newline (CSV) or after the last complete top-level object
+(JSON), positions are kept in block-relative or narrow integer columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
 
-# Token type codes stored in Level 1.
+# Value type codes stored per field.
 TYPE_NUMBER = 0
 TYPE_STRING = 1
 TYPE_BOOL = 2
 TYPE_NULL = 3
 TYPE_OBJECT = 4
 TYPE_ARRAY = 5
+#: The object does not carry the path.
+TYPE_MISSING = -1
 
-TYPE_NAMES = {
-    TYPE_NUMBER: "number",
-    TYPE_STRING: "string",
-    TYPE_BOOL: "bool",
-    TYPE_NULL: "null",
-    TYPE_OBJECT: "object",
-    TYPE_ARRAY: "array",
-}
+#: Bytes classified per pass.  Every transient array of a build is sized by
+#: one block; a JSON object longer than a block gets a window of its own.
+BLOCK_BYTES = 1 << 17
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` (non-negative) in the narrowest unsigned dtype that holds them."""
+    top = int(values.max()) if values.size else 0
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return values.astype(dtype)
+    return values.astype(np.int64)
+
+
+def _block_end(data: bytes, start: int, size: int) -> int:
+    """End of the block from ``start``: just after the last newline within
+    ``size`` bytes, or ``start + size`` when there is none."""
+    end = min(start + size, len(data))
+    if end < len(data):
+        newline = data.rfind(b"\n", start, end)
+        if newline >= start:
+            end = newline + 1
+    return end
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +81,24 @@ TYPE_NAMES = {
 class CsvStructuralIndex:
     """Positional index over a CSV byte buffer.
 
-    The index stores, for every data row, the byte offset where the row starts
-    and the offsets of every ``stride``-th field.  ``field_span`` seeks from
-    the nearest anchored field, so a larger stride trades index size for seek
-    work — exactly the knob described in the paper.
+    Per data row: the byte offset where it starts, its length (a trailing
+    ``\\r`` excluded) and the row-relative offsets of fields ``stride``,
+    ``2*stride``, ... (``row length + 1`` when the row is shorter).  A larger
+    stride trades index size for seek work — exactly the knob described in
+    the paper.
     """
 
     def __init__(
         self,
         row_starts: np.ndarray,
-        row_ends: np.ndarray,
+        row_lengths: np.ndarray,
         anchors: np.ndarray,
         stride: int,
         field_count: int,
         delimiter: bytes,
     ):
         self.row_starts = row_starts
-        self.row_ends = row_ends
+        self.row_lengths = row_lengths
         self.anchors = anchors
         self.stride = stride
         self.field_count = field_count
@@ -86,35 +110,102 @@ class CsvStructuralIndex:
 
     @property
     def size_bytes(self) -> int:
-        """Approximate in-memory footprint of the index."""
-        return int(self.row_starts.nbytes + self.row_ends.nbytes + self.anchors.nbytes)
+        """In-memory footprint of the index."""
+        return int(self.row_starts.nbytes + self.row_lengths.nbytes + self.anchors.nbytes)
 
     def row_span(self, row: int) -> tuple[int, int]:
-        return int(self.row_starts[row]), int(self.row_ends[row])
+        start = int(self.row_starts[row])
+        return start, start + int(self.row_lengths[row])
 
-    def field_span(self, data: bytes, row: int, field_index: int) -> tuple[int, int]:
-        """Return the byte span ``[start, end)`` of one field of one row."""
+    def _anchor(self, field_index: int) -> tuple[int, int]:
         if field_index < 0 or field_index >= self.field_count:
             raise StorageError(
                 f"field index {field_index} out of range (0..{self.field_count - 1})"
             )
-        anchor_slot = field_index // self.stride
-        start = int(self.anchors[row, anchor_slot])
-        current = anchor_slot * self.stride
-        delim = self.delimiter
-        row_end = int(self.row_ends[row])
-        while current < field_index:
-            next_delim = data.find(delim, start, row_end)
+        return divmod(field_index, self.stride)
+
+    def field_span(self, data: bytes, row: int, field_index: int) -> tuple[int, int]:
+        """Return the byte span ``[start, end)`` of one field of one row."""
+        slot, skip = self._anchor(field_index)
+        start, row_end = self.row_span(row)
+        if slot:
+            offset = int(self.anchors[row, slot - 1])
+            if offset > row_end - start:
+                raise StorageError(f"row {row} has fewer than {field_index + 1} fields")
+            start += offset
+        for _ in range(skip):
+            next_delim = data.find(self.delimiter, start, row_end)
             if next_delim == -1:
-                raise StorageError(
-                    f"row {row} has fewer than {field_index + 1} fields"
-                )
+                raise StorageError(f"row {row} has fewer than {field_index + 1} fields")
             start = next_delim + 1
-            current += 1
-        end = data.find(delim, start, row_end)
-        if end == -1:
-            end = row_end
-        return start, end
+        end = data.find(self.delimiter, start, row_end)
+        return start, row_end if end == -1 else end
+
+    def field_spans(
+        self, data: bytes, rows: "range | np.ndarray", field_index: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Byte spans ``(starts, ends)`` of one field for many rows: one
+        delimiter search over the bytes between each row's anchor and its
+        end, then ``searchsorted``."""
+        slot, skip = self._anchor(field_index)
+        rows = (
+            np.arange(rows.start, rows.stop, dtype=np.int64)
+            if isinstance(rows, range)
+            else np.asarray(rows, dtype=np.int64)
+        )
+        begin = self.row_starts[rows].astype(np.int64)
+        stop = begin + self.row_lengths[rows]
+        if slot:
+            offsets = self.anchors[rows, slot - 1].astype(np.int64)
+            short = offsets > stop - begin
+            if short.any():
+                self._short_row(rows[short][0], field_index)
+            begin += offsets
+        starts = np.empty(len(rows), dtype=np.int64)
+        ends = np.empty(len(rows), dtype=np.int64)
+        # Rows in chunks of about a block of bytes (a row costs one at least).
+        weight = np.cumsum(stop - begin + 1)
+        total = int(weight[-1]) if len(rows) else 0
+        bounds = np.searchsorted(weight, np.arange(BLOCK_BYTES, total, BLOCK_BYTES))
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(rows)]):
+            if hi > lo:
+                self._spans_of(data, begin[lo:hi], stop[lo:hi], skip,
+                               starts[lo:hi], ends[lo:hi], rows[lo:hi], field_index)
+        return starts, ends
+
+    def _spans_of(self, data, begin, stop, skip, starts, ends, rows, field_index) -> None:
+        lo, hi = int(begin.min()), int(stop.max())
+        if hi - lo <= 2 * int((stop - begin).sum()) + 64 * len(begin):
+            # Searching the bytes between the rows costs less than slicing
+            # the rows out one by one: search in place.
+            buffer = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+            seg_begin, seg_end = begin - lo, stop - lo
+        else:
+            buffer = np.frombuffer(
+                b"".join(map(data.__getitem__, map(slice, begin.tolist(), stop.tolist()))),
+                dtype=np.uint8,
+            )
+            seg_end = np.cumsum(stop - begin)
+            seg_begin = seg_end - (stop - begin)
+        delims = np.flatnonzero(buffer == self.delimiter[0])
+        first = np.searchsorted(delims, seg_begin)
+        limit = np.searchsorted(delims, seg_end)
+        field_begin = seg_begin
+        if skip:
+            short = first + skip - 1 >= limit
+            if short.any():
+                self._short_row(rows[short][0], field_index)
+            field_begin = delims[first + skip - 1] + 1
+        follow = first + skip
+        field_end = seg_end.copy()
+        has_end = follow < limit
+        field_end[has_end] = delims[follow[has_end]]
+        starts[:] = begin + (field_begin - seg_begin)
+        ends[:] = begin + (field_end - seg_begin)
+
+    @staticmethod
+    def _short_row(row, field_index: int):
+        raise StorageError(f"row {int(row)} has fewer than {field_index + 1} fields")
 
 
 def build_csv_index(
@@ -127,185 +218,55 @@ def build_csv_index(
     if stride < 1:
         raise StorageError("stride must be at least 1")
     delim = delimiter.encode()
-    length = len(data)
-    position = 0
-    if has_header and length:
-        header_end = data.find(b"\n", 0)
-        if header_end == -1:
-            header_end = length
-        header = data[:header_end]
-        field_count = header.count(delim) + 1
-        position = header_end + 1
-    else:
-        first_end = data.find(b"\n", 0)
-        if first_end == -1:
-            first_end = length
-        field_count = data[:first_end].count(delim) + 1 if length else 0
+    if len(delim) != 1:
+        raise StorageError(f"the CSV delimiter must be one byte, got {delimiter!r}")
+    first_end = data.find(b"\n")
+    if first_end == -1:
+        first_end = len(data)
+    field_count = data[:first_end].count(delim) + 1 if data else 0
+    anchor_count = max((field_count + stride - 1) // stride - 1, 0)
+    position = first_end + 1 if has_header else 0
 
-    row_starts: list[int] = []
-    row_ends: list[int] = []
-    anchor_rows: list[list[int]] = []
-    anchor_count = (field_count + stride - 1) // stride if field_count else 0
-
-    while position < length:
-        end = data.find(b"\n", position)
-        if end == -1:
-            end = length
-        if end > position:  # skip blank lines
-            row_starts.append(position)
-            row_ends.append(end)
-            anchors = [position]
-            cursor = position
-            for slot in range(1, anchor_count):
-                target = slot * stride
-                current = (slot - 1) * stride
-                while current < target:
-                    next_delim = data.find(delim, cursor, end)
-                    if next_delim == -1:
-                        cursor = end
-                        break
-                    cursor = next_delim + 1
-                    current += 1
-                anchors.append(cursor)
-            anchor_rows.append(anchors)
-        position = end + 1
+    starts: list[np.ndarray] = []
+    lengths: list[np.ndarray] = []
+    anchors: list[np.ndarray] = []
+    lo = position
+    while lo < len(data):
+        hi = _block_end(data, lo, BLOCK_BYTES)
+        if data[hi - 1] != 0x0A and hi < len(data):  # a row longer than a block
+            newline = data.find(b"\n", hi)
+            hi = len(data) if newline == -1 else newline + 1
+        buf = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+        ends = np.flatnonzero(buf == 0x0A)
+        if buf[-1] != 0x0A:
+            ends = np.append(ends, len(buf))
+        begins = np.concatenate(([0], ends[:-1] + 1))
+        ends -= (ends > begins) & (buf[np.maximum(ends - 1, 0)] == 0x0D)
+        kept = ends > begins  # blank lines hold no row
+        begins, ends = begins[kept], ends[kept]
+        delims = np.flatnonzero(buf == delim[0])
+        first = np.searchsorted(delims, begins)
+        limit = np.searchsorted(delims, ends)
+        block_anchors = np.empty((len(begins), anchor_count), dtype=np.int64)
+        for slot in range(anchor_count):
+            nth = first + (slot + 1) * stride - 1
+            found = nth < limit
+            block_anchors[:, slot] = np.where(
+                found, delims[np.minimum(nth, len(delims) - 1)] + 1 - begins, ends - begins + 1
+            ) if len(delims) else ends - begins + 1
+        starts.append(_narrow(begins + lo))
+        lengths.append(_narrow(ends - begins))
+        anchors.append(_narrow(block_anchors))
+        lo = hi
 
     return CsvStructuralIndex(
-        row_starts=np.asarray(row_starts, dtype=np.int64),
-        row_ends=np.asarray(row_ends, dtype=np.int64),
-        anchors=np.asarray(anchor_rows, dtype=np.int64).reshape(len(row_starts), -1)
-        if row_starts
-        else np.zeros((0, max(anchor_count, 1)), dtype=np.int64),
+        row_starts=np.concatenate(starts) if starts else np.zeros(0, np.uint8),
+        row_lengths=np.concatenate(lengths) if lengths else np.zeros(0, np.uint8),
+        anchors=np.concatenate(anchors) if anchors else np.zeros((0, anchor_count), np.uint8),
         stride=stride,
         field_count=field_count,
         delimiter=delim,
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON tokenizer with span recording
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TokenEntry:
-    """One Level-1 entry: a field path, its value span and its type."""
-
-    path: str
-    start: int
-    end: int
-    type_code: int
-
-
-def _skip_whitespace(data: bytes, position: int) -> int:
-    while position < len(data) and data[position] in b" \t\r\n":
-        position += 1
-    return position
-
-
-def _skip_string(data: bytes, position: int) -> int:
-    """``position`` points at the opening quote; returns index after closing quote."""
-    position += 1
-    while position < len(data):
-        byte = data[position]
-        if byte == 0x5C:  # backslash
-            position += 2
-            continue
-        if byte == 0x22:  # double quote
-            return position + 1
-        position += 1
-    raise StorageError("unterminated string in JSON input")
-
-
-def _skip_value(data: bytes, position: int) -> tuple[int, int]:
-    """Skip one JSON value starting at ``position``; return (end, type_code)."""
-    position = _skip_whitespace(data, position)
-    if position >= len(data):
-        raise StorageError("unexpected end of JSON input")
-    byte = data[position]
-    if byte == 0x22:  # string
-        return _skip_string(data, position), TYPE_STRING
-    if byte == 0x7B:  # object
-        return _skip_container(data, position, 0x7B, 0x7D), TYPE_OBJECT
-    if byte == 0x5B:  # array
-        return _skip_container(data, position, 0x5B, 0x5D), TYPE_ARRAY
-    if data.startswith(b"true", position):
-        return position + 4, TYPE_BOOL
-    if data.startswith(b"false", position):
-        return position + 5, TYPE_BOOL
-    if data.startswith(b"null", position):
-        return position + 4, TYPE_NULL
-    # number
-    end = position
-    while end < len(data) and data[end] in b"-+.eE0123456789":
-        end += 1
-    if end == position:
-        raise StorageError(f"invalid JSON value at byte {position}")
-    return end, TYPE_NUMBER
-
-
-def _skip_container(data: bytes, position: int, open_byte: int, close_byte: int) -> int:
-    depth = 0
-    i = position
-    while i < len(data):
-        byte = data[i]
-        if byte == 0x22:
-            i = _skip_string(data, i)
-            continue
-        if byte == open_byte:
-            depth += 1
-        elif byte == close_byte:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-        i += 1
-    raise StorageError("unterminated container in JSON input")
-
-
-def tokenize_object(
-    data: bytes, start: int, prefix: str = "", max_depth: int = 8
-) -> tuple[list[TokenEntry], int]:
-    """Tokenize one JSON object starting at ``start``.
-
-    Returns the Level-1 entries (top-level fields plus nested record fields
-    flattened into dotted paths; arrays as opaque spans) and the byte offset
-    just past the object's closing brace.
-    """
-    entries: list[TokenEntry] = []
-    position = _skip_whitespace(data, start)
-    if position >= len(data) or data[position] != 0x7B:
-        raise StorageError(f"expected JSON object at byte {position}")
-    object_start = position
-    position += 1
-    while True:
-        position = _skip_whitespace(data, position)
-        if position >= len(data):
-            raise StorageError("unterminated JSON object")
-        if data[position] == 0x7D:
-            position += 1
-            break
-        if data[position] == 0x2C:  # comma
-            position += 1
-            continue
-        if data[position] != 0x22:
-            raise StorageError(f"expected field name at byte {position}")
-        name_end = _skip_string(data, position)
-        name = data[position + 1:name_end - 1].decode("utf-8")
-        position = _skip_whitespace(data, name_end)
-        if position >= len(data) or data[position] != 0x3A:  # colon
-            raise StorageError(f"expected ':' at byte {position}")
-        position = _skip_whitespace(data, position + 1)
-        value_start = position
-        value_end, type_code = _skip_value(data, position)
-        path = f"{prefix}{name}"
-        entries.append(TokenEntry(path, value_start, value_end, type_code))
-        if type_code == TYPE_OBJECT and max_depth > 1:
-            nested, _ = tokenize_object(data, value_start, f"{path}.", max_depth - 1)
-            entries.extend(nested)
-        position = value_end
-    # Record the overall object span as the first entry, mirroring Figure 4.
-    entries.insert(0, TokenEntry(prefix.rstrip("."), object_start, position, TYPE_OBJECT))
-    return entries, position
 
 
 # ---------------------------------------------------------------------------
@@ -314,193 +275,464 @@ def tokenize_object(
 
 
 class JsonStructuralIndex:
-    """Two-level structural index over a JSON dataset (one object per line or
-    a whitespace-separated stream of objects)."""
+    """Structural index over a JSON object stream (one object per line or a
+    whitespace-separated stream of objects): per field path, a column over
+    all objects of (object-relative start, length, type)."""
 
     def __init__(
         self,
-        object_spans: np.ndarray,
+        object_starts: np.ndarray,
+        object_lengths: np.ndarray,
+        path_names: Sequence[str],
+        columns: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
         fixed_schema: bool,
-        shared_paths: tuple[str, ...] | None,
-        spans: np.ndarray | None,
-        types: np.ndarray | None,
-        level0: list[dict[str, int]] | None,
-        per_object_entries: list[list[TokenEntry]] | None,
     ):
-        self.object_spans = object_spans
+        self.object_starts = object_starts
+        self.object_lengths = object_lengths
+        self.path_names = tuple(path_names)
+        self._slots = {path: slot for slot, path in enumerate(self.path_names)}
+        self.columns = list(columns)
+        #: Every object carries the same field paths in the same order.
         self.fixed_schema = fixed_schema
-        self.shared_paths = shared_paths
-        self._shared_slots = (
-            {path: slot for slot, path in enumerate(shared_paths)} if shared_paths else {}
-        )
-        self.spans = spans
-        self.types = types
-        self.level0 = level0
-        self.per_object_entries = per_object_entries
 
     @property
     def num_objects(self) -> int:
-        return len(self.object_spans)
+        return len(self.object_starts)
 
     @property
     def size_bytes(self) -> int:
-        """Approximate in-memory footprint of the index."""
-        total = int(self.object_spans.nbytes)
-        if self.fixed_schema:
-            assert self.spans is not None and self.types is not None
-            total += int(self.spans.nbytes + self.types.nbytes)
-            if self.shared_paths:
-                total += sum(len(p) for p in self.shared_paths)
-        else:
-            assert self.per_object_entries is not None and self.level0 is not None
-            for entries, mapping in zip(self.per_object_entries, self.level0):
-                total += len(entries) * 24  # start, end, type per entry
-                total += sum(len(path) + 8 for path in mapping)
-        return total
+        """In-memory footprint of the index."""
+        total = int(self.object_starts.nbytes + self.object_lengths.nbytes)
+        for column in self.columns:
+            total += sum(int(array.nbytes) for array in column)
+        return total + sum(len(path) for path in self.path_names)
 
     def object_span(self, index: int) -> tuple[int, int]:
-        return int(self.object_spans[index, 0]), int(self.object_spans[index, 1])
+        start = int(self.object_starts[index])
+        return start, start + int(self.object_lengths[index])
 
     def paths(self) -> set[str]:
-        """All field paths known to the index (excluding the root entries)."""
-        if self.fixed_schema:
-            return set(self.shared_paths or ())
-        result: set[str] = set()
-        assert self.level0 is not None
-        for mapping in self.level0:
-            result.update(mapping)
-        result.discard("")
-        return result
+        """All field paths known to the index."""
+        return set(self.path_names)
 
     def column_spans(
-        self, path: str, positions: "np.ndarray | list[int] | None" = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Vectorized span lookup for one field across many objects.
-
-        Only available for fixed-schema indexes (where Level 0 has been
-        dropped and the per-object spans live in dense arrays); returns
-        ``(starts, ends, type_codes)`` with ``start == -1`` marking missing
-        fields, or ``None`` when the index is not fixed-schema or the path is
-        unknown.
-        """
-        if not self.fixed_schema:
-            return None
-        slot = self._shared_slots.get(path)
+        self, path: str, positions: "np.ndarray | None" = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Span lookup for one field across all objects (or the objects at
+        ``positions``): ``(starts, ends, type_codes)`` with
+        :data:`TYPE_MISSING` where an object lacks the path (or the path is
+        unknown to the index)."""
+        rows = slice(None) if positions is None else np.asarray(positions, dtype=np.int64)
+        slot = self._slots.get(path)
         if slot is None:
-            return None
-        assert self.spans is not None and self.types is not None
-        if positions is None:
-            starts = self.spans[:, slot, 0]
-            ends = self.spans[:, slot, 1]
-            types = self.types[:, slot]
-        else:
-            positions = np.asarray(positions, dtype=np.int64)
-            starts = self.spans[positions, slot, 0]
-            ends = self.spans[positions, slot, 1]
-            types = self.types[positions, slot]
-        return starts, ends, types
+            count = self.num_objects if positions is None else len(rows)
+            zeros = np.zeros(count, dtype=np.int64)
+            return zeros, zeros, np.full(count, TYPE_MISSING, dtype=np.int8)
+        offsets, lengths, types = self.columns[slot]
+        starts = self.object_starts[rows].astype(np.int64) + offsets[rows]
+        return starts, starts + lengths[rows], types[rows]
 
     def field_span(self, index: int, path: str) -> tuple[int, int, int] | None:
         """Return ``(start, end, type_code)`` of field ``path`` in object
         ``index``, or ``None`` when the object lacks the field."""
-        if self.fixed_schema:
-            slot = self._shared_slots.get(path)
-            if slot is None:
-                return None
-            assert self.spans is not None and self.types is not None
-            start = int(self.spans[index, slot, 0])
-            end = int(self.spans[index, slot, 1])
-            if start < 0:
-                return None
-            return start, end, int(self.types[index, slot])
-        assert self.level0 is not None and self.per_object_entries is not None
-        slot = self.level0[index].get(path)
+        slot = self._slots.get(path)
         if slot is None:
             return None
-        entry = self.per_object_entries[index][slot]
-        return entry.start, entry.end, entry.type_code
+        offsets, lengths, types = self.columns[slot]
+        type_code = int(types[index])
+        if type_code == TYPE_MISSING:
+            return None
+        start = int(self.object_starts[index]) + int(offsets[index])
+        return start, start + int(lengths[index]), type_code
 
 
-def iter_object_starts(data: bytes) -> Iterator[int]:
-    """Yield the byte offset of every top-level object in the buffer."""
-    position = 0
-    length = len(data)
-    while True:
-        position = _skip_whitespace(data, position)
-        if position >= length:
-            return
-        if data[position] != 0x7B:
+# Byte classes of one table lookup per byte.  Scalar bytes (numbers,
+# literals, garbage) are the classes up to _BACKSLASH.
+_OTHER, _NUM, _BACKSLASH, _WS, _QUOTE = 0, 1, 2, 3, 4
+_OBJ_OPEN, _OBJ_CLOSE, _ARR_OPEN, _ARR_CLOSE, _COLON, _COMMA = 5, 6, 7, 8, 9, 10
+# Token kinds beyond the structural bytes: a string (at its opening quote)
+# and a run of scalar bytes.
+_STRING, _SCALAR = 11, 12
+
+_CLASS = np.zeros(256, dtype=np.uint8)
+for _byte in b"-+.eE0123456789":
+    _CLASS[_byte] = _NUM
+for _byte, _code in zip(b' \t\r\n\\"{}[]:,', (_WS,) * 4 + (
+        _BACKSLASH, _QUOTE, _OBJ_OPEN, _OBJ_CLOSE, _ARR_OPEN, _ARR_CLOSE, _COLON, _COMMA)):
+    _CLASS[_byte] = _code
+
+_DEPTH_STEP = np.zeros(13, dtype=np.int8)
+_DEPTH_STEP[[_OBJ_OPEN, _ARR_OPEN]] = 1
+_DEPTH_STEP[[_OBJ_CLOSE, _ARR_CLOSE]] = -1
+_ARRAY_STEP = np.zeros(13, dtype=np.int8)
+_ARRAY_STEP[_ARR_OPEN], _ARRAY_STEP[_ARR_CLOSE] = 1, -1
+_VALUE_TYPE = np.full(13, TYPE_MISSING, dtype=np.int8)
+_VALUE_TYPE[[_STRING, _OBJ_OPEN, _ARR_OPEN]] = TYPE_STRING, TYPE_OBJECT, TYPE_ARRAY
+_SCALAR_TYPE = np.full(256, TYPE_NUMBER, dtype=np.int8)
+_SCALAR_TYPE[[ord("t"), ord("f"), ord("n")]] = TYPE_BOOL, TYPE_BOOL, TYPE_NULL
+_LITERALS = (b"true", b"false", b"null")
+
+#: Keys up to this many 8-byte words are interned by vectorized comparison;
+#: longer ones one by one.
+_KEY_WORDS = 4
+_WORD_MASKS = np.asarray([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
+
+
+class _Problems:
+    """Malformed-input findings of one block; the earliest one is raised."""
+
+    def __init__(self, base: int, positions: np.ndarray):
+        self.base = base
+        self.positions = positions
+        self.found: list[tuple[int, str]] = []
+
+    def check(self, bad: np.ndarray, tokens: "np.ndarray | int", message: str) -> None:
+        """Record ``message`` at the first token flagged by ``bad``:
+        ``tokens[i]`` for an array, token ``i + tokens`` for a shift."""
+        if bad.any():
+            first = int(np.argmax(bad))
+            token = tokens + first if isinstance(tokens, int) else tokens[first]
+            self.found.append((int(self.positions[token]), message))
+
+    def raise_first(self) -> None:
+        if self.found:
+            position, message = min(self.found, key=lambda found: found[0])
+            raise StorageError(message.format(byte=self.base + position))
+
+
+class _JsonBuilder:
+    """Accumulates the per-block results of :func:`build_json_index`."""
+
+    def __init__(self, max_depth: int):
+        self.max_depth = max(max_depth, 1)
+        self.keys: dict[bytes, int] = {}
+        self.key_names: list[str] = []
+        self.path_ids: dict[str, int] = {}
+        self.path_names: list[str] = []
+        self.object_starts: list[np.ndarray] = []
+        self.object_lengths: list[np.ndarray] = []
+        #: Per path id, ``{block number: (offsets, lengths, types)}``.
+        self.pieces: list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+        self.reference: np.ndarray | None = None
+        self.fixed = True
+
+    # -- one block -------------------------------------------------------------
+
+    def scan(self, data: bytes, lo: int, hi: int, at_end: bool) -> int | None:
+        """Index the complete objects of ``data[lo:hi]``; returns where they
+        end, or ``None`` when the window holds no complete object yet."""
+        buf = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+        classes = _CLASS[buf]
+        quote = classes == _QUOTE
+        backslashes = np.flatnonzero(classes == _BACKSLASH)
+        if len(backslashes):
+            quote[_escaped_quotes(quote, backslashes)] = False
+        inside = np.bitwise_xor.accumulate(quote.view(np.uint8)).view(np.bool_)
+        outside = ~inside
+        kinds_of_bytes = np.where(outside & (classes >= _OBJ_OPEN), classes, np.uint8(0))
+        kinds_of_bytes[quote & inside] = _STRING
+        scalar = outside & (classes <= _BACKSLASH)
+        edges = np.flatnonzero(np.diff(scalar.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+        kinds_of_bytes[edges[0::2]] = _SCALAR
+        positions = np.flatnonzero(kinds_of_bytes)
+        kinds = kinds_of_bytes[positions]
+        # Scalar bytes that cannot be part of a number.
+        foreign = np.flatnonzero(scalar & (classes != _NUM))
+        del kinds_of_bytes, scalar, classes
+
+        ends = positions + 1
+        strings = np.flatnonzero(kinds == _STRING)
+        closing = np.flatnonzero(quote & outside)
+        ends[strings[: len(closing)]] = closing + 1
+        unterminated = len(strings) > len(closing)
+        ends[kinds == _SCALAR] = edges[1::2]
+
+        step = _DEPTH_STEP[kinds]
+        depth = np.cumsum(step, dtype=np.int32)
+        before = depth - step
+        # Every token inside the window is exact (a token depends only on
+        # the bytes before it), so these errors hold wherever they occur.
+        negative = np.flatnonzero(depth < 0)
+        if len(negative):
             raise StorageError(
-                f"expected '{{' at byte {position}; the JSON input must be a "
-                "stream of objects (one per line or whitespace separated)"
+                f"unbalanced '{chr(buf[positions[negative[0]]])}' at byte "
+                f"{lo + int(positions[negative[0]])}"
             )
-        yield position
-        position = _skip_container(data, position, 0x7B, 0x7D)
+        garbage = np.flatnonzero((before == 0) & (kinds != _OBJ_OPEN))
+        if len(garbage):
+            raise StorageError(
+                f"expected '{{' at byte {lo + int(positions[garbage[0]])}; the JSON "
+                "input must be a stream of objects (one per line or whitespace separated)"
+            )
+        top_closes = np.flatnonzero((depth == 0) & (kinds == _OBJ_CLOSE))
+        complete = int(top_closes[-1]) + 1 if len(top_closes) else 0
+        if at_end and complete < len(kinds):
+            raise StorageError(
+                "unterminated string in JSON input" if unterminated
+                else "unterminated container in JSON input"
+            )
+        if not complete:
+            return hi if at_end else None
+        positions, kinds, ends = positions[:complete], kinds[:complete], ends[:complete]
+        step, depth, before = step[:complete], depth[:complete], before[:complete]
+        self._index_tokens(buf, lo, foreign, positions, kinds, ends, step, depth, before)
+        return lo + int(positions[-1]) + 1
+
+    def _index_tokens(self, buf, lo, foreign, positions, kinds, ends, step, depth, before) -> None:
+        count = len(kinds)
+        problems = _Problems(lo, positions)
+
+        # Pair every bracket with its partner: within one nesting level the
+        # brackets alternate opener, closer in document order.
+        brackets = np.flatnonzero(step)
+        level = depth[brackets] + (step[brackets] < 0)
+        order = brackets[np.argsort(level, kind="stable")]
+        openers, closers = order[0::2], order[1::2]
+        problems.check(kinds[closers] != kinds[openers] + 1, closers,
+                       "mismatched bracket at byte {byte}")
+        partner = np.zeros(count, dtype=np.int64)
+        partner[openers] = closers
+
+        array_step = _ARRAY_STEP[kinds]
+        array_depth = np.cumsum(array_step, dtype=np.int32)
+        in_object = np.minimum(array_depth, array_depth - array_step) == 0
+
+        # A field is a colon of an object (not inside an array): key before
+        # it, value after it, then ',' or '}'.
+        colons = np.flatnonzero((kinds == _COLON) & in_object)
+        keys, values = colons - 1, colons + 1
+        lead = kinds[np.maximum(colons - 2, 0)]
+        problems.check(kinds[keys] != _STRING, keys, "expected field name at byte {byte}")
+        problems.check((lead != _OBJ_OPEN) & (lead != _COMMA), keys,
+                       "expected ',' or '}}' at byte {byte}")
+        value_kinds = kinds[values]
+        types = _VALUE_TYPE[value_kinds]
+        scalars = value_kinds == _SCALAR
+        types[scalars] = _SCALAR_TYPE[buf[positions[values[scalars]]]]
+        problems.check((types == TYPE_MISSING) & ~scalars, values,
+                       "invalid JSON value at byte {byte}")
+        containers = (value_kinds == _OBJ_OPEN) | (value_kinds == _ARR_OPEN)
+        last = np.where(containers, partner[values], values)
+        follow = kinds[np.minimum(last + 1, count - 1)]
+        problems.check(
+            (types != TYPE_MISSING) & (follow != _COMMA) & (follow != _OBJ_CLOSE),
+            np.minimum(last + 1, count - 1), "expected ',' or '}}' at byte {byte}",
+        )
+        scalar_values = values[scalars]
+        problems.check(
+            ~_valid_scalars(buf, foreign, positions[scalar_values], ends[scalar_values]),
+            scalar_values, "invalid JSON value at byte {byte}",
+        )
+
+        # Every other token of an object must belong to some field.
+        leads = np.zeros(count, dtype=bool)
+        leads[np.maximum(colons - 2, 0)] = True
+        afters = np.zeros(count, dtype=bool)
+        afters[np.minimum(last + 1, count - 1)] = True
+        nxt = np.append(kinds[1:], np.uint8(_OBJ_CLOSE))  # the last token is a '}'
+        prev = np.insert(kinds[:-1], 0, np.uint8(0))
+        # (A string that is no key is reported below as a missing ':'.)
+        unnamed = ~leads & (nxt != _STRING)
+        problems.check(in_object & (kinds == _COMMA) & (~afters | unnamed), 1,
+                       "expected field name at byte {byte}")
+        problems.check(in_object & (kinds == _OBJ_OPEN) & unnamed & (nxt != _OBJ_CLOSE),
+                       1, "expected field name at byte {byte}")
+        problems.check(in_object & (kinds == _OBJ_CLOSE) & ~afters & (prev != _OBJ_OPEN),
+                       0, "expected field name at byte {byte}")
+        problems.check(in_object & (kinds == _STRING) & (nxt != _COLON) & (prev != _COLON),
+                       1, "expected ':' at byte {byte}")
+        problems.check(in_object & ((kinds == _SCALAR) | (kinds == _ARR_OPEN)) & (prev != _COLON),
+                       0, "invalid JSON value at byte {byte}")
+        problems.raise_first()
+
+        # Objects, and the fields recorded (nesting up to max_depth).
+        objects = np.flatnonzero(before == 0)
+        object_starts = positions[objects]
+        self.object_starts.append(_narrow(object_starts + lo))
+        self.object_lengths.append(_narrow(positions[partner[objects]] + 1 - object_starts))
+        recorded = depth[colons] <= self.max_depth
+        colons, keys, values = colons[recorded], keys[recorded], values[recorded]
+        types, last, depths = types[recorded], last[recorded], depth[colons]
+        owner = np.searchsorted(objects, colons, side="right") - 1
+        key_ids = self._intern_keys(buf, positions[keys] + 1, ends[keys] - 1 - positions[keys] - 1)
+        path_ids = self._intern_paths(kinds, depth, in_object, colons, depths, key_ids)
+        starts = positions[values]
+        self._add_block(owner, len(objects), path_ids, starts - object_starts[owner],
+                        ends[last] - starts, types)
+
+    # -- names -----------------------------------------------------------------
+
+    def _intern_keys(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Global key ids of the key byte strings ``buf[start:start+length]``."""
+        ids = np.empty(len(starts), dtype=np.int64)
+        short = lengths <= 8 * _KEY_WORDS
+        if short.any():
+            padded = np.zeros(len(buf) + 8 * _KEY_WORDS, dtype=np.uint8)
+            padded[: len(buf)] = buf
+            words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+            s, n = starts[short], lengths[short]
+            # A key is its length plus its bytes as little-endian words.
+            signature = [n.astype(np.uint64)] + [
+                words[s + 8 * word] & _WORD_MASKS[np.clip(n - 8 * word, 0, 8)]
+                for word in range(-(-int(n.max()) // 8))
+            ]
+            order = np.lexsort(signature)
+            new = np.ones(len(order), dtype=bool)
+            for column in signature:
+                ordered = column[order]
+                new[1:] &= ordered[1:] == ordered[:-1]
+            new = ~new
+            new[0] = True
+            group = np.empty(len(order), dtype=np.int64)
+            group[order] = np.cumsum(new) - 1
+            first = order[new]
+            local = np.asarray([self._key_id(bytes(buf[s[i]:s[i] + n[i]])) for i in first.tolist()])
+            ids[short] = local[group]
+        for i in np.flatnonzero(~short).tolist():
+            ids[i] = self._key_id(bytes(buf[starts[i]:starts[i] + lengths[i]]))
+        return ids
+
+    def _key_id(self, key: bytes) -> int:
+        known = self.keys.get(key)
+        if known is None:
+            known = self.keys[key] = len(self.key_names)
+            self.key_names.append(key.decode("utf-8"))
+        return known
+
+    def _intern_paths(self, kinds, depth, in_object, colons, depths, key_ids) -> np.ndarray:
+        """Path id of every recorded field: its key under the path of the
+        field whose object value encloses it."""
+        path_ids = np.empty(len(colons), dtype=np.int64)
+        parents = np.full(len(colons), -1, dtype=np.int64)
+        for level in range(1, int(depths.max()) + 1 if len(depths) else 1):
+            at_level = np.flatnonzero(depths == level)
+            if level > 1:
+                openers = np.flatnonzero((kinds == _OBJ_OPEN) & in_object & (depth == level))
+                enclosing = openers[np.searchsorted(openers, colons[at_level]) - 1]
+                parents[at_level] = path_ids[np.searchsorted(colons, enclosing - 1)]
+            width = len(self.key_names)
+            pairs, inverse = np.unique(
+                (parents[at_level] + 1) * width + key_ids[at_level], return_inverse=True
+            )
+            ids = np.asarray(
+                [self._path_id(pair // width - 1, pair % width) for pair in pairs.tolist()],
+                dtype=np.int64,
+            )
+            path_ids[at_level] = ids[inverse]
+        return path_ids
+
+    def _path_id(self, parent: int, key: int) -> int:
+        name = self.key_names[key]
+        if parent >= 0:
+            name = f"{self.path_names[parent]}.{name}"
+        known = self.path_ids.get(name)
+        if known is None:
+            known = self.path_ids[name] = len(self.path_names)
+            self.path_names.append(name)
+            self.pieces.append({})
+        return known
+
+    # -- columns ---------------------------------------------------------------
+
+    def _add_block(self, owner, objects: int, path_ids, offsets, lengths, types) -> None:
+        block = len(self.object_starts) - 1
+        counts = np.bincount(owner, minlength=objects)
+        if self.fixed and objects:
+            if self.reference is None:
+                self.reference = path_ids[: counts[0]]
+            width = len(self.reference)
+            self.fixed = bool(
+                np.all(counts == width)
+                and np.array_equal(path_ids.reshape(objects, width),
+                                   np.broadcast_to(self.reference, (objects, width)))
+            )
+        # Stable by path: within a path objects ascend, and a duplicate key
+        # keeps its first occurrence.
+        order = np.argsort(path_ids, kind="stable")
+        sorted_paths, sorted_owner = path_ids[order], owner[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (sorted_paths[1:] != sorted_paths[:-1]) | (
+            sorted_owner[1:] != sorted_owner[:-1]
+        )
+        order = order[first]
+        sorted_paths = path_ids[order]
+        bounds = np.flatnonzero(np.diff(sorted_paths)) + 1
+        for run in np.split(order, bounds) if len(order) else []:
+            rows = owner[run]
+            column_offsets = np.zeros(objects, dtype=np.int64)
+            column_lengths = np.zeros(objects, dtype=np.int64)
+            column_types = np.full(objects, TYPE_MISSING, dtype=np.int8)
+            column_offsets[rows], column_lengths[rows] = offsets[run], lengths[run]
+            column_types[rows] = types[run]
+            self.pieces[int(path_ids[run[0]])][block] = (
+                _narrow(column_offsets), _narrow(column_lengths), column_types,
+            )
+
+    def finish(self) -> JsonStructuralIndex:
+        sizes = [len(starts) for starts in self.object_starts]
+        columns = []
+        for pieces in self.pieces:
+            parts = [
+                pieces.pop(block, None) or (
+                    np.zeros(size, np.uint8), np.zeros(size, np.uint8),
+                    np.full(size, TYPE_MISSING, np.int8),
+                )
+                for block, size in enumerate(sizes)
+            ]
+            columns.append(tuple(np.concatenate(part) for part in zip(*parts)))
+        return JsonStructuralIndex(
+            object_starts=np.concatenate(self.object_starts) if sizes else np.zeros(0, np.uint8),
+            object_lengths=np.concatenate(self.object_lengths) if sizes else np.zeros(0, np.uint8),
+            path_names=self.path_names,
+            columns=columns,
+            fixed_schema=self.fixed and sum(sizes) > 0,
+        )
+
+
+def _escaped_quotes(quote: np.ndarray, backslashes: np.ndarray) -> np.ndarray:
+    """Positions of quotes preceded by an odd run of backslashes."""
+    run_start = np.zeros(len(backslashes), dtype=np.int64)
+    breaks = np.flatnonzero(np.diff(backslashes) != 1) + 1
+    run_start[breaks] = breaks
+    run_start = np.maximum.accumulate(run_start)
+    after = backslashes + 1
+    candidate = after < len(quote)
+    candidate[candidate] = quote[after[candidate]]
+    run_length = np.arange(len(backslashes)) - run_start + 1
+    return after[candidate & (run_length % 2 == 1)]
+
+
+def _valid_scalars(
+    buf: np.ndarray, foreign: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Whether each scalar token ``buf[start:end]`` is ``true``, ``false``,
+    ``null`` or holds none of the ``foreign`` (non-number) byte positions."""
+    leading = buf[starts]
+    valid = np.searchsorted(foreign, starts) == np.searchsorted(foreign, ends)
+    for literal in _LITERALS:
+        chosen = leading == literal[0]
+        matches = ends[chosen] - starts[chosen] == len(literal)
+        for offset, byte in enumerate(literal):
+            matches &= buf[np.minimum(starts[chosen] + offset, len(buf) - 1)] == byte
+        valid[chosen] = matches
+    return valid
 
 
 def build_json_index(data: bytes, max_depth: int = 8) -> JsonStructuralIndex:
     """Validate a JSON object stream and build its structural index.
 
-    Mirrors the paper's first-access behaviour: the input is validated, a
-    Level-1 index is populated per object, and if every object carries the
-    same fields in the same order Level 0 is dropped in favour of a shared,
-    deterministic field list.
+    Mirrors the paper's first-access behaviour: the input is validated and
+    the position of every field of every object (nested records up to
+    ``max_depth`` levels) is recorded, one block of :data:`BLOCK_BYTES` at a
+    time.  Malformed input raises :class:`~repro.errors.StorageError`.
     """
-    object_spans: list[tuple[int, int]] = []
-    all_entries: list[list[TokenEntry]] = []
-    for start in iter_object_starts(data):
-        entries, end = tokenize_object(data, start, max_depth=max_depth)
-        object_spans.append((start, end))
-        all_entries.append(entries)
-
-    spans_array = np.asarray(object_spans, dtype=np.int64).reshape(len(object_spans), 2) \
-        if object_spans else np.zeros((0, 2), dtype=np.int64)
-
-    # Fixed-schema detection: identical ordered field paths in every object.
-    field_sequences = {
-        tuple(entry.path for entry in entries[1:] if entry.type_code != TYPE_OBJECT
-              or "." not in entry.path)
-        for entries in all_entries
-    }
-    ordered_paths = [
-        tuple(entry.path for entry in entries[1:]) for entries in all_entries
-    ]
-    fixed = len(set(ordered_paths)) <= 1 and bool(all_entries)
-    del field_sequences
-
-    if fixed:
-        shared_paths = ordered_paths[0] if ordered_paths else ()
-        spans = np.full((len(all_entries), len(shared_paths), 2), -1, dtype=np.int64)
-        types = np.zeros((len(all_entries), len(shared_paths)), dtype=np.int8)
-        for obj_index, entries in enumerate(all_entries):
-            for slot, entry in enumerate(entries[1:]):
-                spans[obj_index, slot, 0] = entry.start
-                spans[obj_index, slot, 1] = entry.end
-                types[obj_index, slot] = entry.type_code
-        return JsonStructuralIndex(
-            object_spans=spans_array,
-            fixed_schema=True,
-            shared_paths=shared_paths,
-            spans=spans,
-            types=types,
-            level0=None,
-            per_object_entries=None,
-        )
-
-    level0: list[dict[str, int]] = []
-    for entries in all_entries:
-        mapping: dict[str, int] = {}
-        for slot, entry in enumerate(entries):
-            if slot == 0:
-                continue
-            mapping.setdefault(entry.path, slot)
-        level0.append(mapping)
-    return JsonStructuralIndex(
-        object_spans=spans_array,
-        fixed_schema=False,
-        shared_paths=None,
-        spans=None,
-        types=None,
-        level0=level0,
-        per_object_entries=all_entries,
-    )
+    builder = _JsonBuilder(max_depth)
+    start, size, length = 0, BLOCK_BYTES, len(data)
+    while start < length:
+        end = _block_end(data, start, size)
+        cut = builder.scan(data, start, end, at_end=end == length)
+        if cut is None:  # an object longer than the window: widen it
+            size *= 2
+            continue
+        start, size = cut, BLOCK_BYTES
+    return builder.finish()

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import types as t
 from repro.storage.binary_format import write_column_table
 from repro.workloads.query_spec import (
-    FilterSpec,
     GroupBySpec,
     JoinSpec,
-    ProjectionSpec,
     QuerySpec,
     TableRef,
     UnnestSpec,

@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from tests.conftest import FANOUT_BATCH_SIZE, make_engine
-from repro.errors import CorruptDataError, ProteusError, ScanIOError
+from repro import ProteusEngine
+from repro.errors import CorruptDataError, ProteusError, ScanIOError, error_code
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.storage.catalog import DataFormat
 
@@ -104,6 +105,34 @@ def test_corrupt_data_surfaces_res006_and_is_never_retried(paths):
     assert injector.injected == [(2, "corrupt")]
     _clear(engine)
     assert engine.query("select count(*) from items_csv").rows == [(120,)]
+
+
+#: Malformed raw files (no injected fault): name -> (format, bytes, query).
+MALFORMED_FILES = {
+    "truncated_json": ("json", b'{"a": 1}\n{"a": 2', "select sum(a) from bad"),
+    "bad_scalar_json": ("json", b'{"a": 1x}\n', "select sum(a) from bad"),
+    "top_level_array_json": ("json", b"[1, 2]\n", "select sum(a) from bad"),
+    "short_csv_row": ("csv", b"a,b\n1,2\n3\n", "select sum(b) from bad"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+@pytest.mark.parametrize("tier", ["codegen", "volcano"])
+def test_malformed_raw_file_is_res006_naming_the_dataset(tmp_path, case, tier):
+    """Parse corruption in the file itself — not only an injected one — is a
+    coded RES006 naming the dataset, on every tier, and is counted as such."""
+    fmt, content, query = MALFORMED_FILES[case]
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(content)
+    engine = ProteusEngine(enable_caching=False, **TIER_CONFIGS[tier])
+    register = engine.register_json if fmt == "json" else engine.register_csv
+    register("bad", str(path), schema={"a": "int", "b": "int"})
+    with pytest.raises(CorruptDataError) as info:
+        engine.query(query)
+    assert error_code(info.value) == "RES006"
+    assert info.value.dataset == "bad" and "'bad'" in str(info.value)
+    failed = engine.metrics.to_dict()["proteus_queries_failed_total"]["values"]
+    assert failed == {"{code=RES006}": 1.0}
 
 
 def test_retry_budget_exhaustion_is_coded(paths):

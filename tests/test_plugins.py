@@ -4,6 +4,7 @@ and the output plug-ins."""
 import numpy as np
 import pytest
 
+from repro import ProteusEngine
 from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
@@ -93,6 +94,24 @@ def test_csv_index_info(paths, memory):
     assert info["build_seconds"] >= 0
 
 
+def test_csv_crlf_line_ends_stay_out_of_values(tmp_path, memory):
+    """A ``\\r\\n`` file reads like its ``\\n`` twin: the ``\\r`` ends the
+    row, it is not part of the last field."""
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"id,label\r\n1,pharma\r\n2,casino\r\n\r\n3,pharma\r\n")
+    schema = t.make_schema({"id": "int", "label": "string"})
+    plugin = CsvPlugin(memory)
+    dataset = _dataset("crlf", DataFormat.CSV, str(path), schema)
+    assert list(plugin.scan_columns(dataset, [("label",)]).column(("label",))) == [
+        "pharma", "casino", "pharma",
+    ]
+    assert plugin.read_value(dataset, 2, ("label",)) == "pharma"
+    assert [row["label"] for row in plugin.iterate_rows(dataset)] == ["pharma", "casino", "pharma"]
+    engine = ProteusEngine()
+    engine.register_csv("crlf", str(path), schema=schema)
+    assert engine.query("SELECT COUNT(*) FROM crlf WHERE label = 'pharma'").rows == [(2,)]
+
+
 # -- JSON plug-in ---------------------------------------------------------------------
 
 
@@ -125,6 +144,30 @@ def test_json_scan_unnest_subset_of_parents(paths, memory):
     assert buffers.count == expected_total
     # positions index into the *given* parent list
     assert set(buffers.parent_positions.tolist()) <= {0, 1, 2}
+
+
+def test_json_columns_convert_in_bulk_per_type(tmp_path, memory):
+    """Columns convert in bulk per value type and equal ``json.loads`` of each
+    object: strings with escapes and non-ASCII text, mixed types, arrays;
+    missing fields are None."""
+    import json
+
+    texts = ["plain", 'quote " inside', "back\\slash", "tab\there", "é raw", " ", "", "{[:,]}"]
+    objects = [
+        {"s": text, "mixed": [i, i] if i % 3 else (i if i % 2 else text), "pair": [i, -i]}
+        for i, text in enumerate(texts)
+    ]
+    lines = [json.dumps(o, ensure_ascii=i % 2 == 0) for i, o in enumerate(objects)]
+    path = tmp_path / "values.json"
+    path.write_text("\n".join(lines + ['{"other": 1}']) + "\n", encoding="utf-8")
+    plugin = JsonPlugin(memory)
+    schema = t.make_schema({"s": "string", "mixed": "string", "pair": ["int"]})
+    dataset = _dataset("values", DataFormat.JSON, str(path), schema)
+    buffers = plugin.scan_columns(dataset, [("s",), ("mixed",), ("pair",)])
+    for name in ("s", "mixed", "pair"):
+        assert list(buffers.column((name,))) == [o.get(name) for o in objects + [{}]]
+    picked = plugin.scan_columns_at(dataset, [("s",)], np.asarray([8, 2, 1]))
+    assert list(picked.column(("s",))) == [None, texts[2], texts[1]]
 
 
 def test_json_unnest_requires_array(paths, memory):

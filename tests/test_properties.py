@@ -3,6 +3,7 @@ equivalence of the execution back-ends."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -15,8 +16,10 @@ from repro.core import types as t
 from repro.core.executor import radix
 from repro.core.expressions import BinaryOp, FieldRef, Literal
 from repro.core.normalizer import fold_constants
+from repro.errors import StorageError
 from repro.storage import structural_index as si
 from repro.storage.binary_format import write_column_table
+from tests import json_reference
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -124,6 +127,17 @@ def test_json_structural_index_spans_roundtrip(objects):
         assert span is None
 
 
+@contextlib.contextmanager
+def _block_bytes(size):
+    """Run the index builders with ``size``-byte blocks."""
+    saved = si.BLOCK_BYTES
+    si.BLOCK_BYTES = size
+    try:
+        yield
+    finally:
+        si.BLOCK_BYTES = saved
+
+
 @SETTINGS
 @given(
     rows=st.lists(
@@ -136,17 +150,131 @@ def test_json_structural_index_spans_roundtrip(objects):
         max_size=30,
     ),
     stride=st.integers(min_value=1, max_value=4),
+    block=st.sampled_from([1, 7, 64, si.BLOCK_BYTES]),
+    line_end=st.sampled_from(["\n", "\r\n"]),
 )
-def test_csv_structural_index_spans_roundtrip(rows, stride):
-    lines = ["x,y,z"] + [f"{a},{b:.3f},{c}" for a, b, c in rows]
-    data = ("\n".join(lines) + "\n").encode()
-    index = si.build_csv_index(data, stride=stride)
-    assert index.num_rows == len(rows)
-    for row, (a, b, c) in enumerate(rows):
-        start, end = index.field_span(data, row, 0)
-        assert data[start:end].decode() == str(a)
-        start, end = index.field_span(data, row, 2)
-        assert data[start:end].decode() == c
+def test_csv_structural_index_spans_roundtrip(rows, stride, block, line_end):
+    lines = ["w,x,y,z"] + [f"{a},{a % 7},{b:.3f},{c}" for a, b, c in rows]
+    data = (line_end.join(lines) + line_end).encode()
+    with _block_bytes(block):
+        index = si.build_csv_index(data, stride=stride)
+        assert index.num_rows == len(rows)
+        expected = [[str(a), str(a % 7), f"{b:.3f}", c] for a, b, c in rows]
+        for field in range(4):
+            starts, ends = index.field_spans(data, range(len(rows)), field)
+            picked = np.arange(len(rows))[::-2]
+            some_starts, some_ends = index.field_spans(data, picked, field)
+            for row in range(len(rows)):
+                assert data[starts[row]:ends[row]].decode() == expected[row][field]
+                assert index.field_span(data, row, field) == (starts[row], ends[row])
+            for row, start, end in zip(picked, some_starts, some_ends):
+                assert data[start:end].decode() == expected[row][field]
+
+
+# -- the JSON index against the byte-at-a-time reference tokenizer ------------
+
+_keys = st.text(alphabet='ab."\\{}[]:, é', max_size=3)
+_strings = st.text(alphabet='xy"\\{}[]:,\té\u2028', max_size=6)
+_scalars = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    _strings,
+)
+
+
+def _json_trees(depth):
+    """Values as ("object", [(key, value), ...]) / ("array", [...]) trees, so
+    an object may repeat a key."""
+    if depth == 0:
+        return _scalars
+    inner = _json_trees(depth - 1)
+    return st.one_of(
+        _scalars,
+        st.tuples(st.just("object"), st.lists(st.tuples(_keys, inner), max_size=4)),
+        st.tuples(st.just("array"), st.lists(inner, max_size=3)),
+    )
+
+
+def _render(value, draw, pad):
+    """Serialize a value tree with drawn whitespace between tokens."""
+    if isinstance(value, tuple) and value[0] == "object":
+        items = [
+            json.dumps(key, ensure_ascii=False) + draw(pad) + ":" + draw(pad)
+            + _render(item, draw, pad)
+            for key, item in value[1]
+        ]
+        return "{" + draw(pad) + f"{draw(pad)},{draw(pad)}".join(items) + draw(pad) + "}"
+    if isinstance(value, tuple):
+        return "[" + ",".join(_render(item, draw, pad) for item in value[1]) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def _json_streams(draw):
+    """Object streams: escapes and backslash runs, brackets inside strings,
+    arrays of objects, nesting past ``max_depth``, flexible field order,
+    duplicate keys, and pretty-printed multi-line objects."""
+    pad = st.sampled_from(["", " ", "\n", "\n  ", "\t"])
+    shared = draw(st.lists(st.tuples(_keys, _json_trees(3)), max_size=5))
+    objects = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if draw(st.booleans()):
+            fields = list(shared)  # same fields: a fixed schema, if all do
+        else:
+            fields = draw(st.lists(st.tuples(_keys, _json_trees(3)), max_size=5))
+            fields = draw(st.permutations(fields))
+        objects.append(_render(("object", fields), draw, pad))
+    separator = draw(st.sampled_from(["\n", " ", "\n\n", "\r\n"]))
+    return (separator.join(objects) + draw(pad)).encode()
+
+
+def _assert_matches_reference(data, max_depth):
+    spans, fields = json_reference.reference_index(data, max_depth)
+    index = si.build_json_index(data, max_depth)
+    assert [index.object_span(i) for i in range(index.num_objects)] == spans
+    paths = set().union(*fields) if fields else set()
+    assert index.paths() == paths
+    for path in paths | {"not_a_field"}:
+        starts, ends, types = index.column_spans(path)
+        for position, mapping in enumerate(fields):
+            expected = mapping.get(path)
+            assert index.field_span(position, path) == expected
+            if expected is None:
+                assert types[position] == si.TYPE_MISSING
+            else:
+                assert (starts[position], ends[position], types[position]) == expected
+    sequences = json_reference.reference_sequences(data, max_depth)
+    assert index.fixed_schema == (bool(sequences) and len(set(sequences)) == 1)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=_json_streams(),
+    max_depth=st.integers(min_value=1, max_value=4),
+    block=st.sampled_from([1, 16, 64, si.BLOCK_BYTES]),
+)
+def test_json_index_matches_reference_tokenizer(data, max_depth, block):
+    """Blocks as small as one byte split objects anywhere: the builder must
+    widen its window and agree with the reference on every span."""
+    with _block_bytes(block):
+        _assert_matches_reference(data, max_depth)
+
+
+@SETTINGS
+@given(data=_json_streams(), cut=st.integers(min_value=0), garbage=st.sampled_from(
+    ["", "x", "}", "]", "1", '"', ",", ":", "{", "tru"]))
+def test_json_index_rejects_what_the_reference_rejects(data, cut, garbage):
+    """Every stream the reference tokenizer rejects — here, truncated or with
+    a stray byte — the builder rejects too."""
+    cut %= len(data) + 1
+    broken = data[:cut] + garbage.encode() + data[cut:]
+    try:
+        json_reference.reference_index(broken)
+    except (StorageError, UnicodeDecodeError):
+        with pytest.raises((StorageError, UnicodeDecodeError)):
+            si.build_json_index(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@
 CI lint and type jobs.  Where a tool is not importable its test does not pass
 silently: it skips with a reason naming the tool and the command that did
 NOT run, and emits the same text as a warning so it shows in the summary of
-every run.
+every run.  :func:`test_no_unused_imports` is an ``ast``-only stand-in for
+ruff's unused-import rule that runs everywhere.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -39,3 +41,63 @@ def test_static_check(tool, arguments):
     assert completed.returncode == 0, (
         f"`{command}` failed:\n{completed.stdout}{completed.stderr}"
     )
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names inside quoted annotations (``"np.ndarray | None"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(path: str) -> list[str]:
+    """``path:line: name`` for every imported name the module never uses —
+    ruff's F401, from the ``ast`` alone.  ``__future__`` imports, lines
+    marked ``noqa`` and names listed in ``__all__`` are exempt."""
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    used = _annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    return [f"{path}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """The stand-in for ruff's unused-import rule that runs everywhere:
+    every module of ``src/repro`` and ``tools`` but the package
+    ``__init__`` files (whose imports are the package's exports)."""
+    found = []
+    for base in ("src/repro", "tools"):
+        for directory, _, files in os.walk(os.path.join(ROOT, base)):
+            for name in sorted(files):
+                if name.endswith(".py") and name != "__init__.py":
+                    found += unused_imports(os.path.join(directory, name))
+    assert not found, "unused imports:\n" + "\n".join(found)

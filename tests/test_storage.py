@@ -178,6 +178,51 @@ def test_json_index_rejects_non_object_stream():
         si.build_json_index(b"[1, 2, 3]")
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (b'{"a": "xx', "unterminated string"),
+        (b'{"a": {"b": 1}', "unterminated container"),
+        (b'"text"\n', "expected '{'"),
+        (b'{"a": 1} junk {"a": 2}', "expected '{'"),
+        (b'{"a": 1, 2: 3}', "expected field name"),
+        (b'{"a" 1}', "expected ':'"),
+        (b'{"a": 1x}', "invalid JSON value"),
+        (b'{"a": nul}', "invalid JSON value"),
+        (b'{"a": }', "invalid JSON value"),
+    ],
+)
+def test_json_index_rejects_malformed_streams(data, message):
+    with pytest.raises(StorageError, match=message):
+        si.build_json_index(data)
+
+
+def test_json_index_transient_memory_is_bounded_by_the_block(monkeypatch):
+    """Building the index of a ~4 MB stream keeps, besides the index itself,
+    a few dozen blocks' worth of transient arrays — however large the file."""
+    import random
+    import tracemalloc
+
+    rng = random.Random(7)
+    lines = [
+        json.dumps({"id": i, "name": f"n{rng.randrange(999)}", "flag": rng.random() < 0.5,
+                    "o": {"x": rng.random(), "y": [1, {"z": "q"}]}, "tags": ["a", "b"][: i % 3]})
+        for i in range(500)
+    ]
+    data = ("\n".join(lines * 70) + "\n").encode()
+    assert len(data) > 3_500_000
+    for block in (si.BLOCK_BYTES, si.BLOCK_BYTES // 4):
+        monkeypatch.setattr(si, "BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            index = si.build_json_index(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.num_objects == 35_000
+        assert peak < 2 * index.size_bytes + 32 * block
+
+
 def test_json_index_size_is_fraction_of_file():
     objects = [
         {"a": i, "b": i * 2, "c": "padding-" * 40 + str(i), "d": [1, 2, 3],
