@@ -62,8 +62,8 @@ LEXSORT_GATE = 5.0
 TOPK_GATE = 10.0
 TOPK_LIMIT = 10
 
-#: Unnest kernel: the offset-vector ``scan_unnest_batch`` vs one
-#: ``scan_unnest`` round trip per parent (too slow for a large input).
+#: Unnest kernel: the offset-vector ``scan_unnest_batch`` over every parent
+#: vs one call per parent (too slow for a large input).
 UNNEST_PARENTS = 8_000
 UNNEST_GATE = 5.0
 
@@ -258,7 +258,7 @@ def unnest_kernel(directory: str, quick: bool) -> list[Ratio]:
 
     def per_parent():
         for oid in range(UNNEST_PARENTS):
-            plugin.scan_unnest(dataset, ("lines",), elements, parents[oid : oid + 1])
+            plugin.scan_unnest_batch(dataset, ("lines",), elements, parents[oid : oid + 1])
 
     samples = paired_rounds(
         ROUNDS[quick],

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -16,12 +15,6 @@ class ExperimentReport:
     title: str
     measurements: list[QueryMeasurement]
     notes: list[str]
-
-    def by_system(self) -> dict[str, list[QueryMeasurement]]:
-        grouped: dict[str, list[QueryMeasurement]] = defaultdict(list)
-        for measurement in self.measurements:
-            grouped[measurement.system].append(measurement)
-        return dict(grouped)
 
     def seconds(self, system: str, query: str) -> float | None:
         for measurement in self.measurements:

@@ -220,14 +220,6 @@ class CacheManager:
     def used_bytes(self) -> int:
         return self.arena.used_bytes
 
-    def total_size_for_format(self, source_format: str) -> int:
-        with self._lock:
-            return sum(
-                entry.size_bytes
-                for entry in self._entries.values()
-                if entry.source_format == source_format
-            )
-
 
 def estimate_size(data: Any) -> int:
     """Estimate the in-memory footprint of cached data."""

@@ -256,24 +256,3 @@ class Nest(LogicalPlan):
         columns = ", ".join(f"{c.name}={to_string(c.expression)}" for c in self.columns)
         keys = ", ".join(to_string(e) for e in self.group_by)
         return f"Nest(group by {keys}; {columns})"
-
-
-def replace_child(plan: LogicalPlan, old: LogicalPlan, new: LogicalPlan) -> LogicalPlan:
-    """Return a copy of ``plan`` with the direct child ``old`` replaced by ``new``."""
-    if isinstance(plan, Select):
-        return Select(plan.predicate, new if plan.child is old else plan.child)
-    if isinstance(plan, Join):
-        left = new if plan.left is old else plan.left
-        right = new if plan.right is old else plan.right
-        return Join(plan.predicate, left, right, plan.outer)
-    if isinstance(plan, Unnest):
-        return Unnest(plan.binding, plan.path, plan.var,
-                      new if plan.child is old else plan.child,
-                      plan.predicate, plan.outer)
-    if isinstance(plan, Reduce):
-        return Reduce(plan.monoid, plan.columns,
-                      new if plan.child is old else plan.child, plan.predicate)
-    if isinstance(plan, Nest):
-        return Nest(plan.columns, plan.group_by,
-                    new if plan.child is old else plan.child, plan.predicate)
-    return plan

@@ -15,12 +15,10 @@ normalizer and of the calculus→algebra translator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.core import types as t
 from repro.core.expressions import (
     Expression,
-    FieldRef,
     OutputColumn,
     conjuncts,
     iter_parameters,
@@ -58,9 +56,6 @@ class PathSource:
 
     def fingerprint(self) -> tuple:
         return ("path", self.binding, self.path)
-
-    def as_field_ref(self) -> FieldRef:
-        return FieldRef(self.binding, self.path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return self.binding + "." + ".".join(self.path)
@@ -145,9 +140,6 @@ class Comprehension:
 
     def filters(self) -> list[Filter]:
         return [q for q in self.qualifiers if isinstance(q, Filter)]
-
-    def generator_vars(self) -> list[str]:
-        return [g.var for g in self.generators()]
 
     def datasets(self) -> list[str]:
         """Names of all catalog datasets referenced by the comprehension."""
@@ -249,51 +241,3 @@ def split_filters(qualifiers: Iterable[Qualifier]) -> list[Qualifier]:
         else:
             result.append(qualifier)
     return result
-
-
-def bound_after(qualifiers: Sequence[Qualifier], index: int) -> set[str]:
-    """Variables bound by the first ``index + 1`` qualifiers."""
-    bound: set[str] = set()
-    for qualifier in qualifiers[: index + 1]:
-        if isinstance(qualifier, Generator):
-            bound.add(qualifier.var)
-    return bound
-
-
-def generator_scope(
-    comprehension: Comprehension, catalog_types: dict[str, t.DataType]
-) -> dict[str, t.DataType]:
-    """Compute the record type bound by each generator variable.
-
-    ``catalog_types`` maps dataset names to the element type of the dataset
-    (a :class:`~repro.core.types.RecordType` for all supported formats).
-    """
-    scope: dict[str, t.DataType] = {}
-    for generator in comprehension.generators():
-        source = generator.source
-        if isinstance(source, DatasetSource):
-            try:
-                scope[generator.var] = catalog_types[source.dataset]
-            except KeyError as exc:
-                raise TranslationError(
-                    f"unknown dataset {source.dataset!r} in generator {generator!r}"
-                ) from exc
-        else:
-            base = scope.get(source.binding)
-            if base is None:
-                raise TranslationError(
-                    f"generator {generator!r} references unbound variable "
-                    f"{source.binding!r}"
-                )
-            if not isinstance(base, t.RecordType):
-                raise TranslationError(
-                    f"cannot navigate path {source.path} in non-record binding "
-                    f"{source.binding!r}"
-                )
-            target = base.resolve_path(source.path)
-            if not isinstance(target, t.CollectionType):
-                raise TranslationError(
-                    f"path {source!r} does not denote a nested collection"
-                )
-            scope[generator.var] = target.element
-    return scope

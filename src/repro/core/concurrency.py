@@ -440,7 +440,6 @@ GUARDED_BY: dict[str, str] = {
     "CsvPlugin._states": "_state_lock",
     "JsonPlugin._states": "_state_lock",
     "BinaryColumnPlugin._tables": "_table_lock",
-    "BinaryRowPlugin._tables": "_table_lock",
     # batch-pipeline cache recorders (shared by morsel workers)
     "_CoverageRecorder._chunks": "_lock",
     # morsel scheduler

@@ -20,9 +20,9 @@ the paper describes:
      engine-per-query) and the pipeline calls those; under ``vectorized``
      (``enable_codegen=False``) the same pipeline interprets the expressions
      per batch.  The executor decides *internally*, per scan, whether to run
-     inline or to fan out: with ``parallel_workers > 1`` a range-splittable
-     scan spanning enough whole morsels for its kind of root is split into
-     morsels that a work-stealing worker pool executes concurrently, with
+     inline or to fan out: with ``parallel_workers > 1`` a scan spanning
+     enough whole morsels for its kind of root is split into morsels that a
+     work-stealing worker pool executes concurrently, with
      partial per-morsel aggregation and a deterministic morsel-ordered merge;
      everything else runs on the calling thread,
    * **volcano** — shapes the pipeline cannot serve (record construction in
@@ -145,8 +145,7 @@ from repro.resilience import (
     QueryContext,
     activate_context,
 )
-from repro.plugins.binary_col_plugin import BinaryColumnPlugin
-from repro.plugins.binary_row_plugin import BinaryRowPlugin
+from repro.plugins.binary_col_plugin import BinaryColumnPlugin, BinaryRowPlugin
 from repro.plugins.cache_plugin import CachePlugin
 from repro.plugins.csv_plugin import CsvPlugin
 from repro.plugins.json_plugin import JsonPlugin
@@ -1003,10 +1002,9 @@ class ProteusEngine:
 
     def _planned_fanout(self, physical: PhysicalPlan) -> str:
         """How the batch pipeline would run this plan's driving scan, from
-        catalog facts only: the plug-in's splittability, the collected row
-        count (unknown without statistics — then the executor decides when
-        the scan opens) and whether the root groups.  Cache-resident columns
-        are always splittable; that, too, is only known at execution."""
+        catalog facts only: the collected row count (unknown without
+        statistics — then the executor decides when the scan opens) and
+        whether the root groups."""
         scan = driving_scan(physical)
         if scan is None:
             return "serial: the plan has no driving scan"
@@ -1015,7 +1013,6 @@ class ProteusEngine:
         statistics = dataset.statistics
         _, why = plan_fanout(
             self.parallel_workers,
-            plugin.supports_scan_ranges,
             int(statistics.cardinality) if statistics is not None else None,
             self.vectorized_batch_size,
             isinstance(unwrap_sort(physical), PhysNest),

@@ -47,11 +47,10 @@ worker.  The plan root is a *root task* (:class:`_RootTask`): a partial state
 per scan range plus an ordered merge.  :class:`VectorizedExecutor` compiles
 the pipeline once, builds one root task and — decided by
 :func:`repro.core.parallel.plan_fanout` from the worker count, the driving
-scan's splittability, its row count in whole morsels and whether the root
-groups — either runs it inline over the whole scan or hands morsels to the
-work-stealing fan-out driver (:mod:`repro.core.parallel`) and merges the
-per-morsel partials in morsel order.  Join build sides go through the same
-decision.
+scan's row count in whole morsels and whether the root groups — either runs
+it inline over the whole scan or hands morsels to the work-stealing fan-out
+driver (:mod:`repro.core.parallel`) and merges the per-morsel partials in
+morsel order.  Join build sides go through the same decision.
 
 The scan operator is the single cache path of the engine: cached field
 columns are served (and counted as cache hits) instead of re-converting raw
@@ -397,7 +396,7 @@ class _CoverageRecorder:
         with self._lock:
             self._chunks[start] = (rows, chunk)
 
-    def drain(self, total_rows: int | None) -> list | None:
+    def drain(self, total_rows: int) -> list | None:
         """The recorded chunks in row order when they cover ``[0,
         total_rows)`` without gaps, else ``None`` (an abandoned stream, a
         failed morsel: caching is best-effort).  Empties the recorder."""
@@ -463,7 +462,7 @@ class ScanOperator:
         self._uncached = [path for path in uncached if path not in deferred]
         self._deferred = [path for path in uncached if path in deferred]
         if self._cached and not self._uncached:
-            self.total_rows: int | None = len(next(iter(self._cached.values())))
+            self.total_rows = len(next(iter(self._cached.values())))
         else:
             self.total_rows = plugin.scan_row_count(dataset)
         # Chunk recorder for cache materialization: worth the references only
@@ -472,7 +471,6 @@ class ScanOperator:
         if (
             cache_manager is not None
             and self._uncached
-            and self.total_rows is not None
             and cache_manager.policy.should_cache_field(plugin.format_name, "float")
         ):
             self._recorder = _CoverageRecorder()
@@ -480,13 +478,6 @@ class ScanOperator:
     @property
     def fully_cached(self) -> bool:
         return bool(self._cached) and not self._uncached
-
-    @property
-    def splittable(self) -> bool:
-        """Can this scan serve arbitrary row ranges (morsel-driven access)?"""
-        if self.fully_cached:
-            return True
-        return self.total_rows is not None and self.plugin.supports_scan_ranges
 
     @property
     def lazy(self) -> bool:
@@ -680,11 +671,11 @@ class UnnestStage:
     round-trips.  Two source modes:
 
     * **scan-backed** (``plugin`` is set) — the parent binding's OIDs address
-      the raw source directly; the plug-in flattens with its native
-      offset-vector implementation (or the generic per-parent fallback).
-      When the stage sits directly on the scan (``full_scan``) every parent
-      passes through in order, so the flattened output is served from the
-      adaptive cache when present and admitted to it after a complete run.
+      the raw source directly; the plug-in flattens them with its
+      offset-vector ``scan_unnest_batch``.  When the stage sits directly on
+      the scan (``full_scan``) every parent passes through in order, so the
+      flattened output is served from the adaptive cache when present and
+      admitted to it after a complete run.
     * **column-backed** (``plugin`` is ``None``) — the parent binding is
       itself an unnest variable (nested-in-nested); the collection was
       materialized as an object column by the parent stage and is flattened
@@ -703,7 +694,7 @@ class UnnestStage:
         plugin: InputPlugin | None,
         predicate: Evaluator | None,
         cache_manager=None,
-        total_rows: int | None = None,
+        total_rows: int = 0,
     ):
         self.binding = plan.binding
         self.path = plan.path
@@ -1778,7 +1769,6 @@ class VectorizedExecutor:
         source = pipeline.source
         morsels, _ = plan_fanout(
             self.fanout.num_workers,
-            source.splittable,
             source.total_rows,
             self.batch_size,
             grouping,

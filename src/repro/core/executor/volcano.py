@@ -172,13 +172,13 @@ class VolcanoExecutor:
             raise ExecutionError(f"no plug-in registered for format {dataset.format!r}")
         # The general-purpose engine eagerly materializes whole records.
         if self.params:
-            for record in plugin.iterate_rows(dataset, None):
+            for record in plugin.iterate_rows(dataset):
                 self.tuples_processed += 1
                 self.rows_scanned += 1
                 self._tick()
                 yield {plan.binding: record, PARAMS_BINDING: self.params}
         else:
-            for record in plugin.iterate_rows(dataset, None):
+            for record in plugin.iterate_rows(dataset):
                 self.tuples_processed += 1
                 self.rows_scanned += 1
                 self._tick()

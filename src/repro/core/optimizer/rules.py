@@ -161,18 +161,3 @@ def required_paths(plan: LogicalPlan) -> dict[str, set[FieldPath]]:
             for expression in node.group_by:
                 add_expression(expression)
     return dict(required)
-
-
-def strip_collection_prefix(
-    paths: set[FieldPath], collection_path: FieldPath
-) -> set[FieldPath]:
-    """Remove a leading collection path from nested references (helper used
-    when unnest references appear as ``parent.collection.field``)."""
-    stripped: set[FieldPath] = set()
-    prefix = tuple(collection_path)
-    for path in paths:
-        if path[: len(prefix)] == prefix:
-            stripped.add(tuple(path[len(prefix):]))
-        else:
-            stripped.add(tuple(path))
-    return stripped

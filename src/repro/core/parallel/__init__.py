@@ -1,9 +1,8 @@
 """Morsel fan-out subsystem of the batch executor.
 
-:func:`plan_fanout` decides — from the worker count, the driving scan's
-splittability, its row count in whole morsels and whether the root groups —
-whether a compiled batch pipeline runs inline or is split into one-batch
-morsels; the
+:func:`plan_fanout` decides — from the worker count, the driving scan's row
+count in whole morsels and whether the root groups — whether a compiled batch
+pipeline runs inline or is split into one-batch morsels; the
 :class:`ParallelVectorizedExecutor` driver then dispatches the morsels to a
 pool of worker threads through a work-stealing queue and returns the
 per-morsel partial results in morsel order, so the executor's merges stay

@@ -58,7 +58,6 @@ def plan_morsels(total_rows: int, batch_size: int) -> list[Morsel]:
 
 def plan_fanout(
     num_workers: int,
-    splittable: bool,
     total_rows: int | None,
     batch_size: int,
     grouping: bool,
@@ -66,21 +65,20 @@ def plan_fanout(
     """THE fan-out decision of the batch executor: ``(morsels, why)``.
 
     Every input is a fact the caller observes, none is a setting: the
-    engine's worker count, whether the scan serves arbitrary row ranges, its
-    row count, the batch (= morsel) size and whether the pipeline's root is
-    a group-by.  A scan fans out across the worker pool when it spans enough
-    whole morsels for its kind of root (:data:`GROUPING_ROOT_MORSELS` /
-    :data:`LINEAR_ROOT_MORSELS`); otherwise ``morsels`` is empty and the
-    scan runs inline on the calling thread.  ``why`` words the outcome for
-    ``explain()``.  The executor (root pipelines and join build sides alike)
-    calls this with the opened scan's facts; ``explain()`` calls it with
-    what the catalog knows (``total_rows=None`` without collected
-    statistics), so it never touches data.
+    engine's worker count, the scan's row count, the batch (= morsel) size
+    and whether the pipeline's root is a group-by; every plug-in serves
+    arbitrary row ranges, so every scan can be split.  A scan fans out across
+    the worker pool when it spans enough whole morsels for its kind of root
+    (:data:`GROUPING_ROOT_MORSELS` / :data:`LINEAR_ROOT_MORSELS`); otherwise
+    ``morsels`` is empty and the scan runs inline on the calling thread.
+    ``why`` words the outcome for ``explain()``.  The executor (root
+    pipelines and join build sides alike) calls this with the opened scan's
+    facts; ``explain()`` calls it with what the catalog knows
+    (``total_rows=None`` without collected statistics), so it never touches
+    data.
     """
     if num_workers <= 1:
         return [], "serial: parallel_workers=1"
-    if not splittable:
-        return [], "serial: the driving scan is not range-splittable"
     kind = "grouping" if grouping else "linear"
     needed = GROUPING_ROOT_MORSELS if grouping else LINEAR_ROOT_MORSELS
     if total_rows is None:

@@ -135,10 +135,9 @@ def dig_path(value: object, path: Sequence[str]) -> object:
     """Walk a (possibly nested) record along a field path; missing steps and
     non-record intermediates yield ``None``.  This is the single
     nested-access rule shared by expression evaluation, the Volcano
-    interpreter, the JSON plug-in and the batch-scan shim.  No ``getattr``
-    fallback: raw-data values whose field names collide with builtin
-    attributes (``count``, ``items``, ...) must not resolve to bound
-    methods."""
+    interpreter and the JSON plug-in.  No ``getattr`` fallback: raw-data
+    values whose field names collide with builtin attributes (``count``,
+    ``items``, ...) must not resolve to bound methods."""
     for step in path:
         if type(value) is dict:  # fast path: json/tuple data is plain dicts
             value = value.get(step)

@@ -83,10 +83,6 @@ class PluginError(ProteusError):
     """Raised when an input plug-in cannot serve a request."""
 
 
-class CacheError(ProteusError):
-    """Raised by the caching manager (arena overflow, invalid cache entries)."""
-
-
 class UnsupportedFeatureError(ProteusError):
     """Raised for query shapes the reproduction intentionally does not cover."""
 

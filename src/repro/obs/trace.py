@@ -239,9 +239,6 @@ class QueryTrace:
             "operators": [span.to_dict() for span in self.operators],
         }
 
-    def phase_seconds(self, name: str) -> float:
-        return sum(span.seconds for span in self.phases if span.name == name)
-
     def operator_span(self, name: str) -> Span | None:
         for span in self.operators:
             if span.name == name:

@@ -1,14 +1,14 @@
-"""Input and output plug-ins.
+"""Input plug-ins.
 
 Input plug-ins encapsulate data-format heterogeneity: each one knows how to
 access a specific file format (CSV, JSON, binary row/column, or an in-memory
-cache) and exposes the uniform API of Table 2 to the rest of the engine.
-Output plug-ins handle result flushing and cache materialization.
+cache) and serves the rest of the engine through the calls of
+:class:`~repro.plugins.base.InputPlugin`: row ranges of columnar batches for
+the batch pipeline, one dict per object for the Volcano interpreter.
 """
 
-from repro.plugins.base import InputPlugin, ScanBuffers, UnnestBuffers
-from repro.plugins.binary_col_plugin import BinaryColumnPlugin
-from repro.plugins.binary_row_plugin import BinaryRowPlugin
+from repro.plugins.base import InputPlugin, ScanBuffers
+from repro.plugins.binary_col_plugin import BinaryColumnPlugin, BinaryRowPlugin
 from repro.plugins.cache_plugin import CachePlugin
 from repro.plugins.csv_plugin import CsvPlugin
 from repro.plugins.json_plugin import JsonPlugin
@@ -16,7 +16,6 @@ from repro.plugins.json_plugin import JsonPlugin
 __all__ = [
     "InputPlugin",
     "ScanBuffers",
-    "UnnestBuffers",
     "CsvPlugin",
     "JsonPlugin",
     "BinaryRowPlugin",

@@ -1,4 +1,4 @@
-"""Input plug-in API (Table 2 of the paper).
+"""Input plug-in API (§4 of the paper).
 
 Every supported data format is served by an input plug-in.  Plug-ins are the
 only component that understands the bytes of a format; operators and
@@ -6,33 +6,33 @@ expression generators consume values exclusively through this interface, which
 is what makes the engine extensible ("adding a plug-in suffices to support a
 new data format", §4).
 
-The API mirrors Table 2:
+The contract is the calls the two executors make:
 
-==================  =========================================================
-Paper call          Reproduction method
-==================  =========================================================
-``generate()``      :meth:`InputPlugin.scan_batch_ranges` /
-                    :meth:`InputPlugin.scan_batches` — populate the virtual
-                    buffers (columnar batches) of the requested fields; the
-                    per-query generated code is the expressions evaluated
-                    over those buffers (:mod:`repro.core.codegen`).
-``readValue()``     :meth:`InputPlugin.read_value` — fetch one field of one
-                    object identified by its OID.
-``readPath()``      :meth:`InputPlugin.read_path` — fetch a nested object /
-                    collection reachable through a path.
-``unnestInit()``    :meth:`InputPlugin.unnest_init`
-``unnestHasNext()`` :meth:`InputPlugin.unnest_has_next`
-``unnestGetNext()`` :meth:`InputPlugin.unnest_get_next`
-``hashValue()``     :meth:`InputPlugin.hash_value`
-``flushValue()``    :meth:`InputPlugin.flush_value`
-==================  =========================================================
+==========================  ==================================================
+Caller                      Method
+==========================  ==================================================
+batch pipeline, scan        :meth:`InputPlugin.scan_row_count` and
+                            :meth:`InputPlugin.scan_batch_ranges` — columnar
+                            batches of any row range, so every scan can fan
+                            out over morsels; :meth:`InputPlugin.scan_batches`
+                            is the whole range.  Together they are the paper's
+                            ``generate()``: they populate the buffers the
+                            generated expressions read.
+batch pipeline, select      :meth:`InputPlugin.scan_columns_at` — the fields
+                            of the rows that survived a predicate (§5.2 lazy
+                            access, the paper's ``readValue()``).
+batch pipeline, unnest      :meth:`InputPlugin.scan_unnest_batch` — a nested
+                            collection flattened for a batch of parents as an
+                            offset vector (the paper's ``unnestInit()`` /
+                            ``unnestHasNext()`` / ``unnestGetNext()``).
+Volcano interpreter         :meth:`InputPlugin.iterate_rows` — one dict per
+                            object.
+==========================  ==================================================
 
-In addition, plug-ins provide statistics and cost formulas to the optimizer
-(§5.2, "Enabling Cost-based Optimizations") and bulk, vectorized accessors
-(:meth:`scan_batch_ranges`, :meth:`scan_columns_at`,
-:meth:`scan_unnest_batch`) that the batch pipeline calls at run time — the
-Python analogue of the data-access code the paper's plug-ins generate as
-LLVM IR.
+Registration and planning add :meth:`~InputPlugin.infer_schema`,
+:meth:`~InputPlugin.collect_statistics` (over :meth:`~InputPlugin.scan_columns`,
+a whole column at once) and :meth:`~InputPlugin.scan_cost` (§5.2, "Enabling
+Cost-based Optimizations").
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,8 +65,8 @@ class ScanBuffers:
 
     ``columns`` maps each requested field path to a NumPy array with one entry
     per qualifying object; ``oids`` carries the object identifier the plug-in
-    produced for each entry, which later lazy accesses (``read_value``) use to
-    return to the source object.
+    produced for each entry, which later lazy accesses (``scan_columns_at``,
+    ``scan_unnest_batch``) use to return to the source object.
     """
 
     count: int
@@ -81,31 +81,10 @@ class ScanBuffers:
 
 
 @dataclass
-class UnnestBuffers:
-    """Buffers produced when unnesting a nested collection.
-
-    ``parent_positions`` maps every unnested element back to the position of
-    its parent in the parent buffers (so parent fields can be gathered), and
-    ``columns`` holds the requested element fields, flattened.
-    """
-
-    count: int
-    parent_positions: np.ndarray
-    columns: dict[FieldPath, np.ndarray] = field(default_factory=dict)
-
-    def column(self, path: FieldPath) -> np.ndarray:
-        try:
-            return self.columns[path]
-        except KeyError as exc:
-            raise PluginError(f"unnest did not materialize field {'.'.join(path)!r}") from exc
-
-
-@dataclass
 class UnnestBatch:
     """Offset-vector output of a *batch-native* unnest.
 
-    Instead of per-element parent positions, the batch API describes the
-    flattening as one repeat count per parent: ``repeats[i]`` is how many
+    The flattening is one repeat count per parent: ``repeats[i]`` is how many
     output rows parent ``i`` (of the ``parent_oids`` passed in) contributes.
     Parent columns are then broadcast with a single ``np.repeat`` per batch —
     no per-parent round-trips.  Under *outer* unnest a parent whose collection
@@ -126,17 +105,9 @@ class UnnestBatch:
             raise PluginError(f"unnest did not materialize field {'.'.join(path)!r}") from exc
 
     def parent_positions(self) -> np.ndarray:
-        """Per-element parent positions (the legacy ``UnnestBuffers`` shape),
-        derived from the repeat counts with one vectorized ``np.repeat``."""
+        """The batch-relative parent position of every element, derived from
+        the repeat counts with one vectorized ``np.repeat``."""
         return np.repeat(np.arange(len(self.repeats), dtype=np.int64), self.repeats)
-
-
-@dataclass
-class UnnestState:
-    """Iterator state for the tuple-at-a-time unnest API."""
-
-    elements: list
-    position: int = 0
 
 
 class InputPlugin(ABC):
@@ -149,12 +120,6 @@ class InputPlugin(ABC):
     #: optimizer's cost formulas and by the format-biased cache eviction
     #: policy (JSON > CSV > binary).
     field_access_cost: float = 1.0
-
-    #: Whether :meth:`scan_batch_ranges` has a genuinely splittable
-    #: implementation.  The batch executor only fans scans of plug-ins that
-    #: set this to ``True`` out across morsel workers; everything else runs
-    #: inline on the calling thread.
-    supports_scan_ranges: bool = False
 
     def __init__(self, memory: MemoryManager):
         self.memory = memory
@@ -255,17 +220,61 @@ class InputPlugin(ABC):
             buffers.columns[tuple(path)] = full.column(tuple(path))[oids]
         return buffers
 
-    def scan_unnest(
+    @abstractmethod
+    def scan_row_count(self, dataset: Dataset) -> int:
+        """Total number of scannable rows: what lets the batch executor split
+        a scan into morsel row ranges up front."""
+
+    @abstractmethod
+    def scan_batch_ranges(
         self,
         dataset: Dataset,
-        collection_path: FieldPath,
-        element_paths: Sequence[FieldPath],
-        parent_oids: np.ndarray | None = None,
-    ) -> UnnestBuffers:
-        """Unnest a nested collection field into flattened buffers."""
-        raise PluginError(
-            f"format {self.format_name!r} does not contain nested collections"
+        paths: Sequence[FieldPath],
+        start: int,
+        stop: int,
+        batch_size: int = 4096,
+    ) -> Iterator[ScanBuffers]:
+        """Yield the requested fields for global rows ``[start, stop)`` as
+        columnar batches of at most ``batch_size`` rows (OIDs carry the global
+        row positions; rows past :meth:`scan_row_count` are not served).
+
+        Disjoint ranges must be servable concurrently from different threads
+        without touching shared mutable plug-in state: this is what the
+        batch executor's morsel workers call.
+        """
+
+    def scan_batches(
+        self,
+        dataset: Dataset,
+        paths: Sequence[FieldPath],
+        batch_size: int = 4096,
+    ) -> Iterator[ScanBuffers]:
+        """The whole dataset as :meth:`scan_batch_ranges` batches (the batch
+        pipeline's inline scan).  Empty datasets yield no batches."""
+        return self.scan_batch_ranges(
+            dataset, paths, 0, self.scan_row_count(dataset), batch_size=batch_size
         )
+
+    def _column_batches(
+        self,
+        dataset: Dataset,
+        arrays: dict[FieldPath, np.ndarray],
+        start: int,
+        stop: int,
+        batch_size: int,
+    ) -> Iterator[ScanBuffers]:
+        """:meth:`scan_batch_ranges` over columns already in memory: every
+        batch is a zero-copy slice, so disjoint ranges are trivially safe to
+        serve concurrently."""
+        for begin in range(start, stop, batch_size):
+            self.io_checkpoint("scan-range", dataset.name)
+            end = min(begin + batch_size, stop)
+            buffers = ScanBuffers(
+                count=end - begin, oids=np.arange(begin, end, dtype=np.int64)
+            )
+            for path, array in arrays.items():
+                buffers.columns[path] = array[begin:end]
+            yield buffers
 
     def scan_unnest_batch(
         self,
@@ -278,175 +287,26 @@ class InputPlugin(ABC):
         """Unnest a nested collection for a batch of parents at once.
 
         Returns flattened element buffers plus one repeat count per parent
-        (:class:`UnnestBatch`), which is what lets the batch executors
+        (:class:`UnnestBatch`), which is what lets the batch pipeline
         broadcast parent columns with a single ``np.repeat`` per batch.  With
         ``outer=True`` parents whose collection is empty or missing emit one
-        null child row (repeat count 1, element values missing).
-
-        The default implementation is the *per-parent round-trip* path: one
-        pass through the Table-2 iterator protocol (``unnest_init`` /
-        ``unnest_has_next`` / ``unnest_get_next``) per parent OID — correct
-        for every plug-in that can navigate to the collection, but paying the
-        per-parent (and per-element) interpretation cost the paper's §5
-        measures.  Formats with structural indexes override it with a native
-        offset-vector implementation (see ``JsonPlugin.scan_unnest_batch``);
-        the unnest-kernel gate of ``benchmarks/run_all.py`` holds the native
-        path >= 5x over one ``scan_unnest`` round trip per parent.
-        """
-        self.io_checkpoint("scan-unnest", dataset.name)
-        element_paths = [tuple(path) for path in element_paths]
-        repeats = np.zeros(len(parent_oids), dtype=np.int64)
-        values: dict[FieldPath, list] = {path: [] for path in element_paths}
-        total = 0
-        for slot, oid in enumerate(parent_oids):
-            state = self.unnest_init(dataset, int(oid), collection_path)
-            emitted = 0
-            while self.unnest_has_next(state):
-                element = self.unnest_get_next(state)
-                emitted += 1
-                for path in element_paths:
-                    values[path].append(dig_path(element, path))
-            if emitted == 0 and outer:
-                emitted = 1
-                for path in element_paths:
-                    values[path].append(None)
-            repeats[slot] = emitted
-            total += emitted
-        batch = UnnestBatch(count=total, repeats=repeats)
-        for path in element_paths:
-            batch.columns[path] = values_to_array(values[path])
-        return batch
-
-    def scan_batches(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        batch_size: int = 4096,
-    ) -> Iterator[ScanBuffers]:
-        """Yield the requested field paths as a stream of columnar batches.
-
-        This is the access path of the vectorized batch executor: instead of
-        one dict per tuple (``iterate_rows``) or one monolithic buffer per
-        column (``scan_columns``), the scan produces :class:`ScanBuffers` of at
-        most ``batch_size`` rows each, with OIDs carrying the global row
-        positions.  Range-splittable plug-ins serve it as the full range of
-        their native :meth:`scan_batch_ranges`; the rest get a per-tuple shim
-        over ``iterate_rows`` — correct for every plug-in but paying the
-        per-tuple cost once.  Empty datasets yield no batches.
-        """
-        paths = [tuple(path) for path in paths]
-        if self.supports_scan_ranges:
-            yield from self.scan_batch_ranges(
-                dataset, paths, 0, self.scan_row_count(dataset), batch_size=batch_size
-            )
-            return
-        pending: list[dict] = []
-        start = 0
-        for record in self.iterate_rows(dataset, paths):
-            pending.append(record)
-            if len(pending) >= batch_size:
-                self.io_checkpoint("scan-batch", dataset.name)
-                yield self._shim_batch(pending, paths, start)
-                start += len(pending)
-                pending = []
-        if pending:
-            self.io_checkpoint("scan-batch", dataset.name)
-            yield self._shim_batch(pending, paths, start)
-
-    def scan_row_count(self, dataset: Dataset) -> int | None:
-        """Total number of scannable rows, or ``None`` when counting would
-        require a full pass over the source.
-
-        A known row count is what lets the batch executor split a scan into
-        independent morsel row ranges up front; plug-ins backed by a
-        structural index or binary layout know it for free.
-        """
-        return None
-
-    def scan_batch_ranges(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        start: int,
-        stop: int,
-        batch_size: int = 4096,
-    ) -> Iterator[ScanBuffers]:
-        """Yield the requested fields for global rows ``[start, stop)`` as
-        columnar batches (OIDs carry the global row positions).
-
-        This is the *splittable* access path of the batch executor's morsel
-        fan-out: disjoint ranges must be servable concurrently from different
-        threads without touching shared mutable plug-in state.  Plug-ins
-        that implement it natively set :attr:`supports_scan_ranges`; the
-        default refuses, and the executor runs such scans inline through
-        :meth:`scan_batches`.
+        null child row (repeat count 1, element values missing).  Only formats
+        with nested collections implement it.
         """
         raise PluginError(
-            f"format {self.format_name!r} does not support range-partitioned "
-            "scans"
+            f"format {self.format_name!r} does not contain nested collections"
         )
 
-    def _shim_batch(
-        self, records: list[dict], paths: Sequence[FieldPath], start: int
-    ) -> ScanBuffers:
-        buffers = ScanBuffers(
-            count=len(records),
-            oids=np.arange(start, start + len(records), dtype=np.int64),
-        )
-        for path in paths:
-            buffers.columns[tuple(path)] = values_to_array(
-                [dig_path(record, path) for record in records]
-            )
-        return buffers
+    # Nothing in the engine calls this name; the end-to-end benchmark's span
+    # wrappers (benchmarks/e2e/spans.py) look it up on every plug-in class.
+    def scan_unnest(self, dataset: Dataset, *args, **kwargs) -> UnnestBatch:
+        raise PluginError(f"format {self.format_name!r}: use scan_unnest_batch")
 
-    # -- tuple-at-a-time access (Volcano executor, lazy expression evaluation)
+    # -- tuple-at-a-time access (the Volcano interpreter) --------------------
 
     @abstractmethod
-    def iterate_rows(
-        self, dataset: Dataset, paths: Sequence[FieldPath] | None = None
-    ) -> Iterator[dict]:
-        """Yield one dict per object; when ``paths`` is given only those
-        fields need to be populated (plus nested structure they traverse)."""
-
-    def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        """Fetch a single field value by OID (lazy access)."""
-        raise PluginError(f"format {self.format_name!r} does not support lazy access")
-
-    def read_path(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        """Fetch a nested object or collection by OID."""
-        return self.read_value(dataset, oid, path)
-
-    # -- unnest iterator protocol (Table 2) ----------------------------------
-
-    def unnest_init(self, dataset: Dataset, oid: int, path: FieldPath) -> UnnestState:
-        value = self.read_path(dataset, oid, path)
-        if value is None:
-            return UnnestState([])
-        if not isinstance(value, (list, tuple)):
-            raise PluginError(f"field {'.'.join(path)!r} is not a collection")
-        return UnnestState(list(value))
-
-    def unnest_has_next(self, state: UnnestState) -> bool:
-        return state.position < len(state.elements)
-
-    def unnest_get_next(self, state: UnnestState) -> Any:
-        value = state.elements[state.position]
-        state.position += 1
-        return value
-
-    # -- value helpers --------------------------------------------------------
-
-    def hash_value(self, value: Any) -> int:
-        """Hash a value for joins/grouping (overridable per format)."""
-        return hash(value)
-
-    def flush_value(self, value: Any) -> str:
-        """Render a value for result output."""
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return f"{value:.6g}"
-        return str(value)
+    def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
+        """Yield one dict per object, every field populated."""
 
     # -- costing --------------------------------------------------------------
 

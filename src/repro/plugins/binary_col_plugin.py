@@ -1,20 +1,25 @@
-"""Binary column input plug-in.
+"""Binary input plug-ins.
 
-Serves column tables ("binary column files similar to the ones of MonetDB",
-§7.1).  Columns are memory-mapped and handed to the generated code directly,
-so a scan that touches K columns reads exactly K arrays — the cheapest access
-path of the engine, which is why the cost model and the cache-eviction bias
-rank binary data below CSV and JSON.
+Serve column tables ("binary column files similar to the ones of MonetDB",
+§7.1) and row tables (packed structured arrays).  Both are memory-mapped and
+expose ``row_count``, ``schema`` and ``column(name)``, so one class serves
+both: a scan that touches K columns reads K arrays and hands zero-copy slices
+of them to the batch pipeline — the cheapest access path of the engine, which
+is why the cost model and the cache-eviction bias rank binary data below CSV
+and JSON.  A row table's column is a strided view of its records, slightly
+dearer per value than a column file when a query needs few fields, which its
+``field_access_cost`` reflects.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core import types as t
 from repro.core.concurrency import make_lock
+from repro.core.types import python_value
 from repro.plugins.base import (
     FieldPath,
     InputPlugin,
@@ -22,7 +27,12 @@ from repro.plugins.base import (
     count_missing,
     require_flat_path,
 )
-from repro.storage.binary_format import ColumnTable, read_column_table
+from repro.storage.binary_format import (
+    ColumnTable,
+    RowTable,
+    read_column_table,
+    read_row_table,
+)
 from repro.storage.catalog import Dataset, DatasetStatistics
 
 
@@ -32,14 +42,15 @@ class BinaryColumnPlugin(InputPlugin):
 
     format_name = "binary_column"
     field_access_cost = 0.05
-    supports_scan_ranges = True
+    #: Opens the table stored at a dataset's path.
+    read_table = staticmethod(read_column_table)
 
     def __init__(self, memory):
         super().__init__(memory)
-        self._tables: dict[str, ColumnTable] = {}
+        self._tables: dict[str, ColumnTable | RowTable] = {}
         self._table_lock = make_lock("BinaryColumnPlugin._table_lock")
 
-    def _table(self, dataset: Dataset) -> ColumnTable:
+    def _table(self, dataset: Dataset) -> ColumnTable | RowTable:
         # Double-checked locking: load the memory-mapped table exactly once
         # even under concurrent first access from parallel workers.
         table = self._tables.get(dataset.name)
@@ -48,11 +59,11 @@ class BinaryColumnPlugin(InputPlugin):
         with self._table_lock:
             table = self._tables.get(dataset.name)
             if table is None:
-                # One guarded raw-I/O step: header reads and column mmaps can
-                # fault transiently (retried), a bad header parses into
-                # ValueError (surfaced as corrupt data).
+                # One guarded raw-I/O step: header reads and mmaps can fault
+                # transiently (retried), a bad header parses into ValueError
+                # (surfaced as corrupt data).
                 table = self.io_guard(
-                    "table-load", dataset.name, read_column_table, dataset.path
+                    "table-load", dataset.name, self.read_table, dataset.path
                 )
                 self._tables[dataset.name] = table
             return table
@@ -102,49 +113,30 @@ class BinaryColumnPlugin(InputPlugin):
         start: int,
         stop: int,
         batch_size: int = 4096,
-    ):
-        """Native batched scan of any row range: each batch is a zero-copy
-        slice of the memory-mapped column arrays, so disjoint ranges are
-        trivially safe to serve concurrently (morsel fan-out)."""
+    ) -> Iterator[ScanBuffers]:
         table = self._table(dataset)
-        stop = min(stop, table.row_count)
-        paths = [tuple(path) for path in paths]
         arrays = {
-            path: np.asarray(table.column(require_flat_path(path))) for path in paths
+            tuple(path): np.asarray(table.column(require_flat_path(path)))
+            for path in paths
         }
-        for begin in range(start, stop, batch_size):
-            self.io_checkpoint("scan-range", dataset.name)
-            end = min(begin + batch_size, stop)
-            buffers = ScanBuffers(
-                count=end - begin, oids=np.arange(begin, end, dtype=np.int64)
-            )
-            for path in paths:
-                buffers.columns[path] = arrays[path][begin:end]
-            yield buffers
+        yield from self._column_batches(
+            dataset, arrays, start, min(stop, table.row_count), batch_size
+        )
 
     # -- tuple-at-a-time access -----------------------------------------------------
 
-    def iterate_rows(
-        self, dataset: Dataset, paths: Sequence[FieldPath] | None = None
-    ) -> Iterator[dict]:
+    def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
         table = self._table(dataset)
-        names = (
-            [require_flat_path(path) for path in paths]
-            if paths is not None
-            else table.schema.field_names()
-        )
+        names = table.schema.field_names()
         columns = [table.column(name) for name in names]
         for row in range(table.row_count):
-            yield {name: _python_value(column[row]) for name, column in zip(names, columns)}
-
-    def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        table = self._table(dataset)
-        name = require_flat_path(path)
-        return _python_value(table.column(name)[int(oid)])
+            yield {name: python_value(column[row]) for name, column in zip(names, columns)}
 
 
-def _python_value(value: Any) -> Any:
-    """Convert NumPy scalars to plain Python values for tuple-at-a-time use."""
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+class BinaryRowPlugin(BinaryColumnPlugin):
+    """Input plug-in for row tables produced by
+    :func:`repro.storage.binary_format.write_row_table`."""
+
+    format_name = "binary_row"
+    field_access_cost = 0.1
+    read_table = staticmethod(read_row_table)

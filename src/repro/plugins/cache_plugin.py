@@ -8,13 +8,14 @@ engine does not distinguish between reading a raw file and reading a cache.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
+from repro.core.types import python_value
 from repro.errors import PluginError
 from repro.plugins.base import FieldPath, InputPlugin, ScanBuffers
 from repro.storage.catalog import Dataset, DatasetStatistics
@@ -68,20 +69,18 @@ class CachePlugin(InputPlugin):
         return t.RecordType(fields)
 
     def collect_statistics(self, dataset: Dataset) -> DatasetStatistics:
-        cardinality = 0
         minimums: dict[str, float] = {}
         maximums: dict[str, float] = {}
         for entry in self.manager.entries_for_dataset(dataset.name):
-            if entry.kind != "field":
-                continue
             array = entry.data
-            cardinality = max(cardinality, len(array))
-            if array.dtype != object and len(array):
+            if entry.kind == "field" and array.dtype != object and len(array):
                 name = ".".join(entry.key[2])
                 minimums[name] = float(np.nanmin(array))
                 maximums[name] = float(np.nanmax(array))
         return DatasetStatistics(
-            cardinality=cardinality, min_values=minimums, max_values=maximums
+            cardinality=self.scan_row_count(dataset),
+            min_values=minimums,
+            max_values=maximums,
         )
 
     # -- bulk access ------------------------------------------------------------------
@@ -101,26 +100,37 @@ class CachePlugin(InputPlugin):
         buffers.columns.update(columns)
         return buffers
 
+    def scan_row_count(self, dataset: Dataset) -> int:
+        return max(
+            (
+                len(entry.data)
+                for entry in self.manager.entries_for_dataset(dataset.name)
+                if entry.kind == "field"
+            ),
+            default=0,
+        )
+
+    def scan_batch_ranges(
+        self,
+        dataset: Dataset,
+        paths: Sequence[FieldPath],
+        start: int,
+        stop: int,
+        batch_size: int = 4096,
+    ) -> Iterator[ScanBuffers]:
+        full = self.scan_columns(dataset, [tuple(path) for path in paths])
+        stop = min(stop, self.scan_row_count(dataset))
+        yield from self._column_batches(dataset, full.columns, start, stop, batch_size)
+
     # -- tuple-at-a-time access ----------------------------------------------------------
 
-    def iterate_rows(
-        self, dataset: Dataset, paths: Sequence[FieldPath] | None = None
-    ) -> Iterator[dict]:
-        if paths is None:
-            paths = sorted(self.cached_paths(dataset.name))
-        buffers = self.scan_columns(dataset, list(paths))
+    def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
+        paths = sorted(self.cached_paths(dataset.name))
+        buffers = self.scan_columns(dataset, paths)
         names = [".".join(path) for path in paths]
-        arrays = [buffers.column(tuple(path)) for path in paths]
+        arrays = [buffers.column(path) for path in paths]
         for row in range(buffers.count):
-            yield {name: _python_value(array[row]) for name, array in zip(names, arrays)}
-
-    def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        entry = self.manager.lookup(field_cache_key(dataset.name, tuple(path)))
-        if entry is None:
-            raise PluginError(
-                f"field {'.'.join(path)!r} of {dataset.name!r} is not cached"
-            )
-        return _python_value(entry.data[int(oid)])
+            yield {name: python_value(array[row]) for name, array in zip(names, arrays)}
 
 
 def _type_of(array: np.ndarray) -> t.DataType:
@@ -132,8 +142,3 @@ def _type_of(array: np.ndarray) -> t.DataType:
         return t.INT
     return t.FLOAT
 
-
-def _python_value(value: Any) -> Any:
-    if isinstance(value, np.generic):
-        return value.item()
-    return value

@@ -104,7 +104,6 @@ class CsvPlugin(InputPlugin):
 
     format_name = "csv"
     field_access_cost = 1.0
-    supports_scan_ranges = True
 
     def __init__(self, memory):
         super().__init__(memory)
@@ -309,15 +308,9 @@ class CsvPlugin(InputPlugin):
 
     # -- tuple-at-a-time access --------------------------------------------------
 
-    def iterate_rows(
-        self, dataset: Dataset, paths: Sequence[FieldPath] | None = None
-    ) -> Iterator[dict]:
+    def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
         state = self._state(dataset)
-        names = (
-            [require_flat_path(path) for path in paths]
-            if paths is not None
-            else list(state.header)
-        )
+        names = list(state.header)
         columns = [self._column_index(state, name) for name in names]
         converters = [
             _CONVERTERS[self._field_type_name(dataset, name)] for name in names
@@ -331,15 +324,6 @@ class CsvPlugin(InputPlugin):
                     start, end = index.field_span(data, row, column)
                     record[name] = converter(data[start:end].decode("utf-8"))
                 yield record
-
-    def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        state = self._state(dataset)
-        name = require_flat_path(path)
-        column = self._column_index(state, name)
-        with malformed_as_corrupt(dataset):
-            start, end = state.index.field_span(state.data, int(oid), column)
-        converter = _CONVERTERS[self._field_type_name(dataset, name)]
-        return converter(state.data[start:end].decode("utf-8"))
 
     # -- costing ------------------------------------------------------------------
 

@@ -10,8 +10,8 @@ column lookup.
 
 Scans gather the spans of the fields a query needs — nested paths included —
 from those columns and convert them to binary values in bulk per type;
-nested arrays are handled by the Unnest operator through
-:meth:`JsonPlugin.scan_unnest`, which parses only the array spans.
+nested arrays are flattened for the batch pipeline's unnest stage by
+:meth:`JsonPlugin.scan_unnest_batch`, which parses only the array spans.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.plugins.base import (
     InputPlugin,
     ScanBuffers,
     UnnestBatch,
-    UnnestBuffers,
     count_missing,
     dig_path as _dig,
     malformed_as_corrupt,
@@ -67,7 +66,6 @@ class JsonPlugin(InputPlugin):
 
     format_name = "json"
     field_access_cost = 2.5
-    supports_scan_ranges = True
 
     def __init__(self, memory):
         super().__init__(memory)
@@ -241,10 +239,9 @@ class JsonPlugin(InputPlugin):
 
         The structural index resolves every requested parent's array span in
         one column lookup (``column_spans``); only the array spans themselves
-        are parsed.  Flattened element values
-        are collected once per element path and converted in one bulk
-        ``_to_array`` call — no per-parent buffers, no per-element Python
-        round-trips through the Table-2 iterator protocol.
+        are parsed.  Flattened element values are collected once per element
+        path and converted in one bulk ``_to_array`` call — no per-parent
+        buffers or decoder calls.
         """
         self.io_checkpoint("scan-unnest", dataset.name)
         state = self._state(dataset)
@@ -263,9 +260,8 @@ class JsonPlugin(InputPlugin):
         start_list = starts[present_slots].tolist()
         end_list = ends[present_slots].tolist()
         # Slice every present array span (C-level slice objects) and parse
-        # them all with ONE ``json.loads`` of the joined spans: the
-        # per-parent decoder round-trip is the dominant cost of the
-        # per-parent path.
+        # them all with ONE ``json.loads`` of the joined spans: one decoder
+        # call per parent would dominate the cost.
         chunks = map(data.__getitem__, map(slice, start_list, end_list))
         joined = b"[" + b",".join(chunks) + b"]"
         parsed = json.loads(joined) if len(present_slots) else []
@@ -295,89 +291,15 @@ class JsonPlugin(InputPlugin):
             )
         return batch
 
-    #: Parents flattened per ``scan_unnest_batch`` call when ``scan_unnest``
-    #: covers a whole dataset: bounds peak memory (joined spans + parsed
-    #: element dicts are alive per chunk only, like the batch tier's 4096-
-    #: parent batches) while keeping the per-call overhead amortized.
-    _UNNEST_CHUNK_PARENTS = 65536
-
-    def scan_unnest(
-        self,
-        dataset: Dataset,
-        collection_path: FieldPath,
-        element_paths: Sequence[FieldPath],
-        parent_oids: np.ndarray | None = None,
-    ) -> UnnestBuffers:
-        if parent_oids is None:
-            count = self._state(dataset).index.num_objects
-            parent_oids = np.arange(count, dtype=np.int64)
-        element_paths = [tuple(path) for path in element_paths]
-        chunks = [
-            self.scan_unnest_batch(
-                dataset,
-                collection_path,
-                element_paths,
-                parent_oids[start : start + self._UNNEST_CHUNK_PARENTS],
-            )
-            for start in range(0, len(parent_oids), self._UNNEST_CHUNK_PARENTS)
-        ] or [
-            self.scan_unnest_batch(
-                dataset, collection_path, element_paths, parent_oids
-            )
-        ]
-        positions = [chunk.parent_positions() for chunk in chunks]
-        for index, offset in enumerate(
-            range(0, len(parent_oids), self._UNNEST_CHUNK_PARENTS)
-        ):
-            positions[index] += offset
-        buffers = UnnestBuffers(
-            count=sum(chunk.count for chunk in chunks),
-            parent_positions=(
-                np.concatenate(positions) if positions else np.zeros(0, np.int64)
-            ),
-        )
-        for path in element_paths:
-            buffers.columns[path] = _concat_columns(
-                [chunk.column(path) for chunk in chunks]
-            )
-        return buffers
-
     # -- tuple-at-a-time access -------------------------------------------------------
 
-    def iterate_rows(
-        self, dataset: Dataset, paths: Sequence[FieldPath] | None = None
-    ) -> Iterator[dict]:
+    def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
         state = self._state(dataset)
         data = state.data
         index = state.index
-        if paths is None:
-            for position in range(index.num_objects):
-                start, end = index.object_span(position)
-                yield json.loads(data[start:end])
-            return
-        keys = [".".join(path) for path in paths]
         for position in range(index.num_objects):
-            record: dict[str, Any] = {}
-            for path, key in zip(paths, keys):
-                span = index.field_span(position, key)
-                if span is None:
-                    value = self._read_via_parse(state, position, path)
-                else:
-                    start, end, type_code = span
-                    value = _convert_span(data, start, end, type_code)
-                _assign(record, path, value)
-            yield record
-
-    def read_value(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        state = self._state(dataset)
-        span = state.index.field_span(int(oid), ".".join(path))
-        if span is None:
-            return self._read_via_parse(state, int(oid), path)
-        start, end, type_code = span
-        return _convert_span(state.data, start, end, type_code)
-
-    def read_path(self, dataset: Dataset, oid: int, path: FieldPath) -> Any:
-        return self.read_value(dataset, oid, path)
+            start, end = index.object_span(position)
+            yield json.loads(data[start:end])
 
     # -- costing -------------------------------------------------------------------------
 
@@ -391,13 +313,6 @@ class JsonPlugin(InputPlugin):
         return cardinality * self.field_access_cost * max(len(paths), 1)
 
     # -- helpers -------------------------------------------------------------------------
-
-    def _read_via_parse(self, state: _JsonState, position: int, path: FieldPath) -> Any:
-        """Fallback for paths not present in the structural index (e.g. a field
-        nested inside an array element)."""
-        start, end = state.index.object_span(position)
-        record = json.loads(state.data[start:end])
-        return _dig(record, path)
 
     @staticmethod
     def _field_type_name(dataset: Dataset, path: FieldPath) -> str:
@@ -436,23 +351,6 @@ class JsonPlugin(InputPlugin):
 # ---------------------------------------------------------------------------
 # Span conversion helpers
 # ---------------------------------------------------------------------------
-
-
-def _concat_columns(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-chunk column buffers.  A chunk-local missing value may
-    have demoted one chunk to an object (or NaN-float) buffer; concatenation
-    must then widen the whole column exactly as a single-shot conversion
-    would, so an explicit object merge avoids NumPy promoting to strings."""
-    if len(parts) == 1:
-        return parts[0]
-    if any(part.dtype == object for part in parts):
-        merged = np.empty(sum(len(part) for part in parts), dtype=object)
-        position = 0
-        for part in parts:
-            merged[position : position + len(part)] = part
-            position += len(part)
-        return merged
-    return np.concatenate(parts)
 
 
 def _extract_element_values(flat: list, path: FieldPath) -> list:
@@ -560,13 +458,6 @@ def _convert_span(data: bytes, start: int, end: int, type_code: int) -> Any:
         return None
     # objects and arrays: parse the span only
     return json.loads(text)
-
-
-def _assign(record: dict, path: FieldPath, value: Any) -> None:
-    current = record
-    for step in path[:-1]:
-        current = current.setdefault(step, {})
-    current[path[-1] if path else "value"] = value
 
 
 def _to_array(values: list, dtype_name: str) -> np.ndarray:

@@ -247,10 +247,21 @@ class RowTable:
     row_count: int
     data: np.ndarray
 
+    def __post_init__(self) -> None:
+        self._strings: dict[str, np.ndarray] = {}
+
     def column(self, name: str) -> np.ndarray:
+        """One field of every record: a strided view of the mapped records,
+        except fixed-width strings, which are decoded (and kept) as an
+        object column like a column table's."""
         if not self.schema.has_field(name):
             raise StorageError(f"row table has no column {name!r}")
-        return self.data[name]
+        column = self.data[name]
+        if column.dtype.kind != "U":
+            return column
+        if name not in self._strings:
+            self._strings[name] = column.astype(object)
+        return self._strings[name]
 
 
 def read_row_table(path: str, use_mmap: bool = True) -> RowTable:

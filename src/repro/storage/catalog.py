@@ -39,9 +39,6 @@ class Dataset:
     options: dict[str, Any] = field(default_factory=dict)
     statistics: "DatasetStatistics | None" = None
 
-    def element_type(self) -> t.RecordType:
-        return self.schema
-
 
 @dataclass
 class DatasetStatistics:

@@ -332,19 +332,6 @@ class JsonStructuralIndex:
         starts = self.object_starts[rows].astype(np.int64) + offsets[rows]
         return starts, starts + lengths[rows], types[rows]
 
-    def field_span(self, index: int, path: str) -> tuple[int, int, int] | None:
-        """Return ``(start, end, type_code)`` of field ``path`` in object
-        ``index``, or ``None`` when the object lacks the field."""
-        slot = self._slots.get(path)
-        if slot is None:
-            return None
-        offsets, lengths, types = self.columns[slot]
-        type_code = int(types[index])
-        if type_code == TYPE_MISSING:
-            return None
-        start = int(self.object_starts[index]) + int(offsets[index])
-        return start, start + int(lengths[index]), type_code
-
 
 # Byte classes of one table lookup per byte.  Scalar bytes (numbers,
 # literals, garbage) are the classes up to _BACKSLASH.

@@ -10,7 +10,7 @@ format the experiments need:
 * JSON object streams (optionally with the same field order in every object,
   which lets the structural index use its fixed-schema specialization),
 * denormalized JSON (each order embeds its lineitems) for the unnest queries,
-* binary column tables and binary row tables.
+* binary column tables.
 
 ``scale`` 1.0 corresponds to 6,000 lineitems / 1,500 orders (the paper's SF10
 is 60 M / 15 M; absolute sizes are out of scope, relative behaviour is not).
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import types as t
-from repro.storage.binary_format import write_column_table, write_row_table
+from repro.storage.binary_format import write_column_table
 
 LINEITEMS_PER_SCALE = 6_000
 ORDERS_PER_SCALE = 1_500
@@ -167,12 +167,6 @@ def write_binary_columns(directory: str, columns: dict[str, np.ndarray],
                          schema: t.RecordType) -> str:
     write_column_table(directory, columns, schema)
     return directory
-
-
-def write_binary_rows(path: str, columns: dict[str, np.ndarray],
-                      schema: t.RecordType) -> str:
-    write_row_table(path, columns, schema)
-    return path
 
 
 @dataclass

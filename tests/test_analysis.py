@@ -181,22 +181,22 @@ def test_verdict_codes_for_declines(paths):
     assert declines["vectorized"] == "[TIER001] disabled (enable_vectorized=False)"
 
 
-def test_unsplittable_scan_and_single_morsel_are_not_verdicts(paths):
+def test_fanout_and_single_morsel_are_not_verdicts(paths):
     """The retired TIER006/TIER007: whether a scan fans out is the executor's
     decision — the verdicts are identical, only the profile differs."""
     engine = make_engine(
         paths, enable_codegen=False, parallel_workers=2,
         vectorized_batch_size=FANOUT_BATCH_SIZE,
     )
-    # Binary row tables cannot be range-split: served inline.
+    # Binary row tables are range-split like every other format.
     analysis = engine.prepare("SELECT id FROM items_rowbin WHERE qty > 1").analysis
     assert analysis.decline_reasons() == {
         "codegen": "[TIER001] disabled (enable_codegen=False)"
     }
     result = engine.query("SELECT id FROM items_rowbin WHERE qty > 1")
     assert result.tier == "vectorized"
-    assert result.profile.parallel_workers == 0
-    assert result.profile.morsels_dispatched == 0
+    assert result.profile.parallel_workers == 2
+    assert result.profile.morsels_dispatched > 1
 
     # Default batch size over 120 rows fits one morsel: served inline.
     single = make_engine(paths, enable_codegen=False, parallel_workers=2)
@@ -219,27 +219,25 @@ def test_plan_fanout_is_the_one_decision():
         LINEAR_ROOT_MORSELS,
     )
 
-    assert plan_fanout(1, True, 10_000, 16, True) == (
+    assert plan_fanout(1, 10_000, 16, True) == (
         [], "serial: parallel_workers=1"
     )
-    morsels, why = plan_fanout(4, False, 10_000, 16, True)
-    assert morsels == [] and "not range-splittable" in why
-    morsels, why = plan_fanout(4, True, None, 16, False)
+    morsels, why = plan_fanout(4, None, 16, False)
     assert morsels == [] and "decided when the scan opens" in why
     # Morsels are whole batches, never shrunk to manufacture parallelism.
-    morsels, why = plan_fanout(4, True, 10, 16, True)
+    morsels, why = plan_fanout(4, 10, 16, True)
     assert morsels == [] and "1 morsel(s) of 16" in why
     # The root kind sets the bar: the same scan fans out under a group-by
     # and runs inline under a linear root until it spans enough morsels.
     rows = 16 * (LINEAR_ROOT_MORSELS - 1)
     assert GROUPING_ROOT_MORSELS <= LINEAR_ROOT_MORSELS - 1
-    morsels, why = plan_fanout(4, True, rows, 16, True)
+    morsels, why = plan_fanout(4, rows, 16, True)
     assert len(morsels) == LINEAR_ROOT_MORSELS - 1 and morsels[-1].stop == rows
     assert why == f"fan-out: {len(morsels)} morsels across 4 workers (grouping root)"
-    morsels, why = plan_fanout(4, True, rows, 16, False)
+    morsels, why = plan_fanout(4, rows, 16, False)
     assert morsels == []
     assert f"a linear root fans out from {LINEAR_ROOT_MORSELS}" in why
-    morsels, why = plan_fanout(4, True, rows + 16, 16, False)
+    morsels, why = plan_fanout(4, rows + 16, 16, False)
     assert len(morsels) == LINEAR_ROOT_MORSELS
     assert why.endswith("(linear root)")
 

@@ -92,6 +92,24 @@ def test_persistent_truncation_exhausts_into_res005(paths, dataset):
     assert result.rows == [(EXPECTED_FILTERED_SUM,)]
 
 
+@pytest.mark.parametrize("tier", ["vectorized", "vectorized-fanout"])
+def test_binary_row_faults_fire_at_the_range_checkpoint(paths, tier):
+    """Row tables are scanned through the per-range checkpoint of every other
+    format, inline and over morsels: a fault scripted for that checkpoint
+    fires and the retry layer absorbs it."""
+    engine = make_engine(paths, enable_caching=False, **TIER_CONFIGS[tier])
+    injector = _install(
+        engine,
+        "items_rowbin",
+        [FaultSpec(kind="io-error", at_call=1, operation="scan-range")],
+    )
+    result = engine.query("select sum(price) from items_rowbin where qty > 1")
+    assert result.rows == [(EXPECTED_FILTERED_SUM,)]
+    assert injector.injected == [(1, "io-error")]
+    assert engine.last_profile.io_retries >= 1
+    assert (result.profile.morsels_dispatched > 0) == (tier == "vectorized-fanout")
+
+
 def test_corrupt_data_surfaces_res006_and_is_never_retried(paths):
     engine = make_engine(paths, enable_codegen=False, enable_caching=False)
     injector = _install(

@@ -7,13 +7,15 @@ Covers:
   NaN, big ints, ORDER BY, LIMIT, joins, group-bys, unnest, empty morsels)
   across worker counts 1 / 2 / 8,
 * the merged-tier matrix: every plan-root shape x worker count x input kind
-  (splittable / unsplittable binary rows / single morsel) is served by tier
+  (raw CSV / binary row table / single morsel) is served by tier
   ``vectorized`` with the profile reflecting the executor's fan-out decision
   and the sort-strategy labels each shape always had,
+* binary row tables fan out like every other format and return the rows of
+  their binary-column twin,
 * determinism: repeated fanned-out runs return identical row orderings, and
   integer results are bit-identical to an inline run,
-* the fan-out decision for unsplittable scans and single-morsel inputs, and
-  the Volcano fallback for non-vectorizable shapes,
+* the fan-out decision for single-morsel inputs, and the Volcano fallback
+  for non-vectorizable shapes,
 * the vectorized tier's use of the adaptive cache (hits and
   materializations),
 * unit coverage of morsel planning, the work-stealing scheduler, the join
@@ -125,13 +127,16 @@ def workload_dir(tmp_path_factory) -> str:
         t.make_schema({"rid": "int"}),
     )
 
-    # The sailors' numeric columns once more, as an (unsplittable) row table.
+    # The sailors once more, as a row table and as its binary-column twin.
     sids = np.arange(SAILOR_COUNT, dtype=np.int64)
-    write_row_table(
-        str(directory / "sailors_rows.bin"),
-        {"sid": sids, "rating": sids % 10, "age": 18.0 + (sids * 3) % 40},
-        t.make_schema({"sid": "int", "rating": "int", "age": "float"}),
-    )
+    sailors = {
+        "sid": sids,
+        "sname": np.asarray([f"sailor{i % 7}" for i in range(SAILOR_COUNT)], dtype=object),
+        "rating": sids % 10,
+        "age": 18.0 + (sids * 3) % 40,
+    }
+    write_row_table(str(directory / "sailors_rows.bin"), sailors, SAILORS_SCHEMA)
+    write_column_table(str(directory / "sailors_columns"), sailors, SAILORS_SCHEMA)
 
     # Integers beyond int64: an object column only the comparator can sort.
     with open(directory / "huge.json", "w", encoding="utf-8") as handle:
@@ -173,6 +178,9 @@ def _make_engine(workload_dir: str, **kwargs) -> ProteusEngine:
     engine.register_binary_rows("rowtable", os.path.join(workload_dir, "rows.bin"))
     engine.register_binary_rows(
         "sailors_rows", os.path.join(workload_dir, "sailors_rows.bin")
+    )
+    engine.register_binary_columns(
+        "sailors_cols", os.path.join(workload_dir, "sailors_columns")
     )
     engine.register_json("huge", os.path.join(workload_dir, "huge.json"))
     engine.register_csv(
@@ -342,13 +350,13 @@ def test_fanout_attribution_and_profile(parallel_engine):
     assert profile.batches_processed >= profile.morsels_dispatched
 
 
-def test_unsplittable_scan_runs_inline(parallel_engine):
-    # The binary row plug-in only has the per-tuple batch shim, so the
-    # executor never fans its scans out.
+def test_row_table_scan_fans_out(parallel_engine):
+    # A row table serves row ranges like every other format: its 200 rows
+    # are 50 morsels, enough for a global aggregate to fan out.
     result = parallel_engine.query("SELECT COUNT(*) FROM rowtable WHERE rid < 50")
     assert result.tier == "vectorized"
-    assert result.profile.parallel_workers == 0
-    assert result.profile.morsels_dispatched == 0
+    assert result.profile.parallel_workers == 4
+    assert result.profile.morsels_dispatched > 1
     assert result.rows == [(50,)]
 
 
@@ -361,9 +369,9 @@ def test_single_morsel_input_runs_inline(workload_dir):
     assert result.rows == [(SAILOR_COUNT,)]
 
 
-def test_unsplittable_probe_still_fans_out_its_build_side(workload_dir):
-    # One decision per scan: the row-table probe side streams inline while
-    # the splittable build side (or vice versa) is materialized by morsels.
+def test_row_table_probe_and_build_side_both_fan_out(workload_dir):
+    # One decision per scan: the row-table probe side and the column-table
+    # build side are each split into morsels.
     engine = _make_engine(workload_dir, parallel_workers=4)
     query = (
         "SELECT COUNT(*) FROM sailors_rows r JOIN ships h ON r.sid = h.owner"
@@ -371,7 +379,7 @@ def test_unsplittable_probe_still_fans_out_its_build_side(workload_dir):
     result = engine.query(query)
     assert result.tier == "vectorized"
     assert result.profile.parallel_workers == 4
-    assert 1 < result.profile.morsels_dispatched <= -(-SHIP_COUNT // BATCH_SIZE)
+    assert result.profile.morsels_dispatched > -(-SHIP_COUNT // BATCH_SIZE)
     assert result.rows == _make_engine(workload_dir).query(query).rows
 
 
@@ -401,7 +409,7 @@ def test_parallel_workers_flag_defaults_to_serial(workload_dir):
 #: table; the batch size decides how many morsels its 600 rows span.
 INPUT_KINDS = {
     "splittable": ("sailors", BATCH_SIZE),
-    "unsplittable": ("sailors_rows", BATCH_SIZE),
+    "row-table": ("sailors_rows", BATCH_SIZE),
     "single-morsel": ("sailors", 4096),
 }
 
@@ -435,6 +443,10 @@ ROOT_SHAPES = {
         "SELECT rating, COUNT(*), MAX(sid) FROM {t} GROUP BY rating",
         False, None, None,
     ),
+    "string-group-by": (
+        "SELECT sname, COUNT(*), MIN(age) FROM {t} GROUP BY sname",
+        False, None, None,
+    ),
     "hash-join": (
         "SELECT s.sid, h.rating FROM {t} s JOIN {t} h ON s.sid = h.sid "
         "WHERE h.rating > 6",
@@ -442,7 +454,7 @@ ROOT_SHAPES = {
     ),
 }
 
-#: Nested and non-encodable data only exists as (splittable) JSON.
+#: Nested and non-encodable data only exists as JSON.
 JSON_SHAPES = {
     "inner-unnest": (
         "for { o <- orders, l <- o.lines } yield bag (o.okey, l.item)",
@@ -511,7 +523,7 @@ def test_merged_tier_matrix(engine_for, shape, kind):
         assert result.tier == "vectorized", label
         _assert_rows_match(result.rows, reference.rows, query, ordered=ordered)
         profile = result.profile
-        if workers > 1 and kind == "splittable":
+        if workers > 1 and kind != "single-morsel":
             assert profile.parallel_workers == workers, label
             assert profile.morsels_dispatched > 1, label
             assert profile.sort_strategy == fanout_strategy, label
@@ -521,6 +533,12 @@ def test_merged_tier_matrix(engine_for, shape, kind):
             assert profile.morsels_stolen == 0, label
             assert profile.sort_strategy == inline_strategy, label
         rows_by_workers[workers] = result.rows
+        if kind == "row-table":
+            # Its binary-column twin holds the same sailors.
+            twin = engine_for(workers, batch_size).query(
+                query.replace(table, "sailors_cols")
+            )
+            assert result.rows == twin.rows, label
     # No float sums among the shapes: bit-identical at every worker count,
     # row order included.
     assert rows_by_workers[1] == rows_by_workers[2] == rows_by_workers[8]
@@ -687,6 +705,7 @@ def test_fanned_out_build_side_table_matches_serial(workload_dir, query, kernel)
         ("sailors", [("sid",), ("age",), ("sname",)]),
         ("nulls", [("id",), ("val",)]),
         ("ships", [("shid",), ("tons",)]),
+        ("sailors_rows", [("sid",), ("sname",), ("age",)]),
     ],
 )
 def test_scan_batch_ranges_matches_scan_batches(
@@ -694,9 +713,8 @@ def test_scan_batch_ranges_matches_scan_batches(
 ):
     registered = parallel_engine.catalog.get(dataset)
     plugin = parallel_engine.plugins[registered.format]
-    assert plugin.supports_scan_ranges
     total = plugin.scan_row_count(registered)
-    assert total is not None and total > 0
+    assert total > 0
     full = plugin.scan_columns(registered, paths_requested)
     mid = total // 2
     pieces = list(
@@ -729,12 +747,12 @@ def test_scan_batch_ranges_clamps_to_row_count(parallel_engine):
     assert sum(piece.count for piece in pieces) == 5
 
 
-def test_unsplittable_plugin_reports_no_ranges(parallel_engine):
+def test_row_table_plugin_serves_ranges(parallel_engine):
     registered = parallel_engine.catalog.get("rowtable")
     plugin = parallel_engine.plugins[registered.format]
-    assert not plugin.supports_scan_ranges
-    assert plugin.scan_row_count(registered) is None
-    from repro.errors import PluginError
-
-    with pytest.raises(PluginError, match="range"):
-        list(plugin.scan_batch_ranges(registered, [("rid",)], 0, 10))
+    assert plugin.scan_row_count(registered) == 200
+    pieces = list(plugin.scan_batch_ranges(registered, [("rid",)], 190, 300, batch_size=4))
+    assert [piece.count for piece in pieces] == [4, 4, 2]
+    assert np.concatenate([piece.column(("rid",)) for piece in pieces]).tolist() == list(
+        range(190, 200)
+    )

@@ -1,5 +1,4 @@
-"""Unit tests for the input plug-ins (CSV, JSON, binary row/column, cache)
-and the output plug-ins."""
+"""Unit tests for the input plug-ins (CSV, JSON, binary row/column, cache)."""
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from repro.plugins import (
     CsvPlugin,
     JsonPlugin,
 )
-from repro.plugins.output import BinaryColumnOutput, PositionalOutput
 from repro.storage.catalog import DataFormat, Dataset
 from repro.storage.memory import MemoryManager
 
@@ -69,13 +67,13 @@ def test_csv_infer_schema_and_stats(paths, memory):
     assert stats.max_values["id"] == ITEM_COUNT - 1
 
 
-def test_csv_read_value_and_iterate(paths, memory):
+def test_csv_iterate_rows(paths, memory):
     plugin = CsvPlugin(memory)
     dataset = _dataset("items", DataFormat.CSV, paths["items_csv"], ITEMS_SCHEMA)
-    assert plugin.read_value(dataset, 7, ("category",)) == "cat3"
-    rows = list(plugin.iterate_rows(dataset, [("id",), ("qty",)]))
+    rows = list(plugin.iterate_rows(dataset))
     assert len(rows) == ITEM_COUNT
-    assert rows[12] == {"id": 12, "qty": 2}
+    assert rows == expected_items()
+    assert rows[7]["category"] == "cat3"
 
 
 def test_csv_unknown_column(paths, memory):
@@ -105,7 +103,8 @@ def test_csv_crlf_line_ends_stay_out_of_values(tmp_path, memory):
     assert list(plugin.scan_columns(dataset, [("label",)]).column(("label",))) == [
         "pharma", "casino", "pharma",
     ]
-    assert plugin.read_value(dataset, 2, ("label",)) == "pharma"
+    picked = plugin.scan_columns_at(dataset, [("label",)], np.asarray([2]))
+    assert list(picked.column(("label",))) == ["pharma"]
     assert [row["label"] for row in plugin.iterate_rows(dataset)] == ["pharma", "casino", "pharma"]
     engine = ProteusEngine()
     engine.register_csv("crlf", str(path), schema=schema)
@@ -124,26 +123,28 @@ def test_json_scan_flat_and_nested_fields(paths, memory):
     assert buffers.column(("origin", "country"))[3] == "CH"
 
 
-def test_json_scan_unnest(paths, memory):
+def test_json_scan_unnest_batch(paths, memory):
     plugin = JsonPlugin(memory)
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
-    buffers = plugin.scan_unnest(dataset, ("lines",), [("qty",)])
+    parents = np.arange(ORDER_COUNT, dtype=np.int64)
+    batch = plugin.scan_unnest_batch(dataset, ("lines",), [("qty",)], parents)
     expected_total = sum(len(o["lines"]) for o in expected_orders())
-    assert buffers.count == expected_total
-    assert buffers.column(("qty",)).dtype.kind in "if"
-    # parent positions point back into the order stream
-    assert buffers.parent_positions.max() < ORDER_COUNT
+    assert batch.count == expected_total
+    assert batch.column(("qty",)).dtype.kind in "if"
+    # one repeat count per parent; positions point back into the order stream
+    assert batch.repeats.tolist() == [len(o["lines"]) for o in expected_orders()]
+    assert batch.parent_positions().max() < ORDER_COUNT
 
 
-def test_json_scan_unnest_subset_of_parents(paths, memory):
+def test_json_scan_unnest_batch_subset_of_parents(paths, memory):
     plugin = JsonPlugin(memory)
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     parent_oids = np.asarray([5, 6, 7])
-    buffers = plugin.scan_unnest(dataset, ("lines",), [("item",)], parent_oids)
+    batch = plugin.scan_unnest_batch(dataset, ("lines",), [("item",)], parent_oids)
     expected_total = sum(len(expected_orders()[i]["lines"]) for i in (5, 6, 7))
-    assert buffers.count == expected_total
+    assert batch.count == expected_total
     # positions index into the *given* parent list
-    assert set(buffers.parent_positions.tolist()) <= {0, 1, 2}
+    assert set(batch.parent_positions().tolist()) <= {0, 1, 2}
 
 
 def test_json_columns_convert_in_bulk_per_type(tmp_path, memory):
@@ -174,15 +175,22 @@ def test_json_unnest_requires_array(paths, memory):
     plugin = JsonPlugin(memory)
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     with pytest.raises(PluginError):
-        plugin.scan_unnest(dataset, ("origin",), [("country",)])
+        plugin.scan_unnest_batch(
+            dataset, ("origin",), [("country",)], np.arange(ORDER_COUNT)
+        )
 
 
-def test_json_read_value_and_missing_fields(paths, memory):
+def test_json_scan_columns_at_nested_and_missing_fields(paths, memory):
     plugin = JsonPlugin(memory)
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
-    assert plugin.read_value(dataset, 2, ("total",)) == pytest.approx(5.0)
-    assert plugin.read_value(dataset, 2, ("origin", "zone")) == 2
-    assert plugin.read_value(dataset, 2, ("nonexistent",)) is None
+    fields = [("total",), ("origin", "zone"), ("nonexistent",)]
+    picked = plugin.scan_columns_at(dataset, fields, np.asarray([2]))
+    assert picked.column(("total",))[0] == pytest.approx(5.0)
+    assert picked.column(("origin", "zone"))[0] == 2
+    assert t.is_missing(picked.column(("nonexistent",))[0])
+    record = list(plugin.iterate_rows(dataset))[2]
+    assert record == expected_orders()[2]
+    assert "nonexistent" not in record
 
 
 def test_json_infer_schema(paths, memory):
@@ -194,19 +202,16 @@ def test_json_infer_schema(paths, memory):
     assert isinstance(schema.field_type("origin"), t.RecordType)
 
 
-def test_json_index_info_and_unnest_iterator(paths, memory):
+def test_json_index_info_and_one_parent_unnest(paths, memory):
     plugin = JsonPlugin(memory)
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     info = plugin.index_info(dataset)
     assert info["objects"] == ORDER_COUNT
     assert info["fixed_schema"]  # every order has the same field order
-    state = plugin.unnest_init(dataset, 5, ("lines",))
-    count = 0
-    while plugin.unnest_has_next(state):
-        element = plugin.unnest_get_next(state)
-        assert "item" in element
-        count += 1
-    assert count == len(expected_orders()[5]["lines"])
+    batch = plugin.scan_unnest_batch(dataset, ("lines",), [("item",)], np.asarray([5]))
+    expected = [line["item"] for line in expected_orders()[5]["lines"]]
+    assert batch.repeats.tolist() == [len(expected)]
+    assert batch.column(("item",)).tolist() == expected
 
 
 # -- binary plug-ins -------------------------------------------------------------------
@@ -220,7 +225,7 @@ def test_binary_column_plugin(paths, memory):
     assert buffers.count == ITEM_COUNT
     stats = plugin.collect_statistics(dataset)
     assert stats.max_values["id"] == ITEM_COUNT - 1
-    assert plugin.read_value(dataset, 3, ("price",)) == pytest.approx(4.5)
+    assert list(plugin.iterate_rows(dataset))[3]["price"] == pytest.approx(4.5)
 
 
 def test_binary_row_plugin(paths, memory):
@@ -228,9 +233,24 @@ def test_binary_row_plugin(paths, memory):
     dataset = _dataset("items", DataFormat.BINARY_ROW, paths["items_rows"], ITEMS_SCHEMA)
     buffers = plugin.scan_columns(dataset, [("qty",), ("category",)])
     assert buffers.count == ITEM_COUNT
+    # Fixed-width strings come back as an object column, like a column table's.
+    assert buffers.column(("category",)).dtype == object
     assert buffers.column(("category",))[1] == "cat1"
-    rows = list(plugin.iterate_rows(dataset, [("id",)]))
-    assert rows[4] == {"id": 4}
+    rows = list(plugin.iterate_rows(dataset))
+    assert rows == expected_items()
+    assert type(rows[4]["id"]) is int and type(rows[4]["category"]) is str
+
+
+@pytest.mark.parametrize("plugin_class,fmt,path_key", [
+    (CsvPlugin, DataFormat.CSV, "items_csv"),
+    (BinaryColumnPlugin, DataFormat.BINARY_COLUMN, "items_columns"),
+    (BinaryRowPlugin, DataFormat.BINARY_ROW, "items_rows"),
+])
+def test_flat_formats_have_no_nested_collections(paths, memory, plugin_class, fmt, path_key):
+    plugin = plugin_class(memory)
+    dataset = _dataset("items", fmt, paths[path_key], ITEMS_SCHEMA)
+    with pytest.raises(PluginError, match="does not contain nested collections"):
+        plugin.scan_unnest_batch(dataset, ("id",), [()], np.arange(3))
 
 
 def test_binary_plugins_cost_below_text_formats(memory):
@@ -254,26 +274,11 @@ def test_cache_plugin_serves_cached_fields(memory):
     assert np.array_equal(buffers.column(("x",)), values)
     with pytest.raises(PluginError):
         plugin.scan_columns(dataset, [("y",)])
-    assert plugin.read_value(dataset, 7, ("x",)) == 7
+    assert list(plugin.iterate_rows(dataset))[7] == {"x": 7}
     stats = plugin.collect_statistics(dataset)
     assert stats.cardinality == 50
+    assert plugin.scan_row_count(dataset) == 50
+    pieces = list(plugin.scan_batch_ranges(dataset, [("x",)], 40, 60, batch_size=4))
+    assert np.concatenate([piece.column(("x",)) for piece in pieces]).tolist() == list(range(40, 50))
+    assert np.concatenate([piece.oids for piece in pieces]).tolist() == list(range(40, 50))
 
-
-# -- output plug-ins ----------------------------------------------------------------------
-
-
-def test_binary_column_output_flush_and_cache():
-    output = BinaryColumnOutput()
-    columns = {"a": np.asarray([1, 2, 3]), "b": np.asarray([1.5, 2.5, 3.5])}
-    rows = output.flush_rows(["a", "b"], columns)
-    assert rows == [(1, 1.5), (2, 2.5), (3, 3.5)]
-    cache = output.materialize_cache(columns["a"], np.arange(3), "a column")
-    assert cache.eagerness == "eager"
-    assert cache.size_bytes == columns["a"].nbytes
-
-
-def test_positional_output_is_lazy():
-    output = PositionalOutput()
-    cache = output.materialize_cache(np.asarray([9.0, 8.0]), np.asarray([4, 5]), "lazy")
-    assert cache.eagerness == "lazy"
-    assert np.array_equal(cache.data, np.asarray([4, 5]))

@@ -383,12 +383,16 @@ def test_explain_reports_planned_fanout(paths):
         paths, enable_codegen=False, parallel_workers=4, enable_caching=False,
         vectorized_batch_size=8,
     )
+    # Binary tables are analyzed at registration: the morsel count is known
+    # statically, and the root kind sets how many a fan-out needs.
     text = engine.explain("SELECT COUNT(*) FROM items_rowbin WHERE qty < 5")
     assert "vectorized: serves this plan  <- selected" in text
-    assert "items_rowbin (binary_row): serial" in text
-    assert "not range-splittable" in text
-    # Binary column tables are analyzed at registration: the morsel count is
-    # known statically, and the root kind sets how many a fan-out needs.
+    assert (
+        "items_rowbin (binary_row): serial: 120 rows are 15 morsel(s) of 8; "
+        "a linear root fans out from 16"
+    ) in text
+    text = engine.explain("SELECT qty, COUNT(*) FROM items_rowbin GROUP BY qty")
+    assert "items_rowbin (binary_row): fan-out: 15 morsels" in text
     text = engine.explain("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
     assert (
         "items_bin (binary_column): serial: 120 rows are 15 morsel(s) of 8; "

@@ -115,16 +115,16 @@ def test_json_structural_index_spans_roundtrip(objects):
     data = ("\n".join(json.dumps(o) for o in objects) + "\n").encode()
     index = si.build_json_index(data)
     assert index.num_objects == len(objects)
-    for position, record in enumerate(objects):
-        for name, value in record.items():
-            if isinstance(value, dict):
+    for name in ("a", "b", "c"):
+        starts, ends, types = index.column_spans(name)
+        for position, record in enumerate(objects):
+            if name not in record:
+                assert types[position] == si.TYPE_MISSING
                 continue
-            span = index.field_span(position, name)
-            assert span is not None
-            start, end, _ = span
-            assert json.loads(data[start:end]) == value
-        span = index.field_span(position, "not_a_field")
-        assert span is None
+            assert types[position] != si.TYPE_MISSING
+            assert json.loads(data[starts[position]:ends[position]]) == record[name]
+    _, _, types = index.column_spans("not_a_field")
+    assert (types == si.TYPE_MISSING).all()
 
 
 @contextlib.contextmanager
@@ -240,11 +240,14 @@ def _assert_matches_reference(data, max_depth):
         starts, ends, types = index.column_spans(path)
         for position, mapping in enumerate(fields):
             expected = mapping.get(path)
-            assert index.field_span(position, path) == expected
             if expected is None:
                 assert types[position] == si.TYPE_MISSING
             else:
                 assert (starts[position], ends[position], types[position]) == expected
+        # A gather at some positions equals the full column at them.
+        picked = np.arange(index.num_objects)[::-2]
+        for some, full in zip(index.column_spans(path, picked), (starts, ends, types)):
+            assert np.array_equal(some, full[picked])
     sequences = json_reference.reference_sequences(data, max_depth)
     assert index.fixed_schema == (bool(sequences) and len(set(sequences)) == 1)
 

@@ -4,16 +4,19 @@
 CI lint and type jobs.  Where a tool is not importable its test does not pass
 silently: it skips with a reason naming the tool and the command that did
 NOT run, and emits the same text as a warning so it shows in the summary of
-every run.  :func:`test_no_unused_imports` is an ``ast``-only stand-in for
-ruff's unused-import rule that runs everywhere.
+every run.  :func:`test_no_unused_imports` and :func:`test_no_undefined_names`
+are ``ast``/``symtable``-only stand-ins for ruff's unused-import and
+undefined-name rules that run everywhere.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib.util
 import os
 import subprocess
+import symtable
 import sys
 import warnings
 
@@ -43,8 +46,25 @@ def test_static_check(tool, arguments):
     )
 
 
-def _annotation_names(tree: ast.AST) -> set[str]:
-    """Names inside quoted annotations (``"np.ndarray | None"``)."""
+def _sources():
+    """Every module of ``src/repro`` and ``tools``."""
+    for base in ("src/repro", "tools"):
+        for directory, _, files in os.walk(os.path.join(ROOT, base)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    yield os.path.join(directory, name)
+
+
+#: Names every module has without binding them.
+_MODULE_ATTRIBUTES = {
+    "__annotations__", "__builtins__", "__doc__", "__file__", "__loader__",
+    "__name__", "__package__", "__path__", "__spec__",
+}
+
+
+def _annotation_names(tree: ast.AST, unquoted: bool = False) -> set[str]:
+    """Names inside quoted annotations (``"np.ndarray | None"``) and, with
+    ``unquoted``, the plain names of every annotation as well."""
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.arg) and node.annotation is not None:
@@ -56,7 +76,9 @@ def _annotation_names(tree: ast.AST) -> set[str]:
     names = set()
     for annotation in annotations:
         for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if unquoted and isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 try:
                     parsed = ast.parse(node.value, mode="eval")
                 except SyntaxError:
@@ -94,10 +116,50 @@ def test_no_unused_imports():
     """The stand-in for ruff's unused-import rule that runs everywhere:
     every module of ``src/repro`` and ``tools`` but the package
     ``__init__`` files (whose imports are the package's exports)."""
-    found = []
-    for base in ("src/repro", "tools"):
-        for directory, _, files in os.walk(os.path.join(ROOT, base)):
-            for name in sorted(files):
-                if name.endswith(".py") and name != "__init__.py":
-                    found += unused_imports(os.path.join(directory, name))
+    found = [
+        problem
+        for path in _sources()
+        if os.path.basename(path) != "__init__.py"
+        for problem in unused_imports(path)
+    ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def undefined_names(path: str) -> list[str]:
+    """``path:line: name`` for every global read that no module-level
+    binding, import or builtin defines — ruff's F821, from ``symtable`` and
+    the ``ast`` alone.  A read is global when the symbol table resolves it
+    to module scope: at module level, in a class body, or free in a function
+    or comprehension; names inside annotations count too, quoted or not."""
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    top = symtable.symtable(source, path, "exec")
+    defined = set(dir(builtins)) | _MODULE_ATTRIBUTES
+    reads: set[str] = set()
+
+    def visit(table: symtable.SymbolTable) -> None:
+        for symbol in table.get_symbols():
+            name = symbol.get_name()
+            if table is top or symbol.is_declared_global():
+                if symbol.is_assigned() or symbol.is_imported() or symbol.is_namespace():
+                    defined.add(name)
+            if symbol.is_referenced() and (table is top or symbol.is_global()):
+                reads.add(name)
+        for child in table.get_children():
+            visit(child)
+
+    visit(top)
+    tree = ast.parse(source)
+    missing = (reads | _annotation_names(tree, unquoted=True)) - defined
+    lines: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in missing:
+            lines[node.id] = min(node.lineno, lines.get(node.id, node.lineno))
+    return [f"{path}:{lines.get(name, 0)}: {name}" for name in sorted(missing)]
+
+
+def test_no_undefined_names():
+    """The stand-in for ruff's undefined-name rule that runs everywhere:
+    every module of ``src/repro`` and ``tools``."""
+    found = [problem for path in _sources() for problem in undefined_names(path)]
+    assert not found, "undefined names:\n" + "\n".join(found)

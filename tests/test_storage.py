@@ -134,18 +134,18 @@ def test_json_index_fixed_schema_detection():
     index = si.build_json_index(_json_bytes(objects))
     assert index.num_objects == 20
     assert index.fixed_schema
-    span = index.field_span(3, "a")
-    assert span is not None and span[2] == si.TYPE_NUMBER
-    nested = index.field_span(3, "b.c")
-    assert nested is not None
+    assert (index.column_spans("a")[2] == si.TYPE_NUMBER).all()
+    assert (index.column_spans("b.c")[2] == si.TYPE_NUMBER).all()
 
 
 def test_json_index_flexible_schema_level0():
     objects = [{"a": 1, "b": 2}, {"b": 5, "a": 6, "extra": "x"}, {"a": 9}]
     index = si.build_json_index(_json_bytes(objects))
     assert not index.fixed_schema
-    assert index.field_span(1, "extra")[2] == si.TYPE_STRING
-    assert index.field_span(2, "b") is None
+    assert index.column_spans("extra")[2].tolist() == [
+        si.TYPE_MISSING, si.TYPE_STRING, si.TYPE_MISSING
+    ]
+    assert index.column_spans("b")[2][2] == si.TYPE_MISSING
     assert {"a", "b", "extra"} <= index.paths()
 
 
@@ -153,24 +153,23 @@ def test_json_index_arrays_excluded_from_level0_navigation():
     objects = [{"a": 1, "items": [{"x": 1}, {"x": 2}]}] * 3
     data = _json_bytes(objects)
     index = si.build_json_index(data)
-    span = index.field_span(0, "items")
-    assert span is not None and span[2] == si.TYPE_ARRAY
+    starts, ends, types = index.column_spans("items")
+    assert (types == si.TYPE_ARRAY).all()
     # Array element fields are not registered as paths of their own.
     assert "items.x" not in index.paths()
     # The recorded span parses back to the array.
-    start, end, _ = span
-    assert json.loads(data[start:end]) == [{"x": 1}, {"x": 2}]
+    assert json.loads(data[starts[0]:ends[0]]) == [{"x": 1}, {"x": 2}]
 
 
 def test_json_index_value_spans_roundtrip():
     objects = [{"s": 'he said "hi"', "n": -1.5e3, "b": True, "z": None}]
     data = _json_bytes(objects)
     index = si.build_json_index(data)
-    start, end, code = index.field_span(0, "s")
-    assert json.loads(data[start:end]) == 'he said "hi"'
-    assert code == si.TYPE_STRING
-    assert index.field_span(0, "b")[2] == si.TYPE_BOOL
-    assert index.field_span(0, "z")[2] == si.TYPE_NULL
+    starts, ends, types = index.column_spans("s")
+    assert json.loads(data[starts[0]:ends[0]]) == 'he said "hi"'
+    assert types[0] == si.TYPE_STRING
+    assert index.column_spans("b")[2][0] == si.TYPE_BOOL
+    assert index.column_spans("z")[2][0] == si.TYPE_NULL
 
 
 def test_json_index_rejects_non_object_stream():

@@ -11,9 +11,9 @@ Covers:
 * unnest under joins and under global / grouped aggregates,
 * worker counts 1/2/8: the fan-out's morsel-ordered assembly must
   reproduce an inline run's row order exactly,
-* unit coverage of the ``scan_unnest_batch`` plug-in API (native JSON
-  offset-vector implementation and the generic per-parent fallback) and of
-  the nullable-bool materialization fix.
+* unit coverage of the ``scan_unnest_batch`` plug-in API (the JSON
+  offset-vector implementation against the Volcano interpreter's
+  ``iterate_rows`` records) and of the nullable-bool materialization fix.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.physical import PhysUnnest
-from repro.plugins.base import InputPlugin, flatten_collections
+from repro.plugins.base import flatten_collections
 from repro.plugins.json_plugin import JsonPlugin
 from repro.storage.memory import MemoryManager
 
@@ -383,31 +383,33 @@ def test_scan_unnest_batch_outer_null_rows(json_plugin_and_dataset):
     assert missing == empties
 
 
-def test_generic_fallback_matches_native(json_plugin_and_dataset):
-    """The per-parent round-trip fallback and the native offset-vector path
-    must flatten identically (the benchmark gates their speed apart)."""
+def test_batch_unnest_matches_iterate_rows(json_plugin_and_dataset):
+    """The offset-vector path flattens exactly the collections the Volcano
+    interpreter reads from ``iterate_rows`` records, inner and outer."""
     plugin, dataset = json_plugin_and_dataset
+    records = list(plugin.iterate_rows(dataset))
     oids = np.arange(0, ORDER_COUNT, 3, dtype=np.int64)
     for outer in (False, True):
-        native = plugin.scan_unnest_batch(
+        batch = plugin.scan_unnest_batch(
             dataset, ("lines",), [("item",), ("qty",)], oids, outer=outer
         )
-        fallback = InputPlugin.scan_unnest_batch(
-            plugin, dataset, ("lines",), [("item",), ("qty",)], oids, outer=outer
-        )
-        assert native.count == fallback.count
-        assert native.repeats.tolist() == fallback.repeats.tolist()
+        collections = [records[oid]["lines"] or [] for oid in oids.tolist()]
+        if outer:
+            collections = [lines or [None] for lines in collections]
+        assert batch.repeats.tolist() == [len(lines) for lines in collections]
+        assert batch.count == sum(len(lines) for lines in collections)
         for path in (("item",), ("qty",)):
-            # The two paths may encode missing differently (NaN float vs
-            # None object) — normalize through the engine-wide missing rule.
-            left = [
-                None if t.is_missing(v) else v for v in native.column(path).tolist()
+            expected = [
+                None if line is None else line[path[0]]
+                for lines in collections
+                for line in lines
             ]
-            right = [
-                None if t.is_missing(v) else v
-                for v in fallback.column(path).tolist()
+            # Missing may be NaN in a float buffer — normalize through the
+            # engine-wide missing rule.
+            actual = [
+                None if t.is_missing(v) else v for v in batch.column(path).tolist()
             ]
-            assert left == right
+            assert actual == expected
 
 
 def test_flatten_collections_kernel():
@@ -420,14 +422,15 @@ def test_flatten_collections_kernel():
     assert outer.column(("x",)).tolist() == [1, 2, None, None, 3]
 
 
-def test_scan_unnest_whole_dataset_api(json_plugin_and_dataset):
+def test_scan_unnest_batch_whole_dataset(json_plugin_and_dataset):
     plugin, dataset = json_plugin_and_dataset
-    buffers = plugin.scan_unnest(dataset, ("lines",), [("qty",)])
+    parents = np.arange(ORDER_COUNT, dtype=np.int64)
+    batch = plugin.scan_unnest_batch(dataset, ("lines",), [("qty",)], parents)
     orders = expected_orders()
     expected = [l["qty"] for o in orders for l in (o["lines"] or ())]
-    assert buffers.count == len(expected)
-    assert buffers.column(("qty",)).tolist() == expected
-    assert len(buffers.parent_positions) == buffers.count
+    assert batch.count == len(expected)
+    assert batch.column(("qty",)).tolist() == expected
+    assert len(batch.parent_positions()) == batch.count
 
 
 def test_unnest_planned_mode(vectorized_engine):

@@ -7,8 +7,8 @@ Covers:
   result assembly),
 * a differential suite asserting the codegen, vectorized and Volcano tiers
   return identical rows on the Sailors/Ships and JSON workloads,
-* unit coverage of the plug-in ``scan_batches`` API (native fast paths and
-  the per-tuple shim).
+* unit coverage of the plug-in ``scan_batches`` API (the whole-range
+  ``scan_batch_ranges`` of every format).
 """
 
 from __future__ import annotations
@@ -695,7 +695,7 @@ def test_codegen_unavailable_shapes_use_vectorized_not_volcano(tier_engines):
         ("items_csv", [("id",), ("price",), ("category",)]),
         ("items_json", [("id",), ("qty",)]),
         ("items_bin", [("id",), ("category",)]),
-        ("items_rowbin", [("id",), ("qty",)]),  # exercises the per-tuple shim
+        ("items_rowbin", [("id",), ("category",)]),
         ("orders", [("okey",), ("origin", "country")]),
     ],
 )
