@@ -3,11 +3,14 @@
 The policy decides *what* gets cached as a side effect of execution.  The
 paper describes one policy, and it has no settings:
 
-* eagerly cache primitive values read from verbose sources (JSON, CSV) —
+* eagerly cache the columns read from verbose sources (JSON, CSV) —
   especially fields used in filtering predicates — because re-accessing and
   re-converting them dominates query time,
-* do **not** cache variable-length string fields from CSV/JSON files, which
-  are verbose and would pollute the cache arena,
+* strings are cached as dictionary codes: the plug-ins produce string
+  columns as ``int32`` codes into a sorted dictionary of distinct values
+  (:class:`~repro.core.strings.StringColumn`), a primitive column that does
+  not pollute the cache arena the way variable-length strings would; values
+  without a primitive form (mixed types, nested records) are not cached,
 * do not cache fields read from binary sources (they are already cheap),
 * always cache the join tables built over hash-join build sides (implicit
   caching: the join is a blocking operator, so its materialization comes for
@@ -34,25 +37,13 @@ FORMAT_BIAS = {
 VERBOSE_FORMATS = frozenset({"json", "csv"})
 
 
-def column_type_name(column) -> str:
-    """The ``type_name`` label :meth:`CachingPolicy.should_cache_field`
-    expects for a scanned NumPy column (shared by every execution tier)."""
-    if column.dtype == object:
-        return "string"
-    if column.dtype.kind == "b":
-        return "bool"
-    if column.dtype.kind in "iu":
-        return "int"
-    return "float"
-
-
 class CachingPolicy:
     """The §6 rules the caching manager and the batch pipeline consult."""
 
-    def should_cache_field(self, source_format: str, type_name: str) -> bool:
-        """Should a scanned/converted field column from ``source_format`` with
-        values of ``type_name`` be added to the cache?"""
-        return source_format in VERBOSE_FORMATS and type_name != "string"
+    def should_cache_field(self, source_format: str) -> bool:
+        """Should the field columns scanned from ``source_format`` be added
+        to the cache?"""
+        return source_format in VERBOSE_FORMATS
 
     def format_bias(self, source_format: str) -> float:
         """Eviction bias of a cache entry built from ``source_format``."""

@@ -126,6 +126,7 @@ from repro.core.physical import (
 )
 from repro.core.sort import resolve_limit, sort_columns
 from repro.core.sql_parser import parse_sql
+from repro.core.strings import StringColumn
 from repro.core.translator import translate
 from repro.errors import (
     CodegenError,
@@ -1298,7 +1299,7 @@ class ProteusEngine:
                 dataset = self.catalog.get(node.dataset)
             except ProteusError:
                 continue
-            if not manager.policy.should_cache_field(dataset.format, "float"):
+            if not manager.policy.should_cache_field(dataset.format):
                 continue
             keys = [field_cache_key(dataset.name, path) for path in node.paths]
             if any(manager.peek(key) is None for key in keys):
@@ -1721,7 +1722,7 @@ def _normalize_result_columns(
             scalar = True
         elif isinstance(column, (int, float, bool, str)) or column is None:
             scalar = True
-        elif not isinstance(column, np.ndarray):
+        elif not isinstance(column, (np.ndarray, StringColumn)):
             column = list(column)
         buffers[name] = column
         scalars[name] = scalar
@@ -1750,8 +1751,11 @@ def _python_values(buffer) -> list:
     The one row-pull path of :class:`ResultSet` (rows, columns, batches,
     scalars and the HTTP encoder): a typed buffer is one ``tolist()`` — which
     already yields plain Python scalars — with ``None`` patched in at the
-    NaN positions of a float buffer; only object buffers and Python lists
-    are normalized cell by cell."""
+    NaN positions of a float buffer, and an encoded string column decodes
+    through its dictionary; only object buffers and Python lists are
+    normalized cell by cell."""
+    if isinstance(buffer, StringColumn):
+        return buffer.tolist()
     if isinstance(buffer, np.ndarray) and buffer.dtype != object:
         values = buffer.tolist()
         if buffer.dtype.kind == "f":

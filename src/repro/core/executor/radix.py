@@ -15,9 +15,17 @@ integer key range:
   of the ``key - lo`` digits and its aggregates are ``bincount`` reductions
   — no hashing, and no sort per probe batch or grouping,
 * **sorted** — everything else (sparse or huge integer ranges, uint64,
-  floats, strings, objects): one stable ``argsort`` of the build keys
-  probed by two ``searchsorted`` calls per batch, and ``np.unique``
-  factorization for grouping.
+  floats, objects): one stable ``argsort`` of the build keys probed by two
+  ``searchsorted`` calls per batch, and ``np.unique`` factorization for
+  grouping.
+
+Strings are integers here too: a dictionary-encoded column
+(:class:`~repro.core.strings.StringColumn`) groups and joins on its codes,
+whose range is at most its dictionary, and object columns of string join
+keys are encoded first.  A join table over strings keeps its build
+dictionary; each probe batch's codes are translated into it with one
+``searchsorted`` per dictionary.  Comparisons, missing and truth masks and
+string extrema read the codes as well.
 
 Both kernels produce the same answer in the same order: join matches come in
 probe order, then build order within a key (the Volcano interpreter's
@@ -44,6 +52,13 @@ from repro.caching.manager import estimate_size
 from repro.core.expressions import (
     ARITHMETIC_FUNCS as _ARITHMETIC_FUNCS,
     COMPARISON_FUNCS as _COMPARISON_FUNCS,
+)
+from repro.core.strings import (
+    StringColumn,
+    dictionary_nbytes,
+    encode_objects,
+    recode,
+    same_dictionary,
 )
 # is_missing is the canonical scalar definition of "missing" (None / NaN),
 # re-exported here for the kernels' callers.
@@ -128,18 +143,39 @@ class JoinTable:
     index: np.ndarray
     #: Dense only: the smallest build key.
     lo: int = 0
+    #: String keys: the build dictionary the keys above are codes into.
+    values: np.ndarray | None = None
 
     @property
     def size_bytes(self) -> int:
-        return estimate_size(self.positions) + estimate_size(self.index)
+        size = estimate_size(self.positions) + estimate_size(self.index)
+        if self.values is not None:
+            size += dictionary_nbytes(self.values)
+        return size
+
+
+def _string_keys(keys) -> StringColumn | None:
+    """String join keys as codes: an encoded column as it is, an object
+    column when every key is a ``str``."""
+    if isinstance(keys, StringColumn):
+        return keys
+    if keys.dtype == object:
+        return encode_objects(keys)
+    return None
 
 
 def build_join_table(keys: np.ndarray) -> JoinTable:
     """Materialize the build side of an equi-join: ``dense`` for integer
-    keys whose range is at most :data:`DENSE_JOIN_SLOTS_PER_ROW` slots per
-    row, ``sorted`` otherwise.  Duplicate build keys are allowed."""
-    keys = np.asarray(keys)
+    keys (string codes included) whose range is at most
+    :data:`DENSE_JOIN_SLOTS_PER_ROW` slots per row, ``sorted`` otherwise.
+    Duplicate build keys are allowed."""
+    if not isinstance(keys, StringColumn):
+        keys = np.asarray(keys)
     reject_missing_keys(keys, "join")
+    strings = _string_keys(keys)
+    values = None
+    if strings is not None:
+        keys, values = strings.codes, strings.values
     dense = _dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)
     if dense is not None:
         lo, span = dense
@@ -147,12 +183,12 @@ def build_join_table(keys: np.ndarray) -> JoinTable:
         offsets = np.zeros(span + 1, dtype=np.int64)
         np.cumsum(np.bincount(codes, minlength=span), out=offsets[1:])
         positions = np.argsort(codes, kind="stable")
-        return JoinTable(KERNEL_DENSE, len(keys), positions, offsets, lo)
+        return JoinTable(KERNEL_DENSE, len(keys), positions, offsets, lo, values)
     try:
         order = np.argsort(keys, kind="stable")
     except TypeError as exc:
         raise _mixed_type_error("joining", exc) from exc
-    return JoinTable(KERNEL_SORTED, len(keys), order, keys[order])
+    return JoinTable(KERNEL_SORTED, len(keys), order, keys[order], values=values)
 
 
 def probe_join_table(
@@ -161,9 +197,21 @@ def probe_join_table(
     """Probe a join table with one batch of keys of the build side's kind
     (the pipeline's join stage aligns them); returns aligned
     ``(build_positions, probe_positions)`` in probe order, build order
-    within a key."""
-    probe_keys = np.asarray(probe_keys)
+    within a key.  String probes are translated into the build dictionary
+    first (``-1``, a code no build key has, where it lacks the string)."""
+    if not isinstance(probe_keys, StringColumn):
+        probe_keys = np.asarray(probe_keys)
     reject_missing_keys(probe_keys, "join")
+    if table.values is not None:
+        strings = _string_keys(probe_keys)
+        if strings is None:
+            raise VectorizationError(
+                "joining string keys with other values is served by the "
+                "Volcano interpreter"
+            )
+        probe_keys = recode(strings, table.values)
+    elif isinstance(probe_keys, StringColumn):
+        probe_keys = probe_keys.decode()
     if table.kernel == KERNEL_DENSE:
         # Keys outside the build range match nothing; dropping them before
         # the subtraction keeps an INT64_MIN or 2**63-range probe from
@@ -238,18 +286,37 @@ def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
     Groups are numbered in ascending (lexicographic) key order either way:
     by the mixed-radix code of the ``key - lo`` digits when every key is
     integer and the code space is at most :data:`DENSE_GROUP_CODES_PER_ROW`
-    codes per row, by ``np.unique`` factorization otherwise."""
+    codes per row, by ``np.unique`` factorization otherwise.  Encoded string
+    keys group on their codes and come back encoded."""
     if not key_arrays:
         raise ExecutionError("grouping requires at least one key")
-    key_arrays = [np.asarray(keys) for keys in key_arrays]
+    key_arrays = [
+        keys if isinstance(keys, StringColumn) else np.asarray(keys)
+        for keys in key_arrays
+    ]
     length = len(key_arrays[0])
     for keys in key_arrays:
         if len(keys) != length:
             raise ExecutionError("group key arrays must have equal length")
         reject_missing_keys(keys, "grouping")
-    dense = _dense_group(key_arrays, length)
-    if dense is not None:
-        return dense
+    dictionaries = [
+        keys.values if isinstance(keys, StringColumn) else None for keys in key_arrays
+    ]
+    key_arrays = [
+        keys.codes if isinstance(keys, StringColumn) else keys for keys in key_arrays
+    ]
+    grouping = _dense_group(key_arrays, length)
+    if grouping is None:
+        grouping = _sorted_group(key_arrays, length)
+    grouping.key_arrays = [
+        keys if values is None else StringColumn(keys, values)
+        for keys, values in zip(grouping.key_arrays, dictionaries)
+    ]
+    return grouping
+
+
+def _sorted_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult:
+    """The ``np.unique`` grouping kernel."""
     combined = np.zeros(length, dtype=np.int64)
     capacity = 1  # exact Python int: the mixed-radix code space
     for keys in key_arrays:
@@ -309,9 +376,12 @@ def _dense_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult | 
 
 def missing_mask(values: np.ndarray) -> np.ndarray | None:
     """Mask of missing entries in a column buffer (``None`` in object buffers,
-    NaN in float buffers), or ``None`` when nothing is missing.  This is the
-    single definition of "missing" shared by the aggregate kernels and the
-    vectorized executor."""
+    NaN in float buffers, code ``-1`` in encoded strings), or ``None`` when
+    nothing is missing.  This is the single definition of "missing" shared
+    by the aggregate kernels and the vectorized executor."""
+    if isinstance(values, StringColumn):
+        mask = values.codes < 0
+        return mask if mask.any() else None
     if values.dtype == object:
         mask = np.fromiter(
             (is_missing(v) for v in values), dtype=bool, count=len(values)
@@ -339,6 +409,9 @@ def bool_mask(values) -> np.ndarray:
     false, matching ``bool(None)`` in the tuple-at-a-time interpreter.  Used
     by the generated expression functions and the batch interpreter alike,
     so the two labels cannot drift apart."""
+    if isinstance(values, StringColumn):
+        # A string is true unless empty: one truth value per dictionary entry.
+        return np.append(values.values != "", False)[values.codes]
     array = np.asarray(values)
     if array.ndim == 0:
         value = array.item()
@@ -354,6 +427,10 @@ def bool_mask(values) -> np.ndarray:
     return array.astype(bool, copy=False)
 
 
+def _operand(value) -> np.ndarray:
+    """An operand as an array; a string scalar stays an object (a NumPy
+    ``U`` scalar would drop its trailing NULs)."""
+    return np.asarray(value, dtype=object if isinstance(value, str) else None)
 
 
 def null_safe_arith(op: str, left, right):
@@ -365,8 +442,8 @@ def null_safe_arith(op: str, left, right):
     Python-int path instead (silent wraparound would diverge from the
     tuple-at-a-time interpreter's arbitrary-precision ints)."""
     combine = _ARITHMETIC_FUNCS[op]
-    left_arr = np.asarray(left)
-    right_arr = np.asarray(right)
+    left_arr = _operand(left)
+    right_arr = _operand(right)
     if left_arr.dtype == object or right_arr.dtype == object:
         elementwise = np.frompyfunc(
             lambda a, b: None if a is None or b is None else combine(a, b), 2, 1
@@ -420,10 +497,17 @@ def null_safe_compare(op: str, left, right) -> np.ndarray:
     the tuple-at-a-time interpreter.  Object buffers (which can hold ``None``,
     e.g. all-missing aggregate results) go elementwise; numeric buffers take
     the plain NumPy operator, where NaN already compares false for every
-    operator but ``!=`` (masked explicitly)."""
+    operator but ``!=`` (masked explicitly).  Encoded strings compare on
+    their codes (:func:`_compare_codes`)."""
+    if isinstance(right, StringColumn) and not isinstance(left, StringColumn):
+        left, right, op = right, left, _MIRRORED[op]
+    if isinstance(left, StringColumn):
+        result = _compare_codes(op, left, right)
+        if result is not None:
+            return result
     compare = _COMPARISON_FUNCS[op]
-    left_arr = np.asarray(left)
-    right_arr = np.asarray(right)
+    left_arr = _operand(left)
+    right_arr = _operand(right)
     if left_arr.dtype == object or right_arr.dtype == object:
         missing = is_missing
         elementwise = np.frompyfunc(
@@ -437,6 +521,46 @@ def null_safe_compare(op: str, left, right) -> np.ndarray:
             if side.dtype.kind == "f":
                 result = result & ~np.isnan(side)
     return result
+
+
+#: The operator comparing ``b`` with ``a`` as ``op`` compares ``a`` with ``b``.
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _compare_codes(op: str, left: StringColumn, right) -> np.ndarray | None:
+    """``left op right`` on the codes: against a string, one
+    ``searchsorted`` in the sorted dictionary and an integer compare;
+    against a column with the same dictionary, a compare of the codes.
+    ``None`` for anything else (the caller decodes)."""
+    codes = left.codes
+    if isinstance(right, StringColumn):
+        if not same_dictionary(left.values, right.values):
+            return None
+        present = (codes >= 0) & (right.codes >= 0)
+        return present & _COMPARISON_FUNCS[op](codes, right.codes)
+    if isinstance(right, np.ndarray):
+        if right.ndim:
+            return None
+        right = right.item()
+    if is_missing(right):
+        return np.zeros(len(codes), dtype=bool)
+    if not isinstance(right, str):
+        return None
+    # Codes below the left insertion point of ``right`` are the strings
+    # below it, codes below the right one the strings up to it; the
+    # missing code -1 is below both.
+    below = codes < np.searchsorted(left.values, right, side="left")
+    upto = codes < np.searchsorted(left.values, right, side="right")
+    if op == "<":
+        return below & (codes >= 0)
+    if op == "<=":
+        return upto & (codes >= 0)
+    if op == ">":
+        return ~upto
+    if op == ">=":
+        return ~below
+    equal = upto & ~below
+    return equal if op == "=" else ~equal & (codes >= 0)
 
 
 def finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -464,6 +588,8 @@ def group_aggregate(
         return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
     if values is None:
         raise ExecutionError(f"aggregate {func!r} requires input values")
+    if isinstance(values, StringColumn) and func in ("count", "min", "max"):
+        return _string_aggregate(func, group_ids, num_groups, values)
     values = np.asarray(values)
     values, keep = _drop_missing(values)
     if keep is not None:
@@ -533,3 +659,19 @@ def group_aggregate(
         np.logical_or.at(out, group_ids, values.astype(bool))
         return out
     raise ExecutionError(f"unknown aggregate {func!r}")
+
+
+def _string_aggregate(
+    func: str, group_ids: np.ndarray, num_groups: int, values: StringColumn
+) -> np.ndarray | StringColumn:
+    """COUNT, MIN and MAX of encoded strings, on the codes; the extrema come
+    back encoded, missing for a group without input."""
+    present = values.codes >= 0
+    group_ids, codes = group_ids[present], values.codes[present]
+    if func == "count":
+        return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
+    none = len(values.values)  # above every code: MIN's "no input yet"
+    out = np.full(num_groups, -1 if func == "max" else none, dtype=np.int32)
+    (np.maximum if func == "max" else np.minimum).at(out, group_ids, codes)
+    out[out == none] = -1
+    return StringColumn(out, values.values)

@@ -61,8 +61,13 @@ execution (§6).
 Null semantics mirror the Volcano interpreter: comparisons with a missing
 value are false, arithmetic over a missing value is missing and aggregates
 skip missing inputs.  In columnar buffers "missing" is ``None`` inside object
-columns or NaN inside float columns (the JSON plug-in's encoding of absent
-numeric fields).
+columns, NaN inside float columns (the JSON plug-in's encoding of absent
+numeric fields) or code ``-1`` inside a dictionary-encoded string column
+(:class:`~repro.core.strings.StringColumn`, what the CSV and JSON plug-ins
+produce for ``string`` fields).  Encoded columns flow through the stages and
+roots as codes — gathered, concatenated under one dictionary, compared,
+grouped, joined and sorted by the kernels — and are decoded only when the
+engine pulls result rows.
 
 Shapes the pipeline does not cover (record construction in output columns,
 outer joins, grouping on keys containing nulls, group-by output columns that
@@ -86,7 +91,6 @@ from repro.caching.matching import (
     join_side_cache_key,
     unnest_cache_key,
 )
-from repro.caching.policies import column_type_name
 from repro.core.analysis.model import EMPTY_HINTS, NullabilityHints
 from repro.core.concurrency import make_lock
 from repro.core.aggregate_utils import (
@@ -132,6 +136,7 @@ from repro.core.sort import (
     resolve_limit,
     sort_columns,
 )
+from repro.core.strings import StringColumn
 from repro.core.types import python_value as _python_value
 from repro.errors import ExecutionError, PluginError, VectorizationError
 from repro.obs.instrument import traced_scan, traced_stage
@@ -200,7 +205,7 @@ _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 def materialize(value: Any, count: int) -> np.ndarray:
     """Broadcast an evaluation result to a full column of ``count`` rows."""
-    if isinstance(value, np.ndarray) and value.ndim == 1:
+    if isinstance(value, (np.ndarray, StringColumn)) and value.ndim == 1:
         return value
     if isinstance(value, np.ndarray):  # 0-d array
         value = value.item()
@@ -290,6 +295,15 @@ def _valid_mask(values: np.ndarray) -> np.ndarray | None:
     return None if mask is None else ~mask
 
 
+def _extremum(func: str, values: np.ndarray | StringColumn) -> Any:
+    """MIN or MAX of a non-empty column without missing values, as a Python
+    value; encoded strings take the grouping kernel's one-group path."""
+    if isinstance(values, StringColumn):
+        one_group = np.zeros(len(values), dtype=np.int64)
+        return radix.group_aggregate(func, one_group, 1, values)[0]
+    return _python_value(values.max() if func == "max" else values.min())
+
+
 def _apply_predicate(batch: Batch, predicate: Evaluator) -> Batch | None:
     """Filter a batch by a predicate; ``None`` when nothing survives."""
     mask = as_bool_array(predicate(batch), batch.count)
@@ -329,9 +343,7 @@ def concat_batches(batches: list[Batch]) -> Batch:
         count=sum(batch.count for batch in batches), params=batches[0].params
     )
     for key in batches[0].columns:
-        merged.columns[key] = np.concatenate(
-            [batch.columns[key] for batch in batches]
-        )
+        merged.columns[key] = concat_chunks([batch.columns[key] for batch in batches])
     for binding in batches[0].oids:
         merged.oids[binding] = np.concatenate(
             [batch.oids[binding] for batch in batches]
@@ -471,7 +483,7 @@ class ScanOperator:
         if (
             cache_manager is not None
             and self._uncached
-            and cache_manager.policy.should_cache_field(plugin.format_name, "float")
+            and cache_manager.policy.should_cache_field(plugin.format_name)
         ):
             self._recorder = _CoverageRecorder()
 
@@ -598,9 +610,8 @@ class ScanOperator:
         manager = self.cache_manager
         for path in self._uncached:
             column = concat_chunks([chunk.column(path) for chunk in chunks])
-            if not manager.policy.should_cache_field(
-                self.plugin.format_name, column_type_name(column)
-            ):
+            if isinstance(column, np.ndarray) and column.dtype == object:
+                # Mixed-type or nested values: no primitive column to keep.
                 continue
             manager.store(
                 field_cache_key(self.dataset.name, path),
@@ -722,7 +733,7 @@ class UnnestStage:
             entry = cache_manager.lookup(self._cache_key)
             if entry is not None:
                 self._cached = entry.data
-            elif cache_manager.policy.should_cache_field(plugin.format_name, "float"):
+            elif cache_manager.policy.should_cache_field(plugin.format_name):
                 self._recorder = _CoverageRecorder()
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
@@ -1570,7 +1581,7 @@ class _NestRoot(_RootTask):
     ) -> _GroupPartial | None:
         if state["total"] == 0:
             return None  # an empty range contributes no partial groups
-        key_arrays = [np.concatenate(chunks) for chunks in state["key_chunks"]]
+        key_arrays = [concat_chunks(chunks) for chunks in state["key_chunks"]]
         # radix_group raises VectorizationError for keys containing missing
         # values, which the engine turns into a Volcano fallback (under a
         # fan-out the pool re-raises it on the calling thread).
@@ -1579,7 +1590,7 @@ class _NestRoot(_RootTask):
         for aggregate in self.aggregates:
             fingerprint = aggregate.fingerprint()
             values = (
-                np.concatenate(state["argument_chunks"][fingerprint])
+                concat_chunks(state["argument_chunks"][fingerprint])
                 if aggregate.argument is not None
                 else None
             )
@@ -1619,7 +1630,7 @@ class _NestRoot(_RootTask):
         if len(partials) > 1:
             regrouped = radix.radix_group(
                 [
-                    np.concatenate([partial.key_arrays[index] for partial in partials])
+                    concat_chunks([partial.key_arrays[index] for partial in partials])
                     for index in range(len(self.plan.group_by))
                 ]
             )
@@ -1634,7 +1645,7 @@ class _NestRoot(_RootTask):
             if regrouped is None:
                 return columns[0]
             return radix.group_aggregate(
-                func, regrouped.group_ids, num_groups, np.concatenate(columns)
+                func, regrouped.group_ids, num_groups, concat_chunks(columns)
             )
 
         aggregate_results: dict[tuple, np.ndarray] = {}
@@ -1887,13 +1898,13 @@ class _BatchAggregates(AggregateAccumulators):
                     batch_sum = float(np.sum(values.astype(np.float64)))
                 self.sums[fingerprint] += batch_sum
             elif aggregate.func == "max":
-                batch_max = _python_value(values.max())
+                batch_max = _extremum("max", values)
                 current = self.maxs.get(fingerprint)
                 self.maxs[fingerprint] = (
                     batch_max if current is None else max(current, batch_max)
                 )
             elif aggregate.func == "min":
-                batch_min = _python_value(values.min())
+                batch_min = _extremum("min", values)
                 current = self.mins.get(fingerprint)
                 self.mins[fingerprint] = (
                     batch_min if current is None else min(current, batch_min)

@@ -11,7 +11,8 @@ column at execution time:
   *key-transform* arrays.  Each key column is encoded into at most two NumPy
   arrays whose ascending order equals the requested column order: descending
   integers are bit-inverted (``~x``, overflow-free), descending floats are
-  negated, descending strings are mapped to negated factorization codes, and
+  negated, dictionary-encoded strings sort on their (negated) codes, other
+  descending strings are mapped to negated factorization codes, and
   missing values (``None``/NaN) get a dedicated boolean subkey so they sort
   NULLS LAST in *both* directions.  No Python object is ever boxed.
 * **topk** — when a LIMIT accompanies ORDER BY, :func:`numpy.partition`
@@ -43,6 +44,7 @@ import numpy as np
 
 from repro.core import types as t
 from repro.core.expressions import Expression, parameter_env
+from repro.core.strings import StringColumn, concat_strings
 from repro.errors import ExecutionError, ProteusError
 
 #: One ORDER BY key: (output column name, ascending?).
@@ -137,6 +139,12 @@ def _encode_key(
     negation keeps NaN as NaN, so NULLS LAST semantics are preserved in both
     directions; a spurious hint only costs the dedicated subkey.
     """
+    if isinstance(buffer, StringColumn):
+        # The codes are the sort key: the dictionary is ascending.
+        codes = buffer.codes
+        key = codes if ascending else -codes
+        missing = codes < 0
+        return [missing, np.where(missing, 0, key)] if missing.any() else [key]
     values = buffer if isinstance(buffer, np.ndarray) else np.asarray(buffer, dtype=object)
     kind = values.dtype.kind
     if kind in "iu":
@@ -220,12 +228,11 @@ def _encode_object_key(
         return [key] if missing is None or not missing.any() else [missing, key]
     # Uniform strings (or an all-missing column, encoded as empty strings
     # under a missing mask that dominates them).
-    if missing is None:
-        strings = np.array(items)
-    else:
-        strings = np.array(
-            ["" if absent else value for value, absent in zip(items, missing)]
-        )
+    if missing is not None:
+        items = ["" if absent else value for value, absent in zip(items, missing)]
+    if "\x00" in "".join(items):
+        return None  # fixed-width ``U`` keys would drop trailing NULs
+    strings = np.array(items)
     if strings.dtype.kind not in "US":  # zero rows degenerate to float64
         strings = strings.astype(str)
     if ascending:
@@ -340,7 +347,11 @@ def _fallback_permutation(
     indices = list(range(length))
     for column, ascending in reversed(order_by):
         buffer = data[column]
-        values = buffer.tolist() if isinstance(buffer, np.ndarray) else list(buffer)
+        values = (
+            buffer.tolist()
+            if isinstance(buffer, (np.ndarray, StringColumn))
+            else list(buffer)
+        )
         values = [None if t.is_missing(v) else t.python_value(v) for v in values]
         indices.sort(
             key=lambda i, values=values, column=column, descending=not ascending: (
@@ -353,7 +364,7 @@ def _fallback_permutation(
 
 def _take(buffer: Any, indices: Any):
     """Gather a columnar buffer by a permutation (array or list backed)."""
-    if isinstance(buffer, np.ndarray):
+    if isinstance(buffer, (np.ndarray, StringColumn)):
         return buffer[np.asarray(indices, dtype=np.int64)]
     return [buffer[i] for i in indices]
 
@@ -500,11 +511,18 @@ class TopKAccumulator:
 def concat_chunks(chunks: list) -> Any:
     """Concatenate columnar chunks into one buffer, tolerating list-backed
     buffers; an empty chunk list degenerates to an empty float64 column (the
-    batch tier's convention for "no rows at all")."""
+    batch tier's convention for "no rows at all").  Encoded string chunks
+    stay encoded under the union of their dictionaries; mixed with other
+    buffers they decode."""
     if not chunks:
         return np.zeros(0, dtype=np.float64)
     if len(chunks) == 1:
         return chunks[0]
+    encoded = [isinstance(chunk, StringColumn) for chunk in chunks]
+    if all(encoded):
+        return concat_strings(chunks)
+    if any(encoded):
+        chunks = [np.asarray(chunk) for chunk in chunks]
     if all(isinstance(chunk, np.ndarray) for chunk in chunks):
         return np.concatenate(chunks)
     merged: list = []

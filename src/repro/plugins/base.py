@@ -326,12 +326,12 @@ def count_missing(values: np.ndarray) -> int:
 
     Delegates to the executor kernels' ``missing_mask`` so statistics
     collection and execution agree on what "missing" means (``None`` in
-    object buffers, NaN in float buffers).  Feeds
-    ``DatasetStatistics.null_counts`` — the proof the static analyzer
+    object buffers, NaN in float buffers, code ``-1`` in encoded strings).
+    Feeds ``DatasetStatistics.null_counts`` — the proof the static analyzer
     needs before it lets a tier skip missing-mask construction."""
     from repro.core.executor.radix import missing_mask
 
-    mask = missing_mask(np.asarray(values))
+    mask = missing_mask(values)
     return 0 if mask is None else int(mask.sum())
 
 

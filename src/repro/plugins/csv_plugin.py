@@ -4,9 +4,12 @@ The CSV plug-in serves raw, comma-separated text files in place, without a
 load step.  On first access it memory-maps the file and builds a positional
 structural index storing the offsets of every Nth field per row (§5.2); later
 accesses slice only the bytes of the fields a query needs and convert them on
-the fly.  Converted numeric fields are prime candidates for the adaptive
-caches (§6), which is how repeated CSV access amortizes its conversion cost in
-the Symantec workload.
+the fly.  A string field is dictionary-encoded straight from its bytes
+(:func:`repro.core.strings.encode_spans`: one fixed-width gather, one
+``np.unique``, a decode per distinct value).  Converted fields — numbers and
+string codes alike — are prime candidates for the adaptive caches (§6),
+which is how repeated CSV access amortizes its conversion cost in the
+Symantec workload.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 
 from repro.core import types as t
 from repro.core.concurrency import make_lock
+from repro.core.strings import StringColumn, encode_spans
 from repro.errors import PluginError
 from repro.plugins.base import (
     FieldPath,
@@ -264,13 +268,16 @@ class CsvPlugin(InputPlugin):
 
     def _convert_rows(
         self, dataset: Dataset, state: _CsvState, path: FieldPath, rows: "range | np.ndarray"
-    ) -> np.ndarray:
-        """Slice and convert one field for the given rows (a range or OIDs)."""
+    ) -> np.ndarray | StringColumn:
+        """Slice and convert one field for the given rows (a range or OIDs);
+        a string field comes back dictionary-encoded."""
         name = require_flat_path(path)
         column = self._column_index(state, name)
         type_name = self._field_type_name(dataset, name)
         starts, ends = self._field_bytes(dataset, state, rows, column)
         data = state.data
+        if type_name == "string":
+            return encode_spans(data, starts, ends)
         if type_name in ("int", "float"):
             # Bulk conversion of the field spans (the Python analogue of the
             # generated per-field conversion code).
@@ -290,8 +297,6 @@ class CsvPlugin(InputPlugin):
                 else:
                     return floats
         texts = list(map(bytes.decode, span_bytes(data, starts, ends)))
-        if type_name == "string":
-            return _typed_array(texts, type_name)
         return _typed_array(list(map(_CONVERTERS[type_name], texts)), type_name)
 
     def scan_columns_at(

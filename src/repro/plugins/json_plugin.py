@@ -9,9 +9,12 @@ its fixed-schema specialization are both subsumed — any field order is one
 column lookup.
 
 Scans gather the spans of the fields a query needs — nested paths included —
-from those columns and convert them to binary values in bulk per type;
-nested arrays are flattened for the batch pipeline's unnest stage by
-:meth:`JsonPlugin.scan_unnest_batch`, which parses only the array spans.
+from those columns and convert them to binary values in bulk per type: a
+string field is dictionary-encoded from its bytes (only escaped values go
+through ``json.loads`` first), a field holding other values too keeps one
+Python object per value.  Nested arrays are flattened for the batch
+pipeline's unnest stage by :meth:`JsonPlugin.scan_unnest_batch`, which
+parses only the array spans.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from repro.core import types as t
 from repro.core.concurrency import make_lock
+from repro.core.strings import StringColumn, encode_spans
 from repro.errors import PluginError
 from repro.plugins.base import (
     FieldPath,
@@ -216,15 +220,19 @@ class JsonPlugin(InputPlugin):
         state: _JsonState,
         path: FieldPath,
         positions: np.ndarray | None = None,
-    ) -> np.ndarray:
+    ) -> np.ndarray | StringColumn:
         """One field for every object (or the objects at ``positions``): the
-        spans come from one column lookup and convert in bulk per type."""
+        spans come from one column lookup and convert in bulk per type; a
+        string field comes back dictionary-encoded."""
         starts, ends, types = state.index.column_spans(".".join(path), positions)
         dtype_name = self._field_type_name(dataset, path)
+        column: np.ndarray | StringColumn | None = None
         if dtype_name in ("int", "float", "date"):
             column = _numeric_column(state.data, starts, ends, types, dtype_name)
-            if column is not None:
-                return column
+        elif dtype_name == "string":
+            column = _string_column(state.data, starts, ends, types)
+        if column is not None:
+            return column
         return _to_array(_convert_spans(state.data, starts, ends, types), dtype_name)
 
     def scan_unnest_batch(
@@ -403,6 +411,34 @@ def _numeric_column(
     return floats
 
 
+def _unescape(content: bytes) -> bytes:
+    """The UTF-8 bytes of a JSON string's escaped content."""
+    return json.loads(b'"' + content + b'"').encode("utf-8", "surrogatepass")
+
+
+def _string_spans(data: bytes, starts: np.ndarray, ends: np.ndarray) -> StringColumn:
+    """JSON string spans (quotes included) dictionary-encoded."""
+    return encode_spans(data, starts + 1, ends - 1, _unescape)
+
+
+def _string_column(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, types: np.ndarray
+) -> StringColumn | None:
+    """String fields: the string spans' contents dictionary-encoded
+    (escaped ones unescaped first), missing and null values as code -1.
+    Returns ``None`` when a value is not a string (schema flexibility):
+    that column takes the per-value path."""
+    strings = types == TYPE_STRING
+    if not np.all(strings | (types == TYPE_NULL) | (types == TYPE_MISSING)):
+        return None
+    column = _string_spans(data, starts[strings], ends[strings])
+    if strings.all():
+        return column
+    codes = np.full(len(types), -1, dtype=np.int32)
+    codes[strings] = column.codes
+    return StringColumn(codes, column.values)
+
+
 def _convert_spans(
     data: bytes, starts: np.ndarray, ends: np.ndarray, types: np.ndarray
 ) -> list:
@@ -412,7 +448,7 @@ def _convert_spans(
     for type_code in np.unique(types).tolist():
         chosen = np.flatnonzero(types == type_code)
         if type_code == TYPE_STRING:
-            converted = _decode_strings(data, starts[chosen], ends[chosen])
+            converted = _string_spans(data, starts[chosen], ends[chosen]).tolist()
         elif type_code == TYPE_BOOL:
             converted = (np.frombuffer(data, np.uint8)[starts[chosen]] == ord("t")).tolist()
         elif type_code in (TYPE_NULL, TYPE_MISSING):
@@ -430,19 +466,6 @@ def _convert_spans(
     return values
 
 
-def _decode_strings(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    """JSON string spans (quotes included) to ``str``: contents without a
-    backslash decode straight from their bytes; only escaped ones go through
-    ``json.loads``."""
-    contents = span_bytes(data, starts + 1, ends - 1)
-    if b"\\" not in b"".join(contents):
-        return list(map(bytes.decode, contents))
-    return [
-        json.loads(b'"' + content + b'"') if b"\\" in content else content.decode()
-        for content in contents
-    ]
-
-
 def _convert_span(data: bytes, start: int, end: int, type_code: int) -> Any:
     text = data[start:end]
     if type_code == TYPE_NUMBER:
@@ -450,8 +473,6 @@ def _convert_span(data: bytes, start: int, end: int, type_code: int) -> Any:
         if "." in decoded or "e" in decoded or "E" in decoded:
             return float(decoded)
         return int(decoded)
-    if type_code == TYPE_STRING:
-        return json.loads(text)
     if type_code == TYPE_BOOL:
         return text == b"true"
     if type_code == TYPE_NULL:

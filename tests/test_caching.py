@@ -7,6 +7,7 @@ import pytest
 from repro.caching.manager import CacheManager, estimate_size
 from repro.caching.matching import field_cache_key, join_side_cache_key, unnest_cache_key
 from repro.caching.policies import CachingPolicy
+from repro.core.strings import StringColumn
 from repro.storage.memory import CacheArena
 
 from tests.conftest import expected_items, make_engine
@@ -15,17 +16,15 @@ from tests.conftest import expected_items, make_engine
 # -- policies ------------------------------------------------------------------
 
 
-def test_policy_caches_numeric_raw_fields_only():
-    """The one §6 rule set: numeric fields of verbose sources, never strings,
-    never binary sources (join sides and unnest output are always kept)."""
+def test_policy_caches_fields_of_verbose_sources_only():
+    """The one §6 rule set: fields of verbose sources (strings as dictionary
+    codes), never binary sources (join sides and unnest output are always
+    kept)."""
     policy = CachingPolicy()
-    assert policy.should_cache_field("json", "float")
-    assert policy.should_cache_field("csv", "int")
-    assert policy.should_cache_field("csv", "bool")
-    assert not policy.should_cache_field("json", "string")
-    assert not policy.should_cache_field("csv", "string")
+    assert policy.should_cache_field("json")
+    assert policy.should_cache_field("csv")
     for source_format in ("binary_column", "binary_row", "cache"):
-        assert not policy.should_cache_field(source_format, "int")
+        assert not policy.should_cache_field(source_format)
 
 
 def test_policy_format_bias_ordering():
@@ -124,11 +123,15 @@ def test_engine_populates_and_reuses_field_caches(paths):
     assert second.profile.values_from_cache > 0
 
 
-def test_engine_does_not_cache_strings_by_default(paths):
+def test_engine_caches_strings_as_dictionary_codes(paths):
     engine = make_engine(paths, enable_caching=True)
     engine.query("SELECT COUNT(*) FROM items_json WHERE category = 'cat1' AND qty < 10")
-    descriptions = [entry.description for entry in engine.cache_entries()]
-    assert not any("category" in description for description in descriptions)
+    (entry,) = [
+        e for e in engine.cache_entries() if e.description == "items_json.category"
+    ]
+    assert isinstance(entry.data, StringColumn)
+    assert entry.data.codes.dtype == np.int32
+    assert list(entry.data.values) == ["cat0", "cat1", "cat2", "cat3"]
 
 
 def test_engine_join_side_cache_reuse(paths):

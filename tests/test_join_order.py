@@ -48,9 +48,9 @@ JOIN_SHAPES = [
      "ON a.qty = b.price", ["sorted"]),
     ("SELECT a.id AS x, b.id AS y FROM items_csv a JOIN items_bin b "
      "ON a.price = b.qty", ["dense"]),
-    # String keys with duplicates on both sides.
+    # String keys with duplicates on both sides (dense on dictionary codes).
     ("SELECT a.id AS x, b.id AS y FROM items_csv a JOIN items_bin b "
-     "ON a.category = b.category WHERE a.id < 10", ["sorted"]),
+     "ON a.category = b.category WHERE a.id < 10", ["dense"]),
     # Sparse integer range: the sorted kernel on integers.
     ("SELECT a.id AS x, b.id AS y FROM items_csv a JOIN items_bin b "
      "ON a.id * 1000000000 = b.id * 1000000000 WHERE b.qty < 4", ["sorted"]),

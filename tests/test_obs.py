@@ -425,18 +425,46 @@ def test_symantec_mail_id_joins_take_the_dense_kernel(tmp_path):
         )
 
 
-def test_string_keyed_join_takes_the_sorted_kernel(paths):
+#: The Symantec queries grouping on a string field (``label``, ``lang``,
+#: ``bot``, ``origin.country``).
+SYMANTEC_STRING_GROUP_BYS = ["Q13", "Q19", "Q24", "Q30", "Q33", "Q38", "Q43", "Q47", "Q50"]
+
+
+def test_symantec_string_group_bys_take_the_dense_kernel(tmp_path):
+    """CSV and JSON string keys arrive dictionary-encoded; grouping runs
+    ``bincount`` over their codes."""
+    from repro import ProteusEngine
+    from repro.workloads import symantec
+
+    files = symantec.materialize(
+        str(tmp_path), num_json=800, num_csv=3200, num_binary=4000, seed=7
+    )
+    engine = ProteusEngine(enable_caching=False)
+    engine.register_json("spam_mails", files.json_path)
+    engine.register_csv("classification", files.csv_path)
+    engine.register_binary_columns("mail_log", files.binary_dir)
+    queries = {q.spec.name: q.spec for q in symantec.symantec_workload(files)}
+    for name in SYMANTEC_STRING_GROUP_BYS:
+        text = queries[name].to_text()
+        assert engine.query(text).profile.group_kernel == "dense", name
+        assert "group kernel: dense" in engine.explain(text, analyze=True), name
+
+
+def test_string_keyed_join_takes_the_dense_kernel(paths):
+    """A CSV string key (dictionary-encoded) joined with a binary one (an
+    object column, encoded at the join): both sides meet as codes."""
     engine = make_engine(paths, enable_caching=False)
     query = (
         "SELECT a.category, COUNT(*) FROM items_csv a JOIN items_bin b "
         "ON a.category = b.category GROUP BY a.category"
     )
-    profile = engine.query(query).profile
-    assert profile.join_kernels == ["sorted"]
-    assert profile.group_kernel == "sorted"
+    result = engine.query(query)
+    assert result.profile.join_kernels == ["dense"]
+    assert result.profile.group_kernel == "dense"
+    assert sorted(result.rows) == [(f"cat{i}", 30 * 30) for i in range(4)]
     report = engine.explain(query, analyze=True)
-    assert "join kernels: sorted" in report
-    assert "group kernel: sorted" in report
+    assert "join kernels: dense" in report
+    assert "group kernel: dense" in report
 
 
 def test_explain_analyze_reports_dense_kernels(paths):

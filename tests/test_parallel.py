@@ -33,9 +33,11 @@ import numpy as np
 import pytest
 
 from repro import ProteusEngine
+from repro.caching.manager import estimate_size
 from repro.core import types as t
 from repro.core.executor import radix
 from repro.core.parallel import Morsel, WorkerPool, WorkStealingQueue, plan_morsels
+from repro.core.strings import StringColumn, dictionary_nbytes
 from repro.storage.binary_format import write_column_table, write_row_table
 
 SAILOR_COUNT = 600
@@ -587,12 +589,37 @@ def test_vectorized_tier_populates_and_hits_the_cache(workload_dir, workers):
     assert second.rows == first.rows
 
 
-def test_string_columns_are_never_cached(workload_dir):
-    engine = _caching_engine(workload_dir)
-    engine.query("SELECT sname FROM sailors WHERE rating > 8")
-    descriptions = {entry.description for entry in engine.cache_entries()}
-    # The §6 policy refuses variable-length strings from raw files.
-    assert "sailors.sname" not in descriptions
+def test_string_columns_are_cached_encoded(workload_dir):
+    """§6: strings are cached as dictionary codes — one ``int32`` per row
+    plus the distinct values, sized exactly — served to the next query and
+    released by eviction; a cacheless engine keeps nothing."""
+    query = "SELECT sname, COUNT(*) FROM sailors GROUP BY sname"
+    engine = _caching_engine(workload_dir, parallel_workers=4)
+    first = engine.query(query)
+    assert first.profile.morsels_dispatched > 0  # morsel dictionaries, unioned
+    (entry,) = [e for e in engine.cache_entries() if e.description == "sailors.sname"]
+    column = entry.data
+    assert isinstance(column, StringColumn)
+    assert list(column.values) == [f"sailor{i}" for i in range(7)]
+    assert column.tolist() == [f"sailor{i % 7}" for i in range(SAILOR_COUNT)]
+    assert entry.size_bytes == 4 * SAILOR_COUNT + dictionary_nbytes(column.values)
+    assert entry.size_bytes == column.nbytes < estimate_size(column.decode())
+    second = engine.query(query)
+    assert second.profile.values_from_cache == SAILOR_COUNT
+    assert second.profile.values_extracted == 0
+    assert second.rows == first.rows
+    used = engine.cache_manager.used_bytes
+    engine.cache_manager.evict(entry.key)
+    assert engine.cache_manager.used_bytes == used - entry.size_bytes
+    assert not [e for e in engine.cache_entries() if e.description == "sailors.sname"]
+    assert engine.query(query).profile.values_from_cache == 0
+    cacheless = ProteusEngine(enable_caching=False, vectorized_batch_size=BATCH_SIZE)
+    cacheless.register_csv(
+        "sailors", os.path.join(workload_dir, "sailors.csv"), schema=SAILORS_SCHEMA
+    )
+    cacheless.query(query)
+    assert cacheless.cache_entries() == []
+    assert cacheless.query(query).profile.values_from_cache == 0
 
 
 def test_incomplete_scans_are_not_cached(workload_dir):
@@ -671,7 +698,12 @@ def test_worker_pool_propagates_errors():
         (
             "SELECT COUNT(*) FROM sailors s JOIN sailors h ON s.sname = h.sname "
             "WHERE h.sid < 40",
-            radix.KERNEL_SORTED,
+            radix.KERNEL_DENSE,  # on the dictionary codes of the names
+        ),
+        (
+            "SELECT COUNT(*) FROM sailors s JOIN sailors h ON s.age = h.age "
+            "WHERE h.sid < 40",
+            radix.KERNEL_SORTED,  # float keys
         ),
     ],
 )
@@ -692,6 +724,10 @@ def test_fanned_out_build_side_table_matches_serial(workload_dir, query, kernel)
     assert (serial.build_size, serial.lo) == (fanned.build_size, fanned.lo)
     assert np.array_equal(serial.positions, fanned.positions)
     assert np.array_equal(serial.index, fanned.index)
+    # String builds: morsel dictionaries union into the inline one.
+    assert (serial.values is None) == (fanned.values is None)
+    if serial.values is not None:
+        assert list(serial.values) == list(fanned.values)
 
 
 # ---------------------------------------------------------------------------
