@@ -7,8 +7,9 @@ paper describes one policy, and it has no settings:
   especially fields used in filtering predicates — because re-accessing and
   re-converting them dominates query time,
 * strings are cached as dictionary codes: the plug-ins produce string
-  columns as ``int32`` codes into a sorted dictionary of distinct values
-  (:class:`~repro.core.strings.StringColumn`), a primitive column that does
+  columns — and int or bool columns with missing values — as ``int32``
+  codes into a sorted dictionary of distinct values
+  (:class:`~repro.core.columns.EncodedColumn`), a primitive column that does
   not pollute the cache arena the way variable-length strings would; values
   without a primitive form (mixed types, nested records) are not cached,
 * do not cache fields read from binary sources (they are already cheap),

@@ -102,6 +102,7 @@ from repro.core.analysis import (
 from repro.core.binder import bind_comprehension
 from repro.core.calculus import Comprehension
 from repro.core.codegen.generator import CodeGenerator
+from repro.core.columns import EncodedColumn
 from repro.core.comprehension_parser import parse_comprehension
 from repro.core.concurrency import make_lock
 from repro.core.executor.vectorized import (
@@ -126,7 +127,6 @@ from repro.core.physical import (
 )
 from repro.core.sort import resolve_limit, sort_columns
 from repro.core.sql_parser import parse_sql
-from repro.core.strings import StringColumn
 from repro.core.translator import translate
 from repro.errors import (
     CodegenError,
@@ -1722,7 +1722,7 @@ def _normalize_result_columns(
             scalar = True
         elif isinstance(column, (int, float, bool, str)) or column is None:
             scalar = True
-        elif not isinstance(column, (np.ndarray, StringColumn)):
+        elif not isinstance(column, (np.ndarray, EncodedColumn)):
             column = list(column)
         buffers[name] = column
         scalars[name] = scalar
@@ -1751,10 +1751,10 @@ def _python_values(buffer) -> list:
     The one row-pull path of :class:`ResultSet` (rows, columns, batches,
     scalars and the HTTP encoder): a typed buffer is one ``tolist()`` — which
     already yields plain Python scalars — with ``None`` patched in at the
-    NaN positions of a float buffer, and an encoded string column decodes
+    NaN positions of a float buffer, and an encoded column decodes
     through its dictionary; only object buffers and Python lists are
     normalized cell by cell."""
-    if isinstance(buffer, StringColumn):
+    if isinstance(buffer, EncodedColumn):
         return buffer.tolist()
     if isinstance(buffer, np.ndarray) and buffer.dtype != object:
         values = buffer.tolist()

@@ -19,13 +19,14 @@ integer key range:
   ``searchsorted`` calls per batch, and ``np.unique`` factorization for
   grouping.
 
-Strings are integers here too: a dictionary-encoded column
-(:class:`~repro.core.strings.StringColumn`) groups and joins on its codes,
-whose range is at most its dictionary, and object columns of string join
-keys are encoded first.  A join table over strings keeps its build
+Encoded columns are integers here too: a dictionary-encoded column
+(:class:`~repro.core.columns.EncodedColumn` — every string field, and the
+int and bool fields with missing values) groups on its codes, whose range is
+at most its dictionary.  A join table over strings keeps its build
 dictionary; each probe batch's codes are translated into it with one
-``searchsorted`` per dictionary.  Comparisons, missing and truth masks and
-string extrema read the codes as well.
+``searchsorted`` per dictionary (numeric join keys arrive as their typed
+values).  Comparisons, missing and truth masks, COUNT and the extrema read
+the codes as well.
 
 Both kernels produce the same answer in the same order: join matches come in
 probe order, then build order within a key (the Volcano interpreter's
@@ -53,10 +54,9 @@ from repro.core.expressions import (
     ARITHMETIC_FUNCS as _ARITHMETIC_FUNCS,
     COMPARISON_FUNCS as _COMPARISON_FUNCS,
 )
-from repro.core.strings import (
-    StringColumn,
+from repro.core.columns import (
+    EncodedColumn,
     dictionary_nbytes,
-    encode_objects,
     recode,
     same_dictionary,
 )
@@ -143,7 +143,7 @@ class JoinTable:
     index: np.ndarray
     #: Dense only: the smallest build key.
     lo: int = 0
-    #: String keys: the build dictionary the keys above are codes into.
+    #: Encoded keys: the build dictionary the keys above are codes into.
     values: np.ndarray | None = None
 
     @property
@@ -154,28 +154,17 @@ class JoinTable:
         return size
 
 
-def _string_keys(keys) -> StringColumn | None:
-    """String join keys as codes: an encoded column as it is, an object
-    column when every key is a ``str``."""
-    if isinstance(keys, StringColumn):
-        return keys
-    if keys.dtype == object:
-        return encode_objects(keys)
-    return None
-
-
 def build_join_table(keys: np.ndarray) -> JoinTable:
     """Materialize the build side of an equi-join: ``dense`` for integer
-    keys (string codes included) whose range is at most
+    keys (dictionary codes included) whose range is at most
     :data:`DENSE_JOIN_SLOTS_PER_ROW` slots per row, ``sorted`` otherwise.
     Duplicate build keys are allowed."""
-    if not isinstance(keys, StringColumn):
+    if not isinstance(keys, EncodedColumn):
         keys = np.asarray(keys)
     reject_missing_keys(keys, "join")
-    strings = _string_keys(keys)
     values = None
-    if strings is not None:
-        keys, values = strings.codes, strings.values
+    if isinstance(keys, EncodedColumn):
+        keys, values = keys.codes, keys.values
     dense = _dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)
     if dense is not None:
         lo, span = dense
@@ -199,18 +188,17 @@ def probe_join_table(
     ``(build_positions, probe_positions)`` in probe order, build order
     within a key.  String probes are translated into the build dictionary
     first (``-1``, a code no build key has, where it lacks the string)."""
-    if not isinstance(probe_keys, StringColumn):
+    if not isinstance(probe_keys, EncodedColumn):
         probe_keys = np.asarray(probe_keys)
     reject_missing_keys(probe_keys, "join")
     if table.values is not None:
-        strings = _string_keys(probe_keys)
-        if strings is None:
+        if not isinstance(probe_keys, EncodedColumn):
             raise VectorizationError(
                 "joining string keys with other values is served by the "
                 "Volcano interpreter"
             )
-        probe_keys = recode(strings, table.values)
-    elif isinstance(probe_keys, StringColumn):
+        probe_keys = recode(probe_keys, table.values)
+    elif isinstance(probe_keys, EncodedColumn):
         probe_keys = probe_keys.decode()
     if table.kernel == KERNEL_DENSE:
         # Keys outside the build range match nothing; dropping them before
@@ -286,12 +274,12 @@ def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
     Groups are numbered in ascending (lexicographic) key order either way:
     by the mixed-radix code of the ``key - lo`` digits when every key is
     integer and the code space is at most :data:`DENSE_GROUP_CODES_PER_ROW`
-    codes per row, by ``np.unique`` factorization otherwise.  Encoded string
-    keys group on their codes and come back encoded."""
+    codes per row, by ``np.unique`` factorization otherwise.  Encoded keys
+    group on their codes and come back encoded."""
     if not key_arrays:
         raise ExecutionError("grouping requires at least one key")
     key_arrays = [
-        keys if isinstance(keys, StringColumn) else np.asarray(keys)
+        keys if isinstance(keys, EncodedColumn) else np.asarray(keys)
         for keys in key_arrays
     ]
     length = len(key_arrays[0])
@@ -300,16 +288,16 @@ def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
             raise ExecutionError("group key arrays must have equal length")
         reject_missing_keys(keys, "grouping")
     dictionaries = [
-        keys.values if isinstance(keys, StringColumn) else None for keys in key_arrays
+        keys.values if isinstance(keys, EncodedColumn) else None for keys in key_arrays
     ]
     key_arrays = [
-        keys.codes if isinstance(keys, StringColumn) else keys for keys in key_arrays
+        keys.codes if isinstance(keys, EncodedColumn) else keys for keys in key_arrays
     ]
     grouping = _dense_group(key_arrays, length)
     if grouping is None:
         grouping = _sorted_group(key_arrays, length)
     grouping.key_arrays = [
-        keys if values is None else StringColumn(keys, values)
+        keys if values is None else EncodedColumn(keys, values)
         for keys, values in zip(grouping.key_arrays, dictionaries)
     ]
     return grouping
@@ -374,12 +362,12 @@ def _dense_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult | 
     )
 
 
-def missing_mask(values: np.ndarray) -> np.ndarray | None:
-    """Mask of missing entries in a column buffer (``None`` in object buffers,
-    NaN in float buffers, code ``-1`` in encoded strings), or ``None`` when
-    nothing is missing.  This is the single definition of "missing" shared
-    by the aggregate kernels and the vectorized executor."""
-    if isinstance(values, StringColumn):
+def missing_mask(values: np.ndarray | EncodedColumn) -> np.ndarray | None:
+    """Mask of missing entries in a column buffer (NaN in float buffers,
+    code ``-1`` in encoded columns, ``None`` in object buffers), or ``None``
+    when nothing is missing.  This is the single definition of "missing"
+    shared by the aggregate kernels and the vectorized executor."""
+    if isinstance(values, EncodedColumn):
         mask = values.codes < 0
         return mask if mask.any() else None
     if values.dtype == object:
@@ -393,15 +381,27 @@ def missing_mask(values: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _drop_missing(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _drop_missing(
+    values: np.ndarray | EncodedColumn, present: bool = False
+) -> tuple[np.ndarray | EncodedColumn, np.ndarray | None]:
     """Strip missing inputs before reducing, matching the tuple-at-a-time
-    accumulators which skip nulls.  Returns (kept values, keep mask or
-    ``None`` when nothing was dropped)."""
-    mask = missing_mask(values)
-    if mask is None:
+    accumulators which skip nulls: the one place that decides what an
+    aggregate skips.  Returns (kept values, keep mask or ``None`` when
+    nothing was dropped).  An encoded column with a numeric or boolean
+    dictionary comes back as its typed values (SUM and AVG then run on
+    ``int64``); a string one stays encoded.  ``present`` is the static
+    analyzer's proof that a typed buffer has no missing value: its scan is
+    skipped."""
+    if present and not isinstance(values, EncodedColumn):
         return values, None
-    keep = ~mask
-    return values[keep], keep
+    mask = missing_mask(values)
+    keep = None if mask is None else ~mask
+    if isinstance(values, EncodedColumn):
+        codes = values.codes if keep is None else values.codes[keep]
+        if values.values.dtype != object:
+            return values.values[codes], keep
+        return EncodedColumn(codes, values.values), keep
+    return (values, None) if keep is None else (values[keep], keep)
 
 
 def bool_mask(values) -> np.ndarray:
@@ -409,9 +409,9 @@ def bool_mask(values) -> np.ndarray:
     false, matching ``bool(None)`` in the tuple-at-a-time interpreter.  Used
     by the generated expression functions and the batch interpreter alike,
     so the two labels cannot drift apart."""
-    if isinstance(values, StringColumn):
-        # A string is true unless empty: one truth value per dictionary entry.
-        return np.append(values.values != "", False)[values.codes]
+    if isinstance(values, EncodedColumn):
+        # One truth value per dictionary entry; code -1 reads the False.
+        return np.append(values.values.astype(bool), False)[values.codes]
     array = np.asarray(values)
     if array.ndim == 0:
         value = array.item()
@@ -497,11 +497,11 @@ def null_safe_compare(op: str, left, right) -> np.ndarray:
     the tuple-at-a-time interpreter.  Object buffers (which can hold ``None``,
     e.g. all-missing aggregate results) go elementwise; numeric buffers take
     the plain NumPy operator, where NaN already compares false for every
-    operator but ``!=`` (masked explicitly).  Encoded strings compare on
+    operator but ``!=`` (masked explicitly).  Encoded columns compare on
     their codes (:func:`_compare_codes`)."""
-    if isinstance(right, StringColumn) and not isinstance(left, StringColumn):
+    if isinstance(right, EncodedColumn) and not isinstance(left, EncodedColumn):
         left, right, op = right, left, _MIRRORED[op]
-    if isinstance(left, StringColumn):
+    if isinstance(left, EncodedColumn):
         result = _compare_codes(op, left, right)
         if result is not None:
             return result
@@ -527,13 +527,23 @@ def null_safe_compare(op: str, left, right) -> np.ndarray:
 _MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _compare_codes(op: str, left: StringColumn, right) -> np.ndarray | None:
-    """``left op right`` on the codes: against a string, one
-    ``searchsorted`` in the sorted dictionary and an integer compare;
-    against a column with the same dictionary, a compare of the codes.
-    ``None`` for anything else (the caller decodes)."""
+#: The scalar types an encoded column compares on its codes, by the kind of
+#: its dictionary (a bool dictionary takes only bools: ``True == 1`` but
+#: ``True != 2``).
+_CODE_SCALARS = {
+    "O": (str,),
+    "b": (bool, np.bool_),
+    "i": (int, float, np.number, np.bool_),
+}
+
+
+def _compare_codes(op: str, left: EncodedColumn, right) -> np.ndarray | None:
+    """``left op right`` on the codes: against a scalar of the dictionary's
+    kind, one ``searchsorted`` in the sorted dictionary and an integer
+    compare; against a column with the same dictionary, a compare of the
+    codes.  ``None`` for anything else (the caller decodes)."""
     codes = left.codes
-    if isinstance(right, StringColumn):
+    if isinstance(right, EncodedColumn):
         if not same_dictionary(left.values, right.values):
             return None
         present = (codes >= 0) & (right.codes >= 0)
@@ -544,10 +554,10 @@ def _compare_codes(op: str, left: StringColumn, right) -> np.ndarray | None:
         right = right.item()
     if is_missing(right):
         return np.zeros(len(codes), dtype=bool)
-    if not isinstance(right, str):
+    if not isinstance(right, _CODE_SCALARS.get(left.values.dtype.kind, ())):
         return None
-    # Codes below the left insertion point of ``right`` are the strings
-    # below it, codes below the right one the strings up to it; the
+    # Codes below the left insertion point of ``right`` are the values
+    # below it, codes below the right one the values up to it; the
     # missing code -1 is below both.
     below = codes < np.searchsorted(left.values, right, side="left")
     upto = codes < np.searchsorted(left.values, right, side="right")
@@ -588,12 +598,13 @@ def group_aggregate(
         return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
     if values is None:
         raise ExecutionError(f"aggregate {func!r} requires input values")
-    if isinstance(values, StringColumn) and func in ("count", "min", "max"):
-        return _string_aggregate(func, group_ids, num_groups, values)
-    values = np.asarray(values)
+    if isinstance(values, EncodedColumn) and func in ("count", "min", "max"):
+        return _encoded_aggregate(func, group_ids, num_groups, values)
     values, keep = _drop_missing(values)
     if keep is not None:
         group_ids = group_ids[keep]
+    # A string column decodes here: SUM and AVG of strings fail as in Volcano.
+    values = np.asarray(values)
     if func == "count":
         return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
     if func in ("sum", "avg"):
@@ -619,7 +630,7 @@ def group_aggregate(
             return sums
         return finish_avg(sums, np.bincount(group_ids, minlength=num_groups))
     if func in ("max", "min"):
-        if values.dtype == object or values.dtype.kind in "US":
+        if values.dtype == object:
             pick = max if func == "max" else min
             boxed = np.full(num_groups, None, dtype=object)
             for group_id, value in zip(group_ids.tolist(), values.tolist()):
@@ -661,10 +672,11 @@ def group_aggregate(
     raise ExecutionError(f"unknown aggregate {func!r}")
 
 
-def _string_aggregate(
-    func: str, group_ids: np.ndarray, num_groups: int, values: StringColumn
-) -> np.ndarray | StringColumn:
-    """COUNT, MIN and MAX of encoded strings, on the codes; the extrema come
+def _encoded_aggregate(
+    func: str, group_ids: np.ndarray, num_groups: int, values: EncodedColumn
+) -> np.ndarray | EncodedColumn:
+    """COUNT, MIN and MAX of an encoded column, on the codes (the dictionary
+    is sorted, so the extreme code is the extreme value); the extrema come
     back encoded, missing for a group without input."""
     present = values.codes >= 0
     group_ids, codes = group_ids[present], values.codes[present]
@@ -674,4 +686,4 @@ def _string_aggregate(
     out = np.full(num_groups, -1 if func == "max" else none, dtype=np.int32)
     (np.maximum if func == "max" else np.minimum).at(out, group_ids, codes)
     out[out == none] = -1
-    return StringColumn(out, values.values)
+    return EncodedColumn(out, values.values)

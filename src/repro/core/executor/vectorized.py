@@ -60,14 +60,16 @@ execution (§6).
 
 Null semantics mirror the Volcano interpreter: comparisons with a missing
 value are false, arithmetic over a missing value is missing and aggregates
-skip missing inputs.  In columnar buffers "missing" is ``None`` inside object
-columns, NaN inside float columns (the JSON plug-in's encoding of absent
-numeric fields) or code ``-1`` inside a dictionary-encoded string column
-(:class:`~repro.core.strings.StringColumn`, what the CSV and JSON plug-ins
-produce for ``string`` fields).  Encoded columns flow through the stages and
-roots as codes — gathered, concatenated under one dictionary, compared,
-grouped, joined and sorted by the kernels — and are decoded only when the
-engine pulls result rows.
+skip missing inputs.  Every plug-in column has the one form its declared
+type prescribes (:mod:`repro.core.columns`), so "missing" is NaN inside a
+float column, code ``-1`` inside a dictionary-encoded column
+(:class:`~repro.core.columns.EncodedColumn`: every ``string`` field, and an
+``int``, ``date`` or ``bool`` field with missing values) and ``None`` only
+inside an object column (values that do not fit the declared type, and
+computed results such as the extrema of groups without input).  Encoded
+columns flow through the stages and roots as codes — gathered, concatenated
+under one dictionary, compared, grouped, joined and sorted by the kernels —
+and are decoded only when the engine pulls result rows.
 
 Shapes the pipeline does not cover (record construction in output columns,
 outer joins, grouping on keys containing nulls, group-by output columns that
@@ -99,6 +101,8 @@ from repro.core.aggregate_utils import (
     replace_aggregates,
     unique_output_columns,
 )
+from repro.core import types as t
+from repro.core.columns import EncodedColumn, declared_type, element_type
 from repro.core.executor import radix
 from repro.core.expressions import (
     AggregateCall,
@@ -136,7 +140,6 @@ from repro.core.sort import (
     resolve_limit,
     sort_columns,
 )
-from repro.core.strings import StringColumn
 from repro.core.types import python_value as _python_value
 from repro.errors import ExecutionError, PluginError, VectorizationError
 from repro.obs.instrument import traced_scan, traced_stage
@@ -205,7 +208,7 @@ _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 def materialize(value: Any, count: int) -> np.ndarray:
     """Broadcast an evaluation result to a full column of ``count`` rows."""
-    if isinstance(value, (np.ndarray, StringColumn)) and value.ndim == 1:
+    if isinstance(value, (np.ndarray, EncodedColumn)) and value.ndim == 1:
         return value
     if isinstance(value, np.ndarray):  # 0-d array
         value = value.item()
@@ -289,18 +292,12 @@ def _evaluate_binary(expression: BinaryOp, batch: Batch) -> Any:
     return radix.null_safe_arith(expression.op, left, right)
 
 
-def _valid_mask(values: np.ndarray) -> np.ndarray | None:
-    """Mask of non-missing entries, or ``None`` when everything is valid."""
-    mask = radix.missing_mask(values)
-    return None if mask is None else ~mask
-
-
-def _extremum(func: str, values: np.ndarray | StringColumn) -> Any:
+def _extremum(func: str, values: np.ndarray | EncodedColumn) -> Any:
     """MIN or MAX of a non-empty column without missing values, as a Python
-    value; encoded strings take the grouping kernel's one-group path."""
-    if isinstance(values, StringColumn):
-        one_group = np.zeros(len(values), dtype=np.int64)
-        return radix.group_aggregate(func, one_group, 1, values)[0]
+    value; an encoded column's is the value of its extreme code."""
+    if isinstance(values, EncodedColumn):
+        codes = values.codes
+        return _python_value(values.values[codes.max() if func == "max" else codes.min()])
     return _python_value(values.max() if func == "max" else values.min())
 
 
@@ -690,7 +687,8 @@ class UnnestStage:
     * **column-backed** (``plugin`` is ``None``) — the parent binding is
       itself an unnest variable (nested-in-nested); the collection was
       materialized as an object column by the parent stage and is flattened
-      in memory by :func:`repro.plugins.base.flatten_collections`.
+      in memory by :func:`repro.plugins.base.flatten_collections` into
+      columns of the ``type_names`` the schema declares.
 
     Outer unnest emits one null child row for parents whose collection is
     empty or missing, matching the Volcano interpreter.  An outer unnest
@@ -706,6 +704,7 @@ class UnnestStage:
         predicate: Evaluator | None,
         cache_manager=None,
         total_rows: int = 0,
+        type_names: list[str] | None = None,
     ):
         self.binding = plan.binding
         self.path = plan.path
@@ -715,6 +714,7 @@ class UnnestStage:
         self.outer = plan.outer
         self.dataset = dataset
         self.plugin = plugin
+        self.type_names = type_names
         if self.outer and predicate is not None:
             raise VectorizationError(
                 "outer unnest with an element predicate is served by the "
@@ -767,7 +767,7 @@ class UnnestStage:
                     f"{self.binding!r}.{'.'.join(self.path)}"
                 )
             buffers = flatten_collections(
-                collection, self.element_paths, outer=self.outer
+                collection, self.element_paths, self.type_names, outer=self.outer
             )
             counters.rows_scanned += buffers.count
             return buffers
@@ -970,6 +970,7 @@ class PipelineCompiler:
             )
             return pipeline
         if isinstance(plan, PhysUnnest):
+            type_names = None
             try:
                 dataset, plugin = self._scan_source(plan, plan.binding)
             except VectorizationError:
@@ -977,6 +978,8 @@ class PipelineCompiler:
                 # (nested-in-nested): the collection travels as a
                 # materialized object column instead of plug-in OIDs.
                 dataset = plugin = None
+                element = element_type(self._binding_type(plan.child, plan.binding), plan.path)
+                type_names = [declared_type(element, path) for path in plan.element_paths]
             pipeline = self.compile(plan.child)
             # Directly over its scan the stage sees every parent, in order:
             # only then may the flattened output come from / go to the cache.
@@ -988,6 +991,7 @@ class PipelineCompiler:
                 self._optional(plan.predicate),
                 cache_manager=self.cache_manager if full_scan else None,
                 total_rows=pipeline.source.total_rows,
+                type_names=type_names,
             )
             self.cache_writers.append(stage)
             pipeline.stages.append(traced_stage(self.trace, plan, stage))
@@ -1128,6 +1132,18 @@ class PipelineCompiler:
                 description=f"join build side ({table.kernel})",
             )
         return table
+
+    def _binding_type(self, plan: PhysicalPlan, binding: str) -> t.DataType | None:
+        """The declared type of the records (or elements) ``binding`` ranges
+        over in ``plan``: a scanned dataset's schema, an unnested
+        collection's element type."""
+        for node in plan.walk():
+            if isinstance(node, PhysScan) and node.binding == binding:
+                return self.catalog.get(node.dataset).schema
+            if isinstance(node, PhysUnnest) and node.var == binding:
+                parent = self._binding_type(node.child, node.binding)
+                return element_type(parent, node.path)
+        return None
 
     def _scan_source(
         self, plan: PhysicalPlan, binding: str
@@ -1852,10 +1868,12 @@ class _BatchAggregates(AggregateAccumulators):
 
     Same state and finalization as the Volcano accumulators (the shared base
     class), but folds whole batches with NumPy reductions instead of one
-    ``update`` per tuple.  ``non_null_args`` carries the fingerprints of
-    aggregate calls whose argument the static analyzer proved non-nullable:
-    for those the per-batch valid-mask pass (a NaN scan over floats, a
-    per-element probe over object columns) is skipped entirely.
+    ``update`` per tuple; what an aggregate skips is decided by
+    :func:`radix._drop_missing`, as for the grouped aggregates.
+    ``non_null_args`` carries the fingerprints of aggregate calls whose
+    argument the static analyzer proved non-nullable: for those the per-batch
+    missing scan (a NaN scan over floats, a per-element probe over object
+    columns) is skipped entirely.
     """
 
     def __init__(
@@ -1875,14 +1893,10 @@ class _BatchAggregates(AggregateAccumulators):
             if aggregate.func == "count" and aggregate.argument is None:
                 continue
             fingerprint = aggregate.fingerprint()
-            values = materialize(self.arguments[fingerprint](batch), batch.count)
-            valid = (
-                None
-                if fingerprint in self.non_null_args
-                else _valid_mask(values)
+            values, _ = radix._drop_missing(
+                materialize(self.arguments[fingerprint](batch), batch.count),
+                present=fingerprint in self.non_null_args,
             )
-            if valid is not None:
-                values = values[valid]
             if len(values) == 0:
                 continue
             self.counts[fingerprint] += len(values)
@@ -1917,13 +1931,16 @@ class _BatchAggregates(AggregateAccumulators):
                 self.bools_or[fingerprint] = self.bools_or[fingerprint] or batch_any
 
 
-def _join_keys(value: Any, count: int) -> np.ndarray:
-    """Normalize a join key column: fixed-width strings to objects, bools to
-    ints.  Keys containing missing values are rejected by the join kernels
-    themselves."""
+def _join_keys(value: Any, count: int) -> np.ndarray | EncodedColumn:
+    """Normalize a join key column: an encoded column with a numeric or
+    boolean dictionary to its typed values (so the key alignment and the
+    dense/sorted choice see plain arrays), bools to ints.  Encoded strings
+    stay codes; keys containing missing values are rejected by the join
+    kernels."""
     keys = materialize(value, count)
-    if keys.dtype.kind in "US":
-        keys = keys.astype(object)
+    if isinstance(keys, EncodedColumn) and keys.values.dtype != object:
+        radix.reject_missing_keys(keys, "join")
+        keys = keys.values[keys.codes]
     if keys.dtype.kind == "b":
         return keys.astype(np.int64)
     return keys

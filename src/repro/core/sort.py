@@ -11,10 +11,10 @@ column at execution time:
   *key-transform* arrays.  Each key column is encoded into at most two NumPy
   arrays whose ascending order equals the requested column order: descending
   integers are bit-inverted (``~x``, overflow-free), descending floats are
-  negated, dictionary-encoded strings sort on their (negated) codes, other
+  negated, dictionary-encoded columns sort on their (negated) codes, other
   descending strings are mapped to negated factorization codes, and
-  missing values (``None``/NaN) get a dedicated boolean subkey so they sort
-  NULLS LAST in *both* directions.  No Python object is ever boxed.
+  missing values (``None``/NaN/code -1) get a dedicated boolean subkey so
+  they sort NULLS LAST in *both* directions.  No Python object is ever boxed.
 * **topk** — when a LIMIT accompanies ORDER BY, :func:`numpy.partition`
   selects the candidate rows whose primary key can reach the top K, and only
   those are lexsorted.  :class:`TopKAccumulator` is the streaming variant the
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core import types as t
 from repro.core.expressions import Expression, parameter_env
-from repro.core.strings import StringColumn, concat_strings
+from repro.core.columns import EncodedColumn, concat_encoded
 from repro.errors import ExecutionError, ProteusError
 
 #: One ORDER BY key: (output column name, ascending?).
@@ -139,7 +139,7 @@ def _encode_key(
     negation keeps NaN as NaN, so NULLS LAST semantics are preserved in both
     directions; a spurious hint only costs the dedicated subkey.
     """
-    if isinstance(buffer, StringColumn):
+    if isinstance(buffer, EncodedColumn):
         # The codes are the sort key: the dictionary is ascending.
         codes = buffer.codes
         key = codes if ascending else -codes
@@ -159,11 +159,6 @@ def _encode_key(
         if missing.any():
             return [missing, np.where(missing, 0.0, key)]
         return [key]
-    if kind in "US":
-        if ascending:
-            return [values]
-        _, codes = np.unique(values, return_inverse=True)
-        return [-codes.astype(np.int64)]
     if kind == "O":
         return _encode_object_key(values, ascending, assume_present)
     return None
@@ -349,7 +344,7 @@ def _fallback_permutation(
         buffer = data[column]
         values = (
             buffer.tolist()
-            if isinstance(buffer, (np.ndarray, StringColumn))
+            if isinstance(buffer, (np.ndarray, EncodedColumn))
             else list(buffer)
         )
         values = [None if t.is_missing(v) else t.python_value(v) for v in values]
@@ -364,7 +359,7 @@ def _fallback_permutation(
 
 def _take(buffer: Any, indices: Any):
     """Gather a columnar buffer by a permutation (array or list backed)."""
-    if isinstance(buffer, (np.ndarray, StringColumn)):
+    if isinstance(buffer, (np.ndarray, EncodedColumn)):
         return buffer[np.asarray(indices, dtype=np.int64)]
     return [buffer[i] for i in indices]
 
@@ -511,17 +506,18 @@ class TopKAccumulator:
 def concat_chunks(chunks: list) -> Any:
     """Concatenate columnar chunks into one buffer, tolerating list-backed
     buffers; an empty chunk list degenerates to an empty float64 column (the
-    batch tier's convention for "no rows at all").  Encoded string chunks
-    stay encoded under the union of their dictionaries; mixed with other
+    batch tier's convention for "no rows at all").  Encoded chunks stay
+    encoded under the union of their dictionaries, typed chunks beside them
+    included (:func:`~repro.core.columns.concat_encoded`); mixed with object
     buffers they decode."""
     if not chunks:
         return np.zeros(0, dtype=np.float64)
     if len(chunks) == 1:
         return chunks[0]
-    encoded = [isinstance(chunk, StringColumn) for chunk in chunks]
-    if all(encoded):
-        return concat_strings(chunks)
-    if any(encoded):
+    if any(isinstance(chunk, EncodedColumn) for chunk in chunks):
+        encoded = concat_encoded(chunks)
+        if encoded is not None:
+            return encoded
         chunks = [np.asarray(chunk) for chunk in chunks]
     if all(isinstance(chunk, np.ndarray) for chunk in chunks):
         return np.concatenate(chunks)
@@ -565,28 +561,11 @@ def _mergeable_single_key(
         if buffer.dtype.kind == "b":
             buffer = buffer.astype(np.int8)
         buffers.append(buffer)
-    kinds = {buffer.dtype.kind for buffer in buffers}
-    if "u" in kinds and "i" in kinds:
-        # Promoting mixed signed/unsigned comparisons goes through float64;
-        # the re-sort path is exact.
+    if len({buffer.dtype.kind for buffer in buffers}) > 1:
+        # Runs of different kinds have different key spaces (a descending
+        # int encodes as ``~x``, a descending float as ``-x``) and mixed
+        # promotions go through float64; the re-sort path is exact.
         return None
-    if "f" in kinds and kinds & {"i", "u"}:
-        # Mixed runs (a nullable int column materializes float64 for ranges
-        # containing a null, int64 otherwise): the key spaces differ — a
-        # descending int encodes as ``~x`` but a descending float as ``-x``
-        # — so all runs must be compared in one space.  float64 represents
-        # every int up to ±2**53 exactly; beyond that the re-sort path is
-        # the exact one.
-        for buffer in buffers:
-            if buffer.dtype.kind in "iu" and len(buffer) and (
-                int(buffer.min()) < -_FLOAT_EXACT_INT
-                or int(buffer.max()) > _FLOAT_EXACT_INT
-            ):
-                return None
-        buffers = [
-            buffer.astype(np.float64) if buffer.dtype.kind in "iu" else buffer
-            for buffer in buffers
-        ]
     encoded_runs: list[tuple[np.ndarray, np.ndarray | None]] = []
     for buffer in buffers:
         keys = _encode_key(buffer, ascending, column in non_null)

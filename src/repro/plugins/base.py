@@ -45,6 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core import types as t
+from repro.core.columns import Column, EncodedColumn, column_from_values
 from repro.core.concurrency import make_lock
 # Canonical nested-access rule, re-exported for plug-in authors.
 from repro.core.types import dig_path  # noqa: F401
@@ -63,17 +64,18 @@ def _noop() -> None:
 class ScanBuffers:
     """The virtual memory buffers a scan populates for the rest of the plan.
 
-    ``columns`` maps each requested field path to a NumPy array with one entry
-    per qualifying object; ``oids`` carries the object identifier the plug-in
+    ``columns`` maps each requested field path to a column of its declared
+    type (:mod:`repro.core.columns`: a typed NumPy array or an encoded column)
+    with one entry per qualifying object; ``oids`` carries the object identifier the plug-in
     produced for each entry, which later lazy accesses (``scan_columns_at``,
     ``scan_unnest_batch``) use to return to the source object.
     """
 
     count: int
     oids: np.ndarray
-    columns: dict[FieldPath, np.ndarray] = field(default_factory=dict)
+    columns: dict[FieldPath, Column] = field(default_factory=dict)
 
-    def column(self, path: FieldPath) -> np.ndarray:
+    def column(self, path: FieldPath) -> Column:
         try:
             return self.columns[path]
         except KeyError as exc:
@@ -89,16 +91,15 @@ class UnnestBatch:
     Parent columns are then broadcast with a single ``np.repeat`` per batch —
     no per-parent round-trips.  Under *outer* unnest a parent whose collection
     is empty or missing contributes exactly one row whose element columns hold
-    the missing value (``None`` / NaN), mirroring the Volcano interpreter's
-    null child row.
+    the missing value, mirroring the Volcano interpreter's null child row.
     """
 
     count: int
     #: int64, one entry per requested parent; ``repeats.sum() == count``.
     repeats: np.ndarray
-    columns: dict[FieldPath, np.ndarray] = field(default_factory=dict)
+    columns: dict[FieldPath, Column] = field(default_factory=dict)
 
-    def column(self, path: FieldPath) -> np.ndarray:
+    def column(self, path: FieldPath) -> Column:
         try:
             return self.columns[path]
         except KeyError as exc:
@@ -258,7 +259,7 @@ class InputPlugin(ABC):
     def _column_batches(
         self,
         dataset: Dataset,
-        arrays: dict[FieldPath, np.ndarray],
+        arrays: dict[FieldPath, Column],
         start: int,
         stop: int,
         batch_size: int,
@@ -321,18 +322,33 @@ class InputPlugin(ABC):
         return cardinality * self.field_access_cost * max(len(paths), 1)
 
 
-def count_missing(values: np.ndarray) -> int:
+def count_missing(values: Column) -> int:
     """Observed missing entries in a column buffer.
 
     Delegates to the executor kernels' ``missing_mask`` so statistics
-    collection and execution agree on what "missing" means (``None`` in
-    object buffers, NaN in float buffers, code ``-1`` in encoded strings).
-    Feeds ``DatasetStatistics.null_counts`` — the proof the static analyzer
-    needs before it lets a tier skip missing-mask construction."""
+    collection and execution agree on what "missing" means (NaN in float
+    buffers, code ``-1`` in encoded columns, ``None`` in object buffers —
+    the forms of :mod:`repro.core.columns`).  Feeds
+    ``DatasetStatistics.null_counts`` — the proof the static analyzer needs
+    before it lets a tier skip missing-mask construction."""
     from repro.core.executor.radix import missing_mask
 
     mask = missing_mask(values)
     return 0 if mask is None else int(mask.sum())
+
+
+def value_range(values: Column) -> tuple[float, float] | None:
+    """``(min, max)`` of a numeric column, missing values skipped — the ends
+    of an encoded column's dictionary, a NaN-aware reduction of a typed
+    buffer — or ``None`` for an empty, all-missing or non-numeric column
+    (the statistics then record no range)."""
+    if isinstance(values, EncodedColumn):
+        values = values.values[[0, -1]] if len(values.values) else values.values
+    if values.dtype.kind == "f":
+        values = values[~np.isnan(values)]
+    if values.dtype.kind not in "iubf" or not len(values):
+        return None
+    return float(values.min()), float(values.max())
 
 
 @contextmanager
@@ -347,55 +363,6 @@ def malformed_as_corrupt(dataset: Dataset) -> Iterator[None]:
         ) from exc
 
 
-def span_bytes(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[bytes]:
-    """``data[start:end]`` for every span, sliced C-side."""
-    return list(map(data.__getitem__, map(slice, starts.tolist(), ends.tolist())))
-
-
-#: Exact powers of ten for :func:`parse_decimals`.
-_POWERS_OF_TEN = np.asarray([float(10**k) for k in range(16)])
-
-
-def parse_decimals(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The numbers ``data[start:end]`` as float64 without one Python object
-    per value, or ``None`` unless every span is a plain decimal
-    ``[-]digits[.digits]`` of at most 15 digits.
-
-    Those parse exactly: the digits form an integer below 2**53 and one
-    division by an exactly representable power of ten rounds correctly, so
-    the result equals ``float(text)``.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if not len(starts) or not len(buf):
-        return None
-    negative = buf[np.minimum(starts, len(buf) - 1)] == ord("-")
-    begins = starts + negative
-    lengths = ends - begins
-    if lengths.min() < 1 or lengths.max() > 16:
-        return None
-    mantissa = np.zeros(len(starts), dtype=np.int64)
-    digits = np.zeros(len(starts), dtype=np.int64)
-    scale = np.zeros(len(starts), dtype=np.int64)
-    point = np.zeros(len(starts), dtype=bool)
-    for offset in range(int(lengths.max())):
-        active = offset < lengths
-        byte = buf[np.minimum(begins + offset, len(buf) - 1)]
-        value = byte.astype(np.int64) - ord("0")
-        digit = active & (value >= 0) & (value <= 9)
-        dot = active & (byte == ord(".")) & ~point
-        if not np.array_equal(digit | dot, active):
-            return None
-        mantissa = np.where(digit, mantissa * 10 + value, mantissa)
-        digits += digit
-        scale += digit & point
-        point |= dot
-    if digits.min() < 1 or digits.max() > 15:
-        return None
-    values = mantissa / _POWERS_OF_TEN[scale]
-    values[negative] *= -1.0
-    return values
-
-
 def require_flat_path(path: FieldPath) -> str:
     """Helper for flat formats: a path must have exactly one element."""
     if len(path) != 1:
@@ -406,10 +373,14 @@ def require_flat_path(path: FieldPath) -> str:
 
 
 def flatten_collections(
-    collections: Sequence, element_paths: Sequence[FieldPath], outer: bool = False
+    collections: Sequence,
+    element_paths: Sequence[FieldPath],
+    type_names: Sequence[str],
+    outer: bool = False,
 ) -> UnnestBatch:
     """Flatten already-materialized collection values into an
-    :class:`UnnestBatch`.
+    :class:`UnnestBatch`; ``type_names`` declares the type of every element
+    path's column.
 
     ``collections`` holds one Python collection (list/tuple), or ``None``,
     per parent — e.g. an object column a previous unnest materialized.  This
@@ -437,39 +408,6 @@ def flatten_collections(
             for path in element_paths:
                 values[path].append(None)
     batch = UnnestBatch(count=total, repeats=repeats)
-    for path in element_paths:
-        batch.columns[path] = values_to_array(values[path])
+    for path, type_name in zip(element_paths, type_names):
+        batch.columns[path] = column_from_values(values[path], type_name)
     return batch
-
-
-def values_to_array(values: list) -> np.ndarray:
-    """Pack extracted Python values into the tightest NumPy column.
-
-    Missing values (``None``) force an object buffer so tuple-at-a-time null
-    semantics survive the round-trip through the batch executor; clean numeric
-    columns specialize to ``int64`` / ``float64`` / ``bool`` buffers.
-    """
-    if not values:
-        return np.zeros(0, dtype=np.float64)
-    if not any(value is None for value in values):
-        if all(isinstance(value, bool) for value in values):
-            return np.asarray(values, dtype=np.bool_)
-        if all(
-            isinstance(value, int) and not isinstance(value, bool) for value in values
-        ):
-            try:
-                return np.asarray(values, dtype=np.int64)
-            except OverflowError:
-                # Ints beyond int64 stay exact in an object buffer (a float64
-                # cast would round them).
-                pass
-        elif all(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            for value in values
-        ):
-            return np.asarray(values, dtype=np.float64)
-    array = np.empty(len(values), dtype=object)
-    array[:] = values
-    return array
-
-

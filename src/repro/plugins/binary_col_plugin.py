@@ -3,10 +3,10 @@
 Serve column tables ("binary column files similar to the ones of MonetDB",
 §7.1) and row tables (packed structured arrays).  Both are memory-mapped and
 expose ``row_count``, ``schema`` and ``column(name)``, so one class serves
-both: a scan that touches K columns reads K arrays and hands zero-copy slices
-of them to the batch pipeline — the cheapest access path of the engine, which
-is why the cost model and the cache-eviction bias rank binary data below CSV
-and JSON.  A row table's column is a strided view of its records, slightly
+both: a scan that touches K columns reads K arrays (a string column encoded
+once, on read) and hands zero-copy slices of them to the batch pipeline — the
+cheapest access path of the engine, which is why the cost model and the
+cache-eviction bias rank binary data below CSV and JSON.  A row table's column is a strided view of its records, slightly
 dearer per value than a column file when a query needs few fields, which its
 ``field_access_cost`` reflects.
 """
@@ -26,6 +26,7 @@ from repro.plugins.base import (
     ScanBuffers,
     count_missing,
     require_flat_path,
+    value_range,
 )
 from repro.storage.binary_format import (
     ColumnTable,
@@ -83,11 +84,9 @@ class BinaryColumnPlugin(InputPlugin):
         for field in table.schema.fields:
             column = table.column(field.name)
             statistics.null_counts[field.name] = count_missing(column)
-            if not field.dtype.is_numeric():
-                continue
-            if len(column):
-                statistics.min_values[field.name] = float(np.min(column))
-                statistics.max_values[field.name] = float(np.max(column))
+            extent = value_range(column) if field.dtype.is_numeric() else None
+            if extent is not None:
+                statistics.min_values[field.name], statistics.max_values[field.name] = extent
         return statistics
 
     # -- bulk access --------------------------------------------------------------
@@ -99,8 +98,7 @@ class BinaryColumnPlugin(InputPlugin):
             count=table.row_count, oids=np.arange(table.row_count, dtype=np.int64)
         )
         for path in paths:
-            name = require_flat_path(path)
-            buffers.columns[path] = np.asarray(table.column(name))
+            buffers.columns[path] = table.column(require_flat_path(path))
         return buffers
 
     def scan_row_count(self, dataset: Dataset) -> int:
@@ -115,10 +113,7 @@ class BinaryColumnPlugin(InputPlugin):
         batch_size: int = 4096,
     ) -> Iterator[ScanBuffers]:
         table = self._table(dataset)
-        arrays = {
-            tuple(path): np.asarray(table.column(require_flat_path(path)))
-            for path in paths
-        }
+        arrays = {tuple(path): table.column(require_flat_path(path)) for path in paths}
         yield from self._column_batches(
             dataset, arrays, start, min(stop, table.row_count), batch_size
         )

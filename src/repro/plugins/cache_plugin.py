@@ -15,9 +15,10 @@ import numpy as np
 from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
+from repro.core.columns import Column, EncodedColumn
 from repro.core.types import python_value
 from repro.errors import PluginError
-from repro.plugins.base import FieldPath, InputPlugin, ScanBuffers
+from repro.plugins.base import FieldPath, InputPlugin, ScanBuffers, value_range
 from repro.storage.catalog import Dataset, DatasetStatistics
 
 
@@ -62,21 +63,17 @@ class CachePlugin(InputPlugin):
         for entry in self.manager.entries_for_dataset(dataset.name):
             if entry.kind != "field":
                 continue
-            path = entry.key[2]
-            array = entry.data
-            dtype = _type_of(array)
-            fields.append(t.Field(".".join(path), dtype))
+            fields.append(t.Field(".".join(entry.key[2]), _type_of(entry.data)))
         return t.RecordType(fields)
 
     def collect_statistics(self, dataset: Dataset) -> DatasetStatistics:
         minimums: dict[str, float] = {}
         maximums: dict[str, float] = {}
         for entry in self.manager.entries_for_dataset(dataset.name):
-            array = entry.data
-            if entry.kind == "field" and array.dtype != object and len(array):
+            extent = value_range(entry.data) if entry.kind == "field" else None
+            if extent is not None:
                 name = ".".join(entry.key[2])
-                minimums[name] = float(np.nanmin(array))
-                maximums[name] = float(np.nanmax(array))
+                minimums[name], maximums[name] = extent
         return DatasetStatistics(
             cardinality=self.scan_row_count(dataset),
             min_values=minimums,
@@ -86,7 +83,7 @@ class CachePlugin(InputPlugin):
     # -- bulk access ------------------------------------------------------------------
 
     def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
-        columns: dict[FieldPath, np.ndarray] = {}
+        columns: dict[FieldPath, Column] = {}
         count = 0
         for path in paths:
             entry = self.manager.lookup(field_cache_key(dataset.name, tuple(path)))
@@ -133,12 +130,14 @@ class CachePlugin(InputPlugin):
             yield {name: python_value(array[row]) for name, array in zip(names, arrays)}
 
 
-def _type_of(array: np.ndarray) -> t.DataType:
-    if array.dtype == object:
+def _type_of(column: Column) -> t.DataType:
+    """The declared type a cached column was converted to (an encoded
+    column's is its dictionary's)."""
+    kind = (column.values if isinstance(column, EncodedColumn) else column).dtype.kind
+    if kind == "O":
         return t.STRING
-    if array.dtype.kind == "b":
+    if kind == "b":
         return t.BOOL
-    if array.dtype.kind == "i":
+    if kind == "i":
         return t.INT
     return t.FLOAT
-

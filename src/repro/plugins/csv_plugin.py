@@ -4,12 +4,12 @@ The CSV plug-in serves raw, comma-separated text files in place, without a
 load step.  On first access it memory-maps the file and builds a positional
 structural index storing the offsets of every Nth field per row (§5.2); later
 accesses slice only the bytes of the fields a query needs and convert them on
-the fly.  A string field is dictionary-encoded straight from its bytes
-(:func:`repro.core.strings.encode_spans`: one fixed-width gather, one
-``np.unique``, a decode per distinct value).  Converted fields — numbers and
-string codes alike — are prime candidates for the adaptive caches (§6),
-which is how repeated CSV access amortizes its conversion cost in the
-Symantec workload.
+the fly into the column of their declared type
+(:func:`repro.core.columns.column_from_spans`: plain numbers parsed without a
+Python object per value, a string field dictionary-encoded straight from its
+bytes).  Converted fields — numbers and string codes alike — are prime
+candidates for the adaptive caches (§6), which is how repeated CSV access
+amortizes its conversion cost in the Symantec workload.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.core import types as t
+from repro.core.columns import Column, column_from_spans, column_from_values, span_bytes
 from repro.core.concurrency import make_lock
-from repro.core.strings import StringColumn, encode_spans
 from repro.errors import PluginError
 from repro.plugins.base import (
     FieldPath,
@@ -30,9 +30,8 @@ from repro.plugins.base import (
     ScanBuffers,
     count_missing,
     malformed_as_corrupt,
-    parse_decimals,
     require_flat_path,
-    span_bytes,
+    value_range,
 )
 from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.structural_index import CsvStructuralIndex, build_csv_index
@@ -82,25 +81,6 @@ _CONVERTERS = {
     "string": str,
     "date": _convert_date,
 }
-
-_NUMPY_DTYPES = {
-    "int": np.int64,
-    "float": np.float64,
-    "bool": np.bool_,
-    "string": object,
-    "date": np.int64,
-}
-
-
-def _typed_array(values: list, type_name: str) -> np.ndarray:
-    """Pack converted values into the declared dtype; integers beyond int64
-    stay exact in an object buffer rather than wrapping or crashing."""
-    try:
-        return np.asarray(values, dtype=_NUMPY_DTYPES[type_name])
-    except OverflowError:
-        array = np.empty(len(values), dtype=object)
-        array[:] = values
-        return array
 
 
 class CsvPlugin(InputPlugin):
@@ -210,11 +190,9 @@ class CsvPlugin(InputPlugin):
             except PluginError:
                 continue
             statistics.null_counts[field.name] = count_missing(values)
-            if not field.dtype.is_numeric():
-                continue
-            if len(values):
-                statistics.min_values[field.name] = float(np.min(values))
-                statistics.max_values[field.name] = float(np.max(values))
+            extent = value_range(values) if field.dtype.is_numeric() else None
+            if extent is not None:
+                statistics.min_values[field.name], statistics.max_values[field.name] = extent
         return statistics
 
     # -- bulk access -----------------------------------------------------------
@@ -268,36 +246,19 @@ class CsvPlugin(InputPlugin):
 
     def _convert_rows(
         self, dataset: Dataset, state: _CsvState, path: FieldPath, rows: "range | np.ndarray"
-    ) -> np.ndarray | StringColumn:
-        """Slice and convert one field for the given rows (a range or OIDs);
-        a string field comes back dictionary-encoded."""
+    ) -> Column:
+        """Slice and convert one field for the given rows (a range or OIDs)
+        into the column of its declared type: in bulk from the spans where
+        they allow it, through the Volcano converter per value otherwise."""
         name = require_flat_path(path)
         column = self._column_index(state, name)
         type_name = self._field_type_name(dataset, name)
         starts, ends = self._field_bytes(dataset, state, rows, column)
-        data = state.data
-        if type_name == "string":
-            return encode_spans(data, starts, ends)
-        if type_name in ("int", "float"):
-            # Bulk conversion of the field spans (the Python analogue of the
-            # generated per-field conversion code).
-            floats = parse_decimals(data, starts, ends)
-            if floats is None:
-                try:
-                    floats = np.asarray(span_bytes(data, starts, ends)).astype(np.float64)
-                except ValueError:
-                    floats = None
-            if floats is not None:
-                if type_name == "int" and len(floats) and \
-                        np.all(floats == np.floor(floats)):
-                    if not np.any(np.abs(floats) >= 2.0**53):
-                        return floats.astype(np.int64)
-                    # Integers beyond 2**53 are not exactly representable in
-                    # float64; fall through to the exact per-value converter.
-                else:
-                    return floats
-        texts = list(map(bytes.decode, span_bytes(data, starts, ends)))
-        return _typed_array(list(map(_CONVERTERS[type_name], texts)), type_name)
+        converted = column_from_spans(state.data, starts, ends, type_name)
+        if converted is not None:
+            return converted
+        texts = map(bytes.decode, span_bytes(state.data, starts, ends))
+        return column_from_values(list(map(_CONVERTERS[type_name], texts)), type_name)
 
     def scan_columns_at(
         self, dataset: Dataset, paths: Sequence[FieldPath], oids: np.ndarray

@@ -9,11 +9,13 @@ its fixed-schema specialization are both subsumed — any field order is one
 column lookup.
 
 Scans gather the spans of the fields a query needs — nested paths included —
-from those columns and convert them to binary values in bulk per type: a
-string field is dictionary-encoded from its bytes (only escaped values go
-through ``json.loads`` first), a field holding other values too keeps one
-Python object per value.  Nested arrays are flattened for the batch
-pipeline's unnest stage by :meth:`JsonPlugin.scan_unnest_batch`, which
+from those columns and convert them to the column of the field's declared
+type (:mod:`repro.core.columns`): in bulk when every value carries the
+type's token — a string field is dictionary-encoded from its bytes, only
+escaped values going through ``json.loads`` first — and one Python value
+per span otherwise, so a field holding values of another type is an object
+column like the values Volcano reads.  Nested arrays are flattened for the
+batch pipeline's unnest stage by :meth:`JsonPlugin.scan_unnest_batch`, which
 parses only the array spans.
 """
 
@@ -30,7 +32,14 @@ import numpy as np
 
 from repro.core import types as t
 from repro.core.concurrency import make_lock
-from repro.core.strings import StringColumn, encode_spans
+from repro.core.columns import (
+    Column,
+    column_from_spans,
+    column_from_values,
+    declared_type,
+    element_type,
+    encode_spans,
+)
 from repro.errors import PluginError
 from repro.plugins.base import (
     FieldPath,
@@ -40,8 +49,7 @@ from repro.plugins.base import (
     count_missing,
     dig_path as _dig,
     malformed_as_corrupt,
-    parse_decimals,
-    span_bytes,
+    value_range,
 )
 from repro.storage.catalog import Dataset, DatasetStatistics
 from repro.storage.structural_index import (
@@ -154,11 +162,9 @@ class JsonPlugin(InputPlugin):
             except PluginError:
                 continue
             statistics.null_counts[field.name] = count_missing(values)
-            if not field.dtype.is_numeric():
-                continue
-            if len(values):
-                statistics.min_values[field.name] = float(np.nanmin(values))
-                statistics.max_values[field.name] = float(np.nanmax(values))
+            extent = value_range(values) if field.dtype.is_numeric() else None
+            if extent is not None:
+                statistics.min_values[field.name], statistics.max_values[field.name] = extent
         return statistics
 
     # -- bulk access ----------------------------------------------------------------
@@ -184,9 +190,9 @@ class JsonPlugin(InputPlugin):
         batch_size: int = 4096,
     ):
         """Native batched scan of any object range through the structural
-        index (missing numeric fields surface as NaN, exactly as in
-        :meth:`scan_columns`); disjoint ranges extract concurrently without
-        shared state (morsel fan-out)."""
+        index (the columns of :meth:`scan_columns`, row range by row range);
+        disjoint ranges extract concurrently without shared state (morsel
+        fan-out)."""
         state = self._state(dataset)
         stop = min(stop, state.index.num_objects)
         for begin in range(start, stop, batch_size):
@@ -220,20 +226,24 @@ class JsonPlugin(InputPlugin):
         state: _JsonState,
         path: FieldPath,
         positions: np.ndarray | None = None,
-    ) -> np.ndarray | StringColumn:
-        """One field for every object (or the objects at ``positions``): the
-        spans come from one column lookup and convert in bulk per type; a
-        string field comes back dictionary-encoded."""
+    ) -> Column:
+        """One field for every object (or the objects at ``positions``) as
+        the column of its declared type: the spans come from one column
+        lookup and convert in bulk when every value has the declared type's
+        token, one Python value per span otherwise."""
+        data = state.data
         starts, ends, types = state.index.column_spans(".".join(path), positions)
-        dtype_name = self._field_type_name(dataset, path)
-        column: np.ndarray | StringColumn | None = None
-        if dtype_name in ("int", "float", "date"):
-            column = _numeric_column(state.data, starts, ends, types, dtype_name)
-        elif dtype_name == "string":
-            column = _string_column(state.data, starts, ends, types)
-        if column is not None:
-            return column
-        return _to_array(_convert_spans(state.data, starts, ends, types), dtype_name)
+        type_name = declared_type(dataset.schema, path)
+        token = _TOKENS.get(type_name)
+        missing = (types == TYPE_MISSING) | (types == TYPE_NULL)
+        if token is not None and np.all(missing | (types == token)):
+            quotes = int(token == TYPE_STRING)  # a string's content
+            column = column_from_spans(
+                data, starts + quotes, ends - quotes, type_name, missing, _unescape
+            )
+            if column is not None:
+                return column
+        return column_from_values(_convert_spans(data, starts, ends, types), type_name)
 
     def scan_unnest_batch(
         self,
@@ -248,8 +258,8 @@ class JsonPlugin(InputPlugin):
         The structural index resolves every requested parent's array span in
         one column lookup (``column_spans``); only the array spans themselves
         are parsed.  Flattened element values are collected once per element
-        path and converted in one bulk ``_to_array`` call — no per-parent
-        buffers or decoder calls.
+        path and converted in one :func:`~repro.core.columns.column_from_values`
+        call — no per-parent buffers or decoder calls.
         """
         self.io_checkpoint("scan-unnest", dataset.name)
         state = self._state(dataset)
@@ -292,10 +302,10 @@ class JsonPlugin(InputPlugin):
         )
         flat = list(chain.from_iterable(collections))
         batch = UnnestBatch(count=len(flat), repeats=repeats)
+        element = element_type(dataset.schema, collection_path)
         for path in element_paths:
-            values = _extract_element_values(flat, path)
-            batch.columns[path] = _to_array(
-                values, self._element_type_name(dataset, collection_path, path)
+            batch.columns[path] = column_from_values(
+                _extract_element_values(flat, path), declared_type(element, path)
             )
         return batch
 
@@ -320,45 +330,19 @@ class JsonPlugin(InputPlugin):
         cardinality = statistics.cardinality if statistics is not None else 1_000_000
         return cardinality * self.field_access_cost * max(len(paths), 1)
 
-    # -- helpers -------------------------------------------------------------------------
-
-    @staticmethod
-    def _field_type_name(dataset: Dataset, path: FieldPath) -> str:
-        if dataset.schema is None:
-            return "float"
-        try:
-            resolved = dataset.schema.resolve_path(path)
-        except Exception:
-            return "float"
-        return resolved.name if resolved.is_primitive() else "string"
-
-    @staticmethod
-    def _element_type_name(
-        dataset: Dataset, collection_path: FieldPath, element_path: FieldPath
-    ) -> str:
-        if dataset.schema is None:
-            return "float"
-        try:
-            collection = dataset.schema.resolve_path(collection_path)
-        except Exception:
-            return "float"
-        if not isinstance(collection, t.CollectionType):
-            return "float"
-        element = collection.element
-        if not element_path:
-            return element.name if element.is_primitive() else "string"
-        if isinstance(element, t.RecordType):
-            try:
-                resolved = element.resolve_path(element_path)
-            except Exception:
-                return "float"
-            return resolved.name if resolved.is_primitive() else "string"
-        return "float"
-
 
 # ---------------------------------------------------------------------------
 # Span conversion helpers
 # ---------------------------------------------------------------------------
+
+#: The token every value of a declared type's field carries when the field
+#: converts in bulk from its spans (missing and null values aside).
+_TOKENS = {
+    "int": TYPE_NUMBER,
+    "date": TYPE_NUMBER,
+    "float": TYPE_NUMBER,
+    "string": TYPE_STRING,
+}
 
 
 def _extract_element_values(flat: list, path: FieldPath) -> list:
@@ -379,64 +363,9 @@ def _extract_element_values(flat: list, path: FieldPath) -> list:
     return [_dig(element, path) for element in flat]
 
 
-def _numeric_column(
-    data: bytes, starts: np.ndarray, ends: np.ndarray, types: np.ndarray, dtype_name: str
-) -> np.ndarray | None:
-    """Numeric fields: slice the number spans and convert them in one bulk
-    call (the Python analogue of the generated conversion code); missing and
-    null values are NaN.  Returns ``None`` when a non-numeric token or an
-    integer beyond 2**53 needs the exact per-value path."""
-    numbers = types == TYPE_NUMBER
-    if not np.all(numbers | (types == TYPE_NULL) | (types == TYPE_MISSING)):
-        return None
-    floats = np.full(len(types), np.nan)
-    if numbers.any():
-        starts, ends = starts[numbers], ends[numbers]
-        parsed = parse_decimals(data, starts, ends)
-        if parsed is None:
-            try:
-                parsed = np.asarray(span_bytes(data, starts, ends)).astype(np.float64)
-            except ValueError:
-                return None
-        floats[numbers] = parsed
-    if dtype_name in ("int", "date"):
-        finite = floats[np.isfinite(floats)]
-        if len(finite) and np.any(np.abs(finite) >= 2.0**53):
-            # Integers beyond 2**53 are not exactly representable in
-            # float64; fall back to the exact per-span conversion path
-            # (whether or not some values are missing).
-            return None
-        if len(floats) and numbers.all() and np.all(floats == np.floor(floats)):
-            return floats.astype(np.int64)
-    return floats
-
-
 def _unescape(content: bytes) -> bytes:
     """The UTF-8 bytes of a JSON string's escaped content."""
     return json.loads(b'"' + content + b'"').encode("utf-8", "surrogatepass")
-
-
-def _string_spans(data: bytes, starts: np.ndarray, ends: np.ndarray) -> StringColumn:
-    """JSON string spans (quotes included) dictionary-encoded."""
-    return encode_spans(data, starts + 1, ends - 1, _unescape)
-
-
-def _string_column(
-    data: bytes, starts: np.ndarray, ends: np.ndarray, types: np.ndarray
-) -> StringColumn | None:
-    """String fields: the string spans' contents dictionary-encoded
-    (escaped ones unescaped first), missing and null values as code -1.
-    Returns ``None`` when a value is not a string (schema flexibility):
-    that column takes the per-value path."""
-    strings = types == TYPE_STRING
-    if not np.all(strings | (types == TYPE_NULL) | (types == TYPE_MISSING)):
-        return None
-    column = _string_spans(data, starts[strings], ends[strings])
-    if strings.all():
-        return column
-    codes = np.full(len(types), -1, dtype=np.int32)
-    codes[strings] = column.codes
-    return StringColumn(codes, column.values)
 
 
 def _convert_spans(
@@ -448,7 +377,9 @@ def _convert_spans(
     for type_code in np.unique(types).tolist():
         chosen = np.flatnonzero(types == type_code)
         if type_code == TYPE_STRING:
-            converted = _string_spans(data, starts[chosen], ends[chosen]).tolist()
+            converted = encode_spans(
+                data, starts[chosen] + 1, ends[chosen] - 1, _unescape
+            ).tolist()
         elif type_code == TYPE_BOOL:
             converted = (np.frombuffer(data, np.uint8)[starts[chosen]] == ord("t")).tolist()
         elif type_code in (TYPE_NULL, TYPE_MISSING):
@@ -473,62 +404,5 @@ def _convert_span(data: bytes, start: int, end: int, type_code: int) -> Any:
         if "." in decoded or "e" in decoded or "E" in decoded:
             return float(decoded)
         return int(decoded)
-    if type_code == TYPE_BOOL:
-        return text == b"true"
-    if type_code == TYPE_NULL:
-        return None
     # objects and arrays: parse the span only
     return json.loads(text)
-
-
-def _to_array(values: list, dtype_name: str) -> np.ndarray:
-    """Convert extracted values to a NumPy buffer, mapping missing numeric
-    values to NaN so vectorized predicates remain well-defined.  Values that do
-    not convert to the declared type fall back to an object buffer (schema
-    flexibility must never fail a scan)."""
-    try:
-        if dtype_name in ("int", "date"):
-            try:
-                # Clean integer columns convert C-side in one shot; None or
-                # out-of-range values raise and take the per-value path.
-                return np.asarray(values, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                pass
-            if any(v is None for v in values):
-                if any(
-                    v is not None and abs(int(v)) >= 2**53 for v in values
-                ):
-                    # NaN-encoding would round these; keep exact ints (and
-                    # None) in an object buffer.
-                    array = np.empty(len(values), dtype=object)
-                    array[:] = values
-                    return array
-                return np.asarray(
-                    [np.nan if v is None else float(v) for v in values], dtype=np.float64
-                )
-            return np.asarray([int(v) for v in values], dtype=np.int64)
-        if dtype_name == "float":
-            try:
-                # NumPy converts None to NaN for float dtypes, which is
-                # exactly this engine's missing-value encoding.
-                return np.asarray(values, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                pass
-            return np.asarray(
-                [np.nan if v is None else float(v) for v in values], dtype=np.float64
-            )
-        if dtype_name == "bool":
-            if any(v is None for v in values):
-                # A missing boolean must stay missing: ``bool(None)`` would
-                # materialize as False and make predicates / NULLS LAST sorts
-                # / aggregates diverge from the tuple-at-a-time tier.  Object
-                # buffers carry None through ``types.is_missing``.
-                array = np.empty(len(values), dtype=object)
-                array[:] = [None if v is None else bool(v) for v in values]
-                return array
-            return np.asarray([bool(v) for v in values], dtype=np.bool_)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    array = np.empty(len(values), dtype=object)
-    array[:] = values
-    return array

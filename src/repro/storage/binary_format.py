@@ -8,7 +8,7 @@ reproduction and their readers/writers:
 * **Column tables** — a directory containing ``_schema.json`` plus one file per
   column.  Numeric columns are raw fixed-width arrays preceded by a small
   header and are memory-mapped on read; string columns are stored as an
-  offsets array plus a UTF-8 blob.
+  offsets array plus a UTF-8 blob and dictionary-encoded on read.
 * **Row tables** — a single file holding a NumPy structured array (strings as
   fixed-width unicode fields), memory-mapped on read.
 
@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core import types as t
+from repro.core.columns import EncodedColumn, encode_array, encode_spans
 from repro.errors import StorageError
 
 _MAGIC = b"PRCL"
@@ -93,8 +94,7 @@ def write_column_file(path: str, values: np.ndarray | Sequence, type_name: str) 
 def _write_string_column(path: str, values: Sequence, code: str) -> int:
     encoded = [("" if v is None else str(v)).encode("utf-8") for v in values]
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    for index, blob in enumerate(encoded):
-        offsets[index + 1] = offsets[index] + len(blob)
+    np.cumsum(np.fromiter(map(len, encoded), np.int64, len(encoded)), out=offsets[1:])
     payload = b"".join(encoded)
     header = _MAGIC + code.encode() + b"\0\0\0" + np.int64(len(encoded)).tobytes()
     with open(path, "wb") as handle:
@@ -104,8 +104,9 @@ def _write_string_column(path: str, values: Sequence, code: str) -> int:
     return len(header) + offsets.nbytes + len(payload)
 
 
-def read_column_file(path: str, use_mmap: bool = True) -> np.ndarray:
-    """Read a column file; fixed-width columns are memory-mapped when possible."""
+def read_column_file(path: str, use_mmap: bool = True) -> np.ndarray | EncodedColumn:
+    """Read a column file; fixed-width columns are memory-mapped when
+    possible, string columns come back dictionary-encoded."""
     header_size = len(_MAGIC) + 4 + 8
     with open(path, "rb") as handle:
         header = handle.read(header_size)
@@ -117,25 +118,20 @@ def read_column_file(path: str, use_mmap: bool = True) -> np.ndarray:
     if type_name is None:
         raise StorageError(f"unknown column type code {code!r} in {path}")
     if type_name == "string":
-        return _read_string_column(path, header_size, count)
+        with open(path, "rb") as handle:
+            handle.seek(header_size)
+            offsets = np.frombuffer(handle.read((count + 1) * 8), dtype=np.int64)
+            payload = handle.read()
+        return encode_spans(payload, offsets[:-1], offsets[1:])
     dtype = _DTYPE_CODES[type_name][1]
     if use_mmap:
-        return np.memmap(path, dtype=dtype, mode="r", offset=header_size, shape=(count,))
+        # A plain view of the mapping: slices of an ``np.memmap`` cost more.
+        return np.asarray(
+            np.memmap(path, dtype=dtype, mode="r", offset=header_size, shape=(count,))
+        )
     with open(path, "rb") as handle:
         handle.seek(header_size)
         return np.frombuffer(handle.read(), dtype=dtype, count=count).copy()
-
-
-def _read_string_column(path: str, header_size: int, count: int) -> np.ndarray:
-    with open(path, "rb") as handle:
-        handle.seek(header_size)
-        offsets = np.frombuffer(handle.read((count + 1) * 8), dtype=np.int64)
-        payload = handle.read()
-    values = np.empty(count, dtype=object)
-    for index in range(count):
-        start, end = offsets[index], offsets[index + 1]
-        values[index] = payload[start:end].decode("utf-8")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +148,9 @@ class ColumnTable:
     row_count: int
 
     def __post_init__(self) -> None:
-        self._columns: dict[str, np.ndarray] = {}
+        self._columns: dict[str, np.ndarray | EncodedColumn] = {}
 
-    def column(self, name: str, use_mmap: bool = True) -> np.ndarray:
+    def column(self, name: str, use_mmap: bool = True) -> np.ndarray | EncodedColumn:
         """Load (and cache) one column."""
         if name not in self._columns:
             if not self.schema.has_field(name):
@@ -163,7 +159,7 @@ class ColumnTable:
             self._columns[name] = read_column_file(path, use_mmap=use_mmap)
         return self._columns[name]
 
-    def columns(self, names: Sequence[str]) -> dict[str, np.ndarray]:
+    def columns(self, names: Sequence[str]) -> dict[str, np.ndarray | EncodedColumn]:
         return {name: self.column(name) for name in names}
 
 
@@ -248,20 +244,21 @@ class RowTable:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        self._strings: dict[str, np.ndarray] = {}
+        self._encoded: dict[str, EncodedColumn] = {}
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray | EncodedColumn:
         """One field of every record: a strided view of the mapped records,
-        except fixed-width strings, which are decoded (and kept) as an
-        object column like a column table's."""
+        except fixed-width strings, which are dictionary-encoded once (one
+        ``np.unique`` over the fixed-width array) and kept, like a column
+        table's."""
         if not self.schema.has_field(name):
             raise StorageError(f"row table has no column {name!r}")
-        column = self.data[name]
+        column = np.asarray(self.data[name])
         if column.dtype.kind != "U":
             return column
-        if name not in self._strings:
-            self._strings[name] = column.astype(object)
-        return self._strings[name]
+        if name not in self._encoded:
+            self._encoded[name] = encode_array(column)
+        return self._encoded[name]
 
 
 def read_row_table(path: str, use_mmap: bool = True) -> RowTable:

@@ -341,7 +341,7 @@ _OBJ_OPEN, _OBJ_CLOSE, _ARR_OPEN, _ARR_CLOSE, _COLON, _COMMA = 5, 6, 7, 8, 9, 10
 # and a run of scalar bytes.
 _STRING, _SCALAR = 11, 12
 
-_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 for _byte in b"-+.eE0123456789":
     _CLASS[_byte] = _NUM
 for _byte, _code in zip(b' \t\r\n\\"{}[]:,', (_WS,) * 4 + (

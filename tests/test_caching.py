@@ -7,7 +7,7 @@ import pytest
 from repro.caching.manager import CacheManager, estimate_size
 from repro.caching.matching import field_cache_key, join_side_cache_key, unnest_cache_key
 from repro.caching.policies import CachingPolicy
-from repro.core.strings import StringColumn
+from repro.core.columns import EncodedColumn
 from repro.storage.memory import CacheArena
 
 from tests.conftest import expected_items, make_engine
@@ -129,7 +129,7 @@ def test_engine_caches_strings_as_dictionary_codes(paths):
     (entry,) = [
         e for e in engine.cache_entries() if e.description == "items_json.category"
     ]
-    assert isinstance(entry.data, StringColumn)
+    assert isinstance(entry.data, EncodedColumn)
     assert entry.data.codes.dtype == np.int32
     assert list(entry.data.values) == ["cat0", "cat1", "cat2", "cat3"]
 

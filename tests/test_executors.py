@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.algebra import Join, Scan, Select
+from repro.core.columns import column_from_values
 from repro.core.executor import radix
 from repro.core.expressions import BinaryOp, FieldRef, Literal, conjunction
 from repro.core.optimizer.join_order import choose_build_side, extract_equi_key
@@ -52,9 +53,16 @@ def test_radix_join_matches_naive_int(kernel, spread):
 def test_radix_join_matches_naive_strings():
     left = np.asarray(["a", "b", "c", "a"], dtype=object)
     right = np.asarray(["c", "a", "d"], dtype=object)
-    # Object string keys are dictionary-encoded: the dense kernel on codes.
-    assert radix.build_join_table(left).kernel == radix.KERNEL_DENSE
+    # Object keys take the sorted kernel; encoded strings — what every
+    # plug-in produces for a string field — the dense kernel on codes, with
+    # each probe batch's codes translated into the build dictionary.
+    assert radix.build_join_table(left).kernel == radix.KERNEL_SORTED
     assert _joined(left, right) == _naive_join(left, right)
+    encoded = column_from_values(left.tolist(), "string")
+    table = radix.build_join_table(encoded)
+    assert table.kernel == radix.KERNEL_DENSE
+    li, ri = radix.probe_join_table(table, column_from_values(right.tolist(), "string"))
+    assert list(zip(li.tolist(), ri.tolist())) == _naive_join(left, right)
 
 
 def test_radix_join_empty_and_disjoint():

@@ -37,7 +37,7 @@ from repro.caching.manager import estimate_size
 from repro.core import types as t
 from repro.core.executor import radix
 from repro.core.parallel import Morsel, WorkerPool, WorkStealingQueue, plan_morsels
-from repro.core.strings import StringColumn, dictionary_nbytes
+from repro.core.columns import EncodedColumn, dictionary_nbytes
 from repro.storage.binary_format import write_column_table, write_row_table
 
 SAILOR_COUNT = 600
@@ -599,7 +599,7 @@ def test_string_columns_are_cached_encoded(workload_dir):
     assert first.profile.morsels_dispatched > 0  # morsel dictionaries, unioned
     (entry,) = [e for e in engine.cache_entries() if e.description == "sailors.sname"]
     column = entry.data
-    assert isinstance(column, StringColumn)
+    assert isinstance(column, EncodedColumn)
     assert list(column.values) == [f"sailor{i}" for i in range(7)]
     assert column.tolist() == [f"sailor{i % 7}" for i in range(SAILOR_COUNT)]
     assert entry.size_bytes == 4 * SAILOR_COUNT + dictionary_nbytes(column.values)

@@ -7,6 +7,7 @@ from repro import ProteusEngine
 from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
+from repro.core.columns import EncodedColumn
 from repro.errors import PluginError
 from repro.plugins import (
     BinaryColumnPlugin,
@@ -233,9 +234,11 @@ def test_binary_row_plugin(paths, memory):
     dataset = _dataset("items", DataFormat.BINARY_ROW, paths["items_rows"], ITEMS_SCHEMA)
     buffers = plugin.scan_columns(dataset, [("qty",), ("category",)])
     assert buffers.count == ITEM_COUNT
-    # Fixed-width strings come back as an object column, like a column table's.
-    assert buffers.column(("category",)).dtype == object
-    assert buffers.column(("category",))[1] == "cat1"
+    # Fixed-width strings come back dictionary-encoded, like a column table's.
+    category = buffers.column(("category",))
+    assert isinstance(category, EncodedColumn)
+    assert category.values.tolist() == ["cat0", "cat1", "cat2", "cat3"]
+    assert category[1] == "cat1"
     rows = list(plugin.iterate_rows(dataset))
     assert rows == expected_items()
     assert type(rows[4]["id"]) is int and type(rows[4]["category"]) is str
@@ -281,4 +284,113 @@ def test_cache_plugin_serves_cached_fields(memory):
     pieces = list(plugin.scan_batch_ranges(dataset, [("x",)], 40, 60, batch_size=4))
     assert np.concatenate([piece.column(("x",)) for piece in pieces]).tolist() == list(range(40, 50))
     assert np.concatenate([piece.oids for piece in pieces]).tolist() == list(range(40, 50))
+
+
+# -- the column contract ----------------------------------------------------------------
+
+#: One field per declared type, with a missing value at position 2.
+_CONTRACT_VALUES = {
+    "int": [3, -(2**63), None, 2**63 - 1, 2**53 + 1, 0],
+    "date": [0, 18262, None, -5, 7, 7],
+    "bool": [True, False, None, True, True, False],
+    "float": [1.5, -2.0, None, 1e300, 0.0, 2.5],
+    "string": ["a", "é", None, "", "a", "z"],
+}
+
+#: The dictionary / buffer kind of each declared type's column.
+_KINDS = {"int": "i", "date": "i", "bool": "b", "float": "f", "string": "O"}
+
+
+def _contract_text(type_name, value):
+    """A value as CSV text (dates as ISO days, which the converter parses)."""
+    if type_name == "date":
+        import datetime
+
+        return (datetime.date(1970, 1, 1) + datetime.timedelta(days=value)).isoformat()
+    if type_name == "bool":
+        return "true" if value else "false"
+    return str(value)
+
+
+def _contract_dataset(tmp_path, fmt, type_name, values, memory):
+    """A one-field table ``x`` of ``values`` in ``fmt`` and its plug-in."""
+    import json
+
+    from repro.storage.binary_format import write_column_table, write_row_table
+
+    schema = t.make_schema({"id": "int", "x": type_name})
+    path = str(tmp_path / "table")
+    ids = list(range(len(values)))
+    if fmt in (DataFormat.JSON, DataFormat.CACHE):
+        with open(path, "w", encoding="utf-8") as handle:
+            for index, value in enumerate(values):
+                # Missing values alternate between null and an absent field.
+                record = {"id": index}
+                if value is not None or index % 2 == 0:
+                    record["x"] = value
+                handle.write(json.dumps(record) + "\n")
+        plugin = JsonPlugin(memory)
+    elif fmt == DataFormat.CSV:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("id,x\n")
+            for index, value in enumerate(values):
+                handle.write(f"{index},{_contract_text(type_name, value)}\n")
+        plugin = CsvPlugin(memory)
+    elif fmt == DataFormat.BINARY_COLUMN:
+        write_column_table(path, {"id": ids, "x": values}, schema)
+        plugin = BinaryColumnPlugin(memory)
+    else:
+        write_row_table(path, {"id": ids, "x": values}, schema)
+        plugin = BinaryRowPlugin(memory)
+    dataset = _dataset("table", DataFormat.JSON if fmt == DataFormat.CACHE else fmt, path, schema)
+    if fmt == DataFormat.CACHE:
+        # The cache serves the column the JSON plug-in converted.
+        manager = CacheManager(memory.arena)
+        manager.store(
+            field_cache_key("table", ("x",)),
+            plugin.scan_columns(dataset, [("x",)]).column(("x",)),
+            kind="field", dataset="table", source_format="json",
+        )
+        plugin = CachePlugin(memory, manager)
+        dataset = _dataset("table", DataFormat.CACHE, "", schema)
+    return plugin, dataset
+
+
+@pytest.mark.parametrize("type_name", sorted(_CONTRACT_VALUES))
+@pytest.mark.parametrize(
+    "fmt,missing",
+    [
+        (DataFormat.CSV, False),
+        (DataFormat.JSON, False),
+        (DataFormat.JSON, True),
+        (DataFormat.BINARY_COLUMN, False),
+        (DataFormat.BINARY_ROW, False),
+        (DataFormat.CACHE, True),
+    ],
+)
+def test_every_plugin_yields_the_declared_column_form(tmp_path, memory, fmt, missing, type_name):
+    """The one form per declared type (``repro.core.columns``):
+    ``int``/``date``/``bool`` plain when the converted column has no missing
+    value and encoded over a typed dictionary when it has — the raw formats
+    convert batch by batch, the cache serves the whole column it kept —;
+    ``float`` always ``float64``; ``string`` always encoded.  No typed field
+    ever comes out as a ``U``/``S`` or an object buffer.  CSV and binary
+    tables cannot hold a missing value."""
+    values = _CONTRACT_VALUES[type_name]
+    if not missing:
+        values = [value for value in values if value is not None]
+    plugin, dataset = _contract_dataset(tmp_path, fmt, type_name, values, memory)
+    kind = _KINDS[type_name]
+    decoded = []
+    for batch in plugin.scan_batches(dataset, [("x",)], batch_size=2):
+        column = batch.column(("x",))
+        converted = values if fmt == DataFormat.CACHE else [values[i] for i in batch.oids]
+        has_missing = None in converted
+        if type_name == "string" or (has_missing and type_name != "float"):
+            assert isinstance(column, EncodedColumn), (type(column), batch.oids)
+            assert column.values.dtype.kind == kind
+        else:
+            assert isinstance(column, np.ndarray) and column.dtype.kind == kind
+        decoded += [None if t.is_missing(v) else v for v in column.tolist()]
+    assert decoded == values
 

@@ -407,11 +407,10 @@ def test_parallel_string_sort_with_single_surviving_morsel(messy_path):
 
 
 def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
-    # The JSON plugin materializes a nullable int column per scan range:
-    # ranges containing a null become float64 (NaN-encoded), ranges without
-    # become int64.  The k-way merge must compare such runs in one key
-    # space — the int ``~x`` and float ``-x`` descending encodings are
-    # mutually incomparable.
+    # The JSON plugin converts a nullable int column per scan range: ranges
+    # containing a null come out dictionary-encoded, ranges without as
+    # int64.  Runs of different forms share no key space for a k-way merge;
+    # the root must order them as one column.
     path = tmp_path / "mixed_runs.json"
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(400):

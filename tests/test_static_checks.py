@@ -6,7 +6,8 @@ silently: it skips with a reason naming the tool and the command that did
 NOT run, and emits the same text as a warning so it shows in the summary of
 every run.  :func:`test_no_unused_imports` and :func:`test_no_undefined_names`
 are ``ast``/``symtable``-only stand-ins for ruff's unused-import and
-undefined-name rules that run everywhere.
+undefined-name rules that run everywhere; :func:`test_no_unreferenced_private_names`
+stands in for a dead-code check.
 """
 
 from __future__ import annotations
@@ -163,3 +164,65 @@ def test_no_undefined_names():
     every module of ``src/repro`` and ``tools``."""
     found = [problem for path in _sources() for problem in undefined_names(path)]
     assert not found, "undefined names:\n" + "\n".join(found)
+
+
+def _repository_sources():
+    """Every Python file of the repository (hidden directories aside)."""
+    for directory, subdirectories, files in os.walk(ROOT):
+        subdirectories[:] = sorted(
+            name for name in subdirectories if not name.startswith((".", "__pycache__"))
+        )
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` definitions (functions, classes, assigned
+    names; dunders aside) and their lines."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads: loaded names, attributes, imported names,
+    string constants (``getattr`` targets) and names inside annotations."""
+    names = _annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_no_unreferenced_private_names():
+    """A dead-code stand-in that runs everywhere: every module-level
+    ``_name`` defined in ``src/repro`` or ``tools`` is read somewhere in the
+    repository — an orphan left behind by a deletion fails here."""
+    referenced: set[str] = set()
+    for path in _repository_sources():
+        with open(path, encoding="utf-8") as handle:
+            referenced |= _referenced_names(ast.parse(handle.read()))
+    found = []
+    for path in _sources():
+        with open(path, encoding="utf-8") as handle:
+            defined = _private_definitions(ast.parse(handle.read()))
+        found += [f"{path}:{line}: {name}" for name, line in defined.items() if name not in referenced]
+    assert not found, "unreferenced private names:\n" + "\n".join(found)
+

@@ -414,12 +414,16 @@ def test_batch_unnest_matches_iterate_rows(json_plugin_and_dataset):
 
 def test_flatten_collections_kernel():
     collections = [[{"x": 1}, {"x": 2}], [], None, [{"x": 3}]]
-    inner = flatten_collections(collections, [("x",)])
+    inner = flatten_collections(collections, [("x",)], ["int"])
     assert inner.repeats.tolist() == [2, 0, 0, 1]
+    assert inner.column(("x",)).dtype == np.int64
     assert inner.column(("x",)).tolist() == [1, 2, 3]
-    outer = flatten_collections(collections, [("x",)], outer=True)
+    outer = flatten_collections(collections, [("x",)], ["int"], outer=True)
     assert outer.repeats.tolist() == [2, 1, 1, 1]
     assert outer.column(("x",)).tolist() == [1, 2, None, None, 3]
+    # Values that do not fit the declared type keep their Python form.
+    mixed = flatten_collections([[{"x": 1}, {"x": 2.5}]], [("x",)], ["int"])
+    assert mixed.column(("x",)).tolist() == [1, 2.5]
 
 
 def test_scan_unnest_batch_whole_dataset(json_plugin_and_dataset):

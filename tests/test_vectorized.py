@@ -532,12 +532,13 @@ def test_builtin_attribute_names_do_not_leak(tmp_path):
         assert result.rows == [(1,)], result.tier
 
 
-def test_values_to_array_keeps_huge_ints_exact():
-    from repro.plugins.base import values_to_array
+def test_column_from_values_keeps_huge_ints_exact():
+    from repro.core.columns import column_from_values
 
-    column = values_to_array([2**70, 5])
-    assert column.dtype == object
-    assert column.tolist() == [2**70, 5]
+    for values in ([2**70, 5], [2**70, None, 5]):
+        column = column_from_values(values, "int")
+        assert column.dtype == object
+        assert column.tolist() == values
 
 
 def test_null_safe_negation_and_arithmetic_helpers():
