@@ -271,7 +271,7 @@ def unnest_kernel(directory: str, quick: bool) -> list[Ratio]:
 def nullability_hints(directory: str, quick: bool) -> list[Ratio]:
     path, _ = build_table(directory, HINT_ROWS[quick])
     masked, hinted = (
-        make_engine(path, analyze=analyze, enable_codegen=False).prepare(HINT_QUERY)
+        make_engine(path, analyze=analyze).prepare(HINT_QUERY)
         for analyze in (False, True)
     )
     if masked.analysis.hints.non_null_aggregate_args:
@@ -305,7 +305,7 @@ def client_scaling(directory: str, quick: bool) -> list[Ratio]:
     path, _ = build_table(directory, CLIENT_ROWS[quick])
     # One PreparedQuery shared by every client, as the HTTP layer's per-text
     # prepared cache shares it; each query runs inline on its client thread.
-    prepared = make_engine(path, enable_codegen=False).prepare(CLIENT_QUERY)
+    prepared = make_engine(path).prepare(CLIENT_QUERY)
 
     def client():
         for _ in range(CLIENT_QUERIES):

@@ -517,11 +517,8 @@ def ablation_codegen(scale: float = 0.2) -> AblationResult:
         adapter = ProteusAdapter(
             name="proteus_codegen" if enable_codegen else "proteus_volcano",
             enable_caching=False,
+            enable_codegen=enable_codegen,
         )
-        adapter.engine.enable_codegen = enable_codegen
-        # Keep the baseline a true Volcano measurement: without this, disabling
-        # codegen would fall through to the vectorized batch tier instead.
-        adapter.engine.enable_vectorized = enable_codegen
         adapter.attach_json("lineitem", files.lineitem_json, schema=tpch.LINEITEM_SCHEMA)
         adapter.warm_up("lineitem")
         return adapter.run(spec).seconds

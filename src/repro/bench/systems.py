@@ -79,14 +79,12 @@ class ProteusAdapter(SystemAdapter):
         name: str = "proteus",
         enable_caching: bool = False,
         enable_codegen: bool = True,
-        enable_vectorized: bool = True,
         cache_budget_bytes: int = 256 * 1024 * 1024,
     ):
         super().__init__(name)
         self.engine = ProteusEngine(
             enable_caching=enable_caching,
             enable_codegen=enable_codegen,
-            enable_vectorized=enable_vectorized,
             cache_budget_bytes=cache_budget_bytes,
         )
 

@@ -11,7 +11,7 @@ lowest ``bias / recency`` score is dropped first, so caches over JSON survive
 longer than caches over CSV, which survive longer than caches over binary
 data (``JSON ≻ CSV ≻ Binary``), mirroring the paper's policy.
 
-One manager is shared by the batch pipeline (both NumPy labels) and the
+One manager is shared by the batch pipeline and the
 planner's access-path selection, from every query thread, so every public
 method takes ``self._lock``.  Mutators delegate to ``*_locked`` internals
 (``store`` must evict while holding the lock; re-taking it would self-

@@ -10,7 +10,7 @@ The package has three layers (see :mod:`repro.core.analysis.model`):
   tier-capability table predicting which execution tier serves a plan, with
   ``TIER0xx`` decline codes,
 * :class:`NullabilityHints` — statically proven non-nullable columns and
-  aggregate arguments, consumed by the vectorized tier and the sort kernels
+  aggregate arguments, consumed by the batch pipeline and the sort kernels
   to skip missing-mask construction.
 """
 
@@ -34,7 +34,6 @@ from repro.core.analysis.model import (
     TIER_PLAN_SHAPE,
     TIER_RUNTIME_DEMOTION,
     TIER_CODEGEN,
-    TIER_VECTORIZED,
     TIER_VOLCANO,
     TierVerdict,
     TYP_BAD_AGGREGATE,
@@ -64,7 +63,6 @@ __all__ = [
     "TIER_PLAN_SHAPE",
     "TIER_RUNTIME_DEMOTION",
     "TIER_CODEGEN",
-    "TIER_VECTORIZED",
     "TIER_VOLCANO",
     "TYP_BAD_AGGREGATE",
     "TYP_BAD_ARITHMETIC",

@@ -1,14 +1,13 @@
 """Declarative tier-capability table and verdict computation.
 
-One table — :data:`OPERATOR_CAPABILITIES` — declares, per cascade label and
-per physical operator class, whether the executor behind the label covers
-the operator and under which conditions it declines.  The ``codegen`` and
-``vectorized`` labels share one executor — the batch pipeline — and
-therefore one row: they differ only in how expressions evaluate (generated
-functions vs the per-batch interpreter), and both cover the same expression
-shapes.  :func:`tier_verdicts` folds the table, the root-shape rules, the
+One table — :data:`OPERATOR_CAPABILITIES` — declares, per cascade tier and
+per physical operator class, whether the executor behind the tier covers
+the operator and under which conditions it declines.  Each tier has one
+executor and one row: ``codegen`` is the batch pipeline running generated
+expression functions, ``volcano`` the tuple-at-a-time interpreter.
+:func:`tier_verdicts` folds the table, the root-shape rules, the
 expression-support rules and the engine configuration into one
-:class:`TierVerdict` per label in cascade order; the first serving verdict
+:class:`TierVerdict` per tier in cascade order; the first serving verdict
 is the one the engine's cascade will select.
 
 The decline reasons deliberately reuse the executors' own wording (the
@@ -49,7 +48,6 @@ from repro.core.analysis.model import (
     TIER_OUTER_JOIN,
     TIER_OUTER_UNNEST_PREDICATE,
     TIER_PLAN_SHAPE,
-    TIER_VECTORIZED,
     TIER_VOLCANO,
     TierVerdict,
 )
@@ -102,20 +100,8 @@ def _batch_nest(node: PhysicalPlan) -> Decline:
     return None
 
 
-#: The batch pipeline's operator coverage — the row both NumPy labels share.
-_BATCH_PIPELINE: dict[type, Check | None] = {
-    PhysScan: None,
-    PhysSelect: None,
-    PhysUnnest: _batch_unnest,
-    PhysHashJoin: _no_outer_join,
-    PhysNestedLoopJoin: _no_outer_join,
-    PhysReduce: None,
-    PhysNest: _batch_nest,
-    PhysSort: None,
-}
-
-#: The capability table: cascade label -> operator class -> coverage
-#: condition of the executor behind the label.
+#: The capability table: cascade tier -> operator class -> coverage
+#: condition of the executor behind the tier.
 #:
 #: ``None`` means unconditionally covered.  Every ``Phys*`` class must appear
 #: in every row — ``tools/tier_lint.py`` fails the build otherwise.
@@ -125,8 +111,17 @@ _BATCH_PIPELINE: dict[type, Check | None] = {
 #: ``PhysNest`` conditions apply at the plan root — the planner never nests
 #: them deeper.
 OPERATOR_CAPABILITIES: dict[str, dict[type, Check | None]] = {
-    TIER_CODEGEN: _BATCH_PIPELINE,
-    TIER_VECTORIZED: _BATCH_PIPELINE,
+    # The batch pipeline.
+    TIER_CODEGEN: {
+        PhysScan: None,
+        PhysSelect: None,
+        PhysUnnest: _batch_unnest,
+        PhysHashJoin: _no_outer_join,
+        PhysNestedLoopJoin: _no_outer_join,
+        PhysReduce: None,
+        PhysNest: _batch_nest,
+        PhysSort: None,
+    },
     # The Volcano interpreter is the total fallback: it covers every operator
     # unconditionally (PhysSort through the engine's sort epilogue).
     TIER_VOLCANO: {
@@ -140,7 +135,6 @@ OPERATOR_CAPABILITIES: dict[str, dict[type, Check | None]] = {
         PhysSort: None,
     },
 }
-
 
 
 def plan_verdict(tier: str, plan: PhysicalPlan) -> Decline:
@@ -166,8 +160,7 @@ def plan_verdict(tier: str, plan: PhysicalPlan) -> Decline:
                 return decline
     if tier == TIER_VOLCANO:
         return None
-    # The expression generator and the batch evaluator cover the same scalar
-    # expression shapes (record construction is the Volcano-only outlier).
+    # Record construction is the Volcano-only expression shape.
     for node in plan.walk():
         for expression in expressions_of(node):
             if not supported_by_codegen(expression):
@@ -183,26 +176,22 @@ def tier_verdicts(
     physical: PhysicalPlan,
     *,
     enable_codegen: bool,
-    enable_vectorized: bool,
 ) -> tuple[TierVerdict, ...]:
     """One :class:`TierVerdict` per tier, in cascade order.
 
-    A pure function of the plan and the engine's ablation flags — no catalog,
+    A pure function of the plan and the engine's ablation flag — no catalog,
     plug-in or cache state is consulted, so the engine caches the result per
-    plan fingerprint.  The ``codegen`` verdict is the pipeline's verdict and
-    ``enable_codegen``; ``vectorized`` is the same pipeline interpreting its
-    expressions.  (Whether the pipeline fans a scan out over morsels is
+    plan fingerprint.  ``enable_codegen=False`` leaves the paper's static
+    engine, Volcano.  (Whether the pipeline fans a scan out over morsels is
     decided inside the executor, not here.)
     """
-    enabled = {TIER_CODEGEN: enable_codegen, TIER_VECTORIZED: enable_vectorized}
     verdicts: list[TierVerdict] = []
     for tier in CASCADE_TIERS:
         decline: Decline
-        if enabled.get(tier, True):
-            decline = plan_verdict(tier, physical)
+        if tier == TIER_CODEGEN and not enable_codegen:
+            decline = (TIER_DISABLED, "disabled (enable_codegen=False)")
         else:
-            # The ablation flags are named after the tier they switch off.
-            decline = (TIER_DISABLED, f"disabled (enable_{tier}=False)")
+            decline = plan_verdict(tier, physical)
         if decline is None:
             verdicts.append(TierVerdict(tier, serves=True))
         else:

@@ -8,7 +8,7 @@ The analyzer runs once per plan at ``prepare()`` time and produces a
 * tier-capability verdicts — one :class:`TierVerdict` per execution tier in
   cascade order, each carrying a machine-readable decline code,
 * nullability hints (:class:`NullabilityHints`) — columns and aggregate
-  arguments proven statically non-nullable, which let the vectorized tier
+  arguments proven statically non-nullable, which let the batch pipeline
   and the sort kernels skip missing-mask construction.
 
 Diagnostic codes are stable identifiers: ``TYP0xx`` for prepare-time type /
@@ -62,13 +62,13 @@ TIER_RUNTIME_DEMOTION = "TIER009"
 # -- execution tiers, in cascade order ---------------------------------------
 
 TIER_CODEGEN = "codegen"
-TIER_VECTORIZED = "vectorized"
 TIER_VOLCANO = "volcano"
 
-#: The engine's cascade labels, most- to least-specialized.  ``codegen`` and
-#: ``vectorized`` are one executor — the batch pipeline — running on generated
-#: vs interpreted expressions; ``volcano`` is the tuple-at-a-time interpreter.
-CASCADE_TIERS = (TIER_CODEGEN, TIER_VECTORIZED, TIER_VOLCANO)
+#: The engine's cascade, most- to least-specialized: ``codegen`` is the batch
+#: pipeline running this plan's generated expressions, ``volcano`` the
+#: tuple-at-a-time interpreter.  One executor per tier, one capability row
+#: each.
+CASCADE_TIERS = (TIER_CODEGEN, TIER_VOLCANO)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ class GeneratedQuery:
     compile_seconds: float
 
     def function_for(self, expression: Expression) -> Callable[[Any], Any]:
-        """The fused function of one plan expression (the pipeline's
-        stand-in for interpreting it per batch)."""
+        """The fused function of one plan expression — how the pipeline
+        evaluates it per batch."""
         try:
             return self.functions[expression.fingerprint()]
         except KeyError as exc:  # pragma: no cover - indicates a generator bug
@@ -44,7 +44,7 @@ class GeneratedQuery:
 
     def __call__(self, executor, plan) -> tuple[list[str], dict[str, Any]]:
         """Run ``plan`` through the batch pipeline on these functions — the
-        once-per-execution entry of the ``codegen`` label."""
+        once-per-execution entry of the ``codegen`` tier."""
         return executor.execute(plan, self)
 
 

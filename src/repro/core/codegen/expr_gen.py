@@ -5,8 +5,8 @@ generated function over a columnar batch.  Field references become lookups
 in the batch's virtual-buffer table (``c`` — the mapping from
 ``(binding, path)`` to the NumPy buffer the plug-in populated), literals are
 inlined, parameters are looked up in the execution's bound values, and every
-operator becomes a direct call of the null-aware kernel the batch
-interpreter would have dispatched to — same semantics, no tree walk.
+operator becomes a direct call of its null-aware kernel (the same semantics
+as Volcano's per-row ``Expression.evaluate``), with no tree walk.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def _literal_source(value: object, ctx: CodegenContext) -> str:
 
 
 def supported_by_codegen(expression: Expression) -> bool:
-    """Whether the expression generator (and the batch evaluator, which
-    covers the same shapes) can evaluate ``expression``."""
+    """Whether the expression generator can evaluate ``expression``."""
     if isinstance(expression, (Literal, FieldRef, Parameter)):
         return True
     if isinstance(expression, (BinaryOp, UnaryOp, IfThenElse)):

@@ -9,14 +9,14 @@ straight-line NumPy function per select / unnest / join-residual predicate,
 join key, group key, aggregate argument and output head of the plan.
 Literals are inlined, parameters are looked up in the bound values (so one
 module serves every binding), and every operator is a direct call of the
-null-aware kernel — the decisions the batch interpreter takes per batch
+null-aware kernel — the decisions an interpreter would take per batch
 (which node type, which operator, which operand shape) are taken exactly
 once, here.
 
 The module is compiled by :mod:`repro.core.codegen.compiler` into a
 :class:`~repro.core.codegen.compiler.GeneratedQuery`, cached by the engine per
 plan fingerprint, and handed to the pipeline, whose stages and root tasks
-call the functions in place of the interpreter's per-batch tree walk.
+evaluate every plan expression by calling its function.
 """
 
 from __future__ import annotations

@@ -11,18 +11,16 @@ the paper describes:
    algebra, which the optimizer lowers to a physical plan (selection/
    projection pushdown, join ordering, access-path selection against the
    caches),
-3. the plan executes through a three-label cascade over two executors:
+3. the plan executes through a two-tier cascade, one executor per tier:
 
-   * **codegen** and **vectorized** are ONE runtime — the batch pipeline
+   * **codegen** — the batch pipeline
      (:mod:`repro.core.executor.vectorized`: plug-in scan -> per-batch stages
-     -> root task).  Under ``codegen`` the code generator emits one fused
-     NumPy function per expression of the plan (§5.1/§5.2, the
-     engine-per-query) and the pipeline calls those; under ``vectorized``
-     (``enable_codegen=False``) the same pipeline interprets the expressions
-     per batch.  The executor decides *internally*, per scan, whether to run
-     inline or to fan out: with ``parallel_workers > 1`` a scan spanning
-     enough whole morsels for its kind of root is split into morsels that a
-     work-stealing worker pool executes concurrently, with
+     -> root task).  The code generator emits one fused NumPy function per
+     expression of the plan (§5.1/§5.2, the engine-per-query) and the
+     pipeline calls those.  The executor decides *internally*, per scan,
+     whether to run inline or to fan out: with ``parallel_workers > 1`` a
+     scan spanning enough whole morsels for its kind of root is split into
+     morsels that a work-stealing worker pool executes concurrently, with
      partial per-morsel aggregation and a deterministic morsel-ordered merge;
      everything else runs on the calling thread,
    * **volcano** — shapes the pipeline cannot serve (record construction in
@@ -32,8 +30,8 @@ the paper describes:
      collections included — are batch-native: the plug-ins' offset-vector
      ``scan_unnest_batch`` API keeps them on the pipeline.
 
-   The ablation flags ``enable_codegen`` and ``enable_vectorized`` disable
-   labels individually; ``ExecutionProfile.execution_tier`` records which one
+   The ablation flag ``enable_codegen=False`` leaves only the static engine,
+   Volcano; ``ExecutionProfile.execution_tier`` records which tier
    actually served each query (``parallel_workers`` / ``morsels_dispatched``
    record whether it fanned out), and :meth:`ProteusEngine.explain` reports
    the whole cascade decision and the planned fan-out for a query without
@@ -65,7 +63,7 @@ group-bys fan out from two morsels, every other root from sixteen (see
 run inline where they are faster anyway.
 
 The constructor takes only what a caller decides: the cache budget, the
-ablation switches of the paper's figures (caching, codegen, vectorized),
+ablation switches of the paper's figures (caching, codegen),
 the fan-out width and batch size, observability (tracing, metrics, the
 slow-query threshold) and the limits of a served engine (default deadline,
 admission bounds, I/O retry budget).  The rest follows from the query and
@@ -198,9 +196,9 @@ class ResultSet:
     ):
         self.columns = list(columns)
         self.execution_seconds = execution_seconds
-        #: Which execution tier served the query: "codegen", "vectorized" or
-        #: "volcano" (whether the vectorized tier fanned out over morsels is
-        #: in ``profile.parallel_workers`` / ``profile.morsels_dispatched``).
+        #: Which execution tier served the query: "codegen" or "volcano"
+        #: (whether the batch pipeline fanned out over morsels is in
+        #: ``profile.parallel_workers`` / ``profile.morsels_dispatched``).
         self.tier = tier
         self.profile = profile
         self._rows: list[tuple] | None = None
@@ -531,7 +529,6 @@ class ProteusEngine:
         cache_budget_bytes: int = 256 * 1024 * 1024,
         enable_caching: bool = True,
         enable_codegen: bool = True,
-        enable_vectorized: bool = True,
         parallel_workers: int | None = None,
         vectorized_batch_size: int = DEFAULT_BATCH_SIZE,
         enable_tracing: bool = False,
@@ -545,7 +542,6 @@ class ProteusEngine:
         self.memory = MemoryManager(cache_budget_bytes=cache_budget_bytes)
         self.catalog = Catalog()
         self.enable_codegen = enable_codegen
-        self.enable_vectorized = enable_vectorized
         #: Worker count of the batch executor's morsel fan-out; 1 (the
         #: default) keeps every scan inline on the calling thread.
         self.parallel_workers = 1 if parallel_workers is None else max(int(parallel_workers), 1)
@@ -1136,16 +1132,12 @@ class ProteusEngine:
 
     def _verdicts(self, physical: PhysicalPlan) -> tuple[TierVerdict, ...]:
         """Static tier-capability verdicts under this engine's configuration,
-        cached per (fingerprint, ablation flags) — the flags are plain
-        attributes callers may flip between executions."""
-        key = (physical.fingerprint(), self.enable_codegen, self.enable_vectorized)
+        cached per (fingerprint, ablation flag) — ``enable_codegen`` is a
+        plain attribute callers may flip between executions."""
+        key = (physical.fingerprint(), self.enable_codegen)
         cached = self._verdict_cache.get(key)
         if cached is None:
-            cached = tier_verdicts(
-                physical,
-                enable_codegen=self.enable_codegen,
-                enable_vectorized=self.enable_vectorized,
-            )
+            cached = tier_verdicts(physical, enable_codegen=self.enable_codegen)
             with self._lock:
                 cached = self._verdict_cache.setdefault(key, cached)
         return cached
@@ -1337,9 +1329,8 @@ class ProteusEngine:
         cascade_started = time.perf_counter()
         analysis = self._analyze(physical)
         verdicts = self._verdicts(physical)
-        predicted_tier = next(
-            (v.tier for v in verdicts if v.serves), TIER_VOLCANO
-        )
+        pipeline_serves = verdicts[0].serves  # CASCADE_TIERS[0] is codegen
+        predicted_tier = TIER_CODEGEN if pipeline_serves else TIER_VOLCANO
         decline_reasons = {
             v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
         }
@@ -1349,28 +1340,21 @@ class ProteusEngine:
             )
         execute_started = time.perf_counter()
         executed: tuple[list[str], dict[str, Any], ExecutionProfile] | None = None
-        for verdict in verdicts:
-            if not verdict.serves:
-                # Statically declined: the capability table predicts the
-                # executor's own rejection, so skip the attempt entirely.
-                continue
-            if verdict.tier == TIER_VOLCANO:
-                break
+        # A statically declined plan skips the pipeline: the capability
+        # table predicts the executor's own rejection.
+        if pipeline_serves:
             try:
                 executed = self._execute_pipeline(
-                    physical, params, analysis.hints, trace, context, verdict.tier
+                    physical, params, analysis.hints, trace, context
                 )
             except (CodegenError, VectorizationError) as exc:
                 # A data-dependent demotion the static analysis cannot rule
-                # out — e.g. null group/join keys, or NaN probe keys against
-                # an integer build side.  Both NumPy labels are one pipeline,
-                # so it demotes once, straight to Volcano; record it under
-                # the label that ran so explain()/profile users see why the
-                # observed tier differs from the verdict.
-                decline_reasons[verdict.tier] = (
+                # out — e.g. null group/join keys — demotes once, to Volcano;
+                # recorded so explain()/profile users see why the observed
+                # tier differs from the verdict.
+                decline_reasons[TIER_CODEGEN] = (
                     f"[{TIER_RUNTIME_DEMOTION}] runtime demotion: {exc}"
                 )
-            break
         if executed is None:
             executed = self._execute_volcano(physical, params, trace, context)
         execute_seconds = time.perf_counter() - execute_started
@@ -1550,35 +1534,27 @@ class ProteusEngine:
         hints: NullabilityHints | None,
         trace: TraceBuilder | None,
         context: QueryContext | None,
-        label: str,
     ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
-        """THE batch-pipeline entry: both NumPy labels run here.  ``codegen``
-        hands the executor this plan's generated expression functions;
-        ``vectorized`` lets it interpret the expressions per batch."""
-        generated = None
-        from_cache = False
-        if label == TIER_CODEGEN:
-            # The functions cover the plan beneath a root PhysSort, so one
-            # compiled module serves every ORDER BY / LIMIT variation of the
-            # same shape (the cache is keyed by that plan's fingerprint).
-            target = unwrap_sort(physical)
-            fingerprint = target.fingerprint()
-            generated = self._compiled.get(fingerprint)
-            from_cache = generated is not None
-            if generated is None:
-                codegen_started = time.perf_counter()
-                generated = self.generator.generate(target)
-                self.tracer.record_phase(
-                    "codegen", time.perf_counter() - codegen_started
-                )
-                # Concurrent cold executions of one shape race to generate;
-                # the first publication wins so every thread runs the same
-                # functions.
-                with self._lock:
-                    generated = self._compiled.setdefault(fingerprint, generated)
-        self.last_generated_source = (
-            generated.source if generated is not None else None
-        )
+        """THE batch-pipeline entry of the ``codegen`` tier: the executor
+        runs this plan on its generated expression functions."""
+        # The functions cover the plan beneath a root PhysSort, so one
+        # compiled module serves every ORDER BY / LIMIT variation of the
+        # same shape (the cache is keyed by that plan's fingerprint).
+        target = unwrap_sort(physical)
+        fingerprint = target.fingerprint()
+        generated = self._compiled.get(fingerprint)
+        from_cache = generated is not None
+        if generated is None:
+            codegen_started = time.perf_counter()
+            generated = self.generator.generate(target)
+            self.tracer.record_phase(
+                "codegen", time.perf_counter() - codegen_started
+            )
+            # Concurrent cold executions of one shape race to generate; the
+            # first publication wins so every thread runs the same functions.
+            with self._lock:
+                generated = self._compiled.setdefault(fingerprint, generated)
+        self.last_generated_source = generated.source
         executor = VectorizedExecutor(
             self.catalog,
             self.plugins,
@@ -1590,12 +1566,9 @@ class ProteusEngine:
             trace=trace,
             context=context,
         )
-        if generated is not None:
-            names, columns = generated(executor, physical)
-        else:
-            names, columns = executor.execute(physical)
+        names, columns = generated(executor, physical)
         profile = ExecutionProfile(
-            execution_tier=label,
+            execution_tier=TIER_CODEGEN,
             compiled_from_cache=from_cache,
             sort_strategy=executor.sort_strategy,
             join_kernels=executor.join_kernels,

@@ -407,8 +407,8 @@ def _drop_missing(
 def bool_mask(values) -> np.ndarray:
     """Coerce a predicate result to a boolean mask.  Missing inputs are
     false, matching ``bool(None)`` in the tuple-at-a-time interpreter.  Used
-    by the generated expression functions and the batch interpreter alike,
-    so the two labels cannot drift apart."""
+    by the generated expression functions and the pipeline's stages
+    alike."""
     if isinstance(values, EncodedColumn):
         # One truth value per dictionary entry; code -1 reads the False.
         return np.append(values.values.astype(bool), False)[values.codes]

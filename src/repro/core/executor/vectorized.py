@@ -2,17 +2,14 @@
 
 The paper's §5 identifies per-tuple interpretation as the dominant overhead
 of static engines and removes it by customizing one engine per query.  This
-module is that engine: every plan the cascade serves on NumPy — under the
-``codegen`` label and under the ``vectorized`` label alike — runs here, over
-columnar *batches* instead of per-tuple dict environments.  The two labels
-differ only in how plan expressions evaluate per batch:
-
-* ``codegen`` — :class:`repro.core.codegen.CodeGenerator` emitted one fused
-  NumPy function per select/join/unnest predicate, join key, group key,
-  aggregate argument and output head of this plan (literals inlined,
-  parameters looked up); stages and root tasks call those functions,
-* ``vectorized`` — the same stages and roots walk the expression tree per
-  batch through :func:`evaluate_batch` (``enable_codegen=False``).
+module is that engine: every plan the ``codegen`` tier serves runs here,
+over columnar *batches* instead of per-tuple dict environments.  What is
+customized per query are the expressions:
+:class:`repro.core.codegen.CodeGenerator` emitted one fused NumPy function
+per select/join/unnest predicate, join key, group key, aggregate argument
+and output head of the plan (literals inlined, parameters looked up), and
+the stages and root tasks call those functions through the plan's
+:class:`~repro.core.codegen.GeneratedQuery`.
 
 A plan is lowered by :class:`PipelineCompiler` into a
 :class:`CompiledPipeline` — one :class:`ScanOperator` batch source plus a
@@ -80,7 +77,6 @@ are covered batch-natively.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping
@@ -106,13 +102,8 @@ from repro.core.columns import EncodedColumn, declared_type, element_type
 from repro.core.executor import radix
 from repro.core.expressions import (
     AggregateCall,
-    BinaryOp,
     Expression,
     FieldRef,
-    IfThenElse,
-    Literal,
-    Parameter,
-    UnaryOp,
     contains_aggregate,
     iter_aggregates,
     iter_parameters,
@@ -165,8 +156,8 @@ DEFAULT_BATCH_SIZE = 65536
 #: exposed when finishing group-by output columns.
 _AGG_BINDING = "__agg__"
 
-#: An expression ready to evaluate per batch: ``f(batch) -> column or
-#: scalar`` — a generated function, or :func:`interpreted`.
+#: An expression ready to evaluate per batch: the generated ``f(batch) ->
+#: column or scalar``.
 Evaluator = Callable[["Batch"], Any]
 
 #: Virtual-buffer key: (binding, field path).
@@ -200,10 +191,8 @@ class Batch:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized expression evaluation
+# Batch helpers
 # ---------------------------------------------------------------------------
-
-_COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 
 def materialize(value: Any, count: int) -> np.ndarray:
@@ -233,63 +222,6 @@ def bound_parameter(params: Mapping[int | str, object] | None, key: int | str):
         display = f"?{key}" if isinstance(key, int) else f":{key}"
         raise ExecutionError(f"query parameter {display} is not bound")
     return params[key]
-
-
-def interpreted(expression: Expression) -> Evaluator:
-    """The ``vectorized`` label's evaluator: walk the tree per batch."""
-    return functools.partial(evaluate_batch, expression)
-
-
-def evaluate_batch(expression: Expression, batch: Batch) -> Any:
-    """Evaluate an expression over a batch; returns a column or a scalar."""
-    if isinstance(expression, Literal):
-        return expression.value
-    if isinstance(expression, Parameter):
-        return bound_parameter(batch.params, expression.key)
-    if isinstance(expression, FieldRef):
-        key = (expression.binding, tuple(expression.path))
-        column = batch.columns.get(key)
-        if column is None:
-            raise VectorizationError(
-                f"no batch column holds {expression!r}; available: "
-                f"{sorted(batch.columns)}"
-            )
-        return column
-    if isinstance(expression, BinaryOp):
-        return _evaluate_binary(expression, batch)
-    if isinstance(expression, UnaryOp):
-        value = evaluate_batch(expression.operand, batch)
-        if expression.op == "not":
-            return ~as_bool_array(value, batch.count)
-        return radix.null_safe_neg(value)
-    if isinstance(expression, IfThenElse):
-        condition = as_bool_array(evaluate_batch(expression.condition, batch), batch.count)
-        then = materialize(evaluate_batch(expression.then, batch), batch.count)
-        otherwise = materialize(evaluate_batch(expression.otherwise, batch), batch.count)
-        return np.where(condition, then, otherwise)
-    if isinstance(expression, AggregateCall):
-        raise VectorizationError(
-            "aggregate calls are evaluated by the Reduce/Nest batch operators"
-        )
-    raise VectorizationError(
-        f"the vectorized executor cannot evaluate expression {expression!r}"
-    )
-
-
-def _evaluate_binary(expression: BinaryOp, batch: Batch) -> Any:
-    if expression.op == "and":
-        left = as_bool_array(evaluate_batch(expression.left, batch), batch.count)
-        right = as_bool_array(evaluate_batch(expression.right, batch), batch.count)
-        return left & right
-    if expression.op == "or":
-        left = as_bool_array(evaluate_batch(expression.left, batch), batch.count)
-        right = as_bool_array(evaluate_batch(expression.right, batch), batch.count)
-        return left | right
-    left = evaluate_batch(expression.left, batch)
-    right = evaluate_batch(expression.right, batch)
-    if expression.op in _COMPARISONS:
-        return radix.null_safe_compare(expression.op, left, right)
-    return radix.null_safe_arith(expression.op, left, right)
 
 
 def _extremum(func: str, values: np.ndarray | EncodedColumn) -> Any:
@@ -919,7 +851,7 @@ class PipelineCompiler:
         plugins: Mapping[str, InputPlugin],
         batch_size: int,
         materializer: Callable[[CompiledPipeline], Batch],
-        evaluator: Callable[[Expression], Evaluator] = interpreted,
+        evaluator: Callable[[Expression], Evaluator],
         cache_manager=None,
         counters: PipelineCounters | None = None,
         params: Mapping[int | str, object] | None = None,
@@ -932,8 +864,8 @@ class PipelineCompiler:
         self.cache_manager = cache_manager
         self.counters = counters if counters is not None else PipelineCounters()
         self.materializer = materializer
-        #: Expression -> per-batch evaluator: :func:`interpreted`, or the
-        #: generated program's ``function_for``.
+        #: Expression -> its generated per-batch function (the plan's
+        #: ``GeneratedQuery.function_for``).
         self.evaluator = evaluator
         #: Bound query-parameter values, attached to every scan batch.
         self.params = params
@@ -1697,7 +1629,7 @@ class _NestRoot(_RootTask):
 
 class VectorizedExecutor:
     """The batch pipeline's executor — the only NumPy entry the engine calls,
-    for the ``codegen`` and the ``vectorized`` label alike.  Scans run inline
+    the ``codegen`` tier.  Scans run inline
     on the calling thread or fan out over morsels, decided per scan by
     :func:`repro.core.parallel.plan_fanout`."""
 
@@ -1745,14 +1677,13 @@ class VectorizedExecutor:
         self.fanout = ParallelVectorizedExecutor(num_workers, context)
 
     def execute(
-        self, plan: PhysicalPlan, program=None
+        self, plan: PhysicalPlan, program
     ) -> tuple[list[str], dict[str, Any]]:
         """Execute a plan; returns (column names, column values).
 
-        ``program`` is the plan's :class:`~repro.core.codegen.GeneratedQuery`
-        (the ``codegen`` label: every plan expression evaluates through its
-        fused function); ``None`` interprets the expressions per batch."""
-        evaluator = interpreted if program is None else program.function_for
+        ``program`` is the plan's :class:`~repro.core.codegen.GeneratedQuery`:
+        every plan expression evaluates through its fused function."""
+        evaluator = program.function_for
         sort_plan: PhysSort | None = None
         if isinstance(plan, PhysSort):
             sort_plan = plan

@@ -15,8 +15,8 @@ It exists for two reasons:
   :mod:`repro.baselines`, which are, architecturally, static interpreted
   engines.
 
-It also doubles as the fallback executor for query shapes the vectorized code
-generator does not cover (e.g. record construction in output columns).
+It also doubles as the fallback executor for query shapes the batch
+pipeline and its code generator do not cover (e.g. record construction in output columns).
 """
 
 from __future__ import annotations

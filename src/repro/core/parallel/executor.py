@@ -1,8 +1,7 @@
 """Morsel fan-out driver of the batch executor.
 
 :class:`repro.core.executor.vectorized.VectorizedExecutor` compiles one
-pipeline and builds one root task per query — under the ``codegen`` and the
-``vectorized`` label alike; when
+pipeline and builds one root task per query; when
 :func:`repro.core.parallel.morsels.plan_fanout` splits the driving scan (or a
 join build side's scan) into morsels, it hands them to this driver instead
 of running the scan inline:

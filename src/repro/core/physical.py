@@ -147,7 +147,7 @@ class PhysUnnest(PhysicalPlan):
         )
 
     def planned_mode(self) -> tuple[str, str]:
-        """(mode, why) for the vectorized tier's batch-native unnest execution.
+        """(mode, why) for the batch pipeline's batch-native unnest execution.
 
         ``offset-vector`` — the parent binding is scan-backed, so the plug-in
         flattens through ``scan_unnest_batch`` (per-parent repeat counts, one
@@ -332,7 +332,7 @@ class PhysSort(PhysicalPlan):
         """(strategy, why) as planned — the data-independent choice.
 
         Execution refines it per key dtype: object columns demote to the
-        comparator fallback, and a fanned-out vectorized execution upgrades
+        comparator fallback, and a fanned-out pipeline execution upgrades
         single-key sorts to per-morsel runs plus a k-way merge.
         """
         if self.keys and self.limit is not None:

@@ -20,11 +20,9 @@ class ExecutionProfile:
     groups_built: int = 0
     output_rows: int = 0
     batches_processed: int = 0
-    #: Which label served the query: "codegen" (the batch pipeline calling
-    #: this plan's generated expression functions), "vectorized" (the same
-    #: pipeline interpreting the expressions) or "volcano" (the
-    #: tuple-at-a-time interpreter).  Both pipeline labels run inline or
-    #: fanned out over morsels.
+    #: Which tier served the query: "codegen" (the batch pipeline calling
+    #: this plan's generated expression functions, inline or fanned out over
+    #: morsels) or "volcano" (the tuple-at-a-time interpreter).
     execution_tier: str = "codegen"
     #: Workers the batch pipeline fanned out across (0 when every scan of
     #: the execution ran inline, and on the Volcano tier).
@@ -32,7 +30,7 @@ class ExecutionProfile:
     #: Morsels executed / obtained by stealing under a fan-out.
     morsels_dispatched: int = 0
     morsels_stolen: int = 0
-    #: True when the codegen label ran on already-compiled expression
+    #: True when the codegen tier ran on already-compiled expression
     #: functions (no code generation happened on this call).
     compiled_from_cache: bool = False
     #: Which sort kernel served the query's ORDER BY: "lexsort" (one stable
@@ -75,46 +73,3 @@ class ExecutionProfile:
     #: from the :class:`~repro.resilience.context.QueryContext` when a query
     #: aborts; empty for completed queries.
     partial_progress: dict[str, int] = field(default_factory=dict)
-
-    def merge(self, other: "ExecutionProfile") -> None:
-        self.rows_scanned += other.rows_scanned
-        self.values_extracted += other.values_extracted
-        self.values_from_cache += other.values_from_cache
-        self.join_build_rows += other.join_build_rows
-        self.join_output_rows += other.join_output_rows
-        self.groups_built += other.groups_built
-        self.output_rows += other.output_rows
-        self.batches_processed += other.batches_processed
-        self.parallel_workers = max(self.parallel_workers, other.parallel_workers)
-        self.morsels_dispatched += other.morsels_dispatched
-        self.morsels_stolen += other.morsels_stolen
-        self.sort_strategy = self.sort_strategy or other.sort_strategy
-        self.join_kernels = self.join_kernels + other.join_kernels
-        self.group_kernel = self.group_kernel or other.group_kernel
-        self.rows_sorted += other.rows_sorted
-        self.unnest_output_rows += other.unnest_output_rows
-        self.io_retries += other.io_retries
-        self.aborted = self.aborted or other.aborted
-        self.predicted_tier = self.predicted_tier or other.predicted_tier
-        self.tier_decline_reasons.update(other.tier_decline_reasons)
-        # Tier attribution is conservative: the merged profile reports the
-        # *slowest* tier any fragment executed on (that tier bounds the
-        # merged execution; generated code ran only if it is "codegen"), and
-        # a cached compilation only if every fragment's program came from
-        # the cache.
-        if _TIER_RANK.get(other.execution_tier, -1) > _TIER_RANK.get(
-            self.execution_tier, -1
-        ):
-            self.execution_tier = other.execution_tier
-        self.compiled_from_cache = (
-            self.compiled_from_cache and other.compiled_from_cache
-        )
-
-
-#: Cascade order used by :meth:`ExecutionProfile.merge` — higher rank means
-#: a slower (more of a bottleneck) tier.
-_TIER_RANK = {
-    "codegen": 0,
-    "vectorized": 1,
-    "volcano": 2,
-}

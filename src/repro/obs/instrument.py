@@ -1,9 +1,8 @@
 """Instrumentation shims that attach span accumulators to the batch pipeline.
 
 Every helper here is a no-op pass-through when the trace builder is ``None``
-— the pipeline then runs the exact stage/scan objects it always ran, under
-the ``codegen`` and the ``vectorized`` label alike (the Volcano interpreter
-wraps its own iterators).  With tracing on:
+— the pipeline then runs the exact stage/scan objects it always ran (the
+Volcano interpreter wraps its own iterators).  With tracing on:
 
 * :class:`TracedStage` wraps one pipeline stage (Select/Unnest/Join), timing
   each ``apply`` exclusively (its own work only) with rows-in/rows-out and

@@ -3,7 +3,7 @@
 A :class:`QueryContext` is created once per query in ``engine._execute`` and
 threaded through every execution tier.  Cancellation is *cooperative*: no
 thread is ever killed.  Instead each tier calls :meth:`QueryContext.check` at
-a natural unit of work — per batch in the batch pipeline (both NumPy labels),
+a natural unit of work — per batch in the batch pipeline,
 per morsel in the fan-out scheduler (where workers also observe
 :meth:`should_stop` alongside the error-cancel event so pool teardown drains
 cleanly) and every :data:`VOLCANO_STRIDE` tuples in the Volcano

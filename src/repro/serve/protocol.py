@@ -24,9 +24,8 @@ Responses
 Results are **columnar**, mirroring :class:`~repro.core.engine.ResultSet`:
 ``columns`` is the output order, ``data`` maps each column name to its value
 list (missing values as ``null``), and ``tier`` (``codegen`` /
-``vectorized`` / ``volcano``) / ``profile`` carry the execution metadata the
-engine already tracks.  Whether the vectorized tier fanned out over morsels
-reads off ``profile.parallel_workers`` (0 when it ran inline).
+``volcano``) / ``profile`` carry the execution metadata the engine already
+tracks.  Whether the batch pipeline fanned out over morsels reads off ``profile.parallel_workers`` (0 when it ran inline).
 
 A 200 body is encoded in two parts so the serving layer's result cache can
 keep the expensive one: :func:`encode_result_head` renders everything that

@@ -165,9 +165,9 @@ def make_engine(paths: dict[str, str], **kwargs) -> ProteusEngine:
 
 
 def tier_of(label: str) -> str:
-    """The tier serving an engine-configuration label: ``vectorized-fanout``
-    (the vectorized tier with its morsel fan-out engaged) and ``vectorized``
-    (the same tier running inline) are both tier ``vectorized``."""
+    """The tier serving an engine-configuration label: ``codegen-fanout``
+    (the batch pipeline with its morsel fan-out engaged) is tier
+    ``codegen``."""
     return label.partition("-")[0]
 
 
@@ -179,5 +179,5 @@ def engine(paths) -> ProteusEngine:
 @pytest.fixture
 def volcano_engine(paths) -> ProteusEngine:
     return make_engine(
-        paths, enable_codegen=False, enable_vectorized=False, enable_caching=False
+        paths, enable_codegen=False, enable_caching=False
     )

@@ -128,13 +128,12 @@ DIFFERENTIAL_QUERIES = [
 CONFIGS = [
     {},
     {"enable_codegen": False},
-    {"enable_codegen": False, "enable_vectorized": False},
-    {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
     {"enable_codegen": False, "parallel_workers": 2,
-     "vectorized_batch_size": FANOUT_BATCH_SIZE},
-    {"enable_codegen": False, "parallel_workers": 8,
-     "vectorized_batch_size": FANOUT_BATCH_SIZE},
-    {"enable_codegen": False, "parallel_workers": 2},  # single morsel
+     "vectorized_batch_size": FANOUT_BATCH_SIZE},  # fan-out knobs: still Volcano
+    {"vectorized_batch_size": FANOUT_BATCH_SIZE},  # inline, many batches
+    {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+    {"parallel_workers": 8, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+    {"parallel_workers": 2},  # single morsel
 ]
 
 
@@ -151,62 +150,57 @@ def test_predicted_tier_matches_observed(paths, config):
 
 def test_parameterized_query_verdicts(paths):
     engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=2,
-        vectorized_batch_size=FANOUT_BATCH_SIZE,
+        paths, parallel_workers=2, vectorized_batch_size=FANOUT_BATCH_SIZE
     )
     prepared = engine.prepare("SELECT id FROM items_csv WHERE price > ?")
-    assert prepared.analysis.predicted_tier == "vectorized"
+    assert prepared.analysis.predicted_tier == "codegen"
     for value in (1.0, 3.0, 100.0):
         result = prepared.execute(value)
-        assert result.tier == "vectorized"
+        assert result.tier == "codegen"
         assert result.profile.parallel_workers == 2  # fanned out
 
 
 def test_verdict_codes_for_declines(paths):
     engine = make_engine(paths)
-    # Outer unnest: one pipeline behind both NumPy labels, so whatever the
-    # batch pipeline serves the codegen label serves (it used to decline
-    # outer unnest with TIER002).
+    # Outer unnest: the batch pipeline serves it on generated code (the
+    # codegen tier used to decline outer unnest with TIER002).
     analysis = engine.prepare(
         "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)"
     ).analysis
     assert analysis.decline_reasons() == {}
     assert analysis.predicted_tier == "codegen"
 
-    # Disabled tiers carry TIER001 with the exact configuration wording.
-    serial = make_engine(paths, enable_codegen=False, enable_vectorized=False)
+    # A disabled tier carries TIER001 with the exact configuration wording.
+    serial = make_engine(paths, enable_codegen=False)
     analysis = serial.prepare("SELECT id FROM items_csv").analysis
-    declines = analysis.decline_reasons()
-    assert declines["codegen"] == "[TIER001] disabled (enable_codegen=False)"
-    assert declines["vectorized"] == "[TIER001] disabled (enable_vectorized=False)"
+    assert analysis.decline_reasons() == {
+        "codegen": "[TIER001] disabled (enable_codegen=False)"
+    }
 
 
 def test_fanout_and_single_morsel_are_not_verdicts(paths):
     """The retired TIER006/TIER007: whether a scan fans out is the executor's
     decision — the verdicts are identical, only the profile differs."""
     engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=2,
-        vectorized_batch_size=FANOUT_BATCH_SIZE,
+        paths, parallel_workers=2, vectorized_batch_size=FANOUT_BATCH_SIZE
     )
     # Binary row tables are range-split like every other format.
     analysis = engine.prepare("SELECT id FROM items_rowbin WHERE qty > 1").analysis
-    assert analysis.decline_reasons() == {
-        "codegen": "[TIER001] disabled (enable_codegen=False)"
-    }
+    assert analysis.decline_reasons() == {}
     result = engine.query("SELECT id FROM items_rowbin WHERE qty > 1")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     assert result.profile.parallel_workers == 2
     assert result.profile.morsels_dispatched > 1
 
     # Default batch size over 120 rows fits one morsel: served inline.
-    single = make_engine(paths, enable_codegen=False, parallel_workers=2)
+    single = make_engine(paths, parallel_workers=2)
     prepared = single.prepare("SELECT id FROM items_csv WHERE qty > 1")
     assert prepared.analysis.verdicts == analysis.verdicts
     assert prepared.execute().profile.morsels_dispatched == 0
 
     # The same query over a splittable, multi-morsel scan fans out.
     result = engine.query("SELECT id FROM items_csv WHERE qty > 1")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     assert result.profile.parallel_workers == 2
     assert result.profile.morsels_dispatched > 1
 
@@ -242,7 +236,7 @@ def test_plan_fanout_is_the_one_decision():
     assert why.endswith("(linear root)")
 
 
-def test_outer_join_declines_every_fast_tier(paths):
+def test_outer_join_declines_the_codegen_tier(paths):
     """TIER005: outer joins are Volcano-only, predicted and observed."""
     from repro.core.physical import PhysHashJoin
 
@@ -257,11 +251,10 @@ def test_outer_join_declines_every_fast_tier(paths):
     assert joins, "planner should hash-join an equijoin"
     joins[0].outer = True
     verdicts = engine._verdicts(plan)
-    by_tier = {v.tier: v for v in verdicts}
-    for tier in ("codegen", "vectorized"):
-        assert not by_tier[tier].serves
-        assert by_tier[tier].code == "TIER005"
-    assert by_tier["volcano"].serves
+    codegen, volcano = verdicts
+    assert not codegen.serves
+    assert codegen.code == "TIER005"
+    assert volcano.serves
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +278,8 @@ def null_group_engine(paths, tmp_path):
 
 def test_runtime_demotion_recorded_in_profile(null_group_engine):
     """Null group keys demote the batch pipeline at run time — once,
-    straight to Volcano, keyed by the label that ran; the profile must say
-    so instead of silently swallowing the error."""
+    straight to Volcano, keyed ``codegen``; the profile must say so instead
+    of silently swallowing the error."""
     result = null_group_engine.query(
         "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
     )
@@ -295,19 +288,15 @@ def test_runtime_demotion_recorded_in_profile(null_group_engine):
     reasons = result.profile.tier_decline_reasons
     assert reasons["codegen"].startswith("[TIER009] runtime demotion:")
     assert "missing values" in reasons["codegen"]
-    # The vectorized label is the same pipeline: it is not attempted.
-    assert "vectorized" not in reasons
 
 
 def test_runtime_demotion_is_attempted_once_under_fanout(paths, null_group_engine):
     """One batch tier: a null-group-key query on a fanned-out engine records
-    exactly one TIER009 (keyed ``vectorized``) before Volcano serves it."""
+    exactly one TIER009 (keyed ``codegen``) before Volcano serves it."""
     reference = null_group_engine.query(
         "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
     )
-    engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=4, vectorized_batch_size=8
-    )
+    engine = make_engine(paths, parallel_workers=4, vectorized_batch_size=8)
     dataset = null_group_engine.catalog.get("nullg")
     engine.register_json("nullg", dataset.path, schema=dataset.schema)
     result = engine.query("SELECT g, SUM(v) AS s FROM nullg GROUP BY g")
@@ -317,8 +306,38 @@ def test_runtime_demotion_is_attempted_once_under_fanout(paths, null_group_engin
         for tier, reason in result.profile.tier_decline_reasons.items()
         if "TIER009" in reason
     }
-    assert list(demotions) == ["vectorized"]
+    assert list(demotions) == ["codegen"]
     assert sorted(result.rows, key=repr) == sorted(reference.rows, key=repr)
+
+
+def test_runtime_demotion_after_batches_discards_partial_groups(paths, tmp_path):
+    """A null group key first met in the last of many inline batches demotes
+    a pipeline that has already grouped the batches before it: Volcano
+    answers from scratch, and nothing the pipeline accumulated leaks into
+    the rows or the counters."""
+    path = tmp_path / "late_null.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(50):
+            record = {"g": None if i == 47 else f"g{i % 3}", "v": float(i)}
+            handle.write(json.dumps(record) + "\n")
+    schema = t.make_schema({"g": "string", "v": "float"})
+    query = "SELECT g, SUM(v) AS s, COUNT(*) AS n FROM late_null GROUP BY g"
+    engines = {}
+    for label, config in (
+        ("batched", {"vectorized_batch_size": 4}),
+        ("volcano", {"enable_codegen": False}),
+    ):
+        engines[label] = make_engine(paths, enable_caching=False, **config)
+        engines[label].register_json("late_null", str(path), schema=schema)
+    reference = engines["volcano"].query(query)
+    result = engines["batched"].query(query)
+    assert result.tier == "volcano"
+    reason = result.profile.tier_decline_reasons["codegen"]
+    assert reason.startswith("[TIER009] runtime demotion:")
+    assert sorted(result.rows, key=repr) == sorted(reference.rows, key=repr)
+    assert sum(n for _, _, n in result.rows) == 50
+    assert result.profile.rows_scanned == reference.profile.rows_scanned
+    assert result.profile.output_rows == reference.profile.output_rows == 4
 
 
 def test_static_declines_recorded_in_profile(paths):
@@ -326,7 +345,7 @@ def test_static_declines_recorded_in_profile(paths):
     result = engine.query(
         "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)"
     )
-    assert result.tier == "vectorized"
+    assert result.tier == "volcano"
     assert result.profile.tier_decline_reasons == {
         "codegen": "[TIER001] disabled (enable_codegen=False)"
     }
@@ -422,7 +441,7 @@ def test_prepared_analysis_exposes_verdicts(paths):
     engine = make_engine(paths)
     analysis = engine.prepare("SELECT id FROM items_csv WHERE qty > 2").analysis
     tiers = [verdict.tier for verdict in analysis.verdicts]
-    assert tiers == ["codegen", "vectorized", "volcano"]
+    assert tiers == ["codegen", "volcano"]
     assert analysis.verdict("codegen").serves
     assert analysis.verdict("volcano").serves
 
@@ -456,7 +475,7 @@ def test_verdicts_and_schema_are_computed_once_per_shape(paths, monkeypatch):
     assert calls == {"tier_verdicts": 2, "analyze_schema": 2}
     # Flipping an ablation flag is a different cache key, not a stale hit.
     engine.enable_codegen = False
-    assert prepared.execute().tier == "vectorized"
+    assert prepared.execute().tier == "volcano"
     assert calls["tier_verdicts"] == 3
 
 
@@ -479,7 +498,7 @@ def test_prepare_analysis_and_explain_read_no_raw_data(paths, monkeypatch, worke
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-    engine = make_engine(paths, enable_codegen=False, parallel_workers=workers)
+    engine = make_engine(paths, parallel_workers=workers)
     for query in (
         "SELECT id FROM items_json WHERE qty > 2 ORDER BY id LIMIT 3",
         "SELECT category, COUNT(*) FROM items_csv GROUP BY category",
@@ -528,8 +547,8 @@ def test_tier_lint_flags_unhandled_operator(tmp_path):
         encoding="utf-8",
     )
     violations = tier_lint.check_tier_parity(root)
-    # One violation per cascade label (two of them share an executor module).
-    assert len(violations) == len(tier_lint.EXECUTOR_MODULES) == 3
+    # One violation per cascade tier, each with its own executor module.
+    assert len(violations) == len(tier_lint.EXECUTOR_MODULES) == 2
     assert len(set(tier_lint.EXECUTOR_MODULES.values())) == 2
     assert all("PhysBogus" in violation for violation in violations)
 
@@ -539,14 +558,14 @@ def test_tier_lint_flags_disagreeing_tier_lists(tmp_path):
     model = root / tier_lint.MODEL_MODULE
     model.write_text(
         model.read_text(encoding="utf-8").replace(
-            "CASCADE_TIERS = (TIER_CODEGEN, TIER_VECTORIZED, TIER_VOLCANO)",
-            "CASCADE_TIERS = (TIER_CODEGEN, TIER_GPU, TIER_VOLCANO)",
+            "CASCADE_TIERS = (TIER_CODEGEN, TIER_VOLCANO)",
+            "CASCADE_TIERS = (TIER_GPU, TIER_VOLCANO)",
         ),
         encoding="utf-8",
     )
     violations = tier_lint.check_tier_parity(root)
     assert sum("TIER_GPU is missing from" in v for v in violations) == 2
-    assert sum("TIER_VECTORIZED is not in CASCADE_TIERS" in v for v in violations) == 2
+    assert sum("TIER_CODEGEN is not in CASCADE_TIERS" in v for v in violations) == 2
 
 
 def test_tier_lint_flags_stale_capability_entry(tmp_path):

@@ -26,17 +26,17 @@ DATASET_FORMATS = {
     "items_rowbin": DataFormat.BINARY_ROW,
 }
 
-#: Engine configurations pinning each tier — the vectorized tier both
-#: inline and fanned out over morsels (mirrors test_resilience.py).
+#: Engine configurations pinning each tier — the codegen tier inline in one
+#: batch, inline over two-row batches and fanned out over morsels (mirrors
+#: test_resilience.py).
 TIER_CONFIGS = {
     "codegen": {},
-    "vectorized-fanout": {
-        "enable_codegen": False,
+    "codegen-batched": {"vectorized_batch_size": FANOUT_BATCH_SIZE},
+    "codegen-fanout": {
         "parallel_workers": 2,
         "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
-    "vectorized": {"enable_codegen": False},
-    "volcano": {"enable_codegen": False, "enable_vectorized": False},
+    "volcano": {"enable_codegen": False},
 }
 
 EXPECTED_FILTERED_SUM = sum(i * 1.5 for i in range(120) if i % 10 > 1)
@@ -64,7 +64,7 @@ def test_transient_io_fault_recovered_by_retry(paths, dataset):
     """A one-shot OSError on any plugin's I/O path is absorbed by the retry
     layer: the query still returns the exact result and the recovery is
     visible in ``profile.io_retries``."""
-    engine = make_engine(paths, enable_codegen=False, enable_caching=False)
+    engine = make_engine(paths, enable_caching=False)
     injector = _install(
         engine, dataset, [FaultSpec(kind="io-error", at_call=1)]
     )
@@ -79,7 +79,7 @@ def test_persistent_truncation_exhausts_into_res005(paths, dataset):
     """A fault that keeps failing across attempts exhausts the retry policy
     into a coded :class:`ScanIOError`; removing the fault restores exact
     results on the same engine (no poisoned plugin state)."""
-    engine = make_engine(paths, enable_codegen=False, enable_caching=False)
+    engine = make_engine(paths, enable_caching=False)
     _install(
         engine, dataset, [FaultSpec(kind="truncated", at_call=1, times=None)]
     )
@@ -92,11 +92,11 @@ def test_persistent_truncation_exhausts_into_res005(paths, dataset):
     assert result.rows == [(EXPECTED_FILTERED_SUM,)]
 
 
-@pytest.mark.parametrize("tier", ["vectorized", "vectorized-fanout"])
+@pytest.mark.parametrize("tier", ["codegen", "codegen-batched", "codegen-fanout"])
 def test_binary_row_faults_fire_at_the_range_checkpoint(paths, tier):
     """Row tables are scanned through the per-range checkpoint of every other
-    format, inline and over morsels: a fault scripted for that checkpoint
-    fires and the retry layer absorbs it."""
+    format, inline in one batch or many and over morsels: a fault scripted
+    for that checkpoint fires and the retry layer absorbs it."""
     engine = make_engine(paths, enable_caching=False, **TIER_CONFIGS[tier])
     injector = _install(
         engine,
@@ -107,11 +107,11 @@ def test_binary_row_faults_fire_at_the_range_checkpoint(paths, tier):
     assert result.rows == [(EXPECTED_FILTERED_SUM,)]
     assert injector.injected == [(1, "io-error")]
     assert engine.last_profile.io_retries >= 1
-    assert (result.profile.morsels_dispatched > 0) == (tier == "vectorized-fanout")
+    assert (result.profile.morsels_dispatched > 0) == (tier == "codegen-fanout")
 
 
 def test_corrupt_data_surfaces_res006_and_is_never_retried(paths):
-    engine = make_engine(paths, enable_codegen=False, enable_caching=False)
+    engine = make_engine(paths, enable_caching=False)
     injector = _install(
         engine, "items_csv", [FaultSpec(kind="corrupt", at_call=2)]
     )
@@ -156,9 +156,7 @@ def test_malformed_raw_file_is_res006_naming_the_dataset(tmp_path, case, tier):
 def test_retry_budget_exhaustion_is_coded(paths):
     """With a zero per-query retry budget even a recoverable transient
     surfaces as RES005 — the budget bounds total stall time per query."""
-    engine = make_engine(
-        paths, enable_codegen=False, enable_caching=False, io_retry_budget=0
-    )
+    engine = make_engine(paths, enable_caching=False, io_retry_budget=0)
     _install(engine, "items_csv", [FaultSpec(kind="io-error", at_call=1)])
     with pytest.raises(ScanIOError) as info:
         engine.query("select sum(price) from items_csv")

@@ -2,7 +2,7 @@
 generators, compiler, the fused functions a plan compiles to — and for the
 mechanisms that moved from the deleted ``QueryRuntime`` into the one batch
 pipeline (lazy field materialization, the unnest-output cache, the join
-build-side cache), proven active under both labels and under a fan-out.
+build-side cache), proven active inline and under a fan-out.
 
 Removed with ``QueryRuntime`` (PR 16), and the tests that covered them:
 ``CodegenContext.push/pop`` (dead indentation API), the generation-time "no
@@ -23,7 +23,7 @@ from repro.core.codegen import CodeGenerator
 from repro.core.codegen.compiler import compile_query
 from repro.core.codegen.context import CodegenContext
 from repro.core.codegen.expr_gen import generate_expression, supported_by_codegen
-from repro.core.executor.vectorized import Batch, evaluate_batch, materialize
+from repro.core.executor.vectorized import Batch, materialize
 from repro.core.expressions import (
     AggregateCall,
     BinaryOp,
@@ -33,9 +33,9 @@ from repro.core.expressions import (
     Parameter,
     RecordConstruct,
     UnaryOp,
+    parameter_env,
 )
 from repro.core.physical import PhysScan
-from repro.core.profile import ExecutionProfile
 from repro.errors import CodegenError, ExecutionError
 from repro.storage.catalog import DataFormat
 
@@ -44,20 +44,13 @@ from tests.conftest import FANOUT_BATCH_SIZE, expected_items, expected_orders, m
 #: Pipeline configurations every moved mechanism must be active under.
 PIPELINE_CONFIGS = [
     pytest.param({}, "codegen", id="codegen"),
-    pytest.param({"enable_codegen": False}, "vectorized", id="vectorized"),
+    pytest.param(
+        {"vectorized_batch_size": FANOUT_BATCH_SIZE}, "codegen", id="codegen-batched"
+    ),
     pytest.param(
         {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
         "codegen",
         id="codegen-fanout",
-    ),
-    pytest.param(
-        {
-            "enable_codegen": False,
-            "parallel_workers": 2,
-            "vectorized_batch_size": FANOUT_BATCH_SIZE,
-        },
-        "vectorized",
-        id="vectorized-fanout",
     ),
 ]
 
@@ -122,21 +115,46 @@ EXPRESSIONS = [
     UnaryOp("-", BinaryOp("*", FieldRef("l", ("a",)), Parameter("rate"))),
     BinaryOp("/", FieldRef("l", ("b",)), Parameter(0)),
     BinaryOp(">", Literal(2), Literal(1)),  # constant: a scalar, broadcast by the caller
+    BinaryOp("<=", FieldRef("l", ("a",)), FieldRef("l", ("b",))),
+    BinaryOp("-", FieldRef("l", ("b",)), FieldRef("l", ("a",))),
+    BinaryOp(
+        "or",
+        BinaryOp("<", FieldRef("l", ("a",)), Literal(1)),
+        BinaryOp(">", FieldRef("l", ("b",)), Literal(5)),
+    ),
+    UnaryOp("not", BinaryOp(">=", FieldRef("l", ("a",)), Parameter("rate"))),
+    IfThenElse(
+        BinaryOp("=", FieldRef("l", ("b",)), Literal(3)), FieldRef("l", ("a",)), Literal(-1.0)
+    ),
 ]
+
+
+def _missing_as_none(values):
+    return [None if value != value else value for value in values]
 
 
 @pytest.mark.parametrize("expression", EXPRESSIONS, ids=repr)
 def test_generated_function_agrees_with_the_interpreter(expression):
-    """The fused function is a drop-in for ``evaluate_batch``: same values,
-    including missing-value semantics, for every operator shape."""
+    """The fused function computes what Volcano's per-row
+    ``Expression.evaluate`` computes, missing-value semantics included, for
+    every operator shape (a NaN in the batch is ``None`` in the row)."""
     batch = _batch(
         params={"rate": 2.5, 0: 4},
         a=[1.0, float("nan"), 0.0, 5.0],
         b=[3, 4, 3, 7],
     )
-    generated = materialize(_fused(expression)(batch), batch.count)
-    interpreted = materialize(evaluate_batch(expression, batch), batch.count)
-    assert generated.tolist() == pytest.approx(interpreted.tolist(), nan_ok=True)
+    generated = materialize(_fused(expression)(batch), batch.count).tolist()
+    columns = {
+        name: _missing_as_none(column.tolist())
+        for (_, (name,)), column in batch.columns.items()
+    }
+    rows = [
+        {"l": {name: values[row] for name, values in columns.items()}}
+        for row in range(batch.count)
+    ]
+    params = parameter_env(batch.params)
+    interpreted = [expression.evaluate({**row, **params}) for row in rows]
+    assert _missing_as_none(generated) == pytest.approx(interpreted)
 
 
 def test_generated_function_inlines_literals_and_looks_parameters_up():
@@ -186,15 +204,6 @@ def test_replace_aggregates():
     assert replaced.evaluate({}) == pytest.approx(2.5)
     with pytest.raises(KeyError):
         replace_aggregates(expr, {})
-
-
-def test_execution_profile_merge():
-    a = ExecutionProfile(rows_scanned=5, values_extracted=10)
-    b = ExecutionProfile(rows_scanned=2, values_from_cache=7)
-    a.merge(b)
-    assert a.rows_scanned == 7
-    assert a.values_from_cache == 7
-    assert a.values_extracted == 10
 
 
 # -- generated program inspection -------------------------------------------------------------
@@ -258,12 +267,42 @@ def test_one_program_serves_every_limit_and_parameter_binding(engine):
     assert first.tier == second.tier == third.tier == "codegen"
 
 
-def test_enable_codegen_false_interprets_on_the_same_pipeline(paths):
+def test_enable_codegen_false_serves_volcano_with_tier001(paths):
     engine = make_engine(paths, enable_codegen=False)
     result = engine.query("SELECT COUNT(*) FROM items_bin WHERE qty < 5")
-    assert result.tier == "vectorized"
+    assert result.tier == "volcano"
+    assert result.profile.tier_decline_reasons == {
+        "codegen": "[TIER001] disabled (enable_codegen=False)"
+    }
     assert engine.last_generated_source is None
     assert engine._compiled == {}
+
+
+def test_generation_failure_demotes_once_to_volcano(paths, monkeypatch):
+    """With no interpreter between the tiers, a generator that fails on a
+    plan the static verdict accepted demotes straight to Volcano with one
+    TIER009; nothing is cached, so the next query generates again."""
+    engine = make_engine(paths)
+    query = "SELECT COUNT(*) FROM items_bin WHERE qty < 5"
+    calls = []
+
+    def failing(plan):
+        calls.append(plan)
+        raise CodegenError("generator drift")
+
+    monkeypatch.setattr(engine.generator, "generate", failing)
+    result = engine.query(query)
+    assert calls and result.tier == "volcano"
+    assert result.profile.predicted_tier == "codegen"
+    assert result.profile.tier_decline_reasons == {
+        "codegen": "[TIER009] runtime demotion: generator drift"
+    }
+    assert result.scalar() == sum(1 for row in expected_items() if row["qty"] < 5)
+    assert engine._compiled == {}
+    monkeypatch.undo()
+    again = engine.query(query)
+    assert again.tier == "codegen" and again.rows == result.rows
+    assert not again.profile.compiled_from_cache
 
 
 # -- moved mechanism 1: lazy field materialization (§5.2) ---------------------------------
@@ -362,12 +401,12 @@ def test_cached_build_sides_are_keyed_by_bound_parameter_values(paths, config, l
 # -- one scan path: a plan pinned to the cache survives eviction ------------------------------
 
 
-def _pinned_plan_accounting(paths, config):
+def _pinned_plan_accounting(paths):
     """Run a prepared plan whose scan the planner pinned to ``access_path=
     "cache"``: warm (cache-resident), then again after the entries were
     evicted underneath it.  Returns the rows plus the cache-vs-raw accounting
     of both runs."""
-    engine = make_engine(paths, **config)
+    engine = make_engine(paths)
     query = "SELECT SUM(price) FROM items_json WHERE qty < 5 AND price >= 0"
     engine.query(query)  # converts and caches qty + price
     prepared = engine.prepare(query)
@@ -393,15 +432,10 @@ def _pinned_plan_accounting(paths, config):
     return result.tier, accounting
 
 
-def test_cache_pinned_plan_reads_through_one_scan_path_on_both_labels(paths):
+def test_cache_pinned_plan_reads_through_one_scan_path(paths):
     expected = [(sum(row["price"] for row in expected_items() if row["qty"] < 5),)]
-    tier, generated = _pinned_plan_accounting(paths, {})
+    tier, (warm, evicted) = _pinned_plan_accounting(paths)
     assert tier == "codegen"
-    tier, interpreted = _pinned_plan_accounting(paths, {"enable_codegen": False})
-    assert tier == "vectorized"
-    # Identical cache-vs-raw accounting whichever label ran.
-    assert generated == interpreted
-    warm, evicted = generated
     # Warm: both columns served from the cache, the raw plug-in untouched.
     assert warm == (expected, 0, 0, 240, 0, 0)
     # Evicted underneath the pinned plan: the same plan answers from the raw

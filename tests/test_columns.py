@@ -15,8 +15,8 @@ holding decimals; binary column-table and row-table strings; JSON unnest
 elements, nested-in-nested included — and every query must answer exactly as
 Volcano does, compared by ``repr`` so that ``10.0`` is not ``10`` (in order
 where ORDER BY fixes it, raising the same error where Volcano raises), under
-``codegen`` / ``vectorized`` x cold / cached x inline / fanned out over
-two-row morsels, whose dictionaries all differ.
+``codegen`` x cold / cached x inline / fanned out over two-row morsels,
+whose dictionaries all differ.
 """
 
 from __future__ import annotations
@@ -81,13 +81,7 @@ CSV_INTS = st.one_of(
 #: cached.
 CONFIGS = {
     "codegen": {},
-    "vectorized": {"enable_codegen": False},
     "codegen-fanout": {"parallel_workers": 4, "vectorized_batch_size": FANOUT_BATCH_SIZE},
-    "vectorized-fanout": {
-        "enable_codegen": False,
-        "parallel_workers": 4,
-        "vectorized_batch_size": FANOUT_BATCH_SIZE,
-    },
 }
 
 OPS = ["=", "!=", "<", "<=", ">", ">="]
@@ -235,7 +229,7 @@ def _assert_like_volcano(directory, queries) -> None:
     """Every query answers as Volcano does under every configuration, cold
     and cached."""
     volcano = _engine(
-        directory, enable_codegen=False, enable_vectorized=False, enable_caching=False
+        directory, enable_codegen=False, enable_caching=False
     )
     engines = {}
     for label, kwargs in CONFIGS.items():
@@ -257,7 +251,7 @@ def test_queries_match_volcano_on_every_column_form(tmp_path_factory, tables):
     _write(directory, csv_values, json_values, numbers)
     # Volcano reads what was written: the binary tables' strings and ints
     # (a row table's fixed-width strings drop trailing NULs).
-    volcano = _engine(directory, enable_codegen=False, enable_vectorized=False)
+    volcano = _engine(directory, enable_codegen=False)
     assert volcano.query("SELECT id, s, n FROM bc").rows == list(
         zip(range(len(csv_values)), csv_values, numbers["binary_n"])
     )
@@ -378,7 +372,7 @@ def test_parse_numbers_is_exact(texts):
 def test_a_trailing_nul_sorts_after_its_prefix(tmp_path):
     """Codes and the Volcano sort agree that ``"a" < "a\\x00" < "b"``."""
     _write(str(tmp_path), ["a\x00", "b", "a", "\x00", ""], ["b", "a\x00", "a"])
-    volcano = _engine(str(tmp_path), enable_codegen=False, enable_vectorized=False)
+    volcano = _engine(str(tmp_path), enable_codegen=False)
     for engine in (volcano, _engine(str(tmp_path))):
         assert engine.query("SELECT s FROM c ORDER BY s").column("s") == [
             "", "\x00", "a", "a\x00", "b"

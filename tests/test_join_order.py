@@ -5,8 +5,7 @@ execution path must agree on it: the interpreter iterates the probe (right)
 side and, per probe row, the build rows with its key in build order.  The
 batch pipeline's join kernels emit exactly that — probe order, then build
 order within a key — whichever kernel (``dense`` / ``sorted``) the build
-side's key range selects, under generated and interpreted expressions,
-inline and fanned out over morsels.  Rows are compared **unsorted**.
+side's key range selects, inline and fanned out over morsels.  Rows are compared **unsorted**.
 """
 
 from __future__ import annotations
@@ -18,17 +17,11 @@ from tests.conftest import FANOUT_BATCH_SIZE, make_engine
 #: Configuration label -> engine kwargs.
 CONFIGS = {
     "codegen": {},
-    "vectorized": {"enable_codegen": False},
-    "vectorized-fanout": {
-        "enable_codegen": False,
-        "parallel_workers": 4,
-        "vectorized_batch_size": FANOUT_BATCH_SIZE,
-    },
     "codegen-fanout": {
         "parallel_workers": 4,
         "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
-    "volcano": {"enable_codegen": False, "enable_vectorized": False},
+    "volcano": {"enable_codegen": False},
 }
 
 #: (query, join kernels the batch pipeline runs, in plan walk order).

@@ -3,7 +3,7 @@ cross-tier profile-counter consistency.
 
 The differential tests pin the counter contract the tracing layer reports
 against: ``rows_scanned`` / ``output_rows`` / ``unnest_output_rows`` must be
-*identical* across all four execution tiers for the same query, so a span or
+*identical* across every engine configuration for the same query, so a span or
 metric means the same thing no matter which tier served the execution.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.profile import ExecutionProfile
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import PHASES, TraceBuilder
 
@@ -20,20 +19,17 @@ from tests.conftest import FANOUT_BATCH_SIZE, make_engine, tier_of
 # -- differential counter consistency -----------------------------------------
 
 #: Configuration label -> engine kwargs; ``tier_of(label)`` is the tier that
-#: serves.  Small batches and two workers make ``vectorized-fanout`` actually
-#: split work into morsels.
+#: serves.  ``codegen-batched`` runs the pipeline inline over two-row batches;
+#: small batches and two workers make ``codegen-fanout`` actually split work
+#: into morsels.
 TIER_CONFIGS = {
     "codegen": {},
-    "vectorized-fanout": {
-        "enable_codegen": False,
+    "codegen-batched": {"vectorized_batch_size": FANOUT_BATCH_SIZE},
+    "codegen-fanout": {
         "parallel_workers": 2,
         "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
-    "vectorized": {
-        "enable_codegen": False,
-        "vectorized_batch_size": FANOUT_BATCH_SIZE,
-    },
-    "volcano": {"enable_codegen": False, "enable_vectorized": False},
+    "volcano": {"enable_codegen": False},
 }
 
 #: Queries spanning scan/filter/aggregate/group-by/join/unnest shapes.  No
@@ -82,7 +78,7 @@ def test_profile_counters_identical_across_tiers(tier_engines, query):
             f"{tier} engine was served by {result.profile.execution_tier}"
         )
         assert (result.profile.morsels_dispatched > 0) == (
-            tier == "vectorized-fanout"
+            tier == "codegen-fanout"
         )
         profiles[tier] = result.profile
         rows[tier] = sorted(map(repr, result.rows))
@@ -92,40 +88,6 @@ def test_profile_counters_identical_across_tiers(tier_engines, query):
         assert profile.output_rows == reference.output_rows, tier
         assert profile.unnest_output_rows == reference.unnest_output_rows, tier
         assert rows[tier] == rows["volcano"], tier
-
-
-# -- ExecutionProfile.merge regression ----------------------------------------
-
-
-def test_merge_adopts_slowest_tier():
-    merged = ExecutionProfile(execution_tier="codegen")
-    merged.merge(ExecutionProfile(execution_tier="vectorized"))
-    assert merged.execution_tier == "vectorized"
-    # Merging a faster-tier fragment must not roll the attribution back.
-    merged.merge(ExecutionProfile(execution_tier="codegen"))
-    assert merged.execution_tier == "vectorized"
-    merged.merge(ExecutionProfile(execution_tier="volcano"))
-    assert merged.execution_tier == "volcano"
-
-
-def test_merge_generated_code_flags_and_when_any_fragment_interpreted():
-    merged = ExecutionProfile(execution_tier="codegen", compiled_from_cache=True)
-    merged.merge(
-        ExecutionProfile(execution_tier="volcano", compiled_from_cache=False)
-    )
-    # Generated code ran only if the merged tier is still "codegen".
-    assert merged.execution_tier == "volcano"
-    assert merged.compiled_from_cache is False
-
-
-def test_merge_keeps_additive_counters_additive():
-    merged = ExecutionProfile(rows_scanned=10, output_rows=2, unnest_output_rows=1)
-    merged.merge(
-        ExecutionProfile(rows_scanned=5, output_rows=3, unnest_output_rows=4)
-    )
-    assert merged.rows_scanned == 15
-    assert merged.output_rows == 5
-    assert merged.unnest_output_rows == 5
 
 
 # -- span tracing --------------------------------------------------------------
@@ -236,6 +198,26 @@ def test_metrics_record_tier_declines_with_codes(paths):
     tiers = {dict(key)["tier"] for key, _ in samples}
     assert "codegen" in tiers
     assert all(dict(key)["code"].startswith("TIER") for key, _ in samples)
+
+
+def test_metrics_label_codegen_disabled_queries_volcano(paths):
+    # enable_codegen=False is the static engine, even when the fan-out knobs
+    # are set: every query is counted under tier="volcano", each with one
+    # TIER001 decline of the codegen tier and no other tier label.
+    engine = make_engine(
+        paths, enable_caching=False, enable_codegen=False, parallel_workers=2,
+        vectorized_batch_size=FANOUT_BATCH_SIZE,
+    )
+    engine.query("SELECT COUNT(*) FROM items_csv")
+    engine.query("SELECT SUM(price) FROM items_json WHERE qty < 5")
+    queries = engine.metrics.counter("proteus_queries_total")
+    assert [(dict(key), value) for key, value in queries.samples()] == [
+        ({"tier": "volcano"}, 2)
+    ]
+    declines = engine.metrics.counter("proteus_tier_declines_total")
+    assert [(dict(key), value) for key, value in declines.samples()] == [
+        ({"tier": "codegen", "code": "TIER001"}, 2)
+    ]
 
 
 def test_metrics_disabled_records_nothing(paths):
@@ -478,10 +460,3 @@ def test_explain_analyze_reports_dense_kernels(paths):
     assert "group kernel: dense" in report
     report = engine.explain("SELECT COUNT(*) FROM items_bin", analyze=True)
     assert "join kernels" not in report and "group kernel" not in report
-
-
-def test_merge_concatenates_join_kernels():
-    merged = ExecutionProfile(join_kernels=["dense"])
-    merged.merge(ExecutionProfile(join_kernels=["sorted"], group_kernel="dense"))
-    assert merged.join_kernels == ["dense", "sorted"]
-    assert merged.group_kernel == "dense"

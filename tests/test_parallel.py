@@ -2,13 +2,13 @@
 
 Covers:
 
-* a differential suite asserting Volcano, the vectorized tier run inline and
-  the vectorized tier fanned out over morsels return identical rows (nulls,
+* a differential suite asserting Volcano, the batch pipeline run inline and
+  the batch pipeline fanned out over morsels return identical rows (nulls,
   NaN, big ints, ORDER BY, LIMIT, joins, group-bys, unnest, empty morsels)
   across worker counts 1 / 2 / 8,
 * the merged-tier matrix: every plan-root shape x worker count x input kind
   (raw CSV / binary row table / single morsel) is served by tier
-  ``vectorized`` with the profile reflecting the executor's fan-out decision
+  ``codegen`` with the profile reflecting the executor's fan-out decision
   and the sort-strategy labels each shape always had,
 * binary row tables fan out like every other format and return the rows of
   their binary-column twin,
@@ -16,7 +16,7 @@ Covers:
   integer results are bit-identical to an inline run,
 * the fan-out decision for single-morsel inputs, and the Volcano fallback
   for non-vectorizable shapes,
-* the vectorized tier's use of the adaptive cache (hits and
+* the batch pipeline's use of the adaptive cache (hits and
   materializations),
 * unit coverage of morsel planning, the work-stealing scheduler, the join
   table of a fanned-out build side and the plug-in ``scan_batch_ranges``
@@ -153,7 +153,6 @@ def workload_dir(tmp_path_factory) -> str:
 
 def _make_engine(workload_dir: str, **kwargs) -> ProteusEngine:
     kwargs.setdefault("vectorized_batch_size", BATCH_SIZE)
-    kwargs.setdefault("enable_codegen", False)
     engine = ProteusEngine(enable_caching=False, **kwargs)
     engine.register_csv(
         "sailors", os.path.join(workload_dir, "sailors.csv"), schema=SAILORS_SCHEMA
@@ -195,7 +194,7 @@ def _make_engine(workload_dir: str, **kwargs) -> ProteusEngine:
 
 @pytest.fixture(scope="module")
 def volcano_engine(workload_dir):
-    return _make_engine(workload_dir, enable_vectorized=False)
+    return _make_engine(workload_dir, enable_codegen=False)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +292,7 @@ def test_volcano_inline_and_fanout_return_identical_rows(
     reference = volcano_engine.query(query)
     assert reference.tier == "volcano"
     serial = serial_engine.query(query)
-    assert serial.tier in ("vectorized", "volcano")
+    assert serial.tier in ("codegen", "volcano")
     assert serial.profile.morsels_dispatched == 0
     parallel = parallel_engine.query(query)
     assert parallel.tier == serial.tier
@@ -323,7 +322,7 @@ def test_integer_results_are_bit_identical_to_serial(workload_dir, serial_engine
         "SELECT g, MAX(k), SUM(k) FROM bigints GROUP BY g",
     ):
         actual = engine.query(query)
-        assert actual.tier == "vectorized", query
+        assert actual.tier == "codegen", query
         assert actual.profile.morsels_dispatched > 1, query
         assert actual.rows == serial_engine.query(query).rows, query
 
@@ -343,9 +342,9 @@ def test_repeated_parallel_runs_are_deterministic(workload_dir):
 
 def test_fanout_attribution_and_profile(parallel_engine):
     result = parallel_engine.query("SELECT COUNT(*) FROM sailors WHERE rating > 4")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     profile = result.profile
-    assert profile.execution_tier == "vectorized"
+    assert profile.execution_tier == "codegen"
     assert profile.parallel_workers == 4
     assert profile.morsels_dispatched > 1
     assert profile.rows_scanned == SAILOR_COUNT
@@ -356,7 +355,7 @@ def test_row_table_scan_fans_out(parallel_engine):
     # A row table serves row ranges like every other format: its 200 rows
     # are 50 morsels, enough for a global aggregate to fan out.
     result = parallel_engine.query("SELECT COUNT(*) FROM rowtable WHERE rid < 50")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     assert result.profile.parallel_workers == 4
     assert result.profile.morsels_dispatched > 1
     assert result.rows == [(50,)]
@@ -366,7 +365,7 @@ def test_single_morsel_input_runs_inline(workload_dir):
     engine = _make_engine(workload_dir, parallel_workers=4)
     engine.vectorized_batch_size = 4096  # one morsel covers all 600 rows
     result = engine.query("SELECT COUNT(*) FROM sailors")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     assert result.profile.morsels_dispatched == 0
     assert result.rows == [(SAILOR_COUNT,)]
 
@@ -379,7 +378,7 @@ def test_row_table_probe_and_build_side_both_fan_out(workload_dir):
         "SELECT COUNT(*) FROM sailors_rows r JOIN ships h ON r.sid = h.owner"
     )
     result = engine.query(query)
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     assert result.profile.parallel_workers == 4
     assert result.profile.morsels_dispatched > -(-SHIP_COUNT // BATCH_SIZE)
     assert result.rows == _make_engine(workload_dir).query(query).rows
@@ -397,7 +396,7 @@ def test_parallel_workers_flag_defaults_to_serial(workload_dir):
     engine = _make_engine(workload_dir)  # no parallel_workers argument
     assert engine.parallel_workers == 1
     result = engine.query("SELECT COUNT(*) FROM sailors")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     assert result.profile.morsels_dispatched == 0
     # ``parallel_workers=1`` is the one way to keep execution serial (the
     # constructor's parameter list is pinned in test_engine.py).
@@ -487,19 +486,16 @@ MERGED_TIER_CASES = [
 
 @pytest.fixture(scope="module")
 def engine_for(workload_dir):
-    """Engines by (pipeline workers or None for Volcano, batch size,
-    expressions generated?)."""
+    """Engines by (pipeline workers or None for Volcano, batch size)."""
     engines: dict[tuple, ProteusEngine] = {}
 
-    def get(
-        workers: int | None, batch_size: int, codegen: bool = False
-    ) -> ProteusEngine:
-        key = (workers, batch_size, codegen)
+    def get(workers: int | None, batch_size: int) -> ProteusEngine:
+        key = (workers, batch_size)
         if key not in engines:
             config = (
-                {"enable_vectorized": False}
+                {"enable_codegen": False}
                 if workers is None
-                else {"parallel_workers": workers, "enable_codegen": codegen}
+                else {"parallel_workers": workers}
             )
             engines[key] = _make_engine(
                 workload_dir, vectorized_batch_size=batch_size, **config
@@ -522,7 +518,7 @@ def test_merged_tier_matrix(engine_for, shape, kind):
     for workers in (1, 2, 8):
         result = engine_for(workers, batch_size).query(query)
         label = (shape, kind, workers)
-        assert result.tier == "vectorized", label
+        assert result.tier == "codegen", label
         _assert_rows_match(result.rows, reference.rows, query, ordered=ordered)
         profile = result.profile
         if workers > 1 and kind != "single-morsel":
@@ -544,13 +540,6 @@ def test_merged_tier_matrix(engine_for, shape, kind):
     # No float sums among the shapes: bit-identical at every worker count,
     # row order included.
     assert rows_by_workers[1] == rows_by_workers[2] == rows_by_workers[8]
-    # The codegen label is the same pipeline on generated expression
-    # functions: the same fan-out decision, the same rows.
-    generated = engine_for(2, batch_size, codegen=True).query(query)
-    assert generated.tier == "codegen", (shape, kind)
-    assert generated.profile.morsels_dispatched == profile.morsels_dispatched
-    assert generated.profile.sort_strategy == profile.sort_strategy
-    assert generated.rows == rows_by_workers[2]
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +549,6 @@ def test_merged_tier_matrix(engine_for, shape, kind):
 
 def _caching_engine(workload_dir: str, **kwargs) -> ProteusEngine:
     engine = ProteusEngine(
-        enable_codegen=False,
         enable_caching=True,
         vectorized_batch_size=BATCH_SIZE,
         **kwargs,
@@ -572,7 +560,7 @@ def _caching_engine(workload_dir: str, **kwargs) -> ProteusEngine:
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_vectorized_tier_populates_and_hits_the_cache(workload_dir, workers):
+def test_pipeline_populates_and_hits_the_cache(workload_dir, workers):
     engine = _caching_engine(workload_dir, parallel_workers=workers)
     query = "SELECT SUM(sid) FROM sailors WHERE rating > 2"
     first = engine.query(query)

@@ -4,8 +4,8 @@ Covers:
 
 * parsing of ``?`` positional and ``:name`` named placeholders in both
   frontends (including ``LIMIT ?``),
-* prepared executions matching literal queries on all three execution tiers
-  (the vectorized tier both inline and fanned out over morsels),
+* prepared executions matching literal queries on both execution tiers
+  (the codegen tier both inline and fanned out over morsels),
   with exactly one code generation across different parameter values,
 * the lazy columnar :class:`ResultSet` (``column_array`` with no rows
   round-trip, incremental ``fetch_batches``, lazy ``rows``),
@@ -76,20 +76,14 @@ def test_parameter_fingerprint_abstracts_value():
 TIER_CONFIGS = [
     pytest.param("codegen", {}, id="codegen"),
     pytest.param(
-        "vectorized",
-        {
-            "enable_codegen": False,
-            "parallel_workers": 4,
-            "vectorized_batch_size": FANOUT_BATCH_SIZE,
-        },
-        id="vectorized-fanout",
+        "codegen", {"vectorized_batch_size": FANOUT_BATCH_SIZE}, id="codegen-batched"
     ),
-    pytest.param("vectorized", {"enable_codegen": False}, id="vectorized"),
     pytest.param(
-        "volcano",
-        {"enable_codegen": False, "enable_vectorized": False},
-        id="volcano",
+        "codegen",
+        {"parallel_workers": 4, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+        id="codegen-fanout",
     ),
+    pytest.param("volcano", {"enable_codegen": False}, id="volcano"),
 ]
 
 
@@ -360,8 +354,6 @@ def test_explain_reports_tier_cascade(engine):
     text = engine.explain("SELECT COUNT(*) FROM items_bin WHERE qty < ?")
     assert "== tier cascade ==" in text
     assert "codegen: serves this plan  <- selected" in text
-    assert "vectorized: would serve" in text
-    assert "vectorized-parallel" not in text  # one batch tier
     assert "volcano: would serve" in text
     assert "== vectorized fan-out ==" in text
     assert "serial: parallel_workers=1" in text
@@ -374,19 +366,27 @@ def test_explain_cascade_for_volcano_only_shape(engine):
         "SELECT qty + 1 AS q1, COUNT(*) FROM items_bin GROUP BY qty"
     )
     assert "codegen: declines" in text
-    assert "vectorized: declines" in text
     assert "volcano: serves this plan  <- selected" in text
+
+
+def test_explain_cascade_with_codegen_disabled(paths):
+    # enable_codegen=False is the static engine: the cascade has no batch
+    # tier left to offer, whatever the fan-out configuration.
+    engine = make_engine(paths, enable_codegen=False, parallel_workers=4)
+    text = engine.explain("SELECT COUNT(*) FROM items_bin WHERE qty < ?")
+    assert "codegen: declines -- disabled (enable_codegen=False) [TIER001]" in text
+    assert "volcano: serves this plan  <- selected" in text
+    assert "vectorized:" not in text
 
 
 def test_explain_reports_planned_fanout(paths):
     engine = make_engine(
-        paths, enable_codegen=False, parallel_workers=4, enable_caching=False,
-        vectorized_batch_size=8,
+        paths, parallel_workers=4, enable_caching=False, vectorized_batch_size=8
     )
     # Binary tables are analyzed at registration: the morsel count is known
     # statically, and the root kind sets how many a fan-out needs.
     text = engine.explain("SELECT COUNT(*) FROM items_rowbin WHERE qty < 5")
-    assert "vectorized: serves this plan  <- selected" in text
+    assert "codegen: serves this plan  <- selected" in text
     assert (
         "items_rowbin (binary_row): serial: 120 rows are 15 morsel(s) of 8; "
         "a linear root fans out from 16"

@@ -34,17 +34,17 @@ from repro.resilience import admission as admission_module
 from repro.resilience import context as context_module
 from repro.storage.catalog import DataFormat
 
-#: Engine configurations that pin each of the three execution tiers (the
-#: vectorized tier both inline and fanned out over morsels).
+#: Engine configurations that pin each of the two execution tiers (the
+#: codegen tier inline in one batch, inline over two-row batches and fanned
+#: out over morsels).
 TIER_CONFIGS = {
     "codegen": {},
-    "vectorized-fanout": {
-        "enable_codegen": False,
+    "codegen-batched": {"vectorized_batch_size": FANOUT_BATCH_SIZE},
+    "codegen-fanout": {
         "parallel_workers": 2,
         "vectorized_batch_size": FANOUT_BATCH_SIZE,
     },
-    "vectorized": {"enable_codegen": False},
-    "volcano": {"enable_codegen": False, "enable_vectorized": False},
+    "volcano": {"enable_codegen": False},
 }
 
 
@@ -95,7 +95,6 @@ def test_parallel_timeout_differential(paths, workers):
     tier's deterministic merge."""
     engine = make_engine(
         paths,
-        enable_codegen=False,
         enable_caching=False,
         parallel_workers=workers,
         vectorized_batch_size=FANOUT_BATCH_SIZE,
@@ -112,7 +111,6 @@ def test_parallel_timeout_differential(paths, workers):
 def test_no_leaked_worker_threads_after_abort(paths):
     engine = make_engine(
         paths,
-        enable_codegen=False,
         enable_caching=False,
         parallel_workers=4,
         vectorized_batch_size=FANOUT_BATCH_SIZE,
@@ -139,7 +137,7 @@ def test_volcano_stride_bounds_check_latency(paths, monkeypatch):
     expired deadline is noticed within one stride of scan progress."""
     monkeypatch.setattr(context_module, "VOLCANO_STRIDE", 10)
     engine = make_engine(
-        paths, enable_codegen=False, enable_vectorized=False, enable_caching=False
+        paths, enable_codegen=False, enable_caching=False
     )
     with pytest.raises(QueryTimeoutError):
         engine.query("select id from items_csv", timeout=0)
@@ -171,7 +169,7 @@ def test_cancellation_interrupts_mid_query(paths):
         sleep=lambda seconds: token.cancel(),
     )
     engine = make_engine(
-        paths, enable_codegen=False, enable_caching=False, vectorized_batch_size=16
+        paths, enable_caching=False, vectorized_batch_size=16
     )
     engine.plugins[DataFormat.CSV].install_fault_injector(injector)
     with pytest.raises(QueryCancelledError):
@@ -206,7 +204,7 @@ def test_cancellation_from_another_thread(paths):
         sleep=slow_sleep,
     )
     engine = make_engine(
-        paths, enable_codegen=False, enable_caching=False, vectorized_batch_size=16
+        paths, enable_caching=False, vectorized_batch_size=16
     )
     engine.plugins[DataFormat.CSV].install_fault_injector(injector)
 
@@ -290,7 +288,7 @@ def test_engine_admission_rejects_when_full(paths):
     (parked inside a scripted slow fault), a second query is rejected with
     RES003 — and admission recovers once the first query finishes."""
     engine = make_engine(
-        paths, max_concurrent_queries=1, enable_codegen=False, enable_caching=False
+        paths, max_concurrent_queries=1, enable_caching=False
     )
     entered = threading.Event()
     release = threading.Event()
@@ -387,7 +385,7 @@ def test_trace_marks_aborted_queries(paths):
 
 
 def test_io_retries_recorded_in_profile_and_metrics(paths):
-    engine = make_engine(paths, enable_codegen=False, enable_caching=False)
+    engine = make_engine(paths, enable_caching=False)
     injector = FaultInjector(
         FaultPlan([FaultSpec(kind="io-error", at_call=1)]), sleep=lambda s: None
     )

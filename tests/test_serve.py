@@ -81,20 +81,14 @@ def serving(engine):
 TIER_CONFIGS = [
     pytest.param({}, "codegen", id="codegen"),
     pytest.param(
-        {
-            "enable_codegen": False,
-            "parallel_workers": 2,
-            "vectorized_batch_size": FANOUT_BATCH_SIZE,
-        },
-        "vectorized",
-        id="vectorized-fanout",
+        {"vectorized_batch_size": FANOUT_BATCH_SIZE}, "codegen", id="codegen-batched"
     ),
-    pytest.param({"enable_codegen": False}, "vectorized", id="vectorized"),
     pytest.param(
-        {"enable_codegen": False, "enable_vectorized": False},
-        "volcano",
-        id="volcano",
+        {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+        "codegen",
+        id="codegen-fanout",
     ),
+    pytest.param({"enable_codegen": False}, "volcano", id="volcano"),
 ]
 
 PROJECTION_QUERY = "select id, qty, price from items_csv where qty < 5 order by id"
@@ -207,7 +201,7 @@ def test_eight_barrier_aligned_concurrent_clients(paths):
 def test_scan_coalescing_n_clients_one_cold_parse(paths):
     """8 concurrent clients hit one cold CSV: exactly one parse happens (the
     leader's), everyone else coalesces on its in-flight materialization."""
-    engine = make_engine(paths, enable_codegen=False, vectorized_batch_size=16)
+    engine = make_engine(paths, vectorized_batch_size=16)
     plugin = engine.plugins[DataFormat.CSV]
     # Persistent slow faults stretch the leader's scan so the other clients
     # demonstrably arrive while it is still in flight.
@@ -271,7 +265,7 @@ def test_admission_queue_full_maps_to_429(paths):
 
 def test_request_timeout_maps_to_408_with_partial_progress(paths):
     engine = make_engine(
-        paths, enable_codegen=False, enable_caching=False, vectorized_batch_size=16
+        paths, enable_caching=False, vectorized_batch_size=16
     )
     injector = FaultInjector(
         FaultPlan([FaultSpec(kind="slow", at_call=3, delay_seconds=0.3)])
@@ -292,7 +286,7 @@ def test_request_timeout_maps_to_408_with_partial_progress(paths):
 
 def test_cancel_endpoint_maps_to_499(paths):
     engine = make_engine(
-        paths, enable_codegen=False, enable_caching=False, vectorized_batch_size=16
+        paths, enable_caching=False, vectorized_batch_size=16
     )
     scanning = threading.Event()
 
@@ -707,7 +701,7 @@ def test_parked_connections_cost_sockets_not_threads(engine):
 
 def test_stop_with_parked_half_sent_and_in_flight_connections(paths):
     engine = make_engine(
-        paths, enable_codegen=False, enable_caching=False, vectorized_batch_size=16
+        paths, enable_caching=False, vectorized_batch_size=16
     )
     scanning = threading.Event()
 
@@ -958,7 +952,6 @@ def test_reregistering_a_dataset_returns_fresh_rows(engine, tmp_path):
 def test_error_responses_are_never_cached(paths):
     engine = make_engine(
         paths,
-        enable_codegen=False,
         vectorized_batch_size=16,
         max_concurrent_queries=1,
     )

@@ -4,8 +4,8 @@ Covers:
 
 * the :class:`~repro.core.physical.PhysSort` plan root (placement,
   fingerprints, ``explain()`` strategy report),
-* a differential ORDER BY / LIMIT suite across all three execution tiers
-  (codegen / vectorized, inline and fanned out / volcano): NaN, None, strings,
+* a differential ORDER BY / LIMIT suite across both execution tiers
+  (codegen, inline and fanned out / volcano): NaN, None, strings,
   multi-key ascending/descending mixes, ties (stability), ``LIMIT 0`` and
   ``LIMIT`` beyond the row count — results must be identical tier-to-tier,
 * parallel per-morsel sort + k-way merge determinism at 1/2/8 workers,
@@ -31,19 +31,14 @@ from repro.errors import ExecutionError, ProteusError
 from tests.conftest import make_engine, tier_of
 
 #: (configuration label, engine kwargs); ``tier_of(label)`` is the serving
-#: tier — ``vectorized-fanout`` engages the vectorized tier's morsel fan-out.
+#: tier — ``codegen-batched`` runs the batch pipeline inline over four-row
+#: batches (a streaming top-K across batches), ``codegen-fanout`` engages its
+#: morsel fan-out.
 TIER_CONFIGS = [
     ("codegen", {}),
-    (
-        "vectorized-fanout",
-        {
-            "enable_codegen": False,
-            "parallel_workers": 4,
-            "vectorized_batch_size": 4,
-        },
-    ),
-    ("vectorized", {"enable_codegen": False}),
-    ("volcano", {"enable_codegen": False, "enable_vectorized": False}),
+    ("codegen-batched", {"vectorized_batch_size": 4}),
+    ("codegen-fanout", {"parallel_workers": 4, "vectorized_batch_size": 4}),
+    ("volcano", {"enable_codegen": False}),
 ]
 
 
@@ -202,13 +197,13 @@ def test_sort_strategy_recorded(messy_path, tier, config):
     full = engine.query("SELECT id, val FROM messy ORDER BY val DESC")
     assert full.tier == tier_of(tier)
     expected_full = {
-        "vectorized-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
+        "codegen-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
     }.get(tier, sortlib.STRATEGY_LEXSORT)
     assert full.profile.sort_strategy == expected_full
     assert full.profile.rows_sorted >= MESSY_COUNT
     topk = engine.query("SELECT id, val FROM messy ORDER BY val LIMIT 3")
     expected_topk = {
-        "vectorized-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
+        "codegen-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
     }.get(tier, sortlib.STRATEGY_TOPK)
     assert topk.profile.sort_strategy == expected_topk
     unsorted = engine.query("SELECT id FROM messy")
@@ -231,18 +226,17 @@ PARALLEL_QUERIES = [
 @pytest.mark.parametrize("query", PARALLEL_QUERIES)
 def test_parallel_sort_identical_at_any_worker_count(messy_path, query):
     reference = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=4
+        messy_path, vectorized_batch_size=4
     ).query(query)
-    assert reference.tier == "vectorized"
+    assert reference.tier == "codegen"
     for workers in (1, 2, 8):
         engine = messy_engine(
             messy_path,
-            enable_codegen=False,
             parallel_workers=workers,
             vectorized_batch_size=4,
         )
         result = engine.query(query)
-        assert result.tier == "vectorized", (workers, query)
+        assert result.tier == "codegen", (workers, query)
         assert (result.profile.morsels_dispatched > 0) == (workers > 1)
         assert result.rows == reference.rows, (workers, query)
         for name in reference.columns:
@@ -392,11 +386,10 @@ def test_parallel_string_sort_with_single_surviving_morsel(messy_path):
     # codes are run-local, so the root re-sorts anyway); the re-sort must
     # happen even when only ONE morsel produces rows.
     serial = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=4
+        messy_path, vectorized_batch_size=4
     ).query("SELECT tag, id FROM messy WHERE id < 4 ORDER BY tag")
     parallel = messy_engine(
         messy_path,
-        enable_codegen=False,
         parallel_workers=4,
         vectorized_batch_size=4,
     ).query("SELECT tag, id FROM messy WHERE id < 4 ORDER BY tag")
@@ -418,7 +411,7 @@ def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
             if not (i >= 200 and i % 7 == 0):  # nulls only in the back half
                 row["x"] = (i * 13) % 97
             handle.write(json.dumps(row) + "\n")
-    serial = ProteusEngine(enable_caching=False, enable_codegen=False)
+    serial = ProteusEngine(enable_caching=False)
     serial.register_json("mixed_runs", str(path))
     for query in (
         "SELECT id, x FROM mixed_runs ORDER BY x DESC",
@@ -429,7 +422,6 @@ def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
         for workers in (2, 8):
             parallel = ProteusEngine(
                 enable_caching=False,
-                enable_codegen=False,
                 parallel_workers=workers,
                 vectorized_batch_size=16,
             )
@@ -441,11 +433,10 @@ def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
 
 def test_pure_limit_output_rows_consistent_inline_and_fanned_out(messy_path):
     serial = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=4
+        messy_path, vectorized_batch_size=4
     ).query("SELECT id FROM messy LIMIT 5")
     parallel = messy_engine(
         messy_path,
-        enable_codegen=False,
         parallel_workers=4,
         vectorized_batch_size=4,
     ).query("SELECT id FROM messy LIMIT 5")
@@ -455,11 +446,10 @@ def test_pure_limit_output_rows_consistent_inline_and_fanned_out(messy_path):
     # ORDER BY ... LIMIT 0 also reports zero emitted rows either way.
     for engine_result in (
         messy_engine(
-            messy_path, enable_codegen=False, vectorized_batch_size=4
+            messy_path, vectorized_batch_size=4
         ).query("SELECT id, val FROM messy ORDER BY val LIMIT 0"),
         messy_engine(
             messy_path,
-            enable_codegen=False,
             parallel_workers=4,
             vectorized_batch_size=4,
         ).query("SELECT id, val FROM messy ORDER BY val LIMIT 0"),
@@ -468,12 +458,12 @@ def test_pure_limit_output_rows_consistent_inline_and_fanned_out(messy_path):
         assert engine_result.profile.output_rows == 0
 
 
-def test_streaming_topk_used_by_vectorized_tier(messy_path):
+def test_streaming_topk_used_by_the_pipeline(messy_path):
     engine = messy_engine(
-        messy_path, enable_codegen=False, vectorized_batch_size=4
+        messy_path, vectorized_batch_size=4
     )
     result = engine.query("SELECT id, val FROM messy ORDER BY val LIMIT 5")
-    assert result.tier == "vectorized"
+    assert result.tier == "codegen"
     assert result.profile.sort_strategy == sortlib.STRATEGY_TOPK
     # The streaming accumulator sorts per batch, so it counts more sorted
     # rows than the result size but never materializes the full input.
@@ -481,8 +471,7 @@ def test_streaming_topk_used_by_vectorized_tier(messy_path):
 
 
 def test_limit_only_stops_scanning_early(paths):
-    engine = make_engine(paths, enable_caching=False, enable_codegen=False,
-                         vectorized_batch_size=4)
+    engine = make_engine(paths, enable_caching=False, vectorized_batch_size=4)
     result = engine.query("SELECT id FROM items_bin LIMIT 8")
     assert len(result) == 8
     # 120 input rows, batches of 4: the scan must stop after the first batch.

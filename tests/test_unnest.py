@@ -2,9 +2,9 @@
 
 Covers:
 
-* inner and outer unnest over the JSON plug-in across all three execution
-  tiers (codegen, vectorized — inline and fanned out over morsels — and
-  volcano), asserting identical results and the expected tier attribution,
+* inner and outer unnest over the JSON plug-in on both execution tiers
+  (codegen — inline and fanned out over morsels — and volcano), asserting
+  identical results and the expected tier attribution,
 * empty and explicitly-null nested collections,
 * nested-in-nested unnest (a collection inside an already-unnested element,
   flattened column-backed by the batch tier),
@@ -120,19 +120,12 @@ def _make_engine(workload_dir: str, **kwargs) -> ProteusEngine:
 
 @pytest.fixture(scope="module")
 def volcano_engine(workload_dir):
-    return _make_engine(
-        workload_dir, enable_codegen=False, enable_vectorized=False
-    )
-
-
-@pytest.fixture(scope="module")
-def vectorized_engine(workload_dir):
     return _make_engine(workload_dir, enable_codegen=False)
 
 
 @pytest.fixture(scope="module")
 def parallel_engine(workload_dir):
-    return _make_engine(workload_dir, enable_codegen=False, parallel_workers=4)
+    return _make_engine(workload_dir, parallel_workers=4)
 
 
 @pytest.fixture(scope="module")
@@ -221,64 +214,50 @@ def grouped_queries():
 
 
 @pytest.mark.parametrize("query", INNER_QUERIES + OUTER_QUERIES)
-def test_every_tier_agrees(
-    volcano_engine, vectorized_engine, parallel_engine, codegen_engine, query
-):
+def test_every_tier_agrees(volcano_engine, parallel_engine, codegen_engine, query):
     reference = volcano_engine.query(query)
     assert reference.tier == "volcano"
-    vectorized = vectorized_engine.query(query)
-    assert vectorized.tier == "vectorized", query
     parallel = parallel_engine.query(query)
-    assert parallel.tier == "vectorized", query
+    assert parallel.tier == "codegen", query
     assert parallel.profile.morsels_dispatched > 1, query
     codegen = codegen_engine.query(query)
     # One pipeline: outer and nested-in-nested unnest run on generated
     # expression functions like everything else.
     assert codegen.tier == "codegen", query
-    _assert_rows_match(vectorized.rows, reference.rows, query, ordered=False)
     _assert_rows_match(codegen.rows, reference.rows, query, ordered=False)
     # A fanned-out run must reproduce the inline run's order exactly.
-    _assert_rows_match(parallel.rows, vectorized.rows, query)
+    _assert_rows_match(parallel.rows, codegen.rows, query)
 
 
 @pytest.mark.parametrize("query", JOIN_QUERIES)
-def test_unnest_under_joins(
-    volcano_engine, vectorized_engine, parallel_engine, codegen_engine, query
-):
+def test_unnest_under_joins(volcano_engine, parallel_engine, codegen_engine, query):
     reference = volcano_engine.query(query)
-    vectorized = vectorized_engine.query(query)
-    assert vectorized.tier == "vectorized", query
     parallel = parallel_engine.query(query)
     # (The optimizer may flip the probe side onto the tiny joined table, in
     # which case the driving scan legitimately fits one morsel and only the
     # build side fans out.)
-    assert parallel.tier == "vectorized", query
+    assert parallel.tier == "codegen", query
     codegen = codegen_engine.query(query)
     assert codegen.tier == "codegen", query
-    _assert_rows_match(vectorized.rows, reference.rows, query, ordered=False)
     _assert_rows_match(codegen.rows, reference.rows, query, ordered=False)
-    _assert_rows_match(parallel.rows, vectorized.rows, query)
+    _assert_rows_match(parallel.rows, codegen.rows, query)
 
 
 @pytest.mark.parametrize(
     "label,comprehension", grouped_queries(), ids=lambda v: v if isinstance(v, str) else ""
 )
 def test_unnest_under_grouped_aggregates(
-    volcano_engine, vectorized_engine, parallel_engine, codegen_engine,
-    label, comprehension,
+    volcano_engine, parallel_engine, codegen_engine, label, comprehension
 ):
     reference = volcano_engine.query(comprehension)
     assert reference.tier == "volcano"
-    vectorized = vectorized_engine.query(comprehension)
-    assert vectorized.tier == "vectorized", label
     parallel = parallel_engine.query(comprehension)
-    assert parallel.tier == "vectorized", label
+    assert parallel.tier == "codegen", label
     assert parallel.profile.morsels_dispatched > 1, label
     codegen = codegen_engine.query(comprehension)
     assert codegen.tier == "codegen", label
-    _assert_rows_match(vectorized.rows, reference.rows, label, ordered=False)
     _assert_rows_match(codegen.rows, reference.rows, label, ordered=False)
-    _assert_rows_match(parallel.rows, vectorized.rows, label)
+    _assert_rows_match(parallel.rows, codegen.rows, label)
 
 
 def test_outer_unnest_is_served_by_the_codegen_label(codegen_engine):
@@ -297,34 +276,32 @@ def test_outer_unnest_is_served_by_the_codegen_label(codegen_engine):
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_worker_counts_reproduce_serial_order(
-    workload_dir, vectorized_engine, workers
+    workload_dir, codegen_engine, workers
 ):
-    engine = _make_engine(
-        workload_dir, enable_codegen=False, parallel_workers=workers
-    )
+    engine = _make_engine(workload_dir, parallel_workers=workers)
     for query in INNER_QUERIES + OUTER_QUERIES + JOIN_QUERIES:
-        expected = vectorized_engine.query(query)
+        expected = codegen_engine.query(query)
         actual = engine.query(query)
         _assert_rows_match(actual.rows, expected.rows, query)
     for label, comprehension in grouped_queries():
-        expected = vectorized_engine.query(comprehension)
+        expected = codegen_engine.query(comprehension)
         actual = engine.query(comprehension)
         _assert_rows_match(actual.rows, expected.rows, label)
 
 
-def test_explain_reports_unnest_strategy(vectorized_engine):
-    text = vectorized_engine.explain(
+def test_explain_reports_unnest_strategy(codegen_engine):
+    text = codegen_engine.explain(
         "for { o <- orders, l <- outer o.lines, s <- l.subs } "
         "yield bag (o.okey, s.s)"
     )
     assert "== unnest strategy ==" in text
     assert "l <- o.lines (outer): offset-vector" in text
     assert "s <- l.subs (inner): column-backed" in text
-    assert "vectorized" in text  # tier cascade section still present
+    assert "== tier cascade ==" in text  # tier cascade section still present
 
 
-def test_unnest_profile_counter(vectorized_engine):
-    result = vectorized_engine.query(
+def test_unnest_profile_counter(codegen_engine):
+    result = codegen_engine.query(
         "for { o <- orders, l <- o.lines } yield bag (o.okey, l.item)"
     )
     flattened = sum(len(o["lines"] or ()) for o in expected_orders())
@@ -437,11 +414,11 @@ def test_scan_unnest_batch_whole_dataset(json_plugin_and_dataset):
     assert len(batch.parent_positions()) == batch.count
 
 
-def test_unnest_planned_mode(vectorized_engine):
-    vectorized_engine.query(
+def test_unnest_planned_mode(codegen_engine):
+    codegen_engine.query(
         "for { o <- orders, l <- o.lines, s <- l.subs } yield count"
     )
-    plan = vectorized_engine.last_plan
+    plan = codegen_engine.last_plan
     modes = {
         node.var: node.planned_mode()[0]
         for node in plan.walk()
@@ -472,16 +449,16 @@ NULLABLE_BOOL_QUERIES = [
 
 @pytest.mark.parametrize("query", NULLABLE_BOOL_QUERIES)
 def test_nullable_bool_agrees_across_tiers(
-    volcano_engine, vectorized_engine, parallel_engine, codegen_engine, query
+    volcano_engine, parallel_engine, codegen_engine, query
 ):
     reference = volcano_engine.query(query)
-    for engine in (vectorized_engine, parallel_engine, codegen_engine):
+    for engine in (parallel_engine, codegen_engine):
         result = engine.query(query)
         _assert_rows_match(result.rows, reference.rows, query, ordered=False)
 
 
-def test_missing_bool_surfaces_as_none(vectorized_engine):
-    result = vectorized_engine.query("SELECT id, active FROM flags")
+def test_missing_bool_surfaces_as_none(codegen_engine):
+    result = codegen_engine.query("SELECT id, active FROM flags")
     by_id = dict(result.rows)
     assert by_id[0] is None  # absent field
     assert by_id[3] is None  # explicit null

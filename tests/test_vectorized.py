@@ -5,8 +5,8 @@ Covers:
 * regression tests for three engine bugs (ORDER BY on a non-projected column,
   stale compiled programs after re-registration, silent broadcast/None-fill in
   result assembly),
-* a differential suite asserting the codegen, vectorized and Volcano tiers
-  return identical rows on the Sailors/Ships and JSON workloads,
+* a differential suite asserting the codegen and Volcano tiers return
+  identical rows on the Sailors/Ships and JSON workloads,
 * unit coverage of the plug-in ``scan_batches`` API (the whole-range
   ``scan_batch_ranges`` of every format).
 """
@@ -117,13 +117,10 @@ def _tier_engine(paths, workload_dir, **kwargs) -> ProteusEngine:
 
 @pytest.fixture
 def tier_engines(paths, workload_dir):
-    """(codegen, vectorized, volcano) engines over the same datasets."""
+    """(codegen, volcano) engines over the same datasets."""
     return (
         _tier_engine(paths, workload_dir),
         _tier_engine(paths, workload_dir, enable_codegen=False),
-        _tier_engine(
-            paths, workload_dir, enable_codegen=False, enable_vectorized=False
-        ),
     )
 
 
@@ -189,7 +186,7 @@ def test_reregister_invalidates_caches(tmp_path):
 def _result_rows(names, columns):
     """Rows of a ResultSet assembled from raw executor output columns."""
     length, data = _normalize_result_columns(names, columns)
-    return ResultSet(names, data, tier="vectorized", length=length).rows
+    return ResultSet(names, data, tier="codegen", length=length).rows
 
 
 def test_normalize_result_columns_missing_column_raises():
@@ -217,7 +214,7 @@ def test_normalize_result_columns_broadcasts_genuine_scalars():
 
 
 # ---------------------------------------------------------------------------
-# Differential suite: codegen vs vectorized vs Volcano
+# Differential suite: codegen vs Volcano
 # ---------------------------------------------------------------------------
 
 DIFFERENTIAL_QUERIES = [
@@ -280,34 +277,27 @@ DIFFERENTIAL_QUERIES = [
 
 @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
 def test_tiers_return_identical_rows(tier_engines, query):
-    codegen_engine, vectorized_engine, volcano_engine = tier_engines
+    codegen_engine, volcano_engine = tier_engines
     reference = volcano_engine.query(query)
     assert reference.tier == "volcano"
-    vectorized = vectorized_engine.query(query)
-    assert vectorized.tier in ("vectorized", "volcano")
     generated = codegen_engine.query(query)
-    assert _normalized(vectorized.rows) == _normalized(reference.rows), query
     assert _normalized(generated.rows) == _normalized(reference.rows), query
 
 
-def test_vectorized_tier_actually_runs(tier_engines):
-    _, vectorized_engine, _ = tier_engines
-    result = vectorized_engine.query("SELECT COUNT(*) FROM sailors WHERE rating > 4")
-    assert result.tier == "vectorized"
+def test_batch_pipeline_actually_runs(tier_engines):
+    codegen_engine, _ = tier_engines
+    result = codegen_engine.query("SELECT COUNT(*) FROM sailors WHERE rating > 4")
+    assert result.tier == "codegen"
     assert result.profile is not None
-    assert result.profile.execution_tier == "vectorized"
+    assert result.profile.execution_tier == "codegen"
     assert result.profile.batches_processed >= 1
     assert result.profile.rows_scanned == SAILOR_COUNT
 
 
 def test_vectorized_matches_volcano_with_tiny_batches(paths, workload_dir):
     """Multi-batch execution (joins, grouping, unnest) with batch_size 7."""
-    small = _tier_engine(
-        paths, workload_dir, enable_codegen=False, vectorized_batch_size=7
-    )
-    volcano = _tier_engine(
-        paths, workload_dir, enable_codegen=False, enable_vectorized=False
-    )
+    small = _tier_engine(paths, workload_dir, vectorized_batch_size=7)
+    volcano = _tier_engine(paths, workload_dir, enable_codegen=False)
     for query in DIFFERENTIAL_QUERIES:
         expected = volcano.query(query)
         actual = small.query(query)
@@ -323,21 +313,20 @@ def test_vectorized_matches_volcano_with_tiny_batches(paths, workload_dir):
     ],
 )
 def test_null_group_keys_fall_back_to_volcano(tier_engines, query):
-    codegen_engine, vectorized_engine, volcano_engine = tier_engines
+    codegen_engine, volcano_engine = tier_engines
     reference = volcano_engine.query(query)
     # Grouping on a key column containing nulls is not columnar-groupable;
-    # both the codegen and the vectorized tier must transparently fall back
-    # and still produce Volcano's rows (None group keys, not NaN).
-    for engine_under_test in (codegen_engine, vectorized_engine):
-        result = engine_under_test.query(query)
-        assert result.tier == "volcano"
-        assert _normalized(result.rows) == _normalized(reference.rows)
+    # the pipeline must transparently fall back and still produce Volcano's
+    # rows (None group keys, not NaN).
+    result = codegen_engine.query(query)
+    assert result.tier == "volcano"
+    assert _normalized(result.rows) == _normalized(reference.rows)
 
 
 def test_null_join_keys_fall_back_to_volcano(tier_engines):
-    codegen_engine, vectorized_engine, volcano_engine = tier_engines
+    codegen_engine, volcano_engine = tier_engines
     # NaN-encoded missing float keys must not surface as nan join rows where
-    # Volcano produces None — every columnar tier falls back.
+    # Volcano produces None — the pipeline falls back.
     query = (
         "SELECT a.val AS av, b.val AS bv FROM nulls a JOIN nulls b "
         "ON a.val = b.val"
@@ -345,16 +334,15 @@ def test_null_join_keys_fall_back_to_volcano(tier_engines):
     reference = volcano_engine.query(query)
     # Missing keys join nothing, in the fallback tier too.
     assert all(value is not None for row in reference.rows for value in row)
-    for engine_under_test in (codegen_engine, vectorized_engine):
-        result = engine_under_test.query(query)
-        assert result.tier == "volcano"
-        assert _normalized(result.rows) == _normalized(reference.rows)
+    result = codegen_engine.query(query)
+    assert result.tier == "volcano"
+    assert _normalized(result.rows) == _normalized(reference.rows)
 
 
 def test_duplicate_output_names_rejected(tier_engines):
     from repro.errors import PlanningError
 
-    codegen_engine, _, _ = tier_engines
+    codegen_engine, _ = tier_engines
     # Two different expressions under one output name would silently shadow
     # each other in every executor's name-keyed result columns.
     with pytest.raises(PlanningError, match="sid"):
@@ -382,12 +370,8 @@ def test_scan_preserves_large_int_precision(tmp_path):
     huge_csv = tmp_path / "huge.csv"
     huge_csv.write_text(f"g,k\n0,{huge}\n0,5\n")
     schema = t.make_schema({"g": "int", "k": "int"})
-    for enable_codegen, enable_vectorized in ((True, True), (False, True), (False, False)):
-        engine = ProteusEngine(
-            enable_caching=False,
-            enable_codegen=enable_codegen,
-            enable_vectorized=enable_vectorized,
-        )
+    for enable_codegen in (True, False):
+        engine = ProteusEngine(enable_caching=False, enable_codegen=enable_codegen)
         engine.register_csv("bigc", str(csv_path), schema=schema)
         engine.register_json("bigj", str(json_path), schema=schema)
         engine.register_csv("huge", str(huge_csv), schema=schema)
@@ -430,12 +414,8 @@ def test_big_int_arithmetic_and_sums_match_across_tiers(tmp_path):
     path.write_text(f"id,k,v\n1,{near_max},{exact}\n2,5,{exact}\n3,7,{exact}\n")
     schema = t.make_schema({"id": "int", "k": "int", "v": "int"})
     engines = []
-    for enable_codegen, enable_vectorized in ((True, True), (False, True), (False, False)):
-        engine = ProteusEngine(
-            enable_caching=False,
-            enable_codegen=enable_codegen,
-            enable_vectorized=enable_vectorized,
-        )
+    for enable_codegen in (True, False):
+        engine = ProteusEngine(enable_caching=False, enable_codegen=enable_codegen)
         engine.register_csv("bigmath", str(path), schema=schema)
         engines.append(engine)
     for query, expected in (
@@ -455,12 +435,8 @@ def test_int64_sum_does_not_wrap(tmp_path):
     path = tmp_path / "wrap.csv"
     path.write_text(f"id,k\n1,{near_max}\n2,{near_max}\n")
     schema = t.make_schema({"id": "int", "k": "int"})
-    for enable_codegen, enable_vectorized in ((True, True), (False, True), (False, False)):
-        engine = ProteusEngine(
-            enable_caching=False,
-            enable_codegen=enable_codegen,
-            enable_vectorized=enable_vectorized,
-        )
+    for enable_codegen in (True, False):
+        engine = ProteusEngine(enable_caching=False, enable_codegen=enable_codegen)
         engine.register_csv("wrap", str(path), schema=schema)
         assert engine.query("SELECT SUM(k) FROM wrap").scalar() == 2 * near_max
         result = engine.query("SELECT id - id, SUM(k) FROM wrap GROUP BY id - id")
@@ -476,7 +452,7 @@ def test_empty_sum_is_integer_zero_on_every_tier(tier_engines):
 
 def test_nan_probe_keys_stay_on_the_pipeline(tmp_path):
     """NaN probe keys against an integer build side are pre-filtered by the
-    pipeline's join stage under either label — not a Volcano demotion (the
+    pipeline's join stage — not a Volcano demotion (the
     separate generated runtime used to reject them at the kernel)."""
     build = tmp_path / "b.csv"
     build.write_text("bid,x\n1,10\n2,20\n")
@@ -501,12 +477,8 @@ def test_json_nullable_big_ints_stay_exact(tmp_path):
         json.dumps({"g": 0, "k": big}) + "\n" + json.dumps({"g": 0, "k": None}) + "\n"
     )
     schema = t.make_schema({"g": "int", "k": "int"})
-    for enable_codegen, enable_vectorized in ((True, True), (False, True), (False, False)):
-        engine = ProteusEngine(
-            enable_caching=False,
-            enable_codegen=enable_codegen,
-            enable_vectorized=enable_vectorized,
-        )
+    for enable_codegen in (True, False):
+        engine = ProteusEngine(enable_caching=False, enable_codegen=enable_codegen)
         engine.register_json("nbig", str(path), schema=schema)
         result = engine.query("SELECT g, MAX(k) FROM nbig GROUP BY g")
         assert result.rows == [(0, big)], result.tier
@@ -521,12 +493,8 @@ def test_builtin_attribute_names_do_not_leak(tmp_path):
         + json.dumps({"id": 2, "a": [1, 2]}) + "\n"
     )
     schema = t.make_schema({"id": "int", "a": {"count": "int"}})
-    for enable_codegen, enable_vectorized in ((True, True), (False, True), (False, False)):
-        engine = ProteusEngine(
-            enable_caching=False,
-            enable_codegen=enable_codegen,
-            enable_vectorized=enable_vectorized,
-        )
+    for enable_codegen in (True, False):
+        engine = ProteusEngine(enable_caching=False, enable_codegen=enable_codegen)
         engine.register_json("h", str(path), schema=schema)
         result = engine.query("SELECT id FROM h WHERE a.count")
         assert result.rows == [(1,)], result.tier
@@ -561,16 +529,16 @@ def test_group_extrema_preserve_int64_precision():
     assert result.tolist() == [2**53 + 1, 5]
 
 
-def test_empty_join_build_side_stays_vectorized(tier_engines):
-    _, vectorized_engine, volcano_engine = tier_engines
+def test_empty_join_build_side_stays_on_the_pipeline(tier_engines):
+    codegen_engine, volcano_engine = tier_engines
     # The filter eliminates every build-side row; the join must produce an
     # empty result without demoting the query to the Volcano tier.
     query = (
         "SELECT s.sid, h.tons FROM sailors s JOIN ships h ON s.sid = h.owner "
         "WHERE s.rating > 1000"
     )
-    result = vectorized_engine.query(query)
-    assert result.tier == "vectorized"
+    result = codegen_engine.query(query)
+    assert result.tier == "codegen"
     assert result.rows == volcano_engine.query(query).rows == []
 
 
@@ -673,16 +641,15 @@ def test_float_probe_keys_against_int_build_side(build_keys, kernel):
     assert right_positions.tolist() == [2]
 
 
-def test_codegen_unavailable_shapes_use_vectorized_not_volcano(tier_engines):
-    codegen_engine, _, _ = tier_engines
-    # Non-equi joins plan as nested loops, which the generator covers; record
-    # construction does not.  A plain projection with codegen enabled runs the
-    # generated program, the same query with codegen off runs vectorized.
+def test_flipping_enable_codegen_between_queries_switches_the_tier(tier_engines):
+    codegen_engine, _ = tier_engines
+    # The verdict cache is keyed by the flag: the same plan runs the
+    # generated program, then Volcano once code generation is switched off.
     result = codegen_engine.query("SELECT sid FROM sailors WHERE rating > 8")
     assert result.tier == "codegen"
     codegen_engine.enable_codegen = False
     result = codegen_engine.query("SELECT sid FROM sailors WHERE rating > 8")
-    assert result.tier == "vectorized"
+    assert result.tier == "volcano"
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,7 @@ def main() -> int:
             handle.write(f"{i},{i % 7},{float(i)}\n")
         csv_path = handle.name
 
-    engine = ProteusEngine(
-        enable_codegen=False, enable_caching=False, vectorized_batch_size=16
-    )
+    engine = ProteusEngine(enable_caching=False, vectorized_batch_size=16)
     engine.register_csv("items", csv_path)
 
     server = ProteusServer(engine)

@@ -3,18 +3,15 @@
 
 Two rules, both enforced over the AST (no imports of the checked modules):
 
-**Tier parity.**  The label set is ``CASCADE_TIERS`` in
+**Tier parity.**  The tier set is ``CASCADE_TIERS`` in
 ``src/repro/core/analysis/model.py``; the rows of ``OPERATOR_CAPABILITIES``
-and the keys of ``EXECUTOR_MODULES`` below must name exactly those labels
+and the keys of ``EXECUTOR_MODULES`` below must name exactly those tiers
 (adding or removing one in one place but not the others fails the build).
-Labels may share an executor — ``codegen`` and ``vectorized`` are both the
-batch pipeline, so they name the same module and the same capability row;
-the rules below apply to every label alike.  Every ``Phys*`` operator class
-defined in ``src/repro/core/physical.py`` must, for each label, either be
-referenced by name in that label's executor module (it has a handler) or
-appear as an explicit key in that label's row of ``OPERATOR_CAPABILITIES``
-in ``src/repro/core/analysis/capabilities.py`` (its coverage is declared,
-possibly as a conditional decline).  A new operator therefore cannot
+Every ``Phys*`` operator class defined in ``src/repro/core/physical.py``
+must, for each tier, either be referenced by name in that tier's executor
+module (it has a handler) or appear as an explicit key in that tier's row of
+``OPERATOR_CAPABILITIES`` in ``src/repro/core/analysis/capabilities.py``
+(its coverage is declared, possibly as a conditional decline).  A new operator therefore cannot
 silently fall through a tier to a raw "unhandled node" crash: the build
 fails until its coverage is stated somewhere.  Stale capability keys that
 no longer name an operator class are flagged too.
@@ -49,7 +46,6 @@ from pathlib import Path
 #: Executor module (repo-relative) per ``CASCADE_TIERS`` member.
 EXECUTOR_MODULES: dict[str, str] = {
     "TIER_CODEGEN": "src/repro/core/executor/vectorized.py",
-    "TIER_VECTORIZED": "src/repro/core/executor/vectorized.py",
     "TIER_VOLCANO": "src/repro/core/executor/volcano.py",
 }
 
@@ -107,19 +103,16 @@ def _module_dict_literals(tree: ast.Module) -> dict[str, ast.Dict]:
 
 
 def collect_capability_entries(capabilities_path: Path) -> dict[str, set[str]]:
-    """Operator-class keys per label row of ``OPERATOR_CAPABILITIES``.  A row
-    is a dict literal, or the name of a module-level one (labels that share
-    an executor share a row)."""
-    literals = _module_dict_literals(_parse(capabilities_path))
-    table = literals.get("OPERATOR_CAPABILITIES")
+    """Operator-class keys per tier row of ``OPERATOR_CAPABILITIES``."""
+    table = _module_dict_literals(_parse(capabilities_path)).get(
+        "OPERATOR_CAPABILITIES"
+    )
     if table is None:
         raise SystemExit(
             f"tier_lint: no OPERATOR_CAPABILITIES dict literal in {capabilities_path}"
         )
     entries: dict[str, set[str]] = {}
     for tier_key, row in zip(table.keys, table.values):
-        if isinstance(row, ast.Name):
-            row = literals.get(row.id)
         if not isinstance(tier_key, ast.Name) or not isinstance(row, ast.Dict):
             continue
         entries[tier_key.id] = {
