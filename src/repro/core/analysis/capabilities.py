@@ -82,8 +82,9 @@ def _no_outer_join(node: PhysicalPlan) -> Decline:
 
 
 def _batch_nest(node: PhysicalPlan) -> Decline:
-    """A ``GROUP BY`` output column must be a group key or contain an
-    aggregate; anything else only the Volcano interpreter serves."""
+    """A ``GROUP BY`` output column must be a group key, contain an
+    aggregate or read no field (a literal, a parameter); anything else only
+    the Volcano interpreter serves."""
     assert isinstance(node, PhysNest)
     group_key_fingerprints = {
         expression.fingerprint() for expression in node.group_by
@@ -91,7 +92,7 @@ def _batch_nest(node: PhysicalPlan) -> Decline:
     for column in node.columns:
         if column.expression.fingerprint() in group_key_fingerprints:
             continue
-        if not contains_aggregate(column.expression):
+        if not contains_aggregate(column.expression) and column.expression.referenced_fields():
             return (
                 TIER_GROUP_COLUMN,
                 f"group-by output column {column.name!r} is neither a group "

@@ -27,13 +27,12 @@ from repro.core.aggregate_utils import unique_output_columns
 from repro.core.codegen.compiler import GeneratedQuery, compile_query
 from repro.core.codegen.context import CodegenContext
 from repro.core.codegen.expr_gen import generate_expression
-from repro.core.executor.vectorized import collect_nest_aggregates, nest_heads
-from repro.core.expressions import (
-    Expression,
-    contains_aggregate,
-    iter_aggregates,
-    to_string,
+from repro.core.executor.vectorized import (
+    collect_nest_aggregates,
+    grouping_keys,
+    nest_heads,
 )
+from repro.core.expressions import Expression, to_string
 from repro.core.physical import (
     PhysNest,
     PhysReduce,
@@ -52,25 +51,17 @@ def plan_expressions(plan: PhysicalPlan) -> Iterator[tuple[str, Expression]]:
         role = type(node).__name__.removeprefix("Phys").lower()
         for expression in expressions_of(node):
             yield role, expression
-    if isinstance(plan, PhysNest):
-        group_keys, aggregates = collect_nest_aggregates(plan)
-        for expression in plan.group_by:
-            yield "group_key", expression
-        for name, head in nest_heads(plan, group_keys, aggregates):
-            if not isinstance(head, int):
-                yield f"out_{name}", head
-    elif any(contains_aggregate(column.expression) for column in plan.columns):
-        # The heads over the scalar aggregate results are one tuple-at-a-time
-        # evaluation per query, not per-batch work: they stay interpreted.
-        aggregates = [
-            aggregate
-            for column in plan.columns
-            for aggregate in iter_aggregates(column.expression)
-        ]
-    else:
-        aggregates = []
+    keys = grouping_keys(plan)
+    if keys is None:
         for column in unique_output_columns(plan.columns):
             yield f"out_{column.name}", column.expression
+        return
+    group_keys, aggregates = collect_nest_aggregates(plan)
+    for expression in keys:
+        yield "group_key", expression
+    for name, head in nest_heads(plan, group_keys, aggregates):
+        if not isinstance(head, int):
+            yield f"out_{name}", head
     for aggregate in aggregates:
         if aggregate.argument is not None:
             yield f"{aggregate.func}_argument", aggregate.argument

@@ -1283,7 +1283,9 @@ class ProteusEngine:
             return leases
         cold: dict[str, list[tuple]] = {}
         for node in physical.walk():
-            if not isinstance(node, PhysScan) or node.access_path != "raw":
+            # Whatever access path the planner pinned: the scan reads raw
+            # bytes for every column the cache no longer holds.
+            if not isinstance(node, PhysScan):
                 continue
             if node.dataset in cold or not node.paths:
                 continue

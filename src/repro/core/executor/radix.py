@@ -457,7 +457,9 @@ def null_safe_arith(op: str, left, right):
     ):
         elementwise = np.frompyfunc(lambda a, b: combine(int(a), int(b)), 2, 1)
         return elementwise(left_arr, right_arr)
-    return combine(left, right)
+    # A zero divisor yields ±inf / NaN silently, as the scalar operators do.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return combine(left, right)
 
 
 def _int_bound(array: np.ndarray) -> int:
@@ -578,7 +580,9 @@ def finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     a group without input averages to NaN.  Shared by the grouping kernel
     and the merge of per-morsel (sum, count) partials."""
     counts = np.asarray(counts)
-    if sums.dtype == object:
+    if sums.dtype == object or (sums.dtype.kind in "iu" and _int_bound(sums) > 2**53):
+        # Python's int / int is correctly rounded; NumPy's rounds an integer
+        # sum above 2**53 to float64 before dividing.
         return np.asarray([
             total / count if count else float("nan")
             for total, count in zip(sums.tolist(), counts.tolist())
@@ -589,18 +593,26 @@ def finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def group_aggregate(
     func: str,
-    group_ids: np.ndarray,
+    group_ids: np.ndarray | int,
     num_groups: int,
     values: np.ndarray | None = None,
+    present: bool = False,
 ) -> np.ndarray:
-    """Compute one aggregate per group (missing inputs are skipped)."""
+    """Compute one aggregate per group (missing inputs are skipped).
+
+    ``group_ids`` is the group of every row — or, for the single group of a
+    global aggregate, just its row count: one group is a whole-array
+    reduction and needs no ids.  ``present`` is the static analyzer's proof
+    that ``values`` has no missing entry (see :func:`_drop_missing`)."""
+    if np.ndim(group_ids) == 0:
+        return _single_group_aggregate(func, int(group_ids), values, present)
     if func == "count" and values is None:
         return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
     if values is None:
         raise ExecutionError(f"aggregate {func!r} requires input values")
     if isinstance(values, EncodedColumn) and func in ("count", "min", "max"):
         return _encoded_aggregate(func, group_ids, num_groups, values)
-    values, keep = _drop_missing(values)
+    values, keep = _drop_missing(values, present)
     if keep is not None:
         group_ids = group_ids[keep]
     # A string column decodes here: SUM and AVG of strings fail as in Volcano.
@@ -669,6 +681,57 @@ def group_aggregate(
         out = np.zeros(num_groups, dtype=bool)
         np.logical_or.at(out, group_ids, values.astype(bool))
         return out
+    raise ExecutionError(f"unknown aggregate {func!r}")
+
+
+def _single_group_aggregate(
+    func: str, rows: int, values: np.ndarray | EncodedColumn | None, present: bool
+) -> np.ndarray | EncodedColumn:
+    """:func:`group_aggregate` over one group of ``rows`` rows, by whole-array
+    reductions into a one-row column.  Over no input COUNT and SUM are the
+    integer ``0`` (Volcano's accumulators start there), AND is true, OR
+    false and MIN/MAX missing."""
+    if func == "count" and values is None:
+        return np.asarray([rows], dtype=np.int64)
+    if values is None:
+        raise ExecutionError(f"aggregate {func!r} requires input values")
+    if isinstance(values, EncodedColumn) and func in ("count", "min", "max"):
+        codes = values.codes[values.codes >= 0]
+        if func == "count":
+            return np.asarray([len(codes)], dtype=np.int64)
+        extreme = -1 if len(codes) == 0 else codes.max() if func == "max" else codes.min()
+        return EncodedColumn(np.asarray([extreme], dtype=np.int32), values.values)
+    values = np.asarray(_drop_missing(values, present)[0])
+    if func == "count":
+        return np.asarray([len(values)], dtype=np.int64)
+    if func in ("sum", "avg"):
+        if len(values) == 0:
+            sums = np.zeros(1, dtype=np.int64)
+        elif values.dtype == object or (
+            values.dtype.kind in "iu" and _int_sum_may_overflow(values)
+        ):
+            sums = np.empty(1, dtype=object)
+            sums[0] = sum(values.tolist())  # exact Python ints
+        elif values.dtype.kind in "iub":
+            sums = np.asarray([np.sum(values, dtype=np.int64)])
+        else:
+            sums = np.asarray([np.sum(values, dtype=np.float64)])
+        if func == "sum":
+            return sums
+        return finish_avg(sums, np.asarray([len(values)]))
+    if func in ("max", "min"):
+        if len(values) == 0:
+            return np.full(1, None, dtype=object)
+        if values.dtype == object:
+            # The first of equal extrema, as Volcano's running max/min keeps.
+            extreme = np.empty(1, dtype=object)
+            extreme[0] = (max if func == "max" else min)(values.tolist())
+            return extreme
+        return np.asarray([values.max() if func == "max" else values.min()])
+    if func == "and":
+        return np.asarray([values.astype(bool).all()])
+    if func == "or":
+        return np.asarray([values.astype(bool).any()])
     raise ExecutionError(f"unknown aggregate {func!r}")
 
 

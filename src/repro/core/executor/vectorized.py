@@ -34,8 +34,12 @@ list of per-batch stages:
 * grouping concatenates key/argument columns and reduces them with the
   grouping kernel (``bincount`` over a mixed-radix code of ``key - lo`` when
   the integer key ranges are dense, ``np.unique`` factorization otherwise).
-  The kernel each join and group-by ran is recorded in the profile
-  (``join_kernels`` / ``group_kernel``).
+  A global aggregate is the group-by with no keys: one group, each batch
+  folded into it by whole-array reductions as it arrives.  Either way the
+  output heads — aggregates combined with literals, parameters, arithmetic
+  and comparisons — run as generated functions over the per-group
+  aggregate columns.  The kernel each join and group-by ran is recorded in
+  the profile (``join_kernels`` / ``group_kernel``).
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
 the per-call :class:`PipelineCounters` and the lock-guarded cache recorders),
@@ -70,9 +74,9 @@ and are decoded only when the engine pulls result rows.
 
 Shapes the pipeline does not cover (record construction in output columns,
 outer joins, grouping on keys containing nulls, group-by output columns that
-are neither keys nor aggregates) raise :class:`VectorizationError`, and the
-engine falls back to the Volcano interpreter.  Unnests — inner and outer —
-are covered batch-natively.
+read fields but are neither keys nor aggregates) raise
+:class:`VectorizationError`, and the engine falls back to the Volcano
+interpreter.  Unnests — inner and outer — are covered batch-natively.
 """
 
 from __future__ import annotations
@@ -91,12 +95,7 @@ from repro.caching.matching import (
 )
 from repro.core.analysis.model import EMPTY_HINTS, NullabilityHints
 from repro.core.concurrency import make_lock
-from repro.core.aggregate_utils import (
-    AggregateAccumulators,
-    literal_results,
-    replace_aggregates,
-    unique_output_columns,
-)
+from repro.core.aggregate_utils import replace_aggregates, unique_output_columns
 from repro.core import types as t
 from repro.core.columns import EncodedColumn, declared_type, element_type
 from repro.core.executor import radix
@@ -107,7 +106,6 @@ from repro.core.expressions import (
     contains_aggregate,
     iter_aggregates,
     iter_parameters,
-    parameter_env,
 )
 from repro.core.parallel import Morsel, ParallelVectorizedExecutor, plan_fanout
 from repro.core.physical import (
@@ -131,7 +129,6 @@ from repro.core.sort import (
     resolve_limit,
     sort_columns,
 )
-from repro.core.types import python_value as _python_value
 from repro.errors import ExecutionError, PluginError, VectorizationError
 from repro.obs.instrument import traced_scan, traced_stage
 from repro.obs.trace import TraceBuilder
@@ -222,15 +219,6 @@ def bound_parameter(params: Mapping[int | str, object] | None, key: int | str):
         display = f"?{key}" if isinstance(key, int) else f":{key}"
         raise ExecutionError(f"query parameter {display} is not bound")
     return params[key]
-
-
-def _extremum(func: str, values: np.ndarray | EncodedColumn) -> Any:
-    """MIN or MAX of a non-empty column without missing values, as a Python
-    value; an encoded column's is the value of its extreme code."""
-    if isinstance(values, EncodedColumn):
-        codes = values.codes
-        return _python_value(values.values[codes.max() if func == "max" else codes.min()])
-    return _python_value(values.max() if func == "max" else values.min())
 
 
 def _apply_predicate(batch: Batch, predicate: Evaluator) -> Batch | None:
@@ -1099,18 +1087,32 @@ class PipelineCompiler:
 # ---------------------------------------------------------------------------
 
 
+def grouping_keys(plan: PhysicalPlan) -> list[Expression] | None:
+    """The group keys of an aggregating root: a Nest's, and none for a
+    Reduce with aggregates — a global aggregate is the group-by with no
+    keys.  ``None`` for any other root."""
+    if isinstance(plan, PhysNest):
+        return plan.group_by
+    if isinstance(plan, PhysReduce) and any(
+        contains_aggregate(column.expression) for column in plan.columns
+    ):
+        return []
+    return None
+
+
 def collect_nest_aggregates(
-    plan: PhysNest,
+    plan: PhysNest | PhysReduce,
 ) -> tuple[dict[tuple, int], list[AggregateCall]]:
-    """Classify a Nest's output columns into group keys and aggregates.
+    """Classify an aggregating root's output columns into group keys,
+    aggregates and constants (literals and parameters).
 
     Returns (fingerprint → group-key index, unique aggregate calls).  Raises
-    :class:`VectorizationError` for output columns that are neither, which
-    only the Volcano interpreter serves.
+    :class:`VectorizationError` for output columns that read fields but are
+    neither, which only the Volcano interpreter serves.
     """
     group_key_fingerprints = {
         expression.fingerprint(): index
-        for index, expression in enumerate(plan.group_by)
+        for index, expression in enumerate(grouping_keys(plan) or [])
     }
     aggregates: list[AggregateCall] = []
     seen: set[tuple] = set()
@@ -1118,7 +1120,7 @@ def collect_nest_aggregates(
         fingerprint = column.expression.fingerprint()
         if fingerprint in group_key_fingerprints:
             continue
-        if not contains_aggregate(column.expression):
+        if not contains_aggregate(column.expression) and column.expression.referenced_fields():
             raise VectorizationError(
                 f"group-by output column {column.name!r} is neither a group "
                 "key nor an aggregate; served by the Volcano interpreter"
@@ -1131,12 +1133,13 @@ def collect_nest_aggregates(
 
 
 def nest_heads(
-    plan: PhysNest,
+    plan: PhysNest | PhysReduce,
     group_key_fingerprints: Mapping[tuple, int],
     aggregates: list[AggregateCall],
 ) -> list[tuple[str, int | Expression]]:
-    """Per output column of a Nest: the index of the group key it copies, or
-    its head expression over the per-group aggregate result columns.
+    """Per output column of an aggregating root: the index of the group key
+    it copies, or its head expression over the per-group aggregate result
+    columns.
 
     Each aggregate's result column is exposed under a synthetic binding
     (``__agg__.agg_<n>``, in ``aggregates`` order), so arithmetic/logical
@@ -1223,10 +1226,9 @@ def _make_root(
     fan_out: bool,
     evaluator: Callable[[Expression], Evaluator],
 ) -> _RootTask:
-    if isinstance(plan, PhysNest):
-        return _NestRoot(plan, params, evaluator)
-    if any(contains_aggregate(column.expression) for column in plan.columns):
-        return _GlobalAggregateRoot(plan, params, hints, evaluator)
+    keys = grouping_keys(plan)
+    if keys is not None:
+        return _NestRoot(plan, keys, params, hints, evaluator)
     root = _ProjectionRoot(plan, evaluator)
     if sort_plan is None:
         return root
@@ -1409,68 +1411,28 @@ class _SortedProjectionRoot(_RootTask):
         return self.names, columns
 
 
-class _GlobalAggregateRoot(_RootTask):
-    """Reduce with aggregates: one partial accumulator per range, merged in
-    range order and finalized once."""
-
-    def __init__(
-        self,
-        plan: PhysReduce,
-        params: Mapping[int | str, object] | None,
-        hints: NullabilityHints,
-        evaluator: Callable[[Expression], Evaluator],
-    ):
-        self.plan = plan
-        self.params = params
-        self.hints = hints
-        self.names = [column.name for column in plan.columns]
-        #: Aggregate fingerprint -> evaluator of its argument.
-        self.arguments = {
-            aggregate.fingerprint(): evaluator(aggregate.argument)
-            for column in plan.columns
-            for aggregate in iter_aggregates(column.expression)
-            if aggregate.argument is not None
-        }
-
-    def new_state(self) -> "_BatchAggregates":
-        return _BatchAggregates(
-            self.plan.columns, self.arguments, self.hints.non_null_aggregate_args
-        )
-
-    def update(
-        self, state: "_BatchAggregates", batch: Batch, counters: PipelineCounters
-    ) -> None:
-        state.update(batch)
-
-    def merge(self, partials: list, counters: PipelineCounters):
-        accumulators, *others = partials
-        for partial in others:
-            accumulators.merge(partial)
-        values = accumulators.finalize()
-        counters.output_rows += 1
-        finish_env = parameter_env(self.params)
-        columns: dict[str, Any] = {}
-        for column in self.plan.columns:
-            final = replace_aggregates(column.expression, literal_results(values))
-            columns[column.name] = [_python_value(final.evaluate(finish_env))]
-        return self.names, columns
-
-
 @dataclass
 class _GroupPartial:
-    """Partially aggregated groups of one scan range."""
+    """Partially aggregated groups of one scan range — of one batch, for a
+    global aggregate."""
 
     key_arrays: list[np.ndarray]
     #: fingerprint → partial result column (aligned with ``key_arrays``);
     #: ``avg`` decomposes into its ``{"sum": ..., "count": ...}`` parts.
     aggregates: dict[tuple, Any]
-    #: The grouping kernel that built these groups.
-    kernel: str
+    #: The grouping kernel that built these groups (``None``: no keys).
+    kernel: str | None
+
+
+#: The argument column of every aggregate of a global aggregate over no
+#: input at all.
+_NO_VALUES = np.empty(0, dtype=object)
 
 
 class _NestRoot(_RootTask):
-    """Group-by: per-range partial grouping + partial aggregates, then a
-    second-level grouped merge over the union of partial groups.
+    """Group-by — and global aggregate, the group-by with no keys: per-range
+    partial grouping + partial aggregates, then a second-level grouped merge
+    over the union of partial groups.
 
     The merge functions are the aggregate monoids: partial counts are summed,
     partial sums summed, partial extrema re-reduced, partial booleans
@@ -1480,25 +1442,37 @@ class _NestRoot(_RootTask):
     pass picks its kernel from the key ranges it sees; ``group_kernel``
     names the kernels that ran (``"dense"``, ``"sorted"`` or both, joined
     by ``+``).
+
+    Without keys there is exactly one group, over no input too (COUNT and
+    SUM 0, MIN/MAX/AVG missing, AND true, OR false).  Each batch folds into
+    a one-group partial by whole-array reductions as it arrives, so a range
+    holds one batch of arguments at a time, and no grouping kernel runs.
+    The output heads evaluate over the per-group aggregate columns either
+    way.
     """
 
     def __init__(
         self,
-        plan: PhysNest,
+        plan: PhysNest | PhysReduce,
+        keys: list[Expression],
         params: Mapping[int | str, object] | None,
+        hints: NullabilityHints,
         evaluator: Callable[[Expression], Evaluator],
     ):
         self.plan = plan
         self.params = params
         self.names = [column.name for column in plan.columns]
         group_key_fingerprints, self.aggregates = collect_nest_aggregates(plan)
-        self.keys = [evaluator(expression) for expression in plan.group_by]
+        self.keys = [evaluator(expression) for expression in keys]
         #: Aggregate fingerprint -> evaluator of its argument.
         self.arguments = {
             aggregate.fingerprint(): evaluator(aggregate.argument)
             for aggregate in self.aggregates
             if aggregate.argument is not None
         }
+        #: Aggregates whose argument the static analyzer proved never
+        #: missing: their kernels skip the missing-value scan.
+        self.non_null = hints.non_null_aggregate_args
         #: (output name, group-key index | evaluator of the head over the
         #: per-group aggregate columns) per output column.
         self.heads = [
@@ -1510,52 +1484,76 @@ class _NestRoot(_RootTask):
 
     def new_state(self) -> dict:
         return {
-            "key_chunks": [[] for _ in self.plan.group_by],
+            "key_chunks": [[] for _ in self.keys],
             "argument_chunks": {fingerprint: [] for fingerprint in self.arguments},
             "total": 0,
+            "partials": [],
         }
 
     def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        arguments = {
+            fingerprint: materialize(argument(batch), batch.count)
+            for fingerprint, argument in self.arguments.items()
+        }
+        if not self.keys:
+            state["partials"].append(
+                _GroupPartial([], self._aggregate(batch.count, 1, arguments), None)
+            )
+            return
         for chunks, key in zip(state["key_chunks"], self.keys):
             chunks.append(materialize(key(batch), batch.count))
-        for fingerprint, argument in self.arguments.items():
-            state["argument_chunks"][fingerprint].append(
-                materialize(argument(batch), batch.count)
-            )
+        for fingerprint, values in arguments.items():
+            state["argument_chunks"][fingerprint].append(values)
         state["total"] += batch.count
 
     def finish_morsel(
         self, state: dict, counters: PipelineCounters
-    ) -> _GroupPartial | None:
-        if state["total"] == 0:
-            return None  # an empty range contributes no partial groups
+    ) -> list[_GroupPartial]:
+        if not self.keys or state["total"] == 0:
+            # Folded batch by batch, or an empty range: no partial groups.
+            return state["partials"]
         key_arrays = [concat_chunks(chunks) for chunks in state["key_chunks"]]
         # radix_group raises VectorizationError for keys containing missing
         # values, which the engine turns into a Volcano fallback (under a
         # fan-out the pool re-raises it on the calling thread).
         grouping = radix.radix_group(key_arrays)
-        partial_aggregates: dict[tuple, Any] = {}
+        arguments = {
+            fingerprint: concat_chunks(chunks)
+            for fingerprint, chunks in state["argument_chunks"].items()
+        }
+        return [
+            _GroupPartial(
+                grouping.key_arrays,
+                self._aggregate(grouping.group_ids, grouping.num_groups, arguments),
+                grouping.kernel,
+            )
+        ]
+
+    def _aggregate(
+        self,
+        group_ids: np.ndarray | int,
+        num_groups: int,
+        arguments: Mapping[tuple, Any],
+    ) -> dict[tuple, Any]:
+        """The partial column of every aggregate over one grouping of its
+        argument column (``group_ids`` a row count: the one group)."""
+        partial: dict[tuple, Any] = {}
         for aggregate in self.aggregates:
             fingerprint = aggregate.fingerprint()
-            values = (
-                concat_chunks(state["argument_chunks"][fingerprint])
-                if aggregate.argument is not None
-                else None
-            )
+            values = arguments.get(fingerprint)
+            present = fingerprint in self.non_null
             if aggregate.func == "avg":
-                partial_aggregates[fingerprint] = {
-                    "sum": radix.group_aggregate(
-                        "sum", grouping.group_ids, grouping.num_groups, values
-                    ),
-                    "count": radix.group_aggregate(
-                        "count", grouping.group_ids, grouping.num_groups, values
-                    ),
+                partial[fingerprint] = {
+                    part: radix.group_aggregate(
+                        part, group_ids, num_groups, values, present
+                    )
+                    for part in ("sum", "count")
                 }
             else:
-                partial_aggregates[fingerprint] = radix.group_aggregate(
-                    aggregate.func, grouping.group_ids, grouping.num_groups, values
+                partial[fingerprint] = radix.group_aggregate(
+                    aggregate.func, group_ids, num_groups, values, present
                 )
-        return _GroupPartial(grouping.key_arrays, partial_aggregates, grouping.kernel)
+        return partial
 
     #: How a partial aggregate column is re-reduced across ranges.
     _MERGE_FUNCS = {
@@ -1568,32 +1566,38 @@ class _NestRoot(_RootTask):
     }
 
     def merge(self, partials: list, counters: PipelineCounters):
-        partials = [partial for partial in partials if partial is not None]
+        partials = [partial for ranged in partials for partial in ranged]
         if not partials:
-            return self.names, {name: [] for name in self.names}
-        # One range (every inline run): its groups are already final.
-        regrouped = None
+            if self.keys:
+                return self.names, {name: [] for name in self.names}
+            # No input at all: the one group of a global aggregate answers.
+            no_input = dict.fromkeys(self.arguments, _NO_VALUES)
+            partials = [_GroupPartial([], self._aggregate(0, 1, no_input), None)]
         key_arrays = partials[0].key_arrays
-        kernels = {partial.kernel for partial in partials}
-        if len(partials) > 1:
-            regrouped = radix.radix_group(
-                [
-                    concat_chunks([partial.key_arrays[index] for partial in partials])
-                    for index in range(len(self.plan.group_by))
-                ]
-            )
-            key_arrays = regrouped.key_arrays
-            kernels.add(regrouped.kernel)
-        self.group_kernel = "+".join(sorted(kernels))
-        num_groups = len(key_arrays[0])
-        counters.groups_built += num_groups
+        # Without keys the partials are the rows of the one group.
+        group_ids: np.ndarray | int = len(partials)
+        num_groups = 1
+        if self.keys:
+            kernels = {partial.kernel for partial in partials}
+            if len(partials) > 1:
+                regrouped = radix.radix_group(
+                    [
+                        concat_chunks([partial.key_arrays[index] for partial in partials])
+                        for index in range(len(self.keys))
+                    ]
+                )
+                key_arrays, group_ids = regrouped.key_arrays, regrouped.group_ids
+                kernels.add(regrouped.kernel)
+            num_groups = len(key_arrays[0])
+            self.group_kernel = "+".join(sorted(kernels))
+            counters.groups_built += num_groups
         counters.output_rows += num_groups
 
         def reduce(func: str, columns: list[np.ndarray]) -> np.ndarray:
-            if regrouped is None:
+            if len(columns) == 1:  # one partial: already final
                 return columns[0]
             return radix.group_aggregate(
-                func, regrouped.group_ids, num_groups, concat_chunks(columns)
+                func, group_ids, num_groups, concat_chunks(columns)
             )
 
         aggregate_results: dict[tuple, np.ndarray] = {}
@@ -1787,79 +1791,6 @@ class VectorizedExecutor:
                     # LIMIT prefix); stop scanning its remaining rows.
                     break
         return root.finish_morsel(state, counters)
-
-
-# ---------------------------------------------------------------------------
-# Aggregation helpers
-# ---------------------------------------------------------------------------
-
-
-class _BatchAggregates(AggregateAccumulators):
-    """Running global aggregates, updated one batch at a time.
-
-    Same state and finalization as the Volcano accumulators (the shared base
-    class), but folds whole batches with NumPy reductions instead of one
-    ``update`` per tuple; what an aggregate skips is decided by
-    :func:`radix._drop_missing`, as for the grouped aggregates.
-    ``non_null_args`` carries the fingerprints of aggregate calls whose
-    argument the static analyzer proved non-nullable: for those the per-batch
-    missing scan (a NaN scan over floats, a per-element probe over object
-    columns) is skipped entirely.
-    """
-
-    def __init__(
-        self,
-        columns,
-        arguments: Mapping[tuple, Evaluator],
-        non_null_args: frozenset[tuple] = frozenset(),
-    ):
-        super().__init__(columns)
-        #: Aggregate fingerprint -> evaluator of its argument.
-        self.arguments = arguments
-        self.non_null_args = frozenset(non_null_args)
-
-    def update(self, batch: Batch) -> None:
-        self.count += batch.count
-        for aggregate in self.aggregates:
-            if aggregate.func == "count" and aggregate.argument is None:
-                continue
-            fingerprint = aggregate.fingerprint()
-            values, _ = radix._drop_missing(
-                materialize(self.arguments[fingerprint](batch), batch.count),
-                present=fingerprint in self.non_null_args,
-            )
-            if len(values) == 0:
-                continue
-            self.counts[fingerprint] += len(values)
-            if aggregate.func in ("sum", "avg"):
-                if values.dtype == object or (
-                    values.dtype.kind in "iu"
-                    and radix._int_sum_may_overflow(values)
-                ):
-                    batch_sum = sum(values.tolist())  # exact Python ints
-                elif values.dtype.kind in "iub":
-                    batch_sum = int(np.sum(values, dtype=np.int64))
-                else:
-                    batch_sum = float(np.sum(values.astype(np.float64)))
-                self.sums[fingerprint] += batch_sum
-            elif aggregate.func == "max":
-                batch_max = _extremum("max", values)
-                current = self.maxs.get(fingerprint)
-                self.maxs[fingerprint] = (
-                    batch_max if current is None else max(current, batch_max)
-                )
-            elif aggregate.func == "min":
-                batch_min = _extremum("min", values)
-                current = self.mins.get(fingerprint)
-                self.mins[fingerprint] = (
-                    batch_min if current is None else min(current, batch_min)
-                )
-            elif aggregate.func == "and":
-                batch_all = bool(np.all(as_bool_array(values, len(values))))
-                self.bools_and[fingerprint] = self.bools_and[fingerprint] and batch_all
-            elif aggregate.func == "or":
-                batch_any = bool(np.any(as_bool_array(values, len(values))))
-                self.bools_or[fingerprint] = self.bools_or[fingerprint] or batch_any
 
 
 def _join_keys(value: Any, count: int) -> np.ndarray | EncodedColumn:

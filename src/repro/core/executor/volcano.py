@@ -23,16 +23,22 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.aggregate_utils import (
-    AggregateAccumulators,
     literal_results,
     replace_aggregates,
     unique_output_columns,
 )
 from repro.core.types import is_missing, truthy
-from repro.core.expressions import PARAMS_BINDING, contains_aggregate, parameter_env
+from repro.core.expressions import (
+    PARAMS_BINDING,
+    AggregateCall,
+    OutputColumn,
+    contains_aggregate,
+    iter_aggregates,
+    parameter_env,
+)
 from repro.core.physical import (
     PhysHashJoin,
     PhysNest,
@@ -321,9 +327,29 @@ class VolcanoExecutor:
         return names, columns
 
 
-class _AggregateAccumulators(AggregateAccumulators):
+class _AggregateAccumulators:
     """Running aggregates for one group (or for the global reduction),
-    updated one tuple environment at a time."""
+    updated one tuple environment at a time: sums start at the integer 0 (so
+    integer inputs accumulate exactly, floats promote on first add), extrema
+    are Python values, missing inputs are skipped and the bare ``count``
+    counts every row."""
+
+    def __init__(self, columns: Sequence[OutputColumn]):
+        self.aggregates: list[AggregateCall] = []
+        seen: set[tuple] = set()
+        for column in columns:
+            for aggregate in iter_aggregates(column.expression):
+                fingerprint = aggregate.fingerprint()
+                if fingerprint not in seen:
+                    seen.add(fingerprint)
+                    self.aggregates.append(aggregate)
+        self.count = 0
+        self.sums: dict[tuple, Any] = defaultdict(int)
+        self.mins: dict[tuple, Any] = {}
+        self.maxs: dict[tuple, Any] = {}
+        self.bools_and: dict[tuple, bool] = defaultdict(lambda: True)
+        self.bools_or: dict[tuple, bool] = defaultdict(lambda: False)
+        self.counts: dict[tuple, int] = defaultdict(int)
 
     def update(self, env: dict[str, Any]) -> None:
         self.count += 1
@@ -348,4 +374,25 @@ class _AggregateAccumulators(AggregateAccumulators):
             elif aggregate.func == "or":
                 self.bools_or[fingerprint] = self.bools_or[fingerprint] or bool(value)
 
-
+    def finalize(self) -> dict[tuple, Any]:
+        results: dict[tuple, Any] = {}
+        for aggregate in self.aggregates:
+            fingerprint = aggregate.fingerprint()
+            if aggregate.func == "count":
+                results[fingerprint] = (
+                    self.count if aggregate.argument is None else self.counts[fingerprint]
+                )
+            elif aggregate.func == "sum":
+                results[fingerprint] = self.sums[fingerprint]
+            elif aggregate.func == "avg":
+                count = self.counts[fingerprint]
+                results[fingerprint] = self.sums[fingerprint] / count if count else float("nan")
+            elif aggregate.func == "max":
+                results[fingerprint] = self.maxs.get(fingerprint)
+            elif aggregate.func == "min":
+                results[fingerprint] = self.mins.get(fingerprint)
+            elif aggregate.func == "and":
+                results[fingerprint] = self.bools_and[fingerprint]
+            elif aggregate.func == "or":
+                results[fingerprint] = self.bools_or[fingerprint]
+        return results

@@ -78,10 +78,11 @@ def _translate_head(comprehension: Comprehension, plan: LogicalPlan) -> LogicalP
         return Nest(comprehension.head, comprehension.group_by, plan)
 
     if has_aggregates:
+        # Constants (literals, parameters) beside aggregates read no row.
         plain = [
             c.name
             for c in comprehension.head
-            if not contains_aggregate(c.expression)
+            if not contains_aggregate(c.expression) and c.expression.referenced_fields()
         ]
         if plain:
             raise TranslationError(

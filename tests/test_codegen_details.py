@@ -226,6 +226,23 @@ def test_generated_module_is_expression_functions_only(engine):
         assert gone not in source
 
 
+def test_global_aggregate_heads_are_generated(engine):
+    """A global aggregate is the group-by with no keys: its heads are
+    generated functions over the one group's aggregate columns."""
+    result = engine.prepare(
+        "SELECT SUM(price) / COUNT(*) AS mean, MAX(qty) > ? AS big, 7 AS seven "
+        "FROM items_json WHERE qty < 3"
+    ).execute(1)
+    assert result.tier == "codegen"
+    assert result.profile.group_kernel is None
+    assert result.profile.groups_built == 0
+    source = engine.last_generated_source
+    for name in ("def sum_argument_", "def out_mean_", "def out_big_", "def out_seven_"):
+        assert name in source
+    assert "c[('__agg__', ('agg_0',))]" in source
+    assert "def group_key_" not in source
+
+
 def test_generated_functions_cover_every_plan_expression(engine):
     prepared = engine.prepare(
         "SELECT j.id, c.price * :rate AS scaled FROM items_json j "

@@ -49,6 +49,9 @@ JSON_SCHEMA = t.make_schema(
         "n": "int",
         "b": "bool",
         "xs": [{"v": "int", "ys": [{"w": "int"}]}],
+        # Declared, never written: every value is missing.
+        "m": "int",
+        "f": "float",
     }
 )
 
@@ -209,12 +212,16 @@ def _queries(literal, op):
             (f"SELECT SUM(n), AVG(n), MIN(n), MAX(n), COUNT(n) FROM {table}", (), True),
             (f"SELECT n, COUNT(*), SUM(id) FROM {table} GROUP BY n", (), False),
             (f"SELECT n, id FROM {table} ORDER BY n DESC, id", (), True),
+            # Past int64 from two rows on: an exact Python int, as in Volcano.
+            (f"SELECT SUM(id + 9223372036854775000), COUNT(*) FROM {table}", (), True),
         ]
     queries += [
         ("SELECT id, b FROM j WHERE b", (), False),
         ("SELECT id FROM j WHERE b = ?", (False,), False),
         ("SELECT b, COUNT(*) FROM j GROUP BY b", (), False),
         ("SELECT MIN(b), MAX(b), COUNT(b) FROM j", (), True),
+        ("SELECT SUM(m), AVG(m), MIN(m), MAX(m), COUNT(m), SUM(f), AVG(f), MIN(f), "
+         "COUNT(*) FROM j", (), True),
         ("SELECT b, id FROM j ORDER BY b, id", (), True),
         ("for { r <- j, x <- r.xs } yield sum (x.v)", (), True),
         ("for { r <- j, x <- r.xs } yield bag (r.id, x.v)", (), False),

@@ -215,11 +215,6 @@ def test_radix_group_requires_keys_and_equal_lengths():
         radix.radix_group([np.asarray([1, 2]), np.asarray([1])])
 
 
-# ``radix.scalar_aggregate`` (whole-column global aggregates) went with the
-# generated runtime that was its only caller (PR 16); the pipeline's global
-# aggregates fold per batch and are covered by the cross-tier suites.
-
-
 def test_group_aggregate_unknown_function():
     with pytest.raises(ExecutionError):
         radix.group_aggregate("median", np.asarray([0]), 1, np.asarray([1.0]))

@@ -209,8 +209,10 @@ def parallel_engine(workload_dir):
 
 def _assert_rows_match(actual, expected, query="", ordered=True):
     """Row equality, with float cells compared to 1e-12 relative tolerance
-    (the morsel merge reassociates float additions across morsels);
-    everything else must be identical.  ``ordered=False`` compares as
+    (the merge of per-batch and per-morsel partial sums reassociates float
+    additions, so a float SUM or AVG may move in the last ulp, and only
+    where the order of its partial sums changes); everything else must be
+    identical.  ``ordered=False`` compares as
     multisets — the Volcano interpreter's row order legitimately differs
     from the batch tier's (first-seen vs lexicographic group order).
     """
@@ -239,7 +241,7 @@ DIFFERENTIAL_QUERIES = [
     "SELECT sid FROM sailors WHERE sid < 3",
     # No morsel survives at all.
     "SELECT sid FROM sailors WHERE rating > 1000",
-    # Global aggregates (partial accumulators + ordered merge).
+    # Global aggregates (one-group partials + the group-by merge).
     "SELECT COUNT(*) FROM sailors WHERE rating > 4",
     "SELECT COUNT(*), SUM(age), MIN(age), MAX(age) FROM sailors",
     "SELECT SUM(age) / COUNT(*) FROM sailors WHERE rating < 9",
@@ -439,6 +441,19 @@ ROOT_SHAPES = {
     "global-aggregate": (
         "SELECT COUNT(*), SUM(rating), MAX(age) FROM {t} WHERE rating > 2",
         True, None, None,
+    ),
+    "global-aggregate-empty": (
+        "SELECT COUNT(*), SUM(rating), MIN(age), MAX(age), AVG(age), COUNT(age) "
+        "FROM {t} WHERE rating > 100",
+        True, None, None,
+    ),
+    "global-aggregate-heads": (
+        "SELECT SUM(rating) / COUNT(*), MAX(age) > 30, COUNT(*) + 1, 7 AS seven "
+        "FROM {t}",
+        True, None, None,
+    ),
+    "global-aggregate-strings": (
+        "SELECT MIN(sname), MAX(sname), COUNT(sname) FROM {t}", True, None, None,
     ),
     "group-by": (
         "SELECT rating, COUNT(*), MAX(sid) FROM {t} GROUP BY rating",

@@ -101,6 +101,20 @@ def test_prepared_matches_literal_on_every_tier(paths, tier, config):
         )
         assert bound.rows == literal.rows, (tier, threshold)
         assert bound.tier == tier
+    # Parameters in the heads over the aggregates.
+    heads = engine.prepare(
+        "SELECT SUM(price) * :rate AS scaled, MAX(price) > ? AS above, COUNT(*) "
+        "FROM items_csv WHERE qty < :q"
+    )
+    for threshold, bar in ((5, 100.0), (3, 200.0), (0, 1.0)):
+        bound = heads.execute(bar, rate=2, q=threshold)
+        literal = engine.query(
+            f"SELECT SUM(price) * 2 AS scaled, MAX(price) > {bar} AS above, COUNT(*) "
+            f"FROM items_csv WHERE qty < {threshold}"
+        )
+        assert repr(bound.rows) == repr(literal.rows), (tier, threshold)
+        assert bound.tier == tier
+        assert "TIER009" not in str(bound.profile.tier_decline_reasons)
 
 
 @pytest.mark.parametrize("tier,config", TIER_CONFIGS)

@@ -20,6 +20,7 @@ import pytest
 
 from tests.conftest import FANOUT_BATCH_SIZE, ITEMS_SCHEMA, make_engine
 from repro.core.concurrency import run_concurrently
+from repro.core.physical import PhysScan
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.serve import ProteusServer, http11
@@ -233,6 +234,41 @@ def test_scan_coalescing_n_clients_one_cold_parse(paths):
     coalesced = engine.metrics.counter("proteus_scans_coalesced_total")
     total = sum(value for _, value in coalesced.samples())
     assert total >= 1, "no client coalesced on the in-flight scan"
+
+
+def test_scan_coalescing_of_a_cache_pinned_plan(paths):
+    """A plan the planner pinned to the cache reads the raw file once the
+    entries are evicted; 8 concurrent clients of that plan still pay one
+    parse between them."""
+    engine = make_engine(paths, vectorized_batch_size=16)
+    plugin = engine.plugins[DataFormat.CSV]
+    query = "select sum(price) as total from items_csv where qty < 5 and price >= 0"
+    # Another query text over the same columns caches qty + price; the plan
+    # of ``query`` is then made while they are cached: pinned to the cache.
+    engine.query("select sum(price) from items_csv where qty < 5 and price >= 0")
+    pinned = engine._prepare_cached(query)
+    scans = [node for node in pinned.plan.walk() if isinstance(node, PhysScan)]
+    assert [scan.access_path for scan in scans] == ["cache"]
+    # Plain eviction keeps the catalog epoch, so the plan stays pinned.
+    for entry in engine.cache_manager.entries():
+        engine.cache_manager.evict(entry.key)
+    injector = FaultInjector(
+        FaultPlan(
+            [
+                FaultSpec(kind="slow", at_call=call, times=None, delay_seconds=0.05)
+                for call in range(1, 17)
+            ]
+        )
+    )
+    plugin.install_fault_injector(injector)
+    base_calls = plugin.scan_calls
+    with serving(engine) as server:
+        results = run_concurrently(
+            lambda i: _post(server, "/v1/query", {"query": query}), 8
+        )
+    assert [status for status, _ in results] == [200] * 8
+    assert len({json.dumps(body["data"]) for _, body in results}) == 1
+    assert plugin.scan_calls - base_calls == 1
 
 
 # ---------------------------------------------------------------------------

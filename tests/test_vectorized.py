@@ -238,6 +238,8 @@ DIFFERENTIAL_QUERIES = [
     "SELECT SUM(tons) / COUNT(*) FROM ships WHERE built < 2005",
     "SELECT rating, MAX(age) > 30 AND MIN(age) > 18 FROM sailors GROUP BY rating",
     "SELECT built, SUM(tons) / COUNT(*) FROM ships GROUP BY built",
+    # A constant column beside the aggregates stays on the pipeline.
+    "SELECT built, COUNT(*), 'x' AS tag FROM ships GROUP BY built",
     # JSON workloads (flat and nested).
     "SELECT COUNT(*) FROM items_json WHERE qty < 5",
     "SELECT qty, COUNT(*), MAX(price) FROM items_json GROUP BY qty ORDER BY qty",
@@ -281,6 +283,7 @@ def test_tiers_return_identical_rows(tier_engines, query):
     reference = volcano_engine.query(query)
     assert reference.tier == "volcano"
     generated = codegen_engine.query(query)
+    assert generated.tier == "codegen", query
     assert _normalized(generated.rows) == _normalized(reference.rows), query
 
 
@@ -540,6 +543,16 @@ def test_empty_join_build_side_stays_on_the_pipeline(tier_engines):
     result = codegen_engine.query(query)
     assert result.tier == "codegen"
     assert result.rows == volcano_engine.query(query).rows == []
+    # A global aggregate over the empty join still answers its one row.
+    query = (
+        "SELECT COUNT(*), SUM(h.tons), SUM(s.rating), MAX(s.age) FROM sailors s "
+        "JOIN ships h ON s.sid = h.owner WHERE s.rating > 1000"
+    )
+    result = codegen_engine.query(query)
+    assert result.tier == "codegen"
+    assert result.profile.output_rows == 1
+    expected = volcano_engine.query(query).rows
+    assert repr(result.rows) == repr(expected) == "[(0, 0, 0, None)]"
 
 
 @pytest.mark.parametrize(

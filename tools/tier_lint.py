@@ -24,13 +24,6 @@ left dark (and why).  A new operator cannot silently execute untraced: the
 build fails until its observability story is stated.  Stale names are
 flagged too.
 
-Lock discipline used to be rule three, limited to subscript inserts in the
-plug-ins and the memory manager; it missed every non-subscript mutation form
-(``setdefault`` / ``update`` / ``pop`` / attribute rebinds) and has been
-superseded by the repo-wide dataflow pass in ``tools/concurrency_lint.py``,
-which checks all mutation forms against the declaration tables in
-``src/repro/core/concurrency.py`` and builds the static lock-order graph.
-
 Run as ``python tools/tier_lint.py`` from the repo root; exits non-zero and
 prints one line per violation.  The check functions take explicit paths so
 the test suite can run them against seeded synthetic violations.
