@@ -107,8 +107,8 @@ def _batch_nest(node: PhysicalPlan) -> Decline:
 #: ``None`` means unconditionally covered.  Every ``Phys*`` class must appear
 #: in every row — ``tools/tier_lint.py`` fails the build otherwise.
 #: ``PhysSort`` is covered everywhere because a root ``ORDER BY`` / ``LIMIT``
-#: runs in the engine's columnar sort epilogue (or the pipeline's own top-K /
-#: merge path), never inside an operator interpreter; ``PhysReduce`` and
+#: runs in the engine's columnar sort epilogue on every tier, never inside an
+#: operator interpreter; ``PhysReduce`` and
 #: ``PhysNest`` conditions apply at the plan root — the planner never nests
 #: them deeper.
 OPERATOR_CAPABILITIES: dict[str, dict[type, Check | None]] = {

@@ -953,8 +953,7 @@ class ProteusEngine:
                     "== sort strategy ==",
                     f"{strategy}: {why}",
                     "(execution refines the choice per key dtype: object "
-                    "columns fall back to the boxed comparator, and a "
-                    "fanned-out execution merges per-morsel sorted runs)",
+                    "columns fall back to the boxed comparator)",
                 ]
             )
         codegen_verdict = verdicts[0]
@@ -1377,10 +1376,10 @@ class ProteusEngine:
             ).add(seconds=execute_seconds, rows_out=profile.output_rows)
         materialize_started = time.perf_counter()
         length, data = _normalize_result_columns(names, columns)
-        if sort_plan is not None and profile.sort_strategy is None:
-            # The tier materialized the unsorted output (volcano, or a
-            # pipeline root that left the epilogue to the engine): run the
-            # columnar sort kernels here, one permutation, no row boxing.
+        if sort_plan is not None:
+            # Every tier hands over unsorted output (the pipeline at most
+            # bounded per scan range): the columnar sort kernels run here,
+            # one permutation, no row boxing.
             rows_in = length
             sort_started = time.perf_counter()
             length, data, strategy = sort_columns(
@@ -1572,7 +1571,6 @@ class ProteusEngine:
         profile = ExecutionProfile(
             execution_tier=TIER_CODEGEN,
             compiled_from_cache=from_cache,
-            sort_strategy=executor.sort_strategy,
             join_kernels=executor.join_kernels,
             group_kernel=executor.group_kernel,
             **vars(executor.counters),  # the pipeline counters, by name

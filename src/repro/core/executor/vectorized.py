@@ -120,15 +120,7 @@ from repro.core.physical import (
     PhysicalPlan,
     parameters_of,
 )
-from repro.core.sort import (
-    STRATEGY_PARALLEL_MERGE,
-    TopKAccumulator,
-    concat_chunks,
-    merge_encodable,
-    merge_sorted_runs,
-    resolve_limit,
-    sort_columns,
-)
+from repro.core.sort import TopKAccumulator, concat_chunks, resolve_limit
 from repro.errors import ExecutionError, PluginError, VectorizationError
 from repro.obs.instrument import traced_scan, traced_stage
 from repro.obs.trace import TraceBuilder
@@ -1177,9 +1169,6 @@ class _RootTask:
     partial results in range order.
     """
 
-    #: The sort kernel the root ran for a ``PhysSort`` above it; ``None``
-    #: leaves the sort to the engine's columnar epilogue.
-    sort_strategy: str | None = None
     #: The grouping kernel(s) a group-by root ran (``None`` for other roots).
     group_kernel: str | None = None
 
@@ -1223,47 +1212,39 @@ def _make_root(
     sort_plan: PhysSort | None,
     params: Mapping[int | str, object] | None,
     hints: NullabilityHints,
-    fan_out: bool,
     evaluator: Callable[[Expression], Evaluator],
 ) -> _RootTask:
     keys = grouping_keys(plan)
     if keys is not None:
         return _NestRoot(plan, keys, params, hints, evaluator)
-    root = _ProjectionRoot(plan, evaluator)
     if sort_plan is None:
-        return root
-    # A projection under ORDER BY sorts each range where it is produced (and,
-    # under a LIMIT, bounds it to its top K), then merges the sorted runs —
-    # no final sort of the whole output.  Multi-key runs are statically
-    # unmergeable under a fan-out (the merge would re-sort the
-    # concatenation), so without a LIMIT to bound the morsel outputs the
-    # per-morsel sorts would be wasted work; that shape stays on the plain
-    # projection root and the engine's one-shot epilogue.  Pure LIMIT — and
-    # LIMIT 0, which produces nothing — instead bound each range's emitted
-    # prefix on the plain root.
+        return _ProjectionRoot(plan, evaluator)
+    # The engine's epilogue applies the sort; the root only bounds what each
+    # scan range emits.  Pure LIMIT — and LIMIT 0, which produces nothing —
+    # keeps a prefix; ORDER BY + LIMIT K keeps the range's top-K candidates.
     limit = resolve_limit(sort_plan.limit, params)
-    if not sort_plan.keys or limit == 0:
-        root.limit = limit
-    elif not fan_out or len(sort_plan.keys) == 1 or limit is not None:
-        return _SortedProjectionRoot(
-            root, sort_plan.keys, limit, hints.non_null_columns, fan_out
+    if sort_plan.keys and limit:
+        return _TopKProjectionRoot(
+            plan, evaluator, limit, sort_plan.keys, hints.non_null_columns
         )
-    return root
+    return _ProjectionRoot(plan, evaluator, limit)
 
 
 class _ProjectionRoot(_RootTask):
     """Reduce without aggregates: per-range column chunks, concatenated in
     range order (a fan-out is bit-identical to an inline run).
 
-    ``limit`` (set for pure-LIMIT queries and for ``ORDER BY ... LIMIT 0``)
-    truncates each range's output to its first ``limit`` rows: any
-    range-order prefix of the result only needs a prefix of every range, so
-    the root never materializes more than ``ranges x limit`` rows while the
-    engine slices the exact prefix.
+    ``limit`` (a LIMIT's value) truncates each range's output to its first
+    ``limit`` rows: any range-order prefix of the result only needs a prefix
+    of every range, so the root never materializes more than
+    ``ranges x limit`` rows while the engine slices the exact prefix.
     """
 
     def __init__(
-        self, plan: PhysReduce, evaluator: Callable[[Expression], Evaluator]
+        self,
+        plan: PhysReduce,
+        evaluator: Callable[[Expression], Evaluator],
+        limit: int | None = None,
     ):
         self.plan = plan
         self.names = [column.name for column in plan.columns]
@@ -1272,7 +1253,7 @@ class _ProjectionRoot(_RootTask):
             (column.name, evaluator(column.expression))
             for column in unique_output_columns(plan.columns)
         ]
-        self.limit: int | None = None
+        self.limit = limit
 
     def new_state(self) -> dict:
         return {"chunks": {name: [] for name in self.names}, "total": 0}
@@ -1313,102 +1294,51 @@ class _ProjectionRoot(_RootTask):
         return self.names, columns
 
 
-class _SortedProjectionRoot(_RootTask):
-    """Projection under ORDER BY (and optionally LIMIT): one sorted run per
-    range, merged deterministically at the root.
-
-    Every range's output is sorted where it is produced with the columnar
-    kernels — streamed through a bounded :class:`TopKAccumulator` when a
-    LIMIT applies, so at most K rows per range ever reach the root.  Inline
-    there is one run and it *is* the result; under a fan-out the root runs
-    the k-way merge of :func:`repro.core.sort.merge_sorted_runs`.  Ties
-    across runs resolve in morsel order, so the output is identical to a
-    stable sort of the morsel-ordered concatenation — bit-identical to an
-    inline run at any worker count.
-    """
+class _TopKProjectionRoot(_ProjectionRoot):
+    """ORDER BY + LIMIT K > 0 without aggregates: each range streams through
+    a :class:`TopKAccumulator` and emits its candidates; the engine's stable
+    sort of their range-order concatenation is the exact result."""
 
     def __init__(
         self,
-        inner: "_ProjectionRoot",
+        plan: PhysReduce,
+        evaluator: Callable[[Expression], Evaluator],
+        limit: int,
         keys: list[tuple[str, bool]],
-        limit: int | None,
         non_null: frozenset[str],
-        fan_out: bool,
     ):
-        self.inner = inner
-        self.names = inner.names
-        self.keys = list(keys)
-        self.limit = limit
-        self.non_null = frozenset(non_null)
-        #: Decides the ``sort_strategy`` label: the run's own kernel
-        #: ("lexsort" / "topk" / "object-fallback") inline, "parallel-merge"
-        #: (or the re-sort kernel for shapes the merge cannot serve) under a
-        #: fan-out.
-        self.fan_out = fan_out
+        super().__init__(plan, evaluator, limit)
+        self.keys = keys
+        self.non_null = non_null
 
-    def new_state(self) -> dict:
-        if self.limit is not None:
-            return {
-                "topk": TopKAccumulator(
-                    self.names, self.keys, self.limit, self.non_null
-                )
-            }
-        return self.inner.new_state()
+    def new_state(self) -> TopKAccumulator:
+        return TopKAccumulator(self.names, self.keys, self.limit, self.non_null)
 
-    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
-        accumulator = state.get("topk")
-        if accumulator is not None:
-            columns = {
-                name: materialize(head(batch), batch.count)
-                for name, head in self.inner.heads
-            }
-            accumulator.push(columns, batch.count)
-            return
-        self.inner.update(state, batch, counters)
+    def update(
+        self, state: TopKAccumulator, batch: Batch, counters: PipelineCounters
+    ) -> None:
+        columns = {
+            name: materialize(head(batch), batch.count) for name, head in self.heads
+        }
+        state.push(columns, batch.count)
+
+    def saturated(self, state: TopKAccumulator) -> bool:
+        return False
 
     def finish_morsel(
-        self, state: dict, counters: PipelineCounters
-    ) -> tuple[int, dict[str, Any], str | None]:
-        # output_rows counts the rows the root emits into the result (top-K
-        # reports K, not the scanned total); it is counted once, in merge.
-        accumulator = state.get("topk")
-        if accumulator is not None:
-            length, columns, strategy = accumulator.finish()
-            counters.rows_sorted += accumulator.rows_sorted
-            return length, columns, strategy
-        length = state["total"]
-        columns = {
-            name: concat_chunks(state["chunks"][name]) for name in self.names
+        self, state: TopKAccumulator, counters: PipelineCounters
+    ) -> dict:
+        counters.rows_sorted += state.rows_sorted
+        total, columns = state.finish()
+        counters.output_rows += total
+        # A range without rows contributes no chunk: an empty stand-in
+        # column would not carry the real dtype into the concatenation.
+        return {
+            "chunks": {
+                name: [column] if total else [] for name, column in columns.items()
+            },
+            "total": total,
         }
-        if self.fan_out and (
-            length == 0 or not merge_encodable(columns[self.keys[0][0]])
-        ):
-            # The root cannot k-way-merge runs on this key dtype (string /
-            # object factorization codes are run-local) and will re-sort the
-            # concatenation anyway; without a LIMIT to bound the run there
-            # is nothing for a local sort to save — hand the run over raw.
-            return length, columns, None
-        counters.rows_sorted += length
-        return sort_columns(
-            self.names, length, columns, self.keys, None, self.non_null
-        )
-
-    def merge(self, partials: list, counters: PipelineCounters):
-        if not self.fan_out:
-            ((length, columns, strategy),) = partials
-        else:
-            runs = [(length, columns) for length, columns, _ in partials]
-            merged_rows = sum(length for length, _ in runs)
-            length, columns, strategy = merge_sorted_runs(
-                self.names, runs, self.keys, self.limit, self.non_null
-            )
-            if strategy is not None and strategy != STRATEGY_PARALLEL_MERGE:
-                # The merge re-sorted the concatenation (multi-key / string
-                # keys); account for the root-side sort.
-                counters.rows_sorted += merged_rows
-        counters.output_rows += length
-        self.sort_strategy = strategy
-        return self.names, columns
 
 
 @dataclass
@@ -1667,11 +1597,6 @@ class VectorizedExecutor:
         self.trace = trace
         #: Counters mirrored into the engine's :class:`ExecutionProfile`.
         self.counters = PipelineCounters()
-        #: Sort kernel this executor ran for a root ``PhysSort`` (``None``
-        #: when the engine's columnar epilogue should handle the sort —
-        #: grouped and aggregated outputs are small enough to sort once
-        #: merged).
-        self.sort_strategy: str | None = None
         #: The kernel every hash join ran, in plan walk order, and the
         #: grouping kernel(s) of a group-by root — ``"dense"`` or ``"sorted"``.
         self.join_kernels: list[str] = []
@@ -1711,11 +1636,8 @@ class VectorizedExecutor:
         pipeline = compiler.compile(plan.child)
         self.join_kernels = compiler.join_kernels
         morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
-        root = _make_root(
-            plan, sort_plan, self.params, self.hints, bool(morsels), evaluator
-        )
+        root = _make_root(plan, sort_plan, self.params, self.hints, evaluator)
         names, columns = self._run(root, pipeline, morsels)
-        self.sort_strategy = root.sort_strategy
         self.group_kernel = root.group_kernel
         compiler.store_scan_caches()
         return names, columns

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Whole morsels a scan must span before a *linear* root (projection, sorted
-#: projection, global aggregate, join build side) fans out.  Such roots gain
+#: Whole morsels a scan must span before a *linear* root (projection, ORDER
+#: BY included, global aggregate, join build side) fans out.  Such roots gain
 #: nothing algorithmically from splitting: their per-morsel work only
 #: overlaps where NumPy releases the interpreter lock, and the merge of a
 #: collecting root re-touches every output row.  Measured on the two-core

@@ -301,11 +301,12 @@ class PhysSort(PhysicalPlan):
     it, plan fingerprints cover it — a prepared ``LIMIT ?`` stays abstract —
     and ``explain()`` reports the chosen strategy.
 
-    Execution is strategy-specialized per tier (see
+    Every tier applies it once, in the engine's columnar epilogue (see
     :mod:`repro.core.sort`): dtype-specialized ``np.lexsort`` kernels, a
-    bounded streaming top-K when a LIMIT accompanies the sort, per-morsel
-    sorted runs merged k-way under a morsel fan-out, and a boxed-comparator
-    fallback for object columns the encoders cannot represent.
+    top-K partition when a LIMIT accompanies the sort, and a boxed-comparator
+    fallback for object columns the encoders cannot represent.  The batch
+    pipeline only bounds what it hands over: a LIMIT prefix, or the streamed
+    top-K candidates of each scan range.
     """
 
     def __init__(
@@ -332,8 +333,7 @@ class PhysSort(PhysicalPlan):
         """(strategy, why) as planned — the data-independent choice.
 
         Execution refines it per key dtype: object columns demote to the
-        comparator fallback, and a fanned-out pipeline execution upgrades
-        single-key sorts to per-morsel runs plus a k-way merge.
+        comparator fallback.
         """
         if self.keys and self.limit is not None:
             return (

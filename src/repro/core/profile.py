@@ -33,10 +33,10 @@ class ExecutionProfile:
     #: True when the codegen tier ran on already-compiled expression
     #: functions (no code generation happened on this call).
     compiled_from_cache: bool = False
-    #: Which sort kernel served the query's ORDER BY: "lexsort" (one stable
-    #: dtype-specialized permutation), "topk" (bounded streaming top-K for
-    #: ORDER BY + LIMIT), "parallel-merge" (per-morsel sorted runs merged
-    #: k-way at the root), "object-fallback" (boxed comparator for object
+    #: Which kernel of the engine's sort epilogue served the query's ORDER
+    #: BY — the same on every tier and at any worker count: "lexsort" (one
+    #: stable dtype-specialized permutation), "topk" (partition-bounded sort
+    #: for ORDER BY + LIMIT), "object-fallback" (boxed comparator for object
     #: columns) — or None when the query has no ORDER BY.
     sort_strategy: str | None = None
     #: Which join kernel each hash join of the batch pipeline ran, in plan

@@ -17,18 +17,18 @@ column at execution time:
   they sort NULLS LAST in *both* directions.  No Python object is ever boxed.
 * **topk** — when a LIMIT accompanies ORDER BY, :func:`numpy.partition`
   selects the candidate rows whose primary key can reach the top K, and only
-  those are lexsorted.  :class:`TopKAccumulator` is the streaming variant the
-  batch tier uses: at most K rows survive each pushed batch, so a 1M-row
-  ``ORDER BY x LIMIT 10`` never materializes more than a few thousand
-  candidate rows.
+  those are lexsorted.
 * **object-fallback** — object columns holding values the encoders cannot
   represent exactly (mixed types, huge Python ints, records) keep the old
   comparator semantics, with uncomparable mixed types surfaced as a clear
   :class:`~repro.errors.ExecutionError` instead of a raw ``TypeError``.
-* **parallel-merge** — a fanned-out batch execution sorts each morsel's
-  partial result locally (inside the workers) and the root merges the sorted runs
-  with a deterministic k-way merge (:func:`merge_sorted_runs`) instead of
-  re-sorting everything serially.
+
+:func:`sort_columns` is the one place a ``PhysSort`` is applied: the
+engine's columnar epilogue calls it once per query, on every tier.  The
+batch pipeline only bounds what it hands over: under ORDER BY + LIMIT K each
+scan range streams through a :class:`TopKAccumulator`, so a 1M-row
+``ORDER BY x LIMIT 10`` never materializes more than a few thousand
+candidate rows per range.
 
 All strategies implement identical ordering semantics: stable (ties keep the
 input order), NULLS LAST in both directions, and multi-key ascending /
@@ -53,7 +53,6 @@ SortKey = tuple[str, bool]
 STRATEGY_LEXSORT = "lexsort"
 STRATEGY_TOPK = "topk"
 STRATEGY_FALLBACK = "object-fallback"
-STRATEGY_PARALLEL_MERGE = "parallel-merge"
 
 #: Integers beyond ±2**53 are not exactly representable as float64; object
 #: columns holding them cannot be float-encoded without reordering risk.
@@ -417,18 +416,21 @@ def sort_columns(
 
 
 # ---------------------------------------------------------------------------
-# Streaming top-K (the batch tier's bounded sort)
+# Streaming top-K candidates (the batch tier's bound on a scan range)
 # ---------------------------------------------------------------------------
 
 
 class TopKAccumulator:
-    """Bounded streaming ORDER BY + LIMIT over columnar batches.
+    """Bounded streaming candidates of an ORDER BY + LIMIT over columnar
+    batches.
 
     Each pushed batch is pruned to its own top ``k`` rows (stable, so the
     earliest rows win ties), the survivors accumulate as candidate chunks,
     and the candidate set is re-compacted to ``k`` whenever it outgrows its
     budget — no more than ``max(4k, 4096)`` rows are ever held, regardless of
-    input size.  ``finish`` runs the final bounded sort.
+    input size.  The candidates hold the stable top ``k`` of every row pushed,
+    and rows of equal keys keep their push order, so one stable sort of the
+    candidates (the engine's epilogue) yields the exact result.
 
     Correctness does not depend on cross-batch key encoding: every internal
     sort runs :func:`sort_columns` over raw buffers, so a batch whose keys
@@ -449,7 +451,6 @@ class TopKAccumulator:
         self._chunks: dict[str, list] = {name: [] for name in self.names}
         self._total = 0
         self._budget = max(4 * self.k, 4096)
-        self._fallback = False
         #: Rows that entered a sort kernel (mirrored into the profile).
         self.rows_sorted = 0
 
@@ -459,48 +460,28 @@ class TopKAccumulator:
             return
         if count > self.k:
             self.rows_sorted += count
-            count, columns, strategy = sort_columns(
+            count, columns, _ = sort_columns(
                 self.names, count, columns, self.order_by, self.k, self.non_null
             )
-            self._note(strategy)
         for name in self._chunks:  # dict-keyed: duplicate names append once
             self._chunks[name].append(columns[name])
         self._total += count
         if self._total > self._budget:
             self._compact()
 
-    def _note(self, strategy: str | None) -> None:
-        if strategy == STRATEGY_FALLBACK:
-            self._fallback = True
+    def _compact(self) -> None:
+        count, columns = self.finish()
+        self.rows_sorted += count
+        self._total, columns, _ = sort_columns(
+            self.names, count, columns, self.order_by, self.k, self.non_null
+        )
+        self._chunks = {name: [columns[name]] for name in self.names}
 
-    def _materialize(self) -> dict[str, Any]:
-        return {
+    def finish(self) -> tuple[int, dict[str, Any]]:
+        """The candidates, unsorted: ``(count, columns)``."""
+        return self._total, {
             name: concat_chunks(chunks) for name, chunks in self._chunks.items()
         }
-
-    def _compact(self) -> None:
-        columns = self._materialize()
-        self.rows_sorted += self._total
-        length, columns, strategy = sort_columns(
-            self.names, self._total, columns, self.order_by, self.k, self.non_null
-        )
-        self._note(strategy)
-        self._chunks = {name: [columns[name]] for name in self.names}
-        self._total = length
-
-    def finish(self) -> tuple[int, dict[str, Any], str]:
-        """The final top-``k`` rows, sorted: ``(count, columns, strategy)``."""
-        columns = self._materialize()
-        self.rows_sorted += self._total
-        length, columns, strategy = sort_columns(
-            self.names, self._total, columns, self.order_by, self.k, self.non_null
-        )
-        self._note(strategy)
-        return (
-            length,
-            columns,
-            STRATEGY_FALLBACK if self._fallback else STRATEGY_TOPK,
-        )
 
 
 def concat_chunks(chunks: list) -> Any:
@@ -525,184 +506,3 @@ def concat_chunks(chunks: list) -> Any:
     for chunk in chunks:
         merged.extend(chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)
     return merged
-
-
-# ---------------------------------------------------------------------------
-# Sorted runs and the deterministic k-way merge (morsel fan-out)
-# ---------------------------------------------------------------------------
-
-
-def merge_encodable(buffer: Any) -> bool:
-    """Whether a key buffer's encoding is *element-wise* (numeric/boolean —
-    independent of the other runs' values) and therefore comparable across
-    sorted runs; string factorization codes are run-local and are not."""
-    return isinstance(buffer, np.ndarray) and buffer.dtype.kind in "iubf"
-
-
-def _mergeable_single_key(
-    runs: Sequence[tuple[int, Mapping[str, Any]]],
-    order_by: Sequence[SortKey],
-    non_null: frozenset[str] = frozenset(),
-) -> list[tuple[np.ndarray, np.ndarray | None]] | None:
-    """Per-run ``(value key, missing mask)`` encodings for a k-way merge, or
-    ``None`` when the runs must be merged by re-sorting.
-
-    Only a single ORDER BY key whose encoding is merge-encodable (see
-    :func:`merge_encodable`) can be merged by value comparison.
-    """
-    if len(order_by) != 1:
-        return None
-    column, ascending = order_by[0]
-    buffers: list[np.ndarray] = []
-    for _, data in runs:
-        buffer = data[column]
-        if not merge_encodable(buffer):
-            return None
-        if buffer.dtype.kind == "b":
-            buffer = buffer.astype(np.int8)
-        buffers.append(buffer)
-    if len({buffer.dtype.kind for buffer in buffers}) > 1:
-        # Runs of different kinds have different key spaces (a descending
-        # int encodes as ``~x``, a descending float as ``-x``) and mixed
-        # promotions go through float64; the re-sort path is exact.
-        return None
-    encoded_runs: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for buffer in buffers:
-        keys = _encode_key(buffer, ascending, column in non_null)
-        if keys is None:  # pragma: no cover - numeric kinds always encode
-            return None
-        encoded_runs.append((keys[-1], keys[0] if len(keys) == 2 else None))
-    return encoded_runs
-
-
-def _merge_two_sorted(
-    left_keys: np.ndarray, right_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of two sorted key arrays inside their merged order.
-
-    Ties place every left element before every right element (the runs are
-    merged in morsel order, matching a stable sort of the concatenation).
-    """
-    insert = np.searchsorted(left_keys, right_keys, side="right")
-    total = len(left_keys) + len(right_keys)
-    right_positions = insert + np.arange(len(right_keys), dtype=np.int64)
-    left_mask = np.ones(total, dtype=bool)
-    left_mask[right_positions] = False
-    left_positions = np.nonzero(left_mask)[0]
-    return left_positions, right_positions
-
-
-def merge_sorted_runs(
-    names: Sequence[str],
-    runs: Sequence[tuple[int, Mapping[str, Any]]],
-    order_by: Sequence[SortKey],
-    limit: int | None,
-    non_null: frozenset[str] = frozenset(),
-) -> tuple[int, dict[str, Any], str | None]:
-    """Merge per-morsel sorted runs into one globally sorted result.
-
-    Runs must be given in morsel order.  Each run must already be sorted by
-    ``order_by`` when its key buffer is merge-encodable (and truncated to
-    ``limit`` rows when one applies); runs that fall to the re-sort path —
-    multi-key, string/object keys — need not be pre-sorted, since the
-    concatenation is re-sorted with the regular kernels.  Ties across runs
-    resolve in run order, so the output is identical to a stable sort of the
-    morsel-ordered concatenation — bit-identical to an inline run, at any
-    worker count.
-
-    Single numeric/boolean keys are merged with a vectorized k-way merge
-    (pairwise :func:`numpy.searchsorted` passes over the already-sorted
-    runs); within each run missing values form a sorted NULLS LAST suffix,
-    so present prefixes are merged by value and missing suffixes are
-    concatenated in run order.  Everything else (multi-key, string keys)
-    re-sorts the concatenation with the regular kernels.  Returns
-    ``(row count, columns, strategy)`` with strategy ``parallel-merge`` for
-    the merge path or the re-sort kernel's name otherwise.
-    """
-    populated = [run for run in runs if run[0] > 0]
-    if not populated:
-        if runs:
-            # Keep the columns' real dtypes: slice the (empty) run buffers
-            # instead of fabricating float64 columns.
-            _, data = runs[0]
-            return 0, {name: data[name][:0] for name in names}, None
-        return 0, {name: np.zeros(0, dtype=np.float64) for name in names}, None
-    runs = populated
-    if not order_by:
-        length, data = _concat_runs(names, runs)
-        length, data = _slice_limit(length, data, limit)
-        return length, data, None
-    encoded = _mergeable_single_key(runs, order_by, non_null)
-    if len(runs) == 1 and encoded is not None:
-        # A single merge-encodable run is pre-sorted by contract; runs on
-        # the re-sort path may have been handed over raw, so they take the
-        # sort below even when alone.
-        length, data = runs[0]
-        sliced = _slice_limit(length, data, limit)
-        return (*sliced, STRATEGY_PARALLEL_MERGE)
-    if encoded is None:
-        length, data = _concat_runs(names, runs)
-        return sort_columns(names, length, data, order_by, limit, non_null)
-    # Global positions of each run inside the concatenation.
-    offsets = np.cumsum([0] + [length for length, _ in runs])
-    segments: list[np.ndarray] = []  # merged present rows, as global indices
-    missing_tails: list[np.ndarray] = []
-    merged_keys: list[np.ndarray] = []
-    for run_index, ((length, _), (value_key, missing)) in enumerate(zip(runs, encoded)):
-        positions = np.arange(length, dtype=np.int64) + offsets[run_index]
-        if missing is not None and missing.any():
-            present = int(np.count_nonzero(~missing))
-            missing_tails.append(positions[present:])
-            positions, value_key = positions[:present], value_key[:present]
-        segments.append(positions)
-        merged_keys.append(value_key)
-    while len(segments) > 1:
-        next_segments: list[np.ndarray] = []
-        next_keys: list[np.ndarray] = []
-        for index in range(0, len(segments) - 1, 2):
-            left_pos, right_pos = _merge_two_sorted(
-                merged_keys[index], merged_keys[index + 1]
-            )
-            positions = np.empty(
-                len(segments[index]) + len(segments[index + 1]), dtype=np.int64
-            )
-            keys = np.empty(
-                len(positions),
-                dtype=np.result_type(merged_keys[index], merged_keys[index + 1]),
-            )
-            positions[left_pos] = segments[index]
-            positions[right_pos] = segments[index + 1]
-            keys[left_pos] = merged_keys[index]
-            keys[right_pos] = merged_keys[index + 1]
-            next_segments.append(positions)
-            next_keys.append(keys)
-        if len(segments) % 2:
-            next_segments.append(segments[-1])
-            next_keys.append(merged_keys[-1])
-        segments, merged_keys = next_segments, next_keys
-    order = segments[0]
-    if missing_tails:
-        order = np.concatenate([order] + missing_tails)
-    if limit is not None:
-        order = order[:limit]
-    length, data = _concat_runs(names, runs)
-    gathered = {name: _take(buffer, order) for name, buffer in data.items()}
-    return len(order), gathered, STRATEGY_PARALLEL_MERGE
-
-
-def _concat_runs(
-    names: Sequence[str], runs: Sequence[tuple[int, Mapping[str, Any]]]
-) -> tuple[int, dict[str, Any]]:
-    data = {
-        name: concat_chunks([run_data[name] for _, run_data in runs])
-        for name in names
-    }
-    return sum(length for length, _ in runs), data
-
-
-def _slice_limit(
-    length: int, data: Mapping[str, Any], limit: int | None
-) -> tuple[int, dict[str, Any]]:
-    if limit is not None and limit < length:
-        return limit, {name: buffer[:limit] for name, buffer in data.items()}
-    return length, dict(data)

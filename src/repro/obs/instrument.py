@@ -44,10 +44,8 @@ SPAN_INSTRUMENTED_OPERATORS: dict[str, str] = {
                           "pipeline); iterator wrapper (volcano)",
     "PhysReduce": "engine-side root span around the executor's reduce",
     "PhysNest": "engine-side root span around the executor's grouping",
-    "PhysSort": "engine-side sort span around the columnar epilogue; "
-                "in-pipeline sorts (streaming top-K, parallel merge) are "
-                "covered by the root span and attributed via "
-                "profile.sort_strategy",
+    "PhysSort": "engine-side sort span around the columnar epilogue, "
+                "every tier",
 }
 
 #: Operators deliberately left without spans, with the reason why.

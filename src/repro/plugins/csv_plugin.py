@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,12 +74,18 @@ def _convert_date(text: str) -> int:
     return (parsed - datetime.date(1970, 1, 1)).days
 
 
+def _missing_if_empty(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An empty field of a number or date column is a missing value, as an
+    absent JSON field is."""
+    return lambda text: None if text == "" else convert(text)
+
+
 _CONVERTERS = {
-    "int": _convert_int,
-    "float": float,
+    "int": _missing_if_empty(_convert_int),
+    "float": _missing_if_empty(float),
     "bool": lambda s: s.strip().lower() in ("1", "true", "t", "yes"),
     "string": str,
-    "date": _convert_date,
+    "date": _missing_if_empty(_convert_date),
 }
 
 

@@ -289,6 +289,26 @@ def test_values_keep_the_types_volcano_reads(tmp_path, numbers, query):
     _assert_like_volcano(str(tmp_path), [(query, (), True)])
 
 
+def test_empty_csv_numbers_are_missing_values(tmp_path):
+    """An empty field of a CSV ``int``, ``float`` or ``date`` column is a
+    missing value on every tier, as an absent JSON field is — not a
+    conversion error — and statistics collection reads it too."""
+    path = tmp_path / "empty.csv"
+    path.write_text("id,n,f,d\n0,1,1.5,2020-01-02\n1,,,\n2,4,2.5,2020-01-01\n")
+    dated = t.make_schema({"id": "int", "n": "int", "f": "float", "d": "date"})
+    for kwargs in ({"enable_codegen": False}, *CONFIGS.values()):
+        engine = ProteusEngine(enable_caching=False, **kwargs)
+        engine.register_csv("e", str(path), analyze=True)  # inferred schema
+        engine.register_csv("dated", str(path), schema=dated)
+        rows = engine.query("SELECT id, n FROM e").rows
+        assert repr(rows) == repr([(0, 1), (1, None), (2, 4)]), kwargs
+        assert engine.query("SELECT SUM(n) FROM e").rows == [(5,)], kwargs
+        assert engine.query("SELECT f FROM e WHERE id = 1").rows == [(None,)], kwargs
+        ordered = engine.query("SELECT id, f FROM e ORDER BY f DESC").column("id")
+        assert ordered == [2, 0, 1], kwargs
+        assert engine.query("SELECT d FROM dated").column("d") == [18263, None, 18262], kwargs
+
+
 def test_mixed_type_columns_are_not_cached(tmp_path):
     """A JSON string field holding a number takes the object path and has no
     primitive form to cache; a NUL byte still encodes, and the encoded

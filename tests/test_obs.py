@@ -308,6 +308,16 @@ def test_explain_analyze_reports_every_tier(paths, tier):
     assert "est" in report and "actual" in report
     assert "== phases ==" in report
     assert "== tier cascade ==" in report
+    # Every tier sorts in the engine's epilogue, so the Sort node has a span.
+    report = engine.explain(
+        "SELECT id, price FROM items_json WHERE qty < 5 "
+        "ORDER BY price DESC LIMIT 3",
+        analyze=True,
+    )
+    lines = report.splitlines()
+    sort_line = next(i for i, line in enumerate(lines) if line.startswith("Sort("))
+    assert "actual 3 rows" in lines[sort_line + 1], report
+    assert "(no span recorded)" not in lines[sort_line + 1], report
 
 
 def test_explain_analyze_marks_prediction_agreement(engine):

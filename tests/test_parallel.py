@@ -9,7 +9,7 @@ Covers:
 * the merged-tier matrix: every plan-root shape x worker count x input kind
   (raw CSV / binary row table / single morsel) is served by tier
   ``codegen`` with the profile reflecting the executor's fan-out decision
-  and the sort-strategy labels each shape always had,
+  and the one sort-strategy label of each shape, Volcano's included,
 * binary row tables fan out like every other format and return the rows of
   their binary-column twin,
 * determinism: repeated fanned-out runs return identical row orderings, and
@@ -212,9 +212,10 @@ def _assert_rows_match(actual, expected, query="", ordered=True):
     (the merge of per-batch and per-morsel partial sums reassociates float
     additions, so a float SUM or AVG may move in the last ulp, and only
     where the order of its partial sums changes); everything else must be
-    identical.  ``ordered=False`` compares as
-    multisets — the Volcano interpreter's row order legitimately differs
-    from the batch tier's (first-seen vs lexicographic group order).
+    identical, type included (``42.0 == 42`` does not pass).
+    ``ordered=False`` compares as multisets — the Volcano interpreter's row
+    order legitimately differs from the batch tier's (first-seen vs
+    lexicographic group order).
     """
     assert len(actual) == len(expected), (query, len(actual), len(expected))
     if not ordered:
@@ -228,6 +229,7 @@ def _assert_rows_match(actual, expected, query="", ordered=True):
                     math.isnan(a) and math.isnan(b)
                 ), (query, row_index, a, b)
             else:
+                assert type(a) is type(b), (query, row_index, a, b)
                 assert a == b, (query, row_index, a, b)
 
 
@@ -239,6 +241,9 @@ DIFFERENTIAL_QUERIES = [
     # Empty morsels: the filter keeps only the first few rows, so every
     # later morsel produces nothing.
     "SELECT sid FROM sailors WHERE sid < 3",
+    # ORDER BY + LIMIT where every morsel but the last is empty: the empty
+    # ranges must not turn the int column into floats.
+    "SELECT sid, age FROM sailors WHERE sid >= 590 ORDER BY age DESC LIMIT 5",
     # No morsel survives at all.
     "SELECT sid FROM sailors WHERE rating > 1000",
     # Global aggregates (one-group partials + the group-by merge).
@@ -416,57 +421,57 @@ INPUT_KINDS = {
     "single-morsel": ("sailors", 4096),
 }
 
-#: shape -> (query, ordered?, sort strategy inline, sort strategy fanned out).
-#: A label names the kernel that ran, so it depends on shape and fan-out only.
+#: shape -> (query, ordered?, sort strategy).  The engine's epilogue runs
+#: every sort, so a label depends on the shape only — never on fan-out.
 ROOT_SHAPES = {
-    "projection": ("SELECT sid, rating FROM {t} WHERE rating >= 5", True, None, None),
-    "pure-limit": ("SELECT sid FROM {t} LIMIT 7", True, None, None),
+    "projection": ("SELECT sid, rating FROM {t} WHERE rating >= 5", True, None),
+    "pure-limit": ("SELECT sid FROM {t} LIMIT 7", True, None),
     "order-by-1": (
         "SELECT sid, age FROM {t} ORDER BY age DESC",
-        True, "lexsort", "parallel-merge",
+        True, "lexsort",
     ),
     "order-by-1-limit": (
         "SELECT sid, age FROM {t} ORDER BY age LIMIT 9",
-        True, "topk", "parallel-merge",
+        True, "topk",
     ),
     "order-by-2": (
         "SELECT sid, rating FROM {t} ORDER BY rating, sid DESC",
-        True, "lexsort", "lexsort",
+        True, "lexsort",
     ),
     "order-by-2-limit": (
         "SELECT sid, rating FROM {t} ORDER BY rating DESC, sid LIMIT 11",
-        True, "topk", "topk",
+        True, "topk",
     ),
-    "limit-0": ("SELECT sid, age FROM {t} ORDER BY sid LIMIT 0", True, "topk", "topk"),
+    "limit-0": ("SELECT sid, age FROM {t} ORDER BY sid LIMIT 0", True, "topk"),
     "global-aggregate": (
         "SELECT COUNT(*), SUM(rating), MAX(age) FROM {t} WHERE rating > 2",
-        True, None, None,
+        True, None,
     ),
     "global-aggregate-empty": (
         "SELECT COUNT(*), SUM(rating), MIN(age), MAX(age), AVG(age), COUNT(age) "
         "FROM {t} WHERE rating > 100",
-        True, None, None,
+        True, None,
     ),
     "global-aggregate-heads": (
         "SELECT SUM(rating) / COUNT(*), MAX(age) > 30, COUNT(*) + 1, 7 AS seven "
         "FROM {t}",
-        True, None, None,
+        True, None,
     ),
     "global-aggregate-strings": (
-        "SELECT MIN(sname), MAX(sname), COUNT(sname) FROM {t}", True, None, None,
+        "SELECT MIN(sname), MAX(sname), COUNT(sname) FROM {t}", True, None,
     ),
     "group-by": (
         "SELECT rating, COUNT(*), MAX(sid) FROM {t} GROUP BY rating",
-        False, None, None,
+        False, None,
     ),
     "string-group-by": (
         "SELECT sname, COUNT(*), MIN(age) FROM {t} GROUP BY sname",
-        False, None, None,
+        False, None,
     ),
     "hash-join": (
         "SELECT s.sid, h.rating FROM {t} s JOIN {t} h ON s.sid = h.sid "
         "WHERE h.rating > 6",
-        False, None, None,
+        False, None,
     ),
 }
 
@@ -474,19 +479,19 @@ ROOT_SHAPES = {
 JSON_SHAPES = {
     "inner-unnest": (
         "for { o <- orders, l <- o.lines } yield bag (o.okey, l.item)",
-        False, None, None,
+        False, None,
     ),
     "outer-unnest": (
         "for { o <- orders, l <- outer o.lines } yield bag (o.okey, l.item)",
-        False, None, None,
+        False, None,
     ),
     "nested-unnest": (
         "for { o <- orders, l <- o.lines, s <- l.subs } yield bag (o.okey, s.s)",
-        False, None, None,
+        False, None,
     ),
     "order-by-object": (
         "SELECT id, big FROM huge ORDER BY big DESC",
-        True, "object-fallback", "object-fallback",
+        True, "object-fallback",
     ),
 }
 
@@ -522,13 +527,12 @@ def engine_for(workload_dir):
 
 @pytest.mark.parametrize("shape,kind", MERGED_TIER_CASES)
 def test_merged_tier_matrix(engine_for, shape, kind):
-    query, ordered, inline_strategy, fanout_strategy = {
-        **ROOT_SHAPES, **JSON_SHAPES
-    }[shape]
+    query, ordered, strategy = {**ROOT_SHAPES, **JSON_SHAPES}[shape]
     table, batch_size = INPUT_KINDS[kind]
     query = query.replace("{t}", table)
     reference = engine_for(None, batch_size).query(query)
     assert reference.tier == "volcano"
+    assert reference.profile.sort_strategy == strategy
     rows_by_workers = {}
     for workers in (1, 2, 8):
         result = engine_for(workers, batch_size).query(query)
@@ -539,12 +543,11 @@ def test_merged_tier_matrix(engine_for, shape, kind):
         if workers > 1 and kind != "single-morsel":
             assert profile.parallel_workers == workers, label
             assert profile.morsels_dispatched > 1, label
-            assert profile.sort_strategy == fanout_strategy, label
         else:
             assert profile.parallel_workers == 0, label
             assert profile.morsels_dispatched == 0, label
             assert profile.morsels_stolen == 0, label
-            assert profile.sort_strategy == inline_strategy, label
+        assert profile.sort_strategy == strategy, label
         rows_by_workers[workers] = result.rows
         if kind == "row-table":
             # Its binary-column twin holds the same sailors.

@@ -8,8 +8,8 @@ Covers:
   (codegen, inline and fanned out / volcano): NaN, None, strings,
   multi-key ascending/descending mixes, ties (stability), ``LIMIT 0`` and
   ``LIMIT`` beyond the row count — results must be identical tier-to-tier,
-* parallel per-morsel sort + k-way merge determinism at 1/2/8 workers,
-* the streaming top-K accumulator and the k-way merge kernels,
+* fanned-out sort determinism at 1/2/8 workers,
+* the streaming top-K accumulator's candidate bound,
 * regression tests for the two satellite bugfixes: uncomparable mixed-type
   object sorts raise a clear :class:`ExecutionError`, and a literal negative
   ``LIMIT`` fails exactly like a negative ``LIMIT ?`` binding.
@@ -194,24 +194,20 @@ def test_stability_on_ties(messy_path):
 @pytest.mark.parametrize("tier,config", TIER_CONFIGS)
 def test_sort_strategy_recorded(messy_path, tier, config):
     engine = messy_engine(messy_path, **config)
+    # The engine's epilogue runs every sort: one label per query shape, on
+    # every tier and at any worker count.
     full = engine.query("SELECT id, val FROM messy ORDER BY val DESC")
     assert full.tier == tier_of(tier)
-    expected_full = {
-        "codegen-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
-    }.get(tier, sortlib.STRATEGY_LEXSORT)
-    assert full.profile.sort_strategy == expected_full
+    assert full.profile.sort_strategy == sortlib.STRATEGY_LEXSORT
     assert full.profile.rows_sorted >= MESSY_COUNT
     topk = engine.query("SELECT id, val FROM messy ORDER BY val LIMIT 3")
-    expected_topk = {
-        "codegen-fanout": sortlib.STRATEGY_PARALLEL_MERGE,
-    }.get(tier, sortlib.STRATEGY_TOPK)
-    assert topk.profile.sort_strategy == expected_topk
+    assert topk.profile.sort_strategy == sortlib.STRATEGY_TOPK
     unsorted = engine.query("SELECT id FROM messy")
     assert unsorted.profile.sort_strategy is None
 
 
 # ---------------------------------------------------------------------------
-# Parallel per-morsel sort + merge: bit-identical at any worker count
+# Fanned-out sorts: bit-identical at any worker count
 # ---------------------------------------------------------------------------
 
 PARALLEL_QUERIES = [
@@ -307,9 +303,9 @@ def test_zero_limit_still_allowed(paths):
 @pytest.mark.parametrize("tier,config", TIER_CONFIGS)
 def test_zero_limit_keeps_column_dtypes(paths, tier, config):
     # An empty ORDER BY ... LIMIT 0 result must keep the columns' real
-    # dtypes on the columnar tiers (the streaming top-K and the parallel
-    # merge must not fabricate float64 buffers).  Volcano's list-backed
-    # buffers have no dtype to preserve — it only guarantees emptiness.
+    # dtypes on the columnar tiers (the per-range bounds must not fabricate
+    # float64 buffers).  Volcano's list-backed buffers have no dtype to
+    # preserve — it only guarantees emptiness.
     engine = make_engine(paths, enable_caching=False, **config)
     result = engine.query(
         "SELECT id, category FROM items_bin ORDER BY id LIMIT 0"
@@ -322,7 +318,7 @@ def test_zero_limit_keeps_column_dtypes(paths, tier, config):
 
 
 # ---------------------------------------------------------------------------
-# Kernel units: streaming top-K and the k-way merge
+# Kernel unit: streaming top-K candidates
 # ---------------------------------------------------------------------------
 
 
@@ -334,11 +330,17 @@ def test_topk_accumulator_matches_full_sort():
     for _ in range(40):  # enough pushes to trigger internal compaction
         xs = rng.uniform(0, 1000, 500)
         xs[rng.randint(0, 500, 20)] = np.nan  # missing values mid-stream
+        xs[rng.randint(0, 500, 1)] = 0.5  # a tie inside the top K, per batch
         ids = np.arange(base, base + 500)
         base += 500
         chunks.append((xs, ids))
         accumulator.push({"x": xs, "id": ids}, 500)
-    count, columns, strategy = accumulator.finish()
+        assert accumulator.finish()[0] <= 4096  # max(4k, 4096) candidates
+    count, candidates = accumulator.finish()
+    # One stable sort of the candidates is the stable top K of every row.
+    count, columns, strategy = sortlib.sort_columns(
+        ["x", "id"], count, candidates, [("x", True)], 11
+    )
     assert strategy == sortlib.STRATEGY_TOPK
     assert count == 11
     all_x = np.concatenate([x for x, _ in chunks])
@@ -347,44 +349,9 @@ def test_topk_accumulator_matches_full_sort():
     np.testing.assert_array_equal(columns["id"], all_id[order][:11])
 
 
-def test_merge_sorted_runs_matches_stable_sort():
-    rng = np.random.RandomState(5)
-    runs = []
-    offset = 0
-    for length in (13, 1, 29, 7, 22):
-        xs = np.sort(rng.randint(0, 9, length).astype(np.int64))
-        runs.append((length, {"x": xs, "id": np.arange(offset, offset + length)}))
-        offset += length
-    count, columns, strategy = sortlib.merge_sorted_runs(
-        ["x", "id"], runs, [("x", True)], None
-    )
-    assert strategy == sortlib.STRATEGY_PARALLEL_MERGE
-    concat_x = np.concatenate([run[1]["x"] for run in runs])
-    concat_id = np.concatenate([run[1]["id"] for run in runs])
-    order = np.argsort(concat_x, kind="stable")
-    np.testing.assert_array_equal(columns["x"], concat_x[order])
-    np.testing.assert_array_equal(columns["id"], concat_id[order])
-    assert count == len(concat_x)
-
-
-def test_merge_sorted_runs_descending_with_limit():
-    runs = []
-    for start in (0, 10, 20):
-        xs = np.array([9.0, 5.0, 1.0]) + start
-        runs.append((3, {"x": np.sort(xs)[::-1].copy()}))
-    # Runs are descending-sorted; merge with the matching key direction.
-    count, columns, strategy = sortlib.merge_sorted_runs(
-        ["x"], runs, [("x", False)], 4
-    )
-    assert strategy == sortlib.STRATEGY_PARALLEL_MERGE
-    assert columns["x"].tolist() == [29.0, 25.0, 21.0, 19.0]
-    assert count == 4
-
-
 def test_parallel_string_sort_with_single_surviving_morsel(messy_path):
-    # String-key runs are handed to the root unsorted (their factorization
-    # codes are run-local, so the root re-sorts anyway); the re-sort must
-    # happen even when only ONE morsel produces rows.
+    # Only ONE morsel produces rows; the others must contribute nothing to
+    # the string column the epilogue sorts.
     serial = messy_engine(
         messy_path, vectorized_batch_size=4
     ).query("SELECT tag, id FROM messy WHERE id < 4 ORDER BY tag")
@@ -402,8 +369,7 @@ def test_parallel_string_sort_with_single_surviving_morsel(messy_path):
 def test_parallel_merge_with_mixed_dtype_runs(tmp_path):
     # The JSON plugin converts a nullable int column per scan range: ranges
     # containing a null come out dictionary-encoded, ranges without as
-    # int64.  Runs of different forms share no key space for a k-way merge;
-    # the root must order them as one column.
+    # int64.  The concatenation of the ranges must order as one column.
     path = tmp_path / "mixed_runs.json"
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(400):
