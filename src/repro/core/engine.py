@@ -106,6 +106,7 @@ from repro.core.concurrency import make_lock
 from repro.core.executor.vectorized import (
     DEFAULT_BATCH_SIZE,
     VectorizedExecutor,
+    factorized_chain,
 )
 from repro.core.executor.volcano import VolcanoExecutor
 from repro.core.parallel import plan_fanout
@@ -1000,20 +1001,30 @@ class ProteusEngine:
         """How the batch pipeline would run this plan's driving scan, from
         catalog facts only: the collected row count (unknown without
         statistics — then the executor decides when the scan opens) and
-        whether the root groups."""
+        whether the root groups.  An aggregate over a one-key join chain
+        may run per key value, every input streaming like a join build side;
+        whether it does depends on the data."""
         scan = driving_scan(physical)
         if scan is None:
             return "serial: the plan has no driving scan"
         dataset = self.catalog.get(scan.dataset)
         plugin = self.plugins[dataset.format]
         statistics = dataset.statistics
+        chain = factorized_chain(unwrap_sort(physical))
         _, why = plan_fanout(
             self.parallel_workers,
             int(statistics.cardinality) if statistics is not None else None,
             self.vectorized_batch_size,
-            isinstance(unwrap_sort(physical), PhysNest),
+            chain is None and isinstance(unwrap_sort(physical), PhysNest),
         )
-        return f"{scan.dataset} ({plugin.format_name}): {why}"
+        line = f"{scan.dataset} ({plugin.format_name}): {why}"
+        if chain is not None:
+            line = (
+                f"join chain of {len(chain.inputs)} inputs may run per key value "
+                "(a two-input join whose first input holds each key once probes "
+                f"a table); {line}"
+            )
+        return line
 
     def _explain_analyze(
         self, text: str | Comprehension, args: tuple, params: dict

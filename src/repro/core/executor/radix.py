@@ -37,6 +37,12 @@ mixed-radix group code.
 The materialized build side (:class:`JoinTable`) is exactly the structure the
 caching manager reuses for partial plan matches (§6: the table built for
 ``A ⋈ B`` can serve ``A ⋈ C`` when the join key is the same).
+
+An aggregate over joins on one shared key needs no join table: it numbers
+the first input's keys as *slots* (:class:`KeySlots` — ``key - lo`` over a
+dense range, dictionary codes, or sorted distinct keys, as the join layouts
+address them), maps every other input's keys onto them (:func:`slots_of`),
+and the grouping aggregates reduce each input per slot.
 """
 
 from __future__ import annotations
@@ -65,10 +71,14 @@ from repro.core.columns import (
 from repro.core.types import is_missing  # noqa: F401
 from repro.errors import ExecutionError, VectorizationError
 
-#: The two kernel layouts, as recorded in ``ExecutionProfile.join_kernels`` /
-#: ``group_kernel``.
+#: The kernels recorded in ``ExecutionProfile.join_kernels`` (one per hash
+#: join) and ``group_kernel``: the two layouts, ``dense`` and ``sorted``, and
+#: — joins only — ``factorized``, for every join of a chain whose aggregate
+#: ran per join-key value over :class:`KeySlots`, without a join table or a
+#: joined row (``core/executor/vectorized.py::FactorizedChain``).
 KERNEL_DENSE = "dense"
 KERNEL_SORTED = "sorted"
+KERNEL_FACTORIZED = "factorized"
 
 #: A join build side is addressed directly when its integer key range spans
 #: at most this many slots per build row.  Measured on a two-core x86 host
@@ -145,6 +155,8 @@ class JoinTable:
     lo: int = 0
     #: Encoded keys: the build dictionary the keys above are codes into.
     values: np.ndarray | None = None
+    #: Does every key occur once on the build side?
+    unique: bool = False
 
     @property
     def size_bytes(self) -> int:
@@ -169,15 +181,23 @@ def build_join_table(keys: np.ndarray) -> JoinTable:
     if dense is not None:
         lo, span = dense
         codes = keys.astype(np.int64, copy=False) - lo
+        counts = np.bincount(codes, minlength=span)
         offsets = np.zeros(span + 1, dtype=np.int64)
-        np.cumsum(np.bincount(codes, minlength=span), out=offsets[1:])
+        np.cumsum(counts, out=offsets[1:])
         positions = np.argsort(codes, kind="stable")
-        return JoinTable(KERNEL_DENSE, len(keys), positions, offsets, lo, values)
+        return JoinTable(
+            KERNEL_DENSE, len(keys), positions, offsets, lo, values,
+            unique=bool(counts.max() <= 1),
+        )
     try:
         order = np.argsort(keys, kind="stable")
     except TypeError as exc:
         raise _mixed_type_error("joining", exc) from exc
-    return JoinTable(KERNEL_SORTED, len(keys), order, keys[order], values=values)
+    ordered = keys[order]
+    return JoinTable(
+        KERNEL_SORTED, len(keys), order, ordered, values=values,
+        unique=not np.any(ordered[1:] == ordered[:-1]),
+    )
 
 
 def probe_join_table(
@@ -249,6 +269,116 @@ def _matches(
         np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
     ]
     return build, np.repeat(probe, counts)
+
+
+@dataclass(frozen=True)
+class KeySlots:
+    """The distinct join-key values of one input, numbered as *slots* so the
+    keys of other inputs map onto them without a join table: ``key - lo``
+    over a dense integer range (as the ``dense`` join kernel addresses), the
+    code in the input's string dictionary, or the position among its sorted
+    distinct keys.  A slot may hold no key of the input (a dense range's
+    gaps, unused dictionary entries).  Like a :class:`JoinTable`, it is a
+    build side the caching manager keeps."""
+
+    #: The number of slots.
+    size: int
+    #: The input's rows per slot.
+    counts: np.ndarray
+    #: Per slot, the slot itself if it holds a key of the input, else
+    #: ``-1``; one more entry, ``-1``, read by slot ``-1`` and by keys
+    #: outside a dense range.
+    lookup: np.ndarray
+    #: The slot of every row of the input.
+    rows: np.ndarray
+    #: The dtype kind of the input's keys (probe keys are aligned to it).
+    kind: str
+    #: Dense integer keys: the smallest key.
+    lo: int = 0
+    #: Sorted keys: the distinct keys, ascending.
+    distinct: np.ndarray | None = None
+    #: Encoded string keys: the dictionary.
+    values: np.ndarray | None = None
+
+    @property
+    def build_size(self) -> int:
+        return len(self.rows)
+
+    @property
+    def unique(self) -> bool:
+        """Does every slot hold at most one row of the input?"""
+        return int(np.count_nonzero(self.counts)) == len(self.rows)
+
+    @property
+    def size_bytes(self) -> int:
+        size = sum(map(estimate_size, (self.counts, self.lookup, self.rows)))
+        if self.distinct is not None:
+            size += estimate_size(self.distinct)
+        if self.values is not None:
+            size += dictionary_nbytes(self.values)
+        return size
+
+
+def key_slots(keys: np.ndarray | EncodedColumn) -> KeySlots:
+    """The slots of one input's join keys, with the slot of each of its
+    rows.  Dense when the integer range spans at most
+    :data:`DENSE_JOIN_SLOTS_PER_ROW` slots per row."""
+    reject_missing_keys(keys, "join")
+    kind, lo, distinct, values = keys.dtype.kind, 0, None, None
+    if isinstance(keys, EncodedColumn):
+        rows, values = keys.codes, keys.values
+        size = len(values)
+    elif (dense := _dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)) is not None:
+        lo, size = dense
+        rows = keys.astype(np.int64, copy=False) - lo
+    else:
+        try:
+            distinct, rows = np.unique(keys, return_inverse=True)
+        except TypeError as exc:
+            raise _mixed_type_error("joining", exc) from exc
+        size = len(distinct)
+    counts = np.bincount(rows, minlength=size)
+    lookup = np.append(np.where(counts > 0, np.arange(size), -1), -1)
+    return KeySlots(size, counts, lookup, rows, kind, lo, distinct, values)
+
+
+def slots_of(space: KeySlots, keys: np.ndarray | EncodedColumn) -> np.ndarray:
+    """The slot of every key, ``-1`` where no key of the slots' input
+    equals it — for keys of the slots' own kind (the pipeline aligns ints
+    and floats first)."""
+    reject_missing_keys(keys, "join")
+    if space.values is not None:
+        if not isinstance(keys, EncodedColumn):
+            raise VectorizationError(
+                "joining string keys with other values is served by the "
+                "Volcano interpreter"
+            )
+        slots = recode(keys, space.values).astype(np.int64)
+    else:
+        if isinstance(keys, EncodedColumn):
+            keys = keys.decode()
+        if space.distinct is None and keys.dtype.kind in "iu" and keys.dtype != np.uint64:
+            # ``key - lo`` modulo 2**64 is below ``size`` exactly for the
+            # keys inside the range; every other key reads slot ``size``.
+            offsets = (keys.astype(np.int64, copy=False) - space.lo).view(np.uint64)
+            slots = np.minimum(offsets, space.size).view(np.int64)
+        elif space.distinct is None:
+            # A uint64 key past int64 (or a big int in an object column)
+            # would wrap the cast into the range: only keys inside it are
+            # cast, the others read slot ``size``.
+            inside = (keys >= space.lo) & (keys < space.lo + space.size)
+            slots = np.full(len(keys), space.size, dtype=np.int64)
+            slots[inside] = keys[inside].astype(np.int64) - space.lo
+        else:
+            slots = np.full(len(keys), -1, dtype=np.int64)
+            try:
+                positions = np.searchsorted(space.distinct, keys)
+            except TypeError as exc:
+                raise _mixed_type_error("joining", exc) from exc
+            inside = np.flatnonzero(positions < space.size)
+            found = inside[space.distinct[positions[inside]] == keys[inside]]
+            slots[found] = positions[found]
+    return space.lookup[slots]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,14 @@ list of per-batch stages:
   output heads — aggregates combined with literals, parameters, arithmetic
   and comparisons — run as generated functions over the per-group
   aggregate columns.  The kernel each join and group-by ran is recorded in
-  the profile (``join_kernels`` / ``group_kernel``).
+  the profile (``join_kernels`` / ``group_kernel``),
+* an aggregate over inner equi-joins on one shared key (a
+  :class:`FactorizedChain`, recognized from the plan alone) builds no
+  joined row: each input reduces to partials per key value and the
+  aggregates are their key products (``join_kernels`` says
+  ``factorized``) — unless two inputs join on keys the first holds once
+  each, where there is nothing to factor out.  Every other join probes and
+  gathers.
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
 the per-call :class:`PipelineCounters` and the lock-guarded cache recorders),
@@ -861,6 +868,9 @@ class PipelineCompiler:
         self.cache_writers: list = []
         #: The kernel of every hash join compiled, in plan walk order.
         self.join_kernels: list[str] = []
+        #: Build sides already materialized, by plan node: a chain that did
+        #: not run per key value hands its first input over.
+        self.built: dict[int, Batch] = {}
 
     def compile(self, plan: PhysicalPlan) -> CompiledPipeline:
         if isinstance(plan, PhysScan):
@@ -913,7 +923,9 @@ class PipelineCompiler:
                 raise VectorizationError(
                     "outer join is served by the Volcano interpreter"
                 )
-            left = self.materializer(self.compile(plan.left))
+            left = self.built.pop(id(plan.left), None)
+            if left is None:
+                left = self.materializer(self.compile(plan.left))
             pipeline = self.compile(plan.right)
             if left.count == 0 or pipeline.always_empty:
                 # An inner join with an empty build side produces nothing;
@@ -998,52 +1010,90 @@ class PipelineCompiler:
     def _build_table(
         self, plan: PhysHashJoin, left_keys: np.ndarray
     ) -> radix.JoinTable:
-        """The join table of a join's build side — the cached one when the
-        adaptive cache holds the table of the same build plan, join key and
-        bound build-side parameter values (§6: ``A ⋈ B`` then ``A ⋈ C``)."""
-        manager = self.cache_manager
-        key = None
-        if manager is not None:
-            key = join_side_cache_key(
-                plan.left.fingerprint(), plan.left_key.fingerprint()
-            )
-            # The fingerprints abstract parameter values; fold the bound
-            # values of the build side's parameters back in so builds with
-            # different constants (and coincidentally equal cardinalities)
-            # never share a table.
-            parameters = dict.fromkeys(parameters_of(plan.left))
-            parameters.update(
-                (parameter.key, None) for parameter in iter_parameters(plan.left_key)
-            )
-            if parameters:
-                bound = self.params or {}
-                key += tuple((name, bound.get(name)) for name in parameters)
-                try:
-                    hash(key)
-                except TypeError:
-                    key = None  # unhashable values: no build-side caching
-        if key is not None:
-            entry = manager.lookup(key)
-            if entry is not None and entry.data.build_size == len(left_keys):
-                return entry.data
-            if entry is not None:
-                manager.evict(key)  # a stale build of another cardinality
-        table = radix.build_join_table(left_keys)
-        self.counters.join_build_rows += len(left_keys)
-        source = next(
-            node for node in plan.left.walk() if isinstance(node, PhysScan)
+        """The join table of a join's build side (see :meth:`build_side`)."""
+        return self.build_side(
+            plan.left,
+            plan.left_key,
+            len(left_keys),
+            lambda: radix.build_join_table(left_keys),
         )
+
+    def build_side(
+        self,
+        side: PhysicalPlan,
+        key: Expression,
+        rows: int,
+        build: Callable[[], Any],
+        layout: str = "",
+        keep: Callable[[Any], bool] | None = None,
+    ) -> Any:
+        """What ``build()`` makes of a join build side of ``rows`` rows — a
+        join table, or with ``layout="slots"`` its key slots — or the cached
+        one when the adaptive cache holds it for the same build plan, join
+        key and bound build-side parameter values (§6: ``A ⋈ B`` then
+        ``A ⋈ C``).  A fresh build that ``keep`` rejects is the caller's to
+        discard: it is neither cached nor counted as a build."""
+        cache_key = self._build_side_key(side, key, layout)
+        cached = self._cached(cache_key, rows)
+        if cached is not None:
+            return cached
+        built = build()
+        if keep is not None and not keep(built):
+            return built
+        self.counters.join_build_rows += rows
+        source = next(node for node in side.walk() if isinstance(node, PhysScan))
         source_format = self.catalog.get(source.dataset).format
-        if key is not None:
-            manager.store(
-                key,
-                table,
+        if cache_key is not None:
+            self.cache_manager.store(
+                cache_key,
+                built,
                 kind="join_side",
                 dataset=source.dataset,
                 source_format=source_format,
-                description=f"join build side ({table.kernel})",
+                description=f"join build side ({layout or built.kernel})",
             )
-        return table
+        return built
+
+    def cached_build_side(
+        self, side: PhysicalPlan, key: Expression, rows: int
+    ) -> radix.JoinTable | None:
+        """The cached join table of a build side, if the cache holds one
+        (see :meth:`build_side`)."""
+        return self._cached(self._build_side_key(side, key, ""), rows)
+
+    def _cached(self, cache_key: tuple | None, rows: int) -> Any:
+        if cache_key is None:
+            return None
+        entry = self.cache_manager.lookup(cache_key)
+        if entry is not None and entry.data.build_size == rows:
+            return entry.data
+        if entry is not None:
+            self.cache_manager.evict(cache_key)  # a stale build of another cardinality
+        return None
+
+    def _build_side_key(
+        self, side: PhysicalPlan, key: Expression, layout: str
+    ) -> tuple | None:
+        """The cache key of a build side (``None``: not cached)."""
+        if self.cache_manager is None:
+            return None
+        cache_key = join_side_cache_key(side.fingerprint(), key.fingerprint())
+        if layout:
+            cache_key += (layout,)
+        # The fingerprints abstract parameter values; fold the bound values
+        # of the build side's parameters back in so builds with different
+        # constants (and coincidentally equal cardinalities) never share a
+        # table.
+        parameters = dict.fromkeys(parameters_of(side))
+        parameters.update((parameter.key, None) for parameter in iter_parameters(key))
+        if parameters:
+            bound = self.params or {}
+            cache_key += tuple((name, bound.get(name)) for name in parameters)
+            try:
+                hash(cache_key)
+            except TypeError:
+                return None  # unhashable values: no build-side caching
+        return cache_key
 
     def _binding_type(self, plan: PhysicalPlan, binding: str) -> t.DataType | None:
         """The declared type of the records (or elements) ``binding`` ranges
@@ -1341,18 +1391,41 @@ class _TopKProjectionRoot(_ProjectionRoot):
         }
 
 
+#: One partial aggregate column: (aggregate fingerprint, the function that
+#: computed it).  ``avg`` is carried as its ``sum`` and ``count`` parts.
+Part = tuple[tuple, str]
+
+
+def aggregate_parts(aggregate: AggregateCall) -> list[Part]:
+    """The partial columns one aggregate is computed from."""
+    fingerprint = aggregate.fingerprint()
+    if aggregate.func == "avg":
+        return [(fingerprint, "sum"), (fingerprint, "count")]
+    return [(fingerprint, aggregate.func)]
+
+
 @dataclass
 class _GroupPartial:
     """Partially aggregated groups of one scan range — of one batch, for a
     global aggregate."""
 
     key_arrays: list[np.ndarray]
-    #: fingerprint → partial result column (aligned with ``key_arrays``);
-    #: ``avg`` decomposes into its ``{"sum": ..., "count": ...}`` parts.
-    aggregates: dict[tuple, Any]
-    #: The grouping kernel that built these groups (``None``: no keys).
+    #: Part → partial column, aligned with ``key_arrays`` (one row without
+    #: keys).
+    parts: dict[Part, Any]
+    #: The grouping kernel(s) that built these groups (``None``: no keys).
     kernel: str | None
 
+
+#: How a partial column is re-reduced, by the function that computed it.
+_MERGE_FUNCS = {
+    "count": "sum",
+    "sum": "sum",
+    "min": "min",
+    "max": "max",
+    "and": "and",
+    "or": "or",
+}
 
 #: The argument column of every aggregate of a global aggregate over no
 #: input at all.
@@ -1394,6 +1467,10 @@ class _NestRoot(_RootTask):
         self.names = [column.name for column in plan.columns]
         group_key_fingerprints, self.aggregates = collect_nest_aggregates(plan)
         self.keys = [evaluator(expression) for expression in keys]
+        #: The partial columns the aggregates are computed from.
+        self.parts = [
+            part for aggregate in self.aggregates for part in aggregate_parts(aggregate)
+        ]
         #: Aggregate fingerprint -> evaluator of its argument.
         self.arguments = {
             aggregate.fingerprint(): evaluator(aggregate.argument)
@@ -1464,36 +1541,19 @@ class _NestRoot(_RootTask):
         group_ids: np.ndarray | int,
         num_groups: int,
         arguments: Mapping[tuple, Any],
-    ) -> dict[tuple, Any]:
-        """The partial column of every aggregate over one grouping of its
-        argument column (``group_ids`` a row count: the one group)."""
-        partial: dict[tuple, Any] = {}
-        for aggregate in self.aggregates:
-            fingerprint = aggregate.fingerprint()
-            values = arguments.get(fingerprint)
-            present = fingerprint in self.non_null
-            if aggregate.func == "avg":
-                partial[fingerprint] = {
-                    part: radix.group_aggregate(
-                        part, group_ids, num_groups, values, present
-                    )
-                    for part in ("sum", "count")
-                }
-            else:
-                partial[fingerprint] = radix.group_aggregate(
-                    aggregate.func, group_ids, num_groups, values, present
-                )
-        return partial
-
-    #: How a partial aggregate column is re-reduced across ranges.
-    _MERGE_FUNCS = {
-        "count": "sum",
-        "sum": "sum",
-        "min": "min",
-        "max": "max",
-        "and": "and",
-        "or": "or",
-    }
+    ) -> dict[Part, Any]:
+        """Every part over one grouping of its argument column
+        (``group_ids`` a row count: the one group)."""
+        return {
+            (fingerprint, func): radix.group_aggregate(
+                func,
+                group_ids,
+                num_groups,
+                arguments.get(fingerprint),
+                fingerprint in self.non_null,
+            )
+            for fingerprint, func in self.parts
+        }
 
     def merge(self, partials: list, counters: PipelineCounters):
         partials = [partial for ranged in partials for partial in ranged]
@@ -1503,57 +1563,435 @@ class _NestRoot(_RootTask):
             # No input at all: the one group of a global aggregate answers.
             no_input = dict.fromkeys(self.arguments, _NO_VALUES)
             partials = [_GroupPartial([], self._aggregate(0, 1, no_input), None)]
-        key_arrays = partials[0].key_arrays
-        # Without keys the partials are the rows of the one group.
-        group_ids: np.ndarray | int = len(partials)
+        merged = partials[0]  # one partial: already final
+        if len(partials) > 1:
+            merged = self.fold(
+                [
+                    concat_chunks([partial.key_arrays[index] for partial in partials])
+                    for index in range(len(self.keys))
+                ],
+                {
+                    part: concat_chunks([partial.parts[part] for partial in partials])
+                    for part in self.parts
+                },
+                # Without keys the partials are the rows of the one group.
+                len(partials),
+                {partial.kernel for partial in partials},
+            )
+        return self.finish(merged, counters)
+
+    def fold(
+        self,
+        key_arrays: list[np.ndarray],
+        columns: Mapping[Part, Any],
+        rows: int,
+        kernels: set[str | None],
+    ) -> _GroupPartial:
+        """Group ``rows`` rows of partial columns by their keys (without
+        keys: into one group) and reduce every part by its monoid.
+        ``kernels`` names the grouping kernels behind the rows."""
+        group_ids: np.ndarray | int = rows
+        num_groups = 1
+        kernel = None
+        if self.keys:
+            grouping = radix.radix_group(key_arrays)
+            key_arrays, group_ids = grouping.key_arrays, grouping.group_ids
+            num_groups = grouping.num_groups
+            kernel = "+".join(sorted((kernels - {None}) | {grouping.kernel}))
+        return _GroupPartial(
+            key_arrays,
+            {
+                part: radix.group_aggregate(
+                    _MERGE_FUNCS[part[1]], group_ids, num_groups, column
+                )
+                for part, column in columns.items()
+            },
+            kernel,
+        )
+
+    def finish(self, merged: _GroupPartial, counters: PipelineCounters):
+        """The output columns of the final groups."""
         num_groups = 1
         if self.keys:
-            kernels = {partial.kernel for partial in partials}
-            if len(partials) > 1:
-                regrouped = radix.radix_group(
-                    [
-                        concat_chunks([partial.key_arrays[index] for partial in partials])
-                        for index in range(len(self.keys))
-                    ]
-                )
-                key_arrays, group_ids = regrouped.key_arrays, regrouped.group_ids
-                kernels.add(regrouped.kernel)
-            num_groups = len(key_arrays[0])
-            self.group_kernel = "+".join(sorted(kernels))
+            num_groups = len(merged.key_arrays[0])
+            self.group_kernel = merged.kernel
             counters.groups_built += num_groups
         counters.output_rows += num_groups
-
-        def reduce(func: str, columns: list[np.ndarray]) -> np.ndarray:
-            if len(columns) == 1:  # one partial: already final
-                return columns[0]
-            return radix.group_aggregate(
-                func, group_ids, num_groups, concat_chunks(columns)
-            )
-
-        aggregate_results: dict[tuple, np.ndarray] = {}
-        for aggregate in self.aggregates:
+        group_batch = Batch(count=num_groups, params=self.params)
+        for index, aggregate in enumerate(self.aggregates):
             fingerprint = aggregate.fingerprint()
-            parts = [partial.aggregates[fingerprint] for partial in partials]
             if aggregate.func == "avg":
-                aggregate_results[fingerprint] = radix.finish_avg(
-                    reduce("sum", [part["sum"] for part in parts]),
-                    reduce("sum", [part["count"] for part in parts]),
+                values = radix.finish_avg(
+                    merged.parts[(fingerprint, "sum")],
+                    merged.parts[(fingerprint, "count")],
                 )
             else:
-                aggregate_results[fingerprint] = reduce(
-                    self._MERGE_FUNCS[aggregate.func], parts
-                )
-        group_batch = Batch(count=num_groups, params=self.params)
-        for index, values in enumerate(aggregate_results.values()):
+                values = merged.parts[(fingerprint, aggregate.func)]
             group_batch.columns[(_AGG_BINDING, (f"agg_{index}",))] = np.asarray(values)
         columns: dict[str, Any] = {}
         for name, head in self.heads:
             columns[name] = (
-                key_arrays[head]
+                merged.key_arrays[head]
                 if isinstance(head, int)
                 else materialize(head(group_batch), num_groups)
             )
         return self.names, columns
+
+
+# ---------------------------------------------------------------------------
+# Aggregates over a one-key join chain, per key value
+# ---------------------------------------------------------------------------
+
+#: The aggregates key products combine.
+_FACTORIZED_FUNCS = frozenset({"count", "sum", "avg", "min", "max"})
+
+#: The column that carries a row's key slot (see :class:`FactorizedChain`).
+_SLOT: ColumnKey = ("__slot__", ())
+
+
+@dataclass
+class FactorizedChain:
+    """A join chain an aggregate runs over per join-key value, without
+    building the joined rows.
+
+    Every input of the chain holds one join-key field, and a joined row has
+    the same value in all of them, so the joined rows of one key value are
+    the product of each input's rows with that value.  The first input is
+    materialized like a join build side and its keys are numbered as
+    *slots* (:class:`~repro.core.executor.radix.KeySlots`); every other input
+    streams through a stage that keeps its rows whose key the first input
+    holds, with the slot attached.  Each input reduces to per-slot partials
+    (:class:`_SlotRoot`) — its row count ``c_i(k)`` and, per aggregate whose
+    argument reads it, the non-missing count and sum — and the aggregates
+    are key products over the slots every input holds:
+    ``COUNT(*) = Σ_k Π_i c_i(k)``, ``SUM(x_j) = Σ_k s_j(k) Π_{i≠j} c_i(k)``
+    (COUNT(x_j) alike, AVG from the two), MIN/MAX over those slots.  With
+    group keys, every row of the input they read is an output row of its
+    own, weighed by the other inputs' partials of its slot, and the group-by
+    fold groups the rows.
+    """
+
+    #: The hash joins, the chain's root first.
+    joins: list[PhysHashJoin]
+    #: The join-free input subplans, in plan order.
+    inputs: list[PhysicalPlan]
+    #: The join-key field of every input.
+    keys: list[FieldRef]
+    #: Per input after the first, the join whose probe side starts with it:
+    #: its slot stage is that join's span.
+    probes: list[PhysHashJoin]
+    #: Aggregate fingerprint -> the input its argument reads (COUNT(*): none).
+    owners: dict[tuple, int]
+    #: The input the group keys read (``None``: a global aggregate).
+    grouped: int | None
+
+
+def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
+    """The join chain beneath an aggregating root when the aggregate can run
+    per join-key value; ``None`` otherwise (the joins probe and gather).
+
+    The shape: a tree of inner hash joins without residual predicates over
+    join-free inputs, every join key a plain field and one field per input
+    (so all keys are one equivalence class), every group key reading the
+    same one input, every aggregate a COUNT, SUM, AVG, MIN or MAX whose
+    argument reads exactly one input.  A pure function of the plan."""
+    group_by = grouping_keys(plan)
+    if group_by is None or not isinstance(plan.child, PhysHashJoin):
+        return None
+    joins: list[PhysHashJoin] = []
+    inputs: list[PhysicalPlan] = []
+    pending: list[PhysicalPlan] = [plan.child]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, PhysHashJoin):
+            joins.append(node)
+            pending += [node.right, node.left]
+        else:
+            inputs.append(node)
+    if any(join.outer or join.residual is not None for join in joins) or any(
+        isinstance(node, (PhysHashJoin, PhysNestedLoopJoin))
+        for subplan in inputs
+        for node in subplan.walk()
+    ):
+        return None
+    bindings = [subplan.bindings() for subplan in inputs]
+
+    def reader(expression: Expression) -> int | None:
+        """The one input every field of ``expression`` belongs to."""
+        read = {
+            index
+            for binding, _ in expression.referenced_fields()
+            for index, names in enumerate(bindings)
+            if binding in names
+        }
+        return read.pop() if len(read) == 1 else None
+
+    key_fields: dict[int, dict[tuple, FieldRef]] = {}
+    for join in joins:
+        for key in (join.left_key, join.right_key):
+            index = reader(key) if isinstance(key, FieldRef) else None
+            if index is None:
+                return None
+            key_fields.setdefault(index, {})[key.fingerprint()] = key
+    if len(key_fields) != len(inputs) or any(
+        len(fields) > 1 for fields in key_fields.values()
+    ):
+        return None
+    grouped = None
+    if group_by:
+        readers = {reader(expression) for expression in group_by}
+        if len(readers) > 1 or None in readers:
+            return None
+        (grouped,) = readers
+    try:
+        _, aggregates = collect_nest_aggregates(plan)
+    except VectorizationError:
+        return None
+    owners: dict[tuple, int] = {}
+    for aggregate in aggregates:
+        if aggregate.func not in _FACTORIZED_FUNCS:
+            return None
+        if aggregate.argument is not None:
+            index = reader(aggregate.argument)
+            if index is None:
+                return None
+            owners[aggregate.fingerprint()] = index
+    # Every input but the first starts the probe side of exactly one join.
+    probes: dict[int, PhysHashJoin] = {}
+    for join in joins:
+        start = join.right
+        while isinstance(start, PhysHashJoin):
+            start = start.left
+        probes[id(start)] = join
+    return FactorizedChain(
+        joins,
+        inputs,
+        [next(iter(key_fields[index].values())) for index in range(len(inputs))],
+        [probes[id(subplan)] for subplan in inputs[1:]],
+        owners,
+        grouped,
+    )
+
+
+class SlotStage:
+    """Keep the rows of a batch whose join key has a slot, with the slot
+    attached as a column (see :class:`FactorizedChain`)."""
+
+    def __init__(self, space: radix.KeySlots, key: Evaluator):
+        self.space = space
+        self.key = key
+
+    def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
+        keys, kept = _align_probe_keys(
+            self.space.kind, _join_keys(self.key(batch), batch.count)
+        )
+        slots = radix.slots_of(self.space, keys)
+        if kept is not None:
+            slots, aligned = np.full(batch.count, -1, dtype=np.int64), slots
+            slots[kept] = aligned
+        keep = slots >= 0
+        if not keep.any():
+            return None
+        if not keep.all():
+            batch, slots = batch.take(keep), slots[keep]
+        batch.columns[_SLOT] = slots
+        return batch
+
+
+def _slot_of(batch: Batch) -> np.ndarray:
+    return batch.columns[_SLOT]
+
+
+@dataclass
+class _SlotPartials:
+    """One input of a factorized chain, reduced over the slots."""
+
+    #: Rows per slot.
+    rows: np.ndarray
+    #: (aggregate fingerprint, ``count`` | ``sum``) -> per-slot column.
+    sums: dict[Part, Any]
+    #: The columns of the rows that a per-slot column cannot stand for —
+    #: the group keys (by index) and the MIN/MAX arguments (by fingerprint),
+    #: every argument of the grouped input — with their slots (``_SLOT``).
+    kept: dict[Any, Any]
+
+
+class _SlotRoot(_RootTask):
+    """The per-slot partials of one input of a factorized chain: each range
+    collects its rows' slots and argument columns, as a group-by's range
+    does, and reduces them with the slots as group ids; ranges add their
+    partials up (integer sums turn exact past int64, as every group-by's;
+    a range without rows adds only its zero row counts) and concatenate
+    their kept rows in range order."""
+
+    def __init__(
+        self,
+        size: int,
+        summed: Mapping[tuple, tuple[Evaluator, list[str]]],
+        kept: Mapping[Any, Evaluator],
+        non_null: frozenset[tuple],
+    ):
+        self.size = size
+        #: Aggregate fingerprint -> (its argument, the parts summed per slot).
+        self.summed = summed
+        self.kept = kept
+        self.non_null = non_null
+        #: Every column a range collects.
+        self.columns = {
+            _SLOT: _slot_of,
+            **{fingerprint: argument for fingerprint, (argument, _) in summed.items()},
+            **kept,
+        }
+
+    def new_state(self) -> dict[Any, list]:
+        return {name: [] for name in self.columns}
+
+    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+        for name, column in self.columns.items():
+            state[name].append(materialize(column(batch), batch.count))
+
+    def finish_morsel(self, state: dict, counters: PipelineCounters) -> _SlotPartials:
+        if not state[_SLOT]:
+            # A range without a row adds no sums: its argument columns would
+            # be float64 (no chunks), and their sums could turn int sums
+            # float.
+            return _SlotPartials(
+                np.zeros(self.size, dtype=np.int64), {}, {name: [] for name in self.kept}
+            )
+        slots = concat_chunks(state[_SLOT])
+        sums = {}
+        for fingerprint, (_, funcs) in self.summed.items():
+            values = concat_chunks(state[fingerprint])
+            for func in funcs:
+                sums[(fingerprint, func)] = radix.group_aggregate(
+                    func, slots, self.size, values, fingerprint in self.non_null
+                )
+        kept = {name: state[name] for name in self.kept}
+        return _SlotPartials(np.bincount(slots, minlength=self.size), sums, kept)
+
+    def merge(self, partials: list, counters: PipelineCounters) -> _SlotPartials:
+        rows = sum(partial.rows for partial in partials)
+        sums: dict[Part, Any] = {}
+        for partial in partials:
+            for part, column in partial.sums.items():
+                sums[part] = (
+                    radix.null_safe_arith("+", sums[part], column)
+                    if part in sums
+                    else column
+                )
+        kept = {
+            name: concat_chunks([chunk for partial in partials for chunk in partial.kept[name]])
+            for name in self.kept
+        }
+        return _SlotPartials(rows, sums, kept)
+
+
+def _slot_root(
+    chain: FactorizedChain, root: _NestRoot, index: int, size: int
+) -> _SlotRoot:
+    """The reduction of input ``index`` of ``chain`` over ``size`` slots:
+    MIN/MAX arguments and every column of the grouped input keep their
+    rows, the other arguments are counted and summed per slot."""
+    summed: dict[tuple, tuple[Evaluator, list[str]]] = {}
+    kept: dict[Any, Evaluator] = {}
+    if index == chain.grouped:
+        kept.update(enumerate(root.keys))
+    for aggregate in root.aggregates:
+        fingerprint = aggregate.fingerprint()
+        if chain.owners.get(fingerprint) != index:
+            continue
+        argument = root.arguments[fingerprint]
+        if index == chain.grouped or aggregate.func in ("min", "max"):
+            kept[fingerprint] = argument
+        else:
+            # The non-missing count weighs SUM's keys too (see
+            # _combine_per_key).
+            funcs = ["count"] if aggregate.func == "count" else ["count", "sum"]
+            summed[fingerprint] = (argument, funcs)
+    if kept:
+        kept[_SLOT] = _slot_of
+    return _SlotRoot(size, summed, kept, root.non_null)
+
+
+def _combine_per_key(
+    chain: FactorizedChain,
+    root: _NestRoot,
+    reductions: list[_SlotPartials],
+    held: np.ndarray,
+) -> _GroupPartial:
+    """The root's parts as key products over the ``held`` slots (every
+    input has rows there), folded by the group keys.  A product that could
+    pass int64 is taken in exact Python ints, as the joined rows' sums
+    would be."""
+    held_slots = np.flatnonzero(held)
+    row_counts = [reduced.rows[held_slots] for reduced in reductions]
+    rank = None  # held slot -> its position among them, for the kept rows
+    if any(reduced.kept for reduced in reductions):
+        rank = np.empty(len(held), dtype=np.int64)
+        rank[held_slots] = np.arange(len(held_slots))
+    row_key = None
+    group_keys: list[np.ndarray] = []
+    if chain.grouped is not None:
+        kept = reductions[chain.grouped].kept
+        keep = held[kept[_SLOT]]
+        row_key = rank[kept[_SLOT][keep]]
+        group_keys = [kept[index][keep] for index in range(len(root.keys))]
+        row_counts = [count[row_key] for count in row_counts]
+        row_counts[chain.grouped] = np.ones(len(row_key), dtype=np.int64)
+    rows = len(row_counts[0])
+
+    def product(skip: int | None = None) -> np.ndarray:
+        factors = [count for index, count in enumerate(row_counts) if index != skip]
+        result = factors[0]
+        for factor in factors[1:]:
+            result = radix.null_safe_arith("*", result, factor)
+        return result
+
+    def reduced(owner: int, fingerprint: tuple, func: str) -> Any:
+        """Input ``owner``'s ``func`` partial of an argument, per output
+        row."""
+        partials = reductions[owner]
+        if fingerprint in partials.kept:
+            slots = partials.kept[_SLOT]
+            keep = held[slots]
+            if owner == chain.grouped:  # a group of one per row
+                ids, size = np.arange(rows), rows
+            else:
+                ids, size = rank[slots[keep]], len(held_slots)
+            column = radix.group_aggregate(
+                func, ids, size, partials.kept[fingerprint][keep],
+                fingerprint in root.non_null,
+            )
+        else:
+            column = partials.sums[(fingerprint, func)][held_slots]
+        spread = row_key is not None and owner != chain.grouped
+        return column[row_key] if spread else column
+
+    columns: dict[Part, Any] = {}
+    for aggregate in root.aggregates:
+        fingerprint = aggregate.fingerprint()
+        owner = chain.owners.get(fingerprint)
+        if owner is None:  # COUNT(*)
+            columns[(fingerprint, "count")] = product()
+            continue
+        if aggregate.func in ("min", "max"):
+            columns[(fingerprint, aggregate.func)] = reduced(
+                owner, fingerprint, aggregate.func
+            )
+            continue
+        present = reduced(owner, fingerprint, "count")
+        weight = product(owner)
+        if aggregate.func != "sum":
+            columns[(fingerprint, "count")] = radix.null_safe_arith("*", present, weight)
+        if aggregate.func != "count":
+            sums = radix.null_safe_arith("*", reduced(owner, fingerprint, "sum"), weight)
+            if sums.dtype.kind == "f":
+                # A key without argument values adds no value at all, so a
+                # global SUM over none stays the integer 0 the joined rows
+                # give.
+                sums[present == 0] = np.nan
+            columns[(fingerprint, "sum")] = sums
+    return root.fold(group_keys, columns, rows, set())
 
 
 # ---------------------------------------------------------------------------
@@ -1633,14 +2071,100 @@ class VectorizedExecutor:
             trace=self.trace,
             context=self.context,
         )
-        pipeline = compiler.compile(plan.child)
-        self.join_kernels = compiler.join_kernels
-        morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
         root = _make_root(plan, sort_plan, self.params, self.hints, evaluator)
-        names, columns = self._run(root, pipeline, morsels)
+        chain = factorized_chain(plan)
+        result = None
+        if chain is not None:
+            result = self._execute_factorized(chain, root, compiler, evaluator)
+        if result is None:
+            pipeline = compiler.compile(plan.child)
+            self.join_kernels = compiler.join_kernels
+            morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
+            result = self._run(root, pipeline, morsels)
+        else:
+            self.join_kernels = [radix.KERNEL_FACTORIZED] * len(chain.joins)
         self.group_kernel = root.group_kernel
         compiler.store_scan_caches()
-        return names, columns
+        return result
+
+    # -- aggregates over a one-key join chain ----------------------------------
+
+    def _execute_factorized(
+        self,
+        chain: FactorizedChain,
+        root: _NestRoot,
+        compiler: PipelineCompiler,
+        evaluator: Callable[[Expression], Evaluator],
+    ) -> tuple[list[str], dict[str, Any]] | None:
+        """Run the aggregate over ``chain`` per join-key value (see
+        :class:`FactorizedChain`); every input streams inline or fanned out,
+        as a join's sides do.  ``None`` — the joins then probe and gather,
+        the first input handed over as the materialized build side — when
+        two inputs join on keys the first holds once each: the join has one
+        row per matching row of the other, so there is nothing to factor
+        out.  That is decided before any other input is read, from the
+        cached join table when there is one."""
+        first = self._materialize(compiler.compile(chain.inputs[0]))
+        if first.count == 0:
+            return self._empty_chain(chain, root)
+        pair = len(chain.inputs) == 2
+        if pair:
+            table = compiler.cached_build_side(chain.inputs[0], chain.keys[0], first.count)
+            if table is not None and table.unique:
+                compiler.built[id(chain.inputs[0])] = first
+                return None
+        space = compiler.build_side(
+            chain.inputs[0],
+            chain.keys[0],
+            first.count,
+            lambda: radix.key_slots(
+                _join_keys(evaluator(chain.keys[0])(first), first.count)
+            ),
+            layout="slots",
+            keep=lambda space: not (pair and space.unique),
+        )
+        if pair and space.unique:
+            compiler.built[id(chain.inputs[0])] = first
+            return None
+        first.columns[_SLOT] = space.rows
+        reducer = _slot_root(chain, root, 0, space.size)
+        reduced = _SlotPartials(space.counts, {}, {})  # the rows per slot, kept
+        if reducer.summed or reducer.kept:
+            state = reducer.new_state()
+            reducer.update(state, first, self.counters)
+            reduced = reducer.merge([reducer.finish_morsel(state, self.counters)], self.counters)
+        reductions = [reduced]
+        for index, subplan in enumerate(chain.inputs[1:], start=1):
+            pipeline = compiler.compile(subplan)
+            stage = SlotStage(space, evaluator(chain.keys[index]))
+            pipeline.stages.append(traced_stage(self.trace, chain.probes[index - 1], stage))
+            reducer = _slot_root(chain, root, index, space.size)
+            reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
+            if not reduced.rows.any():  # no row of this input has a slot
+                return self._empty_chain(chain, root)
+            reductions.append(reduced)
+        started = time.perf_counter()
+        held = np.logical_and.reduce([reduced.rows > 0 for reduced in reductions])
+        if not held.any():
+            return self._empty_chain(chain, root)
+        combined = _combine_per_key(chain, root, reductions, held)
+        # The key products are the chain root's work.
+        self._join_span(chain.joins[0], time.perf_counter() - started)
+        return root.finish(combined, self.counters)
+
+    def _empty_chain(
+        self, chain: FactorizedChain, root: _NestRoot
+    ) -> tuple[list[str], dict[str, Any]]:
+        """The answer over a join chain without a joined row."""
+        for join in chain.joins:
+            self._join_span(join, 0.0)
+        return root.merge([], self.counters)
+
+    def _join_span(self, join: PhysHashJoin, seconds: float) -> None:
+        if self.trace is not None:
+            self.trace.operator("hashjoin", node=join, detail="factorized").add(
+                seconds=seconds
+            )
 
     # -- inline or fanned out --------------------------------------------------
 

@@ -41,7 +41,9 @@ class ExecutionProfile:
     sort_strategy: str | None = None
     #: Which join kernel each hash join of the batch pipeline ran, in plan
     #: walk order: "dense" (direct-addressed over the build side's integer
-    #: key range) or "sorted" (one stable sort, two searchsorted per batch).
+    #: key range), "sorted" (one stable sort, two searchsorted per batch) or
+    #: "factorized" (an aggregate over joins on one shared key, run per key
+    #: value without joined rows).
     join_kernels: list[str] = field(default_factory=list)
     #: Which grouping kernel(s) a batch-pipeline group-by ran: "dense"
     #: (``bincount`` over the mixed-radix code of ``key - lo``), "sorted"

@@ -38,8 +38,9 @@ SPAN_INSTRUMENTED_OPERATORS: dict[str, str] = {
                   "(batch pipeline); iterator wrapper (volcano)",
     "PhysUnnest": "TracedStage(UnnestStage) (batch pipeline); iterator "
                   "wrapper (volcano)",
-    "PhysHashJoin": "TracedStage(HashJoinStage) (batch pipeline); iterator "
-                    "wrapper (volcano)",
+    "PhysHashJoin": "TracedStage(HashJoinStage), or of a per-key chain "
+                    "TracedStage(SlotStage) plus the key products on the "
+                    "chain's root (batch pipeline); iterator wrapper (volcano)",
     "PhysNestedLoopJoin": "TracedStage(NestedLoopJoinStage) (batch "
                           "pipeline); iterator wrapper (volcano)",
     "PhysReduce": "engine-side root span around the executor's reduce",

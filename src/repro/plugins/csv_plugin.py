@@ -75,9 +75,10 @@ def _convert_date(text: str) -> int:
 
 
 def _missing_if_empty(convert: Callable[[str], Any]) -> Callable[[str], Any]:
-    """An empty field of a number or date column is a missing value, as an
-    absent JSON field is."""
-    return lambda text: None if text == "" else convert(text)
+    """An empty or blank (whitespace-only) field of a number or date column
+    is a missing value, as an absent JSON field is — and as schema inference
+    reads it."""
+    return lambda text: None if not text.strip() else convert(text)
 
 
 _CONVERTERS = {

@@ -136,14 +136,17 @@ def test_engine_caches_strings_as_dictionary_codes(paths):
 
 def test_engine_join_side_cache_reuse(paths):
     engine = make_engine(paths, enable_caching=True)
+    # Aggregate arguments reading both inputs probe a build-side table.
     engine.query(
-        "SELECT COUNT(*) FROM items_bin i JOIN items_csv c ON i.id = c.id WHERE c.qty < 9"
+        "SELECT COUNT(*), SUM(i.qty + c.qty) FROM items_bin i JOIN items_csv c "
+        "ON i.id = c.id WHERE c.qty < 9"
     )
     assert any(entry.kind == "join_side" for entry in engine.cache_entries())
     # A different query over the same join side reuses the materialization.
     hits_before = engine.cache_stats.hits
     engine.query(
-        "SELECT MAX(i.price) FROM items_bin i JOIN items_csv c ON i.id = c.id WHERE c.qty < 9"
+        "SELECT MAX(i.price + c.qty) FROM items_bin i JOIN items_csv c "
+        "ON i.id = c.id WHERE c.qty < 9"
     )
     assert engine.cache_stats.hits > hits_before
 

@@ -364,8 +364,9 @@ def test_select_over_raw_scan_fetches_deferred_fields_for_survivors_only(
 def test_unnest_and_join_side_caches_fill_and_serve(paths, config, label):
     engine = make_engine(paths, **config)
     unnest = "for { o <- orders, l <- o.lines } yield sum (l.price)"
+    # An aggregate argument reading both inputs probes a build-side table.
     join = (
-        "SELECT COUNT(*), SUM(c.price) FROM items_json j "
+        "SELECT COUNT(*), SUM(c.price + j.qty) FROM items_json j "
         "JOIN items_csv c ON j.id = c.id"
     )
     first = [engine.query(unnest), engine.query(join)]
@@ -401,15 +402,16 @@ def test_cached_build_sides_are_keyed_by_bound_parameter_values(paths, config, l
     value selects 12 build rows: without the bound values in the cache key
     the second execution would probe the first one's (stale) table."""
     engine = make_engine(paths, **config)
+    # An aggregate argument reading both inputs probes a build-side table.
     prepared = engine.prepare(
-        "SELECT COUNT(*), SUM(c.price) FROM items_json j JOIN items_csv c "
+        "SELECT COUNT(*), MAX(c.price + j.qty) FROM items_json j JOIN items_csv c "
         "ON j.id = c.id WHERE j.qty = :q AND c.qty = :q"
     )
     for value in (3, 4, 3):
         result = prepared.execute(q=value)
         assert result.tier == label
         matching = [row["price"] for row in expected_items() if row["qty"] == value]
-        assert result.rows == [(len(matching), sum(matching))]
+        assert result.rows == [(len(matching), max(matching) + value)]
     tables = [entry for entry in engine.cache_entries() if entry.kind == "join_side"]
     assert len(tables) == 2
     assert {entry.data.build_size for entry in tables} == {12}

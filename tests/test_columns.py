@@ -309,6 +309,24 @@ def test_empty_csv_numbers_are_missing_values(tmp_path):
         assert engine.query("SELECT d FROM dated").column("d") == [18263, None, 18262], kwargs
 
 
+def test_blank_csv_numbers_are_missing_values(tmp_path):
+    """A field holding only blanks reads like an empty one: a missing
+    ``int``, ``float`` or ``date`` on every tier, inferred and declared
+    schemas alike, statistics collection included."""
+    path = tmp_path / "blank.csv"
+    path.write_text("id,n,f,d\n0,1,1.5,2020-01-02\n1, ,  , \n2,4,2.5,2020-01-01\n")
+    dated = t.make_schema({"id": "int", "n": "int", "f": "float", "d": "date"})
+    for kwargs in ({"enable_codegen": False}, *CONFIGS.values()):
+        engine = ProteusEngine(enable_caching=False, **kwargs)
+        engine.register_csv("e", str(path), analyze=True)  # inferred schema
+        engine.register_csv("dated", str(path), schema=dated, analyze=True)
+        for name in ("e", "dated"):
+            rows = engine.query(f"SELECT id, n, f FROM {name}").rows
+            assert repr(rows) == repr([(0, 1, 1.5), (1, None, None), (2, 4, 2.5)]), kwargs
+            assert engine.query(f"SELECT SUM(n), COUNT(f) FROM {name}").rows == [(5, 2)]
+        assert engine.query("SELECT d FROM dated").column("d") == [18263, None, 18262], kwargs
+
+
 def test_mixed_type_columns_are_not_cached(tmp_path):
     """A JSON string field holding a number takes the object path and has no
     primitive form to cache; a NUL byte still encodes, and the encoded

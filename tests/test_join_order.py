@@ -97,3 +97,299 @@ def test_join_side_cache_hit_keeps_the_order(engines, paths):
     second = engine.query(query)
     assert second.profile.join_build_rows == 0  # served from the cache
     assert first.rows == second.rows == engines["volcano"].query(query).rows
+
+
+# ---------------------------------------------------------------------------
+# Aggregates over join chains that share one key: run per key value
+# ---------------------------------------------------------------------------
+#
+# An aggregate over inner equi-joins whose keys are one field per input, with
+# every group key and aggregate argument reading one input, runs without
+# building joined rows (``join_kernels`` says ``factorized``).  Its answers
+# must be Volcano's: ints and strings exactly, float SUM/AVG to the last-ulp
+# tolerance of reassociated float additions (the per-key products add in
+# key order, not in joined-row order).  Every pipeline configuration runs
+# the same per-key arithmetic, so they agree bit for bit.
+
+import json
+import math
+import os
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import ProteusEngine
+from repro.core import types as t
+from repro.storage.binary_format import write_column_table
+
+CHAIN_SCHEMA = t.make_schema(
+    {"id": "int", "k": "int", "x": "int", "y": "float", "g": "string"}
+)
+
+#: Pipeline configurations of the differential (label -> engine kwargs).
+CHAIN_CONFIGS = {
+    "codegen": {},
+    "codegen-fanout-2": {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+    "codegen-fanout-8": {"parallel_workers": 8, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+}
+
+_CHAIN = "FROM fc c JOIN fj j ON c.k = j.k JOIN fb b ON j.k = b.k"
+
+#: (query, number of joins): every one runs per key value on the pipeline —
+#: but for a two-input join whose first input holds each key once, which
+#: has nothing to factor out and probes a table.
+CHAIN_QUERIES = [
+    (f"SELECT COUNT(*), SUM(c.x), AVG(j.y), MIN(b.x), MAX(c.y), COUNT(j.x) {_CHAIN}", 2),
+    (f"SELECT c.g, COUNT(*), SUM(j.x), MAX(b.y), AVG(b.x) {_CHAIN} GROUP BY c.g", 2),
+    (f"SELECT j.g, COUNT(*), SUM(b.x), AVG(c.x), MIN(c.y) {_CHAIN} GROUP BY j.g", 2),
+    (f"SELECT b.g, COUNT(*), MIN(c.x), SUM(j.y), COUNT(c.y) {_CHAIN} GROUP BY b.g", 2),
+    (f"SELECT MIN(c.g) AS c0, MAX(j.g) AS j1, MAX(b.g) AS b1, MIN(b.g) AS b0 "
+     f"{_CHAIN}", 2),
+    (f"SELECT COUNT(*), SUM(c.x), MAX(j.g) {_CHAIN} WHERE j.x > 1000", 2),
+    (f"SELECT COUNT(*), SUM(b.y) {_CHAIN} WHERE c.x < 0 AND b.y >= 0", 2),
+    ("SELECT COUNT(*), SUM(b.x), MAX(c.y) FROM fc c JOIN fb b ON c.k = b.k "
+     "WHERE c.x < 10", 1),
+    ("SELECT c.g, SUM(c.x), COUNT(*) FROM fb b JOIN fc c ON b.k = c.k "
+     "GROUP BY c.g", 1),
+    # String keys, grouped by the key itself.
+    ("SELECT j.g, COUNT(*), SUM(j.x), MAX(c.y) FROM fj j JOIN fc c ON j.g = c.g "
+     "GROUP BY j.g", 1),
+]
+
+_VALUES = st.one_of(st.none(), st.integers(-60, 60))
+_FLOATS = st.one_of(st.none(), st.integers(-400, 400).map(lambda n: n / 4))
+
+
+@st.composite
+def _chain_rows(draw, missing: bool):
+    """The rows of one input: duplicate keys in a small range, missing
+    arguments unless the format cannot hold them."""
+    count = draw(st.integers(0, 40))
+    return [
+        {
+            "k": draw(st.integers(0, 6)),
+            "x": draw(_VALUES if missing else st.integers(-60, 60)),
+            "y": draw(_FLOATS if missing else st.integers(-400, 400).map(lambda n: n / 4)),
+            "g": draw(st.sampled_from(["a", "b", "c", "dd"])),
+        }
+        for _ in range(count)
+    ]
+
+
+def _write_chain(directory: str, csv_rows, json_rows, binary_rows) -> None:
+    def cell(value) -> str:
+        return "" if value is None else str(value)
+
+    with open(os.path.join(directory, "fc.csv"), "w", encoding="utf-8") as handle:
+        handle.write("id,k,x,y,g\n")
+        for index, row in enumerate(csv_rows):
+            handle.write(
+                f"{index},{row['k']},{cell(row['x'])},{cell(row['y'])},{row['g']}\n"
+            )
+    with open(os.path.join(directory, "fj.json"), "w", encoding="utf-8") as handle:
+        for index, row in enumerate(json_rows):
+            record = {"id": index, **row}
+            if index % 2:  # absent and null are both missing
+                record = {name: value for name, value in record.items() if value is not None}
+            handle.write(json.dumps(record) + "\n")
+    write_column_table(
+        os.path.join(directory, "fb"),
+        {
+            "id": list(range(len(binary_rows))),
+            **{name: [row[name] for row in binary_rows] for name in ("k", "x", "y", "g")},
+        },
+        CHAIN_SCHEMA,
+    )
+
+
+def _chain_engine(directory: str, **kwargs) -> ProteusEngine:
+    engine = ProteusEngine(enable_caching=False, **kwargs)
+    engine.register_csv("fc", os.path.join(directory, "fc.csv"), schema=CHAIN_SCHEMA)
+    engine.register_json("fj", os.path.join(directory, "fj.json"), schema=CHAIN_SCHEMA)
+    engine.register_binary_columns("fb", os.path.join(directory, "fb"))
+    return engine
+
+
+def _cells_match(cell, expected) -> bool:
+    """The pipeline's cell against Volcano's: of the same type and equal,
+    floats to the last ulp.  The one difference allowed is a grouped float
+    SUM with no value on any joined row: ``0.0`` against Volcano's integer
+    ``0``, as in every group-by."""
+    if type(cell) is float and type(expected) is int:
+        return cell == expected == 0
+    if type(cell) is not type(expected):
+        return False
+    if isinstance(cell, float):
+        if math.isnan(cell) or math.isnan(expected):
+            return math.isnan(cell) and math.isnan(expected)
+        return math.isclose(cell, expected, rel_tol=1e-12, abs_tol=1e-12)
+    return cell == expected
+
+
+def _assert_matches_volcano(rows, reference, query) -> None:
+    rows, reference = sorted(rows, key=repr), sorted(reference, key=repr)
+    assert len(rows) == len(reference), (query, rows, reference)
+    for row, expected in zip(rows, reference):
+        assert all(map(_cells_match, row, expected)), (query, row, expected)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    csv_rows=_chain_rows(missing=True),
+    json_rows=_chain_rows(missing=True),
+    binary_rows=_chain_rows(missing=False),
+)
+def test_one_key_join_chains_run_per_key_like_volcano(
+    tmp_path_factory, csv_rows, json_rows, binary_rows
+):
+    directory = str(tmp_path_factory.mktemp("chain"))
+    _write_chain(directory, csv_rows, json_rows, binary_rows)
+    volcano = _chain_engine(directory, enable_codegen=False)
+    engines = {
+        label: _chain_engine(directory, **kwargs) for label, kwargs in CHAIN_CONFIGS.items()
+    }
+    for query, joins in CHAIN_QUERIES:
+        reference = volcano.query(query).rows
+        results = {}
+        for label, engine in engines.items():
+            result = engine.query(query)
+            assert result.tier == "codegen", (label, query)
+            kernels = result.profile.join_kernels
+            assert kernels == ["factorized"] * joins or (
+                joins == 1 and kernels in (["dense"], ["sorted"])
+            ), (label, query, kernels)
+            results[label] = (kernels, [repr(row) for row in result.rows])
+            _assert_matches_volcano(result.rows, reference, (label, query))
+        inline = results.pop("codegen")
+        assert all(result == inline for result in results.values()), query
+
+
+def test_integer_products_past_int64_are_exact(tmp_path):
+    """Key products that pass 2**63 are taken in exact Python ints, as
+    Volcano's sums over the joined rows are: a per-key sum past int64 (four
+    2**62 on one key) and one that fits (two 2**61) but whose product with
+    the other input's count does not."""
+    big = 2**62
+    csv_rows = [{"k": 0, "x": 1, "y": 1.0, "g": "a"}] * 4
+    binary_rows = [{"k": 0, "x": big, "y": 1.0, "g": "a"}] * 4 + [
+        {"k": 1, "x": big // 2, "y": 1.0, "g": "b"}
+    ] * 2
+    csv_rows += [dict(row, k=1) for row in csv_rows]
+    _write_chain(str(tmp_path), csv_rows, [], binary_rows)
+    volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+    for label, kwargs in CHAIN_CONFIGS.items():
+        engine = _chain_engine(str(tmp_path), **kwargs)
+        for query in (
+            "SELECT COUNT(*), SUM(b.x) FROM fc c JOIN fb b ON c.k = b.k",
+            "SELECT COUNT(*), SUM(b.x) FROM fc c JOIN fb b ON c.k = b.k WHERE b.k = 1",
+            "SELECT c.g, SUM(b.x) FROM fc c JOIN fb b ON c.k = b.k GROUP BY c.g",
+        ):
+            result = engine.query(query)
+            assert result.tier == "codegen", (label, query)
+            assert result.profile.join_kernels == ["factorized"], (label, query)
+            reference = volcano.query(query).rows
+            assert repr(sorted(result.rows)) == repr(sorted(reference)), (label, query)
+    assert volcano.query(
+        "SELECT COUNT(*), SUM(b.x) FROM fc c JOIN fb b ON c.k = b.k"
+    ).rows == [(24, 20 * big)]
+
+
+def test_streamed_ranges_without_a_slot_keep_int_sums_int(tmp_path):
+    """A fanned-out streamed input (the 40-row CSV and JSON files behind the
+    4-row binary first input) whose 2-row morsels often keep no row — their
+    keys miss the first input, or a filter drops them — still sums ints to
+    an int: a morsel without rows adds no sum."""
+    binary_rows = [{"k": key, "x": 1, "y": 1.0, "g": "a"} for key in (0, 0, 1, 1)]
+    streamed = [
+        {"k": key, "x": 2**40 + index, "y": 0.5, "g": "b"}
+        for index, key in enumerate(([0, 1] + [9] * 6) * 5)
+    ]
+    _write_chain(str(tmp_path), streamed, streamed, binary_rows)
+    volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+    engine = _chain_engine(
+        str(tmp_path), parallel_workers=2, vectorized_batch_size=FANOUT_BATCH_SIZE
+    )
+    for query in (
+        "SELECT COUNT(*), SUM(c.x), AVG(c.x) FROM fc c JOIN fb b ON c.k = b.k",
+        "SELECT COUNT(*), SUM(j.x), MAX(j.x) FROM fj j JOIN fb b ON j.k = b.k",
+        "SELECT b.g, SUM(c.x) FROM fc c JOIN fb b ON c.k = b.k GROUP BY b.g",
+        "SELECT SUM(c.x) FROM fc c JOIN fb b ON c.k = b.k WHERE c.x % 3 = 0",
+    ):
+        result = engine.query(query)
+        assert result.profile.join_kernels == ["factorized"], query
+        assert result.profile.morsels_dispatched >= 16, query  # the streamed input
+        assert repr(result.rows) == repr(volcano.query(query).rows), query
+
+
+def test_first_input_with_unique_keys_caches_only_its_join_table(paths):
+    """A two-input join whose first input holds each key once probes a
+    table; the key slots it was told apart by are not kept, and the next
+    run decides from the cached table alone."""
+    query = "SELECT COUNT(*), SUM(b.qty) FROM items_csv a JOIN items_bin b ON a.id = b.id"
+    engine = make_engine(paths)
+    reference = make_engine(paths, enable_codegen=False).query(query).rows
+    first, second = engine.query(query), engine.query(query)
+    assert first.profile.join_kernels == second.profile.join_kernels == ["dense"]
+    assert first.rows == second.rows == reference
+    assert first.profile.join_build_rows == 120
+    assert second.profile.join_build_rows == 0
+    entries = [e for e in engine.cache_entries() if e.kind == "join_side"]
+    assert [e.description for e in entries] == ["join build side (dense)"]
+
+
+def test_missing_join_key_demotes_once(tmp_path):
+    """A join key with a missing value cannot be grouped: the pipeline
+    demotes once, keyed ``codegen``, and Volcano answers."""
+    rows = [{"k": key, "x": 1, "y": 1.0, "g": "a"} for key in (0, 1, None, 1)]
+    _write_chain(str(tmp_path), rows[:2], rows, rows[:2])
+    query = f"SELECT COUNT(*), SUM(j.x) {_CHAIN}"
+    reference = _chain_engine(str(tmp_path), enable_codegen=False).query(query)
+    for label, kwargs in CHAIN_CONFIGS.items():
+        result = _chain_engine(str(tmp_path), **kwargs).query(query)
+        assert result.tier == "volcano", label
+        reasons = result.profile.tier_decline_reasons
+        assert [tier for tier, reason in reasons.items() if "TIER009" in reason] == ["codegen"]
+        assert result.rows == reference.rows == [(3, 3)], label
+
+
+def test_sum_over_joined_rows_without_values_is_volcano_zero(tmp_path):
+    """A float SUM whose argument is missing on every joined row is
+    Volcano's integer ``0`` (its accumulators start there), although the
+    input has values on a key that two of the three inputs hold."""
+    csv_rows = [{"k": 0, "x": None, "y": None, "g": "a"}] * 2 + [
+        {"k": 5, "x": 3, "y": 2.5, "g": "b"}
+    ]
+    json_rows = [{"k": 0, "x": 1, "y": 1.0, "g": "a"}] * 2
+    binary_rows = json_rows + [{"k": 5, "x": 1, "y": 1.0, "g": "b"}]
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    query = f"SELECT SUM(c.y), SUM(c.x), COUNT(c.y), COUNT(*) {_CHAIN}"
+    reference = _chain_engine(str(tmp_path), enable_codegen=False).query(query).rows
+    assert repr(reference) == repr([(0, 0, 0, 8)])
+    for label, kwargs in CHAIN_CONFIGS.items():
+        result = _chain_engine(str(tmp_path), **kwargs).query(query)
+        assert result.profile.join_kernels == ["factorized"] * 2, label
+        assert repr(result.rows) == repr(reference), label
+
+
+def test_key_slots_are_kept_like_a_join_table(paths):
+    """The first input's key slots are a join build side the adaptive cache
+    keeps, keyed by the bound parameter values like a join table."""
+    query = (
+        "SELECT b.qty, COUNT(*), SUM(c.price) FROM items_csv a "
+        "JOIN items_bin b ON a.id = b.id JOIN items_json c ON b.id = c.id "
+        "WHERE b.qty < ? GROUP BY b.qty"  # on the first input, b
+    )
+    engine = make_engine(paths)
+    volcano = make_engine(paths, enable_codegen=False)
+    for bound in (5, 3, 5):
+        result = engine.query(query, bound)
+        assert result.profile.join_kernels == ["factorized"] * 2
+        reference = volcano.query(query, bound).rows
+        assert sorted(result.rows) == sorted(reference), bound
+    entries = [e for e in engine.cache_entries() if e.kind == "join_side"]
+    assert [e.description for e in entries] == ["join build side (slots)"] * 2
+    assert result.profile.join_build_rows == 0  # the third run hit the cache

@@ -350,6 +350,8 @@ def test_explain_without_analyze_does_not_execute(paths):
 
 #: The seven warm OLAP query shapes of the end-to-end benchmark (TPC-H-shaped
 #: binary columns) -> (join kernels, group kernel) the batch pipeline runs.
+#: The join's build side holds every order key once, so it probes a table
+#: rather than run per key value.
 OLAP_SHAPES = {
     "SELECT COUNT(*), SUM(l_extendedprice), MAX(l_quantity) FROM lineitem "
     "WHERE l_discount < 0.05": ([], None),
@@ -397,7 +399,25 @@ def test_olap_shapes_take_the_dense_kernels(olap_engine, query):
         assert profile.morsels_dispatched == 2
 
 
-def test_symantec_mail_id_joins_take_the_dense_kernel(tmp_path):
+def test_explain_names_the_olap_join_only_a_per_key_candidate(olap_engine):
+    """``explain()`` reads the plan alone: the OLAP join is a one-key chain,
+    but its build side holds every order key once, so it probes a table."""
+    query = next(query for query, (joins, _) in OLAP_SHAPES.items() if joins)
+    assert "join chain of 2 inputs may run per key value" in olap_engine.explain(query)
+    assert olap_engine.query(query).profile.join_kernels == ["dense"]
+    assert "join kernels: dense" in olap_engine.explain(query, analyze=True)
+
+
+#: Symantec two-way joins whose build side is the JSON feed, which holds one
+#: record per ``mail_id``: one joined row per matching row of the other side,
+#: so they probe a table instead of running per key value.
+SYMANTEC_UNIQUE_BUILD_SIDES = {"Q37", "Q39"}
+
+
+def test_symantec_mail_id_joins_run_per_key(tmp_path):
+    """Every Symantec join query aggregates over ``mail_id`` equi-joins with
+    single-input filters: each runs per key value, without joined rows —
+    unless two inputs join on keys the first holds once each."""
     from repro import ProteusEngine
     from repro.workloads import symantec
 
@@ -412,9 +432,10 @@ def test_symantec_mail_id_joins_take_the_dense_kernel(tmp_path):
     assert len(joins) == 25
     for query in joins:
         profile = engine.query(query.spec.to_text()).profile
-        assert profile.join_kernels == ["dense"] * len(query.spec.joins), (
-            query.spec.name
-        )
+        expected = ["factorized"] * len(query.spec.joins)
+        if query.spec.name in SYMANTEC_UNIQUE_BUILD_SIDES:
+            expected = ["dense"]
+        assert profile.join_kernels == expected, query.spec.name
 
 
 #: The Symantec queries grouping on a string field (``label``, ``lang``,
@@ -444,26 +465,60 @@ def test_symantec_string_group_bys_take_the_dense_kernel(tmp_path):
 
 def test_string_keyed_join_takes_the_dense_kernel(paths):
     """A CSV string key (dictionary-encoded) joined with a binary one (an
-    object column, encoded at the join): both sides meet as codes."""
+    object column, encoded at the join): both sides meet as codes.  The
+    aggregate argument reads both inputs, so the join probes a table."""
+    engine = make_engine(paths, enable_caching=False)
+    query = (
+        "SELECT a.category, COUNT(*), MAX(a.id + b.id) FROM items_csv a "
+        "JOIN items_bin b ON a.category = b.category GROUP BY a.category"
+    )
+    result = engine.query(query)
+    assert result.profile.join_kernels == ["dense"]
+    assert result.profile.group_kernel == "dense"
+    assert sorted(result.rows) == [(f"cat{i}", 30 * 30, 2 * (116 + i)) for i in range(4)]
+    report = engine.explain(query, analyze=True)
+    assert "join kernels: dense" in report
+    assert "group kernel: dense" in report
+
+
+def test_string_keyed_join_runs_per_key(paths):
+    """The same string keys under an aggregate of one input: the keys of
+    both inputs group as codes of one dictionary, without joined rows."""
     engine = make_engine(paths, enable_caching=False)
     query = (
         "SELECT a.category, COUNT(*) FROM items_csv a JOIN items_bin b "
         "ON a.category = b.category GROUP BY a.category"
     )
     result = engine.query(query)
-    assert result.profile.join_kernels == ["dense"]
+    assert result.profile.join_kernels == ["factorized"]
     assert result.profile.group_kernel == "dense"
     assert sorted(result.rows) == [(f"cat{i}", 30 * 30) for i in range(4)]
+
+
+def test_explain_analyze_spans_every_join_of_a_factorized_chain(paths):
+    engine = make_engine(paths, enable_caching=False)
+    query = (
+        "SELECT b.qty, COUNT(*), SUM(c.price) FROM items_csv a "
+        "JOIN items_bin b ON a.id = b.id JOIN items_json c ON b.id = c.id "
+        "WHERE a.qty < 5 GROUP BY b.qty"
+    )
+    assert "join chain of 3 inputs may run per key value" in engine.explain(query)
     report = engine.explain(query, analyze=True)
-    assert "join kernels: dense" in report
+    assert "join kernels: factorized, factorized" in report
     assert "group kernel: dense" in report
+    lines = report.splitlines()
+    joins = [i for i, line in enumerate(lines) if line.lstrip().startswith("HashJoin(")]
+    assert len(joins) == 2, report
+    for index in joins:
+        assert "(no span recorded)" not in lines[index + 1], report
+        assert "actual" in lines[index + 1], report
 
 
 def test_explain_analyze_reports_dense_kernels(paths):
     engine = make_engine(paths, enable_caching=False)
     report = engine.explain(
-        "SELECT b.qty, COUNT(*) FROM items_csv a JOIN items_bin b ON a.id = b.id "
-        "GROUP BY b.qty",
+        "SELECT b.qty, COUNT(*), SUM(a.qty + b.qty) FROM items_csv a "
+        "JOIN items_bin b ON a.id = b.id GROUP BY b.qty",
         analyze=True,
     )
     assert "join kernels: dense" in report

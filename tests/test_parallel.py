@@ -694,21 +694,24 @@ def test_worker_pool_propagates_errors():
         pool.run(list(range(40)), explode)
 
 
+#: An aggregate argument reading both inputs keeps each join probing a
+#: build-side table (an aggregate of one input per argument runs per key).
 @pytest.mark.parametrize(
     "query,kernel",
     [
         (
-            "SELECT COUNT(*) FROM sailors s JOIN sailors h ON s.sid = h.rating",
+            "SELECT COUNT(*), MAX(s.sid + h.sid) FROM sailors s JOIN sailors h "
+            "ON s.sid = h.rating",
             radix.KERNEL_DENSE,
         ),
         (
-            "SELECT COUNT(*) FROM sailors s JOIN sailors h ON s.sname = h.sname "
-            "WHERE h.sid < 40",
+            "SELECT COUNT(*), MAX(s.sid + h.sid) FROM sailors s JOIN sailors h "
+            "ON s.sname = h.sname WHERE h.sid < 40",
             radix.KERNEL_DENSE,  # on the dictionary codes of the names
         ),
         (
-            "SELECT COUNT(*) FROM sailors s JOIN sailors h ON s.age = h.age "
-            "WHERE h.sid < 40",
+            "SELECT COUNT(*), MAX(s.sid + h.sid) FROM sailors s JOIN sailors h "
+            "ON s.age = h.age WHERE h.sid < 40",
             radix.KERNEL_SORTED,  # float keys
         ),
     ],

@@ -60,6 +60,29 @@ def test_radix_join_equivalent_to_naive(data, pool):
 
 
 @SETTINGS
+@given(data=st.data(), pool=_key_pool())
+def test_key_slots_number_the_keys_of_one_side(data, pool):
+    """Equal keys share a slot, on either side; a key the first side lacks
+    has none — also at the ends of int64, where ``key - lo`` wraps."""
+    left = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    right = data.draw(
+        st.lists(st.sampled_from(pool + [0, -1, -(2**63), 2**63 - 1]), max_size=60)
+    )
+    space = radix.key_slots(np.asarray(left, dtype=np.int64))
+    slot_of = dict(zip(left, space.rows.tolist()))
+    assert len(set(slot_of.values())) == len(slot_of)
+    assert all(0 <= slot < space.size for slot in slot_of.values())
+    assert space.unique == (len(slot_of) == len(left))
+    slots = radix.slots_of(space, np.asarray(right, dtype=np.int64))
+    assert slots.tolist() == [slot_of.get(key, -1) for key in right]
+    # uint64 keys beyond int64 would wrap onto negative ones.
+    unsigned = [key for key in right if key >= 0] + [2**64 - 1, 2**64 + min(left)]
+    unsigned = [key for key in unsigned if 0 <= key < 2**64]
+    slots = radix.slots_of(space, np.asarray(unsigned, dtype=np.uint64))
+    assert slots.tolist() == [slot_of.get(key, -1) for key in unsigned]
+
+
+@SETTINGS
 @given(data=st.data(), pools=st.lists(_key_pool(), min_size=1, max_size=2))
 def test_radix_group_counts_and_sums(data, pools):
     length = data.draw(st.integers(min_value=1, max_value=80))
