@@ -4,8 +4,8 @@
 The same JSON dataset is queried repeatedly.  With caching disabled, every
 query pays the raw-data access cost again; with caching enabled, the engine
 materializes binary caches of the converted values as a side effect of the
-first queries and serves later queries from them — the caches are matched
-against new plans and the access path is rewritten automatically.
+first queries and serves later queries from them — every scan looks its
+fields up in the cache when it runs and reads the raw file only for the rest.
 
 The script prints the per-query times of a small query sequence under both
 configurations and the contents of the cache at the end.

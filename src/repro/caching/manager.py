@@ -11,8 +11,8 @@ lowest ``bias / recency`` score is dropped first, so caches over JSON survive
 longer than caches over CSV, which survive longer than caches over binary
 data (``JSON ≻ CSV ≻ Binary``), mirroring the paper's policy.
 
-One manager is shared by the batch pipeline and the
-planner's access-path selection, from every query thread, so every public
+One manager is shared by the batch pipeline of every query thread (and the
+serving layer's result cache), so every public
 method takes ``self._lock``.  Mutators delegate to ``*_locked`` internals
 (``store`` must evict while holding the lock; re-taking it would self-
 deadlock).  The arena and the statistics object are mutated only through
@@ -209,12 +209,6 @@ class CacheManager:
     def entries(self) -> list[CacheEntry]:
         with self._lock:
             return list(self._entries.values())
-
-    def entries_for_dataset(self, dataset: str) -> list[CacheEntry]:
-        with self._lock:
-            return [
-                entry for entry in self._entries.values() if entry.dataset == dataset
-            ]
 
     @property
     def used_bytes(self) -> int:

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-#: A (possibly nested) field path. Kept as a local alias rather than importing
-#: from ``repro.plugins.base`` to avoid a circular import (the cache plug-in
-#: imports this module).
+#: A (possibly nested) field path.  Kept as a local alias rather than
+#: importing ``repro.plugins.base.FieldPath``, so that the cache does not
+#: depend on the plug-ins.
 FieldPath = tuple[str, ...]
 
 

@@ -31,7 +31,6 @@ FORMAT_BIAS = {
     "csv": 2.0,
     "binary_row": 1.0,
     "binary_column": 1.0,
-    "cache": 1.0,
 }
 
 #: Source formats whose field columns are worth caching.

@@ -365,8 +365,8 @@ SHARED_CLASSES: dict[str, str] = {
         "thread calling engine.query() with one query text"
     ),
     "CacheManager": (
-        "shared by the batch pipeline and the planner's access-path "
-        "selection; morsel workers populate it via ScanOperator"
+        "shared by every query thread's batch pipeline; morsel workers "
+        "populate it via ScanOperator"
     ),
     "CacheArena": (
         "the cache arena accounts blocks for every CacheManager mutation; "
@@ -402,6 +402,14 @@ SHARED_CLASSES: dict[str, str] = {
         "worker pool (proteus-http-<n>); started/stopped from the owning "
         "application thread while the workers read its engine and registries "
         "and open/close connections"
+    ),
+    "Planner": (
+        "one planner per engine lowers the plans of every prepare() from "
+        "concurrent client threads: per-plan state lives in locals"
+    ),
+    "StatisticsManager": (
+        "one estimator per engine, read by every concurrent Planner.plan(): "
+        "bound parameters are arguments, never attributes"
     ),
     "Connection": (
         "a client socket and its receive buffer travel loop -> worker -> loop "

@@ -9,8 +9,7 @@ the paper describes:
    expression, which the binder resolves against the catalog,
 2. the normalizer and translator rewrite it into the nested relational
    algebra, which the optimizer lowers to a physical plan (selection/
-   projection pushdown, join ordering, access-path selection against the
-   caches),
+   projection pushdown, join ordering),
 3. the plan executes through a two-tier cascade, one executor per tier:
 
    * **codegen** — the batch pipeline
@@ -146,7 +145,6 @@ from repro.resilience import (
     activate_context,
 )
 from repro.plugins.binary_col_plugin import BinaryColumnPlugin, BinaryRowPlugin
-from repro.plugins.cache_plugin import CachePlugin
 from repro.plugins.csv_plugin import CsvPlugin
 from repro.plugins.json_plugin import JsonPlugin
 from repro.storage.catalog import Catalog, DataFormat, Dataset
@@ -557,13 +555,6 @@ class ProteusEngine:
             DataFormat.BINARY_ROW: BinaryRowPlugin(self.memory),
             DataFormat.BINARY_COLUMN: BinaryColumnPlugin(self.memory),
         }
-        self.cache_plugin: CachePlugin | None = (
-            CachePlugin(self.memory, self.cache_manager)
-            if self.cache_manager is not None
-            else None
-        )
-        if self.cache_plugin is not None:
-            self.plugins[DataFormat.CACHE] = self.cache_plugin
         #: Cross-query scan sharing (serving layer): concurrent cold scans of
         #: the same registered file coalesce on one in-flight materialization
         #: — one leader parses and populates the field caches, everyone else
@@ -573,9 +564,7 @@ class ProteusEngine:
             ScanCoalescer() if self.cache_manager is not None else None
         )
         self.statistics = StatisticsManager(self.catalog)
-        self.planner = Planner(
-            self.catalog, self.statistics, cache_plugin=self.cache_plugin
-        )
+        self.planner = Planner(self.catalog, self.statistics)
         self.generator = CodeGenerator()
         #: Guards the five shape caches below and the catalog epoch: the
         #: engine serves concurrent sessions, so every publish into (or bulk
@@ -1293,8 +1282,8 @@ class ProteusEngine:
             return leases
         cold: dict[str, list[tuple]] = {}
         for node in physical.walk():
-            # Whatever access path the planner pinned: the scan reads raw
-            # bytes for every column the cache no longer holds.
+            # The scan reads raw bytes for every column the cache no longer
+            # holds, however warm the cache was when the plan was made.
             if not isinstance(node, PhysScan):
                 continue
             if node.dataset in cold or not node.paths:

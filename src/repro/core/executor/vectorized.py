@@ -62,7 +62,7 @@ morsel order.  Join build sides go through the same decision.
 
 The scan operator is the single cache path of the engine: cached field
 columns are served (and counted as cache hits) instead of re-converting raw
-bytes, whatever access path the planner pinned at prepare time, and
+bytes, looked up when the scan starts (the plan does not name the cache), and
 fully-scanned columns are admitted to the cache as a side effect of
 execution (§6).
 
@@ -346,7 +346,7 @@ class ScanOperator:
 
     The operator is the engine's single cache path: field columns held by
     the caching manager are served (and counted as hits) instead of
-    re-extracted — whichever access path the planner pinned — remaining
+    re-extracted — looked up here, at scan time, never planned — remaining
     fields are scanned through the dataset's own plug-in, and columns
     extracted by a *complete* scan are admitted to the cache afterwards
     (:meth:`store_materialized`).

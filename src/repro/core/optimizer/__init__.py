@@ -1,4 +1,4 @@
-"""Query optimizer: rewrite rules, statistics, cost model, join ordering and physical planning."""
+"""Query optimizer: rewrite rules, statistics, join ordering and physical planning."""
 
 from repro.core.optimizer.planner import Planner
 

@@ -60,6 +60,7 @@ def order_joins(
     predicates: Sequence[Expression],
     statistics: StatisticsManager,
     binding_datasets: Mapping[str, str],
+    parameters: Mapping[int | str, object] | None = None,
 ) -> LogicalPlan:
     """Greedily rebuild a left-deep join tree over ``inputs``.
 
@@ -69,7 +70,8 @@ def order_joins(
     their bindings are available.
     """
     remaining = [
-        JoinInput(plan, statistics.estimate_rows(plan, binding_datasets)) for plan in inputs
+        JoinInput(plan, statistics.estimate_rows(plan, binding_datasets, parameters))
+        for plan in inputs
     ]
     if not remaining:
         raise ValueError("join region has no inputs")

@@ -12,14 +12,17 @@ The planner turns an optimized logical plan into a physical plan:
    directly, everything else is sorted — see
    :mod:`repro.core.executor.radix`),
 4. projection pushdown into the scans (every scan lists exactly the field
-   paths the query needs) and access-path selection — a scan whose required
-   fields are all served by the caching manager is routed to the cache
-   plug-in instead of the raw file.
+   paths the query needs).  Whether a field is read from the §6 cache or from
+   the raw file is not planned: the batch pipeline's scan asks the caching
+   manager per field at execution time.
+
+One planner serves every session of an engine, so :meth:`Planner.plan` keeps
+its per-call state in locals and arguments, never on ``self``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.core.algebra import (
     Join,
@@ -53,26 +56,15 @@ from repro.core.physical import (
 from repro.core.sort import validate_limit, validate_order_columns
 from repro.errors import PlanningError
 from repro.plugins.base import FieldPath
-from repro.plugins.cache_plugin import CachePlugin
 from repro.storage.catalog import Catalog
 
 
 class Planner:
     """Lowers logical plans to physical plans."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        statistics: StatisticsManager,
-        cache_plugin: CachePlugin | None = None,
-    ):
+    def __init__(self, catalog: Catalog, statistics: StatisticsManager):
         self.catalog = catalog
         self.statistics = statistics
-        self.cache_plugin = cache_plugin
-        #: Per-plan() state: unnest variable -> nested collection paths its
-        #: unnest must materialize as element columns (nested-in-nested).
-        self._nested_collection_paths: dict[str, set[FieldPath]] = {}
-        self._unnested_bindings: set[str] = set()
 
     # -- entry point -------------------------------------------------------------
 
@@ -96,31 +88,19 @@ class Planner:
         root, making the query's ordering part of the plan (fingerprinted,
         explained, executed by the tier-specialized sort kernels).
         """
-        self.statistics.parameter_values = parameters
-        try:
-            logical = rules.pushdown_selections(logical)
-            binding_datasets = self.binding_datasets(logical)
-            logical = self._reorder_joins(logical, binding_datasets)
-            required = rules.required_paths(logical)
-            self._unnested_bindings = {
-                node.binding for node in logical.walk() if isinstance(node, Unnest)
-            }
-            # Nested-in-nested: when the parent of an unnest is itself an
-            # unnest variable, the inner collection cannot be reached through
-            # plug-in OIDs — the parent unnest must materialize it as an
-            # element column so the batch tier can flatten it in memory.
-            unnest_vars = {
-                node.var for node in logical.walk() if isinstance(node, Unnest)
-            }
-            self._nested_collection_paths: dict[str, set[FieldPath]] = {}
-            for node in logical.walk():
-                if isinstance(node, Unnest) and node.binding in unnest_vars:
-                    self._nested_collection_paths.setdefault(
-                        node.binding, set()
-                    ).add(tuple(node.path))
-            physical = self._convert(logical, required, binding_datasets)
-        finally:
-            self.statistics.parameter_values = None
+        logical = rules.pushdown_selections(logical)
+        binding_datasets = self.binding_datasets(logical)
+        logical = self._reorder_joins(logical, binding_datasets, parameters)
+        required = rules.required_paths(logical)
+        # Nested-in-nested: when the parent of an unnest is itself an unnest
+        # variable, the inner collection cannot be reached through plug-in
+        # OIDs — the parent unnest must materialize it as an element column
+        # so the batch tier can flatten it in memory.
+        unnest_vars = {node.var for node in logical.walk() if isinstance(node, Unnest)}
+        for node in logical.walk():
+            if isinstance(node, Unnest) and node.binding in unnest_vars:
+                required.setdefault(node.binding, set()).add(tuple(node.path))
+        physical = self._convert(logical, required, binding_datasets, parameters)
         if order_by or limit is not None:
             physical = self._attach_sort(physical, order_by or [], limit)
         return physical
@@ -165,46 +145,49 @@ class Planner:
         return mapping
 
     def _reorder_joins(
-        self, logical: LogicalPlan, binding_datasets: Mapping[str, str]
+        self,
+        logical: LogicalPlan,
+        binding_datasets: Mapping[str, str],
+        parameters: Mapping[int | str, object] | None,
     ) -> LogicalPlan:
+        def reorder(node: LogicalPlan) -> LogicalPlan:
+            return self._reorder_joins(node, binding_datasets, parameters)
+
         if isinstance(logical, Join) and not logical.outer:
             region = collect_join_region(logical)
             if region is not None:
                 inputs, predicates = region
-                inputs = [self._reorder_joins(i, binding_datasets) for i in inputs]
-                return order_joins(inputs, predicates, self.statistics, binding_datasets)
+                return order_joins(
+                    [reorder(i) for i in inputs],
+                    predicates,
+                    self.statistics,
+                    binding_datasets,
+                    parameters,
+                )
         if isinstance(logical, Select):
-            return Select(
-                logical.predicate, self._reorder_joins(logical.child, binding_datasets)
-            )
+            return Select(logical.predicate, reorder(logical.child))
         if isinstance(logical, Unnest):
             return Unnest(
                 logical.binding,
                 logical.path,
                 logical.var,
-                self._reorder_joins(logical.child, binding_datasets),
+                reorder(logical.child),
                 logical.predicate,
                 logical.outer,
             )
         if isinstance(logical, Reduce):
             return Reduce(
-                logical.monoid,
-                logical.columns,
-                self._reorder_joins(logical.child, binding_datasets),
-                logical.predicate,
+                logical.monoid, logical.columns, reorder(logical.child), logical.predicate
             )
         if isinstance(logical, Nest):
             return Nest(
-                logical.columns,
-                logical.group_by,
-                self._reorder_joins(logical.child, binding_datasets),
-                logical.predicate,
+                logical.columns, logical.group_by, reorder(logical.child), logical.predicate
             )
         if isinstance(logical, Join):
             return Join(
                 logical.predicate,
-                self._reorder_joins(logical.left, binding_datasets),
-                self._reorder_joins(logical.right, binding_datasets),
+                reorder(logical.left),
+                reorder(logical.right),
                 logical.outer,
             )
         return logical
@@ -216,71 +199,57 @@ class Planner:
         node: LogicalPlan,
         required: Mapping[str, set[FieldPath]],
         binding_datasets: Mapping[str, str],
+        parameters: Mapping[int | str, object] | None,
     ) -> PhysicalPlan:
+        def convert(child: LogicalPlan) -> PhysicalPlan:
+            return self._convert(child, required, binding_datasets, parameters)
+
         if isinstance(node, Scan):
-            return self._convert_scan(node, required)
+            paths = sorted(required.get(node.binding, set()))
+            return PhysScan(node.dataset, node.binding, paths)
         if isinstance(node, Select):
-            return PhysSelect(
-                node.predicate, self._convert(node.child, required, binding_datasets)
-            )
+            return PhysSelect(node.predicate, convert(node.child))
         if isinstance(node, Join):
-            return self._convert_join(node, required, binding_datasets)
+            return self._convert_join(node, convert, binding_datasets, parameters)
         if isinstance(node, Unnest):
-            element_paths = sorted(
-                required.get(node.var, set())
-                | self._nested_collection_paths.get(node.var, set())
-            )
             return PhysUnnest(
                 node.binding,
                 node.path,
                 node.var,
-                element_paths,
-                self._convert(node.child, required, binding_datasets),
+                sorted(required.get(node.var, set())),
+                convert(node.child),
                 node.predicate,
                 node.outer,
             )
         if isinstance(node, Reduce):
-            child = self._convert(node.child, required, binding_datasets)
+            child = convert(node.child)
             if node.predicate is not None:
                 child = PhysSelect(node.predicate, child)
             return PhysReduce(node.monoid, node.columns, child)
         if isinstance(node, Nest):
-            child = self._convert(node.child, required, binding_datasets)
+            child = convert(node.child)
             if node.predicate is not None:
                 child = PhysSelect(node.predicate, child)
             return PhysNest(node.columns, node.group_by, child)
         raise PlanningError(f"cannot lower logical operator {node.describe()}")
 
-    def _convert_scan(
-        self, node: Scan, required: Mapping[str, set[FieldPath]]
-    ) -> PhysScan:
-        paths = sorted(required.get(node.binding, set()))
-        access_path = "raw"
-        if (
-            self.cache_plugin is not None
-            and paths
-            and node.binding not in self._unnested_bindings
-            and self.cache_plugin.can_serve(node.dataset, paths)
-        ):
-            access_path = "cache"
-        return PhysScan(node.dataset, node.binding, paths, access_path=access_path)
-
     def _convert_join(
         self,
         node: Join,
-        required: Mapping[str, set[FieldPath]],
+        convert: Callable[[LogicalPlan], PhysicalPlan],
         binding_datasets: Mapping[str, str],
+        parameters: Mapping[int | str, object] | None,
     ) -> PhysicalPlan:
         left_logical, right_logical = node.left, node.right
         left_key, right_key, residual = extract_equi_key(
             node.predicate, left_logical.bindings(), right_logical.bindings()
         )
-        left = self._convert(left_logical, required, binding_datasets)
-        right = self._convert(right_logical, required, binding_datasets)
+        left = convert(left_logical)
+        right = convert(right_logical)
         if left_key is None or right_key is None:
             return PhysNestedLoopJoin(node.predicate, left, right, node.outer)
-        left_rows = self.statistics.estimate_rows(left_logical, binding_datasets)
-        right_rows = self.statistics.estimate_rows(right_logical, binding_datasets)
+        left_rows = self.statistics.estimate_rows(left_logical, binding_datasets, parameters)
+        right_rows = self.statistics.estimate_rows(right_logical, binding_datasets, parameters)
         if choose_build_side(left_rows, right_rows) and not node.outer:
             left, right = right, left
             left_key, right_key = right_key, left_key

@@ -6,7 +6,13 @@ a blocking operator materializes values.  The estimator below instantiates the
 standard textbook formulas with those statistics — the paper's stated baseline
 ("assume that the default selectivity of a predicate is 10%", uniform ranges
 for range predicates) — and is consulted by join ordering, build-side
-selection and access-path costing.
+selection and ``explain()``'s estimated cardinalities.
+
+Bound query-parameter values arrive as the ``parameters`` argument of each
+estimate: range/equality formulas then use the concrete constants of a
+prepared execution, and ``None`` (or a missing key) falls back to the default
+selectivities.  One manager serves every session of an engine, so it keeps no
+per-estimate state.
 """
 
 from __future__ import annotations
@@ -38,13 +44,6 @@ class StatisticsManager:
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        #: Bound query-parameter values for the estimation in flight.  Set by
-        #: ``Planner.plan(..., parameters=...)`` so range/equality formulas
-        #: can use the concrete constants of a prepared execution; ``None``
-        #: (or a missing key) falls back to the default selectivities — the
-        #: plan itself never embeds the values, so its fingerprint stays
-        #: parameter-abstracted.
-        self.parameter_values: Mapping[int | str, object] | None = None
 
     # -- dataset level ---------------------------------------------------------
 
@@ -62,40 +61,49 @@ class StatisticsManager:
     # -- predicate selectivity ----------------------------------------------------
 
     def predicate_selectivity(
-        self, predicate: Expression | None, binding_datasets: Mapping[str, str]
+        self,
+        predicate: Expression | None,
+        binding_datasets: Mapping[str, str],
+        parameters: Mapping[int | str, object] | None = None,
     ) -> float:
         """Estimated fraction of input satisfying ``predicate``."""
         if predicate is None:
             return 1.0
         selectivity = 1.0
         for conjunct in conjuncts(predicate):
-            selectivity *= self._conjunct_selectivity(conjunct, binding_datasets)
+            selectivity *= self._conjunct_selectivity(conjunct, binding_datasets, parameters)
         return max(min(selectivity, 1.0), 1e-6)
 
     def _conjunct_selectivity(
-        self, predicate: Expression, binding_datasets: Mapping[str, str]
+        self,
+        predicate: Expression,
+        binding_datasets: Mapping[str, str],
+        parameters: Mapping[int | str, object] | None,
     ) -> float:
+        def selectivity(operand: Expression) -> float:
+            return self._conjunct_selectivity(operand, binding_datasets, parameters)
+
         if isinstance(predicate, Literal):
             return 1.0 if predicate.value else 0.0
         if isinstance(predicate, UnaryOp) and predicate.op == "not":
-            return 1.0 - self._conjunct_selectivity(predicate.operand, binding_datasets)
+            return 1.0 - selectivity(predicate.operand)
         if isinstance(predicate, BinaryOp):
             if predicate.op == "or":
-                left = self._conjunct_selectivity(predicate.left, binding_datasets)
-                right = self._conjunct_selectivity(predicate.right, binding_datasets)
+                left = selectivity(predicate.left)
+                right = selectivity(predicate.right)
                 return min(left + right - left * right, 1.0)
             if predicate.op == "and":
-                return (
-                    self._conjunct_selectivity(predicate.left, binding_datasets)
-                    * self._conjunct_selectivity(predicate.right, binding_datasets)
-                )
-            return self._comparison_selectivity(predicate, binding_datasets)
+                return selectivity(predicate.left) * selectivity(predicate.right)
+            return self._comparison_selectivity(predicate, binding_datasets, parameters)
         return DEFAULT_SELECTIVITY
 
     def _comparison_selectivity(
-        self, predicate: BinaryOp, binding_datasets: Mapping[str, str]
+        self,
+        predicate: BinaryOp,
+        binding_datasets: Mapping[str, str],
+        parameters: Mapping[int | str, object] | None,
     ) -> float:
-        field, literal, op = _normalize_comparison(predicate, self.parameter_values)
+        field, literal, op = _normalize_comparison(predicate, parameters)
         if field is None or literal is None:
             return (
                 DEFAULT_EQUALITY_SELECTIVITY
@@ -131,43 +139,49 @@ class StatisticsManager:
     # -- plan-level cardinality -----------------------------------------------------
 
     def estimate_rows(
-        self, plan: LogicalPlan, binding_datasets: Mapping[str, str]
+        self,
+        plan: LogicalPlan,
+        binding_datasets: Mapping[str, str],
+        parameters: Mapping[int | str, object] | None = None,
     ) -> float:
         """Rough output cardinality of a logical plan fragment."""
+
+        def rows(node: LogicalPlan) -> float:
+            return self.estimate_rows(node, binding_datasets, parameters)
+
+        def selectivity(predicate: Expression | None) -> float:
+            return self.predicate_selectivity(predicate, binding_datasets, parameters)
+
         if isinstance(plan, Scan):
             return float(self.dataset_cardinality(plan.dataset))
         if isinstance(plan, Select):
-            child = self.estimate_rows(plan.child, binding_datasets)
-            return child * self.predicate_selectivity(plan.predicate, binding_datasets)
+            return rows(plan.child) * selectivity(plan.predicate)
         if isinstance(plan, Join):
-            left = self.estimate_rows(plan.left, binding_datasets)
-            right = self.estimate_rows(plan.right, binding_datasets)
+            left = rows(plan.left)
+            right = rows(plan.right)
             if plan.predicate is None:
                 return left * right
-            selectivity = self.predicate_selectivity(plan.predicate, binding_datasets)
+            join_selectivity = selectivity(plan.predicate)
             # Equi-join estimate: |L| * |R| / max(distinct) approximated with
             # the generic selectivity when distinct counts are unknown.
-            return max(left * right * max(selectivity, 1.0 / max(left, right, 1.0)), 1.0)
+            return max(left * right * max(join_selectivity, 1.0 / max(left, right, 1.0)), 1.0)
         if isinstance(plan, Unnest):
-            child = self.estimate_rows(plan.child, binding_datasets)
-            fanout = DEFAULT_UNNEST_FANOUT
-            selectivity = self.predicate_selectivity(plan.predicate, binding_datasets)
-            return child * fanout * selectivity
+            return rows(plan.child) * DEFAULT_UNNEST_FANOUT * selectivity(plan.predicate)
         if isinstance(plan, (Reduce, Nest)):
-            return self.estimate_rows(plan.child, binding_datasets)
+            return rows(plan.child)
         children = plan.children()
         if children:
-            return self.estimate_rows(children[0], binding_datasets)
+            return rows(children[0])
         return float(DEFAULT_CARDINALITY)
 
 
 def _normalize_comparison(
     predicate: BinaryOp,
-    parameter_values: Mapping[int | str, object] | None = None,
+    parameters: Mapping[int | str, object] | None = None,
 ) -> tuple[FieldRef | None, Literal | None, str]:
     """Orient a comparison as ``field op literal`` when possible.
 
-    A :class:`Parameter` whose value is bound in ``parameter_values`` counts
+    A :class:`Parameter` whose value is bound in ``parameters`` counts
     as a literal of that value, so prepared executions are estimated with the
     same formulas as literal queries."""
 
@@ -176,11 +190,11 @@ def _normalize_comparison(
             return expression
         if (
             isinstance(expression, Parameter)
-            and parameter_values is not None
-            and expression.key in parameter_values
+            and parameters is not None
+            and expression.key in parameters
         ):
             try:
-                return Literal(parameter_values[expression.key])
+                return Literal(parameters[expression.key])
             except SchemaError:
                 return None  # untypable value: fall back to defaults
         return None

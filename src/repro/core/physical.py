@@ -5,7 +5,8 @@ plan whose operators carry everything needed for execution and for code
 generation:
 
 * scans know which field paths they must place into virtual buffers
-  (projection pushdown) and which plug-in/access path serves them,
+  (projection pushdown); whether a field comes from the §6 cache or the raw
+  file is decided when the scan runs, so it is not part of the plan,
 * joins are resolved to hash joins with explicit key expressions (plus an
   optional residual predicate) or to nested-loop joins when no equi-join
   key exists,
@@ -64,18 +65,10 @@ class PhysicalPlan:
 class PhysScan(PhysicalPlan):
     """Scan a dataset, materializing the requested field paths."""
 
-    def __init__(
-        self,
-        dataset: str,
-        binding: str,
-        paths: Sequence[FieldPath],
-        access_path: str = "raw",
-    ):
+    def __init__(self, dataset: str, binding: str, paths: Sequence[FieldPath]):
         self.dataset = dataset
         self.binding = binding
         self.paths = [tuple(path) for path in paths]
-        #: "raw" (the dataset's own plug-in) or "cache" (fully served by caches).
-        self.access_path = access_path
 
     def bindings(self) -> set[str]:
         return {self.binding}
@@ -85,8 +78,7 @@ class PhysScan(PhysicalPlan):
 
     def describe(self) -> str:
         fields = ", ".join(".".join(path) for path in self.paths) or "<none>"
-        suffix = " [cache]" if self.access_path == "cache" else ""
-        return f"Scan({self.dataset} as {self.binding}: {fields}){suffix}"
+        return f"Scan({self.dataset} as {self.binding}: {fields})"
 
 
 class PhysSelect(PhysicalPlan):

@@ -2,10 +2,10 @@
 
 ``engine.explain(text, analyze=True)`` executes the query under a forced
 trace and hands the result here.  The report annotates every plan node with
-the optimizer's *estimated* cardinality (the same formulas the cost model
-uses for plan selection) next to the *actual* rows/time the span tracing
-measured — plus the predicted-vs-served tier and the phase breakdown — so
-the PR 6 static-analysis artifact becomes a self-checking feedback report.
+the optimizer's *estimated* cardinality (the selectivity formulas join
+ordering uses) next to the *actual* rows/time the span tracing measured —
+plus the predicted-vs-served tier and the phase breakdown — so the static
+analysis becomes a self-checking feedback report.
 """
 
 from __future__ import annotations
@@ -19,19 +19,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.optimizer.statistics import StatisticsManager
     from repro.core.physical import PhysicalPlan
 
-#: Mirrors ``CostModel._cost``'s unnest fan-out assumption.
-UNNEST_FANOUT = 4.0
-
 
 def estimate_cardinalities(
     plan: "PhysicalPlan", statistics: "StatisticsManager"
 ) -> dict[int, float]:
     """Estimated output rows per plan node, keyed by post-order walk ordinal.
 
-    Replicates the row half of ``CostModel._cost`` (the optimizer's own
-    estimates) so the EXPLAIN ANALYZE report compares actual cardinalities
-    against exactly what plan selection believed.
+    This is the engine's only estimate of a physical plan's rows.  Scans,
+    selections and unnests use the :class:`StatisticsManager` formulas that
+    order joins and pick build sides; the other operators use fixed textbook
+    ratios (a hash join keeps its larger input, a nested-loop join 10 % of
+    the pairs, a group-by 10 % of its input).  The EXPLAIN ANALYZE report
+    prints them beside the actual cardinalities.
     """
+    from repro.core.optimizer.statistics import DEFAULT_UNNEST_FANOUT
     from repro.core.physical import (
         PhysHashJoin,
         PhysNest,
@@ -61,7 +62,7 @@ def estimate_cardinalities(
         elif isinstance(node, PhysUnnest):
             rows = (
                 visit(node.child)
-                * UNNEST_FANOUT
+                * DEFAULT_UNNEST_FANOUT
                 * statistics.predicate_selectivity(node.predicate, binding_datasets)
             )
         elif isinstance(node, PhysHashJoin):

@@ -29,10 +29,9 @@ Volcano interpreter         :meth:`InputPlugin.iterate_rows` — one dict per
                             object.
 ==========================  ==================================================
 
-Registration and planning add :meth:`~InputPlugin.infer_schema`,
+Registration adds :meth:`~InputPlugin.infer_schema` and
 :meth:`~InputPlugin.collect_statistics` (over :meth:`~InputPlugin.scan_columns`,
-a whole column at once) and :meth:`~InputPlugin.scan_cost` (§5.2, "Enabling
-Cost-based Optimizations").
+a whole column at once; the statistics feed join ordering, §5.2).
 """
 
 from __future__ import annotations
@@ -116,11 +115,6 @@ class InputPlugin(ABC):
 
     #: Format name served by the plug-in (matches ``Dataset.format``).
     format_name: str = "abstract"
-
-    #: Relative cost of extracting one value from the source, used by the
-    #: optimizer's cost formulas and by the format-biased cache eviction
-    #: policy (JSON > CSV > binary).
-    field_access_cost: float = 1.0
 
     def __init__(self, memory: MemoryManager):
         self.memory = memory
@@ -308,18 +302,6 @@ class InputPlugin(ABC):
     @abstractmethod
     def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
         """Yield one dict per object, every field populated."""
-
-    # -- costing --------------------------------------------------------------
-
-    def scan_cost(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        statistics: DatasetStatistics | None,
-    ) -> float:
-        """Estimated cost of scanning the requested fields of the dataset."""
-        cardinality = statistics.cardinality if statistics is not None else 1_000_000
-        return cardinality * self.field_access_cost * max(len(paths), 1)
 
 
 def count_missing(values: Column) -> int:

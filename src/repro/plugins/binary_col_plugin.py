@@ -5,10 +5,9 @@ Serve column tables ("binary column files similar to the ones of MonetDB",
 expose ``row_count``, ``schema`` and ``column(name)``, so one class serves
 both: a scan that touches K columns reads K arrays (a string column encoded
 once, on read) and hands zero-copy slices of them to the batch pipeline — the
-cheapest access path of the engine, which is why the cost model and the
-cache-eviction bias rank binary data below CSV and JSON.  A row table's column is a strided view of its records, slightly
-dearer per value than a column file when a query needs few fields, which its
-``field_access_cost`` reflects.
+cheapest access path of the engine, which is why the cache-eviction bias
+(:mod:`repro.caching.policies`) ranks binary data below CSV and JSON.  A row
+table's column is a strided view of its records.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class BinaryColumnPlugin(InputPlugin):
     :func:`repro.storage.binary_format.write_column_table`."""
 
     format_name = "binary_column"
-    field_access_cost = 0.05
     #: Opens the table stored at a dataset's path.
     read_table = staticmethod(read_column_table)
 
@@ -133,5 +131,4 @@ class BinaryRowPlugin(BinaryColumnPlugin):
     :func:`repro.storage.binary_format.write_row_table`."""
 
     format_name = "binary_row"
-    field_access_cost = 0.1
     read_table = staticmethod(read_row_table)

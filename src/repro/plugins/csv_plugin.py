@@ -94,7 +94,6 @@ class CsvPlugin(InputPlugin):
     """Input plug-in for raw CSV files."""
 
     format_name = "csv"
-    field_access_cost = 1.0
 
     def __init__(self, memory):
         super().__init__(memory)
@@ -297,19 +296,6 @@ class CsvPlugin(InputPlugin):
                     start, end = index.field_span(data, row, column)
                     record[name] = converter(data[start:end].decode("utf-8"))
                 yield record
-
-    # -- costing ------------------------------------------------------------------
-
-    def scan_cost(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        statistics: DatasetStatistics | None,
-    ) -> float:
-        cardinality = statistics.cardinality if statistics is not None else 1_000_000
-        # Parsing plus conversion per value; the structural index spares the
-        # engine from parsing fields it does not need.
-        return cardinality * self.field_access_cost * max(len(paths), 1)
 
     # -- helpers -------------------------------------------------------------------
 

@@ -77,7 +77,6 @@ class JsonPlugin(InputPlugin):
     """Input plug-in for raw JSON object streams."""
 
     format_name = "json"
-    field_access_cost = 2.5
 
     def __init__(self, memory):
         super().__init__(memory)
@@ -318,17 +317,6 @@ class JsonPlugin(InputPlugin):
         for position in range(index.num_objects):
             start, end = index.object_span(position)
             yield json.loads(data[start:end])
-
-    # -- costing -------------------------------------------------------------------------
-
-    def scan_cost(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        statistics: DatasetStatistics | None,
-    ) -> float:
-        cardinality = statistics.cardinality if statistics is not None else 1_000_000
-        return cardinality * self.field_access_cost * max(len(paths), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ class DataFormat:
     JSON = "json"
     BINARY_ROW = "binary_row"
     BINARY_COLUMN = "binary_column"
-    CACHE = "cache"
 
-    ALL = (CSV, JSON, BINARY_ROW, BINARY_COLUMN, CACHE)
+    ALL = (CSV, JSON, BINARY_ROW, BINARY_COLUMN)
 
 
 @dataclass

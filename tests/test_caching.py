@@ -89,7 +89,7 @@ def test_cache_invalidate_dataset_and_clear():
     manager.store(field_cache_key("b", ("x",)), np.arange(5), kind="field",
                   dataset="b", source_format="json")
     assert manager.invalidate_dataset("a") == 1
-    assert len(manager.entries_for_dataset("a")) == 0
+    assert [entry.dataset for entry in manager.entries()] == ["b"]
     manager.clear()
     assert manager.entries() == []
     assert manager.used_bytes == 0

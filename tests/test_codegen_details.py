@@ -35,7 +35,6 @@ from repro.core.expressions import (
     UnaryOp,
     parameter_env,
 )
-from repro.core.physical import PhysScan
 from repro.errors import CodegenError, ExecutionError
 from repro.storage.catalog import DataFormat
 
@@ -417,27 +416,23 @@ def test_cached_build_sides_are_keyed_by_bound_parameter_values(paths, config, l
     assert {entry.data.build_size for entry in tables} == {12}
 
 
-# -- one scan path: a plan pinned to the cache survives eviction ------------------------------
+# -- one scan path: a plan prepared over cached columns survives eviction ----------------------
 
 
 def _pinned_plan_accounting(paths):
-    """Run a prepared plan whose scan the planner pinned to ``access_path=
-    "cache"``: warm (cache-resident), then again after the entries were
-    evicted underneath it.  Returns the rows plus the cache-vs-raw accounting
-    of both runs."""
+    """Run a prepared plan made while its columns were cached: warm
+    (cache-resident), then again after the entries were evicted underneath
+    it.  Returns the rows plus the cache-vs-raw accounting of both runs."""
     engine = make_engine(paths)
     query = "SELECT SUM(price) FROM items_json WHERE qty < 5 AND price >= 0"
     engine.query(query)  # converts and caches qty + price
     prepared = engine.prepare(query)
-    scans = [node for node in prepared.plan.walk() if isinstance(node, PhysScan)]
-    assert [scan.access_path for scan in scans] == ["cache"]
     raw = engine.plugins[DataFormat.JSON]
-    cache = engine.plugins[DataFormat.CACHE]
     accounting = []
     for evict in (False, True):
         if evict:
             assert engine.cache_manager.invalidate_dataset("items_json") == 2
-        calls = (raw.scan_calls, cache.scan_calls)
+        calls = raw.scan_calls
         result = prepared.execute()
         profile = result.profile
         accounting.append((
@@ -445,8 +440,7 @@ def _pinned_plan_accounting(paths):
             profile.rows_scanned,
             profile.values_extracted,
             profile.values_from_cache,
-            raw.scan_calls - calls[0],
-            cache.scan_calls - calls[1],
+            raw.scan_calls - calls,
         ))
     return result.tier, accounting
 
@@ -456,7 +450,7 @@ def test_cache_pinned_plan_reads_through_one_scan_path(paths):
     tier, (warm, evicted) = _pinned_plan_accounting(paths)
     assert tier == "codegen"
     # Warm: both columns served from the cache, the raw plug-in untouched.
-    assert warm == (expected, 0, 0, 240, 0, 0)
-    # Evicted underneath the pinned plan: the same plan answers from the raw
-    # source (one scan stream), not through the cache plug-in.
-    assert evicted == (expected, 120, 240, 0, 1, 0)
+    assert warm == (expected, 0, 0, 240, 0)
+    # Evicted underneath the prepared plan: the same plan answers from the
+    # raw source in one scan stream.
+    assert evicted == (expected, 120, 240, 0, 1)

@@ -5,13 +5,16 @@ cache, codegen program cache and cache manager."""
 
 from __future__ import annotations
 
+import json
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from repro import ProteusEngine
 from repro.core.concurrency import (
     DebugLock,
     LockOrderError,
@@ -27,6 +30,7 @@ from repro.core.concurrency import (
 )
 
 from tests.conftest import ITEMS_SCHEMA, expected_items, make_engine
+from tests.test_unnest import ORDERS_SCHEMA, expected_orders
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import concurrency_lint  # noqa: E402
@@ -512,3 +516,54 @@ def test_worker_pool_under_debug_locks(debug_locks):
         results = pool.run(list(range(64)), lambda item, worker: item * 2)
     assert results == [item * 2 for item in range(64)]
     assert_lock_order_acyclic()
+
+
+#: A plan that needs per-plan planner state: ``l.subs`` must become an element
+#: column of the ``o.lines`` unnest (nested-in-nested).
+NESTED_QUERY = "for { o <- orders, l <- o.lines, s <- l.subs, s.s > 10 } yield count"
+FLAT_QUERIES = [
+    "SELECT COUNT(*) FROM orders WHERE okey < 100",
+    "SELECT SUM(total) FROM orders WHERE okey > 10",
+    "SELECT MAX(total) FROM orders",
+]
+#: Prepares per thread: with per-plan state kept on the shared planner,
+#: about 70 % of the nested plans lose their element column.
+PREPARES_PER_THREAD = 30
+
+
+def test_concurrent_prepare_keeps_per_plan_state(tmp_path, monkeypatch):
+    """One planner serves every session: nested-in-nested plans prepared
+    while other threads plan flat queries equal the serially prepared plan
+    and run on the batch pipeline.  Every plan-node conversion yields the
+    interpreter to the other threads, so state that one ``plan()`` call left
+    on the shared planner is overwritten by another before it is read."""
+    path = tmp_path / "orders.json"
+    path.write_text("".join(json.dumps(order) + "\n" for order in expected_orders()))
+    engine = ProteusEngine(enable_caching=False, vectorized_batch_size=8)
+    engine.register_json("orders", str(path), schema=ORDERS_SCHEMA)
+    serial = engine.prepare(NESTED_QUERY)
+    expected = serial.execute()
+    assert expected.tier == "codegen"
+    convert = engine.planner._convert
+
+    def yielding_convert(*args, **kwargs):
+        time.sleep(1e-5)
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(engine.planner, "_convert", yielding_convert)
+
+    def task(index: int) -> list:
+        if index == 0:
+            return [engine.prepare(NESTED_QUERY) for _ in range(PREPARES_PER_THREAD)]
+        for _ in range(PREPARES_PER_THREAD):
+            engine.prepare(FLAT_QUERIES[index - 1])
+        return []
+
+    with switch_interval():
+        nested = run_concurrently(task, 1 + len(FLAT_QUERIES))[0]
+    lost = [p.plan.pretty() for p in nested if p.plan.pretty() != serial.plan.pretty()]
+    assert not lost, f"{len(lost)} of {len(nested)} plans differ, e.g.\n{lost[0]}"
+    for prepared in nested:
+        executed = prepared.execute()
+        assert executed.tier == "codegen"
+        assert executed.rows == expected.rows

@@ -1,24 +1,25 @@
-"""Unit tests for statistics-based estimation, the cost model and join ordering."""
+"""Unit tests for statistics-based estimation and join ordering."""
 
 import numpy as np
 import pytest
 
 from repro.core import types as t
 from repro.core.algebra import Join, Scan, Select
-from repro.core.expressions import BinaryOp, FieldRef, Literal, UnaryOp, conjunction
-from repro.core.optimizer.cost import CostModel
+from repro.core.expressions import (
+    BinaryOp,
+    FieldRef,
+    Literal,
+    Parameter,
+    UnaryOp,
+    conjunction,
+)
 from repro.core.optimizer.join_order import collect_join_region, order_joins
 from repro.core.optimizer.statistics import (
     DEFAULT_SELECTIVITY,
     StatisticsManager,
     _normalize_comparison,
 )
-from repro.core.physical import PhysScan
-from repro.plugins.binary_col_plugin import BinaryColumnPlugin
-from repro.plugins.csv_plugin import CsvPlugin
-from repro.plugins.json_plugin import JsonPlugin
 from repro.storage.catalog import Catalog, DataFormat, Dataset, DatasetStatistics
-from repro.storage.memory import MemoryManager
 
 
 def _catalog_with_stats() -> Catalog:
@@ -49,6 +50,14 @@ def test_range_selectivity_uses_min_max():
     assert statistics.predicate_selectivity(predicate, binding) == pytest.approx(0.25, abs=0.05)
     flipped = BinaryOp(">", Literal(25), FieldRef("b", ("key",)))
     assert statistics.predicate_selectivity(flipped, binding) == pytest.approx(0.25, abs=0.05)
+    # A parameter is estimated with the value bound for this call only.
+    parameterized = BinaryOp("<", FieldRef("b", ("key",)), Parameter(0))
+    assert statistics.predicate_selectivity(
+        parameterized, binding, {0: 25}
+    ) == pytest.approx(0.25, abs=0.05)
+    assert statistics.predicate_selectivity(parameterized, binding) == pytest.approx(
+        DEFAULT_SELECTIVITY
+    )
 
 
 def test_selectivity_defaults_and_combinators():
@@ -92,33 +101,6 @@ def test_normalize_comparison_orientation():
         BinaryOp("=", FieldRef("x", ("a",)), FieldRef("y", ("b",)))
     )
     assert field is None
-
-
-def test_cost_model_ranks_access_paths():
-    catalog = _catalog_with_stats()
-    statistics = StatisticsManager(catalog)
-    memory = MemoryManager()
-    plugins = {
-        DataFormat.BINARY_COLUMN: BinaryColumnPlugin(memory),
-        DataFormat.CSV: CsvPlugin(memory),
-        DataFormat.JSON: JsonPlugin(memory),
-    }
-    model = CostModel(catalog, statistics, plugins)
-    binary_scan = PhysScan("small", "s", [("key",)])
-    csv_scan = PhysScan("other", "o", [("key",)])
-    cached_scan = PhysScan("other", "o", [("key",)], access_path="cache")
-    # Same cardinality would make CSV costlier than binary; here CSV also has
-    # a larger cardinality, so the ordering is unambiguous.
-    assert model.scan_cost(csv_scan) > model.scan_cost(binary_scan)
-    assert model.scan_cost(cached_scan) < model.scan_cost(csv_scan)
-    # Plan-level costing is monotone in the number of operators.
-    from repro.core.physical import PhysReduce, PhysSelect
-    from repro.core.expressions import OutputColumn, AggregateCall
-
-    plan = PhysReduce("agg", [OutputColumn("c", AggregateCall("count"))],
-                      PhysSelect(BinaryOp("<", FieldRef("o", ("key",)), Literal(1)),
-                                 csv_scan))
-    assert model.plan_cost(plan, {"o": "other"}) > model.scan_cost(csv_scan)
 
 
 def test_join_region_collection_and_greedy_order():

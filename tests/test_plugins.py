@@ -1,4 +1,5 @@
-"""Unit tests for the input plug-ins (CSV, JSON, binary row/column, cache)."""
+"""Unit tests for the input plug-ins (CSV, JSON, binary row/column) and the
+columns the batch pipeline's scan serves from the cache."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.core.columns import EncodedColumn
+from repro.core.executor.vectorized import PipelineCounters, ScanOperator
+from repro.core.physical import PhysScan
 from repro.errors import PluginError
 from repro.plugins import (
     BinaryColumnPlugin,
     BinaryRowPlugin,
-    CachePlugin,
     CsvPlugin,
     JsonPlugin,
 )
@@ -256,34 +258,40 @@ def test_flat_formats_have_no_nested_collections(paths, memory, plugin_class, fm
         plugin.scan_unnest_batch(dataset, ("id",), [()], np.arange(3))
 
 
-def test_binary_plugins_cost_below_text_formats(memory):
-    assert BinaryColumnPlugin(memory).field_access_cost < CsvPlugin(memory).field_access_cost
-    assert CsvPlugin(memory).field_access_cost < JsonPlugin(memory).field_access_cost
+# -- cached fields ---------------------------------------------------------------------
 
 
-# -- cache plug-in ---------------------------------------------------------------------
-
-
-def test_cache_plugin_serves_cached_fields(memory):
+def test_cache_plugin_serves_cached_fields(tmp_path, memory):
+    """The cache is the batch pipeline's access path: ``ScanOperator`` serves
+    the fields the manager holds and asks the plug-in only for the rest."""
+    path = tmp_path / "ds.json"
+    path.write_text("".join(f'{{"x": {i}, "y": {2 * i}}}\n' for i in range(50)))
+    dataset = _dataset("ds", DataFormat.JSON, str(path), t.make_schema({"x": "int", "y": "int"}))
+    plugin = JsonPlugin(memory)
     manager = CacheManager(memory.arena)
     values = np.arange(50, dtype=np.int64)
     manager.store(field_cache_key("ds", ("x",)), values, kind="field",
                   dataset="ds", source_format="json")
-    plugin = CachePlugin(memory, manager)
-    dataset = Dataset("ds", DataFormat.CACHE, "", t.make_schema({"x": "int"}))
-    assert plugin.can_serve("ds", [("x",)])
-    assert not plugin.can_serve("ds", [("y",)])
-    buffers = plugin.scan_columns(dataset, [("x",)])
-    assert np.array_equal(buffers.column(("x",)), values)
-    with pytest.raises(PluginError):
-        plugin.scan_columns(dataset, [("y",)])
-    assert list(plugin.iterate_rows(dataset))[7] == {"x": 7}
-    stats = plugin.collect_statistics(dataset)
-    assert stats.cardinality == 50
-    assert plugin.scan_row_count(dataset) == 50
-    pieces = list(plugin.scan_batch_ranges(dataset, [("x",)], 40, 60, batch_size=4))
-    assert np.concatenate([piece.column(("x",)) for piece in pieces]).tolist() == list(range(40, 50))
-    assert np.concatenate([piece.oids for piece in pieces]).tolist() == list(range(40, 50))
+
+    cached = ScanOperator(PhysScan("ds", "d", [("x",)]), dataset, plugin, cache_manager=manager)
+    assert cached.fully_cached and cached.total_rows == 50
+    counters = PipelineCounters()
+    batches = list(cached.iter_range(40, 50, counters, batch_size=4))
+    assert [batch.count for batch in batches] == [4, 4, 2]
+    assert np.concatenate([b.columns[("d", ("x",))] for b in batches]).tolist() == list(range(40, 50))
+    assert np.concatenate([b.oids["d"] for b in batches]).tolist() == list(range(40, 50))
+    assert counters.values_from_cache == 10 and counters.values_extracted == 0
+
+    # A field the manager does not hold is read from the raw file; the cached
+    # one still comes from the cache.
+    mixed = ScanOperator(PhysScan("ds", "d", [("x",), ("y",)]), dataset, plugin,
+                         cache_manager=manager)
+    assert not mixed.fully_cached
+    counters = PipelineCounters()
+    batches = list(mixed.iter_batches(counters, batch_size=16))
+    assert np.concatenate([b.columns[("d", ("x",))] for b in batches]).tolist() == list(range(50))
+    assert np.concatenate([b.columns[("d", ("y",))] for b in batches]).tolist() == list(range(0, 100, 2))
+    assert counters.values_from_cache == 50 and counters.values_extracted == 50
 
 
 # -- the column contract ----------------------------------------------------------------
@@ -296,6 +304,10 @@ _CONTRACT_VALUES = {
     "float": [1.5, -2.0, None, 1e300, 0.0, 2.5],
     "string": ["a", "é", None, "", "a", "z"],
 }
+
+#: Not a plug-in format: the columns a warm ``ScanOperator`` reads from the
+#: cache that a cold scan of the JSON table populated.
+CACHED = "cache"
 
 #: The dictionary / buffer kind of each declared type's column.
 _KINDS = {"int": "i", "date": "i", "bool": "b", "float": "f", "string": "O"}
@@ -321,7 +333,7 @@ def _contract_dataset(tmp_path, fmt, type_name, values, memory):
     schema = t.make_schema({"id": "int", "x": type_name})
     path = str(tmp_path / "table")
     ids = list(range(len(values)))
-    if fmt in (DataFormat.JSON, DataFormat.CACHE):
+    if fmt in (DataFormat.JSON, CACHED):
         with open(path, "w", encoding="utf-8") as handle:
             for index, value in enumerate(values):
                 # Missing values alternate between null and an absent field.
@@ -342,18 +354,31 @@ def _contract_dataset(tmp_path, fmt, type_name, values, memory):
     else:
         write_row_table(path, {"id": ids, "x": values}, schema)
         plugin = BinaryRowPlugin(memory)
-    dataset = _dataset("table", DataFormat.JSON if fmt == DataFormat.CACHE else fmt, path, schema)
-    if fmt == DataFormat.CACHE:
-        # The cache serves the column the JSON plug-in converted.
-        manager = CacheManager(memory.arena)
-        manager.store(
-            field_cache_key("table", ("x",)),
-            plugin.scan_columns(dataset, [("x",)]).column(("x",)),
-            kind="field", dataset="table", source_format="json",
-        )
-        plugin = CachePlugin(memory, manager)
-        dataset = _dataset("table", DataFormat.CACHE, "", schema)
+    dataset = _dataset("table", DataFormat.JSON if fmt == CACHED else fmt, path, schema)
     return plugin, dataset
+
+
+def _column_batches(plugin, dataset, fmt, batch_size):
+    """``(oids, column of x)`` per batch: the plug-in's own scan, or for
+    :data:`CACHED` the batches of a warm ``ScanOperator`` over the column a
+    cold scan stored in the cache manager."""
+    if fmt != CACHED:
+        for batch in plugin.scan_batches(dataset, [("x",)], batch_size=batch_size):
+            yield batch.oids, batch.column(("x",))
+        return
+    manager = CacheManager(plugin.memory.arena)
+    scan = PhysScan("table", "r", [("x",)])
+    cold = ScanOperator(scan, dataset, plugin, cache_manager=manager)
+    for _ in cold.iter_batches(PipelineCounters(), batch_size):
+        pass
+    cold.store_materialized()
+    warm = ScanOperator(scan, dataset, plugin, cache_manager=manager)
+    assert warm.fully_cached
+    counters = PipelineCounters()
+    for batch in warm.iter_batches(counters, batch_size):
+        yield batch.oids["r"], batch.columns[("r", ("x",))]
+    assert counters.values_from_cache == warm.total_rows
+    assert counters.values_extracted == 0
 
 
 @pytest.mark.parametrize("type_name", sorted(_CONTRACT_VALUES))
@@ -365,7 +390,7 @@ def _contract_dataset(tmp_path, fmt, type_name, values, memory):
         (DataFormat.JSON, True),
         (DataFormat.BINARY_COLUMN, False),
         (DataFormat.BINARY_ROW, False),
-        (DataFormat.CACHE, True),
+        (CACHED, True),
     ],
 )
 def test_every_plugin_yields_the_declared_column_form(tmp_path, memory, fmt, missing, type_name):
@@ -382,12 +407,11 @@ def test_every_plugin_yields_the_declared_column_form(tmp_path, memory, fmt, mis
     plugin, dataset = _contract_dataset(tmp_path, fmt, type_name, values, memory)
     kind = _KINDS[type_name]
     decoded = []
-    for batch in plugin.scan_batches(dataset, [("x",)], batch_size=2):
-        column = batch.column(("x",))
-        converted = values if fmt == DataFormat.CACHE else [values[i] for i in batch.oids]
+    for oids, column in _column_batches(plugin, dataset, fmt, batch_size=2):
+        converted = values if fmt == CACHED else [values[i] for i in oids]
         has_missing = None in converted
         if type_name == "string" or (has_missing and type_name != "float"):
-            assert isinstance(column, EncodedColumn), (type(column), batch.oids)
+            assert isinstance(column, EncodedColumn), (type(column), oids)
             assert column.values.dtype.kind == kind
         else:
             assert isinstance(column, np.ndarray) and column.dtype.kind == kind

@@ -7,7 +7,7 @@ NOT run, and emits the same text as a warning so it shows in the summary of
 every run.  :func:`test_no_unused_imports` and :func:`test_no_undefined_names`
 are ``ast``/``symtable``-only stand-ins for ruff's unused-import and
 undefined-name rules that run everywhere; :func:`test_no_unreferenced_private_names`
-stands in for a dead-code check.
+and :func:`test_every_module_is_imported` stand in for dead-code checks.
 """
 
 from __future__ import annotations
@@ -226,3 +226,52 @@ def test_no_unreferenced_private_names():
         found += [f"{path}:{line}: {name}" for name, line in defined.items() if name not in referenced]
     assert not found, "unreferenced private names:\n" + "\n".join(found)
 
+
+
+def _module_name(path: str) -> str:
+    """The dotted name of a module file under ``src``."""
+    relative = os.path.relpath(path, os.path.join(ROOT, "src"))[: -len(".py")]
+    parts = relative.split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Every dotted name a file imports: ``import a.b``, ``from a import b``
+    (as ``a`` and ``a.b``, since ``b`` may be a submodule) and string
+    constants, the way ``importlib.import_module`` callers name a module."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_module_is_imported():
+    """A dead-module stand-in that runs everywhere: every module of
+    ``src/repro`` is imported from ``src/repro``, ``tools`` or
+    ``benchmarks`` (importing a module imports its packages too) — a module
+    only the tests import is code nothing runs."""
+    imported: set[str] = set()
+    for base in ("src/repro", "tools", "benchmarks"):
+        for directory, _, files in os.walk(os.path.join(ROOT, base)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                        imported |= _imported_names(ast.parse(handle.read()))
+    for name in list(imported):
+        while "." in name:
+            name = name.rsplit(".", 1)[0]
+            imported.add(name)
+    found = [
+        f"{path}: {_module_name(path)}"
+        for path in _sources()
+        if path.startswith(os.path.join(ROOT, "src")) and _module_name(path) not in imported
+    ]
+    assert not found, "modules nothing imports:\n" + "\n".join(found)
