@@ -1,4 +1,4 @@
-"""The CI-gated micro-benchmarks: six ratio gates in one module.
+"""The CI-gated micro-benchmarks: seven ratio gates in one module.
 
 Each gate shows that one mechanism works at all: it times the mechanism
 against the path it replaced, or the engine against itself without the
@@ -97,6 +97,18 @@ DEADLINE_GATE = 1.03
 OVERHEAD_QUERY = (
     "SELECT SUM(v) AS s, MIN(w) AS mn, MAX(v) AS mx, AVG(w) AS av, "
     "COUNT(*) AS n FROM t WHERE v > 250000.0 AND w < 750000.0"
+)
+
+#: Join against its NumPy reference: an FK–PK aggregate join over two
+#: binary tables (TPC-H-shaped, the ``join`` class of the end-to-end
+#: ``binary_warm_olap``) vs one bitmap and one lookup gather in plain NumPy.
+#: The build side holds each key once, so the engine's probe is one gather.
+JOIN_SCALE = (100, 40)  # 600 k / 240 k lineitems
+JOIN_GATE = 1.5
+JOIN_ROUNDS = 15
+JOIN_QUERY = (
+    "SELECT COUNT(*), SUM(l_extendedprice), MAX(o_totalprice) FROM lineitem l "
+    "JOIN orders o ON l.l_orderkey = o.o_orderkey WHERE o.o_orderpriority < 3"
 )
 
 #: Timed rounds of the gates without a round count of their own.
@@ -363,6 +375,48 @@ def overhead(directory: str, quick: bool) -> list[Ratio]:
     ]
 
 
+def join_reference(directory: str, quick: bool) -> list[Ratio]:
+    from repro.workloads import tpch
+
+    tables = tpch.generate(scale=JOIN_SCALE[quick], seed=11)
+    lineitem, orders = tables.lineitem, tables.orders
+
+    def register(engine: ProteusEngine) -> ProteusEngine:
+        engine.register_binary_columns("lineitem", tpch.write_binary_columns(
+            os.path.join(directory, "lineitem"), lineitem, tpch.LINEITEM_SCHEMA))
+        engine.register_binary_columns("orders", tpch.write_binary_columns(
+            os.path.join(directory, "orders"), orders, tpch.ORDERS_SCHEMA))
+        return engine
+
+    # A caching engine shows which build side the join probed.
+    probe = register(ProteusEngine())
+    kernels = probe.query(JOIN_QUERY).profile.join_kernels
+    sides = [e.data for e in probe.cache_entries() if e.kind == "join_side"]
+    if kernels not in (["dense"], ["sorted"]) or len(sides) != 1 or not sides[0].unique:
+        raise GateError(f"the join ran {kernels}, not a probe of a unique build side")
+    prepared = register(ProteusEngine(enable_caching=False)).prepare(JOIN_QUERY)
+    slots = tables.num_orders + 1
+
+    def reference():
+        selected = np.zeros(slots, dtype=bool)
+        selected[orders["o_orderkey"][orders["o_orderpriority"] < 3]] = True
+        price = np.zeros(slots)
+        price[orders["o_orderkey"]] = orders["o_totalprice"]
+        matched = selected[lineitem["l_orderkey"]]
+        return (int(matched.sum()), float(lineitem["l_extendedprice"][matched].sum()),
+                float(price[lineitem["l_orderkey"][matched]].max()))
+
+    (count, total, highest), = prepared.execute().rows
+    expected = reference()
+    if count != expected[0] or not np.isclose([total, highest], expected[1:]).all():
+        raise GateError(f"the join answered {(count, total, highest)}, not {expected}")
+    samples = paired_rounds(JOIN_ROUNDS, engine=prepared.execute, reference=reference)
+    return [
+        Ratio("engine / NumPy reference", ratio(samples, "engine", "reference"),
+              JOIN_GATE, at_least=False)
+    ]
+
+
 GATES = {
     "fanout_scaling": fanout_scaling,
     "sort_kernels": sort_kernels,
@@ -370,6 +424,7 @@ GATES = {
     "nullability_hints": nullability_hints,
     "client_scaling": client_scaling,
     "overhead": overhead,
+    "join_reference": join_reference,
 }
 
 

@@ -9,7 +9,7 @@ table:
 * **full matches** — an identical plan (same operation, same arguments,
   matching children) whose materialized output can be reused as-is (the
   serving layer's result cache),
-* **partial matches** — the join table already built over a hash join's
+* **partial matches** — the key slots already built over a hash join's
   build side can be reused by a different join over the same input and
   join key,
 * **field matches** — the narrowest and most common case: a converted field
@@ -54,8 +54,9 @@ def unnest_cache_key(dataset: str, collection_path: FieldPath,
 
 
 def join_side_cache_key(side_fingerprint: tuple, key_fingerprint: tuple) -> tuple:
-    """Cache key of the join table of a hash join's build side (a
-    :class:`~repro.core.executor.radix.JoinTable`, dense or sorted).
+    """Cache key of the key space of a hash join's build side (its
+    :class:`~repro.core.executor.radix.KeySlots`, dense or sorted: probed
+    by a join that emits rows, reduced per slot under an aggregate).
 
     ``side_fingerprint`` identifies the plan fragment that produced the side's
     input; ``key_fingerprint`` identifies the join-key expression.  A later

@@ -13,7 +13,7 @@ paper describes one policy, and it has no settings:
   not pollute the cache arena the way variable-length strings would; values
   without a primitive form (mixed types, nested records) are not cached,
 * do not cache fields read from binary sources (they are already cheap),
-* always cache the join tables built over hash-join build sides (implicit
+* always cache the key slots built over hash-join build sides (implicit
   caching: the join is a blocking operator, so its materialization comes for
   free) and the flattened output of unnests over verbose sources,
 * bias eviction so that caches built from costlier sources survive longer

@@ -9,40 +9,38 @@ each kernel picks its layout from a fact it observes in its input, the
 integer key range:
 
 * **dense** — integer keys whose range is small next to the row count are
-  addressed directly by ``key - lo``: a join build side becomes a CSR table
-  (``bincount`` offsets per key plus the build positions in stable key
-  order) that a probe batch indexes, a grouping's id is the mixed-radix code
-  of the ``key - lo`` digits and its aggregates are ``bincount`` reductions
-  — no hashing, and no sort per probe batch or grouping,
+  addressed directly by ``key - lo``: a join build side's keys, a probe's
+  lookups and a grouping's mixed-radix code of the ``key - lo`` digits need
+  no hashing and no sort per probe batch or grouping,
 * **sorted** — everything else (sparse or huge integer ranges, uint64,
-  floats, objects): one stable ``argsort`` of the build keys probed by two
-  ``searchsorted`` calls per batch, and ``np.unique`` factorization for
+  floats, objects): the build side's sorted distinct keys, searched with
+  ``searchsorted`` per probe batch, and ``np.unique`` factorization for
   grouping.
+
+A join has one key space, :class:`KeySlots`: the build side's keys numbered
+as *slots* once (κ-Join's shared key), and every other input's keys mapped
+onto them by :func:`slots_of`.  A join that emits rows probes it
+(:func:`probe`): where every build key occurs once the slot is the build row
+and a probe is one gather; duplicate keys expand CSR runs.  An aggregate
+over joins on one shared key reduces each input per slot instead and emits
+no joined row.  The caching manager keeps the slots as a join build side
+(§6: the side built for ``A ⋈ B`` serves ``A ⋈ C`` when the key is the
+same).
 
 Encoded columns are integers here too: a dictionary-encoded column
 (:class:`~repro.core.columns.EncodedColumn` — every string field, and the
-int and bool fields with missing values) groups on its codes, whose range is
-at most its dictionary.  A join table over strings keeps its build
-dictionary; each probe batch's codes are translated into it with one
+int and bool fields with missing values) groups and is addressed on its
+codes, whose range is at most its dictionary.  The slots of string keys keep
+their dictionary; each probe batch's codes are translated into it with one
 ``searchsorted`` per dictionary (numeric join keys arrive as their typed
 values).  Comparisons, missing and truth masks, COUNT and the extrema read
 the codes as well.
 
-Both kernels produce the same answer in the same order: join matches come in
+Both layouts produce the same answer in the same order: join matches come in
 probe order, then build order within a key (the Volcano interpreter's
 order), groups in ascending key order with every group accumulated in input
 order.  The module is exposed to the generated code as ``radix``, after the
 mixed-radix group code.
-
-The materialized build side (:class:`JoinTable`) is exactly the structure the
-caching manager reuses for partial plan matches (§6: the table built for
-``A ⋈ B`` can serve ``A ⋈ C`` when the join key is the same).
-
-An aggregate over joins on one shared key needs no join table: it numbers
-the first input's keys as *slots* (:class:`KeySlots` — ``key - lo`` over a
-dense range, dictionary codes, or sorted distinct keys, as the join layouts
-address them), maps every other input's keys onto them (:func:`slots_of`),
-and the grouping aggregates reduce each input per slot.
 """
 
 from __future__ import annotations
@@ -74,20 +72,21 @@ from repro.errors import ExecutionError, VectorizationError
 #: The kernels recorded in ``ExecutionProfile.join_kernels`` (one per hash
 #: join) and ``group_kernel``: the two layouts, ``dense`` and ``sorted``, and
 #: — joins only — ``factorized``, for every join of a chain whose aggregate
-#: ran per join-key value over :class:`KeySlots`, without a join table or a
+#: ran per join-key value over :class:`KeySlots`, without a probe or a
 #: joined row (``core/executor/vectorized.py::FactorizedChain``).
 KERNEL_DENSE = "dense"
 KERNEL_SORTED = "sorted"
 KERNEL_FACTORIZED = "factorized"
 
-#: A join build side is addressed directly when its integer key range spans
-#: at most this many slots per build row.  Measured on a two-core x86 host
-#: (60 k unique build keys, ten 60 k-key probe batches, build + probes): the
-#: direct-address kernel takes 15-17 ms from 1 to 16 slots a row and 35 ms
-#: at 64, the sorted one 87-102 ms throughout.  The bound keeps the ~5x win
-#: and caps the offsets array (8 bytes a slot) at 128 bytes per build row;
-#: it admits the most selective ``mail_id`` build side of the Symantec
-#: workload (800 rows over 8 000 ids).
+#: A join build side's keys are addressed directly when their integer range
+#: spans at most this many addresses per build row — the one bound of the
+#: join key space, probed or reduced per slot.  Measured on a two-core x86
+#: host (60 k unique build keys, ten 60 k-key probe batches, build +
+#: probes): the direct-address kernel takes 15-17 ms from 1 to 16 slots a
+#: row and 35 ms at 64, the sorted one 87-102 ms throughout.  The bound keeps
+#: the ~5x win and caps the address lookup (8 bytes an address) at 128 bytes
+#: per build row; it admits the most selective ``mail_id`` build side of the
+#: Symantec workload (800 rows over 8 000 ids).
 DENSE_JOIN_SLOTS_PER_ROW = 16
 
 #: A grouping runs on ``bincount`` when the product of its integer key
@@ -136,216 +135,133 @@ def _dense_range(keys: np.ndarray, slots_per_row: int) -> tuple[int, int] | None
 
 
 @dataclass(frozen=True)
-class JoinTable:
-    """A materialized join build side, in one of two layouts.
-
-    ``positions`` holds the build positions grouped by key in ascending key
-    order, build order within a key (a stable sort).  ``index`` locates a
-    key's run in it: under ``dense`` the CSR offsets (``index[key - lo]`` to
-    ``index[key - lo + 1]``, one more entry than the key range spans), under
-    ``sorted`` the build keys in that same order (searched with
-    ``searchsorted``).
-    """
-
-    kernel: str
-    build_size: int
-    positions: np.ndarray
-    index: np.ndarray
-    #: Dense only: the smallest build key.
-    lo: int = 0
-    #: Encoded keys: the build dictionary the keys above are codes into.
-    values: np.ndarray | None = None
-    #: Does every key occur once on the build side?
-    unique: bool = False
-
-    @property
-    def size_bytes(self) -> int:
-        size = estimate_size(self.positions) + estimate_size(self.index)
-        if self.values is not None:
-            size += dictionary_nbytes(self.values)
-        return size
-
-
-def build_join_table(keys: np.ndarray) -> JoinTable:
-    """Materialize the build side of an equi-join: ``dense`` for integer
-    keys (dictionary codes included) whose range is at most
-    :data:`DENSE_JOIN_SLOTS_PER_ROW` slots per row, ``sorted`` otherwise.
-    Duplicate build keys are allowed."""
-    if not isinstance(keys, EncodedColumn):
-        keys = np.asarray(keys)
-    reject_missing_keys(keys, "join")
-    values = None
-    if isinstance(keys, EncodedColumn):
-        keys, values = keys.codes, keys.values
-    dense = _dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)
-    if dense is not None:
-        lo, span = dense
-        codes = keys.astype(np.int64, copy=False) - lo
-        counts = np.bincount(codes, minlength=span)
-        offsets = np.zeros(span + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        positions = np.argsort(codes, kind="stable")
-        return JoinTable(
-            KERNEL_DENSE, len(keys), positions, offsets, lo, values,
-            unique=bool(counts.max() <= 1),
-        )
-    try:
-        order = np.argsort(keys, kind="stable")
-    except TypeError as exc:
-        raise _mixed_type_error("joining", exc) from exc
-    ordered = keys[order]
-    return JoinTable(
-        KERNEL_SORTED, len(keys), order, ordered, values=values,
-        unique=not np.any(ordered[1:] == ordered[:-1]),
-    )
-
-
-def probe_join_table(
-    table: JoinTable, probe_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probe a join table with one batch of keys of the build side's kind
-    (the pipeline's join stage aligns them); returns aligned
-    ``(build_positions, probe_positions)`` in probe order, build order
-    within a key.  String probes are translated into the build dictionary
-    first (``-1``, a code no build key has, where it lacks the string)."""
-    if not isinstance(probe_keys, EncodedColumn):
-        probe_keys = np.asarray(probe_keys)
-    reject_missing_keys(probe_keys, "join")
-    if table.values is not None:
-        if not isinstance(probe_keys, EncodedColumn):
-            raise VectorizationError(
-                "joining string keys with other values is served by the "
-                "Volcano interpreter"
-            )
-        probe_keys = recode(probe_keys, table.values)
-    elif isinstance(probe_keys, EncodedColumn):
-        probe_keys = probe_keys.decode()
-    if table.kernel == KERNEL_DENSE:
-        # Keys outside the build range match nothing; dropping them before
-        # the subtraction keeps an INT64_MIN or 2**63-range probe from
-        # wrapping (what is left fits the build keys' own range).
-        hi = table.lo + len(table.index) - 2
-        inside = (probe_keys >= table.lo) & (probe_keys <= hi)
-        probe_index = None
-        if not inside.all():
-            probe_index = np.flatnonzero(inside)
-            probe_keys = probe_keys[probe_index]
-        codes = probe_keys.astype(np.int64, copy=False) - table.lo
-        starts = table.index[codes]
-        return _matches(table, starts, table.index[codes + 1] - starts, probe_index)
-    # One stable sort of the batch turns the two searches into near-linear
-    # merges; the results are scattered back to probe order.
-    try:
-        order = np.argsort(probe_keys, kind="stable")
-        ordered = probe_keys[order]
-        low = np.searchsorted(table.index, ordered, side="left")
-        high = np.searchsorted(table.index, ordered, side="right")
-    except TypeError as exc:
-        raise _mixed_type_error("joining", exc) from exc
-    starts = np.empty(len(order), dtype=np.int64)
-    counts = np.empty(len(order), dtype=np.int64)
-    starts[order] = low
-    counts[order] = high - low
-    return _matches(table, starts, counts, None)
-
-
-def _matches(
-    table: JoinTable,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    probe_index: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-probe-key runs ``positions[start:start + count]`` into
-    aligned match positions.  ``probe_index`` maps the run arrays back to
-    batch positions (``None``: the identity)."""
-    hit = np.flatnonzero(counts)
-    probe = hit if probe_index is None else probe_index[hit]
-    starts, counts = starts[hit], counts[hit]
-    total = int(counts.sum())
-    if total == len(hit):  # one build row per matching key: no expansion
-        return table.positions[starts], probe
-    first = np.cumsum(counts) - counts  # output offset of each probe's run
-    build = table.positions[
-        np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
-    ]
-    return build, np.repeat(probe, counts)
-
-
-@dataclass(frozen=True)
 class KeySlots:
-    """The distinct join-key values of one input, numbered as *slots* so the
-    keys of other inputs map onto them without a join table: ``key - lo``
-    over a dense integer range (as the ``dense`` join kernel addresses), the
-    code in the input's string dictionary, or the position among its sorted
-    distinct keys.  A slot may hold no key of the input (a dense range's
-    gaps, unused dictionary entries).  Like a :class:`JoinTable`, it is a
-    build side the caching manager keeps."""
+    """The join-key values of one input — a join's build side — numbered as
+    *slots*, so every other input's keys map onto them (:func:`slots_of`).
+
+    A key's *address* is ``key - lo`` over a dense integer range
+    (dictionary codes included), else its position among the sorted
+    distinct keys; ``lookup`` takes ``address + 1`` to the slot.  When every
+    key occurs once the slot of a key *is* its build row, so a probe is one
+    gather; otherwise the slots are the occupied addresses in key order, and
+    ``order``/``offsets`` are the CSR runs a probe expands: the build rows
+    stable-sorted by slot, and where each slot's run starts.  The caching
+    manager keeps it (§6: the side built for ``A ⋈ B`` serves ``A ⋈ C`` when
+    the join key is the same)."""
 
     #: The number of slots.
     size: int
-    #: The input's rows per slot.
-    counts: np.ndarray
-    #: Per slot, the slot itself if it holds a key of the input, else
-    #: ``-1``; one more entry, ``-1``, read by slot ``-1`` and by keys
-    #: outside a dense range.
+    #: Per address, its slot, ``-1`` where no key of the input has it,
+    #: between two more ``-1`` entries, the first and the last, onto which
+    #: the keys outside the input's are clipped.  ``int32`` unless the
+    #: slots need more.
     lookup: np.ndarray
-    #: The slot of every row of the input.
-    rows: np.ndarray
     #: The dtype kind of the input's keys (probe keys are aligned to it).
     kind: str
-    #: Dense integer keys: the smallest key.
+    #: The input's row count.
+    build_size: int
+    #: Dense addresses: the smallest key (code, for encoded keys).
     lo: int = 0
-    #: Sorted keys: the distinct keys, ascending.
+    #: Sorted addresses: the distinct keys, ascending.
     distinct: np.ndarray | None = None
     #: Encoded string keys: the dictionary.
     values: np.ndarray | None = None
+    #: Duplicate keys only (``None`` when every key occurs once): the slot
+    #: of every row, the rows stable-sorted by slot, and the start of each
+    #: slot's run in that order (one more entry: ``cumsum`` of the counts).
+    slots: np.ndarray | None = None
+    order: np.ndarray | None = None
+    offsets: np.ndarray | None = None
 
     @property
-    def build_size(self) -> int:
-        return len(self.rows)
+    def kernel(self) -> str:
+        """How keys are addressed: :data:`KERNEL_DENSE` or
+        :data:`KERNEL_SORTED`."""
+        return KERNEL_SORTED if self.distinct is not None else KERNEL_DENSE
 
     @property
     def unique(self) -> bool:
-        """Does every slot hold at most one row of the input?"""
-        return int(np.count_nonzero(self.counts)) == len(self.rows)
+        """Does every key occur at most once — is the slot the build row?"""
+        return self.slots is None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The slot of every row of the input."""
+        return np.arange(self.build_size) if self.slots is None else self.slots
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The input's rows per slot."""
+        if self.offsets is None:
+            return np.ones(self.build_size, dtype=np.int64)
+        return np.diff(self.offsets)
 
     @property
     def size_bytes(self) -> int:
-        size = sum(map(estimate_size, (self.counts, self.lookup, self.rows)))
-        if self.distinct is not None:
-            size += estimate_size(self.distinct)
+        size = sum(
+            estimate_size(array)
+            for array in (self.lookup, self.distinct, self.slots, self.order, self.offsets)
+            if array is not None
+        )
         if self.values is not None:
             size += dictionary_nbytes(self.values)
         return size
 
 
 def key_slots(keys: np.ndarray | EncodedColumn) -> KeySlots:
-    """The slots of one input's join keys, with the slot of each of its
-    rows.  Dense when the integer range spans at most
-    :data:`DENSE_JOIN_SLOTS_PER_ROW` slots per row."""
+    """The slots of one input's join keys.  Addresses are dense when the
+    integer range (the code range, for encoded keys) spans at most
+    :data:`DENSE_JOIN_SLOTS_PER_ROW` per row, sorted otherwise."""
     reject_missing_keys(keys, "join")
     kind, lo, distinct, values = keys.dtype.kind, 0, None, None
     if isinstance(keys, EncodedColumn):
-        rows, values = keys.codes, keys.values
-        size = len(values)
-    elif (dense := _dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)) is not None:
-        lo, size = dense
-        rows = keys.astype(np.int64, copy=False) - lo
+        keys, values = keys.codes, keys.values
+    dense = _dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)
+    if dense is not None:
+        lo, span = dense
+        addresses = keys.astype(np.int64, copy=False) - lo
     else:
         try:
-            distinct, rows = np.unique(keys, return_inverse=True)
+            distinct, addresses = np.unique(keys, return_inverse=True)
         except TypeError as exc:
             raise _mixed_type_error("joining", exc) from exc
-        size = len(distinct)
-    counts = np.bincount(rows, minlength=size)
-    lookup = np.append(np.where(counts > 0, np.arange(size), -1), -1)
-    return KeySlots(size, counts, lookup, rows, kind, lo, distinct, values)
+        span = len(distinct)
+    rows = len(addresses)
+    counts = np.bincount(addresses, minlength=span)
+    lookup = np.full(span + 2, -1, dtype=np.int32 if rows < 2**31 else np.int64)
+    slot_of = lookup[1:-1]  # per address
+    if counts.max(initial=0) <= 1:
+        slot_of[addresses] = np.arange(rows)
+        return KeySlots(rows, lookup, kind, rows, lo, distinct, values)
+    occupied = counts > 0
+    size = int(np.count_nonzero(occupied))
+    slot_of[occupied] = np.arange(size)
+    slots = slot_of[addresses]
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(counts[occupied], out=offsets[1:])
+    return KeySlots(
+        size, lookup, kind, rows, lo, distinct, values, slots, _sorted_rows(slots, size), offsets
+    )
+
+
+def _sorted_rows(slots: np.ndarray, size: int) -> np.ndarray:
+    """The rows stable-sorted by their slot in ``[0, size)``.  NumPy's
+    stable sort of 16-bit integers is a radix sort, 5-14x ahead of the
+    merge sort it runs on wider ones (10 k-600 k rows), so the slots are
+    sorted one 16-bit digit at a time, the low digit first."""
+    if size > 2**32:
+        return np.argsort(slots, kind="stable")
+    order = np.argsort(slots.astype(np.uint16), kind="stable")  # the low digit
+    if size > 2**16:
+        order = order[np.argsort((slots[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
 
 
 def slots_of(space: KeySlots, keys: np.ndarray | EncodedColumn) -> np.ndarray:
     """The slot of every key, ``-1`` where no key of the slots' input
     equals it — for keys of the slots' own kind (the pipeline aligns ints
-    and floats first)."""
+    and floats first).  Encoded string keys are translated into the
+    input's dictionary first."""
     reject_missing_keys(keys, "join")
     if space.values is not None:
         if not isinstance(keys, EncodedColumn):
@@ -353,32 +269,67 @@ def slots_of(space: KeySlots, keys: np.ndarray | EncodedColumn) -> np.ndarray:
                 "joining string keys with other values is served by the "
                 "Volcano interpreter"
             )
-        slots = recode(keys, space.values).astype(np.int64)
-    else:
-        if isinstance(keys, EncodedColumn):
-            keys = keys.decode()
-        if space.distinct is None and keys.dtype.kind in "iu" and keys.dtype != np.uint64:
-            # ``key - lo`` modulo 2**64 is below ``size`` exactly for the
-            # keys inside the range; every other key reads slot ``size``.
-            offsets = (keys.astype(np.int64, copy=False) - space.lo).view(np.uint64)
-            slots = np.minimum(offsets, space.size).view(np.int64)
-        elif space.distinct is None:
-            # A uint64 key past int64 (or a big int in an object column)
-            # would wrap the cast into the range: only keys inside it are
-            # cast, the others read slot ``size``.
-            inside = (keys >= space.lo) & (keys < space.lo + space.size)
-            slots = np.full(len(keys), space.size, dtype=np.int64)
-            slots[inside] = keys[inside].astype(np.int64) - space.lo
-        else:
-            slots = np.full(len(keys), -1, dtype=np.int64)
-            try:
-                positions = np.searchsorted(space.distinct, keys)
-            except TypeError as exc:
-                raise _mixed_type_error("joining", exc) from exc
-            inside = np.flatnonzero(positions < space.size)
-            found = inside[space.distinct[positions[inside]] == keys[inside]]
-            slots[found] = positions[found]
-    return space.lookup[slots]
+        keys = recode(keys, space.values)  # -1: a string the input lacks
+    elif isinstance(keys, EncodedColumn):
+        keys = keys.decode()
+    return space.lookup.take(_addresses(space, keys), mode="clip")
+
+
+def _addresses(space: KeySlots, keys: np.ndarray) -> np.ndarray:
+    """Every key's index into ``space.lookup``: its address plus one, or an
+    index that clips onto one of the two ``-1`` ends for a key the input
+    lacks."""
+    addresses = np.zeros(len(keys), dtype=np.int64)
+    if space.distinct is None:
+        # ``key - (lo - 1)`` modulo 2**64 is in ``[1, span]`` exactly for
+        # the keys inside the range; read as int64, every other key is
+        # below 1 or above the span.
+        base = np.asarray((space.lo - 1) % 2**64, dtype=np.uint64).view(np.int64)
+        if keys.dtype.kind in "iu" and keys.dtype != np.uint64:
+            return keys.astype(np.int64, copy=False) - base
+        # A uint64 key past int64 (or a big int in an object column) would
+        # wrap the cast into the range: only keys inside it are cast.
+        inside = (keys >= space.lo) & (keys < space.lo + len(space.lookup) - 2)
+        addresses[inside] = keys[inside].astype(np.int64) - base
+        return addresses
+    distinct = space.distinct
+    inside = None
+    if keys.dtype.kind in "iu" and distinct.dtype.kind in "iu" and keys.dtype.kind != distinct.dtype.kind:
+        # int64 against uint64 would be searched through float64, which
+        # rounds neighbouring keys together: search the keys the input's
+        # dtype holds, in that dtype.
+        limits = np.iinfo(distinct.dtype)
+        inside = np.flatnonzero((keys >= limits.min) & (keys <= limits.max))
+        keys = keys[inside].astype(distinct.dtype)
+    try:
+        positions = np.searchsorted(distinct, keys)
+    except TypeError as exc:
+        raise _mixed_type_error("joining", exc) from exc
+    found = np.flatnonzero(positions < len(distinct))
+    found = found[distinct[positions[found]] == keys[found]]
+    addresses[found if inside is None else inside[found]] = positions[found] + 1
+    return addresses
+
+
+def probe(space: KeySlots, keys: np.ndarray | EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
+    """Probe a build side with one batch of keys of its kind (the
+    pipeline's join stage aligns them); returns aligned ``(build_positions,
+    probe_positions)`` in probe order, build order within a key.  A unique
+    build side is one gather (the slot is the build row); duplicate keys
+    expand their slot's CSR run."""
+    slots = slots_of(space, keys)
+    hit = np.flatnonzero(slots >= 0)
+    slots = slots[hit].astype(np.intp)  # gathers index fastest by intp
+    if space.order is None:
+        return slots, hit
+    starts = space.offsets[slots]
+    counts = space.offsets[slots + 1] - starts
+    total = int(counts.sum())
+    if total == len(hit):  # one build row per matching key: no expansion
+        return space.order[starts], hit
+    first = np.cumsum(counts) - counts  # output offset of each probe's run
+    build = space.order[np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)]
+    return build, np.repeat(hit, counts)
 
 
 # ---------------------------------------------------------------------------

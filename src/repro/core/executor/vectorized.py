@@ -19,12 +19,16 @@ list of per-batch stages:
   mask; sitting directly on a CSV/JSON scan it makes the scan *lazy* (§5.2):
   only the predicate's fields are converted for every row, the remaining
   ones for the surviving OIDs only (``scan_columns_at``),
-* :class:`HashJoinStage` holds the materialized build side and one
-  :class:`~repro.core.executor.radix.JoinTable` — direct-addressed over a
-  dense integer key range, sorted otherwise; looked up in / admitted to the
-  adaptive cache, keyed by the build side's plan, key and bound parameter
-  values — and probes it batch-at-a-time, emitting matches in probe order
-  (build order within a key), the Volcano interpreter's order,
+* :class:`HashJoinStage` holds the materialized build side and its keys
+  numbered as :class:`~repro.core.executor.radix.KeySlots` — addressed
+  directly over a dense integer key range, sorted otherwise; looked up in /
+  admitted to the adaptive cache, keyed by the build side's plan, key and
+  bound parameter values — and probes them batch-at-a-time (one gather when
+  the build side holds each key once), emitting matches in probe order
+  (build order within a key), the Volcano interpreter's order.  The joined
+  batch gathers only the columns read above the join — and OIDs only for
+  an unnest above that needs them; the compiler finds them on its way down
+  the plan,
 * :class:`UnnestStage` flattens nested collections batch-natively through the
   plug-in's ``scan_unnest_batch`` offset-vector API (one ``np.repeat``
   broadcast of the parent columns per batch; outer unnest emits null child
@@ -46,7 +50,8 @@ list of per-batch stages:
   aggregates are their key products (``join_kernels`` says
   ``factorized``) — unless two inputs join on keys the first holds once
   each, where there is nothing to factor out.  Every other join probes and
-  gathers.
+  gathers.  Both run over the first input's one key space, built once and
+  cached.
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
 the per-call :class:`PipelineCounters` and the lock-guarded cache recorders),
@@ -125,6 +130,7 @@ from repro.core.physical import (
     PhysSort,
     PhysUnnest,
     PhysicalPlan,
+    expressions_of,
     parameters_of,
 )
 from repro.core.sort import TopKAccumulator, concat_chunks, resolve_limit
@@ -230,22 +236,56 @@ def _apply_predicate(batch: Batch, predicate: Evaluator) -> Batch | None:
     return batch.take(mask)
 
 
+@dataclass(frozen=True)
+class Live:
+    """What the operators above a join read of its output: columns, and the
+    bindings whose OIDs an unnest above addresses its source by."""
+
+    columns: frozenset[ColumnKey]
+    oids: frozenset[str]
+
+
+def live_above(
+    above: tuple[PhysicalPlan, ...] | None, own: Expression | None
+) -> Live | None:
+    """The :class:`Live` output of a join under the operators ``above`` it
+    (nearest last) whose own predicate is ``own``; ``None`` — every column
+    stays — when what is above is unknown."""
+    if above is None:
+        return None
+    columns: set[ColumnKey] = set()
+    oids: set[str] = set()
+    for node in above:
+        for expression in expressions_of(node):
+            columns |= expression.referenced_fields()
+        if isinstance(node, PhysUnnest):
+            columns.add((node.binding, node.path))
+            oids.add(node.binding)
+    if own is not None:
+        columns |= own.referenced_fields()
+    return Live(frozenset(columns), frozenset(oids))
+
+
 def _gather_joined(
-    left: Batch, right: Batch, left_positions: np.ndarray, right_positions: np.ndarray
+    left: Batch,
+    right: Batch,
+    left_positions: np.ndarray,
+    right_positions: np.ndarray,
+    live: Live | None,
 ) -> Batch:
-    """Assemble a join output batch by gathering both sides."""
+    """Assemble a join output batch by gathering both sides — only the
+    ``live`` columns and OIDs (``None``: all of them)."""
     joined = Batch(
         count=len(left_positions),
         params=right.params if right.params is not None else left.params,
     )
-    for key, column in left.columns.items():
-        joined.columns[key] = column[left_positions]
-    for binding, oids in left.oids.items():
-        joined.oids[binding] = oids[left_positions]
-    for key, column in right.columns.items():
-        joined.columns[key] = column[right_positions]
-    for binding, oids in right.oids.items():
-        joined.oids[binding] = oids[right_positions]
+    for side, positions in ((left, left_positions), (right, right_positions)):
+        for key, column in side.columns.items():
+            if live is None or key in live.columns:
+                joined.columns[key] = column[positions]
+        for binding, oids in side.oids.items():
+            if live is None or binding in live.oids:
+                joined.oids[binding] = oids[positions]
     return joined
 
 
@@ -736,39 +776,39 @@ class UnnestStage:
 
 
 class HashJoinStage:
-    """Probe an already-built join table with each batch.
+    """Probe an already-built join build side with each batch.
 
     The build side (a materialized :class:`Batch` plus its
-    :class:`~repro.core.executor.radix.JoinTable`) is immutable once
+    :class:`~repro.core.executor.radix.KeySlots`) is immutable once
     constructed, so any number of workers can probe it concurrently.
     """
 
     def __init__(
         self,
         build: Batch,
-        table: radix.JoinTable,
-        build_kind: str,
+        space: radix.KeySlots,
         right_key: Evaluator,
         residual: Evaluator | None,
+        live: Live | None,
     ):
         self.build = build
-        self.table = table
-        self.build_kind = build_kind
+        self.space = space
         self.right_key = right_key
         self.residual = residual
+        self.live = live
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
         right_keys = _join_keys(self.right_key(batch), batch.count)
-        probe_keys, kept = _align_probe_keys(self.build_kind, right_keys)
-        left_positions, right_positions = radix.probe_join_table(
-            self.table, probe_keys
-        )
+        probe_keys, kept = _align_probe_keys(self.space.kind, right_keys)
+        left_positions, right_positions = radix.probe(self.space, probe_keys)
         if len(left_positions) == 0:
             return None
         if kept is not None:
             right_positions = kept[right_positions]
         counters.join_output_rows += len(left_positions)
-        joined = _gather_joined(self.build, batch, left_positions, right_positions)
+        joined = _gather_joined(
+            self.build, batch, left_positions, right_positions, self.live
+        )
         if self.residual is not None:
             return _apply_predicate(joined, self.residual)
         return joined
@@ -778,9 +818,10 @@ class NestedLoopJoinStage:
     """Cross-product each batch against a materialized build side, in probe
     order then build order (the Volcano interpreter's order)."""
 
-    def __init__(self, build: Batch, predicate: Evaluator | None):
+    def __init__(self, build: Batch, predicate: Evaluator | None, live: Live | None):
         self.build = build
         self.predicate = predicate
+        self.live = live
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
         left = self.build
@@ -790,7 +831,7 @@ class NestedLoopJoinStage:
         right_positions = np.repeat(
             np.arange(batch.count, dtype=np.int64), left.count
         )
-        joined = _gather_joined(left, batch, left_positions, right_positions)
+        joined = _gather_joined(left, batch, left_positions, right_positions, self.live)
         if self.predicate is not None:
             return _apply_predicate(joined, self.predicate)
         return joined
@@ -828,8 +869,13 @@ class PipelineCompiler:
     Join build sides are materialized *during* compilation (they are blocking
     operators) through the executor's ``materializer`` — which runs them
     inline or fans their scans out, by the same decision as the plan root —
-    and their join tables are built in one pass unless the adaptive cache
-    already holds the table of the same build side.
+    and their keys are numbered in one pass unless the adaptive cache
+    already holds the key slots of the same build side.
+
+    ``compile`` walks the plan top-down with the operators ``above`` the
+    current node (``None``: unknown, every column is kept), so a join
+    learns which of its output columns are read above it without a walk of
+    its own.
     """
 
     def __init__(
@@ -868,11 +914,15 @@ class PipelineCompiler:
         self.cache_writers: list = []
         #: The kernel of every hash join compiled, in plan walk order.
         self.join_kernels: list[str] = []
-        #: Build sides already materialized, by plan node: a chain that did
-        #: not run per key value hands its first input over.
-        self.built: dict[int, Batch] = {}
+        #: Build sides already materialized with their key slots, by plan
+        #: node: a chain that did not run per key value hands its first
+        #: input over.
+        self.built: dict[int, tuple[Batch, radix.KeySlots]] = {}
 
-    def compile(self, plan: PhysicalPlan) -> CompiledPipeline:
+    def compile(
+        self, plan: PhysicalPlan, above: tuple[PhysicalPlan, ...] | None = None
+    ) -> CompiledPipeline:
+        below = None if above is None else above + (plan,)
         if isinstance(plan, PhysScan):
             return self._scan_pipeline(plan)
         if isinstance(plan, PhysSelect):
@@ -882,7 +932,7 @@ class PipelineCompiler:
                 if pipeline.source.lazy:
                     lazy_scan = pipeline.source
             else:
-                pipeline = self.compile(plan.child)
+                pipeline = self.compile(plan.child, below)
             pipeline.stages.append(
                 traced_stage(
                     self.trace,
@@ -902,7 +952,7 @@ class PipelineCompiler:
                 dataset = plugin = None
                 element = element_type(self._binding_type(plan.child, plan.binding), plan.path)
                 type_names = [declared_type(element, path) for path in plan.element_paths]
-            pipeline = self.compile(plan.child)
+            pipeline = self.compile(plan.child, below)
             # Directly over its scan the stage sees every parent, in order:
             # only then may the flattened output come from / go to the cache.
             full_scan = isinstance(plan.child, PhysScan)
@@ -923,10 +973,10 @@ class PipelineCompiler:
                 raise VectorizationError(
                     "outer join is served by the Volcano interpreter"
                 )
-            left = self.built.pop(id(plan.left), None)
+            left, space = self.built.pop(id(plan.left), (None, None))
             if left is None:
-                left = self.materializer(self.compile(plan.left))
-            pipeline = self.compile(plan.right)
+                left = self.materializer(self.compile(plan.left, below))
+            pipeline = self.compile(plan.right, below)
             if left.count == 0 or pipeline.always_empty:
                 # An inner join with an empty build side produces nothing;
                 # bail out before key evaluation (an empty Batch has no
@@ -934,19 +984,19 @@ class PipelineCompiler:
                 # Volcano tier).
                 pipeline.always_empty = True
                 return pipeline
-            left_keys = _join_keys(self.evaluator(plan.left_key)(left), left.count)
-            table = self._build_table(plan, left_keys)
-            self.join_kernels.append(table.kernel)
+            if space is None:
+                space = self.build_side(plan.left, plan.left_key, left)
+            self.join_kernels.append(space.kernel)
             pipeline.stages.append(
                 traced_stage(
                     self.trace,
                     plan,
                     HashJoinStage(
                         left,
-                        table,
-                        left_keys.dtype.kind,
+                        space,
                         self.evaluator(plan.right_key),
                         self._optional(plan.residual),
+                        live_above(above, plan.residual),
                     ),
                 )
             )
@@ -956,8 +1006,8 @@ class PipelineCompiler:
                 raise VectorizationError(
                     "outer join is served by the Volcano interpreter"
                 )
-            left = self.materializer(self.compile(plan.left))
-            pipeline = self.compile(plan.right)
+            left = self.materializer(self.compile(plan.left, below))
+            pipeline = self.compile(plan.right, below)
             if left.count == 0 or pipeline.always_empty:
                 pipeline.always_empty = True
                 return pipeline
@@ -965,7 +1015,11 @@ class PipelineCompiler:
                 traced_stage(
                     self.trace,
                     plan,
-                    NestedLoopJoinStage(left, self._optional(plan.predicate)),
+                    NestedLoopJoinStage(
+                        left,
+                        self._optional(plan.predicate),
+                        live_above(above, plan.predicate),
+                    ),
                 )
             )
             return pipeline
@@ -1007,83 +1061,43 @@ class PipelineCompiler:
             traced_scan(self.trace, plan, operator), [], context=self.context
         )
 
-    def _build_table(
-        self, plan: PhysHashJoin, left_keys: np.ndarray
-    ) -> radix.JoinTable:
-        """The join table of a join's build side (see :meth:`build_side`)."""
-        return self.build_side(
-            plan.left,
-            plan.left_key,
-            len(left_keys),
-            lambda: radix.build_join_table(left_keys),
-        )
-
     def build_side(
-        self,
-        side: PhysicalPlan,
-        key: Expression,
-        rows: int,
-        build: Callable[[], Any],
-        layout: str = "",
-        keep: Callable[[Any], bool] | None = None,
-    ) -> Any:
-        """What ``build()`` makes of a join build side of ``rows`` rows — a
-        join table, or with ``layout="slots"`` its key slots — or the cached
-        one when the adaptive cache holds it for the same build plan, join
-        key and bound build-side parameter values (§6: ``A ⋈ B`` then
-        ``A ⋈ C``).  A fresh build that ``keep`` rejects is the caller's to
-        discard: it is neither cached nor counted as a build."""
-        cache_key = self._build_side_key(side, key, layout)
-        cached = self._cached(cache_key, rows)
-        if cached is not None:
-            return cached
-        built = build()
-        if keep is not None and not keep(built):
-            return built
-        self.counters.join_build_rows += rows
-        source = next(node for node in side.walk() if isinstance(node, PhysScan))
-        source_format = self.catalog.get(source.dataset).format
+        self, side: PhysicalPlan, key: Expression, build: Batch
+    ) -> radix.KeySlots:
+        """The key slots of a join build side — the materialized ``build``
+        of plan ``side`` keyed by ``key`` — or the cached ones when the
+        adaptive cache holds them for the same build plan, join key and
+        bound build-side parameter values (§6: ``A ⋈ B`` then ``A ⋈ C``)."""
+        cache_key = self._build_side_key(side, key)
         if cache_key is not None:
+            entry = self.cache_manager.lookup(cache_key)
+            if entry is not None and entry.data.build_size == build.count:
+                return entry.data
+            if entry is not None:  # a stale build of another cardinality
+                self.cache_manager.evict(cache_key)
+        space = radix.key_slots(_join_keys(self.evaluator(key)(build), build.count))
+        self.counters.join_build_rows += build.count
+        if cache_key is not None:
+            source = next(node for node in side.walk() if isinstance(node, PhysScan))
             self.cache_manager.store(
                 cache_key,
-                built,
+                space,
                 kind="join_side",
                 dataset=source.dataset,
-                source_format=source_format,
-                description=f"join build side ({layout or built.kernel})",
+                source_format=self.catalog.get(source.dataset).format,
+                description=f"join build side ({space.kernel})",
             )
-        return built
+        return space
 
-    def cached_build_side(
-        self, side: PhysicalPlan, key: Expression, rows: int
-    ) -> radix.JoinTable | None:
-        """The cached join table of a build side, if the cache holds one
-        (see :meth:`build_side`)."""
-        return self._cached(self._build_side_key(side, key, ""), rows)
-
-    def _cached(self, cache_key: tuple | None, rows: int) -> Any:
-        if cache_key is None:
-            return None
-        entry = self.cache_manager.lookup(cache_key)
-        if entry is not None and entry.data.build_size == rows:
-            return entry.data
-        if entry is not None:
-            self.cache_manager.evict(cache_key)  # a stale build of another cardinality
-        return None
-
-    def _build_side_key(
-        self, side: PhysicalPlan, key: Expression, layout: str
-    ) -> tuple | None:
+    def _build_side_key(self, side: PhysicalPlan, key: Expression) -> tuple | None:
         """The cache key of a build side (``None``: not cached)."""
         if self.cache_manager is None:
             return None
         cache_key = join_side_cache_key(side.fingerprint(), key.fingerprint())
-        if layout:
-            cache_key += (layout,)
         # The fingerprints abstract parameter values; fold the bound values
         # of the build side's parameters back in so builds with different
-        # constants (and coincidentally equal cardinalities) never share a
-        # table.
+        # constants (and coincidentally equal cardinalities) never share
+        # key slots.
         parameters = dict.fromkeys(parameters_of(side))
         parameters.update((parameter.key, None) for parameter in iter_parameters(key))
         if parameters:
@@ -1242,8 +1256,8 @@ class _RootTask:
 
 class _CollectRoot(_RootTask):
     """Join build side: the pipeline's output batches, concatenated in range
-    order — so the materialized batch (and therefore every join-table
-    position in it) is the same however the scan was split."""
+    order — so the materialized batch (and therefore every build position
+    its key slots hold) is the same however the scan was split."""
 
     def new_state(self) -> list[Batch]:
         return []
@@ -2077,7 +2091,7 @@ class VectorizedExecutor:
         if chain is not None:
             result = self._execute_factorized(chain, root, compiler, evaluator)
         if result is None:
-            pipeline = compiler.compile(plan.child)
+            pipeline = compiler.compile(plan.child, (plan,))
             self.join_kernels = compiler.join_kernels
             morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
             result = self._run(root, pipeline, morsels)
@@ -2099,32 +2113,17 @@ class VectorizedExecutor:
         """Run the aggregate over ``chain`` per join-key value (see
         :class:`FactorizedChain`); every input streams inline or fanned out,
         as a join's sides do.  ``None`` — the joins then probe and gather,
-        the first input handed over as the materialized build side — when
-        two inputs join on keys the first holds once each: the join has one
-        row per matching row of the other, so there is nothing to factor
-        out.  That is decided before any other input is read, from the
-        cached join table when there is one."""
+        the first input handed over as the materialized build side with its
+        key slots — when two inputs join on keys the first holds once each:
+        the join has one row per matching row of the other, so there is
+        nothing to factor out.  That is decided from the first input's key
+        slots (cached or built once) before any other input is read."""
         first = self._materialize(compiler.compile(chain.inputs[0]))
         if first.count == 0:
             return self._empty_chain(chain, root)
-        pair = len(chain.inputs) == 2
-        if pair:
-            table = compiler.cached_build_side(chain.inputs[0], chain.keys[0], first.count)
-            if table is not None and table.unique:
-                compiler.built[id(chain.inputs[0])] = first
-                return None
-        space = compiler.build_side(
-            chain.inputs[0],
-            chain.keys[0],
-            first.count,
-            lambda: radix.key_slots(
-                _join_keys(evaluator(chain.keys[0])(first), first.count)
-            ),
-            layout="slots",
-            keep=lambda space: not (pair and space.unique),
-        )
-        if pair and space.unique:
-            compiler.built[id(chain.inputs[0])] = first
+        space = compiler.build_side(chain.inputs[0], chain.keys[0], first)
+        if len(chain.inputs) == 2 and space.unique:
+            compiler.built[id(chain.inputs[0])] = (first, space)
             return None
         first.columns[_SLOT] = space.rows
         reducer = _slot_root(chain, root, 0, space.size)

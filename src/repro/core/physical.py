@@ -177,7 +177,7 @@ class PhysHashJoin(PhysicalPlan):
     """Hash join on equi-join keys, with an optional residual predicate.
 
     The left side is the build side (materialized first), the right side is
-    probed; the build side's join table doubles as an implicit cache, as in
+    probed; the build side's key slots double as an implicit cache, as in
     the paper.  Matches come in probe order, then build order within a key,
     whichever kernel the build side's key range selects (direct-addressed
     over a dense integer range, sorted otherwise).

@@ -29,9 +29,7 @@ def _naive_join(left, right):
 
 
 def _join(left, right):
-    return radix.probe_join_table(
-        radix.build_join_table(np.asarray(left)), np.asarray(right)
-    )
+    return radix.probe(radix.key_slots(np.asarray(left)), np.asarray(right))
 
 
 def _joined(left, right):
@@ -46,7 +44,7 @@ def test_radix_join_matches_naive_int(kernel, spread):
     rng = np.random.RandomState(0)
     left = rng.randint(0, 40, size=200) * spread
     right = rng.randint(0, 40, size=150) * spread
-    assert radix.build_join_table(left).kernel == kernel
+    assert radix.key_slots(left).kernel == kernel
     assert _joined(left, right) == _naive_join(left, right)
 
 
@@ -56,12 +54,12 @@ def test_radix_join_matches_naive_strings():
     # Object keys take the sorted kernel; encoded strings — what every
     # plug-in produces for a string field — the dense kernel on codes, with
     # each probe batch's codes translated into the build dictionary.
-    assert radix.build_join_table(left).kernel == radix.KERNEL_SORTED
+    assert radix.key_slots(left).kernel == radix.KERNEL_SORTED
     assert _joined(left, right) == _naive_join(left, right)
     encoded = column_from_values(left.tolist(), "string")
-    table = radix.build_join_table(encoded)
-    assert table.kernel == radix.KERNEL_DENSE
-    li, ri = radix.probe_join_table(table, column_from_values(right.tolist(), "string"))
+    space = radix.key_slots(encoded)
+    assert space.kernel == radix.KERNEL_DENSE
+    li, ri = radix.probe(space, column_from_values(right.tolist(), "string"))
     assert list(zip(li.tolist(), ri.tolist())) == _naive_join(left, right)
 
 
@@ -81,45 +79,65 @@ def test_radix_join_empty_and_disjoint():
         ([10**15, 2, 2, -(10**15)], radix.KERNEL_SORTED),
     ],
 )
-def test_join_table_reuse(left, kernel):
-    table = radix.build_join_table(np.asarray(left))
-    assert table.kernel == kernel
-    assert table.build_size == 4
-    assert table.size_bytes == table.positions.nbytes + table.index.nbytes > 0
-    li, ri = radix.probe_join_table(table, np.asarray([2, 5]))
+def test_key_slots_reuse(left, kernel):
+    space = radix.key_slots(np.asarray(left))
+    assert space.kernel == kernel
+    assert space.build_size == 4
+    assert not space.unique
+    arrays = (space.lookup, space.distinct, space.slots, space.order, space.offsets)
+    assert space.size_bytes == sum(a.nbytes for a in arrays if a is not None) > 0
+    li, ri = radix.probe(space, np.asarray([2, 5]))
     # Duplicate build keys come back in build order.
     assert li.tolist() == [1, 2]
     assert ri.tolist() == [0, 0]
-    li, ri = radix.probe_join_table(table, np.asarray([2, 2, left[0]]))
+    li, ri = radix.probe(space, np.asarray([2, 2, left[0]]))
     assert li.tolist() == [1, 2, 1, 2, 0]
     assert ri.tolist() == [0, 0, 1, 1, 2]
 
 
 def test_dense_join_duplicate_build_keys():
     left = np.asarray([7, 5, 7, 6, 7, 5], dtype=np.int64)
-    assert radix.build_join_table(left).kernel == radix.KERNEL_DENSE
+    assert radix.key_slots(left).kernel == radix.KERNEL_DENSE
     right = np.asarray([5, 8, 7, 4, 6, 7], dtype=np.int64)
     assert _joined(left, right) == _naive_join(left, right)
-    # Unique build keys take the single-match path, same answer.
+    # Unique build keys: the slot is the build row, one gather, same answer.
     unique = np.asarray([3, 9, 4, 6], dtype=np.int64)
+    space = radix.key_slots(unique)
+    assert space.unique and space.order is None and space.offsets is None
+    assert space.size_bytes == space.lookup.nbytes
     assert _joined(unique, right) == _naive_join(unique, right)
+
+
+def test_duplicate_build_keys_past_16_bit_slots():
+    """The CSR runs of a side with more than 2**16 slots are sorted one
+    16-bit digit at a time: still the stable order of the slots."""
+    rng = np.random.RandomState(3)
+    keys = rng.permutation(np.repeat(np.arange(70_000, dtype=np.int64), 2))
+    space = radix.key_slots(keys)
+    assert space.size == 70_000 and not space.unique
+    assert np.array_equal(space.order, np.argsort(space.slots, kind="stable"))
+    probe = np.asarray([69_999, 5, 70_000, 65_536, 5], dtype=np.int64)
+    li, ri = radix.probe(space, probe)
+    assert list(zip(li.tolist(), ri.tolist())) == [
+        (i, j) for j, key in enumerate(probe.tolist()) for i in np.flatnonzero(keys == key)
+    ]
 
 
 def test_dense_join_probe_keys_outside_range_near_int64_limits():
     imin, imax = -(2**63), 2**63 - 1
     for left in ([imin, imin + 1, imin + 3], [imax - 2, imax, imax - 2]):
         build = np.asarray(left, dtype=np.int64)
-        table = radix.build_join_table(build)
-        assert table.kernel == radix.KERNEL_DENSE
+        space = radix.key_slots(build)
+        assert space.kernel == radix.KERNEL_DENSE
         probe = np.asarray([imin, imax, 0, -1, 1, imin + 1, imax - 2], dtype=np.int64)
-        li, ri = radix.probe_join_table(table, probe)
+        li, ri = radix.probe(space, probe)
         assert list(zip(li.tolist(), ri.tolist())) == _naive_join(
             build.tolist(), probe.tolist()
         )
     # uint64 probe keys above the int64 range never wrap onto build keys.
-    table = radix.build_join_table(np.asarray([-1, 0, 1], dtype=np.int64))
-    li, ri = radix.probe_join_table(
-        table, np.asarray([2**64 - 1, 2**63, 1, 0], dtype=np.uint64)
+    space = radix.key_slots(np.asarray([-1, 0, 1], dtype=np.int64))
+    li, ri = radix.probe(
+        space, np.asarray([2**64 - 1, 2**63, 1, 0], dtype=np.uint64)
     )
     assert li.tolist() == [2, 1] and ri.tolist() == [2, 3]
 
@@ -137,9 +155,9 @@ def test_radix_join_int_float_alignment(left, right):
     from repro.core.executor.vectorized import _align_probe_keys
 
     build = np.asarray(left)
-    table = radix.build_join_table(build)
-    probe, kept = _align_probe_keys(build.dtype.kind, np.asarray(right))
-    li, ri = radix.probe_join_table(table, probe)
+    space = radix.key_slots(build)
+    probe, kept = _align_probe_keys(space.kind, np.asarray(right))
+    li, ri = radix.probe(space, probe)
     if kept is not None:
         ri = kept[ri]
     assert list(zip(li.tolist(), ri.tolist())) == _naive_join(left, right)

@@ -325,20 +325,32 @@ def test_streamed_ranges_without_a_slot_keep_int_sums_int(tmp_path):
         assert repr(result.rows) == repr(volcano.query(query).rows), query
 
 
-def test_first_input_with_unique_keys_caches_only_its_join_table(paths):
-    """A two-input join whose first input holds each key once probes a
-    table; the key slots it was told apart by are not kept, and the next
-    run decides from the cached table alone."""
+def test_first_input_with_unique_keys_builds_its_key_space_once(paths, monkeypatch):
+    """A two-input join whose first input holds each key once probes it:
+    the key slots that told it apart are the probe's build side, built once
+    on the first execution and cached as one entry the second one hits."""
+    from repro.core.executor import radix
+
+    builds = []
+    key_slots = radix.key_slots
+    monkeypatch.setattr(radix, "key_slots", lambda keys: builds.append(1) or key_slots(keys))
     query = "SELECT COUNT(*), SUM(b.qty) FROM items_csv a JOIN items_bin b ON a.id = b.id"
     engine = make_engine(paths)
     reference = make_engine(paths, enable_codegen=False).query(query).rows
-    first, second = engine.query(query), engine.query(query)
+    first = engine.query(query)
+    assert len(builds) == 1
+    entries = [e for e in engine.cache_entries() if e.kind == "join_side"]
+    assert [e.description for e in entries] == ["join build side (dense)"]
+    assert entries[0].data.unique
+    second = engine.query(query)
+    assert len(builds) == 1  # the second execution hit the cached slots
     assert first.profile.join_kernels == second.profile.join_kernels == ["dense"]
     assert first.rows == second.rows == reference
     assert first.profile.join_build_rows == 120
     assert second.profile.join_build_rows == 0
-    entries = [e for e in engine.cache_entries() if e.kind == "join_side"]
-    assert [e.description for e in entries] == ["join build side (dense)"]
+    assert [e.description for e in engine.cache_entries() if e.kind == "join_side"] == [
+        "join build side (dense)"
+    ]
 
 
 def test_missing_join_key_demotes_once(tmp_path):
@@ -376,8 +388,9 @@ def test_sum_over_joined_rows_without_values_is_volcano_zero(tmp_path):
 
 
 def test_key_slots_are_kept_like_a_join_table(paths):
-    """The first input's key slots are a join build side the adaptive cache
-    keeps, keyed by the bound parameter values like a join table."""
+    """The first input's key slots are the join build side the adaptive
+    cache keeps — one structure, probed or reduced per slot — keyed by the
+    bound parameter values."""
     query = (
         "SELECT b.qty, COUNT(*), SUM(c.price) FROM items_csv a "
         "JOIN items_bin b ON a.id = b.id JOIN items_json c ON b.id = c.id "
@@ -391,5 +404,98 @@ def test_key_slots_are_kept_like_a_join_table(paths):
         reference = volcano.query(query, bound).rows
         assert sorted(result.rows) == sorted(reference), bound
     entries = [e for e in engine.cache_entries() if e.kind == "join_side"]
-    assert [e.description for e in entries] == ["join build side (slots)"] * 2
+    assert [e.description for e in entries] == ["join build side (dense)"] * 2
     assert result.profile.join_build_rows == 0  # the third run hit the cache
+
+
+# ---------------------------------------------------------------------------
+# A join gathers only the columns read above it
+# ---------------------------------------------------------------------------
+
+#: Worker counts of the live-column differential (fanned out over 2-row
+#: morsels above one).
+LIVE_WORKERS = (1, 2, 8)
+
+#: (query, the column keys of its joined batches, their OID bindings).
+LIVE_SHAPES = [
+    # The prices are read only by the residual; the keys by nothing above.
+    ("SELECT a.id AS x FROM items_csv a JOIN items_bin b ON a.qty = b.qty "
+     "WHERE b.price > a.price AND a.id < 30",
+     {("a", ("id",)), ("a", ("price",)), ("b", ("price",))}, set()),
+    # Join keys the root reads stay.
+    ("SELECT a.id AS x, b.id AS y, b.category AS c FROM items_csv a "
+     "JOIN items_bin b ON a.id = b.id",
+     {("a", ("id",)), ("b", ("id",)), ("b", ("category",))}, set()),
+    # Three inputs: the inner join (b ⋈ c on ``qty``) keeps ``b.id``, the
+    # outer join's key, and drops its own ``qty`` keys, which nothing above
+    # reads.
+    ("SELECT a.id AS x, c.id AS z FROM items_csv a "
+     "JOIN items_bin b ON a.id = b.id JOIN items_json c ON b.qty = c.qty "
+     "WHERE c.id < 40",
+     {("a", ("id",)), ("b", ("id",)), ("c", ("id",))}, set()),
+    # ... and an inner join key the root reads stays live through both.
+    ("SELECT a.id AS x, b.qty AS q FROM items_csv a "
+     "JOIN items_bin b ON a.id = b.id JOIN items_json c ON b.qty = c.qty "
+     "WHERE c.id < 40",
+     {("a", ("id",)), ("b", ("id",)), ("b", ("qty",))}, set()),
+    # An unnest over a join addresses its collection by the parent's OIDs.
+    ("for { o <- orders, a <- items_csv, o.okey = a.id, l <- o.lines } "
+     "yield bag (o.okey, a.qty, l.item)",
+     {("o", ("okey",)), ("a", ("qty",))}, {"o"}),
+]
+
+
+@pytest.fixture
+def joined_batches(monkeypatch):
+    """Every batch a join stage gathers, recorded."""
+    from repro.core.executor import vectorized
+
+    batches = []
+    gather = vectorized._gather_joined
+
+    def recording(*args):
+        batches.append(gather(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(vectorized, "_gather_joined", recording)
+    return batches
+
+
+@pytest.mark.parametrize("query,columns,oids", LIVE_SHAPES)
+def test_joins_gather_only_live_columns(paths, joined_batches, query, columns, oids):
+    reference = make_engine(paths, enable_codegen=False).query(query).rows
+    assert reference, query
+    for workers in LIVE_WORKERS:
+        engine = make_engine(
+            paths, enable_caching=False, parallel_workers=workers,
+            vectorized_batch_size=FANOUT_BATCH_SIZE,
+        )
+        joined_batches.clear()
+        result = engine.query(query)
+        assert result.tier == "codegen", workers
+        assert repr(result.rows) == repr(reference), workers
+        assert joined_batches, workers
+        assert set().union(*(batch.columns for batch in joined_batches)) == columns
+        assert set().union(*(batch.oids for batch in joined_batches)) == oids
+
+
+def test_olap_join_gathers_two_columns_and_no_oids(tmp_path, joined_batches):
+    """The OLAP ``join`` class reads one column of each side above its join:
+    the joined batch holds exactly those, and no OIDs."""
+    from repro.workloads import tpch
+
+    tables = tpch.generate(scale=2, seed=7)
+    engine = ProteusEngine(enable_caching=False)
+    engine.register_binary_columns("lineitem", tpch.write_binary_columns(
+        str(tmp_path / "lineitem"), tables.lineitem, tpch.LINEITEM_SCHEMA))
+    engine.register_binary_columns("orders", tpch.write_binary_columns(
+        str(tmp_path / "orders"), tables.orders, tpch.ORDERS_SCHEMA))
+    result = engine.query(
+        "SELECT COUNT(*), SUM(l_extendedprice), MAX(o_totalprice) FROM lineitem l "
+        "JOIN orders o ON l.l_orderkey = o.o_orderkey WHERE o.o_orderpriority < 3"
+    )
+    assert result.profile.join_kernels == ["dense"]
+    assert joined_batches
+    for batch in joined_batches:
+        assert set(batch.columns) == {("l", ("l_extendedprice",)), ("o", ("o_totalprice",))}
+        assert not batch.oids

@@ -717,9 +717,9 @@ def test_worker_pool_propagates_errors():
     ],
 )
 def test_fanned_out_build_side_table_matches_serial(workload_dir, query, kernel):
-    """A build side materialized by morsels yields exactly the join table of
-    an inline build: the morsels concatenate in order and the table itself
-    is one pass on the calling thread."""
+    """A build side materialized by morsels yields exactly the key slots of
+    an inline build: the morsels concatenate in order and the slots
+    themselves are one pass on the calling thread."""
     tables = []
     for workers in (1, 4):
         engine = _caching_engine(workload_dir, parallel_workers=workers)
@@ -730,9 +730,14 @@ def test_fanned_out_build_side_table_matches_serial(workload_dir, query, kernel)
         tables.append(entry.data)
     serial, fanned = tables
     assert serial.kernel == fanned.kernel == kernel
-    assert (serial.build_size, serial.lo) == (fanned.build_size, fanned.lo)
-    assert np.array_equal(serial.positions, fanned.positions)
-    assert np.array_equal(serial.index, fanned.index)
+    assert (serial.build_size, serial.size, serial.lo) == (
+        fanned.build_size, fanned.size, fanned.lo
+    )
+    assert serial.unique == fanned.unique
+    for name in ("lookup", "distinct", "slots", "order", "offsets"):
+        ours, theirs = getattr(serial, name), getattr(fanned, name)
+        assert (ours is None) == (theirs is None), name
+        assert ours is None or np.array_equal(ours, theirs), name
     # String builds: morsel dictionaries union into the inline one.
     assert (serial.values is None) == (fanned.values is None)
     if serial.values is not None:

@@ -8,11 +8,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import ProteusEngine
 from repro.core import types as t
+from repro.core.columns import column_from_values
 from repro.core.executor import radix
 from repro.core.expressions import BinaryOp, FieldRef, Literal
 from repro.core.normalizer import fold_constants
@@ -40,21 +41,94 @@ def _key_pool(draw):
     return draw(st.lists(keys, min_size=1, max_size=10, unique=True))
 
 
+_INT64_LIMITS = [-(2**63), 2**63 - 1]
+
+
+@st.composite
+def _join_sides(draw):
+    """Build and probe key lists of one kind — with the dtype or column
+    form each side arrives in — the build keys unique or duplicated, the
+    probe keys partly outside the build side's."""
+    kind = draw(st.sampled_from(["int", "uint-probe", "uint-build", "float-probe", "string"]))
+    if kind == "string":
+        pool = draw(st.lists(st.text("abcd", max_size=3), min_size=1, max_size=6, unique=True))
+        strays = ["zz", "", "b"]  # probe values the build dictionary may lack
+    elif kind == "uint-build":
+        # uint64 builds past int64, probed by int64 keys (negatives too).
+        pool = draw(st.lists(
+            st.sampled_from([0, 1, 7, 2**62, 2**63, 2**63 + 1, 2**64 - 1]),
+            min_size=1, max_size=5, unique=True,
+        ))
+        strays = [-1, -(2**63), 2**63 - 1]
+    else:
+        pool = draw(_key_pool())
+        if kind == "uint-probe":
+            # Neighbours at the top of int64: searched through float64 they
+            # would round together.
+            pool = sorted(set(pool) | {2**63 - 2, 2**63 - 1})
+        strays = [0, -1, *_INT64_LIMITS, min(pool) - 1, max(pool) + 1]
+        strays = [key for key in strays if -(2**63) <= key < 2**63]
+    if draw(st.booleans()):
+        build = draw(st.lists(st.sampled_from(pool), max_size=40, unique=True))
+    else:
+        build = draw(st.lists(st.sampled_from(pool), max_size=40))
+    probe = draw(st.lists(st.sampled_from(pool + strays), max_size=40))
+    if kind == "string":
+        return kind, column_from_values(build, "string"), column_from_values(probe, "string"), build, probe
+    if kind == "uint-probe":
+        # int64 builds probed by uint64 keys past int64 as well.
+        probe = [key % 2**64 for key in probe] + [2**63, 2**64 - 1]
+        return kind, np.asarray(build, dtype=np.int64), np.asarray(probe, dtype=np.uint64), build, probe
+    if kind == "uint-build":
+        # A key past int64 probes as its int64 wrap, which must not match.
+        probe = [key - 2**64 if key >= 2**63 else key for key in probe]
+        return kind, np.asarray(build, dtype=np.uint64), np.asarray(probe, dtype=np.int64), build, probe
+    if kind == "float-probe":
+        # Only integral floats inside int64 can equal an int build key.
+        probe = [float(key) for key in probe] + [0.5, float("nan"), 2.0**63, -(2.0**64)]
+        return kind, np.asarray(build, dtype=np.int64), np.asarray(probe), build, probe
+    return kind, np.asarray(build, dtype=np.int64), np.asarray(probe, dtype=np.int64), build, probe
+
+
+_NEIGHBOURS = [2**63 - 2, 2**63 - 1, 0]
+_BOTTOM = [-(2**63), 1 - 2**63]
+
+
 @SETTINGS
-@given(data=st.data(), pool=_key_pool())
-def test_radix_join_equivalent_to_naive(data, pool):
-    left = data.draw(st.lists(st.sampled_from(pool), max_size=60))
-    right = data.draw(st.lists(st.sampled_from(pool + [0, -1]), max_size=60))
-    left_array = np.asarray(left, dtype=np.int64)
-    right_array = np.asarray(right, dtype=np.int64)
-    table = radix.build_join_table(left_array)
-    li, ri = radix.probe_join_table(table, right_array)
-    # Probe (right) order, then build (left) order: the Volcano order.
+@given(sides=_join_sides())
+@example(sides=(  # sorted: int64 neighbours that float64 rounds together
+    "uint-probe",
+    np.asarray(_NEIGHBOURS, dtype=np.int64),
+    np.asarray(_NEIGHBOURS, dtype=np.uint64),
+    _NEIGHBOURS,
+    _NEIGHBOURS,
+))
+@example(sides=(  # dense from INT64_MIN, probed past int64
+    "uint-probe",
+    np.asarray(_BOTTOM, dtype=np.int64),
+    np.asarray([5, 2**63], dtype=np.uint64),
+    _BOTTOM,
+    [5, 2**63],
+))
+def test_radix_join_equivalent_to_naive(sides):
+    """A probe of the build side's key slots matches a dict of lists: every
+    (build, probe) position pair in probe order, then build order within a
+    key — the Volcano order — after the join stage's key alignment."""
+    from repro.core.executor.vectorized import _align_probe_keys, _join_keys
+
+    _, build, probe, build_values, probe_values = sides
+    space = radix.key_slots(_join_keys(build, len(build_values)))
+    assert space.unique == (len(set(build_values)) == len(build_values))
+    assert space.build_size == len(build_values)
+    keys, kept = _align_probe_keys(space.kind, _join_keys(probe, len(probe_values)))
+    li, ri = radix.probe(space, keys)
+    if kept is not None:
+        ri = kept[ri]
+    rows: dict[object, list[int]] = {}
+    for position, key in enumerate(build_values):
+        rows.setdefault(key, []).append(position)
     expected = [
-        (i, j)
-        for j, rv in enumerate(right)
-        for i, lv in enumerate(left)
-        if lv == rv
+        (i, j) for j, key in enumerate(probe_values) for i in rows.get(key, [])
     ]
     assert list(zip(li.tolist(), ri.tolist())) == expected
 

@@ -565,13 +565,13 @@ def test_large_int_join_keys_do_not_collide(build_keys, kernel):
     from repro.core.executor.vectorized import _align_probe_keys, _join_keys
 
     build = _join_keys(np.asarray(build_keys, dtype=np.int64), len(build_keys))
-    table = radix.build_join_table(build)
-    assert table.kernel == kernel
+    space = radix.key_slots(build)
+    assert space.kernel == kernel
     probe, kept = _align_probe_keys(
-        build.dtype.kind, _join_keys(np.asarray([2**53 + 1], dtype=np.int64), 1)
+        space.kind, _join_keys(np.asarray([2**53 + 1], dtype=np.int64), 1)
     )
     assert kept is None
-    left_positions, _ = radix.probe_join_table(table, probe)
+    left_positions, _ = radix.probe(space, probe)
     assert left_positions.tolist() == [1]
 
 
@@ -581,11 +581,11 @@ def test_int_probe_keys_against_float_build_side():
     from repro.core.executor import radix
     from repro.core.executor.vectorized import _align_probe_keys
 
-    table = radix.build_join_table(np.asarray([float(2**53), 3.0]))
+    space = radix.key_slots(np.asarray([float(2**53), 3.0]))
     probe, kept = _align_probe_keys(
-        "f", np.asarray([2**53 + 1, 3], dtype=np.int64)
+        space.kind, np.asarray([2**53 + 1, 3], dtype=np.int64)
     )
-    left_positions, right_positions = radix.probe_join_table(table, probe)
+    left_positions, right_positions = radix.probe(space, probe)
     if kept is not None:
         right_positions = kept[right_positions]
     # 2**53 + 1 would round onto the 2**53 build key under a blanket cast.
@@ -606,17 +606,17 @@ def test_int64_min_join_keys_match_in_both_directions():
         ([imin, 5], "sorted", [0, 1]),
         ([imin, imin + 1], "dense", [0]),
     ):
-        table = radix.build_join_table(np.asarray(build, dtype=np.int64))
-        assert table.kernel == kernel
-        probe, kept = _align_probe_keys("i", np.asarray([float(imin), 5.0, 2.0**63]))
-        left_positions, right_positions = radix.probe_join_table(table, probe)
+        space = radix.key_slots(np.asarray(build, dtype=np.int64))
+        assert space.kernel == kernel
+        probe, kept = _align_probe_keys(space.kind, np.asarray([float(imin), 5.0, 2.0**63]))
+        left_positions, right_positions = radix.probe(space, probe)
         if kept is not None:
             right_positions = kept[right_positions]
         assert left_positions.tolist() == matches
         assert right_positions.tolist() == matches
-    table = radix.build_join_table(np.asarray([float(imin), 5.0]))
-    probe, kept = _align_probe_keys("f", np.asarray([imin, 5], dtype=np.int64))
-    left_positions, _ = radix.probe_join_table(table, probe)
+    space = radix.key_slots(np.asarray([float(imin), 5.0]))
+    probe, kept = _align_probe_keys(space.kind, np.asarray([imin, 5], dtype=np.int64))
+    left_positions, _ = radix.probe(space, probe)
     assert sorted(left_positions.tolist()) == [0, 1]
 
 
@@ -644,10 +644,10 @@ def test_float_probe_keys_against_int_build_side(build_keys, kernel):
     from repro.core.executor import radix
     from repro.core.executor.vectorized import _align_probe_keys
 
-    table = radix.build_join_table(np.asarray(build_keys, dtype=np.int64))
-    assert table.kernel == kernel
-    probe, kept = _align_probe_keys("i", np.asarray([3.5, np.nan, 3.0]))
-    left_positions, right_positions = radix.probe_join_table(table, probe)
+    space = radix.key_slots(np.asarray(build_keys, dtype=np.int64))
+    assert space.kernel == kernel
+    probe, kept = _align_probe_keys(space.kind, np.asarray([3.5, np.nan, 3.0]))
+    left_positions, right_positions = radix.probe(space, probe)
     if kept is not None:
         right_positions = kept[right_positions]
     assert left_positions.tolist() == [0]
