@@ -380,12 +380,14 @@ def join_reference(directory: str, quick: bool) -> list[Ratio]:
 
     tables = tpch.generate(scale=JOIN_SCALE[quick], seed=11)
     lineitem, orders = tables.lineitem, tables.orders
+    lineitem_dir = tpch.write_binary_columns(
+        os.path.join(directory, "lineitem"), lineitem, tpch.LINEITEM_SCHEMA)
+    orders_dir = tpch.write_binary_columns(
+        os.path.join(directory, "orders"), orders, tpch.ORDERS_SCHEMA)
 
     def register(engine: ProteusEngine) -> ProteusEngine:
-        engine.register_binary_columns("lineitem", tpch.write_binary_columns(
-            os.path.join(directory, "lineitem"), lineitem, tpch.LINEITEM_SCHEMA))
-        engine.register_binary_columns("orders", tpch.write_binary_columns(
-            os.path.join(directory, "orders"), orders, tpch.ORDERS_SCHEMA))
+        engine.register_binary_columns("lineitem", lineitem_dir)
+        engine.register_binary_columns("orders", orders_dir)
         return engine
 
     # A caching engine shows which build side the join probed.

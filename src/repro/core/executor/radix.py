@@ -46,6 +46,7 @@ mixed-radix group code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,7 +146,8 @@ class KeySlots:
     key occurs once the slot of a key *is* its build row, so a probe is one
     gather; otherwise the slots are the occupied addresses in key order, and
     ``order``/``offsets`` are the CSR runs a probe expands: the build rows
-    stable-sorted by slot, and where each slot's run starts.  The caching
+    stable-sorted by slot — sorted by the first probe, as a chain reduced
+    per slot never reads them — and where each slot's run starts.  The caching
     manager keeps it (§6: the side built for ``A ⋈ B`` serves ``A ⋈ C`` when
     the join key is the same)."""
 
@@ -167,10 +169,9 @@ class KeySlots:
     #: Encoded string keys: the dictionary.
     values: np.ndarray | None = None
     #: Duplicate keys only (``None`` when every key occurs once): the slot
-    #: of every row, the rows stable-sorted by slot, and the start of each
-    #: slot's run in that order (one more entry: ``cumsum`` of the counts).
+    #: of every row, and the start of each slot's run in :attr:`order` (one
+    #: more entry: ``cumsum`` of the counts).
     slots: np.ndarray | None = None
-    order: np.ndarray | None = None
     offsets: np.ndarray | None = None
 
     @property
@@ -196,13 +197,23 @@ class KeySlots:
             return np.ones(self.build_size, dtype=np.int64)
         return np.diff(self.offsets)
 
+    @cached_property
+    def order(self) -> np.ndarray | None:
+        """Duplicate keys only: the rows stable-sorted by slot, built by the
+        first probe that needs it and kept with the slots."""
+        return None if self.slots is None else _sorted_rows(self.slots, self.size)
+
     @property
     def size_bytes(self) -> int:
+        """The stored arrays, :attr:`order` counted whether or not a probe
+        has sorted it yet."""
         size = sum(
             estimate_size(array)
-            for array in (self.lookup, self.distinct, self.slots, self.order, self.offsets)
+            for array in (self.lookup, self.distinct, self.slots, self.offsets)
             if array is not None
         )
+        if self.slots is not None:
+            size += self.build_size * np.dtype(np.intp).itemsize
         if self.values is not None:
             size += dictionary_nbytes(self.values)
         return size
@@ -239,18 +250,15 @@ def key_slots(keys: np.ndarray | EncodedColumn) -> KeySlots:
     slots = slot_of[addresses]
     offsets = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(counts[occupied], out=offsets[1:])
-    return KeySlots(
-        size, lookup, kind, rows, lo, distinct, values, slots, _sorted_rows(slots, size), offsets
-    )
+    return KeySlots(size, lookup, kind, rows, lo, distinct, values, slots, offsets)
 
 
 def _sorted_rows(slots: np.ndarray, size: int) -> np.ndarray:
     """The rows stable-sorted by their slot in ``[0, size)``.  NumPy's
     stable sort of 16-bit integers is a radix sort, 5-14x ahead of the
     merge sort it runs on wider ones (10 k-600 k rows), so the slots are
-    sorted one 16-bit digit at a time, the low digit first."""
-    if size > 2**32:
-        return np.argsort(slots, kind="stable")
+    sorted one 16-bit digit at a time, the low digit first.  Two digits
+    number 2**32 slots: more than a materialized build side has rows."""
     order = np.argsort(slots.astype(np.uint16), kind="stable")  # the low digit
     if size > 2**16:
         order = order[np.argsort((slots[order] >> 16).astype(np.uint16), kind="stable")]
@@ -320,7 +328,7 @@ def probe(space: KeySlots, keys: np.ndarray | EncodedColumn) -> tuple[np.ndarray
     slots = slots_of(space, keys)
     hit = np.flatnonzero(slots >= 0)
     slots = slots[hit].astype(np.intp)  # gathers index fastest by intp
-    if space.order is None:
+    if space.unique:
         return slots, hit
     starts = space.offsets[slots]
     counts = space.offsets[slots + 1] - starts

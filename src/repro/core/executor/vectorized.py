@@ -245,14 +245,9 @@ class Live:
     oids: frozenset[str]
 
 
-def live_above(
-    above: tuple[PhysicalPlan, ...] | None, own: Expression | None
-) -> Live | None:
+def live_above(above: tuple[PhysicalPlan, ...], own: Expression | None) -> Live:
     """The :class:`Live` output of a join under the operators ``above`` it
-    (nearest last) whose own predicate is ``own``; ``None`` — every column
-    stays — when what is above is unknown."""
-    if above is None:
-        return None
+    (nearest last) whose own predicate is ``own``."""
     columns: set[ColumnKey] = set()
     oids: set[str] = set()
     for node in above:
@@ -271,20 +266,20 @@ def _gather_joined(
     right: Batch,
     left_positions: np.ndarray,
     right_positions: np.ndarray,
-    live: Live | None,
+    live: Live,
 ) -> Batch:
-    """Assemble a join output batch by gathering both sides — only the
-    ``live`` columns and OIDs (``None``: all of them)."""
+    """Assemble a join output batch by gathering the ``live`` columns and
+    OIDs of both sides."""
     joined = Batch(
         count=len(left_positions),
         params=right.params if right.params is not None else left.params,
     )
     for side, positions in ((left, left_positions), (right, right_positions)):
         for key, column in side.columns.items():
-            if live is None or key in live.columns:
+            if key in live.columns:
                 joined.columns[key] = column[positions]
         for binding, oids in side.oids.items():
-            if live is None or binding in live.oids:
+            if binding in live.oids:
                 joined.oids[binding] = oids[positions]
     return joined
 
@@ -789,7 +784,7 @@ class HashJoinStage:
         space: radix.KeySlots,
         right_key: Evaluator,
         residual: Evaluator | None,
-        live: Live | None,
+        live: Live,
     ):
         self.build = build
         self.space = space
@@ -818,7 +813,7 @@ class NestedLoopJoinStage:
     """Cross-product each batch against a materialized build side, in probe
     order then build order (the Volcano interpreter's order)."""
 
-    def __init__(self, build: Batch, predicate: Evaluator | None, live: Live | None):
+    def __init__(self, build: Batch, predicate: Evaluator | None, live: Live):
         self.build = build
         self.predicate = predicate
         self.live = live
@@ -873,9 +868,8 @@ class PipelineCompiler:
     already holds the key slots of the same build side.
 
     ``compile`` walks the plan top-down with the operators ``above`` the
-    current node (``None``: unknown, every column is kept), so a join
-    learns which of its output columns are read above it without a walk of
-    its own.
+    current node, so a join learns which of its output columns are read
+    above it without a walk of its own.
     """
 
     def __init__(
@@ -920,9 +914,9 @@ class PipelineCompiler:
         self.built: dict[int, tuple[Batch, radix.KeySlots]] = {}
 
     def compile(
-        self, plan: PhysicalPlan, above: tuple[PhysicalPlan, ...] | None = None
+        self, plan: PhysicalPlan, above: tuple[PhysicalPlan, ...] = ()
     ) -> CompiledPipeline:
-        below = None if above is None else above + (plan,)
+        below = above + (plan,)
         if isinstance(plan, PhysScan):
             return self._scan_pipeline(plan)
         if isinstance(plan, PhysSelect):

@@ -353,6 +353,28 @@ def test_first_input_with_unique_keys_builds_its_key_space_once(paths, monkeypat
     ]
 
 
+def test_per_key_chain_leaves_the_probe_order_unsorted(paths):
+    """An aggregate run per key value reads the slots and their counts only:
+    the CSR order of duplicate build keys is sorted by the first probe, and
+    the cache entry accounts for it from the start."""
+    import numpy as np
+
+    from repro.core.executor import radix
+
+    query = "SELECT COUNT(*), SUM(b.price) FROM items_csv a JOIN items_bin b ON a.qty = b.qty"
+    engine = make_engine(paths)
+    result = engine.query(query)
+    assert result.profile.join_kernels == ["factorized"]
+    assert result.rows == make_engine(paths, enable_codegen=False).query(query).rows
+    (entry,) = [e for e in engine.cache_entries() if e.kind == "join_side"]
+    space = entry.data
+    assert not space.unique and "order" not in vars(space)
+    assert entry.size_bytes == space.size_bytes
+    build, _ = radix.probe(space, np.arange(10, dtype=np.int64))
+    assert np.array_equal(space.order, np.argsort(space.slots, kind="stable"))
+    assert len(build) and space.size_bytes == entry.size_bytes
+
+
 def test_missing_join_key_demotes_once(tmp_path):
     """A join key with a missing value cannot be grouped: the pipeline
     demotes once, keyed ``codegen``, and Volcano answers."""
