@@ -32,7 +32,7 @@ from repro.core.analysis.model import (
     TIER_OUTER_JOIN,
     TIER_OUTER_UNNEST_PREDICATE,
     TIER_PLAN_SHAPE,
-    TIER_RUNTIME_DEMOTION,
+    TIER_CODEGEN_FAILED,
     TIER_CODEGEN,
     TIER_VOLCANO,
     TierVerdict,
@@ -61,7 +61,7 @@ __all__ = [
     "TIER_OUTER_JOIN",
     "TIER_OUTER_UNNEST_PREDICATE",
     "TIER_PLAN_SHAPE",
-    "TIER_RUNTIME_DEMOTION",
+    "TIER_CODEGEN_FAILED",
     "TIER_CODEGEN",
     "TIER_VOLCANO",
     "TYP_BAD_AGGREGATE",

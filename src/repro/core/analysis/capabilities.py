@@ -10,10 +10,11 @@ expression-support rules and the engine configuration into one
 :class:`TierVerdict` per tier in cascade order; the first serving verdict
 is the one the engine's cascade will select.
 
-The decline reasons deliberately reuse the executors' own wording (the
-strings ``VectorizationError`` carried before this module existed), so
-``explain()`` output stays familiar; each also carries a machine-readable
-``TIER0xx`` code.
+The decline reasons name the tier that serves instead, so ``explain()``
+output reads as a decision; each also carries a machine-readable
+``TIER0xx`` code.  The verdicts are the only tier choice: the batch
+pipeline serves every plan its verdict accepts, whatever the data (the one
+exception, a generator failure, is declined before execution too).
 
 ``tools/tier_lint.py`` enforces the other direction of the contract: every
 ``Phys*`` operator class must either be handled by an executor module or have

@@ -55,9 +55,9 @@ TIER_OUTER_JOIN = "TIER005"
 # tier verdict.  The numbers are not reused.
 #: An outer unnest with an element predicate (Volcano-only shape).
 TIER_OUTER_UNNEST_PREDICATE = "TIER008"
-#: The tier declined at run time (data-dependent demotion the static
-#: analysis cannot rule out, e.g. missing group keys).
-TIER_RUNTIME_DEMOTION = "TIER009"
+#: Code generation failed on a plan the static verdict accepted; the plan is
+#: declined before any batch runs.  Data never changes a tier.
+TIER_CODEGEN_FAILED = "TIER009"
 
 # -- execution tiers, in cascade order ---------------------------------------
 

@@ -90,7 +90,7 @@ from repro.core.analysis import (
     PlanAnalysis,
     SchemaAnalysis,
     TIER_CODEGEN,
-    TIER_RUNTIME_DEMOTION,
+    TIER_CODEGEN_FAILED,
     TIER_VOLCANO,
     TierVerdict,
     analyze_schema,
@@ -98,7 +98,7 @@ from repro.core.analysis import (
 )
 from repro.core.binder import bind_comprehension
 from repro.core.calculus import Comprehension
-from repro.core.codegen.generator import CodeGenerator
+from repro.core.codegen import CodeGenerator, GeneratedQuery
 from repro.core.columns import EncodedColumn
 from repro.core.comprehension_parser import parse_comprehension
 from repro.core.concurrency import make_lock
@@ -132,7 +132,6 @@ from repro.errors import (
     PlanningError,
     ProteusError,
     ResilienceError,
-    VectorizationError,
 )
 from repro.obs.explain import render_explain_analyze
 from repro.obs.metrics import MetricsRegistry
@@ -946,23 +945,12 @@ class ProteusEngine:
                     "columns fall back to the boxed comparator)",
                 ]
             )
-        codegen_verdict = verdicts[0]
-        codegen_reason: str | None = None
-        generated = None
-        if not codegen_verdict.serves:
-            codegen_reason = codegen_verdict.reason
-        else:
-            try:
-                generated = self.generator.generate(unwrap_sort(physical))
-            except CodegenError as exc:
-                # Static verdict / generator drift: surface the generator's
-                # own wording rather than hiding the decline.
-                codegen_reason = str(exc)
+        generated, _, verdicts = self._generate(physical, verdicts)
         if generated is not None:
             parts.extend(["", "== generated code ==", generated.source])
         elif self.enable_codegen:
-            parts.extend(["", f"(code generation unavailable: {codegen_reason}; "
-                              "a fallback tier would serve the query, see the "
+            parts.extend(["", f"(code generation unavailable: {verdicts[0].reason}; "
+                              "the Volcano interpreter serves the query, see the "
                               "tier cascade below)"])
         parts.extend(["", "== tier cascade =="])
         selected = False
@@ -979,10 +967,6 @@ class ProteusEngine:
                     f"{verdict.tier}: declines -- {verdict.reason} "
                     f"[{verdict.code}]"
                 )
-        parts.append(
-            "(note: run-time data conditions, e.g. null join or group keys, "
-            "can still demote the batch pipeline to volcano during execution)"
-        )
         parts.extend(["", "== vectorized fan-out ==", self._planned_fanout(physical)])
         return "\n".join(parts)
 
@@ -1330,33 +1314,21 @@ class ProteusEngine:
         cascade_started = time.perf_counter()
         analysis = self._analyze(physical)
         verdicts = self._verdicts(physical)
-        pipeline_serves = verdicts[0].serves  # CASCADE_TIERS[0] is codegen
-        predicted_tier = TIER_CODEGEN if pipeline_serves else TIER_VOLCANO
-        decline_reasons = {
-            v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
-        }
+        predicted_tier = TIER_CODEGEN if verdicts[0].serves else TIER_VOLCANO
         if trace is not None:
             trace.add_phase(
                 "tier-cascade", time.perf_counter() - cascade_started
             )
+        generated, from_cache, verdicts = self._generate(physical, verdicts)
+        decline_reasons = {
+            v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
+        }
         execute_started = time.perf_counter()
-        executed: tuple[list[str], dict[str, Any], ExecutionProfile] | None = None
-        # A statically declined plan skips the pipeline: the capability
-        # table predicts the executor's own rejection.
-        if pipeline_serves:
-            try:
-                executed = self._execute_pipeline(
-                    physical, params, analysis.hints, trace, context
-                )
-            except (CodegenError, VectorizationError) as exc:
-                # A data-dependent demotion the static analysis cannot rule
-                # out — e.g. null group/join keys — demotes once, to Volcano;
-                # recorded so explain()/profile users see why the observed
-                # tier differs from the verdict.
-                decline_reasons[TIER_CODEGEN] = (
-                    f"[{TIER_RUNTIME_DEMOTION}] runtime demotion: {exc}"
-                )
-        if executed is None:
+        if generated is not None:
+            executed = self._execute_pipeline(
+                generated, from_cache, physical, params, analysis.hints, trace, context
+            )
+        else:
             executed = self._execute_volcano(physical, params, trace, context)
         execute_seconds = time.perf_counter() - execute_started
         names, columns, profile = executed
@@ -1528,8 +1500,46 @@ class ProteusEngine:
             total += int(statistics.cardinality) * columns * 8
         return total
 
+    def _generate(
+        self, physical: PhysicalPlan, verdicts: tuple[TierVerdict, ...]
+    ) -> tuple[GeneratedQuery | None, bool, tuple[TierVerdict, ...]]:
+        """The plan's generated module, whether it came from the cache, and
+        the verdicts it leaves — before any batch runs, for ``execute()``
+        and ``explain()`` alike.  Nothing is generated for a plan the codegen
+        verdict declines; one the generator fails on is declined here
+        (``TIER009``), so the Volcano interpreter serves it and no query runs
+        twice.  The functions cover the plan beneath a root PhysSort, so one
+        module serves every ORDER BY / LIMIT variation of the same shape (the
+        cache is keyed by that plan's fingerprint)."""
+        if not verdicts[0].serves:  # CASCADE_TIERS[0] is codegen
+            return None, False, verdicts
+        target = unwrap_sort(physical)
+        fingerprint = target.fingerprint()
+        generated = self._compiled.get(fingerprint)
+        if generated is not None:
+            return generated, True, verdicts
+        codegen_started = time.perf_counter()
+        try:
+            generated = self.generator.generate(target)
+        except CodegenError as exc:
+            failed = TierVerdict(
+                TIER_CODEGEN,
+                serves=False,
+                code=TIER_CODEGEN_FAILED,
+                reason=f"code generation failed: {exc}",
+            )
+            return None, False, (failed, *verdicts[1:])
+        self.tracer.record_phase("codegen", time.perf_counter() - codegen_started)
+        # Concurrent cold executions of one shape race to generate; the
+        # first publication wins so every thread runs the same functions.
+        with self._lock:
+            generated = self._compiled.setdefault(fingerprint, generated)
+        return generated, False, verdicts
+
     def _execute_pipeline(
         self,
+        generated: GeneratedQuery,
+        from_cache: bool,
         physical: PhysicalPlan,
         params: ParamValues | None,
         hints: NullabilityHints | None,
@@ -1538,23 +1548,6 @@ class ProteusEngine:
     ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
         """THE batch-pipeline entry of the ``codegen`` tier: the executor
         runs this plan on its generated expression functions."""
-        # The functions cover the plan beneath a root PhysSort, so one
-        # compiled module serves every ORDER BY / LIMIT variation of the
-        # same shape (the cache is keyed by that plan's fingerprint).
-        target = unwrap_sort(physical)
-        fingerprint = target.fingerprint()
-        generated = self._compiled.get(fingerprint)
-        from_cache = generated is not None
-        if generated is None:
-            codegen_started = time.perf_counter()
-            generated = self.generator.generate(target)
-            self.tracer.record_phase(
-                "codegen", time.perf_counter() - codegen_started
-            )
-            # Concurrent cold executions of one shape race to generate; the
-            # first publication wins so every thread runs the same functions.
-            with self._lock:
-                generated = self._compiled.setdefault(fingerprint, generated)
         self.last_generated_source = generated.source
         executor = VectorizedExecutor(
             self.catalog,

@@ -13,9 +13,16 @@ integer key range:
   lookups and a grouping's mixed-radix code of the ``key - lo`` digits need
   no hashing and no sort per probe batch or grouping,
 * **sorted** — everything else (sparse or huge integer ranges, uint64,
-  floats, objects): the build side's sorted distinct keys, searched with
+  floats): the build side's sorted distinct keys, searched with
   ``searchsorted`` per probe batch, and ``np.unique`` factorization for
-  grouping.
+  grouping.  An object column, which may mix types, is factorized by one
+  Python dict instead (:func:`_factorize`), and probe keys meet it through
+  a dict of the build side's keys.
+
+Keys follow the Volcano interpreter's rules: a missing key (code ``-1``,
+NaN, ``None``) matches nothing and groups as one key, ``None``; keys of
+different kinds (a string and a number) never match; equality between
+Python objects is Python's (``1 == 1.0 == True``).
 
 A join has one key space, :class:`KeySlots`: the build side's keys numbered
 as *slots* once (κ-Join's shared key), and every other input's keys mapped
@@ -38,9 +45,9 @@ the codes as well.
 
 Both layouts produce the same answer in the same order: join matches come in
 probe order, then build order within a key (the Volcano interpreter's
-order), groups in ascending key order with every group accumulated in input
-order.  The module is exposed to the generated code as ``radix``, after the
-mixed-radix group code.
+order), groups in ascending key order (an object key's values first-seen)
+with every group accumulated in input order.  The module is exposed to the
+generated code as ``radix``, after the mixed-radix group code.
 """
 
 from __future__ import annotations
@@ -65,10 +72,8 @@ from repro.core.columns import (
     recode,
     same_dictionary,
 )
-# is_missing is the canonical scalar definition of "missing" (None / NaN),
-# re-exported here for the kernels' callers.
-from repro.core.types import is_missing  # noqa: F401
-from repro.errors import ExecutionError, VectorizationError
+from repro.core.types import is_missing
+from repro.errors import ExecutionError
 
 #: The kernels recorded in ``ExecutionProfile.join_kernels`` (one per hash
 #: join) and ``group_kernel``: the two layouts, ``dense`` and ``sorted``, and
@@ -98,25 +103,6 @@ DENSE_JOIN_SLOTS_PER_ROW = 16
 DENSE_GROUP_CODES_PER_ROW = 8
 
 
-def reject_missing_keys(keys: np.ndarray, operation: str) -> None:
-    """The columnar kernels cannot key on missing values: np.unique/argsort
-    cannot sort ``None`` and a NaN key would surface as ``nan`` where the
-    tuple-at-a-time interpreter produces ``None``.  Raising here makes the
-    batch pipeline fall back to the Volcano interpreter for such data."""
-    if missing_mask(keys) is not None:
-        raise VectorizationError(
-            f"{operation} on keys containing missing values is served by the "
-            "Volcano interpreter"
-        )
-
-
-def _mixed_type_error(operation: str, exc: TypeError) -> VectorizationError:
-    return VectorizationError(
-        f"{operation} on mixed-type keys is served by the Volcano interpreter "
-        f"({exc})"
-    )
-
-
 def _dense_range(keys: np.ndarray, slots_per_row: int) -> tuple[int, int] | None:
     """``(lo, span)`` of an integer key column whose range is dense enough
     for direct addressing, else ``None``.  The bounds are Python ints, so
@@ -141,15 +127,18 @@ class KeySlots:
     *slots*, so every other input's keys map onto them (:func:`slots_of`).
 
     A key's *address* is ``key - lo`` over a dense integer range
-    (dictionary codes included), else its position among the sorted
-    distinct keys; ``lookup`` takes ``address + 1`` to the slot.  When every
-    key occurs once the slot of a key *is* its build row, so a probe is one
-    gather; otherwise the slots are the occupied addresses in key order, and
+    (dictionary codes included), else its position among the distinct keys;
+    ``lookup`` takes ``address + 1`` to the slot.  When every key occurs once
+    the slot of a key *is* its build row, so a probe is one gather;
+    otherwise the slots are the occupied addresses in key order, and
     ``order``/``offsets`` are the CSR runs a probe expands: the build rows
     stable-sorted by slot — sorted by the first probe, as a chain reduced
-    per slot never reads them — and where each slot's run starts.  The caching
-    manager keeps it (§6: the side built for ``A ⋈ B`` serves ``A ⋈ C`` when
-    the join key is the same)."""
+    per slot never reads them — and where each slot's run starts.  A row
+    whose key is missing matches nothing, as in the Volcano interpreter: it
+    keeps a slot that no address maps to (its own row when the keys are
+    unique, else one more slot past the keys').  The caching manager keeps
+    it (§6: the side built for ``A ⋈ B`` serves ``A ⋈ C`` when the join key
+    is the same)."""
 
     #: The number of slots.
     size: int
@@ -164,7 +153,8 @@ class KeySlots:
     build_size: int
     #: Dense addresses: the smallest key (code, for encoded keys).
     lo: int = 0
-    #: Sorted addresses: the distinct keys, ascending.
+    #: Sorted addresses: the distinct keys, ascending (first-seen for an
+    #: object column, see :func:`_factorize`).
     distinct: np.ndarray | None = None
     #: Encoded string keys: the dictionary.
     values: np.ndarray | None = None
@@ -203,6 +193,20 @@ class KeySlots:
         first probe that needs it and kept with the slots."""
         return None if self.slots is None else _sorted_rows(self.slots, self.size)
 
+    @cached_property
+    def index(self) -> dict:
+        """Every key of the input as a Python value -> its ``lookup`` index,
+        for probe keys compared by Python's equality (:func:`slots_of`)."""
+        if self.distinct is not None:
+            addresses = np.arange(len(self.distinct))
+            keys = self.distinct
+        else:
+            addresses = np.flatnonzero(self.lookup[1:-1] >= 0)
+            keys = addresses + self.lo
+        if self.values is not None:
+            keys = self.values[keys]
+        return dict(zip(keys.tolist(), (addresses + 1).tolist()))
+
     @property
     def size_bytes(self) -> int:
         """The stored arrays, :attr:`order` counted whether or not a probe
@@ -219,11 +223,31 @@ class KeySlots:
         return size
 
 
+def _present(
+    keys: np.ndarray | EncodedColumn,
+) -> tuple[np.ndarray | EncodedColumn, np.ndarray | None]:
+    """A build side's join keys as the kernels address them, and the rows
+    that have one (``None``: every row) — a missing key matches nothing.
+    An encoded column with a numeric or boolean dictionary becomes its typed
+    values, bools become ints; encoded strings stay codes."""
+    missing = missing_mask(keys)
+    rows = None
+    if missing is not None:
+        rows = np.flatnonzero(~missing)
+        keys = keys[rows]
+    if isinstance(keys, EncodedColumn) and keys.values.dtype != object:
+        keys = keys.values[keys.codes]
+    if keys.dtype.kind == "b":
+        keys = keys.astype(np.int64)
+    return keys, rows
+
+
 def key_slots(keys: np.ndarray | EncodedColumn) -> KeySlots:
     """The slots of one input's join keys.  Addresses are dense when the
     integer range (the code range, for encoded keys) spans at most
     :data:`DENSE_JOIN_SLOTS_PER_ROW` per row, sorted otherwise."""
-    reject_missing_keys(keys, "join")
+    build_size = len(keys)
+    keys, rows = _present(keys)
     kind, lo, distinct, values = keys.dtype.kind, 0, None, None
     if isinstance(keys, EncodedColumn):
         keys, values = keys.codes, keys.values
@@ -232,25 +256,27 @@ def key_slots(keys: np.ndarray | EncodedColumn) -> KeySlots:
         lo, span = dense
         addresses = keys.astype(np.int64, copy=False) - lo
     else:
-        try:
-            distinct, addresses = np.unique(keys, return_inverse=True)
-        except TypeError as exc:
-            raise _mixed_type_error("joining", exc) from exc
+        distinct, addresses = _factorize(keys)
         span = len(distinct)
-    rows = len(addresses)
     counts = np.bincount(addresses, minlength=span)
-    lookup = np.full(span + 2, -1, dtype=np.int32 if rows < 2**31 else np.int64)
+    lookup = np.full(span + 2, -1, dtype=np.int32 if build_size < 2**31 else np.int64)
     slot_of = lookup[1:-1]  # per address
     if counts.max(initial=0) <= 1:
-        slot_of[addresses] = np.arange(rows)
-        return KeySlots(rows, lookup, kind, rows, lo, distinct, values)
+        slot_of[addresses] = np.arange(build_size) if rows is None else rows
+        return KeySlots(build_size, lookup, kind, build_size, lo, distinct, values)
     occupied = counts > 0
     size = int(np.count_nonzero(occupied))
     slot_of[occupied] = np.arange(size)
+    runs = counts[occupied]
     slots = slot_of[addresses]
+    if rows is not None:  # the rows without a key: one more slot, no key's
+        slots, keyed = np.full(build_size, size, dtype=slots.dtype), slots
+        slots[rows] = keyed
+        runs = np.append(runs, build_size - len(rows))
+        size += 1
     offsets = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(counts[occupied], out=offsets[1:])
-    return KeySlots(size, lookup, kind, rows, lo, distinct, values, slots, offsets)
+    np.cumsum(runs, out=offsets[1:])
+    return KeySlots(size, lookup, kind, build_size, lo, distinct, values, slots, offsets)
 
 
 def _sorted_rows(slots: np.ndarray, size: int) -> np.ndarray:
@@ -266,21 +292,71 @@ def _sorted_rows(slots: np.ndarray, size: int) -> np.ndarray:
 
 
 def slots_of(space: KeySlots, keys: np.ndarray | EncodedColumn) -> np.ndarray:
-    """The slot of every key, ``-1`` where no key of the slots' input
-    equals it — for keys of the slots' own kind (the pipeline aligns ints
-    and floats first).  Encoded string keys are translated into the
-    input's dictionary first."""
-    reject_missing_keys(keys, "join")
-    if space.values is not None:
-        if not isinstance(keys, EncodedColumn):
-            raise VectorizationError(
-                "joining string keys with other values is served by the "
-                "Volcano interpreter"
-            )
-        keys = recode(keys, space.values)  # -1: a string the input lacks
-    elif isinstance(keys, EncodedColumn):
-        keys = keys.decode()
-    return space.lookup.take(_addresses(space, keys), mode="clip")
+    """The slot of every key, ``-1`` where no key of the slots' input equals
+    it: a missing key (the input's have no address, and NaN equals
+    nothing), and a key of another kind (a string against numbers).
+    Encoded strings are translated into the input's dictionary; any other
+    encoded column looks every dictionary entry up once and gathers the
+    slots by its codes.  Numbers are aligned with the input's dtype, and an
+    object column on either side, which may mix types, is looked up key by
+    key in a dict of the input's keys: equality is then Python's, as in the
+    Volcano interpreter's build dict."""
+    lookup = space.lookup
+    if isinstance(keys, EncodedColumn):
+        if keys.values.dtype == object and space.values is not None:
+            return lookup.take(_addresses(space, recode(keys, space.values)), mode="clip")
+        # Code -1, a missing key, reads the -1 appended.
+        return np.append(slots_of(space, keys.values), -1)[keys.codes]
+    if keys.dtype.kind == "b":
+        keys = keys.astype(np.int64)
+    if keys.dtype == object or (space.kind == "O" and space.values is None):
+        index = space.index
+        addresses = np.fromiter(
+            (index.get(key, 0) for key in keys.tolist()), dtype=np.int64, count=len(keys)
+        )
+        return lookup.take(addresses, mode="clip")
+    if space.values is not None:  # numbers never equal strings
+        return np.full(len(keys), -1, dtype=lookup.dtype)
+    aligned, kept = _align(space.kind, keys)
+    found = lookup.take(_addresses(space, aligned), mode="clip")
+    if kept is None:
+        return found
+    slots = np.full(len(keys), -1, dtype=lookup.dtype)
+    slots[kept] = found
+    return slots
+
+
+def _align(kind: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Numeric probe keys aligned with numeric slots of dtype kind ``kind``
+    without losing integer precision, and the keys kept (``None``: all):
+    only those that can equal a key of that kind."""
+    if keys.dtype.kind == kind or (keys.dtype.kind in "iu" and kind in "iu"):
+        return keys, None
+    if kind in "iu":
+        # Only integral float keys inside the int64 range can equal integer
+        # keys; a blanket int cast would truncate 3.5 onto 3 or wrap 1e19
+        # onto INT64_MIN.
+        kept = (
+            np.isfinite(keys)
+            & (keys == np.floor(keys))
+            & (keys >= -(2.0**63))  # INT64_MIN itself is valid
+            & (keys < 2.0**63)
+        )
+        if kept.all():
+            return keys.astype(np.int64), None
+        kept = np.flatnonzero(kept)
+        return keys[kept].astype(np.int64), kept
+    # Float slots: only integers exactly representable in float64 can equal
+    # a float key; a blanket cast would round 2**53 + 1 onto 2**53.
+    as_float = keys.astype(np.float64)
+    safe = (as_float >= -(2.0**63)) & (as_float < 2.0**63)
+    round_trip = np.zeros_like(keys)
+    round_trip[safe] = as_float[safe].astype(keys.dtype)
+    exact = safe & (round_trip == keys)
+    if exact.all():
+        return as_float, None
+    kept = np.flatnonzero(exact)
+    return as_float[kept], kept
 
 
 def _addresses(space: KeySlots, keys: np.ndarray) -> np.ndarray:
@@ -309,10 +385,7 @@ def _addresses(space: KeySlots, keys: np.ndarray) -> np.ndarray:
         limits = np.iinfo(distinct.dtype)
         inside = np.flatnonzero((keys >= limits.min) & (keys <= limits.max))
         keys = keys[inside].astype(distinct.dtype)
-    try:
-        positions = np.searchsorted(distinct, keys)
-    except TypeError as exc:
-        raise _mixed_type_error("joining", exc) from exc
+    positions = np.searchsorted(distinct, keys)
     found = np.flatnonzero(positions < len(distinct))
     found = found[distinct[positions[found]] == keys[found]]
     addresses[found if inside is None else inside[found]] = positions[found] + 1
@@ -320,11 +393,10 @@ def _addresses(space: KeySlots, keys: np.ndarray) -> np.ndarray:
 
 
 def probe(space: KeySlots, keys: np.ndarray | EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
-    """Probe a build side with one batch of keys of its kind (the
-    pipeline's join stage aligns them); returns aligned ``(build_positions,
-    probe_positions)`` in probe order, build order within a key.  A unique
-    build side is one gather (the slot is the build row); duplicate keys
-    expand their slot's CSR run."""
+    """Probe a build side with one batch of keys; returns aligned
+    ``(build_positions, probe_positions)`` in probe order, build order within
+    a key.  A unique build side is one gather (the slot is the build row);
+    duplicate keys expand their slot's CSR run."""
     slots = slots_of(space, keys)
     hit = np.flatnonzero(slots >= 0)
     slots = slots[hit].astype(np.intp)  # gathers index fastest by intp
@@ -363,8 +435,10 @@ def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
     Groups are numbered in ascending (lexicographic) key order either way:
     by the mixed-radix code of the ``key - lo`` digits when every key is
     integer and the code space is at most :data:`DENSE_GROUP_CODES_PER_ROW`
-    codes per row, by ``np.unique`` factorization otherwise.  Encoded keys
-    group on their codes and come back encoded."""
+    codes per row, by factorization otherwise (an object key's values in
+    first-seen order, see :func:`_factorize`).  Missing keys are one group,
+    as in the Volcano interpreter: code ``-1`` of an encoded key (which
+    groups on its codes and comes back encoded), NaN, ``None``."""
     if not key_arrays:
         raise ExecutionError("grouping requires at least one key")
     key_arrays = [
@@ -372,10 +446,8 @@ def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
         for keys in key_arrays
     ]
     length = len(key_arrays[0])
-    for keys in key_arrays:
-        if len(keys) != length:
-            raise ExecutionError("group key arrays must have equal length")
-        reject_missing_keys(keys, "grouping")
+    if any(len(keys) != length for keys in key_arrays):
+        raise ExecutionError("group key arrays must have equal length")
     dictionaries = [
         keys.values if isinstance(keys, EncodedColumn) else None for keys in key_arrays
     ]
@@ -392,24 +464,41 @@ def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
     return grouping
 
 
+def _factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct keys, every key's position among them)``: ascending by
+    ``np.unique`` (its NaNs one key), but an object column — which may mix
+    types — by one Python dict in first-seen order, so equality is Python's
+    (``1 == 1.0 == True``) as in the Volcano interpreter's dicts, and its
+    missing values (``None``, NaN) are one key, ``None``."""
+    if keys.dtype != object:
+        return np.unique(keys, return_inverse=True)
+    positions: dict = {}
+    inverse = np.fromiter(
+        (
+            positions.setdefault(None if is_missing(key) else key, len(positions))
+            for key in keys.tolist()
+        ),
+        dtype=np.int64,
+        count=len(keys),
+    )
+    return np.fromiter(positions, dtype=object, count=len(positions)), inverse
+
+
 def _sorted_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult:
-    """The ``np.unique`` grouping kernel."""
+    """The factorizing grouping kernel: a mixed-radix code of every key's
+    position among its distinct values, numbered by ``np.unique``."""
     combined = np.zeros(length, dtype=np.int64)
     capacity = 1  # exact Python int: the mixed-radix code space
     for keys in key_arrays:
-        try:
-            uniques, inverse = np.unique(keys, return_inverse=True)
-        except TypeError as exc:
-            raise _mixed_type_error("grouping", exc) from exc
-        capacity *= max(len(uniques), 1)
-        if capacity >= 2**63:
-            # The combined group code would wrap int64, silently merging
-            # distinct key combinations; fall back.
-            raise VectorizationError(
-                "grouping key-combination space exceeds int64; served by "
-                "the Volcano interpreter"
-            )
-        combined = combined * max(len(uniques), 1) + inverse
+        distinct, inverse = _factorize(keys)
+        width = max(len(distinct), 1)
+        if capacity * width >= 2**63:
+            # The code would wrap int64: number the combinations so far
+            # first, in order, so the code stays below the row count.
+            seen, combined = np.unique(combined, return_inverse=True)
+            capacity = len(seen)
+        combined = combined * width + inverse
+        capacity *= width
     unique_codes, first_positions, group_ids = np.unique(
         combined, return_index=True, return_inverse=True
     )

@@ -84,11 +84,15 @@ columns flow through the stages and roots as codes — gathered, concatenated
 under one dictionary, compared, grouped, joined and sorted by the kernels —
 and are decoded only when the engine pulls result rows.
 
-Shapes the pipeline does not cover (record construction in output columns,
-outer joins, grouping on keys containing nulls, group-by output columns that
-read fields but are neither keys nor aggregates) raise
-:class:`VectorizationError`, and the engine falls back to the Volcano
-interpreter.  Unnests — inner and outer — are covered batch-natively.
+Keys follow Volcano's rules too (:mod:`repro.core.executor.radix`): a
+missing group key is one group whose key reads ``None``, a missing join key
+matches nothing, and keys of different kinds never match.  So whether the
+pipeline serves a plan is decided before any batch runs, by the static
+verdict (:mod:`repro.core.analysis.capabilities`: record construction in
+output columns, outer joins, an outer unnest with a predicate and group-by
+output columns that read fields but are neither keys nor aggregates go to
+the Volcano interpreter), never by the data.  Unnests — inner and outer —
+are covered batch-natively.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ from repro.core.physical import (
     parameters_of,
 )
 from repro.core.sort import TopKAccumulator, concat_chunks, resolve_limit
-from repro.errors import ExecutionError, PluginError, VectorizationError
+from repro.errors import ExecutionError, PluginError
 from repro.obs.instrument import traced_scan, traced_stage
 from repro.obs.trace import TraceBuilder
 from repro.plugins.base import (
@@ -645,9 +649,8 @@ class UnnestStage:
       columns of the ``type_names`` the schema declares.
 
     Outer unnest emits one null child row for parents whose collection is
-    empty or missing, matching the Volcano interpreter.  An outer unnest
-    carrying a pushed-down element predicate is not vectorized (the planner
-    never produces that shape; hand-built plans fall back to Volcano).
+    empty or missing, matching the Volcano interpreter, and a parent whose
+    field is not a collection fails with the interpreter's error.
     """
 
     def __init__(
@@ -669,11 +672,6 @@ class UnnestStage:
         self.dataset = dataset
         self.plugin = plugin
         self.type_names = type_names
-        if self.outer and predicate is not None:
-            raise VectorizationError(
-                "outer unnest with an element predicate is served by the "
-                "Volcano interpreter"
-            )
         #: Values one flattened row accounts for in the extraction counters.
         self._width = max(len(self.element_paths), 1)
         self.cache_manager = cache_manager
@@ -700,7 +698,10 @@ class UnnestStage:
             try:
                 buffers = self._flatten(batch, counters)
             except PluginError as exc:
-                raise VectorizationError(str(exc)) from exc
+                raise ExecutionError(
+                    f"field {'.'.join(self.path)!r} of {self.binding!r} is not a "
+                    "collection"
+                ) from exc
             columns, positions = buffers.columns, buffers.parent_positions()
         if len(positions) == 0:
             return None
@@ -716,7 +717,7 @@ class UnnestStage:
         if self.plugin is None:
             collection = batch.columns.get((self.binding, self.path))
             if collection is None:
-                raise VectorizationError(
+                raise ExecutionError(
                     f"no materialized collection column for "
                     f"{self.binding!r}.{'.'.join(self.path)}"
                 )
@@ -727,7 +728,7 @@ class UnnestStage:
             return buffers
         parent_oids = batch.oids.get(self.binding)
         if parent_oids is None:
-            raise VectorizationError(
+            raise ExecutionError(
                 f"no OID column for unnest binding {self.binding!r}"
             )
         started = time.perf_counter()
@@ -793,13 +794,11 @@ class HashJoinStage:
         self.live = live
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
-        right_keys = _join_keys(self.right_key(batch), batch.count)
-        probe_keys, kept = _align_probe_keys(self.space.kind, right_keys)
-        left_positions, right_positions = radix.probe(self.space, probe_keys)
+        left_positions, right_positions = radix.probe(
+            self.space, materialize(self.right_key(batch), batch.count)
+        )
         if len(left_positions) == 0:
             return None
-        if kept is not None:
-            right_positions = kept[right_positions]
         counters.join_output_rows += len(left_positions)
         joined = _gather_joined(
             self.build, batch, left_positions, right_positions, self.live
@@ -937,13 +936,11 @@ class PipelineCompiler:
             return pipeline
         if isinstance(plan, PhysUnnest):
             type_names = None
-            try:
-                dataset, plugin = self._scan_source(plan, plan.binding)
-            except VectorizationError:
+            dataset, plugin = self._scan_source(plan, plan.binding)
+            if dataset is None:
                 # The parent binding is itself an unnest variable
                 # (nested-in-nested): the collection travels as a
                 # materialized object column instead of plug-in OIDs.
-                dataset = plugin = None
                 element = element_type(self._binding_type(plan.child, plan.binding), plan.path)
                 type_names = [declared_type(element, path) for path in plan.element_paths]
             pipeline = self.compile(plan.child, below)
@@ -963,10 +960,6 @@ class PipelineCompiler:
             pipeline.stages.append(traced_stage(self.trace, plan, stage))
             return pipeline
         if isinstance(plan, PhysHashJoin):
-            if plan.outer:
-                raise VectorizationError(
-                    "outer join is served by the Volcano interpreter"
-                )
             left, space = self.built.pop(id(plan.left), (None, None))
             if left is None:
                 left = self.materializer(self.compile(plan.left, below))
@@ -974,8 +967,7 @@ class PipelineCompiler:
             if left.count == 0 or pipeline.always_empty:
                 # An inner join with an empty build side produces nothing;
                 # bail out before key evaluation (an empty Batch has no
-                # columns, which would needlessly demote the query to the
-                # Volcano tier).
+                # columns to evaluate the key on).
                 pipeline.always_empty = True
                 return pipeline
             if space is None:
@@ -996,10 +988,6 @@ class PipelineCompiler:
             )
             return pipeline
         if isinstance(plan, PhysNestedLoopJoin):
-            if plan.outer:
-                raise VectorizationError(
-                    "outer join is served by the Volcano interpreter"
-                )
             left = self.materializer(self.compile(plan.left, below))
             pipeline = self.compile(plan.right, below)
             if left.count == 0 or pipeline.always_empty:
@@ -1017,7 +1005,7 @@ class PipelineCompiler:
                 )
             )
             return pipeline
-        raise VectorizationError(
+        raise ExecutionError(
             f"cannot interpret operator {plan.describe()} over batches"
         )
 
@@ -1069,7 +1057,7 @@ class PipelineCompiler:
                 return entry.data
             if entry is not None:  # a stale build of another cardinality
                 self.cache_manager.evict(cache_key)
-        space = radix.key_slots(_join_keys(self.evaluator(key)(build), build.count))
+        space = radix.key_slots(materialize(self.evaluator(key)(build), build.count))
         self.counters.join_build_rows += build.count
         if cache_key is not None:
             source = next(node for node in side.walk() if isinstance(node, PhysScan))
@@ -1117,7 +1105,9 @@ class PipelineCompiler:
 
     def _scan_source(
         self, plan: PhysicalPlan, binding: str
-    ) -> tuple[Dataset, InputPlugin]:
+    ) -> tuple[Dataset, InputPlugin] | tuple[None, None]:
+        """The dataset and plug-in of the scan of ``binding`` in ``plan``;
+        ``(None, None)`` when no scan binds it (an unnest variable)."""
         for node in plan.walk():
             if isinstance(node, PhysScan) and node.binding == binding:
                 dataset = self.catalog.get(node.dataset)
@@ -1127,9 +1117,7 @@ class PipelineCompiler:
                         f"no plug-in registered for format {dataset.format!r}"
                     )
                 return dataset, plugin
-        raise VectorizationError(
-            f"binding {binding!r} is not backed by a scan in this plan"
-        )
+        return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -1156,9 +1144,9 @@ def collect_nest_aggregates(
     """Classify an aggregating root's output columns into group keys,
     aggregates and constants (literals and parameters).
 
-    Returns (fingerprint → group-key index, unique aggregate calls).  Raises
-    :class:`VectorizationError` for output columns that read fields but are
-    neither, which only the Volcano interpreter serves.
+    Returns (fingerprint → group-key index, unique aggregate calls).  An
+    output column that reads fields but is neither is declined before
+    execution (``TIER004``).
     """
     group_key_fingerprints = {
         expression.fingerprint(): index
@@ -1170,11 +1158,6 @@ def collect_nest_aggregates(
         fingerprint = column.expression.fingerprint()
         if fingerprint in group_key_fingerprints:
             continue
-        if not contains_aggregate(column.expression) and column.expression.referenced_fields():
-            raise VectorizationError(
-                f"group-by output column {column.name!r} is neither a group "
-                "key nor an aggregate; served by the Volcano interpreter"
-            )
         for aggregate in iter_aggregates(column.expression):
             if aggregate.fingerprint() not in seen:
                 seen.add(aggregate.fingerprint())
@@ -1528,9 +1511,6 @@ class _NestRoot(_RootTask):
             # Folded batch by batch, or an empty range: no partial groups.
             return state["partials"]
         key_arrays = [concat_chunks(chunks) for chunks in state["key_chunks"]]
-        # radix_group raises VectorizationError for keys containing missing
-        # values, which the engine turns into a Volcano fallback (under a
-        # fan-out the pool re-raises it on the calling thread).
         grouping = radix.radix_group(key_arrays)
         arguments = {
             fingerprint: concat_chunks(chunks)
@@ -1751,10 +1731,7 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
         if len(readers) > 1 or None in readers:
             return None
         (grouped,) = readers
-    try:
-        _, aggregates = collect_nest_aggregates(plan)
-    except VectorizationError:
-        return None
+    _, aggregates = collect_nest_aggregates(plan)
     owners: dict[tuple, int] = {}
     for aggregate in aggregates:
         if aggregate.func not in _FACTORIZED_FUNCS:
@@ -1790,13 +1767,7 @@ class SlotStage:
         self.key = key
 
     def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
-        keys, kept = _align_probe_keys(
-            self.space.kind, _join_keys(self.key(batch), batch.count)
-        )
-        slots = radix.slots_of(self.space, keys)
-        if kept is not None:
-            slots, aligned = np.full(batch.count, -1, dtype=np.int64), slots
-            slots[kept] = aligned
+        slots = radix.slots_of(self.space, materialize(self.key(batch), batch.count))
         keep = slots >= 0
         if not keep.any():
             return None
@@ -2230,67 +2201,3 @@ class VectorizedExecutor:
                     # LIMIT prefix); stop scanning its remaining rows.
                     break
         return root.finish_morsel(state, counters)
-
-
-def _join_keys(value: Any, count: int) -> np.ndarray | EncodedColumn:
-    """Normalize a join key column: an encoded column with a numeric or
-    boolean dictionary to its typed values (so the key alignment and the
-    dense/sorted choice see plain arrays), bools to ints.  Encoded strings
-    stay codes; keys containing missing values are rejected by the join
-    kernels."""
-    keys = materialize(value, count)
-    if isinstance(keys, EncodedColumn) and keys.values.dtype != object:
-        radix.reject_missing_keys(keys, "join")
-        keys = keys.values[keys.codes]
-    if keys.dtype.kind == "b":
-        return keys.astype(np.int64)
-    return keys
-
-
-def _align_probe_keys(
-    build_kind: str, probe_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Align a probe key batch with the build side's dtype without losing
-    integer precision.
-
-    Returns (aligned keys, original positions) — positions is ``None`` when
-    every probe key survives, otherwise the indices of the kept keys (probe
-    results must be mapped back through it).
-    """
-    probe_kind = probe_keys.dtype.kind
-    if probe_kind in "iu" and build_kind in "iu":
-        return probe_keys, None
-    if probe_kind == build_kind:
-        return probe_keys, None
-    if build_kind in "iu" and probe_kind == "f":
-        # Only integral float keys inside the int64 range can equal integer
-        # build keys; probing the rest (including NaN-encoded nulls) would be
-        # wasted work — and a blanket int cast would truncate 3.5 onto 3 or
-        # wrap 1e19 onto INT64_MIN.
-        integral = (
-            np.isfinite(probe_keys)
-            & (probe_keys == np.floor(probe_keys))
-            & (probe_keys >= -(2.0**63))  # INT64_MIN itself is valid
-            & (probe_keys < 2.0**63)
-        )
-        if integral.all():
-            return probe_keys.astype(np.int64), None
-        kept = np.nonzero(integral)[0]
-        return probe_keys[kept].astype(np.int64), kept
-    if build_kind == "f" and probe_kind in "iu":
-        # Mirror of the case above: only integers exactly representable in
-        # float64 can equal a float build key; a blanket cast would round
-        # 2**53 + 1 onto 2**53 and fabricate matches.
-        as_float = probe_keys.astype(np.float64)
-        safe = (as_float >= -(2.0**63)) & (as_float < 2.0**63)
-        round_trip = np.zeros_like(probe_keys)
-        round_trip[safe] = as_float[safe].astype(probe_keys.dtype)
-        exact = safe & (round_trip == probe_keys)
-        if exact.all():
-            return as_float, None
-        kept = np.nonzero(exact)[0]
-        return as_float[kept], kept
-    raise VectorizationError(
-        f"join keys of kinds {build_kind!r} and {probe_kind!r} are served by "
-        "the Volcano interpreter"
-    )

@@ -306,7 +306,12 @@ class VolcanoExecutor:
         groups: dict[tuple, _AggregateAccumulators] = {}
         group_envs: dict[tuple, dict[str, Any]] = {}
         for env in self._iterate(plan.child):
-            key = tuple(expression.evaluate(env) for expression in plan.group_by)
+            # Missing keys — None, and NaN, which no dict key equals — are
+            # one group.
+            key = tuple(
+                None if is_missing(value) else value
+                for value in (expression.evaluate(env) for expression in plan.group_by)
+            )
             if key not in groups:
                 groups[key] = _AggregateAccumulators(plan.columns)
                 group_envs[key] = env

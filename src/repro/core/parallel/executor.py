@@ -48,7 +48,6 @@ class ParallelVectorizedExecutor:
     ) -> list[Any]:
         """Run ``run_morsel(morsel, worker_id)`` over every morsel on the
         pool; results are returned in morsel order.  The first worker failure
-        (a :class:`~repro.errors.VectorizationError` demotion included)
         cancels the remaining morsels and is re-raised here."""
         results = self._pool.run(morsels, run_morsel, context=self.context)
         self.morsels_dispatched += len(morsels)

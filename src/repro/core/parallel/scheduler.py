@@ -80,8 +80,7 @@ class WorkerPool:
     ``run`` returns results **in item order** (the order-preserving collector
     of the morsel fan-out); the first exception raised by any worker cancels
     the remaining work and is re-raised on the calling thread, so executor
-    fallbacks (:class:`VectorizationError`) propagate exactly as they do from
-    an inline run.  When several workers fail concurrently the first
+    errors propagate exactly as they do from an inline run.  When several workers fail concurrently the first
     exception is the one raised, with the complete list attached as its
     ``errors`` attribute so no failure vanishes.
 

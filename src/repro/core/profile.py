@@ -61,9 +61,9 @@ class ExecutionProfile:
     predicted_tier: str | None = None
     #: Why each non-serving tier declined, keyed by tier name; values carry a
     #: machine-readable code prefix, e.g. ``"[TIER005] outer join is served
-    #: by the Volcano interpreter"``.  Tiers that declined *during* execution
-    #: (data-dependent demotions the static analysis cannot rule out) appear
-    #: with code ``TIER009``.
+    #: by the Volcano interpreter"``.  A plan the code generator failed on is
+    #: declined before execution with code ``TIER009``; data never changes
+    #: the tier.
     tier_decline_reasons: dict[str, str] = field(default_factory=dict)
     #: Transient scan-I/O retries this query consumed (RES005 territory once
     #: the per-query budget runs out).

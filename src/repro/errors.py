@@ -70,11 +70,6 @@ class ExecutionError(ProteusError):
     """Raised when a generated or interpreted plan fails at run time."""
 
 
-class VectorizationError(ProteusError):
-    """Raised when the vectorized batch executor cannot evaluate a plan or
-    expression shape; the engine falls back to the Volcano interpreter."""
-
-
 class StorageError(ProteusError):
     """Raised for binary-format, memory-manager and structural-index failures."""
 

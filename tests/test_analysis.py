@@ -258,7 +258,7 @@ def test_outer_join_declines_the_codegen_tier(paths):
 
 
 # ---------------------------------------------------------------------------
-# Runtime demotion (TIER009) and decline recording in the profile
+# Missing group keys stay on the pipeline; decline recording in the profile
 # ---------------------------------------------------------------------------
 
 
@@ -276,45 +276,47 @@ def null_group_engine(paths, tmp_path):
     return engine
 
 
-def test_runtime_demotion_recorded_in_profile(null_group_engine):
-    """Null group keys demote the batch pipeline at run time — once,
-    straight to Volcano, keyed ``codegen``; the profile must say so instead
-    of silently swallowing the error."""
-    result = null_group_engine.query(
-        "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
-    )
-    assert result.tier == "volcano"
-    assert result.profile.predicted_tier == "codegen"
-    reasons = result.profile.tier_decline_reasons
-    assert reasons["codegen"].startswith("[TIER009] runtime demotion:")
-    assert "missing values" in reasons["codegen"]
+def _volcano_rows(paths, engine, query: str) -> list:
+    """``query``'s rows on a Volcano engine over ``engine``'s ``nullg``."""
+    volcano = make_engine(paths, enable_codegen=False)
+    dataset = engine.catalog.get("nullg")
+    volcano.register_json("nullg", dataset.path, schema=dataset.schema)
+    return volcano.query(query).rows
 
 
-def test_runtime_demotion_is_attempted_once_under_fanout(paths, null_group_engine):
-    """One batch tier: a null-group-key query on a fanned-out engine records
-    exactly one TIER009 (keyed ``codegen``) before Volcano serves it."""
-    reference = null_group_engine.query(
-        "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
+def test_null_group_keys_served_by_the_verdict_tier(paths, null_group_engine):
+    """Null group keys are one group, ``None``: the pipeline the verdict
+    chose serves the query, and the profile records no decline."""
+    query = "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
+    result = null_group_engine.query(query)
+    assert result.tier == result.profile.predicted_tier == "codegen"
+    assert result.profile.tier_decline_reasons == {}
+    assert None in [g for g, _ in result.rows]
+    assert sorted(result.rows, key=repr) == sorted(
+        _volcano_rows(paths, null_group_engine, query), key=repr
     )
+
+
+def test_null_group_keys_stay_on_the_pipeline_under_fanout(paths, null_group_engine):
+    """Fanned out, the ``None`` group of every morsel merges into one: no
+    TIER009, Volcano's rows."""
+    query = "SELECT g, SUM(v) AS s FROM nullg GROUP BY g"
     engine = make_engine(paths, parallel_workers=4, vectorized_batch_size=8)
     dataset = null_group_engine.catalog.get("nullg")
     engine.register_json("nullg", dataset.path, schema=dataset.schema)
-    result = engine.query("SELECT g, SUM(v) AS s FROM nullg GROUP BY g")
-    assert result.tier == "volcano"
-    demotions = {
-        tier: reason
-        for tier, reason in result.profile.tier_decline_reasons.items()
-        if "TIER009" in reason
-    }
-    assert list(demotions) == ["codegen"]
-    assert sorted(result.rows, key=repr) == sorted(reference.rows, key=repr)
+    result = engine.query(query)
+    assert result.tier == "codegen"
+    assert result.profile.morsels_dispatched > 0
+    assert not any("TIER009" in r for r in result.profile.tier_decline_reasons.values())
+    assert sorted(result.rows, key=repr) == sorted(
+        _volcano_rows(paths, null_group_engine, query), key=repr
+    )
 
 
-def test_runtime_demotion_after_batches_discards_partial_groups(paths, tmp_path):
-    """A null group key first met in the last of many inline batches demotes
-    a pipeline that has already grouped the batches before it: Volcano
-    answers from scratch, and nothing the pipeline accumulated leaks into
-    the rows or the counters."""
+def test_null_group_key_in_the_last_batch_joins_one_group(paths, tmp_path):
+    """A null group key first met in the last of many inline batches is one
+    more group beside those of the batches before it: the pipeline answers
+    with Volcano's rows and counters."""
     path = tmp_path / "late_null.json"
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(50):
@@ -331,9 +333,8 @@ def test_runtime_demotion_after_batches_discards_partial_groups(paths, tmp_path)
         engines[label].register_json("late_null", str(path), schema=schema)
     reference = engines["volcano"].query(query)
     result = engines["batched"].query(query)
-    assert result.tier == "volcano"
-    reason = result.profile.tier_decline_reasons["codegen"]
-    assert reason.startswith("[TIER009] runtime demotion:")
+    assert result.tier == "codegen"
+    assert result.profile.tier_decline_reasons == {}
     assert sorted(result.rows, key=repr) == sorted(reference.rows, key=repr)
     assert sum(n for _, _, n in result.rows) == 50
     assert result.profile.rows_scanned == reference.profile.rows_scanned

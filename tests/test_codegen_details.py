@@ -294,25 +294,32 @@ def test_enable_codegen_false_serves_volcano_with_tier001(paths):
     assert engine._compiled == {}
 
 
-def test_generation_failure_demotes_once_to_volcano(paths, monkeypatch):
-    """With no interpreter between the tiers, a generator that fails on a
-    plan the static verdict accepted demotes straight to Volcano with one
-    TIER009; nothing is cached, so the next query generates again."""
+def test_generation_failure_declines_before_execution(paths, monkeypatch):
+    """Generation precedes execution: a generator that fails on a plan the
+    static verdict accepted declines codegen with one TIER009 before the
+    pipeline starts, and Volcano executes the query — once.  ``explain()``
+    reports the same decline.  Nothing is cached, so the next query
+    generates again."""
     engine = make_engine(paths)
     query = "SELECT COUNT(*) FROM items_bin WHERE qty < 5"
     calls = []
+    started = []
 
     def failing(plan):
         calls.append(plan)
         raise CodegenError("generator drift")
 
     monkeypatch.setattr(engine.generator, "generate", failing)
+    monkeypatch.setattr(engine, "_execute_pipeline", lambda *args: started.append(args))
     result = engine.query(query)
-    assert calls and result.tier == "volcano"
+    assert calls and not started and result.tier == "volcano"
     assert result.profile.predicted_tier == "codegen"
     assert result.profile.tier_decline_reasons == {
-        "codegen": "[TIER009] runtime demotion: generator drift"
+        "codegen": "[TIER009] code generation failed: generator drift"
     }
+    explained = engine.explain(query)
+    assert "code generation unavailable: code generation failed: generator drift" in explained
+    assert "declines -- code generation failed: generator drift [TIER009]" in explained
     assert result.scalar() == sum(1 for row in expected_items() if row["qty"] < 5)
     assert engine._compiled == {}
     monkeypatch.undo()

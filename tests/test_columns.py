@@ -16,7 +16,9 @@ elements, nested-in-nested included — and every query must answer exactly as
 Volcano does, compared by ``repr`` so that ``10.0`` is not ``10`` (in order
 where ORDER BY fixes it, raising the same error where Volcano raises), under
 ``codegen`` x cold / cached x inline / fanned out over two-row morsels,
-whose dictionaries all differ.
+whose dictionaries all differ.  Grouping and joining on missing, NaN and
+mixed-type keys (an int key against a str key included) stays on
+``codegen``: no query changes tier.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ SETTINGS = settings(
 
 SCHEMA = t.make_schema({"id": "int", "s": "string"})
 CSV_SCHEMA = t.make_schema({"id": "int", "s": "string", "n": "int"})
+BINARY_SCHEMA = t.make_schema({"id": "int", "s": "string", "n": "int", "x": "float"})
 JSON_SCHEMA = t.make_schema(
     {
         "id": "int",
@@ -52,6 +55,7 @@ JSON_SCHEMA = t.make_schema(
         # Declared, never written: every value is missing.
         "m": "int",
         "f": "float",
+        "x": "float",
     }
 )
 
@@ -73,6 +77,9 @@ JSON_INTS = {
     "float": st.one_of(st.none(), st.integers(-20, 20), st.sampled_from([2.5, -0.5, 7.25])),
     "bool": st.one_of(st.none(), st.sampled_from([2, 3, -4, 5, True, False])),
 }
+
+#: A nullable float (NaN in a float column) — a join and group key too.
+FLOATS = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0, 2.5, -0.5, 3.0]))
 
 #: The text of a CSV ``int`` field: Volcano truncates a decimal toward zero.
 CSV_INTS = st.one_of(
@@ -122,6 +129,8 @@ def _tables(draw):
             st.lists(st.one_of(st.integers(-50, 50), st.sampled_from(_BIG)),
                      min_size=len(values), max_size=len(values))
         ),
+        "x": draw(st.lists(FLOATS, min_size=count, max_size=count)),
+        "binary_x": draw(st.lists(FLOATS, min_size=len(values), max_size=len(values))),
     }
     literal = draw(st.one_of(st.sampled_from(values), STRINGS))
     return values, json_values, numbers, literal, draw(st.sampled_from(OPS))
@@ -139,7 +148,7 @@ def _write(directory, csv_values, json_values, numbers=None) -> None:
     with open(os.path.join(directory, "j.json"), "w", encoding="utf-8") as handle:
         for index, value in enumerate(json_values):
             record = {"id": index, "s": value}
-            for name in ("n", "b", "xs"):
+            for name in ("n", "b", "xs", "x"):
                 if name in numbers:
                     record[name] = numbers[name][index]
             for name, field in list(record.items()):
@@ -148,10 +157,11 @@ def _write(directory, csv_values, json_values, numbers=None) -> None:
             handle.write(json.dumps(record, ensure_ascii=index % 3 == 0) + "\n")
     if "binary_n" in numbers:
         ids = list(range(len(csv_values)))
+        binary_x = [float("nan") if x is None else x for x in numbers["binary_x"]]
         write_column_table(
             os.path.join(directory, "bc"),
-            {"id": ids, "s": csv_values, "n": numbers["binary_n"]},
-            CSV_SCHEMA,
+            {"id": ids, "s": csv_values, "n": numbers["binary_n"], "x": binary_x},
+            BINARY_SCHEMA,
         )
         write_row_table(
             os.path.join(directory, "br.bin"),
@@ -172,11 +182,16 @@ def _engine(directory, **kwargs) -> ProteusEngine:
 
 def _outcome(engine, sql, args, ordered):
     """The rows as their ``repr``s (sorted unless ORDER BY fixes the order),
-    or the error's type where the query fails."""
+    or the error's type where the query fails.  A pipeline engine answers
+    on ``codegen``: missing, NaN and mixed-type keys never change the tier."""
     try:
-        rows = [repr(row) for row in engine.query(sql, *args).rows]
+        result = engine.query(sql, *args)
+        rows = [repr(row) for row in result.rows]
     except Exception as exc:  # the pipeline must fail where Volcano fails
         return "error", type(exc).__name__
+    if engine.enable_codegen:
+        reasons = result.profile.tier_decline_reasons
+        assert result.tier == "codegen" and not reasons, (sql, reasons)
     return "rows", rows if ordered else sorted(rows)
 
 
@@ -192,6 +207,25 @@ def _queries(literal, op):
         ("SELECT c.id, bc.id FROM c JOIN bc ON c.s = bc.s", (), False),
         ("SELECT br.id, j.id FROM br JOIN j ON br.s = j.s", (), False),
         ("SELECT c.id, j.id FROM c JOIN j ON c.n = j.n", (), False),
+        # Mixed-type keys (a number in ``s``, floats or bools in ``n``) match
+        # by Python's equality, missing ones match nothing.
+        ("SELECT a.id, b.id FROM j a JOIN j b ON a.n = b.n", (), False),
+        ("SELECT a.id, b.id FROM j a JOIN j b ON a.s = b.s", (), False),
+        # An int key against a str key: only a number in ``s`` can match.
+        ("SELECT c.id, j.id FROM c JOIN j ON c.n = j.s", (), False),
+        ("SELECT c.id, bc.id FROM c JOIN bc ON c.s = bc.n", (), False),
+        # NaN keys — JSON and binary — match nothing, ints meet floats.
+        ("SELECT a.id, b.id FROM j a JOIN j b ON a.x = b.x", (), False),
+        ("SELECT j.id, bc.id FROM j JOIN bc ON j.x = bc.x", (), False),
+        ("SELECT c.id, bc.id FROM c JOIN bc ON c.n = bc.x", (), False),
+        ("SELECT COUNT(*), SUM(j.id) FROM c JOIN j ON c.s = j.s JOIN bc ON j.s = bc.s",
+         (), True),
+        ("SELECT j.n, COUNT(*) FROM c JOIN j ON c.n = j.n JOIN bc ON j.n = bc.n "
+         "GROUP BY j.n", (), False),
+        # Missing and NaN group keys are one group; several keys at once.
+        ("SELECT x, COUNT(*) FROM j GROUP BY x", (), False),
+        ("SELECT x, COUNT(*), SUM(id) FROM bc GROUP BY x", (), False),
+        ("SELECT s, n, x, COUNT(*) FROM j GROUP BY s, n, x", (), False),
     ]
     for table in ("c", "j", "bc", "br"):
         compared = ", ".join(f"s {o} ? AS q{i}" for i, o in enumerate(OPS))
@@ -243,7 +277,7 @@ def _assert_like_volcano(directory, queries) -> None:
         engines[label] = _engine(directory, enable_caching=False, **kwargs)
         cached = engines[f"{label}-cached"] = _engine(directory, **kwargs)
         cached.query("SELECT id, s, n FROM c")  # caches every column
-        cached.query("SELECT id, s, n, b FROM j")
+        cached.query("SELECT id, s, n, b, x FROM j")
     for sql, args, ordered in queries:
         expected = _outcome(volcano, sql, args, ordered)
         for label, engine in engines.items():

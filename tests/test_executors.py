@@ -150,16 +150,10 @@ def test_dense_join_probe_keys_outside_range_near_int64_limits():
     ],
 )
 def test_radix_join_int_float_alignment(left, right):
-    """Probe keys are aligned with the build side's dtype the way the
-    pipeline's join stage does it, then matched in Volcano order."""
-    from repro.core.executor.vectorized import _align_probe_keys
-
-    build = np.asarray(left)
-    space = radix.key_slots(build)
-    probe, kept = _align_probe_keys(space.kind, np.asarray(right))
-    li, ri = radix.probe(space, probe)
-    if kept is not None:
-        ri = kept[ri]
+    """Probe keys are aligned with the build side's dtype by the probe
+    itself, then matched in Volcano order."""
+    space = radix.key_slots(np.asarray(left))
+    li, ri = radix.probe(space, np.asarray(right))
     assert list(zip(li.tolist(), ri.tolist())) == _naive_join(left, right)
 
 

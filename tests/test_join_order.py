@@ -184,7 +184,7 @@ def _write_chain(directory: str, csv_rows, json_rows, binary_rows) -> None:
         handle.write("id,k,x,y,g\n")
         for index, row in enumerate(csv_rows):
             handle.write(
-                f"{index},{row['k']},{cell(row['x'])},{cell(row['y'])},{row['g']}\n"
+                f"{index},{cell(row['k'])},{cell(row['x'])},{cell(row['y'])},{row['g']}\n"
             )
     with open(os.path.join(directory, "fj.json"), "w", encoding="utf-8") as handle:
         for index, row in enumerate(json_rows):
@@ -375,18 +375,23 @@ def test_per_key_chain_leaves_the_probe_order_unsorted(paths):
     assert len(build) and space.size_bytes == entry.size_bytes
 
 
-def test_missing_join_key_demotes_once(tmp_path):
-    """A join key with a missing value cannot be grouped: the pipeline
-    demotes once, keyed ``codegen``, and Volcano answers."""
+@pytest.mark.parametrize("holder", ["first input (CSV)", "streamed input (JSON)"])
+def test_missing_join_key_matches_nothing(tmp_path, holder):
+    """A row whose join key is missing matches nothing, as in Volcano —
+    in the input materialized as the key slots and in one streamed onto
+    them: the chain runs per key value on the pipeline, no TIER009."""
     rows = [{"k": key, "x": 1, "y": 1.0, "g": "a"} for key in (0, 1, None, 1)]
-    _write_chain(str(tmp_path), rows[:2], rows, rows[:2])
+    if holder.startswith("first"):
+        _write_chain(str(tmp_path), rows, rows[:2], rows[:2])
+    else:
+        _write_chain(str(tmp_path), rows[:2], rows, rows[:2])
     query = f"SELECT COUNT(*), SUM(j.x) {_CHAIN}"
     reference = _chain_engine(str(tmp_path), enable_codegen=False).query(query)
     for label, kwargs in CHAIN_CONFIGS.items():
         result = _chain_engine(str(tmp_path), **kwargs).query(query)
-        assert result.tier == "volcano", label
-        reasons = result.profile.tier_decline_reasons
-        assert [tier for tier, reason in reasons.items() if "TIER009" in reason] == ["codegen"]
+        assert result.tier == "codegen", label
+        assert result.profile.tier_decline_reasons == {}, label
+        assert result.profile.join_kernels == ["factorized"] * 2, label
         assert result.rows == reference.rows == [(3, 3)], label
 
 

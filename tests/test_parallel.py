@@ -391,11 +391,14 @@ def test_row_table_probe_and_build_side_both_fan_out(workload_dir):
     assert result.rows == _make_engine(workload_dir).query(query).rows
 
 
-def test_null_group_keys_fall_back_to_volcano(volcano_engine, parallel_engine):
+def test_null_group_keys_stay_on_the_pipeline(volcano_engine, parallel_engine):
+    """A null group key is one group, ``None``, on the fanned-out pipeline
+    too: no tier change, Volcano's rows."""
     query = "SELECT tag, COUNT(*) FROM nulls GROUP BY tag"
     reference = volcano_engine.query(query)
     result = parallel_engine.query(query)
-    assert result.tier == "volcano"
+    assert result.tier == "codegen"
+    assert result.profile.tier_decline_reasons == {}
     assert sorted(result.rows, key=repr) == sorted(reference.rows, key=repr)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.columns import column_from_values
+from repro.core.types import is_missing
 from repro.core.executor import radix
 from repro.core.expressions import BinaryOp, FieldRef, Literal
 from repro.core.normalizer import fold_constants
@@ -48,8 +49,34 @@ _INT64_LIMITS = [-(2**63), 2**63 - 1]
 def _join_sides(draw):
     """Build and probe key lists of one kind — with the dtype or column
     form each side arrives in — the build keys unique or duplicated, the
-    probe keys partly outside the build side's."""
-    kind = draw(st.sampled_from(["int", "uint-probe", "uint-build", "float-probe", "string"]))
+    probe keys partly outside the build side's.  Missing keys (``None``,
+    NaN) and object columns mixing types take the Volcano interpreter's
+    rules: a missing key matches nothing, and Python's equality holds
+    across types (``1 == 1.0 == True``, never ``1 == "1"``)."""
+    kind = draw(st.sampled_from([
+        "int", "uint-probe", "uint-build", "float-probe", "string",
+        "missing", "nan", "mixed", "mixed-build", "mixed-probe",
+    ]))
+    if kind.startswith("mixed"):
+        pool = [0, 1, 2, 1.0, 2.5, True, False, "a", "1", "", None, float("nan")]
+        build = draw(st.lists(st.sampled_from(pool), max_size=40))
+        probe = draw(st.lists(st.sampled_from(pool), max_size=40))
+        if kind == "mixed-build":  # probed by an encoded string column
+            probe = [key for key in probe if key is None or isinstance(key, str)]
+            return kind, _objects(build), column_from_values(probe, "string"), build, probe
+        if kind == "mixed-probe":  # probing plain ints
+            build = [key for key in build if type(key) is int]
+            return kind, np.asarray(build, dtype=np.int64), _objects(probe), build, probe
+        return kind, _objects(build), _objects(probe), build, probe
+    if kind in ("missing", "nan"):
+        pool = draw(_key_pool()) + [None]
+        build = draw(st.lists(st.sampled_from(pool), max_size=40))
+        probe = draw(st.lists(st.sampled_from(pool + [0, -1]), max_size=40))
+        if kind == "missing":  # encoded int columns, code -1 = missing
+            return kind, column_from_values(build, "int"), column_from_values(probe, "int"), build, probe
+        build, probe = ([float("nan") if key is None else float(key) for key in keys]
+                        for keys in (build, probe))
+        return kind, np.asarray(build), np.asarray(probe), build, probe
     if kind == "string":
         pool = draw(st.lists(st.text("abcd", max_size=3), min_size=1, max_size=6, unique=True))
         strays = ["zz", "", "b"]  # probe values the build dictionary may lack
@@ -90,6 +117,12 @@ def _join_sides(draw):
     return kind, np.asarray(build, dtype=np.int64), np.asarray(probe, dtype=np.int64), build, probe
 
 
+def _objects(values: list) -> np.ndarray:
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
 _NEIGHBOURS = [2**63 - 2, 2**63 - 1, 0]
 _BOTTOM = [-(2**63), 1 - 2**63]
 
@@ -113,22 +146,22 @@ _BOTTOM = [-(2**63), 1 - 2**63]
 def test_radix_join_equivalent_to_naive(sides):
     """A probe of the build side's key slots matches a dict of lists: every
     (build, probe) position pair in probe order, then build order within a
-    key — the Volcano order — after the join stage's key alignment."""
-    from repro.core.executor.vectorized import _align_probe_keys, _join_keys
-
+    key — the Volcano order — after the probe's key alignment."""
     _, build, probe, build_values, probe_values = sides
-    space = radix.key_slots(_join_keys(build, len(build_values)))
-    assert space.unique == (len(set(build_values)) == len(build_values))
+    space = radix.key_slots(build)
+    keyed = [key for key in build_values if not is_missing(key)]
+    assert space.unique == (len(set(keyed)) == len(keyed))
     assert space.build_size == len(build_values)
-    keys, kept = _align_probe_keys(space.kind, _join_keys(probe, len(probe_values)))
-    li, ri = radix.probe(space, keys)
-    if kept is not None:
-        ri = kept[ri]
+    li, ri = radix.probe(space, probe)
     rows: dict[object, list[int]] = {}
     for position, key in enumerate(build_values):
-        rows.setdefault(key, []).append(position)
+        if not is_missing(key):
+            rows.setdefault(key, []).append(position)
     expected = [
-        (i, j) for j, key in enumerate(probe_values) for i in rows.get(key, [])
+        (i, j)
+        for j, key in enumerate(probe_values)
+        if not is_missing(key)
+        for i in rows.get(key, [])
     ]
     assert list(zip(li.tolist(), ri.tolist())) == expected
 

@@ -78,14 +78,14 @@ def test_engine_default_timeout_applies(paths):
 
 
 def test_timeout_is_not_a_tier_demotion(paths):
-    """A deadline on the codegen tier must surface as RES001 — not be
-    swallowed by the runtime-demotion catch and retried on a lower tier
-    (which would turn a 0s deadline into a successful slow query)."""
+    """A deadline on the codegen tier must surface as RES001 — never be
+    retried on a lower tier (which would turn a 0s deadline into a
+    successful slow query)."""
     engine = make_engine(paths, enable_caching=False)
     with pytest.raises(QueryTimeoutError):
         engine.query("select sum(price) from items_csv", timeout=0)
     reasons = engine.last_profile.tier_decline_reasons
-    assert all("runtime demotion" not in reason for reason in reasons.values())
+    assert all("TIER009" not in reason for reason in reasons.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])

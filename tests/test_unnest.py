@@ -28,6 +28,7 @@ import pytest
 from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.physical import PhysUnnest
+from repro.errors import ExecutionError
 from repro.plugins.base import flatten_collections
 from repro.plugins.json_plugin import JsonPlugin
 from repro.storage.memory import MemoryManager
@@ -464,3 +465,32 @@ def test_missing_bool_surfaces_as_none(codegen_engine):
     assert by_id[3] is None  # explicit null
     assert by_id[2] is True
     assert by_id[7] is False
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "for { r <- bad, x <- r.xs } yield bag (r.id, x.v)",
+        "for { r <- bad, x <- r.xs, y <- x.ys } yield bag (r.id, y.w)",
+    ],
+    ids=["scan-backed", "nested-in-nested"],
+)
+def test_unnest_over_a_non_collection_fails_as_in_volcano(tmp_path, query):
+    """A collection field holding a scalar fails on the pipeline with the
+    error Volcano raises, and nothing reruns it on another tier."""
+    path = tmp_path / "bad.json"
+    records = [
+        {"id": 1, "xs": [{"v": 1, "ys": [{"w": 2}]}]},
+        {"id": 2, "xs": [{"v": 3, "ys": 4}]} if "ys" in query else {"id": 2, "xs": 5},
+    ]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    schema = t.make_schema({"id": "int", "xs": [{"v": "int", "ys": [{"w": "int"}]}]})
+    errors = []
+    for enable_codegen in (True, False):
+        engine = ProteusEngine(enable_caching=False, enable_codegen=enable_codegen)
+        engine.register_json("bad", str(path), schema=schema)
+        with pytest.raises(ExecutionError) as raised:
+            engine.query(query)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+    assert "is not a collection" in errors[0]

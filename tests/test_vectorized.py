@@ -315,30 +315,29 @@ def test_vectorized_matches_volcano_with_tiny_batches(paths, workload_dir):
         "SELECT val, COUNT(*) FROM nulls GROUP BY val",
     ],
 )
-def test_null_group_keys_fall_back_to_volcano(tier_engines, query):
+def test_null_group_keys_stay_on_the_pipeline(tier_engines, query):
     codegen_engine, volcano_engine = tier_engines
     reference = volcano_engine.query(query)
-    # Grouping on a key column containing nulls is not columnar-groupable;
-    # the pipeline must transparently fall back and still produce Volcano's
-    # rows (None group keys, not NaN).
+    # The missing keys of a column are one group whose key reads None (not
+    # NaN), as in Volcano; the pipeline serves the query.
     result = codegen_engine.query(query)
-    assert result.tier == "volcano"
+    assert result.tier == "codegen"
+    assert None in [row[0] for row in result.rows]
     assert _normalized(result.rows) == _normalized(reference.rows)
 
 
-def test_null_join_keys_fall_back_to_volcano(tier_engines):
+def test_null_join_keys_match_nothing_on_the_pipeline(tier_engines):
     codegen_engine, volcano_engine = tier_engines
-    # NaN-encoded missing float keys must not surface as nan join rows where
-    # Volcano produces None — the pipeline falls back.
+    # NaN-encoded missing float keys join nothing — no nan join rows — on
+    # both tiers.
     query = (
         "SELECT a.val AS av, b.val AS bv FROM nulls a JOIN nulls b "
         "ON a.val = b.val"
     )
     reference = volcano_engine.query(query)
-    # Missing keys join nothing, in the fallback tier too.
     assert all(value is not None for row in reference.rows for value in row)
     result = codegen_engine.query(query)
-    assert result.tier == "volcano"
+    assert result.tier == "codegen"
     assert _normalized(result.rows) == _normalized(reference.rows)
 
 
@@ -391,9 +390,10 @@ def test_scan_preserves_large_int_precision(tmp_path):
     assert lazy.column(("k",)).tolist() == [huge]
 
 
-def test_mixed_type_group_keys_fall_back_to_volcano(tmp_path):
-    """Heterogeneous raw JSON with a key field of mixed types must demote to
-    the Volcano tier instead of crashing in np.unique/argsort."""
+def test_mixed_type_group_keys_stay_on_the_pipeline(tmp_path):
+    """Heterogeneous raw JSON with a key field of mixed types groups by
+    Python's equality on the pipeline, as Volcano's dict does — no crash in
+    np.unique/argsort, no tier change."""
     path = tmp_path / "het.json"
     path.write_text(
         json.dumps({"k": 0, "v": 1.0}) + "\n" + json.dumps({"k": "a", "v": 2.0}) + "\n"
@@ -404,7 +404,7 @@ def test_mixed_type_group_keys_fall_back_to_volcano(tmp_path):
             "het", str(path), schema=t.make_schema({"k": "string", "v": "float"})
         )
         result = engine.query("SELECT k, COUNT(*) FROM het GROUP BY k")
-        assert result.tier == "volcano"
+        assert result.tier == ("codegen" if enable_codegen else "volcano")
         assert set(result.rows) == {(0, 1), ("a", 1)}
 
 
@@ -562,16 +562,10 @@ def test_empty_join_build_side_stays_on_the_pipeline(tier_engines):
 def test_large_int_join_keys_do_not_collide(build_keys, kernel):
     """Join keys above 2**53 must not be collapsed through a float64 cast."""
     from repro.core.executor import radix
-    from repro.core.executor.vectorized import _align_probe_keys, _join_keys
 
-    build = _join_keys(np.asarray(build_keys, dtype=np.int64), len(build_keys))
-    space = radix.key_slots(build)
+    space = radix.key_slots(np.asarray(build_keys, dtype=np.int64))
     assert space.kernel == kernel
-    probe, kept = _align_probe_keys(
-        space.kind, _join_keys(np.asarray([2**53 + 1], dtype=np.int64), 1)
-    )
-    assert kept is None
-    left_positions, _ = radix.probe(space, probe)
+    left_positions, _ = radix.probe(space, np.asarray([2**53 + 1], dtype=np.int64))
     assert left_positions.tolist() == [1]
 
 
@@ -579,15 +573,11 @@ def test_int_probe_keys_against_float_build_side():
     """The mirrored direction: int probe keys not exactly representable in
     float64 must not round onto float build keys."""
     from repro.core.executor import radix
-    from repro.core.executor.vectorized import _align_probe_keys
 
     space = radix.key_slots(np.asarray([float(2**53), 3.0]))
-    probe, kept = _align_probe_keys(
-        space.kind, np.asarray([2**53 + 1, 3], dtype=np.int64)
+    left_positions, right_positions = radix.probe(
+        space, np.asarray([2**53 + 1, 3], dtype=np.int64)
     )
-    left_positions, right_positions = radix.probe(space, probe)
-    if kept is not None:
-        right_positions = kept[right_positions]
     # 2**53 + 1 would round onto the 2**53 build key under a blanket cast.
     assert left_positions.tolist() == [1]
     assert right_positions.tolist() == [1]
@@ -597,7 +587,6 @@ def test_int64_min_join_keys_match_in_both_directions():
     """INT64_MIN is a valid, exactly-representable key; the precision guards
     must not drop it."""
     from repro.core.executor import radix
-    from repro.core.executor.vectorized import _align_probe_keys
 
     imin = -(2**63)
     # A sparse range (sorted kernel) and a dense one at the int64 limit;
@@ -608,27 +597,29 @@ def test_int64_min_join_keys_match_in_both_directions():
     ):
         space = radix.key_slots(np.asarray(build, dtype=np.int64))
         assert space.kernel == kernel
-        probe, kept = _align_probe_keys(space.kind, np.asarray([float(imin), 5.0, 2.0**63]))
-        left_positions, right_positions = radix.probe(space, probe)
-        if kept is not None:
-            right_positions = kept[right_positions]
+        left_positions, right_positions = radix.probe(
+            space, np.asarray([float(imin), 5.0, 2.0**63])
+        )
         assert left_positions.tolist() == matches
         assert right_positions.tolist() == matches
     space = radix.key_slots(np.asarray([float(imin), 5.0]))
-    probe, kept = _align_probe_keys(space.kind, np.asarray([imin, 5], dtype=np.int64))
-    left_positions, _ = radix.probe(space, probe)
+    left_positions, _ = radix.probe(space, np.asarray([imin, 5], dtype=np.int64))
     assert sorted(left_positions.tolist()) == [0, 1]
 
 
 def test_group_code_capacity_guard():
-    """Multi-key groupings whose combined code space would wrap int64 must
-    fall back instead of silently merging groups."""
+    """Multi-key groupings whose combined code space would wrap int64 are
+    re-numbered before it does: distinct key combinations never merge."""
     from repro.core.executor import radix
-    from repro.errors import VectorizationError
 
-    keys = [np.arange(2**20, dtype=np.int64)] * 4  # capacity 2**80
-    with pytest.raises(VectorizationError, match="key-combination"):
-        radix.radix_group(keys)
+    rng = np.random.default_rng(7)
+    # Four keys of 2**19 distinct values each, every row twice: 2**76 codes.
+    keys = [np.tile(rng.permutation(2**19), 2) for _ in range(4)]
+    grouping = radix.radix_group(keys)
+    distinct, inverse = np.unique(np.stack(keys, axis=1), axis=0, return_inverse=True)
+    assert grouping.num_groups == len(distinct) == 2**19
+    assert np.array_equal(grouping.group_ids, inverse.ravel())
+    assert np.array_equal(np.stack(grouping.key_arrays, axis=1), distinct)
     # Each key alone is dense; the product of the ranges is not, so the
     # grouping takes the factorizing kernel.
     assert radix.radix_group(keys[:1]).kernel == "dense"
@@ -642,14 +633,10 @@ def test_float_probe_keys_against_int_build_side(build_keys, kernel):
     """Non-integral (and NaN) float probe keys cannot match integer build
     keys; integral ones must, with positions mapped back correctly."""
     from repro.core.executor import radix
-    from repro.core.executor.vectorized import _align_probe_keys
 
     space = radix.key_slots(np.asarray(build_keys, dtype=np.int64))
     assert space.kernel == kernel
-    probe, kept = _align_probe_keys(space.kind, np.asarray([3.5, np.nan, 3.0]))
-    left_positions, right_positions = radix.probe(space, probe)
-    if kept is not None:
-        right_positions = kept[right_positions]
+    left_positions, right_positions = radix.probe(space, np.asarray([3.5, np.nan, 3.0]))
     assert left_positions.tolist() == [0]
     assert right_positions.tolist() == [2]
 
