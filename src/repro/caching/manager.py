@@ -3,10 +3,9 @@
 The caching manager owns the binary caches that the engine materializes as a
 side effect of query execution.  Each entry records the plan-fragment key that
 produced it, the source dataset and format (which drives the eviction bias),
-its size (accounted against the memory manager's cache arena) and an LRU
-timestamp.
+its size (counted against the manager's byte budget) and an LRU timestamp.
 
-Eviction is a *format-biased* LRU: when the arena is full, the entry with the
+Eviction is a *format-biased* LRU: when the budget is spent, the entry with the
 lowest ``bias / recency`` score is dropped first, so caches over JSON survive
 longer than caches over CSV, which survive longer than caches over binary
 data (``JSON ≻ CSV ≻ Binary``), mirroring the paper's policy.
@@ -15,8 +14,8 @@ One manager is shared by the batch pipeline of every query thread (and the
 serving layer's result cache), so every public
 method takes ``self._lock``.  Mutators delegate to ``*_locked`` internals
 (``store`` must evict while holding the lock; re-taking it would self-
-deadlock).  The arena and the statistics object are mutated only through
-those locked paths (``EXTERNALLY_GUARDED`` in ``core/concurrency.py``).
+deadlock).  The byte count and the statistics object are mutated only
+through those locked paths (``core/concurrency.py`` declares both).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from repro.caching.policies import CachingPolicy
 from repro.core.concurrency import make_lock
-from repro.storage.memory import CacheArena
+from repro.errors import StorageError
 
 
 @dataclass
@@ -73,8 +72,12 @@ class CacheStatistics:
 class CacheManager:
     """Registry, admission control and eviction for adaptive caches."""
 
-    def __init__(self, arena: CacheArena):
-        self.arena = arena
+    def __init__(self, budget_bytes: int):
+        if budget_bytes <= 0:
+            raise StorageError("cache budget must be positive")
+        self.budget_bytes = budget_bytes
+        #: Bytes held by the live entries: the sum of their ``size_bytes``.
+        self.used_bytes = 0
         self.policy = CachingPolicy()
         self.stats = CacheStatistics()
         self._entries: dict[tuple, CacheEntry] = {}
@@ -131,14 +134,11 @@ class CacheManager:
                 self._clock += 1
                 entry.touch(self._clock)
                 return entry
-            if size > self.arena.budget_bytes:
+            if size > self.budget_bytes:
                 self.stats.rejected += 1
                 return None
-            self._make_room_locked(size, bias)
-            if not self.arena.can_fit(size):
-                self.stats.rejected += 1
-                return None
-            self.arena.register(_arena_name(key), size)
+            self._make_room_locked(size)
+            self.used_bytes += size
             self._clock += 1
             entry = CacheEntry(
                 key=key,
@@ -155,25 +155,19 @@ class CacheManager:
             self.stats.stores += 1
             return entry
 
-    def _make_room_locked(self, size: int, incoming_bias: float) -> None:
-        """Evict entries (cheapest-to-rebuild, least-recently-used first) until
-        ``size`` bytes fit or nothing evictable remains.  Lock held."""
-        while not self.arena.can_fit(size):
-            victim = self._pick_victim(incoming_bias)
-            if victim is None:
-                return
-            self._evict_locked(victim.key)
+    def _make_room_locked(self, size: int) -> None:
+        """Evict entries (cheapest-to-rebuild, least-recently-used first)
+        until ``size`` bytes fit; ``size`` is within the budget, so emptying
+        the cache always makes room.  Lock held."""
+        while self.used_bytes + size > self.budget_bytes:
+            self._evict_locked(self._pick_victim().key)
 
-    def _pick_victim(self, incoming_bias: float) -> CacheEntry | None:
+    def _pick_victim(self) -> CacheEntry:
         # Format-biased LRU: the cheapest-to-rebuild format goes first, the
         # least recently used entry within it.  One pass — with thousands of
         # small result entries a sort per eviction, under the lock, is the
         # cost of the store.
-        return min(
-            self._entries.values(),
-            key=lambda e: (e.bias, e.last_used),
-            default=None,
-        )
+        return min(self._entries.values(), key=lambda e: (e.bias, e.last_used))
 
     # -- eviction / invalidation ----------------------------------------------------
 
@@ -185,7 +179,7 @@ class CacheManager:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
-        self.arena.unregister(_arena_name(entry.key))
+        self.used_bytes -= entry.size_bytes
         self.stats.evictions += 1
 
     def invalidate_dataset(self, dataset: str) -> int:
@@ -210,10 +204,6 @@ class CacheManager:
         with self._lock:
             return list(self._entries.values())
 
-    @property
-    def used_bytes(self) -> int:
-        return self.arena.used_bytes
-
 
 def estimate_size(data: Any) -> int:
     """Estimate the in-memory footprint of cached data."""
@@ -232,7 +222,3 @@ def estimate_size(data: Any) -> int:
     if hasattr(data, "size_bytes"):
         return int(data.size_bytes)
     return 64
-
-
-def _arena_name(key: tuple) -> str:
-    return "cache:" + repr(key)

@@ -10,7 +10,7 @@ paper describes one policy, and it has no settings:
   columns — and int or bool columns with missing values — as ``int32``
   codes into a sorted dictionary of distinct values
   (:class:`~repro.core.columns.EncodedColumn`), a primitive column that does
-  not pollute the cache arena the way variable-length strings would; values
+  not spend the cache budget the way variable-length strings would; values
   without a primitive form (mixed types, nested records) are not cached,
 * do not cache fields read from binary sources (they are already cheap),
 * always cache the key slots built over hash-join build sides (implicit

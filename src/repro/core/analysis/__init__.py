@@ -15,6 +15,7 @@ The package has three layers (see :mod:`repro.core.analysis.model`):
 """
 
 from repro.core.analysis.capabilities import (
+    CODEGEN_DISABLED,
     OPERATOR_CAPABILITIES,
     plan_verdict,
     tier_verdicts,
@@ -45,6 +46,7 @@ from repro.core.analysis.model import (
 from repro.core.analysis.typecheck import analyze_schema
 
 __all__ = [
+    "CODEGEN_DISABLED",
     "OPERATOR_CAPABILITIES",
     "plan_verdict",
     "tier_verdicts",

@@ -174,6 +174,14 @@ def plan_verdict(tier: str, plan: PhysicalPlan) -> Decline:
     return None
 
 
+#: The codegen verdict of an engine built with ``enable_codegen=False``: the
+#: paper's static engine, Volcano, alone.
+CODEGEN_DISABLED = TierVerdict(
+    TIER_CODEGEN, serves=False, code=TIER_DISABLED,
+    reason="disabled (enable_codegen=False)",
+)
+
+
 def tier_verdicts(
     physical: PhysicalPlan,
     *,
@@ -182,18 +190,18 @@ def tier_verdicts(
     """One :class:`TierVerdict` per tier, in cascade order.
 
     A pure function of the plan and the engine's ablation flag — no catalog,
-    plug-in or cache state is consulted, so the engine caches the result per
-    plan fingerprint.  ``enable_codegen=False`` leaves the paper's static
-    engine, Volcano.  (Whether the pipeline fans a scan out over morsels is
+    plug-in or cache state is consulted.  The engine computes it once per
+    plan with the flag on and swaps in :data:`CODEGEN_DISABLED` when the
+    flag is off (``enable_codegen=False`` leaves the paper's static engine,
+    Volcano).  (Whether the pipeline fans a scan out over morsels is
     decided inside the executor, not here.)
     """
     verdicts: list[TierVerdict] = []
     for tier in CASCADE_TIERS:
-        decline: Decline
         if tier == TIER_CODEGEN and not enable_codegen:
-            decline = (TIER_DISABLED, "disabled (enable_codegen=False)")
-        else:
-            decline = plan_verdict(tier, physical)
+            verdicts.append(CODEGEN_DISABLED)
+            continue
+        decline = plan_verdict(tier, physical)
         if decline is None:
             verdicts.append(TierVerdict(tier, serves=True))
         else:

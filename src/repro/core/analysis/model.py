@@ -136,9 +136,9 @@ EMPTY_HINTS = NullabilityHints()
 @dataclass(frozen=True)
 class SchemaAnalysis:
     """The engine-configuration-independent half of a plan analysis: the
-    inferred output schema and the nullability hints.  Cached per plan
-    fingerprint by the engine, next to the tier verdicts (a pure function of
-    the plan and the engine's ablation flags)."""
+    inferred output schema and the nullability hints.  Computed once per
+    plan and held by the prepared query's shape, next to the tier verdicts
+    (a pure function of the plan and the engine's ablation flags)."""
 
     columns: tuple[ColumnInfo, ...]
     hints: NullabilityHints

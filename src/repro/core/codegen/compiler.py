@@ -4,8 +4,10 @@ The paper compiles the stitched-together LLVM IR of a query into machine code
 within milliseconds and calls the resulting library.  The reproduction
 compiles the generated Python source with :func:`compile` and executes it
 into a namespace holding NumPy, the null-aware kernels and any registered
-constants.  Compiled queries are cached by plan fingerprint by the engine,
-mirroring query-plan caching.
+constants.  A compiled module is a function of the plan's expressions only —
+no schema, dataset or statistic is baked in — so the engine keeps it in a
+bounded LRU keyed by plan fingerprint that no catalog change clears, and the
+prepared query whose plan first ran it holds it in its shape.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ class GeneratedQuery:
                 f"no generated function evaluates {expression!r}"
             ) from exc
 
-    def __call__(self, executor, plan) -> tuple[list[str], dict[str, Any]]:
+    def __call__(self, executor, plan, chain) -> tuple[list[str], dict[str, Any]]:
         """Run ``plan`` through the batch pipeline on these functions — the
-        once-per-execution entry of the ``codegen`` tier."""
-        return executor.execute(plan, self)
+        once-per-execution entry of the ``codegen`` tier.  ``chain`` is the
+        plan's per-key join chain (``None``: the joins probe and gather)."""
+        return executor.execute(plan, self, chain)
 
 
 def compile_query(

@@ -14,9 +14,11 @@ null-aware kernel — the decisions an interpreter would take per batch
 once, here.
 
 The module is compiled by :mod:`repro.core.codegen.compiler` into a
-:class:`~repro.core.codegen.compiler.GeneratedQuery`, cached by the engine per
-plan fingerprint, and handed to the pipeline, whose stages and root tasks
-evaluate every plan expression by calling its function.
+:class:`~repro.core.codegen.compiler.GeneratedQuery` and handed to the
+pipeline, whose stages and root tasks evaluate every plan expression by
+calling its function.  The generator reads expressions only, never a schema:
+one module serves every plan of one fingerprint, across catalog changes (the
+engine's bounded module cache and each prepared query's shape keep it).
 """
 
 from __future__ import annotations

@@ -364,13 +364,14 @@ SHARED_CLASSES: dict[str, str] = {
         "the per-text prepared cache hands the same PreparedQuery to every "
         "thread calling engine.query() with one query text"
     ),
+    "QueryShape": (
+        "a PreparedQuery's shape is read by every thread executing it; its "
+        "one write after construction, the generated module, is published "
+        "by PreparedQuery._publish_module under PreparedQuery._lock"
+    ),
     "CacheManager": (
         "shared by every query thread's batch pipeline; morsel workers "
         "populate it via ScanOperator"
-    ),
-    "CacheArena": (
-        "the cache arena accounts blocks for every CacheManager mutation; "
-        "reached from the same threads as the manager"
     ),
     "CacheStatistics": (
         "mutated on every CacheManager lookup/store from any query thread"
@@ -426,9 +427,6 @@ SHARED_CLASSES: dict[str, str] = {
 GUARDED_BY: dict[str, str] = {
     # engine-level shared caches (ProteusEngine serves concurrent sessions)
     "ProteusEngine._compiled": "_lock",
-    "ProteusEngine._parsed": "_lock",
-    "ProteusEngine._analyses": "_lock",
-    "ProteusEngine._verdict_cache": "_lock",
     "ProteusEngine._prepared_cache": "_lock",
     "ProteusEngine._catalog_epoch": "_lock",
     "PreparedQuery._state": "_lock",
@@ -438,6 +436,7 @@ GUARDED_BY: dict[str, str] = {
     "ScanCoalescer._inflight": "_lock",
     "CacheManager._entries": "_lock",
     "CacheManager._clock": "_lock",
+    "CacheManager.used_bytes": "_lock",
     "CacheManager.stats": "_lock",
     # memory manager
     "MemoryManager._mapped": "_map_lock",
@@ -562,10 +561,6 @@ EXTERNALLY_GUARDED: dict[str, str] = {
     "ScanOperator._recorder": (
         "the binding is immutable after __init__; add() serializes on the "
         "_CoverageRecorder's own lock"
-    ),
-    "CacheArena._blocks": (
-        "register()/unregister() are called only by CacheManager mutators, "
-        "which hold CacheManager._lock"
     ),
     "CacheStatistics.lookups": "mutated only by CacheManager under its _lock",
     "CacheStatistics.hits": "mutated only by CacheManager under its _lock",

@@ -23,11 +23,11 @@ the paper describes:
      partial per-morsel aggregation and a deterministic morsel-ordered merge;
      everything else runs on the calling thread,
    * **volcano** — shapes the pipeline cannot serve (record construction in
-     output columns, outer joins, null group keys) fall back to the
-     tuple-at-a-time Volcano interpreter, the paper's "static
-     general-purpose engine" baseline.  Unnests — inner *and* outer, nested
-     collections included — are batch-native: the plug-ins' offset-vector
-     ``scan_unnest_batch`` API keeps them on the pipeline.
+     output columns, outer joins) fall back to the tuple-at-a-time Volcano
+     interpreter, the paper's "static general-purpose engine" baseline.
+     Unnests — inner *and* outer, nested collections included — are
+     batch-native: the plug-ins' offset-vector ``scan_unnest_batch`` API
+     keeps them on the pipeline.
 
    The ablation flag ``enable_codegen=False`` leaves only the static engine,
    Volcano; ``ExecutionProfile.execution_tier`` records which tier
@@ -41,13 +41,14 @@ The v2 query API is built around **prepared statements**: the specialization
 the paper bets on pays for itself when a query *shape* recurs, so the shape is
 made a first-class object.  :meth:`ProteusEngine.prepare` parses, binds and
 plans a query containing ``?`` positional / ``:name`` named placeholders once
-and returns a :class:`PreparedQuery`; ``pq.execute(7)`` /
+and returns a :class:`PreparedQuery`, which owns everything derived from its
+plan (its :class:`QueryShape`); ``pq.execute(7)`` /
 ``pq.execute(country="CH")`` binds values and runs without re-parsing,
-re-planning or re-generating code — the plan fingerprint abstracts parameter
-values (``Parameter`` nodes instead of literals), so one compiled program
-serves every binding, on every tier.  :meth:`ProteusEngine.query` remains as
-sugar for ``prepare(text).execute(*args, **params)`` and keeps its v1
-behaviour for literal-only queries.
+re-planning, re-analyzing or re-generating code — the plan abstracts
+parameter values (``Parameter`` nodes instead of literals), so one compiled
+program serves every binding, on every tier.  :meth:`ProteusEngine.query`
+remains as sugar for ``prepare(text).execute(*args, **params)`` and keeps its
+v1 behaviour for literal-only queries.
 
 Results are returned as a lazy columnar :class:`ResultSet`: the executor's
 columnar output *is* the backing store — ``column_array`` hands out NumPy
@@ -86,12 +87,11 @@ from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.core.types import python_value as _python_value
 from repro.core.analysis import (
+    CODEGEN_DISABLED,
     NullabilityHints,
     PlanAnalysis,
-    SchemaAnalysis,
     TIER_CODEGEN,
     TIER_CODEGEN_FAILED,
-    TIER_VOLCANO,
     TierVerdict,
     analyze_schema,
     tier_verdicts,
@@ -104,6 +104,7 @@ from repro.core.comprehension_parser import parse_comprehension
 from repro.core.concurrency import make_lock
 from repro.core.executor.vectorized import (
     DEFAULT_BATCH_SIZE,
+    FactorizedChain,
     VectorizedExecutor,
     factorized_chain,
 )
@@ -153,10 +154,10 @@ from repro.storage.memory import MemoryManager
 #: are strings.
 ParamValues = Mapping[int | str, object]
 
-#: Query texts each of the engine's two text-keyed caches (parsed
-#: comprehensions, prepared queries) keeps, least recently used evicted
+#: Entries each of the engine's two LRUs keeps — prepared queries by query
+#: text, generated modules by plan fingerprint — least recently used evicted
 #: first: clients that inline literals send an unbounded stream of distinct
-#: texts and must not grow a server forever.
+#: texts (and so shapes) and must not grow a server forever.
 SHAPE_CACHE_CAPACITY = 1024
 
 #: Parameter value types that may take part in a result-cache key: the JSON
@@ -292,32 +293,72 @@ class ResultSet:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
+class QueryShape:
+    """Everything derived from one physical plan, computed once when the plan
+    is made and dropped with it: the schema analysis and its nullability
+    hints, the capability verdicts and the tier they predict, the per-key
+    join chain and — set by the plan's first execution — the generated
+    module.
+
+    The verdicts are computed with code generation on; ``enable_codegen`` is
+    a plain engine attribute callers may flip between executions, so
+    :meth:`analysis` applies it on every read.  Static analysis raises
+    :class:`~repro.errors.AnalysisError` here, at plan time: unknown nested
+    fields, mixed-type comparisons and invalid aggregate inputs never reach
+    an executor."""
+
+    __slots__ = ("_by_flag", "chain", "generated")
+
+    def __init__(self, plan: PhysicalPlan, catalog: Catalog):
+        schema = analyze_schema(plan, catalog)
+        verdicts = tier_verdicts(plan, enable_codegen=True)
+        #: The plan's analysis with code generation off, then on.
+        self._by_flag = tuple(
+            PlanAnalysis(schema.columns, flagged, schema.hints)
+            for flagged in ((CODEGEN_DISABLED, *verdicts[1:]), verdicts)
+        )
+        #: The join chain an aggregate over the plan may run per key value.
+        self.chain: FactorizedChain | None = factorized_chain(unwrap_sort(plan))
+        #: The plan's generated module, published once under the owning
+        #: PreparedQuery's lock (``None`` until the first codegen execution,
+        #: and after a generator failure, so the next execution retries).
+        self.generated: GeneratedQuery | None = None
+
+    def analysis(self, enable_codegen: bool) -> PlanAnalysis:
+        """Schema, hints and verdicts under the engine's codegen flag."""
+        return self._by_flag[1 if enable_codegen else 0]
+
+
 class PreparedQuery:
     """A query shape prepared once and executable many times.
 
-    Holds the bound comprehension, the logical plan and the physical plan of
-    one query text; ``?`` / ``:name`` placeholders stay abstract
-    :class:`~repro.core.expressions.Parameter` nodes, so the physical plan's
-    fingerprint — and therefore the engine's compiled-program cache key — is
-    shared by every execution regardless of the bound constants.
+    Holds the bound comprehension, the logical plan, the physical plan of
+    one query text and that plan's :class:`QueryShape` — its analysis,
+    verdicts, join chain and generated module.  ``?`` / ``:name``
+    placeholders stay abstract :class:`~repro.core.expressions.Parameter`
+    nodes, so one plan, one shape and one module serve every execution
+    regardless of the bound constants.
 
     :meth:`execute` binds values and runs the cascade directly: no parsing,
-    no binding and no code generation happen on the hot path.  The first
-    execution with bound values re-runs the *optimizer* once with those
-    constants feeding selectivity estimation (join order / build side), then
-    the plan is frozen; the compiled-program cache is keyed by plan
-    fingerprint, so re-optimization never invalidates compiled artifacts.
+    no binding, no analysis and no code generation happen on the hot path.
+    The first execution with bound values re-runs the *optimizer* once with
+    those constants feeding selectivity estimation (join order / build side),
+    then the plan is frozen; its new shape finds the module in the engine's
+    module cache (keyed by plan fingerprint) when the plan kept its
+    fingerprint.
 
-    Re-registering (or dropping) datasets invalidates outstanding prepared
-    queries: the engine's catalog epoch is checked on every execution and the
-    query transparently re-prepares itself against the current catalog — it
-    can never serve stale data through a baked-in ``Dataset`` object.
+    The engine's catalog epoch is the only invalidation: re-registering,
+    dropping or analyzing a dataset bumps it, and the next execution
+    transparently re-prepares against the current catalog — a new plan and a
+    new shape — so it can never serve stale data through a baked-in
+    ``Dataset`` object or a stale schema.
 
     One PreparedQuery is shared by every thread executing the same query text
     (the engine's per-text prepared cache), so its refresh state — epoch,
-    plan, value-optimized flag — lives in a single tuple swapped atomically
-    under ``self._lock``: an executing thread snapshots the whole triple in
-    one read and can never pair a stale plan with a fresh epoch.
+    plan, value-optimized flag, shape — lives in a single tuple swapped
+    atomically under ``self._lock``: an executing thread snapshots the whole
+    tuple in one read and can never pair a stale plan with a fresh epoch or
+    another plan's shape.
     """
 
     def __init__(
@@ -327,6 +368,7 @@ class PreparedQuery:
         comprehension: Comprehension,
         logical,
         plan: PhysicalPlan,
+        shape: QueryShape,
         parameter_keys: Sequence[int | str],
         epoch: int,
     ):
@@ -339,62 +381,65 @@ class PreparedQuery:
             key for key in self.parameter_keys if isinstance(key, int)
         )
         self._named = {key for key in self.parameter_keys if isinstance(key, str)}
-        #: (catalog epoch, physical plan, value-optimized?) — one atomically
-        #: rebound triple, written only inside :meth:`_current_plan` under
-        #: ``self._lock``, read lock-free as a single snapshot.
-        self._state: tuple[int, PhysicalPlan | None, bool] = (epoch, plan, False)
+        #: (catalog epoch, physical plan, value-optimized?, shape) — one
+        #: atomically rebound tuple, written only inside
+        #: :meth:`_current_plan` under ``self._lock``, read lock-free as a
+        #: single snapshot.
+        self._state: tuple[int, PhysicalPlan, bool, QueryShape] = (
+            epoch, plan, False, shape,
+        )
         self._lock = make_lock("PreparedQuery._lock")
 
     @property
-    def plan(self) -> PhysicalPlan | None:
+    def plan(self) -> PhysicalPlan:
         """The current physical plan (introspection)."""
         return self._state[1]
 
-    @property
-    def _plan(self) -> PhysicalPlan | None:
-        return self._state[1]
-
-    def _current_plan(self, params: dict | None) -> PhysicalPlan:
-        """The plan to execute with, re-preparing against the live catalog
-        when the epoch moved (or re-optimizing on the first parameterized
-        execution).  The fast path is one lock-free snapshot read; refreshes
-        serialize under ``self._lock`` so concurrent executors of this shared
-        object never observe a half-written (epoch, plan) pair."""
+    def _current_plan(self, params: dict | None) -> tuple[PhysicalPlan, QueryShape]:
+        """The plan to execute with and its shape, re-preparing against the
+        live catalog when the epoch moved (or re-optimizing on the first
+        parameterized execution).  The fast path is one lock-free snapshot
+        read; refreshes serialize under ``self._lock`` so concurrent
+        executors of this shared object never observe a half-written state."""
         engine = self._engine
-        epoch, plan, value_optimized = self._state
-        if (
-            epoch == engine._catalog_epoch
-            and plan is not None
-            and not (params and not value_optimized)
-        ):
-            return plan
+        epoch, plan, value_optimized, shape = self._state
+        if epoch == engine._catalog_epoch and not (params and not value_optimized):
+            return plan, shape
         with self._lock:
-            epoch, plan, value_optimized = self._state
+            epoch, plan, value_optimized, shape = self._state
             current_epoch = engine._catalog_epoch
-            if epoch != current_epoch:
+            stale = epoch != current_epoch
+            if stale:
                 # The catalog changed since preparation: transparently
                 # re-prepare against the current datasets (or fail the way a
                 # fresh query would, e.g. when the dataset was dropped).
                 self.comprehension = engine._to_comprehension(self._source)
                 self._logical = translate(self.comprehension)
-                plan = None
                 value_optimized = False
-            if plan is None or (params and not value_optimized):
+            if stale or (params and not value_optimized):
                 # First (parameterized) execution: run the optimizer with the
                 # bound values feeding selectivity estimation, then freeze
-                # the plan.  The compiled-program cache is keyed by the
-                # plan's parameter-abstracted fingerprint, so
-                # re-optimization can only reuse or add compiled artifacts,
-                # never invalidate them.
-                plan = engine._plan_logical(
+                # the plan.  The module cache is keyed by the plan's
+                # parameter-abstracted fingerprint, so re-optimization can
+                # only reuse or add generated modules, never invalidate them.
+                plan, shape = engine._plan_logical(
                     self._logical,
                     parameters=params or None,
                     comprehension=self.comprehension,
                 )
-                if params:
-                    value_optimized = True
-            self._state = (current_epoch, plan, value_optimized)
-            return plan
+                value_optimized = bool(params)
+            self._state = (current_epoch, plan, value_optimized, shape)
+            return plan, shape
+
+    def _publish_module(
+        self, shape: QueryShape, generated: GeneratedQuery
+    ) -> GeneratedQuery:
+        """Set ``shape``'s module once; concurrent first executions of this
+        shared object race here and every thread runs the winner."""
+        with self._lock:
+            if shape.generated is None:
+                shape.generated = generated
+            return shape.generated
 
     @property
     def parameters(self) -> list[int | str]:
@@ -408,14 +453,10 @@ class PreparedQuery:
         (dtype + nullability per column), per-tier capability verdicts and
         the nullability hints feeding the executors' fast paths.
 
-        Everything here is computed at prepare time — no data is read."""
-        plan = self._current_plan(None)
-        schema = self._engine._analyze(plan)
-        return PlanAnalysis(
-            columns=tuple(schema.columns),
-            verdicts=self._engine._verdicts(plan),
-            hints=schema.hints,
-        )
+        Everything here is computed when the plan is made — no data is
+        read."""
+        _, shape = self._current_plan(None)
+        return shape.analysis(self._engine.enable_codegen)
 
     def result_key(
         self, args: Sequence[object], named: Mapping[str, object]
@@ -435,9 +476,7 @@ class PreparedQuery:
             if type(value) not in _KEYABLE_TYPES or value != value:
                 return None
         self._current_plan(params)
-        epoch, plan, _ = self._state
-        if plan is None:  # pragma: no cover - _current_plan always plans
-            return None
+        epoch, plan, _, _ = self._state
         bound = frozenset(
             (key, type(value), value) for key, value in params.items()
         )
@@ -537,7 +576,7 @@ class ProteusEngine:
         query_memory_budget_bytes: int | None = None,
         io_retry_budget: int = 16,
     ):
-        self.memory = MemoryManager(cache_budget_bytes=cache_budget_bytes)
+        self.memory = MemoryManager()
         self.catalog = Catalog()
         self.enable_codegen = enable_codegen
         #: Worker count of the batch executor's morsel fan-out; 1 (the
@@ -546,7 +585,7 @@ class ProteusEngine:
         self.vectorized_batch_size = vectorized_batch_size
         self.enable_caching = enable_caching
         self.cache_manager: CacheManager | None = (
-            CacheManager(self.memory.arena) if enable_caching else None
+            CacheManager(cache_budget_bytes) if enable_caching else None
         )
         self.plugins: dict[str, InputPlugin] = {
             DataFormat.CSV: CsvPlugin(self.memory),
@@ -565,30 +604,28 @@ class ProteusEngine:
         self.statistics = StatisticsManager(self.catalog)
         self.planner = Planner(self.catalog, self.statistics)
         self.generator = CodeGenerator()
-        #: Guards the five shape caches below and the catalog epoch: the
-        #: engine serves concurrent sessions, so every publish into (or bulk
-        #: clear of) shared prepare-time state happens under this lock.
-        #: Expensive work (parse, plan, codegen) runs *outside* it; winners
-        #: are chosen with ``setdefault`` — the double-checked publish
-        #: pattern, checked by ``tools/concurrency_lint.py``.
+        #: Guards the two LRUs below and the catalog epoch: the engine serves
+        #: concurrent sessions, so every publish into shared prepare-time
+        #: state happens under this lock.  Expensive work (parse, plan,
+        #: codegen) runs *outside* it; winners are chosen with
+        #: ``setdefault`` — the double-checked publish pattern, checked by
+        #: ``tools/concurrency_lint.py``.
         self._lock = make_lock("ProteusEngine._lock")
-        self._compiled: dict[tuple, Any] = {}
-        self._parsed: OrderedDict[str, Comprehension] = OrderedDict()
-        #: Static-analysis cache keyed by plan fingerprint; entries are
-        #: invalidated with the catalog epoch (schemas may change).
-        self._analyses: dict[tuple, SchemaAnalysis] = {}
-        #: Tier verdicts keyed by (plan fingerprint, ablation flags) — a pure
-        #: function of both; dropped together with ``_analyses``.
-        self._verdict_cache: dict[tuple, tuple[TierVerdict, ...]] = {}
+        #: Generated modules by the fingerprint of the plan beneath any sort
+        #: (ORDER BY / LIMIT variants of one shape share one).  No catalog
+        #: change clears it: a module reads expressions only, never a schema.
+        #: An LRU of ``SHAPE_CACHE_CAPACITY`` shapes.
+        self._compiled: OrderedDict[tuple, GeneratedQuery] = OrderedDict()
         #: Prepared-query cache backing the ``query()`` sugar (keyed by the
-        #: stripped query text); outstanding entries survive catalog changes
-        #: because every execution re-validates against ``_catalog_epoch``.
-        #: Like ``_parsed`` an LRU of ``SHAPE_CACHE_CAPACITY`` texts; an
-        #: evicted PreparedQuery stays valid for whoever still holds it.
+        #: stripped query text); entries survive catalog changes because
+        #: every execution re-validates against ``_catalog_epoch``.  An LRU
+        #: of ``SHAPE_CACHE_CAPACITY`` texts; an evicted PreparedQuery stays
+        #: valid for whoever still holds it.
         self._prepared_cache: OrderedDict[str, PreparedQuery] = OrderedDict()
         #: Monotonic counter bumped on every catalog mutation (register,
-        #: re-register, unregister, analyze).  PreparedQuery executions
-        #: compare against it and transparently re-prepare on mismatch.
+        #: re-register, unregister, analyze) — the only invalidation of
+        #: prepared state.  PreparedQuery executions compare against it and
+        #: transparently re-prepare on mismatch.
         self._catalog_epoch = 0
         #: Introspection of the most recent query.
         self.last_plan: PhysicalPlan | None = None
@@ -665,7 +702,7 @@ class ProteusEngine:
             self.metrics.gauge_callback(
                 "proteus_cache_used_bytes",
                 lambda: float(manager.used_bytes),
-                "Bytes of arena memory held by cache entries.",
+                "Bytes held by cache entries, against the cache budget.",
             )
         coalescer = self._scan_coalescer
         if coalescer is not None:
@@ -769,19 +806,10 @@ class ProteusEngine:
         plugin = self.plugins[data_format]
         if name in self.catalog:
             # Re-registration under an existing name: drop the old plug-in
-            # state, any caches built from the previous data and every
-            # compiled program (they bake Dataset objects in as constants),
-            # exactly as ``unregister`` would — otherwise a compiled program
-            # or cache entry from the old path/schema could serve stale
-            # results.  A brand-new name cannot affect existing programs.
-            old = self.catalog.get(name)
-            old_plugin = self.plugins.get(old.format)
-            if old_plugin is not None and hasattr(old_plugin, "invalidate"):
-                old_plugin.invalidate(name)
-            if self.cache_manager is not None:
-                self.cache_manager.invalidate_dataset(name)
-            with self._lock:
-                self._compiled.clear()
+            # state and any caches built from the previous data, exactly as
+            # ``unregister`` would, so no cache entry from the old
+            # path/schema can serve stale results.
+            self._drop_data(self.catalog.get(name))
         if schema is not None and not isinstance(schema, t.RecordType):
             schema = t.make_schema(schema)
         dataset = Dataset(name=name, format=data_format, path=path,
@@ -791,15 +819,11 @@ class ProteusEngine:
         self.catalog.register(dataset, replace=True)
         if analyze:
             self.analyze(name)
+        # Any catalog change invalidates outstanding PreparedQuery objects
+        # (their plans may bake stale Dataset objects or, for a brand-new
+        # name, resolve unqualified columns differently); they transparently
+        # re-prepare on their next execution.
         with self._lock:
-            self._parsed.clear()
-            self._prepared_cache.clear()
-            self._analyses.clear()
-            self._verdict_cache.clear()
-            # Any catalog change invalidates outstanding PreparedQuery objects
-            # (their plans may bake stale Dataset objects or, for a brand-new
-            # name, resolve unqualified columns differently); they
-            # transparently re-prepare on their next execution.
             self._catalog_epoch += 1
         return dataset
 
@@ -807,19 +831,9 @@ class ProteusEngine:
         """Remove a dataset, its plug-in state and any caches built from it."""
         if name not in self.catalog:
             return
-        dataset = self.catalog.get(name)
-        plugin = self.plugins.get(dataset.format)
-        if plugin is not None and hasattr(plugin, "invalidate"):
-            plugin.invalidate(name)
-        if self.cache_manager is not None:
-            self.cache_manager.invalidate_dataset(name)
+        self._drop_data(self.catalog.get(name))
         self.catalog.unregister(name)
         with self._lock:
-            self._compiled.clear()
-            self._parsed.clear()
-            self._prepared_cache.clear()
-            self._analyses.clear()
-            self._verdict_cache.clear()
             self._catalog_epoch += 1
 
     def analyze(self, name: str) -> None:
@@ -829,9 +843,16 @@ class ProteusEngine:
         self.catalog.set_statistics(name, plugin.collect_statistics(dataset))
         # Fresh statistics can change join orders; let prepared plans refresh.
         with self._lock:
-            self._analyses.clear()
-            self._verdict_cache.clear()
             self._catalog_epoch += 1
+
+    def _drop_data(self, dataset: Dataset) -> None:
+        """Forget the plug-in state and the cache entries built from
+        ``dataset``'s data."""
+        plugin = self.plugins.get(dataset.format)
+        if plugin is not None and hasattr(plugin, "invalidate"):
+            plugin.invalidate(dataset.name)
+        if self.cache_manager is not None:
+            self.cache_manager.invalidate_dataset(dataset.name)
 
     # ------------------------------------------------------------------------
     # Query execution
@@ -845,12 +866,14 @@ class ProteusEngine:
         anywhere a scalar expression is allowed, in both SQL and the
         comprehension syntax.  Execution binds values without re-parsing or
         re-generating code; on a repeated shape the whole frontend cost —
-        parse, bind, normalize, translate, plan, codegen — is paid once.
+        parse, bind, normalize, translate, plan, analysis, codegen — is paid
+        once.
         """
+        epoch = self._catalog_epoch
         try:
             comprehension = self._to_comprehension(text)
             logical = translate(comprehension)
-            physical = self._plan_logical(logical, comprehension=comprehension)
+            physical, shape = self._plan_logical(logical, comprehension=comprehension)
         except ProteusError as exc:
             # Prepare-time failures (parse, bind, TYP analysis, planning)
             # count as failed queries too — same counter, keyed by code.
@@ -863,8 +886,9 @@ class ProteusEngine:
             comprehension,
             logical,
             physical,
+            shape,
             comprehension.parameters(),
-            self._catalog_epoch,
+            epoch,
         )
 
     def query(
@@ -909,10 +933,9 @@ class ProteusEngine:
         """
         if analyze:
             return self._explain_analyze(text, args, params)
-        comprehension = self._to_comprehension(text)
-        physical = self._plan(comprehension)
-        analysis = self._analyze(physical)
-        verdicts = self._verdicts(physical)
+        prepared = self.prepare(text)
+        physical, shape = prepared._current_plan(None)
+        analysis = shape.analysis(self.enable_codegen)
         parts = ["== physical plan ==", physical.pretty()]
         if analysis.columns:
             parts.extend(["", "== inferred output schema =="])
@@ -945,7 +968,9 @@ class ProteusEngine:
                     "columns fall back to the boxed comparator)",
                 ]
             )
-        generated, _, verdicts = self._generate(physical, verdicts)
+        generated, _, verdicts = self._generate(
+            prepared, physical, shape, analysis.verdicts
+        )
         if generated is not None:
             parts.extend(["", "== generated code ==", generated.source])
         elif self.enable_codegen:
@@ -967,10 +992,14 @@ class ProteusEngine:
                     f"{verdict.tier}: declines -- {verdict.reason} "
                     f"[{verdict.code}]"
                 )
-        parts.extend(["", "== vectorized fan-out ==", self._planned_fanout(physical)])
+        parts.extend(
+            ["", "== vectorized fan-out ==", self._planned_fanout(physical, shape.chain)]
+        )
         return "\n".join(parts)
 
-    def _planned_fanout(self, physical: PhysicalPlan) -> str:
+    def _planned_fanout(
+        self, physical: PhysicalPlan, chain: FactorizedChain | None
+    ) -> str:
         """How the batch pipeline would run this plan's driving scan, from
         catalog facts only: the collected row count (unknown without
         statistics — then the executor decides when the scan opens) and
@@ -983,7 +1012,6 @@ class ProteusEngine:
         dataset = self.catalog.get(scan.dataset)
         plugin = self.plugins[dataset.format]
         statistics = dataset.statistics
-        chain = factorized_chain(unwrap_sort(physical))
         _, why = plan_fanout(
             self.parallel_workers,
             int(statistics.cardinality) if statistics is not None else None,
@@ -1006,11 +1034,8 @@ class ProteusEngine:
         with self.tracer.force():
             prepared = self.prepare(text)
             result = prepared.execute(*args, **params)
-        plan = prepared._plan
-        if plan is None:  # pragma: no cover - execute() always plans
-            raise ProteusError("explain(analyze=True) produced no plan")
         return render_explain_analyze(
-            plan,
+            prepared.plan,
             self.tracer.last(),
             result.profile,
             self.statistics,
@@ -1034,7 +1059,7 @@ class ProteusEngine:
             )
         return prepared
 
-    def _lru_lookup(self, cache: OrderedDict, key: str):
+    def _lru_lookup(self, cache: OrderedDict, key):
         """``cache[key]`` marked most recently used, or ``None``."""
         with self._lock:
             value = cache.get(key)
@@ -1042,9 +1067,9 @@ class ProteusEngine:
                 cache.move_to_end(key)
         return value
 
-    def _lru_publish(self, cache: OrderedDict, key: str, value):
-        """Double-checked publish into a text-keyed LRU: the first value
-        published under ``key`` wins and is returned; texts beyond
+    def _lru_publish(self, cache: OrderedDict, key, value):
+        """Double-checked publish into one of the engine's LRUs: the first
+        value published under ``key`` wins and is returned; keys beyond
         ``SHAPE_CACHE_CAPACITY`` drop off the cold end."""
         with self._lock:
             value = cache.setdefault(key, value)
@@ -1065,9 +1090,6 @@ class ProteusEngine:
             comprehension = text
         else:
             stripped = text.strip()
-            cached = self._lru_lookup(self._parsed, stripped)
-            if cached is not None:
-                return cached
             if stripped.lower().startswith("select"):
                 comprehension = parse_sql(stripped)
             elif stripped.lower().startswith("for"):
@@ -1076,8 +1098,6 @@ class ProteusEngine:
                 raise ProteusError(
                     "queries must start with SELECT (SQL) or FOR (comprehension syntax)"
                 )
-            bound = normalize(bind_comprehension(comprehension, self.catalog.element_types()))
-            return self._lru_publish(self._parsed, stripped, bound)
         return normalize(bind_comprehension(comprehension, self.catalog.element_types()))
 
     def _plan_logical(
@@ -1085,7 +1105,8 @@ class ProteusEngine:
         logical,
         parameters: ParamValues | None = None,
         comprehension: Comprehension | None = None,
-    ) -> PhysicalPlan:
+    ) -> tuple[PhysicalPlan, QueryShape]:
+        """The physical plan of ``logical`` and its shape."""
         order_by = comprehension.order_by if comprehension is not None else None
         limit = comprehension.limit if comprehension is not None else None
         started = time.perf_counter()
@@ -1094,45 +1115,10 @@ class ProteusEngine:
         )
         self.tracer.record_phase("plan", time.perf_counter() - started)
         _validate_output_columns(physical)
-        # Static analysis runs at prepare time: unknown fields referenced
-        # through nested paths, mixed-type comparisons and invalid aggregate
-        # inputs surface here as AnalysisError instead of surfacing as raw
-        # KeyErrors (or worse, silently wrong masks) during execution.
         started = time.perf_counter()
-        self._analyze(physical)
+        shape = QueryShape(physical, self.catalog)
         self.tracer.record_phase("analyze", time.perf_counter() - started)
-        return physical
-
-    def _analyze(self, physical: PhysicalPlan) -> SchemaAnalysis:
-        """Type/nullability analysis of a plan, cached per fingerprint."""
-        fingerprint = physical.fingerprint()
-        cached = self._analyses.get(fingerprint)
-        if cached is None:
-            cached = analyze_schema(physical, self.catalog)
-            with self._lock:
-                cached = self._analyses.setdefault(fingerprint, cached)
-        return cached
-
-    def _verdicts(self, physical: PhysicalPlan) -> tuple[TierVerdict, ...]:
-        """Static tier-capability verdicts under this engine's configuration,
-        cached per (fingerprint, ablation flag) — ``enable_codegen`` is a
-        plain attribute callers may flip between executions."""
-        key = (physical.fingerprint(), self.enable_codegen)
-        cached = self._verdict_cache.get(key)
-        if cached is None:
-            cached = tier_verdicts(physical, enable_codegen=self.enable_codegen)
-            with self._lock:
-                cached = self._verdict_cache.setdefault(key, cached)
-        return cached
-
-    def _plan(
-        self, comprehension: Comprehension, parameters: ParamValues | None = None
-    ) -> PhysicalPlan:
-        physical = self._plan_logical(
-            translate(comprehension), parameters, comprehension=comprehension
-        )
-        self.last_plan = physical
-        return physical
+        return physical, shape
 
     def _execute_prepared(
         self,
@@ -1141,19 +1127,27 @@ class ProteusEngine:
         timeout: float | None = None,
         cancel: CancellationToken | None = None,
     ) -> ResultSet:
-        plan = prepared._current_plan(params)
+        try:
+            plan, shape = prepared._current_plan(params)
+        except ProteusError as exc:
+            # A re-prepare after a catalog change fails like a fresh
+            # prepare() would (a dropped dataset, a changed schema).
+            self._count_query_failure(exc)
+            raise
         self.last_plan = plan
         query_text = (
             prepared._source if isinstance(prepared._source, str) else None
         )
         return self._execute(
-            plan, params or None, query_text=query_text,
+            prepared, plan, shape, params or None, query_text=query_text,
             timeout=timeout, cancel=cancel,
         )
 
     def _execute(
         self,
+        prepared: PreparedQuery,
         physical: PhysicalPlan,
+        shape: QueryShape,
         params: ParamValues | None = None,
         query_text: str | None = None,
         timeout: float | None = None,
@@ -1203,7 +1197,8 @@ class ProteusEngine:
             # its own threads.
             with activate_context(context):
                 return self._execute_with_context(
-                    physical, params, query_text, started, context, trace
+                    prepared, physical, shape, params, query_text, started,
+                    context, trace,
                 )
         except ProteusError as exc:
             # Any failure mid-execution — deadline, cancellation, exhausted
@@ -1298,7 +1293,9 @@ class ProteusEngine:
 
     def _execute_with_context(
         self,
+        prepared: PreparedQuery,
         physical: PhysicalPlan,
+        shape: QueryShape,
         params: ParamValues | None,
         query_text: str | None,
         started: float,
@@ -1312,27 +1309,28 @@ class ProteusEngine:
             resolve_limit(sort_plan.limit, params) if sort_plan is not None else None
         )
         cascade_started = time.perf_counter()
-        analysis = self._analyze(physical)
-        verdicts = self._verdicts(physical)
-        predicted_tier = TIER_CODEGEN if verdicts[0].serves else TIER_VOLCANO
+        analysis = shape.analysis(self.enable_codegen)
         if trace is not None:
             trace.add_phase(
                 "tier-cascade", time.perf_counter() - cascade_started
             )
-        generated, from_cache, verdicts = self._generate(physical, verdicts)
+        generated, from_cache, verdicts = self._generate(
+            prepared, physical, shape, analysis.verdicts
+        )
         decline_reasons = {
             v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
         }
         execute_started = time.perf_counter()
         if generated is not None:
             executed = self._execute_pipeline(
-                generated, from_cache, physical, params, analysis.hints, trace, context
+                generated, from_cache, physical, shape.chain, params,
+                analysis.hints, trace, context,
             )
         else:
             executed = self._execute_volcano(physical, params, trace, context)
         execute_seconds = time.perf_counter() - execute_started
         names, columns, profile = executed
-        profile.predicted_tier = predicted_tier
+        profile.predicted_tier = analysis.predicted_tier
         profile.tier_decline_reasons = decline_reasons
         profile.io_retries = context.io_retries
         if trace is not None:
@@ -1501,46 +1499,55 @@ class ProteusEngine:
         return total
 
     def _generate(
-        self, physical: PhysicalPlan, verdicts: tuple[TierVerdict, ...]
+        self,
+        prepared: PreparedQuery,
+        physical: PhysicalPlan,
+        shape: QueryShape,
+        verdicts: tuple[TierVerdict, ...],
     ) -> tuple[GeneratedQuery | None, bool, tuple[TierVerdict, ...]]:
-        """The plan's generated module, whether it came from the cache, and
+        """The plan's generated module, whether it was generated before, and
         the verdicts it leaves — before any batch runs, for ``execute()``
-        and ``explain()`` alike.  Nothing is generated for a plan the codegen
-        verdict declines; one the generator fails on is declined here
-        (``TIER009``), so the Volcano interpreter serves it and no query runs
-        twice.  The functions cover the plan beneath a root PhysSort, so one
-        module serves every ORDER BY / LIMIT variation of the same shape (the
-        cache is keyed by that plan's fingerprint)."""
+        and ``explain()`` alike.  A shape holds its module from its first
+        execution on; a new shape looks the module up in ``_compiled`` by
+        the fingerprint of the plan beneath a root PhysSort, so one module
+        serves every ORDER BY / LIMIT variation of the same shape.  Nothing
+        is generated for a plan the codegen verdict declines; one the
+        generator fails on is declined here (``TIER009``), so the Volcano
+        interpreter serves it and no query runs twice."""
         if not verdicts[0].serves:  # CASCADE_TIERS[0] is codegen
             return None, False, verdicts
+        if shape.generated is not None:
+            return shape.generated, True, verdicts
         target = unwrap_sort(physical)
         fingerprint = target.fingerprint()
-        generated = self._compiled.get(fingerprint)
-        if generated is not None:
-            return generated, True, verdicts
-        codegen_started = time.perf_counter()
-        try:
-            generated = self.generator.generate(target)
-        except CodegenError as exc:
-            failed = TierVerdict(
-                TIER_CODEGEN,
-                serves=False,
-                code=TIER_CODEGEN_FAILED,
-                reason=f"code generation failed: {exc}",
+        generated = self._lru_lookup(self._compiled, fingerprint)
+        from_cache = generated is not None
+        if generated is None:
+            codegen_started = time.perf_counter()
+            try:
+                generated = self.generator.generate(target)
+            except CodegenError as exc:
+                failed = TierVerdict(
+                    TIER_CODEGEN,
+                    serves=False,
+                    code=TIER_CODEGEN_FAILED,
+                    reason=f"code generation failed: {exc}",
+                )
+                return None, False, (failed, *verdicts[1:])
+            self.tracer.record_phase(
+                "codegen", time.perf_counter() - codegen_started
             )
-            return None, False, (failed, *verdicts[1:])
-        self.tracer.record_phase("codegen", time.perf_counter() - codegen_started)
-        # Concurrent cold executions of one shape race to generate; the
-        # first publication wins so every thread runs the same functions.
-        with self._lock:
-            generated = self._compiled.setdefault(fingerprint, generated)
-        return generated, False, verdicts
+            # Concurrent cold executions of one shape race to generate; the
+            # first publication wins so every thread runs the same functions.
+            generated = self._lru_publish(self._compiled, fingerprint, generated)
+        return prepared._publish_module(shape, generated), from_cache, verdicts
 
     def _execute_pipeline(
         self,
         generated: GeneratedQuery,
         from_cache: bool,
         physical: PhysicalPlan,
+        chain: FactorizedChain | None,
         params: ParamValues | None,
         hints: NullabilityHints | None,
         trace: TraceBuilder | None,
@@ -1560,7 +1567,7 @@ class ProteusEngine:
             trace=trace,
             context=context,
         )
-        names, columns = generated(executor, physical)
+        names, columns = generated(executor, physical, chain)
         profile = ExecutionProfile(
             execution_tier=TIER_CODEGEN,
             compiled_from_cache=from_cache,

@@ -2023,12 +2023,14 @@ class VectorizedExecutor:
         self.fanout = ParallelVectorizedExecutor(num_workers, context)
 
     def execute(
-        self, plan: PhysicalPlan, program
+        self, plan: PhysicalPlan, program, chain: FactorizedChain | None
     ) -> tuple[list[str], dict[str, Any]]:
         """Execute a plan; returns (column names, column values).
 
         ``program`` is the plan's :class:`~repro.core.codegen.GeneratedQuery`:
-        every plan expression evaluates through its fused function."""
+        every plan expression evaluates through its fused function.
+        ``chain`` is :func:`factorized_chain` of the plan beneath any sort,
+        computed once when the plan was made."""
         evaluator = program.function_for
         sort_plan: PhysSort | None = None
         if isinstance(plan, PhysSort):
@@ -2051,7 +2053,6 @@ class VectorizedExecutor:
             context=self.context,
         )
         root = _make_root(plan, sort_plan, self.params, self.hints, evaluator)
-        chain = factorized_chain(plan)
         result = None
         if chain is not None:
             result = self._execute_factorized(chain, root, compiler, evaluator)

@@ -33,8 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.caching.manager import CacheManager
     from repro.core.engine import PreparedQuery, ProteusEngine
 
-#: Bookkeeping bytes charged per entry on top of the encoded body (the key,
-#: the entry object, the arena block).
+#: Bookkeeping bytes charged per entry on top of the encoded body (the key
+#: and the entry object).
 _ENTRY_OVERHEAD_BYTES = 512
 
 

@@ -238,6 +238,7 @@ def test_plan_fanout_is_the_one_decision():
 
 def test_outer_join_declines_the_codegen_tier(paths):
     """TIER005: outer joins are Volcano-only, predicted and observed."""
+    from repro.core.analysis import tier_verdicts
     from repro.core.physical import PhysHashJoin
 
     engine = make_engine(
@@ -250,8 +251,7 @@ def test_outer_join_declines_the_codegen_tier(paths):
     joins = [n for n in plan.walk() if isinstance(n, PhysHashJoin)]
     assert joins, "planner should hash-join an equijoin"
     joins[0].outer = True
-    verdicts = engine._verdicts(plan)
-    codegen, volcano = verdicts
+    codegen, volcano = tier_verdicts(plan, enable_codegen=True)
     assert not codegen.serves
     assert codegen.code == "TIER005"
     assert volcano.serves
@@ -448,8 +448,9 @@ def test_prepared_analysis_exposes_verdicts(paths):
 
 
 def test_verdicts_and_schema_are_computed_once_per_shape(paths, monkeypatch):
-    """Verdicts are a pure function of (plan, ablation flags): the execute
-    path looks them up, and only a catalog-epoch bump recomputes them."""
+    """Verdicts and schema are computed once per plan and held by its shape:
+    the execute path reads them, only a catalog-epoch bump recomputes them,
+    and the codegen flag is applied to the held verdicts on every read."""
     from repro.core import engine as engine_module
 
     calls = {"tier_verdicts": 0, "analyze_schema": 0}
@@ -474,10 +475,18 @@ def test_verdicts_and_schema_are_computed_once_per_shape(paths, monkeypatch):
     prepared.execute()
     prepared.execute()
     assert calls == {"tier_verdicts": 2, "analyze_schema": 2}
-    # Flipping an ablation flag is a different cache key, not a stale hit.
+    # Flipping the ablation flag takes effect on the next execution, and
+    # back, without recomputing anything.
     engine.enable_codegen = False
-    assert prepared.execute().tier == "volcano"
-    assert calls["tier_verdicts"] == 3
+    result = prepared.execute()
+    assert result.tier == "volcano"
+    assert result.profile.tier_decline_reasons == {
+        "codegen": "[TIER001] disabled (enable_codegen=False)"
+    }
+    assert prepared.analysis.predicted_tier == "volcano"
+    engine.enable_codegen = True
+    assert prepared.execute().tier == "codegen"
+    assert calls == {"tier_verdicts": 2, "analyze_schema": 2}
 
 
 @pytest.mark.parametrize("workers", [1, 4])

@@ -8,7 +8,7 @@ from repro.caching.manager import CacheManager, estimate_size
 from repro.caching.matching import field_cache_key, join_side_cache_key, unnest_cache_key
 from repro.caching.policies import CachingPolicy
 from repro.core.columns import EncodedColumn
-from repro.storage.memory import CacheArena
+from repro.errors import StorageError
 
 from tests.conftest import expected_items, make_engine
 
@@ -36,7 +36,7 @@ def test_policy_format_bias_ordering():
 
 
 def test_cache_store_lookup_and_stats():
-    manager = CacheManager(CacheArena(1 << 20))
+    manager = CacheManager(1 << 20)
     key = field_cache_key("ds", ("x",))
     assert manager.lookup(key) is None
     manager.store(key, np.arange(10), kind="field", dataset="ds", source_format="json")
@@ -49,7 +49,7 @@ def test_cache_store_lookup_and_stats():
 
 
 def test_cache_store_is_idempotent():
-    manager = CacheManager(CacheArena(1 << 20))
+    manager = CacheManager(1 << 20)
     key = field_cache_key("ds", ("x",))
     first = manager.store(key, np.arange(10), kind="field", dataset="ds", source_format="csv")
     second = manager.store(key, np.arange(10), kind="field", dataset="ds", source_format="csv")
@@ -61,7 +61,7 @@ def test_cache_eviction_is_format_biased():
     # Arena fits only two of the three entries; the CSV-backed one (lower
     # bias) must be evicted before the JSON-backed ones.
     array = np.arange(100, dtype=np.int64)  # 800 bytes
-    manager = CacheManager(CacheArena(1700))
+    manager = CacheManager(1700)
     manager.store(field_cache_key("c", ("a",)), array, kind="field",
                   dataset="c", source_format="csv")
     manager.store(field_cache_key("j", ("a",)), array, kind="field",
@@ -75,7 +75,7 @@ def test_cache_eviction_is_format_biased():
 
 
 def test_cache_rejects_oversized_entries():
-    manager = CacheManager(CacheArena(100))
+    manager = CacheManager(100)
     entry = manager.store(field_cache_key("d", ("x",)), np.arange(1000),
                           kind="field", dataset="d", source_format="json")
     assert entry is None
@@ -83,7 +83,7 @@ def test_cache_rejects_oversized_entries():
 
 
 def test_cache_invalidate_dataset_and_clear():
-    manager = CacheManager(CacheArena(1 << 20))
+    manager = CacheManager(1 << 20)
     manager.store(field_cache_key("a", ("x",)), np.arange(5), kind="field",
                   dataset="a", source_format="json")
     manager.store(field_cache_key("b", ("x",)), np.arange(5), kind="field",
@@ -92,6 +92,51 @@ def test_cache_invalidate_dataset_and_clear():
     assert [entry.dataset for entry in manager.entries()] == ["b"]
     manager.clear()
     assert manager.entries() == []
+    assert manager.used_bytes == 0
+
+
+def test_cache_refuses_entries_beyond_its_budget():
+    manager = CacheManager(1000)
+    first = field_cache_key("d", ("a",))
+    manager.store(first, b"x" * 400, kind="field", dataset="d", source_format="json")
+    manager.store(field_cache_key("d", ("b",)), b"x" * 500, kind="field",
+                  dataset="d", source_format="json")
+    assert manager.used_bytes == 900
+    # 200 more bytes fit only by evicting the least recently used entry.
+    manager.store(field_cache_key("d", ("c",)), b"x" * 200, kind="field",
+                  dataset="d", source_format="json")
+    assert first not in manager and manager.used_bytes == 700
+    assert manager.store(field_cache_key("d", ("huge",)), b"x" * 5000, kind="field",
+                         dataset="d", source_format="json") is None
+    assert manager.stats.rejected == 1 and manager.used_bytes == 700
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_cache_rejects_a_non_positive_budget(budget):
+    with pytest.raises(StorageError):
+        CacheManager(budget)
+
+
+def test_cache_used_bytes_is_the_sum_of_entry_sizes():
+    manager = CacheManager(64 * 6)
+
+    def check():
+        assert manager.used_bytes == sum(e.size_bytes for e in manager.entries())
+
+    for index in range(10):  # the later stores evict the earlier ones
+        source_format = ("json", "csv")[index % 2]
+        manager.store(field_cache_key(source_format, (str(index),)),
+                      np.arange(8, dtype=np.int64), kind="field",
+                      dataset=source_format, source_format=source_format)
+        check()
+    assert manager.stats.evictions == 4
+    manager.evict(manager.entries()[0].key)
+    check()
+    manager.invalidate_dataset("csv")
+    check()
+    assert manager.used_bytes > 0
+    manager.clear()
+    check()
     assert manager.used_bytes == 0
 
 
@@ -191,7 +236,7 @@ def test_victim_is_the_first_of_the_bias_then_recency_order():
     rng = np.random.RandomState(7)
     formats = ["json", "csv", "binary_column"]
     array = np.arange(8, dtype=np.int64)  # 64 bytes
-    manager = CacheManager(CacheArena(64 * 12))
+    manager = CacheManager(64 * 12)
     reference: dict[tuple, tuple[float, int]] = {}
     evicted_expected: list[tuple] = []
     evicted_seen: list[tuple] = []

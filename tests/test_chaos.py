@@ -308,8 +308,8 @@ def test_cache_eviction_between_plan_and_scan_falls_back_to_source(paths):
     assert warm.rows == [(expected,)]
     assert warm.profile.values_from_cache > 0
     assert engine.cache_manager is not None
-    # Simulate the race: the compiled-program cache was flushed (catalog
-    # churn does this) and every cached entry vanishes after planning.
+    # Simulate the race: the module cache was flushed (its LRU bound does
+    # this) and every cached entry vanishes after planning.
     # Plain eviction does not bump the catalog epoch, so the prepared plan
     # stays in use.
     engine._compiled.clear()

@@ -268,7 +268,7 @@ def test_cache_plugin_serves_cached_fields(tmp_path, memory):
     path.write_text("".join(f'{{"x": {i}, "y": {2 * i}}}\n' for i in range(50)))
     dataset = _dataset("ds", DataFormat.JSON, str(path), t.make_schema({"x": "int", "y": "int"}))
     plugin = JsonPlugin(memory)
-    manager = CacheManager(memory.arena)
+    manager = CacheManager(1 << 28)
     values = np.arange(50, dtype=np.int64)
     manager.store(field_cache_key("ds", ("x",)), values, kind="field",
                   dataset="ds", source_format="json")
@@ -366,7 +366,7 @@ def _column_batches(plugin, dataset, fmt, batch_size):
         for batch in plugin.scan_batches(dataset, [("x",)], batch_size=batch_size):
             yield batch.oids, batch.column(("x",))
         return
-    manager = CacheManager(plugin.memory.arena)
+    manager = CacheManager(1 << 28)
     scan = PhysScan("table", "r", [("x",)])
     cold = ScanOperator(scan, dataset, plugin, cache_manager=manager)
     for _ in cold.iter_batches(PipelineCounters(), batch_size):

@@ -341,8 +341,8 @@ def test_reregistration_invalidates_prepared_queries(tmp_path):
     prepared = engine.prepare("SELECT SUM(v) FROM swap WHERE k < ?")
     assert prepared.execute(10).scalar() == sum(range(10))
     # Re-registering the same name must invalidate the outstanding prepared
-    # query (its plan and the compiled program bake the old Dataset in); the
-    # next execution transparently re-prepares against the new file.
+    # query (its plan bakes the old Dataset in); the next execution
+    # transparently re-prepares against the new file.
     engine.register_csv("swap", str(path_b), schema=schema)
     assert prepared.execute(10).scalar() == sum(range(10)) * 100
     # Different parameter values keep working after the re-prepare.
@@ -359,6 +359,48 @@ def test_unregister_fails_outstanding_prepared_queries(tmp_path):
     engine.unregister("gone")
     with pytest.raises(ProteusError):
         prepared.execute(10)
+
+
+def test_reregistration_reanalyzes_but_reuses_the_module(tmp_path):
+    """A new declared type for a field the query reads: the next execution
+    re-analyzes against the new schema, and the generated module — a
+    function of the plan's expressions, never of a schema — is reused."""
+    path = tmp_path / "typed.csv"
+    path.write_text("k,v\n" + "".join(f"{i},{i}\n" for i in range(10)))
+    engine = ProteusEngine(enable_caching=True)
+    engine.register_csv("typed", str(path), schema=t.make_schema({"k": "int", "v": "int"}))
+    prepared = engine.prepare("SELECT v FROM typed WHERE k < 5")
+    first = prepared.execute()
+    assert first.tier == "codegen" and not first.profile.compiled_from_cache
+    assert prepared.analysis.column("v").dtype == t.INT
+    engine.register_csv(
+        "typed", str(path), schema=t.make_schema({"k": "int", "v": "float"})
+    )
+    again = prepared.execute()
+    assert prepared.analysis.column("v").dtype == t.FLOAT
+    assert again.tier == "codegen" and again.profile.compiled_from_cache
+    assert again.column("v") == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert len(engine._compiled) == 1
+
+
+def test_warm_executions_compute_no_plan_fingerprint(engine, monkeypatch):
+    """A prepared query owns everything derived from its plan: a warm
+    execution looks nothing up by the plan's fingerprint."""
+    prepared = engine.prepare("SELECT COUNT(*) FROM items_csv WHERE qty > 2")
+    prepared.execute()  # the first execution generates the module
+    root = prepared.plan
+    calls = []
+    original = type(root).fingerprint
+
+    def counting(node):
+        if node is root:
+            calls.append(node)
+        return original(node)
+
+    monkeypatch.setattr(type(root), "fingerprint", counting)
+    for _ in range(100):
+        assert prepared.execute().tier == "codegen"
+    assert calls == []
 
 
 # -- explain tier cascade ------------------------------------------------------
@@ -424,9 +466,10 @@ def test_explain_reports_planned_fanout(paths):
 
 
 def test_text_keyed_caches_are_bounded_lrus(engine, monkeypatch):
-    """Clients that inline literals send an endless stream of distinct texts:
-    the prepared and parsed caches stay at capacity, texts in use stay hot,
-    and an evicted PreparedQuery keeps working for whoever holds it."""
+    """Clients that inline literals send an endless stream of distinct texts,
+    each its own shape: the prepared-query and module caches stay at
+    capacity, texts in use stay hot, and an evicted PreparedQuery keeps
+    working for whoever holds it."""
     from repro.core import engine as engine_module
 
     capacity = 8
@@ -440,10 +483,8 @@ def test_text_keyed_caches_are_bounded_lrus(engine, monkeypatch):
         # A dashboard keeps asking the hot text between the one-off ones.
         assert engine._prepare_cached(hot) is hot_prepared
         assert len(engine._prepared_cache) <= capacity
-        assert len(engine._parsed) <= capacity
-    assert len(engine._prepared_cache) == len(engine._parsed) == capacity
-    # (The hot text's parse is only consulted on a re-prepare, so it ages out
-    # of ``_parsed`` like any text nobody parses again.)
+        assert len(engine._compiled) <= capacity
+    assert len(engine._prepared_cache) == len(engine._compiled) == capacity
     assert hot in engine._prepared_cache
     # Evicted long ago, still a valid statement for its holder.
     assert first_cold._source not in engine._prepared_cache

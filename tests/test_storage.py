@@ -11,7 +11,7 @@ from repro.core import types as t
 from repro.errors import CatalogError, StorageError
 from repro.storage import binary_format as bf
 from repro.storage.catalog import Catalog, DataFormat, Dataset, DatasetStatistics
-from repro.storage.memory import CacheArena, MemoryManager
+from repro.storage.memory import MemoryManager
 from repro.storage import structural_index as si
 
 
@@ -250,29 +250,6 @@ def test_memory_manager_missing_file():
     manager = MemoryManager()
     with pytest.raises(StorageError):
         manager.map_file("/does/not/exist")
-
-
-def test_cache_arena_accounting():
-    arena = CacheArena(1000)
-    arena.register("a", 400)
-    arena.register("b", 500)
-    assert arena.used_bytes == 900
-    assert not arena.can_fit(200)
-    with pytest.raises(StorageError):
-        arena.register("c", 200)
-    arena.unregister("a")
-    assert arena.can_fit(200)
-    with pytest.raises(StorageError):
-        arena.register("huge", 5000)
-
-
-def test_cache_arena_rejects_duplicates_and_bad_budget():
-    with pytest.raises(StorageError):
-        CacheArena(0)
-    arena = CacheArena(100)
-    arena.register("x", 10)
-    with pytest.raises(StorageError):
-        arena.register("x", 10)
 
 
 # -- catalog ----------------------------------------------------------------------------
