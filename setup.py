@@ -1,11 +1,27 @@
-"""Setuptools shim.
+"""Build configuration of the ``repro`` package (the source lives in ``src/``).
 
-The canonical build configuration lives in ``pyproject.toml``; this file exists
-so that fully offline environments (no ``wheel`` package available for PEP 660
-editable installs) can still do ``pip install -e . --no-build-isolation`` or
-``python setup.py develop``.
+``pip install .`` builds it; offline environments without the ``wheel``
+package can still do ``pip install -e . --no-build-isolation`` or
+``python setup.py develop``.  The version is read from
+``src/repro/__init__.py``, so it is stated once.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(encoding="utf-8"),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    python_requires=">=3.10",
+)

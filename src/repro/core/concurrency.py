@@ -460,8 +460,6 @@ GUARDED_BY: dict[str, str] = {
     "Histogram._sum": "_lock",
     "Histogram._count": "_lock",
     "Tracer._traces": "_lock",
-    "Tracer._pending_phases": "_lock",
-    "Tracer.active": "_lock",
     "TraceBuilder.phase_spans": "_lock",
     "TraceBuilder._operators": "_lock",
     "SpanAccumulator.seconds": "_lock",
@@ -501,6 +499,11 @@ THREAD_LOCAL: dict[str, str] = {
         "connection (hand-over happens through a SimpleQueue, which orders "
         "the accesses)"
     ),
+    "Tracer._local": (
+        "a threading.local: the parked prepare-time phases, the active "
+        "builder, the force() flag and the last finished trace each belong "
+        "to the thread that wrote them"
+    ),
 }
 
 #: ``"Class.attr" -> why``: state built in ``__init__`` and never mutated
@@ -534,10 +537,6 @@ BENIGN_RACES: dict[str, str] = {
     ),
     "ProteusEngine.last_profile": (
         "same introspection contract as last_plan; one atomic rebind per query"
-    ),
-    "Tracer.enabled": (
-        "force()/set flips one boolean; a query racing the flip is traced or "
-        "not traced wholesale, never torn"
     ),
     "WorkerPool.last_stolen": (
         "written by run() on the coordinating thread before workers start and "

@@ -1036,7 +1036,7 @@ class ProteusEngine:
             result = prepared.execute(*args, **params)
         return render_explain_analyze(
             prepared.plan,
-            self.tracer.last(),
+            self.tracer.last_on_this_thread(),
             result.profile,
             self.statistics,
             len(result),

@@ -139,8 +139,7 @@ from repro.core.physical import (
 )
 from repro.core.sort import TopKAccumulator, concat_chunks, resolve_limit
 from repro.errors import ExecutionError, PluginError
-from repro.obs.instrument import traced_scan, traced_stage
-from repro.obs.trace import TraceBuilder
+from repro.obs.trace import SpanAccumulator, TraceBuilder
 from repro.plugins.base import (
     FieldPath,
     InputPlugin,
@@ -397,7 +396,8 @@ class ScanOperator:
 
     Batch production is side-effect-free apart from the counters argument and
     the (lock-guarded) materialization recorder, so multiple workers may pull
-    disjoint row ranges concurrently via :meth:`iter_range`.
+    disjoint row ranges concurrently via :meth:`iter_range`.  Every stream
+    runs through one metering loop (:meth:`_metered`).
     """
 
     def __init__(
@@ -407,8 +407,8 @@ class ScanOperator:
         plugin: InputPlugin,
         cache_manager=None,
         params: Mapping[int | str, object] | None = None,
-        context=None,
         deferred: frozenset[FieldPath] = frozenset(),
+        span: SpanAccumulator | None = None,
     ):
         self.plan = plan
         self.binding = plan.binding
@@ -416,8 +416,8 @@ class ScanOperator:
         self.plugin = plugin
         self.cache_manager = cache_manager
         self.params = params
-        #: Per-query resilience context; checked once per produced batch.
-        self.context = context
+        #: The scan's span in a traced run; ``None`` untraced.
+        self.span = span
         self.paths = [tuple(path) for path in plan.paths]
         self._cached: dict[FieldPath, np.ndarray] = {}
         if cache_manager is not None:
@@ -456,54 +456,70 @@ class ScanOperator:
     ) -> Iterator[Batch]:
         """The full batch stream (inline execution)."""
         if self.fully_cached:
-            return self._iter_cached(0, self.total_rows, counters, batch_size)
-        return self._batches_of(
-            self.plugin.scan_batches(
+            stream = self._iter_cached(0, self.total_rows, counters, batch_size)
+        else:
+            stream = self.plugin.scan_batches(
                 self.dataset, self._uncached, batch_size=batch_size
-            ),
-            counters,
-        )
+            )
+        return self._metered(stream, counters)
 
     def iter_range(
         self, start: int, stop: int, counters: PipelineCounters, batch_size: int
     ) -> Iterator[Batch]:
         """The batch stream of global rows ``[start, stop)`` (one morsel)."""
         if self.fully_cached:
-            return self._iter_cached(start, stop, counters, batch_size)
-        return self._batches_of(
-            self.plugin.scan_batch_ranges(
+            stream = self._iter_cached(start, stop, counters, batch_size)
+        else:
+            stream = self.plugin.scan_batch_ranges(
                 self.dataset, self._uncached, start, stop, batch_size=batch_size
-            ),
-            counters,
-        )
+            )
+        return self._metered(stream, counters)
 
-    def _batches_of(self, stream, counters: PipelineCounters) -> Iterator[Batch]:
-        for buffers in self._metered(stream):
-            batch = self._to_batch(buffers, counters)
-            if batch is not None:
-                if self.context is not None:
-                    self.context.note_batch(batch.count)
-                yield batch
+    def _metered(self, stream: Iterator, counters: PipelineCounters) -> Iterator[Batch]:
+        """The scan's one metering loop.  ``stream`` yields the plug-in's
+        buffers, or — fully cached — batches cut from the cached columns.
 
-    def _metered(self, stream):
-        """Charge the time spent inside the plug-in's stream — the raw-data
-        parse cost — and the produced bytes to the plug-in's scan metrics.
-        One flush per stream keeps the accounting off the per-batch path."""
-        seconds = 0.0
-        nbytes = 0
+        The time spent inside a plug-in stream (the raw-data parse cost) and
+        the bytes it produced go to the plug-in's scan totals, one flush per
+        stream; a cached stream adds no plug-in call.  In a traced run the
+        time to produce each batch, its rows and bytes go to the scan's
+        span, also one flush per stream — a fan-out pays one locked add per
+        morsel, not per batch."""
+        from_plugin = not self.fully_cached
+        span = self.span
+        plugin_seconds = seconds = 0.0
+        plugin_bytes = nbytes = rows = batches = 0
+        started = time.perf_counter()
         try:
-            while True:
-                started = time.perf_counter()
-                try:
-                    buffers = next(stream)
-                except StopIteration:
+            for item in stream:
+                batch = item
+                if from_plugin:
+                    plugin_seconds += time.perf_counter() - started
+                    plugin_bytes += _nbytes(item.columns)
+                    batch = self._to_batch(item, counters)
+                if span is not None:
                     seconds += time.perf_counter() - started
-                    return
-                seconds += time.perf_counter() - started
-                nbytes += _nbytes(buffers.columns)
-                yield buffers
+                if batch is not None:
+                    if span is not None:
+                        rows += batch.count
+                        batches += 1
+                        nbytes += _nbytes(batch.columns)
+                    yield batch
+                started = time.perf_counter()
+            # The call that found the stream exhausted.
+            plugin_seconds += time.perf_counter() - started
+            seconds += time.perf_counter() - started
         finally:
-            self.plugin.record_scan(seconds, nbytes)
+            if from_plugin:
+                self.plugin.record_scan(plugin_seconds, plugin_bytes)
+            if span is not None:
+                span.add(
+                    seconds=seconds,
+                    rows_out=rows,
+                    batches=batches,
+                    nbytes=nbytes,
+                    invocations=1,
+                )
 
     def _iter_cached(
         self, start: int, stop: int, counters: PipelineCounters, batch_size: int
@@ -516,8 +532,6 @@ class ScanOperator:
                 batch.columns[(self.binding, path)] = full[begin:end]
             counters.values_from_cache += (end - begin) * len(self._cached)
             counters.batches_processed += 1
-            if self.context is not None:
-                self.context.note_batch(batch.count)
             yield batch
 
     def _to_batch(self, buffers, counters: PipelineCounters) -> Batch | None:
@@ -841,17 +855,31 @@ class CompiledPipeline:
     """
 
     source: ScanOperator
-    stages: list
+    #: ``(stage, span)`` in application order; the span is ``None`` in an
+    #: untraced run, so traced and untraced runs apply the same stages.
+    stages: list[tuple[Any, SpanAccumulator | None]]
     always_empty: bool = False
-    #: Per-query resilience context, checked once per processed batch so a
-    #: deadline/cancellation interrupts between stages of the pipeline.
+    #: Per-query resilience context: :meth:`process` checks the deadline /
+    #: cancellation and records progress once per scan batch.
     context: "object | None" = None
 
     def process(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
+        """The pipeline's one per-batch hook: one context call, then every
+        stage — timed only when it has a span."""
         if self.context is not None:
-            self.context.check()
-        for stage in self.stages:
-            batch = stage.apply(batch, counters)
+            self.context.note_batch(batch.count)
+        for stage, span in self.stages:
+            if span is None:
+                batch = stage.apply(batch, counters)
+            else:
+                started = time.perf_counter()
+                rows_in = batch.count
+                batch = stage.apply(batch, counters)
+                span.add_batch(
+                    time.perf_counter() - started,
+                    rows_in,
+                    batch.count if batch is not None else 0,
+                )
             if batch is None:
                 return None
         return batch
@@ -895,11 +923,11 @@ class PipelineCompiler:
         self.evaluator = evaluator
         #: Bound query-parameter values, attached to every scan batch.
         self.params = params
-        #: Per-query resilience context, handed to every scan operator and
-        #: compiled pipeline so batch production observes deadline/cancel.
+        #: Per-query resilience context, handed to every compiled pipeline
+        #: so batch processing observes deadline/cancel.
         self.context = context
-        #: Span trace of the current execution; ``None`` (the default) keeps
-        #: every compiled stage unwrapped — tracing costs nothing when off.
+        #: Span trace of the current execution; ``None`` (the default) gives
+        #: every stage and scan no span — tracing costs nothing when off.
         self.trace = trace
         #: Every scan operator and full-scan unnest stage created while
         #: compiling — the executor flushes their cache materializations
@@ -926,12 +954,8 @@ class PipelineCompiler:
                     lazy_scan = pipeline.source
             else:
                 pipeline = self.compile(plan.child, below)
-            pipeline.stages.append(
-                traced_stage(
-                    self.trace,
-                    plan,
-                    SelectStage(self.evaluator(plan.predicate), lazy_scan),
-                )
+            self.add_stage(
+                pipeline, plan, SelectStage(self.evaluator(plan.predicate), lazy_scan)
             )
             return pipeline
         if isinstance(plan, PhysUnnest):
@@ -957,7 +981,7 @@ class PipelineCompiler:
                 type_names=type_names,
             )
             self.cache_writers.append(stage)
-            pipeline.stages.append(traced_stage(self.trace, plan, stage))
+            self.add_stage(pipeline, plan, stage)
             return pipeline
         if isinstance(plan, PhysHashJoin):
             left, space = self.built.pop(id(plan.left), (None, None))
@@ -973,18 +997,16 @@ class PipelineCompiler:
             if space is None:
                 space = self.build_side(plan.left, plan.left_key, left)
             self.join_kernels.append(space.kernel)
-            pipeline.stages.append(
-                traced_stage(
-                    self.trace,
-                    plan,
-                    HashJoinStage(
-                        left,
-                        space,
-                        self.evaluator(plan.right_key),
-                        self._optional(plan.residual),
-                        live_above(above, plan.residual),
-                    ),
-                )
+            self.add_stage(
+                pipeline,
+                plan,
+                HashJoinStage(
+                    left,
+                    space,
+                    self.evaluator(plan.right_key),
+                    self._optional(plan.residual),
+                    live_above(above, plan.residual),
+                ),
             )
             return pipeline
         if isinstance(plan, PhysNestedLoopJoin):
@@ -993,16 +1015,14 @@ class PipelineCompiler:
             if left.count == 0 or pipeline.always_empty:
                 pipeline.always_empty = True
                 return pipeline
-            pipeline.stages.append(
-                traced_stage(
-                    self.trace,
-                    plan,
-                    NestedLoopJoinStage(
-                        left,
-                        self._optional(plan.predicate),
-                        live_above(above, plan.predicate),
-                    ),
-                )
+            self.add_stage(
+                pipeline,
+                plan,
+                NestedLoopJoinStage(
+                    left,
+                    self._optional(plan.predicate),
+                    live_above(above, plan.predicate),
+                ),
             )
             return pipeline
         raise ExecutionError(
@@ -1014,7 +1034,18 @@ class PipelineCompiler:
         for writer in self.cache_writers:
             writer.store_materialized()
 
+    def add_stage(self, pipeline: CompiledPipeline, node: PhysicalPlan, stage) -> None:
+        """Append ``stage``, the work of plan ``node``, to ``pipeline`` —
+        with the node's span when the run is traced."""
+        name = type(node).__name__.removeprefix("Phys").lower()
+        pipeline.stages.append((stage, self._span(name, node, type(stage).__name__)))
+
     # -- helpers -------------------------------------------------------------
+
+    def _span(self, name: str, node: PhysicalPlan, detail: str) -> SpanAccumulator | None:
+        if self.trace is None:
+            return None
+        return self.trace.operator(name, node=node, detail=detail)
 
     def _optional(self, expression: Expression | None) -> Evaluator | None:
         return None if expression is None else self.evaluator(expression)
@@ -1036,12 +1067,11 @@ class PipelineCompiler:
             deferred = frozenset(tuple(path) for path in plan.paths) - needed
         operator = ScanOperator(
             plan, dataset, plugin, self.cache_manager, params=self.params,
-            context=self.context, deferred=deferred,
+            deferred=deferred,
+            span=self._span(f"scan:{dataset.name}", plan, plugin.format_name),
         )
         self.cache_writers.append(operator)
-        return CompiledPipeline(
-            traced_scan(self.trace, plan, operator), [], context=self.context
-        )
+        return CompiledPipeline(operator, [], context=self.context)
 
     def build_side(
         self, side: PhysicalPlan, key: Expression, build: Batch
@@ -2102,7 +2132,7 @@ class VectorizedExecutor:
         for index, subplan in enumerate(chain.inputs[1:], start=1):
             pipeline = compiler.compile(subplan)
             stage = SlotStage(space, evaluator(chain.keys[index]))
-            pipeline.stages.append(traced_stage(self.trace, chain.probes[index - 1], stage))
+            compiler.add_stage(pipeline, chain.probes[index - 1], stage)
             reducer = _slot_root(chain, root, index, space.size)
             reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
             if not reduced.rows.any():  # no row of this input has a slot

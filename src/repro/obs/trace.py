@@ -1,10 +1,11 @@
 """Span tracing: per-phase and per-operator timing of one query execution.
 
 The tracing layer is pay-for-what-you-use.  When the engine's ``Tracer`` is
-disabled (the default) no builder exists, every instrumentation site reduces
-to one ``is None`` check, and the batch pipelines run the exact same
-unwrapped stage objects as an untraced engine.  When enabled, one
-:class:`TraceBuilder` accompanies a query execution and collects:
+disabled (the default) no builder exists and every instrumentation site
+reduces to one ``is None`` check; a traced batch pipeline applies the same
+stage objects as an untraced one, only with a span beside each.  When
+enabled, one :class:`TraceBuilder` accompanies a query execution and
+collects:
 
 * **phase spans** — ``parse``, ``analyze``, ``plan``, ``codegen``,
   ``tier-cascade``, ``execute``, ``materialize`` — wall-clock sections of the
@@ -24,7 +25,6 @@ ring buffer on the engine (``engine.tracer.traces()``) with a structured
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -103,8 +103,9 @@ class Span:
 class SpanAccumulator:
     """Thread-safe mutable accumulator behind one operator span.
 
-    Instrumentation wrappers call :meth:`add` (batch pipeline: once per
-    batch; Volcano: once per exhausted iterator).
+    The batch pipeline adds once per batch for a stage (:meth:`add_batch`,
+    from ``CompiledPipeline.process``) and once per stream for a scan;
+    Volcano's iterator wrappers add once per exhausted iterator.
     The lock is uncontended on a single thread and per-batch under a morsel
     fan-out, so its cost disappears into the batch work it measures.
     """
@@ -168,7 +169,7 @@ class SpanAccumulator:
             self.invocations += invocations
 
     def add_batch(self, seconds: float, rows_in: int, rows_out: int) -> None:
-        """Lock-free positional fast path for the per-batch stage wrappers.
+        """Lock-free positional fast path for the per-batch stage timing.
 
         Each thread accumulates into its own bucket (kwargs packing and the
         lock both cost as much as the arithmetic at this call rate); the
@@ -272,14 +273,6 @@ class TraceBuilder:
         with self._lock:
             self.phase_spans.append(Span(name=name, kind="phase", seconds=seconds))
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_phase(name, time.perf_counter() - started)
-
     # -- operators -------------------------------------------------------------
 
     def node_ordinal(self, node: object) -> int | None:
@@ -344,51 +337,71 @@ class TraceBuilder:
         )
 
 
+class _ThreadTracing(threading.local):
+    """One thread's tracing state (see :class:`Tracer`)."""
+
+    def __init__(self) -> None:
+        #: Phases measured before an execution started on this thread.
+        self.pending: list[tuple[str, float]] = []
+        #: The builder of the execution running on this thread.
+        self.active: TraceBuilder | None = None
+        #: Inside :meth:`Tracer.force` on this thread.
+        self.forced = False
+        #: The last trace an execution on this thread finished.
+        self.finished: QueryTrace | None = None
+
+
 class Tracer:
     """The engine's tracing switchboard and bounded trace ring buffer.
 
-    ``enabled`` is the master switch — engines pass ``enable_tracing=True``
-    (or use :meth:`force`, which ``explain(analyze=True)`` does).  Phases
-    measured before an execution starts (parse/plan happen in ``prepare()``)
-    are parked in a pending list and folded into the next builder.
+    Tracing is on for every thread when the engine passes
+    ``enable_tracing=True``, and on for one thread inside :meth:`force`
+    (``explain(analyze=True)``).  Phases measured before an execution starts
+    (parse/plan happen in ``prepare()``) are parked and folded into the next
+    builder begun *on the same thread*: the parked phases, the active
+    builder and the force flag are per thread, so concurrent sessions never
+    see each other's.
     """
 
     def __init__(
         self, capacity: int = DEFAULT_TRACE_CAPACITY, enabled: bool = False
     ) -> None:
-        self.enabled = enabled
+        self._enabled = enabled
         self._traces: deque[QueryTrace] = deque(maxlen=max(int(capacity), 1))
-        self._pending_phases: list[tuple[str, float]] = []
-        self.active: TraceBuilder | None = None
+        self._local = _ThreadTracing()
         self._lock = make_lock("Tracer._lock")
+
+    @property
+    def enabled(self) -> bool:
+        """Is tracing on for the calling thread?"""
+        return self._enabled or self._local.forced
 
     # -- recording -------------------------------------------------------------
 
     def record_phase(self, name: str, seconds: float) -> None:
-        """Park a phase measured outside an active execution (prepare time)."""
+        """Add a phase to this thread's execution, or park it (prepare time)."""
         if not self.enabled:
             return
-        with self._lock:
-            active = self.active
-            if active is None:
-                # Bound the parked list: prepares without a following execute
-                # must not accumulate (keep the most recent prepare's phases).
-                if len(self._pending_phases) >= 16:
-                    del self._pending_phases[0]
-                self._pending_phases.append((name, seconds))
-                return
-        active.add_phase(name, seconds)
+        local = self._local
+        if local.active is not None:
+            local.active.add_phase(name, seconds)
+            return
+        # Bound the parked list: prepares without a following execute must
+        # not accumulate (keep the most recent prepare's phases).
+        if len(local.pending) >= 16:
+            del local.pending[0]
+        local.pending.append((name, seconds))
 
     def begin(self, query_text: str, plan: "PhysicalPlan | None") -> TraceBuilder | None:
         """Start tracing one execution; ``None`` when tracing is disabled."""
         if not self.enabled:
             return None
         builder = TraceBuilder(query_text, plan)
-        with self._lock:
-            pending, self._pending_phases = self._pending_phases, []
-            self.active = builder
-        for name, seconds in pending:
+        local = self._local
+        for name, seconds in local.pending:
             builder.add_phase(name, seconds)
+        local.pending = []
+        local.active = builder
         return builder
 
     def finish(
@@ -401,8 +414,10 @@ class Tracer:
         trace = builder.finish(profile, elapsed_seconds, aborted=aborted)
         with self._lock:
             self._traces.append(trace)
-            if self.active is builder:
-                self.active = None
+        local = self._local
+        if local.active is builder:
+            local.active = None
+        local.finished = trace
         return trace
 
     # -- inspection ------------------------------------------------------------
@@ -412,20 +427,27 @@ class Tracer:
             return list(self._traces)
 
     def last(self) -> QueryTrace | None:
+        """The last trace finished on any thread."""
         with self._lock:
             return self._traces[-1] if self._traces else None
+
+    def last_on_this_thread(self) -> QueryTrace | None:
+        """The last trace an execution on the calling thread finished."""
+        return self._local.finished
 
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
-            self._pending_phases.clear()
+        self._local.pending.clear()
 
     @contextmanager
     def force(self) -> Iterator[None]:
-        """Temporarily enable tracing (``explain(analyze=True)``)."""
-        previous = self.enabled
-        self.enabled = True
+        """Enable tracing on the calling thread for the block
+        (``explain(analyze=True)``)."""
+        local = self._local
+        previous = local.forced
+        local.forced = True
         try:
             yield
         finally:
-            self.enabled = previous
+            local.forced = previous

@@ -3,11 +3,13 @@
 A :class:`QueryContext` is created once per query in ``engine._execute`` and
 threaded through every execution tier.  Cancellation is *cooperative*: no
 thread is ever killed.  Instead each tier calls :meth:`QueryContext.check` at
-a natural unit of work — per batch in the batch pipeline,
-per morsel in the fan-out scheduler (where workers also observe
-:meth:`should_stop` alongside the error-cancel event so pool teardown drains
-cleanly) and every :data:`VOLCANO_STRIDE` tuples in the Volcano
-interpreter — and the check raises a coded
+a natural unit of work — once per batch in the batch pipeline (through
+:meth:`QueryContext.note_batch`, the one context call of
+``CompiledPipeline.process``, which also records progress), per morsel in
+the fan-out scheduler (where workers also observe :meth:`should_stop`
+alongside the error-cancel event so pool teardown drains cleanly) and every
+:data:`VOLCANO_STRIDE` tuples in the Volcano interpreter — and the check
+raises a coded
 :class:`~repro.errors.QueryTimeoutError` / :class:`~repro.errors.QueryCancelledError`
 on the worker where the work is happening.
 
@@ -128,7 +130,8 @@ class QueryContext:
             self._progress[key] = self._progress.get(key, 0) + amount
 
     def note_batch(self, rows: int) -> None:
-        """Per-batch hook of the vectorized scan: check, then record."""
+        """The batch pipeline's one call per scan batch: check, then count
+        the batch and its rows."""
         self.check()
         with self._lock:
             self._progress["batches"] = self._progress.get("batches", 0) + 1

@@ -9,6 +9,8 @@ metric means the same thing no matter which tier served the execution.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs import MetricsRegistry, Tracer
@@ -173,6 +175,70 @@ def test_tracer_force_is_temporary():
     assert not tracer.enabled
     assert tracer.begin("q2", None) is None
     assert len(tracer.traces()) == 1
+
+
+def _on_thread(function, *args):
+    """Run ``function(*args)`` on a new thread; its result, or its error
+    raised here."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = function(*args)
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+def test_parked_phases_stay_on_the_preparing_thread(paths):
+    engine = make_engine(paths, enable_tracing=True, enable_caching=False)
+    warm = "SELECT COUNT(*) FROM items_csv WHERE qty < 3"
+    engine.query(warm)
+    # Parks parse/analyze/plan on this thread; nothing executes here.
+    engine.prepare("SELECT SUM(price) AS s FROM items_csv WHERE qty < 4")
+    _on_thread(engine.query, warm)
+    phases = [span.name for span in engine.tracer.last().phases]
+    assert "parse" not in phases, phases
+    assert "execute" in phases, phases
+
+
+def test_force_traces_only_the_forcing_thread(paths):
+    engine = make_engine(paths, enable_caching=False)
+    with engine.tracer.force():
+        _on_thread(engine.query, "SELECT COUNT(*) FROM items_csv")
+    assert engine.tracer.traces() == []
+
+
+@pytest.mark.parametrize(
+    "config", ["codegen", "codegen-batched", "codegen-fanout"]
+)
+def test_scan_and_stage_spans_cover_cold_and_cached_runs(paths, config):
+    engine = make_engine(
+        paths, enable_tracing=True, enable_caching=True, **TIER_CONFIGS[config]
+    )
+    plugin = engine.plugins["json"]
+    for run in ("cold", "cached"):
+        calls = plugin.scan_calls
+        result = engine.query("SELECT COUNT(*) AS n FROM items_json WHERE qty < 7")
+        trace = engine.tracer.last()
+        scan = trace.operator_span("scan:items_json")
+        assert scan is not None, run
+        assert scan.rows_out == 120, run
+        assert scan.batches == result.profile.batches_processed, run
+        stages = [span for span in trace.operators if span.detail.endswith("Stage")]
+        assert stages, run
+        assert all(span.batches >= 1 for span in stages), (run, stages)
+        if run == "cold":
+            assert plugin.scan_calls > calls
+        else:
+            assert result.profile.values_from_cache == 120
+            assert plugin.scan_calls == calls
 
 
 # -- metrics registry ----------------------------------------------------------

@@ -47,6 +47,19 @@ def test_static_check(tool, arguments):
     )
 
 
+def test_setup_declares_the_package():
+    completed = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    name, version = completed.stdout.split()[-2:]
+    assert name == "repro"
+    assert version != "0.0.0"
+
+
 def _sources():
     """Every module of ``src/repro`` and ``tools``."""
     for base in ("src/repro", "tools"):

@@ -19,7 +19,9 @@ no longer name an operator class are flagged too.
 **Span coverage.**  Every ``Phys*`` operator class must appear as a key in
 exactly one of ``SPAN_INSTRUMENTED_OPERATORS`` / ``SPAN_EXEMPT_OPERATORS``
 in ``src/repro/obs/instrument.py`` — the declared inventory of which
-operators the tracing layer covers (and where), and which are deliberately
+operators the tracing layer covers (and where: in the batch pipeline, the
+span ``PipelineCompiler`` puts beside a stage or scan; in Volcano, an
+iterator wrapper; on the engine, a root span), and which are deliberately
 left dark (and why).  A new operator cannot silently execute untraced: the
 build fails until its observability story is stated.  Stale names are
 flagged too.
