@@ -470,8 +470,10 @@ GUARDED_BY: dict[str, str] = {
     "SpanAccumulator.invocations": "_lock",
     "SpanAccumulator._batch_buckets": "_lock",
     # resilience subsystem (context shared by every tier + pool workers)
-    "QueryContext._progress": "_lock",
-    "QueryContext._io_retries": "_lock",
+    # the execution's profile: the context mutates it only under its lock —
+    # a morsel worker's merge (QueryContext.merge) and a retry charge; the
+    # calling thread writes it unlocked only while no worker of the query runs
+    "QueryContext.profile": "_lock",
     "FaultInjector._calls": "_lock",
     "FaultInjector._fired": "_lock",
     "FaultInjector._injected": "_lock",
@@ -500,9 +502,8 @@ THREAD_LOCAL: dict[str, str] = {
         "the accesses)"
     ),
     "Tracer._local": (
-        "a threading.local: the parked prepare-time phases, the active "
-        "builder, the force() flag and the last finished trace each belong "
-        "to the thread that wrote them"
+        "a threading.local: the force() flag and the last finished trace "
+        "each belong to the thread that wrote them"
     ),
 }
 
@@ -537,6 +538,10 @@ BENIGN_RACES: dict[str, str] = {
     ),
     "ProteusEngine.last_profile": (
         "same introspection contract as last_plan; one atomic rebind per query"
+    ),
+    "WorkerPool.last_dispatched": (
+        "written by run() on the coordinating thread before workers start and "
+        "after they join; never concurrent with the workers it profiles"
     ),
     "WorkerPool.last_stolen": (
         "written by run() on the coordinating thread before workers start and "

@@ -50,6 +50,14 @@ program serves every binding, on every tier.  :meth:`ProteusEngine.query`
 remains as sugar for ``prepare(text).execute(*args, **params)`` and keeps its
 v1 behaviour for literal-only queries.
 
+Every execution keeps one ledger, an
+:class:`~repro.core.profile.ExecutionProfile` built before admission and
+carried by the execution's :class:`~repro.resilience.QueryContext`: the
+tiers count into it as they work, it comes back as ``result.profile``, and a
+failed execution — refused by admission, timed out, cancelled or broken —
+marks the same profile and attaches it to the coded error
+(``exc.profile``).
+
 Results are returned as a lazy columnar :class:`ResultSet`: the executor's
 columnar output *is* the backing store — ``column_array`` hands out NumPy
 buffers with no rows round-trip, ``rows``/iteration materialize Python tuples
@@ -132,7 +140,6 @@ from repro.errors import (
     ExecutionError,
     PlanningError,
     ProteusError,
-    ResilienceError,
 )
 from repro.obs.explain import render_explain_analyze
 from repro.obs.metrics import MetricsRegistry
@@ -297,8 +304,8 @@ class QueryShape:
     """Everything derived from one physical plan, computed once when the plan
     is made and dropped with it: the schema analysis and its nullability
     hints, the capability verdicts and the tier they predict, the per-key
-    join chain and — set by the plan's first execution — the generated
-    module.
+    join chain, the frontend phases that made it and — set by the plan's
+    first execution — the generated module.
 
     The verdicts are computed with code generation on; ``enable_codegen`` is
     a plain engine attribute callers may flip between executions, so
@@ -307,7 +314,7 @@ class QueryShape:
     fields, mixed-type comparisons and invalid aggregate inputs never reach
     an executor."""
 
-    __slots__ = ("_by_flag", "chain", "generated")
+    __slots__ = ("_by_flag", "chain", "generated", "phases")
 
     def __init__(self, plan: PhysicalPlan, catalog: Catalog):
         schema = analyze_schema(plan, catalog)
@@ -323,6 +330,10 @@ class QueryShape:
         #: PreparedQuery's lock (``None`` until the first codegen execution,
         #: and after a generator failure, so the next execution retries).
         self.generated: GeneratedQuery | None = None
+        #: ``(phase, seconds)`` of the parse / plan / analyze work that made
+        #: this shape, reported by its first execution only: taken (and
+        #: emptied) under the owning PreparedQuery's lock.
+        self.phases: list[tuple[str, float]] = []
 
     def analysis(self, enable_codegen: bool) -> PlanAnalysis:
         """Schema, hints and verdicts under the engine's codegen flag."""
@@ -409,14 +420,19 @@ class PreparedQuery:
             epoch, plan, value_optimized, shape = self._state
             current_epoch = engine._catalog_epoch
             stale = epoch != current_epoch
-            if stale:
-                # The catalog changed since preparation: transparently
-                # re-prepare against the current datasets (or fail the way a
-                # fresh query would, e.g. when the dataset was dropped).
-                self.comprehension = engine._to_comprehension(self._source)
-                self._logical = translate(self.comprehension)
-                value_optimized = False
             if stale or (params and not value_optimized):
+                # The new shape's first execution is this one: it reports the
+                # phases the shape it replaces measured and never reported.
+                phases, shape.phases = shape.phases, []
+                if stale:
+                    # The catalog changed since preparation: transparently
+                    # re-prepare against the current datasets (or fail the
+                    # way a fresh query would, e.g. when the dataset was
+                    # dropped).
+                    self.comprehension = engine._to_comprehension(
+                        self._source, phases
+                    )
+                    self._logical = translate(self.comprehension)
                 # First (parameterized) execution: run the optimizer with the
                 # bound values feeding selectivity estimation, then freeze
                 # the plan.  The module cache is keyed by the plan's
@@ -424,12 +440,22 @@ class PreparedQuery:
                 # only reuse or add generated modules, never invalidate them.
                 plan, shape = engine._plan_logical(
                     self._logical,
+                    phases,
                     parameters=params or None,
                     comprehension=self.comprehension,
                 )
                 value_optimized = bool(params)
             self._state = (current_epoch, plan, value_optimized, shape)
             return plan, shape
+
+    def _take_phases(self, shape: QueryShape) -> list[tuple[str, float]]:
+        """``shape``'s frontend phases, once: its first execution reports
+        them, every later one (and every other shape's) gets none."""
+        if not shape.phases:
+            return []
+        with self._lock:
+            phases, shape.phases = shape.phases, []
+        return phases
 
     def _publish_module(
         self, shape: QueryShape, generated: GeneratedQuery
@@ -870,10 +896,13 @@ class ProteusEngine:
         once.
         """
         epoch = self._catalog_epoch
+        phases: list[tuple[str, float]] = []
         try:
-            comprehension = self._to_comprehension(text)
+            comprehension = self._to_comprehension(text, phases)
             logical = translate(comprehension)
-            physical, shape = self._plan_logical(logical, comprehension=comprehension)
+            physical, shape = self._plan_logical(
+                logical, phases, comprehension=comprehension
+            )
         except ProteusError as exc:
             # Prepare-time failures (parse, bind, TYP analysis, planning)
             # count as failed queries too — same counter, keyed by code.
@@ -1078,14 +1107,12 @@ class ProteusEngine:
                 cache.popitem(last=False)
         return value
 
-    def _to_comprehension(self, text: str | Comprehension) -> Comprehension:
+    def _to_comprehension(
+        self, text: str | Comprehension, phases: list[tuple[str, float]]
+    ) -> Comprehension:
+        """The bound, normalized comprehension of ``text``; the time it took
+        is added to ``phases`` as ``parse``."""
         started = time.perf_counter()
-        try:
-            return self._to_comprehension_inner(text)
-        finally:
-            self.tracer.record_phase("parse", time.perf_counter() - started)
-
-    def _to_comprehension_inner(self, text: str | Comprehension) -> Comprehension:
         if isinstance(text, Comprehension):
             comprehension = text
         else:
@@ -1098,26 +1125,33 @@ class ProteusEngine:
                 raise ProteusError(
                     "queries must start with SELECT (SQL) or FOR (comprehension syntax)"
                 )
-        return normalize(bind_comprehension(comprehension, self.catalog.element_types()))
+        comprehension = normalize(
+            bind_comprehension(comprehension, self.catalog.element_types())
+        )
+        phases.append(("parse", time.perf_counter() - started))
+        return comprehension
 
     def _plan_logical(
         self,
         logical,
+        phases: list[tuple[str, float]],
         parameters: ParamValues | None = None,
         comprehension: Comprehension | None = None,
     ) -> tuple[PhysicalPlan, QueryShape]:
-        """The physical plan of ``logical`` and its shape."""
+        """The physical plan of ``logical`` and its shape, which keeps
+        ``phases`` with the plan and analyze times added."""
         order_by = comprehension.order_by if comprehension is not None else None
         limit = comprehension.limit if comprehension is not None else None
         started = time.perf_counter()
         physical = self.planner.plan(
             logical, parameters=parameters, order_by=order_by, limit=limit
         )
-        self.tracer.record_phase("plan", time.perf_counter() - started)
+        phases.append(("plan", time.perf_counter() - started))
         _validate_output_columns(physical)
         started = time.perf_counter()
         shape = QueryShape(physical, self.catalog)
-        self.tracer.record_phase("analyze", time.perf_counter() - started)
+        phases.append(("analyze", time.perf_counter() - started))
+        shape.phases = phases
         return physical, shape
 
     def _execute_prepared(
@@ -1154,37 +1188,34 @@ class ProteusEngine:
         cancel: CancellationToken | None = None,
     ) -> ResultSet:
         started = time.perf_counter()
-        # One QueryContext per execution, always — unconfigured engines get a
-        # passive context (no deadline, no token) whose checks are a couple of
+        # One profile and one QueryContext per execution, always.  The
+        # profile is the execution's only ledger: every tier, the fan-out
+        # driver and each morsel worker write it through the context as they
+        # work, and a failure marks it.  Unconfigured engines get a passive
+        # context (no deadline, no token) whose checks are a couple of
         # attribute loads, so the resilience plumbing has one code path.
-        effective_timeout = (
-            self.query_timeout_seconds if timeout is None else timeout
-        )
+        profile = ExecutionProfile()
         context = QueryContext(
-            timeout_seconds=effective_timeout,
+            profile,
+            timeout_seconds=(
+                self.query_timeout_seconds if timeout is None else timeout
+            ),
             token=cancel,
             retry_budget=self.io_retry_budget,
         )
         slot = None
-        if self.admission is not None:
-            # Queue for a slot only as long as the deadline just started
-            # allows: a short query behind a full controller fails fast.
-            try:
+        trace = None
+        leases: list[ScanLease] = []
+        try:
+            if self.admission is not None:
+                # Queue for a slot only as long as the deadline just started
+                # allows: a short query behind a full controller fails fast.
                 slot = self.admission.admit(
                     self._estimate_query_bytes(physical), deadline=context.deadline
                 )
-            except ResilienceError as exc:
-                self._record_query_metrics(
-                    query_text,
-                    ExecutionProfile(execution_tier="aborted"),
-                    time.perf_counter() - started,
-                    None,
-                    error=exc,
-                )
-                raise
-        trace = self.tracer.begin(query_text or "<plan>", physical)
-        leases: list[ScanLease] = []
-        try:
+            trace = self.tracer.begin(
+                query_text or "<plan>", physical, prepared._take_phases(shape)
+            )
             # Cross-query scan sharing: lead or join the in-flight cold
             # scans this plan touches.  Runs after admission (the front
             # door) and inside the abort handling below, because a
@@ -1201,21 +1232,18 @@ class ProteusEngine:
                     context, trace,
                 )
         except ProteusError as exc:
-            # Any failure mid-execution — deadline, cancellation, exhausted
-            # retries, or an ordinary execution error — lands here after the
-            # executors unwound (pool drained, no worker leaked).  Record an
-            # abort profile carrying the partial-progress counters so callers
-            # and the trace see how far the query got.
+            # The one abort path — admission refused, deadline, cancellation,
+            # exhausted retries or an ordinary execution error — lands here
+            # after the executors unwound (pool drained, every morsel's
+            # counters merged).  The profile already holds how far the query
+            # got; mark it and hand it to the caller on the exception, which
+            # callers that cannot consult last_profile without racing other
+            # sessions (the HTTP serving layer) read.
             elapsed = time.perf_counter() - started
             code = _failure_code(exc)
-            profile = ExecutionProfile(execution_tier="aborted")
+            profile.execution_tier = "aborted"
             profile.aborted = code
-            profile.io_retries = context.io_retries
-            profile.partial_progress = context.progress_snapshot()
             self.last_profile = profile
-            # Callers that cannot consult last_profile without racing other
-            # sessions (the HTTP serving layer) read the abort profile —
-            # and its partial_progress — straight off the exception.
             exc.profile = profile
             finished_trace = (
                 self.tracer.finish(trace, profile, elapsed, aborted=code)
@@ -1315,24 +1343,26 @@ class ProteusEngine:
                 "tier-cascade", time.perf_counter() - cascade_started
             )
         generated, from_cache, verdicts = self._generate(
-            prepared, physical, shape, analysis.verdicts
+            prepared, physical, shape, analysis.verdicts, trace
         )
-        decline_reasons = {
+        profile = context.profile
+        profile.predicted_tier = analysis.predicted_tier
+        profile.tier_decline_reasons = {
             v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
         }
         execute_started = time.perf_counter()
         if generated is not None:
-            executed = self._execute_pipeline(
-                generated, from_cache, physical, shape.chain, params,
-                analysis.hints, trace, context,
+            profile.compiled_from_cache = from_cache
+            names, columns = self._execute_pipeline(
+                generated, physical, shape.chain, params, analysis.hints,
+                trace, context,
             )
         else:
-            executed = self._execute_volcano(physical, params, trace, context)
+            profile.execution_tier = "volcano"
+            names, columns = self._execute_volcano(
+                physical, params, trace, context
+            )
         execute_seconds = time.perf_counter() - execute_started
-        names, columns, profile = executed
-        profile.predicted_tier = analysis.predicted_tier
-        profile.tier_decline_reasons = decline_reasons
-        profile.io_retries = context.io_retries
         if trace is not None:
             trace.add_phase("execute", execute_seconds)
             # Reduce/Nest run inside the executor sinks without a stage of
@@ -1504,6 +1534,7 @@ class ProteusEngine:
         physical: PhysicalPlan,
         shape: QueryShape,
         verdicts: tuple[TierVerdict, ...],
+        trace: TraceBuilder | None = None,
     ) -> tuple[GeneratedQuery | None, bool, tuple[TierVerdict, ...]]:
         """The plan's generated module, whether it was generated before, and
         the verdicts it leaves — before any batch runs, for ``execute()``
@@ -1534,9 +1565,8 @@ class ProteusEngine:
                     reason=f"code generation failed: {exc}",
                 )
                 return None, False, (failed, *verdicts[1:])
-            self.tracer.record_phase(
-                "codegen", time.perf_counter() - codegen_started
-            )
+            if trace is not None:
+                trace.add_phase("codegen", time.perf_counter() - codegen_started)
             # Concurrent cold executions of one shape race to generate; the
             # first publication wins so every thread runs the same functions.
             generated = self._lru_publish(self._compiled, fingerprint, generated)
@@ -1545,66 +1575,44 @@ class ProteusEngine:
     def _execute_pipeline(
         self,
         generated: GeneratedQuery,
-        from_cache: bool,
         physical: PhysicalPlan,
         chain: FactorizedChain | None,
         params: ParamValues | None,
         hints: NullabilityHints | None,
         trace: TraceBuilder | None,
-        context: QueryContext | None,
-    ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
+        context: QueryContext,
+    ) -> tuple[list[str], dict[str, Any]]:
         """THE batch-pipeline entry of the ``codegen`` tier: the executor
-        runs this plan on its generated expression functions."""
+        runs this plan on its generated expression functions, counting into
+        ``context``'s profile."""
         self.last_generated_source = generated.source
         executor = VectorizedExecutor(
             self.catalog,
             self.plugins,
+            context,
             batch_size=self.vectorized_batch_size,
             num_workers=self.parallel_workers,
             cache_manager=self.cache_manager,
             params=params,
             hints=hints,
             trace=trace,
-            context=context,
         )
-        names, columns = generated(executor, physical, chain)
-        profile = ExecutionProfile(
-            execution_tier=TIER_CODEGEN,
-            compiled_from_cache=from_cache,
-            join_kernels=executor.join_kernels,
-            group_kernel=executor.group_kernel,
-            **vars(executor.counters),  # the pipeline counters, by name
-        )
-        fanout = executor.fanout
-        if fanout.morsels_dispatched:
-            profile.parallel_workers = fanout.num_workers
-            profile.morsels_dispatched = fanout.morsels_dispatched
-            profile.morsels_stolen = fanout.morsels_stolen
-        return names, columns, profile
+        return generated(executor, physical, chain)
 
     def _execute_volcano(
         self,
         physical: PhysicalPlan,
-        params: ParamValues | None = None,
-        trace: TraceBuilder | None = None,
-        context: QueryContext | None = None,
-    ) -> tuple[list[str], dict[str, Any], ExecutionProfile]:
+        params: ParamValues | None,
+        trace: TraceBuilder | None,
+        context: QueryContext,
+    ) -> tuple[list[str], dict[str, Any]]:
+        self.last_generated_source = None
         executor = VolcanoExecutor(
-            self.catalog, self.plugins, params=params, trace=trace,
-            context=context,
+            self.catalog, self.plugins, context, params=params, trace=trace
         )
         # The engine's sort kernels run on the materialized output; the
         # interpreter never sees the PhysSort root.
-        names, columns = executor.execute(unwrap_sort(physical))
-        profile = ExecutionProfile(execution_tier="volcano")
-        # The interpreter counts the same things the batch tier counts (see
-        # the differential suite); ``tuples_processed`` keeps its historical
-        # post-predicate semantics for the interpretation-overhead reports.
-        profile.rows_scanned = executor.rows_scanned
-        profile.unnest_output_rows = executor.unnest_output_rows
-        profile.output_rows = executor.output_rows
-        self.last_generated_source = None
-        return names, columns, profile
+        return executor.execute(unwrap_sort(physical))
 
     # ------------------------------------------------------------------------
     # Caching control and introspection

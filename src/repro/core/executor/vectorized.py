@@ -54,10 +54,17 @@ list of per-batch stages:
   cached.
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
-the per-call :class:`PipelineCounters` and the lock-guarded cache recorders),
-so the same pipeline object can be executed over any batch range by any
-worker.  The plan root is a *root task* (:class:`_RootTask`): a partial state
-per scan range plus an ordered merge.  :class:`VectorizedExecutor` compiles
+the :class:`~repro.core.profile.ExecutionCounters` they are passed and the
+lock-guarded cache recorders), so the same pipeline object can be executed
+over any batch range by any worker.  The counters passed are the
+execution's one ledger: the profile the
+:class:`~repro.resilience.context.QueryContext` carries, written straight
+by an inline run, or a morsel's own counters, merged into that profile
+under the context's lock when the morsel ends (aborted or not) — so an
+abort's progress is the work of every morsel that ran.
+
+The plan root is a *root task* (:class:`_RootTask`): a partial state per
+scan range plus an ordered merge.  :class:`VectorizedExecutor` compiles
 the pipeline once, builds one root task and — decided by
 :func:`repro.core.parallel.plan_fanout` from the worker count, the driving
 scan's row count in whole morsels and whether the root groups — either runs
@@ -98,7 +105,7 @@ are covered batch-natively.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -137,6 +144,7 @@ from repro.core.physical import (
     expressions_of,
     parameters_of,
 )
+from repro.core.profile import ExecutionCounters
 from repro.core.sort import TopKAccumulator, concat_chunks, resolve_limit
 from repro.errors import ExecutionError, PluginError
 from repro.obs.trace import SpanAccumulator, TraceBuilder
@@ -146,6 +154,7 @@ from repro.plugins.base import (
     UnnestBatch,
     flatten_collections,
 )
+from repro.resilience.context import QueryContext
 from repro.storage.catalog import Catalog, Dataset
 
 #: Rows per batch — and per morsel: a fan-out hands out whole batches.  One
@@ -306,40 +315,6 @@ def concat_batches(batches: list[Batch]) -> Batch:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline counters
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PipelineCounters:
-    """Execution counters produced while running a pipeline.
-
-    Every stage writes into the counters object it is *passed* rather than
-    into shared executor state, so concurrent workers can run the same
-    pipeline with independent counters and merge them afterwards.
-    """
-
-    rows_scanned: int = 0
-    batches_processed: int = 0
-    values_extracted: int = 0
-    values_from_cache: int = 0
-    join_build_rows: int = 0
-    join_output_rows: int = 0
-    groups_built: int = 0
-    output_rows: int = 0
-    rows_sorted: int = 0
-    unnest_output_rows: int = 0
-
-    def merge(self, other: "PipelineCounters") -> None:
-        for counter in fields(self):
-            setattr(
-                self,
-                counter.name,
-                getattr(self, counter.name) + getattr(other, counter.name),
-            )
-
-
-# ---------------------------------------------------------------------------
 # Scan operator (the batch source of every pipeline)
 # ---------------------------------------------------------------------------
 
@@ -452,7 +427,7 @@ class ScanOperator:
         return bool(self._deferred)
 
     def iter_batches(
-        self, counters: PipelineCounters, batch_size: int
+        self, counters: ExecutionCounters, batch_size: int
     ) -> Iterator[Batch]:
         """The full batch stream (inline execution)."""
         if self.fully_cached:
@@ -464,7 +439,7 @@ class ScanOperator:
         return self._metered(stream, counters)
 
     def iter_range(
-        self, start: int, stop: int, counters: PipelineCounters, batch_size: int
+        self, start: int, stop: int, counters: ExecutionCounters, batch_size: int
     ) -> Iterator[Batch]:
         """The batch stream of global rows ``[start, stop)`` (one morsel)."""
         if self.fully_cached:
@@ -475,7 +450,7 @@ class ScanOperator:
             )
         return self._metered(stream, counters)
 
-    def _metered(self, stream: Iterator, counters: PipelineCounters) -> Iterator[Batch]:
+    def _metered(self, stream: Iterator, counters: ExecutionCounters) -> Iterator[Batch]:
         """The scan's one metering loop.  ``stream`` yields the plug-in's
         buffers, or — fully cached — batches cut from the cached columns.
 
@@ -522,7 +497,7 @@ class ScanOperator:
                 )
 
     def _iter_cached(
-        self, start: int, stop: int, counters: PipelineCounters, batch_size: int
+        self, start: int, stop: int, counters: ExecutionCounters, batch_size: int
     ) -> Iterator[Batch]:
         for begin in range(start, stop, batch_size):
             end = min(begin + batch_size, stop)
@@ -534,7 +509,7 @@ class ScanOperator:
             counters.batches_processed += 1
             yield batch
 
-    def _to_batch(self, buffers, counters: PipelineCounters) -> Batch | None:
+    def _to_batch(self, buffers, counters: ExecutionCounters) -> Batch | None:
         if buffers.count == 0:
             return None
         batch = Batch(count=buffers.count, params=self.params)
@@ -554,7 +529,7 @@ class ScanOperator:
         counters.batches_processed += 1
         return batch
 
-    def fetch_deferred(self, batch: Batch, counters: PipelineCounters) -> None:
+    def fetch_deferred(self, batch: Batch, counters: ExecutionCounters) -> None:
         """Convert the deferred fields for the rows of ``batch`` — the
         survivors of the selection above — and attach them to it.  Selective
         extractions never enter the cache (they do not cover the dataset)."""
@@ -605,7 +580,7 @@ class SelectStage:
         self.predicate = predicate
         self.lazy_scan = lazy_scan
 
-    def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
+    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
         selected = _apply_predicate(batch, self.predicate)
         if selected is not None and self.lazy_scan is not None:
             self.lazy_scan.fetch_deferred(selected, counters)
@@ -702,7 +677,7 @@ class UnnestStage:
             elif cache_manager.policy.should_cache_field(plugin.format_name):
                 self._recorder = _CoverageRecorder()
 
-    def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
+    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
         if self._cached is not None:
             columns, positions = self._cached.slice(
                 int(batch.oids[self.binding][0]), batch.count
@@ -727,7 +702,7 @@ class UnnestStage:
             return _apply_predicate(flattened, self.predicate)
         return flattened
 
-    def _flatten(self, batch: Batch, counters: PipelineCounters) -> UnnestBatch:
+    def _flatten(self, batch: Batch, counters: ExecutionCounters) -> UnnestBatch:
         if self.plugin is None:
             collection = batch.columns.get((self.binding, self.path))
             if collection is None:
@@ -807,7 +782,7 @@ class HashJoinStage:
         self.residual = residual
         self.live = live
 
-    def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
+    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
         left_positions, right_positions = radix.probe(
             self.space, materialize(self.right_key(batch), batch.count)
         )
@@ -831,7 +806,7 @@ class NestedLoopJoinStage:
         self.predicate = predicate
         self.live = live
 
-    def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
+    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
         left = self.build
         left_positions = np.tile(
             np.arange(left.count, dtype=np.int64), batch.count
@@ -858,16 +833,16 @@ class CompiledPipeline:
     #: ``(stage, span)`` in application order; the span is ``None`` in an
     #: untraced run, so traced and untraced runs apply the same stages.
     stages: list[tuple[Any, SpanAccumulator | None]]
-    always_empty: bool = False
     #: Per-query resilience context: :meth:`process` checks the deadline /
-    #: cancellation and records progress once per scan batch.
-    context: "object | None" = None
+    #: cancellation once per scan batch.
+    context: QueryContext
+    always_empty: bool = False
 
-    def process(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
-        """The pipeline's one per-batch hook: one context call, then every
-        stage — timed only when it has a span."""
-        if self.context is not None:
-            self.context.note_batch(batch.count)
+    def process(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
+        """The pipeline's one per-batch hook: one deadline / cancellation
+        check, then every stage — timed only when it has a span.  The scan
+        counted the batch and its rows already."""
+        self.context.check()
         for stage, span in self.stages:
             if span is None:
                 batch = stage.apply(batch, counters)
@@ -906,17 +881,15 @@ class PipelineCompiler:
         batch_size: int,
         materializer: Callable[[CompiledPipeline], Batch],
         evaluator: Callable[[Expression], Evaluator],
+        context: QueryContext,
         cache_manager=None,
-        counters: PipelineCounters | None = None,
         params: Mapping[int | str, object] | None = None,
         trace: TraceBuilder | None = None,
-        context=None,
     ):
         self.catalog = catalog
         self.plugins = plugins
         self.batch_size = max(int(batch_size), 1)
         self.cache_manager = cache_manager
-        self.counters = counters if counters is not None else PipelineCounters()
         self.materializer = materializer
         #: Expression -> its generated per-batch function (the plan's
         #: ``GeneratedQuery.function_for``).
@@ -924,7 +897,8 @@ class PipelineCompiler:
         #: Bound query-parameter values, attached to every scan batch.
         self.params = params
         #: Per-query resilience context, handed to every compiled pipeline
-        #: so batch processing observes deadline/cancel.
+        #: so batch processing observes deadline/cancel; its profile counts
+        #: the build rows numbered while compiling.
         self.context = context
         #: Span trace of the current execution; ``None`` (the default) gives
         #: every stage and scan no span — tracing costs nothing when off.
@@ -1088,7 +1062,7 @@ class PipelineCompiler:
             if entry is not None:  # a stale build of another cardinality
                 self.cache_manager.evict(cache_key)
         space = radix.key_slots(materialize(self.evaluator(key)(build), build.count))
-        self.counters.join_build_rows += build.count
+        self.context.profile.join_build_rows += build.count
         if cache_key is not None:
             source = next(node for node in side.walk() if isinstance(node, PhysScan))
             self.cache_manager.store(
@@ -1246,7 +1220,7 @@ class _RootTask:
     def new_state(self) -> Any:
         raise NotImplementedError
 
-    def update(self, state: Any, batch: Batch, counters: PipelineCounters) -> None:
+    def update(self, state: Any, batch: Batch, counters: ExecutionCounters) -> None:
         raise NotImplementedError
 
     def saturated(self, state: Any) -> bool:
@@ -1254,10 +1228,10 @@ class _RootTask:
         cannot change it, so the scan of the range may stop."""
         return False
 
-    def finish_morsel(self, state: Any, counters: PipelineCounters) -> Any:
+    def finish_morsel(self, state: Any, counters: ExecutionCounters) -> Any:
         return state
 
-    def merge(self, partials: list, counters: PipelineCounters) -> Any:
+    def merge(self, partials: list, counters: ExecutionCounters) -> Any:
         raise NotImplementedError
 
 
@@ -1270,11 +1244,11 @@ class _CollectRoot(_RootTask):
         return []
 
     def update(
-        self, state: list[Batch], batch: Batch, counters: PipelineCounters
+        self, state: list[Batch], batch: Batch, counters: ExecutionCounters
     ) -> None:
         state.append(batch)
 
-    def merge(self, partials: list, counters: PipelineCounters) -> Batch:
+    def merge(self, partials: list, counters: ExecutionCounters) -> Batch:
         return concat_batches([batch for batches in partials for batch in batches])
 
 
@@ -1329,7 +1303,7 @@ class _ProjectionRoot(_RootTask):
     def new_state(self) -> dict:
         return {"chunks": {name: [] for name in self.names}, "total": 0}
 
-    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+    def update(self, state: dict, batch: Batch, counters: ExecutionCounters) -> None:
         for name, head in self.heads:
             state["chunks"][name].append(materialize(head(batch), batch.count))
         state["total"] += batch.count
@@ -1339,7 +1313,7 @@ class _ProjectionRoot(_RootTask):
         # keep their dtypes.
         return self.limit is not None and state["total"] >= max(self.limit, 1)
 
-    def finish_morsel(self, state: dict, counters: PipelineCounters) -> dict:
+    def finish_morsel(self, state: dict, counters: ExecutionCounters) -> dict:
         if self.limit is not None and state["total"] > self.limit:
             truncated = {
                 name: [concat_chunks(state["chunks"][name])[: self.limit]]
@@ -1349,7 +1323,7 @@ class _ProjectionRoot(_RootTask):
         counters.output_rows += state["total"]
         return state
 
-    def merge(self, partials: list, counters: PipelineCounters):
+    def merge(self, partials: list, counters: ExecutionCounters):
         if self.limit is not None:
             # The engine slices the exact prefix after the merge; report the
             # emitted row count, not the per-range prefixes' sum.
@@ -1386,7 +1360,7 @@ class _TopKProjectionRoot(_ProjectionRoot):
         return TopKAccumulator(self.names, self.keys, self.limit, self.non_null)
 
     def update(
-        self, state: TopKAccumulator, batch: Batch, counters: PipelineCounters
+        self, state: TopKAccumulator, batch: Batch, counters: ExecutionCounters
     ) -> None:
         columns = {
             name: materialize(head(batch), batch.count) for name, head in self.heads
@@ -1397,7 +1371,7 @@ class _TopKProjectionRoot(_ProjectionRoot):
         return False
 
     def finish_morsel(
-        self, state: TopKAccumulator, counters: PipelineCounters
+        self, state: TopKAccumulator, counters: ExecutionCounters
     ) -> dict:
         counters.rows_sorted += state.rows_sorted
         total, columns = state.finish()
@@ -1518,7 +1492,7 @@ class _NestRoot(_RootTask):
             "partials": [],
         }
 
-    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+    def update(self, state: dict, batch: Batch, counters: ExecutionCounters) -> None:
         arguments = {
             fingerprint: materialize(argument(batch), batch.count)
             for fingerprint, argument in self.arguments.items()
@@ -1535,7 +1509,7 @@ class _NestRoot(_RootTask):
         state["total"] += batch.count
 
     def finish_morsel(
-        self, state: dict, counters: PipelineCounters
+        self, state: dict, counters: ExecutionCounters
     ) -> list[_GroupPartial]:
         if not self.keys or state["total"] == 0:
             # Folded batch by batch, or an empty range: no partial groups.
@@ -1573,7 +1547,7 @@ class _NestRoot(_RootTask):
             for fingerprint, func in self.parts
         }
 
-    def merge(self, partials: list, counters: PipelineCounters):
+    def merge(self, partials: list, counters: ExecutionCounters):
         partials = [partial for ranged in partials for partial in ranged]
         if not partials:
             if self.keys:
@@ -1627,7 +1601,7 @@ class _NestRoot(_RootTask):
             kernel,
         )
 
-    def finish(self, merged: _GroupPartial, counters: PipelineCounters):
+    def finish(self, merged: _GroupPartial, counters: ExecutionCounters):
         """The output columns of the final groups."""
         num_groups = 1
         if self.keys:
@@ -1796,7 +1770,7 @@ class SlotStage:
         self.space = space
         self.key = key
 
-    def apply(self, batch: Batch, counters: PipelineCounters) -> Batch | None:
+    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
         slots = radix.slots_of(self.space, materialize(self.key(batch), batch.count))
         keep = slots >= 0
         if not keep.any():
@@ -1855,11 +1829,11 @@ class _SlotRoot(_RootTask):
     def new_state(self) -> dict[Any, list]:
         return {name: [] for name in self.columns}
 
-    def update(self, state: dict, batch: Batch, counters: PipelineCounters) -> None:
+    def update(self, state: dict, batch: Batch, counters: ExecutionCounters) -> None:
         for name, column in self.columns.items():
             state[name].append(materialize(column(batch), batch.count))
 
-    def finish_morsel(self, state: dict, counters: PipelineCounters) -> _SlotPartials:
+    def finish_morsel(self, state: dict, counters: ExecutionCounters) -> _SlotPartials:
         if not state[_SLOT]:
             # A range without a row adds no sums: its argument columns would
             # be float64 (no chunks), and their sums could turn int sums
@@ -1878,7 +1852,7 @@ class _SlotRoot(_RootTask):
         kept = {name: state[name] for name in self.kept}
         return _SlotPartials(np.bincount(slots, minlength=self.size), sums, kept)
 
-    def merge(self, partials: list, counters: PipelineCounters) -> _SlotPartials:
+    def merge(self, partials: list, counters: ExecutionCounters) -> _SlotPartials:
         rows = sum(partial.rows for partial in partials)
         sums: dict[Part, Any] = {}
         for partial in partials:
@@ -2018,13 +1992,13 @@ class VectorizedExecutor:
         self,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
+        context: QueryContext,
         batch_size: int = DEFAULT_BATCH_SIZE,
         num_workers: int = 1,
         cache_manager=None,
         params: Mapping[int | str, object] | None = None,
         hints: NullabilityHints | None = None,
         trace: TraceBuilder | None = None,
-        context=None,
     ):
         self.catalog = catalog
         self.plugins = plugins
@@ -2034,6 +2008,9 @@ class VectorizedExecutor:
         #: Per-query resilience context (deadline/cancel): checked per batch
         #: inside pipelines and per morsel by the fan-out workers.
         self.context = context
+        #: The execution's profile: an inline run counts straight into it,
+        #: and the kernels each join and the group-by ran are written here.
+        self.profile = context.profile
         #: Static nullability hints from the plan analyzer: output columns /
         #: aggregate arguments proven non-nullable skip missing-mask work.
         self.hints = hints if hints is not None else EMPTY_HINTS
@@ -2042,14 +2019,8 @@ class VectorizedExecutor:
         #: accumulators are locked, so per-morsel work aggregates into one
         #: morsel-merged span per operator.
         self.trace = trace
-        #: Counters mirrored into the engine's :class:`ExecutionProfile`.
-        self.counters = PipelineCounters()
-        #: The kernel every hash join ran, in plan walk order, and the
-        #: grouping kernel(s) of a group-by root — ``"dense"`` or ``"sorted"``.
-        self.join_kernels: list[str] = []
-        self.group_kernel: str | None = None
         #: The morsel fan-out driver (threads start only when a scan fans
-        #: out); its dispatch counters reflect the fan-out decisions taken.
+        #: out); it writes the profile's dispatch counters.
         self.fanout = ParallelVectorizedExecutor(num_workers, context)
 
     def execute(
@@ -2076,11 +2047,10 @@ class VectorizedExecutor:
             self.batch_size,
             materializer=self._materialize,
             evaluator=evaluator,
+            context=self.context,
             cache_manager=self.cache_manager,
-            counters=self.counters,
             params=self.params,
             trace=self.trace,
-            context=self.context,
         )
         root = _make_root(plan, sort_plan, self.params, self.hints, evaluator)
         result = None
@@ -2088,12 +2058,12 @@ class VectorizedExecutor:
             result = self._execute_factorized(chain, root, compiler, evaluator)
         if result is None:
             pipeline = compiler.compile(plan.child, (plan,))
-            self.join_kernels = compiler.join_kernels
+            self.profile.join_kernels = compiler.join_kernels
             morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
             result = self._run(root, pipeline, morsels)
         else:
-            self.join_kernels = [radix.KERNEL_FACTORIZED] * len(chain.joins)
-        self.group_kernel = root.group_kernel
+            self.profile.join_kernels = [radix.KERNEL_FACTORIZED] * len(chain.joins)
+        self.profile.group_kernel = root.group_kernel
         compiler.store_scan_caches()
         return result
 
@@ -2126,8 +2096,8 @@ class VectorizedExecutor:
         reduced = _SlotPartials(space.counts, {}, {})  # the rows per slot, kept
         if reducer.summed or reducer.kept:
             state = reducer.new_state()
-            reducer.update(state, first, self.counters)
-            reduced = reducer.merge([reducer.finish_morsel(state, self.counters)], self.counters)
+            reducer.update(state, first, self.profile)
+            reduced = reducer.merge([reducer.finish_morsel(state, self.profile)], self.profile)
         reductions = [reduced]
         for index, subplan in enumerate(chain.inputs[1:], start=1):
             pipeline = compiler.compile(subplan)
@@ -2145,7 +2115,7 @@ class VectorizedExecutor:
         combined = _combine_per_key(chain, root, reductions, held)
         # The key products are the chain root's work.
         self._join_span(chain.joins[0], time.perf_counter() - started)
-        return root.finish(combined, self.counters)
+        return root.finish(combined, self.profile)
 
     def _empty_chain(
         self, chain: FactorizedChain, root: _NestRoot
@@ -2153,7 +2123,7 @@ class VectorizedExecutor:
         """The answer over a join chain without a joined row."""
         for join in chain.joins:
             self._join_span(join, 0.0)
-        return root.merge([], self.counters)
+        return root.merge([], self.profile)
 
     def _join_span(self, join: PhysHashJoin, seconds: float) -> None:
         if self.trace is not None:
@@ -2187,29 +2157,26 @@ class VectorizedExecutor:
 
     def _run(self, root: _RootTask, pipeline: CompiledPipeline, morsels: list[Morsel]):
         if not morsels:
-            partials = [self._run_range(root, pipeline, None, self.counters)]
-            return root.merge(partials, self.counters)
+            partials = [self._run_range(root, pipeline, None, self.profile)]
+            return root.merge(partials, self.profile)
+        context = self.context
 
         def run_morsel(morsel: Morsel, worker_id: int):
-            if self.context is not None:
-                self.context.check()
-            counters = PipelineCounters()
-            partial = self._run_range(root, pipeline, morsel, counters)
-            if self.context is not None:
-                self.context.count("morsels")
-            return partial, counters
+            context.check()
+            counters = ExecutionCounters()
+            try:
+                return self._run_range(root, pipeline, morsel, counters)
+            finally:
+                context.merge(counters)
 
-        results = self.fanout.execute(morsels, run_morsel)
-        for _, counters in results:
-            self.counters.merge(counters)
-        return root.merge([partial for partial, _ in results], self.counters)
+        return root.merge(self.fanout.execute(morsels, run_morsel), self.profile)
 
     def _run_range(
         self,
         root: _RootTask,
         pipeline: CompiledPipeline,
         morsel: Morsel | None,
-        counters: PipelineCounters,
+        counters: ExecutionCounters,
     ):
         """Fold one scan range (``None`` = the whole scan) into a partial."""
         state = root.new_state()

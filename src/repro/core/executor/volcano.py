@@ -17,6 +17,13 @@ It exists for two reasons:
 
 It also doubles as the fallback executor for query shapes the batch
 pipeline and its code generator do not cover (e.g. record construction in output columns).
+
+It counts into the execution's profile, which the
+:class:`~repro.resilience.context.QueryContext` carries, as it works:
+``rows_scanned``, ``unnest_output_rows`` and ``output_rows`` mean what the
+batch pipeline's counters mean (the differential suite in
+``tests/test_obs.py`` holds every tier to them), so an aborted run's
+``partial_progress`` reads the rows scanned so far.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from repro.errors import ExecutionError
 from repro.obs.trace import TraceBuilder
 from repro.plugins.base import InputPlugin, dig_path as _dig
 from repro.resilience import context as resilience_context
+from repro.resilience.context import QueryContext
 from repro.storage.catalog import Catalog
 
 
@@ -63,9 +71,9 @@ class VolcanoExecutor:
         self,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
+        context: QueryContext,
         params: Mapping[int | str, object] | None = None,
         trace: TraceBuilder | None = None,
-        context=None,
     ):
         self.catalog = catalog
         self.plugins = plugins
@@ -73,6 +81,12 @@ class VolcanoExecutor:
         #: :data:`~repro.resilience.context.VOLCANO_STRIDE` scanned tuples
         #: (the tuple-at-a-time analogue of per-batch checks).
         self.context = context
+        #: The execution's profile, counted into as tuples flow: records
+        #: produced by scans plus flattened unnest elements
+        #: (``rows_scanned``), elements emitted by unnest operators
+        #: pre-predicate, incl. outer null rows (``unnest_output_rows``),
+        #: and rows emitted into the result (``output_rows``).
+        self.profile = context.profile
         self._stride = resilience_context.VOLCANO_STRIDE
         self._ticks = 0
         #: Bound query-parameter values; placed into every scan environment
@@ -81,21 +95,6 @@ class VolcanoExecutor:
         #: Span trace of this execution; ``None`` (the default) makes
         #: ``_iterate`` return the raw operator iterators, untouched.
         self.trace = trace
-        #: Proxy counters: tuples pulled through operators and predicate
-        #: evaluations, used by the experiment reports as interpretation-
-        #: overhead proxies.
-        self.tuples_processed = 0
-        self.predicate_evaluations = 0
-        #: Profile counters with cross-tier semantics (the batch pipeline
-        #: counts the same things the same way — see the differential suite
-        #: in ``tests/test_obs.py``): records produced by
-        #: scans plus flattened unnest elements, elements emitted by unnest
-        #: operators pre-predicate (incl. outer null rows), and rows emitted
-        #: into the result.  ``tuples_processed`` is intentionally left with
-        #: its historical post-predicate semantics.
-        self.rows_scanned = 0
-        self.unnest_output_rows = 0
-        self.output_rows = 0
 
     # -- public API -------------------------------------------------------------
 
@@ -159,7 +158,6 @@ class VolcanoExecutor:
         elif isinstance(plan, PhysSelect):
             predicate = plan.predicate
             for env in self._iterate(plan.child):
-                self.predicate_evaluations += 1
                 if truthy(predicate.evaluate(env)):
                     yield env
         elif isinstance(plan, PhysUnnest):
@@ -177,31 +175,27 @@ class VolcanoExecutor:
         if plugin is None:
             raise ExecutionError(f"no plug-in registered for format {dataset.format!r}")
         # The general-purpose engine eagerly materializes whole records.
+        profile = self.profile
         if self.params:
             for record in plugin.iterate_rows(dataset):
-                self.tuples_processed += 1
-                self.rows_scanned += 1
+                profile.rows_scanned += 1
                 self._tick()
                 yield {plan.binding: record, PARAMS_BINDING: self.params}
         else:
             for record in plugin.iterate_rows(dataset):
-                self.tuples_processed += 1
-                self.rows_scanned += 1
+                profile.rows_scanned += 1
                 self._tick()
                 yield {plan.binding: record}
 
     def _tick(self) -> None:
         """Deadline/cancel check on a tuple-count stride (cheap per tuple)."""
-        context = self.context
-        if context is None:
-            return
         self._ticks += 1
         if self._ticks >= self._stride:
             self._ticks = 0
-            context.count("volcano_tuples", self._stride)
-            context.check()
+            self.context.check()
 
     def _iterate_unnest(self, plan: PhysUnnest) -> Iterator[dict[str, Any]]:
+        profile = self.profile
         for env in self._iterate(plan.child):
             parent = env.get(plan.binding)
             elements = _dig(parent, plan.path)
@@ -217,24 +211,22 @@ class VolcanoExecutor:
                 # counts as a scanned row and an unnest output row *before*
                 # the predicate runs (UnnestStage counts whole flattened
                 # buffers the same way).
-                self.rows_scanned += 1
-                self.unnest_output_rows += 1
+                profile.rows_scanned += 1
+                profile.unnest_output_rows += 1
                 self._tick()
                 child_env = dict(env)
                 child_env[plan.var] = element
                 if plan.predicate is not None:
-                    self.predicate_evaluations += 1
                     if not truthy(plan.predicate.evaluate(child_env)):
                         continue
                 matched = True
-                self.tuples_processed += 1
                 yield child_env
             if plan.outer and not matched:
                 # The batch tier's outer unnest emits the null child row
                 # inside the flattened buffers, so it lands in both counters
                 # there; keep parity.
-                self.rows_scanned += 1
-                self.unnest_output_rows += 1
+                profile.rows_scanned += 1
+                profile.unnest_output_rows += 1
                 child_env = dict(env)
                 child_env[plan.var] = None
                 yield child_env
@@ -255,11 +247,9 @@ class VolcanoExecutor:
             for left_env in matches:
                 combined = {**left_env, **env}
                 if plan.residual is not None:
-                    self.predicate_evaluations += 1
                     if not truthy(plan.residual.evaluate(combined)):
                         continue
                 matched = True
-                self.tuples_processed += 1
                 yield combined
             if plan.outer and not matched:
                 yield {**{b: None for b in plan.left.bindings()}, **env}
@@ -270,10 +260,8 @@ class VolcanoExecutor:
             for left_env in left_envs:
                 combined = {**left_env, **right_env}
                 if plan.predicate is not None:
-                    self.predicate_evaluations += 1
                     if not truthy(plan.predicate.evaluate(combined)):
                         continue
-                self.tuples_processed += 1
                 yield combined
 
     # -- roots ---------------------------------------------------------------------
@@ -285,7 +273,7 @@ class VolcanoExecutor:
             unique_columns = unique_output_columns(plan.columns)
             columns: dict[str, list] = {name: [] for name in names}
             for env in self._iterate(plan.child):
-                self.output_rows += 1
+                self.profile.output_rows += 1
                 for column in unique_columns:
                     columns[column.name].append(column.expression.evaluate(env))
             return names, columns
@@ -293,7 +281,7 @@ class VolcanoExecutor:
         for env in self._iterate(plan.child):
             accumulators.update(env)
         values = accumulators.finalize()
-        self.output_rows += 1
+        self.profile.output_rows += 1
         finish_env = parameter_env(self.params)
         columns = {}
         for column in plan.columns:
@@ -319,7 +307,7 @@ class VolcanoExecutor:
         unique_columns = unique_output_columns(plan.columns)
         finish_env = parameter_env(self.params)
         columns: dict[str, list] = {name: [] for name in names}
-        self.output_rows += len(groups)
+        self.profile.output_rows += len(groups)
         for key, accumulators in groups.items():
             values = accumulators.finalize()
             env = group_envs[key]

@@ -21,6 +21,13 @@ of running the scan inline:
 A join's table is built on the calling thread in one O(N) pass over the
 materialized build side (a ``bincount`` over a dense key range, one stable
 sort otherwise); only the scan feeding the build side fans out.
+
+The driver writes its own part of the execution's profile (the
+:class:`~repro.resilience.context.QueryContext` carries it):
+``parallel_workers``, ``morsels_dispatched`` and ``morsels_stolen``, once the
+pool has drained — also when a morsel failed or the query was aborted, so
+an abort's ``partial_progress`` counts the morsels handed out.  The
+counters of the work inside a morsel are the worker's to merge.
 """
 
 from __future__ import annotations
@@ -29,18 +36,18 @@ from typing import Any, Callable, Sequence
 
 from repro.core.parallel.morsels import Morsel
 from repro.core.parallel.scheduler import WorkerPool
+from repro.resilience.context import QueryContext
 
 
 class ParallelVectorizedExecutor:
     """Runs one batch-executor fan-out over a work-stealing worker pool."""
 
-    def __init__(self, num_workers: int, context=None):
+    def __init__(self, num_workers: int, context: QueryContext):
         self.num_workers = max(int(num_workers), 1)
         #: Per-query resilience context: the pool observes its token next to
-        #: the error-cancel event so teardown drains cleanly.
+        #: the error-cancel event so teardown drains cleanly, and its profile
+        #: takes the dispatch counters.
         self.context = context
-        self.morsels_dispatched = 0
-        self.morsels_stolen = 0
         self._pool = WorkerPool(self.num_workers)
 
     def execute(
@@ -49,7 +56,11 @@ class ParallelVectorizedExecutor:
         """Run ``run_morsel(morsel, worker_id)`` over every morsel on the
         pool; results are returned in morsel order.  The first worker failure
         cancels the remaining morsels and is re-raised here."""
-        results = self._pool.run(morsels, run_morsel, context=self.context)
-        self.morsels_dispatched += len(morsels)
-        self.morsels_stolen += self._pool.last_stolen
-        return results
+        pool = self._pool
+        try:
+            return pool.run(morsels, run_morsel, context=self.context)
+        finally:
+            profile = self.context.profile
+            profile.parallel_workers = self.num_workers
+            profile.morsels_dispatched += pool.last_dispatched
+            profile.morsels_stolen += pool.last_stolen

@@ -93,7 +93,9 @@ class WorkerPool:
 
     def __init__(self, num_workers: int):
         self.num_workers = max(int(num_workers), 1)
-        #: Stealing count of the most recent :meth:`run` (for profiling).
+        #: Items handed to a worker / obtained by stealing in the most recent
+        #: :meth:`run`, final once it returns or raises (for profiling).
+        self.last_dispatched = 0
         self.last_stolen = 0
 
     def run(
@@ -103,7 +105,7 @@ class WorkerPool:
         context: Any = None,
     ) -> list[Any]:
         items = list(items)
-        self.last_stolen = 0
+        self.last_dispatched = self.last_stolen = 0
         if not items:
             return []
         workers = min(self.num_workers, len(items))
@@ -112,6 +114,7 @@ class WorkerPool:
             for item in items:
                 if context is not None:
                     context.check()
+                self.last_dispatched += 1
                 serial.append(task(item, 0))
             return serial
         queue = WorkStealingQueue(items, workers)
@@ -148,6 +151,7 @@ class WorkerPool:
             thread.start()
         for thread in threads:
             thread.join()
+        self.last_dispatched = queue.dispatched
         self.last_stolen = queue.stolen
         if errors:
             primary = errors[0]

@@ -1,33 +1,68 @@
-"""Per-execution counters (proxies for the paper's hardware-counter
-discussion) and tier attribution, filled by whichever execution path served
-the query and returned on :class:`~repro.core.engine.ResultSet`."""
+"""The one ledger of a query execution.
+
+The engine builds one :class:`ExecutionProfile` when an execution starts
+(before admission) and hands it to the execution's
+:class:`~repro.resilience.context.QueryContext`, which every tier, the
+morsel fan-out driver and every pool worker already reach.  The code that
+does the work writes the counters straight into it (proxies for the
+paper's hardware-counter discussion, §5): the inline batch pipeline and the
+Volcano interpreter write the profile itself, each morsel worker counts into
+its own :class:`ExecutionCounters` and merges them into the profile under the
+context's lock when the morsel ends — finished or aborted.  Nothing is
+copied afterwards, so an aborted execution's profile is exactly as far as
+the query got, and :attr:`ExecutionProfile.partial_progress` is a read of
+it.  The profile comes back on :class:`~repro.core.engine.ResultSet`, or on
+the coded error as ``exc.profile``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
-class ExecutionProfile:
-    """Counters describing one query execution (proxies for the paper's
-    hardware-counter discussion)."""
+class ExecutionCounters:
+    """The additive counters of an execution.
+
+    A stage or root writes into the counters object it is *passed*: the
+    profile itself inline, a morsel's own counters under a fan-out, so
+    concurrent workers never share one and :meth:`merge` folds them in."""
 
     rows_scanned: int = 0
+    batches_processed: int = 0
     values_extracted: int = 0
     values_from_cache: int = 0
     join_build_rows: int = 0
     join_output_rows: int = 0
     groups_built: int = 0
     output_rows: int = 0
-    batches_processed: int = 0
+    #: Rows that entered a sort kernel (for streaming top-K this counts every
+    #: pruned batch, so it can exceed the result size).
+    rows_sorted: int = 0
+    #: Rows emitted by batch-native unnest stages (flattened elements plus,
+    #: under outer unnest, one null child row per empty collection).
+    unnest_output_rows: int = 0
+
+    def merge(self, other: "ExecutionCounters") -> None:
+        """Add ``other``'s counters to these."""
+        for counter in fields(ExecutionCounters):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+@dataclass
+class ExecutionProfile(ExecutionCounters):
+    """Counters and tier attribution of one query execution."""
+
     #: Which tier served the query: "codegen" (the batch pipeline calling
     #: this plan's generated expression functions, inline or fanned out over
-    #: morsels) or "volcano" (the tuple-at-a-time interpreter).
+    #: morsels) or "volcano" (the tuple-at-a-time interpreter); "aborted"
+    #: once the execution failed.
     execution_tier: str = "codegen"
     #: Workers the batch pipeline fanned out across (0 when every scan of
     #: the execution ran inline, and on the Volcano tier).
     parallel_workers: int = 0
-    #: Morsels executed / obtained by stealing under a fan-out.
+    #: Morsels handed to a worker / obtained by stealing under a fan-out.
     morsels_dispatched: int = 0
     morsels_stolen: int = 0
     #: True when the codegen tier ran on already-compiled expression
@@ -50,14 +85,7 @@ class ExecutionProfile:
     #: (``np.unique`` factorization) or "dense+sorted" when the per-morsel
     #: and merge passes chose differently; ``None`` without a group-by.
     group_kernel: str | None = None
-    #: Rows that entered a sort kernel (for streaming top-K this counts every
-    #: pruned batch, so it can exceed the result size).
-    rows_sorted: int = 0
-    #: Rows emitted by batch-native unnest stages (flattened elements plus,
-    #: under outer unnest, one null child row per empty collection).
-    unnest_output_rows: int = 0
-    #: The tier the static plan analyzer predicted would serve this query
-    #: (``None`` for profiles built outside the engine's cascade).
+    #: The tier the static plan analyzer predicted would serve this query.
     predicted_tier: str | None = None
     #: Why each non-serving tier declined, keyed by tier name; values carry a
     #: machine-readable code prefix, e.g. ``"[TIER005] outer join is served
@@ -65,13 +93,20 @@ class ExecutionProfile:
     #: declined before execution with code ``TIER009``; data never changes
     #: the tier.
     tier_decline_reasons: dict[str, str] = field(default_factory=dict)
-    #: Transient scan-I/O retries this query consumed (RES005 territory once
-    #: the per-query budget runs out).
+    #: Transient scan-I/O retries this query consumed, charged by
+    #: :meth:`~repro.resilience.context.QueryContext.consume_retry` (RES005
+    #: territory once the per-query budget runs out).
     io_retries: int = 0
     #: ``None`` for completed queries; the diagnostic code (``RES001`` ...)
-    #: when the query was aborted by the resilience subsystem.
+    #: when the execution failed.
     aborted: str | None = None
-    #: Partial-progress counters (batches/rows/morsels) captured
-    #: from the :class:`~repro.resilience.context.QueryContext` when a query
-    #: aborts; empty for completed queries.
-    partial_progress: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def partial_progress(self) -> dict[str, int]:
+        """How far the execution got: scan batches, scanned rows (Volcano's
+        included) and morsels dispatched — a read of the counters above."""
+        return {
+            "batches": self.batches_processed,
+            "rows": self.rows_scanned,
+            "morsels": self.morsels_dispatched,
+        }

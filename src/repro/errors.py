@@ -174,8 +174,7 @@ class CorruptDataError(ResilienceError):
 # ========  ======  ====================================================
 # TYP00x    400     prepare-time analysis rejection — the query itself
 #                   is invalid against the registered schemas
-# RES001    408     deadline expired (Request Timeout); the body carries
-#                   the abort profile's ``partial_progress``
+# RES001    408     deadline expired (Request Timeout)
 # RES002    499     cancelled via ``DELETE /v1/query/<id>`` (nginx's
 #                   "Client Closed Request" convention)
 # RES003    429     admission queue full / timed out (Too Many Requests
@@ -195,7 +194,11 @@ class CorruptDataError(ResilienceError):
 # ========  ======  ====================================================
 #
 # The ``SRV00x`` rows are protocol-level failures that never reach the
-# engine; ``repro.serve.mapping`` describes them.
+# engine; ``repro.serve.mapping`` describes them.  A failure of an execution
+# (any ``RES`` code, admission refusals included) carries the execution's
+# one profile, marked aborted, as ``exc.profile``: the body reports it as
+# ``profile`` and its ``partial_progress`` — batches, rows and morsels, a
+# read of that profile's counters, so the two always agree.
 
 #: Machine-readable error code -> HTTP status (exact-code entries).
 HTTP_STATUS_BY_CODE: dict[str, int] = {

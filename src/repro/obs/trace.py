@@ -9,7 +9,11 @@ collects:
 
 * **phase spans** — ``parse``, ``analyze``, ``plan``, ``codegen``,
   ``tier-cascade``, ``execute``, ``materialize`` — wall-clock sections of the
-  engine's own control flow, and
+  engine's own control flow.  The frontend phases (``parse``, ``plan``,
+  ``analyze``) run before any execution — in ``prepare()`` or a re-prepare —
+  so they belong to the prepared query's shape, which hands them to
+  :meth:`Tracer.begin` of its first execution only; a thread keeps no
+  phases between executions, and
 * **operator spans** — one per physical operator, with rows-in/rows-out,
   batch and byte attributes.  Operator spans are *accumulators*: the batch
   tier adds to them once per batch, its morsel fan-out workers add to the
@@ -28,7 +32,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.core.concurrency import make_lock
 
@@ -341,10 +345,6 @@ class _ThreadTracing(threading.local):
     """One thread's tracing state (see :class:`Tracer`)."""
 
     def __init__(self) -> None:
-        #: Phases measured before an execution started on this thread.
-        self.pending: list[tuple[str, float]] = []
-        #: The builder of the execution running on this thread.
-        self.active: TraceBuilder | None = None
         #: Inside :meth:`Tracer.force` on this thread.
         self.forced = False
         #: The last trace an execution on this thread finished.
@@ -356,11 +356,9 @@ class Tracer:
 
     Tracing is on for every thread when the engine passes
     ``enable_tracing=True``, and on for one thread inside :meth:`force`
-    (``explain(analyze=True)``).  Phases measured before an execution starts
-    (parse/plan happen in ``prepare()``) are parked and folded into the next
-    builder begun *on the same thread*: the parked phases, the active
-    builder and the force flag are per thread, so concurrent sessions never
-    see each other's.
+    (``explain(analyze=True)``).  The force flag and the last finished trace
+    are per thread, so concurrent sessions never see each other's; phases
+    measured before an execution starts come in through :meth:`begin`.
     """
 
     def __init__(
@@ -378,30 +376,20 @@ class Tracer:
 
     # -- recording -------------------------------------------------------------
 
-    def record_phase(self, name: str, seconds: float) -> None:
-        """Add a phase to this thread's execution, or park it (prepare time)."""
-        if not self.enabled:
-            return
-        local = self._local
-        if local.active is not None:
-            local.active.add_phase(name, seconds)
-            return
-        # Bound the parked list: prepares without a following execute must
-        # not accumulate (keep the most recent prepare's phases).
-        if len(local.pending) >= 16:
-            del local.pending[0]
-        local.pending.append((name, seconds))
-
-    def begin(self, query_text: str, plan: "PhysicalPlan | None") -> TraceBuilder | None:
-        """Start tracing one execution; ``None`` when tracing is disabled."""
+    def begin(
+        self,
+        query_text: str,
+        plan: "PhysicalPlan | None",
+        phases: Iterable[tuple[str, float]] = (),
+    ) -> TraceBuilder | None:
+        """Start tracing one execution, which reports ``phases`` measured
+        before it started (its shape's frontend phases); ``None`` when
+        tracing is disabled."""
         if not self.enabled:
             return None
         builder = TraceBuilder(query_text, plan)
-        local = self._local
-        for name, seconds in local.pending:
+        for name, seconds in phases:
             builder.add_phase(name, seconds)
-        local.pending = []
-        local.active = builder
         return builder
 
     def finish(
@@ -414,10 +402,7 @@ class Tracer:
         trace = builder.finish(profile, elapsed_seconds, aborted=aborted)
         with self._lock:
             self._traces.append(trace)
-        local = self._local
-        if local.active is builder:
-            local.active = None
-        local.finished = trace
+        self._local.finished = trace
         return trace
 
     # -- inspection ------------------------------------------------------------
@@ -438,7 +423,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
-        self._local.pending.clear()
 
     @contextmanager
     def force(self) -> Iterator[None]:

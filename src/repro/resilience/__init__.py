@@ -5,10 +5,10 @@ is exposed to I/O faults, corrupt inputs and unbounded work that a loaded
 warehouse never sees.  This package supplies the serving-layer plumbing that
 ROADMAP item 1 requires before a multi-client service can exist:
 
-* :class:`QueryContext` — a cooperative deadline + cancellation token +
-  progress ledger created once per query in ``engine._execute`` and observed
-  per batch (batch pipeline), per morsel (fan-out) and on a tuple stride
-  (Volcano),
+* :class:`QueryContext` — a cooperative deadline + cancellation token
+  created once per query in ``engine._execute``, carrying the execution's
+  profile to every tier and worker, and observed per batch (batch
+  pipeline), per morsel (fan-out) and on a tuple stride (Volcano),
 * :class:`AdmissionController` — bounds concurrent queries and reserved
   bytes, queueing within the query's deadline before a coded rejection,
 * :func:`retry_io` — exponential-backoff retry for transient raw-data I/O,

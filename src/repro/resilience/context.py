@@ -1,22 +1,23 @@
-"""Cooperative per-query context: deadline, cancellation token, progress.
+"""Cooperative per-query context: deadline, cancellation token, profile.
 
 A :class:`QueryContext` is created once per query in ``engine._execute`` and
 threaded through every execution tier.  Cancellation is *cooperative*: no
 thread is ever killed.  Instead each tier calls :meth:`QueryContext.check` at
-a natural unit of work — once per batch in the batch pipeline (through
-:meth:`QueryContext.note_batch`, the one context call of
-``CompiledPipeline.process``, which also records progress), per morsel in
-the fan-out scheduler (where workers also observe :meth:`should_stop`
-alongside the error-cancel event so pool teardown drains cleanly) and every
-:data:`VOLCANO_STRIDE` tuples in the Volcano interpreter — and the check
-raises a coded
+a natural unit of work — once per scan batch in the batch pipeline
+(``CompiledPipeline.process``), per morsel in the fan-out scheduler (where
+workers also observe :meth:`should_stop` alongside the error-cancel event so
+pool teardown drains cleanly) and every :data:`VOLCANO_STRIDE` tuples in the
+Volcano interpreter — and the check raises a coded
 :class:`~repro.errors.QueryTimeoutError` / :class:`~repro.errors.QueryCancelledError`
 on the worker where the work is happening.
 
-The context also carries the per-query I/O retry budget consumed by
-:func:`repro.resilience.retry.retry_io` and a progress ledger (batches, rows,
-morsels, Volcano tuples) that the engine copies into the profile when a query
-is aborted, so callers can see how far it got.
+The context keeps no ledger of its own: it carries the execution's
+:class:`~repro.core.profile.ExecutionProfile`, which the tiers write as they
+work — each morsel worker merges its own counters into it through
+:meth:`QueryContext.merge`, under the context's lock.  The per-query I/O
+retry budget that :func:`repro.resilience.retry.retry_io` consumes is
+charged to the profile's ``io_retries`` the same way.  When a query aborts,
+the engine marks that same profile, so callers see how far it got.
 
 Because plugins are reached from every tier and from pool worker threads,
 the active context travels in a ``threading.local`` slot: the engine (and
@@ -35,7 +36,7 @@ from repro.core.concurrency import make_lock
 from repro.errors import QueryCancelledError, QueryTimeoutError
 
 if TYPE_CHECKING:
-    from repro.resilience.retry import RetryPolicy
+    from repro.core.profile import ExecutionCounters, ExecutionProfile
 
 #: Tuples between deadline checks in the Volcano interpreter (read by each
 #: ``VolcanoExecutor`` when it is constructed).
@@ -66,23 +67,23 @@ class CancellationToken:
 
 
 class QueryContext:
-    """Deadline + cancellation token + progress ledger for one query.
+    """Deadline + cancellation token + the profile of one query.
 
     The deadline and token are fixed at construction (immutable afterwards);
-    only the progress ledger and retry counter mutate, always under
-    ``_lock``.  :meth:`check` is the hot path — two attribute tests when the
-    context is passive — so a default-configured engine pays nothing
-    measurable for always-on resilience (the overhead gate of
+    the context itself mutates the profile only under ``_lock`` (a morsel's
+    counters, a retry).  :meth:`check` is the hot path — two attribute tests
+    when the context is passive — so a default-configured engine pays
+    nothing measurable for always-on resilience (the overhead gate of
     ``benchmarks/run_all.py`` bounds a configured deadline too).
     """
 
     def __init__(
         self,
+        profile: "ExecutionProfile",
         *,
         timeout_seconds: float | None = None,
         token: CancellationToken | None = None,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
-        retry_policy: "RetryPolicy | None" = None,
     ) -> None:
         self.timeout_seconds = timeout_seconds
         self.deadline = (
@@ -90,17 +91,11 @@ class QueryContext:
         )
         self.token = token
         self.retry_budget = max(int(retry_budget), 0)
-        self.retry_policy = retry_policy
+        #: The execution's one ledger (see :mod:`repro.core.profile`).
+        self.profile = profile
         self._lock = make_lock("QueryContext._lock")
-        self._io_retries = 0
-        self._progress: dict[str, int] = {}
 
     # ------------------------------------------------------------------ state
-
-    @property
-    def active(self) -> bool:
-        """True when a deadline or a cancellation token is attached."""
-        return self.deadline is not None or self.token is not None
 
     def should_stop(self) -> bool:
         """Non-raising probe used in pool worker loops."""
@@ -122,39 +117,20 @@ class QueryContext:
                 timeout_seconds=self.timeout_seconds,
             )
 
-    # --------------------------------------------------------------- progress
+    # ----------------------------------------------------------------- ledger
 
-    def count(self, key: str, amount: int = 1) -> None:
-        """Accumulate a partial-progress counter (thread-safe)."""
+    def merge(self, counters: "ExecutionCounters") -> None:
+        """Fold one morsel's counters into the profile (any worker thread)."""
         with self._lock:
-            self._progress[key] = self._progress.get(key, 0) + amount
-
-    def note_batch(self, rows: int) -> None:
-        """The batch pipeline's one call per scan batch: check, then count
-        the batch and its rows."""
-        self.check()
-        with self._lock:
-            self._progress["batches"] = self._progress.get("batches", 0) + 1
-            self._progress["rows"] = self._progress.get("rows", 0) + rows
-
-    def progress_snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._progress)
-
-    # ------------------------------------------------------------ retry budget
+            self.profile.merge(counters)
 
     def consume_retry(self) -> bool:
         """Charge one transient-I/O retry; False once the budget is spent."""
         with self._lock:
-            if self._io_retries >= self.retry_budget:
+            if self.profile.io_retries >= self.retry_budget:
                 return False
-            self._io_retries += 1
+            self.profile.io_retries += 1
             return True
-
-    @property
-    def io_retries(self) -> int:
-        with self._lock:
-            return self._io_retries
 
 
 _ACTIVE = threading.local()

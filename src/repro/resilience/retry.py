@@ -17,8 +17,8 @@ batch slice) and classifies failures:
   they are already classified.
 
 The active :class:`~repro.resilience.context.QueryContext` (if any) supplies
-the retry policy/budget and is checked between attempts so a retry loop can
-never outlive a deadline or a cancellation.
+the retry budget and is checked between attempts so a retry loop can never
+outlive a deadline or a cancellation.
 """
 
 from __future__ import annotations
@@ -61,12 +61,7 @@ def retry_io(
 ) -> Any:
     """Run one raw-I/O step under the retry policy; see module docstring."""
     context = get_active_context()
-    if policy is None:
-        policy = (
-            context.retry_policy
-            if context is not None and context.retry_policy is not None
-            else DEFAULT_RETRY_POLICY
-        )
+    policy = policy or DEFAULT_RETRY_POLICY
     attempts = 0
     while True:
         try:

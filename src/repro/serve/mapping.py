@@ -37,9 +37,11 @@ from repro.serve.protocol import profile_summary
 def engine_error_response(exc: BaseException) -> tuple[int, dict]:
     """(status, JSON body) for an engine failure.
 
-    Aborted executions (RES001/RES002) carry the abort profile the engine
-    attached to the exception, so a 408 body reports ``partial_progress`` —
-    how far the query got before the deadline.
+    A failed execution — aborted (RES001/RES002), refused by admission
+    (RES003/RES004) or broken — carries the one profile the engine attached
+    to the exception, so its body reports that ``profile`` and its
+    ``partial_progress``: how far the query got, read off the same
+    counters.
     """
     body: dict[str, Any] = {
         "error": {
@@ -51,9 +53,7 @@ def engine_error_response(exc: BaseException) -> tuple[int, dict]:
     profile = getattr(exc, "profile", None)
     if profile is not None:
         body["profile"] = profile_summary(profile)
-        body["partial_progress"] = dict(
-            getattr(profile, "partial_progress", {}) or {}
-        )
+        body["partial_progress"] = profile.partial_progress
     return http_status_for(exc), body
 
 

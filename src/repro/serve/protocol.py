@@ -164,18 +164,16 @@ def finish_result_body(head: bytes, execution_seconds: float, cached: bool) -> b
 
 
 def profile_summary(profile: Any) -> dict:
-    """JSON-safe subset of an ExecutionProfile (works for abort profiles too)."""
+    """JSON-safe subset of an ExecutionProfile (an aborted one adds its
+    code and ``partial_progress``)."""
     summary: dict[str, Any] = {}
     for field in _PROFILE_FIELDS:
         value = getattr(profile, field, None)
         if value is not None:
             summary[field] = value
-    aborted = getattr(profile, "aborted", None)
-    if aborted is not None:
-        summary["aborted"] = aborted
-        summary["partial_progress"] = dict(
-            getattr(profile, "partial_progress", {}) or {}
-        )
+    if profile.aborted is not None:
+        summary["aborted"] = profile.aborted
+        summary["partial_progress"] = profile.partial_progress
     return summary
 
 

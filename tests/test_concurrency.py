@@ -28,6 +28,8 @@ from repro.core.concurrency import (
     set_debug_locks,
     switch_interval,
 )
+from repro.core.profile import ExecutionCounters, ExecutionProfile
+from repro.resilience.context import QueryContext
 
 from tests.conftest import ITEMS_SCHEMA, expected_items, make_engine
 from tests.test_unnest import ORDERS_SCHEMA, expected_orders
@@ -515,6 +517,25 @@ def test_worker_pool_under_debug_locks(debug_locks):
     with switch_interval():
         results = pool.run(list(range(64)), lambda item, worker: item * 2)
     assert results == [item * 2 for item in range(64)]
+    assert_lock_order_acyclic()
+
+
+def test_context_merge_loses_no_count(debug_locks):
+    """Morsel workers fold their counters into the execution's one profile
+    through ``QueryContext.merge``: eight threads (more than there are
+    cores) merging under aggressive preemption lose no count."""
+    profile = ExecutionProfile()
+    context = QueryContext(profile)
+    morsel = ExecutionCounters(rows_scanned=16, batches_processed=1)
+
+    def worker(_: int) -> None:
+        for _ in range(2000):
+            context.merge(morsel)
+
+    with switch_interval():
+        run_concurrently(worker, 8)
+    assert profile.batches_processed == 8 * 2000
+    assert profile.rows_scanned == 16 * 8 * 2000
     assert_lock_order_acyclic()
 
 

@@ -208,6 +208,26 @@ def test_parked_phases_stay_on_the_preparing_thread(paths):
     assert "execute" in phases, phases
 
 
+def test_prepare_time_phases_belong_to_the_prepared_query(paths):
+    """The frontend phases of a ``prepare()`` go to that prepared query's
+    first execution, never to another query run next on the same thread,
+    and never to a second execution."""
+    engine = make_engine(paths, enable_tracing=True, enable_caching=False)
+    warm = "SELECT COUNT(*) FROM items_csv WHERE qty < 3"
+    engine.query(warm)
+    prepared = engine.prepare("SELECT SUM(price) AS s FROM items_csv WHERE qty < 4")
+    engine.query(warm)
+    frontend = {"parse", "plan", "analyze", "codegen"}
+    warm_phases = {span.name for span in engine.tracer.last().phases}
+    assert not warm_phases & frontend, warm_phases
+    prepared.execute()
+    first = {span.name for span in engine.tracer.last().phases}
+    assert frontend <= first, first
+    prepared.execute()
+    again = {span.name for span in engine.tracer.last().phases}
+    assert not again & frontend and "execute" in again, again
+
+
 def test_force_traces_only_the_forcing_thread(paths):
     engine = make_engine(paths, enable_caching=False)
     with engine.tracer.force():

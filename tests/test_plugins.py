@@ -9,8 +9,9 @@ from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.core.columns import EncodedColumn
-from repro.core.executor.vectorized import PipelineCounters, ScanOperator
+from repro.core.executor.vectorized import ScanOperator
 from repro.core.physical import PhysScan
+from repro.core.profile import ExecutionCounters
 from repro.errors import PluginError
 from repro.plugins import (
     BinaryColumnPlugin,
@@ -275,7 +276,7 @@ def test_cache_plugin_serves_cached_fields(tmp_path, memory):
 
     cached = ScanOperator(PhysScan("ds", "d", [("x",)]), dataset, plugin, cache_manager=manager)
     assert cached.fully_cached and cached.total_rows == 50
-    counters = PipelineCounters()
+    counters = ExecutionCounters()
     batches = list(cached.iter_range(40, 50, counters, batch_size=4))
     assert [batch.count for batch in batches] == [4, 4, 2]
     assert np.concatenate([b.columns[("d", ("x",))] for b in batches]).tolist() == list(range(40, 50))
@@ -287,7 +288,7 @@ def test_cache_plugin_serves_cached_fields(tmp_path, memory):
     mixed = ScanOperator(PhysScan("ds", "d", [("x",), ("y",)]), dataset, plugin,
                          cache_manager=manager)
     assert not mixed.fully_cached
-    counters = PipelineCounters()
+    counters = ExecutionCounters()
     batches = list(mixed.iter_batches(counters, batch_size=16))
     assert np.concatenate([b.columns[("d", ("x",))] for b in batches]).tolist() == list(range(50))
     assert np.concatenate([b.columns[("d", ("y",))] for b in batches]).tolist() == list(range(0, 100, 2))
@@ -369,12 +370,12 @@ def _column_batches(plugin, dataset, fmt, batch_size):
     manager = CacheManager(1 << 28)
     scan = PhysScan("table", "r", [("x",)])
     cold = ScanOperator(scan, dataset, plugin, cache_manager=manager)
-    for _ in cold.iter_batches(PipelineCounters(), batch_size):
+    for _ in cold.iter_batches(ExecutionCounters(), batch_size):
         pass
     cold.store_materialized()
     warm = ScanOperator(scan, dataset, plugin, cache_manager=manager)
     assert warm.fully_cached
-    counters = PipelineCounters()
+    counters = ExecutionCounters()
     for batch in warm.iter_batches(counters, batch_size):
         yield batch.oids["r"], batch.columns[("r", ("x",))]
     assert counters.values_from_cache == warm.total_rows

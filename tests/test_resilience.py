@@ -32,6 +32,7 @@ from repro.resilience import (
 )
 from repro.resilience import admission as admission_module
 from repro.resilience import context as context_module
+from repro.serve.mapping import engine_error_response
 from repro.storage.catalog import DataFormat
 
 #: Engine configurations that pin each of the two execution tiers (the
@@ -141,7 +142,7 @@ def test_volcano_stride_bounds_check_latency(paths, monkeypatch):
     )
     with pytest.raises(QueryTimeoutError):
         engine.query("select id from items_csv", timeout=0)
-    assert engine.last_profile.partial_progress.get("volcano_tuples") == 10
+    assert engine.last_profile.partial_progress["rows"] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,41 @@ def test_cancellation_interrupts_mid_query(paths):
     with pytest.raises(QueryCancelledError):
         engine.query("select sum(price) from items_csv", cancel=token)
     assert engine.query("select count(*) from items_csv").rows == [(120,)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_abort_profile_is_the_execution_ledger(paths, workers):
+    """One ledger: the profile a cancelled execution carries is the one its
+    scans counted into — inline, and with the group-by fanned out over
+    16-row morsels, where each morsel merges its counters when it ends — so
+    its counters and its ``partial_progress`` agree."""
+    query = "select qty, count(*) as n from items_csv group by qty"
+    engine = make_engine(
+        paths,
+        enable_caching=False,
+        parallel_workers=workers,
+        vectorized_batch_size=16,
+    )
+    completed = engine.query(query).profile
+    assert (completed.morsels_dispatched > 0) == (workers > 1)
+    assert completed.batches_processed == 8 and completed.rows_scanned == 120
+    token = CancellationToken()
+    injector = FaultInjector(
+        FaultPlan([FaultSpec(kind="slow", at_call=3, delay_seconds=0.0)]),
+        sleep=lambda seconds: token.cancel(),
+    )
+    engine.plugins[DataFormat.CSV].install_fault_injector(injector)
+    with pytest.raises(QueryCancelledError) as info:
+        engine.query(query, cancel=token)
+    profile = info.value.profile
+    assert profile is engine.last_profile
+    assert profile.execution_tier == "aborted" and profile.aborted == "RES002"
+    progress = profile.partial_progress
+    assert profile.batches_processed == progress["batches"] >= 1
+    assert profile.rows_scanned == progress["rows"]
+    assert 0 < progress["rows"] <= 16 * progress["batches"]
+    assert progress["batches"] < completed.batches_processed
+    assert progress["morsels"] == profile.morsels_dispatched
 
 
 def test_cancellation_from_another_thread(paths):
@@ -340,6 +376,37 @@ def test_admission_queue_honours_the_query_deadline(paths):
         slot.release()
     assert "[RES003]" in str(info.value)
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize(
+    ("limits", "error", "status"),
+    [
+        ({"max_concurrent_queries": 1}, AdmissionRejectedError, 429),
+        ({"query_memory_budget_bytes": 8}, MemoryBudgetError, 503),
+    ],
+)
+def test_admission_refusal_takes_the_one_abort_path(paths, limits, error, status):
+    """A query admission refuses (RES003 full, RES004 never fits) fails like
+    any aborted execution: its one profile is marked, attached to the error
+    and published as ``last_profile``, so the HTTP body carries it too."""
+    engine = make_engine(paths, enable_caching=False, **limits)
+    engine.analyze("items_csv")  # the memory estimate needs a cardinality
+    slot = engine.admission.admit() if "max_concurrent_queries" in limits else None
+    try:
+        with pytest.raises(error) as info:
+            engine.query("select count(*) from items_csv", timeout=0.05)
+    finally:
+        if slot is not None:
+            slot.release()
+    code = info.value.code
+    profile = info.value.profile
+    assert profile is engine.last_profile
+    assert profile.execution_tier == "aborted" and profile.aborted == code
+    assert profile.partial_progress == {"batches": 0, "rows": 0, "morsels": 0}
+    mapped, body = engine_error_response(info.value)
+    assert mapped == status
+    assert body["profile"]["aborted"] == code
+    assert body["partial_progress"] == profile.partial_progress
 
 
 # ---------------------------------------------------------------------------

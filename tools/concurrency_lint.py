@@ -83,7 +83,8 @@ INIT_METHODS = frozenset({"__init__", "__post_init__"})
 LOCKED_HELPER_SUFFIX = "_locked"
 
 #: Method names that mutate their receiver — the non-subscript forms the
-#: old tier_lint lock rule missed (``setdefault``, ``update``, ``pop``, …).
+#: old tier_lint lock rule missed (``setdefault``, ``update``, ``pop``, …),
+#: and ``merge``, which folds a morsel's counters into a shared profile.
 MUTATOR_METHODS = frozenset(
     {
         "setdefault",
@@ -102,6 +103,7 @@ MUTATOR_METHODS = frozenset(
         "clear",
         "sort",
         "reverse",
+        "merge",
     }
 )
 

@@ -7,7 +7,9 @@ framework, no white-box access:
 1. ``POST /v1/query`` returns 200 with the expected columnar rows,
 2. an in-flight query (held open by scripted slow faults) is cancelled via
    ``DELETE /v1/query/<id>``: the cancel returns 200 and the query
-   surfaces as 499 with ``RES002`` in the body,
+   surfaces as 499 with ``RES002`` in the body, whose ``partial_progress``
+   counts at least one batch — the same count as its ``profile`` (one
+   ledger per execution),
 3. ``GET /metrics`` returns 200 with the exact Prometheus v0.0.4 content
    type, a single trailing newline and the serving counters present,
 4. two queries over ONE keep-alive connection to a caching engine: both
@@ -135,6 +137,13 @@ def main() -> int:
         check(
             payload.get("error", {}).get("code") == "RES002",
             f"cancelled body code: {payload.get('error')}",
+        )
+        batches = payload.get("partial_progress", {}).get("batches", 0)
+        counted = payload.get("profile", {}).get("batches_processed")
+        check(
+            batches >= 1 and batches == counted,
+            f"cancelled body progress: {batches} batch(es), "
+            f"profile batches_processed {counted}",
         )
         engine.plugins["csv"].install_fault_injector(None)
 
