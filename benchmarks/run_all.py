@@ -1,4 +1,4 @@
-"""The CI-gated micro-benchmarks: seven ratio gates in one module.
+"""The CI-gated micro-benchmarks: eight ratio gates in one module.
 
 Each gate shows that one mechanism works at all: it times the mechanism
 against the path it replaced, or the engine against itself without the
@@ -111,6 +111,28 @@ JOIN_QUERY = (
     "JOIN orders o ON l.l_orderkey = o.o_orderkey WHERE o.o_orderpriority < 3"
 )
 
+#: Join chains against their NumPy reference: aggregates over the one-key
+#: join chains of the end-to-end ``symantec_mixed`` (its Q30 and Q47, over
+#: binary-column twins of its three tables at its sizes) on a warm caching
+#: engine vs per-key ``bincount`` counts and sums in plain NumPy, which
+#: index their arrays by the key itself.  Q30 reads one input (the other's
+#: row counts are its cached key slots); Q47 reads all three, and each
+#: pays a scan pipeline and a key-to-slot lookup on top of ~0.5 ms of
+#: per-query planning and dispatch that the reference does not: its bar
+#: is looser.
+CHAIN_ROWS = {"m": 40_000, "c": 32_000, "j": 8_000}
+CHAIN_KEYS = 8_000
+CHAIN_LABELS = ["pharma", "phishing", "malware", "dating", "casino", "replica"]
+CHAIN_ROUNDS = 40
+#: Query -> (text, bar on engine / reference).
+CHAIN_QUERIES = {
+    "Q30": ("SELECT c.label, COUNT(*) FROM m JOIN c ON m.mail_id = c.mail_id "
+            "WHERE m.threat_level >= 2 GROUP BY c.label", 2.5),
+    "Q47": ("SELECT c.label, COUNT(*), SUM(m.bytes) FROM m "
+            "JOIN c ON m.mail_id = c.mail_id JOIN j ON m.mail_id = j.mail_id "
+            "WHERE j.day < 21 GROUP BY c.label", 3.5),
+}
+
 #: Timed rounds of the gates without a round count of their own.
 ROUNDS = (5, 3)
 
@@ -176,11 +198,16 @@ def make_engine(path: str, analyze: bool = True, **options) -> ProteusEngine:
 
 def paired_rounds(rounds: int, **functions) -> dict[str, list[float]]:
     """Wall seconds of every function, called once per round, back to back.
-    One extra first round warms file maps, indexes and generated code and is
+    The call order rotates by one every round, so no function always
+    follows the same one (and inherits what it left in the caches).  One
+    extra first round warms file maps, indexes and generated code and is
     discarded."""
     samples: dict[str, list[float]] = {name: [] for name in functions}
+    names = list(functions)
     for round_number in range(rounds + 1):
-        for name, function in functions.items():
+        shift = round_number % len(names)
+        for name in names[shift:] + names[:shift]:
+            function = functions[name]
             started = time.perf_counter()
             function()
             if round_number:
@@ -419,6 +446,65 @@ def join_reference(directory: str, quick: bool) -> list[Ratio]:
     ]
 
 
+def chain_reference(directory: str, quick: bool) -> list[Ratio]:
+    rng = np.random.RandomState(5)
+    tables = {
+        "m": {"mail_id": rng.randint(0, CHAIN_KEYS, CHAIN_ROWS["m"]),
+              "threat_level": rng.randint(0, 5, CHAIN_ROWS["m"]),
+              "bytes": rng.randint(200, 1_000_000, CHAIN_ROWS["m"])},
+        "c": {"mail_id": rng.randint(0, CHAIN_KEYS, CHAIN_ROWS["c"]),
+              "label": rng.randint(0, len(CHAIN_LABELS), CHAIN_ROWS["c"])},
+        "j": {"mail_id": np.arange(CHAIN_ROWS["j"]) % CHAIN_KEYS,
+              "day": rng.randint(0, 30, CHAIN_ROWS["j"])},
+    }
+    engine = ProteusEngine()
+    for name, columns in tables.items():
+        columns = {field: values.astype(np.int64) for field, values in columns.items()}
+        schema = {field: "int" for field in columns}
+        if name == "c":
+            columns["label"] = np.asarray(CHAIN_LABELS, dtype=object)[columns["label"]]
+            schema["label"] = "string"
+        path = os.path.join(directory, name)
+        write_column_table(path, columns, t.make_schema(schema))
+        engine.register_binary_columns(name, path)
+    m, c, j = tables["m"], tables["c"], tables["j"]
+    # The dictionary codes of ``c.label``, as the engine's cache holds them.
+    labels, label_codes = np.unique(
+        np.asarray(CHAIN_LABELS, dtype=object)[c["label"]], return_inverse=True)
+
+    def per_label(*weights) -> list[tuple]:
+        columns = [np.bincount(label_codes, weights=w[c["mail_id"]], minlength=len(labels))
+                   for w in weights]
+        return [(str(label), *(int(column[i]) for column in columns))
+                for i, label in enumerate(labels) if columns[0][i]]
+
+    def q30():
+        return per_label(np.bincount(m["mail_id"][m["threat_level"] >= 2],
+                                     minlength=CHAIN_KEYS))
+
+    def q47():
+        in_j = np.bincount(j["mail_id"][j["day"] < 21], minlength=CHAIN_KEYS)
+        in_m = np.bincount(m["mail_id"], minlength=CHAIN_KEYS)
+        bytes_m = np.bincount(m["mail_id"], weights=m["bytes"], minlength=CHAIN_KEYS)
+        return per_label(in_m * in_j, bytes_m * in_j)
+
+    ratios = []
+    for name, reference in (("Q30", q30), ("Q47", q47)):
+        text, bar = CHAIN_QUERIES[name]
+        prepared = engine.prepare(text)
+        for _ in range(2):  # the second run is warm: cached columns and slots
+            result = prepared.execute()
+        kernels = result.profile.join_kernels
+        if not kernels or set(kernels) != {"factorized"}:
+            raise GateError(f"{name} ran {kernels}, not per key value")
+        if sorted(result.rows) != reference():
+            raise GateError(f"{name} answered {sorted(result.rows)}, not {reference()}")
+        samples = paired_rounds(CHAIN_ROUNDS, engine=prepared.execute, reference=reference)
+        ratios.append(Ratio(f"{name} engine / NumPy reference",
+                            ratio(samples, "engine", "reference"), bar, at_least=False))
+    return ratios
+
+
 GATES = {
     "fanout_scaling": fanout_scaling,
     "sort_kernels": sort_kernels,
@@ -427,6 +513,7 @@ GATES = {
     "client_scaling": client_scaling,
     "overhead": overhead,
     "join_reference": join_reference,
+    "chain_reference": chain_reference,
 }
 
 

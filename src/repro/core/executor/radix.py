@@ -103,7 +103,7 @@ DENSE_JOIN_SLOTS_PER_ROW = 16
 DENSE_GROUP_CODES_PER_ROW = 8
 
 
-def _dense_range(keys: np.ndarray, slots_per_row: int) -> tuple[int, int] | None:
+def dense_range(keys: np.ndarray, slots_per_row: int) -> tuple[int, int] | None:
     """``(lo, span)`` of an integer key column whose range is dense enough
     for direct addressing, else ``None``.  The bounds are Python ints, so
     neither the range nor the density test can overflow, and every
@@ -251,7 +251,7 @@ def key_slots(keys: np.ndarray | EncodedColumn) -> KeySlots:
     kind, lo, distinct, values = keys.dtype.kind, 0, None, None
     if isinstance(keys, EncodedColumn):
         keys, values = keys.codes, keys.values
-    dense = _dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)
+    dense = dense_range(keys, DENSE_JOIN_SLOTS_PER_ROW)
     if dense is not None:
         lo, span = dense
         addresses = keys.astype(np.int64, copy=False) - lo
@@ -363,7 +363,6 @@ def _addresses(space: KeySlots, keys: np.ndarray) -> np.ndarray:
     """Every key's index into ``space.lookup``: its address plus one, or an
     index that clips onto one of the two ``-1`` ends for a key the input
     lacks."""
-    addresses = np.zeros(len(keys), dtype=np.int64)
     if space.distinct is None:
         # ``key - (lo - 1)`` modulo 2**64 is in ``[1, span]`` exactly for
         # the keys inside the range; read as int64, every other key is
@@ -373,9 +372,11 @@ def _addresses(space: KeySlots, keys: np.ndarray) -> np.ndarray:
             return keys.astype(np.int64, copy=False) - base
         # A uint64 key past int64 (or a big int in an object column) would
         # wrap the cast into the range: only keys inside it are cast.
+        addresses = np.zeros(len(keys), dtype=np.int64)
         inside = (keys >= space.lo) & (keys < space.lo + len(space.lookup) - 2)
         addresses[inside] = keys[inside].astype(np.int64) - base
         return addresses
+    addresses = np.zeros(len(keys), dtype=np.int64)
     distinct = space.distinct
     inside = None
     if keys.dtype.kind in "iu" and distinct.dtype.kind in "iu" and keys.dtype.kind != distinct.dtype.kind:
@@ -515,7 +516,7 @@ def _dense_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult | 
     ranges: list[tuple[int, int]] = []
     capacity = 1
     for keys in key_arrays:
-        dense = _dense_range(keys, DENSE_GROUP_CODES_PER_ROW)
+        dense = dense_range(keys, DENSE_GROUP_CODES_PER_ROW)
         if dense is None:
             return None
         ranges.append(dense)

@@ -105,7 +105,7 @@ are covered batch-natively.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -189,6 +189,24 @@ class Batch:
     #: Bound query-parameter values (``Parameter`` nodes evaluate against
     #: this); shared by every batch of one execution, never copied.
     params: Mapping[int | str, object] | None = None
+    #: The rows the stages kept, as a mask over the columns (``None``: every
+    #: row) — set only inside a chain input, whose selection and slot stage
+    #: mark rows instead of gathering them (see :class:`SlotStage`).
+    keep: np.ndarray | None = None
+
+    @property
+    def rows(self) -> int:
+        """The rows the stages kept."""
+        return self.count if self.keep is None else int(np.count_nonzero(self.keep))
+
+    def kept(self, mask: np.ndarray) -> "Batch | None":
+        """This batch with only the rows of ``mask`` kept, no column
+        gathered; ``None`` when no row is."""
+        if self.keep is not None:
+            mask = mask & self.keep
+        if not mask.any():
+            return None
+        return replace(self, keep=None if mask.all() else mask)
 
     def take(self, selector: np.ndarray) -> "Batch":
         """Gather rows by boolean mask or integer positions."""
@@ -574,13 +592,28 @@ class ScanOperator:
 
 class SelectStage:
     """Filter each batch by a predicate; over a lazy scan, fetch the deferred
-    fields of the surviving rows afterwards."""
+    fields of the surviving rows afterwards.  With ``masks`` — the selection
+    at the root of a chain input — a mask that keeps more than half the
+    rows is passed on as :attr:`Batch.keep` instead of gathering every
+    column: the chain's reducer reads every row then, the dropped ones
+    weighing nothing, at less than the gathers would cost."""
 
-    def __init__(self, predicate: Evaluator, lazy_scan: ScanOperator | None = None):
+    def __init__(
+        self,
+        predicate: Evaluator,
+        lazy_scan: ScanOperator | None = None,
+        masks: bool = False,
+    ):
         self.predicate = predicate
         self.lazy_scan = lazy_scan
+        self.masks = masks
 
     def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
+        if self.masks:
+            mask = as_bool_array(self.predicate(batch), batch.count)
+            if 2 * np.count_nonzero(mask) > batch.count:
+                return batch.kept(mask)
+            return batch.take(mask) if mask.any() else None
         selected = _apply_predicate(batch, self.predicate)
         if selected is not None and self.lazy_scan is not None:
             self.lazy_scan.fetch_deferred(selected, counters)
@@ -848,12 +881,12 @@ class CompiledPipeline:
                 batch = stage.apply(batch, counters)
             else:
                 started = time.perf_counter()
-                rows_in = batch.count
+                rows_in = batch.rows
                 batch = stage.apply(batch, counters)
                 span.add_batch(
                     time.perf_counter() - started,
                     rows_in,
-                    batch.count if batch is not None else 0,
+                    batch.rows if batch is not None else 0,
                 )
             if batch is None:
                 return None
@@ -871,7 +904,10 @@ class PipelineCompiler:
 
     ``compile`` walks the plan top-down with the operators ``above`` the
     current node, so a join learns which of its output columns are read
-    above it without a walk of its own.
+    above it without a walk of its own.  Only a chain input is compiled
+    with nothing above it: a selection at its root that keeps most rows
+    passes its mask on (:attr:`Batch.keep`) instead of gathering every
+    column.
     """
 
     def __init__(
@@ -909,10 +945,10 @@ class PipelineCompiler:
         self.cache_writers: list = []
         #: The kernel of every hash join compiled, in plan walk order.
         self.join_kernels: list[str] = []
-        #: Build sides already materialized with their key slots, by plan
-        #: node: a chain that did not run per key value hands its first
-        #: input over.
-        self.built: dict[int, tuple[Batch, radix.KeySlots]] = {}
+        #: Build sides whose key slots are known — with their rows when
+        #: already materialized —, by plan node: a chain that did not run
+        #: per key value hands its first input over.
+        self.built: dict[int, tuple[Batch | None, radix.KeySlots]] = {}
 
     def compile(
         self, plan: PhysicalPlan, above: tuple[PhysicalPlan, ...] = ()
@@ -928,8 +964,13 @@ class PipelineCompiler:
                     lazy_scan = pipeline.source
             else:
                 pipeline = self.compile(plan.child, below)
+            # At the root of a chain input the mask may go on to the slot
+            # stage, which marks the dropped rows instead.
+            masks = not above and lazy_scan is None
             self.add_stage(
-                pipeline, plan, SelectStage(self.evaluator(plan.predicate), lazy_scan)
+                pipeline,
+                plan,
+                SelectStage(self.evaluator(plan.predicate), lazy_scan, masks),
             )
             return pipeline
         if isinstance(plan, PhysUnnest):
@@ -968,6 +1009,8 @@ class PipelineCompiler:
                 # columns to evaluate the key on).
                 pipeline.always_empty = True
                 return pipeline
+            if space is None:
+                space = self.cached_side(plan.left, plan.left_key)
             if space is None:
                 space = self.build_side(plan.left, plan.left_key, left)
             self.join_kernels.append(space.kernel)
@@ -1047,20 +1090,25 @@ class PipelineCompiler:
         self.cache_writers.append(operator)
         return CompiledPipeline(operator, [], context=self.context)
 
+    def cached_side(self, side: PhysicalPlan, key: Expression) -> radix.KeySlots | None:
+        """The key slots of a join build side — plan ``side`` keyed by
+        ``key`` — when the adaptive cache holds them for the same build
+        plan, join key and bound build-side parameter values (§6: ``A ⋈ B``
+        then ``A ⋈ C``); looked up before the side is read.  Literals are
+        part of the plan's fingerprint, and re-registering a dataset drops
+        every entry built from it, so a hit is never stale."""
+        cache_key = self._build_side_key(side, key)
+        if cache_key is None:
+            return None
+        entry = self.cache_manager.lookup(cache_key)
+        return None if entry is None else entry.data
+
     def build_side(
         self, side: PhysicalPlan, key: Expression, build: Batch
     ) -> radix.KeySlots:
-        """The key slots of a join build side — the materialized ``build``
-        of plan ``side`` keyed by ``key`` — or the cached ones when the
-        adaptive cache holds them for the same build plan, join key and
-        bound build-side parameter values (§6: ``A ⋈ B`` then ``A ⋈ C``)."""
+        """Number the keys of ``build``, the materialized plan ``side``
+        keyed by ``key``, as slots and offer them to the adaptive cache."""
         cache_key = self._build_side_key(side, key)
-        if cache_key is not None:
-            entry = self.cache_manager.lookup(cache_key)
-            if entry is not None and entry.data.build_size == build.count:
-                return entry.data
-            if entry is not None:  # a stale build of another cardinality
-                self.cache_manager.evict(cache_key)
         space = radix.key_slots(materialize(self.evaluator(key)(build), build.count))
         self.context.profile.join_build_rows += build.count
         if cache_key is not None:
@@ -1246,7 +1294,7 @@ class _CollectRoot(_RootTask):
     def update(
         self, state: list[Batch], batch: Batch, counters: ExecutionCounters
     ) -> None:
-        state.append(batch)
+        state.append(batch if batch.keep is None else batch.take(batch.keep))
 
     def merge(self, partials: list, counters: ExecutionCounters) -> Batch:
         return concat_batches([batch for batches in partials for batch in batches])
@@ -1648,19 +1696,23 @@ class FactorizedChain:
 
     Every input of the chain holds one join-key field, and a joined row has
     the same value in all of them, so the joined rows of one key value are
-    the product of each input's rows with that value.  The first input is
-    materialized like a join build side and its keys are numbered as
-    *slots* (:class:`~repro.core.executor.radix.KeySlots`); every other input
-    streams through a stage that keeps its rows whose key the first input
-    holds, with the slot attached.  Each input reduces to per-slot partials
-    (:class:`_SlotRoot`) — its row count ``c_i(k)`` and, per aggregate whose
-    argument reads it, the non-missing count and sum — and the aggregates
-    are key products over the slots every input holds:
-    ``COUNT(*) = Σ_k Π_i c_i(k)``, ``SUM(x_j) = Σ_k s_j(k) Π_{i≠j} c_i(k)``
-    (COUNT(x_j) alike, AVG from the two), MIN/MAX over those slots.  With
-    group keys, every row of the input they read is an output row of its
-    own, weighed by the other inputs' partials of its slot, and the group-by
-    fold groups the rows.
+    the product of each input's rows with that value.  The first input's
+    keys are numbered as *slots* (:class:`~repro.core.executor.radix.KeySlots`,
+    looked up in the adaptive cache before the input is read, built from its
+    materialized key column otherwise), and every input streams through a
+    :class:`SlotStage` that attaches each row's slot and keeps only the rows
+    that have one — no column is gathered.  Each input reduces to per-slot
+    partials (:class:`_SlotRoot`) — its row count ``c_i(k)`` and, per
+    aggregate whose argument reads it, the non-missing count and sum, one
+    grouped reduction each — and the aggregates are key products over the slots
+    every input holds: ``COUNT(*) = Σ_k Π_i c_i(k)``,
+    ``SUM(x_j) = Σ_k s_j(k) Π_{i≠j} c_i(k)`` (COUNT(x_j) alike, AVG from the
+    two), MIN/MAX over those slots.  A first input the aggregates need only
+    the row counts of is not read at all when its slots are cached: the
+    slots hold the counts.  With group keys, every row of the input they
+    read is an output row of its own, weighed by the other inputs' partials
+    gathered at its slot, and the rows are added up per group: one grouped
+    sum a part.
     """
 
     #: The hash joins, the chain's root first.
@@ -1763,8 +1815,11 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
 
 
 class SlotStage:
-    """Keep the rows of a batch whose join key has a slot, with the slot
-    attached as a column (see :class:`FactorizedChain`)."""
+    """Attach the slot of every row's join key and keep only the rows that
+    have one — no column is gathered (see :class:`FactorizedChain`).  The
+    slots are shifted by one: a row without a slot, or one a selection
+    below dropped (:attr:`Batch.keep`), reads 0, whose partials the reducer
+    leaves at zero."""
 
     def __init__(self, space: radix.KeySlots, key: Evaluator):
         self.space = space
@@ -1772,12 +1827,16 @@ class SlotStage:
 
     def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
         slots = radix.slots_of(self.space, materialize(self.key(batch), batch.count))
-        keep = slots >= 0
-        if not keep.any():
+        selected = batch.keep
+        batch = batch.kept(slots >= 0)
+        if batch is None:
             return None
-        if not keep.all():
-            batch, slots = batch.take(keep), slots[keep]
-        batch.columns[_SLOT] = slots
+        # Every later gather and bincount indexes by the slots: as intp.
+        shifted = slots.astype(np.intp)
+        shifted += 1  # no slot, -1, reads 0
+        if selected is not None:
+            shifted *= selected
+        batch.columns = {**batch.columns, _SLOT: shifted}
         return batch
 
 
@@ -1787,7 +1846,9 @@ def _slot_of(batch: Batch) -> np.ndarray:
 
 @dataclass
 class _SlotPartials:
-    """One input of a factorized chain, reduced over the slots."""
+    """One input of a factorized chain, reduced over the slots shifted by
+    one (see :class:`SlotStage`): entry 0, the rows without a slot, is
+    zero."""
 
     #: Rows per slot.
     rows: np.ndarray
@@ -1801,11 +1862,12 @@ class _SlotPartials:
 
 class _SlotRoot(_RootTask):
     """The per-slot partials of one input of a factorized chain: each range
-    collects its rows' slots and argument columns, as a group-by's range
-    does, and reduces them with the slots as group ids; ranges add their
-    partials up (integer sums turn exact past int64, as every group-by's;
-    a range without rows adds only its zero row counts) and concatenate
-    their kept rows in range order."""
+    collects its batches' slots and the argument columns it reads, as they
+    are — the slot says which rows count — and reduces them with the slots
+    as group ids, one grouped reduction a part; ranges add their partials up
+    (integer sums turn exact past int64, as every group-by's; a range
+    without rows adds only its zero row counts) and concatenate their kept
+    rows in range order."""
 
     def __init__(
         self,
@@ -1834,23 +1896,30 @@ class _SlotRoot(_RootTask):
             state[name].append(materialize(column(batch), batch.count))
 
     def finish_morsel(self, state: dict, counters: ExecutionCounters) -> _SlotPartials:
+        size = self.size + 1  # and 0, the rows without a slot
         if not state[_SLOT]:
             # A range without a row adds no sums: its argument columns would
             # be float64 (no chunks), and their sums could turn int sums
             # float.
             return _SlotPartials(
-                np.zeros(self.size, dtype=np.int64), {}, {name: [] for name in self.kept}
+                np.zeros(size, dtype=np.int64), {}, {name: [] for name in self.kept}
             )
         slots = concat_chunks(state[_SLOT])
+        rows = np.bincount(slots, minlength=size)
+        rows[0] = 0
         sums = {}
         for fingerprint, (_, funcs) in self.summed.items():
             values = concat_chunks(state[fingerprint])
+            present = fingerprint in self.non_null
             for func in funcs:
-                sums[(fingerprint, func)] = radix.group_aggregate(
-                    func, slots, self.size, values, fingerprint in self.non_null
-                )
+                if func == "count" and present:
+                    sums[(fingerprint, func)] = rows  # every row has a value
+                    continue
+                column = radix.group_aggregate(func, slots, size, values, present)
+                column[0] = 0
+                sums[(fingerprint, func)] = column
         kept = {name: state[name] for name in self.kept}
-        return _SlotPartials(np.bincount(slots, minlength=self.size), sums, kept)
+        return _SlotPartials(rows, sums, kept)
 
     def merge(self, partials: list, counters: ExecutionCounters) -> _SlotPartials:
         rows = sum(partial.rows for partial in partials)
@@ -1896,85 +1965,163 @@ def _slot_root(
     return _SlotRoot(size, summed, kept, root.non_null)
 
 
+def _key_codes(
+    keys: np.ndarray | EncodedColumn,
+) -> tuple[np.ndarray, int, Callable[[np.ndarray], Any]] | None:
+    """One group key as dense codes: ``(every row's code, the number of
+    codes, the key of given codes)`` for an encoded key (code 0: missing,
+    the group reading ``None``) or a dense integer range within
+    :data:`~repro.core.executor.radix.DENSE_GROUP_CODES_PER_ROW` codes a
+    row; ``None`` for any other key."""
+    if isinstance(keys, EncodedColumn):
+        codes, span = np.add(keys.codes, 1, dtype=np.intp), len(keys.values) + 1
+        values = keys.values
+
+        def decode(groups: np.ndarray) -> Any:
+            return EncodedColumn((groups - 1).astype(np.int32), values)
+
+    else:
+        dense = radix.dense_range(keys, radix.DENSE_GROUP_CODES_PER_ROW)
+        if dense is None:
+            return None
+        lo, span = dense
+        codes, dtype = keys.astype(np.int64, copy=False) - lo, keys.dtype
+
+        def decode(groups: np.ndarray) -> Any:
+            return (groups + lo).astype(dtype)
+
+    if span > radix.DENSE_GROUP_CODES_PER_ROW * len(codes):
+        return None
+    return codes, span, decode
+
+
 def _combine_per_key(
     chain: FactorizedChain,
     root: _NestRoot,
     reductions: list[_SlotPartials],
-    held: np.ndarray,
-) -> _GroupPartial:
-    """The root's parts as key products over the ``held`` slots (every
-    input has rows there), folded by the group keys.  A product that could
-    pass int64 is taken in exact Python ints, as the joined rows' sums
-    would be."""
-    held_slots = np.flatnonzero(held)
-    row_counts = [reduced.rows[held_slots] for reduced in reductions]
-    rank = None  # held slot -> its position among them, for the kept rows
-    if any(reduced.kept for reduced in reductions):
-        rank = np.empty(len(held), dtype=np.int64)
-        rank[held_slots] = np.arange(len(held_slots))
-    row_key = None
-    group_keys: list[np.ndarray] = []
-    if chain.grouped is not None:
-        kept = reductions[chain.grouped].kept
-        keep = held[kept[_SLOT]]
-        row_key = rank[kept[_SLOT][keep]]
-        group_keys = [kept[index][keep] for index in range(len(root.keys))]
-        row_counts = [count[row_key] for count in row_counts]
-        row_counts[chain.grouped] = np.ones(len(row_key), dtype=np.int64)
-    rows = len(row_counts[0])
+) -> _GroupPartial | None:
+    """The root's parts as key products, folded by the group keys;
+    ``None`` when no key value is held by every input.
 
-    def product(skip: int | None = None) -> np.ndarray:
-        factors = [count for index, count in enumerate(row_counts) if index != skip]
-        result = factors[0]
-        for factor in factors[1:]:
-            result = radix.null_safe_arith("*", result, factor)
-        return result
+    Every output row stands at one slot (``at``): a slot every input holds,
+    for a global aggregate, or a kept row of the grouped input.  A part's
+    per-slot weight is a product over the slots — ``COUNT(*)`` the product
+    of the other inputs' row counts, a SUM its owner's sum times the rest —
+    gathered at the output rows once (the grouped input's own argument is
+    read per row), and the rows are added up per group, one grouped sum a
+    part: directly on the codes of one encoded or dense
+    integer group key, where a row whose slot another input lacks weighs
+    nothing; otherwise — several keys, other keys, MIN or MAX — over the
+    rows at slots every input holds, by the group-by fold."""
+    grouped = chain.grouped
+    held = np.logical_and.reduce([reduced.rows > 0 for reduced in reductions])
+    keys: list[np.ndarray] = []
+    dense = None
+    mine: Any = slice(None)
+    if grouped is None:
+        at = np.flatnonzero(held)
+    else:
+        kept = reductions[grouped].kept
+        if len(root.keys) == 1 and not any(
+            aggregate.func in ("min", "max") for aggregate in root.aggregates
+        ):
+            dense = _key_codes(kept[0])
+        if dense is None:
+            mine = np.flatnonzero(held[kept[_SLOT]])
+            keys = [kept[index][mine] for index in range(len(root.keys))]
+        at = kept[_SLOT][mine]
+    if len(at) == 0:
+        return None
+    products: dict[int | None, np.ndarray] = {}
 
-    def reduced(owner: int, fingerprint: tuple, func: str) -> Any:
-        """Input ``owner``'s ``func`` partial of an argument, per output
-        row."""
-        partials = reductions[owner]
-        if fingerprint in partials.kept:
-            slots = partials.kept[_SLOT]
-            keep = held[slots]
-            if owner == chain.grouped:  # a group of one per row
-                ids, size = np.arange(rows), rows
-            else:
-                ids, size = rank[slots[keep]], len(held_slots)
-            column = radix.group_aggregate(
-                func, ids, size, partials.kept[fingerprint][keep],
-                fingerprint in root.non_null,
-            )
-        else:
-            column = partials.sums[(fingerprint, func)][held_slots]
-        spread = row_key is not None and owner != chain.grouped
-        return column[row_key] if spread else column
+    def weight(skip: int | None = None) -> np.ndarray:
+        """Per slot, the product of the row counts of every input but
+        ``skip`` and the grouped one."""
+        if skip not in products:
+            factors = [
+                reduced.rows
+                for index, reduced in enumerate(reductions)
+                if index not in (skip, grouped)
+            ]
+            product = factors[0] if factors else np.ones(len(held), dtype=np.int64)
+            for factor in factors[1:]:
+                product = radix.null_safe_arith("*", product, factor)
+            products[skip] = product
+        return products[skip]
 
     columns: dict[Part, Any] = {}
     for aggregate in root.aggregates:
-        fingerprint = aggregate.fingerprint()
+        fingerprint, func = aggregate.fingerprint(), aggregate.func
         owner = chain.owners.get(fingerprint)
         if owner is None:  # COUNT(*)
-            columns[(fingerprint, "count")] = product()
+            columns[(fingerprint, "count")] = weight()[at]
             continue
-        if aggregate.func in ("min", "max"):
-            columns[(fingerprint, aggregate.func)] = reduced(
-                owner, fingerprint, aggregate.func
+        partials = reductions[owner]
+        non_null = fingerprint in root.non_null
+        if func in ("min", "max"):
+            values = partials.kept[fingerprint]
+            if owner == grouped:
+                columns[(fingerprint, func)] = values[mine]
+                continue
+            slots = partials.kept[_SLOT]
+            rows = np.flatnonzero(held[slots])
+            if grouped is None:
+                # One group: the extremum of the owner's rows at held slots.
+                columns[(fingerprint, func)] = values[rows]
+                continue
+            # The extremum of every held slot, numbered among them: a slot
+            # no input row reaches would box the column into objects.
+            rank = np.cumsum(held) - 1
+            extrema = radix.group_aggregate(
+                func, rank[slots[rows]], int(rank[-1]) + 1, values[rows], non_null
             )
+            columns[(fingerprint, func)] = extrema[rank[at]]
             continue
-        present = reduced(owner, fingerprint, "count")
-        weight = product(owner)
-        if aggregate.func != "sum":
-            columns[(fingerprint, "count")] = radix.null_safe_arith("*", present, weight)
-        if aggregate.func != "count":
-            sums = radix.null_safe_arith("*", reduced(owner, fingerprint, "sum"), weight)
-            if sums.dtype.kind == "f":
+        if owner == grouped:  # a group of one row: its value, or none
+            values, rows = partials.kept[fingerprint][mine], np.arange(len(at))
+            present, sums = (
+                radix.group_aggregate(part, rows, len(at), values, non_null)
+                for part in ("count", "sum")
+            )
+            factor = weight()[at]
+        else:
+            present = partials.sums[(fingerprint, "count")]
+            sums = partials.sums.get((fingerprint, "sum"))
+            factor = weight(owner)
+        if func != "sum":
+            count = radix.null_safe_arith("*", present, factor)
+            columns[(fingerprint, "count")] = count if owner == grouped else count[at]
+        if func != "count":
+            total = radix.null_safe_arith("*", sums, factor)
+            if total.dtype.kind == "f":
                 # A key without argument values adds no value at all, so a
                 # global SUM over none stays the integer 0 the joined rows
                 # give.
-                sums[present == 0] = np.nan
-            columns[(fingerprint, "sum")] = sums
-    return root.fold(group_keys, columns, rows, set())
+                total[present == 0] = np.nan
+            columns[(fingerprint, "sum")] = total if owner == grouped else total[at]
+    if dense is None:
+        # Without keys every column folds into the one group, whatever its
+        # length.
+        return root.fold(keys, columns, len(at), set())
+    codes, span, decode = dense
+    # The joined rows per code: a group has one exactly when a row at a
+    # slot the other inputs hold has its code.
+    joined = radix.group_aggregate("sum", codes, span, weight()[at])
+    groups = np.flatnonzero(joined > 0)
+    if len(groups) == 0:
+        return None
+    return _GroupPartial(
+        [decode(groups)],
+        {
+            part: (
+                joined  # COUNT(*)
+                if part[1] == "count" and root.arguments.get(part[0]) is None
+                else radix.group_aggregate(_MERGE_FUNCS[part[1]], codes, span, column)
+            )[groups]
+            for part, column in columns.items()
+        },
+        radix.KERNEL_DENSE,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -2077,42 +2224,59 @@ class VectorizedExecutor:
         evaluator: Callable[[Expression], Evaluator],
     ) -> tuple[list[str], dict[str, Any]] | None:
         """Run the aggregate over ``chain`` per join-key value (see
-        :class:`FactorizedChain`); every input streams inline or fanned out,
-        as a join's sides do.  ``None`` — the joins then probe and gather,
-        the first input handed over as the materialized build side with its
-        key slots — when two inputs join on keys the first holds once each:
-        the join has one row per matching row of the other, so there is
-        nothing to factor out.  That is decided from the first input's key
-        slots (cached or built once) before any other input is read."""
-        first = self._materialize(compiler.compile(chain.inputs[0]))
-        if first.count == 0:
-            return self._empty_chain(chain, root)
-        space = compiler.build_side(chain.inputs[0], chain.keys[0], first)
+        :class:`FactorizedChain`).
+
+        The first input's key slots are looked up in the adaptive cache
+        before it is read; on a miss the input is materialized and its key
+        column numbered (and cached).  Every input the aggregates need more
+        than the row counts of — the first included — then streams, inline
+        or fanned out as a join's sides do, through a :class:`SlotStage`
+        into its per-slot partials: the first input's from the batch just
+        materialized on a miss, its counts straight from the slots when
+        that is all it contributes.  ``None`` — the joins then probe and
+        gather, the first input's key slots (and its rows, materialized on a
+        miss) handed over as the build side — when two inputs join on keys
+        the first holds once each: the join has one row per matching row of
+        the other, so there is nothing to factor out."""
+        first = None
+        space = compiler.cached_side(chain.inputs[0], chain.keys[0])
+        if space is None:
+            first = self._materialize(compiler.compile(chain.inputs[0]))
+            if first.count == 0:
+                return self._empty_chain(chain, root)
+            space = compiler.build_side(chain.inputs[0], chain.keys[0], first)
         if len(chain.inputs) == 2 and space.unique:
             compiler.built[id(chain.inputs[0])] = (first, space)
             return None
-        first.columns[_SLOT] = space.rows
-        reducer = _slot_root(chain, root, 0, space.size)
-        reduced = _SlotPartials(space.counts, {}, {})  # the rows per slot, kept
-        if reducer.summed or reducer.kept:
-            state = reducer.new_state()
-            reducer.update(state, first, self.profile)
-            reduced = reducer.merge([reducer.finish_morsel(state, self.profile)], self.profile)
-        reductions = [reduced]
-        for index, subplan in enumerate(chain.inputs[1:], start=1):
-            pipeline = compiler.compile(subplan)
-            stage = SlotStage(space, evaluator(chain.keys[index]))
-            compiler.add_stage(pipeline, chain.probes[index - 1], stage)
+        reductions = []
+        for index, subplan in enumerate(chain.inputs):
             reducer = _slot_root(chain, root, index, space.size)
-            reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
+            stage = SlotStage(space, evaluator(chain.keys[index]))
+            if index == 0 and not (reducer.summed or reducer.kept):
+                # None without a slot, then the rows per slot.
+                reduced = _SlotPartials(np.append(0, space.counts), {}, {})
+            elif index == 0 and first is not None:
+                state = reducer.new_state()
+                slotted = stage.apply(first, self.profile)
+                if slotted is not None:
+                    reducer.update(state, slotted, self.profile)
+                reduced = reducer.merge(
+                    [reducer.finish_morsel(state, self.profile)], self.profile
+                )
+            else:
+                pipeline = compiler.compile(subplan)
+                if index:
+                    compiler.add_stage(pipeline, chain.probes[index - 1], stage)
+                else:
+                    pipeline.stages.append((stage, None))
+                reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
             if not reduced.rows.any():  # no row of this input has a slot
                 return self._empty_chain(chain, root)
             reductions.append(reduced)
         started = time.perf_counter()
-        held = np.logical_and.reduce([reduced.rows > 0 for reduced in reductions])
-        if not held.any():
+        combined = _combine_per_key(chain, root, reductions)
+        if combined is None:
             return self._empty_chain(chain, root)
-        combined = _combine_per_key(chain, root, reductions, held)
         # The key products are the chain root's work.
         self._join_span(chain.joins[0], time.perf_counter() - started)
         return root.finish(combined, self.profile)

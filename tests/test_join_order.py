@@ -120,6 +120,8 @@ from hypothesis import strategies as st
 
 from repro import ProteusEngine
 from repro.core import types as t
+from repro.core.executor.vectorized import factorized_chain
+from repro.core.physical import PhysScan
 from repro.storage.binary_format import write_column_table
 
 CHAIN_SCHEMA = t.make_schema(
@@ -127,10 +129,14 @@ CHAIN_SCHEMA = t.make_schema(
 )
 
 #: Pipeline configurations of the differential (label -> engine kwargs).
+#: The caching one runs every query twice: the second run finds the first
+#: input's key slots cached and reads that input only for what the
+#: aggregates need beyond its row counts.
 CHAIN_CONFIGS = {
     "codegen": {},
     "codegen-fanout-2": {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE},
     "codegen-fanout-8": {"parallel_workers": 8, "vectorized_batch_size": FANOUT_BATCH_SIZE},
+    "codegen-cached": {"enable_caching": True},
 }
 
 _CHAIN = "FROM fc c JOIN fj j ON c.k = j.k JOIN fb b ON j.k = b.k"
@@ -147,6 +153,9 @@ CHAIN_QUERIES = [
      f"{_CHAIN}", 2),
     (f"SELECT COUNT(*), SUM(c.x), MAX(j.g) {_CHAIN} WHERE j.x > 1000", 2),
     (f"SELECT COUNT(*), SUM(b.y) {_CHAIN} WHERE c.x < 0 AND b.y >= 0", 2),
+    # The filtered input, first in the plan, is read for its row counts only.
+    (f"SELECT COUNT(*), SUM(j.x), MAX(b.y) {_CHAIN} WHERE c.x > 0", 2),
+    (f"SELECT j.g, COUNT(*), SUM(b.x), AVG(j.y) {_CHAIN} WHERE c.y > 0 GROUP BY j.g", 2),
     ("SELECT COUNT(*), SUM(b.x), MAX(c.y) FROM fc c JOIN fb b ON c.k = b.k "
      "WHERE c.x < 10", 1),
     ("SELECT c.g, SUM(c.x), COUNT(*) FROM fb b JOIN fc c ON b.k = c.k "
@@ -160,17 +169,20 @@ _VALUES = st.one_of(st.none(), st.integers(-60, 60))
 _FLOATS = st.one_of(st.none(), st.integers(-400, 400).map(lambda n: n / 4))
 
 
+_GROUPS = st.sampled_from(["a", "b", "c", "dd"])
+
+
 @st.composite
 def _chain_rows(draw, missing: bool):
     """The rows of one input: duplicate keys in a small range, missing
-    arguments unless the format cannot hold them."""
+    arguments and group keys unless the format cannot hold them."""
     count = draw(st.integers(0, 40))
     return [
         {
             "k": draw(st.integers(0, 6)),
             "x": draw(_VALUES if missing else st.integers(-60, 60)),
             "y": draw(_FLOATS if missing else st.integers(-400, 400).map(lambda n: n / 4)),
-            "g": draw(st.sampled_from(["a", "b", "c", "dd"])),
+            "g": draw(st.one_of(st.none(), _GROUPS) if missing else _GROUPS),
         }
         for _ in range(count)
     ]
@@ -184,7 +196,7 @@ def _write_chain(directory: str, csv_rows, json_rows, binary_rows) -> None:
         handle.write("id,k,x,y,g\n")
         for index, row in enumerate(csv_rows):
             handle.write(
-                f"{index},{cell(row['k'])},{cell(row['x'])},{cell(row['y'])},{row['g']}\n"
+                f"{index},{cell(row['k'])},{cell(row['x'])},{cell(row['y'])},{cell(row['g'])}\n"
             )
     with open(os.path.join(directory, "fj.json"), "w", encoding="utf-8") as handle:
         for index, row in enumerate(json_rows):
@@ -203,7 +215,7 @@ def _write_chain(directory: str, csv_rows, json_rows, binary_rows) -> None:
 
 
 def _chain_engine(directory: str, **kwargs) -> ProteusEngine:
-    engine = ProteusEngine(enable_caching=False, **kwargs)
+    engine = ProteusEngine(**{"enable_caching": False, **kwargs})
     engine.register_csv("fc", os.path.join(directory, "fc.csv"), schema=CHAIN_SCHEMA)
     engine.register_json("fj", os.path.join(directory, "fj.json"), schema=CHAIN_SCHEMA)
     engine.register_binary_columns("fb", os.path.join(directory, "fb"))
@@ -256,15 +268,17 @@ def test_one_key_join_chains_run_per_key_like_volcano(
         reference = volcano.query(query).rows
         results = {}
         for label, engine in engines.items():
-            result = engine.query(query)
-            assert result.tier == "codegen", (label, query)
-            kernels = result.profile.join_kernels
-            assert kernels == ["factorized"] * joins or (
-                joins == 1 and kernels in (["dense"], ["sorted"])
-            ), (label, query, kernels)
-            results[label] = (kernels, [repr(row) for row in result.rows])
-            _assert_matches_volcano(result.rows, reference, (label, query))
-        inline = results.pop("codegen")
+            runs = 2 if engine.cache_manager is not None else 1
+            for run in range(runs):
+                result = engine.query(query)
+                assert result.tier == "codegen", (label, run, query)
+                kernels = result.profile.join_kernels
+                assert kernels == ["factorized"] * joins or (
+                    joins == 1 and kernels in (["dense"], ["sorted"])
+                ), (label, run, query, kernels)
+                results[label, run] = (kernels, [repr(row) for row in result.rows])
+                _assert_matches_volcano(result.rows, reference, (label, run, query))
+        inline = results.pop(("codegen", 0))
         assert all(result == inline for result in results.values()), query
 
 
@@ -433,6 +447,58 @@ def test_key_slots_are_kept_like_a_join_table(paths):
     entries = [e for e in engine.cache_entries() if e.kind == "join_side"]
     assert [e.description for e in entries] == ["join build side (dense)"] * 2
     assert result.profile.join_build_rows == 0  # the third run hit the cache
+
+
+def test_cached_first_input_needed_for_counts_only_is_not_read(tmp_path):
+    """A first input the aggregate needs only the row counts of — a filtered
+    CSV under ``COUNT(*)`` — is not read once its key slots are cached: the
+    second execution processes exactly that input's batches fewer, with the
+    same answer."""
+    rows = [
+        {"k": index % 5, "x": index - 20, "y": index / 4, "g": "abc"[index % 3]}
+        for index in range(40)
+    ]
+    _write_chain(str(tmp_path), rows, rows[::2], rows[::3])
+    query = f"SELECT COUNT(*) {_CHAIN} WHERE c.x > 0"
+    batch_size = 8
+    engine = _chain_engine(str(tmp_path), enable_caching=True, vectorized_batch_size=batch_size)
+    first, second = engine.query(query), engine.query(query)
+    chain = factorized_chain(engine.last_plan)
+    (scan,) = [node for node in chain.inputs[0].walk() if isinstance(node, PhysScan)]
+    assert scan.dataset == "fc"  # the filtered CSV is the first input
+    assert first.profile.join_kernels == second.profile.join_kernels == ["factorized"] * 2
+    assert (
+        first.profile.batches_processed - second.profile.batches_processed
+        == math.ceil(len(rows) / batch_size)
+    )
+    reference = _chain_engine(str(tmp_path), enable_codegen=False).query(query).rows
+    assert first.rows == second.rows == reference
+
+
+def test_reregistered_first_input_is_read_again(tmp_path):
+    """Re-registering the first input's dataset drops the key slots built
+    from its old rows — as many rows as the new ones, on other keys: the
+    next execution answers over the new rows."""
+    rows = [{"k": index % 4, "x": index, "y": 1.0, "g": "a"} for index in range(12)]
+    _write_chain(str(tmp_path), rows, rows, rows)
+    query = f"SELECT COUNT(*), SUM(j.x) {_CHAIN} WHERE c.x < 9"
+    engine = _chain_engine(str(tmp_path), enable_caching=True)
+    before = engine.query(query)
+    (scan,) = [
+        node
+        for node in factorized_chain(engine.last_plan).inputs[0].walk()
+        if isinstance(node, PhysScan)
+    ]
+    assert scan.dataset == "fc"  # the filtered CSV is the first input
+    changed = tmp_path / "changed"
+    changed.mkdir()
+    _write_chain(str(changed), [dict(row, k=row["k"] // 2) for row in rows], [], [])
+    volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+    for registry in (engine, volcano):
+        registry.register_csv("fc", str(changed / "fc.csv"), schema=CHAIN_SCHEMA)
+    after = engine.query(query)
+    assert after.profile.join_kernels == ["factorized"] * 2
+    assert after.rows == volcano.query(query).rows != before.rows
 
 
 # ---------------------------------------------------------------------------
