@@ -44,6 +44,9 @@ class CacheEntry:
     description: str = ""
     last_used: int = 0
     hits: int = 0
+    #: The other datasets the data was built from (a join build side that
+    #: scans several); re-registering any of them drops the entry too.
+    also_from: tuple[str, ...] = ()
 
     def touch(self, clock: int) -> None:
         self.last_used = clock
@@ -117,6 +120,7 @@ class CacheManager:
         source_format: str,
         description: str = "",
         size_bytes: int | None = None,
+        also_from: tuple[str, ...] = (),
     ) -> CacheEntry | None:
         """Admit a new cache entry, evicting lower-value entries if needed.
 
@@ -150,6 +154,7 @@ class CacheManager:
                 bias=bias,
                 description=description,
                 last_used=self._clock,
+                also_from=also_from,
             )
             self._entries[key] = entry
             self.stats.stores += 1
@@ -187,7 +192,9 @@ class CacheManager:
         Proteus drops and rebuilds affected auxiliary structures)."""
         with self._lock:
             keys = [
-                key for key, entry in self._entries.items() if entry.dataset == dataset
+                key
+                for key, entry in self._entries.items()
+                if entry.dataset == dataset or dataset in entry.also_from
             ]
             for key in keys:
                 self._evict_locked(key)

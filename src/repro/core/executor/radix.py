@@ -176,11 +176,6 @@ class KeySlots:
         return self.slots is None
 
     @property
-    def rows(self) -> np.ndarray:
-        """The slot of every row of the input."""
-        return np.arange(self.build_size) if self.slots is None else self.slots
-
-    @property
     def counts(self) -> np.ndarray:
         """The input's rows per slot."""
         if self.offsets is None:

@@ -105,7 +105,7 @@ are covered batch-natively.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -189,24 +189,6 @@ class Batch:
     #: Bound query-parameter values (``Parameter`` nodes evaluate against
     #: this); shared by every batch of one execution, never copied.
     params: Mapping[int | str, object] | None = None
-    #: The rows the stages kept, as a mask over the columns (``None``: every
-    #: row) — set only inside a chain input, whose selection and slot stage
-    #: mark rows instead of gathering them (see :class:`SlotStage`).
-    keep: np.ndarray | None = None
-
-    @property
-    def rows(self) -> int:
-        """The rows the stages kept."""
-        return self.count if self.keep is None else int(np.count_nonzero(self.keep))
-
-    def kept(self, mask: np.ndarray) -> "Batch | None":
-        """This batch with only the rows of ``mask`` kept, no column
-        gathered; ``None`` when no row is."""
-        if self.keep is not None:
-            mask = mask & self.keep
-        if not mask.any():
-            return None
-        return replace(self, keep=None if mask.all() else mask)
 
     def take(self, selector: np.ndarray) -> "Batch":
         """Gather rows by boolean mask or integer positions."""
@@ -592,28 +574,13 @@ class ScanOperator:
 
 class SelectStage:
     """Filter each batch by a predicate; over a lazy scan, fetch the deferred
-    fields of the surviving rows afterwards.  With ``masks`` — the selection
-    at the root of a chain input — a mask that keeps more than half the
-    rows is passed on as :attr:`Batch.keep` instead of gathering every
-    column: the chain's reducer reads every row then, the dropped ones
-    weighing nothing, at less than the gathers would cost."""
+    fields of the surviving rows afterwards."""
 
-    def __init__(
-        self,
-        predicate: Evaluator,
-        lazy_scan: ScanOperator | None = None,
-        masks: bool = False,
-    ):
+    def __init__(self, predicate: Evaluator, lazy_scan: ScanOperator | None = None):
         self.predicate = predicate
         self.lazy_scan = lazy_scan
-        self.masks = masks
 
     def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
-        if self.masks:
-            mask = as_bool_array(self.predicate(batch), batch.count)
-            if 2 * np.count_nonzero(mask) > batch.count:
-                return batch.kept(mask)
-            return batch.take(mask) if mask.any() else None
         selected = _apply_predicate(batch, self.predicate)
         if selected is not None and self.lazy_scan is not None:
             self.lazy_scan.fetch_deferred(selected, counters)
@@ -881,12 +848,12 @@ class CompiledPipeline:
                 batch = stage.apply(batch, counters)
             else:
                 started = time.perf_counter()
-                rows_in = batch.rows
+                rows_in = batch.count
                 batch = stage.apply(batch, counters)
                 span.add_batch(
                     time.perf_counter() - started,
                     rows_in,
-                    batch.rows if batch is not None else 0,
+                    batch.count if batch is not None else 0,
                 )
             if batch is None:
                 return None
@@ -904,10 +871,7 @@ class PipelineCompiler:
 
     ``compile`` walks the plan top-down with the operators ``above`` the
     current node, so a join learns which of its output columns are read
-    above it without a walk of its own.  Only a chain input is compiled
-    with nothing above it: a selection at its root that keeps most rows
-    passes its mask on (:attr:`Batch.keep`) instead of gathering every
-    column.
+    above it without a walk of its own.
     """
 
     def __init__(
@@ -957,20 +921,9 @@ class PipelineCompiler:
         if isinstance(plan, PhysScan):
             return self._scan_pipeline(plan)
         if isinstance(plan, PhysSelect):
-            lazy_scan = None
-            if isinstance(plan.child, PhysScan):
-                pipeline = self._scan_pipeline(plan.child, plan.predicate)
-                if pipeline.source.lazy:
-                    lazy_scan = pipeline.source
-            else:
-                pipeline = self.compile(plan.child, below)
-            # At the root of a chain input the mask may go on to the slot
-            # stage, which marks the dropped rows instead.
-            masks = not above and lazy_scan is None
+            pipeline, lazy_scan = self._select_source(plan, below)
             self.add_stage(
-                pipeline,
-                plan,
-                SelectStage(self.evaluator(plan.predicate), lazy_scan, masks),
+                pipeline, plan, SelectStage(self.evaluator(plan.predicate), lazy_scan)
             )
             return pipeline
         if isinstance(plan, PhysUnnest):
@@ -1046,6 +999,31 @@ class PipelineCompiler:
             f"cannot interpret operator {plan.describe()} over batches"
         )
 
+    def compile_input(self, plan: PhysicalPlan) -> tuple[CompiledPipeline, Evaluator | None]:
+        """The pipeline of one input of a factorized chain, and the
+        predicate of a selection at its root, which the chain's
+        :class:`SlotStage` applies as a mask instead of a stage gathering
+        the rows that pass — unless the selection sits on a lazy scan, which
+        fetches the deferred fields of exactly those rows."""
+        if isinstance(plan, PhysSelect):
+            pipeline, lazy_scan = self._select_source(plan, (plan,))
+            predicate = self.evaluator(plan.predicate)
+            if lazy_scan is None:
+                return pipeline, predicate
+            self.add_stage(pipeline, plan, SelectStage(predicate, lazy_scan))
+            return pipeline, None
+        return self.compile(plan), None
+
+    def _select_source(
+        self, plan: PhysSelect, below: tuple[PhysicalPlan, ...]
+    ) -> tuple[CompiledPipeline, ScanOperator | None]:
+        """The pipeline under selection ``plan``, and its scan when that
+        defers fields until after the filter."""
+        if isinstance(plan.child, PhysScan):
+            pipeline = self._scan_pipeline(plan.child, plan.predicate)
+            return pipeline, pipeline.source if pipeline.source.lazy else None
+        return self.compile(plan.child, below), None
+
     def store_scan_caches(self) -> None:
         """Flush the recorded cache materializations (main thread)."""
         for writer in self.cache_writers:
@@ -1096,7 +1074,8 @@ class PipelineCompiler:
         plan, join key and bound build-side parameter values (§6: ``A ⋈ B``
         then ``A ⋈ C``); looked up before the side is read.  Literals are
         part of the plan's fingerprint, and re-registering a dataset drops
-        every entry built from it, so a hit is never stale."""
+        every entry built from it — each entry belongs to every dataset its
+        side scans (:meth:`build_side`) —, so a hit is never stale."""
         cache_key = self._build_side_key(side, key)
         if cache_key is None:
             return None
@@ -1112,14 +1091,19 @@ class PipelineCompiler:
         space = radix.key_slots(materialize(self.evaluator(key)(build), build.count))
         self.context.profile.join_build_rows += build.count
         if cache_key is not None:
-            source = next(node for node in side.walk() if isinstance(node, PhysScan))
+            # The entry belongs to every dataset the side scans: a side that
+            # is itself a join goes stale when any of them is re-registered.
+            source, *others = dict.fromkeys(
+                node.dataset for node in side.walk() if isinstance(node, PhysScan)
+            )
             self.cache_manager.store(
                 cache_key,
                 space,
                 kind="join_side",
-                dataset=source.dataset,
-                source_format=self.catalog.get(source.dataset).format,
+                dataset=source,
+                source_format=self.catalog.get(source).format,
                 description=f"join build side ({space.kernel})",
+                also_from=tuple(others),
             )
         return space
 
@@ -1294,7 +1278,7 @@ class _CollectRoot(_RootTask):
     def update(
         self, state: list[Batch], batch: Batch, counters: ExecutionCounters
     ) -> None:
-        state.append(batch if batch.keep is None else batch.take(batch.keep))
+        state.append(batch)
 
     def merge(self, partials: list, counters: ExecutionCounters) -> Batch:
         return concat_batches([batch for batches in partials for batch in batches])
@@ -1700,8 +1684,9 @@ class FactorizedChain:
     keys are numbered as *slots* (:class:`~repro.core.executor.radix.KeySlots`,
     looked up in the adaptive cache before the input is read, built from its
     materialized key column otherwise), and every input streams through a
-    :class:`SlotStage` that attaches each row's slot and keeps only the rows
-    that have one — no column is gathered.  Each input reduces to per-slot
+    :class:`SlotStage` that attaches each row's slot — no column is
+    gathered: a row without one, or one the input's selection drops, weighs
+    nothing.  Each input reduces to per-slot
     partials (:class:`_SlotRoot`) — its row count ``c_i(k)`` and, per
     aggregate whose argument reads it, the non-missing count and sum, one
     grouped reduction each — and the aggregates are key products over the slots
@@ -1815,27 +1800,38 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
 
 
 class SlotStage:
-    """Attach the slot of every row's join key and keep only the rows that
-    have one — no column is gathered (see :class:`FactorizedChain`).  The
-    slots are shifted by one: a row without a slot, or one a selection
-    below dropped (:attr:`Batch.keep`), reads 0, whose partials the reducer
-    leaves at zero."""
+    """Attach the slot of every row's join key, shifted by one so that a
+    row without a slot reads 0, whose partials the reducer leaves at zero
+    (see :class:`FactorizedChain`).  The ``predicate`` of a selection at the
+    input's root (:meth:`PipelineCompiler.compile_input`) zeroes the slots
+    of the rows it drops; only when it drops most of a batch are the rows
+    that pass gathered, as a selection would — below that, reading every
+    row costs the reducer less than the gathers."""
 
-    def __init__(self, space: radix.KeySlots, key: Evaluator):
+    def __init__(
+        self, space: radix.KeySlots, key: Evaluator, predicate: Evaluator | None = None
+    ):
         self.space = space
         self.key = key
+        self.predicate = predicate
 
     def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
+        mask = None
+        if self.predicate is not None:
+            mask = as_bool_array(self.predicate(batch), batch.count)
+            passed = int(np.count_nonzero(mask))
+            if 2 * passed <= batch.count:
+                if not passed:
+                    return None
+                batch, mask = batch.take(mask), None
         slots = radix.slots_of(self.space, materialize(self.key(batch), batch.count))
-        selected = batch.keep
-        batch = batch.kept(slots >= 0)
-        if batch is None:
-            return None
         # Every later gather and bincount indexes by the slots: as intp.
         shifted = slots.astype(np.intp)
         shifted += 1  # no slot, -1, reads 0
-        if selected is not None:
-            shifted *= selected
+        if mask is not None:
+            shifted *= mask
+        if not shifted.any():
+            return None
         batch.columns = {**batch.columns, _SLOT: shifted}
         return batch
 
@@ -2251,20 +2247,21 @@ class VectorizedExecutor:
         reductions = []
         for index, subplan in enumerate(chain.inputs):
             reducer = _slot_root(chain, root, index, space.size)
-            stage = SlotStage(space, evaluator(chain.keys[index]))
+            key = evaluator(chain.keys[index])
             if index == 0 and not (reducer.summed or reducer.kept):
                 # None without a slot, then the rows per slot.
                 reduced = _SlotPartials(np.append(0, space.counts), {}, {})
             elif index == 0 and first is not None:
                 state = reducer.new_state()
-                slotted = stage.apply(first, self.profile)
+                slotted = SlotStage(space, key).apply(first, self.profile)
                 if slotted is not None:
                     reducer.update(state, slotted, self.profile)
                 reduced = reducer.merge(
                     [reducer.finish_morsel(state, self.profile)], self.profile
                 )
             else:
-                pipeline = compiler.compile(subplan)
+                pipeline, predicate = compiler.compile_input(subplan)
+                stage = SlotStage(space, key, predicate)
                 if index:
                     compiler.add_stage(pipeline, chain.probes[index - 1], stage)
                 else:

@@ -121,7 +121,7 @@ from hypothesis import strategies as st
 from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.executor.vectorized import factorized_chain
-from repro.core.physical import PhysScan
+from repro.core.physical import PhysHashJoin, PhysScan
 from repro.storage.binary_format import write_column_table
 
 CHAIN_SCHEMA = t.make_schema(
@@ -498,6 +498,37 @@ def test_reregistered_first_input_is_read_again(tmp_path):
         registry.register_csv("fc", str(changed / "fc.csv"), schema=CHAIN_SCHEMA)
     after = engine.query(query)
     assert after.profile.join_kernels == ["factorized"] * 2
+    assert after.rows == volcano.query(query).rows != before.rows
+
+
+def test_reregistered_second_dataset_of_a_joined_build_side_drops_its_slots(tmp_path):
+    """The key slots of a join's build side that is itself a join belong to
+    both datasets it scans: re-registering the one scanned second — as many
+    rows, other keys, so the side keeps its cardinality — drops them too,
+    and the next execution answers over the new rows."""
+    rows = [{"k": index % 4, "x": index % 6, "y": 1.0, "g": "a"} for index in range(12)]
+    _write_chain(str(tmp_path), rows, rows, rows)
+    query = (
+        "SELECT c.id AS ci, j.id AS ji, b.id AS bi "
+        "FROM fc c JOIN fj j ON c.k = j.k JOIN fb b ON j.x = b.x"
+    )
+    engine = _chain_engine(str(tmp_path), enable_caching=True)
+    before = engine.query(query)
+    (outer,) = [
+        node
+        for node in engine.last_plan.walk()
+        if isinstance(node, PhysHashJoin) and isinstance(node.left, PhysHashJoin)
+    ]
+    scans = [node.dataset for node in outer.left.walk() if isinstance(node, PhysScan)]
+    assert scans == ["fb", "fj"]  # the outer join's build key is j.k
+    changed = tmp_path / "changed"
+    changed.mkdir()
+    _write_chain(str(changed), [], [dict(row, k=(row["k"] + 1) % 4) for row in rows], [])
+    volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+    for registry in (engine, volcano):
+        registry.register_json("fj", str(changed / "fj.json"), schema=CHAIN_SCHEMA)
+    after = engine.query(query)
+    assert after.profile.join_kernels == ["dense", "dense"]
     assert after.rows == volcano.query(query).rows != before.rows
 
 

@@ -176,7 +176,8 @@ def test_key_slots_number_the_keys_of_one_side(data, pool):
         st.lists(st.sampled_from(pool + [0, -1, -(2**63), 2**63 - 1]), max_size=60)
     )
     space = radix.key_slots(np.asarray(left, dtype=np.int64))
-    slot_of = dict(zip(left, space.rows.tolist()))
+    rows = np.arange(len(left)) if space.slots is None else space.slots
+    slot_of = dict(zip(left, rows.tolist()))
     assert len(set(slot_of.values())) == len(slot_of)
     assert all(0 <= slot < space.size for slot in slot_of.values())
     assert space.unique == (len(slot_of) == len(left))
