@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -142,7 +143,7 @@ from repro.errors import (
     ProteusError,
 )
 from repro.obs.explain import render_explain_analyze
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.trace import TraceBuilder, Tracer
 from repro.plugins.base import InputPlugin
 from repro.resilience import (
@@ -584,6 +585,65 @@ class PreparedQuery:
             raise ProteusError(f"missing value(s) for parameter(s) {display}")
 
 
+@dataclass(frozen=True)
+class _QueryMetrics:
+    """The metrics every execution records into, looked up in the registry
+    once per engine."""
+
+    latency: Histogram
+    queries: Counter
+    rows: Counter
+    declines: Counter
+    compilations: Counter
+    io_retries: Counter
+    morsels_dispatched: Counter
+    morsels_stolen: Counter
+    failures: Counter
+    #: Cold scans that piggy-backed on another query's in-flight
+    #: materialization instead of re-parsing the file.
+    scans_coalesced: Counter
+
+    @classmethod
+    def bind(cls, metrics: MetricsRegistry) -> _QueryMetrics:
+        return cls(
+            latency=metrics.histogram("proteus_query_seconds", "End-to-end query latency."),
+            queries=metrics.counter(
+                "proteus_queries_total", "Queries executed, by serving tier."
+            ),
+            rows=metrics.counter(
+                "proteus_rows_returned_total", "Result rows returned to callers."
+            ),
+            declines=metrics.counter(
+                "proteus_tier_declines_total", "Tier declines, by tier and verdict code."
+            ),
+            compilations=metrics.counter(
+                "proteus_codegen_compilations_total",
+                "Generated-program executions, by program-cache outcome.",
+            ),
+            io_retries=metrics.counter(
+                "proteus_io_retries_total",
+                "Transient raw-data I/O failures recovered by retrying.",
+            ),
+            morsels_dispatched=metrics.counter(
+                "proteus_morsels_dispatched_total",
+                "Morsels dispatched to the parallel worker pool.",
+            ),
+            morsels_stolen=metrics.counter(
+                "proteus_morsels_stolen_total",
+                "Morsels served off another worker's queue.",
+            ),
+            failures=metrics.counter(
+                "proteus_queries_failed_total",
+                "Failed queries, by error code (TYP/TIER/RES/internal).",
+            ),
+            scans_coalesced=metrics.counter(
+                "proteus_scans_coalesced_total",
+                "Cold scans served by a concurrent leader's in-flight "
+                "materialization instead of a duplicate parse.",
+            ),
+        )
+
+
 class ProteusEngine:
     """An analytical query engine over heterogeneous raw data."""
 
@@ -662,17 +722,10 @@ class ProteusEngine:
         #: Always constructed so scrapes never fail; ``enable_metrics=False``
         #: turns per-query recording into one attribute check.
         self.metrics = MetricsRegistry(enabled=enable_metrics)
-        #: Coalesced-scan counter: cold scans that piggy-backed on another
-        #: query's in-flight materialization instead of re-parsing the file.
-        #: ``None`` with metrics disabled (a disabled registry exports nothing).
-        self._scans_coalesced = (
-            self.metrics.counter(
-                "proteus_scans_coalesced_total",
-                "Cold scans served by a concurrent leader's in-flight "
-                "materialization instead of a duplicate parse.",
-            )
-            if self.metrics.enabled
-            else None
+        #: The per-execution metrics; ``None`` with metrics disabled (a
+        #: disabled registry exports nothing).
+        self._query_metrics = (
+            _QueryMetrics.bind(self.metrics) if self.metrics.enabled else None
         )
         #: Span tracer; disabled by default (pay-for-what-you-use — every
         #: instrumentation site reduces to an ``is None`` check).
@@ -1314,8 +1367,8 @@ class ProteusEngine:
                 # A leader just finished: if its materialization warmed our
                 # columns, piggy-back on it and skip the raw parse.
                 if all(manager.peek(key) is not None for key in keys):
-                    if self._scans_coalesced is not None:
-                        self._scans_coalesced.inc(dataset=name)
+                    if self._query_metrics is not None:
+                        self._query_metrics.scans_coalesced.inc(dataset=name)
                     break
         return leases
 
@@ -1443,12 +1496,10 @@ class ProteusEngine:
         code (a failed query spent wall-clock too — one that burned its whole
         deadline must show up in the tail) or the completed query's
         counters."""
-        metrics = self.metrics
-        if not metrics.enabled:
+        metrics = self._query_metrics
+        if metrics is None:
             return
-        metrics.histogram(
-            "proteus_query_seconds", "End-to-end query latency."
-        ).observe(elapsed)
+        metrics.latency.observe(elapsed)
         threshold = self.slow_query_seconds
         if threshold is not None and elapsed >= threshold:
             entry: dict[str, Any] = {
@@ -1461,50 +1512,28 @@ class ProteusEngine:
                 entry["error"] = str(error)
             if trace is not None:
                 entry["trace"] = trace.to_dict()
-            metrics.record_slow_query(entry)
+            self.metrics.record_slow_query(entry)
         if error is not None:
             self._count_query_failure(error)
             return
-        metrics.counter(
-            "proteus_queries_total", "Queries executed, by serving tier."
-        ).inc(tier=profile.execution_tier)
-        metrics.counter(
-            "proteus_rows_returned_total", "Result rows returned to callers."
-        ).inc(result_rows)
-        declines = metrics.counter(
-            "proteus_tier_declines_total",
-            "Tier declines, by tier and verdict code.",
-        )
+        metrics.queries.inc(tier=profile.execution_tier)
+        metrics.rows.inc(result_rows)
         for declined, reason in profile.tier_decline_reasons.items():
             code = reason.partition("]")[0].lstrip("[") or "unknown"
-            declines.inc(tier=declined, code=code)
+            metrics.declines.inc(tier=declined, code=code)
         if profile.execution_tier == "codegen":
-            metrics.counter(
-                "proteus_codegen_compilations_total",
-                "Generated-program executions, by program-cache outcome.",
-            ).inc(outcome="cache-hit" if profile.compiled_from_cache else "fresh")
+            metrics.compilations.inc(
+                outcome="cache-hit" if profile.compiled_from_cache else "fresh"
+            )
         if profile.io_retries:
-            metrics.counter(
-                "proteus_io_retries_total",
-                "Transient raw-data I/O failures recovered by retrying.",
-            ).inc(profile.io_retries)
+            metrics.io_retries.inc(profile.io_retries)
         if profile.parallel_workers > 1:
-            metrics.counter(
-                "proteus_morsels_dispatched_total",
-                "Morsels dispatched to the parallel worker pool.",
-            ).inc(profile.morsels_dispatched)
-            metrics.counter(
-                "proteus_morsels_stolen_total",
-                "Morsels served off another worker's queue.",
-            ).inc(profile.morsels_stolen)
+            metrics.morsels_dispatched.inc(profile.morsels_dispatched)
+            metrics.morsels_stolen.inc(profile.morsels_stolen)
 
     def _count_query_failure(self, exc: BaseException) -> None:
-        if not self.metrics.enabled:
-            return
-        self.metrics.counter(
-            "proteus_queries_failed_total",
-            "Failed queries, by error code (TYP/TIER/RES/internal).",
-        ).inc(code=_failure_code(exc))
+        if self._query_metrics is not None:
+            self._query_metrics.failures.inc(code=_failure_code(exc))
 
     def _estimate_query_bytes(self, physical: PhysicalPlan) -> int:
         """Admission-control memory estimate: for each scanned dataset,

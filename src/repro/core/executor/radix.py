@@ -177,10 +177,14 @@ class KeySlots:
 
     @property
     def counts(self) -> np.ndarray:
-        """The input's rows per slot."""
-        if self.offsets is None:
-            return np.ones(self.build_size, dtype=np.int64)
-        return np.diff(self.offsets)
+        """The input's rows per slot, shifted by one as a factorized chain
+        reduces its inputs (:func:`slots_of` with ``shifted``): entry 0, no
+        slot, is 0."""
+        counts = np.ones(self.size + 1, dtype=np.int64)
+        counts[0] = 0
+        if self.offsets is not None:
+            np.subtract(self.offsets[1:], self.offsets[:-1], out=counts[1:])
+        return counts
 
     @cached_property
     def order(self) -> np.ndarray | None:
@@ -286,22 +290,26 @@ def _sorted_rows(slots: np.ndarray, size: int) -> np.ndarray:
     return order
 
 
-def slots_of(space: KeySlots, keys: np.ndarray | EncodedColumn) -> np.ndarray:
+def slots_of(
+    space: KeySlots, keys: np.ndarray | EncodedColumn, shifted: np.ndarray | None = None
+) -> np.ndarray:
     """The slot of every key, ``-1`` where no key of the slots' input equals
     it: a missing key (the input's have no address, and NaN equals
     nothing), and a key of another kind (a string against numbers).
+    Given ``shifted``, ``space.lookup`` plus one as intp, the slots come
+    back shifted by one as intp, ``0`` for none.
     Encoded strings are translated into the input's dictionary; any other
     encoded column looks every dictionary entry up once and gathers the
     slots by its codes.  Numbers are aligned with the input's dtype, and an
     object column on either side, which may mix types, is looked up key by
     key in a dict of the input's keys: equality is then Python's, as in the
     Volcano interpreter's build dict."""
-    lookup = space.lookup
+    lookup, none = (space.lookup, -1) if shifted is None else (shifted, 0)
     if isinstance(keys, EncodedColumn):
         if keys.values.dtype == object and space.values is not None:
             return lookup.take(_addresses(space, recode(keys, space.values)), mode="clip")
-        # Code -1, a missing key, reads the -1 appended.
-        return np.append(slots_of(space, keys.values), -1)[keys.codes]
+        # Code -1, a missing key, reads the ``none`` appended.
+        return np.append(slots_of(space, keys.values, shifted), none)[keys.codes]
     if keys.dtype.kind == "b":
         keys = keys.astype(np.int64)
     if keys.dtype == object or (space.kind == "O" and space.values is None):
@@ -311,12 +319,12 @@ def slots_of(space: KeySlots, keys: np.ndarray | EncodedColumn) -> np.ndarray:
         )
         return lookup.take(addresses, mode="clip")
     if space.values is not None:  # numbers never equal strings
-        return np.full(len(keys), -1, dtype=lookup.dtype)
+        return np.full(len(keys), none, dtype=lookup.dtype)
     aligned, kept = _align(space.kind, keys)
     found = lookup.take(_addresses(space, aligned), mode="clip")
     if kept is None:
         return found
-    slots = np.full(len(keys), -1, dtype=lookup.dtype)
+    slots = np.full(len(keys), none, dtype=lookup.dtype)
     slots[kept] = found
     return slots
 
@@ -636,7 +644,7 @@ def null_safe_arith(op: str, left, right):
         return combine(left, right)
 
 
-def _int_bound(array: np.ndarray) -> int:
+def int_bound(array: np.ndarray) -> int:
     """Largest absolute value of an integer buffer, computed exactly."""
     if array.size == 0:
         return 0
@@ -645,12 +653,12 @@ def _int_bound(array: np.ndarray) -> int:
 
 def _int_sum_may_overflow(values: np.ndarray) -> bool:
     """Conservative check: could summing this integer buffer wrap int64?"""
-    return _int_bound(values) * max(len(values), 1) >= 2**63
+    return int_bound(values) * max(len(values), 1) >= 2**63
 
 
 def _int_overflow_possible(op: str, left: np.ndarray, right: np.ndarray) -> bool:
-    left_bound = _int_bound(left)
-    right_bound = _int_bound(right)
+    left_bound = int_bound(left)
+    right_bound = int_bound(right)
     if op == "*":
         return left_bound * right_bound >= 2**63
     return left_bound + right_bound >= 2**63
@@ -754,7 +762,7 @@ def finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
     a group without input averages to NaN.  Shared by the grouping kernel
     and the merge of per-morsel (sum, count) partials."""
     counts = np.asarray(counts)
-    if sums.dtype == object or (sums.dtype.kind in "iu" and _int_bound(sums) > 2**53):
+    if sums.dtype == object or (sums.dtype.kind in "iu" and int_bound(sums) > 2**53):
         # Python's int / int is correctly rounded; NumPy's rounds an integer
         # sum above 2**53 to float64 before dividing.
         return np.asarray([

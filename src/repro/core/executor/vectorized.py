@@ -104,6 +104,7 @@ are covered batch-natively.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
@@ -367,7 +368,9 @@ class ScanOperator:
     ``deferred`` names the fields a selection directly above the scan does
     not need to evaluate its predicate: those that are not cached are left
     out of the stream and converted by :meth:`fetch_deferred` for the
-    surviving OIDs only (§5.2, lazy plug-in behaviour).
+    surviving OIDs only (§5.2, lazy plug-in behaviour).  Batches carry the
+    scan's OIDs only for such a fetch or when ``oids`` says an operator
+    above reads them (an unnest addressing its collections by them).
 
     Batch production is side-effect-free apart from the counters argument and
     the (lock-guarded) materialization recorder, so multiple workers may pull
@@ -384,6 +387,7 @@ class ScanOperator:
         params: Mapping[int | str, object] | None = None,
         deferred: frozenset[FieldPath] = frozenset(),
         span: SpanAccumulator | None = None,
+        oids: bool = True,
     ):
         self.plan = plan
         self.binding = plan.binding
@@ -403,6 +407,8 @@ class ScanOperator:
         uncached = [path for path in self.paths if path not in self._cached]
         self._uncached = [path for path in uncached if path not in deferred]
         self._deferred = [path for path in uncached if path in deferred]
+        #: Do the batches carry the OIDs: does anything above read them?
+        self.emit_oids = oids or bool(self._deferred)
         if self._cached and not self._uncached:
             self.total_rows = len(next(iter(self._cached.values())))
         else:
@@ -502,7 +508,8 @@ class ScanOperator:
         for begin in range(start, stop, batch_size):
             end = min(begin + batch_size, stop)
             batch = Batch(count=end - begin, params=self.params)
-            batch.oids[self.binding] = np.arange(begin, end, dtype=np.int64)
+            if self.emit_oids:
+                batch.oids[self.binding] = np.arange(begin, end, dtype=np.int64)
             for path, full in self._cached.items():
                 batch.columns[(self.binding, path)] = full[begin:end]
             counters.values_from_cache += (end - begin) * len(self._cached)
@@ -514,7 +521,8 @@ class ScanOperator:
             return None
         batch = Batch(count=buffers.count, params=self.params)
         oids = np.asarray(buffers.oids, dtype=np.int64)
-        batch.oids[self.binding] = oids
+        if self.emit_oids:
+            batch.oids[self.binding] = oids
         for path in self._uncached:
             batch.columns[(self.binding, path)] = buffers.column(path)
         start = int(oids[0])
@@ -919,7 +927,7 @@ class PipelineCompiler:
     ) -> CompiledPipeline:
         below = above + (plan,)
         if isinstance(plan, PhysScan):
-            return self._scan_pipeline(plan)
+            return self._scan_pipeline(plan, above=above)
         if isinstance(plan, PhysSelect):
             pipeline, lazy_scan = self._select_source(plan, below)
             self.add_stage(
@@ -1020,7 +1028,7 @@ class PipelineCompiler:
         """The pipeline under selection ``plan``, and its scan when that
         defers fields until after the filter."""
         if isinstance(plan.child, PhysScan):
-            pipeline = self._scan_pipeline(plan.child, plan.predicate)
+            pipeline = self._scan_pipeline(plan.child, plan.predicate, below)
             return pipeline, pipeline.source if pipeline.source.lazy else None
         return self.compile(plan.child, below), None
 
@@ -1046,11 +1054,18 @@ class PipelineCompiler:
         return None if expression is None else self.evaluator(expression)
 
     def _scan_pipeline(
-        self, plan: PhysScan, predicate: Expression | None = None
+        self,
+        plan: PhysScan,
+        predicate: Expression | None = None,
+        above: tuple[PhysicalPlan, ...] = (),
     ) -> CompiledPipeline:
-        """The pipeline of one scan.  ``predicate`` is the selection sitting
-        directly on it: over the verbose formats the fields it does not read
-        are deferred until after the filter (lazy materialization, §5.2)."""
+        """The pipeline of one scan under the operators ``above`` it.
+        ``predicate`` is the selection sitting directly on it: over the
+        verbose formats the fields it does not read are deferred until after
+        the filter (lazy materialization, §5.2).  The batches carry OIDs
+        only when an unnest above addresses the scan's collections by them —
+        through a join too, whose ``Live.oids`` are those unnests' — or a
+        deferred fetch does."""
         dataset, plugin = self._scan_source(plan, plan.binding)
         deferred: frozenset[FieldPath] = frozenset()
         if predicate is not None and dataset.format in ("csv", "json"):
@@ -1064,6 +1079,10 @@ class PipelineCompiler:
             plan, dataset, plugin, self.cache_manager, params=self.params,
             deferred=deferred,
             span=self._span(f"scan:{dataset.name}", plan, plugin.format_name),
+            oids=any(
+                isinstance(node, PhysUnnest) and node.binding == plan.binding
+                for node in above
+            ),
         )
         self.cache_writers.append(operator)
         return CompiledPipeline(operator, [], context=self.context)
@@ -1689,15 +1708,18 @@ class FactorizedChain:
     nothing.  Each input reduces to per-slot
     partials (:class:`_SlotRoot`) — its row count ``c_i(k)`` and, per
     aggregate whose argument reads it, the non-missing count and sum, one
-    grouped reduction each — and the aggregates are key products over the slots
-    every input holds: ``COUNT(*) = Σ_k Π_i c_i(k)``,
+    grouped reduction each — and the aggregates are key products over the
+    slot space (:func:`_combine_per_key`): ``COUNT(*) = Σ_k Π_i c_i(k)``,
     ``SUM(x_j) = Σ_k s_j(k) Π_{i≠j} c_i(k)`` (COUNT(x_j) alike, AVG from the
-    two), MIN/MAX over those slots.  A first input the aggregates need only
-    the row counts of is not read at all when its slots are cached: the
-    slots hold the counts.  With group keys, every row of the input they
-    read is an output row of its own, weighed by the other inputs' partials
-    gathered at its slot, and the rows are added up per group: one grouped
-    sum a part.
+    two) — one dot per part with the leave-one-out product of the other
+    inputs' counts, which is 0 at a slot some input lacks — and MIN/MAX the
+    extremum of the owner's rows at the slots the others hold.  A first
+    input the aggregates need only the row counts of is not read at all when
+    its slots are cached: the slots hold the counts.  With group keys, every
+    row of the input they read is an output row of its own, weighed by the
+    other inputs' product at its slot, and the rows are added up per group:
+    on the codes of one encoded or dense-integer key one mat-vec a part
+    with the rows counted per (slot, code) cell, or one grouped sum a part.
     """
 
     #: The hash joins, the chain's root first.
@@ -1809,9 +1831,16 @@ class SlotStage:
     row costs the reducer less than the gathers."""
 
     def __init__(
-        self, space: radix.KeySlots, key: Evaluator, predicate: Evaluator | None = None
+        self,
+        space: radix.KeySlots,
+        shifted: np.ndarray,
+        key: Evaluator,
+        predicate: Evaluator | None = None,
     ):
         self.space = space
+        #: ``space.lookup`` plus one, as intp: one gather gives the shifted
+        #: slots.
+        self.shifted = shifted
         self.key = key
         self.predicate = predicate
 
@@ -1824,14 +1853,12 @@ class SlotStage:
                 if not passed:
                     return None
                 batch, mask = batch.take(mask), None
-        slots = radix.slots_of(self.space, materialize(self.key(batch), batch.count))
         # Every later gather and bincount indexes by the slots: as intp.
-        shifted = slots.astype(np.intp)
-        shifted += 1  # no slot, -1, reads 0
+        shifted = radix.slots_of(
+            self.space, materialize(self.key(batch), batch.count), self.shifted
+        )
         if mask is not None:
             shifted *= mask
-        if not shifted.any():
-            return None
         batch.columns = {**batch.columns, _SLOT: shifted}
         return batch
 
@@ -1846,8 +1873,8 @@ class _SlotPartials:
     one (see :class:`SlotStage`): entry 0, the rows without a slot, is
     zero."""
 
-    #: Rows per slot.
-    rows: np.ndarray
+    #: Rows per slot (``None`` for the grouped input: its kept slots say).
+    rows: np.ndarray | None
     #: (aggregate fingerprint, ``count`` | ``sum``) -> per-slot column.
     sums: dict[Part, Any]
     #: The columns of the rows that a per-slot column cannot stand for —
@@ -1863,7 +1890,12 @@ class _SlotRoot(_RootTask):
     as group ids, one grouped reduction a part; ranges add their partials up
     (integer sums turn exact past int64, as every group-by's; a range
     without rows adds only its zero row counts) and concatenate their kept
-    rows in range order."""
+    rows in range order.  The partials are per-slot columns over the whole
+    slot space, entry 0 (no slot) zero, so :func:`_combine_per_key` weighs
+    them without a gather.  ``rows``, when given, are the input's rows per
+    slot already — the first input's, which its key slots count — and no
+    range counts them again; without ``count`` nobody needs them (the
+    grouped input, whose kept rows carry their slots)."""
 
     def __init__(
         self,
@@ -1871,8 +1903,12 @@ class _SlotRoot(_RootTask):
         summed: Mapping[tuple, tuple[Evaluator, list[str]]],
         kept: Mapping[Any, Evaluator],
         non_null: frozenset[tuple],
+        rows: np.ndarray | None = None,
+        count: bool = True,
     ):
         self.size = size
+        self.rows = rows
+        self.count = count
         #: Aggregate fingerprint -> (its argument, the parts summed per slot).
         self.summed = summed
         self.kept = kept
@@ -1901,16 +1937,17 @@ class _SlotRoot(_RootTask):
                 np.zeros(size, dtype=np.int64), {}, {name: [] for name in self.kept}
             )
         slots = concat_chunks(state[_SLOT])
-        rows = np.bincount(slots, minlength=size)
-        rows[0] = 0
+        rows = self.rows
+        if rows is None and self.count:
+            rows = np.bincount(slots, minlength=size)
+            rows[0] = 0
         sums = {}
         for fingerprint, (_, funcs) in self.summed.items():
             values = concat_chunks(state[fingerprint])
             present = fingerprint in self.non_null
             for func in funcs:
                 if func == "count" and present:
-                    sums[(fingerprint, func)] = rows  # every row has a value
-                    continue
+                    continue  # every row has a value: the row counts (merge)
                 column = radix.group_aggregate(func, slots, size, values, present)
                 column[0] = 0
                 sums[(fingerprint, func)] = column
@@ -1918,8 +1955,14 @@ class _SlotRoot(_RootTask):
         return _SlotPartials(rows, sums, kept)
 
     def merge(self, partials: list, counters: ExecutionCounters) -> _SlotPartials:
-        rows = sum(partial.rows for partial in partials)
-        sums: dict[Part, Any] = {}
+        rows = self.rows
+        if rows is None and self.count:
+            rows = sum(partial.rows for partial in partials)
+        sums: dict[Part, Any] = {
+            (fingerprint, "count"): rows
+            for fingerprint, (_, funcs) in self.summed.items()
+            if "count" in funcs and fingerprint in self.non_null
+        }
         for partial in partials:
             for part, column in partial.sums.items():
                 sums[part] = (
@@ -1935,11 +1978,13 @@ class _SlotRoot(_RootTask):
 
 
 def _slot_root(
-    chain: FactorizedChain, root: _NestRoot, index: int, size: int
+    chain: FactorizedChain, root: _NestRoot, index: int, space: radix.KeySlots
 ) -> _SlotRoot:
-    """The reduction of input ``index`` of ``chain`` over ``size`` slots:
-    MIN/MAX arguments and every column of the grouped input keep their
-    rows, the other arguments are counted and summed per slot."""
+    """The reduction of input ``index`` of ``chain`` over the slots of
+    ``space``: MIN/MAX arguments and every column of the grouped input keep
+    their rows, the other arguments are counted and summed per slot.  The
+    first input's rows per slot are the counts of its own slots; the
+    grouped input's are not needed (its rows carry their slots)."""
     summed: dict[tuple, tuple[Evaluator, list[str]]] = {}
     kept: dict[Any, Evaluator] = {}
     if index == chain.grouped:
@@ -1958,7 +2003,10 @@ def _slot_root(
             summed[fingerprint] = (argument, funcs)
     if kept:
         kept[_SLOT] = _slot_of
-    return _SlotRoot(size, summed, kept, root.non_null)
+    return _SlotRoot(
+        space.size, summed, kept, root.non_null,
+        rows=None if index else space.counts, count=index != chain.grouped,
+    )
 
 
 def _key_codes(
@@ -1991,133 +2039,282 @@ def _key_codes(
     return codes, span, decode
 
 
+#: A per-slot integer column and the largest magnitude it holds.
+_Bounded = tuple[np.ndarray, int]
+
+
+def _times(left: _Bounded | None, right: _Bounded | None) -> _Bounded | None:
+    """The product of two per-slot integer columns (``None``: all ones), in
+    int64 where their bounds prove it cannot wrap, in Python ints
+    otherwise."""
+    if left is None or right is None:
+        return right if left is None else left
+    (a, a_bound), (b, b_bound) = left, right
+    bound = a_bound * b_bound
+    if bound >= 2**63:
+        a, b = a.astype(object), b.astype(object)
+    return a * b, bound
+
+
+def _leave_one_out(rows: list[np.ndarray | None]) -> list[_Bounded | None]:
+    """Per input, the product of the other inputs' rows per slot (``None``:
+    all ones — no rows, or rows left out as ``None``), by one prefix and
+    one suffix pass."""
+    factors = [None if count is None else (count, int(count.max())) for count in rows]
+    prefix: list[_Bounded | None] = [None]
+    for factor in factors[:-1]:
+        prefix.append(_times(prefix[-1], factor))
+    others: list[_Bounded | None] = [None] * len(factors)
+    suffix = None
+    for index in reversed(range(len(factors))):
+        others[index] = _times(prefix[index], suffix)
+        if index:
+            suffix = _times(factors[index], suffix)
+    return others
+
+
+def _weighed(part: np.ndarray, weight: _Bounded | None) -> tuple[np.ndarray, int | None]:
+    """A per-slot part times a per-slot weight, with the product's bound
+    (``None``: not an int64 column — float, or Python numbers)."""
+    if part.dtype.kind == "f":
+        return (part if weight is None else part * weight[0].astype(np.float64)), None
+    if part.dtype == object:
+        return (part if weight is None else part * weight[0]), None
+    product = _times((part, radix.int_bound(part)), weight)
+    assert product is not None
+    column, bound = product
+    return column, bound if column.dtype != object else None
+
+
+def _dot(part: np.ndarray, weight: _Bounded) -> Any:
+    """``Σ_k part[k] · weight[k]`` over the slots: a float for a float part,
+    else exact — one int64 dot where the bounds prove it cannot wrap,
+    Python numbers over the weighed slots otherwise."""
+    column, bound = weight
+    if part.dtype.kind == "f":
+        return float(part @ column.astype(np.float64))
+    if part.dtype != object and column.dtype != object:
+        if radix.int_bound(part) * bound * len(part) < 2**63:
+            return int(part @ column)
+    weighed = np.flatnonzero(column)
+    return sum(map(operator.mul, part[weighed].tolist(), column[weighed].tolist()))
+
+
+def _one(value: Any) -> np.ndarray:
+    """One reduced value as the part column of the one group; an int past
+    int64 stays a Python int."""
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        column = np.empty(1, dtype=object)
+        column[0] = value
+        return column
+    return np.asarray([value])
+
+
 def _combine_per_key(
     chain: FactorizedChain,
     root: _NestRoot,
     reductions: list[_SlotPartials],
 ) -> _GroupPartial | None:
-    """The root's parts as key products, folded by the group keys;
-    ``None`` when no key value is held by every input.
+    """The root's groups and parts as key products over the slots; ``None``
+    when no key value is held by every input.
 
-    Every output row stands at one slot (``at``): a slot every input holds,
-    for a global aggregate, or a kept row of the grouped input.  A part's
-    per-slot weight is a product over the slots — ``COUNT(*)`` the product
-    of the other inputs' row counts, a SUM its owner's sum times the rest —
-    gathered at the output rows once (the grouped input's own argument is
-    read per row), and the rows are added up per group, one grouped sum a
-    part: directly on the codes of one encoded or dense
-    integer group key, where a row whose slot another input lacks weighs
-    nothing; otherwise — several keys, other keys, MIN or MAX — over the
-    rows at slots every input holds, by the group-by fold."""
-    grouped = chain.grouped
-    held = np.logical_and.reduce([reduced.rows > 0 for reduced in reductions])
-    keys: list[np.ndarray] = []
-    dense = None
-    mine: Any = slice(None)
-    if grouped is None:
-        at = np.flatnonzero(held)
-    else:
-        kept = reductions[grouped].kept
-        if len(root.keys) == 1 and not any(
-            aggregate.func in ("min", "max") for aggregate in root.aggregates
-        ):
-            dense = _key_codes(kept[0])
-        if dense is None:
-            mine = np.flatnonzero(held[kept[_SLOT]])
-            keys = [kept[index][mine] for index in range(len(root.keys))]
-        at = kept[_SLOT][mine]
-    if len(at) == 0:
+    A part's per-slot weight is its owner's per-slot count or sum times the
+    leave-one-out product of the other inputs' rows per slot (COUNT(*): the
+    product of every input's), where a slot some input lacks weighs 0 — so
+    nothing is gathered at held slots.  Without group keys each part is one
+    dot of the two over the slot space, and a MIN or MAX the extremum of its
+    owner's rows at slots every other input holds.  With group keys every row
+    of the grouped input stands at its slot (:func:`_combine_grouped`)."""
+    if chain.grouped is not None:
+        return _combine_grouped(chain, root, reductions)
+    weights = _leave_one_out([reduced.rows for reduced in reductions])
+    first = weights[0]
+    assert first is not None  # a chain has two inputs or more
+    joined = _dot(reductions[0].rows, first)
+    if joined == 0:
         return None
-    products: dict[int | None, np.ndarray] = {}
+    parts: dict[Part, Any] = {}
+    for aggregate in root.aggregates:
+        fingerprint, func = aggregate.fingerprint(), aggregate.func
+        owner = chain.owners.get(fingerprint)
+        if owner is None:  # COUNT(*)
+            parts[(fingerprint, "count")] = _one(joined)
+            continue
+        partials, weight = reductions[owner], weights[owner]
+        assert weight is not None
+        if func in ("min", "max"):
+            held = np.flatnonzero((weight[0] > 0)[partials.kept[_SLOT]])
+            parts[(fingerprint, func)] = radix.group_aggregate(
+                func, len(held), 1, partials.kept[fingerprint][held],
+                fingerprint in root.non_null,
+            )
+            continue
+        present = _dot(partials.sums[(fingerprint, "count")], weight)
+        if func != "sum":
+            parts[(fingerprint, "count")] = _one(present)
+        if func != "count":
+            # Over joined rows without an argument value a SUM is the integer
+            # 0 Volcano's accumulator starts from, whatever the column type.
+            total = _dot(partials.sums[(fingerprint, "sum")], weight) if present else 0
+            parts[(fingerprint, "sum")] = _one(total)
+    return _GroupPartial([], parts, None)
 
-    def weight(skip: int | None = None) -> np.ndarray:
-        """Per slot, the product of the row counts of every input but
-        ``skip`` and the grouped one."""
-        if skip not in products:
-            factors = [
-                reduced.rows
-                for index, reduced in enumerate(reductions)
-                if index not in (skip, grouped)
-            ]
-            product = factors[0] if factors else np.ones(len(held), dtype=np.int64)
-            for factor in factors[1:]:
-                product = radix.null_safe_arith("*", product, factor)
-            products[skip] = product
-        return products[skip]
 
+def _combine_grouped(
+    chain: FactorizedChain,
+    root: _NestRoot,
+    reductions: list[_SlotPartials],
+) -> _GroupPartial | None:
+    """The groups of a grouped chain: every kept row of the grouped input is
+    an output row weighed by the other inputs' per-slot product at its slot
+    (a part of another input: that input's per-slot count or sum times the
+    rest), added up per group.
+
+    On the codes of one encoded or dense-integer key (no MIN/MAX) the rows
+    are counted once per (slot, code) cell by one ``bincount`` when the cells
+    number at most the rows, and every per-slot weight becomes its groups by
+    one mat-vec with those counts; with more cells than rows each weight is
+    gathered at the rows and added up per code.  A part of the grouped input
+    itself is its per-row value times the weight, added up per code.
+    Several keys, other keys or a MIN/MAX keep the rows at slots every input
+    holds and fold them by the group-by root."""
+    grouped = chain.grouped
+    assert grouped is not None
+    kept = reductions[grouped].kept
+    slots: np.ndarray = kept[_SLOT]
+    # Leaving the grouped input's rows out: its own weight is COUNT(*) per
+    # slot, every other input's the product of the rest.
+    weights = _leave_one_out([
+        None if index == grouped else reduced.rows for index, reduced in enumerate(reductions)
+    ])
+    joined = weights[grouped]
+    assert joined is not None  # a chain has two inputs or more
+    extrema = any(aggregate.func in ("min", "max") for aggregate in root.aggregates)
+    dense = _key_codes(kept[0]) if len(root.keys) == 1 and not extrema else None
+    if dense is None:
+        return _fold_grouped(chain, root, reductions, joined[0], weights)
+    codes, span, decode = dense
+    size = len(joined[0])
+    if size * span <= len(slots):
+        cells = np.bincount(slots * span + codes, minlength=size * span)
+        cells = cells.reshape(size, span)
+
+        def per_code(weight: np.ndarray, bound: int | None) -> np.ndarray:
+            if weight.dtype.kind == "f" or bound is not None and bound * len(slots) < 2**63:
+                return weight @ cells
+            return weight.astype(object) @ cells
+
+    else:
+
+        def per_code(weight: np.ndarray, bound: int | None) -> np.ndarray:
+            column = weight[slots]
+            if bound is not None and bound * len(slots) < 2**63:
+                sums = np.zeros(span, dtype=np.int64)
+                np.add.at(sums, codes, column)
+                return sums
+            return radix.group_aggregate("sum", codes, span, column)
+
+    counts = per_code(*joined)
+    groups = np.flatnonzero(counts > 0)
+    if len(groups) == 0:
+        return None
+    parts: dict[Part, Any] = {}
+    for aggregate in root.aggregates:
+        fingerprint, func = aggregate.fingerprint(), aggregate.func
+        owner = chain.owners.get(fingerprint)
+        if owner is None:  # COUNT(*)
+            parts[(fingerprint, "count")] = counts
+            continue
+        if owner == grouped:
+            rows = _row_parts(root, aggregate, kept[fingerprint], joined[0][slots])
+            for part in aggregate_parts(aggregate):
+                parts[part] = radix.group_aggregate("sum", codes, span, rows[part[1]])
+            continue
+        for part in aggregate_parts(aggregate):
+            parts[part] = per_code(*_weighed(reductions[owner].sums[part], weights[owner]))
+    return _GroupPartial(
+        [decode(groups)],
+        {part: column[groups] for part, column in parts.items()},
+        radix.KERNEL_DENSE,
+    )
+
+
+def _row_parts(
+    root: _NestRoot, aggregate: AggregateCall, values: Any, weight: np.ndarray
+) -> dict[str, Any]:
+    """The parts of an aggregate over the grouped input, row by row: the
+    row's value (none when missing) times its weight — and the non-missing
+    count, which marks the rows without a value."""
+    rows = np.arange(len(weight))
+    non_null = aggregate.fingerprint() in root.non_null
+    return {
+        func: radix.null_safe_arith(
+            "*", radix.group_aggregate(func, rows, len(rows), values, non_null), weight
+        )
+        for func in {"count"} | {part[1] for part in aggregate_parts(aggregate)}
+    }
+
+
+def _fold_grouped(
+    chain: FactorizedChain,
+    root: _NestRoot,
+    reductions: list[_SlotPartials],
+    joined: np.ndarray,
+    weights: list[_Bounded | None],
+) -> _GroupPartial | None:
+    """The groups of a grouped chain by the group-by root's fold over the
+    kept rows of the grouped input at slots every input holds; ``joined``
+    is COUNT(*) per slot, ``weights`` each other input's leave-one-out
+    product."""
+    grouped = chain.grouped
+    assert grouped is not None
+    kept = reductions[grouped].kept
+    mine = np.flatnonzero(joined[kept[_SLOT]] > 0)
+    if len(mine) == 0:
+        return None
+    at = kept[_SLOT][mine]
+    keys = [kept[index][mine] for index in range(len(root.keys))]
+    # The slots every other input holds, numbered among them: a slot no
+    # input row reaches would box an extremum column into objects.
+    held = joined > 0
+    rank = np.cumsum(held) - 1
     columns: dict[Part, Any] = {}
     for aggregate in root.aggregates:
         fingerprint, func = aggregate.fingerprint(), aggregate.func
         owner = chain.owners.get(fingerprint)
         if owner is None:  # COUNT(*)
-            columns[(fingerprint, "count")] = weight()[at]
-            continue
-        partials = reductions[owner]
-        non_null = fingerprint in root.non_null
-        if func in ("min", "max"):
-            values = partials.kept[fingerprint]
-            if owner == grouped:
-                columns[(fingerprint, func)] = values[mine]
-                continue
+            columns[(fingerprint, "count")] = joined[at]
+        elif owner == grouped and func in ("min", "max"):
+            columns[(fingerprint, func)] = kept[fingerprint][mine]
+        elif func in ("min", "max"):
+            partials = reductions[owner]
             slots = partials.kept[_SLOT]
-            rows = np.flatnonzero(held[slots])
-            if grouped is None:
-                # One group: the extremum of the owner's rows at held slots.
-                columns[(fingerprint, func)] = values[rows]
-                continue
-            # The extremum of every held slot, numbered among them: a slot
-            # no input row reaches would box the column into objects.
-            rank = np.cumsum(held) - 1
+            reached = np.flatnonzero(held[slots])
             extrema = radix.group_aggregate(
-                func, rank[slots[rows]], int(rank[-1]) + 1, values[rows], non_null
+                func, rank[slots[reached]], int(rank[-1]) + 1,
+                partials.kept[fingerprint][reached], fingerprint in root.non_null,
             )
             columns[(fingerprint, func)] = extrema[rank[at]]
-            continue
-        if owner == grouped:  # a group of one row: its value, or none
-            values, rows = partials.kept[fingerprint][mine], np.arange(len(at))
-            present, sums = (
-                radix.group_aggregate(part, rows, len(at), values, non_null)
-                for part in ("count", "sum")
-            )
-            factor = weight()[at]
         else:
-            present = partials.sums[(fingerprint, "count")]
-            sums = partials.sums.get((fingerprint, "sum"))
-            factor = weight(owner)
-        if func != "sum":
-            count = radix.null_safe_arith("*", present, factor)
-            columns[(fingerprint, "count")] = count if owner == grouped else count[at]
-        if func != "count":
-            total = radix.null_safe_arith("*", sums, factor)
-            if total.dtype.kind == "f":
-                # A key without argument values adds no value at all, so a
-                # global SUM over none stays the integer 0 the joined rows
-                # give.
+            if owner == grouped:
+                rows = _row_parts(root, aggregate, kept[fingerprint][mine], joined[at])
+                present = rows["count"]
+            else:
+                sums = reductions[owner].sums
+                rows = {
+                    part[1]: _weighed(sums[part], weights[owner])[0][at]
+                    for part in aggregate_parts(aggregate)
+                }
+                present = sums[(fingerprint, "count")][at]
+            total = rows.get("sum")
+            if total is not None and total.dtype.kind == "f":
+                # A row without argument values adds no value at all, so a
+                # group of such rows alone sums to the integer 0 the joined
+                # rows give when the fold keeps it by itself.
                 total[present == 0] = np.nan
-            columns[(fingerprint, "sum")] = total if owner == grouped else total[at]
-    if dense is None:
-        # Without keys every column folds into the one group, whatever its
-        # length.
-        return root.fold(keys, columns, len(at), set())
-    codes, span, decode = dense
-    # The joined rows per code: a group has one exactly when a row at a
-    # slot the other inputs hold has its code.
-    joined = radix.group_aggregate("sum", codes, span, weight()[at])
-    groups = np.flatnonzero(joined > 0)
-    if len(groups) == 0:
-        return None
-    return _GroupPartial(
-        [decode(groups)],
-        {
-            part: (
-                joined  # COUNT(*)
-                if part[1] == "count" and root.arguments.get(part[0]) is None
-                else radix.group_aggregate(_MERGE_FUNCS[part[1]], codes, span, column)
-            )[groups]
-            for part, column in columns.items()
-        },
-        radix.KERNEL_DENSE,
-    )
+            for part in aggregate_parts(aggregate):
+                columns[part] = rows[part[1]]
+    return root.fold(keys, columns, len(at), set())
 
 
 # ---------------------------------------------------------------------------
@@ -2245,15 +2442,16 @@ class VectorizedExecutor:
             compiler.built[id(chain.inputs[0])] = (first, space)
             return None
         reductions = []
+        shifted = np.add(space.lookup, 1, dtype=np.intp)  # see SlotStage
         for index, subplan in enumerate(chain.inputs):
-            reducer = _slot_root(chain, root, index, space.size)
+            reducer = _slot_root(chain, root, index, space)
             key = evaluator(chain.keys[index])
             if index == 0 and not (reducer.summed or reducer.kept):
-                # None without a slot, then the rows per slot.
-                reduced = _SlotPartials(np.append(0, space.counts), {}, {})
+                # Its rows per slot, which its slots count, are all it adds.
+                reduced = _SlotPartials(reducer.rows, {}, {})
             elif index == 0 and first is not None:
                 state = reducer.new_state()
-                slotted = SlotStage(space, key).apply(first, self.profile)
+                slotted = SlotStage(space, shifted, key).apply(first, self.profile)
                 if slotted is not None:
                     reducer.update(state, slotted, self.profile)
                 reduced = reducer.merge(
@@ -2261,13 +2459,14 @@ class VectorizedExecutor:
                 )
             else:
                 pipeline, predicate = compiler.compile_input(subplan)
-                stage = SlotStage(space, key, predicate)
+                stage = SlotStage(space, shifted, key, predicate)
                 if index:
                     compiler.add_stage(pipeline, chain.probes[index - 1], stage)
                 else:
                     pipeline.stages.append((stage, None))
                 reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
-            if not reduced.rows.any():  # no row of this input has a slot
+            held = reduced.kept[_SLOT] if reduced.rows is None else reduced.rows
+            if not held.any():  # no row of this input has a slot
                 return self._empty_chain(chain, root)
             reductions.append(reduced)
         started = time.perf_counter()

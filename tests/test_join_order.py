@@ -428,6 +428,139 @@ def test_sum_over_joined_rows_without_values_is_volcano_zero(tmp_path):
         assert repr(result.rows) == repr(reference), label
 
 
+def _per_key_like_volcano(directory: str, queries: list[str]) -> dict[str, list]:
+    """Run ``queries`` in every chain configuration: per key value, equal
+    to Volcano, and the same rows inline, fanned out (the streamed inputs
+    dispatch morsels) and on the cached second run.  Those rows by query."""
+    volcano = _chain_engine(directory, enable_codegen=False)
+    engines = {
+        label: _chain_engine(directory, **kwargs) for label, kwargs in CHAIN_CONFIGS.items()
+    }
+    rows = {}
+    for query in queries:
+        reference = volcano.query(query).rows
+        answers = set()
+        for label, engine in engines.items():
+            for run in range(2 if engine.cache_manager is not None else 1):
+                result = engine.query(query)
+                assert result.tier == "codegen", (label, query)
+                assert set(result.profile.join_kernels) == {"factorized"}, (label, query)
+                if "fanout" in label:
+                    assert result.profile.morsels_dispatched > 0, (label, query)
+                _assert_matches_volcano(result.rows, reference, (label, run, query))
+                answers.add(tuple(repr(row) for row in result.rows))
+        assert len(answers) == 1, (query, answers)
+        rows[query] = result.rows
+    return rows
+
+
+def _keyed(keys, **values) -> list[dict]:
+    """One chain row per key, every other field from ``values`` (a callable
+    takes the key)."""
+    return [
+        {
+            "k": key,
+            **{
+                name: value(key) if callable(value) else value
+                for name, value in {"x": 1, "y": 1.0, "g": "a", **values}.items()
+            },
+        }
+        for key in keys
+    ]
+
+
+def test_global_sum_past_int64_through_the_other_inputs_rows_is_exact(tmp_path):
+    """A per-slot sum that fits int64 but whose dot with the product of the
+    other inputs' rows (100 per key) does not is taken in Python ints, as
+    Volcano's sum over the joined rows is — globally, and per group both
+    per (slot, code) cell and row by row."""
+    big = {0: 2**60, 1: 2**60 - 1, 2: -(2**59), 3: 2**60}
+    csv_rows = _keyed([index % 4 for index in range(40)], x=2**40, g=lambda key: "ab"[key % 2])
+    json_rows = _keyed([index % 4 for index in range(40)], x=2**56)
+    binary_rows = _keyed(range(4), x=big.__getitem__)
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    answers = _per_key_like_volcano(str(tmp_path), [
+        f"SELECT COUNT(*), SUM(b.x) AS b, AVG(b.x), SUM(c.x) AS c, SUM(j.x) AS j {_CHAIN}",
+        f"SELECT c.g, SUM(b.x), COUNT(*) {_CHAIN} GROUP BY c.g",
+        # 15 cells for c's 40 rows; b's 4 rows, one a key, go row by row.
+        f"SELECT c.g, SUM(j.x) {_CHAIN} GROUP BY c.g",
+        f"SELECT b.g, SUM(j.x) {_CHAIN} GROUP BY b.g",
+    ])
+    ((count, total, *_),), _, per_cell, per_row = answers.values()
+    assert (count, total) == (400, 100 * sum(big.values())) and total > 2**63
+    assert sorted(per_cell) == [("a", 200 * 2**56), ("b", 200 * 2**56)]
+    assert per_row == [("a", 400 * 2**56)]
+
+
+def test_avg_over_held_slots_without_argument_values(tmp_path):
+    """The keys every input holds carry no ``c.y`` (other keys of ``c``
+    do): AVG is missing, SUM Volcano's integer 0, COUNT 0."""
+    csv_rows = _keyed(
+        [index % 4 for index in range(40)], y=lambda key: None if key < 2 else 2.5
+    )
+    json_rows = _keyed([index % 2 for index in range(40)], y=0.5)
+    binary_rows = _keyed(range(4), g=lambda key: "ab"[key % 2])
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    answers = _per_key_like_volcano(str(tmp_path), [
+        f"SELECT AVG(c.y) AS c, SUM(c.y), COUNT(c.y), AVG(j.y) AS j, COUNT(*) {_CHAIN}",
+        f"SELECT b.g, AVG(c.y), COUNT(c.y), COUNT(*) {_CHAIN} GROUP BY b.g",
+    ])
+    assert repr(list(answers.values())[0]) == repr([(None, 0, 0, 0.5, 400)])
+
+
+@pytest.mark.parametrize("distinct_keys", [2, 30])
+def test_grouped_chain_on_either_side_of_the_cell_rule(tmp_path, distinct_keys):
+    """A grouped chain counts the grouped rows per (slot, code) cell when
+    the cells number at most those rows, and adds each weight up per code
+    row by row otherwise: ``b``'s 40 rows under 5 string codes (four values
+    and the missing one) against 3 or 31 slots (2 or 30 keys of the first
+    input, and the slot of no key) — 15 cells or 155.  The dense integer key
+    ``b.x`` alike."""
+    keys = [index % distinct_keys for index in range(40)]
+    csv_rows = _keyed(keys, x=lambda key: key - 7)
+    json_rows = _keyed(keys[::-1], x=lambda key: key * 3, y=lambda key: key / 4)
+    binary_rows = [
+        dict(row, g="abcd"[index % 4], x=index % 3)
+        for index, row in enumerate(_keyed(keys, y=0.25))
+    ]
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    _per_key_like_volcano(str(tmp_path), [
+        f"SELECT b.g, COUNT(*), SUM(c.x) AS c, AVG(j.y), SUM(b.x) AS b, COUNT(j.x) {_CHAIN} "
+        "GROUP BY b.g",
+        f"SELECT b.x, COUNT(*), SUM(j.x), AVG(b.y) {_CHAIN} GROUP BY b.x",
+    ])
+
+
+def test_extrema_where_one_input_lacks_most_keys(tmp_path):
+    """``j`` holds 2 of the 20 keys: a MIN/MAX reads its owner's rows at
+    those keys only, globally and per group — the other keys' rows hold the
+    smaller and larger values."""
+    csv_rows = _keyed(
+        [index % 20 for index in range(40)], y=lambda key: float(key), g=lambda key: "abc"[key % 3]
+    )
+    json_rows = _keyed([3 if index % 2 else 7 for index in range(40)], x=lambda key: key)
+    binary_rows = _keyed(range(20), x=lambda key: 100 - key, y=lambda key: -float(key))
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    answers = _per_key_like_volcano(str(tmp_path), [
+        f"SELECT MIN(b.x), MAX(c.y), MIN(c.g), MAX(j.x), COUNT(*) {_CHAIN}",
+        f"SELECT c.g, MIN(b.x), MAX(b.y), COUNT(*) {_CHAIN} GROUP BY c.g",
+    ])
+    assert repr(list(answers.values())[0]) == repr([(93, 7.0, "a", 7, 80)])
+
+
+def test_empty_key_intersection_answers_one_row(tmp_path):
+    """No key is held by every input: the global aggregate is still one
+    row — COUNT 0, SUM 0, AVG/MIN/MAX missing."""
+    csv_rows = _keyed([index % 2 for index in range(40)])
+    json_rows = _keyed([2 + index % 2 for index in range(40)])
+    binary_rows = _keyed(range(4))
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    answers = _per_key_like_volcano(str(tmp_path), [
+        f"SELECT COUNT(*), SUM(b.x), SUM(c.y), AVG(j.y), MIN(b.x), MAX(c.g) {_CHAIN}",
+    ])
+    assert repr(list(answers.values())) == repr([[(0, 0, 0, None, None, None)]])
+
+
 def test_key_slots_are_kept_like_a_join_table(paths):
     """The first input's key slots are the join build side the adaptive
     cache keeps — one structure, probed or reduced per slot — keyed by the
@@ -623,3 +756,45 @@ def test_olap_join_gathers_two_columns_and_no_oids(tmp_path, joined_batches):
     for batch in joined_batches:
         assert set(batch.columns) == {("l", ("l_extendedprice",)), ("o", ("o_totalprice",))}
         assert not batch.oids
+
+
+def test_scan_emits_oids_only_where_an_operator_above_reads_them(paths, monkeypatch):
+    """A cached scan under a filter and nothing that addresses rows by OID
+    emits no OIDs, so the filter gathers none; an unnest above a filtered
+    cached scan still gets its parents' OIDs and answers like Volcano —
+    inline and fanned out."""
+    from repro.core.executor import vectorized
+
+    taken: list[set[str]] = []
+    take = vectorized.Batch.take
+
+    def recording(batch, selector):
+        taken.append(set(batch.oids))
+        return take(batch, selector)
+
+    monkeypatch.setattr(vectorized.Batch, "take", recording)
+    volcano = make_engine(paths, enable_codegen=False)
+    queries = {
+        "SELECT SUM(price), COUNT(*) FROM items_json WHERE id % 2 = 0": set(),
+        "SELECT SUM(price), COUNT(*) FROM items_csv WHERE id % 2 = 0": set(),
+        "for { o <- orders, o.okey % 2 = 0, l <- o.lines } yield bag (o.okey, l.item)": {"o"},
+    }
+    for workers in LIVE_WORKERS:
+        engine = make_engine(
+            paths, parallel_workers=workers, vectorized_batch_size=FANOUT_BATCH_SIZE
+        )
+        # Whole scans put every field the queries read into the cache.
+        engine.query("SELECT SUM(price), SUM(id) FROM items_json")
+        engine.query("SELECT SUM(price), SUM(id) FROM items_csv")
+        engine.query("for { o <- orders, l <- o.lines } yield bag (o.okey, l.item)")
+        for query, oids in queries.items():
+            taken.clear()
+            result = engine.query(query)
+            assert result.tier == "codegen", (workers, query)
+            # The scans read the cache only; the unnest fetches its elements
+            # by the parents' OIDs.
+            assert result.profile.values_from_cache > 0, (workers, query)
+            assert bool(result.profile.values_extracted) == bool(oids), (workers, query)
+            assert repr(result.rows) == repr(volcano.query(query).rows), (workers, query)
+            assert taken, (workers, query)
+            assert set().union(*taken) == oids, (workers, query)
