@@ -1718,8 +1718,7 @@ class FactorizedChain:
     its slots are cached: the slots hold the counts.  With group keys, every
     row of the input they read is an output row of its own, weighed by the
     other inputs' product at its slot, and the rows are added up per group:
-    on the codes of one encoded or dense-integer key one mat-vec a part
-    with the rows counted per (slot, code) cell, or one grouped sum a part.
+    on the codes of one encoded or dense-integer key one grouped sum a part.
     """
 
     #: The hash joins, the chain's root first.
@@ -2073,17 +2072,17 @@ def _leave_one_out(rows: list[np.ndarray | None]) -> list[_Bounded | None]:
     return others
 
 
-def _weighed(part: np.ndarray, weight: _Bounded | None) -> tuple[np.ndarray, int | None]:
-    """A per-slot part times a per-slot weight, with the product's bound
-    (``None``: not an int64 column — float, or Python numbers)."""
+def _weighed(part: np.ndarray, weight: _Bounded | None) -> np.ndarray:
+    """A per-slot part times a per-slot weight: float for a float part, else
+    in int64 where the bounds prove it cannot wrap, in Python ints
+    otherwise."""
     if part.dtype.kind == "f":
-        return (part if weight is None else part * weight[0].astype(np.float64)), None
+        return part if weight is None else part * weight[0].astype(np.float64)
     if part.dtype == object:
-        return (part if weight is None else part * weight[0]), None
+        return part if weight is None else part * weight[0]
     product = _times((part, radix.int_bound(part)), weight)
     assert product is not None
-    column, bound = product
-    return column, bound if column.dtype != object else None
+    return product[0]
 
 
 def _dot(part: np.ndarray, weight: _Bounded) -> Any:
@@ -2170,14 +2169,12 @@ def _combine_grouped(
     (a part of another input: that input's per-slot count or sum times the
     rest), added up per group.
 
-    On the codes of one encoded or dense-integer key (no MIN/MAX) the rows
-    are counted once per (slot, code) cell by one ``bincount`` when the cells
-    number at most the rows, and every per-slot weight becomes its groups by
-    one mat-vec with those counts; with more cells than rows each weight is
-    gathered at the rows and added up per code.  A part of the grouped input
-    itself is its per-row value times the weight, added up per code.
-    Several keys, other keys or a MIN/MAX keep the rows at slots every input
-    holds and fold them by the group-by root."""
+    On the codes of one encoded or dense-integer key (no MIN/MAX) each
+    per-slot weight is gathered at the rows and added up per code, one
+    grouped sum a part; a row whose slot another input lacks weighs 0.  A
+    part of the grouped input itself is its per-row value times the weight,
+    added up per code.  Several keys, other keys or a MIN/MAX keep the rows
+    at slots every input holds and fold them by the group-by root."""
     grouped = chain.grouped
     assert grouped is not None
     kept = reductions[grouped].kept
@@ -2194,27 +2191,11 @@ def _combine_grouped(
     if dense is None:
         return _fold_grouped(chain, root, reductions, joined[0], weights)
     codes, span, decode = dense
-    size = len(joined[0])
-    if size * span <= len(slots):
-        cells = np.bincount(slots * span + codes, minlength=size * span)
-        cells = cells.reshape(size, span)
 
-        def per_code(weight: np.ndarray, bound: int | None) -> np.ndarray:
-            if weight.dtype.kind == "f" or bound is not None and bound * len(slots) < 2**63:
-                return weight @ cells
-            return weight.astype(object) @ cells
+    def per_code(weight: np.ndarray) -> np.ndarray:
+        return radix.group_aggregate("sum", codes, span, weight[slots])
 
-    else:
-
-        def per_code(weight: np.ndarray, bound: int | None) -> np.ndarray:
-            column = weight[slots]
-            if bound is not None and bound * len(slots) < 2**63:
-                sums = np.zeros(span, dtype=np.int64)
-                np.add.at(sums, codes, column)
-                return sums
-            return radix.group_aggregate("sum", codes, span, column)
-
-    counts = per_code(*joined)
+    counts = per_code(joined[0])
     groups = np.flatnonzero(counts > 0)
     if len(groups) == 0:
         return None
@@ -2231,7 +2212,7 @@ def _combine_grouped(
                 parts[part] = radix.group_aggregate("sum", codes, span, rows[part[1]])
             continue
         for part in aggregate_parts(aggregate):
-            parts[part] = per_code(*_weighed(reductions[owner].sums[part], weights[owner]))
+            parts[part] = per_code(_weighed(reductions[owner].sums[part], weights[owner]))
     return _GroupPartial(
         [decode(groups)],
         {part: column[groups] for part, column in parts.items()},
@@ -2302,7 +2283,7 @@ def _fold_grouped(
             else:
                 sums = reductions[owner].sums
                 rows = {
-                    part[1]: _weighed(sums[part], weights[owner])[0][at]
+                    part[1]: _weighed(sums[part], weights[owner])[at]
                     for part in aggregate_parts(aggregate)
                 }
                 present = sums[(fingerprint, "count")][at]

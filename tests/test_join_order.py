@@ -472,8 +472,8 @@ def _keyed(keys, **values) -> list[dict]:
 def test_global_sum_past_int64_through_the_other_inputs_rows_is_exact(tmp_path):
     """A per-slot sum that fits int64 but whose dot with the product of the
     other inputs' rows (100 per key) does not is taken in Python ints, as
-    Volcano's sum over the joined rows is — globally, and per group both
-    per (slot, code) cell and row by row."""
+    Volcano's sum over the joined rows is — globally, and per group on a
+    key of the first input and of the last."""
     big = {0: 2**60, 1: 2**60 - 1, 2: -(2**59), 3: 2**60}
     csv_rows = _keyed([index % 4 for index in range(40)], x=2**40, g=lambda key: "ab"[key % 2])
     json_rows = _keyed([index % 4 for index in range(40)], x=2**56)
@@ -482,14 +482,13 @@ def test_global_sum_past_int64_through_the_other_inputs_rows_is_exact(tmp_path):
     answers = _per_key_like_volcano(str(tmp_path), [
         f"SELECT COUNT(*), SUM(b.x) AS b, AVG(b.x), SUM(c.x) AS c, SUM(j.x) AS j {_CHAIN}",
         f"SELECT c.g, SUM(b.x), COUNT(*) {_CHAIN} GROUP BY c.g",
-        # 15 cells for c's 40 rows; b's 4 rows, one a key, go row by row.
         f"SELECT c.g, SUM(j.x) {_CHAIN} GROUP BY c.g",
         f"SELECT b.g, SUM(j.x) {_CHAIN} GROUP BY b.g",
     ])
-    ((count, total, *_),), _, per_cell, per_row = answers.values()
+    ((count, total, *_),), _, by_c, by_b = answers.values()
     assert (count, total) == (400, 100 * sum(big.values())) and total > 2**63
-    assert sorted(per_cell) == [("a", 200 * 2**56), ("b", 200 * 2**56)]
-    assert per_row == [("a", 400 * 2**56)]
+    assert sorted(by_c) == [("a", 200 * 2**56), ("b", 200 * 2**56)]
+    assert by_b == [("a", 400 * 2**56)]
 
 
 def test_avg_over_held_slots_without_argument_values(tmp_path):
@@ -509,13 +508,11 @@ def test_avg_over_held_slots_without_argument_values(tmp_path):
 
 
 @pytest.mark.parametrize("distinct_keys", [2, 30])
-def test_grouped_chain_on_either_side_of_the_cell_rule(tmp_path, distinct_keys):
-    """A grouped chain counts the grouped rows per (slot, code) cell when
-    the cells number at most those rows, and adds each weight up per code
-    row by row otherwise: ``b``'s 40 rows under 5 string codes (four values
-    and the missing one) against 3 or 31 slots (2 or 30 keys of the first
-    input, and the slot of no key) — 15 cells or 155.  The dense integer key
-    ``b.x`` alike."""
+def test_grouped_chain_over_few_and_many_keys(tmp_path, distinct_keys):
+    """A grouped chain gathers each per-slot weight at the grouped rows and
+    adds it up per code: ``b``'s 40 rows under 5 string codes (four values
+    and the missing one) over 2 or 30 join keys, so that many rows share a
+    slot or few do.  The dense integer key ``b.x`` alike."""
     keys = [index % distinct_keys for index in range(40)]
     csv_rows = _keyed(keys, x=lambda key: key - 7)
     json_rows = _keyed(keys[::-1], x=lambda key: key * 3, y=lambda key: key / 4)
