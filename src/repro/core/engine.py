@@ -157,6 +157,7 @@ from repro.plugins.csv_plugin import CsvPlugin
 from repro.plugins.json_plugin import JsonPlugin
 from repro.storage.catalog import Catalog, DataFormat, Dataset
 from repro.storage.memory import MemoryManager
+from repro.storage.structural_index import DEFAULT_STRIDE
 
 #: Parameter-value environment: positional keys are 0-based ints, named keys
 #: are strings.
@@ -844,7 +845,7 @@ class ProteusEngine:
         schema: t.RecordType | Mapping | None = None,
         delimiter: str = ",",
         has_header: bool = True,
-        stride: int = 5,
+        stride: int = DEFAULT_STRIDE,
         analyze: bool = False,
     ) -> Dataset:
         """Register a raw CSV file as a queryable dataset."""

@@ -520,17 +520,19 @@ class ScanOperator:
         if buffers.count == 0:
             return None
         batch = Batch(count=buffers.count, params=self.params)
-        oids = np.asarray(buffers.oids, dtype=np.int64)
         if self.emit_oids:
-            batch.oids[self.binding] = oids
+            batch.oids[self.binding] = buffers.oids
         for path in self._uncached:
             batch.columns[(self.binding, path)] = buffers.column(path)
-        start = int(oids[0])
-        if self._recorder is not None and int(oids[-1]) - start == buffers.count - 1:
-            self._recorder.add(start, buffers.count, buffers)
+        # Contiguous rows slice the cached columns; explicit OIDs gather.
+        rows: "slice | np.ndarray | None" = buffers.explicit_oids
+        if rows is None:
+            rows = slice(buffers.first, buffers.first + buffers.count)
+            if self._recorder is not None:
+                self._recorder.add(buffers.first, buffers.count, buffers)
         if self._cached:
             for path, full in self._cached.items():
-                batch.columns[(self.binding, path)] = full[oids]
+                batch.columns[(self.binding, path)] = full[rows]
             counters.values_from_cache += buffers.count * len(self._cached)
         counters.rows_scanned += buffers.count
         counters.values_extracted += buffers.count * len(self._uncached)

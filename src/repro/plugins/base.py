@@ -67,12 +67,23 @@ class ScanBuffers:
     type (:mod:`repro.core.columns`: a typed NumPy array or an encoded column)
     with one entry per qualifying object; ``oids`` carries the object identifier the plug-in
     produced for each entry, which later lazy accesses (``scan_columns_at``,
-    ``scan_unnest_batch``) use to return to the source object.
+    ``scan_unnest_batch``) use to return to the source object.  A batch of
+    the contiguous rows ``[first, first + count)`` holds no OID array: it is
+    built when read.
     """
 
     count: int
-    oids: np.ndarray
+    #: Global row of the first entry, when the entries are contiguous rows.
+    first: int = 0
+    #: The entries' OIDs when they are not contiguous rows (``scan_columns_at``).
+    explicit_oids: np.ndarray | None = None
     columns: dict[FieldPath, Column] = field(default_factory=dict)
+
+    @property
+    def oids(self) -> np.ndarray:
+        if self.explicit_oids is not None:
+            return self.explicit_oids
+        return np.arange(self.first, self.first + self.count, dtype=np.int64)
 
     def column(self, path: FieldPath) -> Column:
         try:
@@ -210,7 +221,7 @@ class InputPlugin(ABC):
         gathers; verbose formats override it with genuinely selective access.
         """
         full = self.scan_columns(dataset, paths)
-        buffers = ScanBuffers(count=len(oids), oids=np.asarray(oids, dtype=np.int64))
+        buffers = ScanBuffers(count=len(oids), explicit_oids=np.asarray(oids, dtype=np.int64))
         for path in paths:
             buffers.columns[tuple(path)] = full.column(tuple(path))[oids]
         return buffers
@@ -264,9 +275,7 @@ class InputPlugin(ABC):
         for begin in range(start, stop, batch_size):
             self.io_checkpoint("scan-range", dataset.name)
             end = min(begin + batch_size, stop)
-            buffers = ScanBuffers(
-                count=end - begin, oids=np.arange(begin, end, dtype=np.int64)
-            )
+            buffers = ScanBuffers(count=end - begin, first=begin)
             for path, array in arrays.items():
                 buffers.columns[path] = array[begin:end]
             yield buffers

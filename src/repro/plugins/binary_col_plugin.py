@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.core import types as t
 from repro.core.concurrency import make_lock
 from repro.core.types import python_value
@@ -92,9 +90,7 @@ class BinaryColumnPlugin(InputPlugin):
     def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
         table = self._table(dataset)
         self.io_checkpoint("scan-columns", dataset.name)
-        buffers = ScanBuffers(
-            count=table.row_count, oids=np.arange(table.row_count, dtype=np.int64)
-        )
+        buffers = ScanBuffers(count=table.row_count)
         for path in paths:
             buffers.columns[path] = table.column(require_flat_path(path))
         return buffers

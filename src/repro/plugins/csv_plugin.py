@@ -34,7 +34,11 @@ from repro.plugins.base import (
     value_range,
 )
 from repro.storage.catalog import Dataset, DatasetStatistics
-from repro.storage.structural_index import CsvStructuralIndex, build_csv_index
+from repro.storage.structural_index import (
+    DEFAULT_STRIDE,
+    CsvStructuralIndex,
+    build_csv_index,
+)
 
 
 @dataclass
@@ -116,7 +120,7 @@ class CsvPlugin(InputPlugin):
             started = time.perf_counter()
             delimiter = dataset.options.get("delimiter", ",")
             has_header = dataset.options.get("has_header", True)
-            stride = dataset.options.get("stride", 5)
+            stride = dataset.options.get("stride", DEFAULT_STRIDE)
 
             def build() -> tuple:
                 # One guarded raw-I/O step: mmap faults retry (RES005 when
@@ -207,7 +211,7 @@ class CsvPlugin(InputPlugin):
         state = self._state(dataset)
         self.io_checkpoint("scan-columns", dataset.name)
         num_rows = state.index.num_rows
-        buffers = ScanBuffers(count=num_rows, oids=np.arange(num_rows, dtype=np.int64))
+        buffers = ScanBuffers(count=num_rows)
         for path in paths:
             buffers.columns[path] = self._convert_rows(dataset, state, path, range(num_rows))
         return buffers
@@ -233,9 +237,7 @@ class CsvPlugin(InputPlugin):
         for begin in range(start, stop, batch_size):
             self.io_checkpoint("scan-range", dataset.name)
             end = min(begin + batch_size, stop)
-            buffers = ScanBuffers(
-                count=end - begin, oids=np.arange(begin, end, dtype=np.int64)
-            )
+            buffers = ScanBuffers(count=end - begin, first=begin)
             for path in paths:
                 buffers.columns[path] = self._convert_rows(
                     dataset, state, path, range(begin, end)
@@ -273,7 +275,7 @@ class CsvPlugin(InputPlugin):
         state = self._state(dataset)
         self.io_checkpoint("scan-columns", dataset.name)
         rows = np.asarray(oids, dtype=np.int64)
-        buffers = ScanBuffers(count=len(rows), oids=rows)
+        buffers = ScanBuffers(count=len(rows), explicit_oids=rows)
         for path in paths:
             buffers.columns[path] = self._convert_rows(dataset, state, path, rows)
         return buffers

@@ -172,7 +172,7 @@ class JsonPlugin(InputPlugin):
         state = self._state(dataset)
         self.io_checkpoint("scan-columns", dataset.name)
         count = state.index.num_objects
-        buffers = ScanBuffers(count=count, oids=np.arange(count, dtype=np.int64))
+        buffers = ScanBuffers(count=count)
         for path in paths:
             buffers.columns[path] = self._extract_column(dataset, state, path)
         return buffers
@@ -197,11 +197,10 @@ class JsonPlugin(InputPlugin):
         for begin in range(start, stop, batch_size):
             self.io_checkpoint("scan-range", dataset.name)
             end = min(begin + batch_size, stop)
-            positions = np.arange(begin, end, dtype=np.int64)
-            buffers = ScanBuffers(count=end - begin, oids=positions)
+            buffers = ScanBuffers(count=end - begin, first=begin)
             for path in paths:
                 buffers.columns[tuple(path)] = self._extract_column(
-                    dataset, state, tuple(path), positions=positions
+                    dataset, state, tuple(path), positions=range(begin, end)
                 )
             yield buffers
 
@@ -212,7 +211,7 @@ class JsonPlugin(InputPlugin):
         state = self._state(dataset)
         self.io_checkpoint("scan-columns", dataset.name)
         rows = np.asarray(oids, dtype=np.int64)
-        buffers = ScanBuffers(count=len(rows), oids=rows)
+        buffers = ScanBuffers(count=len(rows), explicit_oids=rows)
         for path in paths:
             buffers.columns[tuple(path)] = self._extract_column(
                 dataset, state, tuple(path), positions=rows
@@ -224,7 +223,7 @@ class JsonPlugin(InputPlugin):
         dataset: Dataset,
         state: _JsonState,
         path: FieldPath,
-        positions: np.ndarray | None = None,
+        positions: "range | np.ndarray | None" = None,
     ) -> Column:
         """One field for every object (or the objects at ``positions``) as
         the column of its declared type: the spans come from one column

@@ -9,8 +9,11 @@ later step works on the positions of the few bytes that matter.
 
 * :class:`CsvStructuralIndex` stores where every row starts and ends and,
   row-relative, where every Nth field starts (the paper stores the 1st, 11th,
-  21st ... fields when N=10).  A field span is found from the closest anchor:
-  for many rows at once by one delimiter search over those rows' bytes.
+  21st ... fields when N=10).  The build finds every delimiter anyway, so by
+  default N is 1: a field span is then two index reads, its anchor and the
+  next field's, for many rows at once by slicing (a row range) or gathering
+  (OIDs).  Only a field that a larger N leaves unanchored is found by one
+  delimiter search over those rows' bytes from the closest anchor.
 * :class:`JsonStructuralIndex` is built during the first (validating) pass
   over a JSON object stream.  It keeps one column per field path — top-level
   fields, nested record fields flattened into dotted paths, arrays as opaque
@@ -82,10 +85,15 @@ class CsvStructuralIndex:
     """Positional index over a CSV byte buffer.
 
     Per data row: the byte offset where it starts, its length (a trailing
-    ``\\r`` excluded) and the row-relative offsets of fields ``stride``,
-    ``2*stride``, ... (``row length + 1`` when the row is shorter).  A larger
-    stride trades index size for seek work — exactly the knob described in
-    the paper.
+    ``\\r`` excluded) and the row-relative offsets where fields ``stride``,
+    ``2*stride``, ... start, up to and including field ``field_count`` — the
+    one past the last field, so that the last field ends by the same rule as
+    every other.  A field the row does not hold is anchored at ``row length
+    + 1``.  One rule gives every span: a field starts at its anchor (field 0
+    at the row start) and ends one byte before the next field's anchor.  A
+    field whose start or end a stride above 1 leaves unanchored is found by
+    a delimiter search from the closest anchor.  A larger stride trades
+    index size for that seek work — exactly the knob described in the paper.
     """
 
     def __init__(
@@ -117,26 +125,35 @@ class CsvStructuralIndex:
         start = int(self.row_starts[row])
         return start, start + int(self.row_lengths[row])
 
-    def _anchor(self, field_index: int) -> tuple[int, int]:
+    def _anchor(self, field_index: int) -> tuple[int, int, int | None]:
+        """``(slot, skip, end slot)``: field ``field_index`` lies ``skip``
+        fields after anchor column ``slot - 1`` (the row start for slot 0);
+        its end is anchor column ``end slot`` minus one, or ``None`` when a
+        search must find both ends."""
         if field_index < 0 or field_index >= self.field_count:
             raise StorageError(
                 f"field index {field_index} out of range (0..{self.field_count - 1})"
             )
-        return divmod(field_index, self.stride)
+        slot, skip = divmod(field_index, self.stride)
+        anchored_end = not skip and (field_index + 1) % self.stride == 0
+        return slot, skip, (field_index + 1) // self.stride - 1 if anchored_end else None
 
     def field_span(self, data: bytes, row: int, field_index: int) -> tuple[int, int]:
         """Return the byte span ``[start, end)`` of one field of one row."""
-        slot, skip = self._anchor(field_index)
+        slot, skip, end_slot = self._anchor(field_index)
         start, row_end = self.row_span(row)
+        row_start = start
         if slot:
             offset = int(self.anchors[row, slot - 1])
             if offset > row_end - start:
-                raise StorageError(f"row {row} has fewer than {field_index + 1} fields")
+                self._short_row(row, field_index)
             start += offset
+        if end_slot is not None:
+            return start, row_start + int(self.anchors[row, end_slot]) - 1
         for _ in range(skip):
             next_delim = data.find(self.delimiter, start, row_end)
             if next_delim == -1:
-                raise StorageError(f"row {row} has fewer than {field_index + 1} fields")
+                self._short_row(row, field_index)
             start = next_delim + 1
         end = data.find(self.delimiter, start, row_end)
         return start, row_end if end == -1 else end
@@ -144,30 +161,35 @@ class CsvStructuralIndex:
     def field_spans(
         self, data: bytes, rows: "range | np.ndarray", field_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Byte spans ``(starts, ends)`` of one field for many rows: one
-        delimiter search over the bytes between each row's anchor and its
-        end, then ``searchsorted``."""
-        slot, skip = self._anchor(field_index)
-        rows = (
-            np.arange(rows.start, rows.stop, dtype=np.int64)
+        """Byte spans ``(starts, ends)`` of one field for many rows (a range
+        slices the index, an OID array gathers from it).  An anchored field
+        reads both ends from the index; any other takes one delimiter search
+        over the bytes between each row's anchor and its end, then
+        ``searchsorted``."""
+        slot, skip, end_slot = self._anchor(field_index)
+        selected = (
+            slice(rows.start, rows.stop, rows.step)
             if isinstance(rows, range)
             else np.asarray(rows, dtype=np.int64)
         )
-        begin = self.row_starts[rows].astype(np.int64)
-        stop = begin + self.row_lengths[rows]
+        row_starts = self.row_starts[selected].astype(np.int64)
+        begin = row_starts
+        stop = begin + self.row_lengths[selected]
         if slot:
-            offsets = self.anchors[rows, slot - 1].astype(np.int64)
+            offsets = self.anchors[selected, slot - 1]
             short = offsets > stop - begin
             if short.any():
-                self._short_row(rows[short][0], field_index)
-            begin += offsets
-        starts = np.empty(len(rows), dtype=np.int64)
-        ends = np.empty(len(rows), dtype=np.int64)
+                self._short_row(rows[int(np.argmax(short))], field_index)
+            begin = begin + offsets
+        if end_slot is not None:
+            return begin, row_starts + self.anchors[selected, end_slot] - 1
+        starts = np.empty(len(begin), dtype=np.int64)
+        ends = np.empty(len(begin), dtype=np.int64)
         # Rows in chunks of about a block of bytes (a row costs one at least).
         weight = np.cumsum(stop - begin + 1)
-        total = int(weight[-1]) if len(rows) else 0
+        total = int(weight[-1]) if len(begin) else 0
         bounds = np.searchsorted(weight, np.arange(BLOCK_BYTES, total, BLOCK_BYTES))
-        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(rows)]):
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(begin)]):
             if hi > lo:
                 self._spans_of(data, begin[lo:hi], stop[lo:hi], skip,
                                starts[lo:hi], ends[lo:hi], rows[lo:hi], field_index)
@@ -194,7 +216,7 @@ class CsvStructuralIndex:
         if skip:
             short = first + skip - 1 >= limit
             if short.any():
-                self._short_row(rows[short][0], field_index)
+                self._short_row(rows[int(np.argmax(short))], field_index)
             field_begin = delims[first + skip - 1] + 1
         follow = first + skip
         field_end = seg_end.copy()
@@ -208,11 +230,33 @@ class CsvStructuralIndex:
         raise StorageError(f"row {int(row)} has fewer than {field_index + 1} fields")
 
 
+def _row_grid(
+    delims: np.ndarray, begins: np.ndarray, ends: np.ndarray, per_row: int
+) -> np.ndarray | None:
+    """The delimiter positions as one row of ``per_row`` per CSV row when
+    every row holds exactly that many (the common case), else ``None``.
+
+    The positions are sorted and every delimiter lies in some row, so when
+    their count fits and each grid row starts and ends inside its own CSV
+    row, no row can hold another row's delimiter."""
+    if not per_row or len(delims) != len(begins) * per_row:
+        return None
+    grid = delims.reshape(len(begins), per_row)
+    if (grid[:, 0] >= begins).all() and (grid[:, -1] < ends).all():
+        return grid
+    return None
+
+
+#: Fields per anchor of :func:`build_csv_index` unless the caller sets one:
+#: every field is anchored, so no scan searches the bytes again.
+DEFAULT_STRIDE = 1
+
+
 def build_csv_index(
     data: bytes,
     delimiter: str = ",",
     has_header: bool = True,
-    stride: int = 5,
+    stride: int = DEFAULT_STRIDE,
 ) -> CsvStructuralIndex:
     """Build a :class:`CsvStructuralIndex` over a CSV byte buffer."""
     if stride < 1:
@@ -224,7 +268,8 @@ def build_csv_index(
     if first_end == -1:
         first_end = len(data)
     field_count = data[:first_end].count(delim) + 1 if data else 0
-    anchor_count = max((field_count + stride - 1) // stride - 1, 0)
+    # The delimiter before each anchored field, counted from the row start.
+    nth_delimiter = np.arange(stride, field_count + 1, stride) - 1
     position = first_end + 1 if has_header else 0
 
     starts: list[np.ndarray] = []
@@ -245,15 +290,23 @@ def build_csv_index(
         kept = ends > begins  # blank lines hold no row
         begins, ends = begins[kept], ends[kept]
         delims = np.flatnonzero(buf == delim[0])
-        first = np.searchsorted(delims, begins)
-        limit = np.searchsorted(delims, ends)
-        block_anchors = np.empty((len(begins), anchor_count), dtype=np.int64)
-        for slot in range(anchor_count):
-            nth = first + (slot + 1) * stride - 1
-            found = nth < limit
-            block_anchors[:, slot] = np.where(
-                found, delims[np.minimum(nth, len(delims) - 1)] + 1 - begins, ends - begins + 1
-            ) if len(delims) else ends - begins + 1
+        # A field the row lacks is anchored one past the row's end.
+        lacking = (ends - begins + 1)[:, None]
+        grid = _row_grid(delims, begins, ends, field_count - 1)
+        if grid is not None:
+            block_anchors = np.empty((len(begins), len(nth_delimiter)), dtype=np.int64)
+            held = grid[:, stride - 1::stride]
+            np.subtract(held, (begins - 1)[:, None], out=block_anchors[:, : held.shape[1]])
+            block_anchors[:, held.shape[1]:] = lacking
+        else:
+            nth = np.searchsorted(delims, begins)[:, None] + nth_delimiter
+            block_anchors = np.broadcast_to(lacking, nth.shape)
+            if len(delims):
+                block_anchors = np.where(
+                    nth < np.searchsorted(delims, ends)[:, None],
+                    delims.take(nth, mode="clip") + 1 - begins[:, None],
+                    block_anchors,
+                )
         starts.append(_narrow(begins + lo))
         lengths.append(_narrow(ends - begins))
         anchors.append(_narrow(block_anchors))
@@ -262,7 +315,10 @@ def build_csv_index(
     return CsvStructuralIndex(
         row_starts=np.concatenate(starts) if starts else np.zeros(0, np.uint8),
         row_lengths=np.concatenate(lengths) if lengths else np.zeros(0, np.uint8),
-        anchors=np.concatenate(anchors) if anchors else np.zeros((0, anchor_count), np.uint8),
+        anchors=(
+            np.concatenate(anchors) if anchors
+            else np.zeros((0, len(nth_delimiter)), np.uint8)
+        ),
         stride=stride,
         field_count=field_count,
         delimiter=delim,
@@ -316,16 +372,21 @@ class JsonStructuralIndex:
         return set(self.path_names)
 
     def column_spans(
-        self, path: str, positions: "np.ndarray | None" = None
+        self, path: str, positions: "range | np.ndarray | None" = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Span lookup for one field across all objects (or the objects at
-        ``positions``): ``(starts, ends, type_codes)`` with
-        :data:`TYPE_MISSING` where an object lacks the path (or the path is
-        unknown to the index)."""
-        rows = slice(None) if positions is None else np.asarray(positions, dtype=np.int64)
+        ``positions``: a range slices the columns, an array gathers from
+        them): ``(starts, ends, type_codes)`` with :data:`TYPE_MISSING` where
+        an object lacks the path (or the path is unknown to the index)."""
+        if positions is None:
+            rows: "slice | np.ndarray" = slice(None)
+        elif isinstance(positions, range):
+            rows = slice(positions.start, positions.stop, positions.step)
+        else:
+            rows = np.asarray(positions, dtype=np.int64)
         slot = self._slots.get(path)
         if slot is None:
-            count = self.num_objects if positions is None else len(rows)
+            count = self.num_objects if positions is None else len(positions)
             zeros = np.zeros(count, dtype=np.int64)
             return zeros, zeros, np.full(count, TYPE_MISSING, dtype=np.int8)
         offsets, lengths, types = self.columns[slot]
@@ -414,14 +475,18 @@ class _JsonBuilder:
         backslashes = np.flatnonzero(classes == _BACKSLASH)
         if len(backslashes):
             quote[_escaped_quotes(quote, backslashes)] = False
-        inside = np.bitwise_xor.accumulate(quote.view(np.uint8)).view(np.bool_)
+        # Every pass below runs on boolean masks, and no byte is widened
+        # (``np.take(_CLASS, buf)`` would cast the block to intp).
+        inside = np.logical_xor.accumulate(quote)
         outside = ~inside
-        kinds_of_bytes = np.where(outside & (classes >= _OBJ_OPEN), classes, np.uint8(0))
+        kinds_of_bytes = classes * (outside & (classes >= _OBJ_OPEN))
         kinds_of_bytes[quote & inside] = _STRING
-        scalar = outside & (classes <= _BACKSLASH)
-        edges = np.flatnonzero(np.diff(scalar.view(np.int8), prepend=np.int8(0), append=np.int8(0)))
+        padded = np.zeros(len(buf) + 2, dtype=bool)
+        padded[1:-1] = outside & (classes <= _BACKSLASH)
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        scalar = padded[1:-1]
         kinds_of_bytes[edges[0::2]] = _SCALAR
-        positions = np.flatnonzero(kinds_of_bytes)
+        positions = np.flatnonzero(kinds_of_bytes != 0)
         kinds = kinds_of_bytes[positions]
         # Scalar bytes that cannot be part of a number.
         foreign = np.flatnonzero(scalar & (classes != _NUM))

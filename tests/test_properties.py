@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.core.types import is_missing
 from repro.core.executor import radix
 from repro.core.expressions import BinaryOp, FieldRef, Literal
 from repro.core.normalizer import fold_constants
-from repro.errors import StorageError
+from repro.errors import CorruptDataError, StorageError, error_code
 from repro.storage import structural_index as si
 from repro.storage.binary_format import write_column_table
 from tests import json_reference
@@ -276,30 +278,61 @@ def _block_bytes(size):
             st.integers(min_value=0, max_value=10_000),
             st.floats(min_value=0, max_value=100, allow_nan=False),
             st.text(alphabet="abcdefgh", min_size=0, max_size=8),
+            # Fields past the header's four; a negative count drops fields.
+            st.sampled_from([0, 0, 0, 2, -1, -2]),
         ),
         min_size=1,
         max_size=30,
     ),
-    stride=st.integers(min_value=1, max_value=4),
+    stride=st.sampled_from([1, 2, 3, 4, 5, 9]),
     block=st.sampled_from([1, 7, 64, si.BLOCK_BYTES]),
     line_end=st.sampled_from(["\n", "\r\n"]),
 )
+# A short row next to a long one: the block holds as many delimiters as
+# rows of exactly four fields would.
+@example(rows=[(1, 1.0, "a", -2), (2, 2.0, "b", 2)], stride=1, block=si.BLOCK_BYTES,
+         line_end="\n")
+@example(rows=[(1, 1.0, "a", 2), (2, 2.0, "b", -2)], stride=1, block=si.BLOCK_BYTES,
+         line_end="\n")
 def test_csv_structural_index_spans_roundtrip(rows, stride, block, line_end):
-    lines = ["w,x,y,z"] + [f"{a},{a % 7},{b:.3f},{c}" for a, b, c in rows]
-    data = (line_end.join(lines) + line_end).encode()
+    """Every field of every row, for a row range and for OIDs, at strides
+    below, at and above the field count: ``field_spans`` and ``field_span``
+    agree on the span, a field past the header's reads as its own field, and
+    a field the row lacks is a ``StorageError`` (RES006 through the plug-in)."""
+    expected = [
+        ([str(a), str(a % 7), f"{b:.3f}", c] + [f"e{n}" for n in range(extra)])[: 4 + extra]
+        for a, b, c, extra in rows
+    ]
+    text = line_end.join(["w,x,y,z"] + [",".join(fields) for fields in expected]) + line_end
+    data = text.encode()
     with _block_bytes(block):
         index = si.build_csv_index(data, stride=stride)
         assert index.num_rows == len(rows)
-        expected = [[str(a), str(a % 7), f"{b:.3f}", c] for a, b, c in rows]
         for field in range(4):
-            starts, ends = index.field_spans(data, range(len(rows)), field)
-            picked = np.arange(len(rows))[::-2]
-            some_starts, some_ends = index.field_spans(data, picked, field)
+            for selection in (range(len(rows)), np.arange(len(rows))[::-2]):
+                if any(len(expected[row]) <= field for row in selection):
+                    with pytest.raises(StorageError):
+                        index.field_spans(data, selection, field)
+                    continue
+                starts, ends = index.field_spans(data, selection, field)
+                for row, start, end in zip(selection, starts, ends):
+                    assert data[start:end].decode() == expected[row][field]
+                    assert index.field_span(data, int(row), field) == (start, end)
             for row in range(len(rows)):
-                assert data[starts[row]:ends[row]].decode() == expected[row][field]
-                assert index.field_span(data, row, field) == (starts[row], ends[row])
-            for row, start, end in zip(picked, some_starts, some_ends):
-                assert data[start:end].decode() == expected[row][field]
+                if len(expected[row]) <= field:
+                    with pytest.raises(StorageError):
+                        index.field_span(data, row, field)
+    if any(len(fields) < 4 for fields in expected):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "short.csv")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            engine = ProteusEngine(enable_caching=False)
+            engine.register_csv("short", path, stride=stride, schema={
+                "w": "int", "x": "int", "y": "float", "z": "string"})
+            with pytest.raises(CorruptDataError) as info:
+                engine.query("SELECT w, x, y, z FROM short")
+            assert error_code(info.value) == "RES006"
 
 
 # -- the JSON index against the byte-at-a-time reference tokenizer ------------

@@ -122,6 +122,42 @@ def test_csv_index_no_header():
     assert data[start:end] == b"6"
 
 
+class _Unsearchable(bytes):
+    """Raw bytes whose delimiter search fails the test."""
+
+    def find(self, *args):
+        raise AssertionError("searched the bytes of a row")
+
+
+def test_csv_default_stride_extracts_columns_without_a_byte_search(tmp_path, monkeypatch):
+    """At the default stride every field is anchored: the spans of a row
+    range, of OIDs or of one row come from the index alone, and a query
+    through the plug-in converts its columns without searching a row."""
+
+    def searched(*args):
+        raise AssertionError("searched the bytes of rows")
+
+    monkeypatch.setattr(si.CsvStructuralIndex, "_spans_of", searched)
+    index = si.build_csv_index(CSV_DATA)
+    unsearchable = _Unsearchable(CSV_DATA)
+    picked = np.arange(index.num_rows)[::-3]
+    for field in range(index.field_count):
+        starts, ends = index.field_spans(CSV_DATA, range(index.num_rows), field)
+        some_starts, some_ends = index.field_spans(CSV_DATA, picked, field)
+        assert some_starts.tolist() == starts[picked].tolist()
+        assert some_ends.tolist() == ends[picked].tolist()
+        for row in range(index.num_rows):
+            assert index.field_span(unsearchable, row, field) == (starts[row], ends[row])
+    path = tmp_path / "items.csv"
+    path.write_bytes(CSV_DATA)
+    from repro import ProteusEngine
+
+    engine = ProteusEngine(enable_caching=False)
+    engine.register_csv("items", str(path))
+    rows = engine.query("SELECT id, qty, price, name FROM items WHERE qty = 3").rows
+    assert rows == [(i, 3, i * 1.5, f"item{i}") for i in range(50) if i % 7 == 3]
+
+
 # -- JSON structural index -----------------------------------------------------------
 
 
