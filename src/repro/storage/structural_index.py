@@ -12,8 +12,9 @@ later step works on the positions of the few bytes that matter.
   21st ... fields when N=10).  The build finds every delimiter anyway, so by
   default N is 1: a field span is then two index reads, its anchor and the
   next field's, for many rows at once by slicing (a row range) or gathering
-  (OIDs).  Only a field that a larger N leaves unanchored is found by one
-  delimiter search over those rows' bytes from the closest anchor.
+  (OIDs).  At a larger N a field's end, and the start of a field N leaves
+  unanchored, are found by one delimiter search over those rows' bytes from
+  the closest anchor.
 * :class:`JsonStructuralIndex` is built during the first (validating) pass
   over a JSON object stream.  It keeps one column per field path — top-level
   fields, nested record fields flattened into dotted paths, arrays as opaque
@@ -86,14 +87,15 @@ class CsvStructuralIndex:
 
     Per data row: the byte offset where it starts, its length (a trailing
     ``\\r`` excluded) and the row-relative offsets where fields ``stride``,
-    ``2*stride``, ... start, up to and including field ``field_count`` — the
-    one past the last field, so that the last field ends by the same rule as
-    every other.  A field the row does not hold is anchored at ``row length
-    + 1``.  One rule gives every span: a field starts at its anchor (field 0
-    at the row start) and ends one byte before the next field's anchor.  A
-    field whose start or end a stride above 1 leaves unanchored is found by
-    a delimiter search from the closest anchor.  A larger stride trades
-    index size for that seek work — exactly the knob described in the paper.
+    ``2*stride``, ... start.  At stride 1 that includes field
+    ``field_count``, the one past the last field, so that the last field ends
+    by the same rule as every other.  A field the row does not hold is
+    anchored at ``row length + 1``.  At stride 1 every span is two index
+    reads: a field starts at its anchor (field 0 at the row start) and ends
+    one byte before the next field's anchor.  At a stride above 1 a field
+    starts at its anchor or a delimiter search from the closest one, and a
+    search finds its end.  A larger stride trades index size for that seek
+    work — exactly the knob described in the paper.
     """
 
     def __init__(
@@ -127,16 +129,16 @@ class CsvStructuralIndex:
 
     def _anchor(self, field_index: int) -> tuple[int, int, int | None]:
         """``(slot, skip, end slot)``: field ``field_index`` lies ``skip``
-        fields after anchor column ``slot - 1`` (the row start for slot 0);
-        its end is anchor column ``end slot`` minus one, or ``None`` when a
-        search must find both ends."""
+        fields after anchor column ``slot - 1`` (the row start for slot 0).
+        At stride 1 its end is anchor column ``end slot`` (the next field's)
+        minus one; at any other stride ``end slot`` is ``None`` and a search
+        finds the end."""
         if field_index < 0 or field_index >= self.field_count:
             raise StorageError(
                 f"field index {field_index} out of range (0..{self.field_count - 1})"
             )
         slot, skip = divmod(field_index, self.stride)
-        anchored_end = not skip and (field_index + 1) % self.stride == 0
-        return slot, skip, (field_index + 1) // self.stride - 1 if anchored_end else None
+        return slot, skip, field_index if self.stride == 1 else None
 
     def field_span(self, data: bytes, row: int, field_index: int) -> tuple[int, int]:
         """Return the byte span ``[start, end)`` of one field of one row."""
@@ -162,10 +164,10 @@ class CsvStructuralIndex:
         self, data: bytes, rows: "range | np.ndarray", field_index: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Byte spans ``(starts, ends)`` of one field for many rows (a range
-        slices the index, an OID array gathers from it).  An anchored field
-        reads both ends from the index; any other takes one delimiter search
-        over the bytes between each row's anchor and its end, then
-        ``searchsorted``."""
+        slices the index, an OID array gathers from it).  At stride 1 both
+        ends are read from the index; at any other stride one delimiter
+        search over the bytes between each row's anchor and its end, then
+        ``searchsorted``, finds them."""
         slot, skip, end_slot = self._anchor(field_index)
         selected = (
             slice(rows.start, rows.stop, rows.step)
@@ -230,23 +232,6 @@ class CsvStructuralIndex:
         raise StorageError(f"row {int(row)} has fewer than {field_index + 1} fields")
 
 
-def _row_grid(
-    delims: np.ndarray, begins: np.ndarray, ends: np.ndarray, per_row: int
-) -> np.ndarray | None:
-    """The delimiter positions as one row of ``per_row`` per CSV row when
-    every row holds exactly that many (the common case), else ``None``.
-
-    The positions are sorted and every delimiter lies in some row, so when
-    their count fits and each grid row starts and ends inside its own CSV
-    row, no row can hold another row's delimiter."""
-    if not per_row or len(delims) != len(begins) * per_row:
-        return None
-    grid = delims.reshape(len(begins), per_row)
-    if (grid[:, 0] >= begins).all() and (grid[:, -1] < ends).all():
-        return grid
-    return None
-
-
 #: Fields per anchor of :func:`build_csv_index` unless the caller sets one:
 #: every field is anchored, so no scan searches the bytes again.
 DEFAULT_STRIDE = 1
@@ -268,8 +253,9 @@ def build_csv_index(
     if first_end == -1:
         first_end = len(data)
     field_count = data[:first_end].count(delim) + 1 if data else 0
-    # The delimiter before each anchored field, counted from the row start.
-    nth_delimiter = np.arange(stride, field_count + 1, stride) - 1
+    # The delimiter before each anchored field, counted from the row start;
+    # at stride 1 also the one past the last field, which ends that field.
+    nth_delimiter = np.arange(stride, field_count + (stride == 1), stride) - 1
     position = first_end + 1 if has_header else 0
 
     starts: list[np.ndarray] = []
@@ -282,34 +268,29 @@ def build_csv_index(
             newline = data.find(b"\n", hi)
             hi = len(data) if newline == -1 else newline + 1
         buf = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
-        ends = np.flatnonzero(buf == 0x0A)
+        # Newlines and delimiters in one pass: a line's delimiters are the
+        # marks after the newline before it.
+        marks = np.flatnonzero((buf == 0x0A) | (buf == delim[0]))
+        newlines = np.flatnonzero(buf[marks] == 0x0A)
+        ends = marks[newlines]
         if buf[-1] != 0x0A:
             ends = np.append(ends, len(buf))
         begins = np.concatenate(([0], ends[:-1] + 1))
+        first = np.concatenate(([0], newlines + 1))[: len(ends)]
         ends -= (ends > begins) & (buf[np.maximum(ends - 1, 0)] == 0x0D)
         kept = ends > begins  # blank lines hold no row
-        begins, ends = begins[kept], ends[kept]
-        delims = np.flatnonzero(buf == delim[0])
-        # A field the row lacks is anchored one past the row's end.
-        lacking = (ends - begins + 1)[:, None]
-        grid = _row_grid(delims, begins, ends, field_count - 1)
-        if grid is not None:
-            block_anchors = np.empty((len(begins), len(nth_delimiter)), dtype=np.int64)
-            held = grid[:, stride - 1::stride]
-            np.subtract(held, (begins - 1)[:, None], out=block_anchors[:, : held.shape[1]])
-            block_anchors[:, held.shape[1]:] = lacking
-        else:
-            nth = np.searchsorted(delims, begins)[:, None] + nth_delimiter
-            block_anchors = np.broadcast_to(lacking, nth.shape)
-            if len(delims):
-                block_anchors = np.where(
-                    nth < np.searchsorted(delims, ends)[:, None],
-                    delims.take(nth, mode="clip") + 1 - begins[:, None],
-                    block_anchors,
-                )
+        begins, ends, first = begins[kept], ends[kept], first[kept]
+        # One gather for all anchors, slot by row so that every pass runs
+        # along the rows.  A mark at or past the row's end is not the row's:
+        # the field it would start is anchored one past the row's end.
+        block_anchors = np.append(marks, len(buf)).take(
+            nth_delimiter[:, None] + first, mode="clip"
+        )
+        np.copyto(block_anchors, ends, where=block_anchors >= ends)
+        block_anchors -= begins - 1
         starts.append(_narrow(begins + lo))
         lengths.append(_narrow(ends - begins))
-        anchors.append(_narrow(block_anchors))
+        anchors.append(_narrow(block_anchors.T))
         lo = hi
 
     return CsvStructuralIndex(

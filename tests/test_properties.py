@@ -287,14 +287,14 @@ def _block_bytes(size):
     stride=st.sampled_from([1, 2, 3, 4, 5, 9]),
     block=st.sampled_from([1, 7, 64, si.BLOCK_BYTES]),
     line_end=st.sampled_from(["\n", "\r\n"]),
+    terminated=st.booleans(),
 )
-# A short row next to a long one: the block holds as many delimiters as
-# rows of exactly four fields would.
+# A short row next to a long one, and a short last row with no line end.
 @example(rows=[(1, 1.0, "a", -2), (2, 2.0, "b", 2)], stride=1, block=si.BLOCK_BYTES,
-         line_end="\n")
+         line_end="\n", terminated=True)
 @example(rows=[(1, 1.0, "a", 2), (2, 2.0, "b", -2)], stride=1, block=si.BLOCK_BYTES,
-         line_end="\n")
-def test_csv_structural_index_spans_roundtrip(rows, stride, block, line_end):
+         line_end="\n", terminated=False)
+def test_csv_structural_index_spans_roundtrip(rows, stride, block, line_end, terminated):
     """Every field of every row, for a row range and for OIDs, at strides
     below, at and above the field count: ``field_spans`` and ``field_span``
     agree on the span, a field past the header's reads as its own field, and
@@ -303,7 +303,8 @@ def test_csv_structural_index_spans_roundtrip(rows, stride, block, line_end):
         ([str(a), str(a % 7), f"{b:.3f}", c] + [f"e{n}" for n in range(extra)])[: 4 + extra]
         for a, b, c, extra in rows
     ]
-    text = line_end.join(["w,x,y,z"] + [",".join(fields) for fields in expected]) + line_end
+    text = line_end.join(["w,x,y,z"] + [",".join(fields) for fields in expected])
+    text += line_end if terminated else ""
     data = text.encode()
     with _block_bytes(block):
         index = si.build_csv_index(data, stride=stride)
