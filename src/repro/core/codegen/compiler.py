@@ -6,8 +6,10 @@ compiles the generated Python source with :func:`compile` and executes it
 into a namespace holding NumPy, the null-aware kernels and any registered
 constants.  A compiled module is a function of the plan's expressions only —
 no schema, dataset or statistic is baked in — so the engine keeps it in a
-bounded LRU keyed by plan fingerprint that no catalog change clears, and the
-prepared query whose plan first ran it holds it in its shape.
+bounded LRU keyed by those expressions
+(:func:`~repro.core.codegen.generator.module_key`) that no catalog change
+clears, and the prepared query whose plan first ran it holds it in its
+shape.
 """
 
 from __future__ import annotations

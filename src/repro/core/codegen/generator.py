@@ -16,9 +16,11 @@ once, here.
 The module is compiled by :mod:`repro.core.codegen.compiler` into a
 :class:`~repro.core.codegen.compiler.GeneratedQuery` and handed to the
 pipeline, whose stages and root tasks evaluate every plan expression by
-calling its function.  The generator reads expressions only, never a schema:
-one module serves every plan of one fingerprint, across catalog changes (the
-engine's bounded module cache and each prepared query's shape keep it).
+calling its function.  The generator reads expressions only, never a schema
+or a dataset: one module serves every plan that evaluates the same
+expressions (:func:`module_key`) — across catalog changes, and across plans
+that scan other datasets under the same aliases (the engine's bounded module
+cache and each prepared query's shape keep it).
 """
 
 from __future__ import annotations
@@ -69,12 +71,21 @@ def plan_expressions(plan: PhysicalPlan) -> Iterator[tuple[str, Expression]]:
             yield f"{aggregate.func}_argument", aggregate.argument
 
 
+def module_key(plan: PhysicalPlan) -> tuple:
+    """The key of ``plan``'s generated module: the fingerprint of every
+    expression :func:`plan_expressions` yields, with its role.  The module
+    is a function of exactly these, so plans that differ only in what their
+    scans read share it."""
+    return tuple(
+        (role, expression.fingerprint()) for role, expression in plan_expressions(plan)
+    )
+
+
 class CodeGenerator:
     """Generates the fused expression functions of one physical plan."""
 
     def generate(self, plan: PhysicalPlan) -> GeneratedQuery:
         ctx = CodegenContext()
-        ctx.emit(f"# {plan.describe()}")
         ctx.emit("# One function per plan expression: columnar batch in, column")
         ctx.emit("# (or scalar, for constant expressions) out.")
         names: dict[tuple, str] = {}

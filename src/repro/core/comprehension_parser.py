@@ -41,14 +41,17 @@ from repro.core.expressions import (
     Parameter,
     UnaryOp,
 )
-from repro.core.lexer import IDENT, NUMBER, STRING, SYMBOL, TokenStream
+from repro.core.lexer import IDENT, NUMBER, STRING, SYMBOL, Token, TokenStream
 from repro.core.types import AGGREGATE_MONOIDS, COLLECTION_MONOIDS
 from repro.errors import ParseError
 
 
-def parse_comprehension(text: str) -> Comprehension:
-    """Parse the comprehension syntax into a :class:`Comprehension`."""
-    stream = TokenStream(text)
+def parse_comprehension(
+    text: str, tokens: list[Token] | None = None
+) -> Comprehension:
+    """Parse the comprehension syntax (or its ``tokenize(text)``) into a
+    :class:`Comprehension`."""
+    stream = TokenStream(text, tokens)
     parser = _ComprehensionParser(stream)
     comprehension = parser.parse()
     if not stream.at_end():

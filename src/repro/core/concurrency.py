@@ -428,6 +428,9 @@ GUARDED_BY: dict[str, str] = {
     # engine-level shared caches (ProteusEngine serves concurrent sessions)
     "ProteusEngine._compiled": "_lock",
     "ProteusEngine._prepared_cache": "_lock",
+    # shape templates: two first texts of one shape race to prepare in full
+    # and publish; _lru_publish keeps the first template under _lock
+    "ProteusEngine._shapes": "_lock",
     "ProteusEngine._catalog_epoch": "_lock",
     "PreparedQuery._state": "_lock",
     "PreparedQuery.comprehension": "_lock",

@@ -106,8 +106,8 @@ from repro.core.analysis import (
     tier_verdicts,
 )
 from repro.core.binder import bind_comprehension
-from repro.core.calculus import Comprehension
-from repro.core.codegen import CodeGenerator, GeneratedQuery
+from repro.core.calculus import Comprehension, DatasetSource
+from repro.core.codegen import CodeGenerator, GeneratedQuery, module_key
 from repro.core.columns import EncodedColumn
 from repro.core.comprehension_parser import parse_comprehension
 from repro.core.concurrency import make_lock
@@ -118,6 +118,7 @@ from repro.core.executor.vectorized import (
     factorized_chain,
 )
 from repro.core.executor.volcano import VolcanoExecutor
+from repro.core.lexer import IDENT, Token, tokenize
 from repro.core.parallel import plan_fanout
 from repro.core.normalizer import normalize
 from repro.core.optimizer.planner import Planner
@@ -131,12 +132,15 @@ from repro.core.physical import (
     PhysUnnest,
     PhysicalPlan,
     driving_scan,
+    rename_datasets,
+    scans_of,
     unwrap_sort,
 )
 from repro.core.sort import resolve_limit, sort_columns
 from repro.core.sql_parser import parse_sql
 from repro.core.translator import translate
 from repro.errors import (
+    CatalogError,
     CodegenError,
     ExecutionError,
     PlanningError,
@@ -163,8 +167,9 @@ from repro.storage.structural_index import DEFAULT_STRIDE
 #: are strings.
 ParamValues = Mapping[int | str, object]
 
-#: Entries each of the engine's two LRUs keeps — prepared queries by query
-#: text, generated modules by plan fingerprint — least recently used evicted
+#: Entries each of the engine's three LRUs keeps — prepared queries by query
+#: text, shape templates by the text's tokens over abstract dataset names,
+#: generated modules by the plan's expressions — least recently used evicted
 #: first: clients that inline literals send an unbounded stream of distinct
 #: texts (and so shapes) and must not grow a server forever.
 SHAPE_CACHE_CAPACITY = 1024
@@ -311,27 +316,27 @@ class QueryShape:
 
     The verdicts are computed with code generation on; ``enable_codegen`` is
     a plain engine attribute callers may flip between executions, so
-    :meth:`analysis` applies it on every read.  Static analysis raises
-    :class:`~repro.errors.AnalysisError` here, at plan time: unknown nested
-    fields, mixed-type comparisons and invalid aggregate inputs never reach
-    an executor."""
+    :meth:`analysis` applies it on every read.  Static analysis
+    (:meth:`analyze`) raises :class:`~repro.errors.AnalysisError` at plan
+    time: unknown nested fields, mixed-type comparisons and invalid
+    aggregate inputs never reach an executor."""
 
     __slots__ = ("_by_flag", "chain", "generated", "phases")
 
-    def __init__(self, plan: PhysicalPlan, catalog: Catalog):
-        schema = analyze_schema(plan, catalog)
-        verdicts = tier_verdicts(plan, enable_codegen=True)
+    def __init__(
+        self,
+        plan: PhysicalPlan,
+        by_flag: tuple[PlanAnalysis, PlanAnalysis],
+        generated: GeneratedQuery | None = None,
+    ):
         #: The plan's analysis with code generation off, then on.
-        self._by_flag = tuple(
-            PlanAnalysis(schema.columns, flagged, schema.hints)
-            for flagged in ((CODEGEN_DISABLED, *verdicts[1:]), verdicts)
-        )
+        self._by_flag = by_flag
         #: The join chain an aggregate over the plan may run per key value.
         self.chain: FactorizedChain | None = factorized_chain(unwrap_sort(plan))
         #: The plan's generated module, published once under the owning
         #: PreparedQuery's lock (``None`` until the first codegen execution,
         #: and after a generator failure, so the next execution retries).
-        self.generated: GeneratedQuery | None = None
+        self.generated = generated
         #: ``(phase, seconds)`` of the parse / plan / analyze work that made
         #: this shape, reported by its first execution only: taken (and
         #: emptied) under the owning PreparedQuery's lock.
@@ -340,6 +345,26 @@ class QueryShape:
     def analysis(self, enable_codegen: bool) -> PlanAnalysis:
         """Schema, hints and verdicts under the engine's codegen flag."""
         return self._by_flag[1 if enable_codegen else 0]
+
+    @classmethod
+    def analyze(cls, plan: PhysicalPlan, catalog: Catalog) -> QueryShape:
+        """The shape of a new plan: its analysis against ``catalog``."""
+        schema = analyze_schema(plan, catalog)
+        verdicts = tier_verdicts(plan, enable_codegen=True)
+        return cls(
+            plan,
+            (
+                PlanAnalysis(schema.columns, (CODEGEN_DISABLED, *verdicts[1:]), schema.hints),
+                PlanAnalysis(schema.columns, verdicts, schema.hints),
+            ),
+        )
+
+    def over(self, plan: PhysicalPlan) -> QueryShape:
+        """This shape for ``plan``, a copy of its plan whose scans read other
+        datasets with equal plan facts.  The analysis, the verdicts and the
+        module name no dataset (the plan's expressions read aliases), so
+        they are shared; the join chain holds plan nodes and is rebuilt."""
+        return QueryShape(plan, self._by_flag, self.generated)
 
 
 class PreparedQuery:
@@ -357,8 +382,13 @@ class PreparedQuery:
     The first execution with bound values re-runs the *optimizer* once with
     those constants feeding selectivity estimation (join order / build side),
     then the plan is frozen; its new shape finds the module in the engine's
-    module cache (keyed by plan fingerprint) when the plan kept its
-    fingerprint.
+    module cache (keyed by the plan's expressions, which no re-optimization
+    changes).
+
+    A query the engine prepared from its shape's template (another text of
+    the shape, over other datasets) has no comprehension and no logical plan
+    of its own until a re-plan needs them: it derives them from its text
+    then.
 
     The engine's catalog epoch is the only invalidation: re-registering,
     dropping or analyzing a dataset bumps it, and the next execution
@@ -378,7 +408,7 @@ class PreparedQuery:
         self,
         engine: "ProteusEngine",
         source: str | Comprehension,
-        comprehension: Comprehension,
+        comprehension: Comprehension | None,
         logical,
         plan: PhysicalPlan,
         shape: QueryShape,
@@ -426,11 +456,12 @@ class PreparedQuery:
                 # The new shape's first execution is this one: it reports the
                 # phases the shape it replaces measured and never reported.
                 phases, shape.phases = shape.phases, []
-                if stale:
+                if stale or self._logical is None:
                     # The catalog changed since preparation: transparently
                     # re-prepare against the current datasets (or fail the
                     # way a fresh query would, e.g. when the dataset was
-                    # dropped).
+                    # dropped).  A query prepared from a shape template
+                    # derives its comprehension from its text here.
                     self.comprehension = engine._to_comprehension(
                         self._source, phases
                     )
@@ -438,7 +469,7 @@ class PreparedQuery:
                 # First (parameterized) execution: run the optimizer with the
                 # bound values feeding selectivity estimation, then freeze
                 # the plan.  The module cache is keyed by the plan's
-                # parameter-abstracted fingerprint, so re-optimization can
+                # parameter-abstracted expressions, so re-optimization can
                 # only reuse or add generated modules, never invalidate them.
                 plan, shape = engine._plan_logical(
                     self._logical,
@@ -587,6 +618,68 @@ class PreparedQuery:
 
 
 @dataclass(frozen=True)
+class _ShapeTemplate:
+    """The first full ``prepare()`` of one query shape — the same tokens
+    over other datasets with equal plan facts — from which the engine
+    prepares every later text of the shape without parsing, planning or
+    analyzing it (the paper's engine per *query*, not per file)."""
+
+    #: The datasets the template's text names, in order of first appearance.
+    datasets: tuple[str, ...]
+    plan: PhysicalPlan
+    shape: QueryShape
+    parameter_keys: tuple[int | str, ...]
+
+    @classmethod
+    def of(
+        cls, prepared: PreparedQuery, tokens: list[Token], datasets: list[str]
+    ) -> _ShapeTemplate | None:
+        """``prepared``, a fresh full prepare of ``tokens``, as its shape's
+        template — when renaming its scans is all that tells its plan from
+        the plan of another text of the shape: the identifiers spelled like
+        a registered dataset are exactly the parser's dataset sources (no
+        field, alias or keyword is), and no scan's alias is its dataset's
+        name (an unaliased source binds the dataset's name, which the
+        plan's expressions then carry)."""
+        _, plan, _, shape = prepared._state
+        spelled = sorted(
+            token.value
+            for token in tokens
+            if token.kind == IDENT and token.value in datasets
+        )
+        sources = sorted(
+            generator.source.dataset
+            for generator in prepared.comprehension.generators()
+            if isinstance(generator.source, DatasetSource)
+        )
+        if spelled != sources or any(
+            scan.binding == scan.dataset for scan in scans_of(plan)
+        ):
+            return None
+        return cls(tuple(datasets), plan, shape, tuple(prepared.parameter_keys))
+
+    def instantiate(
+        self,
+        engine: ProteusEngine,
+        text: str,
+        datasets: list[str],
+        epoch: int,
+        started: float,
+    ) -> PreparedQuery:
+        """The PreparedQuery of ``text``, a text of this shape over
+        ``datasets``: the template's plan with its scans renamed — node for
+        node the plan a full prepare would build — and its shape over it,
+        which reports the time since ``started`` as its ``parse`` phase."""
+        plan = rename_datasets(self.plan, dict(zip(self.datasets, datasets)))
+        shape = self.shape.over(plan)
+        prepared = PreparedQuery(
+            engine, text, None, None, plan, shape, self.parameter_keys, epoch
+        )
+        shape.phases = [("parse", time.perf_counter() - started)]
+        return prepared
+
+
+@dataclass(frozen=True)
 class _QueryMetrics:
     """The metrics every execution records into, looked up in the registry
     once per engine."""
@@ -691,18 +784,24 @@ class ProteusEngine:
         self.statistics = StatisticsManager(self.catalog)
         self.planner = Planner(self.catalog, self.statistics)
         self.generator = CodeGenerator()
-        #: Guards the two LRUs below and the catalog epoch: the engine serves
+        #: Guards the three LRUs below and the catalog epoch: the engine serves
         #: concurrent sessions, so every publish into shared prepare-time
         #: state happens under this lock.  Expensive work (parse, plan,
         #: codegen) runs *outside* it; winners are chosen with
         #: ``setdefault`` — the double-checked publish pattern, checked by
         #: ``tools/concurrency_lint.py``.
         self._lock = make_lock("ProteusEngine._lock")
-        #: Generated modules by the fingerprint of the plan beneath any sort
-        #: (ORDER BY / LIMIT variants of one shape share one).  No catalog
-        #: change clears it: a module reads expressions only, never a schema.
-        #: An LRU of ``SHAPE_CACHE_CAPACITY`` shapes.
+        #: Generated modules by the expressions of the plan beneath any sort
+        #: (``module_key``: ORDER BY / LIMIT variants of one shape, and plans
+        #: that scan other datasets under the same aliases, share one).  No
+        #: catalog change clears it: a module reads expressions only, never a
+        #: schema or a dataset.  An LRU of ``SHAPE_CACHE_CAPACITY`` shapes.
         self._compiled: OrderedDict[tuple, GeneratedQuery] = OrderedDict()
+        #: Shape templates (see ``_prepare_shape``) by a text's tokens with
+        #: the registered dataset names abstracted, plus those datasets'
+        #: plan facts; no catalog change clears it, a changed dataset only
+        #: keys another template.  An LRU of ``SHAPE_CACHE_CAPACITY`` shapes.
+        self._shapes: OrderedDict[tuple, _ShapeTemplate] = OrderedDict()
         #: Prepared-query cache backing the ``query()`` sugar (keyed by the
         #: stripped query text); entries survive catalog changes because
         #: every execution re-validates against ``_catalog_epoch``.  An LRU
@@ -938,7 +1037,9 @@ class ProteusEngine:
     # Query execution
     # ------------------------------------------------------------------------
 
-    def prepare(self, text: str | Comprehension) -> PreparedQuery:
+    def prepare(
+        self, text: str | Comprehension, tokens: list[Token] | None = None
+    ) -> PreparedQuery:
         """Parse, bind and plan a query once, returning a reusable
         :class:`PreparedQuery`.
 
@@ -947,12 +1048,13 @@ class ProteusEngine:
         comprehension syntax.  Execution binds values without re-parsing or
         re-generating code; on a repeated shape the whole frontend cost —
         parse, bind, normalize, translate, plan, analysis, codegen — is paid
-        once.
+        once.  ``tokens`` is ``tokenize(text.strip())`` when the caller
+        already lexed the text.
         """
         epoch = self._catalog_epoch
         phases: list[tuple[str, float]] = []
         try:
-            comprehension = self._to_comprehension(text, phases)
+            comprehension = self._to_comprehension(text, phases, tokens)
             logical = translate(comprehension)
             physical, shape = self._plan_logical(
                 logical, phases, comprehension=comprehension
@@ -1138,9 +1240,67 @@ class ProteusEngine:
             # concurrent first callers race to prepare, one publication wins
             # and every thread shares the winner.
             prepared = self._lru_publish(
-                self._prepared_cache, key, self.prepare(text)
+                self._prepared_cache, key, self._prepare_shape(key)
             )
         return prepared
+
+    def _prepare_shape(self, text: str) -> PreparedQuery:
+        """The PreparedQuery of ``text`` (stripped), missed by the per-text
+        cache.  The text is lexed once.  Its shape is its tokens with every
+        identifier that names a registered dataset abstracted, plus the plan
+        facts of those datasets: when the shape has a template, the query is
+        the template's plan with its scans renamed, and nothing is parsed,
+        planned or analyzed.  Otherwise the text is prepared in full from
+        the same tokens, and the result becomes the shape's template when it
+        qualifies (:meth:`_ShapeTemplate.of`) and the catalog did not move
+        meanwhile; concurrent first texts of one shape race to publish, and
+        the first template published wins."""
+        started = time.perf_counter()
+        epoch = self._catalog_epoch
+        try:
+            tokens = tokenize(text)
+        except ProteusError as exc:
+            self._count_query_failure(exc)
+            raise
+        key, datasets = self._shape_key(tokens)
+        template = self._lru_lookup(self._shapes, key) if key is not None else None
+        if template is not None:
+            return template.instantiate(self, text, datasets, epoch, started)
+        prepared = self.prepare(text, tokens)
+        # The plan is the key's only if no registration moved the catalog
+        # while it was made: the epoch moves after the catalog does, so the
+        # datasets' facts are read again too.
+        if key is not None and epoch == self._catalog_epoch and \
+                self._plan_facts(datasets) == key[1]:
+            template = _ShapeTemplate.of(prepared, tokens, datasets)
+            if template is not None:
+                self._lru_publish(self._shapes, key, template)
+        return prepared
+
+    def _shape_key(self, tokens: list[Token]) -> tuple[tuple | None, list[str]]:
+        """The shape key of a lexed text — its tokens with every identifier
+        that names a registered dataset replaced by that dataset's ordinal
+        (in order of first appearance), plus those datasets' plan facts —
+        and the dataset names in ordinal order.  The key is ``None`` when
+        the text names no dataset or one is dropped meanwhile."""
+        ordinals: dict[str, int] = {}
+        abstract: list = []  # kind, value, kind, value, ordinal, kind, ...
+        for token in tokens:
+            if token.kind == IDENT and token.value in self.catalog:
+                abstract.append(ordinals.setdefault(token.value, len(ordinals)))
+            else:
+                abstract += (token.kind, token.value)
+        datasets = list(ordinals)
+        facts = self._plan_facts(datasets)
+        key = (tuple(abstract), facts) if datasets and facts is not None else None
+        return key, datasets
+
+    def _plan_facts(self, datasets: list[str]) -> tuple | None:
+        """The plan facts of ``datasets``; ``None`` once one is dropped."""
+        try:
+            return tuple(self.catalog.get(name).plan_facts() for name in datasets)
+        except CatalogError:
+            return None
 
     def _lru_lookup(self, cache: OrderedDict, key):
         """``cache[key]`` marked most recently used, or ``None``."""
@@ -1162,19 +1322,23 @@ class ProteusEngine:
         return value
 
     def _to_comprehension(
-        self, text: str | Comprehension, phases: list[tuple[str, float]]
+        self,
+        text: str | Comprehension,
+        phases: list[tuple[str, float]],
+        tokens: list[Token] | None = None,
     ) -> Comprehension:
-        """The bound, normalized comprehension of ``text``; the time it took
-        is added to ``phases`` as ``parse``."""
+        """The bound, normalized comprehension of ``text`` (parsed from
+        ``tokens`` when given); the time it took is added to ``phases`` as
+        ``parse``."""
         started = time.perf_counter()
         if isinstance(text, Comprehension):
             comprehension = text
         else:
             stripped = text.strip()
             if stripped.lower().startswith("select"):
-                comprehension = parse_sql(stripped)
+                comprehension = parse_sql(stripped, tokens)
             elif stripped.lower().startswith("for"):
-                comprehension = parse_comprehension(stripped)
+                comprehension = parse_comprehension(stripped, tokens)
             else:
                 raise ProteusError(
                     "queries must start with SELECT (SQL) or FOR (comprehension syntax)"
@@ -1203,7 +1367,7 @@ class ProteusEngine:
         phases.append(("plan", time.perf_counter() - started))
         _validate_output_columns(physical)
         started = time.perf_counter()
-        shape = QueryShape(physical, self.catalog)
+        shape = QueryShape.analyze(physical, self.catalog)
         phases.append(("analyze", time.perf_counter() - started))
         shape.phases = phases
         return physical, shape
@@ -1570,36 +1734,39 @@ class ProteusEngine:
         the verdicts it leaves — before any batch runs, for ``execute()``
         and ``explain()`` alike.  A shape holds its module from its first
         execution on; a new shape looks the module up in ``_compiled`` by
-        the fingerprint of the plan beneath a root PhysSort, so one module
-        serves every ORDER BY / LIMIT variation of the same shape.  Nothing
-        is generated for a plan the codegen verdict declines; one the
-        generator fails on is declined here (``TIER009``), so the Volcano
-        interpreter serves it and no query runs twice."""
+        the expressions of the plan beneath a root PhysSort
+        (``module_key``), so one module serves every ORDER BY / LIMIT
+        variation of the same shape and every plan that scans other
+        datasets under the same aliases.  Nothing is generated for a plan
+        the codegen verdict declines; one the generator fails on is declined
+        here (``TIER009``), so the Volcano interpreter serves it and no query
+        runs twice."""
         if not verdicts[0].serves:  # CASCADE_TIERS[0] is codegen
             return None, False, verdicts
         if shape.generated is not None:
             return shape.generated, True, verdicts
         target = unwrap_sort(physical)
-        fingerprint = target.fingerprint()
-        generated = self._lru_lookup(self._compiled, fingerprint)
-        from_cache = generated is not None
-        if generated is None:
-            codegen_started = time.perf_counter()
-            try:
+        try:
+            key = module_key(target)
+            generated = self._lru_lookup(self._compiled, key)
+            from_cache = generated is not None
+            if generated is None:
+                codegen_started = time.perf_counter()
                 generated = self.generator.generate(target)
-            except CodegenError as exc:
-                failed = TierVerdict(
-                    TIER_CODEGEN,
-                    serves=False,
-                    code=TIER_CODEGEN_FAILED,
-                    reason=f"code generation failed: {exc}",
-                )
-                return None, False, (failed, *verdicts[1:])
-            if trace is not None:
-                trace.add_phase("codegen", time.perf_counter() - codegen_started)
-            # Concurrent cold executions of one shape race to generate; the
-            # first publication wins so every thread runs the same functions.
-            generated = self._lru_publish(self._compiled, fingerprint, generated)
+                if trace is not None:
+                    trace.add_phase("codegen", time.perf_counter() - codegen_started)
+                # Concurrent cold executions of one shape race to generate;
+                # the first publication wins so every thread runs the same
+                # functions.
+                generated = self._lru_publish(self._compiled, key, generated)
+        except CodegenError as exc:
+            failed = TierVerdict(
+                TIER_CODEGEN,
+                serves=False,
+                code=TIER_CODEGEN_FAILED,
+                reason=f"code generation failed: {exc}",
+            )
+            return None, False, (failed, *verdicts[1:])
         return prepared._publish_module(shape, generated), from_cache, verdicts
 
     def _execute_pipeline(

@@ -108,11 +108,14 @@ def tokenize(text: str) -> list[Token]:
 
 
 class TokenStream:
-    """A cursor over a token list with convenience accept/expect helpers."""
+    """A cursor over a token list with convenience accept/expect helpers.
 
-    def __init__(self, text: str):
+    ``tokens`` is ``tokenize(text)`` when the caller already lexed the text
+    (the engine does, to find the query's shape before parsing it)."""
+
+    def __init__(self, text: str, tokens: list[Token] | None = None):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.index = 0
 
     @property

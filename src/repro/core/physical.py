@@ -23,7 +23,8 @@ execution from the key range (:mod:`repro.core.executor.radix`).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import copy
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.expressions import Expression, OutputColumn, iter_parameters, to_string
 from repro.plugins.base import FieldPath
@@ -400,6 +401,21 @@ class PhysNest(PhysicalPlan):
         )
         keys = ", ".join(to_string(expression) for expression in self.group_by)
         return f"Nest(group by {keys}; {columns})"
+
+
+def rename_datasets(plan: PhysicalPlan, names: Mapping[str, str]) -> PhysicalPlan:
+    """A copy of ``plan`` whose scans read ``names[dataset]`` instead of
+    ``dataset``.  Only scans name a dataset; the operators above them are
+    copied so the copy shares no node with ``plan``, and their expressions
+    are shared."""
+    if isinstance(plan, PhysScan):
+        return PhysScan(names[plan.dataset], plan.binding, plan.paths)
+    node = copy.copy(plan)
+    for attribute in ("child", "left", "right"):
+        child = getattr(plan, attribute, None)
+        if child is not None:
+            setattr(node, attribute, rename_datasets(child, names))
+    return node
 
 
 def scans_of(plan: PhysicalPlan) -> list[PhysScan]:

@@ -34,7 +34,7 @@ from repro.core.expressions import (
     Parameter,
     UnaryOp,
 )
-from repro.core.lexer import IDENT, NUMBER, STRING, SYMBOL, TokenStream
+from repro.core.lexer import IDENT, NUMBER, STRING, SYMBOL, Token, TokenStream
 
 #: Placeholder binding used for unqualified column references until binding.
 UNRESOLVED = "?"
@@ -47,9 +47,10 @@ _KEYWORDS = {
 }
 
 
-def parse_sql(text: str) -> Comprehension:
-    """Parse a SQL statement into a (possibly unbound) comprehension."""
-    stream = TokenStream(text)
+def parse_sql(text: str, tokens: list[Token] | None = None) -> Comprehension:
+    """Parse a SQL statement (or its ``tokenize(text)``) into a (possibly
+    unbound) comprehension."""
+    stream = TokenStream(text, tokens)
     parser = _SqlParser(stream)
     comprehension = parser.parse_query()
     if not stream.at_end():

@@ -180,6 +180,8 @@ class RecordType(DataType):
             raise SchemaError(f"duplicate field names in record: {names}")
         self._fields: tuple[Field, ...] = tuple(fields)
         self._by_name: dict[str, Field] = {f.name: f for f in self._fields}
+        #: Hashed once: a schema is part of the engine's shape-template key.
+        self._hash = hash(self._fields)
 
     @property
     def fields(self) -> tuple[Field, ...]:
@@ -218,7 +220,7 @@ class RecordType(DataType):
         return isinstance(other, RecordType) and self._fields == other._fields
 
     def __hash__(self) -> int:
-        return hash(self._fields)
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         inner = ", ".join(repr(f) for f in self._fields)

@@ -38,6 +38,13 @@ class Dataset:
     options: dict[str, Any] = field(default_factory=dict)
     statistics: "DatasetStatistics | None" = None
 
+    def plan_facts(self) -> tuple:
+        """Everything a query plan over this dataset depends on — all but
+        its name and path — as a hashable value: two datasets with equal
+        facts get the same plan for the same query."""
+        statistics = self.statistics and self.statistics.fingerprint()
+        return (self.format, self.schema, tuple(sorted(self.options.items())), statistics)
+
 
 @dataclass
 class DatasetStatistics:
@@ -52,6 +59,11 @@ class DatasetStatistics:
     #: unknown.  Declared schemas are not verified against the data, so this
     #: is the only sound basis for the static analyzer's nullability hints.
     null_counts: dict[str, int] = field(default_factory=dict)
+
+    def fingerprint(self) -> tuple:
+        """The statistics as a hashable value."""
+        values = (self.min_values, self.max_values, self.distinct_estimates, self.null_counts)
+        return (self.cardinality, *(tuple(sorted(each.items())) for each in values))
 
     def value_range(self, field_name: str) -> tuple[float, float] | None:
         if field_name in self.min_values and field_name in self.max_values:

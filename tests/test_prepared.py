@@ -14,12 +14,16 @@ Covers:
 * invalidation of outstanding :class:`PreparedQuery` objects by
   re-registration / unregistration,
 * the NULLS LAST ordering fix,
-* ``explain()``'s tier-cascade report.
+* ``explain()``'s tier-cascade report,
+* one query shape across dataset names: shape templates, which prepare a
+  text without parsing, planning or analysis, and the module cache keyed by
+  the plan's expressions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -28,6 +32,7 @@ import pytest
 from repro import ProteusEngine
 from repro.core import types as t
 from repro.core.comprehension_parser import parse_comprehension
+from repro.core.concurrency import run_concurrently
 from repro.core.engine import ResultSet
 from repro.core.expressions import Parameter
 from repro.core.sort import sort_columns
@@ -36,6 +41,7 @@ from repro.errors import ExecutionError, ProteusError
 from tests.conftest import (
     FANOUT_BATCH_SIZE,
     ITEM_COUNT,
+    ITEMS_SCHEMA,
     expected_items,
     make_engine,
 )
@@ -467,9 +473,9 @@ def test_explain_reports_planned_fanout(paths):
 
 def test_text_keyed_caches_are_bounded_lrus(engine, monkeypatch):
     """Clients that inline literals send an endless stream of distinct texts,
-    each its own shape: the prepared-query and module caches stay at
-    capacity, texts in use stay hot, and an evicted PreparedQuery keeps
-    working for whoever holds it."""
+    each its own shape: the prepared-query, shape-template and module caches
+    stay at capacity, texts in use stay hot, and an evicted PreparedQuery
+    keeps working for whoever holds it."""
     from repro.core import engine as engine_module
 
     capacity = 8
@@ -478,14 +484,367 @@ def test_text_keyed_caches_are_bounded_lrus(engine, monkeypatch):
     hot_prepared = engine._prepare_cached(hot)
     first_cold = engine._prepare_cached("select count(*) from items_csv where qty < 100")
     for literal in range(5 * capacity):
-        text = f"select count(*) from items_csv where id < {literal}"
+        text = f"select count(*) from items_csv i where i.id < {literal}"
         assert engine.query(text).scalar() == min(literal, ITEM_COUNT)
         # A dashboard keeps asking the hot text between the one-off ones.
         assert engine._prepare_cached(hot) is hot_prepared
         assert len(engine._prepared_cache) <= capacity
+        assert len(engine._shapes) <= capacity
         assert len(engine._compiled) <= capacity
     assert len(engine._prepared_cache) == len(engine._compiled) == capacity
+    assert len(engine._shapes) == capacity
     assert hot in engine._prepared_cache
     # Evicted long ago, still a valid statement for its holder.
     assert first_cold._source not in engine._prepared_cache
     assert first_cold.execute().scalar() == ITEM_COUNT
+
+
+# -- one query shape across dataset names ---------------------------------------
+
+#: The queries one arrival of the e2e ``raw_feed_arrival`` workload runs: first
+#: touch per format, follow-ups, an unnest and a JSON-CSV join.
+FEED_QUERIES = (
+    "Q16", "Q9", "Q17", "Q18", "Q19", "Q20", "Q21",
+    "Q10", "Q11", "Q12", "Q13", "Q15", "Q22", "Q36",
+)
+
+
+def _feed_texts(files, csv_name: str, json_name: str) -> list[str]:
+    """The feed queries' texts over the given dataset names."""
+    from dataclasses import replace
+
+    from repro.workloads import symantec
+    from repro.workloads.query_spec import TableRef
+
+    by_name = {query.spec.name: query.spec for query in symantec.symantec_workload(files)}
+    renamed = {"classification": csv_name, "spam_mails": json_name}
+    return [
+        replace(
+            by_name[name],
+            tables=[
+                TableRef(renamed[table.dataset], table.alias)
+                for table in by_name[name].tables
+            ],
+        ).to_text()
+        for name in FEED_QUERIES
+    ]
+
+
+@pytest.fixture(scope="module")
+def feed_files(tmp_path_factory):
+    """Two feeds of equal sizes (so equal query texts) and other data."""
+    from repro.workloads import symantec
+
+    return [
+        symantec.materialize(
+            str(tmp_path_factory.mktemp("feed")),
+            num_json=40, num_csv=100, num_binary=10, seed=seed,
+        )
+        for seed in (1234, 99)
+    ]
+
+
+def _feed_engine(feeds, **options) -> ProteusEngine:
+    """An engine with two equal-schema feeds: ``a_csv``/``a_json`` and
+    ``b_csv``/``b_json``."""
+    from repro.workloads import symantec
+
+    engine = ProteusEngine(**options)
+    for name, files in zip("ab", feeds):
+        engine.register_csv(
+            f"{name}_csv", files.csv_path, schema=symantec.CLASSIFICATION_CSV_SCHEMA
+        )
+        engine.register_json(
+            f"{name}_json", files.json_path, schema=symantec.SPAM_JSON_SCHEMA
+        )
+    return engine
+
+
+def _cached_prepare(engine: ProteusEngine, text: str):
+    """``engine``'s prepared query for ``text`` through the per-text cache,
+    and whether it was prepared in full (``prepare()`` ran) rather than from
+    its shape's template."""
+    calls = []
+    full_prepare = engine.prepare
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return full_prepare(*args, **kwargs)
+
+    engine.prepare = counting
+    try:
+        prepared = engine._prepare_cached(text)
+    finally:
+        del engine.prepare
+    return prepared, bool(calls)
+
+
+def _same_rows(got, expected) -> bool:
+    """Row equality up to group order and float reassociation."""
+    got, expected = sorted(got, key=repr), sorted(expected, key=repr)
+    return len(got) == len(expected) and all(
+        len(a) == len(b)
+        and all(
+            x == y
+            or (isinstance(x, float) and math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12))
+            for x, y in zip(a, b)
+        )
+        for a, b in zip(got, expected)
+    )
+
+
+def _assert_full_prepare(engine, text: str):
+    """``text`` is prepared in full (no template serves it); its result."""
+    prepared, full = _cached_prepare(engine, text)
+    assert full, text
+    return prepared.execute()
+
+
+def _assert_template_hit(engine, volcano, text: str, *args):
+    """``text`` is prepared from its shape's template, its plan is node for
+    node the plan of a full prepare, and its rows are Volcano's."""
+    prepared, full = _cached_prepare(engine, text)
+    assert not full, text
+    assert prepared.plan.pretty() == engine.prepare(text).plan.pretty(), text
+    result = prepared.execute(*args)
+    assert result.tier == "codegen" and result.profile.compiled_from_cache, text
+    assert _same_rows(result.rows, volcano.query(text, *args).rows), text
+    return result
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{}, {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE}],
+    ids=["inline", "fanout"],
+)
+def test_feed_shapes_prepare_from_their_templates(feed_files, config):
+    """Every feed query over a second pair of equal-schema datasets is the
+    first pair's plan with its scans renamed: no parse, plan, analysis or
+    code generation, and the same rows as Volcano."""
+    engine = _feed_engine(feed_files, **config)
+    volcano = _feed_engine(feed_files, enable_codegen=False, enable_caching=False)
+    for text in _feed_texts(feed_files[0], "a_csv", "a_json"):
+        result = _assert_full_prepare(engine, text)
+        assert _same_rows(result.rows, volcano.query(text).rows), text
+    for text in _feed_texts(feed_files[0], "b_csv", "b_json"):
+        _assert_template_hit(engine, volcano, text)
+        # What the hit shares with the template names no dataset.
+        shape = engine._prepare_cached(text)._state[3]
+        shared = f"{shape.analysis(True)!r} {shape.analysis(False)!r} {shape.generated.source}"
+        assert "a_csv" not in shared and "a_json" not in shared, text
+    assert len(engine._shapes) == len(FEED_QUERIES)
+    assert len(engine._compiled) == len(FEED_QUERIES)
+
+
+@pytest.fixture
+def other_items_csv(tmp_path) -> str:
+    """An items CSV of the same schema with other rows and values."""
+    path = tmp_path / "other_items.csv"
+    path.write_text(
+        "id,qty,price,category\n"
+        + "".join(
+            f"{row['id']},{(row['qty'] + 3) % 10},{row['price'] * 2},{row['category']}\n"
+            for row in expected_items()
+            if row["id"] % 3
+        )
+    )
+    return str(path)
+
+
+def _items_engine(paths, other_csv, names, **options) -> ProteusEngine:
+    """``make_engine`` plus CSV datasets ``names`` of one schema, every
+    other one over ``other_csv``."""
+    engine = make_engine(paths, **options)
+    for index, name in enumerate(names):
+        path = other_csv if index % 2 else paths["items_csv"]
+        engine.register_csv(name, path, schema=ITEMS_SCHEMA)
+    return engine
+
+
+def test_no_template_across_datasets_with_other_plan_facts(
+    paths, other_items_csv, tmp_path
+):
+    """A template serves only datasets whose format, schema, options and
+    statistics equal its own."""
+    from repro.storage.binary_format import write_column_table
+
+    half = expected_items()[: ITEM_COUNT // 2]
+    write_column_table(
+        str(tmp_path / "half"),
+        {
+            name: np.asarray([row[name] for row in half], dtype=dtype)
+            for name, dtype in (
+                ("id", np.int64), ("qty", np.int64), ("price", np.float64),
+                ("category", object),
+            )
+        },
+        ITEMS_SCHEMA,
+    )
+    engine = _items_engine(paths, other_items_csv, ["csv_a", "csv_b"])
+    volcano = _items_engine(
+        paths, other_items_csv, ["csv_a", "csv_b"], enable_codegen=False
+    )
+    engine.register_csv("csv_stride", paths["items_csv"], schema=ITEMS_SCHEMA, stride=2)
+    engine.register_csv(
+        "csv_float_id",
+        paths["items_csv"],
+        schema=t.make_schema(
+            {"id": "float", "qty": "int", "price": "float", "category": "string"}
+        ),
+    )
+    for each in (engine, volcano):
+        each.register_binary_columns("bin_half", str(tmp_path / "half"))
+        each.register_binary_columns("bin_again", paths["items_columns"])
+    shape = "SELECT COUNT(*) AS n, SUM(i.price) AS s FROM {} i WHERE i.qty < 5"
+    _assert_full_prepare(engine, shape.format("csv_a"))
+    for other in ("items_json", "csv_stride", "csv_float_id"):
+        _assert_full_prepare(engine, shape.format(other))
+    _assert_template_hit(engine, volcano, shape.format("csv_b"))
+    # Two analyzed binary tables: their statistics differ, so their plans
+    # may; the same table analyzed twice has equal statistics.
+    _assert_full_prepare(engine, shape.format("items_bin"))
+    half = _assert_full_prepare(engine, shape.format("bin_half"))
+    assert half.rows == volcano.query(shape.format("bin_half")).rows
+    _assert_template_hit(engine, volcano, shape.format("bin_again"))
+
+
+def test_no_template_for_an_unaliased_source(paths, other_items_csv):
+    """An unaliased source binds the dataset's name, which the plan's
+    expressions then carry: each dataset prepares in full."""
+    engine = _items_engine(paths, other_items_csv, ["csv_a", "csv_b"])
+    volcano = _items_engine(
+        paths, other_items_csv, ["csv_a", "csv_b"], enable_codegen=False
+    )
+    for name in ("csv_a", "csv_b"):
+        text = f"SELECT COUNT(*) FROM {name} WHERE qty < 5"
+        assert _assert_full_prepare(engine, text).rows == volcano.query(text).rows
+    assert len(engine._shapes) == 0
+
+
+def test_no_template_when_a_field_or_alias_is_spelled_like_a_dataset(
+    paths, other_items_csv
+):
+    """An identifier spelled like a registered dataset but not read as a
+    dataset source keeps its text out of the template cache."""
+    names = ["csv_a", "csv_b", "qty"]
+    engine = _items_engine(paths, other_items_csv, names)
+    volcano = _items_engine(paths, other_items_csv, names, enable_codegen=False)
+    for shape in (
+        "SELECT COUNT(*) FROM {} i WHERE i.qty < 5",  # a field
+        "SELECT COUNT(*) FROM {} items_json WHERE items_json.id < 9",  # an alias
+    ):
+        for name in ("csv_a", "csv_b"):
+            text = shape.format(name)
+            assert _assert_full_prepare(engine, text).rows == volcano.query(text).rows
+    assert len(engine._shapes) == 0
+
+
+def test_join_shapes_prepare_from_their_templates(paths, other_items_csv):
+    """A two-input join and a three-input chain over one dataset pair (or
+    triple) serve another; a self-join's template serves only self-joins."""
+    names = ["j0", "j1", "j2", "j3", "j4", "j5"]
+    engine = _items_engine(paths, other_items_csv, names)
+    volcano = _items_engine(paths, other_items_csv, names, enable_codegen=False)
+    join = (
+        "SELECT COUNT(*) AS n, SUM(y.price) AS s FROM {} x JOIN {} y ON x.id = y.id "
+        "WHERE x.qty < 5"
+    )
+    chain = (
+        "SELECT x.category AS category, COUNT(*) AS n FROM {} x JOIN {} y ON x.id = y.id "
+        "JOIN {} z ON y.id = z.id WHERE z.qty > 2 GROUP BY x.category"
+    )
+    _assert_full_prepare(engine, join.format("j0", "j1"))
+    _assert_template_hit(engine, volcano, join.format("j3", "j2"))
+    _assert_template_hit(engine, volcano, join.format("j5", "j4"))
+    _assert_full_prepare(engine, chain.format("j0", "j1", "j2"))
+    result = _assert_template_hit(engine, volcano, chain.format("j3", "j4", "j5"))
+    assert result.profile.join_kernels == ["factorized", "factorized"]
+    # One dataset on both sides is another shape than two datasets.
+    _assert_full_prepare(engine, join.format("j0", "j0"))
+    _assert_template_hit(engine, volcano, join.format("j3", "j3"))
+
+
+def test_parameterized_shape_prepares_from_its_template(paths, other_items_csv):
+    """A template instance re-plans with its first bound values from its own
+    text, like any prepared query."""
+    engine = _items_engine(paths, other_items_csv, ["csv_a", "csv_b"])
+    volcano = _items_engine(
+        paths, other_items_csv, ["csv_a", "csv_b"], enable_codegen=False
+    )
+    shape = "SELECT SUM(i.price) AS s FROM {} i WHERE i.qty < ? AND i.category = :c"
+    first = engine.query(shape.format("csv_a"), 5, c="cat1").scalar()
+    assert math.isclose(first, volcano.query(shape.format("csv_a"), 5, c="cat1").scalar())
+    text = shape.format("csv_b")
+    prepared, full = _cached_prepare(engine, text)
+    assert not full and prepared.parameters == [0, "c"]
+    for qty in (5, 3):
+        result = prepared.execute(qty, c="cat1")
+        assert _same_rows(result.rows, volcano.query(text, qty, c="cat1").rows)
+        assert result.profile.compiled_from_cache
+    assert prepared.comprehension is not None  # derived by the re-plan
+
+
+def test_no_template_from_a_prepare_that_raced_a_registration(paths, other_items_csv):
+    """A registration writes the catalog before it moves the epoch: a full
+    prepare that saw the new dataset in that window keys no template under
+    the facts read before it."""
+    from repro.storage.catalog import Dataset, DataFormat
+
+    engine = _items_engine(paths, other_items_csv, ["csv_a"])
+    full_prepare = engine.prepare
+
+    def racing(*args, **kwargs):
+        schema = t.make_schema(
+            {"id": "float", "qty": "int", "price": "float", "category": "string"}
+        )
+        options = dict(engine.catalog.get("csv_a").options)
+        engine.catalog.register(
+            Dataset("csv_a", DataFormat.CSV, paths["items_csv"], schema, options),
+            replace=True,
+        )
+        return full_prepare(*args, **kwargs)
+
+    engine.prepare = racing
+    prepared = engine._prepare_cached("SELECT COUNT(*) FROM csv_a i WHERE i.qty < 5")
+    del engine.prepare
+    assert prepared.execute().scalar() == sum(
+        1 for row in expected_items() if row["qty"] < 5
+    )
+    assert len(engine._shapes) == 0
+
+
+def test_one_module_across_datasets(paths):
+    """The module cache is keyed by the plan's expressions: one aliased
+    shape over two datasets — even of two formats — runs one module."""
+    engine = make_engine(paths, enable_caching=False)
+    first = engine.prepare("SELECT COUNT(*) FROM items_csv i WHERE i.qty < 5")
+    second = engine.prepare("SELECT COUNT(*) FROM items_json i WHERE i.qty < 5")
+    assert first.execute().profile.compiled_from_cache is False
+    result = second.execute()
+    assert result.profile.compiled_from_cache is True
+    assert result.scalar() == sum(1 for row in expected_items() if row["qty"] < 5)
+    assert first._state[3].generated is second._state[3].generated
+    assert len(engine._compiled) == 1
+
+
+def test_concurrent_first_texts_of_one_shape_publish_one_template(tmp_path):
+    """Two threads first-query one shape over two datasets at once: each
+    gets its own rows, and exactly one template is published."""
+    schema = t.make_schema({"k": "int", "v": "int"})
+    for name, scale in (("a", 1), ("b", 100)):
+        (tmp_path / f"{name}.csv").write_text(
+            "k,v\n" + "".join(f"{i},{i * scale}\n" for i in range(50))
+        )
+    for _ in range(4):
+        engine = ProteusEngine()
+        for name in ("a", "b"):
+            engine.register_csv(name, str(tmp_path / f"{name}.csv"), schema=schema)
+        results = run_concurrently(
+            lambda index: engine.query(
+                f"SELECT SUM(x.v) AS s FROM {'ab'[index]} x WHERE x.k < 10"
+            ).scalar(),
+            2,
+        )
+        assert results == [45, 4500]
+        assert len(engine._shapes) == 1
+
