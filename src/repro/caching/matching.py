@@ -4,14 +4,15 @@ Every cache entry is keyed by the fingerprint of the plan fragment that
 produced it.  The batch pipeline probes the caching manager where it opens
 the operator that would produce a fragment — the scan for field columns, the
 unnest stage for flattened output, the join stage for its build side's
-table:
+table, a join chain for each input's per-slot partials:
 
 * **full matches** — an identical plan (same operation, same arguments,
   matching children) whose materialized output can be reused as-is (the
   serving layer's result cache),
 * **partial matches** — the key slots already built over a hash join's
   build side can be reused by a different join over the same input and
-  join key,
+  join key, and a join chain input's per-slot partials by a later
+  execution over the same slots,
 * **field matches** — the narrowest and most common case: a converted field
   column of a raw dataset (a ``Scan`` + field projection), reusable by any
   query touching that field.
@@ -65,6 +66,20 @@ def join_side_cache_key(side_fingerprint: tuple, key_fingerprint: tuple) -> tupl
     ``A ⋈ B`` then ``A ⋈ C`` example).
     """
     return ("join_side", side_fingerprint, key_fingerprint)
+
+
+def chain_partial_cache_key(space_key: tuple, input_key: tuple) -> tuple:
+    """Cache key of one input of a join chain reduced per slot (its
+    per-slot row counts and the parts of the aggregates over it).
+
+    ``space_key`` is the build-side key of the chain's slot space — the
+    partials are columns over those slots —, ``input_key`` the input's own
+    build-side key with the parts it reduces and whether it is the input
+    the slots were built from; both carry their bound parameter values.
+    Another aggregate over the same input and slots reuses the partials when
+    it reduces the same parts.
+    """
+    return ("chain_partial", space_key, input_key)
 
 
 def plan_fingerprint(plan) -> tuple:

@@ -15,7 +15,8 @@ paper describes one policy, and it has no settings:
 * do not cache fields read from binary sources (they are already cheap),
 * always cache the key slots built over hash-join build sides (implicit
   caching: the join is a blocking operator, so its materialization comes for
-  free) and the flattened output of unnests over verbose sources,
+  free), the per-slot partials each input of a join chain reduces to under
+  an aggregate, and the flattened output of unnests over verbose sources,
 * bias eviction so that caches built from costlier sources survive longer
   (JSON ≻ CSV ≻ binary).
 

@@ -46,9 +46,22 @@ from repro.core.physical import (
 from repro.errors import CodegenError
 
 
-def plan_expressions(plan: PhysicalPlan) -> Iterator[tuple[str, Expression]]:
+#: One expression the pipeline evaluates: ``(role, expression, its
+#: fingerprint)``.
+PlanExpression = tuple[str, Expression, tuple]
+
+
+def plan_expressions(plan: PhysicalPlan) -> list[PlanExpression]:
     """Every expression the batch pipeline evaluates per batch for ``plan``,
-    as ``(role, expression)`` in plan order."""
+    as ``(role, expression, fingerprint)`` in plan order — one walk, which
+    both :func:`module_key` and :meth:`CodeGenerator.generate` read."""
+    return [
+        (role, expression, expression.fingerprint())
+        for role, expression in _roles(plan)
+    ]
+
+
+def _roles(plan: PhysicalPlan) -> Iterator[tuple[str, Expression]]:
     if not isinstance(plan, (PhysReduce, PhysNest)):
         raise CodegenError(f"plan root must be Reduce or Nest, got {plan.describe()}")
     for node in plan.child.walk():
@@ -71,26 +84,25 @@ def plan_expressions(plan: PhysicalPlan) -> Iterator[tuple[str, Expression]]:
             yield f"{aggregate.func}_argument", aggregate.argument
 
 
-def module_key(plan: PhysicalPlan) -> tuple:
-    """The key of ``plan``'s generated module: the fingerprint of every
-    expression :func:`plan_expressions` yields, with its role.  The module
+def module_key(expressions: list[PlanExpression]) -> tuple:
+    """The key of a plan's generated module: the fingerprint of every
+    expression of its :func:`plan_expressions`, with its role.  The module
     is a function of exactly these, so plans that differ only in what their
     scans read share it."""
-    return tuple(
-        (role, expression.fingerprint()) for role, expression in plan_expressions(plan)
-    )
+    return tuple((role, fingerprint) for role, _, fingerprint in expressions)
 
 
 class CodeGenerator:
     """Generates the fused expression functions of one physical plan."""
 
-    def generate(self, plan: PhysicalPlan) -> GeneratedQuery:
+    def generate(self, expressions: list[PlanExpression]) -> GeneratedQuery:
+        """The module of a plan, given as its :func:`plan_expressions` (the
+        list its :func:`module_key` is read from too)."""
         ctx = CodegenContext()
         ctx.emit("# One function per plan expression: columnar batch in, column")
         ctx.emit("# (or scalar, for constant expressions) out.")
         names: dict[tuple, str] = {}
-        for role, expression in plan_expressions(plan):
-            fingerprint = expression.fingerprint()
+        for role, expression, fingerprint in expressions:
             if fingerprint in names:
                 continue
             name = names[fingerprint] = ctx.fresh(role)

@@ -107,7 +107,7 @@ from repro.core.analysis import (
 )
 from repro.core.binder import bind_comprehension
 from repro.core.calculus import Comprehension, DatasetSource
-from repro.core.codegen import CodeGenerator, GeneratedQuery, module_key
+from repro.core.codegen import CodeGenerator, GeneratedQuery, module_key, plan_expressions
 from repro.core.columns import EncodedColumn
 from repro.core.comprehension_parser import parse_comprehension
 from repro.core.concurrency import make_lock
@@ -1747,12 +1747,13 @@ class ProteusEngine:
             return shape.generated, True, verdicts
         target = unwrap_sort(physical)
         try:
-            key = module_key(target)
+            expressions = plan_expressions(target)
+            key = module_key(expressions)
             generated = self._lru_lookup(self._compiled, key)
             from_cache = generated is not None
             if generated is None:
                 codegen_started = time.perf_counter()
-                generated = self.generator.generate(target)
+                generated = self.generator.generate(expressions)
                 if trace is not None:
                     trace.add_phase("codegen", time.perf_counter() - codegen_started)
                 # Concurrent cold executions of one shape race to generate;

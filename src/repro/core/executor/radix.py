@@ -792,8 +792,13 @@ def group_aggregate(
         return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
     if values is None:
         raise ExecutionError(f"aggregate {func!r} requires input values")
-    if isinstance(values, EncodedColumn) and func in ("count", "min", "max"):
-        return _encoded_aggregate(func, group_ids, num_groups, values)
+    if func in ("max", "min"):
+        extrema, counts = group_extremum(func, group_ids, num_groups, values, present)
+        # Groups with no non-missing input have no extremum (the
+        # tuple-at-a-time accumulators report None for them).
+        return box_empty(extrema, counts == 0)
+    if isinstance(values, EncodedColumn) and func == "count":
+        return np.bincount(group_ids[values.codes >= 0], minlength=num_groups).astype(np.int64)
     values, keep = _drop_missing(values, present)
     if keep is not None:
         group_ids = group_ids[keep]
@@ -823,38 +828,6 @@ def group_aggregate(
         if func == "sum":
             return sums
         return finish_avg(sums, np.bincount(group_ids, minlength=num_groups))
-    if func in ("max", "min"):
-        if values.dtype == object:
-            pick = max if func == "max" else min
-            boxed = np.full(num_groups, None, dtype=object)
-            for group_id, value in zip(group_ids.tolist(), values.tolist()):
-                current = boxed[group_id]
-                boxed[group_id] = value if current is None else pick(current, value)
-            return boxed
-        reducer = np.maximum if func == "max" else np.minimum
-        if values.dtype.kind in "iu":
-            # Accumulate in the native integer dtype: routing int64 extrema
-            # through float64 would round values above 2**53.
-            info = np.iinfo(values.dtype)
-            fill = info.min if func == "max" else info.max
-            out = np.full(num_groups, fill, dtype=values.dtype)
-            reducer.at(out, group_ids, values)
-        elif values.dtype.kind == "b":
-            fill = func == "min"
-            out = np.full(num_groups, fill, dtype=np.bool_)
-            reducer.at(out, group_ids, values)
-        else:
-            fill = -np.inf if func == "max" else np.inf
-            out = np.full(num_groups, fill, dtype=np.float64)
-            reducer.at(out, group_ids, values.astype(np.float64))
-        counts = np.bincount(group_ids, minlength=num_groups)
-        if np.any(counts == 0):
-            # Groups with no non-missing input have no extremum (the
-            # tuple-at-a-time accumulators report None for them).
-            boxed = out.astype(object)
-            boxed[counts == 0] = None
-            return boxed
-        return out
     if func == "and":
         out = np.ones(num_groups, dtype=bool)
         np.logical_and.at(out, group_ids, values.astype(bool))
@@ -917,18 +890,66 @@ def _single_group_aggregate(
     raise ExecutionError(f"unknown aggregate {func!r}")
 
 
-def _encoded_aggregate(
-    func: str, group_ids: np.ndarray, num_groups: int, values: EncodedColumn
+def group_extremum(
+    func: str,
+    group_ids: np.ndarray,
+    num_groups: int,
+    values: np.ndarray | EncodedColumn,
+    present: bool = False,
+) -> tuple[np.ndarray | EncodedColumn, np.ndarray]:
+    """MIN or MAX per group, missing inputs skipped, and the number of
+    non-missing inputs per group.  The extrema keep the column's form: an
+    encoded column's are codes (the dictionary is sorted, so the extreme
+    code is the extreme value), a typed column's are in its own dtype.  A
+    group without input reads code -1 in an encoded column, ``None`` in an
+    object one and the reduction's identity in a typed one — the counts
+    say which groups have an extremum (:func:`box_empty` marks the others
+    missing)."""
+    if isinstance(values, EncodedColumn):
+        present_rows = values.codes >= 0
+        group_ids, codes = group_ids[present_rows], values.codes[present_rows]
+        none = len(values.values)  # above every code: MIN's "no input yet"
+        out = np.full(num_groups, -1 if func == "max" else none, dtype=np.int32)
+        (np.maximum if func == "max" else np.minimum).at(out, group_ids, codes)
+        out[out == none] = -1
+        return EncodedColumn(out, values.values), np.bincount(group_ids, minlength=num_groups)
+    values, keep = _drop_missing(values, present)
+    if keep is not None:
+        group_ids = group_ids[keep]
+    values = np.asarray(values)
+    counts = np.bincount(group_ids, minlength=num_groups)
+    if values.dtype == object:
+        pick = max if func == "max" else min
+        boxed = np.full(num_groups, None, dtype=object)
+        for group_id, value in zip(group_ids.tolist(), values.tolist()):
+            current = boxed[group_id]
+            boxed[group_id] = value if current is None else pick(current, value)
+        return boxed, counts
+    reducer = np.maximum if func == "max" else np.minimum
+    if values.dtype.kind in "iu":
+        # Accumulate in the native integer dtype: routing int64 extrema
+        # through float64 would round values above 2**53.
+        info = np.iinfo(values.dtype)
+        out = np.full(num_groups, info.min if func == "max" else info.max, dtype=values.dtype)
+    elif values.dtype.kind == "b":
+        out = np.full(num_groups, func == "min", dtype=np.bool_)
+    else:
+        out = np.full(num_groups, -np.inf if func == "max" else np.inf, dtype=np.float64)
+        values = values.astype(np.float64, copy=False)
+    reducer.at(out, group_ids, values)
+    return out, counts
+
+
+def box_empty(
+    column: np.ndarray | EncodedColumn, empty: np.ndarray
 ) -> np.ndarray | EncodedColumn:
-    """COUNT, MIN and MAX of an encoded column, on the codes (the dictionary
-    is sorted, so the extreme code is the extreme value); the extrema come
-    back encoded, missing for a group without input."""
-    present = values.codes >= 0
-    group_ids, codes = group_ids[present], values.codes[present]
-    if func == "count":
-        return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
-    none = len(values.values)  # above every code: MIN's "no input yet"
-    out = np.full(num_groups, -1 if func == "max" else none, dtype=np.int32)
-    (np.maximum if func == "max" else np.minimum).at(out, group_ids, codes)
-    out[out == none] = -1
-    return EncodedColumn(out, values.values)
+    """``column`` with the entries under the mask ``empty`` missing: code -1
+    in an encoded column, ``None`` otherwise — a typed column boxes to
+    objects then, as the extrema of groups without input always have."""
+    if not empty.any():
+        return column
+    if isinstance(column, EncodedColumn):
+        return EncodedColumn(np.where(empty, -1, column.codes).astype(np.int32), column.values)
+    boxed = column.astype(object)
+    boxed[empty] = None
+    return boxed

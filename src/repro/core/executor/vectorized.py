@@ -51,7 +51,7 @@ list of per-batch stages:
   ``factorized``) — unless two inputs join on keys the first holds once
   each, where there is nothing to factor out.  Every other join probes and
   gathers.  Both run over the first input's one key space, built once and
-  cached.
+  cached; the cache keeps each chain input's per-slot partials too.
 
 The stages are deliberately *stateless per batch* (all mutable state lives in
 the :class:`~repro.core.profile.ExecutionCounters` they are passed and the
@@ -113,6 +113,7 @@ import numpy as np
 
 from repro.caching.manager import estimate_size
 from repro.caching.matching import (
+    chain_partial_cache_key,
     field_cache_key,
     join_side_cache_key,
     unnest_cache_key,
@@ -870,6 +871,20 @@ class CompiledPipeline:
         return batch
 
 
+def build_side_key(side: PhysicalPlan, key: Expression) -> tuple[tuple, tuple]:
+    """The cache key of the key slots of plan ``side`` keyed by ``key``,
+    short of the bound parameter values, and the parameters of both, whose
+    values complete it (:meth:`PipelineCompiler.bound_key`)."""
+    parameters = dict.fromkeys(parameters_of(side))
+    parameters.update((parameter.key, None) for parameter in iter_parameters(key))
+    return join_side_cache_key(side.fingerprint(), key.fingerprint()), tuple(parameters)
+
+
+def scanned(plan: PhysicalPlan) -> tuple[str, ...]:
+    """The datasets ``plan`` scans, in walk order."""
+    return tuple(dict.fromkeys(node.dataset for node in plan.walk() if isinstance(node, PhysScan)))
+
+
 class PipelineCompiler:
     """Lower a physical plan subtree into a :class:`CompiledPipeline`.
 
@@ -973,9 +988,12 @@ class PipelineCompiler:
                 pipeline.always_empty = True
                 return pipeline
             if space is None:
-                space = self.cached_side(plan.left, plan.left_key)
-            if space is None:
-                space = self.build_side(plan.left, plan.left_key, left)
+                cache_key = self.bound_key(build_side_key(plan.left, plan.left_key))
+                space = self.cached(cache_key)
+                if space is None:
+                    space = self.build_side(
+                        cache_key, scanned(plan.left), plan.left_key, left
+                    )
             self.join_kernels.append(space.kernel)
             self.add_stage(
                 pipeline,
@@ -1089,64 +1107,59 @@ class PipelineCompiler:
         self.cache_writers.append(operator)
         return CompiledPipeline(operator, [], context=self.context)
 
-    def cached_side(self, side: PhysicalPlan, key: Expression) -> radix.KeySlots | None:
-        """The key slots of a join build side — plan ``side`` keyed by
-        ``key`` — when the adaptive cache holds them for the same build
-        plan, join key and bound build-side parameter values (§6: ``A ⋈ B``
-        then ``A ⋈ C``); looked up before the side is read.  Literals are
-        part of the plan's fingerprint, and re-registering a dataset drops
-        every entry built from it — each entry belongs to every dataset its
-        side scans (:meth:`build_side`) —, so a hit is never stale."""
-        cache_key = self._build_side_key(side, key)
-        if cache_key is None:
-            return None
-        entry = self.cache_manager.lookup(cache_key)
-        return None if entry is None else entry.data
-
-    def build_side(
-        self, side: PhysicalPlan, key: Expression, build: Batch
-    ) -> radix.KeySlots:
-        """Number the keys of ``build``, the materialized plan ``side``
-        keyed by ``key``, as slots and offer them to the adaptive cache."""
-        cache_key = self._build_side_key(side, key)
-        space = radix.key_slots(materialize(self.evaluator(key)(build), build.count))
-        self.context.profile.join_build_rows += build.count
-        if cache_key is not None:
-            # The entry belongs to every dataset the side scans: a side that
-            # is itself a join goes stale when any of them is re-registered.
-            source, *others = dict.fromkeys(
-                node.dataset for node in side.walk() if isinstance(node, PhysScan)
-            )
-            self.cache_manager.store(
-                cache_key,
-                space,
-                kind="join_side",
-                dataset=source,
-                source_format=self.catalog.get(source).format,
-                description=f"join build side ({space.kernel})",
-                also_from=tuple(others),
-            )
-        return space
-
-    def _build_side_key(self, side: PhysicalPlan, key: Expression) -> tuple | None:
-        """The cache key of a build side (``None``: not cached)."""
+    def bound_key(self, unbound: tuple[tuple, tuple]) -> tuple | None:
+        """A cache key under this execution's bound parameter values:
+        ``unbound`` is a key without them and the parameters whose values
+        complete it (:func:`build_side_key`).  ``None`` — not cached —
+        without a cache, or when a value is unhashable.  Fingerprints
+        abstract parameter values, so folding the bound ones back in keeps
+        builds with different constants (and coincidentally equal
+        cardinalities) apart."""
         if self.cache_manager is None:
             return None
-        cache_key = join_side_cache_key(side.fingerprint(), key.fingerprint())
-        # The fingerprints abstract parameter values; fold the bound values
-        # of the build side's parameters back in so builds with different
-        # constants (and coincidentally equal cardinalities) never share
-        # key slots.
-        parameters = dict.fromkeys(parameters_of(side))
-        parameters.update((parameter.key, None) for parameter in iter_parameters(key))
+        cache_key, parameters = unbound
         if parameters:
             bound = self.params or {}
             cache_key += tuple((name, bound.get(name)) for name in parameters)
             try:
                 hash(cache_key)
             except TypeError:
-                return None  # unhashable values: no build-side caching
+                return None
         return cache_key
+
+    def cached(self, cache_key: tuple | None) -> Any:
+        """What the adaptive cache holds under ``cache_key`` — looked up
+        before anything is read: a join build side's key slots (§6: ``A ⋈
+        B`` then ``A ⋈ C``), a chain input's per-slot partials.  Literals are
+        part of the plan fingerprints, and re-registering a dataset drops
+        every entry built from it — each entry belongs to every dataset it
+        was built from —, so a hit is never stale."""
+        if cache_key is None:
+            return None
+        entry = self.cache_manager.lookup(cache_key)
+        return None if entry is None else entry.data
+
+    def build_side(
+        self, cache_key: tuple | None, scans: tuple[str, ...], key: Expression, build: Batch
+    ) -> radix.KeySlots:
+        """Number the keys of ``build``, a materialized join build side over
+        the datasets ``scans`` keyed by ``key``, as slots and offer them to
+        the adaptive cache under ``cache_key``."""
+        space = radix.key_slots(materialize(self.evaluator(key)(build), build.count))
+        self.context.profile.join_build_rows += build.count
+        if cache_key is not None:
+            # The entry belongs to every dataset the side scans: a side that
+            # is itself a join goes stale when any of them is re-registered.
+            self.cache_manager.store(
+                cache_key,
+                space,
+                kind="join_side",
+                dataset=scans[0],
+                source_format=self.catalog.get(scans[0]).format,
+                description=f"join build side ({space.kernel})",
+                also_from=scans[1:],
+            )
+        return space
 
     def _binding_type(self, plan: PhysicalPlan, binding: str) -> t.DataType | None:
         """The declared type of the records (or elements) ``binding`` ranges
@@ -1694,6 +1707,18 @@ _FACTORIZED_FUNCS = frozenset({"count", "sum", "avg", "min", "max"})
 _SLOT: ColumnKey = ("__slot__", ())
 
 
+#: The parts an input reduces per slot for each aggregate over it, by the
+#: aggregate's function: the non-missing count weighs every part's keys (see
+#: :func:`_combine_per_key`) and says which slots hold an extremum.
+_SLOT_PARTS = {
+    "count": ("count",),
+    "sum": ("count", "sum"),
+    "avg": ("count", "sum"),
+    "min": ("count", "min"),
+    "max": ("count", "max"),
+}
+
+
 @dataclass
 class FactorizedChain:
     """A join chain an aggregate runs over per join-key value, without
@@ -1707,20 +1732,27 @@ class FactorizedChain:
     materialized key column otherwise), and every input streams through a
     :class:`SlotStage` that attaches each row's slot — no column is
     gathered: a row without one, or one the input's selection drops, weighs
-    nothing.  Each input reduces to per-slot
-    partials (:class:`_SlotRoot`) — its row count ``c_i(k)`` and, per
-    aggregate whose argument reads it, the non-missing count and sum, one
-    grouped reduction each — and the aggregates are key products over the
-    slot space (:func:`_combine_per_key`): ``COUNT(*) = Σ_k Π_i c_i(k)``,
-    ``SUM(x_j) = Σ_k s_j(k) Π_{i≠j} c_i(k)`` (COUNT(x_j) alike, AVG from the
-    two) — one dot per part with the leave-one-out product of the other
-    inputs' counts, which is 0 at a slot some input lacks — and MIN/MAX the
-    extremum of the owner's rows at the slots the others hold.  A first
-    input the aggregates need only the row counts of is not read at all when
-    its slots are cached: the slots hold the counts.  With group keys, every
-    row of the input they read is an output row of its own, weighed by the
-    other inputs' product at its slot, and the rows are added up per group:
-    on the codes of one encoded or dense-integer key one grouped sum a part.
+    nothing.  Each input reduces to per-slot partials (:class:`_SlotRoot`)
+    — its row count ``c_i(k)`` and, per aggregate whose argument reads it,
+    the non-missing count and the sum or the extremum, one grouped
+    reduction each —, which the adaptive cache keeps too (§6): a later
+    execution over the same slots, plan and bound values reads no row of
+    the input.  The aggregates are key products over the slot space
+    (:func:`_combine_per_key`): ``COUNT(*) = Σ_k Π_i c_i(k)``, ``SUM(x_j) =
+    Σ_k s_j(k) Π_{i≠j} c_i(k)`` (COUNT(x_j) alike, AVG from the two) — one
+    dot per part with the leave-one-out product of the other inputs'
+    counts, which is 0 at a slot some input lacks — and MIN/MAX the
+    extremum of the owner's per-slot extrema at the slots the others hold.
+    A first input the aggregates need only the row counts of is not read at
+    all when its slots are cached: the slots hold the counts.  With group
+    keys, every row of the input they read is an output row of its own,
+    weighed by the other inputs' product at its slot, and the rows are
+    added up per group: on the codes of one encoded or dense-integer key one
+    grouped sum a part.
+
+    Built once per plan: the fingerprints of every input and key, which the
+    cache keys need, are taken here, so an execution folds in only the
+    bound parameter values.
     """
 
     #: The hash joins, the chain's root first.
@@ -1736,6 +1768,19 @@ class FactorizedChain:
     owners: dict[tuple, int]
     #: The input the group keys read (``None``: a global aggregate).
     grouped: int | None
+    #: Per input, aggregate fingerprint -> the parts reduced per slot (none
+    #: for the grouped input, which keeps its rows).
+    parts: list[dict[tuple, tuple[str, ...]]]
+    #: The datasets each input scans.
+    scans: list[tuple[str, ...]]
+    #: The first input's :func:`build_side_key`: the slot space's.
+    space_key: tuple[tuple, tuple]
+    #: Per input, the cache key of its partials short of the slot space's
+    #: and of the bound values — its build-side key, its parts and whether
+    #: it is the first input — and the parameters of its plan, key and
+    #: arguments (:meth:`PipelineCompiler.bound_key`); ``None`` for the
+    #: grouped input.
+    partial_keys: list[tuple[tuple, tuple] | None]
 
 
 def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
@@ -1797,6 +1842,8 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
         (grouped,) = readers
     _, aggregates = collect_nest_aggregates(plan)
     owners: dict[tuple, int] = {}
+    parts: list[dict[tuple, tuple[str, ...]]] = [{} for _ in inputs]
+    arguments: list[dict] = [{} for _ in inputs]
     for aggregate in aggregates:
         if aggregate.func not in _FACTORIZED_FUNCS:
             return None
@@ -1804,7 +1851,13 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
             index = reader(aggregate.argument)
             if index is None:
                 return None
-            owners[aggregate.fingerprint()] = index
+            fingerprint = aggregate.fingerprint()
+            owners[fingerprint] = index
+            if index != grouped:
+                parts[index][fingerprint] = _SLOT_PARTS[aggregate.func]
+                arguments[index].update(
+                    (parameter.key, None) for parameter in iter_parameters(aggregate.argument)
+                )
     # Every input but the first starts the probe side of exactly one join.
     probes: dict[int, PhysHashJoin] = {}
     for join in joins:
@@ -1812,13 +1865,28 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
         while isinstance(start, PhysHashJoin):
             start = start.left
         probes[id(start)] = join
+    keys = [next(iter(key_fields[index].values())) for index in range(len(inputs))]
+    sides = [build_side_key(subplan, key) for subplan, key in zip(inputs, keys)]
+    partial_keys: list[tuple[tuple, tuple] | None] = [
+        None
+        if index == grouped
+        else (
+            (side, tuple(parts[index].items()), index == 0),
+            tuple(dict.fromkeys(parameters + tuple(arguments[index]))),
+        )
+        for index, (side, parameters) in enumerate(sides)
+    ]
     return FactorizedChain(
         joins,
         inputs,
-        [next(iter(key_fields[index].values())) for index in range(len(inputs))],
+        keys,
         [probes[id(subplan)] for subplan in inputs[1:]],
         owners,
         grouped,
+        parts,
+        [scanned(subplan) for subplan in inputs],
+        sides[0],
+        partial_keys,
     )
 
 
@@ -1871,37 +1939,53 @@ def _slot_of(batch: Batch) -> np.ndarray:
 @dataclass
 class _SlotPartials:
     """One input of a factorized chain, reduced over the slots shifted by
-    one (see :class:`SlotStage`): entry 0, the rows without a slot, is
-    zero."""
+    one (see :class:`SlotStage`): entry 0, the rows without a slot, counts
+    nothing."""
 
     #: Rows per slot (``None`` for the grouped input: its kept slots say).
     rows: np.ndarray | None
-    #: (aggregate fingerprint, ``count`` | ``sum``) -> per-slot column.
+    #: (aggregate fingerprint, ``count`` | ``sum`` | ``min`` | ``max``) ->
+    #: per-slot column; an extremum is in its column's form, and the
+    #: ``count`` beside it says which slots have one
+    #: (:func:`~repro.core.executor.radix.group_extremum`).
     sums: dict[Part, Any]
-    #: The columns of the rows that a per-slot column cannot stand for —
-    #: the group keys (by index) and the MIN/MAX arguments (by fingerprint),
-    #: every argument of the grouped input — with their slots (``_SLOT``).
+    #: The grouped input's rows, which a per-slot column cannot stand for:
+    #: its group keys (by index) and its aggregates' arguments (by
+    #: fingerprint), with their slots (``_SLOT``).
     kept: dict[Any, Any]
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every array the partials hold, once (the grouped input's kept
+        rows aside)."""
+        arrays = {}
+        for column in (self.rows, *self.sums.values()):
+            if isinstance(column, EncodedColumn):
+                arrays.update({id(column.codes): column.codes, id(column.values): column.values})
+            elif column is not None:
+                arrays[id(column)] = column
+        return list(arrays.values())
 
 
 class _SlotRoot(_RootTask):
     """The per-slot partials of one input of a factorized chain: each range
     collects its batches' slots and the argument columns it reads, as they
     are — the slot says which rows count — and reduces them with the slots
-    as group ids, one grouped reduction a part; ranges add their partials up
-    (integer sums turn exact past int64, as every group-by's; a range
-    without rows adds only its zero row counts) and concatenate their kept
-    rows in range order.  The partials are per-slot columns over the whole
-    slot space, entry 0 (no slot) zero, so :func:`_combine_per_key` weighs
-    them without a gather.  ``rows``, when given, are the input's rows per
-    slot already — the first input's, which its key slots count — and no
-    range counts them again; without ``count`` nobody needs them (the
+    as group ids, one grouped reduction a part (an extremum with
+    :func:`~repro.core.executor.radix.group_extremum`, in its column's form);
+    ranges add their counts and sums up (integer sums turn exact past int64,
+    as every group-by's; a range without rows adds only its zero row
+    counts), re-reduce their extrema at the slots where each has a value
+    and concatenate their kept rows in range order.  The partials are
+    per-slot columns over the whole slot space, entry 0 (no slot) counting
+    nothing, so :func:`_combine_per_key` weighs them without a gather.  ``rows``, when given, are the input's
+    rows per slot already — the first input's, which its key slots count —
+    and no range counts them again; without ``count`` nobody needs them (the
     grouped input, whose kept rows carry their slots)."""
 
     def __init__(
         self,
         size: int,
-        summed: Mapping[tuple, tuple[Evaluator, list[str]]],
+        summed: Mapping[tuple, tuple[Evaluator, tuple[str, ...]]],
         kept: Mapping[Any, Evaluator],
         non_null: frozenset[tuple],
         rows: np.ndarray | None = None,
@@ -1910,7 +1994,8 @@ class _SlotRoot(_RootTask):
         self.size = size
         self.rows = rows
         self.count = count
-        #: Aggregate fingerprint -> (its argument, the parts summed per slot).
+        #: Aggregate fingerprint -> (its argument, the parts reduced per
+        #: slot).
         self.summed = summed
         self.kept = kept
         self.non_null = non_null
@@ -1949,8 +2034,14 @@ class _SlotRoot(_RootTask):
             for func in funcs:
                 if func == "count" and present:
                     continue  # every row has a value: the row counts (merge)
-                column = radix.group_aggregate(func, slots, size, values, present)
-                column[0] = 0
+                if func in ("min", "max"):
+                    # With its non-missing counts, which :meth:`merge` reads
+                    # and drops.  Slot 0's extremum is never read: its count
+                    # is 0.
+                    column = radix.group_extremum(func, slots, size, values, present)
+                else:
+                    column = radix.group_aggregate(func, slots, size, values, present)
+                    column[0] = 0
                 sums[(fingerprint, func)] = column
         kept = {name: state[name] for name in self.kept}
         return _SlotPartials(rows, sums, kept)
@@ -1964,13 +2055,28 @@ class _SlotRoot(_RootTask):
             for fingerprint, (_, funcs) in self.summed.items()
             if "count" in funcs and fingerprint in self.non_null
         }
+        extrema: dict[Part, list] = {}
         for partial in partials:
             for part, column in partial.sums.items():
-                sums[part] = (
-                    radix.null_safe_arith("+", sums[part], column)
-                    if part in sums
-                    else column
-                )
+                if part[1] in ("min", "max"):
+                    extrema.setdefault(part, []).append(column)
+                elif part in sums:
+                    sums[part] = radix.null_safe_arith("+", sums[part], column)
+                else:
+                    sums[part] = column
+        for part, ranges in extrema.items():
+            if len(ranges) == 1:
+                sums[part] = ranges[0][0]
+                continue
+            # A range's slot without a value holds the reduction's identity,
+            # or reads missing, in that range's column form, which another
+            # range's may not share: only the slots with a value are
+            # re-reduced.
+            held = [np.flatnonzero(counts) for _, counts in ranges]
+            values = concat_chunks([column[at] for (column, _), at in zip(ranges, held)])
+            sums[part], _ = radix.group_extremum(
+                part[1], np.concatenate(held), self.size + 1, values
+            )
         kept = {
             name: concat_chunks([chunk for partial in partials for chunk in partial.kept[name]])
             for name in self.kept
@@ -1982,31 +2088,29 @@ def _slot_root(
     chain: FactorizedChain, root: _NestRoot, index: int, space: radix.KeySlots
 ) -> _SlotRoot:
     """The reduction of input ``index`` of ``chain`` over the slots of
-    ``space``: MIN/MAX arguments and every column of the grouped input keep
-    their rows, the other arguments are counted and summed per slot.  The
-    first input's rows per slot are the counts of its own slots; the
-    grouped input's are not needed (its rows carry their slots)."""
-    summed: dict[tuple, tuple[Evaluator, list[str]]] = {}
+    ``space``: every column of the grouped input keeps its rows, the other
+    inputs reduce their arguments per slot.  The first input's rows per
+    slot are the counts of its own slots; the grouped input's are not needed
+    (its rows carry their slots)."""
     kept: dict[Any, Evaluator] = {}
     if index == chain.grouped:
         kept.update(enumerate(root.keys))
-    for aggregate in root.aggregates:
-        fingerprint = aggregate.fingerprint()
-        if chain.owners.get(fingerprint) != index:
-            continue
-        argument = root.arguments[fingerprint]
-        if index == chain.grouped or aggregate.func in ("min", "max"):
-            kept[fingerprint] = argument
-        else:
-            # The non-missing count weighs SUM's keys too (see
-            # _combine_per_key).
-            funcs = ["count"] if aggregate.func == "count" else ["count", "sum"]
-            summed[fingerprint] = (argument, funcs)
-    if kept:
+        kept.update(
+            (fingerprint, root.arguments[fingerprint])
+            for fingerprint, owner in chain.owners.items()
+            if owner == index
+        )
         kept[_SLOT] = _slot_of
     return _SlotRoot(
-        space.size, summed, kept, root.non_null,
-        rows=None if index else space.counts, count=index != chain.grouped,
+        space.size,
+        {
+            fingerprint: (root.arguments[fingerprint], funcs)
+            for fingerprint, funcs in chain.parts[index].items()
+        },
+        kept,
+        root.non_null,
+        rows=None if index else space.counts,
+        count=index != chain.grouped,
     )
 
 
@@ -2117,15 +2221,18 @@ def _combine_per_key(
     reductions: list[_SlotPartials],
 ) -> _GroupPartial | None:
     """The root's groups and parts as key products over the slots; ``None``
-    when no key value is held by every input.
+    when no key value is held by every input.  ``reductions`` are the
+    inputs' partials, computed or from the cache: they are read, never
+    written (the cache hands them out read-only).
 
     A part's per-slot weight is its owner's per-slot count or sum times the
     leave-one-out product of the other inputs' rows per slot (COUNT(*): the
     product of every input's), where a slot some input lacks weighs 0 — so
     nothing is gathered at held slots.  Without group keys each part is one
     dot of the two over the slot space, and a MIN or MAX the extremum of its
-    owner's rows at slots every other input holds.  With group keys every row
-    of the grouped input stands at its slot (:func:`_combine_grouped`)."""
+    owner's per-slot extrema at the slots every other input holds and it
+    has a value at.  With group keys every row of the grouped input stands
+    at its slot (:func:`_combine_grouped`)."""
     if chain.grouped is not None:
         return _combine_grouped(chain, root, reductions)
     weights = _leave_one_out([reduced.rows for reduced in reductions])
@@ -2144,10 +2251,12 @@ def _combine_per_key(
         partials, weight = reductions[owner], weights[owner]
         assert weight is not None
         if func in ("min", "max"):
-            held = np.flatnonzero((weight[0] > 0)[partials.kept[_SLOT]])
+            held = np.flatnonzero(
+                (weight[0] > 0) & (partials.sums[(fingerprint, "count")] > 0)
+            )
+            # A held slot's extremum is a value: nothing missing to skip.
             parts[(fingerprint, func)] = radix.group_aggregate(
-                func, len(held), 1, partials.kept[fingerprint][held],
-                fingerprint in root.non_null,
+                func, len(held), 1, partials.sums[(fingerprint, func)][held], True
             )
             continue
         present = _dot(partials.sums[(fingerprint, "count")], weight)
@@ -2257,10 +2366,6 @@ def _fold_grouped(
         return None
     at = kept[_SLOT][mine]
     keys = [kept[index][mine] for index in range(len(root.keys))]
-    # The slots every other input holds, numbered among them: a slot no
-    # input row reaches would box an extremum column into objects.
-    held = joined > 0
-    rank = np.cumsum(held) - 1
     columns: dict[Part, Any] = {}
     for aggregate in root.aggregates:
         fingerprint, func = aggregate.fingerprint(), aggregate.func
@@ -2270,14 +2375,12 @@ def _fold_grouped(
         elif owner == grouped and func in ("min", "max"):
             columns[(fingerprint, func)] = kept[fingerprint][mine]
         elif func in ("min", "max"):
-            partials = reductions[owner]
-            slots = partials.kept[_SLOT]
-            reached = np.flatnonzero(held[slots])
-            extrema = radix.group_aggregate(
-                func, rank[slots[reached]], int(rank[-1]) + 1,
-                partials.kept[fingerprint][reached], fingerprint in root.non_null,
+            # The owner's extremum at each row's slot, missing where it has
+            # no value there.
+            sums = reductions[owner].sums
+            columns[(fingerprint, func)] = radix.box_empty(
+                sums[(fingerprint, func)][at], sums[(fingerprint, "count")][at] == 0
             )
-            columns[(fingerprint, func)] = extrema[rank[at]]
         else:
             if owner == grouped:
                 rows = _row_parts(root, aggregate, kept[fingerprint][mine], joined[at])
@@ -2405,49 +2508,34 @@ class VectorizedExecutor:
         The first input's key slots are looked up in the adaptive cache
         before it is read; on a miss the input is materialized and its key
         column numbered (and cached).  Every input the aggregates need more
-        than the row counts of — the first included — then streams, inline
-        or fanned out as a join's sides do, through a :class:`SlotStage`
-        into its per-slot partials: the first input's from the batch just
-        materialized on a miss, its counts straight from the slots when
-        that is all it contributes.  ``None`` — the joins then probe and
-        gather, the first input's key slots (and its rows, materialized on a
-        miss) handed over as the build side — when two inputs join on keys
-        the first holds once each: the join has one row per matching row of
-        the other, so there is nothing to factor out."""
+        than the first input's row counts of is then looked up as per-slot
+        partials in the cache (:meth:`_partials`), and read only on a miss.
+        ``None`` — the joins then probe and gather, the first input's key
+        slots (and its rows, materialized on a miss) handed over as the
+        build side — when two inputs join on keys the first holds once
+        each: the join has one row per matching row of the other, so there
+        is nothing to factor out."""
         first = None
-        space = compiler.cached_side(chain.inputs[0], chain.keys[0])
+        space_key = compiler.bound_key(chain.space_key)
+        space = compiler.cached(space_key)
         if space is None:
             first = self._materialize(compiler.compile(chain.inputs[0]))
             if first.count == 0:
                 return self._empty_chain(chain, root)
-            space = compiler.build_side(chain.inputs[0], chain.keys[0], first)
+            space = compiler.build_side(space_key, chain.scans[0], chain.keys[0], first)
         if len(chain.inputs) == 2 and space.unique:
             compiler.built[id(chain.inputs[0])] = (first, space)
             return None
         reductions = []
-        shifted = np.add(space.lookup, 1, dtype=np.intp)  # see SlotStage
-        for index, subplan in enumerate(chain.inputs):
+        for index in range(len(chain.inputs)):
             reducer = _slot_root(chain, root, index, space)
-            key = evaluator(chain.keys[index])
             if index == 0 and not (reducer.summed or reducer.kept):
                 # Its rows per slot, which its slots count, are all it adds.
                 reduced = _SlotPartials(reducer.rows, {}, {})
-            elif index == 0 and first is not None:
-                state = reducer.new_state()
-                slotted = SlotStage(space, shifted, key).apply(first, self.profile)
-                if slotted is not None:
-                    reducer.update(state, slotted, self.profile)
-                reduced = reducer.merge(
-                    [reducer.finish_morsel(state, self.profile)], self.profile
-                )
             else:
-                pipeline, predicate = compiler.compile_input(subplan)
-                stage = SlotStage(space, shifted, key, predicate)
-                if index:
-                    compiler.add_stage(pipeline, chain.probes[index - 1], stage)
-                else:
-                    pipeline.stages.append((stage, None))
-                reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
+                reduced = self._partials(
+                    chain, index, reducer, space, space_key, first, compiler, evaluator
+                )
             held = reduced.kept[_SLOT] if reduced.rows is None else reduced.rows
             if not held.any():  # no row of this input has a slot
                 return self._empty_chain(chain, root)
@@ -2459,6 +2547,73 @@ class VectorizedExecutor:
         # The key products are the chain root's work.
         self._join_span(chain.joins[0], time.perf_counter() - started)
         return root.finish(combined, self.profile)
+
+    def _partials(
+        self,
+        chain: FactorizedChain,
+        index: int,
+        reducer: _SlotRoot,
+        space: radix.KeySlots,
+        space_key: tuple | None,
+        first: Batch | None,
+        compiler: PipelineCompiler,
+        evaluator: Callable[[Expression], Evaluator],
+    ) -> _SlotPartials:
+        """Input ``index`` of ``chain`` reduced over the slots of ``space``:
+        from the adaptive cache — keyed by the slot space's and the input's
+        build-side keys under the bound values, the parts and whether it is
+        the first input — or by streaming it, inline or fanned out as a
+        join's sides do, through a :class:`SlotStage` into ``reducer`` (the
+        first input from ``first``, its rows materialized on a slot-space
+        miss).  Computed partials without kept rows — every input's but the
+        grouped one's — are stored read-only, as entries of every dataset
+        the input or the first input scans, biased as the most verbose of
+        their formats: a combine that wrote into them would raise instead of
+        corrupting a later answer."""
+        unbound = chain.partial_keys[index]
+        cache_key = None
+        if unbound is not None and space_key is not None:
+            input_key = compiler.bound_key(unbound)
+            if input_key is not None:
+                cache_key = chain_partial_cache_key(space_key, input_key)
+        reduced = compiler.cached(cache_key)
+        if reduced is not None:
+            return reduced
+        shifted = np.add(space.lookup, 1, dtype=np.intp)  # see SlotStage
+        key = evaluator(chain.keys[index])
+        if index == 0 and first is not None:
+            state = reducer.new_state()
+            slotted = SlotStage(space, shifted, key).apply(first, self.profile)
+            if slotted is not None:
+                reducer.update(state, slotted, self.profile)
+            reduced = reducer.merge([reducer.finish_morsel(state, self.profile)], self.profile)
+        else:
+            pipeline, predicate = compiler.compile_input(chain.inputs[index])
+            stage = SlotStage(space, shifted, key, predicate)
+            if index:
+                compiler.add_stage(pipeline, chain.probes[index - 1], stage)
+            else:
+                pipeline.stages.append((stage, None))
+            reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
+        if cache_key is not None:
+            arrays = reduced.arrays()
+            for array in arrays:
+                array.setflags(write=False)
+            scans = tuple(dict.fromkeys(chain.scans[index] + chain.scans[0]))
+            self.cache_manager.store(
+                cache_key,
+                reduced,
+                kind="chain_partial",
+                dataset=scans[0],
+                source_format=max(
+                    (self.catalog.get(name).format for name in scans),
+                    key=self.cache_manager.policy.format_bias,
+                ),
+                description=f"per-slot partials of {', '.join(chain.scans[index])}",
+                size_bytes=sum(map(estimate_size, arrays)),
+                also_from=scans[1:],
+            )
+        return reduced
 
     def _empty_chain(
         self, chain: FactorizedChain, root: _NestRoot

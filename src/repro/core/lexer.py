@@ -1,8 +1,11 @@
-"""A small hand-written lexer shared by the SQL and comprehension frontends."""
+"""The lexer shared by the SQL and comprehension frontends: one compiled
+regular expression matches every token (:func:`tokenize`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from repro.errors import ParseError
 
@@ -41,8 +44,7 @@ _SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its position in the source text."""
 
     kind: str
@@ -60,51 +62,68 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Split ``text`` into tokens, raising :class:`ParseError` on bad input."""
+    """Split ``text`` into tokens, raising :class:`ParseError` on bad input.
+
+    One compiled expression (:func:`_scanner`) matches each token with the
+    whitespace before it, its group naming the kind; a character no token
+    starts with is an error.  The scan stops at the trailing whitespace,
+    which holds no token."""
     tokens: list[Token] = []
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "'" or ch == '"':
-            end = text.find(ch, i + 1)
-            if end == -1:
-                raise ParseError("unterminated string literal", i, text)
-            tokens.append(Token(STRING, text[i + 1:end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < length and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A dot not followed by a digit is a path separator, not a decimal.
-                    if j + 1 >= length or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token(NUMBER, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < length and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], i))
-            i = j
-            continue
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, i):
-                tokens.append(Token(SYMBOL, symbol, i))
-                i += len(symbol)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i, text)
-    tokens.append(Token(END, "", length))
+    for match in _scanner(text).finditer(text, 0, len(text.rstrip())):
+        kind = match.lastgroup
+        start = match.start(kind)
+        if kind == _ERROR:
+            char = match.group(kind)
+            if char in "'\"":
+                raise ParseError("unterminated string literal", start, text)
+            raise ParseError(f"unexpected character {char!r}", start, text)
+        value = match.group(kind)
+        tokens.append(Token(kind, value[1:-1] if kind == STRING else value, start))
+    tokens.append(Token(END, "", len(text)))
     return tokens
+
+
+#: The group of a character no token starts with.
+_ERROR = "ERROR"
+
+
+def _scanner(text: str) -> re.Pattern:
+    """The token expression for ``text``.  ``str`` methods classify
+    characters — a space is ``isspace()``, a digit ``isdigit()``, an
+    identifier starts ``isalpha()`` or ``_`` and goes on ``isalnum()`` or
+    ``_`` —, and no regular-expression class says the same for all of
+    Unicode; so the ASCII classes are spelled out, and the non-ASCII
+    characters of ``text`` are classified by those methods and added."""
+    if text.isascii():
+        return _compile("", "", "", "")
+    extra = sorted({char for char in text if not char.isascii()})
+
+    def chars(test: Callable[[str], bool]) -> str:
+        return "".join(re.escape(char) for char in extra if test(char))
+
+    return _compile(
+        chars(str.isspace), chars(str.isdigit), chars(str.isalpha), chars(str.isalnum)
+    )
+
+
+@lru_cache(maxsize=64)
+def _compile(spaces: str, digits: str, letters: str, alnums: str) -> re.Pattern:
+    """The token expression whose classes add the given characters to the
+    ASCII ones.  The whitespace before a token is taken whole: the error
+    group matches any other character, so it is never handed back.  A number
+    is digits with at most one dot followed by a digit, or such a dot and
+    its digits; the symbols are tried in :data:`_SYMBOLS` order, so the
+    longest wins."""
+    digit = f"[0-9{digits}]"
+    space = rf"\t\n\r\x0b\x0c\x1c-\x1f {spaces}"
+    return re.compile(
+        rf"[{space}]*"
+        rf"(?:(?P<{STRING}>'[^']*'|\"[^\"]*\")"
+        rf"|(?P<{NUMBER}>{digit}+(?:\.{digit}+)?|\.{digit}+)"
+        rf"|(?P<{IDENT}>[A-Za-z_{letters}][A-Za-z0-9_{alnums}]*)"
+        rf"|(?P<{SYMBOL}>{'|'.join(map(re.escape, _SYMBOLS))})"
+        rf"|(?P<{_ERROR}>[^{space}]))"
+    )
 
 
 class TokenStream:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.aggregate_utils import literal_results, replace_aggregates
-from repro.core.codegen import CodeGenerator
+from repro.core.codegen import CodeGenerator, plan_expressions
 from repro.core.codegen.compiler import compile_query
 from repro.core.codegen.context import CodegenContext
 from repro.core.codegen.expr_gen import generate_expression, supported_by_codegen
@@ -247,7 +247,7 @@ def test_generated_functions_cover_every_plan_expression(engine):
         "SELECT j.id, c.price * :rate AS scaled FROM items_json j "
         "JOIN items_csv c ON j.id = c.id WHERE j.qty < :q AND c.price > 1"
     )
-    generated = CodeGenerator().generate(prepared.plan)
+    generated = CodeGenerator().generate(plan_expressions(prepared.plan))
     assert "param(batch.params, 'rate')" in generated.source
     assert "param(batch.params, 'q')" in generated.source
     from repro.core.physical import expressions_of
@@ -461,3 +461,38 @@ def test_cache_pinned_plan_reads_through_one_scan_path(paths):
     # Evicted underneath the prepared plan: the same plan answers from the
     # raw source in one scan stream.
     assert evicted == (expected, 120, 240, 0, 1)
+
+
+#: The ``sha256`` of the 50 Symantec modules' sources and of their module
+#: keys, taken while the generator still walked the plan itself.
+SYMANTEC_SOURCES_DIGEST = "52907c533893cf619a134d2051eeb7b03f9bd2c4a2e9ccd713dcc8cab0b0f724"
+SYMANTEC_KEYS_DIGEST = "6ca98e4b9966a35621997c4c039c53cba51594962328e27bb86af195fe16980f"
+
+
+def test_one_walk_keys_and_generates_the_symantec_modules_unchanged(tmp_path):
+    """The module key and the generator read one :func:`plan_expressions`
+    list: the 50 Symantec modules come out byte for byte as before, under
+    the same keys."""
+    import hashlib
+
+    from repro import ProteusEngine
+    from repro.core.codegen import module_key
+    from repro.core.physical import unwrap_sort
+    from repro.workloads import symantec
+
+    files = symantec.materialize(
+        str(tmp_path), num_json=200, num_csv=800, num_binary=1000, seed=7
+    )
+    engine = ProteusEngine(enable_caching=False)
+    engine.register_json("spam_mails", files.json_path)
+    engine.register_csv("classification", files.csv_path)
+    engine.register_binary_columns("mail_log", files.binary_dir)
+    sources, keys = [], []
+    for query in symantec.symantec_workload(files):
+        plan = unwrap_sort(engine.prepare(query.spec.to_text()).plan)
+        expressions = plan_expressions(plan)
+        sources.append(CodeGenerator().generate(expressions).source)
+        keys.append(module_key(expressions))
+    assert len(sources) == 50
+    assert hashlib.sha256("\n".join(sources).encode()).hexdigest() == SYMANTEC_SOURCES_DIGEST
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == SYMANTEC_KEYS_DIGEST

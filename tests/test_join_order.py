@@ -115,13 +115,17 @@ import json
 import math
 import os
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ProteusEngine
 from repro.core import types as t
-from repro.core.executor.vectorized import factorized_chain
+from repro.core.columns import EncodedColumn
+from repro.core.executor import vectorized
+from repro.core.executor.vectorized import _SLOT, factorized_chain
 from repro.core.physical import PhysHashJoin, PhysScan
+from repro.core.profile import ExecutionCounters
 from repro.storage.binary_format import write_column_table
 
 CHAIN_SCHEMA = t.make_schema(
@@ -581,9 +585,9 @@ def test_key_slots_are_kept_like_a_join_table(paths):
 
 def test_cached_first_input_needed_for_counts_only_is_not_read(tmp_path):
     """A first input the aggregate needs only the row counts of — a filtered
-    CSV under ``COUNT(*)`` — is not read once its key slots are cached: the
-    second execution processes exactly that input's batches fewer, with the
-    same answer."""
+    CSV under ``COUNT(*)`` — is not read once its key slots are cached, and
+    the other inputs' per-slot row counts are cached too: the second
+    execution processes no batch at all, with the same answer."""
     rows = [
         {"k": index % 5, "x": index - 20, "y": index / 4, "g": "abc"[index % 3]}
         for index in range(40)
@@ -597,10 +601,8 @@ def test_cached_first_input_needed_for_counts_only_is_not_read(tmp_path):
     (scan,) = [node for node in chain.inputs[0].walk() if isinstance(node, PhysScan)]
     assert scan.dataset == "fc"  # the filtered CSV is the first input
     assert first.profile.join_kernels == second.profile.join_kernels == ["factorized"] * 2
-    assert (
-        first.profile.batches_processed - second.profile.batches_processed
-        == math.ceil(len(rows) / batch_size)
-    )
+    assert first.profile.batches_processed > math.ceil(len(rows) / batch_size)
+    assert second.profile.batches_processed == 0
     reference = _chain_engine(str(tmp_path), enable_codegen=False).query(query).rows
     assert first.rows == second.rows == reference
 
@@ -660,6 +662,304 @@ def test_reregistered_second_dataset_of_a_joined_build_side_drops_its_slots(tmp_
     after = engine.query(query)
     assert after.profile.join_kernels == ["dense", "dense"]
     assert after.rows == volcano.query(query).rows != before.rows
+
+
+# ---------------------------------------------------------------------------
+# Per-slot partials in the adaptive cache
+# ---------------------------------------------------------------------------
+#
+# Every chain input but the grouped one reduces to per-slot partials the
+# adaptive cache keeps: a later execution over the same slot space, plan and
+# bound values reads no row of it.  Each case runs uncached inline and fanned
+# out (``_per_key_like_volcano``) and three times on caching engines, inline
+# and fanned out: the second and third runs answer from the cache.
+
+#: Caching configurations, each run three times per query.
+CACHED_CONFIGS = {
+    "cached": {"enable_caching": True},
+    "cached-fanout": {
+        "enable_caching": True, "parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE,
+    },
+}
+
+
+def _partial_entries(engine) -> list:
+    return [entry for entry in engine.cache_entries() if entry.kind == "chain_partial"]
+
+
+def _cached_runs(engine, volcano, query, *args, runs: int = 3, fresh: bool = True) -> list:
+    """Run ``query`` ``runs`` times on a caching engine: per key value,
+    equal to Volcano, the same rows every time; a fanned-out engine
+    dispatches morsels on the first run when that one is ``fresh`` (finds
+    nothing cached).  The results."""
+    reference = volcano.query(query, *args).rows
+    results = [engine.query(query, *args) for _ in range(runs)]
+    for run, result in enumerate(results):
+        assert result.tier == "codegen", (run, query)
+        assert set(result.profile.join_kernels) == {"factorized"}, (run, query)
+        _assert_matches_volcano(result.rows, reference, (run, query, args))
+        assert repr(result.rows) == repr(results[0].rows), (run, query)
+    if fresh and engine.parallel_workers > 1:
+        assert results[0].profile.morsels_dispatched > 0, query
+    return results
+
+
+def _partials_like_volcano(directory: str, queries: list[str]) -> dict[str, list]:
+    """``_per_key_like_volcano``, then three runs of every query on each
+    caching engine: the rows equal the inline run's, and the second and
+    third runs of these global chains read no batch — every input's
+    partials, and the slot space, come from the cache."""
+    rows = _per_key_like_volcano(directory, queries)
+    volcano = _chain_engine(directory, enable_codegen=False)
+    for label, kwargs in CACHED_CONFIGS.items():
+        engine = _chain_engine(directory, **kwargs)
+        for query in queries:
+            results = _cached_runs(engine, volcano, query)
+            assert repr(results[0].rows) == repr(rows[query]), (label, query)
+            assert [result.profile.batches_processed for result in results[1:]] == [0, 0], (
+                label, query,
+            )
+        assert _partial_entries(engine), label
+    return rows
+
+
+def test_global_extrema_per_slot_like_volcano(tmp_path):
+    """Global MIN/MAX reduce per slot like COUNT and SUM: over int64 values
+    at both ends of the range, floats with NaN, encoded strings and encoded
+    ints with missing values — and key 9, held by ``b`` alone, whose rows
+    hold the widest values and must not count."""
+    top, bottom = 2**63 - 1, -(2**63)
+    csv_rows = _keyed(
+        [index % 4 for index in range(40)],
+        x=lambda key: None if key == 1 else key * 3 - 5,
+        y=lambda key: None if key == 2 else key / 4,
+        g=lambda key: None if key == 3 else "pqrs"[key],
+    )
+    json_rows = _keyed(
+        [index % 5 for index in range(40)],
+        x=lambda key: key - 2,
+        y=lambda key: None if key % 2 else -key / 8,
+        g=lambda key: "wxyzv"[key],
+    )
+    binary_rows = _keyed(
+        [0, 1, 2, 3, 9, 9],
+        x=lambda key: {0: top - 1, 1: bottom + 1, 2: 5, 3: -7, 9: top}[key],
+        y=lambda key: float("nan") if key == 3 else key * 1.5,
+    ) + _keyed([9], x=bottom, y=-1e300) + _keyed([2], x=top - 2, y=2.25)
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    answers = _partials_like_volcano(str(tmp_path), [
+        f"SELECT MIN(b.x) AS b0, MAX(b.x) AS b1, MIN(b.y), MAX(b.y), COUNT(*) {_CHAIN}",
+        f"SELECT MIN(c.x), MAX(c.x), MIN(c.y), MAX(c.y), MIN(c.g), MAX(c.g) {_CHAIN}",
+        f"SELECT MIN(j.g), MAX(j.g), MAX(j.x), MIN(j.y), SUM(b.x), COUNT(c.x) {_CHAIN}",
+        f"SELECT MAX(b.x), MIN(c.g) {_CHAIN} WHERE j.x > 0",
+    ])
+    assert list(answers.values())[0] == [(bottom + 1, top - 1, 0.0, 3.0, 400)]
+
+
+def test_global_extrema_over_an_empty_key_intersection(tmp_path):
+    """No key is held by every input — ``b`` holds keys 0-3, ``j`` only
+    2-3 and ``c`` only 0-1 —: every MIN/MAX reads missing, over a slot
+    space whose every slot some input holds."""
+    csv_rows = _keyed([index % 2 for index in range(40)], x=2**62)
+    json_rows = _keyed([2 + index % 2 for index in range(40)], g="j")
+    binary_rows = _keyed(range(4), x=-(2**63))
+    _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
+    answers = _partials_like_volcano(str(tmp_path), [
+        f"SELECT MIN(b.x), MAX(c.x), MIN(j.g), MAX(c.y), COUNT(*) {_CHAIN}",
+    ])
+    assert list(answers.values()) == [[(None, None, None, None, 0)]]
+
+
+def test_fanned_out_extrema_of_ranges_in_different_forms(tmp_path, monkeypatch):
+    """``c.x`` has missing cells in every other block of rows: a fanned-out
+    range over such a block reduces it encoded, the others typed ``int64``,
+    whose identities at the slots a range lacks sit beside values near both
+    ends of the int64 range."""
+    top, bottom = 2**63 - 1, -(2**63)
+    csv_rows = _keyed(
+        [index % 4 for index in range(40)],
+        x=lambda key: [top - 1, bottom + 1, 5, -5][key],
+    )
+    for index in range(40):
+        if (index // 8) % 2:
+            csv_rows[index]["x"] = None
+    rows = _keyed([index % 4 for index in range(8)])
+    _write_chain(str(tmp_path), csv_rows, rows, rows)
+    forms = set()
+    finish = vectorized._SlotRoot.finish_morsel
+
+    def spy(self, state, counters):
+        partials = finish(self, state, counters)
+        forms.update(
+            type(extremum[0]).__name__ for (_, func), extremum in partials.sums.items()
+            if func == "max"
+        )
+        return partials
+
+    monkeypatch.setattr(vectorized._SlotRoot, "finish_morsel", spy)
+    answers = _partials_like_volcano(str(tmp_path), [
+        f"SELECT MIN(c.x), MAX(c.x), COUNT(c.x), COUNT(*) {_CHAIN}",
+        f"SELECT MIN(c.x), MAX(c.x) {_CHAIN} WHERE j.k > 1",
+    ])
+    assert forms == {"EncodedColumn", "ndarray"}
+    assert list(answers.values()) == [
+        [(bottom + 1, top - 1, 96, 160)], [(-5, 5)],
+    ]
+
+
+def test_range_extrema_merge_only_the_slots_each_range_holds():
+    """Ranges of one input hand their extrema over in different forms —
+    typed ``int64``, object, encoded —, each holding values at some slots
+    only.  A range's slot without a value holds the reduction's identity or
+    reads missing in its own form; the merge re-reduces only the slots each
+    range holds, so no identity meets another range's strings (a
+    ``TypeError``) or enters a dictionary."""
+    root = vectorized._SlotRoot(3, {"x": (None, ("count", "min", "max"))}, {}, frozenset())
+    counters = ExecutionCounters()
+
+    def merged(ranges) -> dict:
+        return root.merge([
+            root.finish_morsel({_SLOT: [np.array(slots)], "x": [values]}, counters)
+            for slots, values in ranges
+        ], counters).sums
+
+    mixed = merged([
+        ([1, 1], np.array([7, -(2**63)], dtype=np.int64)),
+        ([2, 1], np.array(["b", None], dtype=object)),
+        ([3, 2, 0], EncodedColumn(np.array([1, 0, 1], dtype=np.int32), np.array(["p", "q"]))),
+    ])
+    assert list(mixed[("x", "count")][1:]) == [2, 2, 1]
+    assert list(mixed[("x", "min")][1:]) == [-(2**63), "b", "q"]
+    assert list(mixed[("x", "max")][1:]) == [7, "p", "q"]
+    ints = merged([
+        ([1], np.array([4], dtype=np.int64)),
+        ([2, 3], EncodedColumn(np.array([0, 1], dtype=np.int32), np.array([-3, 9]))),
+    ])
+    for func in ("min", "max"):
+        column = ints[("x", func)]
+        assert isinstance(column, EncodedColumn) and list(column.values) == [-3, 4, 9]
+        assert [column[slot] for slot in (1, 2, 3)] == [4, -3, 9]
+
+
+def test_cached_partials_are_read_only(tmp_path):
+    """Every array of a cached partial is read-only: a combine that wrote
+    into one would raise instead of corrupting a later answer."""
+    rows = _keyed([index % 4 for index in range(12)], x=lambda key: key, g="ab")
+    _write_chain(str(tmp_path), rows, rows, rows)
+    engine = _chain_engine(str(tmp_path), enable_caching=True)
+    volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+    _cached_runs(engine, volcano, f"SELECT COUNT(*), SUM(j.x), MAX(b.g), AVG(c.y) {_CHAIN}")
+    entries = _partial_entries(engine)
+    assert len(entries) == 3  # one per input: each reduces a part
+    for entry in entries:
+        arrays = entry.data.arrays()
+        assert entry.data.rows is not None and not entry.data.kept
+        assert entry.size_bytes >= sum(array.nbytes for array in arrays) > 0
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
+@pytest.mark.parametrize("changed", ["fb", "fj"])
+def test_reregistering_an_input_dataset_drops_its_partials(tmp_path, changed):
+    """A partial belongs to every dataset its input or the first input
+    scans.  Re-registering the first input's dataset (``fb``) drops every
+    partial of the chain; re-registering another input's (``fj``) drops
+    that input's and keeps the rest.  The next runs answer over the new
+    rows — same cardinalities, other keys — like Volcano."""
+    rows = [
+        {"k": index % 4, "x": index, "y": index / 2, "g": "abc"[index % 3]}
+        for index in range(40)
+    ]
+    _write_chain(str(tmp_path), rows, rows, rows)
+    query = f"SELECT COUNT(*), SUM(j.x), MAX(c.y), MIN(b.g) {_CHAIN}"
+    changed_dir = tmp_path / "changed"
+    changed_dir.mkdir()
+    moved = [dict(row, k=(row["k"] + 1) % 5) for row in rows]
+    _write_chain(str(changed_dir), moved, moved, moved)
+    for label, kwargs in CACHED_CONFIGS.items():
+        engine = _chain_engine(str(tmp_path), **kwargs)
+        volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+        before = _cached_runs(engine, volcano, query)
+        inputs = [
+            [node.dataset for node in subplan.walk() if isinstance(node, PhysScan)]
+            for subplan in factorized_chain(engine.last_plan).inputs
+        ]
+        assert inputs == [["fb"], ["fj"], ["fc"]], label
+        assert len(_partial_entries(engine)) == 3, label
+        for registry in (engine, volcano):
+            if changed == "fb":
+                registry.register_binary_columns("fb", str(changed_dir / "fb"))
+            else:
+                registry.register_json("fj", str(changed_dir / "fj.json"), schema=CHAIN_SCHEMA)
+        kept = {entry.description for entry in _partial_entries(engine)}
+        assert kept == (
+            set() if changed == "fb" else {"per-slot partials of fb", "per-slot partials of fc"}
+        ), label
+        after = _cached_runs(engine, volcano, query)
+        assert repr(after[0].rows) != repr(before[0].rows), label
+        assert after[1].profile.batches_processed == 0, label
+
+
+def test_parameterized_chain_keeps_one_partial_per_bound_value(tmp_path):
+    """A chain whose filter on ``j`` takes a parameter, run at 5, 3 and 5:
+    ``j``'s partials are kept once per bound value and never shared across
+    values; the slot space and the other inputs' partials are shared.  The
+    third run reads no batch."""
+    rows = [
+        {"k": index % 6, "x": index % 11, "y": index / 3, "g": "abcd"[index % 4]}
+        for index in range(40)
+    ]
+    _write_chain(str(tmp_path), rows, rows, rows)
+    query = f"SELECT COUNT(*), SUM(j.x), MAX(c.y), MIN(b.g) {_CHAIN} WHERE j.x < ?"
+    volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+    assert volcano.query(query, 5).rows != volcano.query(query, 3).rows
+    for label, kwargs in CACHED_CONFIGS.items():
+        engine = _chain_engine(str(tmp_path), **kwargs)
+        for bound in (5, 3):
+            _cached_runs(engine, volcano, query, bound, runs=1)
+        (third,) = _cached_runs(engine, volcano, query, 5, runs=1, fresh=False)
+        assert third.profile.batches_processed == 0, label
+        described = sorted(entry.description for entry in _partial_entries(engine))
+        assert described == [
+            "per-slot partials of fb", "per-slot partials of fc",
+            "per-slot partials of fj", "per-slot partials of fj",
+        ], label
+
+
+def test_threads_with_different_bound_values_keep_their_own_partials(tmp_path):
+    """Two barrier-aligned threads run one parameterized chain at different
+    bound values on one caching engine, under aggressive preemption: each
+    gets its own rows, and the cache ends with one partial of the
+    parameterized input per value."""
+    from repro.core.concurrency import run_concurrently, switch_interval
+
+    rows = [
+        {"k": index % 6, "x": index % 11, "y": index / 3, "g": "abcd"[index % 4]}
+        for index in range(40)
+    ]
+    _write_chain(str(tmp_path), rows, rows, rows)
+    query = f"SELECT COUNT(*), SUM(j.x), MAX(c.y) {_CHAIN} WHERE j.x < ?"
+    bounds = (4, 9)
+    volcano = _chain_engine(str(tmp_path), enable_codegen=False)
+    expected = [repr(volcano.query(query, bound).rows) for bound in bounds]
+    assert expected[0] != expected[1]
+    engine = _chain_engine(
+        str(tmp_path), enable_caching=True, parallel_workers=2,
+        vectorized_batch_size=FANOUT_BATCH_SIZE,
+    )
+
+    def task(index: int) -> list[str]:
+        return [repr(engine.query(query, bounds[index]).rows) for _ in range(4)]
+
+    with switch_interval():
+        answers = run_concurrently(task, 2)
+    assert answers == [[expected[0]] * 4, [expected[1]] * 4]
+    # ``fb``, the first input, adds only its row counts: its slots hold them.
+    described = [entry.description for entry in _partial_entries(engine)]
+    assert sorted(described) == [
+        "per-slot partials of fc", "per-slot partials of fj", "per-slot partials of fj",
+    ]
 
 
 # ---------------------------------------------------------------------------
