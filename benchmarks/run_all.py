@@ -496,6 +496,8 @@ def chain_reference(directory: str, quick: bool) -> list[Ratio]:
         kernels = result.profile.join_kernels
         if not kernels or set(kernels) != {"factorized"}:
             raise GateError(f"{name} ran {kernels}, not per key value")
+        if result.profile.group_kernel != "dense":
+            raise GateError(f"{name} grouped by {result.profile.group_kernel}, not dense codes")
         if sorted(result.rows) != reference():
             raise GateError(f"{name} answered {sorted(result.rows)}, not {reference()}")
         samples = paired_rounds(CHAIN_ROUNDS, engine=prepared.execute, reference=reference)

@@ -52,6 +52,8 @@ generated code as ``radix``, after the mixed-radix group code.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -430,42 +432,109 @@ class GroupingResult:
     #: One array per key: the key values of every group, ascending.
     key_arrays: list[np.ndarray]
     #: Which kernel grouped: :data:`KERNEL_DENSE` or :data:`KERNEL_SORTED`.
-    kernel: str = KERNEL_SORTED
+    kernel: str
 
 
 def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
-    """Assign each input row to a group identified by its key combination.
+    """Assign each input row to a group identified by its key combination:
+    the codes of :func:`group_codes`, renumbered by occupied code, so the
+    groups come in the codes' order, ascending (lexicographic) key order (an
+    object key's values first-seen).  Missing keys are one group, as in the
+    Volcano interpreter: code ``-1`` of an encoded key (which groups on its
+    codes and comes back encoded), NaN, ``None``."""
+    codes, span, keys_of, kernel = group_codes(key_arrays)
+    if kernel == KERNEL_SORTED:  # factorized: every code is occupied
+        return GroupingResult(codes, span, keys_of(np.arange(span)), kernel)
+    occupied = np.bincount(codes, minlength=span) > 0
+    present = np.flatnonzero(occupied)
+    # Occupied codes, ascending, are the group ids: one cumulative count.
+    return GroupingResult((np.cumsum(occupied) - 1)[codes], len(present), keys_of(present), kernel)
 
-    Groups are numbered in ascending (lexicographic) key order either way:
-    by the mixed-radix code of the ``key - lo`` digits when every key is
-    integer and the code space is at most :data:`DENSE_GROUP_CODES_PER_ROW`
-    codes per row, by factorization otherwise (an object key's values in
-    first-seen order, see :func:`_factorize`).  Missing keys are one group,
-    as in the Volcano interpreter: code ``-1`` of an encoded key (which
-    groups on its codes and comes back encoded), NaN, ``None``."""
+
+def group_codes(
+    key_arrays: list[np.ndarray],
+) -> tuple[np.ndarray, int, Callable[[np.ndarray], list[np.ndarray]], str]:
+    """Number every row's key combination: ``(every row's code in [0, span),
+    span, the key values of given codes, the kernel)``, the codes in
+    ascending (lexicographic) key order.
+
+    * :data:`KERNEL_DENSE` when every key is integer and the code space is
+      at most :data:`DENSE_GROUP_CODES_PER_ROW` codes a row: the mixed-radix
+      code of the ``key - lo`` digits, one pass a digit, where a code need
+      not be occupied.  An encoded key's digit spans its dictionary (``-1``,
+      missing, up to its last code) without a scan of its codes; only when
+      that space is too wide are the codes' own ranges taken,
+    * :data:`KERNEL_SORTED` otherwise: the key combinations factorized, every
+      code occupied (an object key's values first-seen, see
+      :func:`_factorize`).
+
+    An encoded key groups on its codes and its values come back encoded."""
     if not key_arrays:
         raise ExecutionError("grouping requires at least one key")
-    key_arrays = [
-        keys if isinstance(keys, EncodedColumn) else np.asarray(keys)
-        for keys in key_arrays
-    ]
     length = len(key_arrays[0])
-    if any(len(keys) != length for keys in key_arrays):
-        raise ExecutionError("group key arrays must have equal length")
-    dictionaries = [
-        keys.values if isinstance(keys, EncodedColumn) else None for keys in key_arrays
-    ]
-    key_arrays = [
-        keys.codes if isinstance(keys, EncodedColumn) else keys for keys in key_arrays
-    ]
-    grouping = _dense_group(key_arrays, length)
-    if grouping is None:
-        grouping = _sorted_group(key_arrays, length)
-    grouping.key_arrays = [
-        keys if values is None else EncodedColumn(keys, values)
-        for keys, values in zip(grouping.key_arrays, dictionaries)
-    ]
-    return grouping
+    columns: list[np.ndarray] = []  # an encoded key's codes
+    dictionaries: list[np.ndarray | None] = []
+    for keys in key_arrays:
+        if len(keys) != length:
+            raise ExecutionError("group key arrays must have equal length")
+        encoded = isinstance(keys, EncodedColumn)
+        columns.append(keys.codes if encoded else np.asarray(keys))
+        dictionaries.append(keys.values if encoded else None)
+    ranges = _dense_ranges(columns, dictionaries, length)
+    if ranges is None:
+        codes, first = _factorized_codes(columns, length)
+        span, kernel = len(first), KERNEL_SORTED
+
+        def digits(at: np.ndarray) -> list[np.ndarray]:
+            return [column[first[at]] for column in columns]
+
+    else:
+        spans = [width for _, width in ranges]
+        codes = np.subtract(columns[0], ranges[0][0], dtype=np.intp)
+        for column, (lo, width) in zip(columns[1:], ranges[1:]):
+            codes *= width
+            codes += np.subtract(column, lo, dtype=np.intp)
+        span, kernel = math.prod(spans), KERNEL_DENSE
+
+        def digits(at: np.ndarray) -> list[np.ndarray]:
+            return [
+                (digit + lo).astype(column.dtype)
+                for column, digit, (lo, _) in zip(columns, np.unravel_index(at, spans), ranges)
+            ]
+
+    def keys_of(at: np.ndarray) -> list[np.ndarray]:
+        return [
+            keys if values is None else EncodedColumn(keys, values)
+            for keys, values in zip(digits(at), dictionaries)
+        ]
+
+    return codes, span, keys_of, kernel
+
+
+def _dense_ranges(
+    key_arrays: list[np.ndarray], dictionaries: list[np.ndarray | None], length: int
+) -> list[tuple[int, int]] | None:
+    """``(lo, span)`` of every key's digit when the dense kernel numbers
+    them, else ``None``.  An encoded key's digit spans its dictionary first,
+    and its codes' own range when the code space is too wide that way."""
+    encoded = any(values is not None for values in dictionaries)
+    for dictionary_spans in (True, False) if encoded else (False,):
+        ranges: list[tuple[int, int]] = []
+        capacity = 1
+        for keys, values in zip(key_arrays, dictionaries):
+            if dictionary_spans and values is not None:
+                dense: tuple[int, int] | None = (-1, len(values) + 1)
+            else:
+                dense = dense_range(keys, DENSE_GROUP_CODES_PER_ROW)
+            if dense is None:
+                return None
+            capacity *= dense[1]
+            if capacity > DENSE_GROUP_CODES_PER_ROW * length:
+                break
+            ranges.append(dense)
+        else:
+            return ranges
+    return None
 
 
 def _factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,9 +557,10 @@ def _factorize(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(positions, dtype=object, count=len(positions)), inverse
 
 
-def _sorted_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult:
-    """The factorizing grouping kernel: a mixed-radix code of every key's
-    position among its distinct values, numbered by ``np.unique``."""
+def _factorized_codes(key_arrays: list[np.ndarray], length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted kernel's numbering: a mixed-radix code of every key's
+    position among its distinct values, numbered by ``np.unique`` —
+    ``(every row's code, the first row of each code)``."""
     combined = np.zeros(length, dtype=np.int64)
     capacity = 1  # exact Python int: the mixed-radix code space
     for keys in key_arrays:
@@ -503,45 +573,8 @@ def _sorted_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult:
             capacity = len(seen)
         combined = combined * width + inverse
         capacity *= width
-    unique_codes, first_positions, group_ids = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    return GroupingResult(
-        group_ids=group_ids.astype(np.int64),
-        num_groups=len(unique_codes),
-        key_arrays=[keys[first_positions] for keys in key_arrays],
-    )
-
-
-def _dense_group(key_arrays: list[np.ndarray], length: int) -> GroupingResult | None:
-    """The ``bincount`` grouping kernel, or ``None`` when a key is not
-    integer or the code space exceeds the density bound."""
-    ranges: list[tuple[int, int]] = []
-    capacity = 1
-    for keys in key_arrays:
-        dense = dense_range(keys, DENSE_GROUP_CODES_PER_ROW)
-        if dense is None:
-            return None
-        ranges.append(dense)
-        capacity *= dense[1]
-        if capacity > DENSE_GROUP_CODES_PER_ROW * length:
-            return None
-    code = 0
-    for keys, (lo, span) in zip(key_arrays, ranges):
-        code = code * span + (keys.astype(np.int64, copy=False) - lo)
-    occupied = np.bincount(code, minlength=capacity) > 0
-    present = np.flatnonzero(occupied)
-    digits = np.unravel_index(present, [span for _, span in ranges])
-    return GroupingResult(
-        # Occupied codes, ascending, are the group ids: one cumulative count.
-        group_ids=(np.cumsum(occupied) - 1)[code],
-        num_groups=len(present),
-        key_arrays=[
-            (digit + lo).astype(keys.dtype)
-            for keys, digit, (lo, _) in zip(key_arrays, digits, ranges)
-        ],
-        kernel=KERNEL_DENSE,
-    )
+    _, first, codes = np.unique(combined, return_index=True, return_inverse=True)
+    return codes.astype(np.int64), first
 
 
 def missing_mask(values: np.ndarray | EncodedColumn) -> np.ndarray | None:

@@ -1747,8 +1747,10 @@ class FactorizedChain:
     all when its slots are cached: the slots hold the counts.  With group
     keys, every row of the input they read is an output row of its own,
     weighed by the other inputs' product at its slot, and the rows are
-    added up per group: on the codes of one encoded or dense-integer key one
-    grouped sum a part.
+    added up per group on the codes
+    :func:`~repro.core.executor.radix.group_codes` numbers the keys with,
+    whatever their number and kind: one grouped sum a part, one grouped
+    extremum a MIN/MAX (:func:`_combine_grouped`).
 
     Built once per plan: the fingerprints of every input and key, which the
     cache keys need, are taken here, so an execution folds in only the
@@ -2114,36 +2116,6 @@ def _slot_root(
     )
 
 
-def _key_codes(
-    keys: np.ndarray | EncodedColumn,
-) -> tuple[np.ndarray, int, Callable[[np.ndarray], Any]] | None:
-    """One group key as dense codes: ``(every row's code, the number of
-    codes, the key of given codes)`` for an encoded key (code 0: missing,
-    the group reading ``None``) or a dense integer range within
-    :data:`~repro.core.executor.radix.DENSE_GROUP_CODES_PER_ROW` codes a
-    row; ``None`` for any other key."""
-    if isinstance(keys, EncodedColumn):
-        codes, span = np.add(keys.codes, 1, dtype=np.intp), len(keys.values) + 1
-        values = keys.values
-
-        def decode(groups: np.ndarray) -> Any:
-            return EncodedColumn((groups - 1).astype(np.int32), values)
-
-    else:
-        dense = radix.dense_range(keys, radix.DENSE_GROUP_CODES_PER_ROW)
-        if dense is None:
-            return None
-        lo, span = dense
-        codes, dtype = keys.astype(np.int64, copy=False) - lo, keys.dtype
-
-        def decode(groups: np.ndarray) -> Any:
-            return (groups + lo).astype(dtype)
-
-    if span > radix.DENSE_GROUP_CODES_PER_ROW * len(codes):
-        return None
-    return codes, span, decode
-
-
 #: A per-slot integer column and the largest magnitude it holds.
 _Bounded = tuple[np.ndarray, int]
 
@@ -2232,7 +2204,8 @@ def _combine_per_key(
     dot of the two over the slot space, and a MIN or MAX the extremum of its
     owner's per-slot extrema at the slots every other input holds and it
     has a value at.  With group keys every row of the grouped input stands
-    at its slot (:func:`_combine_grouped`)."""
+    at its slot, and the parts are added up per code of its keys
+    (:func:`_combine_grouped`)."""
     if chain.grouped is not None:
         return _combine_grouped(chain, root, reductions)
     weights = _leave_one_out([reduced.rows for reduced in reductions])
@@ -2280,12 +2253,15 @@ def _combine_grouped(
     (a part of another input: that input's per-slot count or sum times the
     rest), added up per group.
 
-    On the codes of one encoded or dense-integer key (no MIN/MAX) each
-    per-slot weight is gathered at the rows and added up per code, one
-    grouped sum a part; a row whose slot another input lacks weighs 0.  A
-    part of the grouped input itself is its per-row value times the weight,
-    added up per code.  Several keys, other keys or a MIN/MAX keep the rows
-    at slots every input holds and fold them by the group-by root."""
+    The grouped input's keys are numbered by
+    :func:`~repro.core.executor.radix.group_codes`, whatever their number
+    and kind; the groups are the codes with joined rows.  Each per-slot
+    weight is gathered at the rows and added up per code, one grouped sum a
+    part; a row whose slot another input lacks weighs 0.  A part of the
+    grouped input itself is its per-row value times the weight, added up per
+    code.  A MIN or MAX is one grouped extremum per code over the rows with
+    joined rows — of another input, over its per-slot extrema at the rows
+    whose slot it has a value at."""
     grouped = chain.grouped
     assert grouped is not None
     kept = reductions[grouped].kept
@@ -2297,38 +2273,44 @@ def _combine_grouped(
     ])
     joined = weights[grouped]
     assert joined is not None  # a chain has two inputs or more
-    extrema = any(aggregate.func in ("min", "max") for aggregate in root.aggregates)
-    dense = _key_codes(kept[0]) if len(root.keys) == 1 and not extrema else None
-    if dense is None:
-        return _fold_grouped(chain, root, reductions, joined[0], weights)
-    codes, span, decode = dense
-
-    def per_code(weight: np.ndarray) -> np.ndarray:
-        return radix.group_aggregate("sum", codes, span, weight[slots])
-
-    counts = per_code(joined[0])
+    codes, span, keys_of, kernel = radix.group_codes(
+        [kept[index] for index in range(len(root.keys))]
+    )
+    per_row = joined[0][slots]  # every row's joined rows
+    counts = radix.group_aggregate("sum", codes, span, per_row)
     groups = np.flatnonzero(counts > 0)
     if len(groups) == 0:
         return None
+
+    def per_group(weight: np.ndarray) -> np.ndarray:
+        return radix.group_aggregate("sum", codes, span, weight)[groups]
+
     parts: dict[Part, Any] = {}
     for aggregate in root.aggregates:
         fingerprint, func = aggregate.fingerprint(), aggregate.func
         owner = chain.owners.get(fingerprint)
         if owner is None:  # COUNT(*)
-            parts[(fingerprint, "count")] = counts
-            continue
-        if owner == grouped:
-            rows = _row_parts(root, aggregate, kept[fingerprint], joined[0][slots])
+            parts[(fingerprint, "count")] = counts[groups]
+        elif func in ("min", "max"):
+            if owner == grouped:
+                rows = np.flatnonzero(per_row > 0)
+                values, present = kept[fingerprint][rows], fingerprint in root.non_null
+            else:
+                sums = reductions[owner].sums
+                rows = np.flatnonzero((per_row > 0) & (sums[(fingerprint, "count")][slots] > 0))
+                # A held slot's extremum is a value: nothing missing to skip.
+                values, present = sums[(fingerprint, func)][slots[rows]], True
+            extrema, held = radix.group_extremum(func, codes[rows], span, values, present)
+            parts[(fingerprint, func)] = radix.box_empty(extrema[groups], held[groups] == 0)
+        elif owner == grouped:
+            rows = _row_parts(root, aggregate, kept[fingerprint], per_row)
             for part in aggregate_parts(aggregate):
-                parts[part] = radix.group_aggregate("sum", codes, span, rows[part[1]])
-            continue
-        for part in aggregate_parts(aggregate):
-            parts[part] = per_code(_weighed(reductions[owner].sums[part], weights[owner]))
-    return _GroupPartial(
-        [decode(groups)],
-        {part: column[groups] for part, column in parts.items()},
-        radix.KERNEL_DENSE,
-    )
+                parts[part] = per_group(rows[part[1]])
+        else:
+            for part in aggregate_parts(aggregate):
+                weighed = _weighed(reductions[owner].sums[part], weights[owner])
+                parts[part] = per_group(weighed[slots])
+    return _GroupPartial(keys_of(groups), parts, kernel)
 
 
 def _row_parts(
@@ -2345,62 +2327,6 @@ def _row_parts(
         )
         for func in {"count"} | {part[1] for part in aggregate_parts(aggregate)}
     }
-
-
-def _fold_grouped(
-    chain: FactorizedChain,
-    root: _NestRoot,
-    reductions: list[_SlotPartials],
-    joined: np.ndarray,
-    weights: list[_Bounded | None],
-) -> _GroupPartial | None:
-    """The groups of a grouped chain by the group-by root's fold over the
-    kept rows of the grouped input at slots every input holds; ``joined``
-    is COUNT(*) per slot, ``weights`` each other input's leave-one-out
-    product."""
-    grouped = chain.grouped
-    assert grouped is not None
-    kept = reductions[grouped].kept
-    mine = np.flatnonzero(joined[kept[_SLOT]] > 0)
-    if len(mine) == 0:
-        return None
-    at = kept[_SLOT][mine]
-    keys = [kept[index][mine] for index in range(len(root.keys))]
-    columns: dict[Part, Any] = {}
-    for aggregate in root.aggregates:
-        fingerprint, func = aggregate.fingerprint(), aggregate.func
-        owner = chain.owners.get(fingerprint)
-        if owner is None:  # COUNT(*)
-            columns[(fingerprint, "count")] = joined[at]
-        elif owner == grouped and func in ("min", "max"):
-            columns[(fingerprint, func)] = kept[fingerprint][mine]
-        elif func in ("min", "max"):
-            # The owner's extremum at each row's slot, missing where it has
-            # no value there.
-            sums = reductions[owner].sums
-            columns[(fingerprint, func)] = radix.box_empty(
-                sums[(fingerprint, func)][at], sums[(fingerprint, "count")][at] == 0
-            )
-        else:
-            if owner == grouped:
-                rows = _row_parts(root, aggregate, kept[fingerprint][mine], joined[at])
-                present = rows["count"]
-            else:
-                sums = reductions[owner].sums
-                rows = {
-                    part[1]: _weighed(sums[part], weights[owner])[at]
-                    for part in aggregate_parts(aggregate)
-                }
-                present = sums[(fingerprint, "count")][at]
-            total = rows.get("sum")
-            if total is not None and total.dtype.kind == "f":
-                # A row without argument values adds no value at all, so a
-                # group of such rows alone sums to the integer 0 the joined
-                # rows give when the fold keeps it by itself.
-                total[present == 0] = np.nan
-            for part in aggregate_parts(aggregate):
-                columns[part] = rows[part[1]]
-    return root.fold(keys, columns, len(at), set())
 
 
 # ---------------------------------------------------------------------------

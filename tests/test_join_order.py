@@ -167,6 +167,12 @@ CHAIN_QUERIES = [
     # String keys, grouped by the key itself.
     ("SELECT j.g, COUNT(*), SUM(j.x), MAX(c.y) FROM fj j JOIN fc c ON j.g = c.g "
      "GROUP BY j.g", 1),
+    # Several keys; a float key (the sorted kernel); a CSV int key with
+    # missing cells; extrema of the grouped input's own fields.
+    (f"SELECT b.g, b.x, COUNT(*), MIN(b.y), MAX(c.x), SUM(j.x) {_CHAIN} GROUP BY b.g, b.x", 2),
+    (f"SELECT b.y, COUNT(*), SUM(c.x), MIN(j.g) {_CHAIN} GROUP BY b.y", 2),
+    (f"SELECT c.x, COUNT(*), MAX(c.y), MIN(b.g), AVG(j.y) {_CHAIN} GROUP BY c.x", 2),
+    (f"SELECT j.g, MIN(j.x), MAX(j.y), MIN(c.g), COUNT(*) {_CHAIN} GROUP BY j.g", 2),
 ]
 
 _VALUES = st.one_of(st.none(), st.integers(-60, 60))
@@ -516,20 +522,26 @@ def test_grouped_chain_over_few_and_many_keys(tmp_path, distinct_keys):
     """A grouped chain gathers each per-slot weight at the grouped rows and
     adds it up per code: ``b``'s 40 rows under 5 string codes (four values
     and the missing one) over 2 or 30 join keys, so that many rows share a
-    slot or few do.  The dense integer key ``b.x`` alike."""
+    slot or few do.  The dense integer key ``b.x`` alike, and the float key
+    ``b.y`` on the codes of the sorted kernel."""
     keys = [index % distinct_keys for index in range(40)]
     csv_rows = _keyed(keys, x=lambda key: key - 7)
     json_rows = _keyed(keys[::-1], x=lambda key: key * 3, y=lambda key: key / 4)
     binary_rows = [
-        dict(row, g="abcd"[index % 4], x=index % 3)
-        for index, row in enumerate(_keyed(keys, y=0.25))
+        dict(row, g="abcd"[index % 4], x=index % 3, y=(index % 5) / 4)
+        for index, row in enumerate(_keyed(keys))
     ]
     _write_chain(str(tmp_path), csv_rows, json_rows, binary_rows)
-    _per_key_like_volcano(str(tmp_path), [
+    kernels = {
         f"SELECT b.g, COUNT(*), SUM(c.x) AS c, AVG(j.y), SUM(b.x) AS b, COUNT(j.x) {_CHAIN} "
-        "GROUP BY b.g",
-        f"SELECT b.x, COUNT(*), SUM(j.x), AVG(b.y) {_CHAIN} GROUP BY b.x",
-    ])
+        "GROUP BY b.g": "dense",
+        f"SELECT b.x, COUNT(*), SUM(j.x), AVG(b.y) {_CHAIN} GROUP BY b.x": "dense",
+        f"SELECT b.y, COUNT(*), SUM(j.x), MAX(c.x) {_CHAIN} GROUP BY b.y": "sorted",
+    }
+    _per_key_like_volcano(str(tmp_path), list(kernels))
+    engine = _chain_engine(str(tmp_path))
+    for query, kernel in kernels.items():
+        assert engine.query(query).profile.group_kernel == kernel, query
 
 
 def test_extrema_where_one_input_lacks_most_keys(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import ProteusEngine
 from repro.core import types as t
-from repro.core.columns import column_from_values
+from repro.core.columns import EncodedColumn, column_from_values
 from repro.core.types import is_missing
 from repro.core.executor import radix
 from repro.core.expressions import BinaryOp, FieldRef, Literal
@@ -218,6 +218,88 @@ def test_radix_group_counts_and_sums(data, pools):
     assert grouped_keys == sorted(reference_counts)
     assert counts.tolist() == [reference_counts[key] for key in grouped_keys]
     assert sums.tolist() == [reference_sums[key] for key in grouped_keys]
+
+
+@st.composite
+def _group_key(draw, length: int):
+    """One group key column of ``length`` rows: int64 keys from a narrow or
+    wide range, often at an end of int64; an encoded column whose
+    dictionary is sometimes wider than
+    :data:`~repro.core.executor.radix.DENSE_GROUP_CODES_PER_ROW` codes a
+    row (code -1 missing); floats with NaN; or an object column mixing
+    types and missing values (``1 == 1.0 == True`` are one key)."""
+    kind = draw(st.sampled_from(["int", "encoded", "float", "mixed"]))
+    if kind == "int":
+        width = draw(st.sampled_from([0, 3, 40, 2**62]))
+        low = draw(st.one_of(
+            st.sampled_from([-(2**63), 2**63 - 1 - width]),
+            st.integers(-(2**63), 2**63 - 1 - width),
+        ))
+        keys = st.integers(low, low + width)
+        return np.asarray(draw(st.lists(keys, min_size=length, max_size=length)), dtype=np.int64)
+    if kind == "encoded":
+        size = draw(st.one_of(
+            st.integers(1, 6),
+            st.integers(1, 20).map(lambda extra: radix.DENSE_GROUP_CODES_PER_ROW * length + extra),
+        ))
+        codes = st.integers(-1, min(size - 1, 8))
+        return EncodedColumn(
+            np.asarray(draw(st.lists(codes, min_size=length, max_size=length)), dtype=np.int32),
+            np.asarray([f"v{code:05d}" for code in range(size)], dtype=object),
+        )
+    if kind == "float":
+        keys = st.sampled_from([0.5, -2.25, 3.0, 1e300, float("nan")])
+        return np.asarray(draw(st.lists(keys, min_size=length, max_size=length)))
+    keys = st.sampled_from([1, 1.0, True, "a", "1", 2.5, None, float("nan")])
+    values = np.empty(length, dtype=object)
+    values[:] = draw(st.lists(keys, min_size=length, max_size=length))
+    return values
+
+
+def _dense_by_ranges(key_arrays) -> bool:
+    """The kernel rule from the keys' own ranges: every key integer (an
+    encoded key on its codes) and their product at most
+    :data:`~repro.core.executor.radix.DENSE_GROUP_CODES_PER_ROW` codes a row."""
+    codes = [keys.codes if isinstance(keys, EncodedColumn) else keys for keys in key_arrays]
+    if len(codes[0]) == 0 or any(array.dtype.kind not in "iu" for array in codes):
+        return False
+    space = 1
+    for array in codes:
+        space *= int(array.max()) - int(array.min()) + 1
+    return space <= radix.DENSE_GROUP_CODES_PER_ROW * len(codes[0])
+
+
+def _key_values(column) -> list:
+    """A key column's Python values, ``None`` for a missing one."""
+    values = column.decode() if isinstance(column, EncodedColumn) else column
+    return [None if is_missing(value) else value for value in values.tolist()]
+
+
+@SETTINGS
+@given(data=st.data(), count=st.integers(1, 3))
+def test_radix_group_is_group_codes_renumbered_by_occupied_code(data, count):
+    """``radix_group`` is the numbering of ``group_codes`` compacted: its
+    ids are the codes renumbered by occupied code, its keys the keys of the
+    occupied codes, and the kernel the key ranges choose.  Every row's code
+    decodes to its own key, and rows share a code exactly when their keys
+    are equal."""
+    length = data.draw(st.integers(0, 40))
+    key_arrays = [data.draw(_group_key(length)) for _ in range(count)]
+    codes, span, keys_of, kernel = radix.group_codes(key_arrays)
+    grouping = radix.radix_group(key_arrays)
+    assert kernel == grouping.kernel == ("dense" if _dense_by_ranges(key_arrays) else "sorted")
+    assert codes.dtype.kind == "i" and len(codes) == length
+    assert np.all((codes >= 0) & (codes < span))
+    occupied = np.unique(codes)
+    assert grouping.num_groups == len(occupied)
+    assert grouping.group_ids.tolist() == np.searchsorted(occupied, codes).tolist()
+    columns = zip(grouping.key_arrays, keys_of(occupied), keys_of(codes), key_arrays)
+    for grouped, decoded, per_row, keys in columns:
+        assert type(grouped) is type(decoded) is type(keys)
+        assert repr(_key_values(grouped)) == repr(_key_values(decoded))
+        assert _key_values(per_row) == _key_values(keys)
+    rows = list(zip(*(_key_values(keys) for keys in key_arrays)))
+    assert len(occupied) == len(set(rows))
 
 
 # ---------------------------------------------------------------------------
