@@ -135,7 +135,21 @@ def column_from_values(values: list[Any], type_name: str) -> Column:
             return np.asarray(values, dtype=dtype)  # a float None reads as NaN
         except OverflowError:
             pass  # an int beyond int64
+    if type_name == "float":
+        values = list(map(as_float, values))
     return _object_column(values)
+
+
+def as_float(value: Any) -> Any:
+    """A value of a ``float`` field as Volcano and the columns read it: an
+    int as a float (one too large for a float stays an int), anything else
+    as it is."""
+    if type(value) is not int:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return value
 
 
 def column_from_spans(

@@ -441,15 +441,11 @@ GUARDED_BY: dict[str, str] = {
     "CacheManager._clock": "_lock",
     "CacheManager.used_bytes": "_lock",
     "CacheManager.stats": "_lock",
-    # memory manager
-    "MemoryManager._mapped": "_map_lock",
     # plug-in state
     "InputPlugin.scan_seconds": "_metrics_lock",
     "InputPlugin.scan_bytes": "_metrics_lock",
     "InputPlugin.scan_calls": "_metrics_lock",
-    "CsvPlugin._states": "_state_lock",
-    "JsonPlugin._states": "_state_lock",
-    "BinaryColumnPlugin._tables": "_table_lock",
+    "InputPlugin._states": "_state_lock",
     # batch-pipeline cache recorders (shared by morsel workers)
     "_CoverageRecorder._chunks": "_lock",
     # morsel scheduler

@@ -160,7 +160,6 @@ from repro.plugins.binary_col_plugin import BinaryColumnPlugin, BinaryRowPlugin
 from repro.plugins.csv_plugin import CsvPlugin
 from repro.plugins.json_plugin import JsonPlugin
 from repro.storage.catalog import Catalog, DataFormat, Dataset
-from repro.storage.memory import MemoryManager
 from repro.storage.structural_index import DEFAULT_STRIDE
 
 #: Parameter-value environment: positional keys are 0-based ints, named keys
@@ -756,7 +755,6 @@ class ProteusEngine:
         query_memory_budget_bytes: int | None = None,
         io_retry_budget: int = 16,
     ):
-        self.memory = MemoryManager()
         self.catalog = Catalog()
         self.enable_codegen = enable_codegen
         #: Worker count of the batch executor's morsel fan-out; 1 (the
@@ -768,10 +766,10 @@ class ProteusEngine:
             CacheManager(cache_budget_bytes) if enable_caching else None
         )
         self.plugins: dict[str, InputPlugin] = {
-            DataFormat.CSV: CsvPlugin(self.memory),
-            DataFormat.JSON: JsonPlugin(self.memory),
-            DataFormat.BINARY_ROW: BinaryRowPlugin(self.memory),
-            DataFormat.BINARY_COLUMN: BinaryColumnPlugin(self.memory),
+            DataFormat.CSV: CsvPlugin(),
+            DataFormat.JSON: JsonPlugin(),
+            DataFormat.BINARY_ROW: BinaryRowPlugin(),
+            DataFormat.BINARY_COLUMN: BinaryColumnPlugin(),
         }
         #: Cross-query scan sharing (serving layer): concurrent cold scans of
         #: the same registered file coalesce on one in-flight materialization
@@ -1028,7 +1026,7 @@ class ProteusEngine:
         """Forget the plug-in state and the cache entries built from
         ``dataset``'s data."""
         plugin = self.plugins.get(dataset.format)
-        if plugin is not None and hasattr(plugin, "invalidate"):
+        if plugin is not None:
             plugin.invalidate(dataset.name)
         if self.cache_manager is not None:
             self.cache_manager.invalidate_dataset(dataset.name)

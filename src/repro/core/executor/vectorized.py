@@ -2169,7 +2169,10 @@ def _dot(part: np.ndarray, weight: _Bounded) -> Any:
     Python numbers over the weighed slots otherwise."""
     column, bound = weight
     if part.dtype.kind == "f":
-        return float(part @ column.astype(np.float64))
+        # NumPy's own pairwise sum, not BLAS: a BLAS dot's cost depends on
+        # the state of its thread pool, several hundred times apart between
+        # processes on one host.
+        return float((part * column.astype(np.float64)).sum())
     if part.dtype != object and column.dtype != object:
         if radix.int_bound(part) * bound * len(part) < 2**63:
             return int(part @ column)

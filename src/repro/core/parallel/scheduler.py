@@ -11,7 +11,7 @@ cheaper than others.
 :class:`WorkerPool` wraps the queue with a thread-per-worker execution model.
 Threads (rather than processes) are the right fit here: the heavy lifting —
 NumPy slicing, predicate kernels, join probes and sorts — releases the GIL,
-and threads share the memory-mapped inputs, the structural indexes and the
+and threads share the raw inputs in memory, the structural indexes and the
 materialized join build sides without any serialization.  Results are
 returned **in submission order**, which is what makes parallel execution
 deterministic: downstream merges see morsel results exactly as the serial

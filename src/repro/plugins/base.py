@@ -6,7 +6,8 @@ expression generators consume values exclusively through this interface, which
 is what makes the engine extensible ("adding a plug-in suffices to support a
 new data format", §4).
 
-The contract is the calls the two executors make:
+The contract is the calls the two executors make, all of them implemented
+once, here, over the primitives a format supplies:
 
 ==========================  ==================================================
 Caller                      Method
@@ -27,11 +28,32 @@ batch pipeline, unnest      :meth:`InputPlugin.scan_unnest_batch` — a nested
                             ``unnestHasNext()`` / ``unnestGetNext()``).
 Volcano interpreter         :meth:`InputPlugin.iterate_rows` — one dict per
                             object.
+registration                :meth:`InputPlugin.infer_schema`,
+                            :meth:`InputPlugin.collect_statistics` (whole
+                            columns; the statistics feed join ordering, §5.2)
+                            and :meth:`InputPlugin.invalidate`.
 ==========================  ==================================================
 
-Registration adds :meth:`~InputPlugin.infer_schema` and
-:meth:`~InputPlugin.collect_statistics` (over :meth:`~InputPlugin.scan_columns`,
-a whole column at once; the statistics feed join ordering, §5.2).
+A format implements only what is specific to it:
+
+==========================  ==================================================
+Primitive                   What it does
+==========================  ==================================================
+``_open(dataset)``          the one guarded raw-I/O step (``open_operation``):
+                            read the file once and index it, or open a binary
+                            table; returns the dataset's immutable state.
+``_row_count(state)``       how many rows the state serves.
+``_column(..., rows)``      one field for a row range or for given OIDs, as
+                            the column of its declared type.
+``infer_schema``,           the schema and the Volcano records, plus
+``iterate_rows``            ``scan_unnest_batch`` where a format nests.
+==========================  ==================================================
+
+The base keeps the states (one table; each state opened once, published
+under one lock and read lock-free) and the scan loops with their
+fault-harness checkpoints: ``scan-columns`` per whole-column or OID fetch,
+``scan-range`` per batch.  No scan method calls another, so a span wrapped
+around each (the end-to-end benchmark's ``plugins.<fmt>.scan``) never nests.
 """
 
 from __future__ import annotations
@@ -39,7 +61,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -50,7 +72,6 @@ from repro.core.concurrency import make_lock
 from repro.core.types import dig_path  # noqa: F401
 from repro.errors import CorruptDataError, PluginError, StorageError
 from repro.storage.catalog import Dataset, DatasetStatistics
-from repro.storage.memory import MemoryManager
 
 FieldPath = tuple[str, ...]
 
@@ -122,13 +143,15 @@ class UnnestBatch:
 
 
 class InputPlugin(ABC):
-    """Base class of all input plug-ins."""
+    """Base class of all input plug-ins: the state table, the statistics and
+    the scan calls over a format's three primitives (module docstring)."""
 
     #: Format name served by the plug-in (matches ``Dataset.format``).
     format_name: str = "abstract"
+    #: The guarded step :meth:`_open` runs as (fault plans name it).
+    open_operation: str = "index-build"
 
-    def __init__(self, memory: MemoryManager):
-        self.memory = memory
+    def __init__(self) -> None:
         #: Cumulative scan metrics (scraped by the engine's metrics registry
         #: as per-plugin gauges): wall-clock seconds spent inside this
         #: plug-in's scan/parse paths, bytes of columnar data produced, and
@@ -140,6 +163,9 @@ class InputPlugin(ABC):
         self.scan_bytes = 0
         self.scan_calls = 0
         self._metrics_lock = make_lock("InputPlugin._metrics_lock")
+        #: Dataset name -> the state :meth:`_open` returned.
+        self._states: dict[str, Any] = {}
+        self._state_lock = make_lock("InputPlugin._state_lock")
         #: Deterministic fault harness hook (chaos suite): ``None`` in
         #: production; when installed, every :meth:`io_guard` /
         #: :meth:`io_checkpoint` step consults it *beneath* the retry layer.
@@ -152,6 +178,50 @@ class InputPlugin(ABC):
             self.scan_bytes += int(nbytes)
             self.scan_calls += 1
 
+    # -- dataset state ---------------------------------------------------------
+
+    def _state(self, dataset: Dataset) -> Any:
+        # Double-checked locking: concurrent workers hitting a cold dataset
+        # must not open it (and race to publish) twice; once published, the
+        # state is immutable and read lock-free.
+        state = self._states.get(dataset.name)
+        if state is not None:
+            return state
+        with self._state_lock:
+            state = self._states.get(dataset.name)
+            if state is None:
+                state = self.io_guard(self.open_operation, dataset.name, self._open, dataset)
+                self._states[dataset.name] = state
+            return state
+
+    def invalidate(self, dataset_name: str) -> None:
+        """Drop a dataset's state: the next access opens its file again."""
+        with self._state_lock:
+            self._states.pop(dataset_name, None)
+
+    @abstractmethod
+    def _open(self, dataset: Dataset) -> Any:
+        """Read (or map) the dataset's file and index it: its state."""
+
+    @abstractmethod
+    def _row_count(self, state: Any) -> int:
+        """Rows the state serves."""
+
+    @abstractmethod
+    def _column(
+        self, dataset: Dataset, state: Any, path: FieldPath, rows: "range | np.ndarray"
+    ) -> Column:
+        """One field for a row range or for the rows at the given OIDs, as
+        the column of its declared type."""
+
+    def _fill(
+        self, dataset: Dataset, state: Any, paths: Sequence[FieldPath],
+        rows: "range | np.ndarray", buffers: ScanBuffers,
+    ) -> ScanBuffers:
+        for path in paths:
+            buffers.columns[tuple(path)] = self._column(dataset, state, tuple(path), rows)
+        return buffers
+
     # -- resilient raw I/O ----------------------------------------------------
 
     def install_fault_injector(self, injector) -> None:
@@ -159,10 +229,10 @@ class InputPlugin(ABC):
         self.fault_injector = injector
 
     def io_guard(self, operation: str, dataset_name: str | None, fn, *args, **kwargs):
-        """Run one raw-I/O step (an mmap + parse, a batch slice) under the
+        """Run one raw-I/O step (a file read + parse, a table open) under the
         resilience retry policy.
 
-        Transient ``OSError``s — real mmap faults or injected ones — are
+        Transient ``OSError``s — real read faults or injected ones — are
         retried with exponential backoff against the active query's retry
         budget (RES005 once exhausted); ``ValueError`` surfaces immediately
         as corrupt data (RES006).  Faults injected by the chaos harness fire
@@ -184,10 +254,10 @@ class InputPlugin(ABC):
     def io_checkpoint(self, operation: str, dataset_name: str | None) -> None:
         """A zero-work :meth:`io_guard` step for streaming scan paths.
 
-        The hot scan generators operate on bytes already mapped into memory,
-        so they have no real I/O call to wrap — but the chaos harness still
-        needs a deterministic injection point per produced batch.  Without an
-        installed injector this is one attribute test.
+        The scans operate on bytes already in memory, so they have no real
+        I/O call to wrap — but the chaos harness still needs a deterministic
+        injection point per produced batch.  Without an installed injector
+        this is one attribute test.
         """
         if self.fault_injector is None:
             return
@@ -199,15 +269,34 @@ class InputPlugin(ABC):
     def infer_schema(self, dataset: Dataset) -> t.RecordType:
         """Discover the element schema of the dataset."""
 
-    @abstractmethod
     def collect_statistics(self, dataset: Dataset) -> DatasetStatistics:
-        """Gather cardinality and min/max statistics for the dataset."""
+        """Cardinality, and per top-level scalar field the missing count and
+        the numeric range; a field the file does not hold is skipped."""
+        state = self._state(dataset)
+        rows = range(self._row_count(state))
+        statistics = DatasetStatistics(cardinality=len(rows))
+        for field in dataset.schema.fields:
+            if isinstance(field.dtype, (t.RecordType, t.CollectionType)):
+                continue
+            self.io_checkpoint("scan-columns", dataset.name)
+            try:
+                values = self._column(dataset, state, (field.name,), rows)
+            except PluginError:
+                continue
+            statistics.null_counts[field.name] = count_missing(values)
+            extent = value_range(values) if field.dtype.is_numeric() else None
+            if extent is not None:
+                statistics.min_values[field.name], statistics.max_values[field.name] = extent
+        return statistics
 
     # -- bulk (vectorized) access used by the batch pipeline -----------------
 
-    @abstractmethod
     def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
-        """Materialize the requested field paths into columnar buffers."""
+        """Materialize the requested field paths for every row."""
+        state = self._state(dataset)
+        self.io_checkpoint("scan-columns", dataset.name)
+        rows = range(self._row_count(state))
+        return self._fill(dataset, state, paths, rows, ScanBuffers(count=len(rows)))
 
     def scan_columns_at(
         self, dataset: Dataset, paths: Sequence[FieldPath], oids: np.ndarray
@@ -217,21 +306,19 @@ class InputPlugin(ABC):
         This is the *lazy* access path of §5.2: when a selection has already
         filtered most objects away, converting the remaining fields only for
         the qualifying OIDs avoids touching the raw data for objects that were
-        filtered out.  The default implementation extracts full columns and
-        gathers; verbose formats override it with genuinely selective access.
+        filtered out.
         """
-        full = self.scan_columns(dataset, paths)
-        buffers = ScanBuffers(count=len(oids), explicit_oids=np.asarray(oids, dtype=np.int64))
-        for path in paths:
-            buffers.columns[tuple(path)] = full.column(tuple(path))[oids]
-        return buffers
+        state = self._state(dataset)
+        self.io_checkpoint("scan-columns", dataset.name)
+        rows = np.asarray(oids, dtype=np.int64)
+        buffers = ScanBuffers(count=len(rows), explicit_oids=rows)
+        return self._fill(dataset, state, paths, rows, buffers)
 
-    @abstractmethod
     def scan_row_count(self, dataset: Dataset) -> int:
         """Total number of scannable rows: what lets the batch executor split
         a scan into morsel row ranges up front."""
+        return self._row_count(self._state(dataset))
 
-    @abstractmethod
     def scan_batch_ranges(
         self,
         dataset: Dataset,
@@ -241,13 +328,21 @@ class InputPlugin(ABC):
         batch_size: int = 4096,
     ) -> Iterator[ScanBuffers]:
         """Yield the requested fields for global rows ``[start, stop)`` as
-        columnar batches of at most ``batch_size`` rows (OIDs carry the global
-        row positions; rows past :meth:`scan_row_count` are not served).
+        columnar batches of at most ``batch_size`` rows (rows past
+        :meth:`scan_row_count` are not served).
 
-        Disjoint ranges must be servable concurrently from different threads
-        without touching shared mutable plug-in state: this is what the
-        batch executor's morsel workers call.
+        Disjoint ranges are servable concurrently from different threads:
+        the state is immutable once published, which is what the batch
+        executor's morsel workers rely on.
         """
+        state = self._state(dataset)
+        stop = min(stop, self._row_count(state))
+        paths = [tuple(path) for path in paths]
+        for begin in range(start, stop, batch_size):
+            self.io_checkpoint("scan-range", dataset.name)
+            end = min(begin + batch_size, stop)
+            buffers = ScanBuffers(count=end - begin, first=begin)
+            yield self._fill(dataset, state, paths, range(begin, end), buffers)
 
     def scan_batches(
         self,
@@ -260,25 +355,6 @@ class InputPlugin(ABC):
         return self.scan_batch_ranges(
             dataset, paths, 0, self.scan_row_count(dataset), batch_size=batch_size
         )
-
-    def _column_batches(
-        self,
-        dataset: Dataset,
-        arrays: dict[FieldPath, Column],
-        start: int,
-        stop: int,
-        batch_size: int,
-    ) -> Iterator[ScanBuffers]:
-        """:meth:`scan_batch_ranges` over columns already in memory: every
-        batch is a zero-copy slice, so disjoint ranges are trivially safe to
-        serve concurrently."""
-        for begin in range(start, stop, batch_size):
-            self.io_checkpoint("scan-range", dataset.name)
-            end = min(begin + batch_size, stop)
-            buffers = ScanBuffers(count=end - begin, first=begin)
-            for path, array in arrays.items():
-                buffers.columns[path] = array[begin:end]
-            yield buffers
 
     def scan_unnest_batch(
         self,
@@ -311,6 +387,16 @@ class InputPlugin(ABC):
     @abstractmethod
     def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
         """Yield one dict per object, every field populated."""
+
+
+def read_file(path: str) -> bytes:
+    """A raw file's bytes, read once; a missing file is a
+    :class:`StorageError`, not a transient fault to retry."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError as exc:
+        raise StorageError(f"cannot read missing file {path!r}") from exc
 
 
 def count_missing(values: Column) -> int:

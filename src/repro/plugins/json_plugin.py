@@ -26,14 +26,14 @@ import operator
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core import types as t
-from repro.core.concurrency import make_lock
 from repro.core.columns import (
     Column,
+    as_float,
     column_from_spans,
     column_from_values,
     declared_type,
@@ -44,14 +44,12 @@ from repro.errors import PluginError
 from repro.plugins.base import (
     FieldPath,
     InputPlugin,
-    ScanBuffers,
     UnnestBatch,
-    count_missing,
     dig_path as _dig,
     malformed_as_corrupt,
-    value_range,
+    read_file,
 )
-from repro.storage.catalog import Dataset, DatasetStatistics
+from repro.storage.catalog import Dataset
 from repro.storage.structural_index import (
     JsonStructuralIndex,
     TYPE_ARRAY,
@@ -78,49 +76,36 @@ class JsonPlugin(InputPlugin):
 
     format_name = "json"
 
-    def __init__(self, memory):
-        super().__init__(memory)
-        self._states: dict[str, _JsonState] = {}
-        self._state_lock = make_lock("JsonPlugin._state_lock")
+    def _open(self, dataset: Dataset) -> _JsonState:
+        started = time.perf_counter()
+        data = read_file(dataset.path)
+        with malformed_as_corrupt(dataset):
+            index = build_json_index(data, max_depth=dataset.options.get("max_depth", 8))
+        return _JsonState(data, index, time.perf_counter() - started)
 
-    # -- dataset state ---------------------------------------------------------
+    def _row_count(self, state: _JsonState) -> int:
+        return state.index.num_objects
 
-    def _state(self, dataset: Dataset) -> _JsonState:
-        # Double-checked locking: the structural index must be built exactly
-        # once even when parallel workers hit a cold dataset concurrently;
-        # after publication the state is immutable and read lock-free.
-        state = self._states.get(dataset.name)
-        if state is not None:
-            return state
-        with self._state_lock:
-            state = self._states.get(dataset.name)
-            if state is not None:
-                return state
-            started = time.perf_counter()
-
-            def build() -> tuple:
-                # One guarded raw-I/O step: the mmap (where a transient
-                # OSError can surface) plus the structural-index parse
-                # (where malformed bytes surface as RES006).
-                mapped = self.memory.map_file(dataset.path)
-                data = bytes(mapped.data) if mapped.mapped else mapped.data
-                with malformed_as_corrupt(dataset):
-                    index = build_json_index(
-                        data, max_depth=dataset.options.get("max_depth", 8)
-                    )
-                return data, index
-
-            data, index = self.io_guard("index-build", dataset.name, build)
-            state = _JsonState(
-                data=data, index=index, build_seconds=time.perf_counter() - started
+    def _column(
+        self, dataset: Dataset, state: _JsonState, path: FieldPath, rows: "range | np.ndarray"
+    ) -> Column:
+        """One field for the objects at ``rows`` as the column of its
+        declared type: the spans come from one column lookup and convert in
+        bulk when every value has the declared type's token, one Python value
+        per span otherwise."""
+        data = state.data
+        starts, ends, types = state.index.column_spans(".".join(path), rows)
+        type_name = declared_type(dataset.schema, path)
+        token = _TOKENS.get(type_name)
+        missing = (types == TYPE_MISSING) | (types == TYPE_NULL)
+        if token is not None and np.all(missing | (types == token)):
+            quotes = int(token == TYPE_STRING)  # a string's content
+            column = column_from_spans(
+                data, starts + quotes, ends - quotes, type_name, missing, _unescape
             )
-            self._states[dataset.name] = state
-            return state
-
-    def invalidate(self, dataset_name: str) -> None:
-        """Drop per-dataset state (used when the underlying file changes)."""
-        with self._state_lock:
-            self._states.pop(dataset_name, None)
+            if column is not None:
+                return column
+        return column_from_values(_convert_spans(data, starts, ends, types), type_name)
 
     def index_info(self, dataset: Dataset) -> dict:
         """Structural-index metadata used by the benchmarks."""
@@ -133,7 +118,7 @@ class JsonPlugin(InputPlugin):
             "fixed_schema": state.index.fixed_schema,
         }
 
-    # -- schema and statistics ----------------------------------------------------
+    # -- schema ---------------------------------------------------------------------
 
     def infer_schema(self, dataset: Dataset) -> t.RecordType:
         state = self._state(dataset)
@@ -149,99 +134,6 @@ class JsonPlugin(InputPlugin):
         if not isinstance(merged, t.RecordType):
             raise PluginError("JSON dataset does not contain objects")
         return merged
-
-    def collect_statistics(self, dataset: Dataset) -> DatasetStatistics:
-        state = self._state(dataset)
-        statistics = DatasetStatistics(cardinality=state.index.num_objects)
-        for field in dataset.schema.fields:
-            if isinstance(field.dtype, (t.RecordType, t.CollectionType)):
-                continue
-            try:
-                values = self.scan_columns(dataset, [(field.name,)]).column((field.name,))
-            except PluginError:
-                continue
-            statistics.null_counts[field.name] = count_missing(values)
-            extent = value_range(values) if field.dtype.is_numeric() else None
-            if extent is not None:
-                statistics.min_values[field.name], statistics.max_values[field.name] = extent
-        return statistics
-
-    # -- bulk access ----------------------------------------------------------------
-
-    def scan_columns(self, dataset: Dataset, paths: Sequence[FieldPath]) -> ScanBuffers:
-        state = self._state(dataset)
-        self.io_checkpoint("scan-columns", dataset.name)
-        count = state.index.num_objects
-        buffers = ScanBuffers(count=count)
-        for path in paths:
-            buffers.columns[path] = self._extract_column(dataset, state, path)
-        return buffers
-
-    def scan_row_count(self, dataset: Dataset) -> int:
-        return self._state(dataset).index.num_objects
-
-    def scan_batch_ranges(
-        self,
-        dataset: Dataset,
-        paths: Sequence[FieldPath],
-        start: int,
-        stop: int,
-        batch_size: int = 4096,
-    ):
-        """Native batched scan of any object range through the structural
-        index (the columns of :meth:`scan_columns`, row range by row range);
-        disjoint ranges extract concurrently without shared state (morsel
-        fan-out)."""
-        state = self._state(dataset)
-        stop = min(stop, state.index.num_objects)
-        for begin in range(start, stop, batch_size):
-            self.io_checkpoint("scan-range", dataset.name)
-            end = min(begin + batch_size, stop)
-            buffers = ScanBuffers(count=end - begin, first=begin)
-            for path in paths:
-                buffers.columns[tuple(path)] = self._extract_column(
-                    dataset, state, tuple(path), positions=range(begin, end)
-                )
-            yield buffers
-
-    def scan_columns_at(
-        self, dataset: Dataset, paths: Sequence[FieldPath], oids: np.ndarray
-    ) -> ScanBuffers:
-        """Selective (lazy) extraction: convert fields only for the given objects."""
-        state = self._state(dataset)
-        self.io_checkpoint("scan-columns", dataset.name)
-        rows = np.asarray(oids, dtype=np.int64)
-        buffers = ScanBuffers(count=len(rows), explicit_oids=rows)
-        for path in paths:
-            buffers.columns[tuple(path)] = self._extract_column(
-                dataset, state, tuple(path), positions=rows
-            )
-        return buffers
-
-    def _extract_column(
-        self,
-        dataset: Dataset,
-        state: _JsonState,
-        path: FieldPath,
-        positions: "range | np.ndarray | None" = None,
-    ) -> Column:
-        """One field for every object (or the objects at ``positions``) as
-        the column of its declared type: the spans come from one column
-        lookup and convert in bulk when every value has the declared type's
-        token, one Python value per span otherwise."""
-        data = state.data
-        starts, ends, types = state.index.column_spans(".".join(path), positions)
-        type_name = declared_type(dataset.schema, path)
-        token = _TOKENS.get(type_name)
-        missing = (types == TYPE_MISSING) | (types == TYPE_NULL)
-        if token is not None and np.all(missing | (types == token)):
-            quotes = int(token == TYPE_STRING)  # a string's content
-            column = column_from_spans(
-                data, starts + quotes, ends - quotes, type_name, missing, _unescape
-            )
-            if column is not None:
-                return column
-        return column_from_values(_convert_spans(data, starts, ends, types), type_name)
 
     def scan_unnest_batch(
         self,
@@ -310,12 +202,16 @@ class JsonPlugin(InputPlugin):
     # -- tuple-at-a-time access -------------------------------------------------------
 
     def iterate_rows(self, dataset: Dataset) -> Iterator[dict]:
+        """Every object as ``json.loads`` reads it, except that an int in a
+        field declared ``float`` reads as a float, as in its column."""
         state = self._state(dataset)
         data = state.data
         index = state.index
+        coerce = _float_coercer(dataset.schema)
         for position in range(index.num_objects):
             start, end = index.object_span(position)
-            yield json.loads(data[start:end])
+            record = json.loads(data[start:end])
+            yield record if coerce is None else coerce(record)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +226,37 @@ _TOKENS = {
     "float": TYPE_NUMBER,
     "string": TYPE_STRING,
 }
+
+
+def _float_coercer(dtype: t.DataType | None) -> Callable[[Any], Any] | None:
+    """A function that turns the ints at ``dtype``'s declared-``float``
+    places of a parsed value into floats, in place (following records and
+    collections), or ``None`` when ``dtype`` declares no float."""
+    if isinstance(dtype, t.FloatType):
+        return as_float
+    if isinstance(dtype, t.CollectionType):
+        element = _float_coercer(dtype.element)
+        if element is None:
+            return None
+        return lambda value: list(map(element, value)) if isinstance(value, list) else value
+    if not isinstance(dtype, t.RecordType):
+        return None
+    fields = [
+        (field.name, coerce)
+        for field in dtype.fields
+        if (coerce := _float_coercer(field.dtype)) is not None
+    ]
+    if not fields:
+        return None
+
+    def record(value: Any) -> Any:
+        if isinstance(value, dict):
+            for name, coerce in fields:
+                if name in value:
+                    value[name] = coerce(value[name])
+        return value
+
+    return record
 
 
 def _extract_element_values(flat: list, path: FieldPath) -> list:

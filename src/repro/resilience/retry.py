@@ -1,9 +1,9 @@
 """Exponential-backoff retry for transient raw-data I/O.
 
-Querying raw files means every scan crosses the filesystem: a mapped page
-can fault, an NFS read can return ``EIO`` once and succeed on the next
-attempt.  :func:`retry_io` wraps exactly one I/O step (an mmap + parse, a
-batch slice) and classifies failures:
+Querying raw files means every scan crosses the filesystem: a read or a
+mapped page can fault, an NFS read can return ``EIO`` once and succeed on
+the next attempt.  :func:`retry_io` wraps exactly one I/O step (a file read
++ parse, a table open, a batch checkpoint) and classifies failures:
 
 * ``OSError`` is *transient*: retried with exponential backoff, each retry
   charged against the query's retry budget

@@ -1,1 +1,1 @@
-"""Storage substrates: binary file formats, structural indexes, memory manager, catalog."""
+"""Storage substrates: binary file formats, structural indexes, catalog."""

@@ -271,7 +271,7 @@ def read_row_table(path: str, use_mmap: bool = True) -> RowTable:
     schema = schema_from_dict(meta)
     dtype = np.dtype([(name, spec) for name, spec in meta["dtype"]])
     row_count = int(meta["row_count"])
-    if use_mmap:
+    if use_mmap and row_count:  # an empty file cannot be mapped
         data = np.memmap(path, dtype=dtype, mode="r", shape=(row_count,))
     else:
         with open(path, "rb") as handle:

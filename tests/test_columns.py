@@ -323,6 +323,61 @@ def test_values_keep_the_types_volcano_reads(tmp_path, numbers, query):
     _assert_like_volcano(str(tmp_path), [(query, (), True)])
 
 
+def test_declared_float_json_numbers_read_as_floats_on_every_tier(tmp_path):
+    """A JSON field inferred ``float`` from ints beside a ``1.5`` — top
+    level, in a nested record and in a collection's elements — reads floats
+    on every tier, cold and cached, as its CSV twin does: ``0.0``, never
+    ``0``; so does an int beside a string in a declared ``float`` field
+    (an object column)."""
+    numbers = [0, 1, 2, 3, 1.5]
+    with open(tmp_path / "m.json", "w", encoding="utf-8") as handle:
+        for index, g in enumerate(numbers):
+            record = {"id": index, "k": index % 2, "g": g, "o": {"g": g}, "xs": [{"g": g}]}
+            handle.write(json.dumps(record) + "\n")
+    with open(tmp_path / "m.csv", "w", encoding="utf-8") as handle:
+        handle.write("id,k,g\n")
+        handle.writelines(f"{index},{index % 2},{g}\n" for index, g in enumerate(numbers))
+    with open(tmp_path / "o.json", "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps({"id": i, "g": g}) + "\n" for i, g in enumerate([0, "a", 1.5]))
+    queries = [
+        ("SELECT MIN(g), MAX(g), SUM(g) FROM {t}", (), True),
+        ("SELECT k, MIN(g), MAX(g) FROM {t} GROUP BY k", (), False),
+        ("SELECT id, g FROM {t}", (), False),
+        ("SELECT id FROM {t} WHERE g < ?", (2,), False),
+    ]
+    nested = [
+        ("SELECT id, g FROM o", (), False),
+        ("for { r <- m } yield bag (r.id, r.o.g)", (), False),
+        ("for { r <- m, x <- r.xs } yield bag (r.id, x.g)", (), False),
+        ("for { r <- m, x <- r.xs } yield sum (x.g)", (), True),
+    ]
+    engines = {"volcano": ProteusEngine(enable_codegen=False, enable_caching=False)}
+    for label, kwargs in CONFIGS.items():
+        engines[label] = ProteusEngine(enable_caching=False, **kwargs)
+        engines[f"{label}-cached"] = ProteusEngine(**kwargs)
+    for engine in engines.values():
+        engine.register_json("m", str(tmp_path / "m.json"), analyze=True)
+        engine.register_csv("c", str(tmp_path / "m.csv"), analyze=True)
+        engine.register_json("o", str(tmp_path / "o.json"), schema={"id": "int", "g": "float"})
+        if engine.cache_manager is not None:
+            engine.query("SELECT id, k, g FROM m")  # caches every column
+    volcano = engines["volcano"]
+    assert _outcome(volcano, queries[0][0].format(t="m"), (), True) == (
+        "rows", ["(0.0, 3.0, 7.5)"]
+    )
+    for sql, args, ordered in queries:
+        expected = _outcome(volcano, sql.format(t="c"), args, ordered)
+        for label, engine in engines.items():
+            for table in ("m", "c"):
+                outcome = _outcome(engine, sql.format(t=table), args, ordered)
+                assert outcome == expected, (label, table, sql)
+    for sql, args, ordered in nested:
+        expected = _outcome(volcano, sql, args, ordered)
+        assert "(0, 0.0)" in expected[1] or ordered
+        for label, engine in engines.items():
+            assert _outcome(engine, sql, args, ordered) == expected, (label, sql)
+
+
 def test_empty_csv_numbers_are_missing_values(tmp_path):
     """An empty field of a CSV ``int``, ``float`` or ``date`` column is a
     missing value on every tier, as an absent JSON field is — not a

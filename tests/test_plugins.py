@@ -12,7 +12,7 @@ from repro.core.columns import EncodedColumn
 from repro.core.executor.vectorized import ScanOperator
 from repro.core.physical import PhysScan
 from repro.core.profile import ExecutionCounters
-from repro.errors import PluginError
+from repro.errors import PluginError, StorageError
 from repro.plugins import (
     BinaryColumnPlugin,
     BinaryRowPlugin,
@@ -20,14 +20,8 @@ from repro.plugins import (
     JsonPlugin,
 )
 from repro.storage.catalog import DataFormat, Dataset
-from repro.storage.memory import MemoryManager
 
 from tests.conftest import ITEMS_SCHEMA, ORDERS_SCHEMA, ITEM_COUNT, ORDER_COUNT, expected_items, expected_orders
-
-
-@pytest.fixture
-def memory():
-    return MemoryManager()
 
 
 def _dataset(name, fmt, path, schema, **options):
@@ -37,8 +31,8 @@ def _dataset(name, fmt, path, schema, **options):
 # -- CSV plug-in --------------------------------------------------------------------
 
 
-def test_csv_scan_columns(paths, memory):
-    plugin = CsvPlugin(memory)
+def test_csv_scan_columns(paths):
+    plugin = CsvPlugin()
     dataset = _dataset("items", DataFormat.CSV, paths["items_csv"], ITEMS_SCHEMA)
     buffers = plugin.scan_columns(dataset, [("id",), ("price",), ("category",)])
     assert buffers.count == ITEM_COUNT
@@ -49,16 +43,16 @@ def test_csv_scan_columns(paths, memory):
     assert buffers.column(("price",))[10] == pytest.approx(expected[10]["price"])
 
 
-def test_csv_scan_columns_at_is_selective(paths, memory):
-    plugin = CsvPlugin(memory)
+def test_csv_scan_columns_at_is_selective(paths):
+    plugin = CsvPlugin()
     dataset = _dataset("items", DataFormat.CSV, paths["items_csv"], ITEMS_SCHEMA)
     oids = np.asarray([3, 17, 40])
     buffers = plugin.scan_columns_at(dataset, [("qty",)], oids)
     assert list(buffers.column(("qty",))) == [3 % 10, 17 % 10, 40 % 10]
 
 
-def test_csv_infer_schema_and_stats(paths, memory):
-    plugin = CsvPlugin(memory)
+def test_csv_infer_schema_and_stats(paths):
+    plugin = CsvPlugin()
     dataset = _dataset("items", DataFormat.CSV, paths["items_csv"], None)
     schema = plugin.infer_schema(dataset)
     assert schema.field_type("id") is t.INT
@@ -71,8 +65,8 @@ def test_csv_infer_schema_and_stats(paths, memory):
     assert stats.max_values["id"] == ITEM_COUNT - 1
 
 
-def test_csv_iterate_rows(paths, memory):
-    plugin = CsvPlugin(memory)
+def test_csv_iterate_rows(paths):
+    plugin = CsvPlugin()
     dataset = _dataset("items", DataFormat.CSV, paths["items_csv"], ITEMS_SCHEMA)
     rows = list(plugin.iterate_rows(dataset))
     assert len(rows) == ITEM_COUNT
@@ -80,15 +74,15 @@ def test_csv_iterate_rows(paths, memory):
     assert rows[7]["category"] == "cat3"
 
 
-def test_csv_unknown_column(paths, memory):
-    plugin = CsvPlugin(memory)
+def test_csv_unknown_column(paths):
+    plugin = CsvPlugin()
     dataset = _dataset("items", DataFormat.CSV, paths["items_csv"], ITEMS_SCHEMA)
     with pytest.raises(PluginError):
         plugin.scan_columns(dataset, [("missing",)])
 
 
-def test_csv_index_info(paths, memory):
-    plugin = CsvPlugin(memory)
+def test_csv_index_info(paths):
+    plugin = CsvPlugin()
     dataset = _dataset("items", DataFormat.CSV, paths["items_csv"], ITEMS_SCHEMA)
     info = plugin.index_info(dataset)
     assert info["rows"] == ITEM_COUNT
@@ -96,13 +90,13 @@ def test_csv_index_info(paths, memory):
     assert info["build_seconds"] >= 0
 
 
-def test_csv_crlf_line_ends_stay_out_of_values(tmp_path, memory):
+def test_csv_crlf_line_ends_stay_out_of_values(tmp_path):
     """A ``\\r\\n`` file reads like its ``\\n`` twin: the ``\\r`` ends the
     row, it is not part of the last field."""
     path = tmp_path / "crlf.csv"
     path.write_bytes(b"id,label\r\n1,pharma\r\n2,casino\r\n\r\n3,pharma\r\n")
     schema = t.make_schema({"id": "int", "label": "string"})
-    plugin = CsvPlugin(memory)
+    plugin = CsvPlugin()
     dataset = _dataset("crlf", DataFormat.CSV, str(path), schema)
     assert list(plugin.scan_columns(dataset, [("label",)]).column(("label",))) == [
         "pharma", "casino", "pharma",
@@ -118,8 +112,8 @@ def test_csv_crlf_line_ends_stay_out_of_values(tmp_path, memory):
 # -- JSON plug-in ---------------------------------------------------------------------
 
 
-def test_json_scan_flat_and_nested_fields(paths, memory):
-    plugin = JsonPlugin(memory)
+def test_json_scan_flat_and_nested_fields(paths):
+    plugin = JsonPlugin()
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     buffers = plugin.scan_columns(dataset, [("okey",), ("origin", "country")])
     assert buffers.count == ORDER_COUNT
@@ -127,8 +121,8 @@ def test_json_scan_flat_and_nested_fields(paths, memory):
     assert buffers.column(("origin", "country"))[3] == "CH"
 
 
-def test_json_scan_unnest_batch(paths, memory):
-    plugin = JsonPlugin(memory)
+def test_json_scan_unnest_batch(paths):
+    plugin = JsonPlugin()
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     parents = np.arange(ORDER_COUNT, dtype=np.int64)
     batch = plugin.scan_unnest_batch(dataset, ("lines",), [("qty",)], parents)
@@ -140,8 +134,8 @@ def test_json_scan_unnest_batch(paths, memory):
     assert batch.parent_positions().max() < ORDER_COUNT
 
 
-def test_json_scan_unnest_batch_subset_of_parents(paths, memory):
-    plugin = JsonPlugin(memory)
+def test_json_scan_unnest_batch_subset_of_parents(paths):
+    plugin = JsonPlugin()
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     parent_oids = np.asarray([5, 6, 7])
     batch = plugin.scan_unnest_batch(dataset, ("lines",), [("item",)], parent_oids)
@@ -151,7 +145,7 @@ def test_json_scan_unnest_batch_subset_of_parents(paths, memory):
     assert set(batch.parent_positions().tolist()) <= {0, 1, 2}
 
 
-def test_json_columns_convert_in_bulk_per_type(tmp_path, memory):
+def test_json_columns_convert_in_bulk_per_type(tmp_path):
     """Columns convert in bulk per value type and equal ``json.loads`` of each
     object: strings with escapes and non-ASCII text, mixed types, arrays;
     missing fields are None."""
@@ -165,7 +159,7 @@ def test_json_columns_convert_in_bulk_per_type(tmp_path, memory):
     lines = [json.dumps(o, ensure_ascii=i % 2 == 0) for i, o in enumerate(objects)]
     path = tmp_path / "values.json"
     path.write_text("\n".join(lines + ['{"other": 1}']) + "\n", encoding="utf-8")
-    plugin = JsonPlugin(memory)
+    plugin = JsonPlugin()
     schema = t.make_schema({"s": "string", "mixed": "string", "pair": ["int"]})
     dataset = _dataset("values", DataFormat.JSON, str(path), schema)
     buffers = plugin.scan_columns(dataset, [("s",), ("mixed",), ("pair",)])
@@ -175,8 +169,8 @@ def test_json_columns_convert_in_bulk_per_type(tmp_path, memory):
     assert list(picked.column(("s",))) == [None, texts[2], texts[1]]
 
 
-def test_json_unnest_requires_array(paths, memory):
-    plugin = JsonPlugin(memory)
+def test_json_unnest_requires_array(paths):
+    plugin = JsonPlugin()
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     with pytest.raises(PluginError):
         plugin.scan_unnest_batch(
@@ -184,8 +178,8 @@ def test_json_unnest_requires_array(paths, memory):
         )
 
 
-def test_json_scan_columns_at_nested_and_missing_fields(paths, memory):
-    plugin = JsonPlugin(memory)
+def test_json_scan_columns_at_nested_and_missing_fields(paths):
+    plugin = JsonPlugin()
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     fields = [("total",), ("origin", "zone"), ("nonexistent",)]
     picked = plugin.scan_columns_at(dataset, fields, np.asarray([2]))
@@ -197,8 +191,8 @@ def test_json_scan_columns_at_nested_and_missing_fields(paths, memory):
     assert "nonexistent" not in record
 
 
-def test_json_infer_schema(paths, memory):
-    plugin = JsonPlugin(memory)
+def test_json_infer_schema(paths):
+    plugin = JsonPlugin()
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], None,
                        sample_size=20)
     schema = plugin.infer_schema(dataset)
@@ -206,8 +200,8 @@ def test_json_infer_schema(paths, memory):
     assert isinstance(schema.field_type("origin"), t.RecordType)
 
 
-def test_json_index_info_and_one_parent_unnest(paths, memory):
-    plugin = JsonPlugin(memory)
+def test_json_index_info_and_one_parent_unnest(paths):
+    plugin = JsonPlugin()
     dataset = _dataset("orders", DataFormat.JSON, paths["orders_json"], ORDERS_SCHEMA)
     info = plugin.index_info(dataset)
     assert info["objects"] == ORDER_COUNT
@@ -221,8 +215,8 @@ def test_json_index_info_and_one_parent_unnest(paths, memory):
 # -- binary plug-ins -------------------------------------------------------------------
 
 
-def test_binary_column_plugin(paths, memory):
-    plugin = BinaryColumnPlugin(memory)
+def test_binary_column_plugin(paths):
+    plugin = BinaryColumnPlugin()
     dataset = _dataset("items", DataFormat.BINARY_COLUMN, paths["items_columns"], ITEMS_SCHEMA)
     assert plugin.infer_schema(dataset).field_names() == ITEMS_SCHEMA.field_names()
     buffers = plugin.scan_columns(dataset, [("id",), ("price",)])
@@ -232,8 +226,8 @@ def test_binary_column_plugin(paths, memory):
     assert list(plugin.iterate_rows(dataset))[3]["price"] == pytest.approx(4.5)
 
 
-def test_binary_row_plugin(paths, memory):
-    plugin = BinaryRowPlugin(memory)
+def test_binary_row_plugin(paths):
+    plugin = BinaryRowPlugin()
     dataset = _dataset("items", DataFormat.BINARY_ROW, paths["items_rows"], ITEMS_SCHEMA)
     buffers = plugin.scan_columns(dataset, [("qty",), ("category",)])
     assert buffers.count == ITEM_COUNT
@@ -252,8 +246,8 @@ def test_binary_row_plugin(paths, memory):
     (BinaryColumnPlugin, DataFormat.BINARY_COLUMN, "items_columns"),
     (BinaryRowPlugin, DataFormat.BINARY_ROW, "items_rows"),
 ])
-def test_flat_formats_have_no_nested_collections(paths, memory, plugin_class, fmt, path_key):
-    plugin = plugin_class(memory)
+def test_flat_formats_have_no_nested_collections(paths, plugin_class, fmt, path_key):
+    plugin = plugin_class()
     dataset = _dataset("items", fmt, paths[path_key], ITEMS_SCHEMA)
     with pytest.raises(PluginError, match="does not contain nested collections"):
         plugin.scan_unnest_batch(dataset, ("id",), [()], np.arange(3))
@@ -262,13 +256,13 @@ def test_flat_formats_have_no_nested_collections(paths, memory, plugin_class, fm
 # -- cached fields ---------------------------------------------------------------------
 
 
-def test_cache_plugin_serves_cached_fields(tmp_path, memory):
+def test_cache_plugin_serves_cached_fields(tmp_path):
     """The cache is the batch pipeline's access path: ``ScanOperator`` serves
     the fields the manager holds and asks the plug-in only for the rest."""
     path = tmp_path / "ds.json"
     path.write_text("".join(f'{{"x": {i}, "y": {2 * i}}}\n' for i in range(50)))
     dataset = _dataset("ds", DataFormat.JSON, str(path), t.make_schema({"x": "int", "y": "int"}))
-    plugin = JsonPlugin(memory)
+    plugin = JsonPlugin()
     manager = CacheManager(1 << 28)
     values = np.arange(50, dtype=np.int64)
     manager.store(field_cache_key("ds", ("x",)), values, kind="field",
@@ -325,7 +319,7 @@ def _contract_text(type_name, value):
     return str(value)
 
 
-def _contract_dataset(tmp_path, fmt, type_name, values, memory):
+def _contract_dataset(tmp_path, fmt, type_name, values):
     """A one-field table ``x`` of ``values`` in ``fmt`` and its plug-in."""
     import json
 
@@ -342,19 +336,19 @@ def _contract_dataset(tmp_path, fmt, type_name, values, memory):
                 if value is not None or index % 2 == 0:
                     record["x"] = value
                 handle.write(json.dumps(record) + "\n")
-        plugin = JsonPlugin(memory)
+        plugin = JsonPlugin()
     elif fmt == DataFormat.CSV:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("id,x\n")
             for index, value in enumerate(values):
                 handle.write(f"{index},{_contract_text(type_name, value)}\n")
-        plugin = CsvPlugin(memory)
+        plugin = CsvPlugin()
     elif fmt == DataFormat.BINARY_COLUMN:
         write_column_table(path, {"id": ids, "x": values}, schema)
-        plugin = BinaryColumnPlugin(memory)
+        plugin = BinaryColumnPlugin()
     else:
         write_row_table(path, {"id": ids, "x": values}, schema)
-        plugin = BinaryRowPlugin(memory)
+        plugin = BinaryRowPlugin()
     dataset = _dataset("table", DataFormat.JSON if fmt == CACHED else fmt, path, schema)
     return plugin, dataset
 
@@ -394,7 +388,7 @@ def _column_batches(plugin, dataset, fmt, batch_size):
         (CACHED, True),
     ],
 )
-def test_every_plugin_yields_the_declared_column_form(tmp_path, memory, fmt, missing, type_name):
+def test_every_plugin_yields_the_declared_column_form(tmp_path, fmt, missing, type_name):
     """The one form per declared type (``repro.core.columns``):
     ``int``/``date``/``bool`` plain when the converted column has no missing
     value and encoded over a typed dictionary when it has — the raw formats
@@ -405,7 +399,7 @@ def test_every_plugin_yields_the_declared_column_form(tmp_path, memory, fmt, mis
     values = _CONTRACT_VALUES[type_name]
     if not missing:
         values = [value for value in values if value is not None]
-    plugin, dataset = _contract_dataset(tmp_path, fmt, type_name, values, memory)
+    plugin, dataset = _contract_dataset(tmp_path, fmt, type_name, values)
     kind = _KINDS[type_name]
     decoded = []
     for oids, column in _column_batches(plugin, dataset, fmt, batch_size=2):
@@ -419,3 +413,102 @@ def test_every_plugin_yields_the_declared_column_form(tmp_path, memory, fmt, mis
         decoded += [None if t.is_missing(v) else v for v in column.tolist()]
     assert decoded == values
 
+
+
+# -- one contract, every format ----------------------------------------------------------
+
+#: One table, written in each format: ``x`` has a missing value (an empty CSV
+#: field, a JSON null, a binary NaN).
+_SHARED_SCHEMA = t.make_schema({"id": "int", "n": "int", "x": "float", "s": "string"})
+_SHARED = {
+    "id": list(range(7)),
+    "n": [3, -1, 4, 1, -5, 9, 2],
+    "x": [0.5, None, 2.0, -1.25, 3.0, 1.5, 0.0],
+    "s": ["b", "a", "", "é", "a", "c", "b"],
+}
+_PLUGINS = {
+    DataFormat.CSV: CsvPlugin,
+    DataFormat.JSON: JsonPlugin,
+    DataFormat.BINARY_COLUMN: BinaryColumnPlugin,
+    DataFormat.BINARY_ROW: BinaryRowPlugin,
+}
+
+
+def _write_shared(path, fmt, columns):
+    """``columns`` (a dict of equal-length lists, ``None`` = missing) as a
+    file of ``fmt`` at ``path``."""
+    import json
+
+    from repro.storage.binary_format import write_column_table, write_row_table
+
+    names = list(columns)
+    rows = list(zip(*columns.values()))
+    if fmt == DataFormat.CSV:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(names) + "\n")
+            for row in rows:
+                handle.write(",".join("" if v is None else str(v) for v in row) + "\n")
+    elif fmt == DataFormat.JSON:
+        with open(path, "w", encoding="utf-8") as handle:
+            for row in rows:
+                handle.write(json.dumps(dict(zip(names, row))) + "\n")
+    else:
+        write = write_column_table if fmt == DataFormat.BINARY_COLUMN else write_row_table
+        binary = {name: [float("nan") if v is None else v for v in values]
+                  for name, values in columns.items()}
+        write(path, binary, _SHARED_SCHEMA)
+
+
+def _values(column):
+    """A column's values, missing ones as ``None``."""
+    return [None if t.is_missing(value) else value for value in column.tolist()]
+
+
+@pytest.mark.parametrize("fmt", sorted(_PLUGINS))
+def test_every_format_serves_one_contract(tmp_path, fmt):
+    """Every plug-in answers the base's calls alike over the same table:
+    equal statistics field by field (they feed plan facts and shape-template
+    keys), range batches that tile the whole-column scan over an odd split,
+    OID fetches equal to a gather, no batch from an empty file, and the
+    same exception for a missing file."""
+    plugin = _PLUGINS[fmt]()
+    path = str(tmp_path / "shared")
+    _write_shared(path, fmt, _SHARED)
+    dataset = _dataset("shared", fmt, path, _SHARED_SCHEMA)
+
+    statistics = plugin.collect_statistics(dataset)
+    assert statistics.cardinality == 7
+    assert statistics.null_counts == {"id": 0, "n": 0, "x": 1, "s": 0}
+    assert statistics.min_values == {"id": 0, "n": -5, "x": -1.25}
+    assert statistics.max_values == {"id": 6, "n": 9, "x": 3.0}
+    assert statistics.distinct_estimates == {}
+
+    paths = [(name,) for name in _SHARED]
+    whole = plugin.scan_columns(dataset, paths)
+    assert whole.count == plugin.scan_row_count(dataset) == 7
+    for path in paths:
+        assert _values(whole.column(path)) == _SHARED[path[0]]
+    batches = list(plugin.scan_batch_ranges(dataset, paths, 1, 6, batch_size=2))
+    assert [(batch.first, batch.count) for batch in batches] == [(1, 2), (3, 2), (5, 1)]
+    assert np.concatenate([batch.oids for batch in batches]).tolist() == [1, 2, 3, 4, 5]
+    for path in paths:
+        tiled = [value for batch in batches for value in _values(batch.column(path))]
+        assert tiled == _values(whole.column(path))[1:6]
+
+    oids = np.asarray([5, 0, 3, 3], dtype=np.int64)
+    picked = plugin.scan_columns_at(dataset, paths, oids)
+    assert picked.oids.tolist() == oids.tolist()
+    for path in paths:
+        expected = _values(whole.column(path))
+        assert _values(picked.column(path)) == [expected[oid] for oid in oids]
+
+    empty_path = str(tmp_path / "empty")
+    _write_shared(empty_path, fmt, {name: [] for name in _SHARED})
+    empty = _dataset("empty", fmt, empty_path, _SHARED_SCHEMA)
+    assert plugin.scan_row_count(empty) == 0
+    assert list(plugin.scan_batches(empty, paths)) == []
+    assert plugin.collect_statistics(empty).cardinality == 0
+
+    missing = _dataset("missing", fmt, str(tmp_path / "missing"), _SHARED_SCHEMA)
+    with pytest.raises(StorageError):
+        plugin.scan_row_count(missing)

@@ -1,5 +1,5 @@
-"""Unit tests for the storage substrates: binary formats, structural indexes,
-memory manager and catalog."""
+"""Unit tests for the storage substrates: binary formats, structural indexes
+and the catalog."""
 
 import json
 import os
@@ -11,7 +11,6 @@ from repro.core import types as t
 from repro.errors import CatalogError, StorageError
 from repro.storage import binary_format as bf
 from repro.storage.catalog import Catalog, DataFormat, Dataset, DatasetStatistics
-from repro.storage.memory import MemoryManager
 from repro.storage import structural_index as si
 
 
@@ -267,25 +266,6 @@ def test_json_index_size_is_fraction_of_file():
     data = _json_bytes(objects)
     index = si.build_json_index(data)
     assert 0 < index.size_bytes < len(data)
-
-
-# -- memory manager --------------------------------------------------------------------
-
-
-def test_memory_manager_maps_files(tmp_path):
-    path = tmp_path / "data.bin"
-    path.write_bytes(b"hello world")
-    manager = MemoryManager()
-    mapped = manager.map_file(str(path))
-    assert bytes(mapped.data[:5]) == b"hello"
-    assert str(path) in manager.mapped_files[0]
-    manager.release_all()
-
-
-def test_memory_manager_missing_file():
-    manager = MemoryManager()
-    with pytest.raises(StorageError):
-        manager.map_file("/does/not/exist")
 
 
 # -- catalog ----------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.core.physical import PhysUnnest
 from repro.errors import ExecutionError
 from repro.plugins.base import flatten_collections
 from repro.plugins.json_plugin import JsonPlugin
-from repro.storage.memory import MemoryManager
 
 ORDER_COUNT = 240
 
