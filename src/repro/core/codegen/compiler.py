@@ -46,11 +46,12 @@ class GeneratedQuery:
                 f"no generated function evaluates {expression!r}"
             ) from exc
 
-    def __call__(self, executor, plan, chain) -> tuple[list[str], dict[str, Any]]:
-        """Run ``plan`` through the batch pipeline on these functions — the
-        once-per-execution entry of the ``codegen`` tier.  ``chain`` is the
-        plan's per-key join chain (``None``: the joins probe and gather)."""
-        return executor.execute(plan, self, chain)
+    def __call__(self, executor, program) -> tuple[list[str], dict[str, Any]]:
+        """Run ``program``, the plan's
+        :class:`~repro.core.executor.vectorized.PipelineProgram` built on
+        these functions, through the batch pipeline — the once-per-execution
+        entry of the ``codegen`` tier."""
+        return executor.execute(program)
 
 
 def compile_query(

@@ -366,8 +366,19 @@ SHARED_CLASSES: dict[str, str] = {
     ),
     "QueryShape": (
         "a PreparedQuery's shape is read by every thread executing it; its "
-        "one write after construction, the generated module, is published "
-        "by PreparedQuery._publish_module under PreparedQuery._lock"
+        "two writes after construction, the generated module and the "
+        "pipeline program, are published by PreparedQuery._publish_module / "
+        "_publish_program under PreparedQuery._lock"
+    ),
+    "PipelineProgram": (
+        "one shape's program is run by every thread executing the shape; it "
+        "is immutable once published — each execution's state lives in its "
+        "own VectorizedExecutor"
+    ),
+    "_NestRoot": (
+        "a group-by root is part of its shape's program, shared by every "
+        "execution: ranges fold into per-call state, and the kernels chosen "
+        "go to the execution's profile"
     ),
     "CacheManager": (
         "shared by every query thread's batch pipeline; morsel workers "

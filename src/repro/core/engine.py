@@ -86,13 +86,12 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.caching.coalesce import ScanCoalescer, ScanLease
 from repro.caching.manager import CacheManager
-from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.core.types import python_value as _python_value
 from repro.core.analysis import (
@@ -114,6 +113,7 @@ from repro.core.concurrency import make_lock
 from repro.core.executor.vectorized import (
     DEFAULT_BATCH_SIZE,
     FactorizedChain,
+    PipelineProgram,
     VectorizedExecutor,
     factorized_chain,
 )
@@ -127,7 +127,6 @@ from repro.core.profile import ExecutionProfile
 from repro.core.physical import (
     PhysNest,
     PhysReduce,
-    PhysScan,
     PhysSort,
     PhysUnnest,
     PhysicalPlan,
@@ -309,9 +308,12 @@ class ResultSet:
 class QueryShape:
     """Everything derived from one physical plan, computed once when the plan
     is made and dropped with it: the schema analysis and its nullability
-    hints, the capability verdicts and the tier they predict, the per-key
-    join chain, the frontend phases that made it and — set by the plan's
-    first execution — the generated module.
+    hints, the capability verdicts and the tier they predict, the frontend
+    phases that made it and — set by the plan's first ``codegen`` execution
+    — the generated module and, beside it, the
+    :class:`~repro.core.executor.vectorized.PipelineProgram` (the per-key
+    join chain included) every later execution runs without deriving
+    anything from the plan.
 
     The verdicts are computed with code generation on; ``enable_codegen`` is
     a plain engine attribute callers may flip between executions, so
@@ -320,22 +322,24 @@ class QueryShape:
     time: unknown nested fields, mixed-type comparisons and invalid
     aggregate inputs never reach an executor."""
 
-    __slots__ = ("_by_flag", "chain", "generated", "phases")
+    __slots__ = ("_by_flag", "generated", "program", "phases")
 
     def __init__(
         self,
-        plan: PhysicalPlan,
         by_flag: tuple[PlanAnalysis, PlanAnalysis],
         generated: GeneratedQuery | None = None,
     ):
         #: The plan's analysis with code generation off, then on.
         self._by_flag = by_flag
-        #: The join chain an aggregate over the plan may run per key value.
-        self.chain: FactorizedChain | None = factorized_chain(unwrap_sort(plan))
         #: The plan's generated module, published once under the owning
         #: PreparedQuery's lock (``None`` until the first codegen execution,
         #: and after a generator failure, so the next execution retries).
         self.generated = generated
+        #: The plan's pipeline program, published once under the owning
+        #: PreparedQuery's lock by the first codegen execution; it names
+        #: the plan's datasets, so a shape over other datasets builds its
+        #: own.
+        self.program: PipelineProgram | None = None
         #: ``(phase, seconds)`` of the parse / plan / analyze work that made
         #: this shape, reported by its first execution only: taken (and
         #: emptied) under the owning PreparedQuery's lock.
@@ -351,19 +355,19 @@ class QueryShape:
         schema = analyze_schema(plan, catalog)
         verdicts = tier_verdicts(plan, enable_codegen=True)
         return cls(
-            plan,
             (
                 PlanAnalysis(schema.columns, (CODEGEN_DISABLED, *verdicts[1:]), schema.hints),
                 PlanAnalysis(schema.columns, verdicts, schema.hints),
             ),
         )
 
-    def over(self, plan: PhysicalPlan) -> QueryShape:
-        """This shape for ``plan``, a copy of its plan whose scans read other
-        datasets with equal plan facts.  The analysis, the verdicts and the
-        module name no dataset (the plan's expressions read aliases), so
-        they are shared; the join chain holds plan nodes and is rebuilt."""
-        return QueryShape(plan, self._by_flag, self.generated)
+    def over(self) -> QueryShape:
+        """This shape for a copy of its plan whose scans read other datasets
+        with equal plan facts.  The analysis, the verdicts and the module
+        name no dataset (the plan's expressions read aliases), so they are
+        shared; the program holds plan nodes and datasets, and is built by
+        the new shape's first execution."""
+        return QueryShape(self._by_flag, self.generated)
 
 
 class PreparedQuery:
@@ -371,13 +375,14 @@ class PreparedQuery:
 
     Holds the bound comprehension, the logical plan, the physical plan of
     one query text and that plan's :class:`QueryShape` — its analysis,
-    verdicts, join chain and generated module.  ``?`` / ``:name``
+    verdicts, generated module and pipeline program.  ``?`` / ``:name``
     placeholders stay abstract :class:`~repro.core.expressions.Parameter`
-    nodes, so one plan, one shape and one module serve every execution
-    regardless of the bound constants.
+    nodes, so one plan, one shape, one module and one program serve every
+    execution regardless of the bound constants.
 
     :meth:`execute` binds values and runs the cascade directly: no parsing,
-    no binding, no analysis and no code generation happen on the hot path.
+    no binding, no analysis, no code generation and no lowering of the plan
+    happen on the hot path.
     The first execution with bound values re-runs the *optimizer* once with
     those constants feeding selectivity estimation (join order / build side),
     then the plan is frozen; its new shape finds the module in the engine's
@@ -498,6 +503,16 @@ class PreparedQuery:
             if shape.generated is None:
                 shape.generated = generated
             return shape.generated
+
+    def _publish_program(
+        self, shape: QueryShape, program: PipelineProgram
+    ) -> PipelineProgram:
+        """Set ``shape``'s pipeline program once, beside its module; the
+        first of concurrent first executions wins, as for the module."""
+        with self._lock:
+            if shape.program is None:
+                shape.program = program
+            return shape.program
 
     @property
     def parameters(self) -> list[int | str]:
@@ -670,7 +685,7 @@ class _ShapeTemplate:
         node the plan a full prepare would build — and its shape over it,
         which reports the time since ``started`` as its ``parse`` phase."""
         plan = rename_datasets(self.plan, dict(zip(self.datasets, datasets)))
-        shape = self.shape.over(plan)
+        shape = self.shape.over()
         prepared = PreparedQuery(
             engine, text, None, None, plan, shape, self.parameter_keys, epoch
         )
@@ -681,13 +696,16 @@ class _ShapeTemplate:
 @dataclass(frozen=True)
 class _QueryMetrics:
     """The metrics every execution records into, looked up in the registry
-    once per engine."""
+    once per engine — with the series every completed query adds to bound
+    once too, so recording one sorts no labels."""
 
     latency: Histogram
-    queries: Counter
-    rows: Counter
     declines: Counter
-    compilations: Counter
+    #: The queries counter by tier, the rows counter, and the compilations
+    #: counter by whether the module was generated before, bound.
+    served: Mapping[str, Callable[..., None]]
+    returned: Callable[..., None]
+    compiled: Mapping[bool, Callable[..., None]]
     io_retries: Counter
     morsels_dispatched: Counter
     morsels_stolen: Counter
@@ -698,21 +716,27 @@ class _QueryMetrics:
 
     @classmethod
     def bind(cls, metrics: MetricsRegistry) -> _QueryMetrics:
+        queries = metrics.counter(
+            "proteus_queries_total", "Queries executed, by serving tier."
+        )
+        rows = metrics.counter(
+            "proteus_rows_returned_total", "Result rows returned to callers."
+        )
+        compilations = metrics.counter(
+            "proteus_codegen_compilations_total",
+            "Generated-program executions, by program-cache outcome.",
+        )
         return cls(
             latency=metrics.histogram("proteus_query_seconds", "End-to-end query latency."),
-            queries=metrics.counter(
-                "proteus_queries_total", "Queries executed, by serving tier."
-            ),
-            rows=metrics.counter(
-                "proteus_rows_returned_total", "Result rows returned to callers."
-            ),
             declines=metrics.counter(
                 "proteus_tier_declines_total", "Tier declines, by tier and verdict code."
             ),
-            compilations=metrics.counter(
-                "proteus_codegen_compilations_total",
-                "Generated-program executions, by program-cache outcome.",
-            ),
+            served={tier: queries.labeled(tier=tier) for tier in ("codegen", "volcano")},
+            returned=rows.labeled(),
+            compiled={
+                True: compilations.labeled(outcome="cache-hit"),
+                False: compilations.labeled(outcome="fresh"),
+            },
             io_retries=metrics.counter(
                 "proteus_io_retries_total",
                 "Transient raw-data I/O failures recovered by retrying.",
@@ -1176,7 +1200,11 @@ class ProteusEngine:
                     f"[{verdict.code}]"
                 )
         parts.extend(
-            ["", "== vectorized fan-out ==", self._planned_fanout(physical, shape.chain)]
+            [
+                "",
+                "== vectorized fan-out ==",
+                self._planned_fanout(physical, factorized_chain(unwrap_sort(physical))),
+            ]
         )
         return "\n".join(parts)
 
@@ -1423,28 +1451,40 @@ class ProteusEngine:
         trace = None
         leases: list[ScanLease] = []
         try:
+            # The tier cascade, before admission: the analysis under the
+            # codegen flag, then the shape's module and program — built by
+            # its first codegen execution, read by every later one.  The
+            # trace starts after admission and reports the shape's frontend
+            # phases (taken by the first admitted execution only) and these.
+            phases: list[tuple[str, float]] = []
+            cascade_started = time.perf_counter()
+            analysis = shape.analysis(self.enable_codegen)
+            phases.append(("tier-cascade", time.perf_counter() - cascade_started))
+            program = self._program(prepared, physical, shape, analysis, profile, phases)
             if self.admission is not None:
                 # Queue for a slot only as long as the deadline just started
                 # allows: a short query behind a full controller fails fast.
                 slot = self.admission.admit(
-                    self._estimate_query_bytes(physical), deadline=context.deadline
+                    self._estimate_query_bytes(physical, program), deadline=context.deadline
                 )
             trace = self.tracer.begin(
-                query_text or "<plan>", physical, prepared._take_phases(shape)
+                query_text or "<plan>", physical, prepared._take_phases(shape) + phases
             )
             # Cross-query scan sharing: lead or join the in-flight cold
             # scans this plan touches.  Runs after admission (the front
             # door) and inside the abort handling below, because a
             # coalesced wait honours the deadline/cancellation checks.
-            if self._scan_coalescer is not None:
-                leases = self._coalesce_cold_scans(physical, context)
+            # Only the batch pipeline reads (and fills) the field cache, so
+            # only its executions coalesce.
+            if program is not None and self._scan_coalescer is not None:
+                leases = self._coalesce_cold_scans(program, context)
             # The context is published thread-locally so code that cannot
             # take a parameter (plug-in I/O beneath a scan) still finds the
             # retry budget and deadline; the worker pool re-publishes it on
             # its own threads.
             with activate_context(context):
                 return self._execute_with_context(
-                    prepared, physical, shape, params, query_text, started,
+                    program, physical, analysis.hints, params, query_text, started,
                     context, trace,
                 )
         except ProteusError as exc:
@@ -1485,43 +1525,29 @@ class ProteusEngine:
     _MAX_COALESCE_ROUNDS = 8
 
     def _coalesce_cold_scans(
-        self, physical: PhysicalPlan, context: QueryContext
+        self, program: PipelineProgram, context: QueryContext
     ) -> list[ScanLease]:
         """Lead or join the in-flight materialization of every *cold* raw
-        scan in ``physical``; returns the leases this query must release
+        scan of ``program``; returns the leases this query must release
         (in ``_execute``'s ``finally``) after its execution stored them.
 
-        A scan is coalescable when its dataset's format would actually be
-        cached by the policy (verbose sources — JSON, CSV; binary sources
-        are cheap to re-scan and the default policy never caches them) and
-        at least one of its field columns is missing from the cache.
-        Datasets are acquired in sorted order so two queries covering the
-        same datasets can never deadlock waiting on each other's leases.
+        The program lists the scans that are coalescable — their dataset's
+        format would actually be cached by the policy (verbose sources —
+        JSON, CSV; binary sources are cheap to re-scan and the default
+        policy never caches them) — by dataset name; one is cold when at
+        least one of its field columns is missing from the cache, however
+        warm the cache was when the plan was made.  Datasets are acquired
+        in sorted order so two queries covering the same datasets can never
+        deadlock waiting on each other's leases.
         """
         manager = self.cache_manager
         coalescer = self._scan_coalescer
         leases: list[ScanLease] = []
         if manager is None or coalescer is None:
             return leases
-        cold: dict[str, list[tuple]] = {}
-        for node in physical.walk():
-            # The scan reads raw bytes for every column the cache no longer
-            # holds, however warm the cache was when the plan was made.
-            if not isinstance(node, PhysScan):
+        for name, keys in program.cold_scans:
+            if all(manager.peek(key) is not None for key in keys):
                 continue
-            if node.dataset in cold or not node.paths:
-                continue
-            try:
-                dataset = self.catalog.get(node.dataset)
-            except ProteusError:
-                continue
-            if not manager.policy.should_cache_field(dataset.format):
-                continue
-            keys = [field_cache_key(dataset.name, path) for path in node.paths]
-            if any(manager.peek(key) is None for key in keys):
-                cold[dataset.name] = keys
-        for name in sorted(cold):
-            keys = cold[name]
             for _ in range(self._MAX_COALESCE_ROUNDS):
                 lease = coalescer.acquire(name, context)
                 if lease is not None:
@@ -1537,9 +1563,9 @@ class ProteusEngine:
 
     def _execute_with_context(
         self,
-        prepared: PreparedQuery,
+        program: PipelineProgram | None,
         physical: PhysicalPlan,
-        shape: QueryShape,
+        hints: NullabilityHints,
         params: ParamValues | None,
         query_text: str | None,
         started: float,
@@ -1552,27 +1578,10 @@ class ProteusEngine:
         bound_limit = (
             resolve_limit(sort_plan.limit, params) if sort_plan is not None else None
         )
-        cascade_started = time.perf_counter()
-        analysis = shape.analysis(self.enable_codegen)
-        if trace is not None:
-            trace.add_phase(
-                "tier-cascade", time.perf_counter() - cascade_started
-            )
-        generated, from_cache, verdicts = self._generate(
-            prepared, physical, shape, analysis.verdicts, trace
-        )
         profile = context.profile
-        profile.predicted_tier = analysis.predicted_tier
-        profile.tier_decline_reasons = {
-            v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
-        }
         execute_started = time.perf_counter()
-        if generated is not None:
-            profile.compiled_from_cache = from_cache
-            names, columns = self._execute_pipeline(
-                generated, physical, shape.chain, params, analysis.hints,
-                trace, context,
-            )
+        if program is not None:
+            names, columns = self._execute_pipeline(program, params, trace, context)
         else:
             profile.execution_tier = "volcano"
             names, columns = self._execute_volcano(
@@ -1604,7 +1613,7 @@ class ProteusEngine:
                 data,
                 sort_plan.keys,
                 bound_limit,
-                analysis.hints.non_null_columns,
+                hints.non_null_columns,
             )
             if trace is not None:
                 trace.operator(
@@ -1679,15 +1688,14 @@ class ProteusEngine:
         if error is not None:
             self._count_query_failure(error)
             return
-        metrics.queries.inc(tier=profile.execution_tier)
-        metrics.rows.inc(result_rows)
+        tier = profile.execution_tier
+        metrics.served[tier]()
+        metrics.returned(result_rows)
         for declined, reason in profile.tier_decline_reasons.items():
             code = reason.partition("]")[0].lstrip("[") or "unknown"
             metrics.declines.inc(tier=declined, code=code)
-        if profile.execution_tier == "codegen":
-            metrics.compilations.inc(
-                outcome="cache-hit" if profile.compiled_from_cache else "fresh"
-            )
+        if tier == "codegen":
+            metrics.compiled[profile.compiled_from_cache]()
         if profile.io_retries:
             metrics.io_retries.inc(profile.io_retries)
         if profile.parallel_workers > 1:
@@ -1698,27 +1706,71 @@ class ProteusEngine:
         if self._query_metrics is not None:
             self._query_metrics.failures.inc(code=_failure_code(exc))
 
-    def _estimate_query_bytes(self, physical: PhysicalPlan) -> int:
+    def _estimate_query_bytes(
+        self, physical: PhysicalPlan, program: PipelineProgram | None
+    ) -> int:
         """Admission-control memory estimate: for each scanned dataset,
         cardinality × referenced columns × 8 bytes (one float64-sized buffer
         per column).  Deliberately crude — it only has to rank queries well
         enough for the byte budget to keep a runaway scan from starving the
         rest; datasets without collected statistics contribute nothing, so
-        admission degrades to the pure concurrency bound for them."""
+        admission degrades to the pure concurrency bound for them.  The
+        scans are the program's; a plan Volcano serves is walked."""
+        if program is not None:
+            scans = [(scan.dataset, scan.paths) for scan in program.scans]
+        else:
+            scans = []
+            for node in scans_of(physical):
+                try:
+                    scans.append((self.catalog.get(node.dataset), node.paths))
+                except ProteusError:
+                    continue
         total = 0
-        for node in physical.walk():
-            if not isinstance(node, PhysScan):
-                continue
-            try:
-                dataset = self.catalog.get(node.dataset)
-            except ProteusError:
-                continue
+        for dataset, paths in scans:
             statistics = dataset.statistics
-            if statistics is None:
-                continue
-            columns = max(len(node.paths), 1)
-            total += int(statistics.cardinality) * columns * 8
+            if statistics is not None:
+                total += int(statistics.cardinality) * max(len(paths), 1) * 8
         return total
+
+    def _program(
+        self,
+        prepared: PreparedQuery,
+        physical: PhysicalPlan,
+        shape: QueryShape,
+        analysis: PlanAnalysis,
+        profile: ExecutionProfile,
+        phases: list[tuple[str, float]],
+    ) -> PipelineProgram | None:
+        """The shape's pipeline program, built (and published beside its
+        module) by its first codegen execution; ``None`` when the Volcano
+        interpreter serves the plan.  Writes the cascade decision into the
+        execution's profile and a fresh module's generation time to
+        ``phases``."""
+        generated, from_cache, verdicts = self._generate(
+            prepared, physical, shape, analysis.verdicts, phases
+        )
+        profile.predicted_tier = analysis.predicted_tier
+        profile.tier_decline_reasons = {
+            v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
+        }
+        if generated is None:
+            return None
+        profile.compiled_from_cache = from_cache
+        program = shape.program
+        if program is None:
+            manager = self.cache_manager
+            program = prepared._publish_program(
+                shape,
+                PipelineProgram(
+                    physical,
+                    generated,
+                    analysis.hints,
+                    self.catalog,
+                    self.plugins,
+                    None if manager is None else manager.policy.should_cache_field,
+                ),
+            )
+        return program
 
     def _generate(
         self,
@@ -1726,7 +1778,7 @@ class ProteusEngine:
         physical: PhysicalPlan,
         shape: QueryShape,
         verdicts: tuple[TierVerdict, ...],
-        trace: TraceBuilder | None = None,
+        phases: list[tuple[str, float]] | None = None,
     ) -> tuple[GeneratedQuery | None, bool, tuple[TierVerdict, ...]]:
         """The plan's generated module, whether it was generated before, and
         the verdicts it leaves — before any batch runs, for ``execute()``
@@ -1752,8 +1804,8 @@ class ProteusEngine:
             if generated is None:
                 codegen_started = time.perf_counter()
                 generated = self.generator.generate(expressions)
-                if trace is not None:
-                    trace.add_phase("codegen", time.perf_counter() - codegen_started)
+                if phases is not None:
+                    phases.append(("codegen", time.perf_counter() - codegen_started))
                 # Concurrent cold executions of one shape race to generate;
                 # the first publication wins so every thread runs the same
                 # functions.
@@ -1770,30 +1822,25 @@ class ProteusEngine:
 
     def _execute_pipeline(
         self,
-        generated: GeneratedQuery,
-        physical: PhysicalPlan,
-        chain: FactorizedChain | None,
+        program: PipelineProgram,
         params: ParamValues | None,
-        hints: NullabilityHints | None,
         trace: TraceBuilder | None,
         context: QueryContext,
     ) -> tuple[list[str], dict[str, Any]]:
-        """THE batch-pipeline entry of the ``codegen`` tier: the executor
-        runs this plan on its generated expression functions, counting into
-        ``context``'s profile."""
-        self.last_generated_source = generated.source
+        """THE batch-pipeline entry of the ``codegen`` tier: one executor
+        runs the shape's program on its generated expression functions,
+        counting into ``context``'s profile."""
+        self.last_generated_source = program.generated.source
         executor = VectorizedExecutor(
             self.catalog,
-            self.plugins,
             context,
             batch_size=self.vectorized_batch_size,
             num_workers=self.parallel_workers,
             cache_manager=self.cache_manager,
             params=params,
-            hints=hints,
             trace=trace,
         )
-        return generated(executor, physical, chain)
+        return program.generated(executor, program)
 
     def _execute_volcano(
         self,

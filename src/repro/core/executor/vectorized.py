@@ -11,9 +11,15 @@ and output head of the plan (literals inlined, parameters looked up), and
 the stages and root tasks call those functions through the plan's
 :class:`~repro.core.codegen.GeneratedQuery`.
 
-A plan is lowered by :class:`PipelineCompiler` into a
+A plan is lowered once per query shape into a :class:`PipelineProgram`:
+:class:`PipelineCompiler` derives from the plan and the catalog everything
+its executions need — one step per operator with its generated functions,
+its scan's dataset, field-cache keys and deferred fields, its join's
+build-side cache key and live columns — and the root's layout.  Each
+execution's :class:`VectorizedExecutor` opens the steps into a
 :class:`CompiledPipeline` — one :class:`ScanOperator` batch source plus a
-list of per-batch stages:
+list of per-batch stages — with its own parameters, cache probes, build
+sides and spans:
 
 * :class:`SelectStage` evaluates the predicate once per batch into a boolean
   mask; sitting directly on a CSV/JSON scan it makes the scan *lazy* (§5.2):
@@ -64,8 +70,8 @@ under the context's lock when the morsel ends (aborted or not) — so an
 abort's progress is the work of every morsel that ran.
 
 The plan root is a *root task* (:class:`_RootTask`): a partial state per
-scan range plus an ordered merge.  :class:`VectorizedExecutor` compiles
-the pipeline once, builds one root task and — decided by
+scan range plus an ordered merge.  :class:`VectorizedExecutor` opens the
+pipeline once, takes one root task from the program and — decided by
 :func:`repro.core.parallel.plan_fanout` from the worker count, the driving
 scan's row count in whole morsels and whether the root groups — either runs
 it inline over the whole scan or hands morsels to the work-stealing fan-out
@@ -118,7 +124,7 @@ from repro.caching.matching import (
     join_side_cache_key,
     unnest_cache_key,
 )
-from repro.core.analysis.model import EMPTY_HINTS, NullabilityHints
+from repro.core.analysis.model import NullabilityHints
 from repro.core.concurrency import make_lock
 from repro.core.aggregate_utils import replace_aggregates, unique_output_columns
 from repro.core import types as t
@@ -145,8 +151,9 @@ from repro.core.physical import (
     PhysicalPlan,
     expressions_of,
     parameters_of,
+    unwrap_sort,
 )
-from repro.core.profile import ExecutionCounters
+from repro.core.profile import ExecutionCounters, ExecutionProfile
 from repro.core.sort import TopKAccumulator, concat_chunks, resolve_limit
 from repro.errors import ExecutionError, PluginError
 from repro.obs.trace import SpanAccumulator, TraceBuilder
@@ -178,6 +185,9 @@ Evaluator = Callable[["Batch"], Any]
 
 #: Virtual-buffer key: (binding, field path).
 ColumnKey = tuple[str, tuple[str, ...]]
+
+#: One execution's bound query-parameter values.
+Params = Mapping[int | str, object] | None
 
 
 @dataclass
@@ -356,8 +366,65 @@ class _CoverageRecorder:
         return ordered if ordered and covered == total_rows else None
 
 
+class Step:
+    """One operator of a :class:`PipelineProgram`, made once per shape by
+    :class:`PipelineCompiler`; ``open`` builds its part of one execution's
+    :class:`CompiledPipeline` against that execution's
+    :class:`VectorizedExecutor`."""
+
+    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
+        raise NotImplementedError
+
+    def open_input(self, run: VectorizedExecutor) -> tuple[CompiledPipeline, Evaluator | None]:
+        """The pipeline of this step as the input of a factorized chain, and
+        the predicate its :class:`SlotStage` applies as a mask (``None``:
+        none)."""
+        return self.open(run), None
+
+
+@dataclass(frozen=True)
+class ScanStep(Step):
+    """One scan of a :class:`PipelineProgram`: its plan node, the dataset and
+    plug-in it reads, its field paths with their field-cache keys, the
+    fields a selection directly above it defers (§5.2) and whether anything
+    above reads its OIDs — all fixed by the plan and the catalog, so one
+    shape derives them once."""
+
+    node: PhysScan
+    dataset: Dataset
+    plugin: InputPlugin
+    paths: tuple[FieldPath, ...]
+    #: The field-cache key of every path, in ``paths`` order.
+    keys: tuple[tuple, ...]
+    deferred: frozenset[FieldPath] = frozenset()
+    oids: bool = True
+
+    @classmethod
+    def of(
+        cls,
+        node: PhysScan,
+        dataset: Dataset,
+        plugin: InputPlugin,
+        deferred: frozenset[FieldPath] = frozenset(),
+        oids: bool = True,
+    ) -> ScanStep:
+        paths = tuple(tuple(path) for path in node.paths)
+        keys = tuple(field_cache_key(dataset.name, path) for path in paths)
+        return cls(node, dataset, plugin, paths, keys, deferred, oids)
+
+    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
+        span = None
+        if run.trace is not None:
+            span = run.trace.operator(
+                f"scan:{self.dataset.name}", node=self.node, detail=self.plugin.format_name
+            )
+        operator = ScanOperator(self, run.cache_manager, run.params, span)
+        run.cache_writers.append(operator)
+        return CompiledPipeline(operator, [], run.context)
+
+
 class ScanOperator:
-    """Produces the batch stream of one :class:`PhysScan`.
+    """Produces the batch stream of one :class:`ScanStep` in one execution.
 
     The operator is the engine's single cache path: field columns held by
     the caching manager are served (and counted as hits) instead of
@@ -366,11 +433,11 @@ class ScanOperator:
     extracted by a *complete* scan are admitted to the cache afterwards
     (:meth:`store_materialized`).
 
-    ``deferred`` names the fields a selection directly above the scan does
-    not need to evaluate its predicate: those that are not cached are left
-    out of the stream and converted by :meth:`fetch_deferred` for the
+    The step's ``deferred`` fields — those a selection directly above the
+    scan does not need to evaluate its predicate — that are not cached are
+    left out of the stream and converted by :meth:`fetch_deferred` for the
     surviving OIDs only (§5.2, lazy plug-in behaviour).  Batches carry the
-    scan's OIDs only for such a fetch or when ``oids`` says an operator
+    scan's OIDs only for such a fetch or when the step says an operator
     above reads them (an unnest addressing its collections by them).
 
     Batch production is side-effect-free apart from the counters argument and
@@ -381,39 +448,33 @@ class ScanOperator:
 
     def __init__(
         self,
-        plan: PhysScan,
-        dataset: Dataset,
-        plugin: InputPlugin,
+        step: ScanStep,
         cache_manager=None,
         params: Mapping[int | str, object] | None = None,
-        deferred: frozenset[FieldPath] = frozenset(),
         span: SpanAccumulator | None = None,
-        oids: bool = True,
     ):
-        self.plan = plan
-        self.binding = plan.binding
-        self.dataset = dataset
-        self.plugin = plugin
+        self.binding = step.node.binding
+        self.dataset = step.dataset
+        self.plugin = plugin = step.plugin
         self.cache_manager = cache_manager
         self.params = params
         #: The scan's span in a traced run; ``None`` untraced.
         self.span = span
-        self.paths = [tuple(path) for path in plan.paths]
         self._cached: dict[FieldPath, np.ndarray] = {}
         if cache_manager is not None:
-            for path in self.paths:
-                entry = cache_manager.lookup(field_cache_key(dataset.name, path))
+            for path, key in zip(step.paths, step.keys):
+                entry = cache_manager.lookup(key)
                 if entry is not None:
                     self._cached[path] = entry.data
-        uncached = [path for path in self.paths if path not in self._cached]
-        self._uncached = [path for path in uncached if path not in deferred]
-        self._deferred = [path for path in uncached if path in deferred]
+        uncached = [path for path in step.paths if path not in self._cached]
+        self._uncached = [path for path in uncached if path not in step.deferred]
+        self._deferred = [path for path in uncached if path in step.deferred]
         #: Do the batches carry the OIDs: does anything above read them?
-        self.emit_oids = oids or bool(self._deferred)
+        self.emit_oids = step.oids or bool(self._deferred)
         if self._cached and not self._uncached:
             self.total_rows = len(next(iter(self._cached.values())))
         else:
-            self.total_rows = plugin.scan_row_count(dataset)
+            self.total_rows = plugin.scan_row_count(self.dataset)
         # Chunk recorder for cache materialization: worth the references only
         # when the manager could admit at least one column of this format.
         self._recorder: _CoverageRecorder | None = None
@@ -639,9 +700,9 @@ class UnnestStage:
     * **scan-backed** (``plugin`` is set) — the parent binding's OIDs address
       the raw source directly; the plug-in flattens them with its
       offset-vector ``scan_unnest_batch``.  When the stage sits directly on
-      the scan (``full_scan``) every parent passes through in order, so the
-      flattened output is served from the adaptive cache when present and
-      admitted to it after a complete run.
+      the scan (its step has a ``cache_key``) every parent passes through in
+      order, so the flattened output is served from the adaptive cache when
+      present and admitted to it after a complete run.
     * **column-backed** (``plugin`` is ``None``) — the parent binding is
       itself an unnest variable (nested-in-nested); the collection was
       materialized as an object column by the parent stage and is flattened
@@ -653,39 +714,29 @@ class UnnestStage:
     field is not a collection fails with the interpreter's error.
     """
 
-    def __init__(
-        self,
-        plan: PhysUnnest,
-        dataset: Dataset | None,
-        plugin: InputPlugin | None,
-        predicate: Evaluator | None,
-        cache_manager=None,
-        total_rows: int = 0,
-        type_names: list[str] | None = None,
-    ):
-        self.binding = plan.binding
-        self.path = plan.path
-        self.var = plan.var
-        self.element_paths = [tuple(path) for path in plan.element_paths]
-        self.predicate = predicate
-        self.outer = plan.outer
-        self.dataset = dataset
-        self.plugin = plugin
-        self.type_names = type_names
+    def __init__(self, step: UnnestStep, cache_manager=None, total_rows: int = 0):
+        node = step.node
+        self.binding = node.binding
+        self.path = node.path
+        self.var = node.var
+        self.element_paths = step.element_paths
+        self.predicate = step.predicate
+        self.outer = node.outer
+        self.dataset = step.dataset
+        self.plugin = step.plugin
+        self.type_names = step.type_names
         #: Values one flattened row accounts for in the extraction counters.
         self._width = max(len(self.element_paths), 1)
         self.cache_manager = cache_manager
         self.total_rows = total_rows
+        self._cache_key = step.cache_key
         self._cached: _CachedUnnest | None = None
         self._recorder: _CoverageRecorder | None = None
-        if cache_manager is not None and plugin is not None:
-            self._cache_key = unnest_cache_key(
-                dataset.name, self.path, self.element_paths, self.outer
-            )
-            entry = cache_manager.lookup(self._cache_key)
+        if cache_manager is not None and step.cache_key is not None:
+            entry = cache_manager.lookup(step.cache_key)
             if entry is not None:
                 self._cached = entry.data
-            elif cache_manager.policy.should_cache_field(plugin.format_name):
+            elif cache_manager.policy.should_cache_field(step.plugin.format_name):
                 self._recorder = _CoverageRecorder()
 
     def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
@@ -874,7 +925,7 @@ class CompiledPipeline:
 def build_side_key(side: PhysicalPlan, key: Expression) -> tuple[tuple, tuple]:
     """The cache key of the key slots of plan ``side`` keyed by ``key``,
     short of the bound parameter values, and the parameters of both, whose
-    values complete it (:meth:`PipelineCompiler.bound_key`)."""
+    values complete it (:meth:`VectorizedExecutor.bound_key`)."""
     parameters = dict.fromkeys(parameters_of(side))
     parameters.update((parameter.key, None) for parameter in iter_parameters(key))
     return join_side_cache_key(side.fingerprint(), key.fingerprint()), tuple(parameters)
@@ -885,208 +936,243 @@ def scanned(plan: PhysicalPlan) -> tuple[str, ...]:
     return tuple(dict.fromkeys(node.dataset for node in plan.walk() if isinstance(node, PhysScan)))
 
 
+@dataclass(frozen=True)
+class SelectStep(Step):
+    """A selection: its predicate's function; directly on a scan, the scan
+    defers the fields the predicate does not read (§5.2)."""
+
+    node: PhysSelect
+    child: Step
+    predicate: Evaluator
+    on_scan: bool
+
+    def _source(self, run: VectorizedExecutor) -> tuple[CompiledPipeline, ScanOperator | None]:
+        """The pipeline beneath, and its scan when that deferred fields —
+        the cache decides per execution which ones it still has to."""
+        pipeline = self.child.open(run)
+        lazy = self.on_scan and pipeline.source.lazy
+        return pipeline, pipeline.source if lazy else None
+
+    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
+        pipeline, lazy_scan = self._source(run)
+        run.add_stage(pipeline, self.node, SelectStage(self.predicate, lazy_scan))
+        return pipeline
+
+    def open_input(self, run: VectorizedExecutor) -> tuple[CompiledPipeline, Evaluator | None]:
+        """The predicate goes to the chain's :class:`SlotStage` as a mask
+        instead of a stage gathering the rows that pass — unless the
+        selection sits on a lazy scan, which fetches the deferred fields of
+        exactly those rows."""
+        pipeline, lazy_scan = self._source(run)
+        if lazy_scan is None:
+            return pipeline, self.predicate
+        run.add_stage(pipeline, self.node, SelectStage(self.predicate, lazy_scan))
+        return pipeline, None
+
+
+@dataclass(frozen=True)
+class UnnestStep(Step):
+    """An unnest: the dataset and plug-in of its parent's scan (``None``
+    for nested-in-nested, whose collection is a materialized column of the
+    element types ``type_names``), and — directly on the scan — the cache
+    key of its flattened output."""
+
+    node: PhysUnnest
+    child: Step
+    dataset: Dataset | None
+    plugin: InputPlugin | None
+    predicate: Evaluator | None
+    element_paths: tuple[FieldPath, ...]
+    type_names: list[str] | None
+    cache_key: tuple | None
+
+    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
+        pipeline = self.child.open(run)
+        stage = UnnestStage(self, run.cache_manager, pipeline.source.total_rows)
+        run.cache_writers.append(stage)
+        run.add_stage(pipeline, self.node, stage)
+        return pipeline
+
+
+@dataclass(frozen=True)
+class HashJoinStep(Step):
+    """A hash join: its build side's step, key functions and cache key (its
+    :func:`build_side_key` and the datasets it scans), the probe side's
+    step and the :class:`Live` columns of its output."""
+
+    node: PhysHashJoin
+    left: Step
+    right: Step
+    left_key: Evaluator
+    right_key: Evaluator
+    residual: Evaluator | None
+    live: Live
+    side_key: tuple[tuple, tuple]
+    scans: tuple[str, ...]
+
+    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
+        """Materialize the build side (or take the rows and slots a chain
+        that did not run per key value hands over), then open the probe
+        side and append the probe stage to it."""
+        left, space = run.built.pop(id(self.node.left), (None, None))
+        if left is None:
+            left = run.materialize(self.left.open(run))
+        pipeline = self.right.open(run)
+        if left.count == 0 or pipeline.always_empty:
+            # An inner join with an empty build side produces nothing; bail
+            # out before key evaluation (an empty Batch has no columns to
+            # evaluate the key on).
+            pipeline.always_empty = True
+            return pipeline
+        if space is None:
+            cache_key = run.bound_key(self.side_key)
+            space = run.cached(cache_key)
+            if space is None:
+                space = run.build_side(cache_key, self.scans, self.left_key, left)
+        run.join_kernels.append(space.kernel)
+        run.add_stage(
+            pipeline,
+            self.node,
+            HashJoinStage(left, space, self.right_key, self.residual, self.live),
+        )
+        return pipeline
+
+
+@dataclass(frozen=True)
+class LoopJoinStep(Step):
+    """A nested-loop join: its build side's step, predicate and the
+    :class:`Live` columns of its output."""
+
+    node: PhysNestedLoopJoin
+    left: Step
+    right: Step
+    predicate: Evaluator | None
+    live: Live
+
+    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
+        left = run.materialize(self.left.open(run))
+        pipeline = self.right.open(run)
+        if left.count == 0 or pipeline.always_empty:
+            pipeline.always_empty = True
+            return pipeline
+        run.add_stage(
+            pipeline, self.node, NestedLoopJoinStage(left, self.predicate, self.live)
+        )
+        return pipeline
+
+
+
 class PipelineCompiler:
-    """Lower a physical plan subtree into a :class:`CompiledPipeline`.
+    """Lower a physical plan into the steps of a :class:`PipelineProgram` —
+    once per query shape.
 
-    Join build sides are materialized *during* compilation (they are blocking
-    operators) through the executor's ``materializer`` — which runs them
-    inline or fans their scans out, by the same decision as the plan root —
-    and their keys are numbered in one pass unless the adaptive cache
-    already holds the key slots of the same build side.
-
-    ``compile`` walks the plan top-down with the operators ``above`` the
-    current node, so a join learns which of its output columns are read
-    above it without a walk of its own.
+    Everything a step needs that the plan and the catalog fix is derived
+    here: each expression's generated function (``evaluator``, the plan's
+    ``GeneratedQuery.function_for``), each scan's dataset, plug-in,
+    field-cache keys, deferred fields and OID flag, each unnest's source,
+    each join's build-side cache key and :class:`Live` output.  ``compile``
+    walks the plan top-down with the operators ``above`` the current node,
+    so a join learns which of its output columns are read above it, and a
+    scan whether an unnest above reads its OIDs, without a walk of their
+    own.  What an execution decides — which fields the cache holds, the
+    build sides' rows and key slots, the kernels — is left to
+    :meth:`VectorizedExecutor.execute`.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
-        batch_size: int,
-        materializer: Callable[[CompiledPipeline], Batch],
         evaluator: Callable[[Expression], Evaluator],
-        context: QueryContext,
-        cache_manager=None,
-        params: Mapping[int | str, object] | None = None,
-        trace: TraceBuilder | None = None,
     ):
         self.catalog = catalog
         self.plugins = plugins
-        self.batch_size = max(int(batch_size), 1)
-        self.cache_manager = cache_manager
-        self.materializer = materializer
-        #: Expression -> its generated per-batch function (the plan's
-        #: ``GeneratedQuery.function_for``).
         self.evaluator = evaluator
-        #: Bound query-parameter values, attached to every scan batch.
-        self.params = params
-        #: Per-query resilience context, handed to every compiled pipeline
-        #: so batch processing observes deadline/cancel; its profile counts
-        #: the build rows numbered while compiling.
-        self.context = context
-        #: Span trace of the current execution; ``None`` (the default) gives
-        #: every stage and scan no span — tracing costs nothing when off.
-        self.trace = trace
-        #: Every scan operator and full-scan unnest stage created while
-        #: compiling — the executor flushes their cache materializations
-        #: after a successful run.
-        self.cache_writers: list = []
-        #: The kernel of every hash join compiled, in plan walk order.
-        self.join_kernels: list[str] = []
-        #: Build sides whose key slots are known — with their rows when
-        #: already materialized —, by plan node: a chain that did not run
-        #: per key value hands its first input over.
-        self.built: dict[int, tuple[Batch | None, radix.KeySlots]] = {}
+        #: Every scan step made, in plan walk order.
+        self.scans: list[ScanStep] = []
+        #: Steps compiled ahead, by plan node (a join chain's inputs, which
+        #: its probe tree reuses).
+        self.compiled: dict[int, Step] = {}
 
-    def compile(
-        self, plan: PhysicalPlan, above: tuple[PhysicalPlan, ...] = ()
-    ) -> CompiledPipeline:
+    def compile(self, plan: PhysicalPlan, above: tuple[PhysicalPlan, ...] = ()) -> Step:
+        known = self.compiled.get(id(plan))
+        if known is not None:
+            return known
         below = above + (plan,)
         if isinstance(plan, PhysScan):
-            return self._scan_pipeline(plan, above=above)
+            return self._scan(plan, above=above)
         if isinstance(plan, PhysSelect):
-            pipeline, lazy_scan = self._select_source(plan, below)
-            self.add_stage(
-                pipeline, plan, SelectStage(self.evaluator(plan.predicate), lazy_scan)
+            child: Step
+            if isinstance(plan.child, PhysScan):
+                child = self._scan(plan.child, plan.predicate, below)
+            else:
+                child = self.compile(plan.child, below)
+            return SelectStep(
+                plan, child, self.evaluator(plan.predicate), isinstance(child, ScanStep)
             )
-            return pipeline
         if isinstance(plan, PhysUnnest):
-            type_names = None
             dataset, plugin = self._scan_source(plan, plan.binding)
+            type_names = None
             if dataset is None:
                 # The parent binding is itself an unnest variable
                 # (nested-in-nested): the collection travels as a
                 # materialized object column instead of plug-in OIDs.
                 element = element_type(self._binding_type(plan.child, plan.binding), plan.path)
                 type_names = [declared_type(element, path) for path in plan.element_paths]
-            pipeline = self.compile(plan.child, below)
+            child = self.compile(plan.child, below)
+            element_paths = tuple(tuple(path) for path in plan.element_paths)
             # Directly over its scan the stage sees every parent, in order:
             # only then may the flattened output come from / go to the cache.
-            full_scan = isinstance(plan.child, PhysScan)
-            stage = UnnestStage(
-                plan,
-                dataset,
-                plugin,
-                self._optional(plan.predicate),
-                cache_manager=self.cache_manager if full_scan else None,
-                total_rows=pipeline.source.total_rows,
-                type_names=type_names,
+            cache_key = None
+            if dataset is not None and isinstance(plan.child, PhysScan):
+                cache_key = unnest_cache_key(dataset.name, plan.path, element_paths, plan.outer)
+            return UnnestStep(
+                plan, child, dataset, plugin, self._optional(plan.predicate),
+                element_paths, type_names, cache_key,
             )
-            self.cache_writers.append(stage)
-            self.add_stage(pipeline, plan, stage)
-            return pipeline
         if isinstance(plan, PhysHashJoin):
-            left, space = self.built.pop(id(plan.left), (None, None))
-            if left is None:
-                left = self.materializer(self.compile(plan.left, below))
-            pipeline = self.compile(plan.right, below)
-            if left.count == 0 or pipeline.always_empty:
-                # An inner join with an empty build side produces nothing;
-                # bail out before key evaluation (an empty Batch has no
-                # columns to evaluate the key on).
-                pipeline.always_empty = True
-                return pipeline
-            if space is None:
-                cache_key = self.bound_key(build_side_key(plan.left, plan.left_key))
-                space = self.cached(cache_key)
-                if space is None:
-                    space = self.build_side(
-                        cache_key, scanned(plan.left), plan.left_key, left
-                    )
-            self.join_kernels.append(space.kernel)
-            self.add_stage(
-                pipeline,
+            left = self.compile(plan.left, below)
+            return HashJoinStep(
                 plan,
-                HashJoinStage(
-                    left,
-                    space,
-                    self.evaluator(plan.right_key),
-                    self._optional(plan.residual),
-                    live_above(above, plan.residual),
-                ),
+                left,
+                self.compile(plan.right, below),
+                self.evaluator(plan.left_key),
+                self.evaluator(plan.right_key),
+                self._optional(plan.residual),
+                live_above(above, plan.residual),
+                build_side_key(plan.left, plan.left_key),
+                scanned(plan.left),
             )
-            return pipeline
         if isinstance(plan, PhysNestedLoopJoin):
-            left = self.materializer(self.compile(plan.left, below))
-            pipeline = self.compile(plan.right, below)
-            if left.count == 0 or pipeline.always_empty:
-                pipeline.always_empty = True
-                return pipeline
-            self.add_stage(
-                pipeline,
+            left = self.compile(plan.left, below)
+            return LoopJoinStep(
                 plan,
-                NestedLoopJoinStage(
-                    left,
-                    self._optional(plan.predicate),
-                    live_above(above, plan.predicate),
-                ),
+                left,
+                self.compile(plan.right, below),
+                self._optional(plan.predicate),
+                live_above(above, plan.predicate),
             )
-            return pipeline
         raise ExecutionError(
             f"cannot interpret operator {plan.describe()} over batches"
         )
 
-    def compile_input(self, plan: PhysicalPlan) -> tuple[CompiledPipeline, Evaluator | None]:
-        """The pipeline of one input of a factorized chain, and the
-        predicate of a selection at its root, which the chain's
-        :class:`SlotStage` applies as a mask instead of a stage gathering
-        the rows that pass — unless the selection sits on a lazy scan, which
-        fetches the deferred fields of exactly those rows."""
-        if isinstance(plan, PhysSelect):
-            pipeline, lazy_scan = self._select_source(plan, (plan,))
-            predicate = self.evaluator(plan.predicate)
-            if lazy_scan is None:
-                return pipeline, predicate
-            self.add_stage(pipeline, plan, SelectStage(predicate, lazy_scan))
-            return pipeline, None
-        return self.compile(plan), None
-
-    def _select_source(
-        self, plan: PhysSelect, below: tuple[PhysicalPlan, ...]
-    ) -> tuple[CompiledPipeline, ScanOperator | None]:
-        """The pipeline under selection ``plan``, and its scan when that
-        defers fields until after the filter."""
-        if isinstance(plan.child, PhysScan):
-            pipeline = self._scan_pipeline(plan.child, plan.predicate, below)
-            return pipeline, pipeline.source if pipeline.source.lazy else None
-        return self.compile(plan.child, below), None
-
-    def store_scan_caches(self) -> None:
-        """Flush the recorded cache materializations (main thread)."""
-        for writer in self.cache_writers:
-            writer.store_materialized()
-
-    def add_stage(self, pipeline: CompiledPipeline, node: PhysicalPlan, stage) -> None:
-        """Append ``stage``, the work of plan ``node``, to ``pipeline`` —
-        with the node's span when the run is traced."""
-        name = type(node).__name__.removeprefix("Phys").lower()
-        pipeline.stages.append((stage, self._span(name, node, type(stage).__name__)))
-
-    # -- helpers -------------------------------------------------------------
-
-    def _span(self, name: str, node: PhysicalPlan, detail: str) -> SpanAccumulator | None:
-        if self.trace is None:
-            return None
-        return self.trace.operator(name, node=node, detail=detail)
-
     def _optional(self, expression: Expression | None) -> Evaluator | None:
         return None if expression is None else self.evaluator(expression)
 
-    def _scan_pipeline(
+    def _scan(
         self,
         plan: PhysScan,
         predicate: Expression | None = None,
         above: tuple[PhysicalPlan, ...] = (),
-    ) -> CompiledPipeline:
-        """The pipeline of one scan under the operators ``above`` it.
+    ) -> ScanStep:
+        """The step of one scan under the operators ``above`` it.
         ``predicate`` is the selection sitting directly on it: over the
         verbose formats the fields it does not read are deferred until after
         the filter (lazy materialization, §5.2).  The batches carry OIDs
         only when an unnest above addresses the scan's collections by them —
         through a join too, whose ``Live.oids`` are those unnests' — or a
         deferred fetch does."""
-        dataset, plugin = self._scan_source(plan, plan.binding)
+        dataset, plugin = self._dataset(plan.dataset)
         deferred: frozenset[FieldPath] = frozenset()
         if predicate is not None and dataset.format in ("csv", "json"):
             needed = {
@@ -1095,71 +1181,15 @@ class PipelineCompiler:
                 if binding == plan.binding
             }
             deferred = frozenset(tuple(path) for path in plan.paths) - needed
-        operator = ScanOperator(
-            plan, dataset, plugin, self.cache_manager, params=self.params,
-            deferred=deferred,
-            span=self._span(f"scan:{dataset.name}", plan, plugin.format_name),
+        step = ScanStep.of(
+            plan, dataset, plugin, deferred,
             oids=any(
                 isinstance(node, PhysUnnest) and node.binding == plan.binding
                 for node in above
             ),
         )
-        self.cache_writers.append(operator)
-        return CompiledPipeline(operator, [], context=self.context)
-
-    def bound_key(self, unbound: tuple[tuple, tuple]) -> tuple | None:
-        """A cache key under this execution's bound parameter values:
-        ``unbound`` is a key without them and the parameters whose values
-        complete it (:func:`build_side_key`).  ``None`` — not cached —
-        without a cache, or when a value is unhashable.  Fingerprints
-        abstract parameter values, so folding the bound ones back in keeps
-        builds with different constants (and coincidentally equal
-        cardinalities) apart."""
-        if self.cache_manager is None:
-            return None
-        cache_key, parameters = unbound
-        if parameters:
-            bound = self.params or {}
-            cache_key += tuple((name, bound.get(name)) for name in parameters)
-            try:
-                hash(cache_key)
-            except TypeError:
-                return None
-        return cache_key
-
-    def cached(self, cache_key: tuple | None) -> Any:
-        """What the adaptive cache holds under ``cache_key`` — looked up
-        before anything is read: a join build side's key slots (§6: ``A ⋈
-        B`` then ``A ⋈ C``), a chain input's per-slot partials.  Literals are
-        part of the plan fingerprints, and re-registering a dataset drops
-        every entry built from it — each entry belongs to every dataset it
-        was built from —, so a hit is never stale."""
-        if cache_key is None:
-            return None
-        entry = self.cache_manager.lookup(cache_key)
-        return None if entry is None else entry.data
-
-    def build_side(
-        self, cache_key: tuple | None, scans: tuple[str, ...], key: Expression, build: Batch
-    ) -> radix.KeySlots:
-        """Number the keys of ``build``, a materialized join build side over
-        the datasets ``scans`` keyed by ``key``, as slots and offer them to
-        the adaptive cache under ``cache_key``."""
-        space = radix.key_slots(materialize(self.evaluator(key)(build), build.count))
-        self.context.profile.join_build_rows += build.count
-        if cache_key is not None:
-            # The entry belongs to every dataset the side scans: a side that
-            # is itself a join goes stale when any of them is re-registered.
-            self.cache_manager.store(
-                cache_key,
-                space,
-                kind="join_side",
-                dataset=scans[0],
-                source_format=self.catalog.get(scans[0]).format,
-                description=f"join build side ({space.kernel})",
-                also_from=scans[1:],
-            )
-        return space
+        self.scans.append(step)
+        return step
 
     def _binding_type(self, plan: PhysicalPlan, binding: str) -> t.DataType | None:
         """The declared type of the records (or elements) ``binding`` ranges
@@ -1180,14 +1210,15 @@ class PipelineCompiler:
         ``(None, None)`` when no scan binds it (an unnest variable)."""
         for node in plan.walk():
             if isinstance(node, PhysScan) and node.binding == binding:
-                dataset = self.catalog.get(node.dataset)
-                plugin = self.plugins.get(dataset.format)
-                if plugin is None:
-                    raise ExecutionError(
-                        f"no plug-in registered for format {dataset.format!r}"
-                    )
-                return dataset, plugin
+                return self._dataset(node.dataset)
         return None, None
+
+    def _dataset(self, name: str) -> tuple[Dataset, InputPlugin]:
+        dataset = self.catalog.get(name)
+        plugin = self.plugins.get(dataset.format)
+        if plugin is None:
+            raise ExecutionError(f"no plug-in registered for format {dataset.format!r}")
+        return dataset, plugin
 
 
 # ---------------------------------------------------------------------------
@@ -1276,12 +1307,11 @@ class _RootTask:
 
     ``new_state``/``update``/``finish_morsel`` run over one scan range each —
     the whole scan when the executor runs inline, one morsel per worker call
-    under a fan-out; ``merge`` runs on the calling thread and consumes the
-    partial results in range order.
+    under a fan-out; ``merge`` runs on the calling thread, consumes the
+    partial results in range order and counts into the execution's profile;
+    ``params`` are the execution's bound values.  A root keeps no state of
+    an execution, so a group-by root is built once per shape and shared.
     """
-
-    #: The grouping kernel(s) a group-by root ran (``None`` for other roots).
-    group_kernel: str | None = None
 
     def new_state(self) -> Any:
         raise NotImplementedError
@@ -1297,7 +1327,9 @@ class _RootTask:
     def finish_morsel(self, state: Any, counters: ExecutionCounters) -> Any:
         return state
 
-    def merge(self, partials: list, counters: ExecutionCounters) -> Any:
+    def merge(
+        self, partials: list, profile: ExecutionCounters, params: Params = None
+    ) -> Any:
         raise NotImplementedError
 
 
@@ -1314,31 +1346,10 @@ class _CollectRoot(_RootTask):
     ) -> None:
         state.append(batch)
 
-    def merge(self, partials: list, counters: ExecutionCounters) -> Batch:
+    def merge(
+        self, partials: list, profile: ExecutionCounters, params: Params = None
+    ) -> Batch:
         return concat_batches([batch for batches in partials for batch in batches])
-
-
-def _make_root(
-    plan: PhysReduce | PhysNest,
-    sort_plan: PhysSort | None,
-    params: Mapping[int | str, object] | None,
-    hints: NullabilityHints,
-    evaluator: Callable[[Expression], Evaluator],
-) -> _RootTask:
-    keys = grouping_keys(plan)
-    if keys is not None:
-        return _NestRoot(plan, keys, params, hints, evaluator)
-    if sort_plan is None:
-        return _ProjectionRoot(plan, evaluator)
-    # The engine's epilogue applies the sort; the root only bounds what each
-    # scan range emits.  Pure LIMIT — and LIMIT 0, which produces nothing —
-    # keeps a prefix; ORDER BY + LIMIT K keeps the range's top-K candidates.
-    limit = resolve_limit(sort_plan.limit, params)
-    if sort_plan.keys and limit:
-        return _TopKProjectionRoot(
-            plan, evaluator, limit, sort_plan.keys, hints.non_null_columns
-        )
-    return _ProjectionRoot(plan, evaluator, limit)
 
 
 class _ProjectionRoot(_RootTask):
@@ -1353,17 +1364,13 @@ class _ProjectionRoot(_RootTask):
 
     def __init__(
         self,
-        plan: PhysReduce,
-        evaluator: Callable[[Expression], Evaluator],
+        names: list[str],
+        heads: list[tuple[str, Evaluator]],
         limit: int | None = None,
     ):
-        self.plan = plan
-        self.names = [column.name for column in plan.columns]
+        self.names = names
         #: (output name, evaluator of its head), first occurrence per name.
-        self.heads = [
-            (column.name, evaluator(column.expression))
-            for column in unique_output_columns(plan.columns)
-        ]
+        self.heads = heads
         self.limit = limit
 
     def new_state(self) -> dict:
@@ -1389,11 +1396,11 @@ class _ProjectionRoot(_RootTask):
         counters.output_rows += state["total"]
         return state
 
-    def merge(self, partials: list, counters: ExecutionCounters):
+    def merge(self, partials: list, profile: ExecutionCounters, params: Params = None):
         if self.limit is not None:
             # The engine slices the exact prefix after the merge; report the
             # emitted row count, not the per-range prefixes' sum.
-            counters.output_rows = min(counters.output_rows, self.limit)
+            profile.output_rows = min(profile.output_rows, self.limit)
         columns: dict[str, Any] = {}
         for name in self.names:
             parts = [
@@ -1412,13 +1419,13 @@ class _TopKProjectionRoot(_ProjectionRoot):
 
     def __init__(
         self,
-        plan: PhysReduce,
-        evaluator: Callable[[Expression], Evaluator],
+        names: list[str],
+        heads: list[tuple[str, Evaluator]],
         limit: int,
         keys: list[tuple[str, bool]],
         non_null: frozenset[str],
     ):
-        super().__init__(plan, evaluator, limit)
+        super().__init__(names, heads, limit)
         self.keys = keys
         self.non_null = non_null
 
@@ -1457,12 +1464,20 @@ class _TopKProjectionRoot(_ProjectionRoot):
 Part = tuple[tuple, str]
 
 
-def aggregate_parts(aggregate: AggregateCall) -> list[Part]:
-    """The partial columns one aggregate is computed from."""
+@dataclass(frozen=True)
+class _Aggregate:
+    """One aggregate of a grouping root as its kernels read it."""
+
+    fingerprint: tuple
+    func: str
+    #: The partial columns it is computed from.
+    parts: tuple[Part, ...]
+
+
+def _aggregate_spec(aggregate: AggregateCall) -> _Aggregate:
     fingerprint = aggregate.fingerprint()
-    if aggregate.func == "avg":
-        return [(fingerprint, "sum"), (fingerprint, "count")]
-    return [(fingerprint, aggregate.func)]
+    funcs = ("sum", "count") if aggregate.func == "avg" else (aggregate.func,)
+    return _Aggregate(fingerprint, aggregate.func, tuple((fingerprint, func) for func in funcs))
 
 
 @dataclass
@@ -1519,23 +1534,19 @@ class _NestRoot(_RootTask):
         self,
         plan: PhysNest | PhysReduce,
         keys: list[Expression],
-        params: Mapping[int | str, object] | None,
         hints: NullabilityHints,
         evaluator: Callable[[Expression], Evaluator],
     ):
-        self.plan = plan
-        self.params = params
         self.names = [column.name for column in plan.columns]
-        group_key_fingerprints, self.aggregates = collect_nest_aggregates(plan)
+        group_key_fingerprints, aggregates = collect_nest_aggregates(plan)
+        self.aggregates = [_aggregate_spec(aggregate) for aggregate in aggregates]
         self.keys = [evaluator(expression) for expression in keys]
         #: The partial columns the aggregates are computed from.
-        self.parts = [
-            part for aggregate in self.aggregates for part in aggregate_parts(aggregate)
-        ]
+        self.parts = [part for aggregate in self.aggregates for part in aggregate.parts]
         #: Aggregate fingerprint -> evaluator of its argument.
         self.arguments = {
-            aggregate.fingerprint(): evaluator(aggregate.argument)
-            for aggregate in self.aggregates
+            spec.fingerprint: evaluator(aggregate.argument)
+            for spec, aggregate in zip(self.aggregates, aggregates)
             if aggregate.argument is not None
         }
         #: Aggregates whose argument the static analyzer proved never
@@ -1545,9 +1556,7 @@ class _NestRoot(_RootTask):
         #: per-group aggregate columns) per output column.
         self.heads = [
             (name, head if isinstance(head, int) else evaluator(head))
-            for name, head in nest_heads(
-                plan, group_key_fingerprints, self.aggregates
-            )
+            for name, head in nest_heads(plan, group_key_fingerprints, aggregates)
         ]
 
     def new_state(self) -> dict:
@@ -1613,7 +1622,7 @@ class _NestRoot(_RootTask):
             for fingerprint, func in self.parts
         }
 
-    def merge(self, partials: list, counters: ExecutionCounters):
+    def merge(self, partials: list, profile: ExecutionProfile, params: Params = None):
         partials = [partial for ranged in partials for partial in ranged]
         if not partials:
             if self.keys:
@@ -1636,7 +1645,7 @@ class _NestRoot(_RootTask):
                 len(partials),
                 {partial.kernel for partial in partials},
             )
-        return self.finish(merged, counters)
+        return self.finish(merged, profile, params)
 
     def fold(
         self,
@@ -1667,17 +1676,18 @@ class _NestRoot(_RootTask):
             kernel,
         )
 
-    def finish(self, merged: _GroupPartial, counters: ExecutionCounters):
-        """The output columns of the final groups."""
+    def finish(self, merged: _GroupPartial, profile: ExecutionProfile, params: Params):
+        """The output columns of the final groups; the grouping kernels that
+        built them go to the profile."""
         num_groups = 1
         if self.keys:
             num_groups = len(merged.key_arrays[0])
-            self.group_kernel = merged.kernel
-            counters.groups_built += num_groups
-        counters.output_rows += num_groups
-        group_batch = Batch(count=num_groups, params=self.params)
+            profile.group_kernel = merged.kernel
+            profile.groups_built += num_groups
+        profile.output_rows += num_groups
+        group_batch = Batch(count=num_groups, params=params)
         for index, aggregate in enumerate(self.aggregates):
-            fingerprint = aggregate.fingerprint()
+            fingerprint = aggregate.fingerprint
             if aggregate.func == "avg":
                 values = radix.finish_avg(
                     merged.parts[(fingerprint, "sum")],
@@ -1780,7 +1790,7 @@ class FactorizedChain:
     #: Per input, the cache key of its partials short of the slot space's
     #: and of the bound values — its build-side key, its parts and whether
     #: it is the first input — and the parameters of its plan, key and
-    #: arguments (:meth:`PipelineCompiler.bound_key`); ``None`` for the
+    #: arguments (:meth:`VectorizedExecutor.bound_key`); ``None`` for the
     #: grouped input.
     partial_keys: list[tuple[tuple, tuple] | None]
 
@@ -1896,7 +1906,7 @@ class SlotStage:
     """Attach the slot of every row's join key, shifted by one so that a
     row without a slot reads 0, whose partials the reducer leaves at zero
     (see :class:`FactorizedChain`).  The ``predicate`` of a selection at the
-    input's root (:meth:`PipelineCompiler.compile_input`) zeroes the slots
+    input's root (:meth:`SelectStep.open_input`) zeroes the slots
     of the rows it drops; only when it drops most of a batch are the rows
     that pass gathered, as a selection would — below that, reading every
     row costs the reducer less than the gathers."""
@@ -2048,7 +2058,9 @@ class _SlotRoot(_RootTask):
         kept = {name: state[name] for name in self.kept}
         return _SlotPartials(rows, sums, kept)
 
-    def merge(self, partials: list, counters: ExecutionCounters) -> _SlotPartials:
+    def merge(
+        self, partials: list, profile: ExecutionCounters, params: Params = None
+    ) -> _SlotPartials:
         rows = self.rows
         if rows is None and self.count:
             rows = sum(partial.rows for partial in partials)
@@ -2086,34 +2098,52 @@ class _SlotRoot(_RootTask):
         return _SlotPartials(rows, sums, kept)
 
 
-def _slot_root(
-    chain: FactorizedChain, root: _NestRoot, index: int, space: radix.KeySlots
-) -> _SlotRoot:
-    """The reduction of input ``index`` of ``chain`` over the slots of
-    ``space``: every column of the grouped input keeps its rows, the other
-    inputs reduce their arguments per slot.  The first input's rows per
-    slot are the counts of its own slots; the grouped input's are not needed
-    (its rows carry their slots)."""
-    kept: dict[Any, Evaluator] = {}
-    if index == chain.grouped:
-        kept.update(enumerate(root.keys))
-        kept.update(
-            (fingerprint, root.arguments[fingerprint])
-            for fingerprint, owner in chain.owners.items()
-            if owner == index
+@dataclass(frozen=True)
+class ChainInput:
+    """One input of a factorized chain as a program runs it: its step, the
+    function of its join key, and what :class:`_SlotRoot` reduces of it —
+    per aggregate whose argument it reads, that argument and the parts
+    reduced per slot, or, for the grouped input, the columns whose rows it
+    keeps (its group keys by index, its aggregates' arguments by
+    fingerprint, and its slots)."""
+
+    step: Step
+    key: Evaluator
+    summed: dict[tuple, tuple[Evaluator, tuple[str, ...]]]
+    kept: dict[Any, Evaluator]
+
+
+def _chain_inputs(
+    chain: FactorizedChain, root: _NestRoot, compiler: PipelineCompiler
+) -> list[ChainInput]:
+    """The inputs of ``chain`` under ``root``, compiled once: every column
+    of the grouped input keeps its rows, the other inputs reduce their
+    arguments per slot.  Each input's step serves the chain's probe tree too
+    (``compiler.compiled``)."""
+    inputs = []
+    for index, subplan in enumerate(chain.inputs):
+        kept: dict[Any, Evaluator] = {}
+        if index == chain.grouped:
+            kept.update(enumerate(root.keys))
+            kept.update(
+                (fingerprint, root.arguments[fingerprint])
+                for fingerprint, owner in chain.owners.items()
+                if owner == index
+            )
+            kept[_SLOT] = _slot_of
+        step = compiler.compiled[id(subplan)] = compiler.compile(subplan)
+        inputs.append(
+            ChainInput(
+                step,
+                compiler.evaluator(chain.keys[index]),
+                {
+                    fingerprint: (root.arguments[fingerprint], funcs)
+                    for fingerprint, funcs in chain.parts[index].items()
+                },
+                kept,
+            )
         )
-        kept[_SLOT] = _slot_of
-    return _SlotRoot(
-        space.size,
-        {
-            fingerprint: (root.arguments[fingerprint], funcs)
-            for fingerprint, funcs in chain.parts[index].items()
-        },
-        kept,
-        root.non_null,
-        rows=None if index else space.counts,
-        count=index != chain.grouped,
-    )
+    return inputs
 
 
 #: A per-slot integer column and the largest magnitude it holds.
@@ -2219,7 +2249,7 @@ def _combine_per_key(
         return None
     parts: dict[Part, Any] = {}
     for aggregate in root.aggregates:
-        fingerprint, func = aggregate.fingerprint(), aggregate.func
+        fingerprint, func = aggregate.fingerprint, aggregate.func
         owner = chain.owners.get(fingerprint)
         if owner is None:  # COUNT(*)
             parts[(fingerprint, "count")] = _one(joined)
@@ -2290,7 +2320,7 @@ def _combine_grouped(
 
     parts: dict[Part, Any] = {}
     for aggregate in root.aggregates:
-        fingerprint, func = aggregate.fingerprint(), aggregate.func
+        fingerprint, func = aggregate.fingerprint, aggregate.func
         owner = chain.owners.get(fingerprint)
         if owner is None:  # COUNT(*)
             parts[(fingerprint, "count")] = counts[groups]
@@ -2307,58 +2337,156 @@ def _combine_grouped(
             parts[(fingerprint, func)] = radix.box_empty(extrema[groups], held[groups] == 0)
         elif owner == grouped:
             rows = _row_parts(root, aggregate, kept[fingerprint], per_row)
-            for part in aggregate_parts(aggregate):
+            for part in aggregate.parts:
                 parts[part] = per_group(rows[part[1]])
         else:
-            for part in aggregate_parts(aggregate):
+            for part in aggregate.parts:
                 weighed = _weighed(reductions[owner].sums[part], weights[owner])
                 parts[part] = per_group(weighed[slots])
     return _GroupPartial(keys_of(groups), parts, kernel)
 
 
 def _row_parts(
-    root: _NestRoot, aggregate: AggregateCall, values: Any, weight: np.ndarray
+    root: _NestRoot, aggregate: _Aggregate, values: Any, weight: np.ndarray
 ) -> dict[str, Any]:
     """The parts of an aggregate over the grouped input, row by row: the
     row's value (none when missing) times its weight — and the non-missing
     count, which marks the rows without a value."""
     rows = np.arange(len(weight))
-    non_null = aggregate.fingerprint() in root.non_null
+    non_null = aggregate.fingerprint in root.non_null
     return {
         func: radix.null_safe_arith(
             "*", radix.group_aggregate(func, rows, len(rows), values, non_null), weight
         )
-        for func in {"count"} | {part[1] for part in aggregate_parts(aggregate)}
+        for func in {"count"} | {part[1] for part in aggregate.parts}
     }
 
 
 # ---------------------------------------------------------------------------
-# The executor
+# The program of a query shape, and the executor that runs it
 # ---------------------------------------------------------------------------
 
 
+class PipelineProgram:
+    """Everything the batch pipeline derives from one plan and its generated
+    module, built once per query shape (at its first ``codegen`` execution)
+    and immutable after: no execution walks or fingerprints its plan, or
+    looks up a generated function.
+
+    It holds the root — a group-by root (:class:`_NestRoot`, shared by every
+    execution: its keys, aggregates, parts and heads), or the names and head
+    functions of a projection, whose LIMIT each execution resolves — the
+    :class:`PipelineCompiler` steps beneath it, the per-input steps of a
+    factorized chain (with the probe tree a two-input chain falls back to),
+    and every scan step, from which the engine reads the cold scans it
+    coalesces and the sizes admission control estimates.
+
+    An execution brings its own state — the bound parameters, the
+    :class:`~repro.resilience.context.QueryContext` and its profile, the
+    trace, the cache probes, the build sides and the kernels — in a
+    :class:`VectorizedExecutor`; the program captures none of it, so any
+    number of threads run one program at once."""
+
+    def __init__(
+        self,
+        plan: PhysicalPlan,
+        generated,
+        hints: NullabilityHints,
+        catalog: Catalog,
+        plugins: Mapping[str, InputPlugin],
+        cacheable: Callable[[str], bool] | None,
+    ):
+        #: The plan's :class:`~repro.core.codegen.GeneratedQuery`.
+        self.generated = generated
+        evaluator = generated.function_for
+        self.sort: PhysSort | None = plan if isinstance(plan, PhysSort) else None
+        root = unwrap_sort(plan)
+        if not isinstance(root, (PhysReduce, PhysNest)):
+            raise ExecutionError(
+                f"the plan root must be Reduce or Nest, got {root.describe()}"
+            )
+        #: Does the root group (the fan-out threshold of its scan)?
+        self.grouping = isinstance(root, PhysNest)
+        keys = grouping_keys(root)
+        self.nest = None if keys is None else _NestRoot(root, keys, hints, evaluator)
+        self.names = [column.name for column in root.columns]
+        #: A projection's (output name, head function), first occurrence
+        #: per name.
+        self.heads: list[tuple[str, Evaluator]] = []
+        if self.nest is None:
+            self.heads = [
+                (column.name, evaluator(column.expression))
+                for column in unique_output_columns(root.columns)
+            ]
+        self.non_null = hints.non_null_columns
+        compiler = PipelineCompiler(catalog, plugins, evaluator)
+        #: The join chain the aggregate runs over per key value, if any.
+        self.chain = chain = factorized_chain(root)
+        self.inputs: list[ChainInput] = []
+        if chain is not None:
+            assert self.nest is not None  # a chain is an aggregate's
+            self.inputs = _chain_inputs(chain, self.nest, compiler)
+        #: The steps beneath the root; of a chain, the probe tree a
+        #: two-input chain falls back to (``None`` for a longer chain).
+        self.pipeline: Step | None = None
+        if chain is None or len(chain.inputs) == 2:
+            self.pipeline = compiler.compile(root.child, (root,))
+        #: Every scan step, in plan walk order.
+        self.scans = tuple(compiler.scans)
+        cold: dict[str, dict[tuple, None]] = {}
+        for scan in self.scans:
+            if scan.paths and cacheable is not None and cacheable(scan.dataset.format):
+                cold.setdefault(scan.dataset.name, {}).update(dict.fromkeys(scan.keys))
+        #: (dataset, field-cache keys of all its scans) of every dataset
+        #: whose fields the cache would keep, by name: the raw reads a
+        #: cold execution may coalesce with a concurrent one's.
+        self.cold_scans = tuple(sorted((name, tuple(keys)) for name, keys in cold.items()))
+
+    def root(self, params: Params) -> _RootTask:
+        """The root task of one execution under ``params``: the shared
+        group-by root, or a projection root bounded by the LIMIT the
+        parameters resolve.  The engine's epilogue applies the sort; the
+        root only bounds what each scan range emits.  Pure LIMIT — and
+        LIMIT 0, which produces nothing — keeps a prefix; ORDER BY + LIMIT K
+        keeps the range's top-K candidates."""
+        if self.nest is not None:
+            return self.nest
+        if self.sort is None:
+            return _ProjectionRoot(self.names, self.heads)
+        limit = resolve_limit(self.sort.limit, params)
+        if self.sort.keys and limit:
+            return _TopKProjectionRoot(
+                self.names, self.heads, limit, self.sort.keys, self.non_null
+            )
+        return _ProjectionRoot(self.names, self.heads, limit)
+
+
 class VectorizedExecutor:
-    """The batch pipeline's executor — the only NumPy entry the engine calls,
-    the ``codegen`` tier.  Scans run inline
-    on the calling thread or fan out over morsels, decided per scan by
-    :func:`repro.core.parallel.plan_fanout`."""
+    """One execution of a :class:`PipelineProgram` — the batch pipeline's
+    executor, the only NumPy entry the engine calls, the ``codegen`` tier.
+
+    It holds what the execution brings — the bound parameters, the query
+    context and its profile, the trace, the cache — and what it decides:
+    the scans it opened (whose complete reads it admits to the cache once
+    the run succeeded), the build sides it materialized, the kernels it
+    chose.  The program's steps open their stages against it.  Scans run
+    inline on the calling thread or fan out over morsels, decided per scan
+    by :func:`repro.core.parallel.plan_fanout`."""
 
     def __init__(
         self,
         catalog: Catalog,
-        plugins: Mapping[str, InputPlugin],
         context: QueryContext,
         batch_size: int = DEFAULT_BATCH_SIZE,
         num_workers: int = 1,
         cache_manager=None,
-        params: Mapping[int | str, object] | None = None,
-        hints: NullabilityHints | None = None,
+        params: Params = None,
         trace: TraceBuilder | None = None,
     ):
         self.catalog = catalog
-        self.plugins = plugins
         self.batch_size = max(int(batch_size), 1)
         self.cache_manager = cache_manager
+        #: Bound query-parameter values, attached to every scan batch.
         self.params = params
         #: Per-query resilience context (deadline/cancel): checked per batch
         #: inside pipelines and per morsel by the fan-out workers.
@@ -2366,9 +2494,6 @@ class VectorizedExecutor:
         #: The execution's profile: an inline run counts straight into it,
         #: and the kernels each join and the group-by ran are written here.
         self.profile = context.profile
-        #: Static nullability hints from the plan analyzer: output columns /
-        #: aggregate arguments proven non-nullable skip missing-mask work.
-        self.hints = hints if hints is not None else EMPTY_HINTS
         #: Span trace of this execution (``None`` = untraced, zero overhead).
         #: Traced stages are shared by every fan-out worker; their span
         #: accumulators are locked, so per-morsel work aggregates into one
@@ -2377,62 +2502,114 @@ class VectorizedExecutor:
         #: The morsel fan-out driver (threads start only when a scan fans
         #: out); it writes the profile's dispatch counters.
         self.fanout = ParallelVectorizedExecutor(num_workers, context)
+        #: Every scan operator and full-scan unnest stage opened — their
+        #: cache materializations are flushed after a successful run.
+        self.cache_writers: list = []
+        #: The kernel of every hash join opened, in plan walk order.
+        self.join_kernels: list[str] = []
+        #: Build sides whose key slots are known — with their rows when
+        #: already materialized —, by plan node: a chain that did not run
+        #: per key value hands its first input over.
+        self.built: dict[int, tuple[Batch | None, radix.KeySlots]] = {}
 
-    def execute(
-        self, plan: PhysicalPlan, program, chain: FactorizedChain | None
-    ) -> tuple[list[str], dict[str, Any]]:
-        """Execute a plan; returns (column names, column values).
-
-        ``program`` is the plan's :class:`~repro.core.codegen.GeneratedQuery`:
-        every plan expression evaluates through its fused function.
-        ``chain`` is :func:`factorized_chain` of the plan beneath any sort,
-        computed once when the plan was made."""
-        evaluator = program.function_for
-        sort_plan: PhysSort | None = None
-        if isinstance(plan, PhysSort):
-            sort_plan = plan
-            plan = plan.child
-        if not isinstance(plan, (PhysReduce, PhysNest)):
-            raise ExecutionError(
-                f"the plan root must be Reduce or Nest, got {plan.describe()}"
-            )
-        compiler = PipelineCompiler(
-            self.catalog,
-            self.plugins,
-            self.batch_size,
-            materializer=self._materialize,
-            evaluator=evaluator,
-            context=self.context,
-            cache_manager=self.cache_manager,
-            params=self.params,
-            trace=self.trace,
-        )
-        root = _make_root(plan, sort_plan, self.params, self.hints, evaluator)
+    def execute(self, program: PipelineProgram) -> tuple[list[str], dict[str, Any]]:
+        """Run ``program``; returns (column names, column values)."""
+        root = program.root(self.params)
+        chain = program.chain
         result = None
         if chain is not None:
-            result = self._execute_factorized(chain, root, compiler, evaluator)
+            result = self._execute_factorized(program, root)
         if result is None:
-            pipeline = compiler.compile(plan.child, (plan,))
-            self.profile.join_kernels = compiler.join_kernels
-            morsels = self._plan_morsels(pipeline, isinstance(plan, PhysNest))
-            result = self._run(root, pipeline, morsels)
+            assert program.pipeline is not None
+            pipeline = program.pipeline.open(self)
+            self.profile.join_kernels = self.join_kernels
+            result = self._run(root, pipeline, self._plan_morsels(pipeline, program.grouping))
         else:
+            assert chain is not None
             self.profile.join_kernels = [radix.KERNEL_FACTORIZED] * len(chain.joins)
-        self.profile.group_kernel = root.group_kernel
-        compiler.store_scan_caches()
+        for writer in self.cache_writers:
+            writer.store_materialized()
         return result
+
+    # -- what the steps open their stages against ------------------------------
+
+    def add_stage(self, pipeline: CompiledPipeline, node: PhysicalPlan, stage) -> None:
+        """Append ``stage``, the work of plan ``node``, to ``pipeline`` —
+        with the node's span when the run is traced."""
+        span = None
+        if self.trace is not None:
+            name = type(node).__name__.removeprefix("Phys").lower()
+            span = self.trace.operator(name, node=node, detail=type(stage).__name__)
+        pipeline.stages.append((stage, span))
+
+    def bound_key(self, unbound: tuple[tuple, tuple]) -> tuple | None:
+        """A cache key under this execution's bound parameter values:
+        ``unbound`` is a key without them and the parameters whose values
+        complete it (:func:`build_side_key`).  ``None`` — not cached —
+        without a cache, or when a value is unhashable.  Fingerprints
+        abstract parameter values, so folding the bound ones back in keeps
+        builds with different constants (and coincidentally equal
+        cardinalities) apart."""
+        if self.cache_manager is None:
+            return None
+        cache_key, parameters = unbound
+        if parameters:
+            bound = self.params or {}
+            cache_key += tuple((name, bound.get(name)) for name in parameters)
+            try:
+                hash(cache_key)
+            except TypeError:
+                return None
+        return cache_key
+
+    def cached(self, cache_key: tuple | None) -> Any:
+        """What the adaptive cache holds under ``cache_key`` — looked up
+        before anything is read: a join build side's key slots (§6: ``A ⋈
+        B`` then ``A ⋈ C``), a chain input's per-slot partials.  Literals are
+        part of the plan fingerprints, and re-registering a dataset drops
+        every entry built from it — each entry belongs to every dataset it
+        was built from —, so a hit is never stale."""
+        if cache_key is None:
+            return None
+        entry = self.cache_manager.lookup(cache_key)
+        return None if entry is None else entry.data
+
+    def build_side(
+        self, cache_key: tuple | None, scans: tuple[str, ...], key: Evaluator, build: Batch
+    ) -> radix.KeySlots:
+        """Number the keys of ``build``, a materialized join build side over
+        the datasets ``scans`` keyed by ``key``, as slots and offer them to
+        the adaptive cache under ``cache_key``."""
+        space = radix.key_slots(materialize(key(build), build.count))
+        self.profile.join_build_rows += build.count
+        if cache_key is not None:
+            # The entry belongs to every dataset the side scans: a side that
+            # is itself a join goes stale when any of them is re-registered.
+            self.cache_manager.store(
+                cache_key,
+                space,
+                kind="join_side",
+                dataset=scans[0],
+                source_format=self.catalog.get(scans[0]).format,
+                description=f"join build side ({space.kernel})",
+                also_from=scans[1:],
+            )
+        return space
+
+    def materialize(self, pipeline: CompiledPipeline) -> Batch:
+        """Materialize a join build side, through the same fan-out decision
+        as the plan root."""
+        return self._run(
+            _CollectRoot(), pipeline, self._plan_morsels(pipeline, grouping=False)
+        )
 
     # -- aggregates over a one-key join chain ----------------------------------
 
     def _execute_factorized(
-        self,
-        chain: FactorizedChain,
-        root: _NestRoot,
-        compiler: PipelineCompiler,
-        evaluator: Callable[[Expression], Evaluator],
+        self, program: PipelineProgram, root: _RootTask
     ) -> tuple[list[str], dict[str, Any]] | None:
-        """Run the aggregate over ``chain`` per join-key value (see
-        :class:`FactorizedChain`).
+        """Run the aggregate over the program's chain per join-key value
+        (see :class:`FactorizedChain`).
 
         The first input's key slots are looked up in the adaptive cache
         before it is read; on a miss the input is materialized and its key
@@ -2444,27 +2621,35 @@ class VectorizedExecutor:
         build side — when two inputs join on keys the first holds once
         each: the join has one row per matching row of the other, so there
         is nothing to factor out."""
+        chain = program.chain
+        assert chain is not None and isinstance(root, _NestRoot)
+        inputs = program.inputs
         first = None
-        space_key = compiler.bound_key(chain.space_key)
-        space = compiler.cached(space_key)
+        space_key = self.bound_key(chain.space_key)
+        space = self.cached(space_key)
         if space is None:
-            first = self._materialize(compiler.compile(chain.inputs[0]))
+            first = self.materialize(inputs[0].step.open(self))
             if first.count == 0:
                 return self._empty_chain(chain, root)
-            space = compiler.build_side(space_key, chain.scans[0], chain.keys[0], first)
+            space = self.build_side(space_key, chain.scans[0], inputs[0].key, first)
         if len(chain.inputs) == 2 and space.unique:
-            compiler.built[id(chain.inputs[0])] = (first, space)
+            self.built[id(chain.inputs[0])] = (first, space)
             return None
         reductions = []
-        for index in range(len(chain.inputs)):
-            reducer = _slot_root(chain, root, index, space)
+        for index, spec in enumerate(inputs):
+            reducer = _SlotRoot(
+                space.size,
+                spec.summed,
+                spec.kept,
+                root.non_null,
+                rows=None if index else space.counts,
+                count=index != chain.grouped,
+            )
             if index == 0 and not (reducer.summed or reducer.kept):
                 # Its rows per slot, which its slots count, are all it adds.
                 reduced = _SlotPartials(reducer.rows, {}, {})
             else:
-                reduced = self._partials(
-                    chain, index, reducer, space, space_key, first, compiler, evaluator
-                )
+                reduced = self._partials(chain, index, spec, reducer, space, space_key, first)
             held = reduced.kept[_SLOT] if reduced.rows is None else reduced.rows
             if not held.any():  # no row of this input has a slot
                 return self._empty_chain(chain, root)
@@ -2475,18 +2660,17 @@ class VectorizedExecutor:
             return self._empty_chain(chain, root)
         # The key products are the chain root's work.
         self._join_span(chain.joins[0], time.perf_counter() - started)
-        return root.finish(combined, self.profile)
+        return root.finish(combined, self.profile, self.params)
 
     def _partials(
         self,
         chain: FactorizedChain,
         index: int,
+        spec: ChainInput,
         reducer: _SlotRoot,
         space: radix.KeySlots,
         space_key: tuple | None,
         first: Batch | None,
-        compiler: PipelineCompiler,
-        evaluator: Callable[[Expression], Evaluator],
     ) -> _SlotPartials:
         """Input ``index`` of ``chain`` reduced over the slots of ``space``:
         from the adaptive cache — keyed by the slot space's and the input's
@@ -2502,25 +2686,24 @@ class VectorizedExecutor:
         unbound = chain.partial_keys[index]
         cache_key = None
         if unbound is not None and space_key is not None:
-            input_key = compiler.bound_key(unbound)
+            input_key = self.bound_key(unbound)
             if input_key is not None:
                 cache_key = chain_partial_cache_key(space_key, input_key)
-        reduced = compiler.cached(cache_key)
+        reduced = self.cached(cache_key)
         if reduced is not None:
             return reduced
         shifted = np.add(space.lookup, 1, dtype=np.intp)  # see SlotStage
-        key = evaluator(chain.keys[index])
         if index == 0 and first is not None:
             state = reducer.new_state()
-            slotted = SlotStage(space, shifted, key).apply(first, self.profile)
+            slotted = SlotStage(space, shifted, spec.key).apply(first, self.profile)
             if slotted is not None:
                 reducer.update(state, slotted, self.profile)
             reduced = reducer.merge([reducer.finish_morsel(state, self.profile)], self.profile)
         else:
-            pipeline, predicate = compiler.compile_input(chain.inputs[index])
-            stage = SlotStage(space, shifted, key, predicate)
+            pipeline, predicate = spec.step.open_input(self)
+            stage = SlotStage(space, shifted, spec.key, predicate)
             if index:
-                compiler.add_stage(pipeline, chain.probes[index - 1], stage)
+                self.add_stage(pipeline, chain.probes[index - 1], stage)
             else:
                 pipeline.stages.append((stage, None))
             reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
@@ -2550,7 +2733,7 @@ class VectorizedExecutor:
         """The answer over a join chain without a joined row."""
         for join in chain.joins:
             self._join_span(join, 0.0)
-        return root.merge([], self.profile)
+        return root.merge([], self.profile, self.params)
 
     def _join_span(self, join: PhysHashJoin, seconds: float) -> None:
         if self.trace is not None:
@@ -2566,26 +2749,18 @@ class VectorizedExecutor:
         """The morsels to fan ``pipeline``'s scan out over; empty = inline."""
         if pipeline.always_empty:
             return []
-        source = pipeline.source
         morsels, _ = plan_fanout(
             self.fanout.num_workers,
-            source.total_rows,
+            pipeline.source.total_rows,
             self.batch_size,
             grouping,
         )
         return morsels
 
-    def _materialize(self, pipeline: CompiledPipeline) -> Batch:
-        """Materialize a join build side, through the same fan-out decision
-        as the plan root."""
-        return self._run(
-            _CollectRoot(), pipeline, self._plan_morsels(pipeline, grouping=False)
-        )
-
     def _run(self, root: _RootTask, pipeline: CompiledPipeline, morsels: list[Morsel]):
         if not morsels:
             partials = [self._run_range(root, pipeline, None, self.profile)]
-            return root.merge(partials, self.profile)
+            return root.merge(partials, self.profile, self.params)
         context = self.context
 
         def run_morsel(morsel: Morsel, worker_id: int):
@@ -2596,7 +2771,9 @@ class VectorizedExecutor:
             finally:
                 context.merge(counters)
 
-        return root.merge(self.fanout.execute(morsels, run_morsel), self.profile)
+        return root.merge(
+            self.fanout.execute(morsels, run_morsel), self.profile, self.params
+        )
 
     def _run_range(
         self,

@@ -1,7 +1,7 @@
 """Morsel fan-out driver of the batch executor.
 
-:class:`repro.core.executor.vectorized.VectorizedExecutor` compiles one
-pipeline and builds one root task per query; when
+:class:`repro.core.executor.vectorized.VectorizedExecutor` opens one
+pipeline from its shape's program and takes one root task per query; when
 :func:`repro.core.parallel.morsels.plan_fanout` splits the driving scan (or a
 join build side's scan) into morsels, it hands them to this driver instead
 of running the scan inline:

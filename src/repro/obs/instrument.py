@@ -1,10 +1,10 @@
 """The span coverage tables of the physical operators.
 
 The batch pipeline has no instrumentation objects of its own: in a traced
-run ``PipelineCompiler`` gives every stage and scan its span accumulator,
-``CompiledPipeline.process`` times each stage per batch and the
-``ScanOperator`` metering loop feeds the scan's span per stream — traced and
-untraced runs apply the same stage objects.  The Volcano interpreter wraps
+run the execution gives every stage and scan its span accumulator as its
+program's steps open them, ``CompiledPipeline.process`` times each stage per
+batch and the ``ScanOperator`` metering loop feeds the scan's span per
+stream — traced and untraced runs apply the same stage objects.  The Volcano interpreter wraps
 its own iterators.
 
 ``SPAN_INSTRUMENTED_OPERATORS`` / ``SPAN_EXEMPT_OPERATORS`` are the

@@ -9,10 +9,12 @@ metric means the same thing no matter which tier served the execution.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
+from repro.errors import ProteusError
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.trace import PHASES, TraceBuilder
 
@@ -226,6 +228,24 @@ def test_prepare_time_phases_belong_to_the_prepared_query(paths):
     prepared.execute()
     again = {span.name for span in engine.tracer.last().phases}
     assert not again & frontend and "execute" in again, again
+
+
+def test_a_refused_first_execution_leaves_the_frontend_phases(paths):
+    """A first execution that admission refuses reports nothing; the
+    shape's frontend phases go to the execution that runs next."""
+    engine = make_engine(
+        paths, enable_tracing=True, enable_caching=False, max_concurrent_queries=1
+    )
+    prepared = engine.prepare("SELECT SUM(price) AS s FROM items_csv WHERE qty < 4")
+    slot = engine.admission.admit()
+    try:
+        with pytest.raises(ProteusError, match="RES003"):
+            prepared.execute(timeout=0.05)
+    finally:
+        slot.release()
+    prepared.execute()
+    phases = {span.name for span in engine.tracer.last().phases}
+    assert {"parse", "plan", "analyze", "execute"} <= phases, phases
 
 
 def test_force_traces_only_the_forcing_thread(paths):
@@ -611,3 +631,87 @@ def test_explain_analyze_reports_dense_kernels(paths):
     assert "group kernel: dense" in report
     report = engine.explain("SELECT COUNT(*) FROM items_bin", analyze=True)
     assert "join kernels" not in report and "group kernel" not in report
+
+
+#: The query series of ``/metrics`` after :func:`_metric_sequence`, as the
+#: engine exported them before it bound its per-query series once.
+_SEQUENCE_PROMETHEUS = """\
+# HELP proteus_codegen_compilations_total Generated-program executions, by program-cache outcome.
+# TYPE proteus_codegen_compilations_total counter
+proteus_codegen_compilations_total{outcome="cache-hit"} 1
+proteus_codegen_compilations_total{outcome="fresh"} 3
+# HELP proteus_queries_failed_total Failed queries, by error code (TYP/TIER/RES/internal).
+# TYPE proteus_queries_failed_total counter
+proteus_queries_failed_total{code="internal"} 2
+# HELP proteus_queries_total Queries executed, by serving tier.
+# TYPE proteus_queries_total counter
+proteus_queries_total{tier="codegen"} 4
+proteus_queries_total{tier="volcano"} 1
+proteus_query_seconds_count 5
+# HELP proteus_rows_returned_total Result rows returned to callers.
+# TYPE proteus_rows_returned_total counter
+proteus_rows_returned_total 11
+# HELP proteus_tier_declines_total Tier declines, by tier and verdict code.
+# TYPE proteus_tier_declines_total counter
+proteus_tier_declines_total{code="TIER001",tier="codegen"} 1"""
+
+_SEQUENCE_JSON = {
+    "proteus_codegen_compilations_total": {
+        "type": "counter", "values": {"{outcome=cache-hit}": 1.0, "{outcome=fresh}": 3.0},
+    },
+    "proteus_queries_failed_total": {"type": "counter", "values": {"{code=internal}": 2.0}},
+    "proteus_queries_total": {
+        "type": "counter", "values": {"{tier=codegen}": 4.0, "{tier=volcano}": 1.0},
+    },
+    "proteus_rows_returned_total": {"type": "counter", "value": 11.0},
+    "proteus_tier_declines_total": {
+        "type": "counter", "values": {"{code=TIER001,tier=codegen}": 1.0},
+    },
+}
+
+_SEQUENCE_SERIES = (
+    "proteus_queries_total", "proteus_rows_returned_total", "proteus_tier_declines_total",
+    "proteus_codegen_compilations_total", "proteus_queries_failed_total",
+    "proteus_query_seconds_count",
+)
+
+
+def _metric_sequence(engine) -> None:
+    """Fresh and repeated codegen queries, a Volcano one and two failures."""
+    for text in [
+        "SELECT COUNT(*) FROM items_csv WHERE qty < 3",
+        "SELECT COUNT(*) FROM items_csv WHERE qty < 3",
+        "SELECT category, SUM(price) AS s FROM items_bin GROUP BY category",
+        "SELECT id FROM items_json WHERE qty > 5 ORDER BY id LIMIT 4",
+    ]:
+        engine.query(text).rows
+    engine.enable_codegen = False
+    engine.query("SELECT COUNT(*) FROM items_csv WHERE qty < 3").rows
+    engine.enable_codegen = True
+    for text in ["SELECT nosuch FROM items_csv", "SELECT COUNT(*) FROM nowhere"]:
+        with pytest.raises(ProteusError):
+            engine.query(text)
+
+
+def test_query_metrics_export_the_same_bytes(paths):
+    """Per-query metrics record into series bound once per engine; the JSON
+    and Prometheus exposition of a fixed query sequence are byte for byte
+    what recording with labels per call exported."""
+    engine = make_engine(paths)
+    # Bound series export nothing until their first increment.
+    assert "proteus_queries_total 0" in engine.metrics.render_prometheus().splitlines()
+    _metric_sequence(engine)
+    lines = [
+        line
+        for line in engine.metrics.render_prometheus().splitlines()
+        if any(
+            line.split("{")[0].split(" ")[0] == name or f" {name} " in line
+            for name in _SEQUENCE_SERIES
+        )
+    ]
+    assert "\n".join(lines) == _SEQUENCE_PROMETHEUS
+    exported = engine.metrics.to_dict()
+    assert json.dumps(
+        {name: value for name, value in sorted(exported.items()) if name in _SEQUENCE_SERIES},
+        sort_keys=True,
+    ) == json.dumps(_SEQUENCE_JSON, sort_keys=True)

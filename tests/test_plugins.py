@@ -9,7 +9,7 @@ from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.core.columns import EncodedColumn
-from repro.core.executor.vectorized import ScanOperator
+from repro.core.executor.vectorized import ScanOperator, ScanStep
 from repro.core.physical import PhysScan
 from repro.core.profile import ExecutionCounters
 from repro.errors import PluginError, StorageError
@@ -268,7 +268,7 @@ def test_cache_plugin_serves_cached_fields(tmp_path):
     manager.store(field_cache_key("ds", ("x",)), values, kind="field",
                   dataset="ds", source_format="json")
 
-    cached = ScanOperator(PhysScan("ds", "d", [("x",)]), dataset, plugin, cache_manager=manager)
+    cached = ScanOperator(ScanStep.of(PhysScan("ds", "d", [("x",)]), dataset, plugin), cache_manager=manager)
     assert cached.fully_cached and cached.total_rows == 50
     counters = ExecutionCounters()
     batches = list(cached.iter_range(40, 50, counters, batch_size=4))
@@ -279,7 +279,7 @@ def test_cache_plugin_serves_cached_fields(tmp_path):
 
     # A field the manager does not hold is read from the raw file; the cached
     # one still comes from the cache.
-    mixed = ScanOperator(PhysScan("ds", "d", [("x",), ("y",)]), dataset, plugin,
+    mixed = ScanOperator(ScanStep.of(PhysScan("ds", "d", [("x",), ("y",)]), dataset, plugin),
                          cache_manager=manager)
     assert not mixed.fully_cached
     counters = ExecutionCounters()
@@ -362,12 +362,12 @@ def _column_batches(plugin, dataset, fmt, batch_size):
             yield batch.oids, batch.column(("x",))
         return
     manager = CacheManager(1 << 28)
-    scan = PhysScan("table", "r", [("x",)])
-    cold = ScanOperator(scan, dataset, plugin, cache_manager=manager)
+    scan = ScanStep.of(PhysScan("table", "r", [("x",)]), dataset, plugin)
+    cold = ScanOperator(scan, cache_manager=manager)
     for _ in cold.iter_batches(ExecutionCounters(), batch_size):
         pass
     cold.store_materialized()
-    warm = ScanOperator(scan, dataset, plugin, cache_manager=manager)
+    warm = ScanOperator(scan, cache_manager=manager)
     assert warm.fully_cached
     counters = ExecutionCounters()
     for batch in warm.iter_batches(counters, batch_size):

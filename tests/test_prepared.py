@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -848,3 +849,198 @@ def test_concurrent_first_texts_of_one_shape_publish_one_template(tmp_path):
         assert results == [45, 4500]
         assert len(engine._shapes) == 1
 
+
+
+# -- the pipeline program: built once per shape ------------------------------
+
+
+@pytest.fixture(scope="module")
+def symantec_smoke(tmp_path_factory):
+    from repro.workloads import symantec
+
+    files = symantec.materialize(
+        str(tmp_path_factory.mktemp("symantec")), num_json=300, num_csv=1_200, num_binary=1_500
+    )
+    return files, [query.spec.to_text() for query in symantec.symantec_workload(files)]
+
+
+def _classes(base: type) -> set[type]:
+    found = {base}
+    for subclass in base.__subclasses__():
+        found |= _classes(subclass)
+    return found
+
+
+def test_warm_executions_derive_nothing_from_the_plan(symantec_smoke, monkeypatch):
+    """A warm, untraced execution of every Symantec text runs its shape's
+    program: no plan walk and no expression fingerprint."""
+    from repro.core import expressions, physical
+    from repro.workloads import symantec
+
+    files, texts = symantec_smoke
+    engine = ProteusEngine(parallel_workers=2)
+    engine.register_binary_columns("mail_log", files.binary_dir)
+    engine.register_csv(
+        "classification", files.csv_path, schema=symantec.CLASSIFICATION_CSV_SCHEMA
+    )
+    engine.register_json("spam_mails", files.json_path, schema=symantec.SPAM_JSON_SCHEMA)
+    for _ in range(2):
+        for text in texts:
+            assert engine.query(text).tier == "codegen", text
+    calls: list[str] = []
+    for cls in _classes(expressions.Expression) | _classes(physical.PhysicalPlan):
+        for name in ("walk", "fingerprint"):
+            if name in vars(cls) and (name == "walk" or issubclass(cls, expressions.Expression)):
+                original = vars(cls)[name]
+
+                def counting(*args, _original=original, _name=f"{cls.__name__}.{name}", **kwargs):
+                    calls.append(_name)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(cls, name, counting)
+    for text in texts:
+        engine.query(text).rows
+        assert calls == [], (text, calls)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param({}, id="inline"),
+        pytest.param(
+            {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE}, id="fanout"
+        ),
+    ],
+)
+def test_one_program_serves_concurrent_bindings(paths, config):
+    """Two threads run one shape's program with different bound values:
+    each gets its own rows and its own profile counters."""
+    engine = make_engine(paths, enable_caching=False, **config)
+    prepared = engine.prepare(
+        "SELECT category, COUNT(*) AS n, SUM(price) * :rate AS s FROM items_csv "
+        "WHERE qty < :q GROUP BY category"
+    )
+    prepared.execute(q=1, rate=1.0)
+    program = prepared._state[3].program
+    assert program is not None
+    bindings = [{"q": 3, "rate": 1.0}, {"q": 8, "rate": 2.0}]
+    expected = []
+    for binding in bindings:
+        groups: dict[str, list[float]] = {}
+        for row in expected_items():
+            if row["qty"] < binding["q"]:
+                groups.setdefault(row["category"], []).append(row["price"])
+        expected.append({
+            category: (len(prices), sum(prices) * binding["rate"])
+            for category, prices in groups.items()
+        })
+
+    def run(index: int) -> None:
+        for _ in range(60):
+            result = prepared.execute(**bindings[index])
+            got = {category: (n, s) for category, n, s in result.rows}
+            assert got.keys() == expected[index].keys()
+            for category, (n, s) in got.items():
+                assert n == expected[index][category][0]
+                assert math.isclose(s, expected[index][category][1], rel_tol=1e-9)
+            profile = result.profile
+            assert profile.rows_scanned == ITEM_COUNT
+            assert profile.output_rows == profile.groups_built == len(got)
+            if config:
+                assert profile.morsels_dispatched > 0
+
+    run_concurrently(run, 2)
+    assert prepared._state[3].program is program
+
+
+_TRACED_SHAPES = [
+    "SELECT COUNT(*), SUM(price) FROM items_csv WHERE qty < 4",
+    "SELECT category, MAX(price) FROM items_json GROUP BY category",
+    "SELECT id, price FROM items_bin WHERE qty > 6 ORDER BY price DESC LIMIT 5",
+    # a probing join (each build key once), and a three-input chain
+    "SELECT SUM(b.price) FROM items_csv c JOIN items_bin b ON c.id = b.id WHERE c.qty < 5",
+    "SELECT c.category, COUNT(*), SUM(j.qty) FROM items_csv c JOIN items_bin b "
+    "ON c.id = b.id JOIN items_json j ON c.id = j.id GROUP BY c.category",
+    "for { o <- orders, l <- o.lines, l.qty > 1 } yield sum l.qty",
+]
+
+
+def _span_shapes(engine) -> list[tuple]:
+    trace = engine.tracer.last_on_this_thread()
+    return [
+        (span.node_id, span.name, span.operator, span.detail, span.rows_in,
+         span.rows_out, span.batches, span.invocations)
+        for span in trace.operators
+    ]
+
+
+def _explain_nodes(report: str) -> list[str]:
+    nodes = report.split("== plan: estimated vs actual ==")[1]
+    return [re.sub(r"\d+\.\d{3} ms", "T", line) for line in nodes.splitlines()]
+
+
+@pytest.mark.parametrize("text", _TRACED_SHAPES)
+def test_a_traced_warm_execution_records_the_cold_spans(paths, text):
+    """Spans are made per execution: a traced run after warm untraced ones
+    records the operator spans, and renders the ``explain(analyze=True)``
+    nodes, of a cold traced run."""
+    cold = make_engine(paths, enable_caching=False)
+    cold_report = cold.explain(text, analyze=True)
+    cold_spans = _span_shapes(cold)
+    warm = make_engine(paths, enable_caching=False)
+    for _ in range(3):
+        assert warm.query(text).tier == "codegen"
+    warm_report = warm.explain(text, analyze=True)
+    assert _span_shapes(warm) == cold_spans
+    assert _explain_nodes(warm_report) == _explain_nodes(cold_report)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param({}, id="inline"),
+        pytest.param(
+            {"parallel_workers": 2, "vectorized_batch_size": FANOUT_BATCH_SIZE}, id="fanout"
+        ),
+    ],
+)
+def test_reregistration_with_other_rows_rebuilds_the_program(tmp_path, config):
+    """Re-registering a dataset over another file with another row count
+    moves the epoch: the next execution re-plans, builds a new program over
+    the new dataset and answers like Volcano."""
+    schema = t.make_schema({"k": "int", "g": "string", "v": "int"})
+
+    def write(rows: int) -> str:
+        path = tmp_path / f"grow{rows}.csv"
+        path.write_text(
+            "k,g,v\n" + "".join(f"{i % 37},g{i % 5},{i}\n" for i in range(rows))
+        )
+        return str(path)
+
+    texts = [
+        "SELECT g, COUNT(*), SUM(v) FROM grow WHERE v > ? GROUP BY g",
+        "SELECT COUNT(*), SUM(a.v), MAX(b.v) FROM grow a JOIN grow b ON a.k = b.k "
+        "WHERE a.v > ?",
+    ]
+    engine = ProteusEngine(**config)
+    volcano = ProteusEngine(enable_codegen=False)
+    path = write(40)
+    for target in (engine, volcano):
+        target.register_csv("grow", path, schema=schema)
+    prepared = [engine.prepare(text) for text in texts]
+    programs = []
+    for query in prepared:
+        assert query.execute(3).tier == "codegen"
+        programs.append(query._state[3].program)
+    path = write(300)
+    for target in (engine, volcano):
+        target.register_csv("grow", path, schema=schema)
+    for query, text, program in zip(prepared, texts, programs):
+        for threshold in (3, 100):
+            result = query.execute(threshold)
+            expected = volcano.query(text, threshold)
+            assert result.tier == "codegen" and expected.tier == "volcano"
+            assert sorted(map(repr, result.rows)) == sorted(map(repr, expected.rows)), text
+        assert query._state[3].program is not program
+    if config:
+        assert prepared[0].execute(3).profile.morsels_dispatched > 0

@@ -198,13 +198,12 @@ def test_eight_barrier_aligned_concurrent_clients(paths):
         assert by_key["/v1/query"] >= 8
 
 
-def test_scan_coalescing_n_clients_one_cold_parse(paths):
-    """8 concurrent clients hit one cold CSV: exactly one parse happens (the
-    leader's), everyone else coalesces on its in-flight materialization."""
-    engine = make_engine(paths, vectorized_batch_size=16)
+def _coalesced_clients(engine, query: str) -> tuple[list, int]:
+    """8 concurrent clients of ``query`` while persistent slow faults
+    stretch the leader's scan, so the other clients demonstrably arrive
+    while it is still in flight: their responses, and the raw scans the
+    CSV plug-in made for them."""
     plugin = engine.plugins[DataFormat.CSV]
-    # Persistent slow faults stretch the leader's scan so the other clients
-    # demonstrably arrive while it is still in flight.
     injector = FaultInjector(
         FaultPlan(
             [
@@ -215,24 +214,45 @@ def test_scan_coalescing_n_clients_one_cold_parse(paths):
     )
     plugin.install_fault_injector(injector)
     base_calls = plugin.scan_calls
-    # Both fields sit in the predicate, so the scan converts (and caches)
-    # them for every row; a field only the head reads would be fetched
-    # lazily for the survivors, per client, and never enter the cache.
-    query = "select sum(price) as total from items_csv where qty < 5 and price >= 0"
     with serving(engine) as server:
         results = run_concurrently(
             lambda i: _post(server, "/v1/query", {"query": query}), 8
         )
+    plugin.install_fault_injector(None)
+    return results, plugin.scan_calls - base_calls
+
+
+def test_scan_coalescing_n_clients_one_cold_parse(paths):
+    """8 concurrent clients hit one cold CSV: exactly one parse happens (the
+    leader's), everyone else coalesces on its in-flight materialization."""
+    engine = make_engine(paths, vectorized_batch_size=16)
+    # Both fields sit in the predicate, so the scan converts (and caches)
+    # them for every row; a field only the head reads would be fetched
+    # lazily for the survivors, per client, and never enter the cache.
+    query = "select sum(price) as total from items_csv where qty < 5 and price >= 0"
+    results, scans = _coalesced_clients(engine, query)
     assert [status for status, _ in results] == [200] * 8
     bodies = [body for _, body in results]
     assert len({json.dumps(body["data"]) for body in bodies}) == 1
     # One cold parse total — the raw file was not re-scanned per client —
     # and nobody burned I/O retries doing it.
-    assert plugin.scan_calls - base_calls == 1
+    assert scans == 1
     assert all(body["profile"]["io_retries"] == 0 for body in bodies)
     coalesced = engine.metrics.counter("proteus_scans_coalesced_total")
     total = sum(value for _, value in coalesced.samples())
     assert total >= 1, "no client coalesced on the in-flight scan"
+
+    # A self-join whose first scan reads only cached fields is still cold
+    # while its second scan's field is not: the clients share that parse.
+    engine.query("select count(*) from items_csv where qty < 5 and price >= 0 and id >= 0")
+    self_join = (
+        "select sum(a.price) as total from items_csv a join items_csv b on a.id = b.id "
+        "where a.qty < 5 and a.price >= 0 and b.category <> 'none'"
+    )
+    results, scans = _coalesced_clients(engine, self_join)
+    assert [status for status, _ in results] == [200] * 8
+    assert len({json.dumps(body["data"]) for _, body in results}) == 1
+    assert scans == 1
 
 
 def test_scan_coalescing_of_a_cache_pinned_plan(paths):

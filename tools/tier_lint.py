@@ -20,7 +20,7 @@ no longer name an operator class are flagged too.
 exactly one of ``SPAN_INSTRUMENTED_OPERATORS`` / ``SPAN_EXEMPT_OPERATORS``
 in ``src/repro/obs/instrument.py`` — the declared inventory of which
 operators the tracing layer covers (and where: in the batch pipeline, the
-span ``PipelineCompiler`` puts beside a stage or scan; in Volcano, an
+span an execution puts beside a stage or scan; in Volcano, an
 iterator wrapper; on the engine, a root span), and which are deliberately
 left dark (and why).  A new operator cannot silently execute untraced: the
 build fails until its observability story is stated.  Stale names are
