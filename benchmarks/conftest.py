@@ -2,9 +2,11 @@
 
 Every benchmark regenerates one table or figure of the paper's evaluation
 (§7): it runs the experiment driver from :mod:`repro.bench.experiments`, prints
-the paper-style comparison matrix (visible with ``pytest -s`` and summarized in
-EXPERIMENTS.md), asserts the comparative *shape* the paper reports, and times
-the corresponding Proteus query with pytest-benchmark.
+the paper-style comparison matrix (visible with ``pytest -s``; no written
+summary of the measured matrices is kept — ROADMAP item 13 turns each claim
+into a gate of ``benchmarks/run_all.py`` instead), asserts the comparative
+*shape* the paper reports, and times the corresponding Proteus query with
+pytest-benchmark.
 
 Scales are laptop-sized; set ``REPRO_BENCH_SCALE`` (a float multiplier) to
 grow or shrink every dataset, and ``REPRO_BENCH_DATA_DIR`` to control where

@@ -71,10 +71,10 @@ UNNEST_GATE = 5.0
 #: scans of the batch aggregates and of the sort kernels (object keys).
 HINT_ROWS = (2_000_000, 600_000)
 HINT_SORT_ROWS = (1_000_000, 300_000)
-#: The object-key sort pair's own rounds: one round's ratio spreads
-#: 1.1-1.6x on a two-core host, so a median of three missed the bar now and
-#: then on noise alone; a median of nine stays above 1.24x there.
-HINT_SORT_ROUNDS = 9
+#: Both pairs' own rotated rounds, quick or not: one round's ratio spreads
+#: 1.1-1.6x (sort) and 1.3-1.9x (aggregates) on a two-core host, so a median
+#: of three missed the bar now and then on noise alone.
+HINT_ROUNDS = 9
 HINT_GATE = 1.2
 HINT_QUERY = "SELECT SUM(v) AS s, MIN(v) AS mn, MAX(v) AS mx, AVG(v) AS av FROM t"
 
@@ -330,9 +330,9 @@ def nullability_hints(directory: str, quick: bool) -> list[Ratio]:
     def sort(non_null):
         sortlib.sort_columns(["tag", "id"], rows, data, [("tag", True)], None, non_null)
 
-    samples = paired_rounds(ROUNDS[quick], masked=masked.execute, hinted=hinted.execute)
+    samples = paired_rounds(HINT_ROUNDS, masked=masked.execute, hinted=hinted.execute)
     sorts = paired_rounds(
-        HINT_SORT_ROUNDS,
+        HINT_ROUNDS,
         masked=lambda: sort(frozenset()),
         hinted=lambda: sort(frozenset({"tag"})),
     )

@@ -1,31 +1,38 @@
 """Caching manager (§6).
 
 The caching manager owns the binary caches that the engine materializes as a
-side effect of query execution.  Each entry records the plan-fragment key that
-produced it, the source dataset and format (which drives the eviction bias),
-its size (counted against the manager's byte budget) and an LRU timestamp.
+side effect of query execution.  A call site says only what it built — the
+key, the data and the (dataset, format) pairs it was built from —; the
+manager derives the rest: the entry's kind from its key's first element
+(``field``, ``unnest``, ``join_side``, ``chain_partial`` or ``result``),
+whether it is admitted and its eviction bias from the rules of
+:mod:`repro.caching.policies`, and the datasets whose re-registration drops
+it from its sources.  Each entry also records its size (counted against the
+manager's byte budget) and an LRU timestamp.
 
 Eviction is a *format-biased* LRU: when the budget is spent, the entry with the
-lowest ``bias / recency`` score is dropped first, so caches over JSON survive
-longer than caches over CSV, which survive longer than caches over binary
-data (``JSON ≻ CSV ≻ Binary``), mirroring the paper's policy.
+lowest bias goes first, the least recently used among equals, so caches over
+JSON survive longer than caches over CSV, which survive longer than caches
+over binary data (``JSON ≻ CSV ≻ Binary``), mirroring the paper's policy.
 
 One manager is shared by the batch pipeline of every query thread (and the
 serving layer's result cache), so every public
-method takes ``self._lock``.  Mutators delegate to ``*_locked`` internals
-(``store`` must evict while holding the lock; re-taking it would self-
-deadlock).  The byte count and the statistics object are mutated only
-through those locked paths (``core/concurrency.py`` declares both).
+method takes ``self._lock``; a scan probes all its fields under one
+acquisition (:meth:`CacheManager.lookup_many`).  Mutators delegate to
+``*_locked`` internals (``store`` must evict while holding the lock;
+re-taking it would self-deadlock).  The byte count and the statistics object
+are mutated only through those locked paths (``core/concurrency.py``
+declares both).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.caching.policies import CachingPolicy
+from repro.caching import policies
 from repro.core.concurrency import make_lock
 from repro.errors import StorageError
 
@@ -36,17 +43,20 @@ class CacheEntry:
 
     key: tuple
     kind: str
-    dataset: str
-    source_format: str
+    #: The (dataset, format) pairs the data was built from; the first owns
+    #: the entry, and re-registering any of them drops it.
+    sources: tuple[policies.Source, ...]
     data: Any
     size_bytes: int
     bias: float
     description: str = ""
     last_used: int = 0
     hits: int = 0
-    #: The other datasets the data was built from (a join build side that
-    #: scans several); re-registering any of them drops the entry too.
-    also_from: tuple[str, ...] = ()
+
+    @property
+    def dataset(self) -> str:
+        """The dataset that owns the entry: its first source."""
+        return self.sources[0][0]
 
     def touch(self, clock: int) -> None:
         self.last_used = clock
@@ -81,7 +91,6 @@ class CacheManager:
         self.budget_bytes = budget_bytes
         #: Bytes held by the live entries: the sum of their ``size_bytes``.
         self.used_bytes = 0
-        self.policy = CachingPolicy()
         self.stats = CacheStatistics()
         self._entries: dict[tuple, CacheEntry] = {}
         self._clock = 0
@@ -92,14 +101,23 @@ class CacheManager:
     def lookup(self, key: tuple) -> CacheEntry | None:
         """Return the entry for ``key`` (updating its recency) or ``None``."""
         with self._lock:
-            self.stats.lookups += 1
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._clock += 1
-            entry.touch(self._clock)
-            self.stats.hits += 1
-            return entry
+            return self._lookup_locked(key)
+
+    def lookup_many(self, keys: Sequence[tuple]) -> list[CacheEntry | None]:
+        """:meth:`lookup` of every key in ``keys`` under one acquisition of
+        the lock (a scan's fields); each key counts as one lookup."""
+        with self._lock:
+            return [self._lookup_locked(key) for key in keys]
+
+    def _lookup_locked(self, key: tuple) -> CacheEntry | None:
+        self.stats.lookups += 1
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._clock += 1
+        entry.touch(self._clock)
+        self.stats.hits += 1
+        return entry
 
     def peek(self, key: tuple) -> CacheEntry | None:
         """Return the entry for ``key`` without touching statistics."""
@@ -114,24 +132,25 @@ class CacheManager:
         self,
         key: tuple,
         data: Any,
-        *,
-        kind: str,
-        dataset: str,
-        source_format: str,
+        sources: Iterable[policies.Source],
         description: str = "",
         size_bytes: int | None = None,
-        also_from: tuple[str, ...] = (),
     ) -> CacheEntry | None:
-        """Admit a new cache entry, evicting lower-value entries if needed.
+        """Admit ``data``, built from the (dataset, format) pairs ``sources``,
+        under ``key``, evicting lower-value entries if needed.
 
-        Returns the entry, or ``None`` when the entry cannot fit even after
-        evicting everything cheaper (it is then simply not cached — caching is
-        best-effort and never fails a query).
+        Returns the entry, or ``None`` when the policy does not admit the
+        data or it cannot fit even after evicting everything cheaper (it is
+        then simply not cached — caching is best-effort and never fails a
+        query).
         """
+        if not policies.admits(data):
+            return None
+        sources = tuple(sources)
         # Size estimation can be expensive (object-array walks); do it before
-        # taking the lock.  The bias lookup is a pure policy read.
+        # taking the lock.  The bias is a pure policy read.
         size = size_bytes if size_bytes is not None else estimate_size(data)
-        bias = self.policy.format_bias(source_format)
+        bias = policies.entry_bias(sources)
         with self._lock:
             if key in self._entries:
                 entry = self._entries[key]
@@ -146,15 +165,13 @@ class CacheManager:
             self._clock += 1
             entry = CacheEntry(
                 key=key,
-                kind=kind,
-                dataset=dataset,
-                source_format=source_format,
+                kind=key[0],
+                sources=sources,
                 data=data,
                 size_bytes=size,
                 bias=bias,
                 description=description,
                 last_used=self._clock,
-                also_from=also_from,
             )
             self._entries[key] = entry
             self.stats.stores += 1
@@ -194,7 +211,7 @@ class CacheManager:
             keys = [
                 key
                 for key, entry in self._entries.items()
-                if entry.dataset == dataset or dataset in entry.also_from
+                if any(name == dataset for name, _ in entry.sources)
             ]
             for key in keys:
                 self._evict_locked(key)

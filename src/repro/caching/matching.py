@@ -1,24 +1,28 @@
 """Cache/plan matching (§6, "Cache Matching").
 
 Every cache entry is keyed by the fingerprint of the plan fragment that
-produced it.  The batch pipeline probes the caching manager where it opens
-the operator that would produce a fragment — the scan for field columns, the
-unnest stage for flattened output, the join stage for its build side's
-table, a join chain for each input's per-slot partials:
+produced it, and the key's first element names the entry's kind.  The batch
+pipeline probes the caching manager where it opens the operator that would
+produce a fragment — the scan for its field columns (all of them in one
+probe), the unnest stage for flattened output, the join stage for its build
+side's key slots, a join chain for each input's per-slot partials:
 
 * **full matches** — an identical plan (same operation, same arguments,
   matching children) whose materialized output can be reused as-is (the
-  serving layer's result cache),
+  serving layer's result cache, ``result``),
 * **partial matches** — the key slots already built over a hash join's
-  build side can be reused by a different join over the same input and
-  join key, and a join chain input's per-slot partials by a later
-  execution over the same slots,
+  build side (``join_side``) can be reused by a different join over the
+  same input and join key, and a join chain input's per-slot partials
+  (``chain_partial``) by a later execution over the same slots,
 * **field matches** — the narrowest and most common case: a converted field
-  column of a raw dataset (a ``Scan`` + field projection), reusable by any
-  query touching that field.
+  column of a raw dataset (``field``: a ``Scan`` + field projection), or the
+  flattened output of an unnest over one (``unnest``), reusable by any query
+  touching it.
 
-Subsumption (reusing σx>0(A) for σx>10(A) by re-applying the predicate) is
-listed as future work in the paper and is not implemented here either.
+This module only names the keys; what is kept, and for how long, is decided
+by :mod:`repro.caching.policies`.  Subsumption (reusing σx>0(A) for σx>10(A)
+by re-applying the predicate) is listed as future work in the paper and is
+not implemented here either.
 """
 
 from __future__ import annotations
@@ -81,11 +85,3 @@ def chain_partial_cache_key(space_key: tuple, input_key: tuple) -> tuple:
     """
     return ("chain_partial", space_key, input_key)
 
-
-def plan_fingerprint(plan) -> tuple:
-    """Fingerprint of a logical or physical plan fragment.
-
-    Both plan families expose a ``fingerprint()`` method; this indirection
-    exists so cache keys remain stable if internal representations change.
-    """
-    return plan.fingerprint()

@@ -76,7 +76,7 @@ the fan-out width and batch size, observability (tracing, metrics, the
 slow-query threshold) and the limits of a served engine (default deadline,
 admission bounds, I/O retry budget).  The rest follows from the query and
 the data: joins are always reordered by cost, the §6 caching policy is
-fixed (:class:`repro.caching.policies.CachingPolicy`), the trace ring
+fixed (:mod:`repro.caching.policies`), the trace ring
 buffer, the Volcano check stride and the admission queue cap are module
 constants, and a query queues for admission no longer than its deadline.
 """
@@ -542,7 +542,7 @@ class PreparedQuery:
         ``engine.query()`` and through ``prepare()`` — share keys; a catalog
         change moves the epoch, which makes every older key unreachable.
         ``None`` when a bound value is not a hashable scalar (or is NaN,
-        which never equals itself): such executions are not cacheable.
+        which never equals itself): such executions keep no result.
         Binding errors raise exactly as :meth:`execute` would."""
         params = self._bind(tuple(args), named)
         for value in params.values():
@@ -1531,10 +1531,10 @@ class ProteusEngine:
         scan of ``program``; returns the leases this query must release
         (in ``_execute``'s ``finally``) after its execution stored them.
 
-        The program lists the scans that are coalescable — their dataset's
-        format would actually be cached by the policy (verbose sources —
-        JSON, CSV; binary sources are cheap to re-scan and the default
-        policy never caches them) — by dataset name; one is cold when at
+        The program lists the scans that are coalescable — the cache keeps
+        their fields (``ScanStep.keep``: verbose sources — JSON, CSV;
+        binary sources are cheap to re-scan and never cached) — by dataset
+        name; one is cold when at
         least one of its field columns is missing from the cache, however
         warm the cache was when the plan was made.  Datasets are acquired
         in sorted order so two queries covering the same datasets can never
@@ -1758,16 +1758,10 @@ class ProteusEngine:
         profile.compiled_from_cache = from_cache
         program = shape.program
         if program is None:
-            manager = self.cache_manager
             program = prepared._publish_program(
                 shape,
                 PipelineProgram(
-                    physical,
-                    generated,
-                    analysis.hints,
-                    self.catalog,
-                    self.plugins,
-                    None if manager is None else manager.policy.should_cache_field,
+                    physical, generated, analysis.hints, self.catalog, self.plugins
                 ),
             )
         return program
@@ -1832,7 +1826,6 @@ class ProteusEngine:
         counting into ``context``'s profile."""
         self.last_generated_source = program.generated.source
         executor = VectorizedExecutor(
-            self.catalog,
             context,
             batch_size=self.vectorized_batch_size,
             num_workers=self.parallel_workers,

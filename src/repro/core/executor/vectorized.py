@@ -117,6 +117,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
+from repro.caching import policies
 from repro.caching.manager import estimate_size
 from repro.caching.matching import (
     chain_partial_cache_key,
@@ -385,10 +386,11 @@ class Step:
 @dataclass(frozen=True)
 class ScanStep(Step):
     """One scan of a :class:`PipelineProgram`: its plan node, the dataset and
-    plug-in it reads, its field paths with their field-cache keys, the
-    fields a selection directly above it defers (§5.2) and whether anything
-    above reads its OIDs — all fixed by the plan and the catalog, so one
-    shape derives them once."""
+    plug-in it reads, its field paths with their field-cache keys, whether
+    the cache keeps its fields (:func:`repro.caching.policies.keeps_fields`
+    of its format), the fields a selection directly above it defers (§5.2)
+    and whether anything above reads its OIDs — all fixed by the plan and
+    the catalog, so one shape derives them once."""
 
     node: PhysScan
     dataset: Dataset
@@ -396,6 +398,7 @@ class ScanStep(Step):
     paths: tuple[FieldPath, ...]
     #: The field-cache key of every path, in ``paths`` order.
     keys: tuple[tuple, ...]
+    keep: bool
     deferred: frozenset[FieldPath] = frozenset()
     oids: bool = True
 
@@ -410,7 +413,8 @@ class ScanStep(Step):
     ) -> ScanStep:
         paths = tuple(tuple(path) for path in node.paths)
         keys = tuple(field_cache_key(dataset.name, path) for path in paths)
-        return cls(node, dataset, plugin, paths, keys, deferred, oids)
+        keep = policies.keeps_fields(dataset.format)
+        return cls(node, dataset, plugin, paths, keys, keep, deferred, oids)
 
     def open(self, run: VectorizedExecutor) -> CompiledPipeline:
         span = None
@@ -428,7 +432,8 @@ class ScanOperator:
 
     The operator is the engine's single cache path: field columns held by
     the caching manager are served (and counted as hits) instead of
-    re-extracted — looked up here, at scan time, never planned — remaining
+    re-extracted — looked up here, at scan time, in one probe for all the
+    step's fields, never planned — remaining
     fields are scanned through the dataset's own plug-in, and columns
     extracted by a *complete* scan are admitted to the cache afterwards
     (:meth:`store_materialized`).
@@ -453,6 +458,7 @@ class ScanOperator:
         params: Mapping[int | str, object] | None = None,
         span: SpanAccumulator | None = None,
     ):
+        self.step = step
         self.binding = step.node.binding
         self.dataset = step.dataset
         self.plugin = plugin = step.plugin
@@ -461,9 +467,8 @@ class ScanOperator:
         #: The scan's span in a traced run; ``None`` untraced.
         self.span = span
         self._cached: dict[FieldPath, np.ndarray] = {}
-        if cache_manager is not None:
-            for path, key in zip(step.paths, step.keys):
-                entry = cache_manager.lookup(key)
+        if cache_manager is not None and step.keys:
+            for path, entry in zip(step.paths, cache_manager.lookup_many(step.keys)):
                 if entry is not None:
                     self._cached[path] = entry.data
         uncached = [path for path in step.paths if path not in self._cached]
@@ -476,13 +481,9 @@ class ScanOperator:
         else:
             self.total_rows = plugin.scan_row_count(self.dataset)
         # Chunk recorder for cache materialization: worth the references only
-        # when the manager could admit at least one column of this format.
+        # when the cache keeps this format's fields.
         self._recorder: _CoverageRecorder | None = None
-        if (
-            cache_manager is not None
-            and self._uncached
-            and cache_manager.policy.should_cache_field(plugin.format_name)
-        ):
+        if cache_manager is not None and self._uncached and step.keep:
             self._recorder = _CoverageRecorder()
 
     @property
@@ -623,20 +624,12 @@ class ScanOperator:
         chunks = self._recorder.drain(self.total_rows)
         if chunks is None:
             return
-        manager = self.cache_manager
-        for path in self._uncached:
-            column = concat_chunks([chunk.column(path) for chunk in chunks])
-            if isinstance(column, np.ndarray) and column.dtype == object:
-                # Mixed-type or nested values: no primitive column to keep.
-                continue
-            manager.store(
-                field_cache_key(self.dataset.name, path),
-                column,
-                kind="field",
-                dataset=self.dataset.name,
-                source_format=self.plugin.format_name,
-                description=f"{self.dataset.name}.{'.'.join(path)}",
-            )
+        name = self.dataset.name
+        sources = ((name, self.dataset.format),)
+        for path, key in zip(self.step.paths, self.step.keys):
+            if path in self._uncached:
+                column = concat_chunks([chunk.column(path) for chunk in chunks])
+                self.cache_manager.store(key, column, sources, f"{name}.{'.'.join(path)}")
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +729,7 @@ class UnnestStage:
             entry = cache_manager.lookup(step.cache_key)
             if entry is not None:
                 self._cached = entry.data
-            elif cache_manager.policy.should_cache_field(step.plugin.format_name):
+            elif step.keep:
                 self._recorder = _CoverageRecorder()
 
     def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
@@ -812,13 +805,12 @@ class UnnestStage:
             offsets=np.concatenate(([0], np.cumsum(repeats))),
             positions=np.repeat(np.arange(len(repeats), dtype=np.int64), repeats),
         )
+        name = self.dataset.name
         self.cache_manager.store(
             self._cache_key,
             flattened,
-            kind="unnest",
-            dataset=self.dataset.name,
-            source_format=self.plugin.format_name,
-            description=f"unnest {self.dataset.name}.{'.'.join(self.path)}",
+            ((name, self.dataset.format),),
+            f"unnest {name}.{'.'.join(self.path)}",
         )
 
 
@@ -975,7 +967,8 @@ class UnnestStep(Step):
     """An unnest: the dataset and plug-in of its parent's scan (``None``
     for nested-in-nested, whose collection is a materialized column of the
     element types ``type_names``), and — directly on the scan — the cache
-    key of its flattened output."""
+    key of its flattened output and whether the cache keeps it (the field
+    rule of the dataset's format)."""
 
     node: PhysUnnest
     child: Step
@@ -985,6 +978,7 @@ class UnnestStep(Step):
     element_paths: tuple[FieldPath, ...]
     type_names: list[str] | None
     cache_key: tuple | None
+    keep: bool
 
     def open(self, run: VectorizedExecutor) -> CompiledPipeline:
         pipeline = self.child.open(run)
@@ -997,8 +991,8 @@ class UnnestStep(Step):
 @dataclass(frozen=True)
 class HashJoinStep(Step):
     """A hash join: its build side's step, key functions and cache key (its
-    :func:`build_side_key` and the datasets it scans), the probe side's
-    step and the :class:`Live` columns of its output."""
+    :func:`build_side_key` and the (dataset, format) pairs it scans), the
+    probe side's step and the :class:`Live` columns of its output."""
 
     node: PhysHashJoin
     left: Step
@@ -1008,7 +1002,7 @@ class HashJoinStep(Step):
     residual: Evaluator | None
     live: Live
     side_key: tuple[tuple, tuple]
-    scans: tuple[str, ...]
+    sources: tuple[policies.Source, ...]
 
     def open(self, run: VectorizedExecutor) -> CompiledPipeline:
         """Materialize the build side (or take the rows and slots a chain
@@ -1028,7 +1022,7 @@ class HashJoinStep(Step):
             cache_key = run.bound_key(self.side_key)
             space = run.cached(cache_key)
             if space is None:
-                space = run.build_side(cache_key, self.scans, self.left_key, left)
+                space = run.build_side(cache_key, self.sources, self.left_key, left)
         run.join_kernels.append(space.kernel)
         run.add_stage(
             pipeline,
@@ -1129,6 +1123,7 @@ class PipelineCompiler:
             return UnnestStep(
                 plan, child, dataset, plugin, self._optional(plan.predicate),
                 element_paths, type_names, cache_key,
+                dataset is not None and policies.keeps_fields(dataset.format),
             )
         if isinstance(plan, PhysHashJoin):
             left = self.compile(plan.left, below)
@@ -1141,7 +1136,7 @@ class PipelineCompiler:
                 self._optional(plan.residual),
                 live_above(above, plan.residual),
                 build_side_key(plan.left, plan.left_key),
-                scanned(plan.left),
+                self.catalog.sources(scanned(plan.left)),
             )
         if isinstance(plan, PhysNestedLoopJoin):
             left = self.compile(plan.left, below)
@@ -1783,8 +1778,6 @@ class FactorizedChain:
     #: Per input, aggregate fingerprint -> the parts reduced per slot (none
     #: for the grouped input, which keeps its rows).
     parts: list[dict[tuple, tuple[str, ...]]]
-    #: The datasets each input scans.
-    scans: list[tuple[str, ...]]
     #: The first input's :func:`build_side_key`: the slot space's.
     space_key: tuple[tuple, tuple]
     #: Per input, the cache key of its partials short of the slot space's
@@ -1896,7 +1889,6 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
         owners,
         grouped,
         parts,
-        [scanned(subplan) for subplan in inputs],
         sides[0],
         partial_keys,
     )
@@ -2101,13 +2093,14 @@ class _SlotRoot(_RootTask):
 @dataclass(frozen=True)
 class ChainInput:
     """One input of a factorized chain as a program runs it: its step, the
-    function of its join key, and what :class:`_SlotRoot` reduces of it —
-    per aggregate whose argument it reads, that argument and the parts
-    reduced per slot, or, for the grouped input, the columns whose rows it
-    keeps (its group keys by index, its aggregates' arguments by
-    fingerprint, and its slots)."""
+    (dataset, format) pairs it scans, the function of its join key, and what
+    :class:`_SlotRoot` reduces of it — per aggregate whose argument it
+    reads, that argument and the parts reduced per slot, or, for the grouped
+    input, the columns whose rows it keeps (its group keys by index, its
+    aggregates' arguments by fingerprint, and its slots)."""
 
     step: Step
+    sources: tuple[policies.Source, ...]
     key: Evaluator
     summed: dict[tuple, tuple[Evaluator, tuple[str, ...]]]
     kept: dict[Any, Evaluator]
@@ -2135,6 +2128,7 @@ def _chain_inputs(
         inputs.append(
             ChainInput(
                 step,
+                compiler.catalog.sources(scanned(subplan)),
                 compiler.evaluator(chain.keys[index]),
                 {
                     fingerprint: (root.arguments[fingerprint], funcs)
@@ -2394,7 +2388,6 @@ class PipelineProgram:
         hints: NullabilityHints,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
-        cacheable: Callable[[str], bool] | None,
     ):
         #: The plan's :class:`~repro.core.codegen.GeneratedQuery`.
         self.generated = generated
@@ -2435,7 +2428,7 @@ class PipelineProgram:
         self.scans = tuple(compiler.scans)
         cold: dict[str, dict[tuple, None]] = {}
         for scan in self.scans:
-            if scan.paths and cacheable is not None and cacheable(scan.dataset.format):
+            if scan.paths and scan.keep:
                 cold.setdefault(scan.dataset.name, {}).update(dict.fromkeys(scan.keys))
         #: (dataset, field-cache keys of all its scans) of every dataset
         #: whose fields the cache would keep, by name: the raw reads a
@@ -2475,7 +2468,6 @@ class VectorizedExecutor:
 
     def __init__(
         self,
-        catalog: Catalog,
         context: QueryContext,
         batch_size: int = DEFAULT_BATCH_SIZE,
         num_workers: int = 1,
@@ -2483,7 +2475,6 @@ class VectorizedExecutor:
         params: Params = None,
         trace: TraceBuilder | None = None,
     ):
-        self.catalog = catalog
         self.batch_size = max(int(batch_size), 1)
         self.cache_manager = cache_manager
         #: Bound query-parameter values, attached to every scan batch.
@@ -2575,24 +2566,20 @@ class VectorizedExecutor:
         return None if entry is None else entry.data
 
     def build_side(
-        self, cache_key: tuple | None, scans: tuple[str, ...], key: Evaluator, build: Batch
+        self,
+        cache_key: tuple | None,
+        sources: tuple[policies.Source, ...],
+        key: Evaluator,
+        build: Batch,
     ) -> radix.KeySlots:
         """Number the keys of ``build``, a materialized join build side over
-        the datasets ``scans`` keyed by ``key``, as slots and offer them to
+        the datasets ``sources`` keyed by ``key``, as slots and offer them to
         the adaptive cache under ``cache_key``."""
         space = radix.key_slots(materialize(key(build), build.count))
         self.profile.join_build_rows += build.count
         if cache_key is not None:
-            # The entry belongs to every dataset the side scans: a side that
-            # is itself a join goes stale when any of them is re-registered.
             self.cache_manager.store(
-                cache_key,
-                space,
-                kind="join_side",
-                dataset=scans[0],
-                source_format=self.catalog.get(scans[0]).format,
-                description=f"join build side ({space.kernel})",
-                also_from=scans[1:],
+                cache_key, space, sources, f"join build side ({space.kernel})"
             )
         return space
 
@@ -2631,7 +2618,7 @@ class VectorizedExecutor:
             first = self.materialize(inputs[0].step.open(self))
             if first.count == 0:
                 return self._empty_chain(chain, root)
-            space = self.build_side(space_key, chain.scans[0], inputs[0].key, first)
+            space = self.build_side(space_key, inputs[0].sources, inputs[0].key, first)
         if len(chain.inputs) == 2 and space.unique:
             self.built[id(chain.inputs[0])] = (first, space)
             return None
@@ -2649,7 +2636,7 @@ class VectorizedExecutor:
                 # Its rows per slot, which its slots count, are all it adds.
                 reduced = _SlotPartials(reducer.rows, {}, {})
             else:
-                reduced = self._partials(chain, index, spec, reducer, space, space_key, first)
+                reduced = self._partials(chain, inputs, index, reducer, space, space_key, first)
             held = reduced.kept[_SLOT] if reduced.rows is None else reduced.rows
             if not held.any():  # no row of this input has a slot
                 return self._empty_chain(chain, root)
@@ -2665,8 +2652,8 @@ class VectorizedExecutor:
     def _partials(
         self,
         chain: FactorizedChain,
+        inputs: list[ChainInput],
         index: int,
-        spec: ChainInput,
         reducer: _SlotRoot,
         space: radix.KeySlots,
         space_key: tuple | None,
@@ -2679,10 +2666,10 @@ class VectorizedExecutor:
         join's sides do, through a :class:`SlotStage` into ``reducer`` (the
         first input from ``first``, its rows materialized on a slot-space
         miss).  Computed partials without kept rows — every input's but the
-        grouped one's — are stored read-only, as entries of every dataset
-        the input or the first input scans, biased as the most verbose of
-        their formats: a combine that wrote into them would raise instead of
-        corrupting a later answer."""
+        grouped one's — are stored read-only, built from every dataset the
+        input or the first input scans: a combine that wrote into them would
+        raise instead of corrupting a later answer."""
+        spec = inputs[index]
         unbound = chain.partial_keys[index]
         cache_key = None
         if unbound is not None and space_key is not None:
@@ -2711,19 +2698,12 @@ class VectorizedExecutor:
             arrays = reduced.arrays()
             for array in arrays:
                 array.setflags(write=False)
-            scans = tuple(dict.fromkeys(chain.scans[index] + chain.scans[0]))
             self.cache_manager.store(
                 cache_key,
                 reduced,
-                kind="chain_partial",
-                dataset=scans[0],
-                source_format=max(
-                    (self.catalog.get(name).format for name in scans),
-                    key=self.cache_manager.policy.format_bias,
-                ),
-                description=f"per-slot partials of {', '.join(chain.scans[index])}",
+                dict.fromkeys(spec.sources + inputs[0].sources),
+                f"per-slot partials of {', '.join(name for name, _ in spec.sources)}",
                 size_bytes=sum(map(estimate_size, arrays)),
-                also_from=scans[1:],
             )
         return reduced
 

@@ -9,12 +9,12 @@ replays it: a hit skips execution, Python-list materialization and
 ``json.dumps`` of the data.
 
 There is no second cache: entries live in the engine's byte-budgeted
-:class:`~repro.caching.manager.CacheManager` (``kind="result"``) next to the
+:class:`~repro.caching.manager.CacheManager` (``result`` entries) next to the
 field and join-side caches — one budget, one format-biased LRU, one
-``enable_caching`` switch.  An entry carries the bias of the most verbose
-source format its plan scans (a result over JSON is the dearest to rebuild),
-and belongs to that dataset for ``invalidate_dataset``.  Entries of an older
-catalog epoch are unreachable and age out by LRU.
+``enable_caching`` switch.  An entry names the datasets its plan scans; the
+manager biases it as the most verbose of them (a result over JSON is the
+dearest to rebuild) and drops it when any is re-registered.  Entries of an
+older catalog epoch are unreachable and age out by LRU.
 
 Only the HTTP path uses it: an in-process caller already holds its
 :class:`~repro.core.engine.ResultSet`.  Concurrent first requests for one key
@@ -63,29 +63,20 @@ class ResultCache:
 
     def store(self, key: tuple, prepared: "PreparedQuery", head: bytes) -> None:
         """Keep ``head`` under ``key``; best-effort, like every cache store."""
-        manager = self._manager
         plan = prepared.plan
         if plan is None:
             return
-        catalog = self._engine.catalog
         try:
-            formats = {
-                node.dataset: catalog.get(node.dataset).format
-                for node in plan.walk()
-                if isinstance(node, PhysScan)
-            }
+            sources = self._engine.catalog.sources(
+                node.dataset for node in plan.walk() if isinstance(node, PhysScan)
+            )
         except ProteusError:
             return  # dropped since the execution: the key is unreachable
-        if not formats:
-            return
-        bias = manager.policy.format_bias
-        dataset = max(formats, key=lambda name: bias(formats[name]))
-        manager.store(
-            key,
-            head,
-            kind="result",
-            dataset=dataset,
-            source_format=formats[dataset],
-            description="encoded HTTP result",
-            size_bytes=len(head) + _ENTRY_OVERHEAD_BYTES,
-        )
+        if sources:
+            self._manager.store(
+                key,
+                head,
+                sources,
+                "encoded HTTP result",
+                size_bytes=len(head) + _ENTRY_OVERHEAD_BYTES,
+            )

@@ -10,7 +10,7 @@ and consulted by the optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core import types as t
 from repro.errors import CatalogError
@@ -108,6 +108,12 @@ class Catalog:
 
     def names(self) -> list[str]:
         return sorted(self._datasets)
+
+    def sources(self, names: Iterable[str]) -> tuple[tuple[str, str], ...]:
+        """The (name, format) pair of every dataset in ``names``, once each
+        in first-seen order: the sources a cache entry built from them
+        names."""
+        return tuple(dict.fromkeys((name, self.get(name).format) for name in names))
 
     def element_types(self) -> dict[str, t.RecordType]:
         """Map of dataset name to element record type (used by the binder)."""

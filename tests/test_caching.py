@@ -6,7 +6,7 @@ import pytest
 
 from repro.caching.manager import CacheManager, estimate_size
 from repro.caching.matching import field_cache_key, join_side_cache_key, unnest_cache_key
-from repro.caching.policies import CachingPolicy
+from repro.caching import policies
 from repro.core.columns import EncodedColumn
 from repro.errors import StorageError
 
@@ -20,16 +20,28 @@ def test_policy_caches_fields_of_verbose_sources_only():
     """The one §6 rule set: fields of verbose sources (strings as dictionary
     codes), never binary sources (join sides and unnest output are always
     kept)."""
-    policy = CachingPolicy()
-    assert policy.should_cache_field("json")
-    assert policy.should_cache_field("csv")
+    assert policies.keeps_fields("json")
+    assert policies.keeps_fields("csv")
     for source_format in ("binary_column", "binary_row", "cache"):
-        assert not policy.should_cache_field(source_format)
+        assert not policies.keeps_fields(source_format)
 
 
 def test_policy_format_bias_ordering():
-    policy = CachingPolicy()
-    assert policy.format_bias("json") > policy.format_bias("csv") > policy.format_bias("binary_column")
+    def bias(source_format):
+        return policies.entry_bias([("d", source_format)])
+
+    assert bias("json") > bias("csv") > bias("binary_column")
+    # An entry built from several sources is as dear as the most verbose.
+    assert policies.entry_bias([("b", "binary_column"), ("j", "json")]) == bias("json")
+
+
+def test_policy_keeps_fields_as_primitive_columns_only():
+    """A field of mixed-type or nested values (an object array) is not kept."""
+    manager = CacheManager(1 << 20)
+    mixed = np.array([1, "a", None], dtype=object)
+    assert manager.store(field_cache_key("ds", ("x",)), mixed, [("ds", "json")]) is None
+    assert manager.entries() == [] and manager.stats.rejected == 0
+    assert manager.store(field_cache_key("ds", ("y",)), np.arange(3), [("ds", "json")])
 
 
 # -- manager --------------------------------------------------------------------
@@ -39,7 +51,7 @@ def test_cache_store_lookup_and_stats():
     manager = CacheManager(1 << 20)
     key = field_cache_key("ds", ("x",))
     assert manager.lookup(key) is None
-    manager.store(key, np.arange(10), kind="field", dataset="ds", source_format="json")
+    manager.store(key, np.arange(10), [("ds", "json")])
     entry = manager.lookup(key)
     assert entry is not None and entry.hits == 1
     assert manager.stats.stores == 1
@@ -51,8 +63,8 @@ def test_cache_store_lookup_and_stats():
 def test_cache_store_is_idempotent():
     manager = CacheManager(1 << 20)
     key = field_cache_key("ds", ("x",))
-    first = manager.store(key, np.arange(10), kind="field", dataset="ds", source_format="csv")
-    second = manager.store(key, np.arange(10), kind="field", dataset="ds", source_format="csv")
+    first = manager.store(key, np.arange(10), [("ds", "csv")])
+    second = manager.store(key, np.arange(10), [("ds", "csv")])
     assert first is second
     assert manager.stats.stores == 1
 
@@ -62,12 +74,9 @@ def test_cache_eviction_is_format_biased():
     # bias) must be evicted before the JSON-backed ones.
     array = np.arange(100, dtype=np.int64)  # 800 bytes
     manager = CacheManager(1700)
-    manager.store(field_cache_key("c", ("a",)), array, kind="field",
-                  dataset="c", source_format="csv")
-    manager.store(field_cache_key("j", ("a",)), array, kind="field",
-                  dataset="j", source_format="json")
-    manager.store(field_cache_key("j", ("b",)), array, kind="field",
-                  dataset="j", source_format="json")
+    manager.store(field_cache_key("c", ("a",)), array, [("c", "csv")])
+    manager.store(field_cache_key("j", ("a",)), array, [("j", "json")])
+    manager.store(field_cache_key("j", ("b",)), array, [("j", "json")])
     keys = {entry.key for entry in manager.entries()}
     assert field_cache_key("c", ("a",)) not in keys
     assert field_cache_key("j", ("a",)) in keys
@@ -76,19 +85,19 @@ def test_cache_eviction_is_format_biased():
 
 def test_cache_rejects_oversized_entries():
     manager = CacheManager(100)
-    entry = manager.store(field_cache_key("d", ("x",)), np.arange(1000),
-                          kind="field", dataset="d", source_format="json")
+    entry = manager.store(field_cache_key("d", ("x",)), np.arange(1000), [("d", "json")])
     assert entry is None
     assert manager.stats.rejected == 1
 
 
 def test_cache_invalidate_dataset_and_clear():
     manager = CacheManager(1 << 20)
-    manager.store(field_cache_key("a", ("x",)), np.arange(5), kind="field",
-                  dataset="a", source_format="json")
-    manager.store(field_cache_key("b", ("x",)), np.arange(5), kind="field",
-                  dataset="b", source_format="json")
-    assert manager.invalidate_dataset("a") == 1
+    manager.store(field_cache_key("a", ("x",)), np.arange(5), [("a", "json")])
+    manager.store(field_cache_key("b", ("x",)), np.arange(5), [("b", "json")])
+    # Owned by its first source, dropped with any of them.
+    joined = manager.store(("join_side", "ba"), np.arange(5), [("b", "json"), ("a", "csv")])
+    assert joined.kind == "join_side" and joined.dataset == "b"
+    assert manager.invalidate_dataset("a") == 2
     assert [entry.dataset for entry in manager.entries()] == ["b"]
     manager.clear()
     assert manager.entries() == []
@@ -98,16 +107,13 @@ def test_cache_invalidate_dataset_and_clear():
 def test_cache_refuses_entries_beyond_its_budget():
     manager = CacheManager(1000)
     first = field_cache_key("d", ("a",))
-    manager.store(first, b"x" * 400, kind="field", dataset="d", source_format="json")
-    manager.store(field_cache_key("d", ("b",)), b"x" * 500, kind="field",
-                  dataset="d", source_format="json")
+    manager.store(first, b"x" * 400, [("d", "json")])
+    manager.store(field_cache_key("d", ("b",)), b"x" * 500, [("d", "json")])
     assert manager.used_bytes == 900
     # 200 more bytes fit only by evicting the least recently used entry.
-    manager.store(field_cache_key("d", ("c",)), b"x" * 200, kind="field",
-                  dataset="d", source_format="json")
+    manager.store(field_cache_key("d", ("c",)), b"x" * 200, [("d", "json")])
     assert first not in manager and manager.used_bytes == 700
-    assert manager.store(field_cache_key("d", ("huge",)), b"x" * 5000, kind="field",
-                         dataset="d", source_format="json") is None
+    assert manager.store(field_cache_key("d", ("huge",)), b"x" * 5000, [("d", "json")]) is None
     assert manager.stats.rejected == 1 and manager.used_bytes == 700
 
 
@@ -126,8 +132,7 @@ def test_cache_used_bytes_is_the_sum_of_entry_sizes():
     for index in range(10):  # the later stores evict the earlier ones
         source_format = ("json", "csv")[index % 2]
         manager.store(field_cache_key(source_format, (str(index),)),
-                      np.arange(8, dtype=np.int64), kind="field",
-                      dataset=source_format, source_format=source_format)
+                      np.arange(8, dtype=np.int64), [(source_format, source_format)])
         check()
     assert manager.stats.evictions == 4
     manager.evict(manager.entries()[0].key)
@@ -196,6 +201,33 @@ def test_engine_join_side_cache_reuse(paths):
     assert engine.cache_stats.hits > hits_before
 
 
+def test_a_join_side_over_several_datasets_is_as_dear_as_the_most_verbose(paths):
+    """A build side that is itself a join of a binary and a JSON dataset is
+    owned by the binary one (its first scan) but biased as JSON: it outlives
+    a binary entry used as recently."""
+    engine = make_engine(paths, enable_caching=True)
+    engine.query(
+        "SELECT b.id, j.qty, c.price FROM items_bin b JOIN items_json j ON b.id = j.id "
+        "JOIN items_csv c ON c.id = j.id WHERE b.qty < 2"
+    )
+    (side,) = [
+        e for e in engine.cache_entries() if e.kind == "join_side" and len(e.sources) == 2
+    ]
+    assert side.sources == (("items_bin", "binary_column"), ("items_json", "json"))
+    assert side.dataset == "items_bin"
+    assert side.bias == policies.FORMAT_BIAS["json"]
+    manager = engine.cache_manager
+    binary = manager.store(("join_side", "binary"), np.arange(8), [("items_bin", "binary_column")])
+    for entry in manager.entries():
+        if entry.key not in (side.key, binary.key):
+            manager.evict(entry.key)
+    binary.last_used = side.last_used
+    # One more byte than is free: exactly one entry must go.
+    manager.budget_bytes = manager.used_bytes + binary.size_bytes
+    manager.store(("result", "newcomer"), b"", [("items_csv", "csv")], size_bytes=binary.size_bytes + 1)
+    assert side.key in manager and binary.key not in manager
+
+
 def test_engine_unnest_cache(paths):
     engine = make_engine(paths, enable_caching=True)
     first = engine.query("for { o <- orders, l <- o.lines, l.qty > 1 } yield count")
@@ -258,8 +290,7 @@ def test_victim_is_the_first_of_the_bias_then_recency_order():
             victim = sorted(reference, key=lambda k: reference[k])[0]
             evicted_expected.append(victim)
             del reference[victim]
-        manager.store(key, array, kind="field", dataset=f"d{step}",
-                      source_format=source_format)
-        reference[key] = (manager.policy.format_bias(source_format), manager._clock)
+        manager.store(key, array, [(f"d{step}", source_format)])
+        reference[key] = (policies.FORMAT_BIAS[source_format], manager._clock)
     assert evicted_seen == evicted_expected
     assert manager.stats.evictions == len(evicted_expected) == 188

@@ -265,8 +265,7 @@ def test_cache_plugin_serves_cached_fields(tmp_path):
     plugin = JsonPlugin()
     manager = CacheManager(1 << 28)
     values = np.arange(50, dtype=np.int64)
-    manager.store(field_cache_key("ds", ("x",)), values, kind="field",
-                  dataset="ds", source_format="json")
+    manager.store(field_cache_key("ds", ("x",)), values, [("ds", "json")])
 
     cached = ScanOperator(ScanStep.of(PhysScan("ds", "d", [("x",)]), dataset, plugin), cache_manager=manager)
     assert cached.fully_cached and cached.total_rows == 50

@@ -864,6 +864,18 @@ def symantec_smoke(tmp_path_factory):
     return files, [query.spec.to_text() for query in symantec.symantec_workload(files)]
 
 
+def _symantec_engine(files) -> ProteusEngine:
+    from repro.workloads import symantec
+
+    engine = ProteusEngine(parallel_workers=2)
+    engine.register_binary_columns("mail_log", files.binary_dir)
+    engine.register_csv(
+        "classification", files.csv_path, schema=symantec.CLASSIFICATION_CSV_SCHEMA
+    )
+    engine.register_json("spam_mails", files.json_path, schema=symantec.SPAM_JSON_SCHEMA)
+    return engine
+
+
 def _classes(base: type) -> set[type]:
     found = {base}
     for subclass in base.__subclasses__():
@@ -875,15 +887,9 @@ def test_warm_executions_derive_nothing_from_the_plan(symantec_smoke, monkeypatc
     """A warm, untraced execution of every Symantec text runs its shape's
     program: no plan walk and no expression fingerprint."""
     from repro.core import expressions, physical
-    from repro.workloads import symantec
 
     files, texts = symantec_smoke
-    engine = ProteusEngine(parallel_workers=2)
-    engine.register_binary_columns("mail_log", files.binary_dir)
-    engine.register_csv(
-        "classification", files.csv_path, schema=symantec.CLASSIFICATION_CSV_SCHEMA
-    )
-    engine.register_json("spam_mails", files.json_path, schema=symantec.SPAM_JSON_SCHEMA)
+    engine = _symantec_engine(files)
     for _ in range(2):
         for text in texts:
             assert engine.query(text).tier == "codegen", text
@@ -901,6 +907,54 @@ def test_warm_executions_derive_nothing_from_the_plan(symantec_smoke, monkeypatc
     for text in texts:
         engine.query(text).rows
         assert calls == [], (text, calls)
+
+
+def test_a_warm_scan_probes_the_field_cache_once(symantec_smoke, monkeypatch):
+    """A warm execution of every Symantec text asks the cache for a scan's
+    fields in one call, and the statistics still count every key: a lookup
+    each, a hit each that the cache held."""
+    from repro.caching.manager import CacheManager
+    from repro.core.executor.vectorized import ScanOperator
+
+    files, texts = symantec_smoke
+    engine = _symantec_engine(files)
+    for _ in range(2):
+        for text in texts:
+            engine.query(text).rows
+    counts = {"scans": 0, "field_probes": 0, "keys": 0, "hits": 0}
+
+    def counted(keys, entries):
+        counts["keys"] += len(keys)
+        counts["hits"] += sum(entry is not None for entry in entries)
+        counts["field_probes"] += any(key[0] == "field" for key in keys)
+        return entries
+
+    lookup, lookup_many, scan_init = (
+        CacheManager.lookup, CacheManager.lookup_many, ScanOperator.__init__
+    )
+    monkeypatch.setattr(
+        CacheManager, "lookup", lambda self, key: counted([key], [lookup(self, key)])[0]
+    )
+    monkeypatch.setattr(
+        CacheManager, "lookup_many", lambda self, keys: counted(keys, lookup_many(self, keys))
+    )
+
+    def counting_init(self, *args, **kwargs):
+        counts["scans"] += 1
+        scan_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScanOperator, "__init__", counting_init)
+    stats = engine.cache_stats
+    warm_hits = 0
+    for text in texts:
+        counts.update(scans=0, field_probes=0, keys=0, hits=0)
+        lookups, hits = stats.lookups, stats.hits
+        engine.query(text).rows
+        assert counts["field_probes"] <= counts["scans"], (text, counts)
+        assert stats.lookups - lookups == counts["keys"], (text, counts)
+        assert stats.hits - hits == counts["hits"], (text, counts)
+        warm_hits += counts["hits"]
+    assert warm_hits > 0
 
 
 @pytest.mark.parametrize(
