@@ -4,8 +4,8 @@ Structural indexes store *positional* information about fields in verbose
 text formats instead of data values, so that the engine can navigate straight
 to the bytes it needs rather than re-parsing whole records.  Both indexes are
 built by whole-block bitmap passes over the raw buffer (the Mison / simdjson
-technique): a block is classified byte by byte in one table lookup, and every
-later step works on the positions of the few bytes that matter.
+technique): a few passes over a block's bytes find the bytes that matter, and
+every later step works on their positions.
 
 * :class:`CsvStructuralIndex` stores where every row starts and ends and,
   row-relative, where every Nth field starts (the paper stores the 1st, 11th,
@@ -24,6 +24,17 @@ later step works on the positions of the few bytes that matter.
   paper's Level 0 (path -> entry per object) and its fixed-schema
   specialization are both subsumed; ``fixed_schema`` remains as a reported
   fact about the file.
+
+  One block of the JSON build: one ``bytes.translate`` classifies its bytes;
+  escaped quotes are dropped (only in a block that holds a backslash), so
+  the quotes left alternate opening and closing and one list of their
+  positions bounds every string; a prefix xor of the quote mask, 64 bytes to
+  a word, masks the bytes inside strings.  The tokens left (structural
+  bytes, strings, scalar runs) are paired and validated by whole-array
+  passes, small per-token tables are looked up by ``translate`` too, keys
+  are numbered by a hash checked against one member of each group, and the
+  block's fields are written into its columns by one scatter into a
+  (paths x objects) grid.
 
 Array contents are deliberately *not* indexed: nested collections are handled
 by the explicit Unnest operator, whose code path applies the same action to
@@ -57,13 +68,28 @@ TYPE_MISSING = -1
 BLOCK_BYTES = 1 << 17
 
 
+_NARROW = ((0xFF, np.uint8), (0xFFFF, np.uint16), (0xFFFF_FFFF, np.uint32))
+
+
+def _narrow_dtype(top: int) -> type:
+    """The narrowest unsigned dtype that holds ``0..top`` (``int64`` past 32 bits)."""
+    for limit, dtype in _NARROW:
+        if top <= limit:
+            return dtype
+    return np.int64
+
+
 def _narrow(values: np.ndarray) -> np.ndarray:
     """``values`` (non-negative) in the narrowest unsigned dtype that holds them."""
-    top = int(values.max()) if values.size else 0
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if top <= np.iinfo(dtype).max:
-            return values.astype(dtype)
-    return values.astype(np.int64)
+    return values.astype(_narrow_dtype(int(values.max()) if values.size else 0))
+
+
+def _narrow_rows(grid: np.ndarray) -> list[np.ndarray]:
+    """Every row of a 2-D ``grid`` narrowed as by :func:`_narrow`."""
+    return [
+        row.astype(_narrow_dtype(top), copy=False)
+        for row, top in zip(grid, grid.max(axis=1).tolist())
+    ]
 
 
 def _block_end(data: bytes, start: int, size: int) -> int:
@@ -375,36 +401,117 @@ class JsonStructuralIndex:
         return starts, starts + lengths[rows], types[rows]
 
 
-# Byte classes of one table lookup per byte.  Scalar bytes (numbers,
-# literals, garbage) are the classes up to _BACKSLASH.
+# Byte classes, looked up for a whole block by one ``bytes.translate``.
+# Scalar bytes (numbers, literals, garbage) are the classes up to _BACKSLASH.
 _OTHER, _NUM, _BACKSLASH, _WS, _QUOTE = 0, 1, 2, 3, 4
 _OBJ_OPEN, _OBJ_CLOSE, _ARR_OPEN, _ARR_CLOSE, _COLON, _COMMA = 5, 6, 7, 8, 9, 10
 # Token kinds beyond the structural bytes: a string (at its opening quote)
 # and a run of scalar bytes.
 _STRING, _SCALAR = 11, 12
 
-_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-for _byte in b"-+.eE0123456789":
-    _CLASS[_byte] = _NUM
-for _byte, _code in zip(b' \t\r\n\\"{}[]:,', (_WS,) * 4 + (
-        _BACKSLASH, _QUOTE, _OBJ_OPEN, _OBJ_CLOSE, _ARR_OPEN, _ARR_CLOSE, _COLON, _COMMA)):
-    _CLASS[_byte] = _code
 
-_DEPTH_STEP = np.zeros(13, dtype=np.int8)
-_DEPTH_STEP[[_OBJ_OPEN, _ARR_OPEN]] = 1
-_DEPTH_STEP[[_OBJ_CLOSE, _ARR_CLOSE]] = -1
-_ARRAY_STEP = np.zeros(13, dtype=np.int8)
-_ARRAY_STEP[_ARR_OPEN], _ARRAY_STEP[_ARR_CLOSE] = 1, -1
-_VALUE_TYPE = np.full(13, TYPE_MISSING, dtype=np.int8)
-_VALUE_TYPE[[_STRING, _OBJ_OPEN, _ARR_OPEN]] = TYPE_STRING, TYPE_OBJECT, TYPE_ARRAY
-_SCALAR_TYPE = np.full(256, TYPE_NUMBER, dtype=np.int8)
-_SCALAR_TYPE[[ord("t"), ord("f"), ord("n")]] = TYPE_BOOL, TYPE_BOOL, TYPE_NULL
+def _table(default: int, codes: dict[int, int]) -> bytes:
+    """A ``bytes.translate`` table: ``codes[byte]``, else ``default``; a
+    negative code is stored as its ``int8`` byte."""
+    table = bytearray([default & 0xFF]) * 256
+    for byte, code in codes.items():
+        table[byte] = code & 0xFF
+    return bytes(table)
+
+
+def _lookup(values: np.ndarray, table: bytes) -> np.ndarray:
+    """``table[values]`` of a ``uint8`` array as ``int8``: one C pass, where a
+    fancy index would widen the array to ``intp`` first."""
+    return np.frombuffer(values.tobytes().translate(table), dtype=np.int8)
+
+
+_CLASS_TABLE = _table(_OTHER, {
+    **dict.fromkeys(b"-+.eE0123456789", _NUM), **dict.fromkeys(b" \t\r\n", _WS),
+    ord("\\"): _BACKSLASH, ord('"'): _QUOTE, ord("{"): _OBJ_OPEN, ord("}"): _OBJ_CLOSE,
+    ord("["): _ARR_OPEN, ord("]"): _ARR_CLOSE, ord(":"): _COLON, ord(","): _COMMA,
+})
+# Per token kind: the step of the nesting depth, and of the array depth.
+_DEPTH_STEP = _table(0, {_OBJ_OPEN: 1, _ARR_OPEN: 1, _OBJ_CLOSE: -1, _ARR_CLOSE: -1})
+_ARRAY_STEP = _table(0, {_ARR_OPEN: 1, _ARR_CLOSE: -1})
+# A value's type by its first byte: a token that starts with any byte but a
+# quote, a bracket or a literal's first letter is a number (or garbage,
+# which `_valid_scalars` rejects); a structural byte starts no value.
+_VALUE_TYPE = _table(TYPE_NUMBER, {
+    ord('"'): TYPE_STRING, ord("{"): TYPE_OBJECT, ord("["): TYPE_ARRAY,
+    ord("t"): TYPE_BOOL, ord("f"): TYPE_BOOL, ord("n"): TYPE_NULL,
+    **dict.fromkeys(b"}],:", TYPE_MISSING),
+})
 _LITERALS = (b"true", b"false", b"null")
 
 #: Keys up to this many 8-byte words are interned by vectorized comparison;
 #: longer ones one by one.
 _KEY_WORDS = 4
-_WORD_MASKS = np.asarray([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
+#: Per row width, row ``n``: the mask that keeps a key's first ``n`` bytes.
+_KEY_PREFIX = {
+    width: np.tri(8 * _KEY_WORDS + 1, width, -1, dtype=np.uint8) * np.uint8(0xFF)
+    for width in range(8, 8 * _KEY_WORDS + 1, 8)
+}
+#: Odd multipliers mixing a key's length and words into one hash.
+_KEY_MIX = np.asarray(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5,
+     0xFF51AFD7ED558CCD][: _KEY_WORDS + 1],
+    dtype=np.uint64,
+)
+
+
+def _key_hash(lengths: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """One ``uint64`` per key from its length and its zero-padded words; equal
+    keys hash equal, and `_JsonBuilder._intern_keys` checks every key against
+    its group's representative, so a collision costs time, never an id."""
+    hashed = lengths.astype(np.uint64) * _KEY_MIX[0]
+    for column in range(words.shape[1]):
+        hashed += words[:, column] * _KEY_MIX[column + 1]
+    return hashed
+
+
+def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct ``values``: each one's group, and one member of
+    every group."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
+
+
+_XOR_SHIFTS = tuple(np.uint64(1 << k) for k in range(6))
+
+
+def _prefix_xor(mask: np.ndarray) -> np.ndarray:
+    """``np.logical_xor.accumulate(mask)``, 64 bytes a step: the mask packed
+    into words, each word's prefix xor in six shifts (what simdjson takes
+    from one carry-less multiply), then every word flipped by the parity of
+    the words before it."""
+    bits = np.packbits(mask, bitorder="little")
+    words = np.zeros(-(-len(bits) // 8), dtype="<u8")
+    words.view(np.uint8)[: len(bits)] = bits
+    for shift in _XOR_SHIFTS:
+        words ^= words << shift
+    carry = np.bitwise_xor.accumulate(words >> np.uint64(63))
+    words[1:] ^= np.uint64(0) - carry[:-1]
+    return np.unpackbits(words.view(np.uint8), count=len(mask), bitorder="little").view(bool)
+
+
+def _numbered(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` of non-negative codes below
+    ``space``, by a table over the space when it is small."""
+    if space > 4 * len(codes) + 4096:
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        return distinct, inverse.reshape(-1)
+    seen = np.zeros(space, dtype=bool)
+    seen[codes] = True
+    distinct = np.flatnonzero(seen)
+    number = np.empty(space, dtype=np.intp)
+    number[distinct] = np.arange(len(distinct))
+    return distinct, number[codes]
 
 
 class _Problems:
@@ -451,54 +558,61 @@ class _JsonBuilder:
         """Index the complete objects of ``data[lo:hi]``; returns where they
         end, or ``None`` when the window holds no complete object yet."""
         buf = np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
-        classes = _CLASS[buf]
+        # Byte classes in one C pass (a fancy index would widen every byte);
+        # the block's copy that ``translate`` needs lives only for the call.
+        classes = np.frombuffer(data[lo:hi].translate(_CLASS_TABLE), dtype=np.uint8)
         quote = classes == _QUOTE
-        backslashes = np.flatnonzero(classes == _BACKSLASH)
-        if len(backslashes):
-            quote[_escaped_quotes(quote, backslashes)] = False
-        # Every pass below runs on boolean masks, and no byte is widened
-        # (``np.take(_CLASS, buf)`` would cast the block to intp).
-        inside = np.logical_xor.accumulate(quote)
-        outside = ~inside
+        if data.find(b"\\", lo, hi) != -1:
+            quote[_escaped_quotes(quote, np.flatnonzero(classes == _BACKSLASH))] = False
+        # The quotes left delimit strings, so they alternate opening and
+        # closing: ``quotes[0::2]`` open the strings, ``quotes[1::2]`` close
+        # them, and an odd count leaves the last one open.
+        quotes = np.flatnonzero(quote)
+        # Every pass below runs on boolean masks, and no byte is widened.
+        outside = ~_prefix_xor(quote)  # closing quotes included
+        # Token kinds at their first byte: structural bytes outside strings,
+        # strings at their opening quote and runs of scalar bytes.
         kinds_of_bytes = classes * (outside & (classes >= _OBJ_OPEN))
-        kinds_of_bytes[quote & inside] = _STRING
+        kinds_of_bytes[quotes[0::2]] = _STRING
         padded = np.zeros(len(buf) + 2, dtype=bool)
         padded[1:-1] = outside & (classes <= _BACKSLASH)
         edges = np.flatnonzero(padded[1:] != padded[:-1])
         scalar = padded[1:-1]
         kinds_of_bytes[edges[0::2]] = _SCALAR
+        # (``flatnonzero`` of a boolean mask is several times faster than
+        # of the ``uint8`` array itself.)
         positions = np.flatnonzero(kinds_of_bytes != 0)
         kinds = kinds_of_bytes[positions]
         # Scalar bytes that cannot be part of a number.
         foreign = np.flatnonzero(scalar & (classes != _NUM))
-        del kinds_of_bytes, scalar, classes
+        del kinds_of_bytes, scalar, classes, outside
 
+        # Where each token ends: a string after its closing quote, a scalar
+        # at the end of its run, a structural byte after itself.
         ends = positions + 1
-        strings = np.flatnonzero(kinds == _STRING)
-        closing = np.flatnonzero(quote & outside)
-        ends[strings[: len(closing)]] = closing + 1
-        unterminated = len(strings) > len(closing)
-        ends[kinds == _SCALAR] = edges[1::2]
+        ends[np.flatnonzero(kinds == _STRING)[: len(quotes) // 2]] = quotes[1::2] + 1
+        ends[np.flatnonzero(kinds == _SCALAR)] = edges[1::2]
+        unterminated = len(quotes) % 2 == 1
 
-        step = _DEPTH_STEP[kinds]
+        step = _lookup(kinds, _DEPTH_STEP)
         depth = np.cumsum(step, dtype=np.int32)
         before = depth - step
         # Every token inside the window is exact (a token depends only on
         # the bytes before it), so these errors hold wherever they occur.
-        negative = np.flatnonzero(depth < 0)
-        if len(negative):
+        if len(depth) and depth.min() < 0:
+            negative = int(np.argmax(depth < 0))
             raise StorageError(
-                f"unbalanced '{chr(buf[positions[negative[0]]])}' at byte "
-                f"{lo + int(positions[negative[0]])}"
+                f"unbalanced '{chr(buf[positions[negative]])}' at byte "
+                f"{lo + int(positions[negative])}"
             )
-        garbage = np.flatnonzero((before == 0) & (kinds != _OBJ_OPEN))
-        if len(garbage):
+        garbage = (before == 0) & (kinds != _OBJ_OPEN)
+        if garbage.any():
             raise StorageError(
-                f"expected '{{' at byte {lo + int(positions[garbage[0]])}; the JSON "
+                f"expected '{{' at byte {lo + int(positions[np.argmax(garbage)])}; the JSON "
                 "input must be a stream of objects (one per line or whitespace separated)"
             )
-        top_closes = np.flatnonzero((depth == 0) & (kinds == _OBJ_CLOSE))
-        complete = int(top_closes[-1]) + 1 if len(top_closes) else 0
+        top_closes = (depth == 0) & (kinds == _OBJ_CLOSE)
+        complete = len(kinds) - int(np.argmax(top_closes[::-1])) if top_closes.any() else 0
         if at_end and complete < len(kinds):
             raise StorageError(
                 "unterminated string in JSON input" if unterminated
@@ -516,17 +630,18 @@ class _JsonBuilder:
         problems = _Problems(lo, positions)
 
         # Pair every bracket with its partner: within one nesting level the
-        # brackets alternate opener, closer in document order.
-        brackets = np.flatnonzero(step)
+        # brackets alternate opener, closer in document order.  The levels
+        # are small, so the stable sort is a radix sort.
+        brackets = np.flatnonzero(step != 0)
         level = depth[brackets] + (step[brackets] < 0)
-        order = brackets[np.argsort(level, kind="stable")]
+        order = brackets[np.argsort(_narrow(level), kind="stable")]
         openers, closers = order[0::2], order[1::2]
         problems.check(kinds[closers] != kinds[openers] + 1, closers,
                        "mismatched bracket at byte {byte}")
-        partner = np.zeros(count, dtype=np.int64)
+        partner = np.zeros(count, dtype=np.intp)
         partner[openers] = closers
 
-        array_step = _ARRAY_STEP[kinds]
+        array_step = _lookup(kinds, _ARRAY_STEP)
         array_depth = np.cumsum(array_step, dtype=np.int32)
         in_object = np.minimum(array_depth, array_depth - array_step) == 0
 
@@ -534,43 +649,42 @@ class _JsonBuilder:
         # it, value after it, then ',' or '}'.
         colons = np.flatnonzero((kinds == _COLON) & in_object)
         keys, values = colons - 1, colons + 1
-        lead = kinds[np.maximum(colons - 2, 0)]
+        leads = np.maximum(colons - 2, 0)
+        lead = kinds[leads]
         problems.check(kinds[keys] != _STRING, keys, "expected field name at byte {byte}")
         problems.check((lead != _OBJ_OPEN) & (lead != _COMMA), keys,
                        "expected ',' or '}}' at byte {byte}")
-        value_kinds = kinds[values]
-        types = _VALUE_TYPE[value_kinds]
-        scalars = value_kinds == _SCALAR
-        types[scalars] = _SCALAR_TYPE[buf[positions[values[scalars]]]]
-        problems.check((types == TYPE_MISSING) & ~scalars, values,
-                       "invalid JSON value at byte {byte}")
-        containers = (value_kinds == _OBJ_OPEN) | (value_kinds == _ARR_OPEN)
-        last = np.where(containers, partner[values], values)
-        follow = kinds[np.minimum(last + 1, count - 1)]
+        starts = positions[values]
+        types = _lookup(buf[starts], _VALUE_TYPE)
+        problems.check(types == TYPE_MISSING, values, "invalid JSON value at byte {byte}")
+        last = np.where(types >= TYPE_OBJECT, partner[values], values)
+        after = np.minimum(last + 1, count - 1)
+        follow = kinds[after]
         problems.check(
             (types != TYPE_MISSING) & (follow != _COMMA) & (follow != _OBJ_CLOSE),
-            np.minimum(last + 1, count - 1), "expected ',' or '}}' at byte {byte}",
+            after, "expected ',' or '}}' at byte {byte}",
         )
-        scalar_values = values[scalars]
+        scalar_values = values[kinds[values] == _SCALAR]
         problems.check(
             ~_valid_scalars(buf, foreign, positions[scalar_values], ends[scalar_values]),
             scalar_values, "invalid JSON value at byte {byte}",
         )
 
         # Every other token of an object must belong to some field.
-        leads = np.zeros(count, dtype=bool)
-        leads[np.maximum(colons - 2, 0)] = True
-        afters = np.zeros(count, dtype=bool)
-        afters[np.minimum(last + 1, count - 1)] = True
-        nxt = np.append(kinds[1:], np.uint8(_OBJ_CLOSE))  # the last token is a '}'
-        prev = np.insert(kinds[:-1], 0, np.uint8(0))
+        is_lead = np.zeros(count, dtype=bool)
+        is_lead[leads] = True
+        is_after = np.zeros(count, dtype=bool)
+        is_after[after] = True
+        around = np.empty(count + 2, dtype=np.uint8)  # the last token is a '}'
+        around[0], around[1:-1], around[-1] = 0, kinds, _OBJ_CLOSE
+        prev, nxt = around[:-2], around[2:]
         # (A string that is no key is reported below as a missing ':'.)
-        unnamed = ~leads & (nxt != _STRING)
-        problems.check(in_object & (kinds == _COMMA) & (~afters | unnamed), 1,
+        unnamed = ~is_lead & (nxt != _STRING)
+        problems.check(in_object & (kinds == _COMMA) & (~is_after | unnamed), 1,
                        "expected field name at byte {byte}")
         problems.check(in_object & (kinds == _OBJ_OPEN) & unnamed & (nxt != _OBJ_CLOSE),
                        1, "expected field name at byte {byte}")
-        problems.check(in_object & (kinds == _OBJ_CLOSE) & ~afters & (prev != _OBJ_OPEN),
+        problems.check(in_object & (kinds == _OBJ_CLOSE) & ~is_after & (prev != _OBJ_OPEN),
                        0, "expected field name at byte {byte}")
         problems.check(in_object & (kinds == _STRING) & (nxt != _COLON) & (prev != _COLON),
                        1, "expected ':' at byte {byte}")
@@ -583,14 +697,16 @@ class _JsonBuilder:
         object_starts = positions[objects]
         self.object_starts.append(_narrow(object_starts + lo))
         self.object_lengths.append(_narrow(positions[partner[objects]] + 1 - object_starts))
-        recorded = depth[colons] <= self.max_depth
-        colons, keys, values = colons[recorded], keys[recorded], values[recorded]
-        types, last, depths = types[recorded], last[recorded], depth[colons]
-        owner = np.searchsorted(objects, colons, side="right") - 1
-        key_ids = self._intern_keys(buf, positions[keys] + 1, ends[keys] - 1 - positions[keys] - 1)
-        path_ids = self._intern_paths(kinds, depth, in_object, colons, depths, key_ids)
-        starts = positions[values]
-        self._add_block(owner, len(objects), path_ids, starts - object_starts[owner],
+        depths = depth[colons]
+        if len(depths) and depths.max() > self.max_depth:
+            recorded = depths <= self.max_depth
+            keys, starts, types = keys[recorded], starts[recorded], types[recorded]
+            colons, last, depths = colons[recorded], last[recorded], depths[recorded]
+        # Fields and objects are both in document order.
+        counts = np.diff(np.searchsorted(colons, objects), append=len(colons))
+        key_ids = self._intern_keys(buf, positions[keys] + 1, ends[keys] - positions[keys] - 2)
+        path_ids = self._intern_paths(depths, key_ids)
+        self._add_block(counts, path_ids, starts - np.repeat(object_starts, counts),
                         ends[last] - starts, types)
 
     # -- names -----------------------------------------------------------------
@@ -600,29 +716,34 @@ class _JsonBuilder:
         ids = np.empty(len(starts), dtype=np.int64)
         short = lengths <= 8 * _KEY_WORDS
         if short.any():
-            padded = np.zeros(len(buf) + 8 * _KEY_WORDS, dtype=np.uint8)
+            s, n = (starts, lengths) if short.all() else (starts[short], lengths[short])
+            width = 8 * max(1, -(-int(n.max()) // 8))
+            padded = np.zeros(len(buf) + width, dtype=np.uint8)
             padded[: len(buf)] = buf
-            words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-            s, n = starts[short], lengths[short]
-            # A key is its length plus its bytes as little-endian words.
-            signature = [n.astype(np.uint64)] + [
-                words[s + 8 * word] & _WORD_MASKS[np.clip(n - 8 * word, 0, 8)]
-                for word in range(-(-int(n.max()) // 8))
-            ]
-            order = np.lexsort(signature)
-            new = np.ones(len(order), dtype=bool)
-            for column in signature:
-                ordered = column[order]
-                new[1:] &= ordered[1:] == ordered[:-1]
-            new = ~new
-            new[0] = True
-            group = np.empty(len(order), dtype=np.int64)
-            group[order] = np.cumsum(new) - 1
-            first = order[new]
-            local = np.asarray([self._key_id(bytes(buf[s[i]:s[i] + n[i]])) for i in first.tolist()])
+            # One row of zero-padded bytes per key, read as little-endian
+            # words.  (``take`` gathers rows of a contiguous array far faster
+            # than a fancy index.)
+            rows = np.lib.stride_tricks.sliding_window_view(padded, width)[s]
+            rows &= _KEY_PREFIX[width].take(n, axis=0)
+            words = rows.view("<u8")
+            group, members = _group(_key_hash(n, words))
+            chosen = members.take(group)
+            if not (np.array_equal(n, n.take(chosen))
+                    and np.array_equal(words, words.take(chosen, axis=0))):
+                # Two different keys hash alike: number the keys exactly.
+                _, group = np.unique(np.column_stack((n.astype(np.uint64), words)), axis=0,
+                                     return_inverse=True)
+                group = group.reshape(-1)
+                members = np.empty(int(group.max()) + 1, dtype=np.intp)
+                members[group] = np.arange(len(group))
+            local = np.asarray(
+                [self._key_id(buf[a:a + b].tobytes())
+                 for a, b in zip(s[members].tolist(), n[members].tolist())],
+                dtype=np.int64,
+            )
             ids[short] = local[group]
         for i in np.flatnonzero(~short).tolist():
-            ids[i] = self._key_id(bytes(buf[starts[i]:starts[i] + lengths[i]]))
+            ids[i] = self._key_id(buf[starts[i]:starts[i] + lengths[i]].tobytes())
         return ids
 
     def _key_id(self, key: bytes) -> int:
@@ -632,20 +753,21 @@ class _JsonBuilder:
             self.key_names.append(key.decode("utf-8"))
         return known
 
-    def _intern_paths(self, kinds, depth, in_object, colons, depths, key_ids) -> np.ndarray:
+    def _intern_paths(self, depths: np.ndarray, key_ids: np.ndarray) -> np.ndarray:
         """Path id of every recorded field: its key under the path of the
-        field whose object value encloses it."""
-        path_ids = np.empty(len(colons), dtype=np.int64)
-        parents = np.full(len(colons), -1, dtype=np.int64)
+        field whose object value encloses it.  Recorded fields lie in no
+        array, so that field is the last one a level up before it."""
+        path_ids = np.empty(len(depths), dtype=np.int64)
+        parents = np.full(len(depths), -1, dtype=np.int64)
         for level in range(1, int(depths.max()) + 1 if len(depths) else 1):
             at_level = np.flatnonzero(depths == level)
             if level > 1:
-                openers = np.flatnonzero((kinds == _OBJ_OPEN) & in_object & (depth == level))
-                enclosing = openers[np.searchsorted(openers, colons[at_level]) - 1]
-                parents[at_level] = path_ids[np.searchsorted(colons, enclosing - 1)]
+                up = np.where(depths == level - 1, np.arange(len(depths)), -1)
+                parents[at_level] = path_ids[np.maximum.accumulate(up)[at_level]]
             width = len(self.key_names)
-            pairs, inverse = np.unique(
-                (parents[at_level] + 1) * width + key_ids[at_level], return_inverse=True
+            pairs, inverse = _numbered(
+                (parents[at_level] + 1) * width + key_ids[at_level],
+                (len(self.path_names) + 1) * width,
             )
             ids = np.asarray(
                 [self._path_id(pair // width - 1, pair % width) for pair in pairs.tolist()],
@@ -667,9 +789,9 @@ class _JsonBuilder:
 
     # -- columns ---------------------------------------------------------------
 
-    def _add_block(self, owner, objects: int, path_ids, offsets, lengths, types) -> None:
+    def _add_block(self, counts, path_ids, offsets, lengths, types) -> None:
         block = len(self.object_starts) - 1
-        counts = np.bincount(owner, minlength=objects)
+        objects = len(counts)
         if self.fixed and objects:
             if self.reference is None:
                 self.reference = path_ids[: counts[0]]
@@ -679,27 +801,32 @@ class _JsonBuilder:
                 and np.array_equal(path_ids.reshape(objects, width),
                                    np.broadcast_to(self.reference, (objects, width)))
             )
-        # Stable by path: within a path objects ascend, and a duplicate key
-        # keeps its first occurrence.
-        order = np.argsort(path_ids, kind="stable")
-        sorted_paths, sorted_owner = path_ids[order], owner[order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (sorted_paths[1:] != sorted_paths[:-1]) | (
-            sorted_owner[1:] != sorted_owner[:-1]
-        )
-        order = order[first]
-        sorted_paths = path_ids[order]
-        bounds = np.flatnonzero(np.diff(sorted_paths)) + 1
-        for run in np.split(order, bounds) if len(order) else []:
-            rows = owner[run]
-            column_offsets = np.zeros(objects, dtype=np.int64)
-            column_lengths = np.zeros(objects, dtype=np.int64)
-            column_types = np.full(objects, TYPE_MISSING, dtype=np.int8)
-            column_offsets[rows], column_lengths[rows] = offsets[run], lengths[run]
-            column_types[rows] = types[run]
-            self.pieces[int(path_ids[run[0]])][block] = (
-                _narrow(column_offsets), _narrow(column_lengths), column_types,
-            )
+        if not len(path_ids):
+            return
+        # One (present paths x objects) grid per column: a field's cell is
+        # its path's row and its object's column.
+        present, rows = _numbered(path_ids, len(self.path_names))
+        cells = rows * objects + np.repeat(np.arange(objects), counts)
+        size = len(present) * objects
+        if np.bincount(cells, minlength=size).max() > 1:
+            # A key repeated in one object: its first occurrence is kept.
+            order = np.argsort(cells, kind="stable")
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = cells[order[1:]] != cells[order[:-1]]
+            kept = order[first]
+            cells, offsets, lengths, types = cells[kept], offsets[kept], lengths[kept], types[kept]
+        narrow = _narrow_dtype(max(int(offsets.max()), int(lengths.max())))
+        grids = []
+        for values, fill, dtype in (
+            (offsets, 0, narrow), (lengths, 0, narrow), (types, TYPE_MISSING, np.int8)
+        ):
+            grid = np.full(size, fill, dtype=dtype)
+            grid[cells] = values
+            grids.append(grid.reshape(len(present), objects))
+        for path, column_offsets, column_lengths, column_types in zip(
+            present.tolist(), _narrow_rows(grids[0]), _narrow_rows(grids[1]), grids[2]
+        ):
+            self.pieces[path][block] = (column_offsets, column_lengths, column_types)
 
     def finish(self) -> JsonStructuralIndex:
         sizes = [len(starts) for starts in self.object_starts]
@@ -740,6 +867,8 @@ def _valid_scalars(
 ) -> np.ndarray:
     """Whether each scalar token ``buf[start:end]`` is ``true``, ``false``,
     ``null`` or holds none of the ``foreign`` (non-number) byte positions."""
+    if not len(foreign):
+        return np.ones(len(starts), dtype=bool)  # no literal either
     leading = buf[starts]
     valid = np.searchsorted(foreign, starts) == np.searchsorted(foreign, ends)
     for literal in _LITERALS:

@@ -527,6 +527,94 @@ def test_json_index_rejects_what_the_reference_rejects(data, cut, garbage):
             si.build_json_index(broken)
 
 
+def _stream(*objects) -> bytes:
+    return ("\n".join(o if isinstance(o, str) else json.dumps(o) for o in objects) + "\n").encode()
+
+
+#: Streams that reach the corners of the builder's passes.
+_TARGETED_STREAMS = {
+    # Escapes in some blocks and none in others: an escaped quote, an escaped
+    # backslash before a closing quote, and backslash runs long enough that a
+    # small block's edge cuts them.
+    "backslashes": _stream(
+        *({"a": i, "s": "plain"} for i in range(4)),
+        {"s": 'say "hi"', "t": 1},
+        {"s": "dir\\", "u": "x"},
+        {"r": "\\" * 21 + '"' + "\\" * 8, "n": {"m": "\\"}},
+        *({"a": i, "s": "plain again"} for i in range(4)),
+        {"q": '"' * 7, "k\\": 2},
+    ),
+    # Keys longer than the words compared at once, and keys that share their
+    # first 8 and 16 bytes (top level and nested).
+    "keys": _stream(*(
+        {
+            "abcdefgh": i, "abcdefgh_one": i, "abcdefgh_two": -i,
+            "abcdefghijklmnop": "x", "abcdefghijklmnop_x": [i], "abcdefghijklmnop_y": None,
+            "k" * (8 * si._KEY_WORDS): 1, "k" * (8 * si._KEY_WORDS + 1): 2,
+            "k" * (8 * si._KEY_WORDS + 9): {"k" * 40: True, "k" * 39: i},
+            "nest": {"abcdefgh_one": i, "abcdefgh_onf": {"abcdefghijklmnop_x": i}},
+        } for i in range(5)
+    )),
+    # A key repeated in one object keeps its first occurrence.
+    "duplicates": _stream(
+        '{"a": 1, "b": 2, "a": "three"}',
+        '{"o": {"x": 1, "y": 0, "x": [2]}, "x": 0, "o": 5}',
+        '{"a": {"a": {"a": 1, "a": 2}}, "a": null}',
+        {"a": 4, "o": {"x": 9}},
+    ),
+    # A map-like object: one block holds over 1 000 distinct paths.
+    "map-like": _stream(
+        {f"k{i}": i for i in range(1_100)},
+        {"k5": "five", "other": {f"n{i}": i for i in range(60)}},
+        {f"k{i}": [i] for i in range(0, 1_100, 7)},
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [16, 64, si.BLOCK_BYTES])
+@pytest.mark.parametrize("name", sorted(_TARGETED_STREAMS))
+def test_json_index_matches_reference_on_targeted_streams(name, block):
+    """Each stream agrees with the reference, and every stray byte the
+    reference rejects at a spread of cuts is rejected too."""
+    data = _TARGETED_STREAMS[name]
+    with _block_bytes(block):
+        _assert_matches_reference(data, 3)
+        for cut in range(0, len(data) + 1, max(1, len(data) // 24)):
+            for garbage in ("x", "}", "]", '"', ",", ":", "{", "tru", "\\"):
+                broken = data[:cut] + garbage.encode() + data[cut:]
+                try:
+                    json_reference.reference_index(broken)
+                except (StorageError, UnicodeDecodeError):
+                    with pytest.raises((StorageError, UnicodeDecodeError)):
+                        si.build_json_index(broken)
+
+
+def test_json_index_duplicate_keys_keep_their_first_occurrence():
+    data = _TARGETED_STREAMS["duplicates"]
+    index = si.build_json_index(data)
+    starts, ends, _ = index.column_spans("a")
+    assert [data[s:e] for s, e in zip(starts[[0, 2, 3]], ends[[0, 2, 3]])] == [
+        b"1", b'{"a": {"a": 1, "a": 2}}', b"4"
+    ]
+    starts, ends, _ = index.column_spans("a.a.a")
+    assert data[starts[2]:ends[2]] == b"1"
+    starts, ends, types = index.column_spans("o.x")
+    assert data[starts[1]:ends[1]] == b"1" and types[2] == si.TYPE_MISSING
+
+
+@pytest.mark.parametrize("name", ["keys", "map-like", "duplicates"])
+def test_json_index_numbers_keys_exactly_when_hashes_collide(monkeypatch, name):
+    """Every key hashing alike must still get its own path."""
+    data = _TARGETED_STREAMS[name]
+    expected = si.build_json_index(data, 3)
+    monkeypatch.setattr(si, "_key_hash", lambda lengths, words: np.zeros(len(lengths), np.uint64))
+    for block in (64, si.BLOCK_BYTES):
+        with _block_bytes(block):
+            _assert_matches_reference(data, 3)
+            index = si.build_json_index(data, 3)
+            assert index.paths() == expected.paths()
+
+
 # ---------------------------------------------------------------------------
 # Constant folding preserves semantics
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and the catalog."""
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,18 @@ def test_json_index_rejects_non_object_stream():
         si.build_json_index(b"[1, 2, 3]")
 
 
+#: The byte the earliest error names, where it names one.
+_ERROR_BYTES = {
+    b'"text"\n': 0,
+    b'{"a": 1} junk {"a": 2}': 9,
+    b'{"a": 1, 2: 3}': 9,
+    b'{"a" 1}': 5,
+    b'{"a": 1x}': 6,
+    b'{"a": nul}': 6,
+    b'{"a": }': 6,
+}
+
+
 @pytest.mark.parametrize(
     "data,message",
     [
@@ -227,7 +240,10 @@ def test_json_index_rejects_non_object_stream():
     ],
 )
 def test_json_index_rejects_malformed_streams(data, message):
-    with pytest.raises(StorageError, match=message):
+    """The earliest error is reported, at its byte."""
+    if data in _ERROR_BYTES:
+        message = f"{message} at byte {_ERROR_BYTES[data]}"
+    with pytest.raises(StorageError, match=re.escape(message) + r"\b"):
         si.build_json_index(data)
 
 
