@@ -10,15 +10,21 @@ whether it is admitted and its eviction bias from the rules of
 it from its sources.  Each entry also records its size (counted against the
 manager's byte budget) and an LRU timestamp.
 
-Eviction is a *format-biased* LRU: when the budget is spent, the entry with the
-lowest bias goes first, the least recently used among equals, so caches over
-JSON survive longer than caches over CSV, which survive longer than caches
-over binary data (``JSON ≻ CSV ≻ Binary``), mirroring the paper's policy.
+Eviction is GreedyDual over the format bias: every entry has a *priority*,
+the manager's *floor* plus its bias, set when it is stored and again each
+time it is read.  When the budget is spent the entry of the lowest priority
+goes first, the least recently used among equals, and the floor rises to the
+priority it had.  On a fresh cache (floor 0) that is the format-biased LRU
+of the paper's policy — caches over JSON outlive caches over CSV, which
+outlive caches over binary data (``JSON ≻ CSV ≻ Binary``) —, but the rising
+floor ages what nobody reads: a JSON entry untouched since the floor passed
+its priority goes before a CSV column read since.  Invalidation drops
+entries without moving the floor.
 
 One manager is shared by the batch pipeline of every query thread (and the
 serving layer's result cache), so every public
-method takes ``self._lock``; a scan probes all its fields under one
-acquisition (:meth:`CacheManager.lookup_many`).  Mutators delegate to
+method takes ``self._lock``; an execution probes every key it reads under
+one acquisition (:meth:`CacheManager.lookup_many`).  Mutators delegate to
 ``*_locked`` internals (``store`` must evict while holding the lock;
 re-taking it would self-deadlock).  The byte count and the statistics object
 are mutated only through those locked paths (``core/concurrency.py``
@@ -52,14 +58,18 @@ class CacheEntry:
     description: str = ""
     last_used: int = 0
     hits: int = 0
+    #: The manager's floor when it was stored or last read, plus its bias:
+    #: the lowest goes first (GreedyDual).
+    priority: float = 0.0
 
     @property
     def dataset(self) -> str:
         """The dataset that owns the entry: its first source."""
         return self.sources[0][0]
 
-    def touch(self, clock: int) -> None:
+    def touch(self, clock: int, floor: float) -> None:
         self.last_used = clock
+        self.priority = floor + self.bias
         self.hits += 1
 
 
@@ -94,34 +104,42 @@ class CacheManager:
         self.stats = CacheStatistics()
         self._entries: dict[tuple, CacheEntry] = {}
         self._clock = 0
+        #: The priority of the last entry evicted (GreedyDual's ``L``).
+        self._floor = 0.0
         self._lock = make_lock("CacheManager._lock")
 
     # -- lookup ----------------------------------------------------------------
 
     def lookup(self, key: tuple) -> CacheEntry | None:
         """Return the entry for ``key`` (updating its recency) or ``None``."""
-        with self._lock:
-            return self._lookup_locked(key)
+        return self.lookup_many((key,))[0]
 
     def lookup_many(self, keys: Sequence[tuple]) -> list[CacheEntry | None]:
         """:meth:`lookup` of every key in ``keys`` under one acquisition of
-        the lock (a scan's fields); each key counts as one lookup."""
+        the lock (an execution's probe); each key counts as one lookup, and
+        a hit touches its entry (:meth:`CacheEntry.touch`, inline)."""
         with self._lock:
-            return [self._lookup_locked(key) for key in keys]
-
-    def _lookup_locked(self, key: tuple) -> CacheEntry | None:
-        self.stats.lookups += 1
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._clock += 1
-        entry.touch(self._clock)
-        self.stats.hits += 1
-        return entry
+            entries = list(map(self._entries.get, keys))
+            clock, floor = self._clock, self._floor
+            for entry in entries:
+                if entry is not None:
+                    clock += 1
+                    entry.last_used = clock
+                    entry.priority = floor + entry.bias
+                    entry.hits += 1
+            self.stats.lookups += len(entries)
+            self.stats.hits += clock - self._clock
+            self._clock = clock
+            return entries
 
     def peek(self, key: tuple) -> CacheEntry | None:
         """Return the entry for ``key`` without touching statistics."""
         return self._entries.get(key)
+
+    def holds(self, keys: frozenset[tuple]) -> bool:
+        """Does the cache hold every key of ``keys``?  Touches no
+        statistics."""
+        return self._entries.keys() >= keys
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
@@ -155,7 +173,7 @@ class CacheManager:
             if key in self._entries:
                 entry = self._entries[key]
                 self._clock += 1
-                entry.touch(self._clock)
+                entry.touch(self._clock, self._floor)
                 return entry
             if size > self.budget_bytes:
                 self.stats.rejected += 1
@@ -172,24 +190,28 @@ class CacheManager:
                 bias=bias,
                 description=description,
                 last_used=self._clock,
+                priority=self._floor + bias,
             )
             self._entries[key] = entry
             self.stats.stores += 1
             return entry
 
     def _make_room_locked(self, size: int) -> None:
-        """Evict entries (cheapest-to-rebuild, least-recently-used first)
-        until ``size`` bytes fit; ``size`` is within the budget, so emptying
-        the cache always makes room.  Lock held."""
+        """Evict entries (lowest priority, least-recently-used first) until
+        ``size`` bytes fit, raising the floor to each victim's priority;
+        ``size`` is within the budget, so emptying the cache always makes
+        room.  Lock held."""
         while self.used_bytes + size > self.budget_bytes:
-            self._evict_locked(self._pick_victim().key)
+            victim = self._pick_victim()
+            self._floor = victim.priority
+            self._evict_locked(victim.key)
 
     def _pick_victim(self) -> CacheEntry:
-        # Format-biased LRU: the cheapest-to-rebuild format goes first, the
-        # least recently used entry within it.  One pass — with thousands of
-        # small result entries a sort per eviction, under the lock, is the
-        # cost of the store.
-        return min(self._entries.values(), key=lambda e: (e.bias, e.last_used))
+        # GreedyDual: the lowest priority goes first, the least recently
+        # used entry among equals.  One pass — with thousands of small
+        # result entries a sort per eviction, under the lock, is the cost of
+        # the store.
+        return min(self._entries.values(), key=lambda e: (e.priority, e.last_used))
 
     # -- eviction / invalidation ----------------------------------------------------
 

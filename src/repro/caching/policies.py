@@ -21,7 +21,11 @@ The paper describes one policy, and it has no settings:
   answers of the serving layer,
 * bias eviction so that entries built from costlier sources survive longer
   (JSON ≻ CSV ≻ binary); an entry built from several sources is as dear as
-  its most verbose one (:func:`entry_bias`).
+  its most verbose one (:func:`entry_bias`).  The manager applies the bias
+  GreedyDual-style: an entry's priority is the bias plus the priority of
+  the last entry evicted, renewed each time the entry is read, so the bias
+  orders what is read alike and an entry nobody reads ages out however
+  verbose its source.
 
 Every entry names the (dataset, format) pairs it was built from; the caching
 manager applies these rules to them, so no call site decides admission or
@@ -39,7 +43,8 @@ import numpy as np
 Source = tuple[str, str]
 
 #: Relative re-access cost per source format; higher values make a cache
-#: entry more valuable and therefore less likely to be evicted.
+#: entry more valuable and therefore less likely to be evicted — by this
+#: much over the manager's floor, each time it is stored or read.
 FORMAT_BIAS = {
     "json": 4.0,
     "csv": 2.0,

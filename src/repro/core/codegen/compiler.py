@@ -1,4 +1,4 @@
-"""Compilation of generated query modules.
+"""Compilation of generated query modules and their drivers.
 
 The paper compiles the stitched-together LLVM IR of a query into machine code
 within milliseconds and calls the resulting library.  The reproduction
@@ -9,7 +9,9 @@ no schema, dataset or statistic is baked in — so the engine keeps it in a
 bounded LRU keyed by those expressions
 (:func:`~repro.core.codegen.generator.module_key`) that no catalog change
 clears, and the prepared query whose plan first ran it holds it in its
-shape.
+shape.  A driver (:mod:`repro.core.codegen.driver`) names nothing of one
+plan, so the engine compiles each driver source once
+(:func:`compile_driver`) for every program of its structure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ import numpy as np
 
 from repro.core.codegen.context import CodegenContext
 from repro.core.executor import radix
-from repro.core.executor.vectorized import as_bool_array, bound_parameter, materialize
+from repro.core.executor.vectorized import (
+    as_bool_array,
+    bound_parameter,
+    driver_runtime,
+    materialize,
+)
 from repro.core.expressions import Expression
 from repro.errors import CodegenError
 
@@ -61,10 +68,7 @@ def compile_query(
     expression fingerprint to the generated function evaluating it."""
     source = ctx.source()
     started = time.perf_counter()
-    try:
-        code = compile(source, "<proteus-generated-query>", "exec")
-    except SyntaxError as exc:  # pragma: no cover - indicates a generator bug
-        raise CodegenError(f"generated code does not compile: {exc}\n{source}") from exc
+    code = _compile(source, "<proteus-generated-query>")
     namespace: dict[str, Any] = {
         "np": np,
         "radix": radix,
@@ -82,3 +86,18 @@ def compile_query(
         },
         compile_seconds=time.perf_counter() - started,
     )
+
+
+def compile_driver(source: str) -> Callable[..., Callable]:
+    """The factory ``make`` a driver source defines: every program of the
+    source's structure shares it and binds its own constants."""
+    namespace = driver_runtime()
+    exec(_compile(source, "<proteus-generated-driver>"), namespace)
+    return namespace["make"]
+
+
+def _compile(source: str, filename: str):
+    try:
+        return compile(source, filename, "exec")
+    except SyntaxError as exc:  # pragma: no cover - indicates a generator bug
+        raise CodegenError(f"generated code does not compile: {exc}\n{source}") from exc

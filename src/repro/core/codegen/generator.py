@@ -1,26 +1,27 @@
 """Per-query code generation (§5.1, "An Engine per Query").
 
 The engine that runs a query is the batch pipeline of
-:mod:`repro.core.executor.vectorized`: plug-in scans feed per-batch stages
-and a root task.  What is *customized* per query is what the paper's
-generators emit into that engine — the expressions (§5.2): the generator
-traverses the physical plan once and emits one module holding one
+:mod:`repro.core.executor.vectorized`, and both halves of it that vary per
+query are generated.  This module emits the expressions (§5.2): the
+generator traverses the physical plan once and emits one module holding one
 straight-line NumPy function per select / unnest / join-residual predicate,
 join key, group key, aggregate argument and output head of the plan.
 Literals are inlined, parameters are looked up in the bound values (so one
 module serves every binding), and every operator is a direct call of the
 null-aware kernel — the decisions an interpreter would take per batch
 (which node type, which operator, which operand shape) are taken exactly
-once, here.
+once, here.  :mod:`repro.core.codegen.driver` emits the rest: per pipeline
+program, the driver functions that run each scan range from the scan
+through those expression functions, the gathers, probes and reductions to
+the sink.
 
 The module is compiled by :mod:`repro.core.codegen.compiler` into a
-:class:`~repro.core.codegen.compiler.GeneratedQuery` and handed to the
-pipeline, whose stages and root tasks evaluate every plan expression by
-calling its function.  The generator reads expressions only, never a schema
-or a dataset: one module serves every plan that evaluates the same
-expressions (:func:`module_key`) — across catalog changes, and across plans
-that scan other datasets under the same aliases (the engine's bounded module
-cache and each prepared query's shape keep it).
+:class:`~repro.core.codegen.compiler.GeneratedQuery`.  The generator
+reads expressions only, never a schema or a dataset: one module serves
+every plan that evaluates the same expressions (:func:`module_key`) —
+across catalog changes, and across plans that scan other datasets under the
+same aliases (the engine's bounded module cache and each prepared query's
+shape keep it).
 """
 
 from __future__ import annotations

@@ -377,12 +377,13 @@ SHARED_CLASSES: dict[str, str] = {
     ),
     "_NestRoot": (
         "a group-by root is part of its shape's program, shared by every "
-        "execution: ranges fold into per-call state, and the kernels chosen "
-        "go to the execution's profile"
+        "execution: a driver keeps a range's chunks in its own locals, and "
+        "the kernels chosen go to the execution's profile"
     ),
     "CacheManager": (
-        "shared by every query thread's batch pipeline; morsel workers "
-        "populate it via ScanOperator"
+        "shared by every query thread's batch pipeline: one probe per "
+        "execution, and stores of what its scans, unnests, joins and chains "
+        "built"
     ),
     "CacheStatistics": (
         "mutated on every CacheManager lookup/store from any query thread"
@@ -438,6 +439,7 @@ SHARED_CLASSES: dict[str, str] = {
 GUARDED_BY: dict[str, str] = {
     # engine-level shared caches (ProteusEngine serves concurrent sessions)
     "ProteusEngine._compiled": "_lock",
+    "ProteusEngine._drivers": "_lock",
     "ProteusEngine._prepared_cache": "_lock",
     # shape templates: two first texts of one shape race to prepare in full
     # and publish; _lru_publish keeps the first template under _lock
@@ -450,6 +452,8 @@ GUARDED_BY: dict[str, str] = {
     "ScanCoalescer._inflight": "_lock",
     "CacheManager._entries": "_lock",
     "CacheManager._clock": "_lock",
+    # GreedyDual's floor: raised to each victim's priority on eviction
+    "CacheManager._floor": "_lock",
     "CacheManager.used_bytes": "_lock",
     "CacheManager.stats": "_lock",
     # plug-in state
@@ -529,10 +533,6 @@ IMMUTABLE_AFTER_INIT: dict[str, str] = {
         "the deque *list* is frozen after preloading; the deques themselves "
         "are popped only under self._lock inside next_task()"
     ),
-    "ScanOperator._cached": (
-        "cache lookups resolve in the constructor on the coordinating "
-        "thread; workers only gather from the resolved arrays"
-    ),
 }
 
 #: ``"Class.attr" -> why``: racy by construction and documented harmless —
@@ -572,20 +572,22 @@ EXTERNALLY_GUARDED: dict[str, str] = {
         "(clear_caches -> CacheManager.clear) are serialized by "
         "CacheManager._lock inside the manager itself"
     ),
-    "ScanOperator._recorder": (
-        "the binding is immutable after __init__; add() serializes on the "
-        "_CoverageRecorder's own lock"
-    ),
     "CacheStatistics.lookups": "mutated only by CacheManager under its _lock",
     "CacheStatistics.hits": "mutated only by CacheManager under its _lock",
     "CacheStatistics.stores": "mutated only by CacheManager under its _lock",
     "CacheStatistics.evictions": "mutated only by CacheManager under its _lock",
     "CacheStatistics.rejected": "mutated only by CacheManager under its _lock",
     "CacheEntry.last_used": (
-        "touch() is called only by CacheManager mutators under its _lock"
+        "written only by touch() and CacheManager.lookup_many, both under "
+        "the CacheManager's _lock"
     ),
     "CacheEntry.hits": (
-        "touch() is called only by CacheManager mutators under its _lock"
+        "written only by touch() and CacheManager.lookup_many, both under "
+        "the CacheManager's _lock"
+    ),
+    "CacheEntry.priority": (
+        "written only by touch() and CacheManager.lookup_many, both under "
+        "the CacheManager's _lock"
     ),
     "AdmissionController._active": (
         "mutated only while holding self._condition (a threading.Condition)"

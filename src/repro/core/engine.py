@@ -13,10 +13,10 @@ the paper describes:
 3. the plan executes through a two-tier cascade, one executor per tier:
 
    * **codegen** — the batch pipeline
-     (:mod:`repro.core.executor.vectorized`: plug-in scan -> per-batch stages
-     -> root task).  The code generator emits one fused NumPy function per
-     expression of the plan (§5.1/§5.2, the engine-per-query) and the
-     pipeline calls those.  The executor decides *internally*, per scan,
+     (:mod:`repro.core.executor.vectorized`: plug-in scan -> operators ->
+     sink).  The code generator emits one fused NumPy function per
+     expression of the plan and, per pipeline program, the driver that runs
+     a scan range through them (§5.1/§5.2, the engine-per-query).  The executor decides *internally*, per scan,
      whether to run inline or to fan out: with ``parallel_workers > 1`` a
      scan spanning enough whole morsels for its kind of root is split into
      morsels that a work-stealing worker pool executes concurrently, with
@@ -107,6 +107,8 @@ from repro.core.analysis import (
 from repro.core.binder import bind_comprehension
 from repro.core.calculus import Comprehension, DatasetSource
 from repro.core.codegen import CodeGenerator, GeneratedQuery, module_key, plan_expressions
+from repro.core.codegen.compiler import compile_driver
+from repro.core.codegen.driver import generate_driver
 from repro.core.columns import EncodedColumn
 from repro.core.comprehension_parser import parse_comprehension
 from repro.core.concurrency import make_lock
@@ -153,7 +155,7 @@ from repro.resilience import (
     AdmissionController,
     CancellationToken,
     QueryContext,
-    activate_context,
+    swap_context,
 )
 from repro.plugins.binary_col_plugin import BinaryColumnPlugin, BinaryRowPlugin
 from repro.plugins.csv_plugin import CsvPlugin
@@ -248,7 +250,8 @@ class ResultSet:
     def _python_column(self, name: str) -> list:
         cached = self._pylists.get(name)
         if cached is None:
-            cached = _python_values(self._buffer(name))
+            buffer = self._data.get(name)
+            cached = _python_values(self._buffer(name) if buffer is None else buffer)
             self._pylists[name] = cached
         return cached
 
@@ -322,7 +325,7 @@ class QueryShape:
     time: unknown nested fields, mixed-type comparisons and invalid
     aggregate inputs never reach an executor."""
 
-    __slots__ = ("_by_flag", "generated", "program", "phases")
+    __slots__ = ("_by_flag", "generated", "program", "declines", "phases")
 
     def __init__(
         self,
@@ -340,6 +343,9 @@ class QueryShape:
         #: the plan's datasets, so a shape over other datasets builds its
         #: own.
         self.program: PipelineProgram | None = None
+        #: The tier declines every execution of the program reports (read
+        #: only), published with it.
+        self.declines: dict[str, str] = {}
         #: ``(phase, seconds)`` of the parse / plan / analyze work that made
         #: this shape, reported by its first execution only: taken (and
         #: emptied) under the owning PreparedQuery's lock.
@@ -505,12 +511,14 @@ class PreparedQuery:
             return shape.generated
 
     def _publish_program(
-        self, shape: QueryShape, program: PipelineProgram
+        self, shape: QueryShape, program: PipelineProgram, declines: dict[str, str]
     ) -> PipelineProgram:
-        """Set ``shape``'s pipeline program once, beside its module; the
-        first of concurrent first executions wins, as for the module."""
+        """Set ``shape``'s pipeline program once, beside its module, with
+        the tier declines its executions report; the first of concurrent
+        first executions wins, as for the module."""
         with self._lock:
             if shape.program is None:
+                shape.declines = declines
                 shape.program = program
             return shape.program
 
@@ -566,9 +574,8 @@ class PreparedQuery:
         default deadline for this call; ``cancel`` attaches a
         :class:`~repro.resilience.CancellationToken` that another thread may
         trip to abort the query cooperatively."""
-        return self._engine._execute_prepared(
-            self, self._bind(args, named), timeout=timeout, cancel=cancel
-        )
+        params = self._bind(args, named) if args or named or self.parameter_keys else {}
+        return self._engine._execute(self, params, timeout, cancel)
 
     def executemany(self, parameter_sets) -> list[ResultSet]:
         """Execute once per entry of ``parameter_sets``.
@@ -581,7 +588,7 @@ class PreparedQuery:
         for entry in parameter_sets:
             if isinstance(entry, Mapping):
                 results.append(
-                    self._engine._execute_prepared(self, self._bind_mapping(entry))
+                    self._engine._execute(self, self._bind_mapping(entry))
                 )
             elif isinstance(entry, (tuple, list)):
                 results.append(self.execute(*entry))
@@ -819,6 +826,10 @@ class ProteusEngine:
         #: catalog change clears it: a module reads expressions only, never a
         #: schema or a dataset.  An LRU of ``SHAPE_CACHE_CAPACITY`` shapes.
         self._compiled: OrderedDict[tuple, GeneratedQuery] = OrderedDict()
+        #: Driver factories by source (``compile_driver``): a driver names
+        #: nothing of one plan, so every program of one pipeline structure,
+        #: over any module, shares one.  An LRU of ``SHAPE_CACHE_CAPACITY``.
+        self._drivers: OrderedDict[str, Callable] = OrderedDict()
         #: Shape templates (see ``_prepare_shape``) by a text's tokens with
         #: the registered dataset names abstracted, plus those datasets'
         #: plan facts; no catalog change clears it, a changed dataset only
@@ -1260,7 +1271,10 @@ class ProteusEngine:
         if isinstance(text, Comprehension):
             return self.prepare(text)
         key = text.strip()
-        prepared = self._lru_lookup(self._prepared_cache, key)
+        with self._lock:
+            prepared = self._prepared_cache.get(key)
+            if prepared is not None:
+                self._prepared_cache.move_to_end(key)
         if prepared is None:
             # Prepare outside the lock (parse + plan are the expensive part);
             # concurrent first callers race to prepare, one publication wins
@@ -1398,40 +1412,28 @@ class ProteusEngine:
         shape.phases = phases
         return physical, shape
 
-    def _execute_prepared(
+    def _execute(
         self,
         prepared: PreparedQuery,
         params: dict,
         timeout: float | None = None,
         cancel: CancellationToken | None = None,
     ) -> ResultSet:
+        """One execution of ``prepared`` under ``params``, end to end: the
+        plan and shape, the tier cascade (a warm shape's is decided: its
+        module and program are built), admission, the executor, the sort
+        epilogue, the metrics and the result."""
+        started = time.perf_counter()
         try:
-            plan, shape = prepared._current_plan(params)
+            physical, shape = prepared._current_plan(params)
         except ProteusError as exc:
             # A re-prepare after a catalog change fails like a fresh
             # prepare() would (a dropped dataset, a changed schema).
             self._count_query_failure(exc)
             raise
-        self.last_plan = plan
-        query_text = (
-            prepared._source if isinstance(prepared._source, str) else None
-        )
-        return self._execute(
-            prepared, plan, shape, params or None, query_text=query_text,
-            timeout=timeout, cancel=cancel,
-        )
-
-    def _execute(
-        self,
-        prepared: PreparedQuery,
-        physical: PhysicalPlan,
-        shape: QueryShape,
-        params: ParamValues | None = None,
-        query_text: str | None = None,
-        timeout: float | None = None,
-        cancel: CancellationToken | None = None,
-    ) -> ResultSet:
-        started = time.perf_counter()
+        self.last_plan = physical
+        params = params or None
+        query_text = prepared._source if isinstance(prepared._source, str) else None
         # One profile and one QueryContext per execution, always.  The
         # profile is the execution's only ledger: every tier, the fan-out
         # driver and each morsel worker write it through the context as they
@@ -1456,37 +1458,96 @@ class ProteusEngine:
             # its first codegen execution, read by every later one.  The
             # trace starts after admission and reports the shape's frontend
             # phases (taken by the first admitted execution only) and these.
-            phases: list[tuple[str, float]] = []
-            cascade_started = time.perf_counter()
-            analysis = shape.analysis(self.enable_codegen)
-            phases.append(("tier-cascade", time.perf_counter() - cascade_started))
-            program = self._program(prepared, physical, shape, analysis, profile, phases)
+            tracing = self.tracer.enabled
+            if tracing:
+                cascade_started = time.perf_counter()
+            analysis = shape._by_flag[1 if self.enable_codegen else 0]
+            phases = [("tier-cascade", time.perf_counter() - cascade_started)] if tracing else []
+            program = shape.program if self.enable_codegen else None
+            if program is not None:
+                profile.predicted_tier = TIER_CODEGEN
+                profile.tier_decline_reasons = shape.declines
+                profile.compiled_from_cache = True
+            else:
+                program = self._program(prepared, physical, shape, analysis, profile, phases)
             if self.admission is not None:
                 # Queue for a slot only as long as the deadline just started
                 # allows: a short query behind a full controller fails fast.
                 slot = self.admission.admit(
                     self._estimate_query_bytes(physical, program), deadline=context.deadline
                 )
-            trace = self.tracer.begin(
-                query_text or "<plan>", physical, prepared._take_phases(shape) + phases
-            )
+            if tracing:
+                trace = self.tracer.begin(
+                    query_text or "<plan>", physical, prepared._take_phases(shape) + phases
+                )
             # Cross-query scan sharing: lead or join the in-flight cold
             # scans this plan touches.  Runs after admission (the front
             # door) and inside the abort handling below, because a
             # coalesced wait honours the deadline/cancellation checks.
             # Only the batch pipeline reads (and fills) the field cache, so
             # only its executions coalesce.
-            if program is not None and self._scan_coalescer is not None:
+            if program is not None and program.cold_scans and self._scan_coalescer is not None:
                 leases = self._coalesce_cold_scans(program, context)
+            # The LIMIT, resolved once: literal and bound values go through
+            # the same validation (negative limits are rejected in both).
+            sort_plan = physical if isinstance(physical, PhysSort) else None
+            limit = resolve_limit(sort_plan.limit, params) if sort_plan is not None else None
             # The context is published thread-locally so code that cannot
             # take a parameter (plug-in I/O beneath a scan) still finds the
             # retry budget and deadline; the worker pool re-publishes it on
             # its own threads.
-            with activate_context(context):
-                return self._execute_with_context(
-                    program, physical, analysis.hints, params, query_text, started,
-                    context, trace,
-                )
+            previous = swap_context(context)
+            try:
+                if trace is not None:
+                    execute_started = time.perf_counter()
+                if program is not None:
+                    self.last_generated_source = program.generated.source
+                    executor = VectorizedExecutor(
+                        context, self.vectorized_batch_size, self.parallel_workers,
+                        self.cache_manager, params, trace, limit,
+                    )
+                    names, data = program.generated(executor, program)
+                else:
+                    profile.execution_tier = "volcano"
+                    self.last_generated_source = None
+                    # The engine's sort kernels run on the materialized
+                    # output; the interpreter never sees the PhysSort root.
+                    names, data = VolcanoExecutor(
+                        self.catalog, self.plugins, context, params=params, trace=trace
+                    ).execute(unwrap_sort(physical))
+                if trace is not None:
+                    materialize_started = time.perf_counter()
+                    self._trace_root(
+                        trace, physical, profile, materialize_started - execute_started
+                    )
+                if program is not None:
+                    # The pipeline's columns are whole: one array per name.
+                    length = len(data[names[0]]) if names else 0
+                else:
+                    length, data = _normalize_result_columns(names, data)
+                if sort_plan is not None:
+                    length, data = self._sort(
+                        sort_plan, names, length, data, limit, analysis.hints, profile, trace
+                    )
+            finally:
+                swap_context(previous)
+            elapsed = time.perf_counter() - started
+            self.last_profile = profile
+            finished_trace = None
+            if trace is not None:
+                trace.add_phase("materialize", time.perf_counter() - materialize_started)
+                finished_trace = self.tracer.finish(trace, profile, elapsed)
+            self._record_query_metrics(
+                query_text, profile, elapsed, finished_trace, result_rows=length
+            )
+            return ResultSet(
+                columns=names,
+                data=data,
+                length=length,
+                execution_seconds=elapsed,
+                tier=profile.execution_tier,
+                profile=profile,
+            )
         except ProteusError as exc:
             # The one abort path — admission refused, deadline, cancellation,
             # exhausted retries or an ordinary execution error — lands here
@@ -1546,7 +1607,7 @@ class ProteusEngine:
         if manager is None or coalescer is None:
             return leases
         for name, keys in program.cold_scans:
-            if all(manager.peek(key) is not None for key in keys):
+            if manager.holds(keys):
                 continue
             for _ in range(self._MAX_COALESCE_ROUNDS):
                 lease = coalescer.acquire(name, context)
@@ -1555,104 +1616,60 @@ class ProteusEngine:
                     break
                 # A leader just finished: if its materialization warmed our
                 # columns, piggy-back on it and skip the raw parse.
-                if all(manager.peek(key) is not None for key in keys):
+                if manager.holds(keys):
                     if self._query_metrics is not None:
                         self._query_metrics.scans_coalesced.inc(dataset=name)
                     break
         return leases
 
-    def _execute_with_context(
-        self,
-        program: PipelineProgram | None,
-        physical: PhysicalPlan,
+    @staticmethod
+    def _trace_root(
+        trace: TraceBuilder, physical: PhysicalPlan, profile: ExecutionProfile, seconds: float
+    ) -> None:
+        """The execute phase of a traced run, and its root span: Reduce/Nest
+        run inside the executor sinks without a stage of their own, so the
+        executor call is attributed to the plan root."""
+        trace.add_phase("execute", seconds)
+        root = unwrap_sort(physical)
+        trace.operator(
+            type(root).__name__.removeprefix("Phys").lower(),
+            node=root,
+            inclusive=True,
+            detail="engine-side root span; time covers the executor call",
+        ).add(seconds=seconds, rows_out=profile.output_rows)
+
+    @staticmethod
+    def _sort(
+        sort_plan: PhysSort,
+        names: list[str],
+        length: int,
+        data: dict[str, Any],
+        limit: int | None,
         hints: NullabilityHints,
-        params: ParamValues | None,
-        query_text: str | None,
-        started: float,
-        context: QueryContext,
+        profile: ExecutionProfile,
         trace: TraceBuilder | None,
-    ) -> ResultSet:
-        # Resolve a parameterized LIMIT up front: literal and bound values go
-        # through the same validation (negative limits are rejected in both).
-        sort_plan = physical if isinstance(physical, PhysSort) else None
-        bound_limit = (
-            resolve_limit(sort_plan.limit, params) if sort_plan is not None else None
+    ) -> tuple[int, dict[str, Any]]:
+        """The columnar sort epilogue: every tier hands over unsorted output
+        (the pipeline at most bounded per scan range), and the sort kernels
+        run here — one permutation, no row boxing."""
+        rows_in = length
+        sort_started = time.perf_counter()
+        length, data, strategy = sort_columns(
+            names, length, data, sort_plan.keys, limit, hints.non_null_columns
         )
-        profile = context.profile
-        execute_started = time.perf_counter()
-        if program is not None:
-            names, columns = self._execute_pipeline(program, params, trace, context)
-        else:
-            profile.execution_tier = "volcano"
-            names, columns = self._execute_volcano(
-                physical, params, trace, context
-            )
-        execute_seconds = time.perf_counter() - execute_started
         if trace is not None:
-            trace.add_phase("execute", execute_seconds)
-            # Reduce/Nest run inside the executor sinks without a stage of
-            # their own; attribute the executor call to the plan root.
-            root = unwrap_sort(physical)
             trace.operator(
-                type(root).__name__.removeprefix("Phys").lower(),
-                node=root,
-                inclusive=True,
-                detail="engine-side root span; time covers the executor call",
-            ).add(seconds=execute_seconds, rows_out=profile.output_rows)
-        materialize_started = time.perf_counter()
-        length, data = _normalize_result_columns(names, columns)
-        if sort_plan is not None:
-            # Every tier hands over unsorted output (the pipeline at most
-            # bounded per scan range): the columnar sort kernels run here,
-            # one permutation, no row boxing.
-            rows_in = length
-            sort_started = time.perf_counter()
-            length, data, strategy = sort_columns(
-                names,
-                length,
-                data,
-                sort_plan.keys,
-                bound_limit,
-                hints.non_null_columns,
+                "sort", node=sort_plan, detail="engine-side columnar sort epilogue"
+            ).add(
+                seconds=time.perf_counter() - sort_started, rows_in=rows_in, rows_out=length
             )
-            if trace is not None:
-                trace.operator(
-                    "sort",
-                    node=sort_plan,
-                    detail="engine-side columnar sort epilogue",
-                ).add(
-                    seconds=time.perf_counter() - sort_started,
-                    rows_in=rows_in,
-                    rows_out=length,
-                )
-            if strategy is not None:
-                profile.sort_strategy = strategy
-                if bound_limit != 0:
-                    # LIMIT 0 short-circuits without running a kernel; no
-                    # rows entered a sort.
-                    profile.rows_sorted += rows_in
-        if trace is not None:
-            trace.add_phase(
-                "materialize", time.perf_counter() - materialize_started
-            )
-        elapsed = time.perf_counter() - started
-        self.last_profile = profile
-        finished_trace = (
-            self.tracer.finish(trace, profile, elapsed)
-            if trace is not None
-            else None
-        )
-        self._record_query_metrics(
-            query_text, profile, elapsed, finished_trace, result_rows=length
-        )
-        return ResultSet(
-            columns=names,
-            data=data,
-            length=length,
-            execution_seconds=elapsed,
-            tier=profile.execution_tier,
-            profile=profile,
-        )
+        if strategy is not None:
+            profile.sort_strategy = strategy
+            if limit != 0:
+                # LIMIT 0 short-circuits without running a kernel; no rows
+                # entered a sort.
+                profile.rows_sorted += rows_in
+        return length, data
 
     def _record_query_metrics(
         self,
@@ -1750,9 +1767,8 @@ class ProteusEngine:
             prepared, physical, shape, analysis.verdicts, phases
         )
         profile.predicted_tier = analysis.predicted_tier
-        profile.tier_decline_reasons = {
-            v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves
-        }
+        declines = {v.tier: f"[{v.code}] {v.reason}" for v in verdicts if not v.serves}
+        profile.tier_decline_reasons = declines
         if generated is None:
             return None
         profile.compiled_from_cache = from_cache
@@ -1761,10 +1777,24 @@ class ProteusEngine:
             program = prepared._publish_program(
                 shape,
                 PipelineProgram(
-                    physical, generated, analysis.hints, self.catalog, self.plugins
+                    physical, generated, analysis.hints, self.catalog, self.plugins,
+                    self._compile_drivers,
                 ),
+                declines,
             )
         return program
+
+    def _compile_drivers(self, program: PipelineProgram) -> dict[tuple[int, str], Callable]:
+        """The driver function of every pipeline of ``program``: the factory
+        its source defines — compiled once per engine — bound to the
+        pipeline's constants."""
+        drivers = {}
+        for key, (source, constants) in generate_driver(program).items():
+            factory = self._lru_lookup(self._drivers, source)
+            if factory is None:
+                factory = self._lru_publish(self._drivers, source, compile_driver(source))
+            drivers[key] = factory(*constants)
+        return drivers
 
     def _generate(
         self,
@@ -1813,42 +1843,6 @@ class ProteusEngine:
             )
             return None, False, (failed, *verdicts[1:])
         return prepared._publish_module(shape, generated), from_cache, verdicts
-
-    def _execute_pipeline(
-        self,
-        program: PipelineProgram,
-        params: ParamValues | None,
-        trace: TraceBuilder | None,
-        context: QueryContext,
-    ) -> tuple[list[str], dict[str, Any]]:
-        """THE batch-pipeline entry of the ``codegen`` tier: one executor
-        runs the shape's program on its generated expression functions,
-        counting into ``context``'s profile."""
-        self.last_generated_source = program.generated.source
-        executor = VectorizedExecutor(
-            context,
-            batch_size=self.vectorized_batch_size,
-            num_workers=self.parallel_workers,
-            cache_manager=self.cache_manager,
-            params=params,
-            trace=trace,
-        )
-        return program.generated(executor, program)
-
-    def _execute_volcano(
-        self,
-        physical: PhysicalPlan,
-        params: ParamValues | None,
-        trace: TraceBuilder | None,
-        context: QueryContext,
-    ) -> tuple[list[str], dict[str, Any]]:
-        self.last_generated_source = None
-        executor = VolcanoExecutor(
-            self.catalog, self.plugins, context, params=params, trace=trace
-        )
-        # The engine's sort kernels run on the materialized output; the
-        # interpreter never sees the PhysSort root.
-        return executor.execute(unwrap_sort(physical))
 
     # ------------------------------------------------------------------------
     # Caching control and introspection
@@ -1976,7 +1970,7 @@ def _python_values(buffer) -> list:
     if isinstance(buffer, np.ndarray) and buffer.dtype != object:
         values = buffer.tolist()
         if buffer.dtype.kind == "f":
-            for position in np.flatnonzero(np.isnan(buffer)).tolist():
+            for position in np.isnan(buffer).nonzero()[0].tolist():
                 values[position] = None
         return values
     values = buffer.tolist() if isinstance(buffer, np.ndarray) else list(buffer)

@@ -202,7 +202,7 @@ class KeySlots:
             addresses = np.arange(len(self.distinct))
             keys = self.distinct
         else:
-            addresses = np.flatnonzero(self.lookup[1:-1] >= 0)
+            addresses = (self.lookup[1:-1] >= 0).nonzero()[0]
             keys = addresses + self.lo
         if self.values is not None:
             keys = self.values[keys]
@@ -234,7 +234,7 @@ def _present(
     missing = missing_mask(keys)
     rows = None
     if missing is not None:
-        rows = np.flatnonzero(~missing)
+        rows = (~missing).nonzero()[0]
         keys = keys[rows]
     if isinstance(keys, EncodedColumn) and keys.values.dtype != object:
         keys = keys.values[keys.codes]
@@ -349,7 +349,7 @@ def _align(kind: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         )
         if kept.all():
             return keys.astype(np.int64), None
-        kept = np.flatnonzero(kept)
+        kept = kept.nonzero()[0]
         return keys[kept].astype(np.int64), kept
     # Float slots: only integers exactly representable in float64 can equal
     # a float key; a blanket cast would round 2**53 + 1 onto 2**53.
@@ -360,7 +360,7 @@ def _align(kind: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     exact = safe & (round_trip == keys)
     if exact.all():
         return as_float, None
-    kept = np.flatnonzero(exact)
+    kept = exact.nonzero()[0]
     return as_float[kept], kept
 
 
@@ -389,10 +389,10 @@ def _addresses(space: KeySlots, keys: np.ndarray) -> np.ndarray:
         # rounds neighbouring keys together: search the keys the input's
         # dtype holds, in that dtype.
         limits = np.iinfo(distinct.dtype)
-        inside = np.flatnonzero((keys >= limits.min) & (keys <= limits.max))
+        inside = ((keys >= limits.min) & (keys <= limits.max)).nonzero()[0]
         keys = keys[inside].astype(distinct.dtype)
-    positions = np.searchsorted(distinct, keys)
-    found = np.flatnonzero(positions < len(distinct))
+    positions = distinct.searchsorted(keys)
+    found = (positions < len(distinct)).nonzero()[0]
     found = found[distinct[positions[found]] == keys[found]]
     addresses[found if inside is None else inside[found]] = positions[found] + 1
     return addresses
@@ -404,7 +404,7 @@ def probe(space: KeySlots, keys: np.ndarray | EncodedColumn) -> tuple[np.ndarray
     a key.  A unique build side is one gather (the slot is the build row);
     duplicate keys expand their slot's CSR run."""
     slots = slots_of(space, keys)
-    hit = np.flatnonzero(slots >= 0)
+    hit = (slots >= 0).nonzero()[0]
     slots = slots[hit].astype(np.intp)  # gathers index fastest by intp
     if space.unique:
         return slots, hit
@@ -446,7 +446,7 @@ def radix_group(key_arrays: list[np.ndarray]) -> GroupingResult:
     if kernel == KERNEL_SORTED:  # factorized: every code is occupied
         return GroupingResult(codes, span, keys_of(np.arange(span)), kernel)
     occupied = np.bincount(codes, minlength=span) > 0
-    present = np.flatnonzero(occupied)
+    present = occupied.nonzero()[0]
     # Occupied codes, ascending, are the group ids: one cumulative count.
     return GroupingResult((np.cumsum(occupied) - 1)[codes], len(present), keys_of(present), kernel)
 
@@ -681,7 +681,7 @@ def int_bound(array: np.ndarray) -> int:
     """Largest absolute value of an integer buffer, computed exactly."""
     if array.size == 0:
         return 0
-    return max(abs(int(array.min())), abs(int(array.max())))
+    return max(abs(int(np.minimum.reduce(array))), abs(int(np.maximum.reduce(array))))
 
 
 def _int_sum_may_overflow(values: np.ndarray) -> bool:
@@ -716,6 +716,14 @@ def null_safe_compare(op: str, left, right) -> np.ndarray:
     the plain NumPy operator, where NaN already compares false for every
     operator but ``!=`` (masked explicitly).  Encoded columns compare on
     their codes (:func:`_compare_codes`)."""
+    if (
+        left.__class__ is np.ndarray
+        and left.dtype.kind in "iuf"
+        and op != "!="
+        and (right.__class__ is float or (right.__class__ is int and _INT64_MIN <= right <= _INT64_MAX))
+    ):
+        # A typed column against a number: NaN compares false already.
+        return _COMPARISON_FUNCS[op](left, right)
     if isinstance(right, EncodedColumn) and not isinstance(left, EncodedColumn):
         left, right, op = right, left, _MIRRORED[op]
     if isinstance(left, EncodedColumn):
@@ -739,6 +747,9 @@ def null_safe_compare(op: str, left, right) -> np.ndarray:
                 result = result & ~np.isnan(side)
     return result
 
+
+#: The bounds of an int64, which a typed column compares with directly.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 #: The operator comparing ``b`` with ``a`` as ``op`` compares ``a`` with ``b``.
 _MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -776,8 +787,8 @@ def _compare_codes(op: str, left: EncodedColumn, right) -> np.ndarray | None:
     # Codes below the left insertion point of ``right`` are the values
     # below it, codes below the right one the values up to it; the
     # missing code -1 is below both.
-    below = codes < np.searchsorted(left.values, right, side="left")
-    upto = codes < np.searchsorted(left.values, right, side="right")
+    below = codes < left.values.searchsorted(right, side="left")
+    upto = codes < left.values.searchsorted(right, side="right")
     if op == "<":
         return below & (codes >= 0)
     if op == "<=":
@@ -802,8 +813,8 @@ def finish_avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
             total / count if count else float("nan")
             for total, count in zip(sums.tolist(), counts.tolist())
         ])
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    # Every divisor is at least 1: no 0 / 0 to silence.
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def group_aggregate(
@@ -819,7 +830,7 @@ def group_aggregate(
     global aggregate, just its row count: one group is a whole-array
     reduction and needs no ids.  ``present`` is the static analyzer's proof
     that ``values`` has no missing entry (see :func:`_drop_missing`)."""
-    if np.ndim(group_ids) == 0:
+    if not isinstance(group_ids, np.ndarray) or group_ids.ndim == 0:
         return _single_group_aggregate(func, int(group_ids), values, present)
     if func == "count" and values is None:
         return np.bincount(group_ids, minlength=num_groups).astype(np.int64)
@@ -901,9 +912,9 @@ def _single_group_aggregate(
             sums = np.empty(1, dtype=object)
             sums[0] = sum(values.tolist())  # exact Python ints
         elif values.dtype.kind in "iub":
-            sums = np.asarray([np.sum(values, dtype=np.int64)])
+            sums = np.asarray([np.add.reduce(values, dtype=np.int64)])
         else:
-            sums = np.asarray([np.sum(values, dtype=np.float64)])
+            sums = np.asarray([np.add.reduce(values, dtype=np.float64)])
         if func == "sum":
             return sums
         return finish_avg(sums, np.asarray([len(values)]))
@@ -915,7 +926,7 @@ def _single_group_aggregate(
             extreme = np.empty(1, dtype=object)
             extreme[0] = (max if func == "max" else min)(values.tolist())
             return extreme
-        return np.asarray([values.max() if func == "max" else values.min()])
+        return np.asarray([(np.maximum if func == "max" else np.minimum).reduce(values)])
     if func == "and":
         return np.asarray([values.astype(bool).all()])
     if func == "or":

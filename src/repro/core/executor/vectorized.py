@@ -3,84 +3,74 @@
 The paper's §5 identifies per-tuple interpretation as the dominant overhead
 of static engines and removes it by customizing one engine per query.  This
 module is that engine: every plan the ``codegen`` tier serves runs here,
-over columnar *batches* instead of per-tuple dict environments.  What is
-customized per query are the expressions:
-:class:`repro.core.codegen.CodeGenerator` emitted one fused NumPy function
-per select/join/unnest predicate, join key, group key, aggregate argument
-and output head of the plan (literals inlined, parameters looked up), and
-the stages and root tasks call those functions through the plan's
-:class:`~repro.core.codegen.GeneratedQuery`.
+over columnar *batches* instead of per-tuple dict environments.  Two things
+are generated per query (:mod:`repro.core.codegen`): one fused NumPy
+function per select/join/unnest predicate, join key, group key, aggregate
+argument and output head of the plan (literals inlined, parameters looked
+up), and — per :class:`PipelineProgram` — its *driver*: one straight-line
+function per scan pipeline of the plan that runs one scan range from the
+scan's batches through the predicates, gathers, unnests, join probes and
+slot reductions to its sink, calling the expression functions and the
+kernels directly.
 
 A plan is lowered once per query shape into a :class:`PipelineProgram`:
 :class:`PipelineCompiler` derives from the plan and the catalog everything
 its executions need — one step per operator with its generated functions,
-its scan's dataset, field-cache keys and deferred fields, its join's
-build-side cache key and live columns — and the root's layout.  Each
-execution's :class:`VectorizedExecutor` opens the steps into a
-:class:`CompiledPipeline` — one :class:`ScanOperator` batch source plus a
-list of per-batch stages — with its own parameters, cache probes, build
-sides and spans:
+its scan's dataset, field-cache keys and deferred fields, the columns read
+above every select, unnest and join (:class:`Live`: a gather takes only
+those) — and cuts the steps into :class:`Pipeline`\\ s: one scan's batch
+stream and the operators applied to it, up to a sink.  The sinks are
 
-* :class:`SelectStage` evaluates the predicate once per batch into a boolean
-  mask; sitting directly on a CSV/JSON scan it makes the scan *lazy* (§5.2):
-  only the predicate's fields are converted for every row, the remaining
-  ones for the surviving OIDs only (``scan_columns_at``),
-* :class:`HashJoinStage` holds the materialized build side and its keys
-  numbered as :class:`~repro.core.executor.radix.KeySlots` — addressed
-  directly over a dense integer key range, sorted otherwise; looked up in /
-  admitted to the adaptive cache, keyed by the build side's plan, key and
-  bound parameter values — and probes them batch-at-a-time (one gather when
-  the build side holds each key once), emitting matches in probe order
-  (build order within a key), the Volcano interpreter's order.  The joined
-  batch gathers only the columns read above the join — and OIDs only for
-  an unnest above that needs them; the compiler finds them on its way down
-  the plan,
-* :class:`UnnestStage` flattens nested collections batch-natively through the
-  plug-in's ``scan_unnest_batch`` offset-vector API (one ``np.repeat``
-  broadcast of the parent columns per batch; outer unnest emits null child
-  rows for empty collections, nested-in-nested flattens materialized
-  collection columns in memory); an unnest directly over a scan serves its
-  flattened output from — and admits it to — the adaptive cache,
-* grouping concatenates key/argument columns and reduces them with the
-  grouping kernel (``bincount`` over a mixed-radix code of ``key - lo`` when
-  the integer key ranges are dense, ``np.unique`` factorization otherwise).
-  A global aggregate is the group-by with no keys: one group, each batch
-  folded into it by whole-array reductions as it arrives.  Either way the
-  output heads — aggregates combined with literals, parameters, arithmetic
-  and comparisons — run as generated functions over the per-group
-  aggregate columns.  The kernel each join and group-by ran is recorded in
-  the profile (``join_kernels`` / ``group_kernel``),
-* an aggregate over inner equi-joins on one shared key (a
-  :class:`FactorizedChain`, recognized from the plan alone) builds no
-  joined row: each input reduces to partials per key value and the
-  aggregates are their key products (``join_kernels`` says
-  ``factorized``) — unless two inputs join on keys the first holds once
-  each, where there is nothing to factor out.  Every other join probes and
-  gathers.  Both run over the first input's one key space, built once and
-  cached; the cache keeps each chain input's per-slot partials too.
+* ``collect`` — a join build side: the batches, concatenated in range order,
+* ``project`` — a projection root, bounded per range by the LIMIT the engine
+  resolved (a pure LIMIT keeps a prefix and stops scanning), or ``topk`` —
+  ORDER BY + LIMIT K keeps each range's :class:`~repro.core.sort.TopKAccumulator`
+  candidates; the engine's epilogue sorts either,
+* ``nest`` — the group-by root :class:`_NestRoot`, a global aggregate being
+  the group-by with no keys: one group, every batch folded into it by
+  whole-array reductions as it arrives, one row even over no input.  The
+  output heads run as generated functions over the per-group aggregate
+  columns,
+* ``slot`` — one input of a :class:`FactorizedChain`: an aggregate over
+  inner equi-joins on one shared key builds no joined row; each input
+  reduces to partials per key value (:class:`_SlotRoot`) and the aggregates
+  are their key products (``join_kernels`` says ``factorized``).
 
-The stages are deliberately *stateless per batch* (all mutable state lives in
-the :class:`~repro.core.profile.ExecutionCounters` they are passed and the
-lock-guarded cache recorders), so the same pipeline object can be executed
-over any batch range by any worker.  The counters passed are the
-execution's one ledger: the profile the
-:class:`~repro.resilience.context.QueryContext` carries, written straight
-by an inline run, or a morsel's own counters, merged into that profile
-under the context's lock when the morsel ends (aborted or not) — so an
-abort's progress is the work of every morsel that ran.
+The operators between a scan and its sink: a selection evaluates its
+predicate into one position array and gathers the live columns of the rows
+that pass; sitting directly on a CSV/JSON scan it makes the scan *lazy*
+(§5.2): only the predicate's fields are converted for every row, the rest
+for the surviving OIDs only (``scan_columns_at``).  An unnest flattens
+nested collections batch-natively through the plug-in's
+``scan_unnest_batch`` offset-vector API (one ``np.repeat`` broadcast of the
+parent columns per batch; outer unnest emits null child rows for empty
+collections, nested-in-nested flattens materialized collection columns in
+memory); directly over a scan it serves its flattened output from — and
+admits it to — the adaptive cache.  A hash join probes its build side's key
+slots (:class:`~repro.core.executor.radix.KeySlots`, dense over an integer
+key range, sorted otherwise; one gather when the build side holds each key
+once), emitting matches in probe order (build order within a key), the
+Volcano interpreter's order; a nested-loop join cross-products each batch
+with its build side.
 
-The plan root is a *root task* (:class:`_RootTask`): a partial state per
-scan range plus an ordered merge.  :class:`VectorizedExecutor` opens the
-pipeline once, takes one root task from the program and — decided by
-:func:`repro.core.parallel.plan_fanout` from the worker count, the driving
-scan's row count in whole morsels and whether the root groups — either runs
-it inline over the whole scan or hands morsels to the work-stealing fan-out
-driver (:mod:`repro.core.parallel`) and merges the per-morsel partials in
-morsel order.  Join build sides go through the same decision.
+Each execution is one :class:`VectorizedExecutor`.  It asks the cache once
+for every key the execution reads (:meth:`VectorizedExecutor.execute`: the
+field columns of every scan, the unnest outputs, the join build sides and
+the chain's slot space and partials, one ``lookup_many``), materializes the
+build sides, and runs each pipeline's driver function — inline over the
+whole scan or, decided by :func:`repro.core.parallel.plan_fanout` from the
+worker count, the scan's row count in whole morsels and whether the root
+groups, once per morsel on the work-stealing fan-out driver
+(:mod:`repro.core.parallel`), merging the per-morsel partials in morsel
+order.  A driver keeps its state in its own locals, so one function serves
+every morsel and every execution of every program with its structure.  The
+counters it is passed are the execution's one ledger: the profile the
+:class:`~repro.resilience.context.QueryContext` carries, written straight by
+an inline run, or a morsel's own counters, merged into that profile under
+the context's lock when the morsel ends (aborted or not).
 
-The scan operator is the single cache path of the engine: cached field
-columns are served (and counted as cache hits) instead of re-converting raw
-bytes, looked up when the scan starts (the plan does not name the cache), and
+The scan is the single cache path of the engine: cached field columns are
+served (and counted as cache hits) instead of re-converting raw bytes, and
 fully-scanned columns are admitted to the cache as a side effect of
 execution (§6).
 
@@ -93,9 +83,9 @@ float column, code ``-1`` inside a dictionary-encoded column
 ``int``, ``date`` or ``bool`` field with missing values) and ``None`` only
 inside an object column (values that do not fit the declared type, and
 computed results such as the extrema of groups without input).  Encoded
-columns flow through the stages and roots as codes — gathered, concatenated
-under one dictionary, compared, grouped, joined and sorted by the kernels —
-and are decoded only when the engine pulls result rows.
+columns flow through the drivers as codes — gathered, concatenated under
+one dictionary, compared, grouped, joined and sorted by the kernels — and
+are decoded only when the engine pulls result rows.
 
 Keys follow Volcano's rules too (:mod:`repro.core.executor.radix`): a
 missing group key is one group whose key reads ``None``, a missing join key
@@ -112,8 +102,8 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -139,7 +129,7 @@ from repro.core.expressions import (
     iter_aggregates,
     iter_parameters,
 )
-from repro.core.parallel import Morsel, ParallelVectorizedExecutor, plan_fanout
+from repro.core.parallel import ParallelVectorizedExecutor, plan_fanout
 from repro.core.physical import (
     PhysHashJoin,
     PhysNest,
@@ -155,7 +145,7 @@ from repro.core.physical import (
     unwrap_sort,
 )
 from repro.core.profile import ExecutionCounters, ExecutionProfile
-from repro.core.sort import TopKAccumulator, concat_chunks, resolve_limit
+from repro.core.sort import TopKAccumulator, concat_chunks
 from repro.errors import ExecutionError, PluginError
 from repro.obs.trace import SpanAccumulator, TraceBuilder
 from repro.plugins.base import (
@@ -191,30 +181,45 @@ ColumnKey = tuple[str, tuple[str, ...]]
 Params = Mapping[int | str, object] | None
 
 
-@dataclass
 class Batch:
-    """One columnar batch flowing between operators."""
+    """One columnar batch flowing through a driver: its row count, the
+    columns by (binding, field path), the OIDs of the bindings an operator
+    above addresses by row, and the execution's bound parameter values
+    (``Parameter`` nodes evaluate against them; shared, never copied)."""
 
-    count: int
-    columns: dict[ColumnKey, np.ndarray] = field(default_factory=dict)
-    #: Per-binding global row positions (for lazy access and unnesting).
-    oids: dict[str, np.ndarray] = field(default_factory=dict)
-    #: Bound query-parameter values (``Parameter`` nodes evaluate against
-    #: this); shared by every batch of one execution, never copied.
-    params: Mapping[int | str, object] | None = None
+    __slots__ = ("count", "columns", "oids", "params")
 
-    def take(self, selector: np.ndarray) -> "Batch":
-        """Gather rows by boolean mask or integer positions."""
-        if selector.dtype == np.bool_:
-            # One pass over the mask, then position gathers: indexing every
-            # column by the mask itself would re-scan it per column.
-            selector = np.flatnonzero(selector)
-        taken = Batch(count=len(selector), params=self.params)
-        for key, column in self.columns.items():
-            taken.columns[key] = column[selector]
-        for binding, oids in self.oids.items():
-            taken.oids[binding] = oids[selector]
-        return taken
+    def __init__(
+        self,
+        count: int,
+        columns: dict[ColumnKey, Any] | None = None,
+        oids: dict[str, np.ndarray] | None = None,
+        params: Params = None,
+    ):
+        self.count = count
+        self.columns = {} if columns is None else columns
+        #: Per-binding global row positions (for lazy access and unnesting).
+        self.oids = {} if oids is None else oids
+        self.params = params
+
+    def take(self, positions: np.ndarray, live: Live | None = None) -> Batch:
+        """The rows at ``positions`` — one ``take`` per column, never a
+        boolean index, which would re-scan a mask per column — of the
+        ``live`` columns and OIDs only (``None``: all of them)."""
+        if live is None:
+            columns = {key: column[positions] for key, column in self.columns.items()}
+            oids = {binding: rows[positions] for binding, rows in self.oids.items()}
+        else:
+            keep = live.columns
+            columns = {
+                key: column[positions] for key, column in self.columns.items() if key in keep
+            }
+            oids = {
+                binding: rows[positions]
+                for binding, rows in self.oids.items()
+                if binding in live.oids
+            }
+        return Batch(len(positions), columns, oids, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +245,8 @@ def materialize(value: Any, count: int) -> np.ndarray:
 def as_bool_array(value: Any, count: int) -> np.ndarray:
     """Coerce an evaluation result to a boolean mask of ``count`` rows.
     Missing values are false (see :func:`radix.bool_mask`)."""
+    if value.__class__ is np.ndarray and value.dtype == np.bool_ and value.ndim == 1:
+        return value
     return radix.bool_mask(materialize(value, count))
 
 
@@ -251,39 +258,33 @@ def bound_parameter(params: Mapping[int | str, object] | None, key: int | str):
     return params[key]
 
 
-def _apply_predicate(batch: Batch, predicate: Evaluator) -> Batch | None:
-    """Filter a batch by a predicate; ``None`` when nothing survives."""
-    mask = as_bool_array(predicate(batch), batch.count)
-    if not mask.any():
-        return None
-    if mask.all():
-        return batch
-    return batch.take(mask)
-
-
 @dataclass(frozen=True)
 class Live:
-    """What the operators above a join read of its output: columns, and the
-    bindings whose OIDs an unnest above addresses its source by."""
+    """What the operators above an operator read of its output: columns, and
+    the bindings whose OIDs an unnest above addresses its source by (or a
+    lazy fetch right above its scan does)."""
 
     columns: frozenset[ColumnKey]
     oids: frozenset[str]
 
 
-def live_above(above: tuple[PhysicalPlan, ...], own: Expression | None) -> Live:
-    """The :class:`Live` output of a join under the operators ``above`` it
-    (nearest last) whose own predicate is ``own``."""
+def live_above(
+    above: tuple[PhysicalPlan, ...], own: Expression | None, oids: Iterable[str] = ()
+) -> Live:
+    """The :class:`Live` output of an operator under the operators ``above``
+    it (nearest last) whose own predicate — evaluated on that output — is
+    ``own``; ``oids`` are bindings whose OIDs it must keep besides."""
     columns: set[ColumnKey] = set()
-    oids: set[str] = set()
+    kept: set[str] = set(oids)
     for node in above:
         for expression in expressions_of(node):
             columns |= expression.referenced_fields()
         if isinstance(node, PhysUnnest):
             columns.add((node.binding, node.path))
-            oids.add(node.binding)
+            kept.add(node.binding)
     if own is not None:
         columns |= own.referenced_fields()
-    return Live(frozenset(columns), frozenset(oids))
+    return Live(frozenset(columns), frozenset(kept))
 
 
 def _gather_joined(
@@ -296,7 +297,7 @@ def _gather_joined(
     """Assemble a join output batch by gathering the ``live`` columns and
     OIDs of both sides."""
     joined = Batch(
-        count=len(left_positions),
+        len(left_positions),
         params=right.params if right.params is not None else left.params,
     )
     for side, positions in ((left, left_positions), (right, right_positions)):
@@ -309,26 +310,44 @@ def _gather_joined(
     return joined
 
 
+def cross(left: Batch, right: Batch, live: Live) -> Batch:
+    """The cross product of a nested-loop join's build side ``left`` with
+    one probe batch ``right``, in probe order then build order (the Volcano
+    interpreter's order), of the ``live`` columns."""
+    left_positions = np.tile(np.arange(left.count, dtype=np.int64), right.count)
+    right_positions = np.repeat(np.arange(right.count, dtype=np.int64), left.count)
+    return _gather_joined(left, right, left_positions, right_positions, live)
+
+
 def concat_batches(batches: list[Batch]) -> Batch:
-    """Concatenate a list of batches into one (join build sides)."""
+    """Concatenate a list of batches into one (join build sides).  Only the
+    columns and OIDs every batch carries are kept: a batch all of whose rows
+    passed a selection kept columns the gather of another batch dropped,
+    because nothing above reads them."""
     if not batches:
-        return Batch(count=0)
+        return Batch(0)
     if len(batches) == 1:
         return batches[0]
-    merged = Batch(
-        count=sum(batch.count for batch in batches), params=batches[0].params
-    )
+    merged = Batch(sum(batch.count for batch in batches), params=batches[0].params)
     for key in batches[0].columns:
-        merged.columns[key] = concat_chunks([batch.columns[key] for batch in batches])
+        if all(key in batch.columns for batch in batches):
+            merged.columns[key] = concat_chunks([batch.columns[key] for batch in batches])
     for binding in batches[0].oids:
-        merged.oids[binding] = np.concatenate(
-            [batch.oids[binding] for batch in batches]
-        )
+        if all(binding in batch.oids for batch in batches):
+            merged.oids[binding] = np.concatenate([batch.oids[binding] for batch in batches])
     return merged
 
 
+def span_batch(span: SpanAccumulator, started: float, rows_in: int, batch: Batch | None) -> None:
+    """The drivers' one tracing hook: one operator's work on one batch —
+    the time since ``started``, its rows in and out (``None``: none out)."""
+    span.add_batch(
+        time.perf_counter() - started, rows_in, 0 if batch is None else batch.count
+    )
+
+
 # ---------------------------------------------------------------------------
-# Scan operator (the batch source of every pipeline)
+# Scans: the batch source of every pipeline, and the single cache path
 # ---------------------------------------------------------------------------
 
 
@@ -367,30 +386,15 @@ class _CoverageRecorder:
         return ordered if ordered and covered == total_rows else None
 
 
-class Step:
-    """One operator of a :class:`PipelineProgram`, made once per shape by
-    :class:`PipelineCompiler`; ``open`` builds its part of one execution's
-    :class:`CompiledPipeline` against that execution's
-    :class:`VectorizedExecutor`."""
-
-    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
-        raise NotImplementedError
-
-    def open_input(self, run: VectorizedExecutor) -> tuple[CompiledPipeline, Evaluator | None]:
-        """The pipeline of this step as the input of a factorized chain, and
-        the predicate its :class:`SlotStage` applies as a mask (``None``:
-        none)."""
-        return self.open(run), None
-
-
 @dataclass(frozen=True)
-class ScanStep(Step):
+class ScanStep:
     """One scan of a :class:`PipelineProgram`: its plan node, the dataset and
-    plug-in it reads, its field paths with their field-cache keys, whether
-    the cache keeps its fields (:func:`repro.caching.policies.keeps_fields`
-    of its format), the fields a selection directly above it defers (§5.2)
-    and whether anything above reads its OIDs — all fixed by the plan and
-    the catalog, so one shape derives them once."""
+    plug-in it reads, its field paths with their column keys and field-cache
+    keys, whether the cache keeps its fields
+    (:func:`repro.caching.policies.keeps_fields` of its format), the fields a
+    selection directly above it defers (§5.2) and whether anything above
+    reads its OIDs — all fixed by the plan and the catalog, so one shape
+    derives them once."""
 
     node: PhysScan
     dataset: Dataset
@@ -416,240 +420,187 @@ class ScanStep(Step):
         keep = policies.keeps_fields(dataset.format)
         return cls(node, dataset, plugin, paths, keys, keep, deferred, oids)
 
-    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
-        span = None
-        if run.trace is not None:
-            span = run.trace.operator(
-                f"scan:{self.dataset.name}", node=self.node, detail=self.plugin.format_name
-            )
-        operator = ScanOperator(self, run.cache_manager, run.params, span)
-        run.cache_writers.append(operator)
-        return CompiledPipeline(operator, [], run.context)
+
+class ScanRun(NamedTuple):
+    """One scan as one execution reads it (:func:`open_scan`)."""
+
+    step: ScanStep
+    #: (column key, whole cached column) of every field the cache held.
+    cached: list[tuple[ColumnKey, Any]]
+    #: The paths the plug-in converts for every row.
+    uncached: list[FieldPath]
+    #: The deferred paths it converts for the rows a selection passes.
+    deferred: list[FieldPath]
+    #: Do the batches carry the scan's OIDs?
+    emit_oids: bool
+    total_rows: int
+    #: The recorder of a complete read the cache keeps (``None``: none).
+    recorder: _CoverageRecorder | None
+    #: The scan's span in a traced run.
+    span: SpanAccumulator | None
 
 
-class ScanOperator:
-    """Produces the batch stream of one :class:`ScanStep` in one execution.
-
-    The operator is the engine's single cache path: field columns held by
-    the caching manager are served (and counted as hits) instead of
-    re-extracted — looked up here, at scan time, in one probe for all the
-    step's fields, never planned — remaining
-    fields are scanned through the dataset's own plug-in, and columns
-    extracted by a *complete* scan are admitted to the cache afterwards
-    (:meth:`store_materialized`).
-
-    The step's ``deferred`` fields — those a selection directly above the
-    scan does not need to evaluate its predicate — that are not cached are
-    left out of the stream and converted by :meth:`fetch_deferred` for the
-    surviving OIDs only (§5.2, lazy plug-in behaviour).  Batches carry the
-    scan's OIDs only for such a fetch or when the step says an operator
-    above reads them (an unnest addressing its collections by them).
-
-    Batch production is side-effect-free apart from the counters argument and
-    the (lock-guarded) materialization recorder, so multiple workers may pull
-    disjoint row ranges concurrently via :meth:`iter_range`.  Every stream
-    runs through one metering loop (:meth:`_metered`).
-    """
-
-    def __init__(
-        self,
-        step: ScanStep,
-        cache_manager=None,
-        params: Mapping[int | str, object] | None = None,
-        span: SpanAccumulator | None = None,
-    ):
-        self.step = step
-        self.binding = step.node.binding
-        self.dataset = step.dataset
-        self.plugin = plugin = step.plugin
-        self.cache_manager = cache_manager
-        self.params = params
-        #: The scan's span in a traced run; ``None`` untraced.
-        self.span = span
-        self._cached: dict[FieldPath, np.ndarray] = {}
-        if cache_manager is not None and step.keys:
-            for path, entry in zip(step.paths, cache_manager.lookup_many(step.keys)):
-                if entry is not None:
-                    self._cached[path] = entry.data
-        uncached = [path for path in step.paths if path not in self._cached]
-        self._uncached = [path for path in uncached if path not in step.deferred]
-        self._deferred = [path for path in uncached if path in step.deferred]
-        #: Do the batches carry the OIDs: does anything above read them?
-        self.emit_oids = step.oids or bool(self._deferred)
-        if self._cached and not self._uncached:
-            self.total_rows = len(next(iter(self._cached.values())))
+def open_scan(
+    step: ScanStep,
+    held: Mapping[tuple, Any],
+    recording: bool,
+    span: SpanAccumulator | None = None,
+) -> ScanRun:
+    """One execution's read of ``step``: which of its fields the cache holds
+    (``held``, the execution's one probe), which the plug-in converts and
+    which it defers.  ``recording``: is there a cache to admit a complete
+    read to."""
+    binding = step.node.binding
+    cached = []
+    uncached = []
+    deferred = []
+    for path, key in zip(step.paths, step.keys):
+        column = held.get(key)
+        if column is not None:
+            cached.append(((binding, path), column))
+        elif path in step.deferred:
+            deferred.append(path)
         else:
-            self.total_rows = plugin.scan_row_count(self.dataset)
-        # Chunk recorder for cache materialization: worth the references only
-        # when the cache keeps this format's fields.
-        self._recorder: _CoverageRecorder | None = None
-        if cache_manager is not None and self._uncached and step.keep:
-            self._recorder = _CoverageRecorder()
+            uncached.append(path)
+    if cached and not uncached:
+        total_rows = len(cached[0][1])
+    else:
+        total_rows = step.plugin.scan_row_count(step.dataset)
+    recorder = _CoverageRecorder() if recording and uncached and step.keep else None
+    return ScanRun(
+        step, cached, uncached, deferred, step.oids or bool(deferred), total_rows, recorder, span,
+    )
 
-    @property
-    def fully_cached(self) -> bool:
-        return bool(self._cached) and not self._uncached
 
-    @property
-    def lazy(self) -> bool:
-        """Does the selection above have fields to fetch after filtering?"""
-        return bool(self._deferred)
-
-    def iter_batches(
-        self, counters: ExecutionCounters, batch_size: int
-    ) -> Iterator[Batch]:
-        """The full batch stream (inline execution)."""
-        if self.fully_cached:
-            stream = self._iter_cached(0, self.total_rows, counters, batch_size)
-        else:
-            stream = self.plugin.scan_batches(
-                self.dataset, self._uncached, batch_size=batch_size
-            )
-        return self._metered(stream, counters)
-
-    def iter_range(
-        self, start: int, stop: int, counters: ExecutionCounters, batch_size: int
-    ) -> Iterator[Batch]:
-        """The batch stream of global rows ``[start, stop)`` (one morsel)."""
-        if self.fully_cached:
-            stream = self._iter_cached(start, stop, counters, batch_size)
-        else:
-            stream = self.plugin.scan_batch_ranges(
-                self.dataset, self._uncached, start, stop, batch_size=batch_size
-            )
-        return self._metered(stream, counters)
-
-    def _metered(self, stream: Iterator, counters: ExecutionCounters) -> Iterator[Batch]:
-        """The scan's one metering loop.  ``stream`` yields the plug-in's
-        buffers, or — fully cached — batches cut from the cached columns.
-
-        The time spent inside a plug-in stream (the raw-data parse cost) and
-        the bytes it produced go to the plug-in's scan totals, one flush per
-        stream; a cached stream adds no plug-in call.  In a traced run the
-        time to produce each batch, its rows and bytes go to the scan's
-        span, also one flush per stream — a fan-out pays one locked add per
-        morsel, not per batch."""
-        from_plugin = not self.fully_cached
-        span = self.span
-        plugin_seconds = seconds = 0.0
-        plugin_bytes = nbytes = rows = batches = 0
+def scan_batches(
+    scan: ScanRun, lo: int | None, hi: int | None, counters: ExecutionCounters,
+    batch_size: int, params: Params,
+) -> Iterable[Batch]:
+    """The batches of global rows ``[lo, hi)`` of one scan (``lo is None``:
+    the whole scan, inline).  Cached columns are sliced; a scan with a field
+    the cache lacks streams the plug-in's buffers through :func:`_metered`."""
+    step, cached, uncached, _, emit_oids, total_rows, _, span = scan
+    if cached and not uncached:
         started = time.perf_counter()
-        try:
-            for item in stream:
-                batch = item
-                if from_plugin:
-                    plugin_seconds += time.perf_counter() - started
-                    plugin_bytes += _nbytes(item.columns)
-                    batch = self._to_batch(item, counters)
-                if span is not None:
-                    seconds += time.perf_counter() - started
-                if batch is not None:
-                    if span is not None:
-                        rows += batch.count
-                        batches += 1
-                        nbytes += _nbytes(batch.columns)
-                    yield batch
-                started = time.perf_counter()
-            # The call that found the stream exhausted.
-            plugin_seconds += time.perf_counter() - started
-            seconds += time.perf_counter() - started
-        finally:
-            if from_plugin:
-                self.plugin.record_scan(plugin_seconds, plugin_bytes)
-            if span is not None:
-                span.add(
-                    seconds=seconds,
-                    rows_out=rows,
-                    batches=batches,
-                    nbytes=nbytes,
-                    invocations=1,
-                )
-
-    def _iter_cached(
-        self, start: int, stop: int, counters: ExecutionCounters, batch_size: int
-    ) -> Iterator[Batch]:
-        for begin in range(start, stop, batch_size):
-            end = min(begin + batch_size, stop)
-            batch = Batch(count=end - begin, params=self.params)
-            if self.emit_oids:
-                batch.oids[self.binding] = np.arange(begin, end, dtype=np.int64)
-            for path, full in self._cached.items():
-                batch.columns[(self.binding, path)] = full[begin:end]
-            counters.values_from_cache += (end - begin) * len(self._cached)
-            counters.batches_processed += 1
-            yield batch
-
-    def _to_batch(self, buffers, counters: ExecutionCounters) -> Batch | None:
-        if buffers.count == 0:
-            return None
-        batch = Batch(count=buffers.count, params=self.params)
-        if self.emit_oids:
-            batch.oids[self.binding] = buffers.oids
-        for path in self._uncached:
-            batch.columns[(self.binding, path)] = buffers.column(path)
-        # Contiguous rows slice the cached columns; explicit OIDs gather.
-        rows: "slice | np.ndarray | None" = buffers.explicit_oids
-        if rows is None:
-            rows = slice(buffers.first, buffers.first + buffers.count)
-            if self._recorder is not None:
-                self._recorder.add(buffers.first, buffers.count, buffers)
-        if self._cached:
-            for path, full in self._cached.items():
-                batch.columns[(self.binding, path)] = full[rows]
-            counters.values_from_cache += buffers.count * len(self._cached)
-        counters.rows_scanned += buffers.count
-        counters.values_extracted += buffers.count * len(self._uncached)
-        counters.batches_processed += 1
-        return batch
-
-    def fetch_deferred(self, batch: Batch, counters: ExecutionCounters) -> None:
-        """Convert the deferred fields for the rows of ``batch`` — the
-        survivors of the selection above — and attach them to it.  Selective
-        extractions never enter the cache (they do not cover the dataset)."""
-        oids = batch.oids[self.binding]
-        started = time.perf_counter()
-        buffers = self.plugin.scan_columns_at(self.dataset, self._deferred, oids)
-        self.plugin.record_scan(
-            time.perf_counter() - started, _nbytes(buffers.columns)
+        if lo is None:
+            lo, hi = 0, total_rows
+        binding = step.node.binding
+        batches = []
+        for begin in range(lo, hi, batch_size):
+            end = min(begin + batch_size, hi)
+            batches.append(Batch(
+                end - begin,
+                {key: column[begin:end] for key, column in cached},
+                {binding: np.arange(begin, end, dtype=np.int64)} if emit_oids else {},
+                params,
+            ))
+        counters.values_from_cache += (hi - lo) * len(cached)
+        counters.batches_processed += len(batches)
+        if span is not None:
+            span.add(
+                seconds=time.perf_counter() - started,
+                rows_out=hi - lo,
+                batches=len(batches),
+                nbytes=sum(_nbytes(batch.columns) for batch in batches),
+            )
+        return batches
+    if lo is None:
+        stream = step.plugin.scan_batches(step.dataset, uncached, batch_size=batch_size)
+    else:
+        stream = step.plugin.scan_batch_ranges(
+            step.dataset, uncached, lo, hi, batch_size=batch_size
         )
-        for path in self._deferred:
-            batch.columns[(self.binding, path)] = buffers.column(path)
-        counters.values_extracted += len(oids) * len(self._deferred)
+    return _metered(scan, stream, counters, params)
 
-    def store_materialized(self) -> None:
-        """Admit columns covered by a complete scan to the adaptive cache
-        (main thread, after execution finished)."""
-        if self._recorder is None:
-            return
-        chunks = self._recorder.drain(self.total_rows)
-        if chunks is None:
-            return
-        name = self.dataset.name
-        sources = ((name, self.dataset.format),)
-        for path, key in zip(self.step.paths, self.step.keys):
-            if path in self._uncached:
-                column = concat_chunks([chunk.column(path) for chunk in chunks])
-                self.cache_manager.store(key, column, sources, f"{name}.{'.'.join(path)}")
+
+def _metered(scan: ScanRun, stream, counters: ExecutionCounters, params: Params):
+    """The plug-in stream's one metering loop.  The time spent inside the
+    stream (the raw-data parse cost) and the bytes it produced go to the
+    plug-in's scan totals, one flush per stream; in a traced run the time to
+    produce each batch, its rows and bytes go to the scan's span, also one
+    flush per stream — a fan-out pays one locked add per morsel, not per
+    batch."""
+    step, cached, uncached, _, emit_oids, _, recorder, span = scan
+    binding = step.node.binding
+    plugin_seconds = seconds = 0.0
+    plugin_bytes = nbytes = rows = batches = 0
+    started = time.perf_counter()
+    try:
+        for buffers in stream:
+            plugin_seconds += time.perf_counter() - started
+            count = buffers.count
+            if count:
+                plugin_bytes += _nbytes(buffers.columns)
+                batch = Batch(count, params=params)
+                if emit_oids:
+                    batch.oids[binding] = buffers.oids
+                for path in uncached:
+                    batch.columns[(binding, path)] = buffers.column(path)
+                # Contiguous rows slice the cached columns; explicit OIDs
+                # gather.
+                at: slice | np.ndarray | None = buffers.explicit_oids
+                if at is None:
+                    at = slice(buffers.first, buffers.first + count)
+                    if recorder is not None:
+                        recorder.add(buffers.first, count, buffers)
+                if cached:
+                    for key, column in cached:
+                        batch.columns[key] = column[at]
+                    counters.values_from_cache += count * len(cached)
+                counters.rows_scanned += count
+                counters.values_extracted += count * len(uncached)
+                counters.batches_processed += 1
+            if span is not None:
+                seconds += time.perf_counter() - started
+            if count:
+                if span is not None:
+                    rows += count
+                    batches += 1
+                    nbytes += _nbytes(batch.columns)
+                yield batch
+            started = time.perf_counter()
+        # The call that found the stream exhausted.
+        plugin_seconds += time.perf_counter() - started
+        seconds += time.perf_counter() - started
+    finally:
+        step.plugin.record_scan(plugin_seconds, plugin_bytes)
+        if span is not None:
+            span.add(seconds=seconds, rows_out=rows, batches=batches, nbytes=nbytes)
+
+
+def fetch_deferred(scan: ScanRun, batch: Batch, counters: ExecutionCounters) -> None:
+    """Convert the scan's deferred fields for the rows of ``batch`` — the
+    survivors of the selection above — and attach them to it.  Selective
+    extractions never enter the cache (they do not cover the dataset)."""
+    step, deferred = scan.step, scan.deferred
+    binding = step.node.binding
+    oids = batch.oids[binding]
+    started = time.perf_counter()
+    buffers = step.plugin.scan_columns_at(step.dataset, deferred, oids)
+    step.plugin.record_scan(time.perf_counter() - started, _nbytes(buffers.columns))
+    for path in deferred:
+        batch.columns[(binding, path)] = buffers.column(path)
+    counters.values_extracted += len(oids) * len(deferred)
+
+
+def store_scan(scan: ScanRun, cache_manager) -> None:
+    """Admit the columns a complete read of the scan converted to the
+    adaptive cache (calling thread, after the execution succeeded)."""
+    step, _, uncached, _, _, total_rows, recorder, _ = scan
+    chunks = recorder.drain(total_rows)
+    if chunks is None:
+        return
+    name = step.dataset.name
+    sources = ((name, step.dataset.format),)
+    for path, key in zip(step.paths, step.keys):
+        if path in uncached:
+            column = concat_chunks([chunk.column(path) for chunk in chunks])
+            cache_manager.store(key, column, sources, f"{name}.{'.'.join(path)}")
 
 
 # ---------------------------------------------------------------------------
-# Per-batch pipeline stages
+# Unnests
 # ---------------------------------------------------------------------------
-
-
-class SelectStage:
-    """Filter each batch by a predicate; over a lazy scan, fetch the deferred
-    fields of the surviving rows afterwards."""
-
-    def __init__(self, predicate: Evaluator, lazy_scan: ScanOperator | None = None):
-        self.predicate = predicate
-        self.lazy_scan = lazy_scan
-
-    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
-        selected = _apply_predicate(batch, self.predicate)
-        if selected is not None and self.lazy_scan is not None:
-            self.lazy_scan.fetch_deferred(selected, counters)
-        return selected
 
 
 @dataclass
@@ -682,242 +633,120 @@ class _CachedUnnest:
         )
 
 
-class UnnestStage:
-    """Flatten a nested collection of the parent binding into each batch.
+class UnnestRun(NamedTuple):
+    """One unnest as one execution runs it."""
+
+    step: UnnestStep
+    #: The flattened output the cache held (``None``: not held).
+    cached: _CachedUnnest | None
+    #: The recorder of a complete read the cache keeps (``None``: none).
+    recorder: _CoverageRecorder | None
+    #: The rows of its parent scan.
+    total_rows: int
+
+
+def unnest(run: UnnestRun, batch: Batch, counters: ExecutionCounters) -> Batch | None:
+    """Flatten the collection of ``run``'s step in each row of ``batch``:
+    the parent rows repeated once per element (their live columns, one
+    gather) beside the element columns; ``None`` when no row has one.
 
     Batch-native: the plug-in's ``scan_unnest_batch`` returns flattened
-    element buffers plus one repeat count per parent, and the parent columns
-    are broadcast with a single ``np.repeat`` per batch — no per-parent
-    round-trips.  Two source modes:
-
-    * **scan-backed** (``plugin`` is set) — the parent binding's OIDs address
-      the raw source directly; the plug-in flattens them with its
-      offset-vector ``scan_unnest_batch``.  When the stage sits directly on
-      the scan (its step has a ``cache_key``) every parent passes through in
-      order, so the flattened output is served from the adaptive cache when
-      present and admitted to it after a complete run.
-    * **column-backed** (``plugin`` is ``None``) — the parent binding is
-      itself an unnest variable (nested-in-nested); the collection was
-      materialized as an object column by the parent stage and is flattened
-      in memory by :func:`repro.plugins.base.flatten_collections` into
-      columns of the ``type_names`` the schema declares.
-
-    Outer unnest emits one null child row for parents whose collection is
-    empty or missing, matching the Volcano interpreter, and a parent whose
-    field is not a collection fails with the interpreter's error.
-    """
-
-    def __init__(self, step: UnnestStep, cache_manager=None, total_rows: int = 0):
-        node = step.node
-        self.binding = node.binding
-        self.path = node.path
-        self.var = node.var
-        self.element_paths = step.element_paths
-        self.predicate = step.predicate
-        self.outer = node.outer
-        self.dataset = step.dataset
-        self.plugin = step.plugin
-        self.type_names = step.type_names
-        #: Values one flattened row accounts for in the extraction counters.
-        self._width = max(len(self.element_paths), 1)
-        self.cache_manager = cache_manager
-        self.total_rows = total_rows
-        self._cache_key = step.cache_key
-        self._cached: _CachedUnnest | None = None
-        self._recorder: _CoverageRecorder | None = None
-        if cache_manager is not None and step.cache_key is not None:
-            entry = cache_manager.lookup(step.cache_key)
-            if entry is not None:
-                self._cached = entry.data
-            elif step.keep:
-                self._recorder = _CoverageRecorder()
-
-    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
-        if self._cached is not None:
-            columns, positions = self._cached.slice(
-                int(batch.oids[self.binding][0]), batch.count
-            )
-            counters.values_from_cache += len(positions) * self._width
-        else:
-            try:
-                buffers = self._flatten(batch, counters)
-            except PluginError as exc:
-                raise ExecutionError(
-                    f"field {'.'.join(self.path)!r} of {self.binding!r} is not a "
-                    "collection"
-                ) from exc
-            columns, positions = buffers.columns, buffers.parent_positions()
-        if len(positions) == 0:
-            return None
-        flattened = batch.take(positions)
-        for path in self.element_paths:
-            flattened.columns[(self.var, path)] = columns[path]
-        counters.unnest_output_rows += flattened.count
-        if self.predicate is not None:
-            return _apply_predicate(flattened, self.predicate)
-        return flattened
-
-    def _flatten(self, batch: Batch, counters: ExecutionCounters) -> UnnestBatch:
-        if self.plugin is None:
-            collection = batch.columns.get((self.binding, self.path))
-            if collection is None:
-                raise ExecutionError(
-                    f"no materialized collection column for "
-                    f"{self.binding!r}.{'.'.join(self.path)}"
-                )
-            buffers = flatten_collections(
-                collection, self.element_paths, self.type_names, outer=self.outer
-            )
-            counters.rows_scanned += buffers.count
-            return buffers
-        parent_oids = batch.oids.get(self.binding)
-        if parent_oids is None:
+    element buffers plus one repeat count per parent.  Scan-backed (the
+    step has a plug-in), the parent binding's OIDs address the raw source;
+    directly on the scan every parent passes in order, so the output comes
+    from — and a complete read goes to — the adaptive cache.
+    Column-backed (nested-in-nested), the collection is a materialized
+    object column, flattened in memory by
+    :func:`repro.plugins.base.flatten_collections` into columns of the
+    element types the schema declares.  Outer unnest emits one null child
+    row for a parent whose collection is empty or missing, matching the
+    Volcano interpreter, and a parent whose field is not a collection fails
+    with the interpreter's error."""
+    step, cached, recorder, _ = run
+    node = step.node
+    if cached is not None:
+        columns, positions = cached.slice(int(batch.oids[node.binding][0]), batch.count)
+        counters.values_from_cache += len(positions) * step.width
+    else:
+        try:
+            buffers = _flatten(step, recorder, batch, counters)
+        except PluginError as exc:
             raise ExecutionError(
-                f"no OID column for unnest binding {self.binding!r}"
+                f"field {'.'.join(node.path)!r} of {node.binding!r} is not a "
+                "collection"
+            ) from exc
+        columns, positions = buffers.columns, buffers.parent_positions()
+    if len(positions) == 0:
+        return None
+    flattened = batch.take(positions, step.live)
+    for path in step.element_paths:
+        flattened.columns[(node.var, path)] = columns[path]
+    counters.unnest_output_rows += flattened.count
+    return flattened
+
+
+def _flatten(step: UnnestStep, recorder, batch: Batch, counters: ExecutionCounters) -> UnnestBatch:
+    node = step.node
+    if step.plugin is None:
+        collection = batch.columns.get((node.binding, node.path))
+        if collection is None:
+            raise ExecutionError(
+                f"no materialized collection column for "
+                f"{node.binding!r}.{'.'.join(node.path)}"
             )
-        started = time.perf_counter()
-        buffers = self.plugin.scan_unnest_batch(
-            self.dataset, self.path, self.element_paths, parent_oids,
-            outer=self.outer,
+        buffers = flatten_collections(
+            collection, step.element_paths, step.type_names, outer=node.outer
         )
-        self.plugin.record_scan(
-            time.perf_counter() - started, _nbytes(buffers.columns)
-        )
-        if self._recorder is not None:
-            self._recorder.add(int(parent_oids[0]), batch.count, buffers)
         counters.rows_scanned += buffers.count
-        counters.values_extracted += buffers.count * self._width
         return buffers
-
-    def store_materialized(self) -> None:
-        """Admit the flattened output of a complete scan to the cache."""
-        if self._recorder is None:
-            return
-        chunks = self._recorder.drain(self.total_rows)
-        if chunks is None:
-            return
-        repeats = np.concatenate([chunk.repeats for chunk in chunks])
-        flattened = _CachedUnnest(
-            columns={
-                path: concat_chunks([chunk.column(path) for chunk in chunks])
-                for path in self.element_paths
-            },
-            offsets=np.concatenate(([0], np.cumsum(repeats))),
-            positions=np.repeat(np.arange(len(repeats), dtype=np.int64), repeats),
-        )
-        name = self.dataset.name
-        self.cache_manager.store(
-            self._cache_key,
-            flattened,
-            ((name, self.dataset.format),),
-            f"unnest {name}.{'.'.join(self.path)}",
-        )
+    parent_oids = batch.oids.get(node.binding)
+    if parent_oids is None:
+        raise ExecutionError(f"no OID column for unnest binding {node.binding!r}")
+    started = time.perf_counter()
+    buffers = step.plugin.scan_unnest_batch(
+        step.dataset, node.path, step.element_paths, parent_oids, outer=node.outer,
+    )
+    step.plugin.record_scan(time.perf_counter() - started, _nbytes(buffers.columns))
+    if recorder is not None:
+        recorder.add(int(parent_oids[0]), batch.count, buffers)
+    counters.rows_scanned += buffers.count
+    counters.values_extracted += buffers.count * step.width
+    return buffers
 
 
-class HashJoinStage:
-    """Probe an already-built join build side with each batch.
-
-    The build side (a materialized :class:`Batch` plus its
-    :class:`~repro.core.executor.radix.KeySlots`) is immutable once
-    constructed, so any number of workers can probe it concurrently.
-    """
-
-    def __init__(
-        self,
-        build: Batch,
-        space: radix.KeySlots,
-        right_key: Evaluator,
-        residual: Evaluator | None,
-        live: Live,
-    ):
-        self.build = build
-        self.space = space
-        self.right_key = right_key
-        self.residual = residual
-        self.live = live
-
-    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
-        left_positions, right_positions = radix.probe(
-            self.space, materialize(self.right_key(batch), batch.count)
-        )
-        if len(left_positions) == 0:
-            return None
-        counters.join_output_rows += len(left_positions)
-        joined = _gather_joined(
-            self.build, batch, left_positions, right_positions, self.live
-        )
-        if self.residual is not None:
-            return _apply_predicate(joined, self.residual)
-        return joined
+def store_unnest(run: UnnestRun, cache_manager) -> None:
+    """Admit the flattened output of a complete read to the cache."""
+    step, _, recorder, total_rows = run
+    chunks = recorder.drain(total_rows)
+    if chunks is None:
+        return
+    repeats = np.concatenate([chunk.repeats for chunk in chunks])
+    flattened = _CachedUnnest(
+        columns={
+            path: concat_chunks([chunk.column(path) for chunk in chunks])
+            for path in step.element_paths
+        },
+        offsets=np.concatenate(([0], np.cumsum(repeats))),
+        positions=np.repeat(np.arange(len(repeats), dtype=np.int64), repeats),
+    )
+    name = step.dataset.name
+    cache_manager.store(
+        step.cache_key,
+        flattened,
+        ((name, step.dataset.format),),
+        f"unnest {name}.{'.'.join(step.node.path)}",
+    )
 
 
-class NestedLoopJoinStage:
-    """Cross-product each batch against a materialized build side, in probe
-    order then build order (the Volcano interpreter's order)."""
-
-    def __init__(self, build: Batch, predicate: Evaluator | None, live: Live):
-        self.build = build
-        self.predicate = predicate
-        self.live = live
-
-    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
-        left = self.build
-        left_positions = np.tile(
-            np.arange(left.count, dtype=np.int64), batch.count
-        )
-        right_positions = np.repeat(
-            np.arange(batch.count, dtype=np.int64), left.count
-        )
-        joined = _gather_joined(left, batch, left_positions, right_positions, self.live)
-        if self.predicate is not None:
-            return _apply_predicate(joined, self.predicate)
-        return joined
-
-
-@dataclass
-class CompiledPipeline:
-    """One scan source plus the per-batch stages applied to its stream.
-
-    ``always_empty`` marks pipelines that provably produce nothing (an inner
-    join whose build side materialized to zero rows); callers skip scanning
-    entirely, exactly as the pre-pipeline executor did.
-    """
-
-    source: ScanOperator
-    #: ``(stage, span)`` in application order; the span is ``None`` in an
-    #: untraced run, so traced and untraced runs apply the same stages.
-    stages: list[tuple[Any, SpanAccumulator | None]]
-    #: Per-query resilience context: :meth:`process` checks the deadline /
-    #: cancellation once per scan batch.
-    context: QueryContext
-    always_empty: bool = False
-
-    def process(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
-        """The pipeline's one per-batch hook: one deadline / cancellation
-        check, then every stage — timed only when it has a span.  The scan
-        counted the batch and its rows already."""
-        self.context.check()
-        for stage, span in self.stages:
-            if span is None:
-                batch = stage.apply(batch, counters)
-            else:
-                started = time.perf_counter()
-                rows_in = batch.count
-                batch = stage.apply(batch, counters)
-                span.add_batch(
-                    time.perf_counter() - started,
-                    rows_in,
-                    batch.count if batch is not None else 0,
-                )
-            if batch is None:
-                return None
-        return batch
+# ---------------------------------------------------------------------------
+# The steps of a program, and the pipelines they cut into
+# ---------------------------------------------------------------------------
 
 
 def build_side_key(side: PhysicalPlan, key: Expression) -> tuple[tuple, tuple]:
     """The cache key of the key slots of plan ``side`` keyed by ``key``,
     short of the bound parameter values, and the parameters of both, whose
-    values complete it (:meth:`VectorizedExecutor.bound_key`)."""
+    values complete it (:func:`bound_key`)."""
     parameters = dict.fromkeys(parameters_of(side))
     parameters.update((parameter.key, None) for parameter in iter_parameters(key))
     return join_side_cache_key(side.fingerprint(), key.fingerprint()), tuple(parameters)
@@ -928,47 +757,32 @@ def scanned(plan: PhysicalPlan) -> tuple[str, ...]:
     return tuple(dict.fromkeys(node.dataset for node in plan.walk() if isinstance(node, PhysScan)))
 
 
+#: A step of a :class:`PipelineProgram`.
+Step = Any
+
+
 @dataclass(frozen=True)
-class SelectStep(Step):
-    """A selection: its predicate's function; directly on a scan, the scan
-    defers the fields the predicate does not read (§5.2)."""
+class SelectStep:
+    """A selection: its predicate's function and the :class:`Live` columns of
+    the rows that pass; directly on a scan (``on_scan``), the scan defers
+    the fields the predicate does not read (§5.2) and the live OIDs keep
+    the scan's, which the deferred fetch reads."""
 
     node: PhysSelect
     child: Step
     predicate: Evaluator
     on_scan: bool
-
-    def _source(self, run: VectorizedExecutor) -> tuple[CompiledPipeline, ScanOperator | None]:
-        """The pipeline beneath, and its scan when that deferred fields —
-        the cache decides per execution which ones it still has to."""
-        pipeline = self.child.open(run)
-        lazy = self.on_scan and pipeline.source.lazy
-        return pipeline, pipeline.source if lazy else None
-
-    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
-        pipeline, lazy_scan = self._source(run)
-        run.add_stage(pipeline, self.node, SelectStage(self.predicate, lazy_scan))
-        return pipeline
-
-    def open_input(self, run: VectorizedExecutor) -> tuple[CompiledPipeline, Evaluator | None]:
-        """The predicate goes to the chain's :class:`SlotStage` as a mask
-        instead of a stage gathering the rows that pass — unless the
-        selection sits on a lazy scan, which fetches the deferred fields of
-        exactly those rows."""
-        pipeline, lazy_scan = self._source(run)
-        if lazy_scan is None:
-            return pipeline, self.predicate
-        run.add_stage(pipeline, self.node, SelectStage(self.predicate, lazy_scan))
-        return pipeline, None
+    live: Live
 
 
 @dataclass(frozen=True)
-class UnnestStep(Step):
+class UnnestStep:
     """An unnest: the dataset and plug-in of its parent's scan (``None``
     for nested-in-nested, whose collection is a materialized column of the
-    element types ``type_names``), and — directly on the scan — the cache
-    key of its flattened output and whether the cache keeps it (the field
-    rule of the dataset's format)."""
+    element types ``type_names``), its predicate, the :class:`Live` parent
+    columns of its output and — directly on the scan — the cache key of its
+    flattened output and whether the cache keeps it (the field rule of the
+    dataset's format)."""
 
     node: PhysUnnest
     child: Step
@@ -979,17 +793,16 @@ class UnnestStep(Step):
     type_names: list[str] | None
     cache_key: tuple | None
     keep: bool
+    live: Live
 
-    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
-        pipeline = self.child.open(run)
-        stage = UnnestStage(self, run.cache_manager, pipeline.source.total_rows)
-        run.cache_writers.append(stage)
-        run.add_stage(pipeline, self.node, stage)
-        return pipeline
+    @property
+    def width(self) -> int:
+        """Values one flattened row accounts for in the extraction counters."""
+        return max(len(self.element_paths), 1)
 
 
 @dataclass(frozen=True)
-class HashJoinStep(Step):
+class HashJoinStep:
     """A hash join: its build side's step, key functions and cache key (its
     :func:`build_side_key` and the (dataset, format) pairs it scans), the
     probe side's step and the :class:`Live` columns of its output."""
@@ -1004,36 +817,9 @@ class HashJoinStep(Step):
     side_key: tuple[tuple, tuple]
     sources: tuple[policies.Source, ...]
 
-    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
-        """Materialize the build side (or take the rows and slots a chain
-        that did not run per key value hands over), then open the probe
-        side and append the probe stage to it."""
-        left, space = run.built.pop(id(self.node.left), (None, None))
-        if left is None:
-            left = run.materialize(self.left.open(run))
-        pipeline = self.right.open(run)
-        if left.count == 0 or pipeline.always_empty:
-            # An inner join with an empty build side produces nothing; bail
-            # out before key evaluation (an empty Batch has no columns to
-            # evaluate the key on).
-            pipeline.always_empty = True
-            return pipeline
-        if space is None:
-            cache_key = run.bound_key(self.side_key)
-            space = run.cached(cache_key)
-            if space is None:
-                space = run.build_side(cache_key, self.sources, self.left_key, left)
-        run.join_kernels.append(space.kernel)
-        run.add_stage(
-            pipeline,
-            self.node,
-            HashJoinStage(left, space, self.right_key, self.residual, self.live),
-        )
-        return pipeline
-
 
 @dataclass(frozen=True)
-class LoopJoinStep(Step):
+class LoopJoinStep:
     """A nested-loop join: its build side's step, predicate and the
     :class:`Live` columns of its output."""
 
@@ -1043,17 +829,39 @@ class LoopJoinStep(Step):
     predicate: Evaluator | None
     live: Live
 
-    def open(self, run: VectorizedExecutor) -> CompiledPipeline:
-        left = run.materialize(self.left.open(run))
-        pipeline = self.right.open(run)
-        if left.count == 0 or pipeline.always_empty:
-            pipeline.always_empty = True
-            return pipeline
-        run.add_stage(
-            pipeline, self.node, NestedLoopJoinStage(left, self.predicate, self.live)
-        )
-        return pipeline
 
+@dataclass(frozen=True)
+class Pipeline:
+    """One scan's batch stream and the operators applied to it, bottom-up,
+    up to its sink: what one generated driver function runs per scan range.
+    A join's build side is a ``collect`` pipeline of its own, materialized
+    before the probe side runs.  A ``slot`` pipeline is one input of a join
+    chain; ``predicate`` is the selection at the input's root, which its
+    slot reduction applies as a mask (``lazy``: unless it sits on a scan
+    that deferred fields this execution — it filters and fetches then)."""
+
+    scan: ScanStep
+    ops: tuple[Step, ...]
+    sink: str
+    predicate: SelectStep | None = None
+    #: The joins the stream probes, top-down: the order their build sides
+    #: are materialized in.
+    joins: tuple[HashJoinStep | LoopJoinStep, ...] = ()
+
+    @classmethod
+    def of(cls, top: Step, sink: str) -> Pipeline:
+        """The pipeline from the scan beneath ``top`` up to ``top``; a
+        ``slot`` pipeline lifts a selection at the top into its sink."""
+        predicate = None
+        if sink == "slot" and isinstance(top, SelectStep):
+            predicate, top = top, top.child
+        ops = []
+        step = top
+        while not isinstance(step, ScanStep):
+            ops.append(step)
+            step = step.right if isinstance(step, (HashJoinStep, LoopJoinStep)) else step.child
+        joins = tuple(op for op in ops if isinstance(op, (HashJoinStep, LoopJoinStep)))
+        return cls(step, tuple(reversed(ops)), sink, predicate, joins)
 
 
 class PipelineCompiler:
@@ -1064,13 +872,13 @@ class PipelineCompiler:
     here: each expression's generated function (``evaluator``, the plan's
     ``GeneratedQuery.function_for``), each scan's dataset, plug-in,
     field-cache keys, deferred fields and OID flag, each unnest's source,
-    each join's build-side cache key and :class:`Live` output.  ``compile``
-    walks the plan top-down with the operators ``above`` the current node,
-    so a join learns which of its output columns are read above it, and a
-    scan whether an unnest above reads its OIDs, without a walk of their
-    own.  What an execution decides — which fields the cache holds, the
-    build sides' rows and key slots, the kernels — is left to
-    :meth:`VectorizedExecutor.execute`.
+    each join's build-side cache key, and the :class:`Live` output of every
+    select, unnest and join.  ``compile`` walks the plan top-down with the
+    operators ``above`` the current node, so an operator learns which of
+    its output columns are read above it, and a scan whether an unnest
+    above reads its OIDs, without a walk of their own.  What an execution
+    decides — which fields the cache holds, the build sides' rows and key
+    slots, the kernels — is left to :meth:`VectorizedExecutor.execute`.
     """
 
     def __init__(
@@ -1097,12 +905,15 @@ class PipelineCompiler:
             return self._scan(plan, above=above)
         if isinstance(plan, PhysSelect):
             child: Step
+            oids: tuple[str, ...] = ()
             if isinstance(plan.child, PhysScan):
                 child = self._scan(plan.child, plan.predicate, below)
+                oids = (plan.child.binding,)
             else:
                 child = self.compile(plan.child, below)
             return SelectStep(
-                plan, child, self.evaluator(plan.predicate), isinstance(child, ScanStep)
+                plan, child, self.evaluator(plan.predicate), isinstance(child, ScanStep),
+                live_above(above, None, oids),
             )
         if isinstance(plan, PhysUnnest):
             dataset, plugin = self._scan_source(plan, plan.binding)
@@ -1115,7 +926,7 @@ class PipelineCompiler:
                 type_names = [declared_type(element, path) for path in plan.element_paths]
             child = self.compile(plan.child, below)
             element_paths = tuple(tuple(path) for path in plan.element_paths)
-            # Directly over its scan the stage sees every parent, in order:
+            # Directly over its scan the unnest sees every parent, in order:
             # only then may the flattened output come from / go to the cache.
             cache_key = None
             if dataset is not None and isinstance(plan.child, PhysScan):
@@ -1124,6 +935,7 @@ class PipelineCompiler:
                 plan, child, dataset, plugin, self._optional(plan.predicate),
                 element_paths, type_names, cache_key,
                 dataset is not None and policies.keeps_fields(dataset.format),
+                live_above(above, plan.predicate),
             )
         if isinstance(plan, PhysHashJoin):
             left = self.compile(plan.left, below)
@@ -1293,165 +1105,54 @@ def nest_heads(
 
 
 # ---------------------------------------------------------------------------
-# Root tasks: partial states per scan range and their ordered merges
+# Sinks: what a driver hands back per scan range, and the ordered merges
 # ---------------------------------------------------------------------------
 
 
-class _RootTask:
-    """Protocol of a plan root over a compiled pipeline.
-
-    ``new_state``/``update``/``finish_morsel`` run over one scan range each —
-    the whole scan when the executor runs inline, one morsel per worker call
-    under a fan-out; ``merge`` runs on the calling thread, consumes the
-    partial results in range order and counts into the execution's profile;
-    ``params`` are the execution's bound values.  A root keeps no state of
-    an execution, so a group-by root is built once per shape and shared.
-    """
-
-    def new_state(self) -> Any:
-        raise NotImplementedError
-
-    def update(self, state: Any, batch: Batch, counters: ExecutionCounters) -> None:
-        raise NotImplementedError
-
-    def saturated(self, state: Any) -> bool:
-        """Whether this range's contribution is complete — further batches
-        cannot change it, so the scan of the range may stop."""
-        return False
-
-    def finish_morsel(self, state: Any, counters: ExecutionCounters) -> Any:
-        return state
-
-    def merge(
-        self, partials: list, profile: ExecutionCounters, params: Params = None
-    ) -> Any:
-        raise NotImplementedError
+#: One range of a projection: the chunks of every head (in head order) and
+#: their rows.
+ProjectPartial = tuple[list[list], int]
 
 
-class _CollectRoot(_RootTask):
-    """Join build side: the pipeline's output batches, concatenated in range
-    order — so the materialized batch (and therefore every build position
-    its key slots hold) is the same however the scan was split."""
-
-    def new_state(self) -> list[Batch]:
-        return []
-
-    def update(
-        self, state: list[Batch], batch: Batch, counters: ExecutionCounters
-    ) -> None:
-        state.append(batch)
-
-    def merge(
-        self, partials: list, profile: ExecutionCounters, params: Params = None
-    ) -> Batch:
-        return concat_batches([batch for batches in partials for batch in batches])
+def project_range(
+    chunks: list[list], total: int, limit: int | None, counters: ExecutionCounters
+) -> ProjectPartial:
+    """A projection's partial of one range, truncated to its first ``limit``
+    rows: any range-order prefix of the result only needs a prefix of every
+    range, so no more than ``ranges x limit`` rows are materialized while the
+    engine slices the exact prefix."""
+    if limit is not None and total > limit:
+        chunks = [[concat_chunks(chunk)[:limit]] for chunk in chunks]
+        total = limit
+    counters.output_rows += total
+    return chunks, total
 
 
-class _ProjectionRoot(_RootTask):
-    """Reduce without aggregates: per-range column chunks, concatenated in
-    range order (a fan-out is bit-identical to an inline run).
-
-    ``limit`` (a LIMIT's value) truncates each range's output to its first
-    ``limit`` rows: any range-order prefix of the result only needs a prefix
-    of every range, so the root never materializes more than
-    ``ranges x limit`` rows while the engine slices the exact prefix.
-    """
-
-    def __init__(
-        self,
-        names: list[str],
-        heads: list[tuple[str, Evaluator]],
-        limit: int | None = None,
-    ):
-        self.names = names
-        #: (output name, evaluator of its head), first occurrence per name.
-        self.heads = heads
-        self.limit = limit
-
-    def new_state(self) -> dict:
-        return {"chunks": {name: [] for name in self.names}, "total": 0}
-
-    def update(self, state: dict, batch: Batch, counters: ExecutionCounters) -> None:
-        for name, head in self.heads:
-            state["chunks"][name].append(materialize(head(batch), batch.count))
-        state["total"] += batch.count
-
-    def saturated(self, state: dict) -> bool:
-        # LIMIT 0 still takes one batch, so the truncated empty buffers
-        # keep their dtypes.
-        return self.limit is not None and state["total"] >= max(self.limit, 1)
-
-    def finish_morsel(self, state: dict, counters: ExecutionCounters) -> dict:
-        if self.limit is not None and state["total"] > self.limit:
-            truncated = {
-                name: [concat_chunks(state["chunks"][name])[: self.limit]]
-                for name in self.names
-            }
-            state = {"chunks": truncated, "total": self.limit}
-        counters.output_rows += state["total"]
-        return state
-
-    def merge(self, partials: list, profile: ExecutionCounters, params: Params = None):
-        if self.limit is not None:
-            # The engine slices the exact prefix after the merge; report the
-            # emitted row count, not the per-range prefixes' sum.
-            profile.output_rows = min(profile.output_rows, self.limit)
-        columns: dict[str, Any] = {}
-        for name in self.names:
-            parts = [
-                chunk
-                for partial in partials
-                for chunk in partial["chunks"][name]
-            ]
-            columns[name] = concat_chunks(parts)
-        return self.names, columns
+def topk_range(accumulator: TopKAccumulator, counters: ExecutionCounters) -> ProjectPartial:
+    """An ORDER BY + LIMIT K range's candidates (see
+    :class:`~repro.core.sort.TopKAccumulator`); the engine's stable sort of
+    their range-order concatenation is the exact result.  A range without
+    rows contributes no chunk: an empty stand-in column would not carry the
+    real dtype into the concatenation."""
+    counters.rows_sorted += accumulator.rows_sorted
+    total, columns = accumulator.finish()
+    counters.output_rows += total
+    return [[column] if total else [] for column in columns.values()], total
 
 
-class _TopKProjectionRoot(_ProjectionRoot):
-    """ORDER BY + LIMIT K > 0 without aggregates: each range streams through
-    a :class:`TopKAccumulator` and emits its candidates; the engine's stable
-    sort of their range-order concatenation is the exact result."""
-
-    def __init__(
-        self,
-        names: list[str],
-        heads: list[tuple[str, Evaluator]],
-        limit: int,
-        keys: list[tuple[str, bool]],
-        non_null: frozenset[str],
-    ):
-        super().__init__(names, heads, limit)
-        self.keys = keys
-        self.non_null = non_null
-
-    def new_state(self) -> TopKAccumulator:
-        return TopKAccumulator(self.names, self.keys, self.limit, self.non_null)
-
-    def update(
-        self, state: TopKAccumulator, batch: Batch, counters: ExecutionCounters
-    ) -> None:
-        columns = {
-            name: materialize(head(batch), batch.count) for name, head in self.heads
-        }
-        state.push(columns, batch.count)
-
-    def saturated(self, state: TopKAccumulator) -> bool:
-        return False
-
-    def finish_morsel(
-        self, state: TopKAccumulator, counters: ExecutionCounters
-    ) -> dict:
-        counters.rows_sorted += state.rows_sorted
-        total, columns = state.finish()
-        counters.output_rows += total
-        # A range without rows contributes no chunk: an empty stand-in
-        # column would not carry the real dtype into the concatenation.
-        return {
-            "chunks": {
-                name: [column] if total else [] for name, column in columns.items()
-            },
-            "total": total,
-        }
+def project_merge(
+    names: list[str], partials: list[ProjectPartial], limit: int | None, profile: ExecutionCounters
+) -> dict[str, Any]:
+    """The projection's columns: every range's chunks, concatenated in range
+    order (a fan-out is bit-identical to an inline run)."""
+    if limit is not None:
+        # The engine slices the exact prefix after the merge; report the
+        # emitted row count, not the per-range prefixes' sum.
+        profile.output_rows = min(profile.output_rows, limit)
+    return {
+        name: concat_chunks([chunk for chunks, _ in partials for chunk in chunks[index]])
+        for index, name in enumerate(names)
+    }
 
 
 #: One partial aggregate column: (aggregate fingerprint, the function that
@@ -1503,10 +1204,12 @@ _MERGE_FUNCS = {
 _NO_VALUES = np.empty(0, dtype=object)
 
 
-class _NestRoot(_RootTask):
+class _NestRoot:
     """Group-by — and global aggregate, the group-by with no keys: per-range
     partial grouping + partial aggregates, then a second-level grouped merge
-    over the union of partial groups.
+    over the union of partial groups.  Built once per shape and shared by
+    every execution: a driver keeps a range's key and argument chunks in
+    its own locals and hands them over (:meth:`group`, :meth:`fold`).
 
     The merge functions are the aggregate monoids: partial counts are summed,
     partial sums summed, partial extrema re-reduced, partial booleans
@@ -1538,7 +1241,8 @@ class _NestRoot(_RootTask):
         self.keys = [evaluator(expression) for expression in keys]
         #: The partial columns the aggregates are computed from.
         self.parts = [part for aggregate in self.aggregates for part in aggregate.parts]
-        #: Aggregate fingerprint -> evaluator of its argument.
+        #: Aggregate fingerprint -> evaluator of its argument; a driver
+        #: hands the argument columns over in this order.
         self.arguments = {
             spec.fingerprint: evaluator(aggregate.argument)
             for spec, aggregate in zip(self.aggregates, aggregates)
@@ -1547,6 +1251,12 @@ class _NestRoot(_RootTask):
         #: Aggregates whose argument the static analyzer proved never
         #: missing: their kernels skip the missing-value scan.
         self.non_null = hints.non_null_aggregate_args
+        order = {fingerprint: index for index, fingerprint in enumerate(self.arguments)}
+        #: Per part: the part, the index of its argument column (``None``:
+        #: COUNT(*)) and whether that argument is never missing.
+        self._reductions = [
+            (part, order.get(part[0]), part[0] in self.non_null) for part in self.parts
+        ]
         #: (output name, group-key index | evaluator of the head over the
         #: per-group aggregate columns) per output column.
         self.heads = [
@@ -1554,42 +1264,19 @@ class _NestRoot(_RootTask):
             for name, head in nest_heads(plan, group_key_fingerprints, aggregates)
         ]
 
-    def new_state(self) -> dict:
-        return {
-            "key_chunks": [[] for _ in self.keys],
-            "argument_chunks": {fingerprint: [] for fingerprint in self.arguments},
-            "total": 0,
-            "partials": [],
-        }
+    def fold(self, arguments: list, count: int) -> _GroupPartial:
+        """One batch of a global aggregate folded into its one group:
+        ``arguments`` are the batch's argument columns."""
+        return _GroupPartial([], self._aggregate(count, 1, arguments), None)
 
-    def update(self, state: dict, batch: Batch, counters: ExecutionCounters) -> None:
-        arguments = {
-            fingerprint: materialize(argument(batch), batch.count)
-            for fingerprint, argument in self.arguments.items()
-        }
-        if not self.keys:
-            state["partials"].append(
-                _GroupPartial([], self._aggregate(batch.count, 1, arguments), None)
-            )
-            return
-        for chunks, key in zip(state["key_chunks"], self.keys):
-            chunks.append(materialize(key(batch), batch.count))
-        for fingerprint, values in arguments.items():
-            state["argument_chunks"][fingerprint].append(values)
-        state["total"] += batch.count
-
-    def finish_morsel(
-        self, state: dict, counters: ExecutionCounters
-    ) -> list[_GroupPartial]:
-        if not self.keys or state["total"] == 0:
-            # Folded batch by batch, or an empty range: no partial groups.
-            return state["partials"]
-        key_arrays = [concat_chunks(chunks) for chunks in state["key_chunks"]]
-        grouping = radix.radix_group(key_arrays)
-        arguments = {
-            fingerprint: concat_chunks(chunks)
-            for fingerprint, chunks in state["argument_chunks"].items()
-        }
+    def group(self, key_chunks: list[list], argument_chunks: list[list], total: int) -> list[_GroupPartial]:
+        """The groups of one range of ``total`` rows: its key and argument
+        columns, batch by batch, grouped by one grouping pass (no partial
+        for an empty range)."""
+        if total == 0:
+            return []
+        grouping = radix.radix_group([concat_chunks(chunks) for chunks in key_chunks])
+        arguments = [concat_chunks(chunks) for chunks in argument_chunks]
         return [
             _GroupPartial(
                 grouping.key_arrays,
@@ -1599,35 +1286,29 @@ class _NestRoot(_RootTask):
         ]
 
     def _aggregate(
-        self,
-        group_ids: np.ndarray | int,
-        num_groups: int,
-        arguments: Mapping[tuple, Any],
+        self, group_ids: np.ndarray | int, num_groups: int, arguments: list
     ) -> dict[Part, Any]:
         """Every part over one grouping of its argument column
         (``group_ids`` a row count: the one group)."""
         return {
-            (fingerprint, func): radix.group_aggregate(
-                func,
-                group_ids,
-                num_groups,
-                arguments.get(fingerprint),
-                fingerprint in self.non_null,
+            part: radix.group_aggregate(
+                part[1], group_ids, num_groups,
+                None if index is None else arguments[index], non_null,
             )
-            for fingerprint, func in self.parts
+            for part, index, non_null in self._reductions
         }
 
-    def merge(self, partials: list, profile: ExecutionProfile, params: Params = None):
+    def merge(self, partials: list, profile: ExecutionProfile, params: Params = None) -> dict[str, Any]:
         partials = [partial for ranged in partials for partial in ranged]
         if not partials:
             if self.keys:
-                return self.names, {name: [] for name in self.names}
+                return {name: [] for name in self.names}
             # No input at all: the one group of a global aggregate answers.
-            no_input = dict.fromkeys(self.arguments, _NO_VALUES)
+            no_input = [_NO_VALUES] * len(self.arguments)
             partials = [_GroupPartial([], self._aggregate(0, 1, no_input), None)]
         merged = partials[0]  # one partial: already final
         if len(partials) > 1:
-            merged = self.fold(
+            merged = self.fold_partials(
                 [
                     concat_chunks([partial.key_arrays[index] for partial in partials])
                     for index in range(len(self.keys))
@@ -1642,7 +1323,7 @@ class _NestRoot(_RootTask):
             )
         return self.finish(merged, profile, params)
 
-    def fold(
+    def fold_partials(
         self,
         key_arrays: list[np.ndarray],
         columns: Mapping[Part, Any],
@@ -1671,7 +1352,7 @@ class _NestRoot(_RootTask):
             kernel,
         )
 
-    def finish(self, merged: _GroupPartial, profile: ExecutionProfile, params: Params):
+    def finish(self, merged: _GroupPartial, profile: ExecutionProfile, params: Params) -> dict[str, Any]:
         """The output columns of the final groups; the grouping kernels that
         built them go to the profile."""
         num_groups = 1
@@ -1680,7 +1361,7 @@ class _NestRoot(_RootTask):
             profile.group_kernel = merged.kernel
             profile.groups_built += num_groups
         profile.output_rows += num_groups
-        group_batch = Batch(count=num_groups, params=params)
+        group_batch = Batch(num_groups, params=params)
         for index, aggregate in enumerate(self.aggregates):
             fingerprint = aggregate.fingerprint
             if aggregate.func == "avg":
@@ -1698,7 +1379,7 @@ class _NestRoot(_RootTask):
                 if isinstance(head, int)
                 else materialize(head(group_batch), num_groups)
             )
-        return self.names, columns
+        return columns
 
 
 # ---------------------------------------------------------------------------
@@ -1735,7 +1416,7 @@ class FactorizedChain:
     keys are numbered as *slots* (:class:`~repro.core.executor.radix.KeySlots`,
     looked up in the adaptive cache before the input is read, built from its
     materialized key column otherwise), and every input streams through a
-    :class:`SlotStage` that attaches each row's slot — no column is
+    :func:`slotted` that attaches each row's slot — no column is
     gathered: a row without one, or one the input's selection drops, weighs
     nothing.  Each input reduces to per-slot partials (:class:`_SlotRoot`)
     — its row count ``c_i(k)`` and, per aggregate whose argument reads it,
@@ -1783,7 +1464,7 @@ class FactorizedChain:
     #: Per input, the cache key of its partials short of the slot space's
     #: and of the bound values — its build-side key, its parts and whether
     #: it is the first input — and the parameters of its plan, key and
-    #: arguments (:meth:`VectorizedExecutor.bound_key`); ``None`` for the
+    #: arguments (:func:`bound_key`); ``None`` for the
     #: grouped input.
     partial_keys: list[tuple[tuple, tuple] | None]
 
@@ -1872,9 +1553,11 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
         probes[id(start)] = join
     keys = [next(iter(key_fields[index].values())) for index in range(len(inputs))]
     sides = [build_side_key(subplan, key) for subplan, key in zip(inputs, keys)]
+    # The grouped input keeps rows, and a first input without parts adds
+    # only its key slots' row counts: neither caches partials.
     partial_keys: list[tuple[tuple, tuple] | None] = [
         None
-        if index == grouped
+        if index == grouped or not (index or parts[0])
         else (
             (side, tuple(parts[index].items()), index == 0),
             tuple(dict.fromkeys(parameters + tuple(arguments[index]))),
@@ -1894,46 +1577,35 @@ def factorized_chain(plan: PhysicalPlan) -> FactorizedChain | None:
     )
 
 
-class SlotStage:
-    """Attach the slot of every row's join key, shifted by one so that a
-    row without a slot reads 0, whose partials the reducer leaves at zero
-    (see :class:`FactorizedChain`).  The ``predicate`` of a selection at the
-    input's root (:meth:`SelectStep.open_input`) zeroes the slots
-    of the rows it drops; only when it drops most of a batch are the rows
-    that pass gathered, as a selection would — below that, reading every
-    row costs the reducer less than the gathers."""
-
-    def __init__(
-        self,
-        space: radix.KeySlots,
-        shifted: np.ndarray,
-        key: Evaluator,
-        predicate: Evaluator | None = None,
-    ):
-        self.space = space
-        #: ``space.lookup`` plus one, as intp: one gather gives the shifted
-        #: slots.
-        self.shifted = shifted
-        self.key = key
-        self.predicate = predicate
-
-    def apply(self, batch: Batch, counters: ExecutionCounters) -> Batch | None:
-        mask = None
-        if self.predicate is not None:
-            mask = as_bool_array(self.predicate(batch), batch.count)
-            passed = int(np.count_nonzero(mask))
-            if 2 * passed <= batch.count:
-                if not passed:
-                    return None
-                batch, mask = batch.take(mask), None
-        # Every later gather and bincount indexes by the slots: as intp.
-        shifted = radix.slots_of(
-            self.space, materialize(self.key(batch), batch.count), self.shifted
-        )
-        if mask is not None:
-            shifted *= mask
-        batch.columns = {**batch.columns, _SLOT: shifted}
-        return batch
+def slotted(
+    batch: Batch,
+    space: radix.KeySlots,
+    shifted: np.ndarray,
+    key: Evaluator,
+    predicate: Evaluator | None = None,
+) -> Batch | None:
+    """``batch`` with the slot of every row's join key attached (``_SLOT``),
+    shifted by one so that a row without a slot reads 0, whose partials the
+    reducer leaves at zero (see :class:`FactorizedChain`); ``shifted`` is
+    ``space.lookup`` plus one, as intp, so one gather gives the shifted
+    slots.  The ``predicate`` of a selection at the input's root zeroes the
+    slots of the rows it drops; only when it drops most of a batch are the
+    rows that pass gathered, as a selection would — below that, reading
+    every row costs the reducer less than the gathers."""
+    mask = None
+    if predicate is not None:
+        mask = as_bool_array(predicate(batch), batch.count)
+        passed = int(np.count_nonzero(mask))
+        if 2 * passed <= batch.count:
+            if not passed:
+                return None
+            batch, mask = batch.take(mask.nonzero()[0]), None
+    # Every later gather and bincount indexes by the slots: as intp.
+    slots = radix.slots_of(space, materialize(key(batch), batch.count), shifted)
+    if mask is not None:
+        slots *= mask
+    batch.columns = {**batch.columns, _SLOT: slots}
+    return batch
 
 
 def _slot_of(batch: Batch) -> np.ndarray:
@@ -1943,7 +1615,7 @@ def _slot_of(batch: Batch) -> np.ndarray:
 @dataclass
 class _SlotPartials:
     """One input of a factorized chain, reduced over the slots shifted by
-    one (see :class:`SlotStage`): entry 0, the rows without a slot, counts
+    one (see :func:`slotted`): entry 0, the rows without a slot, counts
     nothing."""
 
     #: Rows per slot (``None`` for the grouped input: its kept slots say).
@@ -1970,7 +1642,7 @@ class _SlotPartials:
         return list(arrays.values())
 
 
-class _SlotRoot(_RootTask):
+class _SlotRoot:
     """The per-slot partials of one input of a factorized chain: each range
     collects its batches' slots and the argument columns it reads, as they
     are — the slot says which rows count — and reduces them with the slots
@@ -2050,9 +1722,7 @@ class _SlotRoot(_RootTask):
         kept = {name: state[name] for name in self.kept}
         return _SlotPartials(rows, sums, kept)
 
-    def merge(
-        self, partials: list, profile: ExecutionCounters, params: Params = None
-    ) -> _SlotPartials:
+    def merge(self, partials: list, profile: ExecutionCounters) -> _SlotPartials:
         rows = self.rows
         if rows is None and self.count:
             rows = sum(partial.rows for partial in partials)
@@ -2107,11 +1777,15 @@ class ChainInput:
 
 
 def _chain_inputs(
-    chain: FactorizedChain, root: _NestRoot, compiler: PipelineCompiler
+    chain: FactorizedChain,
+    root: _NestRoot,
+    compiler: PipelineCompiler,
+    above: tuple[PhysicalPlan, ...],
 ) -> list[ChainInput]:
-    """The inputs of ``chain`` under ``root``, compiled once: every column
-    of the grouped input keeps its rows, the other inputs reduce their
-    arguments per slot.  Each input's step serves the chain's probe tree too
+    """The inputs of ``chain`` under ``root``, compiled once under the
+    operators ``above`` them (the root and the joins): every column of the
+    grouped input keeps its rows, the other inputs reduce their arguments
+    per slot.  Each input's step serves the chain's probe tree too
     (``compiler.compiled``)."""
     inputs = []
     for index, subplan in enumerate(chain.inputs):
@@ -2124,7 +1798,7 @@ def _chain_inputs(
                 if owner == index
             )
             kept[_SLOT] = _slot_of
-        step = compiler.compiled[id(subplan)] = compiler.compile(subplan)
+        step = compiler.compiled[id(subplan)] = compiler.compile(subplan, above)
         inputs.append(
             ChainInput(
                 step,
@@ -2368,16 +2042,18 @@ class PipelineProgram:
     looks up a generated function.
 
     It holds the root — a group-by root (:class:`_NestRoot`, shared by every
-    execution: its keys, aggregates, parts and heads), or the names and head
-    functions of a projection, whose LIMIT each execution resolves — the
+    execution: its keys, aggregates, parts and heads), or the head
+    functions of a projection, whose LIMIT each execution brings — the
     :class:`PipelineCompiler` steps beneath it, the per-input steps of a
     factorized chain (with the probe tree a two-input chain falls back to),
-    and every scan step, from which the engine reads the cold scans it
-    coalesces and the sizes admission control estimates.
+    every scan step, from which the engine reads the cold scans it
+    coalesces and the sizes admission control estimates, the cache keys an
+    execution probes, and the :class:`Pipeline` s the steps cut into with
+    their generated driver functions.
 
-    An execution brings its own state — the bound parameters, the
+    An execution brings its own state — the bound parameters and LIMIT, the
     :class:`~repro.resilience.context.QueryContext` and its profile, the
-    trace, the cache probes, the build sides and the kernels — in a
+    trace, the cache probe, the build sides and the kernels — in a
     :class:`VectorizedExecutor`; the program captures none of it, so any
     number of threads run one program at once."""
 
@@ -2388,7 +2064,10 @@ class PipelineProgram:
         hints: NullabilityHints,
         catalog: Catalog,
         plugins: Mapping[str, InputPlugin],
+        compile_drivers: Callable[[PipelineProgram], dict[tuple[int, str], Callable]],
     ):
+        """``compile_drivers`` compiles the driver function of every
+        pipeline of a program (:mod:`repro.core.codegen.driver`)."""
         #: The plan's :class:`~repro.core.codegen.GeneratedQuery`.
         self.generated = generated
         evaluator = generated.function_for
@@ -2411,6 +2090,7 @@ class PipelineProgram:
                 (column.name, evaluator(column.expression))
                 for column in unique_output_columns(root.columns)
             ]
+        self.head_names = [name for name, _ in self.heads]
         self.non_null = hints.non_null_columns
         compiler = PipelineCompiler(catalog, plugins, evaluator)
         #: The join chain the aggregate runs over per key value, if any.
@@ -2418,7 +2098,7 @@ class PipelineProgram:
         self.inputs: list[ChainInput] = []
         if chain is not None:
             assert self.nest is not None  # a chain is an aggregate's
-            self.inputs = _chain_inputs(chain, self.nest, compiler)
+            self.inputs = _chain_inputs(chain, self.nest, compiler, (root, *chain.joins))
         #: The steps beneath the root; of a chain, the probe tree a
         #: two-input chain falls back to (``None`` for a longer chain).
         self.pipeline: Step | None = None
@@ -2433,37 +2113,124 @@ class PipelineProgram:
         #: (dataset, field-cache keys of all its scans) of every dataset
         #: whose fields the cache would keep, by name: the raw reads a
         #: cold execution may coalesce with a concurrent one's.
-        self.cold_scans = tuple(sorted((name, tuple(keys)) for name, keys in cold.items()))
+        self.cold_scans = tuple(sorted((name, frozenset(keys)) for name, keys in cold.items()))
+        tops: list[tuple[Step, str]] = []
+        if self.pipeline is not None:
+            tops.append((self.pipeline, "nest" if self.nest is not None else "project"))
+            if self.nest is None and self.sort is not None and self.sort.keys \
+                    and self.sort.limit is not None:
+                tops.append((self.pipeline, "topk"))
+        for index, spec in enumerate(self.inputs):
+            tops.append((spec.step, "slot"))
+            if index == 0:
+                tops.append((spec.step, "collect"))
+        #: Every pipeline, by (id of its top step, sink): each driver
+        #: function serves it.
+        self.pipelines = _pipelines(tops)
+        unnests = [
+            op.cache_key
+            for pipeline in self.pipelines.values()
+            for op in pipeline.ops
+            if isinstance(op, UnnestStep) and op.cache_key is not None
+        ]
+        #: The cache keys of every field and unnest output the program may
+        #: read, once each: the unbound part of every execution's probe.
+        self.cache_keys = tuple(dict.fromkeys(
+            [key for scan in self.scans for key in scan.keys] + unnests
+        ))
+        #: The join steps whose build-side keys an execution binds and
+        #: probes too.
+        self.joins = tuple({
+            id(op): op
+            for pipeline in self.pipelines.values()
+            for op in pipeline.ops
+            if isinstance(op, HashJoinStep)
+        }.values())
+        #: Every key an execution probes, when no bound value completes
+        #: one: then the program binds them once, for every execution.
+        self.bound: BoundKeys | None = None
+        unbound = [join.side_key for join in self.joins]
+        if chain is not None:
+            unbound += [chain.space_key, *filter(None, chain.partial_keys)]
+        if not any(parameters for _, parameters in unbound):
+            self.bound = bind_keys(self, {})
+        #: The driver function of every pipeline, by the pipeline's key.
+        self.drivers: dict[tuple[int, str], Callable] = compile_drivers(self)
 
-    def root(self, params: Params) -> _RootTask:
-        """The root task of one execution under ``params``: the shared
-        group-by root, or a projection root bounded by the LIMIT the
-        parameters resolve.  The engine's epilogue applies the sort; the
-        root only bounds what each scan range emits.  Pure LIMIT — and
-        LIMIT 0, which produces nothing — keeps a prefix; ORDER BY + LIMIT K
-        keeps the range's top-K candidates."""
-        if self.nest is not None:
-            return self.nest
-        if self.sort is None:
-            return _ProjectionRoot(self.names, self.heads)
-        limit = resolve_limit(self.sort.limit, params)
-        if self.sort.keys and limit:
-            return _TopKProjectionRoot(
-                self.names, self.heads, limit, self.sort.keys, self.non_null
-            )
-        return _ProjectionRoot(self.names, self.heads, limit)
+
+#: The keys one execution probes (deduplicated, in probe order), the bound
+#: build-side key of every join step (by id), the chain's slot-space key
+#: and every chain input's partials key (``None``: not cached).
+BoundKeys = tuple[tuple[tuple, ...], dict[int, tuple], "tuple | None", list]
+
+
+def bind_keys(program: PipelineProgram, params: Mapping[int | str, object]) -> BoundKeys:
+    """The keys ``program``'s executions under ``params`` probe."""
+    keys = list(program.cache_keys)
+    sides = {}
+    for join in program.joins:
+        key = bound_key(join.side_key, params)
+        if key is not None:
+            sides[id(join)] = key
+            keys.append(key)
+    space_key = None
+    partial_keys: list[tuple | None] = []
+    chain = program.chain
+    if chain is not None:
+        space_key = bound_key(chain.space_key, params)
+        if space_key is not None:
+            keys.append(space_key)
+            for unbound in chain.partial_keys:
+                input_key = None if unbound is None else bound_key(unbound, params)
+                partial_key = (
+                    None if input_key is None else chain_partial_cache_key(space_key, input_key)
+                )
+                partial_keys.append(partial_key)
+                if partial_key is not None:
+                    keys.append(partial_key)
+    return tuple(dict.fromkeys(keys)), sides, space_key, partial_keys
+
+
+def bound_key(unbound: tuple[tuple, tuple], params: Mapping[int | str, object]) -> tuple | None:
+    """A cache key under bound parameter values ``params``: ``unbound`` is a
+    key without them and the parameters whose values complete it
+    (:func:`build_side_key`).  ``None`` — not cached — when a value is
+    unhashable.  Fingerprints abstract parameter values, so folding the
+    bound ones back in keeps builds with different constants (and
+    coincidentally equal cardinalities) apart."""
+    cache_key, parameters = unbound
+    if parameters:
+        cache_key += tuple((name, params.get(name)) for name in parameters)
+        try:
+            hash(cache_key)
+        except TypeError:
+            return None
+    return cache_key
+
+
+def _pipelines(tops: list[tuple[Step, str]]) -> dict[tuple[int, str], Pipeline]:
+    """The pipelines up to each ``(top step, sink)`` and the build sides of
+    their joins, by (id of the top step, sink)."""
+    pipelines: dict[tuple[int, str], Pipeline] = {}
+    while tops:
+        top, sink = tops.pop(0)
+        if (id(top), sink) not in pipelines:
+            pipeline = pipelines[(id(top), sink)] = Pipeline.of(top, sink)
+            tops += [(join.left, "collect") for join in pipeline.joins]
+    return pipelines
 
 
 class VectorizedExecutor:
     """One execution of a :class:`PipelineProgram` — the batch pipeline's
     executor, the only NumPy entry the engine calls, the ``codegen`` tier.
 
-    It holds what the execution brings — the bound parameters, the query
-    context and its profile, the trace, the cache — and what it decides:
-    the scans it opened (whose complete reads it admits to the cache once
-    the run succeeded), the build sides it materialized, the kernels it
-    chose.  The program's steps open their stages against it.  Scans run
-    inline on the calling thread or fan out over morsels, decided per scan
+    It holds what the execution brings — the bound parameters and LIMIT, the
+    query context and its profile, the trace, the cache — and what it
+    decides: what the cache held of the keys it reads (one probe), the
+    scans and unnests whose complete reads it admits to the cache once the
+    run succeeded, the build sides it materialized, the kernels it chose.
+    Each pipeline runs through its generated driver function, inline on
+    the calling thread or once per morsel on the fan-out, decided per scan
     by :func:`repro.core.parallel.plan_fanout`."""
 
     def __init__(
@@ -2474,96 +2241,203 @@ class VectorizedExecutor:
         cache_manager=None,
         params: Params = None,
         trace: TraceBuilder | None = None,
+        limit: int | None = None,
     ):
         self.batch_size = max(int(batch_size), 1)
+        self.num_workers = max(int(num_workers), 1)
         self.cache_manager = cache_manager
         #: Bound query-parameter values, attached to every scan batch.
         self.params = params
+        #: The LIMIT the engine resolved under them (``None``: none).
+        self.limit = limit
         #: Per-query resilience context (deadline/cancel): checked per batch
-        #: inside pipelines and per morsel by the fan-out workers.
+        #: by the drivers and per morsel by the fan-out workers.
         self.context = context
         #: The execution's profile: an inline run counts straight into it,
         #: and the kernels each join and the group-by ran are written here.
         self.profile = context.profile
-        #: Span trace of this execution (``None`` = untraced, zero overhead).
-        #: Traced stages are shared by every fan-out worker; their span
-        #: accumulators are locked, so per-morsel work aggregates into one
-        #: morsel-merged span per operator.
+        #: Span trace of this execution (``None`` = untraced).  Operator
+        #: spans are shared by every fan-out worker; their accumulators are
+        #: locked, so per-morsel work aggregates into one morsel-merged span
+        #: per operator.
         self.trace = trace
-        #: The morsel fan-out driver (threads start only when a scan fans
-        #: out); it writes the profile's dispatch counters.
-        self.fanout = ParallelVectorizedExecutor(num_workers, context)
-        #: Every scan operator and full-scan unnest stage opened — their
-        #: cache materializations are flushed after a successful run.
-        self.cache_writers: list = []
+        #: The morsel fan-out driver, made when a scan first fans out; it
+        #: writes the profile's dispatch counters.
+        self.fanout: ParallelVectorizedExecutor | None = None
+        #: Cache key -> what the cache held under it: the one probe.
+        self.held: dict[tuple, Any] = {}
+        #: ``(store, run)`` of every complete read the cache keeps, flushed
+        #: after a successful run.
+        self.writers: list[tuple[Callable, tuple]] = []
         #: The kernel of every hash join opened, in plan walk order.
         self.join_kernels: list[str] = []
         #: Build sides whose key slots are known — with their rows when
         #: already materialized —, by plan node: a chain that did not run
         #: per key value hands its first input over.
         self.built: dict[int, tuple[Batch | None, radix.KeySlots]] = {}
+        #: Per join step (by id), its build side's key, bound; the chain's
+        #: slot-space key and per-input partial keys, bound.
+        self.sides: dict[int, tuple] = {}
+        self.space_key: tuple | None = None
+        self.partial_keys: list[tuple | None] = []
+        self.program: PipelineProgram | None = None
 
     def execute(self, program: PipelineProgram) -> tuple[list[str], dict[str, Any]]:
         """Run ``program``; returns (column names, column values)."""
-        root = program.root(self.params)
+        self.program = program
+        if self.cache_manager is not None:
+            self._probe(program)
         chain = program.chain
-        result = None
+        columns = None
         if chain is not None:
-            result = self._execute_factorized(program, root)
-        if result is None:
-            assert program.pipeline is not None
-            pipeline = program.pipeline.open(self)
+            columns = self._execute_factorized(program)
+        if columns is None:
             self.profile.join_kernels = self.join_kernels
-            result = self._run(root, pipeline, self._plan_morsels(pipeline, program.grouping))
+            columns = self._execute_root(program)
         else:
             assert chain is not None
             self.profile.join_kernels = [radix.KERNEL_FACTORIZED] * len(chain.joins)
-        for writer in self.cache_writers:
-            writer.store_materialized()
-        return result
+        for store, run in self.writers:
+            store(run, self.cache_manager)
+        return program.names, columns
 
-    # -- what the steps open their stages against ------------------------------
+    def _probe(self, program: PipelineProgram) -> None:
+        """Ask the cache once for every key the execution reads: the fields
+        and unnest outputs of every scan, the build side of every join, the
+        chain's slot space and every input's partials, under this
+        execution's bound values.  Each key counts as one lookup — and one
+        hit when held."""
+        bound = program.bound
+        if bound is None:
+            bound = bind_keys(program, self.params or {})
+        keys, self.sides, self.space_key, self.partial_keys = bound
+        self.held = {
+            key: entry.data
+            for key, entry in zip(keys, self.cache_manager.lookup_many(keys))
+            if entry is not None
+        }
 
-    def add_stage(self, pipeline: CompiledPipeline, node: PhysicalPlan, stage) -> None:
-        """Append ``stage``, the work of plan ``node``, to ``pipeline`` —
-        with the node's span when the run is traced."""
-        span = None
-        if self.trace is not None:
-            name = type(node).__name__.removeprefix("Phys").lower()
-            span = self.trace.operator(name, node=node, detail=type(stage).__name__)
-        pipeline.stages.append((stage, span))
+    def _execute_root(self, program: PipelineProgram) -> dict[str, Any]:
+        """Run the pipeline beneath the root into its sink and merge."""
+        assert program.pipeline is not None
+        if program.nest is not None:
+            return program.nest.merge(
+                self._run(program, program.pipeline, "nest", [program.nest], program.grouping),
+                self.profile,
+                self.params,
+            )
+        limit = self.limit
+        sink = "topk" if program.sort is not None and program.sort.keys and limit else "project"
+        values = [limit, program] if sink == "topk" else [limit]
+        partials = self._run(program, program.pipeline, sink, values, False)
+        return project_merge(program.head_names, partials, limit, self.profile)
 
-    def bound_key(self, unbound: tuple[tuple, tuple]) -> tuple | None:
-        """A cache key under this execution's bound parameter values:
-        ``unbound`` is a key without them and the parameters whose values
-        complete it (:func:`build_side_key`).  ``None`` — not cached —
-        without a cache, or when a value is unhashable.  Fingerprints
-        abstract parameter values, so folding the bound ones back in keeps
-        builds with different constants (and coincidentally equal
-        cardinalities) apart."""
-        if self.cache_manager is None:
-            return None
-        cache_key, parameters = unbound
-        if parameters:
-            bound = self.params or {}
-            cache_key += tuple((name, bound.get(name)) for name in parameters)
+    # -- the pipelines ----------------------------------------------------------
+
+    def _run(
+        self, program: PipelineProgram, top: Step, sink: str, values: list, grouping: bool
+    ) -> list:
+        """The partials of the pipeline up to ``top`` ending in ``sink``
+        (``values``: the sink's per-execution values), one per scan range:
+        the whole scan inline, or one per morsel on the fan-out."""
+        key = (id(top), sink)
+        pipeline = program.pipelines[key]
+        driver = program.drivers[key]
+        opened = self._open(pipeline, values)
+        if opened is None:
+            # An inner join with an empty build side produces nothing.
+            return [self._empty(pipeline, values)]
+        total_rows = opened[0].total_rows
+        morsels = []
+        if self.num_workers > 1 and total_rows > self.batch_size:
+            morsels, _ = plan_fanout(self.num_workers, total_rows, self.batch_size, grouping)
+        if not morsels:
+            return [driver(self, opened, None, None, self.profile)]
+        context = self.context
+
+        def run_morsel(morsel, worker_id: int):
+            context.check()
+            counters = ExecutionCounters()
             try:
-                hash(cache_key)
-            except TypeError:
-                return None
-        return cache_key
+                return driver(self, opened, morsel.start, morsel.stop, counters)
+            finally:
+                context.merge(counters)
 
-    def cached(self, cache_key: tuple | None) -> Any:
-        """What the adaptive cache holds under ``cache_key`` — looked up
-        before anything is read: a join build side's key slots (§6: ``A ⋈
-        B`` then ``A ⋈ C``), a chain input's per-slot partials.  Literals are
-        part of the plan fingerprints, and re-registering a dataset drops
-        every entry built from it — each entry belongs to every dataset it
-        was built from —, so a hit is never stale."""
-        if cache_key is None:
+        if self.fanout is None:
+            self.fanout = ParallelVectorizedExecutor(self.num_workers, context)
+        return self.fanout.execute(morsels, run_morsel)
+
+    def _open(self, pipeline: Pipeline, sink: list) -> list | None:
+        """The per-execution values of ``pipeline``'s driver, in the order
+        it unpacks them: the scan (:func:`open_scan`), then per operator
+        bottom-up its span and — an unnest — its run, — a join — its build
+        side's rows and key slots, then the sink's ``sink`` values.  Build
+        sides are materialized first, the outermost join's first; ``None``
+        when an inner join's build side holds no row."""
+        trace = self.trace
+        builds = {}
+        for join in pipeline.joins:
+            left, space = self.built.pop(id(join.node.left), (None, None))
+            if left is None:
+                left = self._collect(join.left)
+            builds[id(join)] = (left, space)
+        step = pipeline.scan
+        span = None
+        if trace is not None:
+            span = trace.operator(
+                f"scan:{step.dataset.name}", node=step.node, detail=step.plugin.format_name
+            )
+        recording = self.cache_manager is not None
+        scan = open_scan(step, self.held, recording, span)
+        if scan.recorder is not None:
+            self.writers.append((store_scan, scan))
+        values: list = [scan]
+        for op in pipeline.ops:
+            if isinstance(op, (HashJoinStep, LoopJoinStep)):
+                left, space = builds[id(op)]
+                if left.count == 0:
+                    return None
+                if isinstance(op, HashJoinStep):
+                    if space is None:
+                        key = self.sides.get(id(op))
+                        space = None if key is None else self.held.get(key)
+                        if space is None:
+                            space = self.build_side(key, op.sources, op.left_key, left)
+                    self.join_kernels.append(space.kernel)
+                    values += [left, space]
+                else:
+                    values.append(left)
+            elif isinstance(op, UnnestStep):
+                cached = recorder = None
+                if op.cache_key is not None and recording:
+                    cached = self.held.get(op.cache_key)
+                    if cached is None and op.keep:
+                        recorder = _CoverageRecorder()
+                run = UnnestRun(op, cached, recorder, scan.total_rows)
+                if recorder is not None:
+                    self.writers.append((store_unnest, run))
+                values.append(run)
+            values.append(None if trace is None else self._span(op.node, _DETAILS[type(op)]))
+        return values + sink
+
+    def _span(self, node: PhysicalPlan, detail: str) -> SpanAccumulator | None:
+        """The span of the work of plan ``node`` in a traced run."""
+        if self.trace is None:
             return None
-        entry = self.cache_manager.lookup(cache_key)
-        return None if entry is None else entry.data
+        name = type(node).__name__.removeprefix("Phys").lower()
+        return self.trace.operator(name, node=node, detail=detail)
+
+    def _empty(self, pipeline: Pipeline, sink: list) -> Any:
+        """The partial of a pipeline that produces nothing."""
+        if pipeline.sink in ("collect", "nest"):
+            return []
+        return [[] for _ in self.program.heads], 0
+
+    def _collect(self, top: Step) -> Batch:
+        """Materialize a join build side, through the same fan-out decision
+        as the plan root."""
+        partials = self._run(self.program, top, "collect", [], False)
+        return concat_batches([batch for batches in partials for batch in batches])
 
     def build_side(
         self,
@@ -2583,39 +2457,31 @@ class VectorizedExecutor:
             )
         return space
 
-    def materialize(self, pipeline: CompiledPipeline) -> Batch:
-        """Materialize a join build side, through the same fan-out decision
-        as the plan root."""
-        return self._run(
-            _CollectRoot(), pipeline, self._plan_morsels(pipeline, grouping=False)
-        )
-
     # -- aggregates over a one-key join chain ----------------------------------
 
-    def _execute_factorized(
-        self, program: PipelineProgram, root: _RootTask
-    ) -> tuple[list[str], dict[str, Any]] | None:
+    def _execute_factorized(self, program: PipelineProgram) -> dict[str, Any] | None:
         """Run the aggregate over the program's chain per join-key value
         (see :class:`FactorizedChain`).
 
-        The first input's key slots are looked up in the adaptive cache
-        before it is read; on a miss the input is materialized and its key
-        column numbered (and cached).  Every input the aggregates need more
-        than the first input's row counts of is then looked up as per-slot
-        partials in the cache (:meth:`_partials`), and read only on a miss.
-        ``None`` — the joins then probe and gather, the first input's key
-        slots (and its rows, materialized on a miss) handed over as the
-        build side — when two inputs join on keys the first holds once
-        each: the join has one row per matching row of the other, so there
-        is nothing to factor out."""
+        The first input's key slots come from the execution's probe; on a
+        miss the input is materialized and its key column numbered (and
+        cached).  Every input the aggregates need more than the first
+        input's row counts of is then taken as per-slot partials from the
+        probe (:meth:`_partials`), and read only on a miss.  ``None`` — the
+        joins then probe and gather, the first input's key slots (and its
+        rows, materialized on a miss) handed over as the build side — when
+        two inputs join on keys the first holds once each: the join has one
+        row per matching row of the other, so there is nothing to factor
+        out."""
         chain = program.chain
-        assert chain is not None and isinstance(root, _NestRoot)
+        root = program.nest
+        assert chain is not None and root is not None
         inputs = program.inputs
         first = None
-        space_key = self.bound_key(chain.space_key)
-        space = self.cached(space_key)
+        space_key = self.space_key
+        space = None if space_key is None else self.held.get(space_key)
         if space is None:
-            first = self.materialize(inputs[0].step.open(self))
+            first = self._collect(inputs[0].step)
             if first.count == 0:
                 return self._empty_chain(chain, root)
             space = self.build_side(space_key, inputs[0].sources, inputs[0].key, first)
@@ -2624,19 +2490,11 @@ class VectorizedExecutor:
             return None
         reductions = []
         for index, spec in enumerate(inputs):
-            reducer = _SlotRoot(
-                space.size,
-                spec.summed,
-                spec.kept,
-                root.non_null,
-                rows=None if index else space.counts,
-                count=index != chain.grouped,
-            )
-            if index == 0 and not (reducer.summed or reducer.kept):
+            if index == 0 and not (spec.summed or spec.kept):
                 # Its rows per slot, which its slots count, are all it adds.
-                reduced = _SlotPartials(reducer.rows, {}, {})
+                reduced = _SlotPartials(space.counts, {}, {})
             else:
-                reduced = self._partials(chain, inputs, index, reducer, space, space_key, first)
+                reduced = self._partials(program, index, space, first)
             held = reduced.kept[_SLOT] if reduced.rows is None else reduced.rows
             if not held.any():  # no row of this input has a slot
                 return self._empty_chain(chain, root)
@@ -2651,49 +2509,55 @@ class VectorizedExecutor:
 
     def _partials(
         self,
-        chain: FactorizedChain,
-        inputs: list[ChainInput],
+        program: PipelineProgram,
         index: int,
-        reducer: _SlotRoot,
         space: radix.KeySlots,
-        space_key: tuple | None,
         first: Batch | None,
     ) -> _SlotPartials:
-        """Input ``index`` of ``chain`` reduced over the slots of ``space``:
-        from the adaptive cache — keyed by the slot space's and the input's
+        """Input ``index`` of the chain reduced over the slots of ``space``:
+        from the probe — keyed by the slot space's and the input's
         build-side keys under the bound values, the parts and whether it is
-        the first input — or by streaming it, inline or fanned out as a
-        join's sides do, through a :class:`SlotStage` into ``reducer`` (the
-        first input from ``first``, its rows materialized on a slot-space
-        miss).  Computed partials without kept rows — every input's but the
-        grouped one's — are stored read-only, built from every dataset the
-        input or the first input scans: a combine that wrote into them would
-        raise instead of corrupting a later answer."""
-        spec = inputs[index]
-        unbound = chain.partial_keys[index]
-        cache_key = None
-        if unbound is not None and space_key is not None:
-            input_key = self.bound_key(unbound)
-            if input_key is not None:
-                cache_key = chain_partial_cache_key(space_key, input_key)
-        reduced = self.cached(cache_key)
-        if reduced is not None:
-            return reduced
-        shifted = np.add(space.lookup, 1, dtype=np.intp)  # see SlotStage
+        the first input — or by streaming it through its ``slot``
+        pipeline, inline or fanned out as a join's sides are (the first
+        input from ``first``, its rows materialized on a slot-space miss).
+        Computed partials without kept rows — every input's but the grouped
+        one's — are stored read-only, built from every dataset the input or
+        the first input scans: a combine that wrote into them would raise
+        instead of corrupting a later answer."""
+        chain = program.chain
+        assert chain is not None and program.nest is not None
+        spec = program.inputs[index]
+        cache_key = self.partial_keys[index] if self.partial_keys else None
+        if cache_key is not None:
+            reduced = self.held.get(cache_key)
+            if reduced is not None:
+                return reduced
+        reducer = _SlotRoot(
+            space.size,
+            spec.summed,
+            spec.kept,
+            program.nest.non_null,
+            rows=None if index else space.counts,
+            count=index != chain.grouped,
+        )
+        shifted = np.add(space.lookup, 1, dtype=np.intp)  # see slotted()
         if index == 0 and first is not None:
             state = reducer.new_state()
-            slotted = SlotStage(space, shifted, spec.key).apply(first, self.profile)
-            if slotted is not None:
-                reducer.update(state, slotted, self.profile)
+            slotted_first = slotted(first, space, shifted, spec.key)
+            if slotted_first is not None:
+                reducer.update(state, slotted_first, self.profile)
             reduced = reducer.merge([reducer.finish_morsel(state, self.profile)], self.profile)
         else:
-            pipeline, predicate = spec.step.open_input(self)
-            stage = SlotStage(space, shifted, spec.key, predicate)
-            if index:
-                self.add_stage(pipeline, chain.probes[index - 1], stage)
-            else:
-                pipeline.stages.append((stage, None))
-            reduced = self._run(reducer, pipeline, self._plan_morsels(pipeline, False))
+            probe = chain.probes[index - 1] if index else None
+            select = program.pipelines[(id(spec.step), "slot")].predicate
+            values = [
+                space, shifted, reducer,
+                None if probe is None else self._span(probe, "SlotStage"),
+                None if select is None else self._span(select.node, "SelectStage"),
+            ]
+            reduced = reducer.merge(
+                self._run(program, spec.step, "slot", values, False), self.profile
+            )
         if cache_key is not None:
             arrays = reduced.arrays()
             for array in arrays:
@@ -2701,15 +2565,13 @@ class VectorizedExecutor:
             self.cache_manager.store(
                 cache_key,
                 reduced,
-                dict.fromkeys(spec.sources + inputs[0].sources),
+                dict.fromkeys(spec.sources + program.inputs[0].sources),
                 f"per-slot partials of {', '.join(name for name, _ in spec.sources)}",
                 size_bytes=sum(map(estimate_size, arrays)),
             )
         return reduced
 
-    def _empty_chain(
-        self, chain: FactorizedChain, root: _NestRoot
-    ) -> tuple[list[str], dict[str, Any]]:
+    def _empty_chain(self, chain: FactorizedChain, root: _NestRoot) -> dict[str, Any]:
         """The answer over a join chain without a joined row."""
         for join in chain.joins:
             self._join_span(join, 0.0)
@@ -2721,65 +2583,33 @@ class VectorizedExecutor:
                 seconds=seconds
             )
 
-    # -- inline or fanned out --------------------------------------------------
 
-    def _plan_morsels(
-        self, pipeline: CompiledPipeline, grouping: bool
-    ) -> list[Morsel]:
-        """The morsels to fan ``pipeline``'s scan out over; empty = inline."""
-        if pipeline.always_empty:
-            return []
-        morsels, _ = plan_fanout(
-            self.fanout.num_workers,
-            pipeline.source.total_rows,
-            self.batch_size,
-            grouping,
-        )
-        return morsels
+#: The span detail of each operator's work in a driver.
+_DETAILS = {
+    SelectStep: "SelectStage",
+    UnnestStep: "UnnestStage",
+    HashJoinStep: "HashJoinStage",
+    LoopJoinStep: "NestedLoopJoinStage",
+}
 
-    def _run(self, root: _RootTask, pipeline: CompiledPipeline, morsels: list[Morsel]):
-        if not morsels:
-            partials = [self._run_range(root, pipeline, None, self.profile)]
-            return root.merge(partials, self.profile, self.params)
-        context = self.context
 
-        def run_morsel(morsel: Morsel, worker_id: int):
-            context.check()
-            counters = ExecutionCounters()
-            try:
-                return self._run_range(root, pipeline, morsel, counters)
-            finally:
-                context.merge(counters)
-
-        return root.merge(
-            self.fanout.execute(morsels, run_morsel), self.profile, self.params
-        )
-
-    def _run_range(
-        self,
-        root: _RootTask,
-        pipeline: CompiledPipeline,
-        morsel: Morsel | None,
-        counters: ExecutionCounters,
-    ):
-        """Fold one scan range (``None`` = the whole scan) into a partial."""
-        state = root.new_state()
-        if pipeline.always_empty:
-            return root.finish_morsel(state, counters)
-        source = pipeline.source
-        batches = (
-            source.iter_batches(counters, self.batch_size)
-            if morsel is None
-            else source.iter_range(
-                morsel.start, morsel.stop, counters, self.batch_size
-            )
-        )
-        for batch in batches:
-            out = pipeline.process(batch, counters)
-            if out is not None:
-                root.update(state, out, counters)
-                if root.saturated(state):
-                    # The range's contribution is complete (e.g. a pure
-                    # LIMIT prefix); stop scanning its remaining rows.
-                    break
-        return root.finish_morsel(state, counters)
+def driver_runtime() -> dict[str, Any]:
+    """The names a generated module and its drivers call besides the
+    plan's expression functions."""
+    return {
+        "np": np,
+        "clock": time.perf_counter,
+        "mask": as_bool_array,
+        "column": materialize,
+        "scan_batches": scan_batches,
+        "fetch_deferred": fetch_deferred,
+        "unnest": unnest,
+        "probe": radix.probe,
+        "gather_joined": _gather_joined,
+        "cross": cross,
+        "slotted": slotted,
+        "hook": span_batch,
+        "TopKAccumulator": TopKAccumulator,
+        "project_range": project_range,
+        "topk_range": topk_range,
+    }

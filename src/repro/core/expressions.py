@@ -18,6 +18,8 @@ Every expression supports three independent consumers:
 
 from __future__ import annotations
 
+import operator
+
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -240,20 +242,20 @@ def _modulo(a, b):
 
 
 _ARITHMETIC_OPS: dict[str, Callable[[object, object], object]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": _divide,
     "%": _modulo,
 }
 
 _COMPARISON_OPS: dict[str, Callable[[object, object], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _LOGICAL_OPS = ("and", "or")

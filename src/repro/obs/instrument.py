@@ -1,11 +1,12 @@
 """The span coverage tables of the physical operators.
 
 The batch pipeline has no instrumentation objects of its own: in a traced
-run the execution gives every stage and scan its span accumulator as its
-program's steps open them, ``CompiledPipeline.process`` times each stage per
-batch and the ``ScanOperator`` metering loop feeds the scan's span per
-stream — traced and untraced runs apply the same stage objects.  The Volcano interpreter wraps
-its own iterators.
+run the execution hands each generated driver the span accumulator of
+every operator it runs, and the driver's one hook
+(:func:`~repro.core.executor.vectorized.span_batch`) times each operator per
+batch; the scan's batch stream feeds the scan's span per stream.  Traced
+and untraced runs run the same driver.  The Volcano interpreter wraps its
+own iterators.
 
 ``SPAN_INSTRUMENTED_OPERATORS`` / ``SPAN_EXEMPT_OPERATORS`` are the
 declarative coverage tables ``tools/tier_lint.py`` checks: every ``Phys*``
@@ -19,19 +20,15 @@ from __future__ import annotations
 #: ``tools/tier_lint.py``: a ``Phys*`` class missing from both this table and
 #: ``SPAN_EXEMPT_OPERATORS`` fails the lint.
 SPAN_INSTRUMENTED_OPERATORS: dict[str, str] = {
-    "PhysScan": "ScanOperator's metering loop, cached streams included "
-                "(batch pipeline); iterator wrapper (volcano)",
-    "PhysSelect": "CompiledPipeline.process times the SelectStage, lazy "
-                  "field fetches included (batch pipeline); iterator "
-                  "wrapper (volcano)",
-    "PhysUnnest": "CompiledPipeline.process times the UnnestStage (batch "
+    "PhysScan": "the scan's batch stream, cached streams included (batch "
+                "pipeline); iterator wrapper (volcano)",
+    "PhysSelect": "the driver's hook, lazy field fetches included (batch "
                   "pipeline); iterator wrapper (volcano)",
-    "PhysHashJoin": "CompiledPipeline.process times the HashJoinStage, or "
-                    "of a per-key chain the SlotStage, plus the key products "
-                    "on the chain's root (batch pipeline); iterator wrapper "
-                    "(volcano)",
-    "PhysNestedLoopJoin": "CompiledPipeline.process times the "
-                          "NestedLoopJoinStage (batch pipeline); iterator "
+    "PhysUnnest": "the driver's hook (batch pipeline); iterator wrapper (volcano)",
+    "PhysHashJoin": "the driver's hook on the probe, or on a per-key chain's "
+                    "slot reduction, plus the key products on the chain's "
+                    "root (batch pipeline); iterator wrapper (volcano)",
+    "PhysNestedLoopJoin": "the driver's hook (batch pipeline); iterator "
                           "wrapper (volcano)",
     "PhysReduce": "engine-side root span around the executor's reduce",
     "PhysNest": "engine-side root span around the executor's grouping",

@@ -2,8 +2,8 @@
 
 The tracing layer is pay-for-what-you-use.  When the engine's ``Tracer`` is
 disabled (the default) no builder exists and every instrumentation site
-reduces to one ``is None`` check; a traced batch pipeline applies the same
-stage objects as an untraced one, only with a span beside each.  When
+reduces to one ``is None`` check; a traced batch pipeline runs the same
+generated driver as an untraced one, only with a span beside each operator.  When
 enabled, one :class:`TraceBuilder` accompanies a query execution and
 collects:
 
@@ -107,8 +107,8 @@ class Span:
 class SpanAccumulator:
     """Thread-safe mutable accumulator behind one operator span.
 
-    The batch pipeline adds once per batch for a stage (:meth:`add_batch`,
-    from ``CompiledPipeline.process``) and once per stream for a scan;
+    The batch pipeline adds once per batch for an operator (:meth:`add_batch`,
+    from a driver's hook) and once per stream for a scan;
     Volcano's iterator wrappers add once per exhausted iterator.
     The lock is uncontended on a single thread and per-batch under a morsel
     fan-out, so its cost disappears into the batch work it measures.

@@ -58,6 +58,8 @@ around each (the end-to-end benchmark's ``plugins.<fmt>.scan``) never nests.
 
 from __future__ import annotations
 
+import json
+
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -430,11 +432,12 @@ def value_range(values: Column) -> tuple[float, float] | None:
 
 @contextmanager
 def malformed_as_corrupt(dataset: Dataset) -> Iterator[None]:
-    """Bytes a structural index or a span lookup rejects are corrupt raw
-    data: re-raise the :class:`StorageError` as RES006 naming the dataset."""
+    """Bytes a structural index, a span lookup or the JSON decoder rejects
+    are corrupt raw data: re-raise the :class:`StorageError` or
+    :class:`json.JSONDecodeError` as RES006 naming the dataset."""
     try:
         yield
-    except StorageError as exc:
+    except (StorageError, json.JSONDecodeError) as exc:
         raise CorruptDataError(
             f"malformed raw data in {dataset.name!r}: {exc}", dataset=dataset.name
         ) from exc

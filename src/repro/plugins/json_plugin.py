@@ -98,14 +98,15 @@ class JsonPlugin(InputPlugin):
         type_name = declared_type(dataset.schema, path)
         token = _TOKENS.get(type_name)
         missing = (types == TYPE_MISSING) | (types == TYPE_NULL)
-        if token is not None and np.all(missing | (types == token)):
-            quotes = int(token == TYPE_STRING)  # a string's content
-            column = column_from_spans(
-                data, starts + quotes, ends - quotes, type_name, missing, _unescape
-            )
-            if column is not None:
-                return column
-        return column_from_values(_convert_spans(data, starts, ends, types), type_name)
+        with malformed_as_corrupt(dataset):
+            if token is not None and np.all(missing | (types == token)):
+                quotes = int(token == TYPE_STRING)  # a string's content
+                column = column_from_spans(
+                    data, starts + quotes, ends - quotes, type_name, missing, _unescape
+                )
+                if column is not None:
+                    return column
+            return column_from_values(_convert_spans(data, starts, ends, types), type_name)
 
     def index_info(self, dataset: Dataset) -> dict:
         """Structural-index metadata used by the benchmarks."""
@@ -126,7 +127,8 @@ class JsonPlugin(InputPlugin):
         merged: t.DataType | None = None
         for position in range(sample_size):
             start, end = state.index.object_span(position)
-            record = json.loads(state.data[start:end])
+            with malformed_as_corrupt(dataset):
+                record = json.loads(state.data[start:end])
             inferred = t.infer_type(record)
             merged = inferred if merged is None else t.merge_types(merged, inferred)
         if merged is None:
@@ -172,7 +174,8 @@ class JsonPlugin(InputPlugin):
         # call per parent would dominate the cost.
         chunks = map(data.__getitem__, map(slice, start_list, end_list))
         joined = b"[" + b",".join(chunks) + b"]"
-        parsed = json.loads(joined) if len(present_slots) else []
+        with malformed_as_corrupt(dataset):
+            parsed = json.loads(joined) if len(present_slots) else []
         collections = np.empty(num_parents, dtype=object)
         collections.fill(())
         if len(parsed):
@@ -210,7 +213,8 @@ class JsonPlugin(InputPlugin):
         coerce = _float_coercer(dataset.schema)
         for position in range(index.num_objects):
             start, end = index.object_span(position)
-            record = json.loads(data[start:end])
+            with malformed_as_corrupt(dataset):
+                record = json.loads(data[start:end])
             yield record if coerce is None else coerce(record)
 
 

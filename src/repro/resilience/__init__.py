@@ -24,6 +24,7 @@ from repro.resilience.context import (
     QueryContext,
     activate_context,
     get_active_context,
+    swap_context,
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_io
@@ -35,6 +36,7 @@ __all__ = [
     "QueryContext",
     "activate_context",
     "get_active_context",
+    "swap_context",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

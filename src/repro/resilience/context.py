@@ -4,7 +4,7 @@ A :class:`QueryContext` is created once per query in ``engine._execute`` and
 threaded through every execution tier.  Cancellation is *cooperative*: no
 thread is ever killed.  Instead each tier calls :meth:`QueryContext.check` at
 a natural unit of work — once per scan batch in the batch pipeline
-(``CompiledPipeline.process``), per morsel in the fan-out scheduler (where
+(each generated driver), per morsel in the fan-out scheduler (where
 workers also observe :meth:`should_stop` alongside the error-cancel event so
 pool teardown drains cleanly) and every :data:`VOLCANO_STRIDE` tuples in the
 Volcano interpreter — and the check raises a coded
@@ -141,6 +141,15 @@ def get_active_context() -> QueryContext | None:
     return getattr(_ACTIVE, "context", None)
 
 
+def swap_context(context: QueryContext | None) -> QueryContext | None:
+    """Publish ``context`` as this thread's active query context; returns
+    the one it replaces, which the caller publishes back when it is done
+    (:func:`activate_context` is the ``with`` form)."""
+    previous = getattr(_ACTIVE, "context", None)
+    _ACTIVE.context = context
+    return previous
+
+
 @contextmanager
 def activate_context(context: QueryContext | None) -> Iterator[QueryContext | None]:
     """Publish ``context`` as this thread's active query context.
@@ -149,8 +158,7 @@ def activate_context(context: QueryContext | None) -> Iterator[QueryContext | No
     on each worker thread, so plugin I/O reached from any tier can find the
     per-query retry budget without new parameters on every call path.
     """
-    previous = getattr(_ACTIVE, "context", None)
-    _ACTIVE.context = context
+    previous = swap_context(context)
     try:
         yield context
     finally:

@@ -47,6 +47,8 @@ are cut at a newline (CSV) or after the last complete top-level object
 
 from __future__ import annotations
 
+import itertools
+
 from typing import Sequence
 
 import numpy as np
@@ -433,6 +435,29 @@ _CLASS_TABLE = _table(_OTHER, {
 # Per token kind: the step of the nesting depth, and of the array depth.
 _DEPTH_STEP = _table(0, {_OBJ_OPEN: 1, _ARR_OPEN: 1, _OBJ_CLOSE: -1, _ARR_CLOSE: -1})
 _ARRAY_STEP = _table(0, {_ARR_OPEN: 1, _ARR_CLOSE: -1})
+
+
+def _transitions() -> bytes:
+    """What JSON makes of a token after another, by ``previous << 4 |
+    token``: 0 where it may follow, :data:`_UNSEPARATED` for a value right
+    after another value, :data:`_NO_VALUE` where a value is missing (a ','
+    or ':' without one before it or after it, a bracket closed after a
+    separator)."""
+    starts = {_SCALAR, _STRING, _OBJ_OPEN, _ARR_OPEN}
+    ends = {_SCALAR, _STRING, _OBJ_CLOSE, _ARR_CLOSE}
+    separators = {_COMMA, _COLON}
+    codes = {}
+    for previous, token in itertools.product(range(16), range(16)):
+        if token in starts and previous not in separators | {_ARR_OPEN, _OBJ_OPEN}:
+            codes[previous << 4 | token] = _UNSEPARATED
+        elif (previous in separators and token not in starts) or (previous not in ends and (
+                token in separators or token in (_ARR_CLOSE, _OBJ_CLOSE) and previous != token - 1)):
+            codes[previous << 4 | token] = _NO_VALUE
+    return _table(0, codes)
+
+
+_UNSEPARATED, _NO_VALUE = 1, 2
+_TRANSITIONS = _transitions()
 # A value's type by its first byte: a token that starts with any byte but a
 # quote, a bracket or a literal's first letter is a number (or garbage,
 # which `_valid_scalars` rejects); a structural byte starts no value.
@@ -644,7 +669,6 @@ class _JsonBuilder:
         array_step = _lookup(kinds, _ARRAY_STEP)
         array_depth = np.cumsum(array_step, dtype=np.int32)
         in_object = np.minimum(array_depth, array_depth - array_step) == 0
-
         # A field is a colon of an object (not inside an array): key before
         # it, value after it, then ',' or '}'.
         colons = np.flatnonzero((kinds == _COLON) & in_object)
@@ -664,10 +688,10 @@ class _JsonBuilder:
             (types != TYPE_MISSING) & (follow != _COMMA) & (follow != _OBJ_CLOSE),
             after, "expected ',' or '}}' at byte {byte}",
         )
-        scalar_values = values[kinds[values] == _SCALAR]
+        scalars = np.flatnonzero(kinds == _SCALAR)
         problems.check(
-            ~_valid_scalars(buf, foreign, positions[scalar_values], ends[scalar_values]),
-            scalar_values, "invalid JSON value at byte {byte}",
+            ~_valid_scalars(buf, foreign, positions[scalars], ends[scalars]),
+            scalars, "invalid JSON value at byte {byte}",
         )
 
         # Every other token of an object must belong to some field.
@@ -690,6 +714,28 @@ class _JsonBuilder:
                        1, "expected ':' at byte {byte}")
         problems.check(in_object & ((kinds == _SCALAR) | (kinds == _ARR_OPEN)) & (prev != _COLON),
                        0, "invalid JSON value at byte {byte}")
+        # Inside an array, every token follows the one before it as JSON
+        # allows (:data:`_TRANSITIONS`) — and so does every ']' — and a ':'
+        # sits in an object: the last opener one depth level up
+        # (``openers`` are sorted by depth, then position).
+        inside = ~in_object
+        if inside.any():
+            checked = inside | (kinds == _ARR_CLOSE)
+            codes = _lookup((prev << 4) | kinds, _TRANSITIONS)
+            problems.check(checked & (codes == _UNSEPARATED), 0,
+                           "expected ',' or ']' at byte {byte}")
+            problems.check(checked & (codes == _NO_VALUE), 0, "invalid JSON value at byte {byte}")
+            del checked, codes
+            colons_inside = np.flatnonzero(inside & (kinds == _COLON))
+            if len(colons_inside):
+                width = np.int64(count + 1)
+                container = openers[np.searchsorted(
+                    depth[openers].astype(np.int64) * width + openers,
+                    before[colons_inside].astype(np.int64) * width + colons_inside,
+                    side="right",
+                ) - 1]
+                problems.check(kinds[container] != _OBJ_OPEN, colons_inside,
+                               "expected ',' or ']' at byte {byte}")
         problems.raise_first()
 
         # Objects, and the fields recorded (nesting up to max_depth).

@@ -65,7 +65,7 @@ def _skip_value(data: bytes, position: int) -> tuple[int, int]:
     if byte == 0x7B:
         return _skip_container(data, position, 0x7B, 0x7D), TYPE_OBJECT
     if byte == 0x5B:
-        return _skip_container(data, position, 0x5B, 0x5D), TYPE_ARRAY
+        return _skip_array(data, position), TYPE_ARRAY
     if data.startswith(b"true", position):
         return position + 4, TYPE_BOOL
     if data.startswith(b"false", position):
@@ -78,6 +78,23 @@ def _skip_value(data: bytes, position: int) -> tuple[int, int]:
     if end == position:
         raise StorageError(f"invalid JSON value at byte {position}")
     return end, TYPE_NUMBER
+
+
+def _skip_array(data: bytes, position: int) -> int:
+    """``position`` points at ``[``; skip an array of values, one between
+    each two commas, and return the index after its ``]``."""
+    position = _skip_whitespace(data, position + 1)
+    if position < len(data) and data[position] == 0x5D:
+        return position + 1
+    while True:
+        position = _skip_whitespace(data, _skip_value(data, position)[0])
+        if position >= len(data):
+            raise StorageError("unterminated container in JSON input")
+        if data[position] == 0x5D:
+            return position + 1
+        if data[position] != 0x2C:
+            raise StorageError(f"expected ',' or ']' at byte {position}")
+        position += 1
 
 
 def _skip_container(data: bytes, position: int, open_byte: int, close_byte: int) -> int:

@@ -262,14 +262,43 @@ def test_caching_disabled_engine_has_no_entries(paths):
     assert engine.cache_stats is None
 
 
+def test_greedy_dual_ages_an_entry_nobody_reads():
+    """A JSON entry outlives CSV entries only while it is read: each
+    eviction raises the floor, every later store or read of a CSV entry
+    lifts it to the JSON entry's priority, and the JSON entry — read by no
+    one since — goes first among equals.  Dropping a dataset's entries
+    leaves the floor where it was."""
+    array = np.arange(8, dtype=np.int64)  # 64 bytes
+    manager = CacheManager(64 * 3)
+    json_key = field_cache_key("feed0", ("x",))
+    manager.store(json_key, array, [("feed0", "json")])
+    for step in range(1, 5):
+        manager.store(field_cache_key(f"csv{step}", ("x",)), array, [(f"csv{step}", "csv")])
+    # csv1 and csv2 went (floor 2.0); csv3 and csv4 were stored at 4.0.
+    assert manager._floor == 2.0
+    assert json_key in manager
+    assert manager.lookup(field_cache_key("csv3", ("x",))) is not None
+    manager.store(field_cache_key("csv5", ("x",)), array, [("csv5", "csv")])
+    assert json_key not in manager
+    assert manager._floor == 4.0
+    manager.invalidate_dataset("csv3")
+    assert manager._floor == 4.0
+    assert manager.peek(field_cache_key("csv5", ("x",))).priority == 6.0
+
+
 def test_victim_is_the_first_of_the_bias_then_recency_order():
     """The single-pass victim pick evicts exactly what sorting every entry by
-    (bias, last_used) would: same victims, same order, ties included."""
+    its GreedyDual (priority, last_used) would — a priority being the floor
+    when the entry was stored or last read plus its format bias, the floor
+    the priority of the last victim: same victims, same order, ties
+    included."""
     rng = np.random.RandomState(7)
     formats = ["json", "csv", "binary_column"]
     array = np.arange(8, dtype=np.int64)  # 64 bytes
     manager = CacheManager(64 * 12)
     reference: dict[tuple, tuple[float, int]] = {}
+    bias: dict[tuple, float] = {}
+    floor = 0.0
     evicted_expected: list[tuple] = []
     evicted_seen: list[tuple] = []
     evict = manager._evict_locked
@@ -285,12 +314,13 @@ def test_victim_is_the_first_of_the_bias_then_recency_order():
         for live in rng.choice(len(reference), size=min(3, len(reference)), replace=False):
             touched = list(reference)[live]
             assert manager.lookup(touched) is not None
-            reference[touched] = (reference[touched][0], manager._clock)
+            reference[touched] = (floor + bias[touched], manager._clock)
         if len(reference) == 12:
             victim = sorted(reference, key=lambda k: reference[k])[0]
             evicted_expected.append(victim)
-            del reference[victim]
+            floor = reference.pop(victim)[0]
         manager.store(key, array, [(f"d{step}", source_format)])
-        reference[key] = (policies.FORMAT_BIAS[source_format], manager._clock)
+        bias[key] = policies.FORMAT_BIAS[source_format]
+        reference[key] = (floor + bias[key], manager._clock)
     assert evicted_seen == evicted_expected
     assert manager.stats.evictions == len(evicted_expected) == 188

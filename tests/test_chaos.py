@@ -130,6 +130,10 @@ MALFORMED_FILES = {
     "truncated_json": ("json", b'{"a": 1}\n{"a": 2', "select sum(a) from bad"),
     "bad_scalar_json": ("json", b'{"a": 1x}\n', "select sum(a) from bad"),
     "top_level_array_json": ("json", b"[1, 2]\n", "select sum(a) from bad"),
+    "array_missing_comma_json": ("json", b'{"a": 1, "b": [1 2]}\n', "select sum(a) from bad"),
+    "array_empty_element_json": ("json", b'{"a": 1, "b": [,]}\n', "select sum(a) from bad"),
+    "array_trailing_comma_json": ("json", b'{"a": 1, "b": [1,]}\n', "select sum(a) from bad"),
+    "nested_array_json": ("json", b'{"a": 1, "b": [[1], [2 3]]}\n', "select sum(a) from bad"),
     "short_csv_row": ("csv", b"a,b\n1,2\n3\n", "select sum(b) from bad"),
 }
 
@@ -151,6 +155,29 @@ def test_malformed_raw_file_is_res006_naming_the_dataset(tmp_path, case, tier):
     assert info.value.dataset == "bad" and "'bad'" in str(info.value)
     failed = engine.metrics.to_dict()["proteus_queries_failed_total"]["values"]
     assert failed == {"{code=RES006}": 1.0}
+
+
+@pytest.mark.parametrize("tier", ["codegen", "volcano"])
+def test_a_malformed_array_beyond_the_schema_sample_fails_at_first_touch(tmp_path, tier):
+    """One object past the objects schema inference samples holds a
+    malformed array.  Registered with its schema, the file is first read by
+    the first query: a COUNT(*) that reads no field fails as RES006, and so
+    does a query on that object — neither answers, nor raises the JSON
+    decoder's own error.  Registered without one, inference reads it and
+    fails the same way."""
+    lines = [f'{{"id": {i}, "a": [{i}, {i + 1}]}}' for i in range(201)]
+    lines.append('{"id": 999, "a": [1 2]}')
+    path = tmp_path / "feed.json"
+    path.write_text("\n".join(lines) + "\n")
+    engine = ProteusEngine(enable_caching=False, **TIER_CONFIGS[tier])
+    for query in ("SELECT COUNT(*) FROM t", "SELECT t.id FROM t WHERE t.id = 999"):
+        engine.register_json("t", str(path), schema={"id": "int", "a": ["int"]})
+        with pytest.raises(CorruptDataError) as info:
+            engine.query(query)
+        assert error_code(info.value) == "RES006" and info.value.dataset == "t"
+        engine.unregister("t")
+    with pytest.raises(CorruptDataError):
+        engine.register_json("t", str(path))
 
 
 def test_retry_budget_exhaustion_is_coded(paths):

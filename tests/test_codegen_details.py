@@ -14,6 +14,7 @@ at the pipeline level instead.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.core.codegen import CodeGenerator, plan_expressions
 from repro.core.codegen.compiler import compile_query
 from repro.core.codegen.context import CodegenContext
 from repro.core.codegen.expr_gen import generate_expression, supported_by_codegen
-from repro.core.executor.vectorized import Batch, materialize
+from repro.core.executor.vectorized import Batch, VectorizedExecutor, materialize
 from repro.core.expressions import (
     AggregateCall,
     BinaryOp,
@@ -310,7 +311,9 @@ def test_generation_failure_declines_before_execution(paths, monkeypatch):
         raise CodegenError("generator drift")
 
     monkeypatch.setattr(engine.generator, "generate", failing)
-    monkeypatch.setattr(engine, "_execute_pipeline", lambda *args: started.append(args))
+    monkeypatch.setattr(
+        VectorizedExecutor, "execute", lambda self, program: started.append(program)
+    )
     result = engine.query(query)
     assert calls and not started and result.tier == "volcano"
     assert result.profile.predicted_tier == "codegen"
@@ -496,3 +499,42 @@ def test_one_walk_keys_and_generates_the_symantec_modules_unchanged(tmp_path):
     assert len(sources) == 50
     assert hashlib.sha256("\n".join(sources).encode()).hexdigest() == SYMANTEC_SOURCES_DIGEST
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == SYMANTEC_KEYS_DIGEST
+
+
+#: The ``sha256`` of the 50 Symantec programs' driver sources.
+SYMANTEC_DRIVERS_DIGEST = "99d0ee563b585da2e1fd08f8b5795297871cd627fbf5cb946da36ff2a84155b7"
+
+
+def test_the_symantec_drivers_are_generated_unchanged(tmp_path):
+    """Each Symantec program's driver comes out byte for byte as pinned — a
+    function of the program's structure, naming no dataset: the same texts
+    over renamed datasets generate the same drivers."""
+    import hashlib
+
+    from repro import ProteusEngine
+    from repro.core.codegen.driver import generate_driver
+    from repro.workloads import symantec
+
+    files = symantec.materialize(
+        str(tmp_path), num_json=200, num_csv=800, num_binary=1000, seed=7
+    )
+    sources = {}
+    for suffix in ("", "_b"):
+        engine = ProteusEngine(enable_caching=False)
+        engine.register_json(f"spam_mails{suffix}", files.json_path)
+        engine.register_csv(f"classification{suffix}", files.csv_path)
+        engine.register_binary_columns(f"mail_log{suffix}", files.binary_dir)
+        drivers = []
+        for query in symantec.symantec_workload(files):
+            text = query.spec.to_text()
+            for name in ("spam_mails", "classification", "mail_log"):
+                text = re.sub(rf"\b{name}\b", f"{name}{suffix}", text)
+            prepared = engine.prepare(text)
+            prepared.execute()
+            program = prepared._state[3].program
+            drivers.append("\n".join(source for source, _ in generate_driver(program).values()))
+        sources[suffix] = drivers
+    assert sources[""] == sources["_b"]
+    assert len(sources[""]) == 50
+    digest = hashlib.sha256("\n".join(sources[""]).encode()).hexdigest()
+    assert digest == SYMANTEC_DRIVERS_DIGEST

@@ -1077,9 +1077,9 @@ def test_scan_emits_oids_only_where_an_operator_above_reads_them(paths, monkeypa
     taken: list[set[str]] = []
     take = vectorized.Batch.take
 
-    def recording(batch, selector):
+    def recording(batch, selector, *live):
         taken.append(set(batch.oids))
-        return take(batch, selector)
+        return take(batch, selector, *live)
 
     monkeypatch.setattr(vectorized.Batch, "take", recording)
     volcano = make_engine(paths, enable_codegen=False)

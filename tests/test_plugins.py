@@ -9,7 +9,7 @@ from repro.caching.manager import CacheManager
 from repro.caching.matching import field_cache_key
 from repro.core import types as t
 from repro.core.columns import EncodedColumn
-from repro.core.executor.vectorized import ScanOperator, ScanStep
+from repro.core.executor.vectorized import ScanStep, open_scan, scan_batches, store_scan
 from repro.core.physical import PhysScan
 from repro.core.profile import ExecutionCounters
 from repro.errors import PluginError, StorageError
@@ -256,9 +256,15 @@ def test_flat_formats_have_no_nested_collections(paths, plugin_class, fmt, path_
 # -- cached fields ---------------------------------------------------------------------
 
 
+def _probed(step, manager) -> dict:
+    """What ``manager`` holds of ``step``'s fields: an execution's probe."""
+    entries = manager.lookup_many(step.keys)
+    return {key: entry.data for key, entry in zip(step.keys, entries) if entry is not None}
+
+
 def test_cache_plugin_serves_cached_fields(tmp_path):
-    """The cache is the batch pipeline's access path: ``ScanOperator`` serves
-    the fields the manager holds and asks the plug-in only for the rest."""
+    """The cache is the batch pipeline's access path: a scan serves the
+    fields the manager holds and asks the plug-in only for the rest."""
     path = tmp_path / "ds.json"
     path.write_text("".join(f'{{"x": {i}, "y": {2 * i}}}\n' for i in range(50)))
     dataset = _dataset("ds", DataFormat.JSON, str(path), t.make_schema({"x": "int", "y": "int"}))
@@ -267,10 +273,11 @@ def test_cache_plugin_serves_cached_fields(tmp_path):
     values = np.arange(50, dtype=np.int64)
     manager.store(field_cache_key("ds", ("x",)), values, [("ds", "json")])
 
-    cached = ScanOperator(ScanStep.of(PhysScan("ds", "d", [("x",)]), dataset, plugin), cache_manager=manager)
-    assert cached.fully_cached and cached.total_rows == 50
+    step = ScanStep.of(PhysScan("ds", "d", [("x",)]), dataset, plugin)
+    cached = open_scan(step, _probed(step, manager), recording=True)
+    assert not cached.uncached and cached.total_rows == 50
     counters = ExecutionCounters()
-    batches = list(cached.iter_range(40, 50, counters, batch_size=4))
+    batches = list(scan_batches(cached, 40, 50, counters, 4, None))
     assert [batch.count for batch in batches] == [4, 4, 2]
     assert np.concatenate([b.columns[("d", ("x",))] for b in batches]).tolist() == list(range(40, 50))
     assert np.concatenate([b.oids["d"] for b in batches]).tolist() == list(range(40, 50))
@@ -278,11 +285,11 @@ def test_cache_plugin_serves_cached_fields(tmp_path):
 
     # A field the manager does not hold is read from the raw file; the cached
     # one still comes from the cache.
-    mixed = ScanOperator(ScanStep.of(PhysScan("ds", "d", [("x",), ("y",)]), dataset, plugin),
-                         cache_manager=manager)
-    assert not mixed.fully_cached
+    step = ScanStep.of(PhysScan("ds", "d", [("x",), ("y",)]), dataset, plugin)
+    mixed = open_scan(step, _probed(step, manager), recording=True)
+    assert mixed.uncached == [("y",)]
     counters = ExecutionCounters()
-    batches = list(mixed.iter_batches(counters, batch_size=16))
+    batches = list(scan_batches(mixed, None, None, counters, 16, None))
     assert np.concatenate([b.columns[("d", ("x",))] for b in batches]).tolist() == list(range(50))
     assert np.concatenate([b.columns[("d", ("y",))] for b in batches]).tolist() == list(range(0, 100, 2))
     assert counters.values_from_cache == 50 and counters.values_extracted == 50
@@ -299,7 +306,7 @@ _CONTRACT_VALUES = {
     "string": ["a", "é", None, "", "a", "z"],
 }
 
-#: Not a plug-in format: the columns a warm ``ScanOperator`` reads from the
+#: Not a plug-in format: the columns a warm scan reads from the
 #: cache that a cold scan of the JSON table populated.
 CACHED = "cache"
 
@@ -354,22 +361,22 @@ def _contract_dataset(tmp_path, fmt, type_name, values):
 
 def _column_batches(plugin, dataset, fmt, batch_size):
     """``(oids, column of x)`` per batch: the plug-in's own scan, or for
-    :data:`CACHED` the batches of a warm ``ScanOperator`` over the column a
+    :data:`CACHED` the batches of a warm scan over the column a
     cold scan stored in the cache manager."""
     if fmt != CACHED:
         for batch in plugin.scan_batches(dataset, [("x",)], batch_size=batch_size):
             yield batch.oids, batch.column(("x",))
         return
     manager = CacheManager(1 << 28)
-    scan = ScanStep.of(PhysScan("table", "r", [("x",)]), dataset, plugin)
-    cold = ScanOperator(scan, cache_manager=manager)
-    for _ in cold.iter_batches(ExecutionCounters(), batch_size):
+    step = ScanStep.of(PhysScan("table", "r", [("x",)]), dataset, plugin)
+    cold = open_scan(step, _probed(step, manager), recording=True)
+    for _ in scan_batches(cold, None, None, ExecutionCounters(), batch_size, None):
         pass
-    cold.store_materialized()
-    warm = ScanOperator(scan, cache_manager=manager)
-    assert warm.fully_cached
+    store_scan(cold, manager)
+    warm = open_scan(step, _probed(step, manager), recording=True)
+    assert not warm.uncached
     counters = ExecutionCounters()
-    for batch in warm.iter_batches(counters, batch_size):
+    for batch in scan_batches(warm, None, None, counters, batch_size, None):
         yield batch.oids["r"], batch.columns[("r", ("x",))]
     assert counters.values_from_cache == warm.total_rows
     assert counters.values_extracted == 0

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -910,47 +911,49 @@ def test_warm_executions_derive_nothing_from_the_plan(symantec_smoke, monkeypatc
 
 
 def test_a_warm_scan_probes_the_field_cache_once(symantec_smoke, monkeypatch):
-    """A warm execution of every Symantec text asks the cache for a scan's
-    fields in one call, and the statistics still count every key: a lookup
-    each, a hit each that the cache held."""
+    """A warm execution of every Symantec text enters the cache's lock
+    exactly once: one probe for every key it reads — field columns, unnest
+    outputs, build sides and chain partials —, and the statistics still
+    count every key: a lookup each, a hit each that the cache held."""
     from repro.caching.manager import CacheManager
-    from repro.core.executor.vectorized import ScanOperator
 
     files, texts = symantec_smoke
     engine = _symantec_engine(files)
     for _ in range(2):
         for text in texts:
             engine.query(text).rows
-    counts = {"scans": 0, "field_probes": 0, "keys": 0, "hits": 0}
+    counts = {"entries": 0, "keys": 0, "hits": 0}
+    manager = engine.cache_manager
+    lock = manager._lock
+
+    class CountingLock:
+        def __enter__(self):
+            counts["entries"] += 1
+            return lock.__enter__()
+
+        def __exit__(self, *exc):
+            return lock.__exit__(*exc)
 
     def counted(keys, entries):
         counts["keys"] += len(keys)
         counts["hits"] += sum(entry is not None for entry in entries)
-        counts["field_probes"] += any(key[0] == "field" for key in keys)
         return entries
 
-    lookup, lookup_many, scan_init = (
-        CacheManager.lookup, CacheManager.lookup_many, ScanOperator.__init__
-    )
+    lookup, lookup_many = CacheManager.lookup, CacheManager.lookup_many
     monkeypatch.setattr(
         CacheManager, "lookup", lambda self, key: counted([key], [lookup(self, key)])[0]
     )
     monkeypatch.setattr(
         CacheManager, "lookup_many", lambda self, keys: counted(keys, lookup_many(self, keys))
     )
-
-    def counting_init(self, *args, **kwargs):
-        counts["scans"] += 1
-        scan_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ScanOperator, "__init__", counting_init)
+    monkeypatch.setattr(manager, "_lock", CountingLock())
     stats = engine.cache_stats
     warm_hits = 0
     for text in texts:
-        counts.update(scans=0, field_probes=0, keys=0, hits=0)
+        counts.update(entries=0, keys=0, hits=0)
         lookups, hits = stats.lookups, stats.hits
         engine.query(text).rows
-        assert counts["field_probes"] <= counts["scans"], (text, counts)
+        assert counts["entries"] == 1, (text, counts)
         assert stats.lookups - lookups == counts["keys"], (text, counts)
         assert stats.hits - hits == counts["hits"], (text, counts)
         warm_hits += counts["hits"]
@@ -1098,3 +1101,96 @@ def test_reregistration_with_other_rows_rebuilds_the_program(tmp_path, config):
         assert query._state[3].program is not program
     if config:
         assert prepared[0].execute(3).profile.morsels_dispatched > 0
+
+
+#: The calls one warm execution of each Symantec text makes (the query and
+#: its rows, C calls included; ``symantec_smoke``, two workers).  Before the
+#: generated drivers they were 190–541, mean 318.8.
+SYMANTEC_WARM_CALLS = [
+    151, 186, 247, 262, 245, 265, 216, 151, 170, 153, 137, 140, 185, 227, 218, 179, 148,
+    140, 185, 141, 134, 188, 169, 247, 235, 123, 173, 123, 260, 258, 123, 182, 256, 156,
+    169, 125, 295, 260, 219, 153, 137, 187, 270, 173, 217, 137, 313, 228, 137, 334,
+]
+
+
+def _calls_of(run) -> int:
+    """The Python calls ``run()`` makes, C calls included."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # the call that switched the counting off
+
+
+def test_warm_symantec_executions_make_no_more_calls_than_pinned(symantec_smoke):
+    """A warm, untraced execution of each Symantec text — the query and its
+    rows — makes at most the Python calls pinned here (C calls included):
+    the fixed cost around the kernels only falls.  The counts depend on
+    neither the host nor the clock; a change that lowers them lowers the
+    pins."""
+    files, texts = symantec_smoke
+    engine = _symantec_engine(files)
+    for _ in range(2):
+        for text in texts:
+            engine.query(text).rows
+    counts = [_calls_of(lambda: engine.query(text).rows) for text in texts]
+    grown = {
+        index + 1: (count, pinned)
+        for index, (count, pinned) in enumerate(zip(counts, SYMANTEC_WARM_CALLS))
+        if count > pinned
+    }
+    assert not grown, f"calls per warm execution grew (Q: (now, pinned)): {grown}"
+
+
+def test_a_second_feed_arrival_compiles_nothing(tmp_path, monkeypatch):
+    """The 14 texts of a ``raw_feed_arrival`` arrival, over a second arrival
+    registered under new dataset names: every shape, module and driver is
+    reused — nothing is generated or compiled — and the answers are the
+    first arrival's."""
+    from dataclasses import replace
+
+    from repro.core.codegen import compiler
+    from repro.workloads import symantec
+    from repro.workloads.query_spec import TableRef
+
+    steps = ["Q16", "Q9", "Q17", "Q18", "Q19", "Q20", "Q21", "Q10", "Q11", "Q12", "Q13",
+             "Q15", "Q22", "Q36"]
+    files = symantec.materialize(str(tmp_path), num_json=200, num_csv=1_000, num_binary=10)
+    by_name = {query.spec.name: query.spec for query in symantec.symantec_workload(files)}
+    engine = ProteusEngine(parallel_workers=2, cache_budget_bytes=1 << 20)
+    compiled: list[str] = []
+    original = compiler._compile
+
+    def counting(source, filename):
+        compiled.append(filename)
+        return original(source, filename)
+
+    monkeypatch.setattr(compiler, "_compile", counting)
+    answers = []
+    for arrival in ("feed0", "feed1"):
+        csv_name, json_name = f"{arrival}_csv", f"{arrival}_json"
+        engine.register_csv(csv_name, files.csv_path, schema=symantec.CLASSIFICATION_CSV_SCHEMA)
+        engine.register_json(json_name, files.json_path, schema=symantec.SPAM_JSON_SCHEMA)
+        renamed = {"classification": csv_name, "spam_mails": json_name}
+        compiled.clear()
+        rows = []
+        for name in steps:
+            spec = replace(by_name[name], tables=[
+                TableRef(renamed[table.dataset], table.alias) for table in by_name[name].tables
+            ])
+            result = engine.query(spec.to_text())
+            assert result.tier == "codegen", name
+            rows.append(sorted(map(repr, result.rows)))
+        answers.append(rows)
+        if arrival == "feed0":
+            assert "<proteus-generated-driver>" in compiled
+    assert compiled == []
+    assert answers[0] == answers[1]

@@ -222,6 +222,12 @@ _ERROR_BYTES = {
     b'{"a": 1x}': 6,
     b'{"a": nul}': 6,
     b'{"a": }': 6,
+    b'{"a": [1 2]}': 9,
+    b'{"a": [,]}': 7,
+    b'{"a": [1,]}': 9,
+    b'{"a": [[1], [2 3]]}': 15,
+    b'{"a": [{"b" 1}]}': 12,
+    b'{"a": ["b": 1]}': 10,
 }
 
 
@@ -237,6 +243,13 @@ _ERROR_BYTES = {
         (b'{"a": 1x}', "invalid JSON value"),
         (b'{"a": nul}', "invalid JSON value"),
         (b'{"a": }', "invalid JSON value"),
+        # Arrays hold values, one between each two commas, at any depth.
+        (b'{"a": [1 2]}', "expected ',' or ']'"),
+        (b'{"a": [,]}', "invalid JSON value"),
+        (b'{"a": [1,]}', "invalid JSON value"),
+        (b'{"a": [[1], [2 3]]}', "expected ',' or ']'"),
+        (b'{"a": [{"b" 1}]}', "expected ',' or ']'"),
+        (b'{"a": ["b": 1]}', "expected ',' or ']'"),
     ],
 )
 def test_json_index_rejects_malformed_streams(data, message):
